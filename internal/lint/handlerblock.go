@@ -14,9 +14,11 @@ import (
 // Handler roots are the function values passed to the well-known
 // registration calls (sim.Engine.At/After, netsim.Host.SetHandler,
 // netsim.Network.AddTap/Notify — matched by method name so test fixtures
-// and future packages are covered too). From each root the analyzer walks
-// statically-resolvable calls into same-package functions (depth-limited)
-// and flags:
+// and future packages are covered too). A root passed as a function-typed
+// struct field (a pooled record's callback, bound once: rec.fn = rec.fire,
+// then At(t, rec.fn)) stands for every value the package assigns to that
+// field. From each root the analyzer walks statically-resolvable calls into
+// same-package functions (depth-limited) and flags:
 //
 //   - channel sends and receives outside a select with a default case,
 //   - selects without a default case,
@@ -54,6 +56,7 @@ func runHandlerBlock(pass *Pass) error {
 	w := &hbWalker{
 		pass:     pass,
 		decls:    map[types.Object]*ast.FuncDecl{},
+		fields:   map[types.Object][]ast.Expr{},
 		visited:  map[ast.Node]bool{},
 		reported: map[token.Pos]bool{},
 	}
@@ -65,6 +68,23 @@ func runHandlerBlock(pass *Pass) error {
 				}
 			}
 		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch nn := n.(type) {
+			case *ast.AssignStmt:
+				if len(nn.Lhs) == len(nn.Rhs) {
+					for i, lhs := range nn.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							w.recordField(sel.Sel, nn.Rhs[i])
+						}
+					}
+				}
+			case *ast.KeyValueExpr:
+				if key, ok := nn.Key.(*ast.Ident); ok {
+					w.recordField(key, nn.Value)
+				}
+			}
+			return true
+		})
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -101,8 +121,21 @@ func calleeName(call *ast.CallExpr) string {
 type hbWalker struct {
 	pass     *Pass
 	decls    map[types.Object]*ast.FuncDecl
+	fields   map[types.Object][]ast.Expr // function-typed struct field -> values assigned to it
 	visited  map[ast.Node]bool
 	reported map[token.Pos]bool
+}
+
+// recordField notes value as one of the handlers a function-typed struct
+// field can hold, if name resolves to such a field.
+func (w *hbWalker) recordField(name *ast.Ident, value ast.Expr) {
+	v, ok := w.pass.TypesInfo.Uses[name].(*types.Var)
+	if !ok || !v.IsField() {
+		return
+	}
+	if _, isFunc := v.Type().Underlying().(*types.Signature); isFunc {
+		w.fields[v] = append(w.fields[v], value)
+	}
 }
 
 const hbMaxDepth = 4
@@ -118,8 +151,18 @@ func (w *hbWalker) walkRoot(expr ast.Expr, depth int) {
 			w.walkBody(fd, fd.Body, depth)
 		}
 	case *ast.SelectorExpr:
-		if fd := w.decls[w.pass.TypesInfo.Uses[e.Sel]]; fd != nil {
+		obj := w.pass.TypesInfo.Uses[e.Sel]
+		if fd := w.decls[obj]; fd != nil {
 			w.walkBody(fd, fd.Body, depth)
+		}
+		if values := w.fields[obj]; len(values) > 0 && !w.visited[e.Sel] {
+			// A callback field: the handler is whatever the package
+			// stored there. The visited mark stops rec.fn = other.fn
+			// cycles.
+			w.visited[e.Sel] = true
+			for _, v := range values {
+				w.walkRoot(v, depth)
+			}
 		}
 	case *ast.CallExpr:
 		// A call producing the handler (adapter pattern): walk the factory

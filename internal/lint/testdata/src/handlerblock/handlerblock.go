@@ -95,3 +95,52 @@ func suppressed(e *Engine, ch chan int) {
 func unregistered(ch chan int) {
 	ch <- 9
 }
+
+// record is a pooled event record: its callback is bound once, when the
+// record is made, and every later registration passes the field.
+type record struct {
+	fn   func()
+	done chan int
+}
+
+type recordPool struct {
+	free []*record
+}
+
+func (rp *recordPool) schedule(e *Engine, done chan int) {
+	var r *record
+	if n := len(rp.free); n > 0 {
+		r, rp.free = rp.free[n-1], rp.free[:n-1]
+	} else {
+		r = &record{}
+		r.fn = r.fire
+	}
+	r.done = done
+	e.At(7, r.fn)
+}
+
+// fire is a handler only through record.fn; so is what it calls.
+func (r *record) fire() {
+	r.finish()
+}
+
+func (r *record) finish() {
+	r.done <- 1 // want `channel send can block`
+}
+
+// literalRecord binds the callback in a composite literal.
+func literalRecord(e *Engine, ch chan int) {
+	r := &record{fn: func() {
+		<-ch // want `channel receive can block`
+	}}
+	e.After(1, r.fn)
+}
+
+// unscheduled is exempt: the field is assigned but never registered.
+type unscheduled struct {
+	cb func()
+}
+
+func (u *unscheduled) bind(ch chan int) {
+	u.cb = func() { ch <- 3 }
+}

@@ -111,40 +111,72 @@ func (s *Sample) Median() float64 { return s.Percentile(50) }
 // the substitute for the paper's CPU-usage measurements in Fig 9(c): every
 // operation in the simulator charges a calibrated cost here.
 type CPUAccount struct {
-	byCategory map[string]time.Duration
+	byCategory map[string]*CPUMeter
+}
+
+// CPUMeter is one category of a CPUAccount, resolved once so that a
+// per-packet path charges it without hashing the category name.
+type CPUMeter struct {
+	total   time.Duration
+	charged bool // a category exists once charged, even with zero
 }
 
 // NewCPUAccount returns an empty account.
 func NewCPUAccount() *CPUAccount {
-	return &CPUAccount{byCategory: make(map[string]time.Duration)}
+	return &CPUAccount{byCategory: make(map[string]*CPUMeter)}
+}
+
+// Meter returns the meter of a category. Resolving a meter does not make
+// the category exist: it appears in Categories with its first charge.
+func (a *CPUAccount) Meter(category string) *CPUMeter {
+	m := a.byCategory[category]
+	if m == nil {
+		m = &CPUMeter{}
+		a.byCategory[category] = m
+	}
+	return m
+}
+
+// Charge adds d of virtual CPU time to the meter's category.
+func (m *CPUMeter) Charge(d time.Duration) {
+	if d < 0 {
+		panic("metrics: negative CPU charge")
+	}
+	m.total += d
+	m.charged = true
 }
 
 // Charge adds d of virtual CPU time to the category.
 func (a *CPUAccount) Charge(category string, d time.Duration) {
-	if d < 0 {
-		panic("metrics: negative CPU charge")
-	}
-	a.byCategory[category] += d
+	a.Meter(category).Charge(d)
 }
 
 // Total returns the sum across categories.
 func (a *CPUAccount) Total() time.Duration {
 	var t time.Duration
-	for _, d := range a.byCategory {
-		t += d
+	for _, m := range a.byCategory {
+		t += m.total
 	}
 	return t
 }
 
 // Category returns the time charged to one category.
-func (a *CPUAccount) Category(c string) time.Duration { return a.byCategory[c] }
+func (a *CPUAccount) Category(c string) time.Duration {
+	if m := a.byCategory[c]; m != nil {
+		return m.total
+	}
+	return 0
+}
 
-// Categories returns the category names in sorted order.
+// Categories returns the names of the categories charged so far, in
+// sorted order.
 func (a *CPUAccount) Categories() []string {
 	out := make([]string, 0, len(a.byCategory))
 	// lint:ignore detrange keys are collected then sorted immediately below
-	for c := range a.byCategory {
-		out = append(out, c)
+	for c, m := range a.byCategory {
+		if m.charged {
+			out = append(out, c)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -152,8 +184,11 @@ func (a *CPUAccount) Categories() []string {
 
 // Merge adds all of b's charges into a.
 func (a *CPUAccount) Merge(b *CPUAccount) {
-	for c, d := range b.byCategory {
-		a.byCategory[c] += d
+	// lint:ignore detrange each category is charged into its own meter; no cross-iteration state
+	for c, m := range b.byCategory {
+		if m.charged {
+			a.Charge(c, m.total)
+		}
 	}
 }
 

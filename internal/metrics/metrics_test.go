@@ -89,6 +89,31 @@ func TestCPUAccount(t *testing.T) {
 	}
 }
 
+// A resolved meter charges its category, and a category nobody charged
+// stays out of Categories (and of a Merge): Fig 9c lists what ran, not what
+// was wired up.
+func TestCPUMeter(t *testing.T) {
+	a := NewCPUAccount()
+	vswitch, stack := a.Meter("vswitch"), a.Meter("stack")
+	if cats := a.Categories(); len(cats) != 0 {
+		t.Fatalf("Categories = %v before any charge", cats)
+	}
+	vswitch.Charge(3 * time.Microsecond)
+	a.Charge("vswitch", time.Microsecond)
+	if a.Category("vswitch") != 4*time.Microsecond || a.Category("stack") != 0 || a.Total() != 4*time.Microsecond {
+		t.Fatalf("vswitch = %v, stack = %v, total = %v", a.Category("vswitch"), a.Category("stack"), a.Total())
+	}
+	b := NewCPUAccount()
+	b.Merge(a)
+	if cats := b.Categories(); len(cats) != 1 || cats[0] != "vswitch" {
+		t.Fatalf("Categories after merge = %v, want [vswitch]", cats)
+	}
+	stack.Charge(0)
+	if cats := a.Categories(); len(cats) != 2 {
+		t.Fatalf("Categories = %v after a zero charge, want both", cats)
+	}
+}
+
 func TestCPUAccountMerge(t *testing.T) {
 	a, b := NewCPUAccount(), NewCPUAccount()
 	a.Charge("x", time.Second)

@@ -10,21 +10,22 @@ import (
 	"mic/internal/topo"
 )
 
-// TestSwitchDatapathAllocFree enforces the tentpole's allocation-free
-// steady state on the switch datapath: drawing a packet from the pool,
-// filling headers and payload, a microflow-cache-hit lookup, in-place
-// set-field/MPLS rewrites, and release back to the pool must not allocate.
-// Engine event scheduling (the simulator's own per-event closures) is
-// deliberately outside the measured region — it is the cost of simulating
-// time, not of forwarding a packet.
+// TestSwitchDatapathAllocFree enforces the allocation-free steady state of a
+// whole hop, host -> switch -> host: drawing a packet from the pool, filling
+// headers and payload, the sending host's stack latency, serialisation and
+// propagation on both links, a microflow-cache-hit lookup, in-place
+// set-field/MPLS rewrites after the forwarding latency, delivery to the
+// receiving host's handler and release back to the pool — every engine
+// event of the journey included — must not allocate.
 func TestSwitchDatapathAllocFree(t *testing.T) {
 	g, err := topo.Linear(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := New(sim.New(), g, Config{})
+	eng := sim.New()
+	net := New(eng, g, Config{})
 	sw := net.Switch(g.Switches()[0])
-	dst := net.Host(g.Hosts()[1])
+	src, dst := net.Host(g.Hosts()[0]), net.Host(g.Hosts()[1])
 
 	// An MN-style rule: rewrite the label and MACs, then output.
 	sw.Table.Insert(&flowtable.Entry{
@@ -33,47 +34,37 @@ func TestSwitchDatapathAllocFree(t *testing.T) {
 		Actions: []flowtable.Action{
 			flowtable.SetMPLS(42),
 			flowtable.SetEthDst(dst.MAC),
+			flowtable.Output(g.PortTo(sw.ID, dst.ID)),
 		},
 	}, 0)
+	delivered := 0
+	dst.SetHandler(func(int, *packet.Packet) { delivered++ })
 
 	pool := net.PacketPool()
 	seg := make([]byte, 1460)
-	src := net.Host(g.Hosts()[0])
-
-	forward := func() bool {
+	forward := func() {
 		p := pool.Get()
 		p.SrcMAC, p.DstMAC = src.MAC, addr.Broadcast
 		p.SrcIP, p.DstIP = src.IP, dst.IP
 		p.Proto, p.TTL = packet.ProtoTCP, 64
 		p.SrcPort, p.DstPort = 40000, 80
 		p.SetPayload(seg)
-		e, hit := sw.Table.Lookup(p, 0, 0)
-		if e == nil {
-			p.Release()
-			return false
-		}
-		for _, a := range e.Actions {
-			a.Apply(p)
-		}
-		p.Release()
-		return hit
+		src.Send(0, p)
+		eng.Run()
 	}
 
-	// Warm up: populate the pool's free list and the microflow cache for
-	// every key the rewrite cycle produces.
+	// Warm up: populate the packet pool, the hop-record free list, the
+	// engine's queue and the microflow cache.
 	for i := 0; i < 3; i++ {
 		forward()
 	}
-	missed := false
-	allocs := testing.AllocsPerRun(1000, func() {
-		if !forward() {
-			missed = true
-		}
-	})
-	if missed {
-		t.Fatal("steady-state lookup was not a cache hit")
+	delivered = 0
+	hits := sw.CacheHits
+	allocs := testing.AllocsPerRun(1000, forward)
+	if delivered != 1001 || sw.CacheHits-hits != 1001 {
+		t.Fatalf("delivered %d frames with %d cache hits, want 1001 of each", delivered, sw.CacheHits-hits)
 	}
 	if allocs != 0 {
-		t.Fatalf("steady-state switch datapath allocated %v times per packet, want 0", allocs)
+		t.Fatalf("steady-state hop allocated %v times per packet, want 0", allocs)
 	}
 }

@@ -49,7 +49,7 @@ func (n *Network) SetLinkFault(node topo.NodeID, port int, f FaultProfile) {
 	}
 	peer := n.Graph.Node(node).Ports[port]
 	for _, pk := range [2]portKey{{node, port}, {peer.Peer, peer.PeerPort}} {
-		d := n.dirs[pk]
+		d := n.dir(pk.node, pk.port)
 		if f.IsZero() {
 			d.fault = nil
 			continue
@@ -70,7 +70,7 @@ func (n *Network) ClearLinkFault(node topo.NodeID, port int) {
 // LinkFault returns the fault profile active on the (node, port) direction,
 // or the zero profile for a clean link.
 func (n *Network) LinkFault(node topo.NodeID, port int) FaultProfile {
-	if d, ok := n.dirs[portKey{node, port}]; ok && d.fault != nil {
+	if d := n.dir(node, port); d != nil && d.fault != nil {
 		return *d.fault
 	}
 	return FaultProfile{}

@@ -35,10 +35,9 @@ func (h *Host) SetHandler(fn func(inPort int, p *packet.Packet)) { h.handler = f
 // multi-homed.
 func (h *Host) Send(port int, p *packet.Packet) {
 	h.TxPackets++
-	h.net.CPU.Charge("stack", h.net.Cfg.CostHostPacket)
-	h.net.Eng.After(h.net.Cfg.HostLatency, func() {
-		h.net.send(h.ID, port, p)
-	})
+	n := h.net
+	n.stackCPU.Charge(n.Cfg.CostHostPacket)
+	n.schedule(n.Eng.Now().Add(n.Cfg.HostLatency), hopHostSend, h.ID, port, p, nil)
 }
 
 // recv delivers an arriving frame to the registered handler after the
@@ -48,15 +47,12 @@ func (h *Host) Send(port int, p *packet.Packet) {
 // handler returns.
 func (h *Host) recv(inPort int, p *packet.Packet) {
 	h.RxPackets++
-	h.net.CPU.Charge("stack", h.net.Cfg.CostHostPacket)
+	n := h.net
+	n.stackCPU.Charge(n.Cfg.CostHostPacket)
 	if h.handler == nil {
-		h.net.Stats.Dropped++
+		n.Stats.Dropped++
 		p.Release()
 		return
 	}
-	h.net.Eng.After(h.net.Cfg.HostLatency, func() {
-		h.net.Stats.Delivered++
-		h.handler(inPort, p)
-		p.Release()
-	})
+	n.schedule(n.Eng.Now().Add(n.Cfg.HostLatency), hopHostDeliver, h.ID, inPort, p, nil)
 }

@@ -242,7 +242,7 @@ type Stats struct {
 // SetLinkDown stays cut when an attached switch crashes and later restores.
 type linkDir struct {
 	busyUntil sim.Time
-	queued    int
+	queue     txQueue // frames accepted and not yet serialised
 	txBytes   uint64
 	drops     uint64
 	linkDown  bool // failed via SetLinkDown
@@ -253,10 +253,57 @@ type linkDir struct {
 	// on one link never depend on traffic crossing another.
 	fault    *FaultProfile
 	faultRNG *sim.RNG
+}
 
-	// dec is the shared "serialization finished" callback, built once so
-	// the per-frame schedule does not allocate a fresh closure.
-	dec func()
+// txFrame is one frame in a drop-tail queue: the instant its last bit
+// leaves, and the engine's LastSeq when it was accepted.
+type txFrame struct {
+	done sim.Time
+	seq  uint64
+}
+
+// txQueue is the occupancy of one direction's drop-tail queue, kept without
+// an engine event per frame. A frame leaves the queue when its
+// serialisation finishes; were that an event, it would be scheduled when
+// the frame is accepted, for instant done, and so fire after every event
+// of that instant scheduled earlier and before every one scheduled later.
+// The queue records (done, LastSeq at acceptance) instead and settles the
+// question when the next frame asks: seen from an event firing at now with
+// sequence number s, a frame still occupies the queue iff done > now, or
+// done == now and s <= seq. Both fields only grow from one frame to the
+// next, so frames leave in FIFO order and expiry pops from the head.
+type txQueue struct {
+	buf  []txFrame // ring; len is zero or a power of two
+	head int
+	n    int
+}
+
+// occupancy drops the frames that have left by (now, firing) and returns
+// how many remain.
+func (q *txQueue) occupancy(now sim.Time, firing uint64) int {
+	for q.n > 0 {
+		f := q.buf[q.head]
+		if f.done > now || f.done == now && firing <= f.seq {
+			break
+		}
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+		q.n--
+	}
+	return q.n
+}
+
+// push appends a frame. The ring doubles as needed; occupancy never
+// exceeds Config.QueueCapPackets, which bounds its size.
+func (q *txQueue) push(f txFrame) {
+	if q.n == len(q.buf) {
+		grown := make([]txFrame, max(2*len(q.buf), 8))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)&(len(q.buf)-1)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = f
+	q.n++
 }
 
 func (d *linkDir) down() bool { return d.linkDown || d.swDown > 0 }
@@ -269,10 +316,7 @@ type Network struct {
 	Cfg   Config
 	Stats Stats
 
-	switches  map[topo.NodeID]*Switch
-	hosts     map[topo.NodeID]*Host
-	dirs      map[portKey]*linkDir
-	taps      map[topo.NodeID][]Tap
+	nodes     []node // indexed by topo.NodeID
 	listeners []Listener
 	faultSeed uint64
 	ctrlHosts []bool // down flag per registered controller host
@@ -284,6 +328,22 @@ type Network struct {
 	// pool recycles data-plane packets. Per network (not global) because
 	// the harness runs independent engines on parallel goroutines.
 	pool *packet.Pool
+
+	// hopFree recycles hop records (hop.go), per network for the same
+	// reason.
+	hopFree []*hop
+
+	// Meters of the two categories the packet path charges, resolved once.
+	vswitchCPU, stackCPU *metrics.CPUMeter
+}
+
+// node is the runtime of one topology node: its switch or host, and the
+// per-port link state, so that the packet path indexes instead of hashing.
+type node struct {
+	sw   *Switch
+	host *Host
+	dirs []linkDir // by port: the direction leaving this node
+	taps []Tap
 }
 
 type portKey struct {
@@ -291,19 +351,26 @@ type portKey struct {
 	port int
 }
 
+// dir returns the link direction leaving (id, port), or nil if there is no
+// such port.
+func (n *Network) dir(id topo.NodeID, port int) *linkDir {
+	if id < 0 || int(id) >= len(n.nodes) || port < 0 || port >= len(n.nodes[id].dirs) {
+		return nil
+	}
+	return &n.nodes[id].dirs[port]
+}
+
 // New builds runtimes for every node of g.
 func New(eng *sim.Engine, g *topo.Graph, cfg Config) *Network {
 	n := &Network{
-		Eng:      eng,
-		Graph:    g,
-		CPU:      metrics.NewCPUAccount(),
-		Cfg:      cfg.withDefaults(),
-		switches: make(map[topo.NodeID]*Switch),
-		hosts:    make(map[topo.NodeID]*Host),
-		dirs:     make(map[portKey]*linkDir),
-		taps:     make(map[topo.NodeID][]Tap),
-		pool:     packet.NewPool(),
+		Eng:   eng,
+		Graph: g,
+		CPU:   metrics.NewCPUAccount(),
+		Cfg:   cfg.withDefaults(),
+		nodes: make([]node, len(g.Nodes)),
+		pool:  packet.NewPool(),
 	}
+	n.vswitchCPU, n.stackCPU = n.CPU.Meter("vswitch"), n.CPU.Meter("stack")
 	if cfg.PoolDebug {
 		n.pool.SetDebug(true)
 	}
@@ -316,13 +383,11 @@ func New(eng *sim.Engine, g *topo.Graph, cfg Config) *Network {
 		case topo.KindSwitch:
 			tbl := flowtable.NewTable()
 			tbl.Capacity = n.Cfg.FlowTableCapacity
-			n.switches[node.ID] = &Switch{net: n, ID: node.ID, Name: node.Name, Table: tbl}
+			n.nodes[node.ID].sw = &Switch{net: n, ID: node.ID, Name: node.Name, Table: tbl}
 		case topo.KindHost:
-			n.hosts[node.ID] = &Host{net: n, ID: node.ID, Name: node.Name, IP: node.IP, MAC: node.MAC}
+			n.nodes[node.ID].host = &Host{net: n, ID: node.ID, Name: node.Name, IP: node.IP, MAC: node.MAC}
 		}
-		for p := range node.Ports {
-			n.dirs[portKey{node.ID, p}] = &linkDir{}
-		}
+		n.nodes[node.ID].dirs = make([]linkDir, len(node.Ports))
 	}
 	if n.Cfg.LossRate > 0 {
 		// Back-compat alias: uniform loss everywhere via per-link profiles.
@@ -346,15 +411,25 @@ func (n *Network) faultStream(pk portKey) *sim.RNG {
 func (n *Network) PacketPool() *packet.Pool { return n.pool }
 
 // Switch returns the switch runtime for a node ID.
-func (n *Network) Switch(id topo.NodeID) *Switch { return n.switches[id] }
+func (n *Network) Switch(id topo.NodeID) *Switch {
+	if id < 0 || int(id) >= len(n.nodes) {
+		return nil
+	}
+	return n.nodes[id].sw
+}
 
 // Host returns the host runtime for a node ID.
-func (n *Network) Host(id topo.NodeID) *Host { return n.hosts[id] }
+func (n *Network) Host(id topo.NodeID) *Host {
+	if id < 0 || int(id) >= len(n.nodes) {
+		return nil
+	}
+	return n.nodes[id].host
+}
 
 // HostByIP returns the host runtime owning ip, or nil.
 func (n *Network) HostByIP(ip addr.IP) *Host {
 	if node := n.Graph.HostByIP(ip); node != nil {
-		return n.hosts[node.ID]
+		return n.nodes[node.ID].host
 	}
 	return nil
 }
@@ -364,7 +439,7 @@ func (n *Network) Switches() []*Switch {
 	ids := n.Graph.Switches()
 	out := make([]*Switch, len(ids))
 	for i, id := range ids {
-		out[i] = n.switches[id]
+		out[i] = n.nodes[id].sw
 	}
 	return out
 }
@@ -374,16 +449,17 @@ func (n *Network) Hosts() []*Host {
 	ids := n.Graph.Hosts()
 	out := make([]*Host, len(ids))
 	for i, id := range ids {
-		out[i] = n.hosts[id]
+		out[i] = n.nodes[id].host
 	}
 	return out
 }
 
 // SetController attaches ctrl to every switch.
 func (n *Network) SetController(ctrl Controller) {
-	// lint:ignore detrange independent field write per switch; no cross-iteration state
-	for _, sw := range n.switches {
-		sw.Ctrl = ctrl
+	for i := range n.nodes {
+		if sw := n.nodes[i].sw; sw != nil {
+			sw.Ctrl = ctrl
+		}
 	}
 }
 
@@ -423,11 +499,11 @@ func (n *Network) CtrlHostDown(idx int) bool {
 
 // AddTap mirrors all traffic of a node to fn.
 func (n *Network) AddTap(id topo.NodeID, fn Tap) {
-	n.taps[id] = append(n.taps[id], fn)
+	n.nodes[id].taps = append(n.nodes[id].taps, fn)
 }
 
 func (n *Network) fireTaps(id topo.NodeID, port int, dir Direction, p *packet.Packet) {
-	taps := n.taps[id]
+	taps := n.nodes[id].taps
 	if len(taps) == 0 {
 		return
 	}
@@ -458,7 +534,7 @@ func (n *Network) emit(kind EventKind, node topo.NodeID, port int) {
 func (n *Network) SetLinkDown(node topo.NodeID, port int, down bool) {
 	peer := n.Graph.Node(node).Ports[port]
 	for _, pk := range [2]portKey{{node, port}, {peer.Peer, peer.PeerPort}} {
-		d := n.dirs[pk]
+		d := n.dir(pk.node, pk.port)
 		was := d.down()
 		d.linkDown = down
 		n.notifyPort(pk, was, d.down())
@@ -480,7 +556,7 @@ func (n *Network) notifyPort(pk portKey, was, now bool) {
 // LinkDown reports whether the cable at (node, port) is failed, for any
 // cause (direct cut or a failed endpoint switch).
 func (n *Network) LinkDown(node topo.NodeID, port int) bool {
-	return n.dirs[portKey{node, port}].down()
+	return n.dir(node, port).down()
 }
 
 // SetSwitchDown fails or restores a whole switch: it stops forwarding and
@@ -500,7 +576,7 @@ func (n *Network) SetSwitchDownQuiet(id topo.NodeID, down bool) {
 }
 
 func (n *Network) setSwitchDown(id topo.NodeID, down bool, notify bool) {
-	sw := n.switches[id]
+	sw := n.nodes[id].sw
 	if sw.Down == down {
 		return
 	}
@@ -511,7 +587,7 @@ func (n *Network) setSwitchDown(id topo.NodeID, down bool, notify bool) {
 	}
 	for port, p := range n.Graph.Node(id).Ports {
 		for _, pk := range [2]portKey{{id, port}, {p.Peer, p.PeerPort}} {
-			d := n.dirs[pk]
+			d := n.dir(pk.node, pk.port)
 			was := d.down()
 			d.swDown += delta
 			if notify {
@@ -530,7 +606,7 @@ func (n *Network) setSwitchDown(id topo.NodeID, down bool, notify bool) {
 
 // LinkTxBytes reports bytes sent from node out of port since start.
 func (n *Network) LinkTxBytes(id topo.NodeID, port int) uint64 {
-	if d, ok := n.dirs[portKey{id, port}]; ok {
+	if d := n.dir(id, port); d != nil {
 		return d.txBytes
 	}
 	return 0
@@ -544,7 +620,7 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 		panic(fmt.Sprintf("netsim: %s sending out nonexistent port %d", node.Name, port))
 	}
 	n.fireTaps(from, port, Egress, p)
-	dir := n.dirs[portKey{from, port}]
+	dir := &n.nodes[from].dirs[port]
 	fate := dir.fate()
 	if fate == fateLost {
 		n.Stats.Dropped++
@@ -557,7 +633,8 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 		p.Release()
 		return
 	}
-	if dir.queued >= n.Cfg.QueueCapPackets {
+	now := n.Eng.Now()
+	if dir.queue.occupancy(now, n.Eng.FiringSeq()) >= n.Cfg.QueueCapPackets {
 		dir.drops++
 		n.Stats.Dropped++
 		p.Release()
@@ -566,19 +643,15 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 	peer := node.Ports[port]
 	wire := p.WireLen()
 	tx := time.Duration(int64(wire) * 8 * int64(time.Second) / n.Cfg.LinkBandwidthBps)
-	start := n.Eng.Now()
+	start := now
 	if dir.busyUntil > start {
 		start = dir.busyUntil
 	}
 	done := start.Add(tx)
 	dir.busyUntil = done
-	dir.queued++
+	dir.queue.push(txFrame{done: done, seq: n.Eng.LastSeq()})
 	dir.txBytes += uint64(wire)
 	n.Stats.TxBytes += uint64(wire)
-	if dir.dec == nil {
-		dir.dec = func() { dir.queued-- }
-	}
-	n.Eng.At(done, dir.dec)
 	arrive := done.Add(n.Cfg.LinkDelay)
 	switch fate {
 	case fateCorrupt:
@@ -589,7 +662,7 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 		})
 	case fateDup:
 		dup := p.Clone()
-		n.Eng.At(arrive, func() { n.recv(peer.Peer, peer.PeerPort, p) })
+		n.schedule(arrive, hopArrive, peer.Peer, peer.PeerPort, p, nil)
 		n.Eng.At(arrive, func() {
 			n.Stats.Duplicated++
 			n.recv(peer.Peer, peer.PeerPort, dup)
@@ -597,21 +670,18 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 	case fateReorder:
 		jitter := time.Duration(dir.faultRNG.Int63n(int64(dir.fault.Jitter)) + 1)
 		n.Stats.Reordered++
-		n.Eng.At(arrive.Add(jitter), func() { n.recv(peer.Peer, peer.PeerPort, p) })
+		n.schedule(arrive.Add(jitter), hopArrive, peer.Peer, peer.PeerPort, p, nil)
 	default:
-		n.Eng.At(arrive, func() { n.recv(peer.Peer, peer.PeerPort, p) })
+		n.schedule(arrive, hopArrive, peer.Peer, peer.PeerPort, p, nil)
 	}
 }
 
 func (n *Network) recv(at topo.NodeID, port int, p *packet.Packet) {
 	n.fireTaps(at, port, Ingress, p)
-	if sw, ok := n.switches[at]; ok {
-		sw.recv(port, p)
+	nd := &n.nodes[at]
+	if nd.sw != nil {
+		nd.sw.recv(port, p)
 		return
 	}
-	if h, ok := n.hosts[at]; ok {
-		h.recv(port, p)
-		return
-	}
-	panic(fmt.Sprintf("netsim: packet arrived at unknown node %d", at))
+	nd.host.recv(port, p)
 }

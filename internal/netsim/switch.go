@@ -66,9 +66,9 @@ func (s *Switch) recv(inPort int, p *packet.Packet) {
 	entry, hit := s.Table.Lookup(p, inPort, s.net.Eng.Now())
 	if hit {
 		s.CacheHits++
-		s.net.CPU.Charge("vswitch", s.net.Cfg.CostSwitchCacheHit)
+		s.net.vswitchCPU.Charge(s.net.Cfg.CostSwitchCacheHit)
 	} else {
-		s.net.CPU.Charge("vswitch", s.net.Cfg.CostSwitchPacket)
+		s.net.vswitchCPU.Charge(s.net.Cfg.CostSwitchPacket)
 	}
 	if entry == nil {
 		s.Misses++
@@ -90,9 +90,8 @@ func (s *Switch) recv(inPort int, p *packet.Packet) {
 // so far; OutputGroup clones the packet per bucket (type ALL) — the
 // primitive behind MIC's partial multicast.
 func (s *Switch) Execute(actions []flowtable.Action, inPort int, p *packet.Packet) {
-	s.net.Eng.After(s.net.Cfg.SwitchLatency, func() {
-		s.run(actions, inPort, p)
-	})
+	n := s.net
+	n.schedule(n.Eng.Now().Add(n.Cfg.SwitchLatency), hopSwitchRun, s.ID, inPort, p, actions)
 }
 
 // run applies actions immediately (forwarding latency already paid) and
@@ -103,7 +102,7 @@ func (s *Switch) Execute(actions []flowtable.Action, inPort int, p *packet.Packe
 // packet never handed off is released back to the pool.
 func (s *Switch) run(actions []flowtable.Action, inPort int, p *packet.Packet) {
 	if mut := flowtable.MutationCount(actions); mut > 0 {
-		s.net.CPU.Charge("vswitch", time.Duration(mut)*s.net.Cfg.CostSwitchAction)
+		s.net.vswitchCPU.Charge(time.Duration(mut) * s.net.Cfg.CostSwitchAction)
 	}
 	handedOff := false
 	for i, a := range actions {

@@ -15,6 +15,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -64,13 +65,15 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// eventQueue is a hand-rolled 4-ary min-heap of value-typed events. It is
-// the engine's hottest data structure — every packet hop pushes and pops
-// several events — so it avoids container/heap's interface dispatch and
-// per-event boxing: events live inline in the slice and sift moves use a
-// hole instead of pairwise swaps. A 4-ary layout halves the tree depth of a
-// binary heap, trading cheap in-cache-line sibling scans for expensive
-// level hops.
+// eventQueue is a hand-rolled 4-ary min-heap of value-typed events: the
+// engine's far tier, holding whatever the calendar in front of it cannot
+// (events beyond its horizon, and the overflow of full buckets). It avoids
+// container/heap's interface dispatch and per-event boxing: events live
+// inline in the slice and sift moves use a hole instead of pairwise swaps.
+// A 4-ary layout halves the tree depth of a binary heap, trading cheap
+// in-cache-line sibling scans for expensive level hops. On its own it is a
+// complete queue, which is how the tests use it: as the oracle the two-tier
+// engine is compared against.
 type eventQueue []event
 
 const heapArity = 4
@@ -126,12 +129,101 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// Calendar geometry. The near tier is a ring of fixed-width time buckets
+// starting at the bucket of the current instant; an event further ahead
+// than the ring reaches goes to the heap. The values are sized on the
+// packet path, whose events land one link, switch or host latency ahead
+// (5-15 us): a 256 ns bucket rarely holds two of them, and a 1 ms horizon
+// leaves only protocol timers to the heap. They are constants because the
+// firing order does not depend on them — only the speed does.
+const (
+	bucketShift = 8    // log2 of the bucket width in ns
+	ringBuckets = 4096 // buckets in the ring; x 256 ns = 1.05 ms horizon
+	bucketCap   = 8    // a bucket already holding this many events spills to the heap
+	ringMask    = ringBuckets - 1
+	ringWords   = ringBuckets / 64
+)
+
+// calendar is the engine's near tier. Slot b&ringMask holds the events of
+// absolute bucket b = at>>bucketShift, unsorted. Only buckets within
+// ringBuckets of the current instant's are admitted and no pending event
+// lies before the current instant, so all events of a slot share one
+// absolute bucket and the first occupied slot at or after the current one,
+// in ring order, holds the tier's earliest event. A two-level bitmap finds
+// that slot with two TrailingZeros64.
+type calendar struct {
+	n       int               // events held
+	summary uint64            // bit w set iff occ[w] != 0
+	occ     [ringWords]uint64 // bit s set iff fill[s] > 0
+	fill    [ringBuckets]uint8
+	slots   [ringBuckets][bucketCap]event
+}
+
+// The summary word has one bit per occ word.
+const _ = uint(64 - ringWords)
+
+// add stores ev in slot s and reports whether there was room.
+func (c *calendar) add(s uint64, ev event) bool {
+	f := c.fill[s]
+	if f == bucketCap {
+		return false
+	}
+	c.slots[s][f] = ev
+	c.fill[s] = f + 1
+	if f == 0 {
+		c.occ[s>>6] |= 1 << (s & 63)
+		c.summary |= 1 << (s >> 6)
+	}
+	c.n++
+	return true
+}
+
+// first returns the first occupied slot at or after from in ring order.
+// The calendar must not be empty.
+func (c *calendar) first(from uint64) uint64 {
+	w := from >> 6
+	if m := c.occ[w] >> (from & 63); m != 0 {
+		return from + uint64(bits.TrailingZeros64(m))
+	}
+	// Words after w, then wrap: words before it, and last w itself, whose
+	// remaining bits are all below from.
+	if m := c.summary &^ (1<<(w+1) - 1); m != 0 {
+		w = uint64(bits.TrailingZeros64(m))
+	} else {
+		w = uint64(bits.TrailingZeros64(c.summary))
+	}
+	return w<<6 + uint64(bits.TrailingZeros64(c.occ[w]))
+}
+
+// remove deletes event i of slot s.
+func (c *calendar) remove(s uint64, i int) {
+	b := &c.slots[s]
+	last := c.fill[s] - 1
+	b[i] = b[last]
+	b[last] = event{} // release the closure to the GC
+	c.fill[s] = last
+	if last == 0 {
+		c.occ[s>>6] &^= 1 << (s & 63)
+		if c.occ[s>>6] == 0 {
+			c.summary &^= 1 << (s >> 6)
+		}
+	}
+	c.n--
+}
+
 // Engine is a single-threaded discrete-event scheduler. The zero value is
 // ready to use. An Engine must not be accessed from multiple goroutines.
+//
+// Its queue has two tiers, the calendar for the near future and the heap
+// for the rest. Which tier holds an event is a matter of speed only: the
+// next event to fire is the smaller of the two tiers' minima under the one
+// (at, seq) order, so the firing order is that of a single sorted queue.
 type Engine struct {
 	now     Time
+	cal     *calendar // allocated on first use, so the zero Engine stays small
 	heap    eventQueue
-	seq     uint64
+	seq     uint64 // last sequence number handed out
+	firing  uint64 // see FiringSeq
 	stopped bool
 	ran     uint64
 }
@@ -146,7 +238,28 @@ func (e *Engine) Now() Time { return e.now }
 func (e *Engine) Processed() uint64 { return e.ran }
 
 // Pending reports how many events are waiting in the queue.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int {
+	if e.cal == nil {
+		return len(e.heap)
+	}
+	return e.cal.n + len(e.heap)
+}
+
+// LastSeq returns the sequence number most recently handed out by At or
+// After. Everything scheduled from now on is ordered after it among events
+// of one instant.
+func (e *Engine) LastSeq() uint64 { return e.seq }
+
+// FiringSeq returns the sequence number of the event being fired, or of the
+// last one fired when called between events. Together with Now it is the
+// engine's position in the (at, seq) order: every event ordered at or
+// before (Now, FiringSeq) has fired and no other has. A model can therefore
+// decide whether something it would have scheduled at sequence position s
+// for instant t has happened yet — (t, s) before (Now, FiringSeq) — without
+// spending an event on it. When Run drains the queue or RunUntil reaches
+// its deadline, nothing scheduled so far is left at or before Now, and
+// FiringSeq is LastSeq.
+func (e *Engine) FiringSeq() uint64 { return e.firing }
 
 // At schedules do to run at virtual time t. Scheduling in the past panics:
 // it always indicates a protocol bug, and silently reordering time would
@@ -156,7 +269,16 @@ func (e *Engine) At(t Time, do func()) {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.heap.push(event{at: t, seq: e.seq, do: do})
+	ev := event{at: t, seq: e.seq, do: do}
+	if b := uint64(t) >> bucketShift; b-uint64(e.now)>>bucketShift < ringBuckets {
+		if e.cal == nil {
+			e.cal = new(calendar)
+		}
+		if e.cal.add(b&ringMask, ev) {
+			return
+		}
+	}
+	e.heap.push(ev)
 }
 
 // After schedules do to run d from now. Negative d is clamped to zero.
@@ -170,37 +292,78 @@ func (e *Engine) After(d Duration, do func()) {
 // Stop makes Run and RunUntil return after the currently firing event.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Step fires the next event, if any, and reports whether one fired.
-func (e *Engine) Step() bool {
-	if len(e.heap) == 0 {
+// inHeap is the slot next reports for the heap's root.
+const inHeap = ringBuckets
+
+// next locates the earliest queued event: the smaller of the two tiers'
+// minima. It returns nil when nothing is queued; otherwise s and i place
+// the event in the calendar, or s is inHeap.
+func (e *Engine) next() (ev *event, s uint64, i int) {
+	if len(e.heap) > 0 {
+		ev, s = &e.heap[0], inHeap
+	}
+	c := e.cal
+	if c == nil || c.n == 0 {
+		return ev, s, 0
+	}
+	cs := c.first(uint64(e.now) >> bucketShift & ringMask)
+	b := &c.slots[cs]
+	for k := 1; k < int(c.fill[cs]); k++ {
+		if b[k].before(&b[i]) {
+			i = k
+		}
+	}
+	if ev != nil && ev.before(&b[i]) {
+		return ev, s, 0
+	}
+	return &b[i], cs, i
+}
+
+// fireBy fires the next event if it is due at or before deadline, and
+// reports whether one fired.
+func (e *Engine) fireBy(deadline Time) bool {
+	next, s, i := e.next()
+	if next == nil || next.at > deadline {
 		return false
 	}
-	ev := e.heap.pop()
+	ev := *next
+	if s == inHeap {
+		e.heap.pop()
+	} else {
+		e.cal.remove(s, i)
+	}
 	e.now = ev.at
+	e.firing = ev.seq
 	e.ran++
 	ev.do()
 	return true
 }
 
+// Step fires the next event, if any, and reports whether one fired.
+func (e *Engine) Step() bool { return e.fireBy(MaxTime) }
+
 // Run fires events until the queue drains or Stop is called.
 func (e *Engine) Run() {
 	e.stopped = false
-	for !e.stopped && e.Step() {
+	for !e.stopped {
+		if !e.Step() {
+			e.firing = e.seq
+			return
+		}
 	}
 }
 
-// RunUntil fires events with timestamps <= deadline, then advances the clock
-// to deadline (if the queue drained earlier) and returns.
+// RunUntil fires events with timestamps <= deadline, then advances the
+// clock to deadline and returns. If a handler calls Stop while events due
+// by the deadline are still queued, the clock stays at the last event
+// fired: moving it past them would make the next Run step time backwards.
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
-	for !e.stopped {
-		if len(e.heap) == 0 || e.heap[0].at > deadline {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.fireBy(deadline) {
 	}
-	if e.now < deadline {
+	if next, _, _ := e.next(); e.now <= deadline && (next == nil || next.at > deadline) {
 		e.now = deadline
+		e.firing = e.seq
 	}
 }
 
