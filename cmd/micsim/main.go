@@ -18,10 +18,7 @@ import (
 	"mic/internal/chaos"
 	"mic/internal/harness"
 	"mic/internal/mic"
-	"mic/internal/netsim"
-	"mic/internal/sim"
 	"mic/internal/topo"
-	"mic/internal/transport"
 )
 
 func main() {
@@ -172,60 +169,65 @@ func parseScheme(s string) (harness.Scheme, error) {
 	return 0, fmt.Errorf("micsim: unknown scheme %q", s)
 }
 
-// runMIC builds the testbed directly so every MIC knob is reachable.
+// runMIC runs one plain transfer with every MIC knob reachable.
 func runMIC(secure bool, from, to, mns, mflows, fanout, size int, seed uint64) {
-	g, err := topo.FatTree(4)
+	tb, err := harness.NewTestbed(harness.SchemeMICTCP, mic.Config{MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed}, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	mc, err := mic.NewMC(net, mic.Config{MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed})
-	if err != nil {
+	xfer := tb.StartTransfer(secure, from, to, make([]byte, size))
+	tb.Run(0)
+	if err := xfer.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var stacks []*transport.Stack
-	for _, hid := range g.Hosts() {
-		stacks = append(stacks, transport.NewStack(net.Host(hid)))
-	}
-	got := 0
-	var start, end sim.Time
-	mic.Listen(stacks[to], 80, secure, func(s *mic.Stream) {
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size {
-				end = eng.Now()
-			}
-		})
-	})
-	client := mic.NewClient(stacks[from], mc)
-	client.Secure = secure
-	data := make([]byte, size)
-	var setup time.Duration
-	client.Dial(stacks[to].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		setup = time.Duration(eng.Now())
-		start = eng.Now()
-		s.Send(data)
-	})
-	eng.Run()
-	if got < size {
-		fmt.Fprintf(os.Stderr, "micsim: transfer incomplete (%d/%d bytes)\n", got, size)
-		os.Exit(1)
-	}
-	wall := time.Duration(end - start)
-	info, _ := client.Channel(stacks[to].Host.IP.String())
 	fmt.Printf("scheme=MIC secure=%v mns=%d mflows=%d fanout=%d\n", secure, mns, mflows, fanout)
 	fmt.Printf("setup=%v throughput=%.1f Mbps wall=%v cpu=%v\n",
-		setup, float64(size)*8/wall.Seconds()/1e6, wall, net.CPU.Total())
-	for i, f := range info.Flows {
-		fmt.Printf("m-flow %d: entry=%v path=%s MNs=%d\n", i, f.Entry, f.Path.Render(g), len(f.MNs))
+		time.Duration(xfer.Start), xfer.Mbps(), xfer.Wall(), tb.Net.CPU.Total())
+	for i, f := range xfer.Channel.Flows {
+		fmt.Printf("m-flow %d: entry=%v path=%s MNs=%d\n", i, f.Entry, f.Path.Render(tb.Graph), len(f.MNs))
 	}
+}
+
+// script generates one scenario's fault schedule for a from -> to transfer.
+type script func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error)
+
+// playScenario is what the fault scenarios share: the paper's testbed under a
+// self-healing control plane (a failover cluster when ha is non-nil), one
+// bulk transfer from -> to, the scenario's chaos script rendered and then
+// played with its faults and the log-selected reactions narrated to w, and
+// the delivery line. What remains to each report is its script, what it
+// narrates and its summary. Everything printed is a function of the
+// arguments — main_test.go diffs each seed-7 report against a golden file.
+func playScenario(w io.Writer, title string, gen script, ha *mic.ClusterConfig, log harness.Log,
+	secure bool, from, to, mns, mflows, fanout, size int, seed uint64) (*harness.Testbed, *harness.Transfer, error) {
+	tb, err := harness.NewTestbed(harness.SchemeMICTCP, mic.Config{
+		MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed,
+		AutoRepair: true, RepairMaxRetries: 20,
+	}, ha)
+	if err != nil {
+		return nil, nil, err
+	}
+	xfer := tb.StartTransfer(secure, from, to, make([]byte, size))
+	hosts := tb.Graph.Hosts()
+	sched, err := gen(tb.Graph, seed, hosts[from], hosts[to])
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(w, "%s schedule (seed %d):\n%s", title, seed, sched.Render(tb.Graph))
+	runner := tb.Play(sched, w, log)
+	tb.Run(2 * time.Second)
+	if err := xfer.Err(); err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(w, "delivered %d bytes in %v (%.1f Mbps) through %d faults",
+		xfer.Got, xfer.Wall(), xfer.Mbps(), len(runner.Applied))
+	if ha != nil {
+		fmt.Fprintf(w, " and %d takeover(s)", tb.Cluster.Takeovers())
+	}
+	fmt.Fprintln(w)
+	return tb, xfer, nil
 }
 
 // lossyReport plays the gray-failure storm — per-link loss, packet
@@ -233,78 +235,18 @@ func runMIC(secure bool, from, to, mns, mflows, fanout, size int, seed uint64) {
 // the degraded-mode data plane did about it: per-m-flow health, slice
 // retransmissions, rebalanced traffic split. Unlike the chaos scenario,
 // most of these faults never raise a control-plane event; surviving them is
-// the endpoints' job. Everything it prints is a function of its arguments —
-// the determinism test in main_test.go runs it twice and asserts
-// byte-identical output.
+// the endpoints' job.
 func lossyReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	g, err := topo.FatTree(4)
+	gen := func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
+		return chaos.LossyScenario(g, seed, chaos.LossyConfig{From: from, To: to})
+	}
+	tb, xfer, err := playScenario(w, "lossy", gen, nil, 0, secure, from, to, mns, mflows, fanout, size, seed)
 	if err != nil {
 		return err
 	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	mc, err := mic.NewMC(net, mic.Config{
-		MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed,
-		AutoRepair: true, RepairMaxRetries: 20,
-	})
-	if err != nil {
-		return err
-	}
-	var stacks []*transport.Stack
-	for _, hid := range g.Hosts() {
-		stacks = append(stacks, transport.NewStack(net.Host(hid)))
-	}
-	got := 0
-	var start, end sim.Time
-	var rstr *mic.Stream
-	mic.Listen(stacks[to], 80, secure, func(s *mic.Stream) {
-		rstr = s
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size {
-				end = eng.Now()
-			}
-		})
-	})
-	client := mic.NewClient(stacks[from], mc)
-	client.Secure = secure
-	data := make([]byte, size)
-	var dialErr error
-	var str *mic.Stream
-	client.Dial(stacks[to].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
-		str = s
-		start = eng.Now()
-		s.Send(data)
-	})
-
-	sched, err := chaos.LossyScenario(g, seed, chaos.LossyConfig{From: g.Hosts()[from], To: g.Hosts()[to]})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "lossy schedule (seed %d):\n%s", seed, sched.Render(g))
-	runner := chaos.NewRunner(net, mc.Ch)
-	runner.OnFault = func(f chaos.Fault) {
-		fmt.Fprintf(w, "%12v  fault  %s\n", time.Duration(eng.Now()), f.Kind)
-	}
-	runner.Play(sched)
-
-	eng.Run()
-	if dialErr != nil {
-		return dialErr
-	}
-	if got < size {
-		return fmt.Errorf("micsim: transfer incomplete (%d/%d bytes)", got, size)
-	}
-	wall := time.Duration(end - start)
-	fmt.Fprintf(w, "delivered %d bytes in %v (%.1f Mbps) through %d faults\n",
-		got, wall, float64(size)*8/wall.Seconds()/1e6, len(runner.Applied))
 	fmt.Fprintf(w, "slice retransmits=%d duplicate slices=%d repairs=%d\n",
-		str.Retransmits(), rstr.SlicesDup, mc.Repairs)
-	for i, h := range str.Health() {
+		xfer.Stream.Retransmits(), xfer.Remote.SlicesDup, tb.MC.Repairs)
+	for i, h := range xfer.Stream.Health() {
 		fmt.Fprintf(w, "m-flow %d: state=%v srtt=%v slices-out=%d acked=%d retx-away=%d\n",
 			i, h.State, h.SRTT, h.SlicesOut, h.SlicesAcked, h.Retx)
 	}
@@ -313,79 +255,16 @@ func lossyReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size i
 
 // chaosReport plays the standard five-act fault storm against a MIC
 // transfer with auto-repair enabled and reports what the control plane did
-// about it. Everything it prints is a function of its arguments — the
-// determinism test in main_test.go runs it twice and asserts byte-identical
-// output.
+// about it.
 func chaosReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	g, err := topo.FatTree(4)
+	gen := func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
+		return chaos.Scenario(g, seed, chaos.ScenarioConfig{From: from, To: to})
+	}
+	tb, _, err := playScenario(w, "chaos", gen, nil, harness.LogRepairs, secure, from, to, mns, mflows, fanout, size, seed)
 	if err != nil {
 		return err
 	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	mc, err := mic.NewMC(net, mic.Config{
-		MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed,
-		AutoRepair: true, RepairMaxRetries: 20,
-	})
-	if err != nil {
-		return err
-	}
-	var stacks []*transport.Stack
-	for _, hid := range g.Hosts() {
-		stacks = append(stacks, transport.NewStack(net.Host(hid)))
-	}
-	got := 0
-	var start, end sim.Time
-	mic.Listen(stacks[to], 80, secure, func(s *mic.Stream) {
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size {
-				end = eng.Now()
-			}
-		})
-	})
-	client := mic.NewClient(stacks[from], mc)
-	client.Secure = secure
-	data := make([]byte, size)
-	var dialErr error
-	client.Dial(stacks[to].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
-		start = eng.Now()
-		s.Send(data)
-	})
-
-	sched, err := chaos.Scenario(g, seed, chaos.ScenarioConfig{From: g.Hosts()[from], To: g.Hosts()[to]})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "chaos schedule (seed %d):\n%s", seed, sched.Render(g))
-	runner := chaos.NewRunner(net, mc.Ch)
-	runner.OnFault = func(f chaos.Fault) {
-		fmt.Fprintf(w, "%12v  fault  %s\n", time.Duration(eng.Now()), f.Kind)
-	}
-	mc.OnRepair = func(ev mic.RepairEvent) {
-		verdict := "repaired"
-		if ev.Err != nil {
-			verdict = "FAILED: " + ev.Err.Error()
-		}
-		fmt.Fprintf(w, "%12v  repair channel %d attempts=%d latency=%v %s\n",
-			time.Duration(ev.CompletedAt), ev.Channel, ev.Attempts, ev.CompletedAt.Sub(ev.DetectedAt), verdict)
-	}
-	runner.Play(sched)
-
-	eng.Run()
-	if dialErr != nil {
-		return dialErr
-	}
-	if got < size {
-		return fmt.Errorf("micsim: transfer incomplete (%d/%d bytes)", got, size)
-	}
-	wall := time.Duration(end - start)
-	fmt.Fprintf(w, "delivered %d bytes in %v (%.1f Mbps) through %d faults\n",
-		got, wall, float64(size)*8/wall.Seconds()/1e6, len(runner.Applied))
+	mc := tb.MC
 	fmt.Fprintf(w, "repairs=%d repair-failures=%d retransmits=%d timeouts=%d give-ups=%d\n",
 		mc.Repairs, mc.RepairFailures, mc.Ch.Retransmits, mc.Ch.Timeouts, mc.Ch.GiveUps)
 	return nil
@@ -396,89 +275,16 @@ func chaosReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size i
 // the takeover: detection by missed heartbeats, journal replay, switch
 // reconciliation, the post-takeover repair sweep, and a final omniscient
 // audit of every switch's flow table against the new active's intent.
-// Everything it prints is a function of its arguments — the determinism
-// test in main_test.go runs it twice and asserts byte-identical output.
 func mckillReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	g, err := topo.FatTree(4)
+	gen := func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
+		return chaos.FailoverScenario(g, seed, chaos.FailoverConfig{From: from, To: to})
+	}
+	tb, _, err := playScenario(w, "failover", gen, &mic.ClusterConfig{}, harness.LogTakeovers|harness.LogRepairs,
+		secure, from, to, mns, mflows, fanout, size, seed)
 	if err != nil {
 		return err
 	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	cl, err := mic.NewCluster(net, mic.Config{
-		MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed,
-		AutoRepair: true, RepairMaxRetries: 20,
-	}, mic.ClusterConfig{})
-	if err != nil {
-		return err
-	}
-	var stacks []*transport.Stack
-	for _, hid := range g.Hosts() {
-		stacks = append(stacks, transport.NewStack(net.Host(hid)))
-	}
-	got := 0
-	var start, end sim.Time
-	mic.Listen(stacks[to], 80, secure, func(s *mic.Stream) {
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size {
-				end = eng.Now()
-			}
-		})
-	})
-	client := mic.NewClient(stacks[from], cl)
-	client.Secure = secure
-	data := make([]byte, size)
-	var dialErr error
-	client.Dial(stacks[to].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
-		start = eng.Now()
-		s.Send(data)
-	})
-
-	sched, err := chaos.FailoverScenario(g, seed, chaos.FailoverConfig{From: g.Hosts()[from], To: g.Hosts()[to]})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "failover schedule (seed %d):\n%s", seed, sched.Render(g))
-	runner := chaos.NewRunner(net, nil)
-	runner.OnFault = func(f chaos.Fault) {
-		fmt.Fprintf(w, "%12v  fault  %s\n", time.Duration(eng.Now()), f.Kind)
-	}
-	cl.OnTakeover = func(ts mic.TakeoverStats) {
-		fmt.Fprintf(w, "%12v  takeover member=%d channels=%d reinstalled=%d stale-deleted=%d\n",
-			time.Duration(ts.At), ts.Member, ts.Channels, ts.Reinstalled, ts.StaleDeleted)
-	}
-	cl.SubscribeRepair(func(ev mic.RepairEvent) {
-		verdict := "repaired"
-		if ev.Err != nil {
-			verdict = "FAILED: " + ev.Err.Error()
-		}
-		fmt.Fprintf(w, "%12v  repair channel %d attempts=%d latency=%v %s\n",
-			time.Duration(ev.CompletedAt), ev.Channel, ev.Attempts, ev.CompletedAt.Sub(ev.DetectedAt), verdict)
-	})
-	runner.Play(sched)
-
-	// The cluster's heartbeat tickers run forever; drive the engine for a
-	// fixed window, stop the tickers, then drain what remains.
-	eng.RunFor(2 * time.Second)
-	cl.Stop()
-	eng.Run()
-	if dialErr != nil {
-		return dialErr
-	}
-	if got < size {
-		return fmt.Errorf("micsim: transfer incomplete (%d/%d bytes)", got, size)
-	}
-	wall := time.Duration(end - start)
-	fmt.Fprintf(w, "delivered %d bytes in %v (%.1f Mbps) through %d faults and %d takeover(s)\n",
-		got, wall, float64(size)*8/wall.Seconds()/1e6, len(runner.Applied), cl.Takeovers())
-	stale, missing := cl.Audit()
-	fmt.Fprintf(w, "flow-table audit: stale=%d missing=%d\n", stale, missing)
-	fmt.Fprint(w, cl.Telemetry().String())
+	auditAndTelemetry(w, tb.Cluster)
 	return nil
 }
 
@@ -491,85 +297,19 @@ func mckillReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size 
 // keep repairing), then a full heal. The report shows every step-down and
 // takeover, the final fencing epoch, switch-side stale rejections, journal
 // divergence, and the flow-table audit — the acceptance bar is stale=0,
-// missing=0, divergent=0 with fencing on. Everything it prints is a function
-// of its arguments — the determinism test in main_test.go runs it twice and
-// asserts byte-identical output.
+// missing=0, divergent=0 with fencing on.
 func partitionReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	g, err := topo.FatTree(4)
+	gen := func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
+		return chaos.PartitionScenario(g, seed, chaos.PartitionConfig{From: from, To: to})
+	}
+	tb, _, err := playScenario(w, "partition", gen, &mic.ClusterConfig{}, harness.LogStepDowns|harness.LogTakeovers|harness.LogEpochs,
+		secure, from, to, mns, mflows, fanout, size, seed)
 	if err != nil {
 		return err
 	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	cl, err := mic.NewCluster(net, mic.Config{
-		MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed,
-		AutoRepair: true, RepairMaxRetries: 20,
-	}, mic.ClusterConfig{})
-	if err != nil {
-		return err
-	}
-	var stacks []*transport.Stack
-	for _, hid := range g.Hosts() {
-		stacks = append(stacks, transport.NewStack(net.Host(hid)))
-	}
-	got := 0
-	var start, end sim.Time
-	mic.Listen(stacks[to], 80, secure, func(s *mic.Stream) {
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size {
-				end = eng.Now()
-			}
-		})
-	})
-	client := mic.NewClient(stacks[from], cl)
-	client.Secure = secure
-	data := make([]byte, size)
-	var dialErr error
-	client.Dial(stacks[to].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
-		start = eng.Now()
-		s.Send(data)
-	})
-
-	sched, err := chaos.PartitionScenario(g, seed, chaos.PartitionConfig{From: g.Hosts()[from], To: g.Hosts()[to]})
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "partition schedule (seed %d):\n%s", seed, sched.Render(g))
-	runner := chaos.NewRunner(net, nil)
-	runner.OnFault = func(f chaos.Fault) {
-		fmt.Fprintf(w, "%12v  fault  %s\n", time.Duration(eng.Now()), f.Kind)
-	}
-	cl.OnStepDown = func(member int, at sim.Time) {
-		fmt.Fprintf(w, "%12v  step-down member=%d (lease expired)\n", time.Duration(at), member)
-	}
-	cl.OnTakeover = func(ts mic.TakeoverStats) {
-		fmt.Fprintf(w, "%12v  takeover member=%d epoch=%d channels=%d reinstalled=%d stale-deleted=%d\n",
-			time.Duration(ts.At), ts.Member, cl.Fence(), ts.Channels, ts.Reinstalled, ts.StaleDeleted)
-	}
-	runner.Play(sched)
-
-	// The cluster's heartbeat tickers run forever; drive the engine for a
-	// fixed window, stop the tickers, then drain what remains.
-	eng.RunFor(2 * time.Second)
-	cl.Stop()
-	eng.Run()
-	if dialErr != nil {
-		return dialErr
-	}
-	if got < size {
-		return fmt.Errorf("micsim: transfer incomplete (%d/%d bytes)", got, size)
-	}
-	wall := time.Duration(end - start)
-	fmt.Fprintf(w, "delivered %d bytes in %v (%.1f Mbps) through %d faults and %d takeover(s)\n",
-		got, wall, float64(size)*8/wall.Seconds()/1e6, len(runner.Applied), cl.Takeovers())
-	var switchRejects uint64
-	var maxMark uint64
-	for _, sw := range net.Switches() {
+	cl := tb.Cluster
+	var switchRejects, maxMark uint64
+	for _, sw := range tb.Net.Switches() {
 		switchRejects += sw.StaleRejected
 		if sw.FenceEpoch > maxMark {
 			maxMark = sw.FenceEpoch
@@ -577,10 +317,16 @@ func partitionReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, si
 	}
 	fmt.Fprintf(w, "fencing: epoch=%d switch-mark=%d switch-rejects=%d journal-divergent=%d\n",
 		cl.Fence(), maxMark, switchRejects, cl.Journal.Divergent)
+	auditAndTelemetry(w, cl)
+	return nil
+}
+
+// auditAndTelemetry closes a cluster scenario's report: the omniscient
+// flow-table audit, then the liveness counters.
+func auditAndTelemetry(w io.Writer, cl *mic.Cluster) {
 	stale, missing := cl.Audit()
 	fmt.Fprintf(w, "flow-table audit: stale=%d missing=%d\n", stale, missing)
 	fmt.Fprint(w, cl.Telemetry().String())
-	return nil
 }
 
 // stormReport plays a seeded setup storm — Poisson dial arrivals at 4x the
@@ -619,7 +365,7 @@ func stormReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size i
 		return err
 	}
 	fmt.Fprintf(w, "setup storm (seed %d): %d dials offered at %.0f/s, admission rate %.0f/s, table capacity %d\n",
-		seed, res.Dials, opts.Rate, admission.Rate, 48)
+		seed, res.Dials, opts.Rate, admission.Rate, res.Capacity)
 	fmt.Fprintf(w, "outcomes: ok=%d degraded=%d refused=%d timed-out=%d failed=%d (answered %d/%d)\n",
 		res.OK, res.Degraded, res.Refused, res.TimedOut, res.Failed, res.Answered, res.Dials)
 	if res.Answered != res.Dials {

@@ -2,16 +2,28 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
-// TestScenarioReportsAreDeterministic is the regression net under miclint:
-// the same seed must produce byte-identical reports — fault schedules,
-// repair traces, health counters, throughput figures and all — across
-// repeated in-process runs. Any unordered map iteration, wall-clock read,
-// or global-rand draw on a simulated path shows up here as a diff.
+// update rewrites the golden reports from the current build instead of
+// diffing against them:
+//
+//	go test ./cmd/micsim -run TestScenarioReportsAreDeterministic -update
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's reports")
+
+// TestScenarioReportsAreDeterministic is the regression net under miclint
+// and the behaviour contract of every refactor: each scenario's seed-7
+// report must equal its committed golden byte for byte — fault schedules,
+// repair traces, takeover lines, health counters, throughput figures and
+// all. Any unordered map iteration, wall-clock read or global-rand draw on a
+// simulated path, and any change to what the control plane does event by
+// event, shows up here as a diff. The goldens were generated at the commit
+// before the control plane and the scenario beds were unified (PR 14).
 func TestScenarioReportsAreDeterministic(t *testing.T) {
 	const size = 1 << 20
 	scenarios := []struct {
@@ -42,15 +54,23 @@ func TestScenarioReportsAreDeterministic(t *testing.T) {
 	}
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
-			var first, second bytes.Buffer
-			if err := sc.run(&first, 7); err != nil {
-				t.Fatalf("first run: %v", err)
+			var got bytes.Buffer
+			if err := sc.run(&got, 7); err != nil {
+				t.Fatalf("run: %v", err)
 			}
-			if err := sc.run(&second, 7); err != nil {
-				t.Fatalf("second run: %v", err)
+			golden := filepath.Join("testdata", sc.name+".seed7.golden")
+			if *update {
+				if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
 			}
-			if !bytes.Equal(first.Bytes(), second.Bytes()) {
-				t.Errorf("scenario %s is nondeterministic:\n%s", sc.name, firstDiff(first.String(), second.String()))
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("scenario %s diverged from %s:\n%s", sc.name, golden, firstDiff(string(want), got.String()))
 			}
 		})
 	}
@@ -76,7 +96,7 @@ func firstDiff(a, b string) string {
 	al, bl := bytes.Split([]byte(a), []byte("\n")), bytes.Split([]byte(b), []byte("\n"))
 	for i := 0; i < len(al) && i < len(bl); i++ {
 		if !bytes.Equal(al[i], bl[i]) {
-			return fmt.Sprintf("line %d:\n  run1: %s\n  run2: %s", i+1, al[i], bl[i])
+			return fmt.Sprintf("line %d:\n  want: %s\n  got:  %s", i+1, al[i], bl[i])
 		}
 	}
 	return fmt.Sprintf("reports differ in length: %d vs %d lines", len(al), len(bl))

@@ -66,16 +66,16 @@ func runS6Background(cfg RunConfig) (*Result, error) {
 // load, then asks the adversary to identify the victim at the responder
 // edge. Reports whether its top-1 pick carries the responder's address.
 func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr float64, err error) {
-	tb, err := newTestbed(SchemeMICTCP, seed, mic.Config{MNs: 2, Seed: seed})
+	tb, err := NewTestbed(SchemeMICTCP, mic.Config{MNs: 2, Seed: seed + 1}, nil)
 	if err != nil {
 		return false, 0, err
 	}
 	caps := make(map[topo.NodeID]*adversary.Capture)
-	for _, sid := range tb.graph.Switches() {
-		caps[sid] = adversary.Tap(tb.net, sid)
+	for _, sid := range tb.Graph.Switches() {
+		caps[sid] = adversary.Tap(tb.Net, sid)
 	}
 	if interarrival > 0 {
-		gen, err := workload.New(tb.net, tb.stacks, workload.Config{
+		gen, err := workload.New(tb.Net, tb.Stacks, workload.Config{
 			// h13 and h16 share pod 4 with the victim responder h15 (h16 is
 			// on the very same edge switch), so background flows transit the
 			// adversary's vantage point.
@@ -92,8 +92,8 @@ func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr fl
 	}
 
 	respIdx := 14 // h15: shares edge4_2 with h16, a background destination
-	mic.Listen(tb.stacks[respIdx], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
-	client := mic.NewClient(tb.stacks[0], tb.mc)
+	mic.Listen(tb.Stacks[respIdx], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
+	client := mic.NewClient(tb.Stacks[0], tb.MC)
 	var dialErr error
 	var sendBursts func(s *mic.Stream, n int)
 	sendBursts = func(s *mic.Stream, n int) {
@@ -101,7 +101,7 @@ func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr fl
 			return
 		}
 		s.Send(payload(30_000))
-		tb.eng.After(4*time.Millisecond, func() { sendBursts(s, n-1) })
+		tb.Eng.After(4*time.Millisecond, func() { sendBursts(s, n-1) })
 	}
 	client.Dial(tb.hostIP(respIdx).String(), 80, func(s *mic.Stream, err error) {
 		if err != nil {
@@ -110,11 +110,11 @@ func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr fl
 		}
 		sendBursts(s, 5)
 	})
-	tb.eng.Run()
+	tb.Eng.Run()
 	if dialErr != nil {
 		return false, 0, dialErr
 	}
-	until := tb.eng.Now()
+	until := tb.Eng.Now()
 	window := time.Millisecond
 
 	// Pick edges in node order: "first capture with exposure" must not

@@ -1,16 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"mic/internal/chaos"
 	"mic/internal/metrics"
 	"mic/internal/mic"
-	"mic/internal/netsim"
-	"mic/internal/sim"
-	"mic/internal/topo"
-	"mic/internal/transport"
 )
 
 func init() {
@@ -89,48 +86,17 @@ func runS8Failover(cfg RunConfig) (*Result, error) {
 // s8Trial runs one controller-kill trial and reports goodput, the blackout
 // probe's setup latency, and the post-takeover audit's stale-rule count.
 func s8Trial(mflows int, noReconcile bool, size int, seed uint64) (s8Outcome, error) {
-	g, err := topo.FatTree(4)
-	if err != nil {
-		return s8Outcome{}, err
-	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	cl, err := mic.NewCluster(net, mic.Config{
+	tb, err := NewTestbed(SchemeMICTCP, mic.Config{
 		MNs: 3, MFlows: mflows, Seed: seed,
 		AutoRepair: true, RepairMaxRetries: 20,
-	}, mic.ClusterConfig{DisableReconcile: noReconcile})
+	}, &mic.ClusterConfig{DisableReconcile: noReconcile})
 	if err != nil {
 		return s8Outcome{}, err
 	}
-	var stacks []*transport.Stack
-	for _, hid := range g.Hosts() {
-		stacks = append(stacks, transport.NewStack(net.Host(hid)))
-	}
+	xfer := tb.StartTransfer(false, 0, 15, payload(size))
 
-	got := 0
-	var start, end sim.Time
-	mic.Listen(stacks[15], 80, false, func(s *mic.Stream) {
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size && end == 0 {
-				end = eng.Now()
-			}
-		})
-	})
-	data := payload(size)
-	client := mic.NewClient(stacks[0], cl)
-	var dialErr error
-	client.Dial(stacks[15].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
-		start = eng.Now()
-		s.Send(data)
-	})
-
-	sched, err := chaos.FailoverScenario(g, seed, chaos.FailoverConfig{
-		From: g.Hosts()[0], To: g.Hosts()[15],
+	sched, err := chaos.FailoverScenario(tb.Graph, seed, chaos.FailoverConfig{
+		From: tb.Graph.Hosts()[0], To: tb.Graph.Hosts()[15],
 	})
 	if err != nil {
 		return s8Outcome{}, err
@@ -141,38 +107,24 @@ func s8Trial(mflows int, noReconcile bool, size int, seed uint64) (s8Outcome, er
 			killAt = f.At
 		}
 	}
-	chaos.NewRunner(net, nil).Play(sched)
+	tb.Play(sched, nil, 0)
 
 	// The blackout probe: a second tenant asks for a channel at the very
 	// moment the controller dies. Its setup latency is the control-plane
 	// outage window.
-	mic.Listen(stacks[12], 80, false, func(s *mic.Stream) {})
-	var probeIssued, probeDone sim.Time
-	eng.After(killAt, func() {
-		probeIssued = eng.Now()
-		probe := mic.NewClient(stacks[3], cl)
-		probe.Dial(stacks[12].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-			if err != nil {
-				dialErr = err
-				return
-			}
-			probeDone = eng.Now()
-		})
-	})
+	probe := tb.probeDial(killAt, 3, 12)
 
-	eng.RunUntil(sim.Time(10 * time.Second))
-	cl.Stop()
-	eng.Run()
-	if dialErr != nil {
-		return s8Outcome{}, dialErr
+	tb.Run(10 * time.Second)
+	if err := errors.Join(xfer.DialErr, probe.err); err != nil {
+		return s8Outcome{}, err
 	}
-	if probeDone == 0 {
+	if probe.done == 0 {
 		return s8Outcome{}, fmt.Errorf("harness: blackout probe dial never completed")
 	}
-	staleN, _ := cl.Audit()
+	staleN, _ := tb.Cluster.Audit()
 	return s8Outcome{
-		goodput:    s7Goodput(got, start, end, eng.Now()),
-		blackoutMs: time.Duration(probeDone - probeIssued).Seconds() * 1e3,
+		goodput:    s7Goodput(xfer.Got, xfer.Start, xfer.End, tb.Eng.Now()),
+		blackoutMs: probe.ms(),
 		stale:      float64(staleN),
 	}, nil
 }

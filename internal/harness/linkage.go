@@ -79,13 +79,13 @@ func runS4Linkage(cfg RunConfig) (*Result, error) {
 
 // tcpTracedRun runs a plain TCP transfer h0 -> h15 with every switch tapped.
 func tcpTracedRun(size int, seed uint64) (map[topo.NodeID]*adversary.Capture, addr.IP, addr.IP, error) {
-	tb, err := newTestbed(SchemeTCP, seed, mic.Config{})
+	tb, err := NewTestbed(SchemeTCP, mic.Config{}, nil)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	caps := make(map[topo.NodeID]*adversary.Capture)
-	for _, sid := range tb.graph.Switches() {
-		caps[sid] = adversary.Tap(tb.net, sid)
+	for _, sid := range tb.Graph.Switches() {
+		caps[sid] = adversary.Tap(tb.Net, sid)
 	}
 	done := false
 	tb.serve(SchemeTCP, 15, 80, func(s appStream) {
@@ -103,7 +103,7 @@ func tcpTracedRun(size int, seed uint64) (map[topo.NodeID]*adversary.Capture, ad
 		}
 		s.Send(payload(size))
 	})
-	tb.eng.Run()
+	tb.Eng.Run()
 	if dialErr != nil {
 		return nil, 0, 0, dialErr
 	}

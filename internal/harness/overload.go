@@ -88,6 +88,8 @@ func (o StormOptions) withDefaults() StormOptions {
 // Answered == Dials: every scheduled dial's callback fired with a stream or
 // a typed error.
 type StormResult struct {
+	Capacity int // per-switch flow-table capacity in force (defaults applied)
+
 	Dials    int // dials scheduled
 	Answered int // dial callbacks that fired (any outcome)
 	OK       int // admitted at full requested F
@@ -175,7 +177,7 @@ func RunStorm(opts StormOptions) (*StormResult, error) {
 		})
 	}
 
-	res := &StormResult{Dials: len(dials)}
+	res := &StormResult{Dials: len(dials), Capacity: opts.Capacity}
 	var lat metrics.Sample
 	var achieved metrics.Sample
 	clients := make([]*mic.Client, 0, len(dials))

@@ -1,16 +1,13 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
 	"mic/internal/chaos"
 	"mic/internal/metrics"
 	"mic/internal/mic"
-	"mic/internal/netsim"
-	"mic/internal/sim"
-	"mic/internal/topo"
-	"mic/internal/transport"
 )
 
 func init() {
@@ -96,43 +93,19 @@ func runS11Partition(cfg RunConfig) (*Result, error) {
 // s11Trial runs one partition storm and reports the blackout probe's setup
 // latency plus the post-heal safety counters.
 func s11Trial(disableFencing bool, size int, seed uint64) (s11Outcome, error) {
-	g, err := topo.FatTree(4)
-	if err != nil {
-		return s11Outcome{}, err
-	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	cl, err := mic.NewCluster(net, mic.Config{
+	tb, err := NewTestbed(SchemeMICTCP, mic.Config{
 		MNs: 3, MFlows: 2, Seed: seed,
 		AutoRepair: true, RepairMaxRetries: 20,
-	}, mic.ClusterConfig{DisableFencing: disableFencing})
+	}, &mic.ClusterConfig{DisableFencing: disableFencing})
 	if err != nil {
 		return s11Outcome{}, err
 	}
-	var stacks []*transport.Stack
-	for _, hid := range g.Hosts() {
-		stacks = append(stacks, transport.NewStack(net.Host(hid)))
-	}
-
 	// The bulk transfer keeps a channel installed across all three acts so
 	// the mid-partition fabric cut has something to force a repair race over.
-	got := 0
-	mic.Listen(stacks[15], 80, false, func(s *mic.Stream) {
-		s.OnData(func(b []byte) { got += len(b) })
-	})
-	data := payload(size)
-	client := mic.NewClient(stacks[0], cl)
-	var dialErr error
-	client.Dial(stacks[15].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
-		s.Send(data)
-	})
+	xfer := tb.StartTransfer(false, 0, 15, payload(size))
 
-	sched, err := chaos.PartitionScenario(g, seed, chaos.PartitionConfig{
-		From: g.Hosts()[0], To: g.Hosts()[15],
+	sched, err := chaos.PartitionScenario(tb.Graph, seed, chaos.PartitionConfig{
+		From: tb.Graph.Hosts()[0], To: tb.Graph.Hosts()[15],
 	})
 	if err != nil {
 		return s11Outcome{}, err
@@ -151,60 +124,33 @@ func s11Trial(disableFencing bool, size int, seed uint64) (s11Outcome, error) {
 			}
 		}
 	}
-	chaos.NewRunner(net, nil).Play(sched)
+	tb.Play(sched, nil, 0)
 
 	// Probe 1: a dial timed to land as the split expires the founding
 	// active's lease — the handover window the lease+takeover bound covers.
 	lease := time.Duration(mic.DefaultHeartbeatMisses) * mic.DefaultHeartbeatInterval
-	mic.Listen(stacks[12], 80, false, func(s *mic.Stream) {})
-	var splitIssued, splitDone sim.Time
-	eng.After(splitAt+lease, func() {
-		splitIssued = eng.Now()
-		probe := mic.NewClient(stacks[3], cl)
-		probe.Dial(stacks[12].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-			if err != nil {
-				dialErr = err
-				return
-			}
-			splitDone = eng.Now()
-		})
-	})
-
+	split := tb.probeDial(splitAt+lease, 3, 12)
 	// Probe 2: a second tenant dials at the exact instant the now-active
 	// controller is partitioned from its peer and half the fabric.
-	mic.Listen(stacks[13], 80, false, func(s *mic.Stream) {})
-	var zombieIssued, zombieDone sim.Time
-	eng.After(zombieAt, func() {
-		zombieIssued = eng.Now()
-		probe := mic.NewClient(stacks[5], cl)
-		probe.Dial(stacks[13].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-			if err != nil {
-				dialErr = err
-				return
-			}
-			zombieDone = eng.Now()
-		})
-	})
+	zombie := tb.probeDial(zombieAt, 5, 13)
 
-	eng.RunUntil(sim.Time(2 * time.Second))
-	cl.Stop()
-	eng.Run()
-	if dialErr != nil {
-		return s11Outcome{}, dialErr
+	tb.Run(2 * time.Second)
+	if err := errors.Join(xfer.DialErr, split.err, zombie.err); err != nil {
+		return s11Outcome{}, err
 	}
-	if splitDone == 0 || zombieDone == 0 {
+	if split.done == 0 || zombie.done == 0 {
 		return s11Outcome{}, fmt.Errorf("harness: partition blackout probe never completed")
 	}
-	staleN, _ := cl.Audit()
+	staleN, _ := tb.Cluster.Audit()
 	var rejects uint64
-	for _, sw := range net.Switches() {
+	for _, sw := range tb.Net.Switches() {
 		rejects += sw.StaleRejected
 	}
 	return s11Outcome{
-		splitBlackoutMs:  time.Duration(splitDone - splitIssued).Seconds() * 1e3,
-		zombieBlackoutMs: time.Duration(zombieDone - zombieIssued).Seconds() * 1e3,
+		splitBlackoutMs:  split.ms(),
+		zombieBlackoutMs: zombie.ms(),
 		staleRules:       float64(staleN),
-		divergent:        float64(cl.Journal.Divergent),
+		divergent:        float64(tb.Cluster.Journal.Divergent),
 		rejects:          float64(rejects),
 	}, nil
 }

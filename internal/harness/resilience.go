@@ -78,7 +78,7 @@ const s7Cap = 60 * time.Second
 // in Mbps, with the path's agg<->core hop degraded to the given loss rate.
 // The hop is discovered by tracing a warmup transfer's link counters.
 func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
-	tb, err := newTestbed(SchemeTCP, seed, mic.Config{})
+	tb, err := NewTestbed(SchemeTCP, mic.Config{}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -89,7 +89,7 @@ func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
 		s.OnData(func(b []byte) {
 			got += len(b)
 			if started && got >= warm+size && end == 0 {
-				end = tb.eng.Now()
+				end = tb.Eng.Now()
 			}
 		})
 	})
@@ -101,25 +101,25 @@ func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
 			return
 		}
 		s.Send(payload(warm))
-		tb.eng.After(3*time.Millisecond, func() {
+		tb.Eng.After(3*time.Millisecond, func() {
 			node, port, ok := hottestCoreUplink(tb)
 			if !ok {
 				dialErr = fmt.Errorf("harness: warmup traced no agg<->core hop")
 				return
 			}
 			if loss > 0 {
-				tb.net.SetLinkFault(node, port, netsim.FaultProfile{Loss: loss})
+				tb.Net.SetLinkFault(node, port, netsim.FaultProfile{Loss: loss})
 			}
 			started = true
-			start = tb.eng.Now()
+			start = tb.Eng.Now()
 			s.Send(data)
 		})
 	})
-	tb.eng.RunUntil(sim.Time(s7Cap))
+	tb.Eng.RunUntil(sim.Time(s7Cap))
 	if dialErr != nil {
 		return 0, dialErr
 	}
-	return s7Goodput(got-warm, start, end, tb.eng.Now()), nil
+	return s7Goodput(got-warm, start, end, tb.Eng.Now()), nil
 }
 
 // s7MICTrial sends one bulk MIC-TCP transfer h0 -> h15 over F=4 m-flows and
@@ -127,23 +127,23 @@ func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
 // m-flow degraded to the given loss rate. disabled turns off the stream's
 // health/retransmit/rebalance machinery (the ablation).
 func s7MICTrial(loss float64, size int, seed uint64, disabled bool) (float64, error) {
-	tb, err := newTestbed(SchemeMICTCP, seed, mic.Config{
-		MNs: 2, MFlows: 4, PathPolicy: mic.PathLeastLoaded,
-	})
+	tb, err := NewTestbed(SchemeMICTCP, mic.Config{
+		MNs: 2, MFlows: 4, PathPolicy: mic.PathLeastLoaded, Seed: seed + 1,
+	}, nil)
 	if err != nil {
 		return 0, err
 	}
 	got := 0
 	var start, end sim.Time
-	mic.Listen(tb.stacks[15], 80, false, func(s *mic.Stream) {
+	mic.Listen(tb.Stacks[15], 80, false, func(s *mic.Stream) {
 		s.OnData(func(b []byte) {
 			got += len(b)
 			if got >= size && end == 0 {
-				end = tb.eng.Now()
+				end = tb.Eng.Now()
 			}
 		})
 	})
-	client := mic.NewClient(tb.stacks[0], tb.mc)
+	client := mic.NewClient(tb.Stacks[0], tb.MC)
 	client.Health = mic.HealthConfig{Disabled: disabled}
 	target := tb.hostIP(15).String()
 	var str *mic.Stream
@@ -155,7 +155,7 @@ func s7MICTrial(loss float64, size int, seed uint64, disabled bool) (float64, er
 		}
 		str = s
 	})
-	tb.eng.RunFor(5 * time.Millisecond)
+	tb.Eng.RunFor(5 * time.Millisecond)
 	if dialErr != nil {
 		return 0, dialErr
 	}
@@ -167,16 +167,16 @@ func s7MICTrial(loss float64, size int, seed uint64, disabled bool) (float64, er
 		if !ok {
 			return 0, fmt.Errorf("harness: no cached channel to %s", target)
 		}
-		node, port, ok := flowUniqueInteriorLink(tb.graph, info)
+		node, port, ok := flowUniqueInteriorLink(tb.Graph, info)
 		if !ok {
 			return 0, fmt.Errorf("harness: no m-flow has a flow-unique interior link")
 		}
-		tb.net.SetLinkFault(node, port, netsim.FaultProfile{Loss: loss})
+		tb.Net.SetLinkFault(node, port, netsim.FaultProfile{Loss: loss})
 	}
-	start = tb.eng.Now()
+	start = tb.Eng.Now()
 	str.Send(payload(size))
-	tb.eng.RunUntil(start + sim.Time(s7Cap))
-	return s7Goodput(got, start, end, tb.eng.Now()), nil
+	tb.Eng.RunUntil(start + sim.Time(s7Cap))
+	return s7Goodput(got, start, end, tb.Eng.Now()), nil
 }
 
 // s7Goodput converts one trial's byte count into Mbps. A finished trial is
@@ -199,20 +199,20 @@ func s7Goodput(bytes int, start, end, now sim.Time) float64 {
 
 // hottestCoreUplink returns the agg->core link direction that carried the
 // most bytes so far — with a single warmed-up flow, the path's core uplink.
-func hottestCoreUplink(tb *testbed) (topo.NodeID, int, bool) {
+func hottestCoreUplink(tb *Testbed) (topo.NodeID, int, bool) {
 	var bestNode topo.NodeID
 	bestPort := -1
 	var best uint64
-	for _, sid := range tb.graph.Switches() {
-		n := tb.graph.Node(sid)
+	for _, sid := range tb.Graph.Switches() {
+		n := tb.Graph.Node(sid)
 		if !strings.HasPrefix(n.Name, "agg") {
 			continue
 		}
 		for p, port := range n.Ports {
-			if !strings.HasPrefix(tb.graph.Node(port.Peer).Name, "core") {
+			if !strings.HasPrefix(tb.Graph.Node(port.Peer).Name, "core") {
 				continue
 			}
-			if tx := tb.net.LinkTxBytes(sid, p); tx > best {
+			if tx := tb.Net.LinkTxBytes(sid, p); tx > best {
 				best, bestNode, bestPort = tx, sid, p
 			}
 		}

@@ -52,55 +52,73 @@ func AllSchemes() []Scheme {
 	return []Scheme{SchemeTCP, SchemeSSL, SchemeMICTCP, SchemeMICSSL, SchemeTor}
 }
 
-// testbed is one fresh simulated rig: the paper's k=4 fat-tree (20 four-
-// port switches, 16 hosts) with whatever control plane the scheme needs.
-type testbed struct {
-	eng    *sim.Engine
-	net    *netsim.Network
-	graph  *topo.Graph
-	stacks []*transport.Stack
-	mc     *mic.MC
-	dir    *onion.Directory
+// Testbed is one fresh simulated rig: the paper's k=4 fat-tree (20 four-
+// port switches, 16 hosts) with whatever control plane the scheme needs —
+// proactive routing only, a standalone MC, or a failover Cluster. Every
+// experiment, every micsim scenario and the plain micsim transfer stand on
+// this one bed.
+type Testbed struct {
+	Eng    *sim.Engine
+	Net    *netsim.Network
+	Graph  *topo.Graph
+	Stacks []*transport.Stack
+
+	// MC is the standalone controller of a MIC bed, Cluster the failover
+	// group of one built with a ClusterConfig; at most one is set.
+	MC      *mic.MC
+	Cluster *mic.Cluster
+
+	dir *onion.Directory
 }
 
 // relayHosts run the onion relays (they may also serve as endpoints, as in
 // a volunteer overlay).
 var relayHosts = []int{4, 5, 6, 10, 11, 12}
 
-func newTestbed(scheme Scheme, seed uint64, micCfg mic.Config) (*testbed, error) {
+// NewTestbed builds the rig for scheme. The MIC schemes run micCfg as given
+// (the caller owns the seed, offsets included) on a standalone MC, or on a
+// failover cluster when ha is non-nil.
+func NewTestbed(scheme Scheme, micCfg mic.Config, ha *mic.ClusterConfig) (*Testbed, error) {
 	g, err := topo.FatTree(4)
 	if err != nil {
 		return nil, err
 	}
 	eng := sim.New()
 	net := netsim.New(eng, g, netsim.Config{})
-	tb := &testbed{eng: eng, net: net, graph: g}
-	switch scheme {
-	case SchemeMICTCP, SchemeMICSSL:
-		micCfg.Seed = seed + 1
-		tb.mc, err = mic.NewMC(net, micCfg)
-		if err != nil {
-			return nil, err
-		}
-	default:
+	tb := &Testbed{Eng: eng, Net: net, Graph: g}
+	switch {
+	case scheme != SchemeMICTCP && scheme != SchemeMICSSL:
 		router := &ctrlplane.ProactiveRouter{CFLabel: 0x0ffee}
-		if _, err := router.Install(net); err != nil {
-			return nil, err
-		}
+		_, err = router.Install(net)
+	case ha != nil:
+		tb.Cluster, err = mic.NewCluster(net, micCfg, *ha)
+	default:
+		tb.MC, err = mic.NewMC(net, micCfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	for _, hid := range g.Hosts() {
-		tb.stacks = append(tb.stacks, transport.NewStack(net.Host(hid)))
+		tb.Stacks = append(tb.Stacks, transport.NewStack(net.Host(hid)))
 	}
 	if scheme == SchemeTor {
 		tb.dir = onion.NewDirectory(onion.Config{})
 		for _, h := range relayHosts {
-			tb.dir.AddRelay(tb.stacks[h], 9001)
+			tb.dir.AddRelay(tb.Stacks[h], 9001)
 		}
 	}
 	return tb, nil
 }
 
-func (tb *testbed) hostIP(i int) addr.IP { return tb.stacks[i].Host.IP }
+// controlPlane is what MIC clients of this bed bind to.
+func (tb *Testbed) controlPlane() mic.ControlPlane {
+	if tb.Cluster != nil {
+		return tb.Cluster
+	}
+	return tb.MC
+}
+
+func (tb *Testbed) hostIP(i int) addr.IP { return tb.Stacks[i].Host.IP }
 
 // appStream is the scheme-independent view of an established session.
 type appStream interface {
@@ -111,41 +129,41 @@ type appStream interface {
 
 // serve starts the scheme's server on host `h`, invoking handler per
 // session.
-func (tb *testbed) serve(scheme Scheme, h int, port uint16, handler func(appStream)) {
+func (tb *Testbed) serve(scheme Scheme, h int, port uint16, handler func(appStream)) {
 	switch scheme {
 	case SchemeTCP:
-		tb.stacks[h].Listen(port, func(c *transport.Conn) { handler(c) })
+		tb.Stacks[h].Listen(port, func(c *transport.Conn) { handler(c) })
 	case SchemeSSL:
-		tb.stacks[h].ListenSSL(port, func(c *transport.SecureConn) { handler(c) })
+		tb.Stacks[h].ListenSSL(port, func(c *transport.SecureConn) { handler(c) })
 	case SchemeMICTCP:
-		mic.Listen(tb.stacks[h], port, false, func(s *mic.Stream) { handler(s) })
+		mic.Listen(tb.Stacks[h], port, false, func(s *mic.Stream) { handler(s) })
 	case SchemeMICSSL:
-		mic.Listen(tb.stacks[h], port, true, func(s *mic.Stream) { handler(s) })
+		mic.Listen(tb.Stacks[h], port, true, func(s *mic.Stream) { handler(s) })
 	case SchemeTor:
 		// Tor exits to a plain TCP server.
-		tb.stacks[h].Listen(port, func(c *transport.Conn) { handler(c) })
+		tb.Stacks[h].Listen(port, func(c *transport.Conn) { handler(c) })
 	}
 }
 
 // dial opens a session from host `from` to host `to` under the scheme.
 // routeLen is the privacy knob: MN count for MIC, relay count for Tor;
 // TCP/SSL ignore it.
-func (tb *testbed) dial(scheme Scheme, from, to int, port uint16, routeLen int, cb func(appStream, error)) {
+func (tb *Testbed) dial(scheme Scheme, from, to int, port uint16, routeLen int, cb func(appStream, error)) {
 	dst := tb.hostIP(to)
 	switch scheme {
 	case SchemeTCP:
-		tb.stacks[from].Dial(dst, port, func(c *transport.Conn, err error) { cbWrap(cb, c, err) })
+		tb.Stacks[from].Dial(dst, port, func(c *transport.Conn, err error) { cbWrap(cb, c, err) })
 	case SchemeSSL:
-		tb.stacks[from].DialSSL(dst, port, func(c *transport.SecureConn, err error) { cbWrap(cb, c, err) })
+		tb.Stacks[from].DialSSL(dst, port, func(c *transport.SecureConn, err error) { cbWrap(cb, c, err) })
 	case SchemeMICTCP, SchemeMICSSL:
-		client := mic.NewClient(tb.stacks[from], tb.mc)
+		client := mic.NewClient(tb.Stacks[from], tb.controlPlane())
 		client.Secure = scheme == SchemeMICSSL
 		if routeLen > 0 {
 			client.Opts.MNs = routeLen
 		}
 		client.Dial(dst.String(), port, func(s *mic.Stream, err error) { cbWrap(cb, s, err) })
 	case SchemeTor:
-		client := onion.NewClient(tb.stacks[from], tb.dir)
+		client := onion.NewClient(tb.Stacks[from], tb.dir)
 		if routeLen <= 0 {
 			routeLen = 3
 		}
@@ -172,7 +190,7 @@ var defaultPair = [2]int{0, 15}
 // SetupTime measures session establishment (the paper's Fig 7 metric:
 // "MIC connect" / Tor "connect" / TCP / SSL handshake) for one route length.
 func SetupTime(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) {
-	tb, err := newTestbed(scheme, seed, mic.Config{})
+	tb, err := NewTestbed(scheme, mic.Config{Seed: seed + 1}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -184,9 +202,9 @@ func SetupTime(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) 
 			dialErr = err
 			return
 		}
-		setup = time.Duration(tb.eng.Now())
+		setup = time.Duration(tb.Eng.Now())
 	})
-	tb.eng.Run()
+	tb.Eng.Run()
 	if dialErr != nil {
 		return 0, dialErr
 	}
@@ -199,7 +217,7 @@ func SetupTime(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) 
 // PingPongLatency measures the paper's Fig 8 metric: after the session is
 // established, the time from sending 10 bytes until 10 bytes come back.
 func PingPongLatency(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) {
-	tb, err := newTestbed(scheme, seed, mic.Config{})
+	tb, err := NewTestbed(scheme, mic.Config{Seed: seed + 1}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -217,13 +235,13 @@ func PingPongLatency(scheme Scheme, routeLen int, seed uint64) (time.Duration, e
 		s.OnData(func(b []byte) {
 			got += len(b)
 			if got >= 10 {
-				end = tb.eng.Now()
+				end = tb.Eng.Now()
 			}
 		})
-		start = tb.eng.Now()
+		start = tb.Eng.Now()
 		s.Send(make([]byte, 10))
 	})
-	tb.eng.Run()
+	tb.Eng.Run()
 	if dialErr != nil {
 		return 0, dialErr
 	}
@@ -244,7 +262,7 @@ type ThroughputResult struct {
 
 // ThroughputOneFlow measures a single bulk transfer (Fig 9a).
 func ThroughputOneFlow(scheme Scheme, routeLen int, size int, seed uint64) (ThroughputResult, error) {
-	tb, err := newTestbed(scheme, seed, mic.Config{})
+	tb, err := NewTestbed(scheme, mic.Config{Seed: seed + 1}, nil)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
@@ -254,7 +272,7 @@ func ThroughputOneFlow(scheme Scheme, routeLen int, size int, seed uint64) (Thro
 		s.OnData(func(b []byte) {
 			got += len(b)
 			if got >= size {
-				end = tb.eng.Now()
+				end = tb.Eng.Now()
 			}
 		})
 	})
@@ -265,11 +283,11 @@ func ThroughputOneFlow(scheme Scheme, routeLen int, size int, seed uint64) (Thro
 			dialErr = err
 			return
 		}
-		start = tb.eng.Now()
-		cpuBefore = tb.net.CPU.Total()
+		start = tb.Eng.Now()
+		cpuBefore = tb.Net.CPU.Total()
 		s.Send(payload(size))
 	})
-	tb.eng.Run()
+	tb.Eng.Run()
 	if dialErr != nil {
 		return ThroughputResult{}, dialErr
 	}
@@ -280,11 +298,11 @@ func ThroughputOneFlow(scheme Scheme, routeLen int, size int, seed uint64) (Thro
 	res := ThroughputResult{
 		Mbps:     mbps(size, wall),
 		Wall:     wall,
-		CPUTotal: tb.net.CPU.Total() - cpuBefore,
+		CPUTotal: tb.Net.CPU.Total() - cpuBefore,
 		CPUBy:    map[string]time.Duration{},
 	}
-	for _, cat := range tb.net.CPU.Categories() {
-		res.CPUBy[cat] = tb.net.CPU.Category(cat)
+	for _, cat := range tb.Net.CPU.Categories() {
+		res.CPUBy[cat] = tb.Net.CPU.Category(cat)
 	}
 	return res, nil
 }
@@ -298,7 +316,8 @@ func MultiFlowAvgThroughput(scheme Scheme, nFlows, size int, seed uint64) (float
 // MultiFlowAvgThroughputCfg is MultiFlowAvgThroughput with an explicit MIC
 // configuration (used by the path-policy ablation).
 func MultiFlowAvgThroughputCfg(scheme Scheme, nFlows, size int, seed uint64, micCfg mic.Config) (float64, error) {
-	tb, err := newTestbed(scheme, seed, micCfg)
+	micCfg.Seed = seed + 1
+	tb, err := NewTestbed(scheme, micCfg, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -318,7 +337,7 @@ func MultiFlowAvgThroughputCfg(scheme Scheme, nFlows, size int, seed uint64, mic
 			s.OnData(func(b []byte) {
 				flows[i].got += len(b)
 				if flows[i].got >= size {
-					flows[i].end = tb.eng.Now()
+					flows[i].end = tb.Eng.Now()
 				}
 			})
 		})
@@ -326,11 +345,11 @@ func MultiFlowAvgThroughputCfg(scheme Scheme, nFlows, size int, seed uint64, mic
 			if err != nil {
 				return
 			}
-			flows[i].start = tb.eng.Now()
+			flows[i].start = tb.Eng.Now()
 			s.Send(payload(size))
 		})
 	}
-	tb.eng.Run()
+	tb.Eng.Run()
 	sum := 0.0
 	for i, f := range flows {
 		if f.end == 0 {

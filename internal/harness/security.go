@@ -54,18 +54,19 @@ func init() {
 // micRun drives one MIC transfer h0 -> h15 with every switch tapped, and
 // returns the testbed, captures, channel info, and the adversary's decoy
 // byte overhead relative to useful traffic.
-func micRun(cfg mic.Config, size int, seed uint64) (*testbed, map[topo.NodeID]*adversary.Capture, *mic.ChannelInfo, error) {
+func micRun(cfg mic.Config, size int, seed uint64) (*Testbed, map[topo.NodeID]*adversary.Capture, *mic.ChannelInfo, error) {
 	cfg.Seed = seed
-	tb, err := newTestbed(SchemeMICTCP, seed, cfg)
+	cfg.Seed = seed + 1
+	tb, err := NewTestbed(SchemeMICTCP, cfg, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	caps := make(map[topo.NodeID]*adversary.Capture)
-	for _, sid := range tb.graph.Switches() {
-		caps[sid] = adversary.Tap(tb.net, sid)
+	for _, sid := range tb.Graph.Switches() {
+		caps[sid] = adversary.Tap(tb.Net, sid)
 	}
-	mic.Listen(tb.stacks[15], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
-	client := mic.NewClient(tb.stacks[0], tb.mc)
+	mic.Listen(tb.Stacks[15], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
+	client := mic.NewClient(tb.Stacks[0], tb.MC)
 	var dialErr error
 	client.Dial(tb.hostIP(15).String(), 80, func(s *mic.Stream, err error) {
 		if err != nil {
@@ -74,7 +75,7 @@ func micRun(cfg mic.Config, size int, seed uint64) (*testbed, map[topo.NodeID]*a
 		}
 		s.Send(payload(size))
 	})
-	tb.eng.Run()
+	tb.Eng.Run()
 	if dialErr != nil {
 		return nil, nil, nil, dialErr
 	}
@@ -108,7 +109,7 @@ func runS1Correlation(cfg RunConfig) (*Result, error) {
 			}
 			sample.Add(rep.MeanSuccess)
 			cands.Add(rep.MeanCandidates)
-			txBytes += tb.net.Stats.TxBytes
+			txBytes += tb.Net.Stats.TxBytes
 		}
 		if fanout == 1 {
 			baseBytes = txBytes
@@ -163,7 +164,7 @@ func runS3Exposure(cfg RunConfig) (*Result, error) {
 	tbl := metrics.NewTable("switch", "position", "sees_initiator", "sees_responder", "linked_pairs")
 	pos := "before first MN"
 	for _, node := range flow.Path {
-		if tb.graph.Node(node).Kind != topo.KindSwitch {
+		if tb.Graph.Node(node).Kind != topo.KindSwitch {
 			continue
 		}
 		label := pos
@@ -177,7 +178,7 @@ func runS3Exposure(cfg RunConfig) (*Result, error) {
 		}
 		c := caps[node]
 		exp := c.Exposure(initIP, respIP)
-		tbl.AddRow(tb.graph.Node(node).Name, label, exp[initIP], exp[respIP], c.LinkedPairs(initIP, respIP))
+		tbl.AddRow(tb.Graph.Node(node).Name, label, exp[initIP], exp[respIP], c.LinkedPairs(initIP, respIP))
 	}
 	return &Result{
 		ID: "s3", Title: "Endpoint exposure by compromised-switch position (one m-flow)", Table: tbl,
@@ -277,12 +278,12 @@ func runA3ChannelReuse(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	const messages = 20
 	load := func(reuse bool) (float64, error) {
-		tb, err := newTestbed(SchemeMICTCP, cfg.Seed, mic.Config{Seed: cfg.Seed})
+		tb, err := NewTestbed(SchemeMICTCP, mic.Config{Seed: cfg.Seed + 1}, nil)
 		if err != nil {
 			return 0, err
 		}
-		mic.Listen(tb.stacks[15], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
-		client := mic.NewClient(tb.stacks[0], tb.mc)
+		mic.Listen(tb.Stacks[15], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
+		client := mic.NewClient(tb.Stacks[0], tb.MC)
 		target := tb.hostIP(15).String()
 		sent := 0
 		var send func()
@@ -311,11 +312,11 @@ func runA3ChannelReuse(cfg RunConfig) (*Result, error) {
 			})
 		}
 		send()
-		tb.eng.Run()
+		tb.Eng.Run()
 		if sent != messages {
 			return 0, fmt.Errorf("a3: only %d/%d messages sent (reuse=%v)", sent, messages, reuse)
 		}
-		return float64(tb.mc.Requests), nil
+		return float64(tb.MC.Requests), nil
 	}
 	withReuse, err := load(true)
 	if err != nil {
@@ -398,16 +399,16 @@ func runS5RatePattern(cfg RunConfig) (*Result, error) {
 // ratePatternTrial sends five bursts through a MIC channel and runs the
 // rate adversary at the responder's edge switch.
 func ratePatternTrial(mflows int, seed uint64) (corr, peak float64, err error) {
-	tb, err := newTestbed(SchemeMICTCP, seed, mic.Config{MFlows: mflows, MNs: 2, Seed: seed})
+	tb, err := NewTestbed(SchemeMICTCP, mic.Config{MFlows: mflows, MNs: 2, Seed: seed + 1}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
 	caps := make(map[topo.NodeID]*adversary.Capture)
-	for _, sid := range tb.graph.Switches() {
-		caps[sid] = adversary.Tap(tb.net, sid)
+	for _, sid := range tb.Graph.Switches() {
+		caps[sid] = adversary.Tap(tb.Net, sid)
 	}
-	mic.Listen(tb.stacks[15], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
-	client := mic.NewClient(tb.stacks[0], tb.mc)
+	mic.Listen(tb.Stacks[15], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
+	client := mic.NewClient(tb.Stacks[0], tb.MC)
 	var dialErr error
 	var sendBursts func(s *mic.Stream, n int)
 	sendBursts = func(s *mic.Stream, n int) {
@@ -415,7 +416,7 @@ func ratePatternTrial(mflows int, seed uint64) (corr, peak float64, err error) {
 			return
 		}
 		s.Send(payload(30_000))
-		tb.eng.After(4*time.Millisecond, func() { sendBursts(s, n-1) })
+		tb.Eng.After(4*time.Millisecond, func() { sendBursts(s, n-1) })
 	}
 	client.Dial(tb.hostIP(15).String(), 80, func(s *mic.Stream, err error) {
 		if err != nil {
@@ -424,11 +425,11 @@ func ratePatternTrial(mflows int, seed uint64) (corr, peak float64, err error) {
 		}
 		sendBursts(s, 5)
 	})
-	tb.eng.Run()
+	tb.Eng.Run()
 	if dialErr != nil {
 		return 0, 0, dialErr
 	}
-	until := tb.eng.Now()
+	until := tb.Eng.Now()
 	window := time.Millisecond
 	// Pick edges in node order: "first capture with exposure" must not
 	// depend on randomized map iteration.

@@ -403,8 +403,9 @@ func (mc *MC) unwindFlow(st *channelState, respIP addr.IP, snap flowSnap) {
 }
 
 // armEviction opts every switch into MC-coordinated LRU eviction when
-// EvictIdle is configured; called on activation (initial or takeover). The
-// hook only counts m-flow victims — common rules are never Evictable.
+// EvictIdle is configured; called on activation (initial or takeover), on a
+// standalone MC or on shard 0 of a unit — the per-switch hook has one owner.
+// The hook only counts m-flow victims — common rules are never Evictable.
 func (mc *MC) armEviction() {
 	if !mc.Cfg.Admission.EvictIdle {
 		return
@@ -502,21 +503,36 @@ func (mc *MC) upgradeChannel(st *channelState) bool {
 
 // Telemetry returns the MC's admission/overload counters in fixed
 // registration order, so rendered output is byte-stable across runs.
-func (mc *MC) Telemetry() *metrics.Counters {
+func (mc *MC) Telemetry() *metrics.Counters { return telemetry([]*MC{mc}) }
+
+// telemetry sums the admission/overload counters over mcs — one standalone
+// MC, or every shard of every cluster member — in fixed registration order.
+func telemetry(mcs []*MC) *metrics.Counters {
 	c := metrics.NewCounters()
-	c.Set("dials_admitted", mc.RequestsAdmitted)
-	c.Set("dials_queued", mc.RequestsQueued)
-	c.Set("dials_shed", mc.RequestsShed)
-	c.Set("queue_peak", mc.QueuePeak)
-	c.Set("channels_degraded", mc.ChannelsDegraded)
-	c.Set("channels_refused", mc.ChannelsRefused)
-	c.Set("flows_restored", mc.FlowsRestored)
-	c.Set("mflow_rules_evicted", mc.RulesEvicted)
-	c.Set("miss_reinstalls", mc.MissReinstalls)
-	c.Set("table_full_replies", mc.Ch.TableFulls)
-	c.Set("path_cache_hits", mc.PathCacheHits)
-	c.Set("path_cache_misses", mc.PathCacheMisses)
-	c.Set("sb_batches", mc.Ch.Batches)
-	c.Set("sb_batched_mods", mc.Ch.BatchedMods)
+	for _, ctr := range []struct {
+		name string
+		get  func(*MC) uint64
+	}{
+		{"dials_admitted", func(mc *MC) uint64 { return mc.RequestsAdmitted }},
+		{"dials_queued", func(mc *MC) uint64 { return mc.RequestsQueued }},
+		{"dials_shed", func(mc *MC) uint64 { return mc.RequestsShed }},
+		{"queue_peak", func(mc *MC) uint64 { return mc.QueuePeak }},
+		{"channels_degraded", func(mc *MC) uint64 { return mc.ChannelsDegraded }},
+		{"channels_refused", func(mc *MC) uint64 { return mc.ChannelsRefused }},
+		{"flows_restored", func(mc *MC) uint64 { return mc.FlowsRestored }},
+		{"mflow_rules_evicted", func(mc *MC) uint64 { return mc.RulesEvicted }},
+		{"miss_reinstalls", func(mc *MC) uint64 { return mc.MissReinstalls }},
+		{"table_full_replies", func(mc *MC) uint64 { return mc.Ch.TableFulls }},
+		{"path_cache_hits", func(mc *MC) uint64 { return mc.PathCacheHits }},
+		{"path_cache_misses", func(mc *MC) uint64 { return mc.PathCacheMisses }},
+		{"sb_batches", func(mc *MC) uint64 { return mc.Ch.Batches }},
+		{"sb_batched_mods", func(mc *MC) uint64 { return mc.Ch.BatchedMods }},
+	} {
+		var sum uint64
+		for _, mc := range mcs {
+			sum += ctr.get(mc)
+		}
+		c.Set(ctr.name, sum)
+	}
 	return c
 }

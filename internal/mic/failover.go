@@ -17,19 +17,30 @@ import (
 )
 
 // This file makes the Mimic Controller survivable: a Cluster runs one active
-// MC plus warm standbys that tail its journal, detect its death by missed
-// heartbeats, and take over — replaying the journal, reconciling every
-// switch's flow table against the rebuilt intent (delete the dead life's
-// stale rules by cookie, reinstall what never landed), and re-arming
-// self-healing. In-flight m-flows keep forwarding throughout: a controller
-// crash leaves switch state untouched, and reconciliation is make-before-
-// break. The paper assumes the MC simply exists (Sec III); this layer
-// answers what a deployment actually needs when it stops existing.
+// controller unit plus warm standby units that tail its journal, detect its
+// death by missed heartbeats, and take over — replaying the journal,
+// reconciling every switch's flow table against the rebuilt intent (delete
+// the dead life's stale rules by cookie, reinstall what never landed), and
+// re-arming self-healing. In-flight m-flows keep forwarding throughout: a
+// controller crash leaves switch state untouched, and reconciliation is
+// make-before-break. The paper assumes the MC simply exists (Sec III); this
+// layer answers what a deployment actually needs when it stops existing.
+//
+// A unit is N >= 1 shard MCs behind one router (shard.go) on one controller
+// host; it lives, dies and is promoted as a whole. This is the only HA
+// composition in the package: everything below loops over the unit's shards,
+// and a single MC is the unit of one. Heartbeats, epoch Hellos and
+// reconciliation traffic ride shard 0's southbound channel.
 
 // ClusterConfig tunes failover behaviour.
 type ClusterConfig struct {
 	// Standbys is how many warm standby controllers to run (default 1).
 	Standbys int
+
+	// Shards is how many shard MCs make up each member's controller unit
+	// (default 1). Every member runs the same count: journal records are
+	// routed to shards by index.
+	Shards int
 
 	// HeartbeatInterval is the active's beat period over the management
 	// network; standbys also check for overdue beats at this period.
@@ -88,6 +99,9 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Standbys == 0 {
 		c.Standbys = DefaultStandbys
 	}
+	if c.Shards == 0 {
+		c.Shards = 1
+	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = DefaultHeartbeatInterval
 	}
@@ -118,9 +132,10 @@ const (
 	roleDead
 )
 
-// member is one controller process in the cluster.
+// member is one controller host in the cluster: a unit of shard MCs that
+// crash, restart, step down and take over together.
 type member struct {
-	mc      *MC
+	unit    *ShardedMC
 	ctrlIdx int // netsim controller-host index (crash/restart handle)
 	role    memberRole
 
@@ -175,6 +190,11 @@ type Cluster struct {
 	// reconciliation work) in fixed registration order for stable reports.
 	Counters *metrics.Counters
 
+	// RecordsRefused counts replicated journal records that named a shard no
+	// unit of this cluster has — a foreign writer on the log. They are
+	// skipped, never folded into some other shard's state.
+	RecordsRefused uint64
+
 	// OnTakeover (may be nil) observes every completed takeover.
 	OnTakeover func(TakeoverStats)
 
@@ -202,11 +222,11 @@ type Cluster struct {
 	downSubs   []func(id uint64, err error)
 }
 
-// NewCluster builds the failover group: one active MC (which installs common
-// routing and starts journaling) plus cfg.Standbys passive standbys tailing
-// the journal over a ReplicationLag-delayed feed. Every member registers as
-// a controller host in the network, so chaos faults can kill and restart
-// controllers like any other element.
+// NewCluster builds the failover group: one active unit (which installs
+// common routing and starts journaling) plus ccfg.Standbys passive units
+// tailing the journal over a ReplicationLag-delayed feed. Every member
+// registers as one controller host in the network, so chaos faults can kill
+// and restart controllers like any other element.
 func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		Net:            net,
@@ -218,26 +238,26 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 		needsReconcile: make(map[topo.NodeID]bool),
 	}
 	// Fixed registration order: reports render counters in first-Add order.
-	for _, name := range []string{
+	for _, name := range append([]string{
 		"heartbeats_sent", "heartbeats_missed", "takeovers", "stepdowns",
 		"rules_reinstalled", "rules_stale_deleted", "request_retries",
 		"journal_appends", "journal_snapshots", "journal_records",
 		"journal_divergent", "stale_rejects",
-		"dials_admitted", "dials_shed", "channels_degraded",
-		"channels_refused", "flows_restored", "mflow_rules_evicted",
-	} {
+	}, memberCounters...) {
 		c.Counters.Set(name, 0)
 	}
 	c.Journal.Fencing = !c.CCfg.DisableFencing
 
-	primary, err := NewMC(net, c.Cfg)
+	primary, err := newShardedMC(net, c.Cfg, c.CCfg.Shards, mcShard)
 	if err != nil {
 		return nil, err
 	}
-	primary.journal = c.Journal
+	for _, mc := range primary.shards {
+		mc.journal = c.Journal
+	}
 	c.addMember(primary)
 	for i := 0; i < c.CCfg.Standbys; i++ {
-		sb, err := newMC(net, c.Cfg, mcPassive)
+		sb, err := newShardedMC(net, c.Cfg, c.CCfg.Shards, mcPassive)
 		if err != nil {
 			return nil, err
 		}
@@ -270,16 +290,18 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 	return c, nil
 }
 
-// addMember registers one controller process with the cluster: a netsim
+// addMember registers one controller unit with the cluster: a netsim
 // controller host (the chaos layer's kill handle), a journal follower (the
 // replication feed; the active skips its own records), and event relays so
 // cluster-level subscribers hear whichever member is acting.
-func (c *Cluster) addMember(mc *MC) {
-	m := &member{mc: mc, ctrlIdx: c.Net.RegisterCtrlHost(), role: roleStandby}
-	// Bind the southbound channel to the member's management-network
-	// endpoint, so partitions between this controller host and switches (or
-	// peer controllers) actually cut its traffic.
-	mc.Ch.CtrlHost = m.ctrlIdx
+func (c *Cluster) addMember(unit *ShardedMC) {
+	m := &member{unit: unit, ctrlIdx: c.Net.RegisterCtrlHost(), role: roleStandby}
+	// Bind every shard's southbound channel to the member's management-
+	// network endpoint, so partitions between this controller host and
+	// switches (or peer controllers) actually cut its traffic.
+	for _, mc := range unit.shards {
+		mc.Ch.CtrlHost = m.ctrlIdx
+	}
 	if len(c.members) == 0 {
 		m.role = roleActive
 	}
@@ -290,17 +312,21 @@ func (c *Cluster) addMember(mc *MC) {
 		}
 		c.replicate(m, r)
 	})
-	mc.SubscribeRepair(func(ev RepairEvent) {
+	unit.SubscribeRepair(func(ev RepairEvent) {
 		for _, fn := range c.repairSubs {
 			fn(ev)
 		}
 	})
-	mc.SubscribeChannelDown(func(id uint64, err error) {
+	unit.SubscribeChannelDown(func(id uint64, err error) {
 		for _, fn := range c.downSubs {
 			fn(id, err)
 		}
 	})
 }
+
+// lead is the shard whose southbound channel carries the member's cross-shard
+// control traffic: heartbeats, epoch Hellos, switch dumps and reconciliation.
+func (m *member) lead() *MC { return m.unit.shards[0] }
 
 func (c *Cluster) eng() *sim.Engine { return c.Net.Eng }
 
@@ -336,17 +362,18 @@ func (c *Cluster) activeMember() *member {
 	return m
 }
 
-// ActiveMC returns the acting controller, or nil during a blackout —
-// the window between the active's death and a standby's takeover.
+// ActiveMC returns the acting unit's lead shard (the whole controller when
+// Shards is 1), or nil during a blackout — the window between the active's
+// death and a standby's takeover.
 func (c *Cluster) ActiveMC() *MC {
 	if m := c.activeMember(); m != nil {
-		return m.mc
+		return m.lead()
 	}
 	return nil
 }
 
-// MemberMC returns member i's controller (tests and harnesses).
-func (c *Cluster) MemberMC(i int) *MC { return c.members[i].mc }
+// MemberMC returns the lead shard of member i's unit (tests and harnesses).
+func (c *Cluster) MemberMC(i int) *MC { return c.members[i].lead() }
 
 // ActiveIndex returns the acting member's index, or -1 during a blackout.
 func (c *Cluster) ActiveIndex() int {
@@ -374,8 +401,26 @@ func (c *Cluster) replicate(m *member, r Record) {
 		}
 		rec := m.pending[0]
 		m.pending = m.pending[1:]
-		m.mc.applyRecord(rec)
+		c.apply(m, rec)
 	})
+}
+
+// apply folds one journal record into the shard of m's unit that minted it.
+// A record naming a shard the unit does not have is refused rather than
+// merged into a shard whose ID space it never came from.
+func (c *Cluster) apply(m *member, r Record) {
+	if int(r.Shard) >= len(m.unit.shards) {
+		c.RecordsRefused++
+		return
+	}
+	m.unit.shards[r.Shard].applyRecord(r)
+}
+
+// replay rebuilds m's unit from scratch out of the full journal.
+func (c *Cluster) replay(m *member) {
+	for _, r := range c.Journal.Records() {
+		c.apply(m, r)
+	}
 }
 
 // drain applies every in-flight journal record immediately — the promoted
@@ -384,7 +429,7 @@ func (c *Cluster) drain(m *member) {
 	for len(m.pending) > 0 {
 		rec := m.pending[0]
 		m.pending = m.pending[1:]
-		m.mc.applyRecord(rec)
+		c.apply(m, rec)
 	}
 }
 
@@ -419,7 +464,7 @@ func (c *Cluster) startBeating(m *member) {
 			}
 			other := other
 			c.Counters.Add("heartbeats_sent", 1)
-			m.mc.Ch.Heartbeat(other.ctrlIdx, func() {
+			m.lead().Ch.Heartbeat(other.ctrlIdx, func() {
 				if other.role == roleStandby {
 					other.lastBeat = c.eng().Now()
 					// Hearing the successor releases a demoted ex-active
@@ -505,15 +550,15 @@ func (c *Cluster) stepDown(m *member) {
 	if c.active == c.memberIndex(m) {
 		c.active = -1
 	}
-	m.mc.stepDown()
 	m.pending = nil
 	// Rebuild from the journal: unjournaled in-flight plans from the active
 	// life are discarded — their switch rules (if any landed) are the next
 	// takeover's reconciliation fodder, same as a crashed active's.
-	m.mc.resetState()
-	for _, r := range c.Journal.Records() {
-		m.mc.applyRecord(r)
+	for _, mc := range m.unit.shards {
+		mc.stepDown()
+		mc.resetState()
 	}
+	c.replay(m)
 	c.startWatchdog(m)
 	if c.OnStepDown != nil {
 		c.OnStepDown(c.memberIndex(m), c.eng().Now())
@@ -577,7 +622,9 @@ func (c *Cluster) memberCrashed(m *member) {
 	m.role = roleDead
 	m.beatGen++ // cancel tickers
 	m.pending = nil
-	m.mc.crash()
+	for _, mc := range m.unit.shards {
+		mc.crash()
+	}
 	if wasActive {
 		if c.active == c.memberIndex(m) {
 			c.active = -1
@@ -599,10 +646,10 @@ func (c *Cluster) memberRejoined(m *member) {
 	}
 	m.role = roleStandby
 	m.pending = nil
-	m.mc.revive()
-	for _, r := range c.Journal.Records() {
-		m.mc.applyRecord(r)
+	for _, mc := range m.unit.shards {
+		mc.revive()
 	}
+	c.replay(m)
 	c.startWatchdog(m)
 }
 
@@ -626,34 +673,42 @@ func (c *Cluster) takeover(m *member) bool {
 	atomic.AddUint32(&c.takeovers, 1)
 	c.Counters.Add("takeovers", 1)
 	c.drain(m)
-	mc := m.mc
-	mc.finishRestore(c.Journal)
-	mc.generation = atomic.LoadUint32(&c.takeovers)
-	mc.journal = c.Journal
-	mc.activeCtrl = true
 	m.role = roleActive
 	m.demoted = false
 	c.active = c.memberIndex(m)
 	c.fence++
-	mc.fence = c.fence
-	c.Journal.RaiseFence(c.fence)
-	c.Net.SetController(mc)
-	mc.armEviction()
-	if mc.Cfg.AutoRepair {
-		mc.enableAutoRepair()
+	// Every shard of this life carries the promotion's generation in its rule
+	// cookies and its fencing epoch on journal writes and (unless the fencing
+	// ablation is on) southbound messages, so a deposed life is told apart —
+	// and rejected — shard by shard.
+	for _, mc := range m.unit.shards {
+		mc.finishRestore(c.Journal)
+		mc.generation = atomic.LoadUint32(&c.takeovers)
+		mc.journal = c.Journal
+		mc.activeCtrl = true
+		mc.fence = c.fence
+		if mc.Cfg.AutoRepair {
+			mc.enableAutoRepair()
+		}
+		if !c.CCfg.DisableFencing {
+			mc.Ch.Epoch = c.fence
+		}
 	}
+	// The journal learns the new life's epoch before its first append, so a
+	// deposed life's raced-in writes read as divergent however they interleave.
+	c.Journal.RaiseFence(c.fence)
+	m.unit.attach()
 	if !c.CCfg.DisableFencing {
 		// Announce the new epoch to every reachable switch before any
 		// reconciliation traffic: same channel, same latency, so the Hello
 		// lands first and every later message from a deposed life is stale.
-		mc.Ch.Epoch = c.fence
 		for _, sw := range c.Net.Switches() {
-			mc.Ch.Hello(sw, nil)
+			m.lead().Ch.Hello(sw, nil)
 		}
 	}
 	c.startBeating(m)
 
-	stats := TakeoverStats{Member: c.active, Channels: len(mc.channels)}
+	stats := TakeoverStats{Member: c.active, Channels: m.unit.LiveChannels()}
 	if c.CCfg.DisableReconcile {
 		c.finishTakeover(m, stats)
 		return true
@@ -696,14 +751,17 @@ func entryReconKey(e *flowtable.Entry) reconKey {
 // cookie is offset past both (see channelState.cookie).
 func mflowCookie(cookie uint64) bool { return cookie > ctrlplane.CookieCommon }
 
-// reconcileSwitch diffs one switch's dumped flow table against the rebuilt
-// intent and converges it: missing rules are reinstalled FIRST (an install
-// over the same match replaces in place, so a stale-epoch rule is upgraded
-// make-before-break and the m-flow never loses coverage), then surviving
-// stale-epoch rules are deleted by cookie, then a Barrier bounds the
-// transaction. onDone reports (reinstalled, staleDeleted) counts.
+// reconcileSwitch diffs one switch's dumped flow table against the unit's
+// rebuilt intent and converges it: missing rules are reinstalled FIRST (an
+// install over the same match replaces in place, so a stale-epoch rule is
+// upgraded make-before-break and the m-flow never loses coverage), then
+// surviving stale-epoch rules are deleted by cookie, then a Barrier bounds
+// the transaction. The diff is always against the union of every shard's
+// intent: a shard diffing the dump against only its own would classify its
+// siblings' live rules as stale and delete them. onDone reports
+// (reinstalled, staleDeleted) counts.
 func (c *Cluster) reconcileSwitch(m *member, sw *netsim.Switch, onDone func(reinstalled, stale int)) {
-	mc := m.mc
+	mc := m.lead()
 	if sw.Down {
 		c.needsReconcile[sw.ID] = true
 		c.eng().After(0, func() { onDone(0, 0) })
@@ -715,33 +773,7 @@ func (c *Cluster) reconcileSwitch(m *member, sw *netsim.Switch, onDone func(rein
 			onDone(0, 0)
 			return
 		}
-		// Rebuild this switch's intent from the journal-restored channels,
-		// in sorted channel order so message order is deterministic.
-		intent := make(map[reconKey]*flowtable.Entry)
-		var intentOrder []reconKey
-		groupIntent := make(map[flowtable.GroupID]*flowtable.Group)
-		var groupOrder []flowtable.GroupID
-		for _, id := range sortedChanIDs(mc.channels) {
-			st := mc.channels[id]
-			for _, rr := range st.rules {
-				if rr.node != sw.ID {
-					continue
-				}
-				if rr.entry != nil {
-					k := entryReconKey(rr.entry)
-					if _, dup := intent[k]; !dup {
-						intentOrder = append(intentOrder, k)
-					}
-					intent[k] = rr.entry
-				}
-				if rr.group != nil {
-					if _, dup := groupIntent[rr.group.ID]; !dup {
-						groupOrder = append(groupOrder, rr.group.ID)
-					}
-					groupIntent[rr.group.ID] = rr.group
-				}
-			}
-		}
+		intent, intentOrder, groupIntent, groupOrder := m.unit.unionIntent(sw.ID)
 		// Diff the dump: installed m-flow entries are either intended (keep)
 		// or stale (a dead life's leftover — collect its cookie for deletion).
 		have := make(map[reconKey]bool)
@@ -842,8 +874,10 @@ func (c *Cluster) retryReconcile(node topo.NodeID) {
 // with it) is detected by a liveness sweep and queued through the normal
 // self-healing path. Then the takeover becomes observable.
 func (c *Cluster) finishTakeover(m *member, stats TakeoverStats) {
-	mc := m.mc
-	if mc.Cfg.AutoRepair {
+	for _, mc := range m.unit.shards {
+		if !mc.Cfg.AutoRepair {
+			continue
+		}
 		for _, id := range sortedChanIDs(mc.channels) {
 			if !mc.channelAlive(mc.channels[id]) {
 				mc.scheduleRepair(id)
@@ -857,31 +891,17 @@ func (c *Cluster) finishTakeover(m *member, stats TakeoverStats) {
 }
 
 // Audit omnisciently diffs every switch's installed flow table against the
-// acting controller's intent and returns the discrepancy counts: stale
-// m-flow entries no live channel wants, and intended entries not installed.
-// The failover acceptance bar is (0, 0) after reconciliation settles.
+// union of the acting unit's intent and returns the discrepancy counts:
+// stale m-flow entries no live channel wants, and intended entries not
+// installed. The failover acceptance bar is (0, 0) after reconciliation
+// settles.
 func (c *Cluster) Audit() (stale, missing int) {
 	m := c.activeMember()
 	if m == nil {
 		return 0, 0
 	}
-	mc := m.mc
-	intent := make(map[topo.NodeID]map[reconKey]bool)
-	for _, id := range sortedChanIDs(mc.channels) {
-		st := mc.channels[id]
-		for _, rr := range st.rules {
-			if rr.entry == nil {
-				continue
-			}
-			set := intent[rr.node]
-			if set == nil {
-				set = make(map[reconKey]bool)
-				intent[rr.node] = set
-			}
-			set[entryReconKey(rr.entry)] = true
-		}
-	}
 	for _, sw := range c.Net.Switches() {
+		intent, _, _, _ := m.unit.unionIntent(sw.ID)
 		have := make(map[reconKey]bool)
 		for _, e := range sw.Table.Entries() {
 			if !mflowCookie(e.Cookie) {
@@ -889,12 +909,12 @@ func (c *Cluster) Audit() (stale, missing int) {
 			}
 			k := entryReconKey(e)
 			have[k] = true
-			if !intent[sw.ID][k] {
+			if _, want := intent[k]; !want {
 				stale++
 			}
 		}
 		// lint:ignore detrange membership counting; result independent of order
-		for k := range intent[sw.ID] {
+		for k := range intent {
 			if !have[k] {
 				missing++
 			}
@@ -903,35 +923,34 @@ func (c *Cluster) Audit() (stale, missing int) {
 	return stale, missing
 }
 
-// Telemetry folds journal statistics and per-member admission counters into
-// the counters and returns them. Admission counters sum across members in
-// slice order: each member accumulates its own tallies while active, and
-// sums (unlike gauges) survive takeovers.
+// memberCounters lists the per-controller tallies the cluster reports, summed
+// over every shard of every member: each accumulates its own while active,
+// and sums (unlike gauges) survive takeovers.
+var memberCounters = []string{
+	"dials_admitted", "dials_shed", "channels_degraded",
+	"channels_refused", "flows_restored", "mflow_rules_evicted",
+}
+
+// Telemetry folds journal statistics and the members' admission counters
+// into the counters and returns them.
 func (c *Cluster) Telemetry() *metrics.Counters {
 	c.Counters.Set("journal_appends", c.Journal.Appends)
 	c.Counters.Set("journal_snapshots", c.Journal.Snapshots)
 	c.Counters.Set("journal_records", uint64(c.Journal.Len()))
 	c.Counters.Set("journal_divergent", c.Journal.Divergent)
+	var mcs []*MC
 	var rejects uint64
 	for _, m := range c.members {
-		rejects += m.mc.Ch.StaleRejects
+		mcs = append(mcs, m.unit.shards...)
+		for _, mc := range m.unit.shards {
+			rejects += mc.Ch.StaleRejects
+		}
 	}
 	c.Counters.Set("stale_rejects", rejects)
-	var admitted, shed, degraded, refused, restored, evicted uint64
-	for _, m := range c.members {
-		admitted += m.mc.RequestsAdmitted
-		shed += m.mc.RequestsShed
-		degraded += m.mc.ChannelsDegraded
-		refused += m.mc.ChannelsRefused
-		restored += m.mc.FlowsRestored
-		evicted += m.mc.RulesEvicted
+	sums := telemetry(mcs)
+	for _, name := range memberCounters {
+		c.Counters.Set(name, sums.Get(name))
 	}
-	c.Counters.Set("dials_admitted", admitted)
-	c.Counters.Set("dials_shed", shed)
-	c.Counters.Set("channels_degraded", degraded)
-	c.Counters.Set("channels_refused", refused)
-	c.Counters.Set("flows_restored", restored)
-	c.Counters.Set("mflow_rules_evicted", evicted)
 	return c.Counters
 }
 
@@ -940,7 +959,9 @@ func (c *Cluster) Telemetry() *metrics.Counters {
 func (c *Cluster) Stop() {
 	for _, m := range c.members {
 		m.beatGen++
-		m.mc.StopProber()
+		for _, mc := range m.unit.shards {
+			mc.StopProber()
+		}
 	}
 }
 
@@ -982,7 +1003,7 @@ func (c *Cluster) EstablishChannel(initiator addr.IP, target string, opts Channe
 			return
 		}
 		answered := false
-		m.mc.EstablishChannel(initiator, target, opts, func(info *ChannelInfo, err error) {
+		m.unit.EstablishChannel(initiator, target, opts, func(info *ChannelInfo, err error) {
 			if answered {
 				// A retry superseded this attempt; its late success would be
 				// an unobserved duplicate — release it.
@@ -1026,7 +1047,19 @@ func (c *Cluster) CloseChannel(id uint64, cb func()) error {
 	if m == nil {
 		return fmt.Errorf("mic: no active controller")
 	}
-	return m.mc.CloseChannel(id, cb)
+	return m.unit.CloseChannel(id, cb)
+}
+
+// RegisterHiddenService registers the mapping on every shard of the acting
+// unit; each journals its copy, so standbys and successors resolve the name
+// too. Like CloseChannel it fails during a blackout.
+// lint:secret ip
+func (c *Cluster) RegisterHiddenService(name string, ip addr.IP) error {
+	m := c.activeMember()
+	if m == nil {
+		return fmt.Errorf("mic: no active controller")
+	}
+	return m.unit.RegisterHiddenService(name, ip)
 }
 
 // gateN, gateB and gate3 are MC.gate for the callback shapes reconciliation

@@ -65,11 +65,10 @@ type Record struct {
 	// zombie had never written.
 	Fenced bool
 
-	// Shard identifies which controller shard wrote the record (0 for a
-	// standalone MC). A sharded standby routes each record to the matching
-	// shard on replay, and the per-shard counter high-waters below are
-	// keyed on it — shard ID spaces are disjoint, so one shard's AllocNext
-	// must never clamp another's allocator.
+	// Shard identifies which shard of the controller unit wrote the record
+	// (0 for a single-shard controller). The Cluster routes each record to
+	// the matching shard on replay, and the journal's counter high-waters
+	// are keyed on it.
 	Shard uint32
 
 	// RecHidden. The journal is the one sanctioned replication path for
@@ -137,16 +136,12 @@ type Journal struct {
 	tail []Record // records since the last snapshot
 	seq  uint64
 
-	allocHigh uint32 // highest journaled AllocNext
-	groupHigh uint32 // highest journaled NextGroup
-	chanHigh  uint64 // highest opened channel ID + 1
-
-	// Per-shard counter high-waters, keyed by Record.Shard. A standalone
-	// MC writes every record with shard 0, so shard 0's values equal the
-	// scalars above and single-controller failover is unchanged.
-	allocHighShard map[uint32]uint32
-	groupHighShard map[uint32]uint32
-	chanHighShard  map[uint32]uint64
+	// Counter high-waters, keyed by Record.Shard (a single-shard controller
+	// is shard 0): shard ID spaces are disjoint, so one shard's AllocNext
+	// must never clamp another's allocator.
+	allocHighShard map[uint32]uint32 // highest journaled AllocNext
+	groupHighShard map[uint32]uint32 // highest journaled NextGroup
+	chanHighShard  map[uint32]uint64 // highest opened channel ID + 1
 
 	// Appends and Snapshots count journal activity for reports.
 	Appends   uint64
@@ -206,21 +201,12 @@ func (j *Journal) Append(r Record) {
 	case RecOpen, RecUpdate:
 		// RecUpdate carries AllocNext too: a degraded-channel upgrade
 		// allocates fresh flow IDs without a RecOpen.
-		if r.Kind == RecOpen && r.Channel+1 > j.chanHigh {
-			j.chanHigh = r.Channel + 1
-		}
 		if r.Kind == RecOpen && r.Channel+1 > j.chanHighShard[r.Shard] {
 			j.chanHighShard[r.Shard] = r.Channel + 1
-		}
-		if r.AllocNext > j.allocHigh {
-			j.allocHigh = r.AllocNext
 		}
 		if r.AllocNext > j.allocHighShard[r.Shard] {
 			j.allocHighShard[r.Shard] = r.AllocNext
 		}
-	}
-	if r.NextGroup > j.groupHigh {
-		j.groupHigh = r.NextGroup
 	}
 	if r.NextGroup > j.groupHighShard[r.Shard] {
 		j.groupHighShard[r.Shard] = r.NextGroup
@@ -260,18 +246,9 @@ func (j *Journal) Records() []Record {
 // Len reports the current log length (after compaction).
 func (j *Journal) Len() int { return len(j.base) + len(j.tail) }
 
-// AllocHigh returns the flow-ID allocation high-water mark.
-func (j *Journal) AllocHigh() uint32 { return j.allocHigh }
-
-// GroupHigh returns the group-ID counter high-water mark.
-func (j *Journal) GroupHigh() uint32 { return j.groupHigh }
-
-// ChanHigh returns one past the highest channel ID ever opened.
-func (j *Journal) ChanHigh() uint64 { return j.chanHigh }
-
-// AllocHighShard, GroupHighShard and ChanHighShard are the per-shard
-// variants of the high-water getters: a promoted shard restores its own
-// counters from records tagged with its shard ID only.
+// AllocHighShard returns shard's flow-ID allocation high-water mark. Like
+// GroupHighShard and ChanHighShard it reads records tagged with that shard
+// only: a promoted shard restores its own counters, never a sibling's.
 func (j *Journal) AllocHighShard(shard uint32) uint32 { return j.allocHighShard[shard] }
 
 // GroupHighShard returns shard's group-ID counter high-water mark.
@@ -522,9 +499,9 @@ func (mc *MC) finishRestore(j *Journal) {
 			held[fid] = true
 		}
 	}
-	// Counters come from this shard's records only (shard 0 ≡ the scalar
-	// high-waters for a standalone MC): clamping one shard's allocator to
-	// another shard's high-water would hand out IDs it does not own.
+	// Counters come from this shard's records only: clamping one shard's
+	// allocator to another shard's high-water would hand out IDs it does
+	// not own.
 	mc.flowIDs.restore(j.AllocHighShard(mc.shardID), held)
 	if high := j.ChanHighShard(mc.shardID); high > mc.nextChan {
 		mc.nextChan = high

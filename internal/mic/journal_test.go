@@ -117,11 +117,14 @@ func TestJournalCompactionBoundsLength(t *testing.T) {
 	if hidden != 1 || open999 != 1 {
 		t.Fatalf("live facts after compaction: hidden=%d open999=%d, want 1/1", hidden, open999)
 	}
-	if j.AllocHigh() != 104 {
-		t.Fatalf("AllocHigh = %d, want 104", j.AllocHigh())
+	if got := j.AllocHighShard(0); got != 104 {
+		t.Fatalf("AllocHighShard(0) = %d, want 104", got)
 	}
-	if j.ChanHigh() != 1000 {
-		t.Fatalf("ChanHigh = %d, want 1000", j.ChanHigh())
+	if got := j.ChanHighShard(0); got != 1000 {
+		t.Fatalf("ChanHighShard(0) = %d, want 1000", got)
+	}
+	if a, c := j.AllocHighShard(1), j.ChanHighShard(1); a != 0 || c != 0 {
+		t.Fatalf("shard 1 high-waters = %d/%d from shard-0 records only, want 0/0", a, c)
 	}
 }
 

@@ -301,9 +301,9 @@ type MC struct {
 	journal *Journal
 
 	// shardID labels this controller's journal records when it runs as one
-	// shard of a ShardedMC (shard.go); 0 for a standalone controller. A
-	// sharded standby routes records back to the matching shard by this ID,
-	// and finishRestore reads per-shard counter high-waters keyed on it.
+	// shard of a ShardedMC (shard.go); 0 for a standalone controller. The
+	// Cluster routes replayed records back to the matching shard by this ID,
+	// and finishRestore reads the journal's per-shard high-waters keyed on it.
 	shardID uint32
 
 	// planCache memoizes equal-cost path enumeration per access-switch pair
@@ -456,9 +456,9 @@ const (
 	// mcActive is a standalone active controller: it installs common
 	// routing, attaches as the fabric's packet-in handler and self-heals.
 	mcActive mcMode = iota
-	// mcPassive is a warm standby: it derives the full MAGA keying —
-	// Config.Seed guarantees it matches the active's — but stays inert
-	// until a takeover activates it.
+	// mcPassive is a shard of a warm standby unit: it derives the full MAGA
+	// keying — Config.Seed guarantees it matches the active's — but stays
+	// inert until a takeover activates it.
 	mcPassive
 	// mcShard is an active controller running as one shard behind a
 	// ShardedMC router (shard.go): it plans, admits and self-heals its own
@@ -713,25 +713,39 @@ func (mc *MC) emitChannelDown(id uint64, initiator addr.IP, err error) {
 	}
 }
 
-// PacketIn implements netsim.Controller. Unmatched MF-labeled packets are
-// partial-multicast decoys and die silently (the paper's "dropped at the
-// next hop"); anything else is an unexpected miss, counted for diagnosis.
+// PacketIn implements netsim.Controller for a standalone MC: a unit of one.
 func (mc *MC) PacketIn(sw *netsim.Switch, inPort int, p *packet.Packet) {
-	if mc.down {
+	packetIn([]*MC{mc}, sw, inPort, p)
+}
+
+// packetIn is the fabric's table-miss handler over one controller unit's
+// shards (one for a standalone MC; a unit lives and dies as a whole, so
+// shard 0 speaks for its liveness). Unmatched MF-labeled packets are
+// partial-multicast decoys and die silently (the paper's "dropped at the
+// next hop"); anything else is an unexpected miss. Both are tallied on
+// shard 0, the aggregate's one home.
+func packetIn(shards []*MC, sw *netsim.Switch, inPort int, p *packet.Packet) {
+	home := shards[0]
+	if home.down {
 		return
 	}
-	if l, ok := p.TopMPLS(); ok && l != mc.CFLabel {
+	if l, ok := p.TopMPLS(); ok && l != home.CFLabel {
 		// Under EvictIdle a miss may be an intended rule displaced by
-		// capacity eviction; reinstalling it (plus a packet-out) turns the
-		// eviction into one controller round trip. Without EvictIdle the
-		// seed semantics hold: every MF-labeled miss is a dying decoy.
-		if mc.Cfg.Admission.EvictIdle && mc.activeCtrl && mc.reinstallOnMiss(sw, inPort, p) {
-			return
+		// capacity eviction; the shard holding the covering channel
+		// reinstalls it (plus a packet-out), turning the eviction into one
+		// controller round trip. Without EvictIdle the seed semantics hold:
+		// every MF-labeled miss is a dying decoy.
+		if home.Cfg.Admission.EvictIdle {
+			for _, mc := range shards {
+				if mc.activeCtrl && mc.reinstallOnMiss(sw, inPort, p) {
+					return
+				}
+			}
 		}
-		mc.DecoysDropped++
+		home.DecoysDropped++
 		return
 	}
-	mc.UnexpectedMisses++
+	home.UnexpectedMisses++
 }
 
 // RegisterHiddenService maps a service nickname to its real host, the

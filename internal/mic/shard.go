@@ -6,14 +6,13 @@ import (
 	"mic/internal/addr"
 	"mic/internal/ctrlplane"
 	"mic/internal/flowtable"
-	"mic/internal/metrics"
 	"mic/internal/netsim"
 	"mic/internal/packet"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
 
-// This file scales the Mimic Controller out: a ShardedMC runs N full MC
+// This file is the controller unit: a ShardedMC runs N >= 1 full MC
 // processes over one fabric, partitioned by the initiator's access (edge)
 // switch, behind a thin router that implements the same ControlPlane
 // interface a single MC does. Each shard owns a disjoint slice of the
@@ -29,14 +28,15 @@ import (
 // Config.Seed only, never InstanceID, so a rule computed by any shard is
 // meaningful to every other controller on the fabric (and to a standby).
 //
-// For failover, each shard stamps its journal records with its shard index;
-// a sharded standby routes replayed records back to the matching shard and
-// restores each shard's allocator and ID high-waters from the per-shard
-// journal accounting (journal.go), so a takeover rebuilds N disjoint
-// controllers rather than one merged one.
+// The unit is all the router knows about. Replacing a dead unit — journal,
+// heartbeats, leases, promotion, reconciliation, audit — is the Cluster's
+// job (failover.go), which runs one unit per member and loops over its
+// shards; a unit of one shard is the degenerate case, not a separate path.
+// Each shard stamps its journal records with its shard index, so the
+// cluster's single log replays into N disjoint controllers.
 
-// ShardedMC is a sharded Mimic Controller control plane. It implements
-// ControlPlane (client-facing) and netsim.Controller (fabric-facing).
+// ShardedMC is a controller unit. It implements ControlPlane (client-facing)
+// and netsim.Controller (fabric-facing).
 type ShardedMC struct {
 	Net *netsim.Network
 	Cfg Config // base config with defaults applied (per-shard fields differ)
@@ -54,14 +54,9 @@ func NewShardedMC(net *netsim.Network, cfg Config, n int) (*ShardedMC, error) {
 	return newShardedMC(net, cfg, n, mcShard)
 }
 
-// NewShardedStandby builds the passive twin of a ShardedMC: n shards with
-// identical keying, partitioning and ID spaces, inert until Promote. The
-// standby's shard count must equal the active's — journal records are
-// routed by shard index.
-func NewShardedStandby(net *netsim.Network, cfg Config, n int) (*ShardedMC, error) {
-	return newShardedMC(net, cfg, n, mcPassive)
-}
-
+// newShardedMC builds a unit of n shards: active ones (mcShard) with the
+// router's fabric attachments installed, or the inert passive twin
+// (mcPassive) a Cluster keeps as a warm standby until a takeover.
 func newShardedMC(net *netsim.Network, cfg Config, n int, mode mcMode) (*ShardedMC, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mic: shard count %d must be at least 1", n)
@@ -115,8 +110,7 @@ func newShardedMC(net *netsim.Network, cfg Config, n int, mode mcMode) (*Sharded
 		if _, err := router.Install(net); err != nil {
 			return nil, err
 		}
-		net.SetController(s)
-		s.armEviction()
+		s.attach()
 	}
 	return s, nil
 }
@@ -191,8 +185,9 @@ func (s *ShardedMC) SubscribeChannelDown(fn func(id uint64, err error)) {
 }
 
 // RegisterHiddenService registers the mapping on every shard: any shard may
-// serve a dial to the name. Each shard journals its own copy, so a sharded
-// standby's per-shard replay rebuilds every resolver.
+// serve a dial to the name. Each shard journals its own copy, so a standby
+// unit's per-shard replay rebuilds every resolver.
+// lint:secret ip
 func (s *ShardedMC) RegisterHiddenService(name string, ip addr.IP) error {
 	for _, mc := range s.shards {
 		if err := mc.RegisterHiddenService(name, ip); err != nil {
@@ -211,123 +206,18 @@ func (s *ShardedMC) LiveChannels() int {
 	return n
 }
 
-// PacketIn implements netsim.Controller: the router demuxes fabric misses.
-// An evicted-rule miss belongs to whichever shard holds the covering
-// channel; a miss no shard covers is a dying partial-multicast decoy (or a
-// stray), tallied on shard 0 so aggregate telemetry has one home for it.
-func (s *ShardedMC) PacketIn(sw *netsim.Switch, inPort int, p *packet.Packet) {
-	if l, ok := p.TopMPLS(); ok && l != s.shards[0].CFLabel {
-		if s.Cfg.Admission.EvictIdle {
-			for _, mc := range s.shards {
-				if !mc.down && mc.activeCtrl && mc.reinstallOnMiss(sw, inPort, p) {
-					return
-				}
-			}
-		}
-		s.shards[0].DecoysDropped++
-		return
-	}
-	s.shards[0].UnexpectedMisses++
-}
-
-// armEviction is the router-owned twin of MC.armEviction: the per-switch
-// OnEvict hook has a single owner, so the router installs it once and
-// attributes victims to shard 0's counter (the aggregate's home).
-func (s *ShardedMC) armEviction() {
-	if !s.Cfg.Admission.EvictIdle {
-		return
-	}
-	for _, sw := range s.Net.Switches() {
-		sw.Table.Policy = flowtable.EvictLRU
-		sw.Table.OnEvict = func(e *flowtable.Entry, reason flowtable.EvictReason) {
-			if reason == flowtable.EvictCapacity && mflowCookie(e.Cookie) {
-				s.shards[0].RulesEvicted++
-			}
-		}
-	}
-}
-
-// AttachJournal points every shard at one shared journal. Records are
-// stamped with their shard index on append, which is what makes the single
-// log replayable into N disjoint controllers.
-func (s *ShardedMC) AttachJournal(j *Journal) {
-	for _, mc := range s.shards {
-		mc.journal = j
-	}
-}
-
-// Crash kills every shard process — the whole controller host dies at once,
-// the failure model the sharded takeover test exercises.
-func (s *ShardedMC) Crash() {
-	for _, mc := range s.shards {
-		mc.crash()
-	}
-}
-
-// Replay routes journal records to their minting shard, rebuilding each
-// shard's channel bookkeeping in isolation. Records from an unknown shard
-// (a differently sharded active) are an error.
-func (s *ShardedMC) Replay(j *Journal) error {
-	for _, r := range j.Records() {
-		if int(r.Shard) >= len(s.shards) {
-			return fmt.Errorf("mic: journal record from shard %d, standby has %d shards", r.Shard, len(s.shards))
-		}
-		s.shards[r.Shard].applyRecord(r)
-	}
-	return nil
-}
-
-// Promote activates a replayed sharded standby: every shard finishes its
-// restore from the per-shard journal high-waters, bumps to the given
-// controller generation and re-arms self-healing; the router takes the
-// fabric attachments and reconciles every switch against the union of the
-// shards' intent. onDone (may be nil) receives the totals once every
-// switch's reconciliation resolves.
-func (s *ShardedMC) Promote(j *Journal, generation uint32, onDone func(reinstalled, stale int)) {
-	for _, mc := range s.shards {
-		mc.finishRestore(j)
-		mc.generation = generation
-		mc.journal = j
-		mc.activeCtrl = true
-		// Per-shard fencing: every shard of this life stamps journal writes
-		// and southbound mutations with the promotion's epoch, so a deposed
-		// life's shards (lower epoch) are rejected shard by shard.
-		mc.fence = uint64(generation)
-		mc.Ch.Epoch = uint64(generation)
-		if mc.Cfg.AutoRepair {
-			mc.enableAutoRepair()
-		}
-	}
-	// The journal learns the new life's epoch at promotion, before its first
-	// append, so a deposed life's raced-in writes read as divergent no
-	// matter how the appends interleave (same contract as Cluster.takeover).
-	j.RaiseFence(uint64(generation))
+// attach takes the fabric attachments that exist once per unit: the
+// packet-in handler and the per-switch eviction hooks, whose victims are
+// attributed to shard 0's counter (the aggregate's home).
+func (s *ShardedMC) attach() {
 	s.Net.SetController(s)
-	s.armEviction()
-	// Announce the epoch before any reconciliation traffic (shard 0's
-	// channel carries cross-shard control messages, as in reconcileSwitch).
-	for _, sw := range s.Net.Switches() {
-		s.shards[0].Ch.Hello(sw, nil)
-	}
-	switches := s.Net.Switches()
-	remaining := len(switches)
-	if remaining == 0 {
-		if onDone != nil {
-			s.Net.Eng.After(0, func() { onDone(0, 0) })
-		}
-		return
-	}
-	totalRe, totalStale := 0, 0
-	for _, sw := range switches {
-		s.reconcileSwitch(sw, func(re, stale int) {
-			totalRe += re
-			totalStale += stale
-			remaining--
-			if remaining == 0 && onDone != nil {
-				onDone(totalRe, totalStale)
-			}
-		})
-	}
+	s.shards[0].armEviction()
+}
+
+// PacketIn implements netsim.Controller: the router demuxes fabric misses
+// over its shards (packetIn, mic.go).
+func (s *ShardedMC) PacketIn(sw *netsim.Switch, inPort int, p *packet.Packet) {
+	packetIn(s.shards, sw, inPort, p)
 }
 
 // unionIntent collects every shard's intended rules for one switch, shards
@@ -360,138 +250,4 @@ func (s *ShardedMC) unionIntent(node topo.NodeID) (intent map[reconKey]*flowtabl
 		}
 	}
 	return intent, intentOrder, groupIntent, groupOrder
-}
-
-// reconcileSwitch is the sharded takeover's dump-and-diff for one switch.
-// It must run at the router, not per shard: a shard diffing the dump
-// against only its own intent would classify every sibling shard's live
-// rules as stale and delete them. Same convergence order as the Cluster's
-// reconciliation — installs before deletes, closed by a barrier.
-func (s *ShardedMC) reconcileSwitch(sw *netsim.Switch, onDone func(reinstalled, stale int)) {
-	mc := s.shards[0] // the router borrows shard 0's southbound channel
-	if sw.Down {
-		s.Net.Eng.After(0, func() { onDone(0, 0) })
-		return
-	}
-	mc.Ch.DumpFlows(sw, mc.gate3(func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool) {
-		if !ok {
-			onDone(0, 0)
-			return
-		}
-		intent, intentOrder, groupIntent, groupOrder := s.unionIntent(sw.ID)
-		have := make(map[reconKey]bool)
-		staleSeen := make(map[uint64]bool)
-		var staleCookies []uint64
-		for _, e := range entries {
-			if !mflowCookie(e.Cookie) {
-				continue
-			}
-			k := entryReconKey(e)
-			if _, want := intent[k]; want {
-				have[k] = true
-				continue
-			}
-			if !staleSeen[e.Cookie] {
-				staleSeen[e.Cookie] = true
-				staleCookies = append(staleCookies, e.Cookie)
-			}
-		}
-		haveGroup := make(map[flowtable.GroupID]bool)
-		for _, gid := range groups {
-			haveGroup[gid] = true
-			if _, want := groupIntent[gid]; !want {
-				sw.Table.DeleteGroup(gid)
-			}
-		}
-		var mods []ctrlplane.Mod
-		for _, gid := range groupOrder {
-			if !haveGroup[gid] {
-				mods = append(mods, ctrlplane.Mod{Switch: sw, Group: groupIntent[gid]})
-			}
-		}
-		for _, k := range intentOrder {
-			if !have[k] {
-				mods = append(mods, ctrlplane.Mod{Switch: sw, Entry: intent[k]})
-			}
-		}
-		reinstalled := len(mods)
-		staleDeleted := 0
-		mc.Ch.InstallAllResult(mods, nil)
-		for _, cookie := range staleCookies {
-			mc.Ch.DeleteByCookie(sw, cookie, mc.gateN(func(removed int) {
-				if removed > 0 {
-					staleDeleted += removed
-				}
-			}))
-		}
-		mc.Ch.Barrier(sw, mc.gateB(func(bool) {
-			onDone(reinstalled, staleDeleted)
-		}))
-	}))
-}
-
-// Audit omnisciently diffs every switch's installed m-flow rules against
-// the union of the shards' intent — the sharded twin of Cluster.Audit, and
-// the takeover test's (0, 0) acceptance bar.
-func (s *ShardedMC) Audit() (stale, missing int) {
-	for _, sw := range s.Net.Switches() {
-		intent, _, _, _ := s.unionIntent(sw.ID)
-		have := make(map[reconKey]bool)
-		for _, e := range sw.Table.Entries() {
-			if !mflowCookie(e.Cookie) {
-				continue
-			}
-			k := entryReconKey(e)
-			have[k] = true
-			if _, want := intent[k]; !want {
-				stale++
-			}
-		}
-		// lint:ignore detrange membership counting; result independent of order
-		for k := range intent {
-			if !have[k] {
-				missing++
-			}
-		}
-	}
-	return stale, missing
-}
-
-// Telemetry aggregates the shards' counters in the single-MC fixed order,
-// summing across shards, with the scale-out counters appended.
-func (s *ShardedMC) Telemetry() *metrics.Counters {
-	c := metrics.NewCounters()
-	var admitted, queued, shed, peak, degraded, refused, restored uint64
-	var evicted, reinstalls, fulls, hits, misses, batches, batched uint64
-	for _, mc := range s.shards {
-		admitted += mc.RequestsAdmitted
-		queued += mc.RequestsQueued
-		shed += mc.RequestsShed
-		peak += mc.QueuePeak
-		degraded += mc.ChannelsDegraded
-		refused += mc.ChannelsRefused
-		restored += mc.FlowsRestored
-		evicted += mc.RulesEvicted
-		reinstalls += mc.MissReinstalls
-		fulls += mc.Ch.TableFulls
-		hits += mc.PathCacheHits
-		misses += mc.PathCacheMisses
-		batches += mc.Ch.Batches
-		batched += mc.Ch.BatchedMods
-	}
-	c.Set("dials_admitted", admitted)
-	c.Set("dials_queued", queued)
-	c.Set("dials_shed", shed)
-	c.Set("queue_peak", peak)
-	c.Set("channels_degraded", degraded)
-	c.Set("channels_refused", refused)
-	c.Set("flows_restored", restored)
-	c.Set("mflow_rules_evicted", evicted)
-	c.Set("miss_reinstalls", reinstalls)
-	c.Set("table_full_replies", fulls)
-	c.Set("path_cache_hits", hits)
-	c.Set("path_cache_misses", misses)
-	c.Set("sb_batches", batches)
-	c.Set("sb_batched_mods", batched)
-	return c
 }

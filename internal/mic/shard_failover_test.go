@@ -7,69 +7,19 @@ import (
 	"testing"
 	"time"
 
-	"mic/internal/addr"
 	"mic/internal/sim"
+	"mic/internal/topo"
 )
 
-// swapCP is the test's stand-in for the cluster's client-facing retry shim
-// around a sharded control plane: dials go to the current ShardedMC and are
-// re-issued on a timer if it died with the request in flight, and client
-// subscriptions survive a takeover by re-registering on the promoted twin.
-// It is what "ShardedMC behind Cluster-style failover" looks like to a
-// client, without duplicating the Cluster's lease machinery.
-type swapCP struct {
-	eng        *sim.Engine
-	cur        *ShardedMC
-	repairSubs []func(RepairEvent)
-	downSubs   []func(uint64, error)
-}
-
-func (c *swapCP) Engine() *sim.Engine { return c.eng }
-func (c *swapCP) ClientSeed() uint64  { return c.cur.ClientSeed() }
-
-func (c *swapCP) EstablishChannel(initiator addr.IP, target string, opts ChannelOptions, cb func(*ChannelInfo, error)) {
-	var attempt func(n int)
-	attempt = func(n int) {
-		answered := false
-		c.cur.EstablishChannel(initiator, target, opts, func(info *ChannelInfo, err error) {
-			if answered {
-				return
-			}
-			answered = true
-			cb(info, err)
-		})
-		c.eng.After(10*time.Millisecond, func() {
-			if answered || n >= 50 {
-				return
-			}
-			answered = true
-			attempt(n + 1)
-		})
-	}
-	attempt(0)
-}
-
-func (c *swapCP) CloseChannel(id uint64, cb func()) error { return c.cur.CloseChannel(id, cb) }
-
-func (c *swapCP) SubscribeRepair(fn func(RepairEvent)) {
-	c.repairSubs = append(c.repairSubs, fn)
-	c.cur.SubscribeRepair(fn)
-}
-
-func (c *swapCP) SubscribeChannelDown(fn func(id uint64, err error)) {
-	c.downSubs = append(c.downSubs, fn)
-	c.cur.SubscribeChannelDown(fn)
-}
-
-// swap routes future requests (and the saved subscriptions) to the promoted
-// standby.
-func (c *swapCP) swap(next *ShardedMC) {
-	c.cur = next
-	for _, fn := range c.repairSubs {
-		next.SubscribeRepair(fn)
-	}
-	for _, fn := range c.downSubs {
-		next.SubscribeChannelDown(fn)
+// fencedAt fails the test unless every switch's fencing mark equals the
+// cluster's current epoch: each promotion's Hello fan-out must have reached
+// the whole fabric.
+func fencedAt(t *testing.T, f *clusterFixture) {
+	t.Helper()
+	for _, sw := range f.net.Switches() {
+		if sw.FenceEpoch != f.cl.Fence() {
+			t.Errorf("%s fencing mark = %d, cluster epoch %d", sw.Name, sw.FenceEpoch, f.cl.Fence())
+		}
 	}
 }
 
@@ -79,14 +29,14 @@ func (c *swapCP) swap(next *ShardedMC) {
 // marks. The byte-identity test compares two of these.
 func shardedStormRun(t *testing.T, seed uint64) string {
 	t.Helper()
-	f := newShardFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true, Seed: seed}, 4)
-	j := NewJournal()
-	f.smc.AttachJournal(j)
-	cp := &swapCP{eng: f.eng, cur: f.smc}
+	f := newClusterFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true, Seed: seed}, ClusterConfig{Shards: 4, Standbys: 1})
+	var stats []TakeoverStats
+	f.cl.OnTakeover = func(ts TakeoverStats) { stats = append(stats, ts) }
 
 	// A storm of staggered dials across many edge pairs: some establish and
-	// start sending before the crash, some land in the blackout and must be
-	// re-issued, some arrive only after promotion.
+	// start sending before the crash, some land in the blackout and are
+	// re-issued by the cluster's request retry, some arrive only after
+	// promotion.
 	const pairs = 8
 	data := pattern(128 << 10)
 	got := make([][]byte, pairs)
@@ -99,7 +49,7 @@ func shardedStormRun(t *testing.T, seed uint64) string {
 			s.OnData(func(b []byte) { got[i] = append(got[i], b...) })
 		})
 		f.eng.After(time.Duration(i)*4*time.Millisecond, func() {
-			client := NewClient(f.stacks[i%4], cp)
+			client := NewClient(f.stacks[i%4], f.cl)
 			client.Dial(resp.Host.IP.String(), port, func(s *Stream, err error) {
 				if err != nil {
 					dialErrs[i] = err
@@ -110,25 +60,9 @@ func shardedStormRun(t *testing.T, seed uint64) string {
 		})
 	}
 
-	// Crash mid-storm; the standby replays and promotes one detection
-	// window later, as the cluster's watchdog would.
-	var reinstalled, stale int
-	var standby *ShardedMC
-	f.eng.After(14*time.Millisecond, func() { f.smc.Crash() })
-	f.eng.After(20*time.Millisecond, func() {
-		var err error
-		standby, err = NewShardedStandby(f.net, Config{MNs: 3, MFlows: 2, AutoRepair: true, Seed: seed}, 4)
-		if err != nil {
-			t.Errorf("standby: %v", err)
-			return
-		}
-		if err := standby.Replay(j); err != nil {
-			t.Errorf("replay: %v", err)
-			return
-		}
-		standby.Promote(j, 1, func(re, st int) { reinstalled, stale = re, st })
-		cp.swap(standby)
-	})
+	// Kill the active's host mid-storm; the standby's watchdog detects the
+	// silence and promotes it.
+	f.eng.After(14*time.Millisecond, func() { f.net.SetCtrlHostDown(0, true) })
 
 	f.eng.RunUntil(sim.Time(3 * time.Second))
 	var sb strings.Builder
@@ -141,27 +75,48 @@ func shardedStormRun(t *testing.T, seed uint64) string {
 		}
 		fmt.Fprintf(&sb, "transfer %d: %d bytes\n", i, len(got[i]))
 	}
-	auditStale, auditMissing := standby.Audit()
+	if len(stats) != 1 {
+		t.Fatalf("takeovers = %d, want 1", len(stats))
+	}
+	auditStale, auditMissing := f.cl.Audit()
 	if auditStale != 0 || auditMissing != 0 {
 		t.Errorf("post-takeover audit: stale=%d missing=%d", auditStale, auditMissing)
 	}
-	fmt.Fprintf(&sb, "takeover: reinstalled=%d stale=%d\n", reinstalled, stale)
+	j := f.cl.Journal
+	if j.Divergent != 0 {
+		t.Errorf("journal divergence = %d across a clean failover, want 0", j.Divergent)
+	}
+	// A dial in flight at the kill may have been journaled by the dead life
+	// without its answer ever reaching the client; the retry opens a second
+	// channel and the first stays live on the successor. At least one channel
+	// per pair, then — the exact count is pinned by the byte-identity test.
+	live := f.cl.members[1].unit.LiveChannels()
+	if live < pairs {
+		t.Errorf("live channels after the storm = %d, want >= %d", live, pairs)
+	}
+	shardsSeen := map[uint32]bool{}
+	for _, r := range j.Records() {
+		shardsSeen[r.Shard] = true
+	}
+	if len(shardsSeen) < 2 {
+		t.Errorf("journal records span %d shards, want >= 2", len(shardsSeen))
+	}
+	fencedAt(t, f)
+	fmt.Fprintf(&sb, "takeover at %v: channels=%d reinstalled=%d stale=%d\n",
+		time.Duration(stats[0].At), stats[0].Channels, stats[0].Reinstalled, stats[0].StaleDeleted)
 	fmt.Fprintf(&sb, "audit: stale=%d missing=%d\n", auditStale, auditMissing)
-	fmt.Fprintf(&sb, "live=%d divergent=%d appends=%d records=%d\n",
-		standby.LiveChannels(), j.Divergent, j.Appends, j.Len())
+	fmt.Fprintf(&sb, "live=%d divergent=%d appends=%d records=%d\n", live, j.Divergent, j.Appends, j.Len())
 	for _, sw := range f.net.Switches() {
 		fmt.Fprintf(&sb, "%s: fence=%d rejects=%d rules=%d\n", sw.Name, sw.FenceEpoch, sw.StaleRejected, sw.Table.Len())
 	}
-	for _, mc := range standby.shards {
-		mc.StopProber()
-	}
-	f.eng.Run()
+	sb.WriteString(f.cl.Telemetry().String())
+	f.settle(3 * time.Second)
 	return sb.String()
 }
 
-// TestShardedTakeoverMidDialStorm: the PR 9 sharded standby must absorb a
-// takeover while a dial storm is in flight — pre-crash channels keep
-// forwarding, blackout-window dials retry onto the promoted twin, and the
+// TestShardedTakeoverMidDialStorm: a cluster of four-shard units must absorb
+// a takeover while a dial storm is in flight — pre-crash channels keep
+// forwarding, blackout-window dials retry onto the promoted unit, and the
 // union-intent reconciliation still audits clean.
 func TestShardedTakeoverMidDialStorm(t *testing.T) {
 	shardedStormRun(t, 7)
@@ -178,16 +133,13 @@ func TestShardedStormByteIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedDoubleFailover: active dies, standby1 promotes (epoch 1) and
-// serves; standby1 dies too, standby2 replays the same journal — now
-// containing records from two lives — and promotes at epoch 2. Channels
-// from both lives must survive, the audit must come back clean, and every
-// switch's fencing mark must have followed the epochs up.
+// TestShardedDoubleFailover: the active dies, standby 1 promotes (epoch 1)
+// and serves; standby 1 dies too, and standby 2 — whose state is the same
+// journal, now containing records from two lives — promotes at epoch 2.
+// Channels from both lives must survive, the audit must come back clean,
+// and every switch's fencing mark must have followed the epochs up.
 func TestShardedDoubleFailover(t *testing.T) {
-	f := newShardFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true}, 4)
-	j := NewJournal()
-	f.smc.AttachJournal(j)
-	cp := &swapCP{eng: f.eng, cur: f.smc}
+	f := newClusterFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true}, ClusterConfig{Shards: 4, Standbys: 2})
 
 	data := pattern(64 << 10)
 	var gotA, gotB []byte
@@ -195,7 +147,7 @@ func TestShardedDoubleFailover(t *testing.T) {
 	Listen(respA, 80, false, func(s *Stream) {
 		s.OnData(func(b []byte) { gotA = append(gotA, b...) })
 	})
-	clientA := NewClient(f.stacks[0], cp)
+	clientA := NewClient(f.stacks[0], f.cl)
 	clientA.Dial(respA.Host.IP.String(), 80, func(s *Stream, err error) {
 		if err != nil {
 			t.Errorf("dial A: %v", err)
@@ -205,30 +157,15 @@ func TestShardedDoubleFailover(t *testing.T) {
 	})
 
 	// First failover at 15ms.
-	var standby1, standby2 *ShardedMC
-	f.eng.After(15*time.Millisecond, func() { f.smc.Crash() })
-	f.eng.After(21*time.Millisecond, func() {
-		var err error
-		standby1, err = NewShardedStandby(f.net, Config{MNs: 3, MFlows: 2, AutoRepair: true}, 4)
-		if err != nil {
-			t.Errorf("standby1: %v", err)
-			return
-		}
-		if err := standby1.Replay(j); err != nil {
-			t.Errorf("replay1: %v", err)
-			return
-		}
-		standby1.Promote(j, 1, nil)
-		cp.swap(standby1)
-	})
+	f.eng.After(15*time.Millisecond, func() { f.net.SetCtrlHostDown(0, true) })
 
-	// A second-life channel, journaled by standby1.
+	// A second-life channel, journaled by the first successor.
 	respB := f.stacks[10]
 	Listen(respB, 81, false, func(s *Stream) {
 		s.OnData(func(b []byte) { gotB = append(gotB, b...) })
 	})
 	f.eng.After(40*time.Millisecond, func() {
-		clientB := NewClient(f.stacks[2], cp)
+		clientB := NewClient(f.stacks[2], f.cl)
 		clientB.Dial(respB.Host.IP.String(), 81, func(s *Stream, err error) {
 			if err != nil {
 				t.Errorf("dial B: %v", err)
@@ -238,21 +175,12 @@ func TestShardedDoubleFailover(t *testing.T) {
 		})
 	})
 
-	// Second failover at 70ms: standby2 replays records from both lives.
-	f.eng.After(70*time.Millisecond, func() { standby1.Crash() })
-	f.eng.After(76*time.Millisecond, func() {
-		var err error
-		standby2, err = NewShardedStandby(f.net, Config{MNs: 3, MFlows: 2, AutoRepair: true}, 4)
-		if err != nil {
-			t.Errorf("standby2: %v", err)
-			return
-		}
-		if err := standby2.Replay(j); err != nil {
-			t.Errorf("replay2: %v", err)
-			return
-		}
-		standby2.Promote(j, 2, nil)
-		cp.swap(standby2)
+	// Second failover at 70ms: whoever is acting dies; the survivor has
+	// replicated records from both lives.
+	var first int
+	f.eng.After(70*time.Millisecond, func() {
+		first = f.cl.ActiveIndex()
+		f.net.SetCtrlHostDown(first, true)
 	})
 
 	f.eng.RunUntil(sim.Time(3 * time.Second))
@@ -262,20 +190,23 @@ func TestShardedDoubleFailover(t *testing.T) {
 	if !bytes.Equal(gotB, data) {
 		t.Fatalf("second-life transfer broken: %d/%d bytes", len(gotB), len(data))
 	}
-	if st, miss := standby2.Audit(); st != 0 || miss != 0 {
+	second := f.cl.ActiveIndex()
+	if f.cl.Takeovers() != 2 || first < 1 || second < 1 || second == first {
+		t.Fatalf("takeovers = %d, successors = %d then %d; want both standbys promoted in turn", f.cl.Takeovers(), first, second)
+	}
+	if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
 		t.Fatalf("audit after double failover: stale=%d missing=%d", st, miss)
 	}
-	if n := standby2.LiveChannels(); n != 2 {
+	if n := f.cl.members[second].unit.LiveChannels(); n != 2 {
 		t.Fatalf("live channels after double failover = %d, want 2", n)
 	}
-	if j.Divergent != 0 {
-		t.Fatalf("journal divergence = %d across two clean failovers, want 0", j.Divergent)
+	if d := f.cl.Journal.Divergent; d != 0 {
+		t.Fatalf("journal divergence = %d across two clean failovers, want 0", d)
 	}
-	for _, sw := range f.net.Switches() {
-		if sw.FenceEpoch != 2 {
-			t.Fatalf("%s fencing mark = %d after the epoch-2 promotion, want 2", sw.Name, sw.FenceEpoch)
-		}
+	if f.cl.Fence() != 2 {
+		t.Fatalf("cluster epoch = %d after two promotions, want 2", f.cl.Fence())
 	}
+	fencedAt(t, f)
 
 	// The epoch-2 controller serves fresh dials.
 	respC := f.stacks[13]
@@ -283,7 +214,7 @@ func TestShardedDoubleFailover(t *testing.T) {
 		s.OnData(func(b []byte) { s.Send(b) })
 	})
 	var reply []byte
-	clientC := NewClient(f.stacks[4], cp)
+	clientC := NewClient(f.stacks[4], f.cl)
 	clientC.Dial(respC.Host.IP.String(), 82, func(s *Stream, err error) {
 		if err != nil {
 			t.Fatalf("post-double-failover dial: %v", err)
@@ -291,12 +222,146 @@ func TestShardedDoubleFailover(t *testing.T) {
 		s.OnData(func(b []byte) { reply = append(reply, b...) })
 		s.Send([]byte("third life"))
 	})
-	f.eng.RunUntil(sim.Time(4 * time.Second))
-	for _, mc := range standby2.shards {
-		mc.StopProber()
-	}
-	f.eng.Run()
+	f.settle(4 * time.Second)
 	if string(reply) != "third life" {
 		t.Fatalf("post-double-failover reply = %q", reply)
+	}
+}
+
+// TestTakeoverSweepAndLateReconcile pins the two halves of a takeover that
+// only exist in the Cluster, for single-MC and four-shard units alike (one
+// code path, table-driven over Shards):
+//
+// sweep — a channel whose path dies during the blackout has nobody to repair
+// it (the failure event fired at a dead controller); the post-takeover
+// liveness sweep must find it, on whichever shard owns it, and queue it
+// through the normal self-healing path.
+//
+// late reconcile — a switch that is down when the standby takes over cannot
+// be dumped; it must be reconciled when its SwitchUp arrives, so the dead
+// life's rules on it are purged and the audit ends at (0, 0).
+func TestTakeoverSweepAndLateReconcile(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("sweep/shards=%d", shards), func(t *testing.T) {
+			f := newClusterFixture(t, Config{MNs: 3, AutoRepair: true}, ClusterConfig{Shards: shards})
+			var repairs []RepairEvent
+			f.cl.SubscribeRepair(func(ev RepairEvent) { repairs = append(repairs, ev) })
+			stream, info, echoed := clusterEcho(t, f, 2, 15) // host 2: shard 1 of 4
+			f.net.SetCtrlHostDown(0, true)
+			f.eng.RunFor(time.Millisecond)
+			cutFirstInterSwitchLink(t, &fixture{eng: f.eng, net: f.net, graph: f.graph}, info.Flows[0].Path)
+			f.eng.RunFor(50 * time.Millisecond)
+			if f.cl.Takeovers() != 1 {
+				t.Fatalf("takeovers = %d, want 1", f.cl.Takeovers())
+			}
+			if len(repairs) != 1 || repairs[0].Channel != info.ID || repairs[0].Err != nil {
+				t.Fatalf("post-takeover sweep repairs = %+v, want one clean repair of channel %d", repairs, info.ID)
+			}
+			stream.Send([]byte("two."))
+			f.settle(2 * time.Second)
+			if string(*echoed) != "one.two." {
+				t.Fatalf("echo across the blackout cut = %q, want \"one.two.\"", *echoed)
+			}
+			if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
+				t.Fatalf("audit: stale=%d missing=%d", st, miss)
+			}
+		})
+		t.Run(fmt.Sprintf("late-reconcile/shards=%d", shards), func(t *testing.T) {
+			f := newClusterFixture(t, Config{MNs: 3, AutoRepair: true}, ClusterConfig{Shards: shards})
+			stream, info, echoed := clusterEcho(t, f, 2, 15)
+			var victim topo.NodeID = -1
+			for _, node := range info.Flows[0].Path[2 : len(info.Flows[0].Path)-2] {
+				if f.graph.Node(node).Kind == topo.KindSwitch {
+					victim = node
+				}
+			}
+			if victim < 0 {
+				t.Fatal("path too short for a middle switch")
+			}
+			// The switch dies; the active reroutes the channel but cannot purge
+			// the old epoch from the corpse — and then dies itself, taking the
+			// memory of those stale cookies with it.
+			f.net.SetSwitchDown(victim, true)
+			f.eng.RunFor(20 * time.Millisecond)
+			f.net.SetCtrlHostDown(0, true)
+			f.eng.RunFor(50 * time.Millisecond)
+			if f.cl.Takeovers() != 1 {
+				t.Fatalf("takeovers = %d, want 1", f.cl.Takeovers())
+			}
+			if st, _ := f.cl.Audit(); st == 0 {
+				t.Fatal("the dead switch holds no stale rules; nothing for the late reconcile to do")
+			}
+			f.net.SetSwitchDown(victim, false)
+			f.eng.RunFor(50 * time.Millisecond)
+			if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
+				t.Fatalf("audit after the switch returned: stale=%d missing=%d, want 0/0", st, miss)
+			}
+			stream.Send([]byte("two."))
+			f.settle(2 * time.Second)
+			if string(*echoed) != "one.two." {
+				t.Fatalf("echo = %q, want \"one.two.\"", *echoed)
+			}
+		})
+	}
+}
+
+// clusterEcho opens an echo channel from -> to over the cluster, sends
+// "one." and runs 10ms so it is established and journaled. It returns the
+// stream, the channel info and the echoed bytes.
+func clusterEcho(t *testing.T, f *clusterFixture, from, to int) (*Stream, *ChannelInfo, *[]byte) {
+	t.Helper()
+	echoed := new([]byte)
+	Listen(f.stacks[to], 80, false, func(s *Stream) {
+		s.OnData(func(b []byte) { s.Send(b) })
+	})
+	client := NewClient(f.stacks[from], f.cl)
+	target := f.stacks[to].Host.IP.String()
+	var stream *Stream
+	client.Dial(target, 80, func(s *Stream, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		stream = s
+		s.OnData(func(b []byte) { *echoed = append(*echoed, b...) })
+		s.Send([]byte("one."))
+	})
+	f.eng.RunFor(10 * time.Millisecond)
+	info, ok := client.Channel(target)
+	if !ok || stream == nil {
+		t.Fatal("no channel after dial")
+	}
+	return stream, info, echoed
+}
+
+// TestClusterHiddenServiceSurvivesTakeover: a name registered with the
+// cluster resolves on every shard of the acting unit and, through the
+// journal, on the successor — a dial by nickname from a non-lead shard's
+// initiator works before and after the active dies.
+func TestClusterHiddenServiceSurvivesTakeover(t *testing.T) {
+	f := newClusterFixture(t, Config{MNs: 3}, ClusterConfig{Shards: 4})
+	if err := f.cl.RegisterHiddenService("vault", f.stacks[15].Host.IP); err != nil {
+		t.Fatal(err)
+	}
+	Listen(f.stacks[15], 80, false, func(s *Stream) {
+		s.OnData(func(b []byte) { s.Send(b) })
+	})
+	var echoed []byte
+	dial := func(from int, msg string) {
+		NewClient(f.stacks[from], f.cl).Dial("vault", 80, func(s *Stream, err error) {
+			if err != nil {
+				t.Fatalf("dial vault from host %d: %v", from, err)
+			}
+			s.OnData(func(b []byte) { echoed = append(echoed, b...) })
+			s.Send([]byte(msg))
+		})
+	}
+	dial(2, "one.") // host 2: shard 1 of 4
+	f.eng.RunFor(10 * time.Millisecond)
+	f.net.SetCtrlHostDown(0, true)
+	f.eng.RunFor(50 * time.Millisecond)
+	dial(6, "two.") // host 6: shard 3, served by the promoted unit
+	f.settle(2 * time.Second)
+	if f.cl.Takeovers() != 1 || string(echoed) != "one.two." {
+		t.Fatalf("takeovers = %d, echo = %q; want 1 and \"one.two.\"", f.cl.Takeovers(), echoed)
 	}
 }

@@ -121,16 +121,16 @@ func TestShardedEchoTransfers(t *testing.T) {
 	}
 }
 
-// TestShardedFailoverTakeover is the sharded twin of the cluster takeover
-// test: an active ShardedMC journals channels from several shards, then the
-// whole controller host dies. A sharded standby replays the shared journal
-// — routing each record to its minting shard — promotes, reconciles the
-// switches against the union intent, and must pass a clean audit and serve
-// new dials.
+// TestShardedFailoverTakeover runs the cluster takeover with four-shard
+// units: the active unit journals channels from several shards, then its
+// controller host dies. The standby's watchdog detects the silence; the
+// takeover replays the shared journal — routing each record to its minting
+// shard — reconciles the switches against the union intent, and must pass a
+// clean audit and serve new dials.
 func TestShardedFailoverTakeover(t *testing.T) {
-	f := newShardFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true}, 4)
-	j := NewJournal()
-	f.smc.AttachJournal(j)
+	f := newClusterFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true}, ClusterConfig{Shards: 4, Standbys: 1})
+	var stats []TakeoverStats
+	f.cl.OnTakeover = func(ts TakeoverStats) { stats = append(stats, ts) }
 
 	const pairs = 3
 	data := pattern(64 << 10)
@@ -141,7 +141,7 @@ func TestShardedFailoverTakeover(t *testing.T) {
 		Listen(resp, 80, false, func(s *Stream) {
 			s.OnData(func(b []byte) { got[i] = append(got[i], b...) })
 		})
-		client := NewClient(f.stacks[i*4], f.smc)
+		client := NewClient(f.stacks[i*4], f.cl)
 		client.Dial(resp.Host.IP.String(), 80, func(s *Stream, err error) {
 			if err != nil {
 				t.Fatalf("dial %d: %v", i, err)
@@ -149,30 +149,17 @@ func TestShardedFailoverTakeover(t *testing.T) {
 			s.Send(data)
 		})
 	}
-	// Let the dials establish and the transfers start, then kill the MC.
+	// Let the dials establish and the transfers start, then kill the host.
 	f.eng.RunUntil(sim.Time(20 * time.Millisecond))
 	shardsSeen := map[uint32]bool{}
-	for _, r := range j.Records() {
+	for _, r := range f.cl.Journal.Records() {
 		shardsSeen[r.Shard] = true
 	}
 	if len(shardsSeen) < 2 {
 		t.Fatalf("journal records span %d shards, want >= 2 for a meaningful replay", len(shardsSeen))
 	}
-	f.smc.Crash()
+	f.net.SetCtrlHostDown(0, true)
 
-	standby, err := NewShardedStandby(f.net, Config{MNs: 3, MFlows: 2, AutoRepair: true}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := standby.Replay(j); err != nil {
-		t.Fatal(err)
-	}
-	var reinstalled, stale int
-	promoted := false
-	standby.Promote(j, 1, func(re, st int) {
-		reinstalled, stale = re, st
-		promoted = true
-	})
 	// The transfers must complete through the takeover: installed rules keep
 	// forwarding while the control plane is being rebuilt.
 	f.eng.RunUntil(sim.Time(3 * time.Second))
@@ -181,27 +168,26 @@ func TestShardedFailoverTakeover(t *testing.T) {
 			t.Fatalf("transfer %d through sharded takeover broken: %d/%d bytes", i, len(got[i]), len(data))
 		}
 	}
-	if !promoted {
-		t.Fatal("promotion never completed")
+	if len(stats) != 1 || f.cl.ActiveIndex() != 1 {
+		t.Fatalf("takeovers = %d, active = %d; want the standby promoted once", len(stats), f.cl.ActiveIndex())
 	}
-	if stale != 0 {
-		t.Fatalf("reconciliation deleted %d rules as stale; union intent should cover every live rule", stale)
+	if stats[0].StaleDeleted != 0 {
+		t.Fatalf("reconciliation deleted %d rules as stale; union intent should cover every live rule", stats[0].StaleDeleted)
 	}
-	_ = reinstalled // zero here: the crash lost no installed rules
-	if st, miss := standby.Audit(); st != 0 || miss != 0 {
+	if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
 		t.Fatalf("post-takeover audit: stale=%d missing=%d, want 0/0", st, miss)
 	}
-	if got, want := standby.LiveChannels(), pairs; got != want {
-		t.Fatalf("standby live channels = %d, want %d", got, want)
+	if got, want := f.cl.members[1].unit.LiveChannels(), pairs; got != want || stats[0].Channels != want {
+		t.Fatalf("promoted unit live channels = %d (takeover rebuilt %d), want %d", got, stats[0].Channels, want)
 	}
 
-	// The promoted sharded controller must serve fresh dials.
+	// The promoted sharded unit must serve fresh dials.
 	resp := f.stacks[10]
 	Listen(resp, 81, false, func(s *Stream) {
 		s.OnData(func(b []byte) { s.Send(b) })
 	})
 	var reply []byte
-	client := NewClient(f.stacks[5], standby)
+	client := NewClient(f.stacks[5], f.cl)
 	client.Dial(resp.Host.IP.String(), 81, func(s *Stream, err error) {
 		if err != nil {
 			t.Fatalf("post-takeover dial: %v", err)
@@ -209,25 +195,37 @@ func TestShardedFailoverTakeover(t *testing.T) {
 		s.OnData(func(b []byte) { reply = append(reply, b...) })
 		s.Send([]byte("after takeover"))
 	})
-	f.eng.RunUntil(sim.Time(4 * time.Second))
-	for _, mc := range standby.shards {
-		mc.StopProber()
-	}
-	f.eng.Run()
+	f.settle(4 * time.Second)
 	if string(reply) != "after takeover" {
 		t.Fatalf("post-takeover reply = %q", reply)
 	}
 }
 
-// TestShardedReplayRejectsUnknownShard: a standby sharded differently from
-// the active must refuse the journal rather than merge shards silently.
+// TestShardedReplayRejectsUnknownShard: a journal record naming a shard the
+// cluster's units do not have (a differently sharded writer on the log) must
+// be refused wherever the cluster applies records — here the lagged feed to
+// a standby and the full replay of a rejoining member — never merged into
+// some other shard or indexed out of range.
 func TestShardedReplayRejectsUnknownShard(t *testing.T) {
-	f := newShardFixture(t, Config{}, 1)
-	j := NewJournal()
-	j.Append(Record{Kind: RecOpen, Channel: 1, Shard: 3})
-	if err := f.smc.Replay(j); err == nil {
-		t.Fatal("replaying a shard-3 record into a 1-shard standby should error")
+	f := newClusterFixture(t, Config{}, ClusterConfig{Shards: 2})
+	f.cl.Journal.Append(Record{Kind: RecOpen, Channel: 1, Shard: 3})
+	f.eng.RunFor(time.Millisecond) // the replication feed delivers it
+	if f.cl.RecordsRefused != 1 {
+		t.Fatalf("replication feed refused %d records, want 1", f.cl.RecordsRefused)
 	}
+	f.net.SetCtrlHostDown(0, true)
+	f.eng.RunFor(50 * time.Millisecond)
+	f.net.SetCtrlHostDown(0, false) // rejoin: full replay of the log
+	f.eng.RunFor(10 * time.Millisecond)
+	if f.cl.Takeovers() != 1 || f.cl.RecordsRefused != 2 {
+		t.Fatalf("takeovers = %d, refused = %d; want 1 takeover and the rejoin replay refusing the record again", f.cl.Takeovers(), f.cl.RecordsRefused)
+	}
+	for i, m := range f.cl.members {
+		if n := m.unit.LiveChannels(); n != 0 {
+			t.Fatalf("member %d folded the foreign record into %d channels", i, n)
+		}
+	}
+	f.settle(100 * time.Millisecond)
 }
 
 // TestIDAllocatorDoubleRelease is the regression test for the allocator
