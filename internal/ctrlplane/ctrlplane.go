@@ -93,17 +93,17 @@ type Channel struct {
 	Epoch uint64
 
 	// Counters for control-plane overhead and reliability experiments.
-	FlowMods    uint64
-	GroupMods   uint64
-	PacketOuts  uint64
-	Deletes     uint64
-	Barriers    uint64
-	Echoes      uint64
-	Heartbeats  uint64 // controller-to-controller liveness beats sent
-	Dumps       uint64 // flow-table dump (stats request) messages
-	Retransmits uint64 // attempts beyond the first
-	Timeouts    uint64 // ack timers that expired
-	GiveUps     uint64 // messages abandoned after MaxRetries
+	FlowMods     uint64
+	GroupMods    uint64
+	PacketOuts   uint64
+	Deletes      uint64
+	Barriers     uint64
+	Echoes       uint64
+	Heartbeats   uint64 // controller-to-controller liveness beats sent
+	Dumps        uint64 // flow-table dump (stats request) messages
+	Retransmits  uint64 // attempts beyond the first
+	Timeouts     uint64 // ack timers that expired
+	GiveUps      uint64 // messages abandoned after MaxRetries
 	Acked        uint64 // messages positively acknowledged
 	TableFulls   uint64 // FlowMods the switch refused with a table-full reply
 	StaleRejects uint64 // mutations the switch refused for a stale fencing epoch
@@ -111,10 +111,19 @@ type Channel struct {
 	Batches      uint64 // coalesced per-switch messages sent by InstallBatched
 	BatchedMods  uint64 // individual mods carried inside those batches
 
-	lossRNG  *sim.RNG
-	inflight map[topo.NodeID]int      // unresolved messages per switch
-	failed   map[topo.NodeID]uint64   // abandoned messages per switch
-	waiters  map[topo.NodeID][]func() // barriers waiting for quiescence
+	lossRNG *sim.RNG
+	sw      []swState // per-switch transaction state, indexed by NodeID
+
+	// Free lists of the pooled delivery and install records (message.go).
+	msgFree  []*msg
+	instFree []*install
+}
+
+// swState is the channel's transaction window toward one switch.
+type swState struct {
+	inflight int    // unresolved messages
+	failed   uint64 // abandoned messages
+	waiters  []*msg // barriers parked until inflight drains to zero
 }
 
 // Control-channel reliability defaults.
@@ -136,9 +145,7 @@ func NewChannel(net *netsim.Network) *Channel {
 		Net:      net,
 		Latency:  DefaultControlLatency,
 		CtrlHost: -1,
-		inflight: make(map[topo.NodeID]int),
-		failed:   make(map[topo.NodeID]uint64),
-		waiters:  make(map[topo.NodeID][]func()),
+		sw:       make([]swState, len(net.Graph.Nodes)),
 	}
 }
 
@@ -185,9 +192,13 @@ func (c *Channel) attempts() int {
 	return 1 + c.MaxRetries
 }
 
+// maxBackoff returns the cap on the retransmit timer. A configured cap below
+// the ack timeout is raised to it: the cap bounds the timer's growth, and no
+// attempt may wait less than the round trip its acknowledgement needs — the
+// ordering (arrival, acknowledgement, then timer) message records rely on.
 func (c *Channel) maxBackoff() time.Duration {
 	if c.MaxBackoff > 0 {
-		return c.MaxBackoff
+		return max(c.MaxBackoff, c.ackTimeout())
 	}
 	return 16 * c.ackTimeout()
 }
@@ -206,97 +217,12 @@ func (c *Channel) lost() bool {
 // InFlight reports how many messages to switch id are sent but not yet
 // acknowledged or abandoned — the controller's per-switch transaction
 // window.
-func (c *Channel) InFlight(id topo.NodeID) int { return c.inflight[id] }
+func (c *Channel) InFlight(id topo.NodeID) int { return c.sw[id].inflight }
 
 // Failed reports how many messages to switch id were abandoned after
 // exhausting retransmissions — rules the controller must assume never
 // landed.
-func (c *Channel) Failed(id topo.NodeID) uint64 { return c.failed[id] }
-
-func (c *Channel) begin(id topo.NodeID) { c.inflight[id]++ }
-
-func (c *Channel) resolve(id topo.NodeID, ok bool) {
-	c.inflight[id]--
-	if ok {
-		c.Acked++
-	} else {
-		c.GiveUps++
-		c.failed[id]++
-	}
-	if c.inflight[id] == 0 {
-		ws := c.waiters[id]
-		delete(c.waiters, id)
-		for _, w := range ws {
-			w()
-		}
-	}
-}
-
-// deliver reliably sends one message whose effect is apply (idempotent,
-// executed switch-side on arrival). onDone receives true after the
-// acknowledgement returns, or false when the retry budget is exhausted.
-func (c *Channel) deliver(sw *netsim.Switch, apply func(), onDone func(ok bool)) {
-	c.begin(sw.ID)
-	attempt := 0
-	resolved := false
-	backoff := c.ackTimeout()
-	var try func()
-	try = func() {
-		// A crashed controller sends nothing more and hears nothing back: the
-		// message loop goes silent without resolving, exactly as a process
-		// kill would leave a TCP transaction dangling.
-		if c.Down {
-			return
-		}
-		attempt++
-		if attempt > 1 {
-			c.Retransmits++
-		}
-		reqLost := c.lost()
-		c.Eng.After(c.Latency, func() {
-			// A dead switch neither applies nor acknowledges: the message
-			// vanishes exactly like a loss, which is what makes the liveness
-			// prober and the give-up path necessary. A management-network
-			// partition black-holes the direction it cuts the same way.
-			if reqLost || sw.Down || !c.mgmtTo(sw) {
-				return
-			}
-			apply()
-			ackLost := c.lost()
-			c.Eng.After(c.Latency, func() {
-				if ackLost || resolved || c.Down || !c.mgmtFrom(sw) {
-					return
-				}
-				resolved = true
-				c.resolve(sw.ID, true)
-				if onDone != nil {
-					onDone(true)
-				}
-			})
-		})
-		wait := backoff
-		if wait > c.maxBackoff() {
-			wait = c.maxBackoff()
-		}
-		backoff *= 2
-		c.Eng.After(wait, func() {
-			if resolved || c.Down {
-				return
-			}
-			c.Timeouts++
-			if attempt >= c.attempts() {
-				resolved = true
-				c.resolve(sw.ID, false)
-				if onDone != nil {
-					onDone(false)
-				}
-				return
-			}
-			try()
-		})
-	}
-	try()
-}
+func (c *Channel) Failed(id topo.NodeID) uint64 { return c.sw[id].failed }
 
 // FlowMod installs e on sw, then invokes onApplied (which may be nil) after
 // the acknowledgement returns. If the message is abandoned after retries,
@@ -313,11 +239,10 @@ func (c *Channel) FlowMod(sw *netsim.Switch, e *flowtable.Entry, onApplied func(
 // acknowledged AND accepted it — a table-full refusal counts as failure,
 // because the rule is not installed.
 func (c *Channel) FlowModResult(sw *netsim.Switch, e *flowtable.Entry, onDone func(ok bool)) {
-	c.FlowModErr(sw, e, func(err error) {
-		if onDone != nil {
-			onDone(err == nil)
-		}
-	})
+	c.FlowMods++
+	m := c.newMsg(msgFlowMod, sw)
+	m.entry, m.onOK = e, onDone
+	m.send()
 }
 
 // FlowModErr installs e on sw and reports the outcome as an error: nil when
@@ -329,33 +254,9 @@ func (c *Channel) FlowModResult(sw *netsim.Switch, e *flowtable.Entry, onDone fu
 // captured error stays nil.
 func (c *Channel) FlowModErr(sw *netsim.Switch, e *flowtable.Entry, onDone func(err error)) {
 	c.FlowMods++
-	var insErr error
-	c.deliver(sw, func() {
-		if !sw.AcceptFenced(c.Epoch) {
-			insErr = ErrStaleEpoch
-			return
-		}
-		insErr = sw.Table.TryInsert(e, c.Eng.Now())
-	}, func(ok bool) {
-		if !ok {
-			if onDone != nil {
-				onDone(ErrUnacked)
-			}
-			return
-		}
-		// Classify here, not in apply: retransmits re-run apply and would
-		// double-count refusals.
-		switch insErr {
-		case nil:
-		case ErrStaleEpoch:
-			c.StaleRejects++
-		default:
-			c.TableFulls++
-		}
-		if onDone != nil {
-			onDone(insErr)
-		}
-	})
+	m := c.newMsg(msgFlowMod, sw)
+	m.entry, m.onErr = e, onDone
+	m.send()
 }
 
 // GroupMod installs g on sw; onApplied fires after the acknowledgement.
@@ -371,22 +272,9 @@ func (c *Channel) GroupMod(sw *netsim.Switch, g *flowtable.Group, onApplied func
 // acknowledged and accepted it (a stale-epoch refusal counts as failure).
 func (c *Channel) GroupModResult(sw *netsim.Switch, g *flowtable.Group, onDone func(ok bool)) {
 	c.GroupMods++
-	stale := false
-	c.deliver(sw, func() {
-		if !sw.AcceptFenced(c.Epoch) {
-			stale = true
-			return
-		}
-		sw.Table.SetGroup(g)
-	}, func(ok bool) {
-		if stale {
-			c.StaleRejects++
-			ok = false
-		}
-		if onDone != nil {
-			onDone(ok)
-		}
-	})
+	m := c.newMsg(msgGroupMod, sw)
+	m.group, m.onOK = g, onDone
+	m.send()
 }
 
 // DeleteByCookie removes all entries with the cookie from sw; onDone (may
@@ -395,31 +283,9 @@ func (c *Channel) GroupModResult(sw *netsim.Switch, g *flowtable.Group, onDone f
 // are still installed).
 func (c *Channel) DeleteByCookie(sw *netsim.Switch, cookie uint64, onDone func(removed int)) {
 	c.Deletes++
-	n := -1
-	stale := false
-	c.deliver(sw, func() {
-		if !sw.AcceptFenced(c.Epoch) {
-			stale = true
-			return
-		}
-		removed := sw.Table.DeleteByCookie(cookie)
-		// Retransmitted deletes find nothing; report the first pass's count.
-		if n < 0 {
-			n = removed
-		}
-	}, func(ok bool) {
-		if stale {
-			c.StaleRejects++
-		}
-		if onDone == nil {
-			return
-		}
-		if !ok || stale {
-			onDone(-1)
-			return
-		}
-		onDone(n)
-	})
+	m := c.newMsg(msgDelete, sw)
+	m.cookie, m.n, m.onCount = cookie, -1, onDone
+	m.send()
 }
 
 // PacketOut injects p at sw with the given actions after control latency.
@@ -452,28 +318,9 @@ func (c *Channel) PacketOut(sw *netsim.Switch, actions []flowtable.Action, p *pa
 // a stale-epoch refusal reads as failure, so a fenced-off master cannot
 // mistake its barriers for proof of write authority.
 func (c *Channel) Barrier(sw *netsim.Switch, onDone func(ok bool)) {
-	c.Barriers++
-	fire := func() {
-		stale := false
-		c.deliver(sw, func() {
-			if !sw.AcceptFenced(c.Epoch) {
-				stale = true
-			}
-		}, func(ok bool) {
-			if stale {
-				c.StaleRejects++
-				ok = false
-			}
-			if onDone != nil {
-				onDone(ok)
-			}
-		})
-	}
-	if c.inflight[sw.ID] > 0 {
-		c.waiters[sw.ID] = append(c.waiters[sw.ID], fire)
-		return
-	}
-	fire()
+	m := c.newMsg(msgBarrier, sw)
+	m.onOK = onDone
+	c.barrier(m)
 }
 
 // Echo sends one liveness probe to sw: a single unretransmitted round trip.
@@ -562,20 +409,9 @@ func (c *Channel) Heartbeat(to int, cb func(), ack func(ok bool)) {
 // whether the switch acknowledged and accepted the epoch.
 func (c *Channel) Hello(sw *netsim.Switch, onDone func(ok bool)) {
 	c.Hellos++
-	stale := false
-	c.deliver(sw, func() {
-		if !sw.AcceptFenced(c.Epoch) {
-			stale = true
-		}
-	}, func(ok bool) {
-		if stale {
-			c.StaleRejects++
-			ok = false
-		}
-		if onDone != nil {
-			onDone(ok)
-		}
-	})
+	m := c.newMsg(msgHello, sw)
+	m.onOK = onDone
+	m.send()
 }
 
 // DumpFlows requests sw's full flow-table state — the OFPMP_FLOW +
@@ -586,16 +422,9 @@ func (c *Channel) Hello(sw *netsim.Switch, onDone func(ok bool)) {
 // if the switch never answered within the retry budget.
 func (c *Channel) DumpFlows(sw *netsim.Switch, onDone func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool)) {
 	c.Dumps++
-	var entries []*flowtable.Entry
-	var groups []flowtable.GroupID
-	c.deliver(sw, func() {
-		entries = append(entries[:0], sw.Table.Entries()...)
-		groups = sw.Table.GroupIDs()
-	}, func(ok bool) {
-		if onDone != nil {
-			onDone(entries, groups, ok)
-		}
-	})
+	m := c.newMsg(msgDump, sw)
+	m.onDump = onDone
+	m.send()
 }
 
 // InstallAll sends one FlowMod per (switch, entry) pair concurrently and
@@ -658,33 +487,23 @@ func (c *Channel) InstallAllResult(mods []Mod, onAll func(failed int)) {
 // individual modifications that failed: a table-full refusal counts per
 // entry; a batch abandoned after retries counts every mod it carried.
 func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
-	type batch struct {
-		sw   *netsim.Switch
-		mods []Mod
-	}
-	var order []*batch
-	bySwitch := make(map[topo.NodeID]*batch)
-	for _, m := range mods {
-		b := bySwitch[m.Switch.ID]
-		if b == nil {
-			b = &batch{sw: m.Switch}
-			bySwitch[m.Switch.ID] = b
-			order = append(order, b)
-		}
-		b.mods = append(b.mods, m)
-	}
-	if len(order) == 0 {
+	if len(mods) == 0 {
 		if onAll != nil {
 			c.Eng.After(0, func() { onAll(0) })
 		}
 		return
 	}
-	remaining := len(order)
-	failed := 0
-	for _, b := range order {
-		b := b
+	inst := c.newInstall(onAll)
+	for i := range mods {
+		sw := mods[i].Switch
+		if modsAddress(mods[:i], sw) {
+			continue // carried by the batch its first mod opened
+		}
 		nmods := 0
-		for _, m := range b.mods {
+		for _, m := range mods[i:] {
+			if m.Switch != sw {
+				continue
+			}
 			if m.Group != nil {
 				c.GroupMods++
 				nmods++
@@ -696,54 +515,28 @@ func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
 		}
 		c.Batches++
 		c.BatchedMods += uint64(nmods)
-		refused := 0
-		applied := false
-		stale := false
-		c.deliver(b.sw, func() {
-			// Retransmitted batches are duplicates of an already-applied
-			// message (the first arrival applied everything); re-applying
-			// would double-count table refusals.
-			if applied {
-				return
-			}
-			applied = true
-			if !b.sw.AcceptFenced(c.Epoch) {
-				stale = true
-				return
-			}
-			for _, m := range b.mods {
-				if m.Group != nil {
-					b.sw.Table.SetGroup(m.Group)
-				}
-				if m.Entry != nil {
-					if err := b.sw.Table.TryInsert(m.Entry, c.Eng.Now()); err != nil {
-						refused++
-						c.TableFulls++
-					}
-				}
-			}
-		}, func(ok bool) {
-			switch {
-			case stale:
-				c.StaleRejects++
-				failed += nmods
-			case !ok:
-				failed += nmods
-			default:
-				failed += refused
-			}
-		})
+		inst.remaining++
+		b := c.newMsg(msgBatch, sw)
+		b.mods, b.nmods, b.inst = mods[i:], nmods, inst
+		b.send()
 		// The barrier completes only after the batch (and anything else in
-		// flight to this switch) resolves, so `failed` is final when the
+		// flight to this switch) resolves, so inst.failed is final when the
 		// last barrier fires. An unacknowledged barrier adds nothing: the
 		// batch's own resolution already classified its mods.
-		c.Barrier(b.sw, func(bool) {
-			remaining--
-			if remaining == 0 && onAll != nil {
-				onAll(failed)
-			}
-		})
+		bar := c.newMsg(msgBarrier, sw)
+		bar.inst = inst
+		c.barrier(bar)
 	}
+}
+
+// modsAddress reports whether any of mods is addressed to sw.
+func modsAddress(mods []Mod, sw *netsim.Switch) bool {
+	for i := range mods {
+		if mods[i].Switch == sw {
+			return true
+		}
+	}
+	return false
 }
 
 // Mod is one pending table modification.

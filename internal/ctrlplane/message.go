@@ -1,0 +1,348 @@
+package ctrlplane
+
+import (
+	"time"
+
+	"mic/internal/flowtable"
+	"mic/internal/netsim"
+	"mic/internal/topo"
+)
+
+// msgKind names what a reliable southbound message asks of the switch.
+type msgKind uint8
+
+const (
+	msgFlowMod msgKind = iota
+	msgGroupMod
+	msgDelete
+	msgBarrier
+	msgHello
+	msgDump
+	msgBatch // all of one InstallBatched call's mods addressed to one switch
+)
+
+// msg is one reliable southbound message: what to apply at the switch, the
+// retransmission state, what the switch answered and whom to tell — held in
+// one pooled record per message instead of a tree of closures per attempt.
+//
+// Ownership follows netsim's hop record: newMsg takes a record from the
+// channel's free list and the engine is its only holder while an attempt is
+// out (a barrier parked behind in-flight messages is held by its switch's
+// waiters list instead, until resolve sends it). Each attempt schedules the
+// arrival and the ack timer, and the arrival schedules the acknowledgement;
+// every timer wait exceeds one round trip (ackTimeout, maxBackoff), so the
+// timer is always the attempt's last event. The record therefore returns to
+// the free list from timeout — once resolved, abandoned or silenced by
+// Channel.Down — and never while one of its events is pending. The three
+// steps are bound as method values once, when the record is first made.
+type msg struct {
+	ch                         *Channel
+	arriveFn, ackFn, timeoutFn func()
+
+	kind msgKind
+	sw   *netsim.Switch
+
+	// Payload, by kind.
+	entry  *flowtable.Entry // msgFlowMod
+	group  *flowtable.Group // msgGroupMod
+	cookie uint64           // msgDelete
+	mods   []Mod            // msgBatch: the caller's mods from this switch's first on; those addressed to sw apply
+	nmods  int              // msgBatch: individual modifications carried
+
+	// What the switch did, recorded on arrival and classified on completion
+	// (retransmits re-run apply and would double-count otherwise).
+	applied bool                // msgBatch: the first arrival applied everything
+	stale   bool                // refused for a stale fencing epoch
+	err     error               // msgFlowMod: the insert's outcome
+	n       int                 // msgDelete: entries removed, -1 until a pass lands; msgBatch: entries refused
+	entries []*flowtable.Entry  // msgDump
+	groups  []flowtable.GroupID // msgDump
+
+	// Delivery state.
+	attempt  int
+	backoff  time.Duration
+	resolved bool
+	reqLost  bool // this attempt's request-direction loss draw
+	ackLost  bool // this attempt's acknowledgement-direction loss draw
+
+	// Completion: at most one is set.
+	onOK    func(ok bool)
+	onErr   func(err error)
+	onCount func(removed int)
+	onDump  func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool)
+	inst    *install // msgBatch and its closing msgBarrier
+}
+
+// install is the completion state one InstallBatched call's messages share:
+// each switch's batch adds its failed mods, each switch's barrier counts
+// down, the last one reports.
+type install struct {
+	remaining int // barriers still out
+	failed    int
+	onAll     func(failed int)
+}
+
+func (c *Channel) newInstall(onAll func(failed int)) *install {
+	var in *install
+	if last := len(c.instFree) - 1; last >= 0 {
+		in = c.instFree[last]
+		c.instFree = c.instFree[:last]
+	} else {
+		in = new(install)
+	}
+	in.onAll = onAll
+	return in
+}
+
+// barrierDone counts one switch's closing barrier; the last returns the
+// record to the free list and reports.
+func (c *Channel) barrierDone(in *install) {
+	in.remaining--
+	if in.remaining > 0 {
+		return
+	}
+	onAll, failed := in.onAll, in.failed
+	*in = install{}
+	c.instFree = append(c.instFree, in)
+	if onAll != nil {
+		onAll(failed)
+	}
+}
+
+// newMsg takes a record from the free list, or makes one and binds its steps.
+func (c *Channel) newMsg(kind msgKind, sw *netsim.Switch) *msg {
+	var m *msg
+	if last := len(c.msgFree) - 1; last >= 0 {
+		m = c.msgFree[last]
+		c.msgFree = c.msgFree[:last]
+	} else {
+		m = &msg{ch: c}
+		m.arriveFn, m.ackFn, m.timeoutFn = m.arrive, m.ack, m.timeout
+	}
+	m.kind, m.sw = kind, sw
+	return m
+}
+
+// release returns m, with no event pending, to the free list.
+func (c *Channel) release(m *msg) {
+	*m = msg{ch: c, arriveFn: m.arriveFn, ackFn: m.ackFn, timeoutFn: m.timeoutFn}
+	c.msgFree = append(c.msgFree, m)
+}
+
+// barrier sends m now if nothing is in flight to its switch, and parks it
+// until the switch's window drains otherwise.
+func (c *Channel) barrier(m *msg) {
+	c.Barriers++
+	s := &c.sw[m.sw.ID]
+	if s.inflight > 0 {
+		s.waiters = append(s.waiters, m)
+		return
+	}
+	m.send()
+}
+
+// resolve closes one message's transaction with switch id, and releases the
+// barriers parked behind it once the window is empty.
+func (c *Channel) resolve(id topo.NodeID, ok bool) {
+	s := &c.sw[id]
+	s.inflight--
+	if ok {
+		c.Acked++
+	} else {
+		c.GiveUps++
+		s.failed++
+	}
+	if s.inflight > 0 {
+		return
+	}
+	// send only schedules events, so nothing parks a new barrier meanwhile.
+	for i, w := range s.waiters {
+		s.waiters[i] = nil
+		w.send()
+	}
+	s.waiters = s.waiters[:0]
+}
+
+// send reliably delivers m: applied switch-side (idempotently) on every
+// arrival, completed with true after an acknowledgement returns or with false
+// when the retry budget is exhausted.
+func (m *msg) send() {
+	m.ch.sw[m.sw.ID].inflight++
+	m.backoff = m.ch.ackTimeout()
+	m.try()
+}
+
+func (m *msg) try() {
+	c := m.ch
+	// A crashed controller sends nothing more and hears nothing back: the
+	// message loop goes silent without resolving, exactly as a process
+	// kill would leave a TCP transaction dangling.
+	if c.Down {
+		c.release(m)
+		return
+	}
+	m.attempt++
+	if m.attempt > 1 {
+		c.Retransmits++
+	}
+	m.reqLost = c.lost()
+	c.Eng.After(c.Latency, m.arriveFn)
+	wait := min(m.backoff, c.maxBackoff())
+	m.backoff *= 2
+	c.Eng.After(wait, m.timeoutFn)
+}
+
+func (m *msg) arrive() {
+	c := m.ch
+	// A dead switch neither applies nor acknowledges: the message
+	// vanishes exactly like a loss, which is what makes the liveness
+	// prober and the give-up path necessary. A management-network
+	// partition black-holes the direction it cuts the same way.
+	if m.reqLost || m.sw.Down || !c.mgmtTo(m.sw) {
+		return
+	}
+	m.apply()
+	m.ackLost = c.lost()
+	c.Eng.After(c.Latency, m.ackFn)
+}
+
+func (m *msg) ack() {
+	c := m.ch
+	if m.ackLost || m.resolved || c.Down || !c.mgmtFrom(m.sw) {
+		return
+	}
+	m.resolved = true
+	c.resolve(m.sw.ID, true)
+	m.complete(true)
+}
+
+func (m *msg) timeout() {
+	c := m.ch
+	if m.resolved || c.Down {
+		c.release(m)
+		return
+	}
+	c.Timeouts++
+	if m.attempt < c.attempts() {
+		m.try()
+		return
+	}
+	m.resolved = true
+	c.resolve(m.sw.ID, false)
+	m.complete(false)
+	c.release(m)
+}
+
+// apply is the message's effect at the switch.
+func (m *msg) apply() {
+	c, sw := m.ch, m.sw
+	if m.kind == msgDump {
+		m.entries = append(m.entries[:0], sw.Table.Entries()...)
+		m.groups = sw.Table.GroupIDs()
+		return
+	}
+	// Retransmitted batches are duplicates of an already-applied message
+	// (the first arrival applied everything); re-applying would double-count
+	// table refusals.
+	if m.kind == msgBatch {
+		if m.applied {
+			return
+		}
+		m.applied = true
+	}
+	if !sw.AcceptFenced(c.Epoch) {
+		// A FlowMod reports its last arrival's outcome (err); for every
+		// other kind one refusal marks the message for good.
+		m.stale, m.err = true, ErrStaleEpoch
+		return
+	}
+	switch m.kind {
+	case msgFlowMod:
+		m.err = sw.Table.TryInsert(m.entry, c.Eng.Now())
+	case msgGroupMod:
+		sw.Table.SetGroup(m.group)
+	case msgDelete:
+		removed := sw.Table.DeleteByCookie(m.cookie)
+		// Retransmitted deletes find nothing; report the first pass's count.
+		if m.n < 0 {
+			m.n = removed
+		}
+	case msgBatch:
+		for _, mod := range m.mods {
+			if mod.Switch != sw {
+				continue
+			}
+			if mod.Group != nil {
+				sw.Table.SetGroup(mod.Group)
+			}
+			if mod.Entry != nil {
+				if err := sw.Table.TryInsert(mod.Entry, c.Eng.Now()); err != nil {
+					m.n++
+					c.TableFulls++
+				}
+			}
+		}
+	}
+}
+
+// complete classifies the outcome and tells the sender. ok is false when the
+// message was abandoned unacknowledged; an answered refusal (stale epoch,
+// table full) arrives with ok true and is downgraded here.
+func (m *msg) complete(ok bool) {
+	c := m.ch
+	switch m.kind {
+	case msgFlowMod:
+		err := m.err
+		switch {
+		case !ok:
+			err = ErrUnacked
+		case err == nil:
+		case err == ErrStaleEpoch:
+			c.StaleRejects++
+		default:
+			c.TableFulls++
+		}
+		if m.onErr != nil {
+			m.onErr(err)
+		} else if m.onOK != nil {
+			m.onOK(err == nil)
+		}
+	case msgDelete:
+		if m.stale {
+			c.StaleRejects++
+		}
+		if m.onCount == nil {
+			return
+		}
+		if !ok || m.stale {
+			m.onCount(-1)
+			return
+		}
+		m.onCount(m.n)
+	case msgDump:
+		if m.onDump != nil {
+			m.onDump(m.entries, m.groups, ok)
+		}
+	case msgBatch:
+		switch {
+		case m.stale:
+			c.StaleRejects++
+			m.inst.failed += m.nmods
+		case !ok:
+			m.inst.failed += m.nmods
+		default:
+			m.inst.failed += m.n
+		}
+	default: // msgGroupMod, msgBarrier, msgHello
+		if m.stale {
+			c.StaleRejects++
+			ok = false
+		}
+		switch {
+		case m.inst != nil:
+			c.barrierDone(m.inst)
+		case m.onOK != nil:
+			m.onOK(ok)
+		}
+	}
+}

@@ -55,16 +55,18 @@ func (r *ProactiveRouter) Install(net *netsim.Network) (int, error) {
 		installed++
 		return nil
 	}
+	hops := topo.NewHops(g)
+	switches := g.Switches()
+	next := make([]int, len(g.Nodes))
 	for _, hid := range g.Hosts() {
 		h := g.Node(hid)
-		next, err := nextHops(g, hid)
-		if err != nil {
+		if err := nextHops(g, hops.From(hid), hid, next); err != nil {
 			return installed, err
 		}
-		for _, sid := range g.Switches() {
+		for _, sid := range switches {
 			sw := net.Switch(sid)
-			out, ok := next[sid]
-			if !ok {
+			out := next[sid]
+			if out < 0 {
 				continue // unreachable from this switch
 			}
 			attached := g.Node(sid).Ports[out].Peer == hid
@@ -107,44 +109,31 @@ func (r *ProactiveRouter) Install(net *netsim.Network) (int, error) {
 	return installed, nil
 }
 
-// nextHops returns, for each switch that can reach dst, the egress port on
-// the shortest path toward dst.
-func nextHops(g *topo.Graph, dst topo.NodeID) (map[topo.NodeID]int, error) {
-	// BFS from dst over the switch fabric (hosts do not forward).
-	dist := make(map[topo.NodeID]int)
-	dist[dst] = 0
-	queue := []topo.NodeID{dst}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if g.Node(u).Kind == topo.KindHost && u != dst {
-			continue
-		}
-		for _, p := range g.Node(u).Ports {
-			if _, seen := dist[p.Peer]; !seen {
-				dist[p.Peer] = dist[u] + 1
-				queue = append(queue, p.Peer)
-			}
-		}
+// nextHops fills next with, for each switch that can reach dst, the egress
+// port on the shortest path toward dst, and -1 elsewhere. dist is the hop
+// distance of every node from dst over the switch fabric (hosts do not
+// forward).
+func nextHops(g *topo.Graph, dist []int, dst topo.NodeID, next []int) error {
+	// toward reports whether the port leads one hop closer to dst.
+	toward := func(d int, p topo.Port) bool {
+		return dist[p.Peer] == d-1 && (g.Node(p.Peer).Kind != topo.KindHost || p.Peer == dst)
 	}
-	next := make(map[topo.NodeID]int)
 	for _, sid := range g.Switches() {
-		d, ok := dist[sid]
-		if !ok {
+		next[sid] = -1
+		d := dist[sid]
+		if d < 0 {
 			continue
 		}
-		var candidates []int
-		for port, p := range g.Node(sid).Ports {
-			if pd, ok := dist[p.Peer]; ok && pd == d-1 {
-				if g.Node(p.Peer).Kind == topo.KindHost && p.Peer != dst {
-					continue
-				}
-				candidates = append(candidates, port)
+		ports := g.Node(sid).Ports
+		candidates := 0
+		for _, p := range ports {
+			if toward(d, p) {
+				candidates++
 			}
 		}
-		if len(candidates) == 0 {
+		if candidates == 0 {
 			if d > 0 {
-				return nil, fmt.Errorf("ctrlplane: no next hop from %s toward %s", g.Node(sid).Name, g.Node(dst).Name)
+				return fmt.Errorf("ctrlplane: no next hop from %s toward %s", g.Node(sid).Name, g.Node(dst).Name)
 			}
 			continue
 		}
@@ -152,9 +141,19 @@ func nextHops(g *topo.Graph, dst topo.NodeID) (map[topo.NodeID]int, error) {
 		// deterministic hash, as production fabrics do. Without this, every
 		// flow toward a pod would pile onto one core link and the TCP
 		// baseline would bottleneck artificially.
-		next[sid] = candidates[ecmpHash(uint32(sid), uint32(dst))%uint32(len(candidates))]
+		pick := int(ecmpHash(uint32(sid), uint32(dst)) % uint32(candidates))
+		for port, p := range ports {
+			if !toward(d, p) {
+				continue
+			}
+			if pick == 0 {
+				next[sid] = port
+				break
+			}
+			pick--
+		}
 	}
-	return next, nil
+	return nil
 }
 
 // ecmpHash mixes (switch, destination) into a port selector.

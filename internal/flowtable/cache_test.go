@@ -326,13 +326,87 @@ func TestInsertKeepsSortedOrder(t *testing.T) {
 }
 
 func BenchmarkInsert(b *testing.B) {
+	// A whole table built from empty, priorities interleaved.
+	b.Run("build128", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tb := NewTable()
+			for j := 0; j < 128; j++ {
+				tb.Insert(&Entry{Priority: j % 16, Match: Match{Mask: MatchMPLS, MPLS: addr.Label(j)}}, 0)
+			}
+		}
+	})
+	// The MC's case: every m-flow rule outranks the common-routing rules a
+	// switch already carries (256 on a fat-tree(8) switch). One op inserts a
+	// batch of channels' rules; the untimed half deletes them again.
+	b.Run("above256", func(b *testing.B) {
+		tb, batch := residentTable(256), mflowBatch()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, e := range batch {
+				tb.Insert(e, 0)
+			}
+			b.StopTimer()
+			for c := uint64(0); c < batchCookies; c++ {
+				tb.DeleteByCookie(2 + c)
+			}
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/insert")
+	})
+}
+
+// BenchmarkDeleteByCookie is the other half of BenchmarkInsert/above256: one
+// op closes a batch of channels — one DeleteByCookie each, four rules apiece
+// — on a switch carrying 256 common-routing rules; the untimed half
+// reinstalls them.
+func BenchmarkDeleteByCookie(b *testing.B) {
+	tb, batch := residentTable(256), mflowBatch()
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tb := NewTable()
-		for j := 0; j < 128; j++ {
-			tb.Insert(&Entry{Priority: j % 16, Match: Match{Mask: MatchMPLS, MPLS: addr.Label(j)}}, 0)
+		b.StopTimer()
+		for _, e := range batch {
+			tb.Insert(e, 0)
+		}
+		b.StartTimer()
+		for c := uint64(0); c < batchCookies; c++ {
+			if tb.DeleteByCookie(2+c) != 4 {
+				b.Fatal("a channel's four rules were not all deleted")
+			}
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchCookies), "ns/delete")
+}
+
+// residentTable returns a table carrying n common-routing-shaped rules, all
+// below m-flow priority and under one cookie.
+func residentTable(n int) *Table {
+	tb := NewTable()
+	for j := 0; j < n; j++ {
+		m := Match{Mask: MatchNoMPLS | MatchIPDst, IPDst: addr.IP(j / 2)}
+		if j%2 == 1 {
+			m = Match{Mask: MatchMPLS | MatchIPDst, MPLS: 7, IPDst: addr.IP(j / 2)}
+		}
+		tb.Insert(&Entry{Priority: 100 - 50*(j%2), Cookie: 1, Match: m}, 0)
+	}
+	return tb
+}
+
+// batchCookies is how many channels' rules one benchmark op installs or
+// deletes, four rules per channel.
+const batchCookies = 64
+
+func mflowBatch() []*Entry {
+	var batch []*Entry
+	for c := 0; c < batchCookies; c++ {
+		for j := 0; j < 4; j++ {
+			batch = append(batch, &Entry{Priority: 1000, Cookie: uint64(2 + c),
+				Match: Match{Mask: MatchIPSrc | MatchIPDst | MatchMPLS, IPSrc: addr.IP(c), IPDst: addr.IP(j), MPLS: addr.Label(c*4 + j)}})
+		}
+	}
+	return batch
 }
 
 func BenchmarkLookupCacheHit(b *testing.B) {

@@ -67,6 +67,10 @@ type Entry struct {
 	// baseline fabric.
 	Evictable bool
 
+	// pos is the entry's index in its table's bag (Table.entries); it sits
+	// in the padding after Evictable, so Entry keeps its size.
+	pos int32
+
 	// IdleTimeout evicts the entry when unused for that long; HardTimeout
 	// evicts it unconditionally after installation. Zero disables.
 	IdleTimeout time.Duration
@@ -124,10 +128,31 @@ const microCap = 8192
 // Table is a single-table OpenFlow pipeline plus a group table. Lookups are
 // served OVS-style: an exact-match microflow cache first, then a hash-indexed
 // classifier, with the linear priority scan retained only as the test oracle.
+//
+// The installed entries are held as an unordered bag: a new entry is appended,
+// a removed one is overwritten by the last (each Entry knows its index), so
+// neither shifts the rest of the table, and DeleteByCookie finds its victims
+// through a per-cookie index instead of scanning. Nothing on the packet or
+// FlowMod path needs the entries in match order — the classifier's buckets
+// carry it — so match order (priority desc, seq asc) is materialised only
+// when a dump, an audit or the linear oracle asks (Entries) and cached until
+// the next mutation.
 type Table struct {
-	entries []*Entry // sorted by descending priority, then ascending seq
+	entries []*Entry // unordered; entries[e.pos] == e
+	ordered []*Entry // entries in match order, valid while sorted is set
+	sorted  bool
 	groups  map[GroupID]*Group
 	seq     uint64
+
+	// byCookie lists the installed entries of each cookie, in no particular
+	// order. It is built by the first DeleteByCookie and maintained from then
+	// on, so a table that never deletes by cookie never pays for it. It is
+	// only ever looked up by key, never ranged over.
+	byCookie map[uint64][]*Entry
+
+	// listFree recycles the emptied entry lists of deleted cookies and of
+	// classifier buckets, so a steady churn of m-flow rules allocates neither.
+	listFree [][]*Entry
 
 	subs     map[FieldMask]*subtable
 	subOrder []*subtable // creation order; deterministic iteration (no map range)
@@ -195,14 +220,77 @@ func (t *Table) subtableFor(mask FieldMask) *subtable {
 	return st
 }
 
-// indexOf locates e in the sorted entries slice by binary search on
-// (priority, seq); ordering is total because seq is unique.
-func (t *Table) indexOf(e *Entry) int {
-	i := sort.Search(len(t.entries), func(i int) bool { return !entryLess(t.entries[i], e) })
-	if i < len(t.entries) && t.entries[i] == e {
-		return i
+// add appends e to the bag and the cookie index.
+func (t *Table) add(e *Entry) {
+	e.pos = int32(len(t.entries))
+	t.entries = append(t.entries, e)
+	t.sorted = false
+	t.indexCookie(e)
+}
+
+// remove takes e out of the bag (the last entry fills its slot), the cookie
+// index and the classifier.
+func (t *Table) remove(e *Entry) {
+	t.unindexCookie(e)
+	t.dropFromBag(e)
+	t.removeFromIndex(e)
+}
+
+func (t *Table) dropFromBag(e *Entry) {
+	last := len(t.entries) - 1
+	moved := t.entries[last]
+	t.entries[e.pos] = moved
+	moved.pos = e.pos
+	t.entries[last] = nil
+	t.entries = t.entries[:last]
+	t.sorted = false
+}
+
+// indexCookie records e under its cookie, if the index exists.
+func (t *Table) indexCookie(e *Entry) {
+	if t.byCookie == nil {
+		return
 	}
-	return -1
+	list, ok := t.byCookie[e.Cookie]
+	if !ok {
+		list = t.emptyList()
+	}
+	t.byCookie[e.Cookie] = append(list, e)
+}
+
+// emptyList returns a recycled zero-length entry list, or nil.
+func (t *Table) emptyList() []*Entry {
+	last := len(t.listFree) - 1
+	if last < 0 {
+		return nil
+	}
+	list := t.listFree[last]
+	t.listFree = t.listFree[:last]
+	return list
+}
+
+// unindexCookie forgets e under its cookie, if the index exists. The scan is
+// over that cookie's entries only — a handful for an m-flow.
+func (t *Table) unindexCookie(e *Entry) {
+	if t.byCookie == nil {
+		return
+	}
+	list := t.byCookie[e.Cookie]
+	for i, x := range list {
+		if x != e {
+			continue
+		}
+		last := len(list) - 1
+		list[i] = list[last]
+		list[last] = nil
+		if last == 0 {
+			delete(t.byCookie, e.Cookie)
+			t.listFree = append(t.listFree, list[:0])
+		} else {
+			t.byCookie[e.Cookie] = list[:last]
+		}
+		return
+	}
 }
 
 // Insert installs an entry at time now, ignoring capacity refusals — the
@@ -219,8 +307,8 @@ func (t *Table) Insert(e *Entry, now sim.Time) {
 // the match order) and never counts against capacity. A genuinely new entry
 // against a full table either displaces an LRU victim (Policy==EvictLRU and
 // some entry is Evictable) or fails with ErrTableFull, leaving the table —
-// and the microflow cache generation — untouched. Insertion is
-// O(log n + shift) into the already-sorted slice — no re-sort per FlowMod.
+// and the microflow cache generation — untouched. Insertion shifts nothing:
+// its cost is independent of how many entries the table holds.
 func (t *Table) TryInsert(e *Entry, now sim.Time) error {
 	norm := e.Match.normalized()
 	st := t.subtableFor(norm.Mask)
@@ -234,9 +322,11 @@ func (t *Table) TryInsert(e *Entry, now sim.Time) error {
 			e.seq = old.seq
 			t.invalidate()
 			bucket[i] = e
-			if j := t.indexOf(old); j >= 0 {
-				t.entries[j] = e
-			}
+			t.unindexCookie(old)
+			e.pos = old.pos
+			t.entries[e.pos] = e
+			t.sorted = false
+			t.indexCookie(e)
 			return nil
 		}
 	}
@@ -258,17 +348,14 @@ func (t *Table) TryInsert(e *Entry, now sim.Time) error {
 	// Bucket insertion point: priorities within a bucket are unique, so
 	// order by priority alone.
 	bi := sort.Search(len(bucket), func(i int) bool { return bucket[i].Priority < e.Priority })
+	if bucket == nil {
+		bucket = t.emptyList()
+	}
 	bucket = append(bucket, nil)
 	copy(bucket[bi+1:], bucket[bi:])
 	bucket[bi] = e
 	st.buckets[norm] = bucket
-
-	// Entries insertion point: e has the largest seq, so it goes after every
-	// entry of >= priority.
-	i := sort.Search(len(t.entries), func(i int) bool { return t.entries[i].Priority < e.Priority })
-	t.entries = append(t.entries, nil)
-	copy(t.entries[i+1:], t.entries[i:])
-	t.entries[i] = e
+	t.add(e)
 	return nil
 }
 
@@ -290,12 +377,7 @@ func (t *Table) evictLRU() bool {
 	if victim == nil {
 		return false
 	}
-	if i := t.indexOf(victim); i >= 0 {
-		copy(t.entries[i:], t.entries[i+1:])
-		t.entries[len(t.entries)-1] = nil
-		t.entries = t.entries[:len(t.entries)-1]
-	}
-	t.removeFromIndex(victim)
+	t.remove(victim)
 	t.invalidate()
 	t.EvictedCapacity++
 	if t.OnEvict != nil {
@@ -372,7 +454,7 @@ func (t *Table) lookupClassifier(p *packet.Packet, inPort int) *Entry {
 // lookupLinear is the pre-cache linear priority scan, kept as the oracle for
 // the cached-vs-linear differential test. It does not update counters.
 func (t *Table) lookupLinear(p *packet.Packet, inPort int) *Entry {
-	for _, e := range t.entries {
+	for _, e := range t.Entries() {
 		if e.Match.Covers(p, inPort) {
 			return e
 		}
@@ -398,65 +480,64 @@ func (t *Table) removeFromIndex(e *Entry) {
 	}
 	if len(b) == 0 {
 		delete(st.buckets, norm)
+		t.listFree = append(t.listFree, b)
 	} else {
 		st.buckets[norm] = b
 	}
 }
 
 // DeleteByCookie removes all entries with the given cookie and returns how
-// many were removed.
+// many were removed, in time proportional to that number.
 func (t *Table) DeleteByCookie(cookie uint64) int {
-	kept := t.entries[:0]
-	removed := 0
-	for _, e := range t.entries {
-		if e.Cookie == cookie {
-			removed++
-			t.removeFromIndex(e)
-		} else {
-			kept = append(kept, e)
+	if t.byCookie == nil {
+		t.byCookie = make(map[uint64][]*Entry)
+		for _, e := range t.entries {
+			t.byCookie[e.Cookie] = append(t.byCookie[e.Cookie], e)
 		}
 	}
-	for i := len(kept); i < len(t.entries); i++ {
-		t.entries[i] = nil
+	list := t.byCookie[cookie]
+	if len(list) == 0 {
+		return 0
 	}
-	t.entries = kept
-	if removed > 0 {
-		t.invalidate()
+	delete(t.byCookie, cookie)
+	for i, e := range list {
+		list[i] = nil
+		t.dropFromBag(e)
+		t.removeFromIndex(e)
 	}
-	return removed
+	t.listFree = append(t.listFree, list[:0])
+	t.invalidate()
+	return len(list)
 }
 
 // Expire evicts entries whose idle or hard timeout has elapsed by now, and
-// returns the evicted entries. Hard expiry wins the per-reason counter when
-// both timeouts have lapsed (the entry was doomed regardless of traffic).
+// returns the evicted entries in match order. Hard expiry wins the
+// per-reason counter when both timeouts have lapsed (the entry was doomed
+// regardless of traffic).
 func (t *Table) Expire(now sim.Time) []*Entry {
 	var evicted []*Entry
-	var reasons []EvictReason
-	kept := t.entries[:0]
 	for _, e := range t.entries {
 		idle := e.IdleTimeout > 0 && now.Sub(e.LastUsed) >= e.IdleTimeout
 		hard := e.HardTimeout > 0 && now.Sub(e.Installed) >= e.HardTimeout
 		if idle || hard {
 			evicted = append(evicted, e)
-			if hard {
-				t.EvictedHard++
-				reasons = append(reasons, EvictHard)
-			} else {
-				t.EvictedIdle++
-				reasons = append(reasons, EvictIdle)
-			}
-			t.removeFromIndex(e)
-		} else {
-			kept = append(kept, e)
 		}
 	}
-	for i := len(kept); i < len(t.entries); i++ {
-		t.entries[i] = nil
+	if len(evicted) == 0 {
+		return nil
 	}
-	t.entries = kept
-	if len(evicted) > 0 {
-		t.invalidate()
+	sort.Slice(evicted, func(i, j int) bool { return entryLess(evicted[i], evicted[j]) })
+	reasons := make([]EvictReason, len(evicted))
+	for i, e := range evicted {
+		if e.HardTimeout > 0 && now.Sub(e.Installed) >= e.HardTimeout {
+			t.EvictedHard++
+			reasons[i] = EvictHard
+		} else {
+			t.EvictedIdle++
+		}
+		t.remove(e)
 	}
+	t.invalidate()
 	if t.OnEvict != nil {
 		for i, e := range evicted {
 			t.OnEvict(e, reasons[i])
@@ -483,8 +564,16 @@ func (t *Table) Conflicts(m Match, priority int) []*Entry {
 }
 
 // Entries returns the installed entries in match order (descending
-// priority). The returned slice is shared; callers must not modify it.
-func (t *Table) Entries() []*Entry { return t.entries }
+// priority, then insertion order). The returned slice is shared and valid
+// until the table is next modified; callers must not modify it.
+func (t *Table) Entries() []*Entry {
+	if !t.sorted {
+		t.ordered = append(t.ordered[:0], t.entries...)
+		sort.Slice(t.ordered, func(i, j int) bool { return entryLess(t.ordered[i], t.ordered[j]) })
+		t.sorted = true
+	}
+	return t.ordered
+}
 
 // SetGroup installs or replaces a group. The microflow cache is flushed:
 // cached entries may reference the group through their actions, and a
@@ -523,7 +612,7 @@ func (t *Table) GroupIDs() []GroupID {
 // table in ascending group ID so the dump is byte-stable across runs.
 func (t *Table) Dump() string {
 	s := ""
-	for _, e := range t.entries {
+	for _, e := range t.Entries() {
 		s += fmt.Sprintf("prio=%d cookie=%d %v ->", e.Priority, e.Cookie, e.Match)
 		for _, a := range e.Actions {
 			s += " " + a.String()

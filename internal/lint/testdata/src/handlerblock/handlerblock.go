@@ -144,3 +144,51 @@ type unscheduled struct {
 func (u *unscheduled) bind(ch chan int) {
 	u.cb = func() { ch <- 3 }
 }
+
+// delivery is a pooled record with three callbacks, bound together in one
+// assignment and registered from different steps of the record's own life:
+// the first send registers arrival and timer, arrival registers the
+// acknowledgement, the timer registers the next attempt.
+type delivery struct {
+	arriveFn, ackFn, timeoutFn func()
+
+	done     chan int
+	resolved bool
+	wg       *sync.WaitGroup
+}
+
+func newDelivery(done chan int, wg *sync.WaitGroup) *delivery {
+	m := &delivery{done: done, wg: wg}
+	m.arriveFn, m.ackFn, m.timeoutFn = m.arrive, m.ack, m.timeout
+	return m
+}
+
+func (m *delivery) try(e *Engine) {
+	e.After(1, m.arriveFn)
+	e.After(4, m.timeoutFn)
+}
+
+func (m *delivery) arrive() {
+	var e Engine
+	e.After(1, m.ackFn)
+}
+
+// ack is a handler only through delivery.ackFn, itself registered only from
+// another handler; so is what it calls.
+func (m *delivery) ack() {
+	m.resolved = true
+	m.complete()
+}
+
+func (m *delivery) complete() {
+	m.done <- 1 // want `channel send can block`
+}
+
+func (m *delivery) timeout() {
+	if m.resolved {
+		return
+	}
+	m.wg.Wait() // want `sync.WaitGroup.Wait blocks`
+	var e Engine
+	m.try(&e)
+}

@@ -368,12 +368,7 @@ func (mc *MC) unwindFlow(st *channelState, respIP addr.IP, snap flowSnap) {
 			mc.linkLoad[lk]--
 		}
 		if !keepLinks[lk] {
-			if set := mc.linkChannels[lk]; set != nil {
-				delete(set, st.id)
-				if len(set) == 0 {
-					delete(mc.linkChannels, lk)
-				}
-			}
+			delete(mc.linkChannels[lk], st.id)
 		}
 	}
 	st.links = st.links[:snap.links]
@@ -384,12 +379,7 @@ func (mc *MC) unwindFlow(st *channelState, respIP addr.IP, snap flowSnap) {
 	}
 	for _, n := range st.nodes[snap.nodes:] {
 		if !keepNodes[n] {
-			if set := mc.nodeChannels[n]; set != nil {
-				delete(set, st.id)
-				if len(set) == 0 {
-					delete(mc.nodeChannels, n)
-				}
-			}
+			delete(mc.nodeChannels[n], st.id)
 		}
 	}
 	st.nodes = st.nodes[:snap.nodes]
@@ -478,7 +468,7 @@ func (mc *MC) upgradeChannel(st *channelState) bool {
 	respIP := st.responder
 	detectedAt := mc.Net.Eng.Now()
 	snap := snapFlow(st, 0)
-	flowMods, flowInfo, err := mc.computeFlow(st, st.info, initHost.ID, respIP, st.opts, nil)
+	flowMods, flowInfo, err := mc.computeFlow(st, st.info, initHost.ID, respIP, st.opts, nil, nil)
 	if err != nil {
 		mc.unwindFlow(st, respIP, snap)
 		return false

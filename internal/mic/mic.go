@@ -312,6 +312,13 @@ type MC struct {
 	planCache *planCache
 	topoGen   uint64
 
+	// Scratch of path selection (rules.go), reused from dial to dial: the
+	// candidate being examined, and the alive / longer-alive / least-loaded
+	// candidate lists. Nothing in them outlives one selectPath call.
+	pathBuf topo.Path
+	candBuf [3][][]topo.NodeID
+	scratch planScratch // plan.go
+
 	// cpuFree is the virtual time at which this controller's planning CPU is
 	// next idle. Channel planning is serialized per controller process —
 	// exactly the per-MC bottleneck that sharding splits — while the install

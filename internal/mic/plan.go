@@ -2,6 +2,7 @@ package mic
 
 import (
 	"fmt"
+	"slices"
 
 	"mic/internal/addr"
 	"mic/internal/ctrlplane"
@@ -31,13 +32,24 @@ import (
 
 // flowPlan is the planner's output for one m-flow: the chosen path and the
 // Mimic Node placement on it. It references no allocated resources, so a
-// plan can be dropped at zero cost.
+// plan can be dropped at zero cost. path and mnIDs are the plan's own (the
+// client's FlowInfo keeps them); swPos and mnPos live in the MC's planScratch
+// and are valid until the next planFlow.
 type flowPlan struct {
 	path  topo.Path
 	swPos []int         // switch positions within path
 	mnPos []int         // MN positions within path, ascending
 	mnIDs []topo.NodeID // the MN switches, in path order
 	n     int           // effective MN count after degrade clamping
+}
+
+// planScratch holds what the pipeline stages need only until the m-flow they
+// are building is adopted, reused from one m-flow to the next: computeFlow is
+// synchronous and never re-entered.
+type planScratch struct {
+	swPos, mnPos, perm []int
+	fwd, rev           []tuple   // templateFlow's tuple chains
+	recs               []ruleRec // templateFlow's output, consumed by adoptFlow
 }
 
 // planFlow selects a path and places opts.MNs Mimic Nodes on it (clamped to
@@ -51,12 +63,14 @@ func (mc *MC) planFlow(initNode, respNode topo.NodeID, opts ChannelOptions) (flo
 	}
 	// Switch positions within the path (hosts occupy the two ends; BCube
 	// paths may also transit hosts, which cannot rewrite).
-	var swPos []int
+	sc := &mc.scratch
+	swPos := sc.swPos[:0]
 	for i, n := range path {
 		if g.Node(n).Kind == topo.KindSwitch {
 			swPos = append(swPos, i)
 		}
 	}
+	sc.swPos = swPos
 	k := len(swPos)
 	n := opts.MNs
 	if k < n {
@@ -66,12 +80,14 @@ func (mc *MC) planFlow(initNode, respNode topo.NodeID, opts ChannelOptions) (flo
 		n = k
 	}
 	// Choose which switches act as MNs: a random subset, kept in path order.
-	mnSel := mc.pathRng.Perm(k)[:n]
+	sc.perm = slices.Grow(sc.perm[:0], k)[:k]
+	mnSel := mc.pathRng.PermInto(sc.perm)[:n]
 	sortInts(mnSel)
-	plan := flowPlan{path: path, swPos: swPos, n: n, mnPos: make([]int, n)}
+	sc.mnPos = slices.Grow(sc.mnPos[:0], n)[:n]
+	plan := flowPlan{path: path, swPos: swPos, n: n, mnPos: sc.mnPos, mnIDs: make([]topo.NodeID, n)}
 	for i, s := range mnSel {
 		plan.mnPos[i] = swPos[s]
-		plan.mnIDs = append(plan.mnIDs, path[swPos[s]])
+		plan.mnIDs[i] = path[swPos[s]]
 	}
 	return plan, nil
 }
@@ -114,9 +130,11 @@ func (mc *MC) allocFlowRes(st *channelState, plan flowPlan, respIP addr.IP) (flo
 // templateFlow is the templater stage: the MAGA tuple chains in both
 // directions and the complete rewrite/forward/multicast rule set for one
 // planned m-flow, emitted as self-contained ruleRecs. It writes nothing
-// into MC or channel state — groups are numbered from groupBase, and the
-// caller advances mc.nextGroup by the returned groupsUsed when it adopts
-// the rules (or drops the plan and the numbering with it).
+// into MC or channel state beyond the scratch the chains and the returned
+// recs live in (valid until the next templateFlow) — groups are numbered
+// from groupBase, and the caller advances mc.nextGroup by the returned
+// groupsUsed when it adopts the rules (or drops the plan and the numbering
+// with it).
 func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, opts ChannelOptions, cookie uint64, groupBase uint32) (recs []ruleRec, fi FlowInfo, groupsUsed uint32) {
 	g := mc.Net.Graph
 	path, mnPos, n := plan.path, plan.mnPos, plan.n
@@ -127,14 +145,18 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 	entry, finalSrc := res.entry, res.finalSrc
 	fwdID, revID := res.fwdID, res.revID
 
+	sc := &mc.scratch
+	recs = sc.recs[:0]
+
 	// Forward tuple chain T[0..n].
-	T := make([]tuple, n+1)
+	sc.fwd = slices.Grow(sc.fwd[:0], n+1)[:n+1]
+	T := sc.fwd
 	T[0] = tuple{src: initIP, dst: entry}
 	for j := 1; j < n; j++ {
 		mn := path[mnPos[j-1]]
 		gen := mc.gens[mn]
-		srcPool := mc.reach.via(g, mn, g.PortTo(mn, path[mnPos[j-1]-1]), initIP, respIP)
-		dstPool := mc.reach.via(g, mn, g.PortTo(mn, path[mnPos[j-1]+1]), initIP, respIP)
+		srcPool := mc.reach.via(poolSrc, mn, g.PortTo(mn, path[mnPos[j-1]-1]), initIP, respIP)
+		dstPool := mc.reach.via(poolDst, mn, g.PortTo(mn, path[mnPos[j-1]+1]), initIP, respIP)
 		s, d, l := gen.MAddr(fwdID, srcPool, dstPool)
 		T[j] = tuple{src: s, dst: d, label: l, tagged: true}
 	}
@@ -143,13 +165,14 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 	// Reverse tuple chain U[0..n]: U[n] leaves the responder, U[0] reaches
 	// the initiator. U[j] (1 <= j <= n-1) is minted by MN_{j+1}, the node
 	// that rewrites onto that segment in the reverse direction.
-	U := make([]tuple, n+1)
+	sc.rev = slices.Grow(sc.rev[:0], n+1)[:n+1]
+	U := sc.rev
 	U[n] = tuple{src: respIP, dst: finalSrc}
 	for j := n - 1; j >= 1; j-- {
 		mn := path[mnPos[j]] // MN_{j+1} in 1-based terms
 		gen := mc.gens[mn]
-		srcPool := mc.reach.via(g, mn, g.PortTo(mn, path[mnPos[j]+1]), initIP, respIP)
-		dstPool := mc.reach.via(g, mn, g.PortTo(mn, path[mnPos[j]-1]), initIP, respIP)
+		srcPool := mc.reach.via(poolSrc, mn, g.PortTo(mn, path[mnPos[j]+1]), initIP, respIP)
+		dstPool := mc.reach.via(poolDst, mn, g.PortTo(mn, path[mnPos[j]-1]), initIP, respIP)
 		s, d, l := gen.MAddr(revID, srcPool, dstPool)
 		U[j] = tuple{src: s, dst: d, label: l, tagged: true}
 	}
@@ -241,14 +264,23 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 		cur = jj - 1
 	}
 
+	sc.recs = recs
 	return recs, FlowInfo{Entry: entry, Path: path, MNs: plan.mnIDs}, groupsUsed
 }
 
 // adoptFlow is the installer-prep stage: templated rules become the
-// channel's intent — per-switch index, group references, st.rules — and the
-// southbound modifications, in the templater's emission order.
-func (mc *MC) adoptFlow(st *channelState, recs []ruleRec) []ctrlplane.Mod {
-	mods := make([]ctrlplane.Mod, 0, len(recs))
+// channel's intent — per-switch index, group references, st.rules — and are
+// appended to mods as southbound modifications, in the templater's emission
+// order. A channel's m-flows are alike, so the first one sizes both lists for
+// all of them.
+func (mc *MC) adoptFlow(st *channelState, recs []ruleRec, mods []ctrlplane.Mod) []ctrlplane.Mod {
+	flows := max(st.opts.MFlows, 1)
+	if len(st.rules) == 0 {
+		st.rules = slices.Grow(st.rules, flows*len(recs))
+	}
+	if len(mods) == 0 {
+		mods = slices.Grow(mods, flows*len(recs))
+	}
 	for _, rr := range recs {
 		st.switches[rr.node] = true
 		if rr.group != nil {

@@ -10,9 +10,9 @@ import (
 // access switches — every host pair behind the same (src-edge, dst-edge)
 // pair sees structurally identical candidate paths, differing only in the
 // two host endpoints. The cache therefore stores switch-only path segments
-// keyed by access-switch pair and reattaches the concrete hosts per lookup,
-// so steady-state setup is O(F) rule instantiation instead of a graph
-// search. Liveness is NOT cached: candidates are stored pre-filter and
+// keyed by access-switch pair; candidates are filtered and drawn as segments
+// and only the chosen one is joined to the concrete hosts, so steady-state
+// setup is O(F) rule instantiation instead of a graph search. Liveness is NOT cached: candidates are stored pre-filter and
 // alivePaths runs per lookup, while any fabric liveness event invalidates
 // the whole cache via a generation bump (mic.topoGen), covering the paths a
 // failure removed from the graph-search result itself.
@@ -67,54 +67,39 @@ func (mc *MC) cacheUsable(src, dst topo.NodeID) bool {
 	return accessSwitch(mc.Net.Graph, src) >= 0 && accessSwitch(mc.Net.Graph, dst) >= 0
 }
 
-// stripHosts copies paths into switch-only segments (first and last element
-// — the hosts — dropped). Segments are deep-copied so later destructive
-// filtering of the enumeration result cannot alias into the cache.
+// stripHosts views paths as switch-only segments (first and last element —
+// the hosts — dropped). The segments alias the enumeration's own paths, which
+// are fresh and which nothing downstream modifies: candidates are filtered
+// into a separate list and only the chosen one is copied out (pickPath).
 func stripHosts(paths []topo.Path) [][]topo.NodeID {
-	segs := make([][]topo.NodeID, 0, len(paths))
-	for _, p := range paths {
-		seg := make([]topo.NodeID, len(p)-2)
-		copy(seg, p[1:len(p)-1])
-		segs = append(segs, seg)
+	segs := make([][]topo.NodeID, len(paths))
+	for i, p := range paths {
+		segs[i] = p[1 : len(p)-1]
 	}
 	return segs
 }
 
-// attachHosts rebuilds concrete host-to-host candidate paths from cached
-// segments. Every returned slice is fresh: callers filter and retain these
-// paths, and the cache must stay immutable underneath them.
-func attachHosts(segs [][]topo.NodeID, src, dst topo.NodeID) []topo.Path {
-	out := make([]topo.Path, 0, len(segs))
-	for _, seg := range segs {
-		p := make(topo.Path, 0, len(seg)+2)
-		p = append(p, src)
-		p = append(p, seg...)
-		p = append(p, dst)
-		out = append(out, p)
-	}
-	return out
-}
-
-// lookupPaths serves one path enumeration through the cache: a hit costs
-// PlanCacheHitCost of planning CPU, a miss (or a bypass) runs compute and
-// costs the full ComputeCost. Hit and miss return identically shaped
-// candidates — both are rebuilt from stripped segments — so the downstream
-// RNG draw sequence is independent of cache state.
-func (mc *MC) lookupPaths(src, dst topo.NodeID, minSw int, compute func() []topo.Path) []topo.Path {
+// lookupPaths serves one path enumeration through the cache and returns the
+// candidates as segments between src and dst, shared with the cache and
+// read-only: a hit costs PlanCacheHitCost of planning CPU, a miss (or a
+// bypass) runs compute and costs the full ComputeCost. Hit and miss return
+// identically shaped candidates, so the downstream RNG draw sequence is
+// independent of cache state.
+func (mc *MC) lookupPaths(src, dst topo.NodeID, minSw int, compute func() []topo.Path) [][]topo.NodeID {
 	if !mc.cacheUsable(src, dst) {
 		mc.PathCacheMisses++
 		mc.planCost += mc.Cfg.ComputeCost
-		return compute()
+		return stripHosts(compute())
 	}
 	key := planKey{a: accessSwitch(mc.Net.Graph, src), b: accessSwitch(mc.Net.Graph, dst), minSw: minSw}
 	if v, ok := mc.planCache.m[key]; ok && v.gen == mc.topoGen {
 		mc.PathCacheHits++
 		mc.planCost += mc.Cfg.PlanCacheHitCost
-		return attachHosts(v.segs, src, dst)
+		return v.segs
 	}
 	mc.PathCacheMisses++
 	mc.planCost += mc.Cfg.ComputeCost
 	segs := stripHosts(compute())
 	mc.planCache.m[key] = planVal{gen: mc.topoGen, segs: segs}
-	return attachHosts(segs, src, dst)
+	return segs
 }

@@ -10,26 +10,43 @@ import (
 // these pools so that a fake source/destination observed on a link is a
 // host that could legitimately appear there — the paper's per-MN
 // restriction on m_src_ip and m_dst_ip (Sec IV-B3, Fig 5 example).
-type reachability map[topo.NodeID][][]addr.IP
+type reachability struct {
+	pools [][][]addr.IP // [switch NodeID][port]; nil rows for hosts
+	all   []addr.IP     // every host address: the fallback pool
+
+	// buf holds the two pools via last filled. A source and a destination
+	// pool are live together while one m-address is minted; nothing keeps
+	// either past that, so the next draw overwrites them.
+	buf [2][]addr.IP
+}
+
+// The two pool buffers of reachability.via.
+const (
+	poolSrc = iota
+	poolDst
+)
 
 // computeReachability runs one BFS per host: a host h belongs to the pool
 // of (switch s, port p) iff some shortest path from s to h leaves via p.
 func computeReachability(g *topo.Graph) reachability {
-	r := make(reachability, len(g.Switches()))
-	for _, sid := range g.Switches() {
-		r[sid] = make([][]addr.IP, len(g.Node(sid).Ports))
+	r := reachability{pools: make([][][]addr.IP, len(g.Nodes))}
+	switches := g.Switches()
+	for _, sid := range switches {
+		r.pools[sid] = make([][]addr.IP, len(g.Node(sid).Ports))
 	}
+	hops := topo.NewHops(g)
 	for _, hid := range g.Hosts() {
-		h := g.Node(hid)
-		dist := bfsFrom(g, hid)
-		for _, sid := range g.Switches() {
-			ds, ok := dist[sid]
-			if !ok {
+		ip := g.Node(hid).IP
+		r.all = append(r.all, ip)
+		dist := hops.From(hid)
+		for _, sid := range switches {
+			ds := dist[sid]
+			if ds < 0 {
 				continue
 			}
 			for port, p := range g.Node(sid).Ports {
-				if dp, ok := dist[p.Peer]; ok && dp == ds-1 {
-					r[sid][port] = append(r[sid][port], h.IP)
+				if dist[p.Peer] == ds-1 {
+					r.pools[sid][port] = append(r.pools[sid][port], ip)
 				}
 			}
 		}
@@ -37,45 +54,22 @@ func computeReachability(g *topo.Graph) reachability {
 	return r
 }
 
-// bfsFrom returns hop distances from src, with hosts other than src not
-// forwarding.
-func bfsFrom(g *topo.Graph, src topo.NodeID) map[topo.NodeID]int {
-	dist := map[topo.NodeID]int{src: 0}
-	queue := []topo.NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if g.Node(u).Kind == topo.KindHost && u != src {
-			continue
-		}
-		for _, p := range g.Node(u).Ports {
-			if _, seen := dist[p.Peer]; !seen {
-				dist[p.Peer] = dist[u] + 1
-				queue = append(queue, p.Peer)
-			}
-		}
+// via fills buffer which (poolSrc or poolDst) with the plausible host
+// addresses through (sw, port), excluding the listed addresses, and returns
+// it; the result is valid until the next via on the same buffer. Falls back
+// to all hosts (minus excluded) when the directional pool is empty or fully
+// excluded, so address minting never fails on degenerate topologies.
+func (r *reachability) via(which int, sw topo.NodeID, port int, exclude ...addr.IP) []addr.IP {
+	pool := filterIPs(r.buf[which][:0], r.pools[sw][port], exclude)
+	if len(pool) == 0 {
+		pool = filterIPs(pool, r.all, exclude)
 	}
-	return dist
+	r.buf[which] = pool
+	return pool
 }
 
-// via returns the pool of plausible host addresses through (sw, port),
-// excluding the listed addresses. Falls back to all hosts (minus excluded)
-// when the directional pool is empty or fully excluded, so address minting
-// never fails on degenerate topologies.
-func (r reachability) via(g *topo.Graph, sw topo.NodeID, port int, exclude ...addr.IP) []addr.IP {
-	pool := filterIPs(r[sw][port], exclude)
-	if len(pool) > 0 {
-		return pool
-	}
-	var all []addr.IP
-	for _, hid := range g.Hosts() {
-		all = append(all, g.Node(hid).IP)
-	}
-	return filterIPs(all, exclude)
-}
-
-func filterIPs(pool []addr.IP, exclude []addr.IP) []addr.IP {
-	out := make([]addr.IP, 0, len(pool))
+// filterIPs appends to out the addresses of pool not listed in exclude.
+func filterIPs(out, pool, exclude []addr.IP) []addr.IP {
 outer:
 	for _, ip := range pool {
 		for _, ex := range exclude {

@@ -3,7 +3,7 @@ package mic
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"mic/internal/addr"
 	"mic/internal/ctrlplane"
@@ -182,7 +182,8 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 	}
 	for fi := 0; fi < opts.MFlows; fi++ {
 		snap := snapFlow(st, len(mods))
-		flowMods, flowInfo, err := mc.computeFlow(st, info, initHost.ID, respIP, opts, nil)
+		var flowInfo FlowInfo
+		mods, flowInfo, err = mc.computeFlow(st, info, initHost.ID, respIP, opts, nil, mods)
 		if err == nil {
 			if node, over := mc.flowOverBudget(st.rules[snap.rules:]); over {
 				err = fmt.Errorf("mic: rule budget exhausted on switch %s: %w",
@@ -191,6 +192,7 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 		}
 		if err != nil {
 			mc.unwindFlow(st, respIP, snap)
+			mods = mods[:snap.mods]
 			// Degradation ladder: under table pressure, admit with fewer
 			// m-flows (down to MinFlows) before refusing outright. Only
 			// budget pressure degrades — a routing failure still fails.
@@ -206,7 +208,6 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 		}
 		mc.chargeIntent(st.rules[snap.rules:])
 		charged = len(st.rules)
-		mods = append(mods, flowMods...)
 		info.Flows = append(info.Flows, flowInfo)
 	}
 	st.info = info
@@ -221,15 +222,16 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 // computeFlow builds one m-flow by composing the pipeline stages (plan.go):
 // planner (path + MN placement), allocator (flow IDs, entry/final
 // reservations), templater (tuple chains + rules), installer prep (channel
-// intent + southbound mods). With fixed == nil the allocator takes fresh
+// intent + southbound mods, appended to mods; on error mods is returned as
+// it came). With fixed == nil the allocator takes fresh
 // endpoint resources and records them in st; a non-nil fixed reuses
 // existing resources — the repair path, which must not change what the
 // endpoints see.
-func (mc *MC) computeFlow(st *channelState, info *ChannelInfo, initNode topo.NodeID, respIP addr.IP, opts ChannelOptions, fixed *flowRes) ([]ctrlplane.Mod, FlowInfo, error) {
+func (mc *MC) computeFlow(st *channelState, info *ChannelInfo, initNode topo.NodeID, respIP addr.IP, opts ChannelOptions, fixed *flowRes, mods []ctrlplane.Mod) ([]ctrlplane.Mod, FlowInfo, error) {
 	respNode := mc.Net.Graph.HostByIP(respIP).ID
 	plan, err := mc.planFlow(initNode, respNode, opts)
 	if err != nil {
-		return nil, FlowInfo{}, err
+		return mods, FlowInfo{}, err
 	}
 	mc.chargePathLoad(st, plan.path)
 	var res flowRes
@@ -238,12 +240,12 @@ func (mc *MC) computeFlow(st *channelState, info *ChannelInfo, initNode topo.Nod
 	} else {
 		res, err = mc.allocFlowRes(st, plan, respIP)
 		if err != nil {
-			return nil, FlowInfo{}, err
+			return mods, FlowInfo{}, err
 		}
 	}
 	recs, fi, groupsUsed := mc.templateFlow(plan, res, st.initiator, respIP, opts, st.cookie(info.ID), mc.nextGroup)
 	mc.nextGroup += groupsUsed
-	return mc.adoptFlow(st, recs), fi, nil
+	return mc.adoptFlow(st, recs, mods), fi, nil
 }
 
 // rewriteActions converts `from` into `to` at MN number j of n (1-based).
@@ -257,12 +259,15 @@ func (mc *MC) computeFlow(st *channelState, info *ChannelInfo, initNode topo.Nod
 // the paper's positional exposure (Sec III/V). Everything between is
 // MAGA-minted fakes.
 func (mc *MC) rewriteActions(from, to tuple, j, n int) []flowtable.Action {
-	actions := []flowtable.Action{
+	// Sized for the longest list a caller completes: the four rewrites, one
+	// label operation, the last-segment MAC fix-up and the output.
+	actions := make([]flowtable.Action, 0, 7)
+	actions = append(actions,
 		// lint:declassify addrleak mimic-rewrite install: chain-end tuples legitimately carry the real pair on the first/last segment (paper Sec III)
 		flowtable.SetIPSrc(to.src),
 		// lint:declassify addrleak mimic-rewrite install: same sanctioned boundary as the source rewrite above
 		flowtable.SetIPDst(to.dst),
-	}
+	)
 	if h := mc.Net.Graph.HostByIP(to.src); h != nil {
 		// lint:declassify addrleak MAC of the tuple owner; real only at chain ends, same boundary as the IP rewrite
 		actions = append(actions, flowtable.SetEthSrc(h.MAC))
@@ -309,8 +314,8 @@ func (mc *MC) buildMulticast(node, prevNode, nextNode topo.NodeID, realActions [
 			continue
 		}
 		gen := mc.gens[node]
-		srcPool := mc.reach.via(g, node, inPort)
-		dstPool := mc.reach.via(g, node, port)
+		srcPool := mc.reach.via(poolSrc, node, inPort)
+		dstPool := mc.reach.via(poolDst, node, port)
 		s, d, l := gen.MAddr(flowID, srcPool, dstPool)
 		dt := tuple{src: s, dst: d, label: l, tagged: true}
 		actions := mc.rewriteActions(arriving, dt, 1, 2)
@@ -327,21 +332,21 @@ func (mc *MC) buildMulticast(node, prevNode, nextNode topo.NodeID, realActions [
 // never routed through.
 func (mc *MC) selectPath(src, dst topo.NodeID, minSwitches int) (topo.Path, error) {
 	g := mc.Net.Graph
-	cands := mc.alivePaths(mc.lookupPaths(src, dst, -1, func() []topo.Path {
+	cands := mc.aliveSegs(0, src, dst, mc.lookupPaths(src, dst, -1, func() []topo.Path {
 		return g.EqualCostPaths(src, dst, mc.Cfg.MaxEqualCostPaths)
 	}))
-	if len(cands) > 0 && cands[0].SwitchCount(g) >= minSwitches {
-		return mc.pickPath(cands), nil
+	if len(cands) > 0 && mc.joinScratch(src, cands[0], dst).SwitchCount(g) >= minSwitches {
+		return mc.pickPath(src, dst, cands), nil
 	}
-	longer := mc.alivePaths(mc.lookupPaths(src, dst, minSwitches, func() []topo.Path {
+	longer := mc.aliveSegs(1, src, dst, mc.lookupPaths(src, dst, minSwitches, func() []topo.Path {
 		return g.PathsWithMinSwitches(src, dst, minSwitches, minSwitches+6, 64)
 	}))
 	if len(longer) > 0 {
-		return mc.pickPath(longer), nil
+		return mc.pickPath(src, dst, longer), nil
 	}
 	if len(cands) > 0 && !mc.Cfg.StrictMNs {
 		// Degrade: the caller clamps the MN count to the path's switches.
-		return mc.pickPath(cands), nil
+		return mc.pickPath(src, dst, cands), nil
 	}
 	// Routing refusals reach the dialing client; naming the endpoints here
 	// would hand the initiator the responder's real host (and a hidden
@@ -352,32 +357,59 @@ func (mc *MC) selectPath(src, dst topo.NodeID, minSwitches int) (topo.Path, erro
 	return nil, fmt.Errorf("mic: no live path between the endpoints")
 }
 
-// pickPath applies the configured path policy over equal candidates.
-func (mc *MC) pickPath(cands []topo.Path) topo.Path {
-	if mc.Cfg.PathPolicy == PathRandom || len(cands) == 1 {
-		return sim.Pick(mc.pathRng, cands)
+// joinScratch assembles the path src, seg..., dst in the MC's scratch buffer:
+// a candidate made concrete just long enough to be examined. The result is
+// valid until the next call.
+func (mc *MC) joinScratch(src topo.NodeID, seg []topo.NodeID, dst topo.NodeID) topo.Path {
+	mc.pathBuf = append(append(append(mc.pathBuf[:0], src), seg...), dst)
+	return mc.pathBuf
+}
+
+// aliveSegs filters out candidates crossing failed links or switches. The
+// survivors go into the MC's candidate buffer number which — selectPath
+// holds two sets at once — and are valid until the next call on that buffer.
+func (mc *MC) aliveSegs(which int, src, dst topo.NodeID, segs [][]topo.NodeID) [][]topo.NodeID {
+	out := mc.candBuf[which][:0]
+	for _, seg := range segs {
+		if mc.pathAlive(mc.joinScratch(src, seg, dst)) {
+			out = append(out, seg)
+		}
 	}
-	g := mc.Net.Graph
-	best := -1
-	var winners []topo.Path
-	for _, p := range cands {
-		worst := 0
-		for i := 0; i+1 < len(p); i++ {
-			load := mc.linkLoad[linkKey{p[i], g.PortTo(p[i], p[i+1])}]
-			if load > worst {
-				worst = load
+	mc.candBuf[which] = out
+	return out
+}
+
+// pickPath applies the configured path policy over equal candidates and
+// returns the chosen one as a path of its own — the only candidate that is
+// ever materialised.
+func (mc *MC) pickPath(src, dst topo.NodeID, cands [][]topo.NodeID) topo.Path {
+	if mc.Cfg.PathPolicy != PathRandom && len(cands) > 1 {
+		g := mc.Net.Graph
+		best := -1
+		winners := mc.candBuf[2][:0]
+		for _, seg := range cands {
+			p := mc.joinScratch(src, seg, dst)
+			worst := 0
+			for i := 0; i+1 < len(p); i++ {
+				load := mc.linkLoad[linkKey{p[i], g.PortTo(p[i], p[i+1])}]
+				if load > worst {
+					worst = load
+				}
+			}
+			switch {
+			case best < 0 || worst < best:
+				best = worst
+				winners = append(winners[:0], seg)
+			case worst == best:
+				winners = append(winners, seg)
 			}
 		}
-		switch {
-		case best < 0 || worst < best:
-			best = worst
-			winners = winners[:0]
-			winners = append(winners, p)
-		case worst == best:
-			winners = append(winners, p)
-		}
+		mc.candBuf[2] = winners
+		cands = winners
 	}
-	return sim.Pick(mc.pathRng, winners)
+	seg := sim.Pick(mc.pathRng, cands)
+	path := make(topo.Path, 0, len(seg)+2)
+	return append(append(append(path, src), seg...), dst)
 }
 
 // chargePathLoad records one m-flow's occupancy on every directed link of
@@ -386,6 +418,12 @@ func (mc *MC) pickPath(cands []topo.Path) topo.Path {
 // event maps to its victim channels in one lookup.
 func (mc *MC) chargePathLoad(st *channelState, path topo.Path) {
 	g := mc.Net.Graph
+	// A channel's m-flows take paths of one length: the first sizes both
+	// lists for all of them.
+	if flows := max(st.opts.MFlows, 1); len(st.links) == 0 {
+		st.links = slices.Grow(st.links, flows*2*len(path))
+		st.nodes = slices.Grow(st.nodes, flows*len(path))
+	}
 	for i := 0; i+1 < len(path); i++ {
 		fwd := linkKey{path[i], g.PortTo(path[i], path[i+1])}
 		rev := linkKey{path[i+1], g.PortTo(path[i+1], path[i])}
@@ -416,44 +454,24 @@ func (mc *MC) chargePathLoad(st *channelState, path topo.Path) {
 }
 
 // releaseLoad returns a channel's link occupancy and drops it from the
-// failure indexes.
+// failure indexes. A link's or switch's set stays behind when it empties —
+// the next channel routed there reuses it, and the fabric bounds how many
+// there can be.
 func (mc *MC) releaseLoad(st *channelState) {
 	for _, lk := range st.links {
 		if mc.linkLoad[lk] > 0 {
 			mc.linkLoad[lk]--
 		}
-		if set := mc.linkChannels[lk]; set != nil {
-			delete(set, st.id)
-			if len(set) == 0 {
-				delete(mc.linkChannels, lk)
-			}
-		}
+		delete(mc.linkChannels[lk], st.id)
 	}
 	st.links = nil
 	for _, node := range st.nodes {
-		if set := mc.nodeChannels[node]; set != nil {
-			delete(set, st.id)
-			if len(set) == 0 {
-				delete(mc.nodeChannels, node)
-			}
-		}
+		delete(mc.nodeChannels[node], st.id)
 	}
 	st.nodes = nil
 }
 
-// alivePaths filters out paths crossing failed links or switches.
-func (mc *MC) alivePaths(paths []topo.Path) []topo.Path {
-	g := mc.Net.Graph
-	out := paths[:0]
-	for _, p := range paths {
-		if mc.pathAlive(p) {
-			out = append(out, p)
-		}
-	}
-	_ = g
-	return out
-}
-
+// pathAlive reports whether no switch or link of p has failed.
 func (mc *MC) pathAlive(p topo.Path) bool {
 	g := mc.Net.Graph
 	for i, node := range p {
@@ -498,7 +516,9 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 	mc.releaseLoad(st)
 	var mods []ctrlplane.Mod
 	for i := range st.res {
-		flowMods, flowInfo, err := mc.computeFlow(st, newInfo, initHost.ID, respIP, st.opts, &st.res[i])
+		var flowInfo FlowInfo
+		var err error
+		mods, flowInfo, err = mc.computeFlow(st, newInfo, initHost.ID, respIP, st.opts, &st.res[i], mods)
 		if err != nil {
 			st.switches = oldSwitches
 			st.groups = oldGroups
@@ -508,7 +528,6 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 			mc.Net.Eng.After(0, func() { cb(err) })
 			return
 		}
-		mods = append(mods, flowMods...)
 		newInfo.Flows = append(newInfo.Flows, flowInfo)
 	}
 	// Make-before-break: install the new epoch's rules first (identical
@@ -565,12 +584,14 @@ func (mc *MC) purgeOldEpoch(switches map[topo.NodeID]bool, cookie uint64) {
 }
 
 // poolAhead returns plausible entry addresses: hosts beyond firstSwitchPos
-// along the path, from the first switch's forward egress.
+// along the path, from the first switch's forward egress. Like poolBehind's,
+// the result lives in the reachability's source buffer until the next pool
+// is drawn; reserveFake consumes it at once.
 func (mc *MC) poolAhead(path topo.Path, firstSwitchPos int, exclude ...addr.IP) []addr.IP {
 	g := mc.Net.Graph
 	sw := path[firstSwitchPos]
 	port := g.PortTo(sw, path[firstSwitchPos+1])
-	return mc.reach.via(g, sw, port, exclude...)
+	return mc.reach.via(poolSrc, sw, port, exclude...)
 }
 
 // poolBehind returns plausible final sources: hosts behind lastSwitchPos
@@ -579,7 +600,7 @@ func (mc *MC) poolBehind(path topo.Path, lastSwitchPos int, exclude ...addr.IP) 
 	g := mc.Net.Graph
 	sw := path[lastSwitchPos]
 	port := g.PortTo(sw, path[lastSwitchPos-1])
-	return mc.reach.via(g, sw, port, exclude...)
+	return mc.reach.via(poolSrc, sw, port, exclude...)
 }
 
 // reserveFake picks an address from pool that is not already reserved for
@@ -682,7 +703,7 @@ func sortedNodeSet(set map[topo.NodeID]bool) []topo.NodeID {
 	for node := range set {
 		nodes = append(nodes, node)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	return nodes
 }
 

@@ -72,8 +72,11 @@ func (r *RNG) Int63n(n int64) int64 {
 func (r *RNG) Float64() float64 { return float64(r.Uint64()>>11) / (1 << 53) }
 
 // Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+func (r *RNG) Perm(n int) []int { return r.PermInto(make([]int, n)) }
+
+// PermInto fills p with a random permutation of [0, len(p)) and returns it,
+// drawing exactly as Perm(len(p)) does; what p held before does not matter.
+func (r *RNG) PermInto(p []int) []int {
 	for i := range p {
 		j := r.Intn(i + 1)
 		p[i] = p[j]

@@ -58,6 +58,11 @@ type Graph struct {
 	// server-centric topologies (BCube). Switch-centric builders leave it
 	// false: there, hosts appear only as path endpoints.
 	AllowHostTransit bool
+
+	// Indexes maintained by add: node IDs by kind in creation order, and the
+	// first host added under each address.
+	hosts, switches []NodeID
+	byIP            map[addr.IP]*Node
 }
 
 // New returns an empty graph.
@@ -76,6 +81,17 @@ func (g *Graph) AddSwitch(name string) NodeID {
 func (g *Graph) add(n *Node) NodeID {
 	n.ID = NodeID(len(g.Nodes))
 	g.Nodes = append(g.Nodes, n)
+	if n.Kind == KindSwitch {
+		g.switches = append(g.switches, n.ID)
+		return n.ID
+	}
+	g.hosts = append(g.hosts, n.ID)
+	if g.byIP == nil {
+		g.byIP = make(map[addr.IP]*Node)
+	}
+	if _, dup := g.byIP[n.IP]; !dup {
+		g.byIP[n.IP] = n
+	}
 	return n.ID
 }
 
@@ -103,37 +119,18 @@ func (g *Graph) PortTo(from, to NodeID) int {
 	return -1
 }
 
-// Hosts returns the IDs of all host nodes, in creation order.
-func (g *Graph) Hosts() []NodeID {
-	var hs []NodeID
-	for _, n := range g.Nodes {
-		if n.Kind == KindHost {
-			hs = append(hs, n.ID)
-		}
-	}
-	return hs
-}
+// Hosts returns the IDs of all host nodes, in creation order. The slice is
+// the graph's own (capacity clipped, so appending copies); callers must not
+// modify its elements.
+func (g *Graph) Hosts() []NodeID { return g.hosts[:len(g.hosts):len(g.hosts)] }
 
-// Switches returns the IDs of all switch nodes, in creation order.
-func (g *Graph) Switches() []NodeID {
-	var ss []NodeID
-	for _, n := range g.Nodes {
-		if n.Kind == KindSwitch {
-			ss = append(ss, n.ID)
-		}
-	}
-	return ss
-}
+// Switches returns the IDs of all switch nodes, in creation order, under the
+// same sharing rule as Hosts.
+func (g *Graph) Switches() []NodeID { return g.switches[:len(g.switches):len(g.switches)] }
 
-// HostByIP returns the host node holding ip, or nil.
-func (g *Graph) HostByIP(ip addr.IP) *Node {
-	for _, n := range g.Nodes {
-		if n.Kind == KindHost && n.IP == ip {
-			return n
-		}
-	}
-	return nil
-}
+// HostByIP returns the host node holding ip (the first added, should several
+// share it), or nil.
+func (g *Graph) HostByIP(ip addr.IP) *Node { return g.byIP[ip] }
 
 // Path is a node sequence from source to destination, both inclusive.
 type Path []NodeID
@@ -216,6 +213,48 @@ func (g *Graph) distNoHostTransit(dst NodeID) []int {
 			}
 		}
 	}
+	return d
+}
+
+// Hops is a reusable breadth-first search over a graph in which hosts other
+// than the source never forward — the per-host search that common routing
+// and the MC's plausibility pools both run once per host of the fabric. Its
+// distance table and queue are NodeID-indexed buffers reused from one search
+// to the next.
+type Hops struct {
+	g     *Graph
+	dist  []int
+	queue []NodeID
+}
+
+// NewHops returns a search over g as it stands; nodes added later are not
+// covered.
+func NewHops(g *Graph) *Hops {
+	return &Hops{g: g, dist: make([]int, len(g.Nodes)), queue: make([]NodeID, 0, len(g.Nodes))}
+}
+
+// From returns every node's hop distance from src, -1 where unreachable. The
+// slice is valid until the next call.
+func (h *Hops) From(src NodeID) []int {
+	d, g := h.dist, h.g
+	for i := range d {
+		d[i] = -1
+	}
+	d[src] = 0
+	queue := append(h.queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		if g.Nodes[u].Kind == KindHost && u != src {
+			continue
+		}
+		for _, p := range g.Nodes[u].Ports {
+			if d[p.Peer] < 0 {
+				d[p.Peer] = d[u] + 1
+				queue = append(queue, p.Peer)
+			}
+		}
+	}
+	h.queue = queue
 	return d
 }
 
