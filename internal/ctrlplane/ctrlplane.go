@@ -74,7 +74,7 @@ type Channel struct {
 	// Down marks the channel's controller endpoint as crashed: nothing is
 	// sent, pending retransmit loops stop, and no callbacks fire. A failover
 	// layer sets it when the controller host dies; a restarted controller
-	// opens a fresh Channel rather than reviving a dead one, because closures
+	// opens a fresh Channel rather than reviving a dead one, because events
 	// scheduled by the old incarnation still reference the old object.
 	Down bool
 
@@ -485,7 +485,9 @@ func (c *Channel) InstallAllResult(mods []Mod, onAll func(failed int)) {
 // one barrier per switch touched, at the price of one extra round trip (the
 // barrier) on the setup's critical path. onAll receives the number of
 // individual modifications that failed: a table-full refusal counts per
-// entry; a batch abandoned after retries counts every mod it carried.
+// entry; a batch abandoned after retries counts every mod it carried. The
+// messages read mods until they resolve: the caller must leave the slice
+// untouched until onAll fires.
 func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
 	if len(mods) == 0 {
 		if onAll != nil {

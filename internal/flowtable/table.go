@@ -517,9 +517,7 @@ func (t *Table) DeleteByCookie(cookie uint64) int {
 func (t *Table) Expire(now sim.Time) []*Entry {
 	var evicted []*Entry
 	for _, e := range t.entries {
-		idle := e.IdleTimeout > 0 && now.Sub(e.LastUsed) >= e.IdleTimeout
-		hard := e.HardTimeout > 0 && now.Sub(e.Installed) >= e.HardTimeout
-		if idle || hard {
+		if idle, hard := e.expired(now); idle || hard {
 			evicted = append(evicted, e)
 		}
 	}
@@ -529,11 +527,12 @@ func (t *Table) Expire(now sim.Time) []*Entry {
 	sort.Slice(evicted, func(i, j int) bool { return entryLess(evicted[i], evicted[j]) })
 	reasons := make([]EvictReason, len(evicted))
 	for i, e := range evicted {
-		if e.HardTimeout > 0 && now.Sub(e.Installed) >= e.HardTimeout {
+		if _, hard := e.expired(now); hard {
 			t.EvictedHard++
 			reasons[i] = EvictHard
 		} else {
 			t.EvictedIdle++
+			reasons[i] = EvictIdle
 		}
 		t.remove(e)
 	}
@@ -544,6 +543,13 @@ func (t *Table) Expire(now sim.Time) []*Entry {
 		}
 	}
 	return evicted
+}
+
+// expired reports which of e's timeouts have elapsed by now.
+func (e *Entry) expired(now sim.Time) (idle, hard bool) {
+	idle = e.IdleTimeout > 0 && now.Sub(e.LastUsed) >= e.IdleTimeout
+	hard = e.HardTimeout > 0 && now.Sub(e.Installed) >= e.HardTimeout
+	return idle, hard
 }
 
 // Conflicts returns entries whose match equals m at the same priority —

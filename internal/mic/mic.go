@@ -312,12 +312,9 @@ type MC struct {
 	planCache *planCache
 	topoGen   uint64
 
-	// Scratch of path selection (rules.go), reused from dial to dial: the
-	// candidate being examined, and the alive / longer-alive / least-loaded
-	// candidate lists. Nothing in them outlives one selectPath call.
-	pathBuf topo.Path
-	candBuf [3][][]topo.NodeID
-	scratch planScratch // plan.go
+	// scratch holds the buffers path selection and the pipeline stages reuse
+	// from one m-flow to the next (plan.go).
+	scratch planScratch
 
 	// cpuFree is the virtual time at which this controller's planning CPU is
 	// next idle. Channel planning is serialized per controller process —

@@ -47,6 +47,9 @@ type flowPlan struct {
 // are building is adopted, reused from one m-flow to the next: computeFlow is
 // synchronous and never re-entered.
 type planScratch struct {
+	path  topo.Path          // selectPath: the candidate being examined
+	cands [3][][]topo.NodeID // selectPath: alive, longer-alive and least-loaded candidates
+
 	swPos, mnPos, perm []int
 	fwd, rev           []tuple   // templateFlow's tuple chains
 	recs               []ruleRec // templateFlow's output, consumed by adoptFlow

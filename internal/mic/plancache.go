@@ -12,9 +12,10 @@ import (
 // two host endpoints. The cache therefore stores switch-only path segments
 // keyed by access-switch pair; candidates are filtered and drawn as segments
 // and only the chosen one is joined to the concrete hosts, so steady-state
-// setup is O(F) rule instantiation instead of a graph search. Liveness is NOT cached: candidates are stored pre-filter and
-// alivePaths runs per lookup, while any fabric liveness event invalidates
-// the whole cache via a generation bump (mic.topoGen), covering the paths a
+// setup is O(F) rule instantiation instead of a graph search. Liveness is
+// NOT cached: candidates are stored pre-filter and aliveSegs runs per lookup,
+// while any fabric liveness event invalidates the whole cache via a
+// generation bump (mic.topoGen), covering the paths a
 // failure removed from the graph-search result itself.
 
 // planKey identifies one cached candidate set: the endpoints' access

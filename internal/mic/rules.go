@@ -361,21 +361,22 @@ func (mc *MC) selectPath(src, dst topo.NodeID, minSwitches int) (topo.Path, erro
 // a candidate made concrete just long enough to be examined. The result is
 // valid until the next call.
 func (mc *MC) joinScratch(src topo.NodeID, seg []topo.NodeID, dst topo.NodeID) topo.Path {
-	mc.pathBuf = append(append(append(mc.pathBuf[:0], src), seg...), dst)
-	return mc.pathBuf
+	sc := &mc.scratch
+	sc.path = append(append(append(sc.path[:0], src), seg...), dst)
+	return sc.path
 }
 
 // aliveSegs filters out candidates crossing failed links or switches. The
 // survivors go into the MC's candidate buffer number which — selectPath
 // holds two sets at once — and are valid until the next call on that buffer.
 func (mc *MC) aliveSegs(which int, src, dst topo.NodeID, segs [][]topo.NodeID) [][]topo.NodeID {
-	out := mc.candBuf[which][:0]
+	out := mc.scratch.cands[which][:0]
 	for _, seg := range segs {
 		if mc.pathAlive(mc.joinScratch(src, seg, dst)) {
 			out = append(out, seg)
 		}
 	}
-	mc.candBuf[which] = out
+	mc.scratch.cands[which] = out
 	return out
 }
 
@@ -386,7 +387,7 @@ func (mc *MC) pickPath(src, dst topo.NodeID, cands [][]topo.NodeID) topo.Path {
 	if mc.Cfg.PathPolicy != PathRandom && len(cands) > 1 {
 		g := mc.Net.Graph
 		best := -1
-		winners := mc.candBuf[2][:0]
+		winners := mc.scratch.cands[2][:0]
 		for _, seg := range cands {
 			p := mc.joinScratch(src, seg, dst)
 			worst := 0
@@ -404,7 +405,7 @@ func (mc *MC) pickPath(src, dst topo.NodeID, cands [][]topo.NodeID) topo.Path {
 				winners = append(winners, seg)
 			}
 		}
-		mc.candBuf[2] = winners
+		mc.scratch.cands[2] = winners
 		cands = winners
 	}
 	seg := sim.Pick(mc.pathRng, cands)

@@ -192,18 +192,25 @@ func (g *Graph) EqualCostPaths(src, dst NodeID, max int) []Path {
 }
 
 // distNoHostTransit is BFS toward dst where hosts other than dst do not
-// forward.
+// forward (unless the graph allows host transit).
 func (g *Graph) distNoHostTransit(dst NodeID) []int {
 	d := make([]int, len(g.Nodes))
+	g.hopsFrom(dst, g.AllowHostTransit, d, nil)
+	return d
+}
+
+// hopsFrom fills d with every node's hop distance from src, -1 where
+// unreachable; hosts other than src forward only if transit. It returns the
+// queue it used, for reuse.
+func (g *Graph) hopsFrom(src NodeID, transit bool, d []int, queue []NodeID) []NodeID {
 	for i := range d {
 		d[i] = -1
 	}
-	d[dst] = 0
-	queue := []NodeID{dst}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		if !g.AllowHostTransit && g.Nodes[u].Kind == KindHost && u != dst {
+	d[src] = 0
+	queue = append(queue[:0], src)
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		if !transit && g.Nodes[u].Kind == KindHost && u != src {
 			continue // hosts receive but do not forward
 		}
 		for _, p := range g.Nodes[u].Ports {
@@ -213,7 +220,7 @@ func (g *Graph) distNoHostTransit(dst NodeID) []int {
 			}
 		}
 	}
-	return d
+	return queue
 }
 
 // Hops is a reusable breadth-first search over a graph in which hosts other
@@ -236,26 +243,8 @@ func NewHops(g *Graph) *Hops {
 // From returns every node's hop distance from src, -1 where unreachable. The
 // slice is valid until the next call.
 func (h *Hops) From(src NodeID) []int {
-	d, g := h.dist, h.g
-	for i := range d {
-		d[i] = -1
-	}
-	d[src] = 0
-	queue := append(h.queue[:0], src)
-	for head := 0; head < len(queue); head++ {
-		u := queue[head]
-		if g.Nodes[u].Kind == KindHost && u != src {
-			continue
-		}
-		for _, p := range g.Nodes[u].Ports {
-			if d[p.Peer] < 0 {
-				d[p.Peer] = d[u] + 1
-				queue = append(queue, p.Peer)
-			}
-		}
-	}
-	h.queue = queue
-	return d
+	h.queue = h.g.hopsFrom(src, false, h.dist, h.queue)
+	return h.dist
 }
 
 // PathsWithMinSwitches returns simple src->dst paths that traverse at least
