@@ -2,7 +2,6 @@ package mic
 
 import (
 	"encoding/binary"
-	"sort"
 	"time"
 
 	"mic/internal/sim"
@@ -139,6 +138,36 @@ type flowHealth struct {
 	suspectUntil sim.Time
 }
 
+// fifo is a slice-backed queue, indexed from the front. Popped slots are
+// reclaimed when it empties, or when a push finds the array full and at
+// least half popped: a bounded window cycles through one array, O(1) amortized.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int    { return len(q.items) - q.head }
+func (q *fifo[T]) at(i int) *T { return &q.items[q.head+i] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	q.items = append(q.items, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.items[q.head]
+	var zero T
+	q.items[q.head] = zero
+	if q.head++; q.head == len(q.items) {
+		q.items, q.head = q.items[:0], 0
+	}
+	return v
+}
+
 // outSlice tracks one sent-but-unacked slice for retransmission.
 type outSlice struct {
 	frame  []byte // full wire frame (header + padded body): resend verbatim
@@ -152,15 +181,18 @@ type healthMonitor struct {
 	s   *Stream
 	cfg HealthConfig
 
-	flows       []flowHealth
-	outstanding map[uint32]outSlice
-	sent        []int64  // slices (first-tx + retx) transmitted per conn
-	sendQ       [][]byte // sliced frames waiting for window room
+	flows []flowHealth
+	// out is the outstanding set: slices are numbered and released in order,
+	// so it is one consecutive run of sequence numbers, retired from the
+	// front by the cumulative ack and walked in sequence order by the watchdog.
+	out   fifo[outSlice]
+	sent  []int64      // slices (first-tx + retx) transmitted per conn
+	sendQ fifo[[]byte] // sliced frames waiting for window room
 
 	nextProbe uint32
 	probation int // extra ticks to keep running after a repair notification
 
-	timerGen   uint64
+	tickFn     func() // the watchdog event, bound once
 	timerArmed bool
 
 	// Retransmits counts slices re-sent over another m-flow.
@@ -169,12 +201,12 @@ type healthMonitor struct {
 
 func newHealthMonitor(s *Stream, cfg HealthConfig) *healthMonitor {
 	m := &healthMonitor{
-		s:           s,
-		cfg:         cfg.withDefaults(),
-		flows:       make([]flowHealth, len(s.conns)),
-		outstanding: make(map[uint32]outSlice),
-		sent:        make([]int64, len(s.conns)),
+		s:     s,
+		cfg:   cfg.withDefaults(),
+		flows: make([]flowHealth, len(s.conns)),
+		sent:  make([]int64, len(s.conns)),
 	}
+	m.tickFn = m.tick
 	now := s.eng.Now()
 	for i := range m.flows {
 		m.flows[i].lastHeard = now
@@ -255,7 +287,7 @@ func (m *healthMonitor) bestEffortFlow(not int) int {
 // immediately if some m-flow has window room, queued until acks open a
 // window otherwise.
 func (m *healthMonitor) enqueue(frame []byte) {
-	m.sendQ = append(m.sendQ, frame)
+	m.sendQ.push(frame)
 	m.pump()
 	m.arm()
 }
@@ -265,16 +297,14 @@ func (m *healthMonitor) enqueue(frame []byte) {
 // reflects current health — rebalancing moves the queued backlog away
 // from a flow the moment it turns sick, not just future writes.
 func (m *healthMonitor) pump() {
-	for len(m.sendQ) > 0 {
+	for m.sendQ.len() > 0 {
 		flow := m.pickWindowedFlow()
 		if flow < 0 {
 			return
 		}
-		frame := m.sendQ[0]
-		m.sendQ = m.sendQ[1:]
-		seq := binary.BigEndian.Uint32(frame[0:4])
+		frame := m.sendQ.pop()
 		m.s.SlicesOut[flow]++
-		m.outstanding[seq] = outSlice{frame: frame, flow: flow, sentAt: m.s.eng.Now()}
+		m.out.push(outSlice{frame: frame, flow: flow, sentAt: m.s.eng.Now()})
 		m.sent[flow]++
 		m.s.conns[flow].Send(frame)
 	}
@@ -336,12 +366,8 @@ func (m *healthMonitor) onHeard(i int) {
 func (m *healthMonitor) onAck(i int, cumAck uint32, connRecv int64) {
 	m.onHeard(i)
 	m.flows[i].acked = connRecv
-	// lint:ignore detrange retire order is irrelevant: buffers recycled into the freelist are interchangeable and fully overwritten before reuse, and deletion is order-independent
-	for seq, o := range m.outstanding {
-		if seqLT32(seq, cumAck) {
-			m.s.recycleFrame(o.frame)
-			delete(m.outstanding, seq)
-		}
+	for m.out.len() > 0 && seqLT32(binary.BigEndian.Uint32(m.out.at(0).frame), cumAck) {
+		m.s.recycleFrame(m.out.pop().frame)
 	}
 	m.pump()
 }
@@ -373,7 +399,7 @@ func (m *healthMonitor) probe(i int) {
 	m.nextProbe++
 	id := m.nextProbe
 	m.flows[i].probes[id] = m.s.eng.Now()
-	m.s.conns[i].Send(ctlFrame(ctlProbe, id, 0))
+	m.s.sendCtl(i, ctlProbe, id, 0)
 }
 
 // onRepair reacts to an MC repair notification for this stream's channel:
@@ -397,24 +423,22 @@ func (m *healthMonitor) arm() {
 		return
 	}
 	m.timerArmed = true
-	gen := m.timerGen
-	m.s.eng.After(m.cfg.Interval, func() { m.tick(gen) })
+	m.s.eng.After(m.cfg.Interval, m.tickFn)
 }
 
-// disarm invalidates any pending tick and drops the queued backlog; only
-// terminal paths (Close, fail) call it.
+// disarm drops the queued backlog; only terminal paths (Close, fail) call
+// it, and a tick still pending finds the stream closed or failed.
 func (m *healthMonitor) disarm() {
-	m.timerGen++
 	m.timerArmed = false
-	m.sendQ = nil
+	m.sendQ = fifo[[]byte]{}
 }
 
 // tick is the stream-level watchdog: classify flows, probe quiet ones,
 // retransmit overdue slices, and re-arm while there is anything to watch.
 // When the stream goes idle (nothing outstanding, no probation) the timer
 // stops, so a finished transfer never keeps the engine alive.
-func (m *healthMonitor) tick(gen uint64) {
-	if gen != m.timerGen || m.s.closed || m.s.failed != nil {
+func (m *healthMonitor) tick() {
+	if m.s.closed || m.s.failed != nil {
 		return
 	}
 	m.timerArmed = false
@@ -457,7 +481,7 @@ func (m *healthMonitor) tick(gen uint64) {
 	if m.probation > 0 {
 		m.probation--
 	}
-	if len(m.outstanding) > 0 || len(m.sendQ) > 0 || m.probation > 0 {
+	if m.out.len() > 0 || m.sendQ.len() > 0 || m.probation > 0 {
 		m.arm()
 	}
 }
@@ -474,18 +498,15 @@ func (m *healthMonitor) retxTimeout() time.Duration {
 	return d
 }
 
-// retransmitOverdue re-sends every outstanding slice older than the
-// retransmission timeout over the healthiest *other* m-flow. The original
+// retransmitOverdue re-sends, in sequence order, every outstanding slice
+// older than the retransmission timeout over the healthiest *other* m-flow
+// (each resend may demote a flow and so steer the next pick). The original
 // copy may still arrive later (transport never drops data); the receiver's
 // sequence-number dedup makes that harmless.
 func (m *healthMonitor) retransmitOverdue(now sim.Time) {
 	timeout := m.retxTimeout()
-	// Map iteration order is randomized per run; collect the overdue set
-	// and sort it by sequence number so the resend order — and the RNG
-	// draws it consumes — is deterministic.
-	var due []uint32
-	// lint:ignore detrange overdue set is sorted by sequence below before any resend
-	for seq, o := range m.outstanding {
+	for i := 0; i < m.out.len(); i++ {
+		o := m.out.at(i)
 		// Exponential backoff per slice: a copy may still be crawling in
 		// over a sick-but-alive flow, and re-sending it every timeout
 		// would turn one bad link into a self-inflicted traffic storm.
@@ -496,11 +517,6 @@ func (m *healthMonitor) retransmitOverdue(now sim.Time) {
 		if time.Duration(now-o.sentAt) < wait {
 			continue
 		}
-		due = append(due, seq)
-	}
-	sort.Slice(due, func(i, j int) bool { return seqLT32(due[i], due[j]) })
-	for _, seq := range due {
-		o := m.outstanding[seq]
 		from := o.flow
 		to := m.pickOtherFlow(from)
 		m.flows[from].retx++
@@ -513,7 +529,6 @@ func (m *healthMonitor) retransmitOverdue(now sim.Time) {
 		o.flow = to
 		o.sentAt = now
 		o.retx++
-		m.outstanding[seq] = o
 		m.s.SlicesRetx++
 		m.s.conns[to].Send(o.frame)
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"mic/internal/addr"
+	"mic/internal/bytequeue"
 	"mic/internal/netsim"
 	"mic/internal/packet"
 	"mic/internal/sim"
@@ -536,7 +537,7 @@ func TestStreamSliceReassemblyOutOfOrder(t *testing.T) {
 	// Direct unit test of the slicing protocol: feed slices out of order.
 	s := &Stream{
 		reasm:    make(map[uint32][]byte),
-		parse:    make([]connParser, 2),
+		parse:    make([]bytequeue.Queue, 2),
 		slicesIn: make([]int64, 2),
 	}
 	var got []byte

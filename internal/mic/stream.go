@@ -44,15 +44,20 @@ const (
 // data they shadow preserves the partial-multicast defense's effect.
 const ackInterval = time.Millisecond
 
-// ctlFrame builds one control frame.
-func ctlFrame(typ byte, a, b uint32) []byte {
-	f := make([]byte, sliceHeaderLen+ctlBodyLen)
+// slabChunk caps one allocation of slice-frame storage (~40 slices). One
+// slab per write measured slower: fresh multi-megabyte spans zero slowly.
+const slabChunk = 32 << 10
+
+// sendCtl sends one control frame on conn i. The frame is built in the
+// stream's scratch array: every conn's Send copies before it returns.
+func (s *Stream) sendCtl(i int, typ byte, a, b uint32) {
+	f := s.ctl[:]
 	binary.BigEndian.PutUint16(f[4:6], ctlFlag|ctlBodyLen)
 	binary.BigEndian.PutUint16(f[6:8], ctlBodyLen)
 	f[sliceHeaderLen] = typ
 	binary.BigEndian.PutUint32(f[sliceHeaderLen+1:], a)
 	binary.BigEndian.PutUint32(f[sliceHeaderLen+5:], b)
-	return f
+	s.conns[i].Send(f)
 }
 
 // Stream is the application-facing byte pipe of a mimic channel: one
@@ -74,16 +79,22 @@ type Stream struct {
 	// frameFree recycles slice frame buffers. A frame becomes reusable
 	// once no Send can re-transmit it: immediately after the conn copies
 	// it (health disabled), or when its cumulative ack retires it from
-	// the outstanding set (health enabled).
+	// the outstanding set (health enabled). slab is the rest of the chunk
+	// frames are carved from when the freelist has none.
 	frameFree [][]byte
+	slab      []byte
+	ctl       [sliceHeaderLen + ctlBodyLen]byte // sendCtl's scratch frame
 
-	// Incoming.
-	parse      []connParser
+	// Incoming. A slice arriving in sequence goes from its conn's parser
+	// straight to onData; reasm holds copies of the others (overtook a gap,
+	// or arrived before a receiver was registered).
+	parse      []bytequeue.Queue
 	reasm      map[uint32][]byte
 	seqIn      uint32
 	slicesIn   []int64 // per-conn slices received (reported back in acks)
 	lastAck    []sim.Time
 	ackPending []bool
+	ackFn      []func() // per-conn delayed-ack event, bound once
 	onData     func([]byte)
 
 	onClose     func()
@@ -108,14 +119,12 @@ type Stream struct {
 	SlicesDup  int64   // duplicate slices discarded by the receiver
 }
 
-type connParser struct {
-	buf bytequeue.Queue
-}
-
-// newFrame returns an n-byte frame buffer, reusing a recycled one when its
-// capacity suffices. Callers overwrite header and payload and must clear
-// any padding themselves.
-func (s *Stream) newFrame(n int) []byte {
+// newFrame returns an n-byte frame buffer: a recycled one of sufficient
+// capacity, else carved from the slab, which is replenished with a chunk
+// sized for the rest bytes the current Send has yet to slice (headers add
+// at most sliceHeaderLen per minSlice) — so a small Send allocates exactly
+// its frame. Callers overwrite header and payload and clear any padding.
+func (s *Stream) newFrame(n, rest int) []byte {
 	if k := len(s.frameFree); k > 0 {
 		b := s.frameFree[k-1]
 		s.frameFree = s.frameFree[:k-1]
@@ -123,7 +132,12 @@ func (s *Stream) newFrame(n int) []byte {
 			return b[:n]
 		}
 	}
-	return make([]byte, n)
+	if len(s.slab) < n {
+		s.slab = make([]byte, max(n, min(slabChunk, n+rest+rest*sliceHeaderLen/minSlice+sliceHeaderLen)))
+	}
+	b := s.slab[:n:n]
+	s.slab = s.slab[n:]
+	return b
 }
 
 // recycleFrame returns a frame to the freelist. Only frames that no code
@@ -142,10 +156,11 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 		rng:        rng,
 		eng:        eng,
 		reasm:      make(map[uint32][]byte),
-		parse:      make([]connParser, len(conns)),
+		parse:      make([]bytequeue.Queue, len(conns)),
 		slicesIn:   make([]int64, len(conns)),
 		lastAck:    make([]sim.Time, len(conns)),
 		ackPending: make([]bool, len(conns)),
+		ackFn:      make([]func(), len(conns)),
 		connClosed: make([]bool, len(conns)),
 		SlicesOut:  make([]int64, len(conns)),
 	}
@@ -154,6 +169,7 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 	}
 	for i, c := range conns {
 		i, c := i, c
+		s.ackFn[i] = func() { s.delayedAck(i) }
 		c.OnData(func(b []byte) { s.feed(i, b) })
 		c.OnClose(func() {
 			s.connClosed[i] = true
@@ -206,7 +222,10 @@ func (s *Stream) SetUniformSliceSize(size int) {
 func (s *Stream) Err() error { return s.failed }
 
 // Send slices data and spreads the slices across the m-flows, weighted by
-// flow health (uniformly when the health machinery is disabled).
+// flow health (uniformly when the health machinery is disabled). data is
+// copied into slice frames before Send returns. Slicing is eager even when
+// the window is full: slice sizes and flow picks interleave on one RNG while
+// the window has room, so deferring either would move the draw sequence.
 func (s *Stream) Send(data []byte) {
 	if s.closed || s.failed != nil {
 		return
@@ -227,7 +246,7 @@ func (s *Stream) Send(data []byte) {
 			}
 			padded = n
 		}
-		body := s.newFrame(sliceHeaderLen + padded)
+		body := s.newFrame(sliceHeaderLen+padded, len(data)-n)
 		binary.BigEndian.PutUint32(body[0:4], s.seqOut)
 		binary.BigEndian.PutUint16(body[4:6], uint16(n))
 		binary.BigEndian.PutUint16(body[6:8], uint16(padded))
@@ -250,8 +269,10 @@ func (s *Stream) Send(data []byte) {
 	}
 }
 
-// OnData registers the receive callback and flushes anything already
-// reassembled.
+// OnData registers the receive callback and flushes anything reassembled
+// while none was registered. The slice handed to fn aliases parser or
+// reassembly storage and is valid only during the call (Conn.OnData's
+// contract); fn may Send it — Send copies before it returns.
 func (s *Stream) OnData(fn func([]byte)) {
 	s.onData = fn
 	s.drain()
@@ -317,37 +338,46 @@ func (s *Stream) Close() {
 
 // feed accepts raw bytes from connection i and extracts complete frames.
 func (s *Stream) feed(i int, b []byte) {
-	p := &s.parse[i]
-	p.buf.Append(b)
+	q := &s.parse[i]
+	q.Append(b)
 	gotSlices := false
-	for {
-		if p.buf.Len() < sliceHeaderLen {
-			break
-		}
-		buf := p.buf.Bytes()
-		rawLen := binary.BigEndian.Uint16(buf[4:6])
+	for q.Len() >= sliceHeaderLen {
+		hdr := q.Front(sliceHeaderLen)
+		seq := binary.BigEndian.Uint32(hdr[0:4])
+		rawLen := binary.BigEndian.Uint16(hdr[4:6])
+		padded := int(binary.BigEndian.Uint16(hdr[6:8]))
 		if rawLen&ctlFlag != 0 {
 			blen := int(rawLen &^ ctlFlag)
-			if p.buf.Len() < sliceHeaderLen+blen {
+			if q.Len() < sliceHeaderLen+blen {
 				break
 			}
-			s.handleCtl(i, buf[sliceHeaderLen:sliceHeaderLen+blen])
-			p.buf.PopFront(sliceHeaderLen + blen)
+			s.handleCtl(i, q.Front(sliceHeaderLen + blen)[sliceHeaderLen:])
+			q.PopFront(sliceHeaderLen + blen)
 			continue
 		}
 		n := int(rawLen)
-		padded := int(binary.BigEndian.Uint16(buf[6:8]))
 		if padded < n {
 			padded = n // tolerate unpadded frames
 		}
-		if p.buf.Len() < sliceHeaderLen+padded {
+		if q.Len() < sliceHeaderLen+padded {
 			break
 		}
-		seq := binary.BigEndian.Uint32(buf[0:4])
-		payload := buf[sliceHeaderLen : sliceHeaderLen+n]
+		payload := q.Front(sliceHeaderLen + padded)[sliceHeaderLen : sliceHeaderLen+n]
 		gotSlices = true
 		if i < len(s.slicesIn) {
 			s.slicesIn[i]++
+		}
+		if seq == s.seqIn && s.onData != nil {
+			// The common case: deliver straight from the parser, then see
+			// whether this slice closed a gap in front of buffered ones.
+			s.seqIn++
+			s.BytesRecv += int64(n)
+			s.onData(payload)
+			q.PopFront(sliceHeaderLen + padded)
+			if len(s.reasm) > 0 {
+				s.drain()
+			}
+			continue
 		}
 		if _, dup := s.reasm[seq]; dup || seqLT32(seq, s.seqIn) {
 			// Already delivered or already buffered: a retransmitted slice's
@@ -356,8 +386,7 @@ func (s *Stream) feed(i int, b []byte) {
 		} else {
 			s.reasm[seq] = append([]byte(nil), payload...)
 		}
-		p.buf.PopFront(sliceHeaderLen + padded)
-		s.drain()
+		q.PopFront(sliceHeaderLen + padded)
 	}
 	if gotSlices && !s.closed && s.failed == nil && i < len(s.conns) {
 		// Ack on the conn the data arrived on: the cumulative ack frees the
@@ -385,21 +414,21 @@ func (s *Stream) maybeAck(i int) {
 		return
 	}
 	s.ackPending[i] = true
-	s.eng.After(s.lastAck[i].Add(ackInterval).Sub(now), func() {
-		if !s.ackPending[i] {
-			return
-		}
-		s.ackPending[i] = false
-		if s.closed || s.failed != nil || s.connClosed[i] {
-			return
-		}
-		s.lastAck[i] = s.eng.Now()
-		s.sendAck(i)
-	})
+	s.eng.After(s.lastAck[i].Add(ackInterval).Sub(now), s.ackFn[i])
+}
+
+// delayedAck is the trailing ack maybeAck scheduled on conn i.
+func (s *Stream) delayedAck(i int) {
+	s.ackPending[i] = false
+	if s.closed || s.failed != nil || s.connClosed[i] {
+		return
+	}
+	s.lastAck[i] = s.eng.Now()
+	s.sendAck(i)
 }
 
 func (s *Stream) sendAck(i int) {
-	s.conns[i].Send(ctlFrame(ctlAck, s.seqIn, uint32(s.slicesIn[i])))
+	s.sendCtl(i, ctlAck, s.seqIn, uint32(s.slicesIn[i]))
 }
 
 // handleCtl dispatches one control frame that arrived on connection i.
@@ -416,7 +445,7 @@ func (s *Stream) handleCtl(i int, body []byte) {
 		}
 	case ctlProbe:
 		if !s.closed && s.failed == nil {
-			s.conns[i].Send(ctlFrame(ctlProbeAck, a, 0))
+			s.sendCtl(i, ctlProbeAck, a, 0)
 		}
 	case ctlProbeAck:
 		if s.health != nil {
@@ -425,7 +454,7 @@ func (s *Stream) handleCtl(i int, body []byte) {
 	}
 }
 
-// drain delivers contiguous slices in order.
+// drain delivers the buffered slices that have become contiguous.
 func (s *Stream) drain() {
 	if s.onData == nil {
 		return

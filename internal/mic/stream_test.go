@@ -1,0 +1,184 @@
+package mic
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+
+	"mic/internal/netsim"
+	"mic/internal/sim"
+	"mic/internal/topo"
+	"mic/internal/transport"
+)
+
+// The OnData contract: the slice handed to the callback aliases parser (or
+// pooled-packet) storage and dies when the callback returns. Both tests run
+// on the fixture's poisoning packet pool, so a byte read after its owner
+// let go of it arrives as 0xA5 and breaks the comparison.
+
+// TestEchoInsideCallback: the handler sends the very slice it was handed.
+// Send must have copied it before returning, on both the plain and the
+// MIC-SSL conn, or the echo comes back corrupted.
+func TestEchoInsideCallback(t *testing.T) {
+	for _, secure := range []bool{false, true} {
+		f := newFixture(t, Config{MNs: 2})
+		Listen(f.stacks[15], 80, secure, func(s *Stream) {
+			s.OnData(func(b []byte) { s.Send(b) })
+		})
+		want := pattern(300 << 10)
+		var got []byte
+		client := NewClient(f.stacks[0], f.mc)
+		client.Secure = secure
+		client.Dial(f.hostIP(15).String(), 80, func(s *Stream, err error) {
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			s.OnData(func(b []byte) { got = append(got, b...) })
+			s.Send(want)
+		})
+		f.eng.Run()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("secure=%v: echo returned %d bytes, first difference at %d of %d", secure, len(got), diffAt(got, want), len(want))
+		}
+	}
+}
+
+// TestReorderedFlowsDeliverExactStream: F = 4 over links that reorder, so
+// slices overtake each other across and within m-flows and the receiver
+// mixes the in-order bypass with reassembly.
+func TestReorderedFlowsDeliverExactStream(t *testing.T) {
+	f := newFixture(t, Config{MFlows: 4, MNs: 2})
+	for _, sw := range f.graph.Switches() {
+		for port, p := range f.graph.Node(sw).Ports {
+			if f.graph.Node(p.Peer).Kind == topo.KindSwitch && sw < p.Peer {
+				f.net.SetLinkFault(sw, port, netsim.FaultProfile{Reorder: 0.3})
+			}
+		}
+	}
+	var got []byte
+	var server *Stream
+	Listen(f.stacks[15], 80, false, func(s *Stream) {
+		server = s
+		s.OnData(func(b []byte) { got = append(got, b...) })
+	})
+	want := pattern(512 << 10)
+	NewClient(f.stacks[0], f.mc).Dial(f.hostIP(15).String(), 80, func(s *Stream, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		s.Send(want)
+	})
+	f.eng.Run()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d bytes, first difference at %d of %d", len(got), diffAt(got, want), len(want))
+	}
+	if len(server.reasm) != 0 {
+		t.Fatalf("%d slices left in reassembly", len(server.reasm))
+	}
+}
+
+// stubConn is a ByteStream that keeps what it was sent until the test moves
+// it to the peer, so stream allocation budgets exclude transport.
+type stubConn struct{ out []byte }
+
+func (c *stubConn) Send(b []byte)       { c.out = append(c.out, b...) }
+func (c *stubConn) OnData(func([]byte)) {}
+func (c *stubConn) OnClose(func())      {}
+func (c *stubConn) Close()              {}
+
+// take returns the bytes sent since the last take.
+func (c *stubConn) take() []byte {
+	b := c.out
+	c.out = c.out[:0]
+	return b
+}
+
+func stubStream(eng *sim.Engine) (*Stream, *stubConn) {
+	c := &stubConn{out: make([]byte, 0, 2<<20)}
+	s := newStream([]transport.ByteStream{c}, sim.NewRNG(1), eng, HealthConfig{})
+	s.OnData(func([]byte) {})
+	return s, c
+}
+
+// TestSmallRoundAllocFree: a 64-byte send, its delivery, the (delayed)
+// cumulative ack and the retirement of the frame allocate nothing at either
+// end once the freelist, the parsers and the windows have warmed up.
+func TestSmallRoundAllocFree(t *testing.T) {
+	eng := sim.New()
+	a, ac := stubStream(eng)
+	b, bc := stubStream(eng)
+	msg := pattern(64)
+	round := func() {
+		a.Send(msg)
+		b.feed(0, ac.take())
+		eng.RunFor(ackInterval) // the trailing ack and, every other round, the watchdog
+		a.feed(0, bc.take())
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
+		t.Fatalf("64-byte send/deliver/ack round allocated %v times, want 0", allocs)
+	}
+	if b.BytesRecv != a.BytesSent || a.health.out.len() != 0 {
+		t.Fatalf("rounds did not complete: sent %d, received %d, %d outstanding", a.BytesSent, b.BytesRecv, a.health.out.len())
+	}
+}
+
+// TestBulkSendAllocBudget: Send(1 MiB) carves its ~1270 frames from slab
+// chunks — at most one allocation per 16 KiB written, the windows included.
+func TestBulkSendAllocBudget(t *testing.T) {
+	const size = 1 << 20
+	eng := sim.New()
+	a, ac := stubStream(eng)
+	data := pattern(size)
+	var ack [sliceHeaderLen + ctlBodyLen]byte
+	binary.BigEndian.PutUint16(ack[4:6], ctlFlag|ctlBodyLen)
+	ack[sliceHeaderLen] = ctlAck
+	send := func() {
+		a.Send(data)
+		// Ack whatever was released until the backlog has drained.
+		for m := a.health; m.out.len() > 0; {
+			ac.take()
+			binary.BigEndian.PutUint32(ack[sliceHeaderLen+1:], a.seqOut-uint32(m.sendQ.len()))
+			binary.BigEndian.PutUint32(ack[sliceHeaderLen+5:], uint32(m.sent[0]))
+			a.feed(0, ack[:])
+		}
+	}
+	send()
+	allocs := testing.AllocsPerRun(10, send)
+	t.Logf("Send(1 MiB): %.0f allocs", allocs)
+	if allocs > size/(16<<10) {
+		t.Fatalf("Send(1 MiB) allocated %.0f times, budget %d", allocs, size/(16<<10))
+	}
+}
+
+// TestInOrderFeedAllocFree: a full-size slice arriving in sequence goes from
+// the parser to the callback without a copy, a map operation or an
+// allocation.
+func TestInOrderFeedAllocFree(t *testing.T) {
+	eng := sim.New()
+	b, _ := stubStream(eng)
+	delivered := 0
+	b.OnData(func(p []byte) { delivered += len(p) })
+	frame := make([]byte, sliceHeaderLen+maxSlice)
+	binary.BigEndian.PutUint16(frame[4:6], maxSlice)
+	binary.BigEndian.PutUint16(frame[6:8], maxSlice)
+	seq := uint32(0)
+	feed := func() {
+		binary.BigEndian.PutUint32(frame[0:4], seq)
+		seq++
+		// Split mid-frame, as segment boundaries do.
+		b.feed(0, frame[:900])
+		b.feed(0, frame[900:])
+	}
+	for i := 0; i < 8; i++ {
+		feed()
+	}
+	if allocs := testing.AllocsPerRun(500, feed); allocs != 0 {
+		t.Fatalf("in-order feed allocated %v times, want 0", allocs)
+	}
+	if delivered != int(seq)*maxSlice || len(b.reasm) != 0 {
+		t.Fatalf("delivered %d bytes of %d slices, %d in reassembly", delivered, seq, len(b.reasm))
+	}
+}

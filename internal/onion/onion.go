@@ -141,7 +141,7 @@ type cellParser struct {
 func (p *cellParser) feed(b []byte, emit func(cell)) {
 	p.buf.Append(b)
 	for p.buf.Len() >= CellSize {
-		emit(parseCell(p.buf.Bytes()[:CellSize]))
+		emit(parseCell(p.buf.Front(CellSize)))
 		p.buf.PopFront(CellSize)
 	}
 }

@@ -131,12 +131,17 @@ func (p *Packet) SetDstIP(ip addr.IP) {
 // SetPayload copies b into the packet's own backing buffer (pool-owned for
 // pooled packets), so the caller's slice is not aliased and may be reused
 // immediately.
-func (p *Packet) SetPayload(b []byte) {
-	if cap(p.buf) < len(b) {
-		p.buf = make([]byte, len(b))
+func (p *Packet) SetPayload(b []byte) { p.SetPayloadSpans(b, nil) }
+
+// SetPayloadSpans is SetPayload for a payload held in two pieces — a ring
+// buffer's live bytes across its wrap: the packet carries a followed by b.
+func (p *Packet) SetPayloadSpans(a, b []byte) {
+	n := len(a) + len(b)
+	if cap(p.buf) < n {
+		p.buf = make([]byte, n)
 	}
-	p.buf = p.buf[:len(b)]
-	copy(p.buf, b)
+	p.buf = p.buf[:n]
+	copy(p.buf[copy(p.buf, a):], b)
 	p.Payload = p.buf
 }
 

@@ -3,6 +3,11 @@ package transport
 // ByteStream is the byte-pipe abstraction shared by plain connections and
 // SSL connections. The MIC client library runs identically over either,
 // which is how the paper evaluates both MIC-TCP and MIC-SSL.
+//
+// Buffer ownership is the same on every implementation: Send copies data
+// before it returns; the slice handed to an OnData callback is valid only
+// during the call. Register OnData before the accept/connect callback
+// returns — a Conn drops bytes that arrive with no receiver.
 type ByteStream interface {
 	Send(data []byte)
 	OnData(fn func([]byte))

@@ -122,8 +122,11 @@ func (c *Conn) LocalAddr() (addr.IP, uint16) { return c.tuple.SrcIP, c.tuple.Src
 // — under MIC this is an m-address, not the peer's real identity.
 func (c *Conn) RemoteAddr() (addr.IP, uint16) { return c.tuple.DstIP, c.tuple.DstPort }
 
-// OnData registers the receive callback. Data already buffered in order is
-// delivered immediately.
+// OnData registers the receive callback. Bytes that arrive in order while no
+// callback is registered are acknowledged and dropped, so register inside
+// the Listen/Dial callback, before control returns to the engine. The slice
+// handed to fn aliases a pooled packet's payload and is valid only during
+// the call: copy what must outlive it.
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 
 // OnClose registers a callback fired when the remote side closes.
@@ -157,25 +160,24 @@ func seqLE(a, b uint32) bool { return int32(b-a) >= 0 }
 // seqLT reports a < b in sequence space.
 func seqLT(a, b uint32) bool { return int32(b-a) > 0 }
 
-// mkPacket builds a frame on a pooled packet. The payload bytes are copied
-// into the packet's own buffer (SetPayload), so callers may keep mutating
-// the source slice — send-buffer segments are not aliased by in-flight
-// frames.
-func (c *Conn) mkPacket(flags uint8, seq uint32, payload []byte) *packet.Packet {
+// mkPacket builds a frame on a pooled packet carrying n bytes of the send
+// buffer from offset off (n == 0: no payload). The bytes are copied into the
+// packet's own buffer, so in-flight frames never alias the send buffer.
+func (c *Conn) mkPacket(flags uint8, seq uint32, off, n int) *packet.Packet {
 	p := c.stack.pool.Get()
 	p.SrcMAC, p.DstMAC = c.stack.Host.MAC, addr.Broadcast
 	p.SrcIP, p.DstIP = c.tuple.SrcIP, c.tuple.DstIP
 	p.Proto, p.TTL = packet.ProtoTCP, 64
 	p.SrcPort, p.DstPort = c.tuple.SrcPort, c.tuple.DstPort
 	p.Seq, p.Ack, p.Flags, p.Window = seq, c.rcvNxt, flags, 65535
-	if len(payload) > 0 {
-		p.SetPayload(payload)
+	if n > 0 {
+		p.SetPayloadSpans(c.sendBuf.Spans(off, n))
 	}
 	return p
 }
 
 func (c *Conn) sendSYN() {
-	c.stack.emit(c.mkPacket(packet.FlagSYN, c.iss, nil))
+	c.stack.emit(c.mkPacket(packet.FlagSYN, c.iss, 0, 0))
 	c.sndNxt = c.iss + 1
 	c.bumpMax()
 	c.armTimer()
@@ -189,14 +191,14 @@ func (c *Conn) bumpMax() {
 }
 
 func (c *Conn) sendSYNACK() {
-	c.stack.emit(c.mkPacket(packet.FlagSYN|packet.FlagACK, c.iss, nil))
+	c.stack.emit(c.mkPacket(packet.FlagSYN|packet.FlagACK, c.iss, 0, 0))
 	c.sndNxt = c.iss + 1
 	c.bumpMax()
 	c.armTimer()
 }
 
 func (c *Conn) sendACK() {
-	c.stack.emit(c.mkPacket(packet.FlagACK, c.sndNxt, nil))
+	c.stack.emit(c.mkPacket(packet.FlagACK, c.sndNxt, 0, 0))
 }
 
 // pump transmits as much pending data as the congestion window allows.
@@ -228,8 +230,7 @@ func (c *Conn) pump() {
 				}
 				n = c.cwnd - inflight
 			}
-			seg := c.sendBuf.Bytes()[sent : sent+n]
-			c.stack.emit(c.mkPacket(packet.FlagACK|packet.FlagPSH, c.sndNxt, seg))
+			c.stack.emit(c.mkPacket(packet.FlagACK|packet.FlagPSH, c.sndNxt, sent, n))
 			if !c.sampling {
 				c.sampling = true
 				c.sampleSeq = c.sndNxt + uint32(n)
@@ -243,7 +244,7 @@ func (c *Conn) pump() {
 		// All data sent: emit FIN if requested and window permits.
 		if c.finQueued && !c.finSent && avail == 0 {
 			c.finSeq = c.sndNxt
-			c.stack.emit(c.mkPacket(packet.FlagFIN|packet.FlagACK, c.sndNxt, nil))
+			c.stack.emit(c.mkPacket(packet.FlagFIN|packet.FlagACK, c.sndNxt, 0, 0))
 			c.sndNxt++
 			c.bumpMax()
 			c.finSent = true
@@ -280,7 +281,7 @@ func (c *Conn) handle(p *packet.Packet) {
 			// SYN with a challenge ACK instead of a SYN-ACK. Reset that
 			// stale incarnation; our retransmitted SYN then finds the
 			// listener and the handshake restarts cleanly.
-			c.stack.emit(c.mkPacket(packet.FlagRST, p.Ack, nil))
+			c.stack.emit(c.mkPacket(packet.FlagRST, p.Ack, 0, 0))
 		}
 		return
 	case stateSynRcvd:
@@ -473,18 +474,18 @@ func (c *Conn) retransmitOldest() {
 	c.sampling = false
 	switch {
 	case c.state == stateSynSent:
-		c.stack.emit(c.mkPacket(packet.FlagSYN, c.iss, nil))
+		c.stack.emit(c.mkPacket(packet.FlagSYN, c.iss, 0, 0))
 	case c.state == stateSynRcvd:
-		c.stack.emit(c.mkPacket(packet.FlagSYN|packet.FlagACK, c.iss, nil))
+		c.stack.emit(c.mkPacket(packet.FlagSYN|packet.FlagACK, c.iss, 0, 0))
 	case c.finSent && c.sndUna == c.finSeq:
-		c.stack.emit(c.mkPacket(packet.FlagFIN|packet.FlagACK, c.finSeq, nil))
+		c.stack.emit(c.mkPacket(packet.FlagFIN|packet.FlagACK, c.finSeq, 0, 0))
 	default:
 		sent := int(c.sndUna - c.bufSeq)
 		if sent < 0 || sent >= c.sendBuf.Len() {
 			return
 		}
 		n := min(MSS, c.sendBuf.Len()-sent)
-		c.stack.emit(c.mkPacket(packet.FlagACK|packet.FlagPSH, c.sndUna, c.sendBuf.Bytes()[sent:sent+n]))
+		c.stack.emit(c.mkPacket(packet.FlagACK|packet.FlagPSH, c.sndUna, sent, n))
 	}
 	c.armTimer()
 }

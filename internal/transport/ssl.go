@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mic/internal/addr"
+	"mic/internal/bytequeue"
 )
 
 // SSL cost model. Records are really encrypted (AES-256-CTR) and
@@ -42,7 +43,8 @@ type SecureConn struct {
 	enc, dec   cipher.Stream
 	macKeyOut  []byte
 	macKeyIn   []byte
-	recvBuf    []byte
+	recvBuf    bytequeue.Queue
+	onRecord   func(typ byte, payload []byte) // the current handshake step, then decrypt
 	onData     func([]byte)
 	onClose    func()
 	busyUntil  int64 // virtual-ns until which this conn's CPU is busy
@@ -71,30 +73,22 @@ func (s *Stack) DialSSL(dst addr.IP, port uint16, onReady func(*SecureConn, erro
 		// ClientHello.
 		sc.chargeCrypto(sslHandshakeClientCost)
 		c.Send(frameRecord(recordTypeHandshake, priv.PublicKey().Bytes()))
-		step := 0
-		c.OnData(func(b []byte) {
-			sc.recvBuf = append(sc.recvBuf, b...)
-			for {
-				typ, payload, rest, ok := splitRecord(sc.recvBuf)
-				if !ok {
-					return
-				}
-				sc.recvBuf = rest
-				if step == 0 && typ == recordTypeHandshake && len(payload) == 32 {
-					master, err := sharedMaster(priv, payload)
-					if err != nil {
-						continue // malformed key share: ignore record
-					}
-					sc.deriveKeys(master, true)
-					sc.chargeCrypto(sslHandshakeClientCost)
-					c.Send(frameRecord(recordTypeHandshake, []byte("finished")))
-					step = 1
-					sc.handshaken = true
-					sc.installDataPath()
-					onReady(sc, nil)
-				}
+		sc.onRecord = func(typ byte, payload []byte) {
+			if typ != recordTypeHandshake || len(payload) != 32 {
+				return
 			}
-		})
+			master, err := sharedMaster(priv, payload)
+			if err != nil {
+				return // malformed key share: ignore record
+			}
+			sc.deriveKeys(master, true)
+			sc.chargeCrypto(sslHandshakeClientCost)
+			c.Send(frameRecord(recordTypeHandshake, []byte("finished")))
+			sc.handshaken = true
+			sc.installDataPath()
+			onReady(sc, nil)
+		}
+		c.OnData(sc.feed)
 	})
 }
 
@@ -105,32 +99,24 @@ func (s *Stack) ListenSSL(port uint16, onReady func(*SecureConn)) *Listener {
 		sc := &SecureConn{C: c, stack: s}
 		priv := keyFor(c.tuple.SrcIP, c.tuple.SrcPort, 0x5E44)
 		step := 0
-		c.OnData(func(b []byte) {
-			sc.recvBuf = append(sc.recvBuf, b...)
-			for {
-				typ, payload, rest, ok := splitRecord(sc.recvBuf)
-				if !ok {
+		sc.onRecord = func(typ byte, payload []byte) {
+			switch {
+			case step == 0 && typ == recordTypeHandshake && len(payload) == 32:
+				master, err := sharedMaster(priv, payload)
+				if err != nil {
 					return
 				}
-				sc.recvBuf = rest
-				switch {
-				case step == 0 && typ == recordTypeHandshake && len(payload) == 32:
-					master, err := sharedMaster(priv, payload)
-					if err != nil {
-						continue
-					}
-					sc.deriveKeys(master, false)
-					sc.chargeCrypto(sslHandshakeServerCost) // certificate signature
-					c.Send(frameRecord(recordTypeHandshake, priv.PublicKey().Bytes()))
-					step = 1
-				case step == 1 && typ == recordTypeHandshake:
-					step = 2
-					sc.handshaken = true
-					sc.installDataPath()
-					onReady(sc)
-				}
+				sc.deriveKeys(master, false)
+				sc.chargeCrypto(sslHandshakeServerCost) // certificate signature
+				c.Send(frameRecord(recordTypeHandshake, priv.PublicKey().Bytes()))
+				step = 1
+			case step == 1 && typ == recordTypeHandshake:
+				sc.handshaken = true
+				sc.installDataPath()
+				onReady(sc)
 			}
-		})
+		}
+		c.OnData(sc.feed)
 	})
 }
 
@@ -195,32 +181,39 @@ func (sc *SecureConn) deriveKeys(master [32]byte, isClient bool) {
 	}
 }
 
-// installDataPath switches the underlying conn's OnData to record decrypt.
-func (sc *SecureConn) installDataPath() {
-	sc.C.OnData(func(b []byte) {
-		sc.recvBuf = append(sc.recvBuf, b...)
-		for {
-			typ, payload, rest, ok := splitRecord(sc.recvBuf)
-			if !ok {
-				return
-			}
-			sc.recvBuf = rest
-			if typ != recordTypeData || len(payload) < sslMACLen {
-				continue
-			}
-			body, mac := payload[:len(payload)-sslMACLen], payload[len(payload)-sslMACLen:]
-			sc.chargeCrypto(sslPerRecordCost + time.Duration(len(body))*sslPerByteCost)
-			if !sc.checkMAC(body, mac) {
-				continue // corrupted record: drop
-			}
-			plain := make([]byte, len(body))
-			sc.dec.XORKeyStream(plain, body)
-			sc.BytesRecvApp += int64(len(plain))
-			if sc.onData != nil {
-				sc.onData(plain)
-			}
+// feed is the underlying conn's receive callback for its whole life: every
+// complete record goes to whichever handler is current at its turn. The
+// payload aliases the queue and is popped once the handler returns.
+func (sc *SecureConn) feed(b []byte) {
+	sc.recvBuf.Append(b)
+	for {
+		typ, payload, ok := splitRecord(&sc.recvBuf)
+		if !ok {
+			return
 		}
-	})
+		sc.onRecord(typ, payload)
+		sc.recvBuf.PopFront(sslRecordHeaderLen + len(payload))
+	}
+}
+
+// installDataPath switches the record handler to decrypt-and-deliver; the
+// record is decrypted in place in the receive queue.
+func (sc *SecureConn) installDataPath() {
+	sc.onRecord = func(typ byte, payload []byte) {
+		if typ != recordTypeData || len(payload) < sslMACLen {
+			return
+		}
+		body, mac := payload[:len(payload)-sslMACLen], payload[len(payload)-sslMACLen:]
+		sc.chargeCrypto(sslPerRecordCost + time.Duration(len(body))*sslPerByteCost)
+		if !sc.checkMAC(body, mac) {
+			return // corrupted record: drop
+		}
+		sc.dec.XORKeyStream(body, body)
+		sc.BytesRecvApp += int64(len(body))
+		if sc.onData != nil {
+			sc.onData(body)
+		}
+	}
 	sc.C.OnClose(func() {
 		if sc.onClose != nil {
 			sc.onClose()
@@ -262,7 +255,8 @@ func (sc *SecureConn) Send(data []byte) {
 	}
 }
 
-// OnData registers the plaintext receive callback.
+// OnData registers the plaintext receive callback (ByteStream's contract:
+// records arriving with none are dropped; fn's slice dies when fn returns).
 func (sc *SecureConn) OnData(fn func([]byte)) { sc.onData = fn }
 
 // OnClose registers a close callback.
@@ -292,14 +286,16 @@ func frameRecord(typ byte, payload []byte) []byte {
 	return out
 }
 
-// splitRecord pops one complete record off buf.
-func splitRecord(buf []byte) (typ byte, payload, rest []byte, ok bool) {
-	if len(buf) < sslRecordHeaderLen {
-		return 0, nil, buf, false
+// splitRecord returns the complete record at the front of q, if any, without
+// consuming it: it occupies sslRecordHeaderLen+len(payload) bytes.
+func splitRecord(q *bytequeue.Queue) (typ byte, payload []byte, ok bool) {
+	if q.Len() < sslRecordHeaderLen {
+		return 0, nil, false
 	}
-	n := int(binary.BigEndian.Uint16(buf[1:3]))
-	if len(buf) < sslRecordHeaderLen+n {
-		return 0, nil, buf, false
+	n := sslRecordHeaderLen + int(binary.BigEndian.Uint16(q.Front(sslRecordHeaderLen)[1:3]))
+	if q.Len() < n {
+		return 0, nil, false
 	}
-	return buf[0], buf[sslRecordHeaderLen : sslRecordHeaderLen+n], buf[sslRecordHeaderLen+n:], true
+	rec := q.Front(n)
+	return rec[0], rec[sslRecordHeaderLen:], true
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mic/internal/bytequeue"
 	"mic/internal/ctrlplane"
 	"mic/internal/netsim"
 	"mic/internal/sim"
@@ -431,22 +432,26 @@ func TestSSLHandshakeSlowerThanTCP(t *testing.T) {
 
 func TestRecordFraming(t *testing.T) {
 	rec := frameRecord(recordTypeData, []byte("abc"))
-	typ, payload, rest, ok := splitRecord(rec)
-	if !ok || typ != recordTypeData || string(payload) != "abc" || len(rest) != 0 {
-		t.Fatalf("framing round trip failed: %v %q %v %v", typ, payload, rest, ok)
+	var q bytequeue.Queue
+	// Partial buffers must not yield a record.
+	q.Append(rec[:2])
+	if _, _, ok := splitRecord(&q); ok {
+		t.Fatal("partial header yielded a record")
 	}
-	// Partial buffers must not pop.
-	if _, _, _, ok := splitRecord(rec[:2]); ok {
-		t.Fatal("partial header popped")
-	}
-	if _, _, _, ok := splitRecord(rec[:len(rec)-1]); ok {
-		t.Fatal("partial payload popped")
+	q.Append(rec[2 : len(rec)-1])
+	if _, _, ok := splitRecord(&q); ok {
+		t.Fatal("partial payload yielded a record")
 	}
 	// Two records back-to-back.
-	two := append(append([]byte{}, rec...), frameRecord(recordTypeHandshake, []byte("xy"))...)
-	_, _, rest, _ = splitRecord(two)
-	typ, payload, rest, ok = splitRecord(rest)
-	if !ok || typ != recordTypeHandshake || string(payload) != "xy" || len(rest) != 0 {
+	q.Append(rec[len(rec)-1:])
+	q.Append(frameRecord(recordTypeHandshake, []byte("xy")))
+	typ, payload, ok := splitRecord(&q)
+	if !ok || typ != recordTypeData || string(payload) != "abc" {
+		t.Fatalf("framing round trip failed: %v %q %v", typ, payload, ok)
+	}
+	q.PopFront(sslRecordHeaderLen + len(payload))
+	typ, payload, ok = splitRecord(&q)
+	if !ok || typ != recordTypeHandshake || string(payload) != "xy" || q.Len() != sslRecordHeaderLen+2 {
 		t.Fatal("second record failed")
 	}
 }
