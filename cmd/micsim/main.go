@@ -18,6 +18,7 @@ import (
 	"mic/internal/chaos"
 	"mic/internal/harness"
 	"mic/internal/mic"
+	"mic/internal/netsim"
 	"mic/internal/topo"
 )
 
@@ -171,7 +172,7 @@ func parseScheme(s string) (harness.Scheme, error) {
 
 // runMIC runs one plain transfer with every MIC knob reachable.
 func runMIC(secure bool, from, to, mns, mflows, fanout, size int, seed uint64) {
-	tb, err := harness.NewTestbed(harness.SchemeMICTCP, mic.Config{MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed}, nil)
+	tb, err := harness.NewTestbed(harness.SchemeMICTCP, 4, netsim.Config{}, mic.Config{MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed}, nil)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -190,44 +191,14 @@ func runMIC(secure bool, from, to, mns, mflows, fanout, size int, seed uint64) {
 	}
 }
 
-// script generates one scenario's fault schedule for a from -> to transfer.
-type script func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error)
-
-// playScenario is what the fault scenarios share: the paper's testbed under a
-// self-healing control plane (a failover cluster when ha is non-nil), one
-// bulk transfer from -> to, the scenario's chaos script rendered and then
-// played with its faults and the log-selected reactions narrated to w, and
-// the delivery line. What remains to each report is its script, what it
-// narrates and its summary. Everything printed is a function of the
-// arguments — main_test.go diffs each seed-7 report against a golden file.
-func playScenario(w io.Writer, title string, gen script, ha *mic.ClusterConfig, log harness.Log,
-	secure bool, from, to, mns, mflows, fanout, size int, seed uint64) (*harness.Testbed, *harness.Transfer, error) {
-	tb, err := harness.NewTestbed(harness.SchemeMICTCP, mic.Config{
-		MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed,
-		AutoRepair: true, RepairMaxRetries: 20,
-	}, ha)
-	if err != nil {
-		return nil, nil, err
-	}
-	xfer := tb.StartTransfer(secure, from, to, make([]byte, size))
-	hosts := tb.Graph.Hosts()
-	sched, err := gen(tb.Graph, seed, hosts[from], hosts[to])
-	if err != nil {
-		return nil, nil, err
-	}
-	fmt.Fprintf(w, "%s schedule (seed %d):\n%s", title, seed, sched.Render(tb.Graph))
-	runner := tb.Play(sched, w, log)
-	tb.Run(2 * time.Second)
-	if err := xfer.Err(); err != nil {
-		return nil, nil, err
-	}
-	fmt.Fprintf(w, "delivered %d bytes in %v (%.1f Mbps) through %d faults",
-		xfer.Got, xfer.Wall(), xfer.Mbps(), len(runner.Applied))
-	if ha != nil {
-		fmt.Fprintf(w, " and %d takeover(s)", tb.Cluster.Takeovers())
-	}
-	fmt.Fprintln(w)
-	return tb, xfer, nil
+// playScenario is harness.PlayScenario as the fault-scenario reports call it:
+// micsim's knobs, a zero payload, no probes, everything narrated to w.
+// Everything printed is a function of the arguments — main_test.go diffs each
+// seed-7 report against a golden file.
+func playScenario(w io.Writer, title string, gen func(*topo.Graph, uint64, topo.NodeID, topo.NodeID) (chaos.Schedule, error),
+	ha *mic.ClusterConfig, log harness.Log, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) (*harness.Testbed, *harness.Transfer, error) {
+	return harness.PlayScenario(mic.Config{MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed},
+		ha, secure, from, to, make([]byte, size), gen, nil, 2*time.Second, w, title, log)
 }
 
 // lossyReport plays the gray-failure storm — per-link loss, packet
@@ -276,10 +247,7 @@ func chaosReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size i
 // reconciliation, the post-takeover repair sweep, and a final omniscient
 // audit of every switch's flow table against the new active's intent.
 func mckillReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	gen := func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
-		return chaos.FailoverScenario(g, seed, chaos.FailoverConfig{From: from, To: to})
-	}
-	tb, _, err := playScenario(w, "failover", gen, &mic.ClusterConfig{}, harness.LogTakeovers|harness.LogRepairs,
+	tb, _, err := playScenario(w, "failover", harness.FailoverScript, &mic.ClusterConfig{}, harness.LogTakeovers|harness.LogRepairs,
 		secure, from, to, mns, mflows, fanout, size, seed)
 	if err != nil {
 		return err
@@ -299,24 +267,18 @@ func mckillReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size 
 // divergence, and the flow-table audit — the acceptance bar is stale=0,
 // missing=0, divergent=0 with fencing on.
 func partitionReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	gen := func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
-		return chaos.PartitionScenario(g, seed, chaos.PartitionConfig{From: from, To: to})
-	}
-	tb, _, err := playScenario(w, "partition", gen, &mic.ClusterConfig{}, harness.LogStepDowns|harness.LogTakeovers|harness.LogEpochs,
+	tb, _, err := playScenario(w, "partition", harness.PartitionScript, &mic.ClusterConfig{}, harness.LogStepDowns|harness.LogTakeovers|harness.LogEpochs,
 		secure, from, to, mns, mflows, fanout, size, seed)
 	if err != nil {
 		return err
 	}
 	cl := tb.Cluster
-	var switchRejects, maxMark uint64
+	var maxMark uint64
 	for _, sw := range tb.Net.Switches() {
-		switchRejects += sw.StaleRejected
-		if sw.FenceEpoch > maxMark {
-			maxMark = sw.FenceEpoch
-		}
+		maxMark = max(maxMark, sw.FenceEpoch)
 	}
 	fmt.Fprintf(w, "fencing: epoch=%d switch-mark=%d switch-rejects=%d journal-divergent=%d\n",
-		cl.Fence(), maxMark, switchRejects, cl.Journal.Divergent)
+		cl.Fence(), maxMark, tb.StaleRejected(), cl.Journal.Divergent)
 	auditAndTelemetry(w, cl)
 	return nil
 }
@@ -337,8 +299,8 @@ func auditAndTelemetry(w io.Writer, cl *mic.Cluster) {
 // admission telemetry. -from/-to are ignored (the storm picks its own host
 // pairs); each admitted stream sends size/128 bytes (clamped to [4 KiB,
 // 1 MiB]) so the default -size stays tractable across ~100 admitted dials.
-// Everything it prints is a function of its arguments — the determinism
-// test in main_test.go runs it twice and asserts byte-identical output.
+// Everything it prints is a function of its arguments — main_test.go diffs
+// the seed-7 report against a golden file.
 func stormReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
 	pay := size / 128
 	if pay < 4<<10 {
@@ -350,11 +312,7 @@ func stormReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size i
 	if mflows < 2 {
 		mflows = 4 // the degradation ladder needs headroom below the request
 	}
-	admission := mic.AdmissionConfig{
-		Enabled: true, Rate: 1000, Burst: 8,
-		QueueLimit: 32, QueueDeadline: 10 * time.Millisecond,
-		EvictIdle: true, SwitchRuleBudget: 24,
-	}
+	admission := harness.StormAdmission()
 	opts := harness.StormOptions{
 		Seed: seed, Rate: 4 * admission.Rate,
 		MFlows: mflows, MNs: mns, Fanout: fanout, Secure: secure,
@@ -365,7 +323,7 @@ func stormReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size i
 		return err
 	}
 	fmt.Fprintf(w, "setup storm (seed %d): %d dials offered at %.0f/s, admission rate %.0f/s, table capacity %d\n",
-		seed, res.Dials, opts.Rate, admission.Rate, res.Capacity)
+		seed, res.Dials, opts.Rate, admission.Rate, harness.StormTableCapacity)
 	fmt.Fprintf(w, "outcomes: ok=%d degraded=%d refused=%d timed-out=%d failed=%d (answered %d/%d)\n",
 		res.OK, res.Degraded, res.Refused, res.TimedOut, res.Failed, res.Answered, res.Dials)
 	if res.Answered != res.Dials {

@@ -13,12 +13,10 @@ import (
 	"fmt"
 	"os"
 
+	"mic/internal/harness"
 	"mic/internal/mic"
 	"mic/internal/netsim"
-	"mic/internal/sim"
-	"mic/internal/topo"
 	"mic/internal/trace"
-	"mic/internal/transport"
 )
 
 func main() {
@@ -31,47 +29,10 @@ func main() {
 	)
 	flag.Parse()
 
-	g, err := topo.FatTree(4)
+	rec, err := capture(*node, *size, *mns, *limit)
 	if err != nil {
 		fail(err)
 	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	mc, err := mic.NewMC(net, mic.Config{MNs: *mns})
-	if err != nil {
-		fail(err)
-	}
-	rec := trace.New(net, *limit)
-	if *node == "" {
-		rec.AttachAllSwitches()
-	} else {
-		found := false
-		for _, sid := range g.Switches() {
-			if g.Node(sid).Name == *node {
-				rec.Attach(sid)
-				found = true
-			}
-		}
-		if !found {
-			fail(fmt.Errorf("mictrace: no switch named %q", *node))
-		}
-	}
-
-	stacks := make([]*transport.Stack, 0, 16)
-	for _, hid := range g.Hosts() {
-		stacks = append(stacks, transport.NewStack(net.Host(hid)))
-	}
-	mic.Listen(stacks[15], 80, false, func(s *mic.Stream) {
-		s.OnData(func(b []byte) { s.Send(b[:min(len(b), 100)]) })
-	})
-	client := mic.NewClient(stacks[0], mc)
-	client.Dial(stacks[15].Host.IP.String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			fail(err)
-		}
-		s.Send(make([]byte, *size))
-	})
-	eng.Run()
 
 	if *out == "" {
 		fmt.Print(rec.Text())
@@ -89,6 +50,49 @@ func main() {
 		fail(err)
 	}
 	fmt.Printf("wrote %d events to %s\n", rec.Len(), *out)
+}
+
+// capture runs one echoed MIC transfer h0 -> h15 on the paper's testbed and
+// returns what the tapped switch (every switch when node is empty) saw.
+func capture(node string, size, mns, limit int) (*trace.Recorder, error) {
+	tb, err := harness.NewTestbed(harness.SchemeMICTCP, 4, netsim.Config{}, mic.Config{MNs: mns}, nil)
+	if err != nil {
+		return nil, err
+	}
+	g, stacks := tb.Graph, tb.Stacks
+	rec := trace.New(tb.Net, limit)
+	if node == "" {
+		rec.AttachAllSwitches()
+	} else {
+		found := false
+		for _, sid := range g.Switches() {
+			if g.Node(sid).Name == node {
+				rec.Attach(sid)
+				found = true
+			}
+		}
+		if !found {
+			return nil, fmt.Errorf("mictrace: no switch named %q", node)
+		}
+	}
+
+	mic.Listen(stacks[15], 80, false, func(s *mic.Stream) {
+		s.OnData(func(b []byte) { s.Send(b[:min(len(b), 100)]) })
+	})
+	var dialErr error
+	client := mic.NewClient(stacks[0], tb.MC)
+	client.Dial(stacks[15].Host.IP.String(), 80, func(s *mic.Stream, err error) {
+		if err != nil {
+			dialErr = err
+			return
+		}
+		// Consume the echo: a stream with no receiver never acknowledges,
+		// and the responder would retransmit forever.
+		s.OnData(func([]byte) {})
+		s.Send(make([]byte, size))
+	})
+	tb.Run(0)
+	return rec, dialErr
 }
 
 func fail(err error) {

@@ -7,6 +7,7 @@ import (
 	"mic/internal/adversary"
 	"mic/internal/metrics"
 	"mic/internal/mic"
+	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
 	"mic/internal/workload"
@@ -66,7 +67,7 @@ func runS6Background(cfg RunConfig) (*Result, error) {
 // load, then asks the adversary to identify the victim at the responder
 // edge. Reports whether its top-1 pick carries the responder's address.
 func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr float64, err error) {
-	tb, err := NewTestbed(SchemeMICTCP, mic.Config{MNs: 2, Seed: seed + 1}, nil)
+	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, mic.Config{MNs: 2, Seed: seed + 1}, nil)
 	if err != nil {
 		return false, 0, err
 	}

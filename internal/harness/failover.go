@@ -1,13 +1,13 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"mic/internal/chaos"
 	"mic/internal/metrics"
 	"mic/internal/mic"
+	"mic/internal/topo"
 )
 
 func init() {
@@ -52,25 +52,14 @@ func runS8Failover(cfg RunConfig) (*Result, error) {
 	}
 	tbl := metrics.NewTable("variant", "goodput_mbps", "setup_blackout_ms", "stale_rules_after")
 	for _, v := range variants {
-		var good, blk, stale metrics.Sample
-		var firstErr error
-		for i := 0; i < cfg.Trials; i++ {
-			seed := cfg.Seed + uint64(i)*1000003
+		cols, err := runTrialColumns(cfg.Trials, cfg.Seed, func(seed uint64) ([]float64, error) {
 			o, err := s8Trial(v.mflows, v.noReconcile, size, seed)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			good.Add(o.goodput)
-			blk.Add(o.blackoutMs)
-			stale.Add(o.stale)
+			return []float64{o.goodput, o.blackoutMs, o.stale}, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("s8 %s: %w", v.name, err)
 		}
-		if good.N() == 0 && firstErr != nil {
-			return nil, fmt.Errorf("s8 %s: %w", v.name, firstErr)
-		}
-		tbl.AddRow(v.name, good.Mean(), blk.Mean(), stale.Mean())
+		tbl.AddRow(v.name, cols[0].Mean(), cols[1].Mean(), cols[2].Mean())
 	}
 	return &Result{
 		ID: "s8", Title: "Goodput and setup blackout across a controller kill", Table: tbl,
@@ -83,48 +72,44 @@ func runS8Failover(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
+// FailoverScript is the controller-kill storm (chaos.FailoverScenario at its
+// defaults) as a PlayScenario script.
+func FailoverScript(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
+	return chaos.FailoverScenario(g, seed, chaos.FailoverConfig{From: from, To: to})
+}
+
 // s8Trial runs one controller-kill trial and reports goodput, the blackout
 // probe's setup latency, and the post-takeover audit's stale-rule count.
 func s8Trial(mflows int, noReconcile bool, size int, seed uint64) (s8Outcome, error) {
-	tb, err := NewTestbed(SchemeMICTCP, mic.Config{
-		MNs: 3, MFlows: mflows, Seed: seed,
-		AutoRepair: true, RepairMaxRetries: 20,
-	}, &mic.ClusterConfig{DisableReconcile: noReconcile})
-	if err != nil {
-		return s8Outcome{}, err
-	}
-	xfer := tb.StartTransfer(false, 0, 15, payload(size))
-
-	sched, err := chaos.FailoverScenario(tb.Graph, seed, chaos.FailoverConfig{
-		From: tb.Graph.Hosts()[0], To: tb.Graph.Hosts()[15],
-	})
-	if err != nil {
-		return s8Outcome{}, err
-	}
-	var killAt time.Duration
-	for _, f := range sched {
-		if f.Kind == chaos.MCKill {
-			killAt = f.At
-		}
-	}
-	tb.Play(sched, nil, 0)
-
 	// The blackout probe: a second tenant asks for a channel at the very
 	// moment the controller dies. Its setup latency is the control-plane
 	// outage window.
-	probe := tb.probeDial(killAt, 3, 12)
-
-	tb.Run(10 * time.Second)
-	if err := errors.Join(xfer.DialErr, probe.err); err != nil {
+	var blackout *probe
+	arm := func(tb *Testbed, sched chaos.Schedule) {
+		var killAt time.Duration
+		for _, f := range sched {
+			if f.Kind == chaos.MCKill {
+				killAt = f.At
+			}
+		}
+		blackout = tb.probeDial(killAt, 3, 12)
+	}
+	tb, xfer, err := PlayScenario(mic.Config{MNs: 3, MFlows: mflows, Seed: seed},
+		&mic.ClusterConfig{DisableReconcile: noReconcile}, false, 0, 15, payload(size),
+		FailoverScript, arm, 10*time.Second, nil, "", 0)
+	if err != nil {
 		return s8Outcome{}, err
 	}
-	if probe.done == 0 {
+	if blackout.err != nil {
+		return s8Outcome{}, blackout.err
+	}
+	if blackout.done == 0 {
 		return s8Outcome{}, fmt.Errorf("harness: blackout probe dial never completed")
 	}
 	staleN, _ := tb.Cluster.Audit()
 	return s8Outcome{
-		goodput:    s7Goodput(xfer.Got, xfer.Start, xfer.End, tb.Eng.Now()),
-		blackoutMs: probe.ms(),
+		goodput:    xfer.Mbps(),
+		blackoutMs: blackout.ms(),
 		stale:      float64(staleN),
 	}, nil
 }

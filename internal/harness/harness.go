@@ -12,23 +12,11 @@ import (
 
 // RunConfig tunes an experiment run.
 type RunConfig struct {
-	Seed   uint64 // base seed; trial i uses Seed + i
+	Seed   uint64 // base seed; trial i uses Seed + i*1000003
 	Trials int    // independent repetitions per data point
 	Quick  bool   // smaller transfers, fewer points (for CI)
-	Topo   string // fabric selector for scale experiments: "k8", "k16" (default "k8")
+	Arity  int    // fat-tree arity for scale experiments (default 8)
 }
-
-// topoArity parses the Topo selector into a fat-tree arity.
-func (c RunConfig) topoArity() int {
-	var k int
-	if _, err := fmt.Sscanf(c.Topo, "k%d", &k); err == nil && k >= 2 {
-		return k
-	}
-	return 8
-}
-
-// DefaultRunConfig mirrors the paper's repetition style.
-func DefaultRunConfig() RunConfig { return RunConfig{Seed: 1, Trials: 3} }
 
 func (c RunConfig) withDefaults() RunConfig {
 	if c.Seed == 0 {
@@ -40,6 +28,9 @@ func (c RunConfig) withDefaults() RunConfig {
 		} else {
 			c.Trials = 3
 		}
+	}
+	if c.Arity == 0 {
+		c.Arity = 8
 	}
 	return c
 }
@@ -82,6 +73,15 @@ func All() []Experiment {
 	return out
 }
 
+// IDs lists every registered experiment's ID, sorted and comma-separated.
+func IDs() string {
+	var ids []string
+	for _, e := range All() {
+		ids = append(ids, e.ID)
+	}
+	return strings.Join(ids, ", ")
+}
+
 // Find returns the experiment with the given ID.
 func Find(id string) (Experiment, error) {
 	for _, e := range registry {
@@ -89,51 +89,56 @@ func Find(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	var ids []string
-	for _, e := range All() {
-		ids = append(ids, e.ID)
-	}
-	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have: %s)", id, strings.Join(ids, ", "))
+	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have: %s)", id, IDs())
 }
 
-// RunTrials evaluates fn for `trials` independent seeds in parallel — one
-// simulation engine per goroutine, results joined through a channel (no
-// shared mutable state). It returns the sample of successful trials and
-// the first error, if any.
+// RunTrials evaluates fn for `trials` independent seeds and returns the
+// sample of their results; see runTrialColumns.
 func RunTrials(trials int, baseSeed uint64, fn func(seed uint64) (float64, error)) (*metrics.Sample, error) {
-	type outcome struct {
-		v   float64
-		err error
+	cols, err := runTrialColumns(trials, baseSeed, func(seed uint64) ([]float64, error) {
+		v, err := fn(seed)
+		return []float64{v}, err
+	})
+	if err != nil {
+		return nil, err
 	}
-	results := make(chan outcome, trials)
+	return &cols[0], nil
+}
+
+// runTrialColumns evaluates fn, which measures several values at once, for
+// `trials` independent seeds in parallel — one simulation engine per
+// goroutine, each writing only its own trial's slot — and returns one sample
+// per column, filled in trial order so a mean never depends on which
+// goroutine finished first. Any failed trial fails the data point, with the
+// lowest-numbered trial's error.
+func runTrialColumns(trials int, baseSeed uint64, fn func(seed uint64) ([]float64, error)) ([]metrics.Sample, error) {
+	if trials < 1 {
+		return nil, fmt.Errorf("harness: %d trials requested, need at least one", trials)
+	}
+	rows := make([][]float64, trials)
+	errs := make([]error, trials)
 	sem := make(chan struct{}, max(1, runtime.GOMAXPROCS(0)))
 	var wg sync.WaitGroup
 	for i := 0; i < trials; i++ {
-		seed := baseSeed + uint64(i)*1000003
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			v, err := fn(seed)
-			results <- outcome{v, err}
+			rows[i], errs[i] = fn(baseSeed + uint64(i)*1000003)
 		}()
 	}
 	wg.Wait()
-	close(results)
-	var sample metrics.Sample
-	var firstErr error
-	for o := range results {
-		if o.err != nil {
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			continue
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		sample.Add(o.v)
 	}
-	if sample.N() == 0 && firstErr != nil {
-		return nil, firstErr
+	cols := make([]metrics.Sample, len(rows[0]))
+	for _, row := range rows {
+		for c := range cols {
+			cols[c].Add(row[c])
+		}
 	}
-	return &sample, firstErr
+	return cols, nil
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -370,5 +371,32 @@ func TestDeterminism(t *testing.T) {
 	}
 	if a.Wall == c.Wall && a.Mbps == c.Mbps {
 		t.Log("different seeds produced identical results (possible but suspicious)")
+	}
+}
+
+// TestRunTrialsJoinsInTrialOrder: a data point's mean must not depend on
+// which goroutine finishes first. Trials 0..2 yield 1e16, 1, -1e16, whose
+// float64 sum is 0 in trial order and 1 in any order that cancels the large
+// terms first; and a failed trial fails the point with the lowest-numbered
+// trial's error.
+func TestRunTrialsJoinsInTrialOrder(t *testing.T) {
+	vals := map[uint64]float64{100: 1e16, 100 + 1000003: 1, 100 + 2*1000003: -1e16}
+	for i := 0; i < 200; i++ {
+		sample, err := RunTrials(3, 100, func(seed uint64) (float64, error) { return vals[seed], nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := sample.Mean(); m != 0 {
+			t.Fatalf("run %d: mean = %v, want 0 (trial-order sum)", i, m)
+		}
+	}
+	_, err := RunTrials(3, 100, func(seed uint64) (float64, error) {
+		if seed != 100 {
+			return 0, fmt.Errorf("trial with seed %d failed", seed)
+		}
+		return 1, nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "seed 1000103 ") {
+		t.Fatalf("err = %v, want trial 1's error", err)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"mic/internal/adversary"
 	"mic/internal/metrics"
 	"mic/internal/mic"
+	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -79,7 +80,7 @@ func runS4Linkage(cfg RunConfig) (*Result, error) {
 
 // tcpTracedRun runs a plain TCP transfer h0 -> h15 with every switch tapped.
 func tcpTracedRun(size int, seed uint64) (map[topo.NodeID]*adversary.Capture, addr.IP, addr.IP, error) {
-	tb, err := NewTestbed(SchemeTCP, mic.Config{}, nil)
+	tb, err := NewTestbed(SchemeTCP, 4, netsim.Config{}, mic.Config{}, nil)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -22,64 +22,56 @@ func init() {
 	})
 }
 
-// StormOptions parameterizes one setup-storm run. Zero fields pick defaults
-// sized for a fat-tree(4) with capacity-constrained flow tables.
+// The storm's fixed shape, sized for a fat-tree(4) with capacity-constrained
+// flow tables.
+const (
+	stormPairs        = 8                     // initiator/responder host pairs
+	stormWindow       = 50 * time.Millisecond // arrival window
+	stormHold         = 25 * time.Millisecond // channel lifetime after the send completes
+	stormSetupTimeout = 250 * time.Millisecond
+
+	// StormTableCapacity is the per-switch flow-table capacity; 32 entries of
+	// it are common routing.
+	StormTableCapacity = 48
+)
+
+// StormAdmission is the admission config of every storm the repository runs
+// (micsim's storm scenario, fig s9, the acceptance tests). SwitchRuleBudget
+// 24 over-subscribes the 16 physical m-flow slots per switch (capacity 48 -
+// 32 common), so admitted intent exceeds table space and the
+// eviction/reinstall machinery actually engages.
+func StormAdmission() mic.AdmissionConfig {
+	return mic.AdmissionConfig{
+		Enabled: true, Rate: 1000, Burst: 8,
+		QueueLimit: 32, QueueDeadline: 10 * time.Millisecond,
+		EvictIdle: true, SwitchRuleBudget: 24,
+	}
+}
+
+// StormOptions parameterizes one setup-storm run.
 type StormOptions struct {
 	Seed uint64
 
-	// Storm shape (see chaos.StormConfig).
-	Pairs    int           // initiator/responder host pairs (default 8)
-	Rate     float64       // offered dial rate, dials/sec (default 2000)
-	Window   time.Duration // arrival window (default 50ms)
-	MaxDials int           // schedule cap (default 4096)
+	Rate     float64 // offered dial rate, dials/sec
+	MaxDials int     // schedule cap (default 4096)
 
-	// Fabric and channel shape.
-	MFlows   int  // requested m-flows per channel (default 4)
-	MNs      int  // Mimic Nodes per m-flow (default 3)
-	Fanout   int  // partial-multicast fanout (default 1)
-	Secure   bool // MIC-SSL instead of MIC-TCP
-	Capacity int  // per-switch flow-table capacity (default 48; 32 is common routing)
+	// Channel shape.
+	MFlows int  // requested m-flows per channel (default 4)
+	MNs    int  // Mimic Nodes per m-flow (0 = the MC's default)
+	Fanout int  // partial-multicast fanout (0 = the MC's default)
+	Secure bool // MIC-SSL instead of MIC-TCP
 
-	// Load shape.
-	Payload int           // bytes each admitted stream sends (default 32 KiB)
-	Hold    time.Duration // channel lifetime after the send completes (default 25ms)
+	Payload int // bytes each admitted stream sends (default 32 KiB)
 
-	// Control-plane knobs.
-	Admission    mic.AdmissionConfig
-	Retries      int           // client DialRetries (0 = client default, <0 disables)
-	SetupTimeout time.Duration // client setup deadline (default 250ms)
+	Admission mic.AdmissionConfig
 }
 
 func (o StormOptions) withDefaults() StormOptions {
-	if o.Pairs <= 0 {
-		o.Pairs = 8
-	}
-	if o.Rate <= 0 {
-		o.Rate = 2000
-	}
-	if o.Window <= 0 {
-		o.Window = 50 * time.Millisecond
-	}
 	if o.MFlows <= 0 {
 		o.MFlows = 4
 	}
-	if o.MNs <= 0 {
-		o.MNs = 3
-	}
-	if o.Fanout <= 0 {
-		o.Fanout = 1
-	}
-	if o.Capacity == 0 {
-		o.Capacity = 48
-	}
 	if o.Payload <= 0 {
 		o.Payload = 32 << 10
-	}
-	if o.Hold <= 0 {
-		o.Hold = 25 * time.Millisecond
-	}
-	if o.SetupTimeout <= 0 {
-		o.SetupTimeout = 250 * time.Millisecond
 	}
 	return o
 }
@@ -88,8 +80,6 @@ func (o StormOptions) withDefaults() StormOptions {
 // Answered == Dials: every scheduled dial's callback fired with a stream or
 // a typed error.
 type StormResult struct {
-	Capacity int // per-switch flow-table capacity in force (defaults applied)
-
 	Dials    int // dials scheduled
 	Answered int // dial callbacks that fired (any outcome)
 	OK       int // admitted at full requested F
@@ -122,30 +112,25 @@ func (r StormResult) RefusalRate() float64 {
 // RunStorm drives one seeded setup storm against a standalone MC with
 // capacity-bounded flow tables: each scheduled dial gets a fresh client (so
 // every dial is a distinct channel-open hitting admission control), admitted
-// streams push Payload bytes and close Hold later, and the result classifies
+// streams push Payload bytes and close stormHold later, and the result classifies
 // every dial by outcome. Deterministic for a given options value.
 func RunStorm(opts StormOptions) (*StormResult, error) {
 	opts = opts.withDefaults()
-	g, err := topo.FatTree(4)
-	if err != nil {
-		return nil, err
-	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{FlowTableCapacity: opts.Capacity})
-	mc, err := mic.NewMC(net, mic.Config{
+	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{FlowTableCapacity: StormTableCapacity}, mic.Config{
 		MNs: opts.MNs, MFlows: opts.MFlows, MulticastFanout: opts.Fanout,
 		Seed: opts.Seed, Admission: opts.Admission,
-	})
+	}, nil)
 	if err != nil {
 		return nil, err
 	}
+	eng, mc := tb.Eng, tb.MC
 	stacks := make(map[topo.NodeID]*transport.Stack)
-	for _, hid := range g.Hosts() {
-		stacks[hid] = transport.NewStack(net.Host(hid))
+	for i, hid := range tb.Graph.Hosts() {
+		stacks[hid] = tb.Stacks[i]
 	}
 
-	dials, err := chaos.SetupStorm(g, opts.Seed, chaos.StormConfig{
-		Pairs: opts.Pairs, Rate: opts.Rate, Window: opts.Window, MaxDials: opts.MaxDials,
+	dials, err := chaos.SetupStorm(tb.Graph, opts.Seed, chaos.StormConfig{
+		Pairs: stormPairs, Rate: opts.Rate, Window: stormWindow, MaxDials: opts.MaxDials,
 	})
 	if err != nil {
 		return nil, err
@@ -177,19 +162,17 @@ func RunStorm(opts StormOptions) (*StormResult, error) {
 		})
 	}
 
-	res := &StormResult{Dials: len(dials), Capacity: opts.Capacity}
+	res := &StormResult{Dials: len(dials)}
 	var lat metrics.Sample
 	var achieved metrics.Sample
 	clients := make([]*mic.Client, 0, len(dials))
 	data := payload(opts.Payload)
 	for i, d := range dials {
-		i, d := i, d
 		eng.After(d.At, func() {
 			client := mic.NewClientSeeded(stacks[d.From], mc, uint64(i)+1)
 			client.Secure = opts.Secure
 			client.Opts = mic.ChannelOptions{MFlows: opts.MFlows}
-			client.SetupTimeout = opts.SetupTimeout
-			client.DialRetries = opts.Retries
+			client.SetupTimeout = stormSetupTimeout
 			clients = append(clients, client)
 			issued := eng.Now()
 			target := stacks[d.To].Host.IP.String()
@@ -205,7 +188,7 @@ func RunStorm(opts StormOptions) (*StormResult, error) {
 						res.OK++
 					}
 					s.Send(data)
-					eng.After(opts.Hold, func() {
+					eng.After(stormHold, func() {
 						s.Close()
 						// lint:ignore errdrop load-driver teardown is best-effort; a failed close only means the channel already went away
 						_ = client.CloseChannel(target, nil)
@@ -258,14 +241,7 @@ func RunStorm(opts StormOptions) (*StormResult, error) {
 // below the requested 4 before refusals climb.
 func runS9Overload(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	// SwitchRuleBudget 24 over-subscribes the 16 physical m-flow slots per
-	// switch (capacity 48 - 32 common), so admitted intent exceeds table
-	// space and the eviction/reinstall machinery actually engages.
-	admission := mic.AdmissionConfig{
-		Enabled: true, Rate: 1000, Burst: 8,
-		QueueLimit: 32, QueueDeadline: 10 * time.Millisecond,
-		EvictIdle: true, SwitchRuleBudget: 24,
-	}
+	admission := StormAdmission()
 	variants := []struct {
 		name string
 		mut  func(*mic.AdmissionConfig)
@@ -281,34 +257,22 @@ func runS9Overload(cfg RunConfig) (*Result, error) {
 	tbl := metrics.NewTable("variant", "offered_per_s", "goodput_mbps", "p99_dial_ms", "refusal_rate", "achieved_f")
 	for _, v := range variants {
 		for _, m := range multipliers {
-			var good, p99, refuse, af metrics.Sample
-			var firstErr error
-			for i := 0; i < cfg.Trials; i++ {
-				seed := cfg.Seed + uint64(i)*1000003
-				a := admission
-				v.mut(&a)
-				r, err := RunStorm(StormOptions{
-					Seed: seed, Rate: admission.Rate * m, Admission: a,
-				})
+			a := admission
+			v.mut(&a)
+			cols, err := runTrialColumns(cfg.Trials, cfg.Seed, func(seed uint64) ([]float64, error) {
+				r, err := RunStorm(StormOptions{Seed: seed, Rate: admission.Rate * m, Admission: a})
 				if err != nil {
-					if firstErr == nil {
-						firstErr = err
-					}
-					continue
+					return nil, err
 				}
 				if r.Answered != r.Dials {
-					return nil, fmt.Errorf("s9 %s x%g: %d of %d dials never answered",
-						v.name, m, r.Dials-r.Answered, r.Dials)
+					return nil, fmt.Errorf("%d of %d dials never answered", r.Dials-r.Answered, r.Dials)
 				}
-				good.Add(r.GoodputMbps)
-				p99.Add(r.P99DialMs)
-				refuse.Add(r.RefusalRate())
-				af.Add(r.AchievedF)
+				return []float64{r.GoodputMbps, r.P99DialMs, r.RefusalRate(), r.AchievedF}, nil
+			})
+			if err != nil {
+				return nil, fmt.Errorf("s9 %s x%g: %w", v.name, m, err)
 			}
-			if good.N() == 0 && firstErr != nil {
-				return nil, fmt.Errorf("s9 %s: %w", v.name, firstErr)
-			}
-			tbl.AddRow(fmt.Sprintf("%s_x%g", v.name, m), admission.Rate*m, good.Mean(), p99.Mean(), refuse.Mean(), af.Mean())
+			tbl.AddRow(fmt.Sprintf("%s_x%g", v.name, m), admission.Rate*m, cols[0].Mean(), cols[1].Mean(), cols[2].Mean(), cols[3].Mean())
 		}
 	}
 	return &Result{

@@ -1,23 +1,6 @@
 package harness
 
-import (
-	"testing"
-	"time"
-
-	"mic/internal/mic"
-)
-
-// stormAdmission is the acceptance-test admission config: the same shape as
-// fig s9 — token bucket at 1000 dials/s, bounded queue, LRU eviction, and a
-// per-switch rule budget that over-subscribes the physical table space so
-// the eviction machinery engages.
-func stormAdmission() mic.AdmissionConfig {
-	return mic.AdmissionConfig{
-		Enabled: true, Rate: 1000, Burst: 8,
-		QueueLimit: 32, QueueDeadline: 10 * time.Millisecond,
-		EvictIdle: true, SwitchRuleBudget: 24,
-	}
-}
+import "testing"
 
 // TestStormAcceptance is the issue's acceptance bar: a seeded setup storm
 // at 4x the sustainable dial rate against capacity-bounded tables must
@@ -25,7 +8,7 @@ func stormAdmission() mic.AdmissionConfig {
 // below 100% (degraded-F admissions occur), and goodput of admitted
 // channels within 20% of an unloaded baseline.
 func TestStormAcceptance(t *testing.T) {
-	adm := stormAdmission()
+	adm := StormAdmission()
 	r, err := RunStorm(StormOptions{Seed: 7, Rate: 4 * adm.Rate, Admission: adm})
 	if err != nil {
 		t.Fatal(err)
@@ -72,12 +55,12 @@ func TestStormAcceptance(t *testing.T) {
 // deadline fires instead of a prompt typed refusal, so timeouts replace
 // refusals and p99 dial latency degrades.
 func TestStormShedOffAblationWorse(t *testing.T) {
-	adm := stormAdmission()
+	adm := StormAdmission()
 	on, err := RunStorm(StormOptions{Seed: 7, Rate: 4 * adm.Rate, Admission: adm})
 	if err != nil {
 		t.Fatal(err)
 	}
-	admOff := stormAdmission()
+	admOff := StormAdmission()
 	admOff.DisableShed = true
 	off, err := RunStorm(StormOptions{Seed: 7, Rate: 4 * adm.Rate, Admission: admOff})
 	if err != nil {
@@ -99,7 +82,7 @@ func TestStormShedOffAblationWorse(t *testing.T) {
 // TestStormDeterministic: two same-seed runs produce identical results —
 // every counter, every latency percentile, every goodput figure.
 func TestStormDeterministic(t *testing.T) {
-	adm := stormAdmission()
+	adm := StormAdmission()
 	opts := StormOptions{Seed: 7, Rate: 4 * adm.Rate, Admission: adm}
 	a, err := RunStorm(opts)
 	if err != nil {

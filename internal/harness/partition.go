@@ -8,6 +8,7 @@ import (
 	"mic/internal/chaos"
 	"mic/internal/metrics"
 	"mic/internal/mic"
+	"mic/internal/topo"
 )
 
 func init() {
@@ -56,27 +57,14 @@ func runS11Partition(cfg RunConfig) (*Result, error) {
 	}
 	tbl := metrics.NewTable("variant", "split_blackout_ms", "zombie_blackout_ms", "stale_rules_after", "journal_divergent", "switch_rejects")
 	for _, v := range variants {
-		var sblk, zblk, stale, div, rej metrics.Sample
-		var firstErr error
-		for i := 0; i < cfg.Trials; i++ {
-			seed := cfg.Seed + uint64(i)*1000003
+		cols, err := runTrialColumns(cfg.Trials, cfg.Seed, func(seed uint64) ([]float64, error) {
 			o, err := s11Trial(v.disableFencing, size, seed)
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			sblk.Add(o.splitBlackoutMs)
-			zblk.Add(o.zombieBlackoutMs)
-			stale.Add(o.staleRules)
-			div.Add(o.divergent)
-			rej.Add(o.rejects)
+			return []float64{o.splitBlackoutMs, o.zombieBlackoutMs, o.staleRules, o.divergent, o.rejects}, err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("s11 %s: %w", v.name, err)
 		}
-		if sblk.N() == 0 && firstErr != nil {
-			return nil, fmt.Errorf("s11 %s: %w", v.name, firstErr)
-		}
-		tbl.AddRow(v.name, sblk.Mean(), zblk.Mean(), stale.Mean(), div.Mean(), rej.Mean())
+		tbl.AddRow(v.name, cols[0].Mean(), cols[1].Mean(), cols[2].Mean(), cols[3].Mean(), cols[4].Mean())
 	}
 	return &Result{
 		ID: "s11", Title: "Dial blackout and stale state across management partitions", Table: tbl,
@@ -90,67 +78,55 @@ func runS11Partition(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-// s11Trial runs one partition storm and reports the blackout probe's setup
-// latency plus the post-heal safety counters.
-func s11Trial(disableFencing bool, size int, seed uint64) (s11Outcome, error) {
-	tb, err := NewTestbed(SchemeMICTCP, mic.Config{
-		MNs: 3, MFlows: 2, Seed: seed,
-		AutoRepair: true, RepairMaxRetries: 20,
-	}, &mic.ClusterConfig{DisableFencing: disableFencing})
-	if err != nil {
-		return s11Outcome{}, err
-	}
-	// The bulk transfer keeps a channel installed across all three acts so
-	// the mid-partition fabric cut has something to force a repair race over.
-	xfer := tb.StartTransfer(false, 0, 15, payload(size))
+// PartitionScript is the management-partition storm (chaos.PartitionScenario
+// at its defaults) as a PlayScenario script.
+func PartitionScript(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
+	return chaos.PartitionScenario(g, seed, chaos.PartitionConfig{From: from, To: to})
+}
 
-	sched, err := chaos.PartitionScenario(tb.Graph, seed, chaos.PartitionConfig{
-		From: tb.Graph.Hosts()[0], To: tb.Graph.Hosts()[15],
-	})
-	if err != nil {
-		return s11Outcome{}, err
-	}
-	// The symmetric split opens at the earliest MgmtCut, the asymmetric act
-	// at the latest (act 3 is all heals).
-	splitAt := sched[len(sched)-1].At
-	var zombieAt time.Duration
-	for _, f := range sched {
-		if f.Kind == chaos.MgmtCut {
-			if f.At < splitAt {
-				splitAt = f.At
-			}
-			if f.At > zombieAt {
-				zombieAt = f.At
+// s11Trial runs one partition storm and reports the blackout probes' setup
+// latencies plus the post-heal safety counters. The bulk transfer keeps a
+// channel installed across all three acts so the mid-partition fabric cut has
+// something to force a repair race over.
+func s11Trial(disableFencing bool, size int, seed uint64) (s11Outcome, error) {
+	var split, zombie *probe
+	arm := func(tb *Testbed, sched chaos.Schedule) {
+		// The symmetric split opens at the earliest MgmtCut, the asymmetric
+		// act at the latest (act 3 is all heals).
+		splitAt := sched[len(sched)-1].At
+		var zombieAt time.Duration
+		for _, f := range sched {
+			if f.Kind == chaos.MgmtCut {
+				splitAt = min(splitAt, f.At)
+				zombieAt = max(zombieAt, f.At)
 			}
 		}
+		// Probe 1: a dial timed to land as the split expires the founding
+		// active's lease — the handover window the lease+takeover bound covers.
+		lease := time.Duration(mic.DefaultHeartbeatMisses) * mic.DefaultHeartbeatInterval
+		split = tb.probeDial(splitAt+lease, 3, 12)
+		// Probe 2: a second tenant dials at the exact instant the now-active
+		// controller is partitioned from its peer and half the fabric.
+		zombie = tb.probeDial(zombieAt, 5, 13)
 	}
-	tb.Play(sched, nil, 0)
-
-	// Probe 1: a dial timed to land as the split expires the founding
-	// active's lease — the handover window the lease+takeover bound covers.
-	lease := time.Duration(mic.DefaultHeartbeatMisses) * mic.DefaultHeartbeatInterval
-	split := tb.probeDial(splitAt+lease, 3, 12)
-	// Probe 2: a second tenant dials at the exact instant the now-active
-	// controller is partitioned from its peer and half the fabric.
-	zombie := tb.probeDial(zombieAt, 5, 13)
-
-	tb.Run(2 * time.Second)
-	if err := errors.Join(xfer.DialErr, split.err, zombie.err); err != nil {
+	tb, _, err := PlayScenario(mic.Config{MNs: 3, MFlows: 2, Seed: seed},
+		&mic.ClusterConfig{DisableFencing: disableFencing}, false, 0, 15, payload(size),
+		PartitionScript, arm, 2*time.Second, nil, "", 0)
+	if err != nil {
+		return s11Outcome{}, err
+	}
+	if err := errors.Join(split.err, zombie.err); err != nil {
 		return s11Outcome{}, err
 	}
 	if split.done == 0 || zombie.done == 0 {
 		return s11Outcome{}, fmt.Errorf("harness: partition blackout probe never completed")
 	}
 	staleN, _ := tb.Cluster.Audit()
-	var rejects uint64
-	for _, sw := range tb.Net.Switches() {
-		rejects += sw.StaleRejected
-	}
 	return s11Outcome{
 		splitBlackoutMs:  split.ms(),
 		zombieBlackoutMs: zombie.ms(),
 		staleRules:       float64(staleN),
 		divergent:        float64(tb.Cluster.Journal.Divergent),
-		rejects:          float64(rejects),
+		rejects:          float64(tb.StaleRejected()),
 	}, nil
 }

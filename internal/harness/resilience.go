@@ -78,7 +78,7 @@ const s7Cap = 60 * time.Second
 // in Mbps, with the path's agg<->core hop degraded to the given loss rate.
 // The hop is discovered by tracing a warmup transfer's link counters.
 func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
-	tb, err := NewTestbed(SchemeTCP, mic.Config{}, nil)
+	tb, err := NewTestbed(SchemeTCP, 4, netsim.Config{}, mic.Config{}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -127,7 +127,7 @@ func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
 // m-flow degraded to the given loss rate. disabled turns off the stream's
 // health/retransmit/rebalance machinery (the ablation).
 func s7MICTrial(loss float64, size int, seed uint64, disabled bool) (float64, error) {
-	tb, err := NewTestbed(SchemeMICTCP, mic.Config{
+	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, mic.Config{
 		MNs: 2, MFlows: 4, PathPolicy: mic.PathLeastLoaded, Seed: seed + 1,
 	}, nil)
 	if err != nil {
@@ -190,11 +190,7 @@ func s7Goodput(bytes int, start, end, now sim.Time) float64 {
 	if at == 0 {
 		at = now
 	}
-	el := time.Duration(at - start)
-	if el <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / el.Seconds() / 1e6
+	return mbps(bytes, time.Duration(at-start))
 }
 
 // hottestCoreUplink returns the agg->core link direction that carried the

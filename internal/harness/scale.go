@@ -8,8 +8,6 @@ import (
 	"mic/internal/mic"
 	"mic/internal/netsim"
 	"mic/internal/sim"
-	"mic/internal/topo"
-	"mic/internal/transport"
 )
 
 func init() {
@@ -69,22 +67,12 @@ type scaleRow struct {
 // scaleTrial establishes channels between distinct host pairs sequentially
 // and samples the setup latency and table occupancy at each checkpoint.
 func scaleTrial(k int, widths maga.Widths, checks []int, seed uint64) ([]scaleRow, error) {
-	g, err := topo.FatTree(k)
+	tb, err := NewTestbed(SchemeMICTCP, k, netsim.Config{}, mic.Config{MNs: 3, Widths: widths, Seed: seed}, nil)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	mc, err := mic.NewMC(net, mic.Config{MNs: 3, Widths: widths, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	hosts := g.Hosts()
-	n := len(hosts)
-	stacks := make([]*transport.Stack, n)
-	for i, hid := range hosts {
-		stacks[i] = transport.NewStack(net.Host(hid))
-	}
+	eng, net, mc, stacks := tb.Eng, tb.Net, tb.MC, tb.Stacks
+	n := len(stacks)
 	total := checks[len(checks)-1]
 	if total > n*(n-1) {
 		return nil, fmt.Errorf("harness: %d channels exceed host pairs", total)

@@ -1,9 +1,7 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"mic/internal/chaos"
@@ -12,7 +10,6 @@ import (
 	"mic/internal/mic"
 	"mic/internal/netsim"
 	"mic/internal/sim"
-	"mic/internal/topo"
 )
 
 func init() {
@@ -23,6 +20,17 @@ func init() {
 	})
 }
 
+// The setup bench's fixed storm shape. Channels close benchHold after
+// establishment: closing recycles flow IDs and address reservations, so the
+// storm exercises steady-state churn rather than draining the ID space.
+const (
+	benchPairs  = 32                    // initiator/responder host pairs
+	benchRate   = 60000                 // offered dial rate, dials/sec
+	benchWindow = 20 * time.Millisecond // arrival window
+	benchMFlows = 2                     // m-flows per channel
+	benchHold   = 5 * time.Millisecond
+)
+
 // SetupBenchOptions parameterizes one channel-setup-throughput run: a
 // control-plane-only dial storm (no transport payload) against a sharded
 // Mimic Controller, measuring how fast the plan/alloc/install pipeline
@@ -30,53 +38,10 @@ func init() {
 type SetupBenchOptions struct {
 	Seed uint64
 
-	Arity        int  // fat-tree k (default 8)
-	Shards       int  // controller shards (default 1)
+	Arity        int  // fat-tree k
+	Shards       int  // controller shards
 	DisableCache bool // ablate the path-plan cache
-
-	Pairs    int           // initiator/responder host pairs (default 32)
-	Rate     float64       // offered dial rate, dials/sec (default 60000)
-	Window   time.Duration // arrival window (default 20ms)
-	MaxDials int           // schedule cap (default 1200)
-
-	MFlows int // m-flows per channel (default 2)
-	MNs    int // Mimic Nodes per m-flow (default 3)
-
-	// Hold is the channel lifetime after establishment; closing recycles
-	// flow IDs and address reservations so the storm exercises steady-state
-	// churn rather than draining the ID space (default 5ms).
-	Hold time.Duration
-}
-
-func (o SetupBenchOptions) withDefaults() SetupBenchOptions {
-	if o.Arity <= 0 {
-		o.Arity = 8
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
-	}
-	if o.Pairs <= 0 {
-		o.Pairs = 32
-	}
-	if o.Rate <= 0 {
-		o.Rate = 60000
-	}
-	if o.Window <= 0 {
-		o.Window = 20 * time.Millisecond
-	}
-	if o.MaxDials <= 0 {
-		o.MaxDials = 1200
-	}
-	if o.MFlows <= 0 {
-		o.MFlows = 2
-	}
-	if o.MNs <= 0 {
-		o.MNs = 3
-	}
-	if o.Hold <= 0 {
-		o.Hold = 5 * time.Millisecond
-	}
-	return o
+	MaxDials     int  // schedule cap
 }
 
 // SetupBenchResult aggregates one setup-throughput run.
@@ -100,15 +65,15 @@ type SetupBenchResult struct {
 // shard by the virtual planning CPU. Deterministic for a given options
 // value.
 func RunSetupBench(opts SetupBenchOptions) (*SetupBenchResult, error) {
-	opts = opts.withDefaults()
-	g, err := topo.FatTree(opts.Arity)
+	tb, err := newFabric(opts.Arity, netsim.Config{})
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	smc, err := mic.NewShardedMC(net, mic.Config{
-		MNs: opts.MNs, MFlows: opts.MFlows, Seed: opts.Seed,
+	eng, g := tb.Eng, tb.Graph
+	// No other bed fronts a bare ShardedMC, so it is built here rather than
+	// earning a third control-plane field on Testbed.
+	smc, err := mic.NewShardedMC(tb.Net, mic.Config{
+		MFlows: benchMFlows, Seed: opts.Seed,
 		Widths:           maga.FitWidths(len(g.Switches())),
 		DisablePathCache: opts.DisableCache,
 	}, opts.Shards)
@@ -116,7 +81,7 @@ func RunSetupBench(opts SetupBenchOptions) (*SetupBenchResult, error) {
 		return nil, err
 	}
 	dials, err := chaos.SetupStorm(g, opts.Seed, chaos.StormConfig{
-		Pairs: opts.Pairs, Rate: opts.Rate, Window: opts.Window, MaxDials: opts.MaxDials,
+		Pairs: benchPairs, Rate: benchRate, Window: benchWindow, MaxDials: opts.MaxDials,
 	})
 	if err != nil {
 		return nil, err
@@ -127,7 +92,6 @@ func RunSetupBench(opts SetupBenchOptions) (*SetupBenchResult, error) {
 	var firstIssue, lastAck sim.Time
 	firstIssue = sim.Time(dials[0].At)
 	for _, d := range dials {
-		d := d
 		eng.After(d.At, func() {
 			issued := eng.Now()
 			initIP := g.Node(d.From).IP
@@ -142,7 +106,7 @@ func RunSetupBench(opts SetupBenchOptions) (*SetupBenchResult, error) {
 				if now := eng.Now(); now > lastAck {
 					lastAck = now
 				}
-				eng.After(opts.Hold, func() {
+				eng.After(benchHold, func() {
 					// lint:ignore errdrop bench teardown is best-effort; a failed close only means the channel already went away
 					_ = smc.CloseChannel(info.ID, nil)
 				})
@@ -182,95 +146,12 @@ func s10Dials(arity int, quick bool) int {
 	return n
 }
 
-// benchRow is one variant's measurements in the machine-readable report.
-type benchRow struct {
-	Shards         int     `json:"shards"`
-	Cache          bool    `json:"cache"`
-	Dials          int     `json:"dials"`
-	OK             int     `json:"ok"`
-	Failed         int     `json:"failed"`
-	ChannelsPerSec float64 `json:"channels_per_s"`
-	P50Ms          float64 `json:"p50_ms"`
-	P99Ms          float64 `json:"p99_ms"`
-	CacheHits      uint64  `json:"cache_hits"`
-	CacheMisses    uint64  `json:"cache_misses"`
-	SBBatches      uint64  `json:"sb_batches"`
-	SBBatchedMods  uint64  `json:"sb_batched_mods"`
-}
-
-// benchFabric groups one fat-tree's variant grid. Speedup is the headline
-// scale-out ratio: best sharded+cached throughput over the 1-shard,
-// cache-off baseline (the pre-scale-out single-controller pipeline).
-type benchFabric struct {
-	Topo    string     `json:"topo"`
-	Rows    []benchRow `json:"rows"`
-	Speedup float64    `json:"speedup_4shard_cache_vs_1shard_nocache"`
-}
-
-// benchReport is the top-level BENCH_pr9 document.
-type benchReport struct {
-	Seed    uint64        `json:"seed"`
-	Quick   bool          `json:"quick"`
-	Fabrics []benchFabric `json:"fabrics"`
-}
-
-// WriteSetupBenchReport runs the channel-setup-throughput grid — shards
-// 1/2/4, plan cache on/off — and writes the machine-readable report. With
-// cfg.Topo set only that fabric runs; otherwise both fat-tree(8) and
-// fat-tree(16) do.
-func WriteSetupBenchReport(path string, cfg RunConfig) error {
-	cfg = cfg.withDefaults()
-	arities := []int{8, 16}
-	if cfg.Topo != "" {
-		arities = []int{cfg.topoArity()}
-	}
-	rep := benchReport{Seed: cfg.Seed, Quick: cfg.Quick}
-	for _, arity := range arities {
-		fab := benchFabric{Topo: fmt.Sprintf("k%d", arity)}
-		var base, best float64
-		for _, shards := range []int{1, 2, 4} {
-			for _, disable := range []bool{false, true} {
-				r, err := RunSetupBench(SetupBenchOptions{
-					Seed: cfg.Seed, Arity: arity, Shards: shards, DisableCache: disable,
-					MaxDials: s10Dials(arity, cfg.Quick),
-				})
-				if err != nil {
-					return fmt.Errorf("bench k%d shards=%d cache=%v: %w", arity, shards, !disable, err)
-				}
-				fab.Rows = append(fab.Rows, benchRow{
-					Shards: shards, Cache: !disable, Dials: r.Dials, OK: r.OK, Failed: r.Failed,
-					ChannelsPerSec: r.ChannelsPerSec, P50Ms: r.P50Ms, P99Ms: r.P99Ms,
-					CacheHits: r.CacheHits, CacheMisses: r.CacheMisses,
-					SBBatches: r.Batches, SBBatchedMods: r.BatchedMods,
-				})
-				if shards == 1 && disable {
-					base = r.ChannelsPerSec
-				}
-				if shards == 4 && !disable {
-					best = r.ChannelsPerSec
-				}
-			}
-		}
-		if base > 0 {
-			fab.Speedup = best / base
-		}
-		rep.Fabrics = append(rep.Fabrics, fab)
-	}
-	out, err := json.MarshalIndent(&rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	return os.WriteFile(path, out, 0o644)
-}
-
 // runS10ScaleOut regenerates the scale-out figure: the same dial storm
 // against 1, 2 and 4 controller shards, with and without the path-plan
 // cache. The (1, off) row is the pre-scale-out single-controller baseline;
 // the headline ratio is (4, on) over it.
 func runS10ScaleOut(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	arity := cfg.topoArity()
 	shardCounts := []int{1, 2, 4}
 	if cfg.Quick {
 		shardCounts = []int{1, 4}
@@ -280,8 +161,8 @@ func runS10ScaleOut(cfg RunConfig) (*Result, error) {
 	for _, shards := range shardCounts {
 		for _, disable := range []bool{false, true} {
 			r, err := RunSetupBench(SetupBenchOptions{
-				Seed: cfg.Seed, Arity: arity, Shards: shards, DisableCache: disable,
-				MaxDials: s10Dials(arity, cfg.Quick),
+				Seed: cfg.Seed, Arity: cfg.Arity, Shards: shards, DisableCache: disable,
+				MaxDials: s10Dials(cfg.Arity, cfg.Quick),
 			})
 			if err != nil {
 				return nil, fmt.Errorf("s10 shards=%d cache=%v: %w", shards, !disable, err)
@@ -305,7 +186,7 @@ func runS10ScaleOut(cfg RunConfig) (*Result, error) {
 		speedup = best / base
 	}
 	return &Result{
-		ID: "s10", Title: fmt.Sprintf("Channel-setup throughput, fat-tree(%d)", arity), Table: tbl,
+		ID: "s10", Title: fmt.Sprintf("Channel-setup throughput, fat-tree(%d)", cfg.Arity), Table: tbl,
 		Notes: []string{
 			fmt.Sprintf("speedup (max shards + cache vs 1 shard, cache off): %.2fx", speedup),
 			"the (1, off) row is the pre-scale-out controller: one serialized planning core running a full graph search per m-flow",

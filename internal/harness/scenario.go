@@ -8,13 +8,15 @@ import (
 	"mic/internal/chaos"
 	"mic/internal/ctrlplane"
 	"mic/internal/mic"
+	"mic/internal/netsim"
 	"mic/internal/sim"
+	"mic/internal/topo"
 )
 
 // This file is the part of the bed every fault scenario shares: one bulk MIC
 // transfer, a chaos script played against the fabric with its events
-// narrated, and the run-to-quiescence driver. A scenario — a micsim report
-// or a harness trial — is then its script, its probes and its summary.
+// narrated, the run-to-quiescence driver, and PlayScenario, which strings
+// them together.
 
 // Transfer is the bed's bulk transfer: one MIC stream carrying Size bytes
 // between two hosts, observed from the receiving end.
@@ -149,6 +151,61 @@ func (tb *Testbed) Run(window time.Duration) {
 		tb.Cluster.Stop()
 	}
 	tb.Eng.Run()
+}
+
+// PlayScenario is what every fault scenario — a micsim report or a harness
+// trial — shares: the paper's testbed under a self-healing control plane
+// running micCfg (a failover cluster when ha is non-nil), one bulk transfer
+// of data from host `from` to host `to`, the chaos script gen writes for that
+// pair at micCfg.Seed, played; arm (if non-nil) to time probes against the
+// schedule before the engine starts; the run to quiescence; and the delivery
+// check. With w non-nil the schedule, every fault, the reactions log selects
+// and the delivery line are narrated to it under title.
+func PlayScenario(micCfg mic.Config, ha *mic.ClusterConfig, secure bool, from, to int, data []byte,
+	gen func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error),
+	arm func(tb *Testbed, sched chaos.Schedule), window time.Duration,
+	w io.Writer, title string, log Log) (*Testbed, *Transfer, error) {
+	micCfg.AutoRepair, micCfg.RepairMaxRetries = true, 20
+	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, micCfg, ha)
+	if err != nil {
+		return nil, nil, err
+	}
+	xfer := tb.StartTransfer(secure, from, to, data)
+	hosts := tb.Graph.Hosts()
+	sched, err := gen(tb.Graph, micCfg.Seed, hosts[from], hosts[to])
+	if err != nil {
+		return nil, nil, err
+	}
+	if w != nil {
+		fmt.Fprintf(w, "%s schedule (seed %d):\n%s", title, micCfg.Seed, sched.Render(tb.Graph))
+	}
+	runner := tb.Play(sched, w, log)
+	if arm != nil {
+		arm(tb, sched)
+	}
+	tb.Run(window)
+	if err := xfer.Err(); err != nil {
+		return nil, nil, err
+	}
+	if w != nil {
+		fmt.Fprintf(w, "delivered %d bytes in %v (%.1f Mbps) through %d faults",
+			xfer.Got, xfer.Wall(), xfer.Mbps(), len(runner.Applied))
+		if ha != nil {
+			fmt.Fprintf(w, " and %d takeover(s)", tb.Cluster.Takeovers())
+		}
+		fmt.Fprintln(w)
+	}
+	return tb, xfer, nil
+}
+
+// StaleRejected sums, over every switch, the mutations refused for carrying
+// a stale fencing epoch.
+func (tb *Testbed) StaleRejected() uint64 {
+	var n uint64
+	for _, sw := range tb.Net.Switches() {
+		n += sw.StaleRejected
+	}
+	return n
 }
 
 // probe is a blackout probe: a fresh tenant's dial issued at a chosen

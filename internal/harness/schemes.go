@@ -52,16 +52,16 @@ func AllSchemes() []Scheme {
 	return []Scheme{SchemeTCP, SchemeSSL, SchemeMICTCP, SchemeMICSSL, SchemeTor}
 }
 
-// Testbed is one fresh simulated rig: the paper's k=4 fat-tree (20 four-
-// port switches, 16 hosts) with whatever control plane the scheme needs —
-// proactive routing only, a standalone MC, or a failover Cluster. Every
-// experiment, every micsim scenario and the plain micsim transfer stand on
-// this one bed.
+// Testbed is one fresh simulated rig: a fat-tree (the paper's is k=4: 20
+// four-port switches, 16 hosts) with whatever control plane the scheme needs
+// — proactive routing only, a standalone MC, or a failover Cluster. Every
+// experiment, every micsim scenario, the plain micsim transfer and mictrace
+// stand on this one bed.
 type Testbed struct {
 	Eng    *sim.Engine
 	Net    *netsim.Network
 	Graph  *topo.Graph
-	Stacks []*transport.Stack
+	Stacks []*transport.Stack // one per host, in Graph.Hosts() order
 
 	// MC is the standalone controller of a MIC bed, Cluster the failover
 	// group of one built with a ClusterConfig; at most one is set.
@@ -75,31 +75,41 @@ type Testbed struct {
 // a volunteer overlay).
 var relayHosts = []int{4, 5, 6, 10, 11, 12}
 
-// NewTestbed builds the rig for scheme. The MIC schemes run micCfg as given
-// (the caller owns the seed, offsets included) on a standalone MC, or on a
-// failover cluster when ha is non-nil.
-func NewTestbed(scheme Scheme, micCfg mic.Config, ha *mic.ClusterConfig) (*Testbed, error) {
-	g, err := topo.FatTree(4)
+// newFabric builds the part of the bed below the control plane: a
+// fat-tree(arity) fabric under netCfg with a transport stack on every host.
+func newFabric(arity int, netCfg netsim.Config) (*Testbed, error) {
+	g, err := topo.FatTree(arity)
 	if err != nil {
 		return nil, err
 	}
 	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	tb := &Testbed{Eng: eng, Net: net, Graph: g}
-	switch {
-	case scheme != SchemeMICTCP && scheme != SchemeMICSSL:
-		router := &ctrlplane.ProactiveRouter{CFLabel: 0x0ffee}
-		_, err = router.Install(net)
-	case ha != nil:
-		tb.Cluster, err = mic.NewCluster(net, micCfg, *ha)
-	default:
-		tb.MC, err = mic.NewMC(net, micCfg)
+	tb := &Testbed{Eng: eng, Net: netsim.New(eng, g, netCfg), Graph: g}
+	for _, hid := range g.Hosts() {
+		tb.Stacks = append(tb.Stacks, transport.NewStack(tb.Net.Host(hid)))
 	}
+	return tb, nil
+}
+
+// NewTestbed builds the rig for scheme on a fat-tree(arity) fabric under
+// netCfg. The MIC schemes run micCfg as given (the caller owns the seed,
+// offsets included) on a standalone MC, or on a failover cluster when ha is
+// non-nil.
+func NewTestbed(scheme Scheme, arity int, netCfg netsim.Config, micCfg mic.Config, ha *mic.ClusterConfig) (*Testbed, error) {
+	tb, err := newFabric(arity, netCfg)
 	if err != nil {
 		return nil, err
 	}
-	for _, hid := range g.Hosts() {
-		tb.Stacks = append(tb.Stacks, transport.NewStack(net.Host(hid)))
+	switch {
+	case scheme != SchemeMICTCP && scheme != SchemeMICSSL:
+		router := &ctrlplane.ProactiveRouter{CFLabel: 0x0ffee}
+		_, err = router.Install(tb.Net)
+	case ha != nil:
+		tb.Cluster, err = mic.NewCluster(tb.Net, micCfg, *ha)
+	default:
+		tb.MC, err = mic.NewMC(tb.Net, micCfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if scheme == SchemeTor {
 		tb.dir = onion.NewDirectory(onion.Config{})
@@ -190,7 +200,7 @@ var defaultPair = [2]int{0, 15}
 // SetupTime measures session establishment (the paper's Fig 7 metric:
 // "MIC connect" / Tor "connect" / TCP / SSL handshake) for one route length.
 func SetupTime(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) {
-	tb, err := NewTestbed(scheme, mic.Config{Seed: seed + 1}, nil)
+	tb, err := NewTestbed(scheme, 4, netsim.Config{}, mic.Config{Seed: seed + 1}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -217,7 +227,7 @@ func SetupTime(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) 
 // PingPongLatency measures the paper's Fig 8 metric: after the session is
 // established, the time from sending 10 bytes until 10 bytes come back.
 func PingPongLatency(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) {
-	tb, err := NewTestbed(scheme, mic.Config{Seed: seed + 1}, nil)
+	tb, err := NewTestbed(scheme, 4, netsim.Config{}, mic.Config{Seed: seed + 1}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -262,7 +272,7 @@ type ThroughputResult struct {
 
 // ThroughputOneFlow measures a single bulk transfer (Fig 9a).
 func ThroughputOneFlow(scheme Scheme, routeLen int, size int, seed uint64) (ThroughputResult, error) {
-	tb, err := NewTestbed(scheme, mic.Config{Seed: seed + 1}, nil)
+	tb, err := NewTestbed(scheme, 4, netsim.Config{}, mic.Config{Seed: seed + 1}, nil)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
@@ -317,7 +327,7 @@ func MultiFlowAvgThroughput(scheme Scheme, nFlows, size int, seed uint64) (float
 // configuration (used by the path-policy ablation).
 func MultiFlowAvgThroughputCfg(scheme Scheme, nFlows, size int, seed uint64, micCfg mic.Config) (float64, error) {
 	micCfg.Seed = seed + 1
-	tb, err := NewTestbed(scheme, micCfg, nil)
+	tb, err := NewTestbed(scheme, 4, netsim.Config{}, micCfg, nil)
 	if err != nil {
 		return 0, err
 	}

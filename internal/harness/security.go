@@ -9,6 +9,7 @@ import (
 	"mic/internal/maga"
 	"mic/internal/metrics"
 	"mic/internal/mic"
+	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -57,7 +58,7 @@ func init() {
 func micRun(cfg mic.Config, size int, seed uint64) (*Testbed, map[topo.NodeID]*adversary.Capture, *mic.ChannelInfo, error) {
 	cfg.Seed = seed
 	cfg.Seed = seed + 1
-	tb, err := NewTestbed(SchemeMICTCP, cfg, nil)
+	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, cfg, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -278,7 +279,7 @@ func runA3ChannelReuse(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	const messages = 20
 	load := func(reuse bool) (float64, error) {
-		tb, err := NewTestbed(SchemeMICTCP, mic.Config{Seed: cfg.Seed + 1}, nil)
+		tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, mic.Config{Seed: cfg.Seed + 1}, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -399,7 +400,7 @@ func runS5RatePattern(cfg RunConfig) (*Result, error) {
 // ratePatternTrial sends five bursts through a MIC channel and runs the
 // rate adversary at the responder's edge switch.
 func ratePatternTrial(mflows int, seed uint64) (corr, peak float64, err error) {
-	tb, err := NewTestbed(SchemeMICTCP, mic.Config{MFlows: mflows, MNs: 2, Seed: seed + 1}, nil)
+	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, mic.Config{MFlows: mflows, MNs: 2, Seed: seed + 1}, nil)
 	if err != nil {
 		return 0, 0, err
 	}
