@@ -273,10 +273,10 @@ func TestECMPSpreadsDestinations(t *testing.T) {
 			continue
 		}
 		for _, a := range e.Actions {
-			if out, ok := a.(flowtable.Output); ok {
-				peer := g.Node(edge.ID).Ports[int(out)].Peer
-				if g.Node(peer).Kind == topo.KindSwitch {
-					ports[int(out)]++
+			if a.Op == flowtable.OpOutput {
+				out := int(a.Arg)
+				if peer := g.Node(edge.ID).Ports[out].Peer; g.Node(peer).Kind == topo.KindSwitch {
+					ports[out]++
 				}
 			}
 		}

@@ -57,8 +57,21 @@ func (r *ProactiveRouter) Install(net *netsim.Network) (int, error) {
 	}
 	hops := topo.NewHops(g)
 	switches := g.Switches()
+	hosts := g.Hosts()
+	// A switch's common routing is one batch: two rules per host, with three
+	// actions between them toward a remote host, five for an attached one.
+	slabs := make([]flowtable.Slab, len(g.Nodes))
+	for _, sid := range switches {
+		attached := 0
+		for _, p := range g.Node(sid).Ports {
+			if g.Node(p.Peer).Kind == topo.KindHost {
+				attached++
+			}
+		}
+		slabs[sid] = flowtable.NewSlab(2*len(hosts), 3*len(hosts)+2*attached)
+	}
 	next := make([]int, len(g.Nodes))
-	for _, hid := range g.Hosts() {
+	for _, hid := range hosts {
 		h := g.Node(hid)
 		if err := nextHops(g, hops.From(hid), hid, next); err != nil {
 			return installed, err
@@ -69,39 +82,28 @@ func (r *ProactiveRouter) Install(net *netsim.Network) (int, error) {
 			if out < 0 {
 				continue // unreachable from this switch
 			}
-			attached := g.Node(sid).Ports[out].Peer == hid
-			var untagged, tagged *flowtable.Entry
-			if attached {
-				untagged = &flowtable.Entry{
-					Priority: PriorityCommonUntagged,
-					Cookie:   CookieCommon,
-					Match:    flowtable.Match{Mask: flowtable.MatchNoMPLS | flowtable.MatchIPDst, IPDst: h.IP},
-					Actions:  []flowtable.Action{flowtable.SetEthDst(h.MAC), flowtable.Output(out)},
-				}
-				tagged = &flowtable.Entry{
-					Priority: PriorityCommonTagged,
-					Cookie:   CookieCommon,
-					Match:    flowtable.Match{Mask: flowtable.MatchMPLS | flowtable.MatchIPDst, MPLS: r.CFLabel, IPDst: h.IP},
-					Actions:  []flowtable.Action{flowtable.PopMPLS{}, flowtable.SetEthDst(h.MAC), flowtable.Output(out)},
-				}
-			} else {
-				untagged = &flowtable.Entry{
-					Priority: PriorityCommonUntagged,
-					Cookie:   CookieCommon,
-					Match:    flowtable.Match{Mask: flowtable.MatchNoMPLS | flowtable.MatchIPDst, IPDst: h.IP},
-					Actions:  []flowtable.Action{flowtable.PushMPLS(r.CFLabel), flowtable.Output(out)},
-				}
-				tagged = &flowtable.Entry{
-					Priority: PriorityCommonTagged,
-					Cookie:   CookieCommon,
-					Match:    flowtable.Match{Mask: flowtable.MatchMPLS | flowtable.MatchIPDst, MPLS: r.CFLabel, IPDst: h.IP},
-					Actions:  []flowtable.Action{flowtable.Output(out)},
-				}
+			slab := &slabs[sid]
+			untagged := flowtable.Entry{
+				Priority: PriorityCommonUntagged,
+				Cookie:   CookieCommon,
+				Match:    flowtable.Match{Mask: flowtable.MatchNoMPLS | flowtable.MatchIPDst, IPDst: h.IP},
 			}
-			if err := install(sw, untagged); err != nil {
+			tagged := flowtable.Entry{
+				Priority: PriorityCommonTagged,
+				Cookie:   CookieCommon,
+				Match:    flowtable.Match{Mask: flowtable.MatchMPLS | flowtable.MatchIPDst, MPLS: r.CFLabel, IPDst: h.IP},
+			}
+			if g.Node(sid).Ports[out].Peer == hid { // h is attached to this switch
+				untagged.Actions = slab.List(flowtable.SetEthDst(h.MAC), flowtable.Output(out))
+				tagged.Actions = slab.List(flowtable.PopMPLS(), flowtable.SetEthDst(h.MAC), flowtable.Output(out))
+			} else {
+				untagged.Actions = slab.List(flowtable.PushMPLS(r.CFLabel), flowtable.Output(out))
+				tagged.Actions = slab.List(flowtable.Output(out))
+			}
+			if err := install(sw, slab.Entry(untagged)); err != nil {
 				return installed, err
 			}
-			if err := install(sw, tagged); err != nil {
+			if err := install(sw, slab.Entry(tagged)); err != nil {
 				return installed, err
 			}
 		}

@@ -294,8 +294,8 @@ func TestMicroCacheBounded(t *testing.T) {
 		p.SetSrcIP(addr.IP(i))
 		tb.Lookup(p, 0, 0)
 	}
-	if len(tb.micro) > microCap {
-		t.Fatalf("microflow cache grew to %d entries, cap is %d", len(tb.micro), microCap)
+	if tb.micro.n > microCap {
+		t.Fatalf("microflow cache grew to %d entries, cap is %d", tb.micro.n, microCap)
 	}
 }
 
@@ -422,4 +422,125 @@ func BenchmarkLookupCacheHit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb.Lookup(p, 0, 0)
 	}
+}
+
+// --- differential test: microCache ≡ map[microKey]microEntry -----------------
+//
+// The reference is the cache as it was before it became an open-addressed
+// table: a Go map from key to (entry, generation), cleared wholesale when a
+// store finds microCap keys held. CacheHits and CacheMisses price virt_cpu_ms,
+// so the two must agree on every single lookup, not just on what is returned.
+
+type microEntry struct {
+	e   *Entry
+	gen uint64
+}
+
+// microProgram interprets prog as lookups, sweeps of many distinct keys and
+// table mutations, and compares the table with the reference after each.
+func microProgram(t *testing.T, prog []byte) {
+	t.Helper()
+	pc := 0
+	next := func() int {
+		if pc >= len(prog) {
+			return 0
+		}
+		pc++
+		return int(prog[pc-1])
+	}
+	tb := NewTable()
+	ref := map[microKey]microEntry{}
+	var hits, misses uint64
+	lookup := func(p *packet.Packet, inPort int) {
+		k := microKeyOf(p, inPort)
+		var want *Entry
+		wantHit := false
+		if me, ok := ref[k]; ok && me.gen == tb.gen {
+			hits++
+			want, wantHit = me.e, true
+		} else {
+			misses++
+			if want = tb.lookupLinear(p, inPort); want != nil {
+				if len(ref) >= microCap {
+					clear(ref)
+				}
+				ref[k] = microEntry{e: want, gen: tb.gen}
+			}
+		}
+		got, hit := tb.Lookup(p, inPort, 0)
+		if got != want || hit != wantHit {
+			t.Fatalf("op %d: Lookup = %p hit=%v, reference %p hit=%v", pc, got, hit, want, wantHit)
+		}
+		if tb.CacheHits != hits || tb.CacheMisses != misses {
+			t.Fatalf("op %d: hits/misses %d/%d, reference %d/%d", pc, tb.CacheHits, tb.CacheMisses, hits, misses)
+		}
+		if tb.micro.n != len(ref) {
+			t.Fatalf("op %d: cache holds %d keys, reference %d", pc, tb.micro.n, len(ref))
+		}
+	}
+	// Rules on two fields only, so that packets differing elsewhere are
+	// distinct cache keys with the same answer.
+	rule := func(a int) *Entry {
+		m := Match{Mask: []FieldMask{MatchIPDst, MatchInPort, MatchIPDst | MatchInPort, 0}[a&3], IPDst: addr.IP(a >> 2 & 3), InPort: a >> 4 & 1}
+		return &Entry{Priority: a >> 5 & 3, Match: m, Cookie: uint64(a >> 6 & 1)}
+	}
+	for pc < len(prog) {
+		switch op := next() % 8; op {
+		case 0, 1, 2: // one packet out of a small space: repeats are likely
+			a := next()
+			p := &packet.Packet{SrcIP: addr.IP(a & 7), DstIP: addr.IP(a >> 3 & 3), Proto: packet.ProtoTCP, TTL: 64}
+			lookup(p, a>>5&1)
+		case 3: // a sweep of up to 16k keys never seen before: fills, and clears, the cache
+			base, a := next()<<16|next()<<8, next()
+			for i, n := 0, (1+a&63)*256; i < n; i++ {
+				p := &packet.Packet{SrcIP: addr.IP(1<<24 + base + i), DstIP: addr.IP(a >> 6 & 3), Proto: packet.ProtoTCP, TTL: 64}
+				lookup(p, a>>5&1)
+			}
+		case 4: // the same sweep again from its start: hits, until a clear or a mutation
+			base, a := next()<<16|next()<<8, next()
+			for i, n := 0, (1+a&63)*16; i < n; i++ {
+				p := &packet.Packet{SrcIP: addr.IP(1<<24 + base + i), DstIP: addr.IP(a >> 6 & 3), Proto: packet.ProtoTCP, TTL: 64}
+				lookup(p, a>>5&1)
+			}
+		case 5:
+			tb.Insert(rule(next()), 0)
+		case 6:
+			tb.DeleteByCookie(uint64(next() & 1))
+		case 7:
+			tb.SetGroup(&Group{ID: GroupID(next() & 1)})
+		}
+	}
+}
+
+// microCorpus: a catch-all rule, then sweeps that overrun microCap twice with
+// re-sweeps and mutations between them; and rules replaced under a warm cache.
+var microCorpus = [][]byte{
+	{5, 3, 3, 0, 0, 63, 4, 0, 0, 63, 3, 1, 0, 63, 4, 1, 0, 63, 7, 0, 4, 1, 0, 9, 3, 2, 0, 63, 3, 3, 0, 63, 4, 3, 0, 63},
+	{5, 4, 0, 9, 0, 9, 5, 36, 0, 9, 1, 9, 6, 0, 0, 9, 5, 0, 0, 41, 0, 41, 7, 1, 0, 41},
+}
+
+func TestMicroCacheMatchesMap(t *testing.T) {
+	for _, prog := range microCorpus {
+		microProgram(t, prog)
+	}
+	r := sim.NewRNG(18)
+	for i := 0; i < 40; i++ {
+		prog := make([]byte, 16+r.Intn(120))
+		for j := range prog {
+			prog[j] = byte(r.Uint64())
+		}
+		microProgram(t, prog)
+	}
+}
+
+func FuzzMicroCache(f *testing.F) {
+	for _, prog := range microCorpus {
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 256 {
+			t.Skip()
+		}
+		microProgram(t, prog)
+	})
 }

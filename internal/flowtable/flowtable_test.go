@@ -110,7 +110,7 @@ func TestActionsApply(t *testing.T) {
 	if l, _ := p.TopMPLS(); l != 600 {
 		t.Errorf("set_mpls failed: %v", p.MPLS)
 	}
-	PopMPLS{}.Apply(p)
+	PopMPLS().Apply(p)
 	if len(p.MPLS) != 0 {
 		t.Errorf("pop failed: %v", p.MPLS)
 	}

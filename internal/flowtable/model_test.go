@@ -15,8 +15,8 @@ import (
 //
 // The model is the table as its documentation describes it and nothing more:
 // one slice kept in match order (priority desc, insertion seq asc), scanned
-// linearly for everything. Table's bag, cookie index, classifier buckets,
-// on-demand order and microflow cache must be indistinguishable from it
+// linearly for everything. Table's bag, cookie index, intrusive classifier
+// index, on-demand order and microflow cache must be indistinguishable from it
 // through the public surface: Entries order, Len, Lookup, Conflicts, the
 // entries' Installed/LastUsed stamps, eviction callbacks and counters.
 
@@ -39,6 +39,11 @@ type modelTable struct {
 	capacity int
 	policy   EvictPolicy
 	groups   map[GroupID]bool
+
+	// removed lists the entries that left by delete, expiry or capacity
+	// eviction and have not been handed back since: the pointers a
+	// reinstall-after-eviction gives TryInsert again.
+	removed []*modelEntry
 
 	evictedIdle, evictedHard, evictedCapacity uint64
 	evictLog                                  []string
@@ -82,6 +87,7 @@ func (m *modelTable) tryInsert(e *modelEntry, now sim.Time) error {
 		}
 		m.evictLog = append(m.evictLog, fmt.Sprintf("%p %v", m.entries[victim].real, EvictCapacity))
 		m.evictedCapacity++
+		m.removed = append(m.removed, m.entries[victim])
 		m.removeAt(victim)
 	}
 	m.seq++
@@ -99,6 +105,7 @@ func (m *modelTable) deleteByCookie(cookie uint64) int {
 	for _, e := range m.entries {
 		if e.cookie == cookie {
 			removed++
+			m.removed = append(m.removed, e)
 		} else {
 			kept = append(kept, e)
 		}
@@ -125,6 +132,7 @@ func (m *modelTable) expire(now sim.Time) []*Entry {
 			continue
 		}
 		out = append(out, e.real)
+		m.removed = append(m.removed, e)
 	}
 	m.entries = kept
 	return out
@@ -197,6 +205,17 @@ func tableProgram(t *testing.T, prog []byte) {
 			MPLS:   addr.Label(b >> 7 & 1),
 		}
 	}
+	// install hands e to the table and a fresh model entry describing it to
+	// the model. e may be new, the very entry already installed, or one that
+	// left the table earlier: the table must not care which.
+	install := func(e *Entry) error {
+		me := &modelEntry{real: e, prio: e.Priority, match: e.Match, cookie: e.Cookie, evictable: e.Evictable, idle: e.IdleTimeout, hard: e.HardTimeout}
+		got, want := tb.TryInsert(e, now), m.tryInsert(me, now)
+		if got != want {
+			t.Fatalf("op %d: TryInsert = %v, model %v", pc, got, want)
+		}
+		return got
+	}
 	insert := func(prio int, mt Match, cookie uint64, flags int) {
 		e := &Entry{Priority: prio, Match: mt, Cookie: cookie, Evictable: flags&1 == 1}
 		if flags&2 != 0 {
@@ -205,15 +224,11 @@ func tableProgram(t *testing.T, prog []byte) {
 		if flags&4 != 0 {
 			e.HardTimeout = time.Duration(1+flags>>6&3) * time.Second
 		}
-		me := &modelEntry{real: e, prio: prio, match: mt, cookie: cookie, evictable: e.Evictable, idle: e.IdleTimeout, hard: e.HardTimeout}
-		got, want := tb.TryInsert(e, now), m.tryInsert(me, now)
-		if got != want {
-			t.Fatalf("op %d: TryInsert = %v, model %v", pc, got, want)
-		}
+		install(e)
 	}
 
 	for pc < len(prog) {
-		switch op := next() % 10; op {
+		switch op := next() % 12; op {
 		case 0, 1: // a new entry, or a replacement if it happens to collide
 			insert(next()%4, match(), uint64(next()%5), next())
 		case 2: // replace an installed entry, same cookie
@@ -252,6 +267,17 @@ func tableProgram(t *testing.T, prog []byte) {
 			}
 		case 7:
 			now += sim.Time(next()) * sim.Time(100*time.Millisecond)
+		case 10: // replace with self: a FlowMod retransmitted after its ack was lost
+			if len(m.entries) > 0 {
+				install(m.entries[next()%len(m.entries)].real)
+			}
+		case 11: // reinstall a pointer that left by delete, expiry or eviction
+			if len(m.removed) > 0 {
+				i := next() % len(m.removed)
+				if install(m.removed[i].real) == nil {
+					m.removed = append(m.removed[:i], m.removed[i+1:]...)
+				}
+			}
 		default: // 8, 9: a packet
 			a, b := next(), next()
 			p := &packet.Packet{
@@ -279,9 +305,10 @@ func tableProgram(t *testing.T, prog []byte) {
 }
 
 // compareTable checks everything observable about tb against the model, and
-// the bag's own invariants.
+// the bag's and the index's own invariants.
 func compareTable(t *testing.T, pc int, tb *Table, m *modelTable) {
 	t.Helper()
+	checkIndex(t, tb)
 	if tb.Len() != len(m.entries) {
 		t.Fatalf("op %d: Len() = %d, model %d", pc, tb.Len(), len(m.entries))
 	}
@@ -354,6 +381,15 @@ var tableCorpus = [][]byte{
 	// The cookie index kept honest across replace-with-other-cookie, LRU
 	// eviction and expiry after it exists.
 	{3, 1, 4, 0, 0, 1, 1, 8, 1, 1, 0, 1, 2, 8, 1, 3, 3, 0, 2, 1, 0, 2, 3, 9, 2, 3, 0, 1, 2, 10, 3, 7, 4, 1, 7, 40, 5, 4, 2, 4, 3},
+	// Replace with self (a retransmitted FlowMod): three priorities of one
+	// match, each installed entry handed to TryInsert again — head, middle
+	// and tail of its bucket — with deletes and lookups in between.
+	{0, 0, 0, 3, 10, 9, 1, 0, 0, 1, 10, 9, 1, 0, 0, 2, 10, 9, 2, 0, 10, 0, 10, 1, 10, 2, 9, 1, 128, 4, 1, 10, 0, 9, 1, 128, 0, 3, 10, 9, 3, 0, 10, 1, 10, 0, 4, 2, 9, 1, 128, 4, 3},
+	// Reinstall what left earlier (reinstall-on-miss after an eviction):
+	// capacity 2 under LRU, the victim handed back (evicting another), then
+	// pointers removed by DeleteByCookie and by idle expiry handed back, into
+	// an empty bucket and into one that has since been refilled.
+	{1, 1, 0, 2, 4, 40, 1, 1, 0, 2, 4, 48, 2, 1, 0, 1, 4, 56, 3, 1, 11, 0, 9, 0, 40, 4, 3, 11, 0, 11, 0, 4, 1, 7, 5, 0, 3, 4, 32, 4, 3, 7, 20, 5, 11, 2, 0, 2, 4, 40, 0, 1, 11, 0, 9, 0, 40, 10, 0},
 }
 
 func TestTableMatchesSortedSliceModel(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"mic/internal/addr"
 	"mic/internal/packet"
 	"mic/internal/sim"
 )
@@ -87,43 +86,15 @@ type Entry struct {
 	// A replacing Insert inherits the replaced entry's seq, keeping its
 	// position.
 	seq uint64
-}
 
-// subtable is the classifier's per-match-shape hash index, one per distinct
-// FieldMask in use (OVS's tuple space search). All entries whose match
-// constrains the same field set live in one subtable, bucketed by their
-// normalized match; a packet probes each subtable with the corresponding
-// projection of its own headers.
-type subtable struct {
-	mask    FieldMask
-	buckets map[Match][]*Entry // normalized match -> entries, priority desc / seq asc
+	// The classifier's index lives in the entries (index.go): hash is the
+	// hash of the normalized match, chain links the heads of the buckets that
+	// share a slot, lower links a bucket — the entries of one match — in
+	// descending priority. All three are meaningful only while installed.
+	hash  uint64
+	chain *Entry
+	lower *Entry
 }
-
-// microKey is the exact-match microflow cache key: the packet.FlowKey and
-// in-port the ISSUE's fast path is keyed on, widened with every other field a
-// Match may constrain so a cached result can never disagree with the
-// classifier regardless of which fields installed rules inspect.
-type microKey struct {
-	key    packet.FlowKey
-	inPort int
-	ethSrc addr.MAC
-	ethDst addr.MAC
-	proto  uint8
-	tpSrc  uint16
-	tpDst  uint16
-}
-
-// microEntry is a cached lookup result, valid only while gen matches the
-// table's current generation.
-type microEntry struct {
-	e   *Entry
-	gen uint64
-}
-
-// microCap bounds the microflow cache; when full it is reset wholesale
-// rather than evicted piecemeal (OVS similarly sizes its cache and relies on
-// cheap re-population from the classifier).
-const microCap = 8192
 
 // Table is a single-table OpenFlow pipeline plus a group table. Lookups are
 // served OVS-style: an exact-match microflow cache first, then a hash-indexed
@@ -133,10 +104,10 @@ const microCap = 8192
 // a removed one is overwritten by the last (each Entry knows its index), so
 // neither shifts the rest of the table, and DeleteByCookie finds its victims
 // through a per-cookie index instead of scanning. Nothing on the packet or
-// FlowMod path needs the entries in match order — the classifier's buckets
-// carry it — so match order (priority desc, seq asc) is materialised only
-// when a dump, an audit or the linear oracle asks (Entries) and cached until
-// the next mutation.
+// FlowMod path needs the entries in match order — the classifier's bucket
+// chains carry it — so match order (priority desc, seq asc) is materialised
+// only when a dump, an audit or the linear oracle asks (Entries) and cached
+// until the next mutation.
 type Table struct {
 	entries []*Entry // unordered; entries[e.pos] == e
 	ordered []*Entry // entries in match order, valid while sorted is set
@@ -150,14 +121,15 @@ type Table struct {
 	// only ever looked up by key, never ranged over.
 	byCookie map[uint64][]*Entry
 
-	// listFree recycles the emptied entry lists of deleted cookies and of
-	// classifier buckets, so a steady churn of m-flow rules allocates neither.
+	// listFree recycles the emptied entry lists of deleted cookies, so a
+	// steady churn of m-flow rules allocates none.
 	listFree [][]*Entry
 
-	subs     map[FieldMask]*subtable
-	subOrder []*subtable // creation order; deterministic iteration (no map range)
+	// subs holds one subtable per match shape in use, in creation order: a
+	// handful, found by scanning.
+	subs []*subtable
 
-	micro map[microKey]microEntry
+	micro microCache
 	gen   uint64 // bumped on any table modification; stale cache entries ignored
 
 	// CacheHits / CacheMisses count Lookup calls served by the microflow
@@ -186,11 +158,7 @@ type Table struct {
 
 // NewTable returns an empty table.
 func NewTable() *Table {
-	return &Table{
-		groups: make(map[GroupID]*Group),
-		subs:   make(map[FieldMask]*subtable),
-		micro:  make(map[microKey]microEntry),
-	}
+	return &Table{groups: make(map[GroupID]*Group)}
 }
 
 // Len returns the number of installed entries.
@@ -208,18 +176,6 @@ func entryLess(a, b *Entry) bool {
 	return a.seq < b.seq
 }
 
-// subtableFor returns the subtable indexing matches of shape mask, creating
-// it on first use.
-func (t *Table) subtableFor(mask FieldMask) *subtable {
-	st := t.subs[mask]
-	if st == nil {
-		st = &subtable{mask: mask, buckets: make(map[Match][]*Entry)}
-		t.subs[mask] = st
-		t.subOrder = append(t.subOrder, st)
-	}
-	return st
-}
-
 // add appends e to the bag and the cookie index.
 func (t *Table) add(e *Entry) {
 	e.pos = int32(len(t.entries))
@@ -233,7 +189,7 @@ func (t *Table) add(e *Entry) {
 func (t *Table) remove(e *Entry) {
 	t.unindexCookie(e)
 	t.dropFromBag(e)
-	t.removeFromIndex(e)
+	t.subtable(e.Match.Mask).unlink(e)
 }
 
 func (t *Table) dropFromBag(e *Entry) {
@@ -311,32 +267,39 @@ func (t *Table) Insert(e *Entry, now sim.Time) {
 // its cost is independent of how many entries the table holds.
 func (t *Table) TryInsert(e *Entry, now sim.Time) error {
 	norm := e.Match.normalized()
-	st := t.subtableFor(norm.Mask)
-	bucket := st.buckets[norm]
-	for i, old := range bucket {
-		if old.Priority == e.Priority {
-			// Replace: same match, same priority. Within a bucket matches
-			// are Equal by construction, so priorities are unique.
-			e.Installed = now
-			e.LastUsed = now
-			e.seq = old.seq
-			t.invalidate()
-			bucket[i] = e
-			t.unindexCookie(old)
-			e.pos = old.pos
-			t.entries[e.pos] = e
-			t.sorted = false
-			t.indexCookie(e)
-			return nil
+	h := norm.hash()
+	st := t.subtable(norm.Mask)
+	if st == nil {
+		st = &subtable{mask: norm.Mask, slots: make([]*Entry, 8)}
+		t.subs = append(t.subs, st)
+	}
+	at := st.locate(h, &norm, e.Priority)
+	if old := at.cur; old != nil && old.Priority == e.Priority {
+		// Replace: same match, same priority (unique within a bucket). old
+		// may be e itself — a retransmitted FlowMod whose ack was lost.
+		e.Installed = now
+		e.LastUsed = now
+		e.seq = old.seq
+		t.invalidate()
+		if e != old {
+			e.hash = h
+			st.link(at, e, old.lower)
+			old.chain, old.lower = nil, nil
 		}
+		t.unindexCookie(old)
+		e.pos = old.pos
+		t.entries[e.pos] = e
+		t.sorted = false
+		t.indexCookie(e)
+		return nil
 	}
 
 	if t.Capacity > 0 && len(t.entries) >= t.Capacity {
 		if t.Policy != EvictLRU || !t.evictLRU() {
 			return ErrTableFull
 		}
-		// The victim may have shared e's bucket; re-fetch.
-		bucket = st.buckets[norm]
+		// The victim may have shared e's bucket or slot; locate again.
+		at = st.locate(h, &norm, e.Priority)
 	}
 
 	e.Installed = now
@@ -344,17 +307,8 @@ func (t *Table) TryInsert(e *Entry, now sim.Time) error {
 	t.invalidate()
 	t.seq++
 	e.seq = t.seq
-
-	// Bucket insertion point: priorities within a bucket are unique, so
-	// order by priority alone.
-	bi := sort.Search(len(bucket), func(i int) bool { return bucket[i].Priority < e.Priority })
-	if bucket == nil {
-		bucket = t.emptyList()
-	}
-	bucket = append(bucket, nil)
-	copy(bucket[bi+1:], bucket[bi:])
-	bucket[bi] = e
-	st.buckets[norm] = bucket
+	e.hash = h
+	st.link(at, e, at.cur)
 	t.add(e)
 	return nil
 }
@@ -386,19 +340,6 @@ func (t *Table) evictLRU() bool {
 	return true
 }
 
-// microKeyOf projects the packet onto the microflow cache key.
-func microKeyOf(p *packet.Packet, inPort int) microKey {
-	return microKey{
-		key:    p.Key(),
-		inPort: inPort,
-		ethSrc: p.SrcMAC,
-		ethDst: p.DstMAC,
-		proto:  p.Proto,
-		tpSrc:  p.SrcPort,
-		tpDst:  p.DstPort,
-	}
-}
-
 // Lookup returns the highest-priority entry covering the packet, updating
 // its counters, or nil on a table miss. hit reports whether the microflow
 // cache served the result (the switch charges fast-path vs slow-path CPU on
@@ -406,12 +347,13 @@ func microKeyOf(p *packet.Packet, inPort int) microKey {
 // upcall rather than a datapath flow.
 func (t *Table) Lookup(p *packet.Packet, inPort int, now sim.Time) (e *Entry, hit bool) {
 	k := microKeyOf(p, inPort)
-	if me, ok := t.micro[k]; ok && me.gen == t.gen {
+	kh := k.hash()
+	if cached := t.micro.get(kh, &k, t.gen); cached != nil {
 		t.CacheHits++
-		me.e.Packets++
-		me.e.Bytes += uint64(p.WireLen())
-		me.e.LastUsed = now
-		return me.e, true
+		cached.Packets++
+		cached.Bytes += uint64(p.WireLen())
+		cached.LastUsed = now
+		return cached, true
 	}
 	t.CacheMisses++
 	best := t.lookupClassifier(p, inPort)
@@ -421,10 +363,7 @@ func (t *Table) Lookup(p *packet.Packet, inPort int, now sim.Time) (e *Entry, hi
 	best.Packets++
 	best.Bytes += uint64(p.WireLen())
 	best.LastUsed = now
-	if len(t.micro) >= microCap {
-		clear(t.micro)
-	}
-	t.micro[k] = microEntry{e: best, gen: t.gen}
+	t.micro.put(kh, &k, best, t.gen)
 	return best, false
 }
 
@@ -433,18 +372,17 @@ func (t *Table) Lookup(p *packet.Packet, inPort int, now sim.Time) (e *Entry, hi
 // cache.
 func (t *Table) lookupClassifier(p *packet.Packet, inPort int) *Entry {
 	var best *Entry
-	for _, st := range t.subOrder {
+	for _, st := range t.subs {
+		if st.heads == 0 {
+			continue
+		}
 		key, ok := projectKey(st.mask, p, inPort)
 		if !ok {
 			continue
 		}
-		bucket := st.buckets[key]
-		if len(bucket) == 0 {
-			continue
-		}
-		// bucket[0] is the subtable's best candidate; every entry in the
-		// bucket covers the packet because the projection matched exactly.
-		if e := bucket[0]; best == nil || entryLess(e, best) {
+		// The bucket's head is the subtable's best candidate; every entry in
+		// the bucket covers the packet because the projection matched exactly.
+		if e := *st.find(key.hash(), &key); e != nil && (best == nil || entryLess(e, best)) {
 			best = e
 		}
 	}
@@ -460,30 +398,6 @@ func (t *Table) lookupLinear(p *packet.Packet, inPort int) *Entry {
 		}
 	}
 	return nil
-}
-
-// removeFromIndex detaches e from its subtable bucket.
-func (t *Table) removeFromIndex(e *Entry) {
-	norm := e.Match.normalized()
-	st := t.subs[norm.Mask]
-	if st == nil {
-		return
-	}
-	b := st.buckets[norm]
-	for i, x := range b {
-		if x == e {
-			copy(b[i:], b[i+1:])
-			b[len(b)-1] = nil
-			b = b[:len(b)-1]
-			break
-		}
-	}
-	if len(b) == 0 {
-		delete(st.buckets, norm)
-		t.listFree = append(t.listFree, b)
-	} else {
-		st.buckets[norm] = b
-	}
 }
 
 // DeleteByCookie removes all entries with the given cookie and returns how
@@ -503,7 +417,7 @@ func (t *Table) DeleteByCookie(cookie uint64) int {
 	for i, e := range list {
 		list[i] = nil
 		t.dropFromBag(e)
-		t.removeFromIndex(e)
+		t.subtable(e.Match.Mask).unlink(e)
 	}
 	t.listFree = append(t.listFree, list[:0])
 	t.invalidate()
@@ -556,12 +470,12 @@ func (e *Entry) expired(now sim.Time) (idle, hard bool) {
 // the ambiguity MIC's Collision Avoidance Mechanism must rule out.
 func (t *Table) Conflicts(m Match, priority int) []*Entry {
 	norm := m.normalized()
-	st := t.subs[norm.Mask]
+	st := t.subtable(norm.Mask)
 	if st == nil {
 		return nil
 	}
 	var out []*Entry
-	for _, e := range st.buckets[norm] {
+	for e := *st.find(norm.hash(), &norm); e != nil; e = e.lower {
 		if e.Priority == priority {
 			out = append(out, e)
 		}

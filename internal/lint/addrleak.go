@@ -32,8 +32,8 @@ import (
 //   - calls into internal/metrics and internal/trace: emission surfaces
 //     replicated to standbys or rendered into reports;
 //   - packet-header writes: packet.Packet SetSrcIP/SetDstIP calls, direct
-//     assignments to its address fields, and conversions to the
-//     flowtable rewrite-action types (SetIPSrc/SetIPDst/SetEthSrc/
+//     assignments to its address fields, and calls to the flowtable
+//     address-rewrite action constructors (SetIPSrc/SetIPDst/SetEthSrc/
 //     SetEthDst).
 //
 // Sanctioned boundaries carry `// lint:declassify addrleak <reason>` — the
@@ -67,15 +67,15 @@ var emissionPkgs = map[string]bool{
 	"mic/internal/trace":   true,
 }
 
-// headerWriteMethods are packet-header mutators; headerRewriteTypes are the
-// flow-table action types a conversion into which installs an address on
-// the data path.
+// headerWriteMethods are packet-header mutators; headerRewriteActions are the
+// flow-table action constructors whose argument is installed as an address
+// on the data path.
 var headerWriteMethods = map[string]bool{
 	"(*mic/internal/packet.Packet).SetSrcIP": true,
 	"(*mic/internal/packet.Packet).SetDstIP": true,
 }
 
-var headerRewriteTypes = map[string]bool{
+var headerRewriteActions = map[string]bool{
 	"mic/internal/flowtable.SetIPSrc":  true,
 	"mic/internal/flowtable.SetIPDst":  true,
 	"mic/internal/flowtable.SetEthSrc": true,
@@ -90,13 +90,13 @@ var headerFields = map[string]bool{"SrcIP": true, "DstIP": true, "SrcMAC": true,
 
 func runAddrLeak(pass *Pass) error {
 	w := &alWalker{
-		pass:      pass,
-		secret:    map[types.Object]string{},
-		decls:     map[types.Object]*ast.FuncDecl{},
-		retMemo:   map[alKey]string{},
-		active:    map[alKey]bool{},
-		sinkMemo:  map[alKey]bool{},
-		reported:  map[token.Pos]bool{},
+		pass:     pass,
+		secret:   map[types.Object]string{},
+		decls:    map[types.Object]*ast.FuncDecl{},
+		retMemo:  map[alKey]string{},
+		active:   map[alKey]bool{},
+		sinkMemo: map[alKey]bool{},
+		reported: map[token.Pos]bool{},
 	}
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
@@ -581,21 +581,10 @@ func fieldOwner(info *types.Info, sel *ast.SelectorExpr) string {
 }
 
 // checkCallSinks flags tainted arguments reaching fmt formatting, the
-// metrics/trace emission surface, packet-header mutators and conversions to
-// flow-table rewrite actions — and follows taint into same-package callees.
+// metrics/trace emission surface, packet-header mutators and the flow-table
+// address-rewrite action constructors — and follows taint into same-package
+// callees.
 func (w *alWalker) checkCallSinks(call *ast.CallExpr, env map[types.Object]string, depth int) {
-	// Conversion to a rewrite-action type.
-	if tv, ok := w.pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
-		if named, ok := tv.Type.(*types.Named); ok && named.Obj().Pkg() != nil {
-			name := named.Obj().Pkg().Path() + "." + named.Obj().Name()
-			if headerRewriteTypes[name] && len(call.Args) == 1 {
-				if o := w.taintOf(call.Args[0], env, depth); o != "" {
-					w.report(call.Pos(), "secret %s written into header-rewrite action %s", o, named.Obj().Name())
-				}
-			}
-		}
-		return
-	}
 	fn := w.callee(call)
 	if fn == nil {
 		return
@@ -613,6 +602,13 @@ func (w *alWalker) checkCallSinks(call *ast.CallExpr, env map[types.Object]strin
 		for _, a := range call.Args {
 			if o := w.taintOf(a, env, depth); o != "" {
 				w.report(call.Pos(), "secret %s written into packet header via %s", o, fn.Name())
+				break
+			}
+		}
+	case headerRewriteActions[full]:
+		for _, a := range call.Args {
+			if o := w.taintOf(a, env, depth); o != "" {
+				w.report(call.Pos(), "secret %s written into header-rewrite action %s", o, fn.Name())
 				break
 			}
 		}

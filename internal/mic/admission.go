@@ -364,11 +364,12 @@ func (mc *MC) unwindFlow(st *channelState, respIP addr.IP, snap flowSnap) {
 		keepLinks[lk] = true
 	}
 	for _, lk := range st.links[snap.links:] {
-		if mc.linkLoad[lk] > 0 {
-			mc.linkLoad[lk]--
+		l := mc.linkIndex(lk)
+		if mc.linkLoad[l] > 0 {
+			mc.linkLoad[l]--
 		}
 		if !keepLinks[lk] {
-			delete(mc.linkChannels[lk], st.id)
+			mc.linkChannels[l] = dropID(mc.linkChannels[l], st.id)
 		}
 	}
 	st.links = st.links[:snap.links]
@@ -379,16 +380,16 @@ func (mc *MC) unwindFlow(st *channelState, respIP addr.IP, snap flowSnap) {
 	}
 	for _, n := range st.nodes[snap.nodes:] {
 		if !keepNodes[n] {
-			delete(mc.nodeChannels[n], st.id)
+			mc.nodeChannels[n] = dropID(mc.nodeChannels[n], st.id)
 		}
 	}
 	st.nodes = st.nodes[:snap.nodes]
 
 	st.rules = st.rules[:snap.rules]
 	st.groups = st.groups[:snap.groups]
-	st.switches = make(map[topo.NodeID]bool)
+	st.switches = st.switches[:0]
 	for _, rr := range st.rules {
-		st.switches[rr.node] = true
+		st.addSwitch(rr.node)
 	}
 }
 

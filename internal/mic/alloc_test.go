@@ -1,17 +1,29 @@
 package mic
 
 import (
+	"sort"
 	"testing"
+	"unsafe"
+
+	"mic/internal/flowtable"
+	"mic/internal/topo"
 )
 
 // establishCloseBudget bounds the heap allocations of one EstablishChannel +
 // CloseChannel round on an idle fat-tree(4) controller — the benchmark's
-// mic.establish_allocs kernel. What remains is what the channel keeps (its
-// state, its rules and their actions, the path and MN lists handed to the
-// client) plus the request's own closures; pools, candidate paths, tuple
-// chains, plan scratch and southbound messages allocate nothing in steady
-// state. The closure-per-message control plane this replaced spent 406.
-const establishCloseBudget = 100
+// mic.establish_allocs kernel: 36 measured, 41 under the race detector (CI
+// runs the suite both ways), plus 10 %. What remains is what
+// the channel keeps — its state and the ChannelInfo handed to the client, one
+// slab of entries and one of actions per m-flow, a list each for its rules,
+// links, nodes, switches, flow IDs and fake addresses, the path and the MN
+// list — plus the request's own closures (one per gate, per switch a delete
+// is sent to, per callback) and the test's address formatting and parsing.
+// Rules, action lists and actions are not allocations of their own, nor is
+// anything the flow tables or the link and switch indexes do; pools, candidate
+// paths, tuple chains, plan scratch and southbound messages allocate nothing
+// in steady state. The closure-per-message control plane spent 406, the
+// map-indexed, boxed-action one 83.
+const establishCloseBudget = 45
 
 func TestEstablishCloseAllocBudget(t *testing.T) {
 	f := newFixture(t, Config{MNs: 3})
@@ -41,5 +53,83 @@ func TestEstablishCloseAllocBudget(t *testing.T) {
 	}
 	if f.mc.LiveChannels() != 0 {
 		t.Fatalf("%d channels left open", f.mc.LiveChannels())
+	}
+}
+
+// TestPathLoadAllocs pins the failure indexes' steady state: charging a path
+// to the link-load table and the per-link and per-switch channel sets and
+// releasing it again allocates nothing beyond the channel's own two lists.
+func TestPathLoadAllocs(t *testing.T) {
+	f := newFixture(t, Config{})
+	g := f.graph
+	path := g.EqualCostPaths(g.Hosts()[0], g.Hosts()[15], 1)[0]
+	st := &channelState{id: 7, opts: ChannelOptions{MFlows: 1}}
+	links := make([]linkKey, 0, 2*len(path))
+	nodes := make([]topo.NodeID, 0, len(path))
+	round := func() {
+		st.links, st.nodes = links, nodes
+		f.mc.chargePathLoad(st, path)
+		f.mc.releaseLoad(st)
+	}
+	round() // the sets' first members
+	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+		t.Fatalf("chargePathLoad+releaseLoad allocated %.0f times in steady state, want 0", allocs)
+	}
+	for l, load := range f.mc.linkLoad {
+		if load != 0 || len(f.mc.linkChannels[l]) != 0 {
+			t.Fatalf("link %d left with load %d, channels %v", l, load, f.mc.linkChannels[l])
+		}
+	}
+}
+
+// TestTemplateFlowFitsItsSlab checks the templater's slab sizing over MN
+// counts and multicast fan-outs: every entry of an m-flow lies in one array
+// and every action list in another, back to back. A slab sized too small
+// would have moved on to a second array part-way — correct, but it is the
+// allocation per rule the slab exists to avoid.
+func TestTemplateFlowFitsItsSlab(t *testing.T) {
+	for mns := 1; mns <= 5; mns++ {
+		for fanout := 1; fanout <= 3; fanout++ {
+			f := newFixture(t, Config{MNs: mns, MulticastFanout: fanout})
+			for trial := 0; trial < 20; trial++ {
+				from, to := f.graph.Hosts()[trial%16], f.graph.Hosts()[(trial*7+5)%16]
+				if from == to {
+					continue
+				}
+				opts := ChannelOptions{}.withDefaults(f.mc.Cfg)
+				plan, err := f.mc.planFlow(from, to, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				initIP, respIP := f.graph.Node(from).IP, f.graph.Node(to).IP
+				res := flowRes{entry: f.hostIP(3), finalSrc: f.hostIP(4), fwdID: 1, revID: 2}
+				recs, _, _ := f.mc.templateFlow(plan, res, initIP, respIP, opts, 99, 0)
+
+				var lists [][]flowtable.Action
+				for i, rr := range recs {
+					if want := unsafe.Add(unsafe.Pointer(recs[0].entry), uintptr(i)*unsafe.Sizeof(flowtable.Entry{})); unsafe.Pointer(rr.entry) != want {
+						t.Fatalf("MNs %d fanout %d: rule %d of %d is not carved next to its predecessor", mns, fanout, i, len(recs))
+					}
+					if len(rr.entry.Actions) > 0 {
+						lists = append(lists, rr.entry.Actions)
+					}
+					if rr.group != nil {
+						for _, b := range rr.group.Buckets[1:] { // bucket 0 is a rule's own list, counted when met
+							lists = append(lists, b.Actions)
+						}
+						lists = append(lists, rr.group.Buckets[0].Actions)
+					}
+				}
+				sort.Slice(lists, func(i, j int) bool {
+					return uintptr(unsafe.Pointer(&lists[i][0])) < uintptr(unsafe.Pointer(&lists[j][0]))
+				})
+				for i := 1; i < len(lists); i++ {
+					prev := lists[i-1]
+					if end := unsafe.Add(unsafe.Pointer(&prev[0]), uintptr(len(prev))*unsafe.Sizeof(prev[0])); unsafe.Pointer(&lists[i][0]) != end {
+						t.Fatalf("MNs %d fanout %d: action list %d of %d does not start where the one before it ends", mns, fanout, i, len(lists))
+					}
+				}
+			}
+		}
 	}
 }

@@ -2,7 +2,7 @@ package mic
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"mic/internal/ctrlplane"
@@ -80,7 +80,7 @@ func (mc *MC) StopProber() {
 
 // failLink schedules repair for every channel routed over the failed link.
 func (mc *MC) failLink(lk linkKey) {
-	for _, id := range sortedIDSet(mc.linkChannels[lk]) {
+	for _, id := range sortedIDSet(mc.linkChannels[mc.linkIndex(lk)]) {
 		mc.scheduleRepair(id)
 	}
 }
@@ -93,17 +93,13 @@ func (mc *MC) failNode(node topo.NodeID) {
 	}
 }
 
-// sortedIDSet returns the channel IDs of set in ascending order. Repair
-// jobs run serialized in schedule order, and each consumes RNG draws while
-// re-routing — scheduling them in randomized map order would make the
-// whole recovery trace differ run to run.
-func sortedIDSet(set map[uint64]bool) []uint64 {
-	ids := make([]uint64, 0, len(set))
-	// lint:ignore detrange keys are collected then sorted immediately below
-	for id := range set {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+// sortedIDSet returns a copy of set in ascending order. Repair jobs run
+// serialized in schedule order, and each consumes RNG draws while
+// re-routing — scheduling them in the sets' arbitrary order would make the
+// recovery trace depend on which channels happened to close earlier.
+func sortedIDSet(set []uint64) []uint64 {
+	ids := slices.Clone(set)
+	slices.Sort(ids)
 	return ids
 }
 

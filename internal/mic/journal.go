@@ -1,9 +1,6 @@
 package mic
 
-import (
-	"mic/internal/addr"
-	"mic/internal/topo"
-)
+import "mic/internal/addr"
 
 // This file is the MC's durability layer: a journal of every externally
 // visible mutation, compacted by periodic snapshots, from which a standby
@@ -402,7 +399,6 @@ func (mc *MC) applyRecord(r Record) {
 			entries:   append([]addr.IP(nil), r.Entries...),
 			finals:    append([]addr.IP(nil), r.Finals...),
 			res:       append([]flowRes(nil), r.Res...),
-			switches:  make(map[topo.NodeID]bool),
 		}
 		st.info = &ChannelInfo{
 			ID:    r.Channel,
@@ -448,7 +444,7 @@ func (mc *MC) applyRecord(r Record) {
 			}
 		}
 		st.info.Flows = append(st.info.Flows[:0], r.Flows...)
-		st.switches = make(map[topo.NodeID]bool)
+		st.switches = nil
 		st.groups = nil
 		mc.setRules(st, r.Rules)
 		mc.chargeIntent(st.rules)
@@ -480,7 +476,7 @@ func (mc *MC) applyRecord(r Record) {
 func (mc *MC) setRules(st *channelState, rules []ruleRec) {
 	st.rules = append([]ruleRec(nil), rules...)
 	for _, rr := range rules {
-		st.switches[rr.node] = true
+		st.addSwitch(rr.node)
 		if rr.group != nil {
 			st.groups = append(st.groups, groupRef{node: rr.node, id: rr.group.ID})
 		}

@@ -226,9 +226,9 @@ type channelState struct {
 	epoch     uint32 // bumped per repair; part of the rule cookie
 	gen       uint32 // controller generation that installed the current epoch
 	flowIDs   []uint32
-	switches  map[topo.NodeID]bool // where rules were installed
-	groups    []groupRef           // partial-multicast groups to clean up
-	rules     []ruleRec            // current epoch's intended rules, per switch
+	switches  []topo.NodeID // where rules were installed: ascending, duplicate-free
+	groups    []groupRef    // partial-multicast groups to clean up
+	rules     []ruleRec     // current epoch's intended rules, per switch
 	entries   []addr.IP
 	finals    []addr.IP
 	res       []flowRes     // per-flow durable resources (survive repairs)
@@ -366,15 +366,21 @@ type MC struct {
 	// entry" requirement at the unlabeled first/last segments.
 	entryInUse map[[2]addr.IP]bool
 
-	// linkLoad counts live m-flows per directed link, feeding
-	// PathLeastLoaded.
-	linkLoad map[linkKey]int
+	// linkBase numbers the fabric's directed links densely: the link out of
+	// port p of node n is linkBase[n]+p (linkIndex). The graph's ports are
+	// fixed once the fabric is built, so the numbering is computed once.
+	linkBase []int
+
+	// linkLoad counts live m-flows per directed link (by dense link number),
+	// feeding PathLeastLoaded.
+	linkLoad []int
 
 	// linkChannels and nodeChannels index live channels by the directed
-	// links and switches their paths cross — the self-healing layer's
-	// failure→victims lookup.
-	linkChannels map[linkKey]map[uint64]bool
-	nodeChannels map[topo.NodeID]map[uint64]bool
+	// links (dense link number) and switches (NodeID) their paths cross — the
+	// self-healing layer's failure→victims lookup. Each is a small unordered
+	// duplicate-free set of channel IDs.
+	linkChannels [][]uint64
+	nodeChannels [][]uint64
 
 	// repairJobs serializes self-healing per channel: one job per channel
 	// at a time; overlapping failures mark the job dirty for re-check.
@@ -500,9 +506,6 @@ func newMC(net *netsim.Network, cfg Config, mode mcMode) (*MC, error) {
 		hidden:       make(map[string]addr.IP),
 		channels:     make(map[uint64]*channelState),
 		entryInUse:   make(map[[2]addr.IP]bool),
-		linkLoad:     make(map[linkKey]int),
-		linkChannels: make(map[linkKey]map[uint64]bool),
-		nodeChannels: make(map[topo.NodeID]map[uint64]bool),
 		repairJobs:   make(map[uint64]*repairJob),
 		staleCookies: make(map[topo.NodeID][]uint64),
 		ruleCount:    make(map[topo.NodeID]int),
@@ -514,6 +517,11 @@ func newMC(net *netsim.Network, cfg Config, mode mcMode) (*MC, error) {
 		admitTokens: float64(cfg.Admission.Burst),
 	}
 	mc.pathRng = mc.rng.Stream(fmt.Sprintf("paths-%d", cfg.InstanceID))
+	mc.linkBase = make([]int, len(net.Graph.Nodes)+1)
+	for i, n := range net.Graph.Nodes {
+		mc.linkBase[i+1] = mc.linkBase[i] + len(n.Ports)
+	}
+	mc.resetLoad()
 
 	// S_ID 0 is the common-flow class C_ID; switches get 1..n.
 	mc.cid = 0
@@ -670,9 +678,7 @@ func (mc *MC) resetState() {
 	mc.hidden = make(map[string]addr.IP)
 	mc.channels = make(map[uint64]*channelState)
 	mc.entryInUse = make(map[[2]addr.IP]bool)
-	mc.linkLoad = make(map[linkKey]int)
-	mc.linkChannels = make(map[linkKey]map[uint64]bool)
-	mc.nodeChannels = make(map[topo.NodeID]map[uint64]bool)
+	mc.resetLoad()
 	mc.repairJobs = make(map[uint64]*repairJob)
 	mc.staleCookies = make(map[topo.NodeID][]uint64)
 	mc.nextChan = uint64(mc.Cfg.InstanceID) << 32

@@ -181,15 +181,40 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 	}
 	U[0] = tuple{src: entry, dst: initIP}
 
-	add := func(node topo.NodeID, e *flowtable.Entry, grp *flowtable.Group) {
-		if e != nil {
-			e.Priority = ctrlplane.PriorityMFlow
-			e.Cookie = cookie
+	// The m-flow's rules are installed together and deleted together, by
+	// cookie, so their entries and action lists are carved from one slab,
+	// sized by counting: forward, a rule on every switch up to the last MN;
+	// in reverse, on every switch from the first MN on; under partial
+	// multicast, a group per edge MN and direction with its decoy drops. The
+	// MN rules take maxMNActions each and the others one; the rule delivering
+	// to the endpoint, one per direction, adds a MAC fix-up.
+	rules := 0
+	if n > 0 {
+		for _, pos := range plan.swPos {
+			if pos <= mnPos[n-1] {
+				rules++
+			}
+			if pos >= mnPos[0] {
+				rules++
+			}
+		}
+	}
+	groups, decoys := 0, 0
+	if opts.MulticastFanout > 1 {
+		groups = 4
+		decoys = groups * (opts.MulticastFanout - 1)
+	}
+	slab := flowtable.NewSlab(rules+decoys, 2*(n*maxMNActions+1)+rules-2*n+groups+decoys*maxMNActions)
+	add := func(node topo.NodeID, m flowtable.Match, actions []flowtable.Action, grp *flowtable.Group) {
+		recs = append(recs, ruleRec{node: node, group: grp, entry: slab.Entry(flowtable.Entry{
+			Priority: ctrlplane.PriorityMFlow,
+			Match:    m,
+			Actions:  actions,
+			Cookie:   cookie,
 			// Under EvictIdle, m-flow rules may be displaced at capacity;
 			// the MC's intent survives and reinstalls on miss.
-			e.Evictable = mc.Cfg.Admission.EvictIdle
-		}
-		recs = append(recs, ruleRec{node: node, entry: e, group: grp})
+			Evictable: mc.Cfg.Admission.EvictIdle,
+		})})
 	}
 	nextGroupID := func() flowtable.GroupID {
 		groupsUsed++
@@ -209,25 +234,27 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 			if cur == n {
 				continue // past the last MN: common routing delivers T[n]
 			}
-			add(node, &flowtable.Entry{Match: T[cur].match(), Actions: []flowtable.Action{flowtable.Output(out)}}, nil)
+			add(node, T[cur].match(), slab.List(flowtable.Output(out)), nil)
 			continue
 		}
 		// This switch is MN_{j+1} (j is 0-based here).
 		jj := j + 1
-		actions := mc.rewriteActions(T[cur], T[jj], jj, n)
+		mark := slab.Mark()
+		mc.rewriteActions(&slab, T[cur], T[jj])
 		if path[pi+1] == respNode {
 			// lint:declassify addrleak last-segment L2 delivery: the responder's own MAC on its access link is the paper-sanctioned exposure
-			actions = append(actions, flowtable.SetEthDst(respMAC))
+			slab.Add(flowtable.SetEthDst(respMAC))
 		}
-		actions = append(actions, flowtable.Output(out))
+		slab.Add(flowtable.Output(out))
+		actions := slab.Since(mark)
 		if (jj == 1 || jj == n) && opts.MulticastFanout > 1 {
-			grp, decoys := mc.buildMulticast(node, path[pi-1], path[pi+1], actions, T[cur], fwdID, opts.MulticastFanout, nextGroupID())
-			add(node, &flowtable.Entry{Match: T[cur].match(), Actions: []flowtable.Action{flowtable.OutputGroup(grp.ID)}}, grp)
+			grp, decoys := mc.buildMulticast(&slab, node, path[pi-1], path[pi+1], actions, T[cur], fwdID, opts.MulticastFanout, nextGroupID())
+			add(node, T[cur].match(), slab.List(flowtable.OutputGroup(grp.ID)), grp)
 			for _, d := range decoys {
-				add(d.node, &flowtable.Entry{Match: d.t.match(), Actions: nil}, nil) // drop at next hop
+				add(d.node, d.t.match(), nil, nil) // drop at next hop
 			}
 		} else {
-			add(node, &flowtable.Entry{Match: T[cur].match(), Actions: actions}, nil)
+			add(node, T[cur].match(), actions, nil)
 		}
 		cur = jj
 	}
@@ -245,24 +272,26 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 			if cur == 0 {
 				continue // past MN_1 on the reply path: common routing delivers U[0]
 			}
-			add(node, &flowtable.Entry{Match: U[cur].match(), Actions: []flowtable.Action{flowtable.Output(out)}}, nil)
+			add(node, U[cur].match(), slab.List(flowtable.Output(out)), nil)
 			continue
 		}
 		jj := j + 1 // this is MN_jj; it rewrites U[jj] -> U[jj-1]
-		actions := mc.rewriteActions(U[cur], U[jj-1], n-jj+1, n)
+		mark := slab.Mark()
+		mc.rewriteActions(&slab, U[cur], U[jj-1])
 		if path[pi-1] == initNode {
 			// lint:declassify addrleak first-segment L2 delivery on the reply path: the initiator's own MAC on its access link
-			actions = append(actions, flowtable.SetEthDst(initMAC))
+			slab.Add(flowtable.SetEthDst(initMAC))
 		}
-		actions = append(actions, flowtable.Output(out))
+		slab.Add(flowtable.Output(out))
+		actions := slab.Since(mark)
 		if (jj == n || jj == 1) && opts.MulticastFanout > 1 {
-			grp, decoys := mc.buildMulticast(node, path[pi+1], path[pi-1], actions, U[cur], revID, opts.MulticastFanout, nextGroupID())
-			add(node, &flowtable.Entry{Match: U[cur].match(), Actions: []flowtable.Action{flowtable.OutputGroup(grp.ID)}}, grp)
+			grp, decoys := mc.buildMulticast(&slab, node, path[pi+1], path[pi-1], actions, U[cur], revID, opts.MulticastFanout, nextGroupID())
+			add(node, U[cur].match(), slab.List(flowtable.OutputGroup(grp.ID)), grp)
 			for _, d := range decoys {
-				add(d.node, &flowtable.Entry{Match: d.t.match(), Actions: nil}, nil)
+				add(d.node, d.t.match(), nil, nil)
 			}
 		} else {
-			add(node, &flowtable.Entry{Match: U[cur].match(), Actions: actions}, nil)
+			add(node, U[cur].match(), actions, nil)
 		}
 		cur = jj - 1
 	}
@@ -284,8 +313,13 @@ func (mc *MC) adoptFlow(st *channelState, recs []ruleRec, mods []ctrlplane.Mod) 
 	if len(mods) == 0 {
 		mods = slices.Grow(mods, flows*len(recs))
 	}
+	if len(st.switches) == 0 {
+		// One flow's rules sit on at most as many switches, and a channel's
+		// flows share most of theirs.
+		st.switches = slices.Grow(st.switches, len(recs))
+	}
 	for _, rr := range recs {
-		st.switches[rr.node] = true
+		st.addSwitch(rr.node)
 		if rr.group != nil {
 			st.groups = append(st.groups, groupRef{node: rr.node, id: rr.group.ID})
 		}

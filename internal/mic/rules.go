@@ -156,7 +156,6 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 		responder: respIP,
 		opts:      opts,
 		gen:       mc.generation,
-		switches:  make(map[topo.NodeID]bool),
 	}
 	info := &ChannelInfo{ID: id}
 	var mods []ctrlplane.Mod
@@ -248,21 +247,18 @@ func (mc *MC) computeFlow(st *channelState, info *ChannelInfo, initNode topo.Nod
 	return mc.adoptFlow(st, recs, mods), fi, nil
 }
 
-// rewriteActions converts `from` into `to` at MN number j of n (1-based).
-// Besides the IP pair, the MN also rewrites the MAC pair to the owners of
-// the fake IPs, so layer-2 observation is equally misled (the paper's
-// m-addresses cover "MAC, IP and port").
+// rewriteActions adds to the slab's open action list the rewrite of `from`
+// into `to` at a Mimic Node. Besides the IP pair, the MN also rewrites the MAC
+// pair to the owners of the fake IPs, so layer-2 observation is equally misled
+// (the paper's m-addresses cover "MAC, IP and port").
 //
 // This is THE sanctioned boundary where real endpoint addresses enter the
 // data plane: the chain-end tuples T[0]/U[0] (initiator side of MN_1) and
 // T[n]/U[n] (responder side of MN_n) carry the real pair by construction —
 // the paper's positional exposure (Sec III/V). Everything between is
 // MAGA-minted fakes.
-func (mc *MC) rewriteActions(from, to tuple, j, n int) []flowtable.Action {
-	// Sized for the longest list a caller completes: the four rewrites, one
-	// label operation, the last-segment MAC fix-up and the output.
-	actions := make([]flowtable.Action, 0, 7)
-	actions = append(actions,
+func (mc *MC) rewriteActions(slab *flowtable.Slab, from, to tuple) {
+	slab.Add(
 		// lint:declassify addrleak mimic-rewrite install: chain-end tuples legitimately carry the real pair on the first/last segment (paper Sec III)
 		flowtable.SetIPSrc(to.src),
 		// lint:declassify addrleak mimic-rewrite install: same sanctioned boundary as the source rewrite above
@@ -270,22 +266,25 @@ func (mc *MC) rewriteActions(from, to tuple, j, n int) []flowtable.Action {
 	)
 	if h := mc.Net.Graph.HostByIP(to.src); h != nil {
 		// lint:declassify addrleak MAC of the tuple owner; real only at chain ends, same boundary as the IP rewrite
-		actions = append(actions, flowtable.SetEthSrc(h.MAC))
+		slab.Add(flowtable.SetEthSrc(h.MAC))
 	}
 	if h := mc.Net.Graph.HostByIP(to.dst); h != nil {
 		// lint:declassify addrleak MAC of the tuple owner; real only at chain ends, same boundary as the IP rewrite
-		actions = append(actions, flowtable.SetEthDst(h.MAC))
+		slab.Add(flowtable.SetEthDst(h.MAC))
 	}
 	switch {
 	case !from.tagged && to.tagged:
-		actions = append(actions, flowtable.PushMPLS(to.label))
+		slab.Add(flowtable.PushMPLS(to.label))
 	case from.tagged && !to.tagged:
-		actions = append(actions, flowtable.PopMPLS{})
+		slab.Add(flowtable.PopMPLS())
 	case from.tagged && to.tagged:
-		actions = append(actions, flowtable.SetMPLS(to.label))
+		slab.Add(flowtable.SetMPLS(to.label))
 	}
-	return actions
 }
+
+// maxMNActions bounds the action list of a Mimic Node's rule or of a decoy
+// bucket: the four address rewrites, one label operation and the output.
+const maxMNActions = 6
 
 // decoyRule records a drop rule to install at a decoy's next hop.
 type decoyRule struct {
@@ -298,8 +297,9 @@ type decoyRule struct {
 // rewrites a clone to a decoy m-address and sends it out a different
 // switch-facing port, where a drop rule kills it one hop later. The group
 // ID is supplied by the templater's local counter (mc.nextGroup advances
-// only when a templated flow is adopted).
-func (mc *MC) buildMulticast(node, prevNode, nextNode topo.NodeID, realActions []flowtable.Action, arriving tuple, flowID uint32, fanout int, gid flowtable.GroupID) (*flowtable.Group, []decoyRule) {
+// only when a templated flow is adopted); the decoy buckets' action lists are
+// carved from the m-flow's slab.
+func (mc *MC) buildMulticast(slab *flowtable.Slab, node, prevNode, nextNode topo.NodeID, realActions []flowtable.Action, arriving tuple, flowID uint32, fanout int, gid flowtable.GroupID) (*flowtable.Group, []decoyRule) {
 	g := mc.Net.Graph
 	grp := &flowtable.Group{ID: gid}
 	grp.Buckets = append(grp.Buckets, flowtable.Bucket{Actions: realActions})
@@ -318,9 +318,10 @@ func (mc *MC) buildMulticast(node, prevNode, nextNode topo.NodeID, realActions [
 		dstPool := mc.reach.via(poolDst, node, port)
 		s, d, l := gen.MAddr(flowID, srcPool, dstPool)
 		dt := tuple{src: s, dst: d, label: l, tagged: true}
-		actions := mc.rewriteActions(arriving, dt, 1, 2)
-		actions = append(actions, flowtable.Output(port))
-		grp.Buckets = append(grp.Buckets, flowtable.Bucket{Actions: actions})
+		mark := slab.Mark()
+		mc.rewriteActions(slab, arriving, dt)
+		slab.Add(flowtable.Output(port))
+		grp.Buckets = append(grp.Buckets, flowtable.Bucket{Actions: slab.Since(mark)})
 		decoys = append(decoys, decoyRule{node: p.Peer, t: dt})
 	}
 	return grp, decoys
@@ -392,7 +393,7 @@ func (mc *MC) pickPath(src, dst topo.NodeID, cands [][]topo.NodeID) topo.Path {
 			p := mc.joinScratch(src, seg, dst)
 			worst := 0
 			for i := 0; i+1 < len(p); i++ {
-				load := mc.linkLoad[linkKey{p[i], g.PortTo(p[i], p[i+1])}]
+				load := mc.linkLoad[mc.linkIndex(linkKey{p[i], g.PortTo(p[i], p[i+1])})]
 				if load > worst {
 					worst = load
 				}
@@ -428,16 +429,11 @@ func (mc *MC) chargePathLoad(st *channelState, path topo.Path) {
 	for i := 0; i+1 < len(path); i++ {
 		fwd := linkKey{path[i], g.PortTo(path[i], path[i+1])}
 		rev := linkKey{path[i+1], g.PortTo(path[i+1], path[i])}
-		mc.linkLoad[fwd]++
-		mc.linkLoad[rev]++
 		st.links = append(st.links, fwd, rev)
 		for _, lk := range [2]linkKey{fwd, rev} {
-			set := mc.linkChannels[lk]
-			if set == nil {
-				set = make(map[uint64]bool)
-				mc.linkChannels[lk] = set
-			}
-			set[st.id] = true
+			l := mc.linkIndex(lk)
+			mc.linkLoad[l]++
+			mc.linkChannels[l] = addID(mc.linkChannels[l], st.id)
 		}
 	}
 	for _, node := range path {
@@ -445,31 +441,60 @@ func (mc *MC) chargePathLoad(st *channelState, path topo.Path) {
 			continue
 		}
 		st.nodes = append(st.nodes, node)
-		set := mc.nodeChannels[node]
-		if set == nil {
-			set = make(map[uint64]bool)
-			mc.nodeChannels[node] = set
-		}
-		set[st.id] = true
+		mc.nodeChannels[node] = addID(mc.nodeChannels[node], st.id)
 	}
 }
 
 // releaseLoad returns a channel's link occupancy and drops it from the
-// failure indexes. A link's or switch's set stays behind when it empties —
-// the next channel routed there reuses it, and the fabric bounds how many
-// there can be.
+// failure indexes. A link's or switch's set keeps its storage when it
+// empties — the next channel routed there reuses it, and the fabric bounds
+// how many there can be.
 func (mc *MC) releaseLoad(st *channelState) {
 	for _, lk := range st.links {
-		if mc.linkLoad[lk] > 0 {
-			mc.linkLoad[lk]--
+		l := mc.linkIndex(lk)
+		if mc.linkLoad[l] > 0 {
+			mc.linkLoad[l]--
 		}
-		delete(mc.linkChannels[lk], st.id)
+		mc.linkChannels[l] = dropID(mc.linkChannels[l], st.id)
 	}
 	st.links = nil
 	for _, node := range st.nodes {
-		delete(mc.nodeChannels[node], st.id)
+		mc.nodeChannels[node] = dropID(mc.nodeChannels[node], st.id)
 	}
 	st.nodes = nil
+}
+
+// linkIndex returns a directed link's dense number.
+func (mc *MC) linkIndex(lk linkKey) int { return mc.linkBase[lk.node] + lk.port }
+
+// resetLoad empties the link-load table and both failure indexes.
+func (mc *MC) resetLoad() {
+	links := mc.linkBase[len(mc.linkBase)-1]
+	mc.linkLoad = make([]int, links)
+	mc.linkChannels = make([][]uint64, links)
+	mc.nodeChannels = make([][]uint64, len(mc.linkBase)-1)
+}
+
+// addID adds id to an unordered duplicate-free set. A channel's own charges
+// arrive together, so the scan runs from the newest member back.
+func addID(set []uint64, id uint64) []uint64 {
+	for i := len(set) - 1; i >= 0; i-- {
+		if set[i] == id {
+			return set
+		}
+	}
+	return append(set, id)
+}
+
+// dropID removes id from an unordered set, if present.
+func dropID(set []uint64, id uint64) []uint64 {
+	i := slices.Index(set, id)
+	if i < 0 {
+		return set
+	}
+	last := len(set) - 1
+	set[i] = set[last]
+	return set[:last]
 }
 
 // pathAlive reports whether no switch or link of p has failed.
@@ -503,11 +528,10 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 	// Recompute first; only tear down the old rules when the new routing
 	// exists, so an unrepairable failure leaves the old state untouched.
 	newInfo := &ChannelInfo{ID: id}
-	newSwitches := make(map[topo.NodeID]bool)
 	oldSwitches := st.switches
 	oldCookie := st.cookie(id)
 	oldGen := st.gen
-	st.switches = newSwitches
+	st.switches = nil
 	oldGroups := st.groups
 	st.groups = nil
 	oldRules := st.rules
@@ -568,8 +592,8 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 // installed on. Dead switches — and live switches that never acknowledge
 // the delete — are remembered in staleCookies and purged when they come
 // back (a restarting switch reconnects with whatever rules it had).
-func (mc *MC) purgeOldEpoch(switches map[topo.NodeID]bool, cookie uint64) {
-	for _, node := range sortedNodeSet(switches) {
+func (mc *MC) purgeOldEpoch(switches []topo.NodeID, cookie uint64) {
+	for _, node := range switches {
 		node := node
 		sw := mc.Net.Switch(node)
 		if sw.Down {
@@ -685,7 +709,7 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 		mc.Net.Eng.After(0, finish)
 		return nil
 	}
-	for _, node := range sortedNodeSet(st.switches) {
+	for _, node := range st.switches {
 		mc.Ch.DeleteByCookie(mc.Net.Switch(node), st.cookie(id), func(int) {
 			remaining--
 			if remaining == 0 {
@@ -696,16 +720,13 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 	return nil
 }
 
-// sortedNodeSet returns the node IDs of set in ascending order, so that
-// southbound message order never depends on randomized map iteration.
-func sortedNodeSet(set map[topo.NodeID]bool) []topo.NodeID {
-	nodes := make([]topo.NodeID, 0, len(set))
-	// lint:ignore detrange keys are collected then sorted immediately below
-	for node := range set {
-		nodes = append(nodes, node)
+// addSwitch records that the channel has rules on node, keeping st.switches
+// ascending and duplicate-free, so that southbound message order follows it
+// directly. A channel crosses a dozen switches at most.
+func (st *channelState) addSwitch(node topo.NodeID) {
+	if i, found := slices.BinarySearch(st.switches, node); !found {
+		st.switches = slices.Insert(st.switches, i, node)
 	}
-	slices.Sort(nodes)
-	return nodes
 }
 
 // LiveChannels reports how many channels are currently established.

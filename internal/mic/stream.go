@@ -273,6 +273,11 @@ func (s *Stream) Send(data []byte) {
 // while none was registered. The slice handed to fn aliases parser or
 // reassembly storage and is valid only during the call (Conn.OnData's
 // contract); fn may Send it — Send copies before it returns.
+//
+// A stream with no receiver registered holds what arrives but never advances
+// its cumulative ack, so its peer keeps retransmitting until one is: an
+// endpoint that will not read must still register a callback that discards,
+// or an engine driven by Run never drains.
 func (s *Stream) OnData(fn func([]byte)) {
 	s.onData = fn
 	s.drain()

@@ -106,8 +106,8 @@ func (s *Switch) run(actions []flowtable.Action, inPort int, p *packet.Packet) {
 	}
 	handedOff := false
 	for i, a := range actions {
-		switch act := a.(type) {
-		case flowtable.Output:
+		switch a.Op {
+		case flowtable.OpOutput:
 			s.TxPackets++
 			s.net.Stats.Forwarded++
 			out := p
@@ -116,9 +116,9 @@ func (s *Switch) run(actions []flowtable.Action, inPort int, p *packet.Packet) {
 			} else {
 				handedOff = true
 			}
-			s.net.send(s.ID, int(act), out)
-		case flowtable.OutputGroup:
-			g, ok := s.Table.Group(flowtable.GroupID(act))
+			s.net.send(s.ID, int(a.Arg), out)
+		case flowtable.OpOutputGroup:
+			g, ok := s.Table.Group(flowtable.GroupID(a.Arg))
 			if !ok {
 				continue
 			}
