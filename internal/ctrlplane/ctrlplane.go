@@ -119,11 +119,14 @@ type Channel struct {
 	instFree []*install
 }
 
-// swState is the channel's transaction window toward one switch.
+// swState is the channel's transaction window toward one switch: an ordered
+// one, so that a barrier can tell the messages sent before it from those sent
+// after (Channel.Barrier).
 type swState struct {
-	inflight int    // unresolved messages
+	seq      uint64 // send sequence number of the last message sent
+	inflight int    // messages sent and not yet acknowledged or abandoned
 	failed   uint64 // abandoned messages
-	waiters  []*msg // barriers parked until inflight drains to zero
+	waiters  []*msg // barriers with unresolved predecessors, in issue order; each leaves when its own last predecessor resolves
 }
 
 // Control-channel reliability defaults.
@@ -313,7 +316,13 @@ func (c *Channel) PacketOut(sw *netsim.Switch, actions []flowtable.Action, p *pa
 
 // Barrier completes after every message sent to sw before the barrier has
 // been acknowledged or abandoned, plus one reliable round trip of its own —
-// the OFPT_BARRIER_REQUEST/REPLY semantics this package's doc promises.
+// the OFPT_BARRIER_REQUEST/REPLY semantics this package's doc promises. It
+// orders against earlier messages only, earlier barriers on the wire
+// included: nothing sent to sw after the barrier was issued can delay it, so
+// a switch under steady traffic still answers a barrier two round trips after
+// the call at the latest (lossless). A barrier that is itself still waiting
+// has sent nothing and fences nothing; two barriers waiting on the same
+// messages leave together.
 // onDone reports whether the barrier itself was acknowledged and accepted;
 // a stale-epoch refusal reads as failure, so a fenced-off master cannot
 // mistake its barriers for proof of write authority.
@@ -521,9 +530,9 @@ func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
 		b := c.newMsg(msgBatch, sw)
 		b.mods, b.nmods, b.inst = mods[i:], nmods, inst
 		b.send()
-		// The barrier completes only after the batch (and anything else in
-		// flight to this switch) resolves, so inst.failed is final when the
-		// last barrier fires. An unacknowledged barrier adds nothing: the
+		// The barrier completes only after the batch (and anything else
+		// already in flight to this switch) resolves, so inst.failed is final
+		// when the last barrier fires. An unacknowledged barrier adds nothing: the
 		// batch's own resolution already classified its mods.
 		bar := c.newMsg(msgBarrier, sw)
 		bar.inst = inst

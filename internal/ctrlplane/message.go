@@ -5,7 +5,6 @@ import (
 
 	"mic/internal/flowtable"
 	"mic/internal/netsim"
-	"mic/internal/topo"
 )
 
 // msgKind names what a reliable southbound message asks of the switch.
@@ -27,14 +26,15 @@ const (
 //
 // Ownership follows netsim's hop record: newMsg takes a record from the
 // channel's free list and the engine is its only holder while an attempt is
-// out (a barrier parked behind in-flight messages is held by its switch's
-// waiters list instead, until resolve sends it). Each attempt schedules the
-// arrival and the ack timer, and the arrival schedules the acknowledgement;
-// every timer wait exceeds one round trip (ackTimeout, maxBackoff), so the
-// timer is always the attempt's last event. The record therefore returns to
-// the free list from timeout — once resolved, abandoned or silenced by
-// Channel.Down — and never while one of its events is pending. The three
-// steps are bound as method values once, when the record is first made.
+// out (a barrier whose predecessors are still in flight is held by its
+// switch's waiters list instead, until the last of them resolves and resolve
+// sends it). Each attempt schedules the arrival and the ack timer, and the
+// arrival schedules the acknowledgement; every timer wait exceeds one round
+// trip (ackTimeout, maxBackoff), so the timer is always the attempt's last
+// event. The record therefore returns to the free list from timeout — once
+// resolved, abandoned or silenced by Channel.Down — and never while one of
+// its events is pending. The three steps are bound as method values once,
+// when the record is first made.
 type msg struct {
 	ch                         *Channel
 	arriveFn, ackFn, timeoutFn func()
@@ -58,7 +58,12 @@ type msg struct {
 	entries []*flowtable.Entry  // msgDump
 	groups  []flowtable.GroupID // msgDump
 
-	// Delivery state.
+	// Delivery state. seq is the message's place in its switch's send order.
+	// A parked barrier has none yet: it holds the seq of the last message sent
+	// before it was issued (fence) and how many up to there are unresolved.
+	seq      uint64
+	fence    uint64
+	pending  int
 	attempt  int
 	backoff  time.Duration
 	resolved bool
@@ -129,22 +134,25 @@ func (c *Channel) release(m *msg) {
 	c.msgFree = append(c.msgFree, m)
 }
 
-// barrier sends m now if nothing is in flight to its switch, and parks it
-// until the switch's window drains otherwise.
+// barrier sends m now if nothing is in flight to its switch. Otherwise it
+// parks m behind exactly the messages in flight at this instant — those with
+// sequence numbers up to the last one sent — and nothing sent afterwards can
+// hold it back.
 func (c *Channel) barrier(m *msg) {
 	c.Barriers++
 	s := &c.sw[m.sw.ID]
-	if s.inflight > 0 {
-		s.waiters = append(s.waiters, m)
+	if s.inflight == 0 {
+		m.send()
 		return
 	}
-	m.send()
+	m.fence, m.pending = s.seq, s.inflight
+	s.waiters = append(s.waiters, m)
 }
 
-// resolve closes one message's transaction with switch id, and releases the
-// barriers parked behind it once the window is empty.
-func (c *Channel) resolve(id topo.NodeID, ok bool) {
-	s := &c.sw[id]
+// resolve closes m's transaction with its switch and sends the parked
+// barriers whose last predecessor it was.
+func (c *Channel) resolve(m *msg, ok bool) {
+	s := &c.sw[m.sw.ID]
 	s.inflight--
 	if ok {
 		c.Acked++
@@ -152,22 +160,37 @@ func (c *Channel) resolve(id topo.NodeID, ok bool) {
 		c.GiveUps++
 		s.failed++
 	}
-	if s.inflight > 0 {
+	// Waiters are parked in issue order, so their fences never decrease: the
+	// barriers that counted m are a suffix of the list, and since an earlier
+	// waiter's predecessors are a subset of a later one's, those left with
+	// none are a prefix of it.
+	for i := len(s.waiters) - 1; i >= 0 && s.waiters[i].fence >= m.seq; i-- {
+		s.waiters[i].pending--
+	}
+	n := 0
+	for n < len(s.waiters) && s.waiters[n].pending == 0 {
+		n++
+	}
+	if n == 0 {
 		return
 	}
 	// send only schedules events, so nothing parks a new barrier meanwhile.
-	for i, w := range s.waiters {
-		s.waiters[i] = nil
+	for _, w := range s.waiters[:n] {
 		w.send()
 	}
-	s.waiters = s.waiters[:0]
+	rest := copy(s.waiters, s.waiters[n:])
+	clear(s.waiters[rest:])
+	s.waiters = s.waiters[:rest]
 }
 
 // send reliably delivers m: applied switch-side (idempotently) on every
 // arrival, completed with true after an acknowledgement returns or with false
 // when the retry budget is exhausted.
 func (m *msg) send() {
-	m.ch.sw[m.sw.ID].inflight++
+	s := &m.ch.sw[m.sw.ID]
+	s.inflight++
+	s.seq++
+	m.seq = s.seq
 	m.backoff = m.ch.ackTimeout()
 	m.try()
 }
@@ -212,7 +235,7 @@ func (m *msg) ack() {
 		return
 	}
 	m.resolved = true
-	c.resolve(m.sw.ID, true)
+	c.resolve(m, true)
 	m.complete(true)
 }
 
@@ -228,7 +251,7 @@ func (m *msg) timeout() {
 		return
 	}
 	m.resolved = true
-	c.resolve(m.sw.ID, false)
+	c.resolve(m, false)
 	m.complete(false)
 	c.release(m)
 }
