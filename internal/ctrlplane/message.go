@@ -59,16 +59,18 @@ type msg struct {
 	groups  []flowtable.GroupID // msgDump
 
 	// Delivery state. seq is the message's place in its switch's send order.
-	// A parked barrier has none yet: it holds the seq of the last message sent
-	// before it was issued (fence) and how many up to there are unresolved.
+	// A barrier waiting for its predecessors has not been sent: until it is,
+	// seq is the place it waits behind — the sequence number of the last
+	// message sent before it was issued — and pending counts the messages up
+	// to there that are unresolved. pending sits in the padding after the loss
+	// draws, so the record keeps its 256-byte size class.
 	seq      uint64
-	fence    uint64
-	pending  int
 	attempt  int
 	backoff  time.Duration
 	resolved bool
-	reqLost  bool // this attempt's request-direction loss draw
-	ackLost  bool // this attempt's acknowledgement-direction loss draw
+	reqLost  bool  // this attempt's request-direction loss draw
+	ackLost  bool  // this attempt's acknowledgement-direction loss draw
+	pending  int32 // waiting msgBarrier only
 
 	// Completion: at most one is set.
 	onOK    func(ok bool)
@@ -145,7 +147,7 @@ func (c *Channel) barrier(m *msg) {
 		m.send()
 		return
 	}
-	m.fence, m.pending = s.seq, s.inflight
+	m.seq, m.pending = s.seq, int32(s.inflight)
 	s.waiters = append(s.waiters, m)
 }
 
@@ -160,11 +162,11 @@ func (c *Channel) resolve(m *msg, ok bool) {
 		c.GiveUps++
 		s.failed++
 	}
-	// Waiters are parked in issue order, so their fences never decrease: the
-	// barriers that counted m are a suffix of the list, and since an earlier
-	// waiter's predecessors are a subset of a later one's, those left with
-	// none are a prefix of it.
-	for i := len(s.waiters) - 1; i >= 0 && s.waiters[i].fence >= m.seq; i-- {
+	// Waiters are parked in issue order, so the places they wait behind never
+	// decrease: the barriers that counted m are a suffix of the list, and
+	// since an earlier waiter's predecessors are a subset of a later one's,
+	// those left with none are a prefix of it.
+	for i := len(s.waiters) - 1; i >= 0 && s.waiters[i].seq >= m.seq; i-- {
 		s.waiters[i].pending--
 	}
 	n := 0
