@@ -126,7 +126,7 @@ type swState struct {
 	seq      uint64 // send sequence number of the last message sent
 	inflight int    // messages sent and not yet acknowledged or abandoned
 	failed   uint64 // abandoned messages
-	waiters  []*msg // barriers with unresolved predecessors, in issue order; each leaves when its own last predecessor resolves
+	waiters  []*msg // barriers with unresolved predecessors, in issue order
 }
 
 // Control-channel reliability defaults.
@@ -532,8 +532,8 @@ func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
 		b.send()
 		// The barrier completes only after the batch (and anything else
 		// already in flight to this switch) resolves, so inst.failed is final
-		// when the last barrier fires. An unacknowledged barrier adds nothing: the
-		// batch's own resolution already classified its mods.
+		// when the last barrier fires. An unacknowledged barrier adds nothing:
+		// the batch's own resolution already classified its mods.
 		bar := c.newMsg(msgBarrier, sw)
 		bar.inst = inst
 		c.barrier(bar)

@@ -1,6 +1,7 @@
 package ctrlplane
 
 import (
+	"slices"
 	"time"
 
 	"mic/internal/flowtable"
@@ -169,20 +170,12 @@ func (c *Channel) resolve(m *msg, ok bool) {
 	for i := len(s.waiters) - 1; i >= 0 && s.waiters[i].seq >= m.seq; i-- {
 		s.waiters[i].pending--
 	}
-	n := 0
-	for n < len(s.waiters) && s.waiters[n].pending == 0 {
-		n++
-	}
-	if n == 0 {
-		return
-	}
 	// send only schedules events, so nothing parks a new barrier meanwhile.
-	for _, w := range s.waiters[:n] {
-		w.send()
+	n := 0
+	for ; n < len(s.waiters) && s.waiters[n].pending == 0; n++ {
+		s.waiters[n].send()
 	}
-	rest := copy(s.waiters, s.waiters[n:])
-	clear(s.waiters[rest:])
-	s.waiters = s.waiters[:rest]
+	s.waiters = slices.Delete(s.waiters, 0, n)
 }
 
 // send reliably delivers m: applied switch-side (idempotently) on every

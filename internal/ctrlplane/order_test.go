@@ -1,7 +1,7 @@
 package ctrlplane
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -257,7 +257,7 @@ func randomProgram(seed uint64) []sbOp {
 	for g := range at {
 		at[g] = time.Duration(rng.Intn(8000))*time.Microsecond + time.Duration(g)
 	}
-	sort.Slice(at, func(i, j int) bool { return at[i] < at[j] })
+	slices.Sort(at)
 	var prog []sbOp
 	for _, t := range at {
 		for n := 1 + rng.Intn(4); n > 0; n-- {

@@ -1,7 +1,7 @@
 package mic
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -124,7 +124,7 @@ func TestAckImpliesInstalledUnderChurn(t *testing.T) {
 			if len(lat) != tc.dials || closed != tc.dials {
 				t.Fatalf("%d of %d dials answered, %d channels closed", len(lat), tc.dials, closed)
 			}
-			sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+			slices.Sort(lat)
 			p99 := lat[len(lat)*99/100]
 			t.Logf("dial p50 %v p99 %v max %v, idle %v", lat[len(lat)/2], p99, lat[len(lat)-1], idle)
 			if p99 > idle+idle/4 {
