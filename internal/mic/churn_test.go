@@ -91,6 +91,7 @@ func TestAckImpliesInstalledUnderChurn(t *testing.T) {
 							t.Fatalf("dial issued at %v failed after %d answers: %v", d.At, len(lat), err)
 						}
 						lat = append(lat, time.Duration(eng.Now())-d.At)
+						checkBooksClosing(t, mc)
 						for _, r := range mc.channels[info.ID].rules {
 							tbl := net.Switch(r.node).Table
 							if r.group != nil {
@@ -134,6 +135,7 @@ func TestAckImpliesInstalledUnderChurn(t *testing.T) {
 			for _, sw := range net.Switches() {
 				left += sw.Table.Len()
 			}
+			checkBooks(t, mc)
 			stale, missing := cl.Audit()
 			if left != 0 || mc.flowIDs.inUse() != 0 || mc.LiveChannels() != 0 || stale != 0 || missing != 0 {
 				t.Fatalf("after drain: %d m-flow rules installed, %d flow IDs held, %d channels live, audit stale=%d missing=%d",

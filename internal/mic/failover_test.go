@@ -112,6 +112,7 @@ func TestFailoverTransfer64MB(t *testing.T) {
 	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
 		t.Fatalf("post-takeover flow-table audit: stale=%d missing=%d, want 0/0", stale, missing)
 	}
+	checkClusterReplay(t, f.cl)
 	// The dip bound: the blackout is ~HeartbeatMisses*HeartbeatInterval plus
 	// reconciliation, single-digit milliseconds. Anything beyond 250ms of
 	// extra wall time means forwarding actually stopped.
@@ -170,6 +171,7 @@ func TestTakeoverReconciliationCleansStaleRules(t *testing.T) {
 	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
 		t.Fatalf("post-takeover audit: stale=%d missing=%d, want 0/0", stale, missing)
 	}
+	checkClusterReplay(t, f.cl)
 }
 
 // TestReconciliationOffLeavesStaleRules is the ablation arm:
@@ -289,6 +291,7 @@ func TestRestartedControllerRejoinsAndTakesOverAgain(t *testing.T) {
 	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
 		t.Fatalf("audit after two failovers: stale=%d missing=%d", stale, missing)
 	}
+	checkClusterReplay(t, f.cl)
 	// The second active's channel bookkeeping came entirely from journal
 	// replay on a process that had crashed and restarted — its rebuilt
 	// channel count must match reality.

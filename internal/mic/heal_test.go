@@ -74,6 +74,7 @@ func TestAutoRepairSurvivesLinkFailure(t *testing.T) {
 			t.Fatal("repaired path still crosses the failed link")
 		}
 	}
+	checkBooks(t, f.mc)
 }
 
 // TestAutoRepairSurvivesSwitchFailure: a whole switch dies; the SwitchDown
@@ -115,6 +116,7 @@ func TestAutoRepairSurvivesSwitchFailure(t *testing.T) {
 			t.Fatal("repaired path still crosses the failed switch")
 		}
 	}
+	checkBooks(t, f.mc)
 }
 
 // TestAutoRepairDoubleFailure cuts a second link — on the freshly repaired
@@ -206,6 +208,7 @@ func TestAutoRepairDoubleFailure(t *testing.T) {
 			}
 		}
 	}
+	checkBooks(t, f.mc)
 }
 
 // TestAutoRepairTerminalWhenNoPath: killing the responder's only edge
@@ -250,6 +253,7 @@ func TestAutoRepairTerminalWhenNoPath(t *testing.T) {
 	if f.mc.RepairFailures != 1 {
 		t.Fatalf("RepairFailures = %d", f.mc.RepairFailures)
 	}
+	checkBooks(t, f.mc)
 }
 
 // TestAutoRepairWithLossyControlChannel: the whole detect→repair loop must
@@ -289,6 +293,7 @@ func TestAutoRepairWithLossyControlChannel(t *testing.T) {
 	if f.mc.Repairs == 0 {
 		t.Fatal("no repair recorded")
 	}
+	checkBooks(t, f.mc)
 }
 
 // TestAutoRepairViaProber: a silent switch failure (no port-status event)
@@ -329,6 +334,7 @@ func TestAutoRepairViaProber(t *testing.T) {
 		t.Fatal("prober never declared the victim dead")
 	}
 	f.mc.StopProber()
+	checkBooks(t, f.mc)
 }
 
 // TestStaleRulesPurgedOnSwitchRestore: rules that could not be deleted from
@@ -379,6 +385,7 @@ func TestStaleRulesPurgedOnSwitchRestore(t *testing.T) {
 	if len(f.mc.staleCookies[victim]) != 0 {
 		t.Fatalf("stale cookie bookkeeping not drained: %v", f.mc.staleCookies[victim])
 	}
+	checkBooks(t, f.mc)
 }
 
 // TestIDRecyclingAcrossRepairEpochs: repairs must not leak or churn flow
@@ -431,4 +438,5 @@ func TestIDRecyclingAcrossRepairEpochs(t *testing.T) {
 	if grown := f.mc.flowIDs.next - f.mc.flowIDs.lo; grown > 2 {
 		t.Fatalf("allocator grew to %d fresh IDs; recycling broken", grown)
 	}
+	checkBooks(t, f.mc)
 }

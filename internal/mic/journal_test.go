@@ -195,4 +195,5 @@ func TestReplayedAllocatorAvoidsCollisions(t *testing.T) {
 	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
 		t.Fatalf("audit: stale=%d missing=%d", stale, missing)
 	}
+	checkClusterReplay(t, f.cl)
 }

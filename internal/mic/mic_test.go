@@ -38,6 +38,9 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Whatever repair or flow restore a fixture test provokes, the books
+	// balance when it is announced (a close may be waiting for its acks).
+	mc.SubscribeRepair(func(RepairEvent) { checkBooksClosing(t, mc) })
 	f := &fixture{eng: eng, net: net, mc: mc, graph: g}
 	for _, hid := range g.Hosts() {
 		f.stacks = append(f.stacks, transport.NewStack(net.Host(hid)))

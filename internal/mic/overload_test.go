@@ -278,8 +278,10 @@ type dialOutcome struct {
 // runLadder dials the listener on host 15 once per initiator host, 5ms
 // apart (each settles before the next), with a fresh client per dial so
 // every dial is a distinct channel-open. Returns outcomes in dial order
-// plus the clients for later closes.
-func runLadder(f *fixture, initiators []int, deadline time.Duration) ([]dialOutcome, []*Client) {
+// plus the clients for later closes. The MC's books are checked at every
+// answer — full, degraded or refused — and once more when all is quiet.
+func runLadder(t *testing.T, f *fixture, initiators []int, deadline time.Duration) ([]dialOutcome, []*Client) {
+	t.Helper()
 	target := f.stacks[15].Host.IP.String()
 	outcomes := make([]dialOutcome, len(initiators))
 	clients := make([]*Client, len(initiators))
@@ -291,6 +293,7 @@ func runLadder(f *fixture, initiators []int, deadline time.Duration) ([]dialOutc
 			client.DialRetries = -1
 			clients[i] = client
 			client.Dial(target, 80, func(s *Stream, err error) {
+				checkBooks(t, f.mc)
 				if err != nil {
 					outcomes[i] = dialOutcome{err: err}
 					return
@@ -302,6 +305,7 @@ func runLadder(f *fixture, initiators []int, deadline time.Duration) ([]dialOutc
 	f.eng.RunUntil(sim.Time(deadline))
 	f.mc.StopProber()
 	f.eng.Run()
+	checkBooks(t, f.mc)
 	return outcomes, clients
 }
 
@@ -314,7 +318,7 @@ func TestDegradeBeforeRefuse(t *testing.T) {
 		Enabled: true, Rate: 1e6, Burst: 64, SwitchRuleBudget: 16,
 	}})
 	Listen(f.stacks[15], 80, false, func(s *Stream) {})
-	outcomes, _ := runLadder(f, []int{0, 1, 2, 3, 4, 5, 6, 7}, 200*time.Millisecond)
+	outcomes, _ := runLadder(t, f, []int{0, 1, 2, 3, 4, 5, 6, 7}, 200*time.Millisecond)
 
 	var full, degraded, refused int
 	sawDegraded, sawRefusal := -1, -1
@@ -354,7 +358,7 @@ func TestDisableDegradeRefusesOutright(t *testing.T) {
 		Enabled: true, Rate: 1e6, Burst: 64, SwitchRuleBudget: 16, DisableDegrade: true,
 	}})
 	Listen(f.stacks[15], 80, false, func(s *Stream) {})
-	outcomes, _ := runLadder(f, []int{0, 1, 2, 3, 4, 5}, 150*time.Millisecond)
+	outcomes, _ := runLadder(t, f, []int{0, 1, 2, 3, 4, 5}, 150*time.Millisecond)
 
 	refused := 0
 	for i, o := range outcomes {
@@ -380,7 +384,7 @@ func TestDegradedRestoreOnClose(t *testing.T) {
 	Listen(f.stacks[15], 80, false, func(s *Stream) {})
 	target := f.stacks[15].Host.IP.String()
 
-	outcomes, clients := runLadder(f, []int{0, 1, 2, 3, 4, 5}, 150*time.Millisecond)
+	outcomes, clients := runLadder(t, f, []int{0, 1, 2, 3, 4, 5}, 150*time.Millisecond)
 	firstFull := -1
 	degraded := -1
 	for i, o := range outcomes {
@@ -409,6 +413,7 @@ func TestDegradedRestoreOnClose(t *testing.T) {
 	if f.mc.FlowsRestored == 0 {
 		t.Fatalf("FlowsRestored = 0 after budget release")
 	}
+	checkBooks(t, f.mc)
 	info := clients[degraded].channels[target]
 	if info == nil {
 		t.Fatal("degraded channel missing from its client's cache")
@@ -446,6 +451,7 @@ func TestBudgetReplaySurvivesFailover(t *testing.T) {
 	if promoted.LiveChannels() != 3 {
 		t.Fatalf("promoted MC lost channels: %d live, want 3", promoted.LiveChannels())
 	}
+	checkClusterReplay(t, f.cl)
 	want := make(map[topo.NodeID]int)
 	for _, st := range promoted.channels {
 		for _, rr := range st.rules {

@@ -72,6 +72,7 @@ func TestLeaseStepDownPrecedesTakeover(t *testing.T) {
 	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
 		t.Fatalf("audit after split+heal: stale=%d missing=%d", stale, missing)
 	}
+	checkClusterReplay(t, f.cl)
 }
 
 // TestAsymmetricPartitionZombieFenced is the acceptance bar for fenced
@@ -130,6 +131,7 @@ func TestAsymmetricPartitionZombieFenced(t *testing.T) {
 	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
 		t.Fatalf("audit after heal: stale=%d missing=%d, want 0/0", stale, missing)
 	}
+	checkClusterReplay(t, f.cl)
 	if n := f.cl.Journal.Divergent; n != 0 {
 		t.Fatalf("journal divergence = %d, want 0: a deposed master wrote to the log", n)
 	}
@@ -237,6 +239,7 @@ func TestDemotedMemberRejoinsAndRetakes(t *testing.T) {
 	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
 		t.Fatalf("audit: stale=%d missing=%d", stale, missing)
 	}
+	checkClusterReplay(t, f.cl)
 }
 
 // TestJournalFencingDiscardsZombieWrites pins the journal's append-time

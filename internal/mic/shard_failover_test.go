@@ -82,6 +82,7 @@ func shardedStormRun(t *testing.T, seed uint64) string {
 	if auditStale != 0 || auditMissing != 0 {
 		t.Errorf("post-takeover audit: stale=%d missing=%d", auditStale, auditMissing)
 	}
+	checkClusterReplay(t, f.cl)
 	j := f.cl.Journal
 	if j.Divergent != 0 {
 		t.Errorf("journal divergence = %d across a clean failover, want 0", j.Divergent)
@@ -197,6 +198,7 @@ func TestShardedDoubleFailover(t *testing.T) {
 	if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
 		t.Fatalf("audit after double failover: stale=%d missing=%d", st, miss)
 	}
+	checkClusterReplay(t, f.cl)
 	if n := f.cl.members[second].unit.LiveChannels(); n != 2 {
 		t.Fatalf("live channels after double failover = %d, want 2", n)
 	}
@@ -265,6 +267,7 @@ func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 			if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
 				t.Fatalf("audit: stale=%d missing=%d", st, miss)
 			}
+			checkClusterReplay(t, f.cl)
 		})
 		t.Run(fmt.Sprintf("late-reconcile/shards=%d", shards), func(t *testing.T) {
 			f := newClusterFixture(t, Config{MNs: 3, AutoRepair: true}, ClusterConfig{Shards: shards})
@@ -296,6 +299,7 @@ func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 			if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
 				t.Fatalf("audit after the switch returned: stale=%d missing=%d, want 0/0", st, miss)
 			}
+			checkClusterReplay(t, f.cl)
 			stream.Send([]byte("two."))
 			f.settle(2 * time.Second)
 			if string(*echoed) != "one.two." {
