@@ -440,3 +440,59 @@ func TestIDRecyclingAcrossRepairEpochs(t *testing.T) {
 	}
 	checkBooks(t, f.mc)
 }
+
+// TestFailedRepairKeepsBooks: a repair attempt that finds no path changes
+// nothing. Every uplink of the initiator's edge switch is cut, so the first
+// attempt fails; until the retry the channel's old rules are still installed
+// and still its intent, so the books must read exactly as before the attempt
+// — its old paths in the link-load table and in both failure indexes (where
+// reinstall-on-miss and the next failure event look the channel up), nothing
+// of the epoch that never came to exist. Then one uplink heals and the retry
+// re-routes onto it.
+func TestFailedRepairKeepsBooks(t *testing.T) {
+	f := newFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true, RepairBackoff: 10 * time.Millisecond})
+	Listen(f.stacks[15], 80, false, func(s *Stream) { s.OnData(func([]byte) {}) })
+	client := NewClient(f.stacks[0], f.mc)
+	target := f.hostIP(15).String()
+	client.Dial(target, 80, func(s *Stream, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+	})
+	f.eng.RunFor(6 * time.Millisecond)
+	info, ok := client.Channel(target)
+	if !ok {
+		t.Fatal("no channel after dial")
+	}
+	checkBooks(t, f.mc)
+
+	edge, agg := info.Flows[0].Path[1], info.Flows[0].Path[2]
+	spare := -1 // an uplink flow 0 does not use: the one that heals
+	for port, p := range f.graph.Node(edge).Ports {
+		if f.graph.Node(p.Peer).Kind != topo.KindSwitch {
+			continue
+		}
+		f.net.SetLinkDown(edge, port, true)
+		if p.Peer != agg {
+			spare = port
+		}
+	}
+	f.eng.RunFor(2 * time.Millisecond)
+	st := f.mc.channels[info.ID]
+	if job := f.mc.repairJobs[info.ID]; job == nil || job.attempts != 1 || st.epoch != 0 {
+		t.Fatalf("want one failed attempt and the old epoch standing; job %+v, epoch %d", job, st.epoch)
+	}
+	checkBooks(t, f.mc)
+
+	f.net.SetLinkDown(edge, spare, false)
+	f.eng.RunFor(20 * time.Millisecond)
+	if f.mc.Repairs != 1 || st.epoch != 1 || len(f.mc.repairJobs) != 0 {
+		t.Fatalf("retry did not repair: Repairs=%d epoch=%d jobs=%d", f.mc.Repairs, st.epoch, len(f.mc.repairJobs))
+	}
+	for _, fl := range info.Flows {
+		if got := f.graph.PortTo(edge, fl.Path[2]); got != spare {
+			t.Fatalf("a repaired flow leaves the edge switch by port %d, only %d is up", got, spare)
+		}
+	}
+	checkBooks(t, f.mc)
+}
