@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"time"
 
-	"mic/internal/addr"
 	"mic/internal/flowtable"
 	"mic/internal/metrics"
 	"mic/internal/netsim"
@@ -34,8 +33,11 @@ const (
 	DefaultAdmitBurst    = 8
 	DefaultQueueLimit    = 64
 	DefaultQueueDeadline = 20 * time.Millisecond
-	DefaultMinFlows      = 1
 )
+
+// minFlows is the floor of the degradation ladder: a dial is admitted with
+// fewer m-flows down to this many before it is refused outright.
+const minFlows = 1
 
 // AdmissionConfig tunes the MC's overload protection. The zero value keeps
 // every limiter off — the seed behaviour.
@@ -61,10 +63,6 @@ type AdmissionConfig struct {
 	// minus its common-routing baseline (unlimited when tables are
 	// unbounded).
 	SwitchRuleBudget int
-
-	// MinFlows is the floor of the degradation ladder: a dial is admitted
-	// with fewer m-flows down to this many before it is refused outright.
-	MinFlows int
 
 	// DisableDegrade refuses a dial the moment its full F does not fit
 	// (ablation: no degradation ladder).
@@ -97,9 +95,6 @@ func (a AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if a.QueueDeadline == 0 {
 		a.QueueDeadline = DefaultQueueDeadline
-	}
-	if a.MinFlows == 0 {
-		a.MinFlows = DefaultMinFlows
 	}
 	return a
 }
@@ -280,16 +275,17 @@ func (mc *MC) ruleBudget(node topo.NodeID) int {
 	return b
 }
 
-// flowOverBudget reports whether intending the given rules would push any
-// switch past its budget. Only entry-bearing records count: groups live in
-// the unbounded group table.
-func (mc *MC) flowOverBudget(rules []ruleRec) (topo.NodeID, bool) {
+// flowOverBudget reports whether intending the m-flow just templated (its
+// rules are in the plan scratch) would push any switch past its budget, and
+// names the first such switch in templating order. Only entry-bearing records
+// count: groups live in the unbounded group table.
+func (mc *MC) flowOverBudget() (topo.NodeID, bool) {
 	if !mc.Cfg.Admission.Enabled {
 		return 0, false
 	}
 	delta := make(map[topo.NodeID]int)
 	var order []topo.NodeID
-	for _, rr := range rules {
+	for _, rr := range mc.scratch.recs {
 		if rr.entry == nil {
 			continue
 		}
@@ -304,93 +300,6 @@ func (mc *MC) flowOverBudget(rules []ruleRec) (topo.NodeID, bool) {
 		}
 	}
 	return 0, false
-}
-
-// chargeIntent and releaseIntent maintain the per-switch count of intended
-// m-flow rule entries. They are called on every path that adds or removes
-// rules from channel state — live serving AND journal replay — so a promoted
-// standby's accounting matches the dead active's exactly.
-func (mc *MC) chargeIntent(rules []ruleRec) {
-	for _, rr := range rules {
-		if rr.entry != nil {
-			mc.ruleCount[rr.node]++
-		}
-	}
-}
-
-func (mc *MC) releaseIntent(rules []ruleRec) {
-	for _, rr := range rules {
-		if rr.entry != nil && mc.ruleCount[rr.node] > 0 {
-			mc.ruleCount[rr.node]--
-		}
-	}
-}
-
-// flowSnap captures the channel-state high-water marks before one
-// computeFlow call, so a flow that does not fit can be unwound exactly.
-type flowSnap struct {
-	mods, rules, flowIDs, entries, finals, res, links, nodes, groups int
-}
-
-func snapFlow(st *channelState, mods int) flowSnap {
-	return flowSnap{
-		mods: mods, rules: len(st.rules), flowIDs: len(st.flowIDs),
-		entries: len(st.entries), finals: len(st.finals), res: len(st.res),
-		links: len(st.links), nodes: len(st.nodes), groups: len(st.groups),
-	}
-}
-
-// unwindFlow rolls back everything one computeFlow call appended past the
-// snapshot: allocated flow IDs, address reservations, link/node load and
-// failure indexes, rules and groups. Group IDs consumed by the flow are
-// simply skipped, and st.switches is rebuilt from the surviving rules.
-func (mc *MC) unwindFlow(st *channelState, respIP addr.IP, snap flowSnap) {
-	for _, fid := range st.flowIDs[snap.flowIDs:] {
-		mc.flowIDs.release(fid)
-	}
-	st.flowIDs = st.flowIDs[:snap.flowIDs]
-	for _, e := range st.entries[snap.entries:] {
-		delete(mc.entryInUse, [2]addr.IP{st.initiator, e})
-	}
-	st.entries = st.entries[:snap.entries]
-	for _, f := range st.finals[snap.finals:] {
-		delete(mc.entryInUse, [2]addr.IP{respIP, f})
-	}
-	st.finals = st.finals[:snap.finals]
-	st.res = st.res[:snap.res]
-
-	keepLinks := make(map[linkKey]bool, snap.links)
-	for _, lk := range st.links[:snap.links] {
-		keepLinks[lk] = true
-	}
-	for _, lk := range st.links[snap.links:] {
-		l := mc.linkIndex(lk)
-		if mc.linkLoad[l] > 0 {
-			mc.linkLoad[l]--
-		}
-		if !keepLinks[lk] {
-			mc.linkChannels[l] = dropID(mc.linkChannels[l], st.id)
-		}
-	}
-	st.links = st.links[:snap.links]
-
-	keepNodes := make(map[topo.NodeID]bool, snap.nodes)
-	for _, n := range st.nodes[:snap.nodes] {
-		keepNodes[n] = true
-	}
-	for _, n := range st.nodes[snap.nodes:] {
-		if !keepNodes[n] {
-			mc.nodeChannels[n] = dropID(mc.nodeChannels[n], st.id)
-		}
-	}
-	st.nodes = st.nodes[:snap.nodes]
-
-	st.rules = st.rules[:snap.rules]
-	st.groups = st.groups[:snap.groups]
-	st.switches = st.switches[:0]
-	for _, rr := range st.rules {
-		st.addSwitch(rr.node)
-	}
 }
 
 // armEviction opts every switch into MC-coordinated LRU eviction when
@@ -460,30 +369,18 @@ func (mc *MC) maybeRestoreDegraded() {
 	}
 }
 
-// upgradeChannel tries to add one m-flow back to a degraded channel.
+// upgradeChannel tries to add one m-flow back to a degraded channel; a flow
+// that finds no path or still does not fit leaves the channel as it was.
 func (mc *MC) upgradeChannel(st *channelState) bool {
-	initHost := mc.Net.Graph.HostByIP(st.initiator)
-	if initHost == nil {
-		return false
-	}
-	respIP := st.responder
 	detectedAt := mc.Net.Eng.Now()
-	snap := snapFlow(st, 0)
-	flowMods, flowInfo, err := mc.computeFlow(st, st.info, initHost.ID, respIP, st.opts, nil, nil)
+	flowMods, err := mc.computeFlow(st, nil, nil)
 	if err != nil {
-		mc.unwindFlow(st, respIP, snap)
 		return false
 	}
-	if _, over := mc.flowOverBudget(st.rules[snap.rules:]); over {
-		mc.unwindFlow(st, respIP, snap)
-		return false
-	}
-	mc.chargeIntent(st.rules[snap.rules:])
-	// Clients hold a pointer to st.info: the restored flow appears in place,
+	// Clients hold a pointer to st.info: the restored flow appeared in place,
 	// and the repair event below makes their streams re-probe it.
-	st.info.Flows = append(st.info.Flows, flowInfo)
 	mc.FlowsRestored++
-	mc.journalUpdate(st)
+	mc.journalChannel(RecUpdate, st)
 	mc.Ch.InstallAll(flowMods, mc.gate(func() {
 		mc.emitRepair(RepairEvent{
 			Channel: st.id, DetectedAt: detectedAt, CompletedAt: mc.Net.Eng.Now(), Attempts: 1,

@@ -6,7 +6,6 @@ import (
 	"unsafe"
 
 	"mic/internal/flowtable"
-	"mic/internal/topo"
 )
 
 // establishCloseBudget bounds the heap allocations of one EstablishChannel +
@@ -56,24 +55,22 @@ func TestEstablishCloseAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPathLoadAllocs pins the failure indexes' steady state: charging a path
-// to the link-load table and the per-link and per-switch channel sets and
-// releasing it again allocates nothing beyond the channel's own two lists.
+// TestPathLoadAllocs pins the failure indexes' steady state: booking a path
+// on the link-load table and the per-link and per-switch channel sets and
+// taking it off again allocates nothing — the channel keeps no list of its
+// links or switches; both are read off the path.
 func TestPathLoadAllocs(t *testing.T) {
 	f := newFixture(t, Config{})
 	g := f.graph
-	path := g.EqualCostPaths(g.Hosts()[0], g.Hosts()[15], 1)[0]
+	flows := []FlowInfo{{Path: g.EqualCostPaths(g.Hosts()[0], g.Hosts()[15], 1)[0]}}
 	st := &channelState{id: 7, opts: ChannelOptions{MFlows: 1}}
-	links := make([]linkKey, 0, 2*len(path))
-	nodes := make([]topo.NodeID, 0, len(path))
 	round := func() {
-		st.links, st.nodes = links, nodes
-		f.mc.chargePathLoad(st, path)
-		f.mc.releaseLoad(st)
+		f.mc.book(st, nil, flows, nil)
+		f.mc.unbook(st, nil, flows, nil)
 	}
 	round() // the sets' first members
 	if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
-		t.Fatalf("chargePathLoad+releaseLoad allocated %.0f times in steady state, want 0", allocs)
+		t.Fatalf("book+unbook of a path allocated %.0f times in steady state, want 0", allocs)
 	}
 	for l, load := range f.mc.linkLoad {
 		if load != 0 || len(f.mc.linkChannels[l]) != 0 {

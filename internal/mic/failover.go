@@ -51,27 +51,6 @@ type ClusterConfig struct {
 	// debounce absorbs individual beat losses on a lossy management network.
 	HeartbeatMisses int
 
-	// LeaseDuration is the mastership lease. Each acknowledged heartbeat
-	// extends the active's lease to the beat's send time plus this duration;
-	// when the lease expires unrenewed (and a standby exists that could
-	// usurp), the active steps down. A standby conversely refuses to take
-	// over until at least this long has passed since it last heard the
-	// active — so a partitioned-away active has always stepped down before
-	// any successor's takeover window opens (DESIGN.md §4g). Default:
-	// HeartbeatInterval × HeartbeatMisses, which keeps detection timing
-	// identical to the miss-count-only protocol.
-	LeaseDuration time.Duration
-
-	// ReplicationLag is the journal-record shipping delay from the active to
-	// each standby — the replication stream's one-way latency.
-	ReplicationLag time.Duration
-
-	// RequestTimeout is how long a client-facing request waits for the
-	// active's answer before re-issuing it (the request may have died with
-	// the controller). RequestRetries bounds the re-issues.
-	RequestTimeout time.Duration
-	RequestRetries int
-
 	// DisableReconcile skips the takeover flow-table reconciliation — the
 	// ablation arm that shows why dumping and diffing switch state matters.
 	DisableReconcile bool
@@ -90,10 +69,31 @@ const (
 	DefaultStandbys          = 1
 	DefaultHeartbeatInterval = 2 * time.Millisecond
 	DefaultHeartbeatMisses   = 3
-	DefaultReplicationLag    = 250 * time.Microsecond
-	DefaultRequestTimeout    = 10 * time.Millisecond
-	DefaultRequestRetries    = 50
 )
+
+// What no experiment varies.
+const (
+	// replicationLag is the journal-record shipping delay from the active to
+	// each standby — the replication stream's one-way latency.
+	replicationLag = 250 * time.Microsecond
+	// requestTimeout is how long a client-facing request waits for the
+	// active's answer before re-issuing it (the request may have died with
+	// the controller); requestRetries bounds the re-issues.
+	requestTimeout = 10 * time.Millisecond
+	requestRetries = 50
+)
+
+// leaseDuration is the mastership lease, HeartbeatInterval × HeartbeatMisses
+// (which keeps detection timing identical to the miss-count-only protocol).
+// Each acknowledged heartbeat extends the active's lease to the beat's send
+// time plus this duration; when the lease expires unrenewed (and a standby
+// exists that could usurp), the active steps down. A standby conversely
+// refuses to take over until at least this long has passed since it last
+// heard the active — so a partitioned-away active has always stepped down
+// before any successor's takeover window opens (DESIGN.md §4g).
+func (c ClusterConfig) leaseDuration() time.Duration {
+	return time.Duration(c.HeartbeatMisses) * c.HeartbeatInterval
+}
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Standbys == 0 {
@@ -107,18 +107,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.HeartbeatMisses == 0 {
 		c.HeartbeatMisses = DefaultHeartbeatMisses
-	}
-	if c.ReplicationLag == 0 {
-		c.ReplicationLag = DefaultReplicationLag
-	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = DefaultRequestTimeout
-	}
-	if c.RequestRetries == 0 {
-		c.RequestRetries = DefaultRequestRetries
-	}
-	if c.LeaseDuration == 0 {
-		c.LeaseDuration = time.Duration(c.HeartbeatMisses) * c.HeartbeatInterval
 	}
 	return c
 }
@@ -140,7 +128,7 @@ type member struct {
 	role    memberRole
 
 	// pending holds replicated journal records shipped but not yet applied
-	// (in flight for ReplicationLag). A takeover drains them first.
+	// (in flight for replicationLag). A takeover drains them first.
 	pending []Record
 
 	// beatGen cancels this member's heartbeat/watchdog tickers: each
@@ -153,7 +141,7 @@ type member struct {
 	missedRun int
 
 	// leaseUntil is the active's mastership lease expiry: the latest
-	// acknowledged beat's send time plus LeaseDuration.
+	// acknowledged beat's send time plus leaseDuration.
 	leaseUntil sim.Time
 
 	// demoted marks an ex-active that stepped down after losing its lease.
@@ -224,7 +212,7 @@ type Cluster struct {
 
 // NewCluster builds the failover group: one active unit (which installs
 // common routing and starts journaling) plus ccfg.Standbys passive units
-// tailing the journal over a ReplicationLag-delayed feed. Every member
+// tailing the journal over a replicationLag-delayed feed. Every member
 // registers as one controller host in the network, so chaos faults can kill
 // and restart controllers like any other element.
 func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, error) {
@@ -391,11 +379,11 @@ func (c *Cluster) Takeovers() int { return int(atomic.LoadUint32(&c.takeovers)) 
 func (c *Cluster) Fence() uint64 { return c.fence }
 
 // replicate ships one journal record to a standby: it arrives and is applied
-// one ReplicationLag later, in append order. Records still in flight when
+// one replicationLag later, in append order. Records still in flight when
 // the standby is promoted are drained synchronously by the takeover.
 func (c *Cluster) replicate(m *member, r Record) {
 	m.pending = append(m.pending, r)
-	c.eng().After(c.CCfg.ReplicationLag, func() {
+	c.eng().After(replicationLag, func() {
 		if m.role != roleStandby || len(m.pending) == 0 {
 			return // drained by a takeover, or member died/promoted meanwhile
 		}
@@ -439,17 +427,17 @@ func (c *Cluster) drain(m *member) {
 // cooperation from the corpse required.
 //
 // The beats double as lease renewals: each acknowledged beat extends the
-// mastership lease to its send time plus LeaseDuration, and leaseCheck fires
+// mastership lease to its send time plus leaseDuration, and leaseCheck fires
 // at the exact lease edge so an unrenewed active steps down at send+D sharp —
 // strictly before any standby's takeover window, which cannot open until
-// LeaseDuration after that standby's last *received* beat (one management
+// leaseDuration after that standby's last *received* beat (one management
 // latency later than its send). See DESIGN.md §4g for the full ordering
 // argument.
 func (c *Cluster) startBeating(m *member) {
 	m.beatGen++
 	gen := m.beatGen
 	if !c.CCfg.DisableFencing {
-		m.leaseUntil = c.eng().Now().Add(c.CCfg.LeaseDuration)
+		m.leaseUntil = c.eng().Now().Add(c.CCfg.leaseDuration())
 		c.armLeaseCheck(m, gen, m.leaseUntil)
 	}
 	var tick func()
@@ -483,13 +471,13 @@ func (c *Cluster) startBeating(m *member) {
 }
 
 // extendLease renews m's mastership lease off one acknowledged beat: the
-// lease runs LeaseDuration from the beat's *send* time (the conservative
+// lease runs leaseDuration from the beat's *send* time (the conservative
 // end — the ack only proves the peer heard it after that).
 func (c *Cluster) extendLease(m *member, gen uint64, sendAt sim.Time) {
 	if c.CCfg.DisableFencing {
 		return
 	}
-	until := sendAt.Add(c.CCfg.LeaseDuration)
+	until := sendAt.Add(c.CCfg.leaseDuration())
 	if until <= m.leaseUntil {
 		return
 	}
@@ -515,7 +503,7 @@ func (c *Cluster) armLeaseCheck(m *member, gen uint64, until sim.Time) {
 		// No peer could take over (all dead, or demoted and waiting to hear
 		// from us): mastership cannot be usurped, so the lease self-extends
 		// rather than orphaning the fabric with no controller at all.
-		m.leaseUntil = c.eng().Now().Add(c.CCfg.LeaseDuration)
+		m.leaseUntil = c.eng().Now().Add(c.CCfg.leaseDuration())
 		c.armLeaseCheck(m, gen, m.leaseUntil)
 	})
 }
@@ -594,7 +582,7 @@ func (c *Cluster) startWatchdog(m *member) {
 }
 
 // leaseExpiredFor reports whether standby m's side of the lease protocol
-// permits a takeover: LeaseDuration of silence since the last beat it
+// permits a takeover: leaseDuration of silence since the last beat it
 // received. Because that beat was *sent* at least one management latency
 // earlier, any correct active has already hit its own (send-time-based)
 // lease edge and stepped down — takeover strictly follows step-down. A
@@ -608,7 +596,7 @@ func (c *Cluster) leaseExpiredFor(m *member) bool {
 	if m.demoted {
 		return false
 	}
-	return c.eng().Now().Sub(m.lastBeat) > c.CCfg.LeaseDuration
+	return c.eng().Now().Sub(m.lastBeat) > c.CCfg.leaseDuration()
 }
 
 // memberCrashed handles a controller-host death: the process stops cold
@@ -816,13 +804,13 @@ func (c *Cluster) reconcileSwitch(m *member, sw *netsim.Switch, onDone func(rein
 		staleDeleted := 0
 		// Installs are sent before deletes: messages apply in send order, so
 		// a same-match stale rule is replaced before its cookie delete lands.
-		mc.Ch.InstallAllResult(mods, mc.gateN(func(failed int) {
+		mc.Ch.InstallAllResult(mods, gated(mc, func(failed int) {
 			if failed > 0 {
 				c.needsReconcile[sw.ID] = true
 			}
 		}))
 		for _, cookie := range staleCookies {
-			mc.Ch.DeleteByCookie(sw, cookie, mc.gateN(func(removed int) {
+			mc.Ch.DeleteByCookie(sw, cookie, gated(mc, func(removed int) {
 				if removed > 0 {
 					staleDeleted += removed
 				} else if removed < 0 {
@@ -830,7 +818,7 @@ func (c *Cluster) reconcileSwitch(m *member, sw *netsim.Switch, onDone func(rein
 				}
 			}))
 		}
-		mc.Ch.Barrier(sw, mc.gateB(func(ok bool) {
+		mc.Ch.Barrier(sw, gated(mc, func(ok bool) {
 			if !ok {
 				c.needsReconcile[sw.ID] = true
 			}
@@ -983,7 +971,7 @@ func (c *Cluster) SubscribeChannelDown(fn func(id uint64, err error)) {
 }
 
 // EstablishChannel implements ControlPlane with crash-retry: a request is
-// issued to the acting controller and re-issued after RequestTimeout if no
+// issued to the acting controller and re-issued after requestTimeout if no
 // answer arrives — the controller may have died with the request in flight,
 // or the cluster may be in a takeover blackout. A late answer from a
 // superseded attempt is a duplicate channel and is closed, not delivered.
@@ -992,14 +980,14 @@ func (c *Cluster) EstablishChannel(initiator addr.IP, target string, opts Channe
 	attempt = func(n int) {
 		m := c.activeMember()
 		if m == nil {
-			if n >= c.CCfg.RequestRetries {
+			if n >= requestRetries {
 				c.eng().After(0, func() {
 					cb(nil, fmt.Errorf("mic: no active controller after %d request retries", n))
 				})
 				return
 			}
 			c.Counters.Add("request_retries", 1)
-			c.eng().After(c.CCfg.RequestTimeout, func() { attempt(n + 1) })
+			c.eng().After(requestTimeout, func() { attempt(n + 1) })
 			return
 		}
 		answered := false
@@ -1013,23 +1001,23 @@ func (c *Cluster) EstablishChannel(initiator addr.IP, target string, opts Channe
 				}
 				return
 			}
-			if errors.Is(err, ErrNotActive) && n < c.CCfg.RequestRetries {
+			if errors.Is(err, ErrNotActive) && n < requestRetries {
 				// The controller answered but had stepped down (lease lost,
 				// partition): wait out the takeover and re-dial the successor.
 				answered = true
 				c.Counters.Add("request_retries", 1)
-				c.eng().After(c.CCfg.RequestTimeout, func() { attempt(n + 1) })
+				c.eng().After(requestTimeout, func() { attempt(n + 1) })
 				return
 			}
 			answered = true
 			cb(info, err)
 		})
-		c.eng().After(c.CCfg.RequestTimeout, func() {
+		c.eng().After(requestTimeout, func() {
 			if answered {
 				return
 			}
 			answered = true
-			if n >= c.CCfg.RequestRetries {
+			if n >= requestRetries {
 				cb(nil, fmt.Errorf("mic: channel request timed out after %d retries", n))
 				return
 			}
@@ -1060,38 +1048,6 @@ func (c *Cluster) RegisterHiddenService(name string, ip addr.IP) error {
 		return fmt.Errorf("mic: no active controller")
 	}
 	return m.unit.RegisterHiddenService(name, ip)
-}
-
-// gateN, gateB and gate3 are MC.gate for the callback shapes reconciliation
-// uses.
-func (mc *MC) gateN(fn func(int)) func(int) {
-	inc := mc.incarnation
-	return func(n int) {
-		if mc.down || inc != mc.incarnation {
-			return
-		}
-		fn(n)
-	}
-}
-
-func (mc *MC) gateB(fn func(bool)) func(bool) {
-	inc := mc.incarnation
-	return func(ok bool) {
-		if mc.down || inc != mc.incarnation {
-			return
-		}
-		fn(ok)
-	}
-}
-
-func (mc *MC) gate3(fn func([]*flowtable.Entry, []flowtable.GroupID, bool)) func([]*flowtable.Entry, []flowtable.GroupID, bool) {
-	inc := mc.incarnation
-	return func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool) {
-		if mc.down || inc != mc.incarnation {
-			return
-		}
-		fn(entries, groups, ok)
-	}
 }
 
 // sortedChanIDs returns the channel IDs in ascending order, so every sweep

@@ -180,7 +180,7 @@ func (mc *MC) runRepair(id uint64, job *repairJob) {
 		return
 	}
 	job.attempts++
-	mc.RepairChannel(id, mc.gateErr(func(err error) {
+	mc.RepairChannel(id, gated(mc, func(err error) {
 		if job.dirty {
 			// Another failure hit mid-repair (possibly on the path we just
 			// installed). Re-verify immediately: the next runRepair picks a
@@ -201,7 +201,7 @@ func (mc *MC) runRepair(id uint64, job *repairJob) {
 }
 
 // settleRepair finishes a job. A terminal error tears the channel down and
-// surfaces the failure to the endpoints via OnChannelDown — the promised
+// surfaces the failure to the endpoints (SubscribeChannelDown) — the promised
 // behaviour: errors only when no route exists, never silent black holes.
 func (mc *MC) settleRepair(id uint64, job *repairJob, err error) {
 	delete(mc.repairJobs, id)
@@ -216,11 +216,10 @@ func (mc *MC) settleRepair(id uint64, job *repairJob, err error) {
 		mc.Repairs++
 	} else {
 		mc.RepairFailures++
-		if st, live := mc.channels[id]; live {
-			initiator := st.initiator
+		if _, live := mc.channels[id]; live {
 			// lint:ignore errdrop the channel is terminally unrepairable; the close error is subsumed by the ChannelDown notification below
 			_ = mc.CloseChannel(id, nil)
-			mc.emitChannelDown(id, initiator, fmt.Errorf("mic: channel %d unrepairable after %d attempts: %w", id, job.attempts, err))
+			mc.emitChannelDown(id, fmt.Errorf("mic: channel %d unrepairable after %d attempts: %w", id, job.attempts, err))
 		}
 	}
 	mc.emitRepair(ev)

@@ -2,11 +2,11 @@ package mic
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"mic/internal/addr"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -37,7 +37,7 @@ func TestAutoRepairSurvivesLinkFailure(t *testing.T) {
 		s.OnData(func(b []byte) { got = append(got, b...) })
 	})
 	var repairs []RepairEvent
-	f.mc.OnRepair = func(ev RepairEvent) { repairs = append(repairs, ev) }
+	f.mc.SubscribeRepair(func(ev RepairEvent) { repairs = append(repairs, ev) })
 	client := NewClient(f.stacks[0], f.mc)
 	target := f.hostIP(15).String()
 	client.Dial(target, 80, func(s *Stream, err error) {
@@ -160,7 +160,7 @@ func TestAutoRepairDoubleFailure(t *testing.T) {
 		return 0, -1, false
 	}
 	secondCutDone := false
-	f.mc.OnRepair = func(ev RepairEvent) {
+	f.mc.SubscribeRepair(func(ev RepairEvent) {
 		if ev.Err != nil {
 			t.Errorf("repair failed: %v", ev.Err)
 			return
@@ -177,7 +177,7 @@ func TestAutoRepairDoubleFailure(t *testing.T) {
 		}
 		f.net.SetLinkDown(n, p, true)
 		cuts = append(cuts, cut{n, p})
-	}
+	})
 	// First cut: an agg-core hop, so the detour stays within path diversity
 	// that survives a second cut.
 	n0, p0, ok := aggCoreLink()
@@ -221,9 +221,9 @@ func TestAutoRepairTerminalWhenNoPath(t *testing.T) {
 	target := f.hostIP(15).String()
 	var downErr error
 	var downID uint64
-	f.mc.OnChannelDown = func(id uint64, initiator addr.IP, err error) {
+	f.mc.SubscribeChannelDown(func(id uint64, err error) {
 		downID, downErr = id, err
-	}
+	})
 	established := false
 	client.Dial(target, 80, func(s *Stream, err error) {
 		if err != nil {
@@ -405,7 +405,7 @@ func TestIDRecyclingAcrossRepairEpochs(t *testing.T) {
 		})
 		f.eng.RunFor(6 * time.Millisecond)
 		info, _ := client.Channel(target)
-		idsBefore := append([]uint32(nil), f.mc.channels[info.ID].flowIDs...)
+		resBefore := slices.Clone(f.mc.channels[info.ID].res)
 		// Two repair epochs per cycle, via real failure events.
 		for rep := 0; rep < 2; rep++ {
 			node, port := cutFirstInterSwitchLink(t, f, info.Flows[0].Path)
@@ -417,13 +417,8 @@ func TestIDRecyclingAcrossRepairEpochs(t *testing.T) {
 		if st.epoch < 2 {
 			t.Fatalf("cycle %d: only %d repair epochs happened", cycle, st.epoch)
 		}
-		if len(st.flowIDs) != len(idsBefore) {
-			t.Fatalf("cycle %d: flow IDs churned across epochs: %v -> %v", cycle, idsBefore, st.flowIDs)
-		}
-		for i, id := range st.flowIDs {
-			if id != idsBefore[i] {
-				t.Fatalf("cycle %d: flow ID %d changed across repair: %d -> %d", cycle, i, idsBefore[i], id)
-			}
+		if !slices.Equal(st.res, resBefore) {
+			t.Fatalf("cycle %d: flow IDs or fake addresses churned across epochs: %v -> %v", cycle, resBefore, st.res)
 		}
 		if err := client.CloseChannel(target, nil); err != nil {
 			t.Fatalf("cycle %d close: %v", cycle, err)

@@ -1,6 +1,10 @@
 package mic
 
-import "mic/internal/addr"
+import (
+	"slices"
+
+	"mic/internal/addr"
+)
 
 // This file is the MC's durability layer: a journal of every externally
 // visible mutation, compacted by periodic snapshots, from which a standby
@@ -17,11 +21,13 @@ type RecordKind int
 const (
 	// RecHidden registers a hidden-service name.
 	RecHidden RecordKind = iota
-	// RecOpen establishes a channel: full state including allocated flow
-	// IDs, endpoint address reservations and the intended rules.
+	// RecOpen establishes a channel. The record is the channel's facts: who,
+	// with what options, at which rule epoch, and per flow its durable
+	// resources, its path and its intended rules.
 	RecOpen
-	// RecUpdate re-routes a channel (self-healing repair): new epoch,
-	// generation, paths and rules; durable resources are unchanged.
+	// RecUpdate restates a live channel's facts after a repair (new epoch,
+	// generation, paths and rules) or a flow restored to a degraded channel
+	// (one more flow); it replaces what the channel's last record said.
 	RecUpdate
 	// RecClose tears a channel down, releasing everything it held.
 	RecClose
@@ -77,8 +83,9 @@ type Record struct {
 	// lint:secret
 	IP addr.IP
 
-	// Channel records (RecOpen / RecUpdate / RecClose use Channel; the rest
-	// are RecOpen, with RecUpdate overriding Epoch, Gen, Flows, Rules).
+	// Channel records. RecClose names the Channel only; RecOpen and RecUpdate
+	// carry all of its facts. FlowIDs (forward, reverse per flow), Entries and
+	// Finals are the wire form of the per-flow resources, parallel to Flows.
 	Channel uint64
 	// lint:secret
 	Initiator addr.IP
@@ -90,7 +97,6 @@ type Record struct {
 	FlowIDs   []uint32
 	Entries   []addr.IP
 	Finals    []addr.IP
-	Res       []flowRes
 	Flows     []FlowInfo
 	Rules     []ruleRec
 
@@ -255,8 +261,8 @@ func (j *Journal) GroupHighShard(shard uint32) uint32 { return j.groupHighShard[
 func (j *Journal) ChanHighShard(shard uint32) uint64 { return j.chanHighShard[shard] }
 
 // compact folds the log down to one record per live fact: hidden services in
-// registration order, then live channels in open order with their latest
-// update merged in. Closed channels vanish; the counter high-waters survive
+// registration order, then live channels in open order, each as its latest
+// update restates it. Closed channels vanish; the counter high-waters survive
 // in the journal's own fields. Purely positional over the existing slices —
 // no map iteration — so the compacted log is deterministic.
 func (j *Journal) compact() {
@@ -274,23 +280,14 @@ func (j *Journal) compact() {
 			merged = append(merged, r)
 		case RecUpdate:
 			if i, ok := live[r.Channel]; ok {
+				// The update is the channel's facts now; the fence and the
+				// counter marks keep their maxima over both records.
 				m := &merged[i]
-				m.Seq = r.Seq
-				if r.Fence > m.Fence {
-					m.Fence = r.Fence
-				}
-				m.Epoch, m.Gen = r.Epoch, r.Gen
-				m.Flows, m.Rules = r.Flows, r.Rules
-				if len(r.Res) > 0 {
-					m.FlowIDs, m.Entries = r.FlowIDs, r.Entries
-					m.Finals, m.Res = r.Finals, r.Res
-				}
-				if r.AllocNext > m.AllocNext {
-					m.AllocNext = r.AllocNext
-				}
-				if r.NextGroup > m.NextGroup {
-					m.NextGroup = r.NextGroup
-				}
+				r.Kind = RecOpen
+				r.Fence = max(r.Fence, m.Fence)
+				r.AllocNext = max(r.AllocNext, m.AllocNext)
+				r.NextGroup = max(r.NextGroup, m.NextGroup)
+				*m = r
 			}
 		case RecClose:
 			if i, ok := live[r.Channel]; ok {
@@ -309,10 +306,10 @@ func (j *Journal) compact() {
 	j.tail = nil
 }
 
-// journalHidden, journalOpen, journalUpdate and journalClose are the MC's
-// append hooks; they are no-ops on an unjournaled (standalone) controller.
-// Slices are copied at append time because the MC mutates its own in place
-// on later repairs.
+// journalHidden, journalChannel and journalClose are the MC's append hooks;
+// they are no-ops on an unjournaled (standalone) controller. Slices are
+// copied at append time because the MC mutates its own in place on later
+// repairs.
 
 func (mc *MC) journalHidden(name string, ip addr.IP) {
 	if mc.journal == nil {
@@ -321,12 +318,14 @@ func (mc *MC) journalHidden(name string, ip addr.IP) {
 	mc.journal.Append(Record{Kind: RecHidden, Fence: mc.fence, Shard: mc.shardID, Name: name, IP: ip})
 }
 
-func (mc *MC) journalOpen(st *channelState) {
+// journalChannel appends st's facts as they now stand: RecOpen for a new
+// channel, RecUpdate after a repair or a restored flow.
+func (mc *MC) journalChannel(kind RecordKind, st *channelState) {
 	if mc.journal == nil {
 		return
 	}
-	mc.journal.Append(Record{
-		Kind:      RecOpen,
+	r := Record{
+		Kind:      kind,
 		Fence:     mc.fence,
 		Shard:     mc.shardID,
 		Channel:   st.id,
@@ -335,41 +334,20 @@ func (mc *MC) journalOpen(st *channelState) {
 		Opts:      st.opts,
 		Epoch:     st.epoch,
 		Gen:       st.gen,
-		FlowIDs:   append([]uint32(nil), st.flowIDs...),
-		Entries:   append([]addr.IP(nil), st.entries...),
-		Finals:    append([]addr.IP(nil), st.finals...),
-		Res:       append([]flowRes(nil), st.res...),
-		Flows:     append([]FlowInfo(nil), st.info.Flows...),
-		Rules:     append([]ruleRec(nil), st.rules...),
+		FlowIDs:   make([]uint32, 0, 2*len(st.res)),
+		Entries:   make([]addr.IP, 0, len(st.res)),
+		Finals:    make([]addr.IP, 0, len(st.res)),
+		Flows:     slices.Clone(st.info.Flows),
+		Rules:     slices.Clone(st.rules),
 		AllocNext: mc.flowIDs.next,
 		NextGroup: mc.nextGroup,
-	})
-}
-
-func (mc *MC) journalUpdate(st *channelState) {
-	if mc.journal == nil {
-		return
 	}
-	mc.journal.Append(Record{
-		Kind:    RecUpdate,
-		Fence:   mc.fence,
-		Shard:   mc.shardID,
-		Channel: st.id,
-		Epoch:   st.epoch,
-		Gen:     st.gen,
-		// Durable resources are re-logged on every update because a
-		// degraded-channel upgrade (admission.go) allocates fresh flow
-		// IDs and endpoint reservations mid-life; plain repairs re-log
-		// unchanged values, which replay applies idempotently.
-		FlowIDs:   append([]uint32(nil), st.flowIDs...),
-		Entries:   append([]addr.IP(nil), st.entries...),
-		Finals:    append([]addr.IP(nil), st.finals...),
-		Res:       append([]flowRes(nil), st.res...),
-		Flows:     append([]FlowInfo(nil), st.info.Flows...),
-		Rules:     append([]ruleRec(nil), st.rules...),
-		AllocNext: mc.flowIDs.next,
-		NextGroup: mc.nextGroup,
-	})
+	for _, fr := range st.res {
+		r.FlowIDs = append(r.FlowIDs, fr.fwdID, fr.revID)
+		r.Entries = append(r.Entries, fr.entry)
+		r.Finals = append(r.Finals, fr.finalSrc)
+	}
+	mc.journal.Append(r)
 }
 
 func (mc *MC) journalClose(id uint64) {
@@ -379,133 +357,63 @@ func (mc *MC) journalClose(id uint64) {
 	mc.journal.Append(Record{Kind: RecClose, Fence: mc.fence, Shard: mc.shardID, Channel: id})
 }
 
+// channel rebuilds the channel a RecOpen or RecUpdate states.
+func (r Record) channel() *channelState {
+	st := &channelState{
+		id:        r.Channel,
+		initiator: r.Initiator,
+		responder: r.Responder,
+		opts:      r.Opts,
+		epoch:     r.Epoch,
+		gen:       r.Gen,
+		info:      &ChannelInfo{ID: r.Channel, Flows: slices.Clone(r.Flows)},
+		res:       make([]flowRes, len(r.Entries)),
+		rules:     slices.Clone(r.Rules),
+	}
+	for i := range st.res {
+		st.res[i] = flowRes{entry: r.Entries[i], finalSrc: r.Finals[i], fwdID: r.FlowIDs[2*i], revID: r.FlowIDs[2*i+1]}
+	}
+	return st
+}
+
 // applyRecord folds one journal record into the MC's state: the replay half
-// of failover. It mutates bookkeeping only — no southbound I/O, no RNG
-// draws, no allocator calls (finishRestore normalizes counters afterwards)
-// — so a standby can apply records incrementally while fully passive.
+// of failover. A channel record takes whatever the channel held off the books
+// (unbook) and, unless it is a close, puts what the record states on them
+// (book) — the same two functions live serving uses, so a replayed
+// controller's tables are the live one's. It mutates bookkeeping only — no
+// southbound I/O, no RNG draws, no allocator draws (finishRestore normalizes
+// counters afterwards) — so a standby can apply records incrementally while
+// fully passive.
 func (mc *MC) applyRecord(r Record) {
-	switch r.Kind {
-	case RecHidden:
+	if r.Kind == RecHidden {
 		mc.hidden[r.Name] = r.IP
-	case RecOpen:
-		st := &channelState{
-			id:        r.Channel,
-			initiator: r.Initiator,
-			responder: r.Responder,
-			opts:      r.Opts,
-			epoch:     r.Epoch,
-			gen:       r.Gen,
-			flowIDs:   append([]uint32(nil), r.FlowIDs...),
-			entries:   append([]addr.IP(nil), r.Entries...),
-			finals:    append([]addr.IP(nil), r.Finals...),
-			res:       append([]flowRes(nil), r.Res...),
-		}
-		st.info = &ChannelInfo{
-			ID:    r.Channel,
-			Flows: append([]FlowInfo(nil), r.Flows...),
-		}
-		mc.setRules(st, r.Rules)
-		mc.chargeIntent(st.rules)
-		for _, f := range st.info.Flows {
-			mc.chargePathLoad(st, f.Path)
-		}
-		for _, e := range st.entries {
-			mc.entryInUse[[2]addr.IP{st.initiator, e}] = true
-		}
-		for _, f := range st.finals {
-			mc.entryInUse[[2]addr.IP{r.Responder, f}] = true
-		}
-		mc.channels[r.Channel] = st
-		if r.Channel+1 > mc.nextChan {
-			mc.nextChan = r.Channel + 1
-		}
-		if r.NextGroup > mc.nextGroup {
-			mc.nextGroup = r.NextGroup
-		}
-	case RecUpdate:
-		st, ok := mc.channels[r.Channel]
-		if !ok {
-			return
-		}
-		st.epoch, st.gen = r.Epoch, r.Gen
-		mc.releaseIntent(st.rules)
-		mc.releaseLoad(st)
-		if len(r.Res) > 0 {
-			// Upgrade-capable update: durable resources may have grown.
-			st.flowIDs = append([]uint32(nil), r.FlowIDs...)
-			st.entries = append([]addr.IP(nil), r.Entries...)
-			st.finals = append([]addr.IP(nil), r.Finals...)
-			st.res = append([]flowRes(nil), r.Res...)
-			for _, e := range st.entries {
-				mc.entryInUse[[2]addr.IP{st.initiator, e}] = true
-			}
-			for _, f := range st.finals {
-				mc.entryInUse[[2]addr.IP{st.responder, f}] = true
-			}
-		}
-		st.info.Flows = append(st.info.Flows[:0], r.Flows...)
-		st.switches = nil
-		st.groups = nil
-		mc.setRules(st, r.Rules)
-		mc.chargeIntent(st.rules)
-		for _, f := range st.info.Flows {
-			mc.chargePathLoad(st, f.Path)
-		}
-		if r.NextGroup > mc.nextGroup {
-			mc.nextGroup = r.NextGroup
-		}
-	case RecClose:
-		st, ok := mc.channels[r.Channel]
-		if !ok {
-			return
-		}
+		return
+	}
+	if old, ok := mc.channels[r.Channel]; ok {
+		mc.unbook(old, old.res, old.info.Flows, old.rules)
 		delete(mc.channels, r.Channel)
-		mc.releaseIntent(st.rules)
-		mc.releaseLoad(st)
-		for _, e := range st.entries {
-			delete(mc.entryInUse, [2]addr.IP{st.initiator, e})
-		}
-		for _, f := range st.finals {
-			delete(mc.entryInUse, [2]addr.IP{st.responder, f})
-		}
+	} else if r.Kind != RecOpen {
+		return // an update or close of a channel this log never opened
 	}
+	if r.Kind == RecClose {
+		return
+	}
+	st := r.channel()
+	mc.book(st, st.res, st.info.Flows, st.rules)
+	mc.channels[st.id] = st
+	mc.nextChan = max(mc.nextChan, st.id+1)
+	mc.nextGroup = max(mc.nextGroup, r.NextGroup)
 }
 
-// setRules installs a journaled rule set as a channel's current intent,
-// rebuilding the per-switch index and group references.
-func (mc *MC) setRules(st *channelState, rules []ruleRec) {
-	st.rules = append([]ruleRec(nil), rules...)
-	for _, rr := range rules {
-		st.addSwitch(rr.node)
-		if rr.group != nil {
-			st.groups = append(st.groups, groupRef{node: rr.node, id: rr.group.ID})
-		}
-	}
-}
-
-// finishRestore normalizes the counters after replay: the flow-ID allocator
-// is rebuilt from the journaled high-water mark minus the IDs live channels
-// hold, and the channel/group counters jump past everything ever issued.
+// finishRestore normalizes the counters after replay: the flow-ID allocator's
+// free list is rebuilt from the journaled high-water mark minus the IDs live
+// channels hold, and the channel/group counters jump past everything ever issued.
 // Called exactly once, at activation (takeover or rejoin-rebuild).
 func (mc *MC) finishRestore(j *Journal) {
-	held := make(map[uint32]bool)
-	// lint:ignore detrange set-insertion only; result independent of order
-	for _, st := range mc.channels {
-		for _, fid := range st.flowIDs {
-			held[fid] = true
-		}
-	}
 	// Counters come from this shard's records only: clamping one shard's
 	// allocator to another shard's high-water would hand out IDs it does
 	// not own.
-	mc.flowIDs.restore(j.AllocHighShard(mc.shardID), held)
-	if high := j.ChanHighShard(mc.shardID); high > mc.nextChan {
-		mc.nextChan = high
-	}
-	if base := uint64(mc.Cfg.InstanceID) << 32; mc.nextChan < base {
-		mc.nextChan = base
-	}
-	if high := j.GroupHighShard(mc.shardID); high > mc.nextGroup {
-		mc.nextGroup = high
-	}
+	mc.flowIDs.restore(j.AllocHighShard(mc.shardID))
+	mc.nextChan = max(mc.nextChan, j.ChanHighShard(mc.shardID), uint64(mc.Cfg.InstanceID)<<32)
+	mc.nextGroup = max(mc.nextGroup, j.GroupHighShard(mc.shardID))
 }

@@ -51,7 +51,9 @@ func TestIDAllocatorRecyclesAndExhausts(t *testing.T) {
 func TestIDAllocatorRestore(t *testing.T) {
 	a := newIDAllocator(0, 16)
 	live := map[uint32]bool{3: true, 7: true}
-	a.restore(10, live)
+	a.hold(3)
+	a.hold(7)
+	a.restore(10)
 	if a.inUse() != 2 {
 		t.Fatalf("inUse after restore = %d, want 2", a.inUse())
 	}
@@ -75,11 +77,11 @@ func TestIDAllocatorRestore(t *testing.T) {
 
 	// Out-of-range high-water marks clamp to the space bounds.
 	b := newIDAllocator(5, 8)
-	b.restore(100, nil)
+	b.restore(100)
 	if b.next != 8 {
 		t.Fatalf("restore(100) on [5,8): next = %d, want 8", b.next)
 	}
-	b.restore(2, nil)
+	b.restore(2)
 	if b.next != 5 || len(b.free) != 0 {
 		t.Fatalf("restore(2) on [5,8): next = %d free = %v, want 5 and empty", b.next, b.free)
 	}
@@ -185,11 +187,13 @@ func TestReplayedAllocatorAvoidsCollisions(t *testing.T) {
 	}
 	seen := map[uint32]uint64{}
 	for _, id := range sortedChanIDs(mc.channels) {
-		for _, fid := range mc.channels[id].flowIDs {
-			if prev, dup := seen[fid]; dup {
-				t.Fatalf("flow ID %d allocated to both channel %d and %d after failover", fid, prev, id)
+		for _, r := range mc.channels[id].res {
+			for _, fid := range [2]uint32{r.fwdID, r.revID} {
+				if prev, dup := seen[fid]; dup {
+					t.Fatalf("flow ID %d allocated to both channel %d and %d after failover", fid, prev, id)
+				}
+				seen[fid] = id
 			}
-			seen[fid] = id
 		}
 	}
 	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {

@@ -47,29 +47,10 @@ type Config struct {
 	// path, which carries the data plane's acks and probe replies.
 	MulticastFanout int
 
-	// RequestLatency is the one-way client<->MC request delay.
-	RequestLatency time.Duration
-
-	// ComputeCost is the MC's routing calculation CPU per m-flow.
-	ComputeCost time.Duration
-
-	// RequestCryptoCost is the AES cost of sealing/opening one request, paid
-	// on both the client and the MC (the paper encrypts requests with a
-	// pre-exchanged key).
-	RequestCryptoCost time.Duration
-
-	// MaxEqualCostPaths caps shortest-path enumeration.
-	MaxEqualCostPaths int
-
 	// DisablePathCache turns off the path-plan cache (plancache.go), forcing
 	// a full equal-cost graph search on every m-flow planning step — the
 	// ablation knob for the s10 setup-throughput experiment.
 	DisablePathCache bool
-
-	// PlanCacheHitCost is the planning CPU charged per path lookup served
-	// from the plan cache, replacing the full ComputeCost of a graph search.
-	// Zero means ComputeCost/10; negative means free.
-	PlanCacheHitCost time.Duration
 
 	// StrictMNs makes channel establishment fail when no path offers the
 	// requested number of Mimic Nodes. By default the MC degrades
@@ -103,7 +84,7 @@ type Config struct {
 	AutoRepair bool
 
 	// RepairMaxRetries bounds repair attempts per failure burst before the
-	// channel is declared dead to its endpoints (OnChannelDown). Zero means
+	// channel is declared dead to its endpoints (SubscribeChannelDown). Zero means
 	// DefaultRepairMaxRetries; negative allows a single attempt.
 	RepairMaxRetries int
 
@@ -129,6 +110,22 @@ const (
 	DefaultRepairBackoff    = time.Millisecond
 )
 
+// What the model charges for a channel request. No experiment varies them.
+const (
+	// requestLatency is the one-way client<->MC request delay.
+	requestLatency = 500 * time.Microsecond
+	// requestCryptoCost is the AES cost of sealing or opening one request,
+	// paid on both the client and the MC (the paper encrypts requests with a
+	// pre-exchanged key).
+	requestCryptoCost = 20 * time.Microsecond
+	// computeCost is the planning CPU of one graph search, planCacheHitCost
+	// of one path lookup the plan cache serves instead.
+	computeCost      = 50 * time.Microsecond
+	planCacheHitCost = computeCost / 10
+	// maxEqualCostPaths caps shortest-path enumeration.
+	maxEqualCostPaths = 16
+)
+
 // IDRange is a half-open flow-ID interval [Lo, Hi).
 type IDRange struct{ Lo, Hi uint32 }
 
@@ -146,15 +143,11 @@ const (
 // DefaultConfig mirrors the paper's defaults: one m-flow, three MNs.
 func DefaultConfig() Config {
 	return Config{
-		Widths:            maga.DefaultWidths(),
-		MFlows:            1,
-		MNs:               3,
-		MulticastFanout:   1,
-		RequestLatency:    500 * time.Microsecond,
-		ComputeCost:       50 * time.Microsecond,
-		RequestCryptoCost: 20 * time.Microsecond,
-		MaxEqualCostPaths: 16,
-		Seed:              1,
+		Widths:          maga.DefaultWidths(),
+		MFlows:          1,
+		MNs:             3,
+		MulticastFanout: 1,
+		Seed:            1,
 	}
 }
 
@@ -172,29 +165,27 @@ func (c Config) withDefaults() Config {
 	if c.MulticastFanout == 0 {
 		c.MulticastFanout = d.MulticastFanout
 	}
-	if c.RequestLatency == 0 {
-		c.RequestLatency = d.RequestLatency
-	}
-	if c.ComputeCost == 0 {
-		c.ComputeCost = d.ComputeCost
-	}
-	if c.RequestCryptoCost == 0 {
-		c.RequestCryptoCost = d.RequestCryptoCost
-	}
-	if c.MaxEqualCostPaths == 0 {
-		c.MaxEqualCostPaths = d.MaxEqualCostPaths
-	}
-	if c.PlanCacheHitCost == 0 {
-		c.PlanCacheHitCost = c.ComputeCost / 10
-	}
-	if c.PlanCacheHitCost < 0 {
-		c.PlanCacheHitCost = 0
-	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed
 	}
 	c.Admission = c.Admission.withDefaults()
 	return c
+}
+
+// idSpace validates the label widths and returns the flow-ID interval the
+// configuration names: IDSpace, or the whole space when it is zero.
+func (c Config) idSpace() (lo, hi uint32, err error) {
+	if err := c.Widths.Validate(); err != nil {
+		return 0, 0, err
+	}
+	lo, hi = c.IDSpace.Lo, c.IDSpace.Hi
+	if lo == 0 && hi == 0 {
+		hi = c.Widths.MaxFlowIDs()
+	}
+	if lo >= hi || hi > c.Widths.MaxFlowIDs() {
+		return 0, 0, fmt.Errorf("mic: ID space [%d, %d) invalid for %d-bit flow IDs", lo, hi, c.Widths.FPart)
+	}
+	return lo, hi, nil
 }
 
 // FlowInfo describes one established m-flow from the initiator's view.
@@ -213,27 +204,26 @@ type ChannelInfo struct {
 	Flows []FlowInfo
 }
 
-// channelState is the MC's bookkeeping for one live channel. The real
-// endpoint pair lives here — and only here — outside the journal.
+// channelState is all the MC keeps about one live channel: who, asked for
+// what, which rule epoch, and three facts — res, info.Flows and rules — from
+// which everything else is read where it is needed (flow IDs and fake
+// addresses from res, links and switches crossed from each flow's Path,
+// groups and the switches holding rules from rules). What the shared tables
+// hold for the channel is put on and taken off by book and unbook, nowhere
+// else. The real endpoint pair lives here — and only here — outside the
+// journal.
 type channelState struct {
-	id   uint64
-	info *ChannelInfo
+	id uint64
 	// lint:secret
 	initiator addr.IP // real dialing endpoint
 	// lint:secret
 	responder addr.IP // real responder; clients get entry addresses instead
 	opts      ChannelOptions
-	epoch     uint32 // bumped per repair; part of the rule cookie
-	gen       uint32 // controller generation that installed the current epoch
-	flowIDs   []uint32
-	switches  []topo.NodeID // where rules were installed: ascending, duplicate-free
-	groups    []groupRef    // partial-multicast groups to clean up
-	rules     []ruleRec     // current epoch's intended rules, per switch
-	entries   []addr.IP
-	finals    []addr.IP
-	res       []flowRes     // per-flow durable resources (survive repairs)
-	links     []linkKey     // directed links carrying this channel's m-flows
-	nodes     []topo.NodeID // switches on this channel's paths
+	epoch     uint32       // bumped per repair; part of the rule cookie
+	gen       uint32       // controller generation that installed the current epoch
+	info      *ChannelInfo // what the client holds: per flow, entry address, path and MNs
+	res       []flowRes    // per flow, the durable resources (survive repairs)
+	rules     []ruleRec    // current epoch's intended rules, in templating order
 }
 
 // flowRes are the parts of an m-flow that must survive a path repair so
@@ -244,12 +234,6 @@ type flowRes struct {
 	finalSrc addr.IP
 	fwdID    uint32
 	revID    uint32
-}
-
-// groupRef locates one installed group-table entry.
-type groupRef struct {
-	node topo.NodeID
-	id   flowtable.GroupID
 }
 
 // ruleRec records one intended rule of a channel's current epoch: a flow
@@ -322,7 +306,7 @@ type MC struct {
 	// round trips of one request overlap the planning of the next.
 	cpuFree sim.Time
 	// planCost accumulates the planning CPU of the request being computed:
-	// ComputeCost per graph search, PlanCacheHitCost per cache hit.
+	// computeCost per graph search, planCacheHitCost per cache hit.
 	planCost time.Duration
 
 	// PathCacheHits and PathCacheMisses count plan-cache outcomes; with the
@@ -394,22 +378,14 @@ type MC struct {
 	prober     *ctrlplane.Prober
 	stopProber func()
 
-	// OnRepair (may be nil) observes every completed self-healing job,
-	// successful or terminal. OnChannelDown (may be nil) fires when a
-	// channel is abandoned because no live path exists after all retries;
-	// the MC closes the channel, so endpoints see a terminal error rather
-	// than a silent black hole.
-	OnRepair      func(RepairEvent)
-	OnChannelDown func(id uint64, initiator addr.IP, err error)
-
-	// repairSubs and downSubs are the multi-listener versions of OnRepair
-	// and OnChannelDown: every Client subscribes so its streams learn about
-	// repairs (re-probe, rebalance) and terminal losses (clean error). The
-	// single-callback fields above remain for harnesses and examples —
-	// OnChannelDown is the omniscient-observer hook and still receives the
-	// initiator; subscriptions are client-facing and deliberately do not:
-	// broadcasting each downed channel's real initiator to every subscribed
-	// client would tell every tenant who else is dialing.
+	// repairSubs hear every completed self-healing job, successful or
+	// terminal; downSubs hear a channel abandoned because no live path exists
+	// after all retries (the MC closes it, so endpoints see a terminal error
+	// rather than a silent black hole). Every Client subscribes, so its
+	// streams learn about repairs (re-probe, rebalance) and terminal losses
+	// (clean error). A listener learns the channel ID and the error, never the
+	// initiator: broadcasting each downed channel's real initiator to every
+	// subscribed client would tell every tenant who else is dialing.
 	repairSubs []func(RepairEvent)
 	downSubs   []func(id uint64, err error)
 
@@ -430,8 +406,8 @@ type MC struct {
 
 	// Admission-control state (admission.go): the token bucket, the bounded
 	// request queue, and the per-switch rule-intent accounting the budgets
-	// check against. ruleCount is maintained on live serving and journal
-	// replay alike, so failover preserves it; commonBase caches each
+	// check against. ruleCount is written by book and unbook only, live and
+	// on journal replay alike, so failover preserves it; commonBase caches each
 	// switch's common-routing rule count for derived budgets.
 	admitTokens float64
 	admitLast   sim.Time
@@ -480,19 +456,13 @@ const (
 // newMC is NewMC parameterized by ownership mode.
 func newMC(net *netsim.Network, cfg Config, mode mcMode) (*MC, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.Widths.Validate(); err != nil {
+	idLo, idHi, err := cfg.idSpace()
+	if err != nil {
 		return nil, err
 	}
 	switches := net.Graph.Switches()
 	if uint32(len(switches))+1 > cfg.Widths.MaxSIDs() {
 		return nil, fmt.Errorf("mic: %d switches exceed %d-bit S_ID space", len(switches), cfg.Widths.SID)
-	}
-	idLo, idHi := cfg.IDSpace.Lo, cfg.IDSpace.Hi
-	if idLo == 0 && idHi == 0 {
-		idHi = cfg.Widths.MaxFlowIDs()
-	}
-	if idLo >= idHi || idHi > cfg.Widths.MaxFlowIDs() {
-		return nil, fmt.Errorf("mic: ID space [%d, %d) invalid for %d-bit flow IDs", idLo, idHi, cfg.Widths.FPart)
 	}
 	mc := &MC{
 		Net:          net,
@@ -590,14 +560,25 @@ func (mc *MC) gate(fn func()) func() {
 	}
 }
 
-// gateErr is gate for error-carrying callbacks.
-func (mc *MC) gateErr(fn func(error)) func(error) {
+// gated is gate for a callback of one argument: an error, a count, a verdict.
+func gated[T any](mc *MC, fn func(T)) func(T) {
 	inc := mc.incarnation
-	return func(err error) {
+	return func(v T) {
 		if mc.down || inc != mc.incarnation {
 			return
 		}
-		fn(err)
+		fn(v)
+	}
+}
+
+// gate3 is gate for the switch-dump callback.
+func (mc *MC) gate3(fn func([]*flowtable.Entry, []flowtable.GroupID, bool)) func([]*flowtable.Entry, []flowtable.GroupID, bool) {
+	inc := mc.incarnation
+	return func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool) {
+		if mc.down || inc != mc.incarnation {
+			return
+		}
+		fn(entries, groups, ok)
 	}
 }
 
@@ -686,9 +667,9 @@ func (mc *MC) resetState() {
 	mc.resetAdmission()
 }
 
-// SubscribeRepair adds a listener for completed self-healing jobs. Unlike
-// the single OnRepair field, subscriptions compose: every Client registers
-// one so its streams re-probe and rebalance the moment a repair lands.
+// SubscribeRepair adds a listener for completed self-healing jobs: every
+// Client registers one so its streams re-probe and rebalance the moment a
+// repair lands.
 func (mc *MC) SubscribeRepair(fn func(RepairEvent)) {
 	mc.repairSubs = append(mc.repairSubs, fn)
 }
@@ -701,23 +682,15 @@ func (mc *MC) SubscribeChannelDown(fn func(id uint64, err error)) {
 	mc.downSubs = append(mc.downSubs, fn)
 }
 
-// emitRepair fans a repair event out to the OnRepair field and subscribers.
+// emitRepair fans a repair event out to the subscribers.
 func (mc *MC) emitRepair(ev RepairEvent) {
-	if mc.OnRepair != nil {
-		mc.OnRepair(ev)
-	}
 	for _, fn := range mc.repairSubs {
 		fn(ev)
 	}
 }
 
-// emitChannelDown fans a terminal channel loss out to the OnChannelDown
-// field and subscribers. Only the omniscient harness hook sees the
-// initiator; client-facing subscriptions get the ID and error.
-func (mc *MC) emitChannelDown(id uint64, initiator addr.IP, err error) {
-	if mc.OnChannelDown != nil {
-		mc.OnChannelDown(id, initiator, err)
-	}
+// emitChannelDown fans a terminal channel loss out to the subscribers.
+func (mc *MC) emitChannelDown(id uint64, err error) {
 	for _, fn := range mc.downSubs {
 		fn(id, err)
 	}
@@ -837,29 +810,36 @@ func (a *idAllocator) release(id uint32) {
 	a.free = append(a.free, id)
 }
 
+// releaseFlow returns an m-flow's two IDs, forward then reverse. The order prices
+// virtual time: the free list is LIFO, so the next flow allocated takes this
+// one's reverse ID as its forward ID, and every MAGA address minted for it
+// follows from that.
+func (a *idAllocator) releaseFlow(r flowRes) {
+	a.release(r.fwdID)
+	a.release(r.revID)
+}
+
+// hold marks id allocated without drawing it from anywhere: journal replay
+// books the IDs the writer drew. On the writer itself alloc has already held
+// it.
+func (a *idAllocator) hold(id uint32) { a.held[id] = true }
+
 func (a *idAllocator) inUse() int { return len(a.held) }
 
-// restore rebuilds allocator state after journal replay: next becomes the
-// journaled high-water mark and the free list every ID below it not held by
-// a live channel, in ascending order. Replay cannot re-run the original
-// alloc/release interleaving — failed setups allocated and released IDs
-// without journaling, permuting the LIFO free list — so the free list is
-// normalized instead. Deterministic, and collision-free by construction:
-// every live ID is excluded from both the free list and the next counter.
-func (a *idAllocator) restore(next uint32, inUse map[uint32]bool) {
-	if next < a.lo {
-		next = a.lo
-	}
-	if next > a.hi {
-		next = a.hi
-	}
+// restore normalizes the allocator after journal replay has booked the live
+// channels' IDs (hold): next becomes the journaled high-water mark and the
+// free list every ID below it that is not held, in ascending order. Replay
+// cannot re-run the original alloc/release interleaving — failed setups
+// allocated and released IDs without journaling, permuting the LIFO free
+// list — so the free list is normalized instead. Deterministic, and
+// collision-free by construction: every live ID is excluded from both the
+// free list and the next counter.
+func (a *idAllocator) restore(next uint32) {
+	next = min(max(next, a.lo), a.hi)
 	a.next = next
 	a.free = a.free[:0]
-	a.held = make(map[uint32]bool)
 	for id := a.lo; id < next; id++ {
-		if inUse[id] {
-			a.held[id] = true
-		} else {
+		if !a.held[id] {
 			a.free = append(a.free, id)
 		}
 	}

@@ -10,25 +10,24 @@ import (
 	"mic/internal/topo"
 )
 
-// This file splits channel setup into explicit pipeline stages, replacing
-// the computeFlow monolith:
+// This file holds the stages computeFlow (rules.go) composes into the one
+// per-flow transaction:
 //
 //	planFlow      — planner: path selection (through the plan cache) and MN
 //	                placement. Touches no channel bookkeeping; its only side
 //	                effects are RNG stream advances and plan-cost accounting.
-//	allocFlowRes  — allocator: flow IDs, entry/final address reservations.
-//	                The first stage that takes resources a failure must
-//	                return (snapFlow/unwindFlow still cover it exactly).
+//	allocFlowRes  — allocator: two flow IDs and the entry/final addresses.
+//	                The IDs are the only thing a flow holds before it is
+//	                adopted; a failure here or later hands them back.
 //	templateFlow  — templater: MAGA tuple chains and the rewrite/forward
 //	                rule set, built as free-standing ruleRecs with no writes
 //	                to MC or channel state.
-//	adoptFlow     — installer prep: the templated rules become channel
-//	                intent (st.rules, switch/group indexes) and southbound
-//	                Mods, in one deterministic order.
 //
-// computeFlow composes the stages, so the repair and upgrade paths behave
-// exactly as before; serveChannel uses the stage costs to pipeline many
-// requests through one controller's serialized planning CPU (mic.cpuFree).
+// computeFlow then checks the rule budget and adopts the flow: its facts join
+// the channel, go on the books and become southbound Mods. New dials, repairs
+// and degraded-channel restores all go through it; serveChannel uses the
+// stage costs to pipeline many requests through one controller's serialized
+// planning CPU (mic.cpuFree).
 
 // flowPlan is the planner's output for one m-flow: the chosen path and the
 // Mimic Node placement on it. It references no allocated resources, so a
@@ -52,7 +51,7 @@ type planScratch struct {
 
 	swPos, mnPos, perm []int
 	fwd, rev           []tuple   // templateFlow's tuple chains
-	recs               []ruleRec // templateFlow's output, consumed by adoptFlow
+	recs               []ruleRec // templateFlow's output, consumed by computeFlow
 }
 
 // planFlow selects a path and places opts.MNs Mimic Nodes on it (clamped to
@@ -96,37 +95,34 @@ func (mc *MC) planFlow(initNode, respNode topo.NodeID, opts ChannelOptions) (flo
 }
 
 // allocFlowRes is the allocator stage: fresh flow IDs and endpoint-visible
-// fake addresses for one planned m-flow, recorded in st so the surrounding
-// snapshot/unwind machinery can return them on a later-stage failure.
-func (mc *MC) allocFlowRes(st *channelState, plan flowPlan, respIP addr.IP) (flowRes, error) {
-	initIP := st.initiator
+// fake addresses for one planned m-flow. The IDs are drawn forward then
+// reverse and the addresses entry then final — the order of the allocator's
+// LIFO pops and of pickFake's pathRng draws — and a failure part-way hands
+// back the IDs already drawn. The addresses are only chosen here; they are
+// reserved when the flow is adopted.
+func (mc *MC) allocFlowRes(st *channelState, plan flowPlan) (flowRes, error) {
+	initIP, respIP := st.initiator, st.responder
 	fwdID, err := mc.flowIDs.alloc()
 	if err != nil {
 		return flowRes{}, err
 	}
-	st.flowIDs = append(st.flowIDs, fwdID)
 	revID, err := mc.flowIDs.alloc()
 	if err != nil {
+		mc.flowIDs.release(fwdID)
 		return flowRes{}, err
 	}
-	st.flowIDs = append(st.flowIDs, revID)
-
+	res := flowRes{fwdID: fwdID, revID: revID}
 	// Entry address: a real host, plausible beyond the initiator's first
-	// switch, unique among the initiator's live channels.
-	entry, err := mc.reserveFake(initIP, mc.poolAhead(plan.path, plan.swPos[0], initIP, respIP))
+	// switch, unique among the initiator's live channels. Final source: the
+	// fake peer the responder sees; also serves as the reply's entry address,
+	// so it gets the same uniqueness reservation.
+	if res.entry, err = mc.pickFake(initIP, mc.poolAhead(plan.path, plan.swPos[0], initIP, respIP)); err == nil {
+		res.finalSrc, err = mc.pickFake(respIP, mc.poolBehind(plan.path, plan.swPos[len(plan.swPos)-1], initIP, respIP))
+	}
 	if err != nil {
+		mc.flowIDs.releaseFlow(res)
 		return flowRes{}, err
 	}
-	st.entries = append(st.entries, entry)
-	// Final source: the fake peer the responder sees; also serves as the
-	// reply's entry address, so it gets the same uniqueness reservation.
-	finalSrc, err := mc.reserveFake(respIP, mc.poolBehind(plan.path, plan.swPos[len(plan.swPos)-1], initIP, respIP))
-	if err != nil {
-		return flowRes{}, err
-	}
-	st.finals = append(st.finals, finalSrc)
-	res := flowRes{entry: entry, finalSrc: finalSrc, fwdID: fwdID, revID: revID}
-	st.res = append(st.res, res)
 	return res, nil
 }
 
@@ -136,8 +132,7 @@ func (mc *MC) allocFlowRes(st *channelState, plan flowPlan, respIP addr.IP) (flo
 // into MC or channel state beyond the scratch the chains and the returned
 // recs live in (valid until the next templateFlow) — groups are numbered
 // from groupBase, and the caller advances mc.nextGroup by the returned
-// groupsUsed when it adopts the rules (or drops the plan and the numbering
-// with it).
+// groupsUsed.
 func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, opts ChannelOptions, cookie uint64, groupBase uint32) (recs []ruleRec, fi FlowInfo, groupsUsed uint32) {
 	g := mc.Net.Graph
 	path, mnPos, n := plan.path, plan.mnPos, plan.n
@@ -298,33 +293,4 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 
 	sc.recs = recs
 	return recs, FlowInfo{Entry: entry, Path: path, MNs: plan.mnIDs}, groupsUsed
-}
-
-// adoptFlow is the installer-prep stage: templated rules become the
-// channel's intent — per-switch index, group references, st.rules — and are
-// appended to mods as southbound modifications, in the templater's emission
-// order. A channel's m-flows are alike, so the first one sizes both lists for
-// all of them.
-func (mc *MC) adoptFlow(st *channelState, recs []ruleRec, mods []ctrlplane.Mod) []ctrlplane.Mod {
-	flows := max(st.opts.MFlows, 1)
-	if len(st.rules) == 0 {
-		st.rules = slices.Grow(st.rules, flows*len(recs))
-	}
-	if len(mods) == 0 {
-		mods = slices.Grow(mods, flows*len(recs))
-	}
-	if len(st.switches) == 0 {
-		// One flow's rules sit on at most as many switches, and a channel's
-		// flows share most of theirs.
-		st.switches = slices.Grow(st.switches, len(recs))
-	}
-	for _, rr := range recs {
-		st.addSwitch(rr.node)
-		if rr.group != nil {
-			st.groups = append(st.groups, groupRef{node: rr.node, id: rr.group.ID})
-		}
-		st.rules = append(st.rules, rr)
-		mods = append(mods, ctrlplane.Mod{Switch: mc.Net.Switch(rr.node), Entry: rr.entry, Group: rr.group})
-	}
-	return mods
 }

@@ -104,7 +104,7 @@ func BenchmarkEqualCostPathsFatTree16(b *testing.B) {
 	hosts := g.Hosts()
 	src, dst := hosts[0], hosts[len(hosts)-1]
 	compute := func() []topo.Path {
-		return g.EqualCostPaths(src, dst, mc.Cfg.MaxEqualCostPaths)
+		return g.EqualCostPaths(src, dst, maxEqualCostPaths)
 	}
 	b.Run("miss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -123,8 +123,8 @@ func BenchmarkEqualCostPathsFatTree16(b *testing.B) {
 
 // TestPlanCacheHitIsCheaper checks the virtual-CPU contract: a storm of
 // same-edge-pair dials completes sooner with the cache than without,
-// because a hit charges PlanCacheHitCost instead of the full graph-search
-// ComputeCost to the controller's serialized planning core.
+// because a hit charges planCacheHitCost instead of the full graph-search
+// computeCost to the controller's serialized planning core.
 func TestPlanCacheHitIsCheaper(t *testing.T) {
 	run := func(disable bool) time.Duration {
 		f := newFixture(t, Config{MNs: 3, MFlows: 2, Seed: 7, DisablePathCache: disable})

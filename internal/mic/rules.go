@@ -70,22 +70,22 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 	// re-dials the successor. A crashed MC stays silent — dead processes
 	// don't answer — and the gate below drops the request as before.
 	if !mc.down && !mc.activeCtrl {
-		mc.Net.Eng.After(2*mc.Cfg.RequestLatency, func() { cb(nil, ErrNotActive) })
+		mc.Net.Eng.After(2*requestLatency, func() { cb(nil, ErrNotActive) })
 		return
 	}
 	// Request packet: sealed by the client, opened by the MC. Both handling
 	// steps are gated on controller liveness: a request in flight when the MC
 	// dies simply vanishes, like any message to a dead process, and the
 	// caller's retry layer (Cluster) re-issues it to the new active.
-	mc.Net.CPU.Charge("crypto", 2*mc.Cfg.RequestCryptoCost)
-	mc.Net.Eng.After(mc.Cfg.RequestLatency, mc.gate(func() {
+	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
+	mc.Net.Eng.After(requestLatency, mc.gate(func() {
 		// Admission control (admission.go): the request either gets a token
 		// now, waits in the bounded queue, or is refused with a typed
 		// ErrOverloaded — never silently dropped.
 		mc.admit(
 			func() { mc.serveChannel(initiator, target, opts, cb) },
 			func(err error) {
-				mc.Net.Eng.After(mc.Cfg.RequestLatency, func() { cb(nil, err) })
+				mc.Net.Eng.After(requestLatency, func() { cb(nil, err) })
 			},
 		)
 	}))
@@ -106,7 +106,7 @@ func (mc *MC) serveChannel(initiator addr.IP, target string, opts ChannelOptions
 	mc.planCost = 0
 	mc.Net.CPU.Charge("mc", cost)
 	if err != nil {
-		mc.Net.Eng.After(mc.Cfg.RequestLatency, func() { cb(nil, err) })
+		mc.Net.Eng.After(requestLatency, func() { cb(nil, err) })
 		return
 	}
 	now := mc.Net.Eng.Now()
@@ -117,9 +117,9 @@ func (mc *MC) serveChannel(initiator addr.IP, target string, opts ChannelOptions
 	mc.cpuFree = start.Add(cost)
 	delay := mc.cpuFree.Sub(now)
 	// Acknowledgement: sealed by the MC, opened by the client.
-	mc.Net.CPU.Charge("crypto", 2*mc.Cfg.RequestCryptoCost)
+	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
 	acked := mc.gate(func() {
-		mc.Net.Eng.After(mc.Cfg.RequestLatency, func() { cb(info, nil) })
+		mc.Net.Eng.After(requestLatency, func() { cb(info, nil) })
 	})
 	mc.Net.Eng.After(delay, mc.gate(func() {
 		// One coalesced southbound message per switch, closed by a single
@@ -135,8 +135,7 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 	if err != nil {
 		return nil, nil, err
 	}
-	initHost := mc.Net.Graph.HostByIP(initiator)
-	if initHost == nil {
+	if mc.Net.Graph.HostByIP(initiator) == nil {
 		// The refusal does not echo the address: the requester knows what it
 		// sent, and the string also lands in shared failure paths.
 		return nil, nil, fmt.Errorf("mic: initiator is not a host on this fabric")
@@ -156,95 +155,93 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 		responder: respIP,
 		opts:      opts,
 		gen:       mc.generation,
+		info:      &ChannelInfo{ID: id},
 	}
-	info := &ChannelInfo{ID: id}
 	var mods []ctrlplane.Mod
-
-	charged := 0 // prefix of st.rules whose intent has been charged
-	cleanup := func() {
-		mc.releaseIntent(st.rules[:charged])
-		mc.releaseLoad(st)
-		for _, fid := range st.flowIDs {
-			mc.flowIDs.release(fid)
+	for len(st.res) < opts.MFlows {
+		if mods, err = mc.computeFlow(st, nil, mods); err == nil {
+			continue
 		}
-		for _, e := range st.entries {
-			delete(mc.entryInUse, [2]addr.IP{initiator, e})
+		// Degradation ladder: under table pressure, admit with fewer m-flows
+		// (down to minFlows) before refusing outright. Only budget pressure
+		// degrades — a routing failure still fails.
+		if errors.Is(err, ErrOverloaded) && !mc.Cfg.Admission.DisableDegrade && len(st.res) >= minFlows {
+			mc.ChannelsDegraded++
+			break
 		}
-		for _, f := range st.finals {
-			delete(mc.entryInUse, [2]addr.IP{respIP, f})
+		mc.unbook(st, st.res, st.info.Flows, st.rules)
+		if errors.Is(err, ErrOverloaded) {
+			mc.ChannelsRefused++
 		}
+		return nil, nil, err
 	}
-
-	minFlows := mc.Cfg.Admission.MinFlows
-	if minFlows < 1 {
-		minFlows = 1
-	}
-	for fi := 0; fi < opts.MFlows; fi++ {
-		snap := snapFlow(st, len(mods))
-		var flowInfo FlowInfo
-		mods, flowInfo, err = mc.computeFlow(st, info, initHost.ID, respIP, opts, nil, mods)
-		if err == nil {
-			if node, over := mc.flowOverBudget(st.rules[snap.rules:]); over {
-				err = fmt.Errorf("mic: rule budget exhausted on switch %s: %w",
-					mc.Net.Graph.Node(node).Name, ErrOverloaded)
-			}
-		}
-		if err != nil {
-			mc.unwindFlow(st, respIP, snap)
-			mods = mods[:snap.mods]
-			// Degradation ladder: under table pressure, admit with fewer
-			// m-flows (down to MinFlows) before refusing outright. Only
-			// budget pressure degrades — a routing failure still fails.
-			if errors.Is(err, ErrOverloaded) && !mc.Cfg.Admission.DisableDegrade && len(info.Flows) >= minFlows {
-				mc.ChannelsDegraded++
-				break
-			}
-			cleanup()
-			if errors.Is(err, ErrOverloaded) {
-				mc.ChannelsRefused++
-			}
-			return nil, nil, err
-		}
-		mc.chargeIntent(st.rules[snap.rules:])
-		charged = len(st.rules)
-		info.Flows = append(info.Flows, flowInfo)
-	}
-	st.info = info
 	mc.channels[id] = st
 	// Journal the channel as intent before any rule lands: after a crash the
 	// standby reconciles switches against intent, so a partially installed
 	// channel is completed, never half-forgotten.
-	mc.journalOpen(st)
-	return info, mods, nil
+	mc.journalChannel(RecOpen, st)
+	return st.info, mods, nil
 }
 
-// computeFlow builds one m-flow by composing the pipeline stages (plan.go):
-// planner (path + MN placement), allocator (flow IDs, entry/final
-// reservations), templater (tuple chains + rules), installer prep (channel
-// intent + southbound mods, appended to mods; on error mods is returned as
-// it came). With fixed == nil the allocator takes fresh
-// endpoint resources and records them in st; a non-nil fixed reuses
-// existing resources — the repair path, which must not change what the
-// endpoints see.
-func (mc *MC) computeFlow(st *channelState, info *ChannelInfo, initNode topo.NodeID, respIP addr.IP, opts ChannelOptions, fixed *flowRes, mods []ctrlplane.Mod) ([]ctrlplane.Mod, FlowInfo, error) {
-	respNode := mc.Net.Graph.HostByIP(respIP).ID
-	plan, err := mc.planFlow(initNode, respNode, opts)
+// computeFlow is the one transaction that adds an m-flow to a channel,
+// composed of the pipeline stages (plan.go): planner (path + MN placement),
+// allocator (flow IDs, entry/final addresses), templater (tuple chains +
+// rules), the rule-budget check, and only then adoption — the flow's facts
+// join st (res, info.Flows, rules), go on the books, and its rules are
+// appended to mods as southbound modifications in the templater's emission
+// order. Until adoption the flow holds nothing but its two IDs, which every
+// error path hands back; on error st and mods are as they came.
+//
+// With fixed == nil the flow takes fresh endpoint resources and must fit the
+// rule budget: a new dial's flow, or one restored to a degraded channel. A
+// non-nil fixed re-routes a flow the channel was already admitted with — the
+// repair path, which must not change what the endpoints see and is not
+// subject to admission.
+func (mc *MC) computeFlow(st *channelState, fixed *flowRes, mods []ctrlplane.Mod) ([]ctrlplane.Mod, error) {
+	g := mc.Net.Graph
+	plan, err := mc.planFlow(g.HostByIP(st.initiator).ID, g.HostByIP(st.responder).ID, st.opts)
 	if err != nil {
-		return mods, FlowInfo{}, err
+		return mods, err
 	}
-	mc.chargePathLoad(st, plan.path)
 	var res flowRes
 	if fixed != nil {
 		res = *fixed
-	} else {
-		res, err = mc.allocFlowRes(st, plan, respIP)
-		if err != nil {
-			return mods, FlowInfo{}, err
+	} else if res, err = mc.allocFlowRes(st, plan); err != nil {
+		return mods, err
+	}
+	recs, fi, groupsUsed := mc.templateFlow(plan, res, st.initiator, st.responder, st.opts, st.cookie(), mc.nextGroup)
+	// Group numbering: the IDs a templated flow consumed stay consumed even
+	// if it turns out not to fit, so later groups are numbered past them.
+	mc.nextGroup += groupsUsed
+	if fixed == nil {
+		if node, over := mc.flowOverBudget(); over {
+			mc.flowIDs.releaseFlow(res)
+			return mods, fmt.Errorf("mic: rule budget exhausted on switch %s: %w", g.Node(node).Name, ErrOverloaded)
 		}
 	}
-	recs, fi, groupsUsed := mc.templateFlow(plan, res, st.initiator, respIP, opts, st.cookie(info.ID), mc.nextGroup)
-	mc.nextGroup += groupsUsed
-	return mc.adoptFlow(st, recs, mods), fi, nil
+	// Adoption. A channel's m-flows are alike, so the first one sizes every
+	// list for all of them.
+	flows := max(st.opts.MFlows, 1)
+	if len(st.rules) == 0 {
+		st.res = slices.Grow(st.res, flows)
+		st.info.Flows = slices.Grow(st.info.Flows, flows)
+		st.rules = slices.Grow(st.rules, flows*len(recs))
+	}
+	if len(mods) == 0 {
+		mods = slices.Grow(mods, flows*len(recs))
+	}
+	var fresh []flowRes
+	if fixed == nil {
+		st.res = append(st.res, res)
+		fresh = st.res[len(st.res)-1:]
+	}
+	st.info.Flows = append(st.info.Flows, fi)
+	st.rules = append(st.rules, recs...)
+	mc.book(st, fresh, st.info.Flows[len(st.info.Flows)-1:], recs)
+	for _, rr := range recs {
+		mods = append(mods, ctrlplane.Mod{Switch: mc.Net.Switch(rr.node), Entry: rr.entry, Group: rr.group})
+	}
+	return mods, nil
 }
 
 // rewriteActions adds to the slab's open action list the rewrite of `from`
@@ -334,7 +331,7 @@ func (mc *MC) buildMulticast(slab *flowtable.Slab, node, prevNode, nextNode topo
 func (mc *MC) selectPath(src, dst topo.NodeID, minSwitches int) (topo.Path, error) {
 	g := mc.Net.Graph
 	cands := mc.aliveSegs(0, src, dst, mc.lookupPaths(src, dst, -1, func() []topo.Path {
-		return g.EqualCostPaths(src, dst, mc.Cfg.MaxEqualCostPaths)
+		return g.EqualCostPaths(src, dst, maxEqualCostPaths)
 	}))
 	if len(cands) > 0 && mc.joinScratch(src, cands[0], dst).SwitchCount(g) >= minSwitches {
 		return mc.pickPath(src, dst, cands), nil
@@ -414,54 +411,93 @@ func (mc *MC) pickPath(src, dst topo.NodeID, cands [][]topo.NodeID) topo.Path {
 	return append(append(append(path, src), seg...), dst)
 }
 
-// chargePathLoad records one m-flow's occupancy on every directed link of
-// its path (both directions) — for PathLeastLoaded and teardown — and
-// indexes the channel by every link and switch it crosses, so a failure
-// event maps to its victim channels in one lookup.
-func (mc *MC) chargePathLoad(st *channelState, path topo.Path) {
+// book puts facts of channel st on the MC's shared tables and unbook takes
+// them off; no table is written anywhere else, by live serving or by journal
+// replay, so what the tables hold is the sum over the live channels' facts by
+// construction (checkBooks recomputes it). Each kind of fact feeds its own
+// tables:
+//
+//	res    the flow-ID allocator (held) and entryInUse, the (endpoint, fake
+//	       peer) reservations;
+//	flows  per directed link of each Path, both ways: linkLoad (one per
+//	       m-flow, what PathLeastLoaded minimises) and linkChannels; per
+//	       switch of each Path: nodeChannels — the two indexes that map a
+//	       failure event to its victim channels in one lookup;
+//	rules  ruleCount, the per-switch count of intended m-flow entries the
+//	       rule budgets are checked against (groups live in the unbounded
+//	       group table and do not count).
+//
+// A caller names the facts a step adds or removes: a flow being adopted books
+// its own res, path and rules; a close takes res and paths off at once and
+// the rules when the switches have confirmed the deletes. Paths come off only
+// a whole channel at a time — the indexes are sets, so dropping one flow's
+// links would drop the channel from links its other flows still cross.
+func (mc *MC) book(st *channelState, res []flowRes, flows []FlowInfo, rules []ruleRec) {
+	for _, r := range res {
+		mc.flowIDs.hold(r.fwdID)
+		mc.flowIDs.hold(r.revID)
+		mc.entryInUse[[2]addr.IP{st.initiator, r.entry}] = true
+		mc.entryInUse[[2]addr.IP{st.responder, r.finalSrc}] = true
+	}
 	g := mc.Net.Graph
-	// A channel's m-flows take paths of one length: the first sizes both
-	// lists for all of them.
-	if flows := max(st.opts.MFlows, 1); len(st.links) == 0 {
-		st.links = slices.Grow(st.links, flows*2*len(path))
-		st.nodes = slices.Grow(st.nodes, flows*len(path))
-	}
-	for i := 0; i+1 < len(path); i++ {
-		fwd := linkKey{path[i], g.PortTo(path[i], path[i+1])}
-		rev := linkKey{path[i+1], g.PortTo(path[i+1], path[i])}
-		st.links = append(st.links, fwd, rev)
-		for _, lk := range [2]linkKey{fwd, rev} {
-			l := mc.linkIndex(lk)
-			mc.linkLoad[l]++
-			mc.linkChannels[l] = addID(mc.linkChannels[l], st.id)
+	for _, f := range flows {
+		for i, node := range f.Path {
+			if g.Node(node).Kind == topo.KindSwitch {
+				mc.nodeChannels[node] = addID(mc.nodeChannels[node], st.id)
+			}
+			if i+1 < len(f.Path) {
+				for _, l := range mc.linkPair(node, f.Path[i+1]) {
+					mc.linkLoad[l]++
+					mc.linkChannels[l] = addID(mc.linkChannels[l], st.id)
+				}
+			}
 		}
 	}
-	for _, node := range path {
-		if g.Node(node).Kind != topo.KindSwitch {
-			continue
+	for _, rr := range rules {
+		if rr.entry != nil {
+			mc.ruleCount[rr.node]++
 		}
-		st.nodes = append(st.nodes, node)
-		mc.nodeChannels[node] = addID(mc.nodeChannels[node], st.id)
 	}
 }
 
-// releaseLoad returns a channel's link occupancy and drops it from the
-// failure indexes. A link's or switch's set keeps its storage when it
-// empties — the next channel routed there reuses it, and the fabric bounds
-// how many there can be.
-func (mc *MC) releaseLoad(st *channelState) {
-	for _, lk := range st.links {
-		l := mc.linkIndex(lk)
-		if mc.linkLoad[l] > 0 {
-			mc.linkLoad[l]--
+// unbook is book's inverse. Flow IDs go back forward then reverse per flow,
+// in res order (idAllocator.releaseFlow). A link's or switch's set keeps its
+// storage when it empties — the next channel routed there reuses it, and the
+// fabric bounds how many there can be.
+func (mc *MC) unbook(st *channelState, res []flowRes, flows []FlowInfo, rules []ruleRec) {
+	for _, r := range res {
+		mc.flowIDs.releaseFlow(r)
+		delete(mc.entryInUse, [2]addr.IP{st.initiator, r.entry})
+		delete(mc.entryInUse, [2]addr.IP{st.responder, r.finalSrc})
+	}
+	g := mc.Net.Graph
+	for _, f := range flows {
+		for i, node := range f.Path {
+			if g.Node(node).Kind == topo.KindSwitch {
+				mc.nodeChannels[node] = dropID(mc.nodeChannels[node], st.id)
+			}
+			if i+1 < len(f.Path) {
+				for _, l := range mc.linkPair(node, f.Path[i+1]) {
+					if mc.linkLoad[l] > 0 {
+						mc.linkLoad[l]--
+					}
+					mc.linkChannels[l] = dropID(mc.linkChannels[l], st.id)
+				}
+			}
 		}
-		mc.linkChannels[l] = dropID(mc.linkChannels[l], st.id)
 	}
-	st.links = nil
-	for _, node := range st.nodes {
-		mc.nodeChannels[node] = dropID(mc.nodeChannels[node], st.id)
+	for _, rr := range rules {
+		if rr.entry != nil && mc.ruleCount[rr.node] > 0 {
+			mc.ruleCount[rr.node]--
+		}
 	}
-	st.nodes = nil
+}
+
+// linkPair returns the dense numbers of the two directed links between
+// adjacent nodes a and b.
+func (mc *MC) linkPair(a, b topo.NodeID) [2]int {
+	g := mc.Net.Graph
+	return [2]int{mc.linkIndex(linkKey{a, g.PortTo(a, b)}), mc.linkIndex(linkKey{b, g.PortTo(b, a)})}
 }
 
 // linkIndex returns a directed link's dense number.
@@ -523,37 +559,33 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 		mc.Net.Eng.After(0, func() { cb(fmt.Errorf("mic: unknown channel %d", id)) })
 		return
 	}
-	initHost := mc.Net.Graph.HostByIP(st.initiator)
-	respIP := st.responder
-	// Recompute first; only tear down the old rules when the new routing
-	// exists, so an unrepairable failure leaves the old state untouched.
-	newInfo := &ChannelInfo{ID: id}
-	oldSwitches := st.switches
-	oldCookie := st.cookie(id)
-	oldGen := st.gen
-	st.switches = nil
-	oldGroups := st.groups
-	st.groups = nil
-	oldRules := st.rules
-	st.rules = nil
-	st.epoch++
-	st.gen = mc.generation
-	mc.releaseLoad(st)
+	// The new epoch is built beside the old one — same channel, same res, the
+	// next cookie — and takes its place only when every flow has a route, so
+	// an unrepairable failure leaves the channel exactly as it was. While it
+	// is planned the old epoch's paths and rules are off the books (a
+	// least-loaded pick must not count the channel's own old routes against
+	// its new ones) and each re-routed flow books itself; they go back on if
+	// a flow finds no path.
+	next := &channelState{
+		id:        id,
+		initiator: st.initiator,
+		responder: st.responder,
+		opts:      st.opts,
+		epoch:     st.epoch + 1,
+		gen:       mc.generation,
+		info:      &ChannelInfo{ID: id},
+		res:       st.res,
+	}
+	mc.unbook(st, nil, st.info.Flows, st.rules)
 	var mods []ctrlplane.Mod
-	for i := range st.res {
-		var flowInfo FlowInfo
+	for i := range next.res {
 		var err error
-		mods, flowInfo, err = mc.computeFlow(st, newInfo, initHost.ID, respIP, st.opts, &st.res[i], mods)
-		if err != nil {
-			st.switches = oldSwitches
-			st.groups = oldGroups
-			st.rules = oldRules
-			st.epoch--
-			st.gen = oldGen
+		if mods, err = mc.computeFlow(next, &next.res[i], mods); err != nil {
+			mc.unbook(next, nil, next.info.Flows, next.rules)
+			mc.book(st, nil, st.info.Flows, st.rules)
 			mc.Net.Eng.After(0, func() { cb(err) })
 			return
 		}
-		newInfo.Flows = append(newInfo.Flows, flowInfo)
 	}
 	// Make-before-break: install the new epoch's rules first (identical
 	// matches replace in place), then delete the old epoch everywhere. At no
@@ -562,19 +594,13 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 	//
 	// Update the existing ChannelInfo in place: clients hold a pointer to
 	// it, so they observe the repaired paths without a new round trip.
-	*st.info = *newInfo
-	mc.releaseIntent(oldRules)
-	mc.chargeIntent(st.rules)
-	mc.journalUpdate(st)
-	newGroupIDs := make(map[groupRef]bool, len(st.groups))
-	for _, gr := range st.groups {
-		newGroupIDs[gr] = true
-	}
-	for _, gr := range oldGroups {
-		if !newGroupIDs[gr] {
-			mc.Net.Switch(gr.node).Table.DeleteGroup(gr.id)
-		}
-	}
+	oldSwitches, oldCookie, oldRules := st.switches(), st.cookie(), st.rules
+	*st.info = *next.info
+	st.rules, st.epoch, st.gen = next.rules, next.epoch, next.gen
+	mc.journalChannel(RecUpdate, st)
+	// Group IDs are never reused, so none of the old epoch's groups is also
+	// one of the new epoch's.
+	mc.deleteGroups(oldRules)
 	mc.Ch.InstallAllResult(mods, func(failed int) {
 		// The channel is repaired once the new epoch is installed; the old
 		// epoch's deletion is housekeeping that proceeds in the background
@@ -588,10 +614,21 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 	})
 }
 
+// deleteGroups removes the partial-multicast groups among rules from their
+// switches' group tables.
+func (mc *MC) deleteGroups(rules []ruleRec) {
+	for _, rr := range rules {
+		if rr.group != nil {
+			mc.Net.Switch(rr.node).Table.DeleteGroup(rr.group.ID)
+		}
+	}
+}
+
 // purgeOldEpoch deletes a superseded rule epoch from every switch it was
-// installed on. Dead switches — and live switches that never acknowledge
-// the delete — are remembered in staleCookies and purged when they come
-// back (a restarting switch reconnects with whatever rules it had).
+// installed on, in the order given (channelState.switches: ascending). Dead
+// switches — and live switches that never acknowledge the delete — are
+// remembered in staleCookies and purged when they come back (a restarting
+// switch reconnects with whatever rules it had).
 func (mc *MC) purgeOldEpoch(switches []topo.NodeID, cookie uint64) {
 	for _, node := range switches {
 		node := node
@@ -611,7 +648,7 @@ func (mc *MC) purgeOldEpoch(switches []topo.NodeID, cookie uint64) {
 // poolAhead returns plausible entry addresses: hosts beyond firstSwitchPos
 // along the path, from the first switch's forward egress. Like poolBehind's,
 // the result lives in the reachability's source buffer until the next pool
-// is drawn; reserveFake consumes it at once.
+// is drawn; pickFake consumes it at once.
 func (mc *MC) poolAhead(path topo.Path, firstSwitchPos int, exclude ...addr.IP) []addr.IP {
 	g := mc.Net.Graph
 	sw := path[firstSwitchPos]
@@ -628,18 +665,18 @@ func (mc *MC) poolBehind(path topo.Path, lastSwitchPos int, exclude ...addr.IP) 
 	return mc.reach.via(poolSrc, sw, port, exclude...)
 }
 
-// reserveFake picks an address from pool that is not already reserved for
-// endpoint, and records the reservation.
-func (mc *MC) reserveFake(endpoint addr.IP, pool []addr.IP) (addr.IP, error) {
+// pickFake picks an address from pool that is not reserved for endpoint: one
+// pathRng draw for the starting point (none from an empty pool), then the
+// first free address scanning on from there. The reservation itself is
+// booked when the flow is adopted (book); a flow's two picks are for
+// different endpoints, so they cannot collide with each other meanwhile.
+func (mc *MC) pickFake(endpoint addr.IP, pool []addr.IP) (addr.IP, error) {
 	if len(pool) == 0 {
 		return 0, fmt.Errorf("mic: no plausible fake addresses available")
 	}
 	start := mc.pathRng.Intn(len(pool))
 	for i := 0; i < len(pool); i++ {
-		ip := pool[(start+i)%len(pool)]
-		key := [2]addr.IP{endpoint, ip}
-		if !mc.entryInUse[key] {
-			mc.entryInUse[key] = true
+		if ip := pool[(start+i)%len(pool)]; !mc.entryInUse[[2]addr.IP{endpoint, ip}] {
 			return ip, nil
 		}
 	}
@@ -661,8 +698,8 @@ func (mc *MC) reserveFake(endpoint addr.IP, pool []addr.IP) (addr.IP, error) {
 // installed by a controller life that has since been replaced are
 // identifiable by cookie alone, the handle takeover reconciliation and
 // stale-rule purging key on.
-func (st *channelState) cookie(id uint64) uint64 {
-	return (id + 2) | uint64(st.epoch&0xffff)<<40 | uint64(st.gen&0xff)<<56
+func (st *channelState) cookie() uint64 {
+	return (st.id + 2) | uint64(st.epoch&0xffff)<<40 | uint64(st.gen&0xff)<<56
 }
 
 // CloseChannel tears down a channel: deletes its rules everywhere, frees
@@ -675,30 +712,20 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 	}
 	delete(mc.channels, id)
 	mc.journalClose(id)
-	mc.releaseLoad(st)
-	for _, fid := range st.flowIDs {
-		mc.flowIDs.release(fid)
-	}
-	for _, e := range st.entries {
-		delete(mc.entryInUse, [2]addr.IP{st.initiator, e})
-	}
-	for _, f := range st.finals {
-		delete(mc.entryInUse, [2]addr.IP{st.responder, f})
-	}
-	for _, gr := range st.groups {
-		mc.Net.Switch(gr.node).Table.DeleteGroup(gr.id)
-	}
+	mc.unbook(st, st.res, st.info.Flows, nil)
+	mc.deleteGroups(st.rules)
 	// Rule-budget intent is released only once every switch has
 	// acknowledged its deletes: until then the slots are still physically
 	// occupied, and releasing early would let a dial admitted during the
 	// delete window install into a still-full table — refused under the
 	// deny-new policy and silently blackholed. For the same reason the
-	// degraded-channel restore fires after the acks, so its install lands
+	// degraded-channel restore fires after the last ack, so its install lands
 	// on freed slots. Gated: a promoted life rebuilds its own accounting.
-	remaining := len(st.switches)
+	switches := st.switches()
+	remaining := len(switches)
 	finish := func() {
 		mc.gate(func() {
-			mc.releaseIntent(st.rules)
+			mc.unbook(st, nil, nil, st.rules)
 			mc.maybeRestoreDegraded()
 		})()
 		if cb != nil {
@@ -709,8 +736,8 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 		mc.Net.Eng.After(0, finish)
 		return nil
 	}
-	for _, node := range st.switches {
-		mc.Ch.DeleteByCookie(mc.Net.Switch(node), st.cookie(id), func(int) {
+	for _, node := range switches {
+		mc.Ch.DeleteByCookie(mc.Net.Switch(node), st.cookie(), func(int) {
 			remaining--
 			if remaining == 0 {
 				finish()
@@ -720,13 +747,16 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 	return nil
 }
 
-// addSwitch records that the channel has rules on node, keeping st.switches
-// ascending and duplicate-free, so that southbound message order follows it
-// directly. A channel crosses a dozen switches at most.
-func (st *channelState) addSwitch(node topo.NodeID) {
-	if i, found := slices.BinarySearch(st.switches, node); !found {
-		st.switches = slices.Insert(st.switches, i, node)
+// switches lists where the channel has rules, ascending and duplicate-free —
+// the order its deletes (and a superseded epoch's purge) go out in. A channel
+// crosses a dozen switches at most.
+func (st *channelState) switches() []topo.NodeID {
+	nodes := make([]topo.NodeID, 0, len(st.rules))
+	for _, rr := range st.rules {
+		nodes = append(nodes, rr.node)
 	}
+	slices.Sort(nodes)
+	return slices.Compact(nodes)
 }
 
 // LiveChannels reports how many channels are currently established.

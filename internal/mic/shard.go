@@ -62,15 +62,9 @@ func newShardedMC(net *netsim.Network, cfg Config, n int, mode mcMode) (*Sharded
 		return nil, fmt.Errorf("mic: shard count %d must be at least 1", n)
 	}
 	base := cfg.withDefaults()
-	if err := base.Widths.Validate(); err != nil {
+	lo, hi, err := base.idSpace()
+	if err != nil {
 		return nil, err
-	}
-	lo, hi := base.IDSpace.Lo, base.IDSpace.Hi
-	if lo == 0 && hi == 0 {
-		hi = base.Widths.MaxFlowIDs()
-	}
-	if lo >= hi || hi > base.Widths.MaxFlowIDs() {
-		return nil, fmt.Errorf("mic: ID space [%d, %d) invalid for %d-bit flow IDs", lo, hi, base.Widths.FPart)
 	}
 	if (hi-lo)/uint32(n) < 2 {
 		return nil, fmt.Errorf("mic: ID space [%d, %d) too small to split %d ways", lo, hi, n)

@@ -218,7 +218,7 @@ func (s *Stream) SetUniformSliceSize(size int) {
 }
 
 // Err returns the stream's terminal error, if any: non-nil after the MC
-// declared the underlying channel unrepairable (OnChannelDown).
+// declared the underlying channel unrepairable (SubscribeChannelDown).
 func (s *Stream) Err() error { return s.failed }
 
 // Send slices data and spreads the slices across the m-flows, weighted by
