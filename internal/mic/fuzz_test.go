@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+	"time"
 
 	"mic/internal/bytequeue"
+	"mic/internal/topo"
 )
 
 // FuzzStreamFeed is a differential fuzzer for the receive path. The input
@@ -104,4 +106,117 @@ func diffAt(a, b []byte) int {
 		}
 	}
 	return min(len(a), len(b))
+}
+
+// FuzzJournalReplay holds journal replay equal to live state at arbitrary
+// points. The input is a program, one byte a step (the low three bits pick
+// the step, the rest its argument), run against a journaled, self-healing
+// controller on fat-tree(4) whose switches may hold twelve m-flow rules each —
+// so dials of up to four m-flows are first admitted whole, then degraded,
+// then refused, and a close hands a flow back to a degraded channel — and
+// whose journal compacts every three records:
+//
+//	0, 1  dial: one host pair, F = 1..4
+//	2     close a live channel
+//	3     cut a link under a live channel's first flow (the MC repairs, or,
+//	      with nothing left to route over, gives the channel up after two
+//	      attempts)
+//	4     heal every cut link
+//
+// After every step the engine runs dry and then the live controller's books
+// balance, a fresh passive controller fed Journal.Records() and finishRestore
+// holds the same channels fact for fact, and its books balance too.
+func FuzzJournalReplay(f *testing.F) {
+	for _, prog := range journalReplayCorpus {
+		f.Add(prog)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) { runJournalProgram(t, prog) })
+}
+
+// journalReplayCorpus is FuzzJournalReplay's seed corpus, one program per
+// shape; TestJournalReplayCorpusShapes holds it to them.
+var journalReplayCorpus = [][]byte{
+	{0x00},                               // a dial
+	{0x18, 0x02},                         // a dial and its close
+	{0x08, 0x03, 0x0b},                   // a dial, two cuts and their repairs
+	{0x01, 0x03, 0x23, 0x04, 0x01, 0x02}, // both uplinks cut: repaired, then given up; heal, dial again, close
+	{0x18, 0x39, 0x58, 0x79, 0x98, 0xb9, 0x02, 0x0a, 0x04, 0x02, 0x18}, // the ladder: whole, degraded, refused; closes restore
+}
+
+// runJournalProgram is FuzzJournalReplay's body; it returns the controller
+// and its journal as the program left them.
+func runJournalProgram(t *testing.T, prog []byte) (*MC, *Journal) {
+	if len(prog) > 40 {
+		prog = prog[:40]
+	}
+	bed := newFixture(t, Config{MNs: 3, AutoRepair: true, RepairMaxRetries: 1, RepairBackoff: 100 * time.Microsecond,
+		Admission: AdmissionConfig{Enabled: true, Rate: 1e6, Burst: 64, SwitchRuleBudget: 12}})
+	mc, g := bed.mc, bed.graph
+	j := &Journal{SnapshotEvery: 3}
+	mc.journal = j
+	type link struct {
+		node topo.NodeID
+		port int
+	}
+	var cuts []link
+	for _, b := range prog {
+		arg := int(b >> 3)
+		live := sortedChanIDs(mc.channels)
+		switch op := b & 7; {
+		case op <= 1:
+			from, to := arg%16, (arg*7+5+int(op)*3)%16
+			if from == to {
+				continue
+			}
+			mc.EstablishChannel(bed.hostIP(from), bed.hostIP(to).String(), ChannelOptions{MFlows: 1 + arg%4}, func(*ChannelInfo, error) {})
+		case op == 2 && len(live) > 0:
+			if err := mc.CloseChannel(live[arg%len(live)], nil); err != nil {
+				t.Fatal(err)
+			}
+		case op == 3 && len(live) > 0:
+			path := mc.channels[live[arg%len(live)]].info.Flows[0].Path
+			if len(path) < 5 {
+				continue // both hosts on one switch: no switch-to-switch link
+			}
+			i := 1 + arg%(len(path)-3)
+			l := link{path[i], g.PortTo(path[i], path[i+1])}
+			bed.net.SetLinkDown(l.node, l.port, true)
+			cuts = append(cuts, l)
+		case op == 4:
+			for _, l := range cuts {
+				bed.net.SetLinkDown(l.node, l.port, false)
+			}
+			cuts = nil
+		default:
+			continue
+		}
+		bed.eng.Run()
+		checkReplay(t, mc, j)
+	}
+	return mc, j
+}
+
+// TestJournalReplayCorpusShapes keeps the seed corpus honest: between them
+// the programs open, close, repair, fail a repair for good, degrade, refuse,
+// restore a flow and compact the journal.
+func TestJournalReplayCorpusShapes(t *testing.T) {
+	var dials, repairs, given, degraded, refused, restored, snapshots uint64
+	for _, prog := range journalReplayCorpus {
+		mc, j := runJournalProgram(t, prog)
+		dials += mc.Requests
+		repairs += mc.Repairs
+		given += mc.RepairFailures
+		degraded += mc.ChannelsDegraded
+		refused += mc.ChannelsRefused
+		restored += mc.FlowsRestored
+		snapshots += j.Snapshots
+		t.Logf("% x: dials %d repairs %d given up %d degraded %d refused %d restored %d snapshots %d live %d",
+			prog, mc.Requests, mc.Repairs, mc.RepairFailures, mc.ChannelsDegraded, mc.ChannelsRefused, mc.FlowsRestored, j.Snapshots, mc.LiveChannels())
+	}
+	for name, n := range map[string]uint64{"dial": dials, "repair": repairs, "repair given up": given,
+		"degraded dial": degraded, "refused dial": refused, "restored flow": restored, "journal snapshot": snapshots} {
+		if n == 0 {
+			t.Errorf("no program in the corpus produces a %s", name)
+		}
+	}
 }
