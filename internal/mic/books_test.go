@@ -117,12 +117,12 @@ func auditBooks(t testing.TB, mc *MC, closing bool) {
 		if mc.linkLoad[l] != load[l] {
 			t.Errorf("link %d: load %d, live flows crossing it %d", l, mc.linkLoad[l], load[l])
 		}
-		if !sameIDSet(mc.linkChannels[l], onLink[l]) {
+		if !slices.Equal(sortedIDSet(mc.linkChannels[l]), sortedIDSet(onLink[l])) {
 			t.Errorf("link %d: indexed channels %v, crossing it %v", l, mc.linkChannels[l], onLink[l])
 		}
 	}
 	for n := range onNode {
-		if !sameIDSet(mc.nodeChannels[n], onNode[n]) {
+		if !slices.Equal(sortedIDSet(mc.nodeChannels[n]), sortedIDSet(onNode[n])) {
 			t.Errorf("switch %d: indexed channels %v, crossing it %v", n, mc.nodeChannels[n], onNode[n])
 		}
 	}
@@ -139,20 +139,6 @@ func auditBooks(t testing.TB, mc *MC, closing bool) {
 	if t.Failed() {
 		t.FailNow()
 	}
-}
-
-// sameIDSet reports whether two duplicate-free channel lists have the same
-// members.
-func sameIDSet(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for _, id := range a {
-		if !slices.Contains(b, id) {
-			return false
-		}
-	}
-	return true
 }
 
 // replayed returns a fresh passive twin of mc rebuilt from the journal alone:
