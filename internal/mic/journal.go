@@ -405,15 +405,22 @@ func (mc *MC) applyRecord(r Record) {
 	mc.nextGroup = max(mc.nextGroup, r.NextGroup)
 }
 
-// finishRestore normalizes the counters after replay: the flow-ID allocator's
-// free list is rebuilt from the journaled high-water mark minus the IDs live
-// channels hold, and the channel/group counters jump past everything ever issued.
+// finishRestore normalizes the counters after replay: the flow-ID allocator
+// is rebuilt from the journaled high-water mark minus the IDs live channels
+// hold, and the channel/group counters jump past everything ever issued.
 // Called exactly once, at activation (takeover or rejoin-rebuild).
 func (mc *MC) finishRestore(j *Journal) {
+	held := make(map[uint32]bool)
+	// lint:ignore detrange set-insertion only; result independent of order
+	for _, st := range mc.channels {
+		for _, r := range st.res {
+			held[r.fwdID], held[r.revID] = true, true
+		}
+	}
 	// Counters come from this shard's records only: clamping one shard's
 	// allocator to another shard's high-water would hand out IDs it does
 	// not own.
-	mc.flowIDs.restore(j.AllocHighShard(mc.shardID))
+	mc.flowIDs.restore(j.AllocHighShard(mc.shardID), held)
 	mc.nextChan = max(mc.nextChan, j.ChanHighShard(mc.shardID), uint64(mc.Cfg.InstanceID)<<32)
 	mc.nextGroup = max(mc.nextGroup, j.GroupHighShard(mc.shardID))
 }

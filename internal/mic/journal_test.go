@@ -51,9 +51,7 @@ func TestIDAllocatorRecyclesAndExhausts(t *testing.T) {
 func TestIDAllocatorRestore(t *testing.T) {
 	a := newIDAllocator(0, 16)
 	live := map[uint32]bool{3: true, 7: true}
-	a.hold(3)
-	a.hold(7)
-	a.restore(10)
+	a.restore(10, live)
 	if a.inUse() != 2 {
 		t.Fatalf("inUse after restore = %d, want 2", a.inUse())
 	}
@@ -77,11 +75,11 @@ func TestIDAllocatorRestore(t *testing.T) {
 
 	// Out-of-range high-water marks clamp to the space bounds.
 	b := newIDAllocator(5, 8)
-	b.restore(100)
+	b.restore(100, nil)
 	if b.next != 8 {
 		t.Fatalf("restore(100) on [5,8): next = %d, want 8", b.next)
 	}
-	b.restore(2)
+	b.restore(2, nil)
 	if b.next != 5 || len(b.free) != 0 {
 		t.Fatalf("restore(2) on [5,8): next = %d free = %v, want 5 and empty", b.next, b.free)
 	}

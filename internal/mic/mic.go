@@ -819,27 +819,25 @@ func (a *idAllocator) releaseFlow(r flowRes) {
 	a.release(r.revID)
 }
 
-// hold marks id allocated without drawing it from anywhere: journal replay
-// books the IDs the writer drew. On the writer itself alloc has already held
-// it.
-func (a *idAllocator) hold(id uint32) { a.held[id] = true }
-
 func (a *idAllocator) inUse() int { return len(a.held) }
 
-// restore normalizes the allocator after journal replay has booked the live
-// channels' IDs (hold): next becomes the journaled high-water mark and the
-// free list every ID below it that is not held, in ascending order. Replay
-// cannot re-run the original alloc/release interleaving — failed setups
-// allocated and released IDs without journaling, permuting the LIFO free
-// list — so the free list is normalized instead. Deterministic, and
-// collision-free by construction: every live ID is excluded from both the
-// free list and the next counter.
-func (a *idAllocator) restore(next uint32) {
+// restore rebuilds allocator state after journal replay: next becomes the
+// journaled high-water mark, held the IDs live channels hold and the free
+// list every other ID below next, in ascending order. Replay cannot re-run
+// the original alloc/release interleaving — failed setups allocated and
+// released IDs without journaling, permuting the LIFO free list — so the
+// free list is normalized instead. Deterministic, and collision-free by
+// construction: every live ID is excluded from both the free list and the
+// next counter.
+func (a *idAllocator) restore(next uint32, inUse map[uint32]bool) {
 	next = min(max(next, a.lo), a.hi)
 	a.next = next
 	a.free = a.free[:0]
+	a.held = make(map[uint32]bool)
 	for id := a.lo; id < next; id++ {
-		if !a.held[id] {
+		if inUse[id] {
+			a.held[id] = true
+		} else {
 			a.free = append(a.free, id)
 		}
 	}

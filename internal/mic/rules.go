@@ -417,8 +417,12 @@ func (mc *MC) pickPath(src, dst topo.NodeID, cands [][]topo.NodeID) topo.Path {
 // construction (checkBooks recomputes it). Each kind of fact feeds its own
 // tables:
 //
-//	res    the flow-ID allocator (held) and entryInUse, the (endpoint, fake
-//	       peer) reservations;
+//	res    entryInUse, the (endpoint, fake peer) reservations, and the
+//	       flow-ID allocator — which holds an ID from the moment alloc draws
+//	       it, so book has nothing to add there and only unbook gives IDs
+//	       back. While a standby replays, its allocator holds nothing and
+//	       the give-back is a no-op; finishRestore rebuilds it whole from the
+//	       replayed channels' res;
 //	flows  per directed link of each Path, both ways: linkLoad (one per
 //	       m-flow, what PathLeastLoaded minimises) and linkChannels; per
 //	       switch of each Path: nodeChannels — the two indexes that map a
@@ -434,8 +438,6 @@ func (mc *MC) pickPath(src, dst topo.NodeID, cands [][]topo.NodeID) topo.Path {
 // links would drop the channel from links its other flows still cross.
 func (mc *MC) book(st *channelState, res []flowRes, flows []FlowInfo, rules []ruleRec) {
 	for _, r := range res {
-		mc.flowIDs.hold(r.fwdID)
-		mc.flowIDs.hold(r.revID)
 		mc.entryInUse[[2]addr.IP{st.initiator, r.entry}] = true
 		mc.entryInUse[[2]addr.IP{st.responder, r.finalSrc}] = true
 	}
