@@ -1,4 +1,4 @@
-// Command miclint runs the determinism and concurrency analyzers from
+// Command miclint runs the determinism and anonymity analyzers from
 // internal/lint over the given packages (default ./...) and exits non-zero
 // if any unsuppressed diagnostic is found.
 //

@@ -8,8 +8,8 @@ import (
 
 // HandlerBlock flags blocking operations inside simulator event handlers.
 // The discrete-event engine is single-threaded: a handler that parks on a
-// channel, a WaitGroup, or a mutex held by code that cannot run until the
-// handler returns does not slow the simulation down — it deadlocks it.
+// channel or a WaitGroup that only code running after the handler returns
+// could release does not slow the simulation down — it deadlocks it.
 //
 // Handler roots are the function values passed to the well-known
 // registration calls (sim.Engine.At/After, netsim.Host.SetHandler,
@@ -22,9 +22,7 @@ import (
 //
 //   - channel sends and receives outside a select with a default case,
 //   - selects without a default case,
-//   - sync.WaitGroup.Wait and sync.Cond.Wait,
-//   - invoking a function-typed value while a sync.Mutex/RWMutex is held
-//     (the callback can re-enter and self-deadlock).
+//   - sync.WaitGroup.Wait and sync.Cond.Wait.
 var HandlerBlock = &Analyzer{
 	Name: "handlerblock",
 	Doc:  "flags blocking operations reachable from sim/netsim/ctrlplane event handler registrations",
@@ -42,14 +40,6 @@ var registrationMethods = map[string]bool{
 var blockingWaits = map[string]string{
 	"(*sync.WaitGroup).Wait": "sync.WaitGroup.Wait",
 	"(*sync.Cond).Wait":      "sync.Cond.Wait",
-}
-
-var lockNames = map[string]bool{
-	"(*sync.Mutex).Lock": true, "(*sync.RWMutex).Lock": true, "(*sync.RWMutex).RLock": true,
-}
-
-var unlockNames = map[string]bool{
-	"(*sync.Mutex).Unlock": true, "(*sync.RWMutex).Unlock": true, "(*sync.RWMutex).RUnlock": true,
 }
 
 func runHandlerBlock(pass *Pass) error {
@@ -227,92 +217,6 @@ func (w *hbWalker) walkBody(key ast.Node, body *ast.BlockStmt, depth int) {
 		}
 		return true
 	})
-
-	w.scanLockHeld(body, map[types.Object]bool{})
-}
-
-// scanLockHeld walks a statement list tracking which mutexes are held and
-// flags dynamic (function-valued) calls made while any lock is held.
-func (w *hbWalker) scanLockHeld(block *ast.BlockStmt, held map[types.Object]bool) {
-	for _, stmt := range block.List {
-		switch s := stmt.(type) {
-		case *ast.ExprStmt:
-			if call, ok := s.X.(*ast.CallExpr); ok {
-				if fn := w.staticCallee(call); fn != nil {
-					if lockNames[fn.FullName()] {
-						if obj := w.receiverObj(call); obj != nil {
-							held[obj] = true
-						}
-						continue
-					}
-					if unlockNames[fn.FullName()] {
-						if obj := w.receiverObj(call); obj != nil {
-							delete(held, obj)
-						}
-						continue
-					}
-				}
-			}
-		case *ast.DeferStmt:
-			// defer mu.Unlock() keeps the lock held for the rest of the
-			// function; nothing to clear.
-			continue
-		case *ast.BlockStmt:
-			w.scanLockHeld(s, copyHeld(held))
-			continue
-		case *ast.IfStmt:
-			w.scanLockHeld(s.Body, copyHeld(held))
-			if els, ok := s.Else.(*ast.BlockStmt); ok {
-				w.scanLockHeld(els, copyHeld(held))
-			}
-			continue
-		case *ast.ForStmt:
-			w.scanLockHeld(s.Body, copyHeld(held))
-			continue
-		case *ast.RangeStmt:
-			w.scanLockHeld(s.Body, copyHeld(held))
-			continue
-		}
-		if len(held) > 0 {
-			w.flagDynamicCalls(stmt)
-		}
-	}
-}
-
-func copyHeld(held map[types.Object]bool) map[types.Object]bool {
-	out := make(map[types.Object]bool, len(held))
-	for k, v := range held {
-		if v {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-// flagDynamicCalls reports calls through function-typed values (fields,
-// parameters, variables) in stmt — the callback-under-lock hazard.
-func (w *hbWalker) flagDynamicCalls(stmt ast.Stmt) {
-	ast.Inspect(stmt, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		var obj types.Object
-		switch fun := call.Fun.(type) {
-		case *ast.Ident:
-			obj = w.pass.TypesInfo.Uses[fun]
-		case *ast.SelectorExpr:
-			obj = w.pass.TypesInfo.Uses[fun.Sel]
-		default:
-			return true
-		}
-		if v, ok := obj.(*types.Var); ok {
-			if _, isFunc := v.Type().Underlying().(*types.Signature); isFunc {
-				w.report(call.Pos(), "callback %s invoked while a mutex is held; it can re-enter the handler and deadlock", v.Name())
-			}
-		}
-		return true
-	})
 }
 
 // staticCallee resolves a call to the *types.Func it statically invokes,
@@ -327,22 +231,6 @@ func (w *hbWalker) staticCallee(call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// receiverObj resolves the receiver expression of a method call (mu.Lock,
-// s.mu.Lock) to the variable identity of the mutex.
-func (w *hbWalker) receiverObj(call *ast.CallExpr) types.Object {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	switch recv := sel.X.(type) {
-	case *ast.Ident:
-		return w.pass.TypesInfo.Uses[recv]
-	case *ast.SelectorExpr:
-		return w.pass.TypesInfo.Uses[recv.Sel]
-	}
-	return nil
 }
 
 func selectHasDefault(sel *ast.SelectStmt) bool {

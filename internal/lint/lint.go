@@ -1,7 +1,7 @@
 // Package lint implements miclint, a suite of static analyzers that
-// mechanically enforce the determinism and concurrency invariants the
-// simulator's reproducibility rests on (see README.md in this directory
-// and the "Determinism contract" section of DESIGN.md).
+// mechanically enforce the determinism and anonymity invariants the
+// simulator's reproducibility and the paper's claims rest on (see README.md
+// in this directory and the "Determinism contract" section of DESIGN.md).
 //
 // The framework mirrors the golang.org/x/tools/go/analysis API (Analyzer,
 // Pass, Diagnostic) but is self-contained on the standard library: packages
@@ -20,8 +20,7 @@ import (
 
 // An Analyzer describes one check: a name diagnostics are reported under
 // (and suppressed by), documentation, and a Run function applied once per
-// package — or, for whole-program checks, a RunProject function applied
-// once to every package together.
+// package.
 type Analyzer struct {
 	// Name identifies the check in diagnostics and in
 	// `// lint:ignore <name> <reason>` directives. It must look like a Go
@@ -34,20 +33,12 @@ type Analyzer struct {
 	// DeterministicOnly restricts the analyzer to packages carrying the
 	// `// lint:deterministic` directive. Analyzers that enforce invariants
 	// of virtual-time code (detrange, virtclock) set this; structural
-	// checks (handlerblock, seqlock) run everywhere.
+	// checks (handlerblock, addrleak, errdrop) run everywhere.
 	DeterministicOnly bool
 
 	// Run performs the analysis on one package and reports findings via
 	// pass.Reportf. Returning an error aborts the whole lint run.
 	Run func(pass *Pass) error
-
-	// RunProject, when set instead of Run, performs a whole-program
-	// analysis: it receives one Pass per loaded package (all sharing a
-	// FileSet) and reports each finding through the pass owning the file
-	// it is positioned in, so per-package suppression directives still
-	// apply. lockorder uses this — a lock-order cycle only exists across
-	// the union of every package's acquisition edges.
-	RunProject func(passes []*Pass) error
 }
 
 // A Pass presents one package to one analyzer.
@@ -124,25 +115,8 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 	}
 
 	var findings []Finding
-	perPkgDirs := make([]*directives, len(pkgs))
-	perPkgDiags := make([][]Diagnostic, len(pkgs))
-	newPass := func(i int, a *Analyzer) *Pass {
-		idx := i
-		return &Pass{
-			Analyzer:      a,
-			Fset:          pkgs[i].Fset,
-			Files:         pkgs[i].Files,
-			Pkg:           pkgs[i].Types,
-			TypesInfo:     pkgs[i].TypesInfo,
-			Deterministic: perPkgDirs[i].deterministic,
-			dirs:          perPkgDirs[i],
-			report:        func(d Diagnostic) { perPkgDiags[idx] = append(perPkgDiags[idx], d) },
-		}
-	}
-
-	for i, pkg := range pkgs {
+	for _, pkg := range pkgs {
 		dirs := parseDirectives(pkg.Fset, pkg.Files)
-		perPkgDirs[i] = dirs
 		for _, bad := range dirs.malformed(known) {
 			findings = append(findings, Finding{
 				Position: pkg.Fset.Position(bad.pos),
@@ -151,35 +125,28 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 			})
 		}
 
+		var diags []Diagnostic
 		for _, a := range analyzers {
-			if a.Run == nil || (a.DeterministicOnly && !dirs.deterministic) {
+			if a.DeterministicOnly && !dirs.deterministic {
 				continue
 			}
-			if err := a.Run(newPass(i, a)); err != nil {
+			pass := &Pass{
+				Analyzer:      a,
+				Fset:          pkg.Fset,
+				Files:         pkg.Files,
+				Pkg:           pkg.Types,
+				TypesInfo:     pkg.TypesInfo,
+				Deterministic: dirs.deterministic,
+				dirs:          dirs,
+				report:        func(d Diagnostic) { diags = append(diags, d) },
+			}
+			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.Path, err)
 			}
 		}
-	}
-
-	// Whole-program analyzers see every package at once; each reports into
-	// the diagnostic list of the package the finding is positioned in.
-	for _, a := range analyzers {
-		if a.RunProject == nil {
-			continue
-		}
-		passes := make([]*Pass, len(pkgs))
-		for i := range pkgs {
-			passes[i] = newPass(i, a)
-		}
-		if err := a.RunProject(passes); err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Name, err)
-		}
-	}
-
-	for i, pkg := range pkgs {
-		for _, d := range perPkgDiags[i] {
+		for _, d := range diags {
 			pos := pkg.Fset.Position(d.Pos)
-			if perPkgDirs[i].suppressed(d.Check, pos) {
+			if dirs.suppressed(d.Check, pos) {
 				continue
 			}
 			findings = append(findings, Finding{Position: pos, Check: d.Check, Message: d.Message})
@@ -203,8 +170,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 }
 
 // Analyzers returns the full miclint suite in reporting order: the
-// determinism checks (PR 3), then the anonymity-contract and
-// concurrency-safety checks (addrleak, lockorder, errdrop).
+// determinism checks, then the anonymity contract (addrleak) and errdrop.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRange, VirtClock, HandlerBlock, SeqLock, AddrLeak, LockOrder, ErrDrop}
+	return []*Analyzer{DetRange, VirtClock, HandlerBlock, AddrLeak, ErrDrop}
 }

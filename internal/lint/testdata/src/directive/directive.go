@@ -14,6 +14,13 @@ func typoCheck() time.Time {
 	return time.Now() // want `time.Now reads the wall clock`
 }
 
+// retired: a directive left behind for an analyzer that was deleted names an
+// unknown check like any other typo; it cannot go on suppressing nothing.
+func retiredCheck() time.Time {
+	// lint:ignore seqlock field was guarded by mu // want `unknown check seqlock`
+	return time.Now() // want `time.Now reads the wall clock`
+}
+
 // position drift: a directive separated from the code it once annotated
 // (same line or line directly above) stops suppressing.
 func drifted() time.Time {

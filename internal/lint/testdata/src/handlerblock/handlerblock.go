@@ -55,31 +55,10 @@ func register(e *Engine) {
 	e.At(3, helper)
 }
 
-type registry struct {
-	mu  sync.Mutex
-	cbs []func()
-}
-
-// fire invokes callbacks while holding mu — re-entry deadlock bait.
-func (r *registry) fire(h *Host) {
+// onPacket: a host's packet handler is a root like an engine callback.
+func onPacket(h *Host, ch chan int) {
 	h.SetHandler(func(port int) {
-		r.mu.Lock()
-		for _, cb := range r.cbs {
-			cb() // want `callback cb invoked while a mutex is held`
-		}
-		r.mu.Unlock()
-	})
-}
-
-// fireUnlocked is exempt: the lock is released before the callbacks run.
-func fireUnlocked(r *registry, h *Host) {
-	h.SetHandler(func(port int) {
-		r.mu.Lock()
-		cbs := append([]func(){}, r.cbs...)
-		r.mu.Unlock()
-		for _, cb := range cbs {
-			cb()
-		}
+		ch <- port // want `channel send can block`
 	})
 }
 
