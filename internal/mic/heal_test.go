@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mic/internal/ctrlplane"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -381,6 +382,58 @@ func TestStaleRulesPurgedOnSwitchRestore(t *testing.T) {
 	f.eng.RunFor(2 * time.Second)
 	if n := mflowRules(); n != 0 {
 		t.Fatalf("restored switch still holds %d stale m-flow rules", n)
+	}
+	if len(f.mc.staleCookies[victim]) != 0 {
+		t.Fatalf("stale cookie bookkeeping not drained: %v", f.mc.staleCookies[victim])
+	}
+	checkBooks(t, f.mc)
+}
+
+// TestCloseWhileSwitchDownLeavesNothing: a channel closed while one of its
+// switches is silently dead cannot have its rules deleted there. The close
+// must remember the cookie like a repair's purge does, so the switch does not
+// come back forwarding for m-addresses whose flow IDs have since been
+// recycled into another channel.
+func TestCloseWhileSwitchDownLeavesNothing(t *testing.T) {
+	f := newFixture(t, Config{MNs: 2, AutoRepair: true})
+	var info *ChannelInfo
+	f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(ci *ChannelInfo, err error) {
+		if err != nil {
+			t.Fatalf("establish: %v", err)
+		}
+		info = ci
+	})
+	f.eng.RunFor(6 * time.Millisecond)
+	path := info.Flows[0].Path
+	victim := path[len(path)/2]
+	if f.graph.Node(victim).Kind != topo.KindSwitch {
+		t.Fatalf("mid-path node %d is not a switch", victim)
+	}
+	mflowRules := func() int {
+		n := 0
+		for _, e := range f.net.Switch(victim).Table.Entries() {
+			if e.Cookie > ctrlplane.CookieCommon {
+				n++
+			}
+		}
+		return n
+	}
+	if mflowRules() == 0 {
+		t.Fatal("mid-path switch holds no m-flow rules (nothing to leak)")
+	}
+	f.net.SetSwitchDownQuiet(victim, true)
+	closed := false
+	if err := f.mc.CloseChannel(info.ID, func() { closed = true }); err != nil {
+		t.Fatal(err)
+	}
+	f.eng.RunFor(2 * time.Second)
+	if !closed || f.mc.LiveChannels() != 0 {
+		t.Fatalf("close did not finish: closed=%v live=%d", closed, f.mc.LiveChannels())
+	}
+	f.net.SetSwitchDown(victim, false)
+	f.eng.RunFor(2 * time.Second)
+	if n := mflowRules(); n != 0 {
+		t.Fatalf("restored switch still holds %d rules of the closed channel", n)
 	}
 	if len(f.mc.staleCookies[victim]) != 0 {
 		t.Fatalf("stale cookie bookkeeping not drained: %v", f.mc.staleCookies[victim])

@@ -612,7 +612,7 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 		} else {
 			cb(nil)
 		}
-		mc.purgeOldEpoch(oldSwitches, oldCookie)
+		mc.deleteEpoch(oldSwitches, oldCookie, nil)
 	})
 }
 
@@ -626,24 +626,30 @@ func (mc *MC) deleteGroups(rules []ruleRec) {
 	}
 }
 
-// purgeOldEpoch deletes a superseded rule epoch from every switch it was
-// installed on, in the order given (channelState.switches: ascending). Dead
-// switches — and live switches that never acknowledge the delete — are
-// remembered in staleCookies and purged when they come back (a restarting
-// switch reconnects with whatever rules it had).
-func (mc *MC) purgeOldEpoch(switches []topo.NodeID, cookie uint64) {
+// deleteEpoch deletes one rule epoch of a channel — a repair's superseded
+// one, or a closing channel's last — from every switch it was installed on,
+// in the order given (channelState.switches: ascending), and calls done (may
+// be nil) once every switch has answered or been given up on. Dead switches —
+// and live switches that never acknowledge the delete — are remembered in
+// staleCookies and purged when they come back (a restarting switch
+// reconnects with whatever rules it had).
+func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, done func()) {
+	remaining := len(switches)
 	for _, node := range switches {
 		node := node
-		sw := mc.Net.Switch(node)
-		if sw.Down {
-			mc.staleCookies[node] = append(mc.staleCookies[node], cookie)
-			continue
-		}
-		mc.Ch.DeleteByCookie(sw, cookie, func(removed int) {
+		answered := func(removed int) {
 			if removed < 0 {
 				mc.staleCookies[node] = append(mc.staleCookies[node], cookie)
 			}
-		})
+			if remaining--; remaining == 0 && done != nil {
+				done()
+			}
+		}
+		if sw := mc.Net.Switch(node); sw.Down {
+			answered(-1)
+		} else {
+			mc.Ch.DeleteByCookie(sw, cookie, answered)
+		}
 	}
 }
 
@@ -724,7 +730,6 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 	// degraded-channel restore fires after the last ack, so its install lands
 	// on freed slots. Gated: a promoted life rebuilds its own accounting.
 	switches := st.switches()
-	remaining := len(switches)
 	finish := func() {
 		mc.gate(func() {
 			mc.unbook(st, nil, nil, st.rules)
@@ -734,18 +739,11 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 			cb()
 		}
 	}
-	if remaining == 0 {
+	if len(switches) == 0 {
 		mc.Net.Eng.After(0, finish)
 		return nil
 	}
-	for _, node := range switches {
-		mc.Ch.DeleteByCookie(mc.Net.Switch(node), st.cookie(), func(int) {
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
-		})
-	}
+	mc.deleteEpoch(switches, st.cookie(), finish)
 	return nil
 }
 
