@@ -106,11 +106,17 @@ func RunTrials(trials int, baseSeed uint64, fn func(seed uint64) (float64, error
 }
 
 // runTrialColumns evaluates fn, which measures several values at once, for
-// `trials` independent seeds in parallel — one simulation engine per
-// goroutine, each writing only its own trial's slot — and returns one sample
-// per column, filled in trial order so a mean never depends on which
-// goroutine finished first. Any failed trial fails the data point, with the
-// lowest-numbered trial's error.
+// `trials` independent seeds in parallel and returns one sample per column,
+// filled in trial order so a mean never depends on which goroutine finished
+// first. Any failed trial fails the data point, with the lowest-numbered
+// trial's error.
+//
+// These are the only goroutines the repository starts, and the ownership rule
+// is stated here once: a bed — engine, network, control plane, counters —
+// belongs to the goroutine that runs its engine; fn builds its bed, drives it
+// and reads it on the one goroutine it is called on. Trials share nothing but
+// their own slot of rows and errs (joined by wg) and the payload memo
+// (schemes.go, under payloadMu), so nothing a bed is made of needs a lock.
 func runTrialColumns(trials int, baseSeed uint64, fn func(seed uint64) ([]float64, error)) ([]metrics.Sample, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("harness: %d trials requested, need at least one", trials)

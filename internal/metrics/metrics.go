@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -207,10 +206,6 @@ func (a *CPUAccount) Utilization(wall time.Duration) float64 {
 // that always adds its counters in one fixed order produces byte-stable
 // report output.
 type Counters struct {
-	// mu guards names and values. Harness drivers run trials on parallel
-	// goroutines and scrape telemetry while scenario goroutines still hold
-	// the counter set, so the export surface must be safe under -race.
-	mu     sync.Mutex
 	names  []string
 	values map[string]uint64
 }
@@ -223,8 +218,6 @@ func NewCounters() *Counters {
 // Add increments name by delta, creating it (at the end of the order) on
 // first use.
 func (c *Counters) Add(name string, delta uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.values[name]; !ok {
 		c.names = append(c.names, name)
 	}
@@ -233,8 +226,6 @@ func (c *Counters) Add(name string, delta uint64) {
 
 // Set overwrites name's value, creating it on first use.
 func (c *Counters) Set(name string, v uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, ok := c.values[name]; !ok {
 		c.names = append(c.names, name)
 	}
@@ -243,22 +234,16 @@ func (c *Counters) Set(name string, v uint64) {
 
 // Get returns name's value (zero when absent).
 func (c *Counters) Get(name string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.values[name]
 }
 
 // Names returns a copy of the counter names in first-Add order.
 func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]string(nil), c.names...)
 }
 
 // String renders one "name=value" pair per line in first-Add order.
 func (c *Counters) String() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var b strings.Builder
 	for _, n := range c.names {
 		fmt.Fprintf(&b, "%s=%d\n", n, c.values[n])

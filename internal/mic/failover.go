@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"mic/internal/addr"
@@ -192,8 +191,8 @@ type Cluster struct {
 	members []*member
 	active  int // index of the acting member, -1 during a blackout
 
-	// takeovers is read by tests and telemetry while the engine goroutine
-	// writes it, so access goes through sync/atomic.
+	// takeovers counts completed promotions; it is also the generation the
+	// promoted unit's rules carry in their cookies.
 	takeovers uint32
 
 	// fence is the cluster's mastership fencing epoch: bumped on every
@@ -371,9 +370,8 @@ func (c *Cluster) ActiveIndex() int {
 	return c.active
 }
 
-// Takeovers reports how many takeovers have completed. Safe to call from a
-// goroutine other than the engine's (tests, telemetry scrapers).
-func (c *Cluster) Takeovers() int { return int(atomic.LoadUint32(&c.takeovers)) }
+// Takeovers reports how many takeovers have completed.
+func (c *Cluster) Takeovers() int { return int(c.takeovers) }
 
 // Fence reports the cluster's current mastership fencing epoch.
 func (c *Cluster) Fence() uint64 { return c.fence }
@@ -658,7 +656,7 @@ func (c *Cluster) takeover(m *member) bool {
 		m.missedRun = 0
 		return false
 	}
-	atomic.AddUint32(&c.takeovers, 1)
+	c.takeovers++
 	c.Counters.Add("takeovers", 1)
 	c.drain(m)
 	m.role = roleActive
@@ -671,7 +669,7 @@ func (c *Cluster) takeover(m *member) bool {
 	// and rejected — shard by shard.
 	for _, mc := range m.unit.shards {
 		mc.finishRestore(c.Journal)
-		mc.generation = atomic.LoadUint32(&c.takeovers)
+		mc.generation = c.takeovers
 		mc.journal = c.Journal
 		mc.activeCtrl = true
 		mc.fence = c.fence
