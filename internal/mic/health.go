@@ -51,64 +51,47 @@ const (
 	weightDegraded = 5
 )
 
-// HealthConfig tunes the per-m-flow health machinery. The zero value
-// enables it with defaults calibrated for the simulated fabric (µs RTTs,
-// ms-scale transport RTOs and MC repairs).
+// The health machinery's timing, calibrated for the simulated fabric (µs
+// RTTs, ms-scale transport RTOs and MC repairs). No caller varies it.
+const (
+	// healthInterval is the watchdog tick. Each tick classifies flows,
+	// probes quiet ones and retransmits overdue slices.
+	healthInterval = 2 * time.Millisecond
+
+	// degradedAfter and deadAfter are the silence thresholds (time since
+	// the flow last delivered an ack, probe-ack or data) that demote a flow
+	// to degraded / dead. degradedAfter doubles as the penalty window a
+	// flow stays degraded after causing a slice retransmission — the
+	// high-loss signal for flows that are lossy but never fully silent.
+	degradedAfter = 10 * time.Millisecond
+	deadAfter     = 40 * time.Millisecond
+
+	// retransmitAfter is the age at which an unacknowledged slice is re-sent
+	// over the healthiest other m-flow. Scaled up automatically to 4x the
+	// slowest healthy flow's SRTT when that is larger, and doubled per
+	// retransmission of the same slice.
+	retransmitAfter = 12 * time.Millisecond
+
+	// windowSlices caps the unacknowledged slices in flight per m-flow.
+	// Send queues the excess and releases it as acks arrive, so one large
+	// write cannot flood the transport buffers — a slice's age then
+	// measures wire time rather than queue depth, keeping retransmitAfter
+	// meaningful, and the backlog is assigned to flows at release time so
+	// rebalancing applies to queued bytes too. Sized so one flow's window
+	// alone sustains line rate on the simulated 1 Gbps fabric under the
+	// ~1ms stream ack clock, while F flows' combined windows still drain
+	// well inside retransmitAfter.
+	windowSlices = 256
+)
+
+// HealthConfig is the one switch on the per-m-flow health machinery; the
+// zero value enables it.
 type HealthConfig struct {
 	// Disabled turns off the active machinery — monitoring, probing, slice
 	// retransmission and rebalancing — reverting Send to uniform slicing.
 	// Receive-side duties (acking slices, answering probes) stay on, so a
 	// disabled endpoint never blinds its peer. Ablation knob.
 	Disabled bool
-
-	// Interval is the watchdog tick. Each tick classifies flows, probes
-	// quiet ones and retransmits overdue slices. Default 2ms.
-	Interval time.Duration
-
-	// DegradedAfter and DeadAfter are the silence thresholds (time since
-	// the flow last delivered an ack, probe-ack or data) that demote a flow
-	// to degraded / dead. Defaults 10ms and 40ms. DegradedAfter doubles as
-	// the penalty window a flow stays degraded after causing a slice
-	// retransmission — the high-loss signal for flows that are lossy but
-	// never fully silent.
-	DegradedAfter time.Duration
-	DeadAfter     time.Duration
-
-	// RetransmitAfter is the age at which an unacknowledged slice is re-sent
-	// over the healthiest other m-flow. Scaled up automatically to 4x the
-	// slowest healthy flow's SRTT when that is larger, and doubled per
-	// retransmission of the same slice. Default 12ms.
-	RetransmitAfter time.Duration
-
-	// WindowSlices caps the unacknowledged slices in flight per m-flow.
-	// Send queues the excess and releases it as acks arrive, so one large
-	// write cannot flood the transport buffers — a slice's age then
-	// measures wire time rather than queue depth, keeping RetransmitAfter
-	// meaningful, and the backlog is assigned to flows at release time so
-	// rebalancing applies to queued bytes too. Sized so one flow's window
-	// alone sustains line rate on the simulated 1 Gbps fabric under the
-	// ~1ms stream ack clock, while F flows' combined windows still drain
-	// well inside RetransmitAfter. Default 256.
-	WindowSlices int
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Millisecond
-	}
-	if c.DegradedAfter <= 0 {
-		c.DegradedAfter = 10 * time.Millisecond
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 40 * time.Millisecond
-	}
-	if c.RetransmitAfter <= 0 {
-		c.RetransmitAfter = 12 * time.Millisecond
-	}
-	if c.WindowSlices <= 0 {
-		c.WindowSlices = 256
-	}
-	return c
 }
 
 // FlowHealth is a read-only snapshot of one m-flow's health, for tests,
@@ -178,8 +161,7 @@ type outSlice struct {
 
 // healthMonitor owns the active machinery of one stream endpoint.
 type healthMonitor struct {
-	s   *Stream
-	cfg HealthConfig
+	s *Stream
 
 	flows []flowHealth
 	// out is the outstanding set: slices are numbered and released in order,
@@ -199,10 +181,9 @@ type healthMonitor struct {
 	Retransmits int64
 }
 
-func newHealthMonitor(s *Stream, cfg HealthConfig) *healthMonitor {
+func newHealthMonitor(s *Stream) *healthMonitor {
 	m := &healthMonitor{
 		s:     s,
-		cfg:   cfg.withDefaults(),
 		flows: make([]flowHealth, len(s.conns)),
 		sent:  make([]int64, len(s.conns)),
 	}
@@ -316,7 +297,7 @@ func (m *healthMonitor) pump() {
 // over a sick flow must not freeze the healthy flows' windows behind the
 // shared in-order delivery point (head-of-line blocking across m-flows).
 func (m *healthMonitor) windowRoom(i int) bool {
-	return m.sent[i]-m.flows[i].acked < int64(m.cfg.WindowSlices)
+	return m.sent[i]-m.flows[i].acked < windowSlices
 }
 
 // pickWindowedFlow selects the m-flow for the next queued slice: a
@@ -423,7 +404,7 @@ func (m *healthMonitor) arm() {
 		return
 	}
 	m.timerArmed = true
-	m.s.eng.After(m.cfg.Interval, m.tickFn)
+	m.s.eng.After(healthInterval, m.tickFn)
 }
 
 // disarm drops the queued backlog; only terminal paths (Close, fail) call
@@ -452,14 +433,14 @@ func (m *healthMonitor) tick() {
 		}
 		// Expire probes nobody will answer; the silence shows in lastHeard.
 		for id, at := range f.probes {
-			if time.Duration(now-at) > m.cfg.DeadAfter {
+			if time.Duration(now-at) > deadAfter {
 				delete(f.probes, id)
 			}
 		}
 		switch silence := time.Duration(now - f.lastHeard); {
-		case silence > m.cfg.DeadAfter:
+		case silence > deadAfter:
 			f.state = FlowDead
-		case silence > m.cfg.DegradedAfter:
+		case silence > degradedAfter:
 			if f.state != FlowDead {
 				f.state = FlowDegraded
 			}
@@ -470,7 +451,7 @@ func (m *healthMonitor) tick() {
 		// Probe any flow we have not heard from within one tick, so silence
 		// is measurable even on flows carrying no data (and dead flows are
 		// re-detected as alive the moment the path is repaired).
-		if time.Duration(now-f.lastHeard) >= m.cfg.Interval && len(f.probes) < 3 {
+		if time.Duration(now-f.lastHeard) >= healthInterval && len(f.probes) < 3 {
 			m.probe(i)
 		}
 	}
@@ -486,10 +467,10 @@ func (m *healthMonitor) tick() {
 	}
 }
 
-// retxTimeout is the slice retransmission age threshold: the configured
+// retxTimeout is the slice retransmission age threshold: the retransmitAfter
 // floor, stretched when even healthy flows are slow.
 func (m *healthMonitor) retxTimeout() time.Duration {
-	d := m.cfg.RetransmitAfter
+	d := retransmitAfter
 	for i := range m.flows {
 		if m.flows[i].state == FlowHealthy && 4*m.flows[i].srtt > d {
 			d = 4 * m.flows[i].srtt
@@ -520,7 +501,7 @@ func (m *healthMonitor) retransmitOverdue(now sim.Time) {
 		from := o.flow
 		to := m.pickOtherFlow(from)
 		m.flows[from].retx++
-		m.flows[from].suspectUntil = now.Add(m.cfg.DegradedAfter)
+		m.flows[from].suspectUntil = now.Add(degradedAfter)
 		if m.flows[from].state == FlowHealthy {
 			m.flows[from].state = FlowDegraded
 		}

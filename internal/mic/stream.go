@@ -165,7 +165,7 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 		SlicesOut:  make([]int64, len(conns)),
 	}
 	if !hc.Disabled {
-		s.health = newHealthMonitor(s, hc)
+		s.health = newHealthMonitor(s)
 	}
 	for i, c := range conns {
 		i, c := i, c
