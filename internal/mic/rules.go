@@ -634,22 +634,33 @@ func (mc *MC) deleteGroups(rules []ruleRec) {
 // staleCookies and purged when they come back (a restarting switch
 // reconnects with whatever rules it had).
 func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, done func()) {
-	remaining := len(switches)
+	d := &epochDelete{mc: mc, cookie: cookie, remaining: len(switches), done: done}
 	for _, node := range switches {
 		node := node
-		answered := func(removed int) {
-			if removed < 0 {
-				mc.staleCookies[node] = append(mc.staleCookies[node], cookie)
-			}
-			if remaining--; remaining == 0 && done != nil {
-				done()
-			}
-		}
 		if sw := mc.Net.Switch(node); sw.Down {
-			answered(-1)
+			d.answered(node, -1)
 		} else {
-			mc.Ch.DeleteByCookie(sw, cookie, answered)
+			mc.Ch.DeleteByCookie(sw, cookie, func(removed int) { d.answered(node, removed) })
 		}
+	}
+}
+
+// epochDelete is what one deleteEpoch's switches share, so that each
+// switch's completion closure holds a pointer and a node ID and no more (a
+// close allocates one per switch, and that is most of what a close costs).
+type epochDelete struct {
+	mc        *MC
+	cookie    uint64
+	remaining int
+	done      func()
+}
+
+func (d *epochDelete) answered(node topo.NodeID, removed int) {
+	if removed < 0 {
+		d.mc.staleCookies[node] = append(d.mc.staleCookies[node], d.cookie)
+	}
+	if d.remaining--; d.remaining == 0 && d.done != nil {
+		d.done()
 	}
 }
 
