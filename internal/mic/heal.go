@@ -108,18 +108,9 @@ func sortedIDSet(set []uint64) []uint64 {
 // long-gone m-addresses.
 func (mc *MC) switchRestored(node topo.NodeID) {
 	cookies := mc.staleCookies[node]
-	if len(cookies) == 0 {
-		return
-	}
 	delete(mc.staleCookies, node)
-	sw := mc.Net.Switch(node)
 	for _, cookie := range cookies {
-		cookie := cookie
-		mc.Ch.DeleteByCookie(sw, cookie, func(removed int) {
-			if removed < 0 {
-				mc.staleCookies[node] = append(mc.staleCookies[node], cookie)
-			}
-		})
+		mc.deleteEpoch([]topo.NodeID{node}, cookie, nil)
 	}
 }
 

@@ -338,6 +338,18 @@ func TestAutoRepairViaProber(t *testing.T) {
 	checkBooks(t, f.mc)
 }
 
+// mflowRulesAt counts the entries on a switch that belong to m-flow epochs
+// rather than to the proactive router.
+func mflowRulesAt(f *fixture, node topo.NodeID) int {
+	n := 0
+	for _, e := range f.net.Switch(node).Table.Entries() {
+		if e.Cookie > ctrlplane.CookieCommon {
+			n++
+		}
+	}
+	return n
+}
+
 // TestStaleRulesPurgedOnSwitchRestore: rules that could not be deleted from
 // a dead switch are removed when it comes back.
 func TestStaleRulesPurgedOnSwitchRestore(t *testing.T) {
@@ -366,15 +378,7 @@ func TestStaleRulesPurgedOnSwitchRestore(t *testing.T) {
 	}
 	f.net.SetSwitchDown(victim, true)
 	f.eng.RunFor(2 * time.Second)
-	mflowRules := func() int {
-		n := 0
-		for _, e := range f.net.Switch(victim).Table.Entries() {
-			if e.Cookie >= 2 { // above CookieCommon: m-flow epochs
-				n++
-			}
-		}
-		return n
-	}
+	mflowRules := func() int { return mflowRulesAt(f, victim) }
 	if mflowRules() == 0 {
 		t.Fatal("dead switch lost its rules spontaneously (nothing to purge)")
 	}
@@ -409,15 +413,7 @@ func TestCloseWhileSwitchDownLeavesNothing(t *testing.T) {
 	if f.graph.Node(victim).Kind != topo.KindSwitch {
 		t.Fatalf("mid-path node %d is not a switch", victim)
 	}
-	mflowRules := func() int {
-		n := 0
-		for _, e := range f.net.Switch(victim).Table.Entries() {
-			if e.Cookie > ctrlplane.CookieCommon {
-				n++
-			}
-		}
-		return n
-	}
+	mflowRules := func() int { return mflowRulesAt(f, victim) }
 	if mflowRules() == 0 {
 		t.Fatal("mid-path switch holds no m-flow rules (nothing to leak)")
 	}

@@ -627,12 +627,13 @@ func (mc *MC) deleteGroups(rules []ruleRec) {
 }
 
 // deleteEpoch deletes one rule epoch of a channel — a repair's superseded
-// one, or a closing channel's last — from every switch it was installed on,
-// in the order given (channelState.switches: ascending), and calls done (may
-// be nil) once every switch has answered or been given up on. Dead switches —
-// and live switches that never acknowledge the delete — are remembered in
-// staleCookies and purged when they come back (a restarting switch
-// reconnects with whatever rules it had).
+// one, a closing channel's last, or one switchRestored finds remembered —
+// from every switch it was installed on, in the order given
+// (channelState.switches: ascending), and calls done (may be nil) once every
+// switch has answered or been given up on. Dead switches — and live switches
+// that never acknowledge the delete — are remembered in staleCookies and
+// purged when they come back (a restarting switch reconnects with whatever
+// rules it had).
 func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, done func()) {
 	d := &epochDelete{mc: mc, cookie: cookie, remaining: len(switches), done: done}
 	for _, node := range switches {
