@@ -342,7 +342,9 @@ func (mc *MC) reinstallOnMiss(sw *netsim.Switch, inPort int, p *packet.Packet) b
 			if len(rr.entry.Actions) > 0 {
 				mc.Ch.PacketOut(sw, rr.entry.Actions, p.Clone())
 			}
-			mc.Ch.FlowMod(sw, rr.entry, nil)
+			// An install like any other: a close waits for it.
+			st.installs++
+			mc.Ch.FlowModResult(sw, rr.entry, func(bool) { st.installDone() })
 			return true
 		}
 	}
@@ -381,11 +383,16 @@ func (mc *MC) upgradeChannel(st *channelState) bool {
 	// and the repair event below makes their streams re-probe it.
 	mc.FlowsRestored++
 	mc.journalChannel(RecUpdate, st)
-	mc.Ch.InstallAll(flowMods, mc.gate(func() {
+	restored := mc.gate(func() {
 		mc.emitRepair(RepairEvent{
 			Channel: st.id, DetectedAt: detectedAt, CompletedAt: mc.Net.Eng.Now(), Attempts: 1,
 		})
-	}))
+	})
+	st.installs++
+	mc.Ch.InstallAllResult(flowMods, func(int) {
+		st.installDone()
+		restored()
+	})
 	return true
 }
 

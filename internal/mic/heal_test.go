@@ -437,6 +437,51 @@ func TestCloseWhileSwitchDownLeavesNothing(t *testing.T) {
 	checkBooks(t, f.mc)
 }
 
+// TestCloseDuringInstallLeavesNothing: a close issued while an install of the
+// channel's rules is still out — here a repair's, retransmitting over a lossy
+// control channel — must not send its deletes until the install resolves, or
+// a retransmitted FlowMod landing after the delete puts the rule back on a
+// live switch for good. Without the wait the m-flow rules survived at 176 of
+// these 300 loss seeds at 5 % loss, and at 296 at 30 %.
+func TestCloseDuringInstallLeavesNothing(t *testing.T) {
+	for _, loss := range []float64{0.05, 0.30} {
+		for seed := uint64(1); seed <= 300; seed++ {
+			closeDuringRepair(t, loss, seed)
+		}
+	}
+}
+
+// closeDuringRepair is one run of TestCloseDuringInstallLeavesNothing.
+func closeDuringRepair(t *testing.T, loss float64, seed uint64) {
+	t.Helper()
+	f := newFixture(t, Config{MNs: 2})
+	var info *ChannelInfo
+	f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(ci *ChannelInfo, err error) {
+		if err != nil {
+			t.Fatalf("establish: %v", err)
+		}
+		info = ci
+	})
+	f.eng.RunFor(6 * time.Millisecond)
+	f.mc.Ch.LossRate, f.mc.Ch.LossSeed = loss, seed
+	f.mc.RepairChannel(info.ID, func(error) {})
+	f.eng.RunFor(150 * time.Microsecond)
+	closed := false
+	if err := f.mc.CloseChannel(info.ID, func() { closed = true }); err != nil {
+		t.Fatal(err)
+	}
+	f.eng.RunFor(5 * time.Second)
+	if !closed {
+		t.Fatalf("loss %g seed %d: close did not finish", loss, seed)
+	}
+	for _, sw := range f.net.Switches() {
+		if n := mflowRulesAt(f, sw.ID); n != 0 {
+			t.Fatalf("loss %g seed %d: %s still holds %d rules of the closed channel (stale cookies %v)", loss, seed, sw.Name, n, f.mc.staleCookies)
+		}
+	}
+	checkBooks(t, f.mc)
+}
+
 // TestIDRecyclingAcrossRepairEpochs: repairs must not leak or churn flow
 // IDs — the same IDs survive every epoch, and close/re-establish cycles
 // recycle them instead of growing the allocator.
