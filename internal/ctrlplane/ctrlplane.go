@@ -496,7 +496,8 @@ func (c *Channel) InstallAllResult(mods []Mod, onAll func(failed int)) {
 // individual modifications that failed: a table-full refusal counts per
 // entry; a batch abandoned after retries counts every mod it carried. The
 // messages read mods until they resolve: the caller must leave the slice
-// untouched until onAll fires.
+// untouched until onAll fires. By then every batch has resolved, and no
+// message reads mods again, so the caller may reuse the slice.
 func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
 	if len(mods) == 0 {
 		if onAll != nil {

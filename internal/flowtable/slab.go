@@ -17,6 +17,21 @@ func NewSlab(entries, actions int) Slab {
 	return Slab{entries: make([]Entry, 0, entries), actions: make([]Action, 0, actions)}
 }
 
+// Fits reports whether the slab, empty, has room for the given numbers of
+// entries and actions.
+func (s *Slab) Fits(entries, actions int) bool {
+	return cap(s.entries) >= entries && cap(s.actions) >= actions
+}
+
+// Reset empties the slab for another batch, keeping its storage. Everything
+// carved from it before is overwritten by what is carved next, so the batch
+// must be dead first: in no table, and its action lists read by no one.
+func (s *Slab) Reset() {
+	clear(s.entries)
+	s.entries = s.entries[:0]
+	s.actions = s.actions[:0]
+}
+
 // Entry carves an entry holding e.
 func (s *Slab) Entry(e Entry) *Entry {
 	s.entries = append(s.entries, e)

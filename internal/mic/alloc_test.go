@@ -3,27 +3,30 @@ package mic
 import (
 	"sort"
 	"testing"
+	"time"
 	"unsafe"
 
+	"mic/internal/addr"
 	"mic/internal/flowtable"
+	"mic/internal/sim"
 )
 
 // establishCloseBudget bounds the heap allocations of one EstablishChannel +
 // CloseChannel round on an idle fat-tree(4) controller — the benchmark's
-// mic.establish_allocs kernel: 31 measured, 35 under the race detector (CI
+// mic.establish_allocs kernel: 26 measured, 28 under the race detector (CI
 // runs the suite both ways), plus 25 %. What remains is what the channel
-// keeps — its state and the ChannelInfo handed to the client, one slab of
-// entries and one of actions per m-flow, a list each for its flow resources,
-// flows and rules, the path and the MN list — plus the request's own closures
-// (one per gate, per switch a delete is sent to, per callback), the switch
-// list a close sorts out of the rules, and the test's address formatting and
-// parsing. Rules, action lists and actions are not allocations of their own,
-// nor is anything the flow tables or the link and switch indexes do; pools,
-// candidate paths, tuple chains, plan scratch and southbound messages
-// allocate nothing in steady state. The closure-per-message control plane
-// spent 406, the map-indexed, boxed-action one 83, the one that kept seven
-// derived lists per channel 36.
-const establishCloseBudget = 38
+// keeps — its state and the ChannelInfo handed to the client, a list each for
+// its flow resources and flows, the path and the MN list — plus the request's
+// own closures (one per gate, per switch a delete is sent to, per callback),
+// the record the deletes share, and the test's address formatting and
+// parsing. A round's rule storage — slabs, rule list, mod list — is the store
+// the previous round's close gave back, and a close's switch list is MC
+// scratch; nothing the flow tables or the link and switch indexes do
+// allocates, nor do pools, candidate paths, tuple chains, plan scratch or
+// southbound messages. The closure-per-message control plane spent 406, the
+// map-indexed, boxed-action one 83, the one that kept seven derived lists per
+// channel 36, the one that allocated every channel's storage afresh 31.
+const establishCloseBudget = 32
 
 func TestEstablishCloseAllocBudget(t *testing.T) {
 	f := newFixture(t, Config{MNs: 3})
@@ -54,6 +57,101 @@ func TestEstablishCloseAllocBudget(t *testing.T) {
 	if f.mc.LiveChannels() != 0 {
 		t.Fatalf("%d channels left open", f.mc.LiveChannels())
 	}
+}
+
+// TestClosedChannelStorageReused: the next dial builds its rules in the store
+// of a cleanly closed channel — its first entry sits where the closed
+// channel's did — but not in the store of a close a dead switch could not
+// confirm, nor in that of a channel rebuilt from the journal, whose entries
+// another controller life carved. MNs 5 makes every switch of a cross-pod
+// path an MN, so every dial over one templates as many rules and actions as
+// the last and any of its slabs fits.
+func TestClosedChannelStorageReused(t *testing.T) {
+	cfg := Config{MNs: 5}
+	dial := func(t *testing.T, eng *sim.Engine, cp ControlPlane, from, to addr.IP) *ChannelInfo {
+		t.Helper()
+		var info *ChannelInfo
+		cp.EstablishChannel(from, to.String(), ChannelOptions{}, func(ci *ChannelInfo, err error) {
+			if err != nil {
+				t.Fatalf("establish: %v", err)
+			}
+			info = ci
+		})
+		eng.RunFor(10 * time.Millisecond)
+		if info == nil {
+			t.Fatal("dial not answered")
+		}
+		return info
+	}
+	firstEntry := func(mc *MC, id uint64) *flowtable.Entry { return mc.channels[id].rules[0].entry }
+
+	t.Run("clean close", func(t *testing.T) {
+		f := newFixture(t, cfg)
+		info := dial(t, f.eng, f.mc, f.hostIP(0), f.hostIP(15))
+		old := firstEntry(f.mc, info.ID)
+		if err := f.mc.CloseChannel(info.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		f.eng.RunFor(10 * time.Millisecond)
+		if len(f.mc.storeFree) != 1 {
+			t.Fatalf("%d stores on the free list after a clean close, want 1", len(f.mc.storeFree))
+		}
+		next := dial(t, f.eng, f.mc, f.hostIP(1), f.hostIP(14))
+		if firstEntry(f.mc, next.ID) != old {
+			t.Fatal("the next dial's first entry is not in the closed channel's slab")
+		}
+		checkBooks(t, f.mc)
+	})
+
+	t.Run("close with a switch down", func(t *testing.T) {
+		f := newFixture(t, Config{MNs: 5, AutoRepair: true})
+		info := dial(t, f.eng, f.mc, f.hostIP(0), f.hostIP(15))
+		old := firstEntry(f.mc, info.ID)
+		victim := info.Flows[0].Path[3]
+		f.net.SetSwitchDownQuiet(victim, true)
+		if err := f.mc.CloseChannel(info.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		f.eng.RunFor(2 * time.Second)
+		f.net.SetSwitchDown(victim, false)
+		f.eng.RunFor(2 * time.Second)
+		if len(f.mc.storeFree) != 0 {
+			t.Fatal("a close the dead switch never confirmed put its store on the free list")
+		}
+		next := dial(t, f.eng, f.mc, f.hostIP(1), f.hostIP(14))
+		if firstEntry(f.mc, next.ID) == old {
+			t.Fatal("the next dial reused the slab of a close a dead switch never confirmed")
+		}
+		checkBooks(t, f.mc)
+	})
+
+	t.Run("journal-replayed channel", func(t *testing.T) {
+		f := newClusterFixture(t, cfg, ClusterConfig{})
+		info := dial(t, f.eng, f.cl, f.stacks[0].Host.IP, f.stacks[15].Host.IP)
+		old := firstEntry(f.cl.activeMember().lead(), info.ID)
+		f.net.SetCtrlHostDown(0, true)
+		f.eng.RunFor(2 * time.Second)
+		if f.cl.Takeovers() != 1 {
+			t.Fatalf("takeovers = %d, want 1", f.cl.Takeovers())
+		}
+		mc := f.cl.activeMember().lead()
+		if firstEntry(mc, info.ID) != old {
+			t.Fatal("the promoted standby does not hold the dead life's entries")
+		}
+		if err := f.cl.CloseChannel(info.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+		f.eng.RunFor(10 * time.Millisecond)
+		if len(mc.storeFree) != 0 {
+			t.Fatal("closing a channel rebuilt from the journal put its store on the free list")
+		}
+		next := dial(t, f.eng, f.cl, f.stacks[1].Host.IP, f.stacks[14].Host.IP)
+		if firstEntry(mc, next.ID) == old {
+			t.Fatal("the next dial reused a slab the dead controller life carved")
+		}
+		f.settle(3 * time.Second)
+		checkClusterReplay(t, f.cl)
+	})
 }
 
 // TestPathLoadAllocs pins the failure indexes' steady state: booking a path
@@ -101,7 +199,7 @@ func TestTemplateFlowFitsItsSlab(t *testing.T) {
 				}
 				initIP, respIP := f.graph.Node(from).IP, f.graph.Node(to).IP
 				res := flowRes{entry: f.hostIP(3), finalSrc: f.hostIP(4), fwdID: 1, revID: 2}
-				recs, _, _ := f.mc.templateFlow(plan, res, initIP, respIP, opts, 99, 0)
+				recs, _, _, _ := f.mc.templateFlow(plan, res, initIP, respIP, opts, 99, 0, flowtable.Slab{})
 
 				var lists [][]flowtable.Action
 				for i, rr := range recs {

@@ -368,7 +368,9 @@ func (r Record) channel() *channelState {
 		gen:       r.Gen,
 		info:      &ChannelInfo{ID: r.Channel, Flows: slices.Clone(r.Flows)},
 		res:       make([]flowRes, len(r.Entries)),
-		rules:     slices.Clone(r.Rules),
+		// The entries are the writing life's, so the store holds no slab of
+		// them and is never recycled.
+		epochStore: epochStore{rules: slices.Clone(r.Rules)},
 	}
 	for i := range st.res {
 		st.res[i] = flowRes{entry: r.Entries[i], finalSrc: r.Finals[i], fwdID: r.FlowIDs[2*i], revID: r.FlowIDs[2*i+1]}

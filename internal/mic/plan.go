@@ -52,6 +52,8 @@ type planScratch struct {
 	swPos, mnPos, perm []int
 	fwd, rev           []tuple   // templateFlow's tuple chains
 	recs               []ruleRec // templateFlow's output, consumed by computeFlow
+
+	switches []topo.NodeID // purgeClosed: the switch list deleteEpoch walks at once
 }
 
 // planFlow selects a path and places opts.MNs Mimic Nodes on it (clamped to
@@ -128,12 +130,13 @@ func (mc *MC) allocFlowRes(st *channelState, plan flowPlan) (flowRes, error) {
 
 // templateFlow is the templater stage: the MAGA tuple chains in both
 // directions and the complete rewrite/forward/multicast rule set for one
-// planned m-flow, emitted as self-contained ruleRecs. It writes nothing
-// into MC or channel state beyond the scratch the chains and the returned
-// recs live in (valid until the next templateFlow) — groups are numbered
-// from groupBase, and the caller advances mc.nextGroup by the returned
-// groupsUsed.
-func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, opts ChannelOptions, cookie uint64, groupBase uint32) (recs []ruleRec, fi FlowInfo, groupsUsed uint32) {
+// planned m-flow, emitted as self-contained ruleRecs carved from the returned
+// slab — spare, an emptied slab of a closed channel, if it has room, else a
+// new one. It writes nothing into MC or channel state beyond the scratch the
+// chains and the returned recs live in (valid until the next templateFlow) —
+// groups are numbered from groupBase, and the caller advances mc.nextGroup by
+// the returned groupsUsed.
+func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, opts ChannelOptions, cookie uint64, groupBase uint32, spare flowtable.Slab) (recs []ruleRec, slab flowtable.Slab, fi FlowInfo, groupsUsed uint32) {
 	g := mc.Net.Graph
 	path, mnPos, n := plan.path, plan.mnPos, plan.n
 	initNode := path[0]
@@ -199,7 +202,10 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 		groups = 4
 		decoys = groups * (opts.MulticastFanout - 1)
 	}
-	slab := flowtable.NewSlab(rules+decoys, 2*(n*maxMNActions+1)+rules-2*n+groups+decoys*maxMNActions)
+	entries, actions := rules+decoys, 2*(n*maxMNActions+1)+rules-2*n+groups+decoys*maxMNActions
+	if slab = spare; !slab.Fits(entries, actions) {
+		slab = flowtable.NewSlab(entries, actions)
+	}
 	add := func(node topo.NodeID, m flowtable.Match, actions []flowtable.Action, grp *flowtable.Group) {
 		recs = append(recs, ruleRec{node: node, group: grp, entry: slab.Entry(flowtable.Entry{
 			Priority: ctrlplane.PriorityMFlow,
@@ -292,5 +298,5 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 	}
 
 	sc.recs = recs
-	return recs, FlowInfo{Entry: entry, Path: path, MNs: plan.mnIDs}, groupsUsed
+	return recs, slab, FlowInfo{Entry: entry, Path: path, MNs: plan.mnIDs}, groupsUsed
 }
