@@ -3,10 +3,13 @@ package mic
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 	"time"
 
 	"mic/internal/bytequeue"
+	"mic/internal/ctrlplane"
+	"mic/internal/flowtable"
 	"mic/internal/topo"
 )
 
@@ -122,10 +125,14 @@ func diffAt(a, b []byte) int {
 //	      with nothing left to route over, gives the channel up after two
 //	      attempts)
 //	4     heal every cut link
+//	5     cut a link as 3 does, run one control round trip, then close that
+//	      channel: the close lands while the repair's install is out
+//	6     set the southbound loss rate to 0-30 %
 //
 // After every step the engine runs dry and then the live controller's books
 // balance, a fresh passive controller fed Journal.Records() and finishRestore
-// holds the same channels fact for fact, and its books balance too.
+// holds the same channels fact for fact, its books balance too, and the
+// switches' tables hold what checkTables allows.
 func FuzzJournalReplay(f *testing.F) {
 	for _, prog := range journalReplayCorpus {
 		f.Add(prog)
@@ -141,6 +148,8 @@ var journalReplayCorpus = [][]byte{
 	{0x08, 0x03, 0x0b},                   // a dial, two cuts and their repairs
 	{0x01, 0x03, 0x23, 0x04, 0x01, 0x02}, // both uplinks cut: repaired, then given up; heal, dial again, close
 	{0x18, 0x39, 0x58, 0x79, 0x98, 0xb9, 0x02, 0x0a, 0x04, 0x02, 0x18}, // the ladder: whole, degraded, refused; closes restore
+	{0x00, 0x08, 0x05, 0x00},             // a close while the repair's install is out, then a dial into the freed storage
+	{0xa6, 0x00, 0x18, 0x0b, 0x05, 0x02}, // 20 % loss: dials, a repair, a close mid-repair, a close
 }
 
 // runJournalProgram is FuzzJournalReplay's body; it returns the controller
@@ -173,8 +182,9 @@ func runJournalProgram(t *testing.T, prog []byte) (*MC, *Journal) {
 			if err := mc.CloseChannel(live[arg%len(live)], nil); err != nil {
 				t.Fatal(err)
 			}
-		case op == 3 && len(live) > 0:
-			path := mc.channels[live[arg%len(live)]].info.Flows[0].Path
+		case (op == 3 || op == 5) && len(live) > 0:
+			id := live[arg%len(live)]
+			path := mc.channels[id].info.Flows[0].Path
 			if len(path) < 5 {
 				continue // both hosts on one switch: no switch-to-switch link
 			}
@@ -182,6 +192,16 @@ func runJournalProgram(t *testing.T, prog []byte) (*MC, *Journal) {
 			l := link{path[i], g.PortTo(path[i], path[i+1])}
 			bed.net.SetLinkDown(l.node, l.port, true)
 			cuts = append(cuts, l)
+			if op == 5 {
+				bed.eng.RunFor(2 * mc.Ch.Latency)
+				if _, ok := mc.channels[id]; ok { // the repair may have given it up
+					if err := mc.CloseChannel(id, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		case op == 6:
+			mc.Ch.LossRate = float64(arg%31) / 100
 		case op == 4:
 			for _, l := range cuts {
 				bed.net.SetLinkDown(l.node, l.port, false)
@@ -192,15 +212,44 @@ func runJournalProgram(t *testing.T, prog []byte) (*MC, *Journal) {
 		}
 		bed.eng.Run()
 		checkReplay(t, mc, j)
+		checkTables(t, mc)
 	}
 	return mc, j
 }
 
+// checkTables holds the switches' flow tables to the MC: every m-flow entry
+// installed belongs to a live channel's current epoch or carries a cookie the
+// MC remembers as not deleted from that switch, and no entry is installed
+// twice, in two tables or in one. A delete overtaken by an install shows as
+// the first; storage recycled while one of its entries was still installed
+// shows as the second, once a later channel's install puts the same entry on
+// another switch.
+func checkTables(t testing.TB, mc *MC) {
+	t.Helper()
+	current := make(map[uint64]bool)
+	for _, id := range sortedChanIDs(mc.channels) {
+		current[mc.channels[id].cookie()] = true
+	}
+	installedOn := make(map[*flowtable.Entry]string)
+	for _, sw := range mc.Net.Switches() {
+		for _, e := range sw.Table.Entries() {
+			if other, twice := installedOn[e]; twice {
+				t.Fatalf("one entry (cookie %#x) is installed on %s and on %s", e.Cookie, other, sw.Name)
+			}
+			installedOn[e] = sw.Name
+			if e.Priority == ctrlplane.PriorityMFlow && !current[e.Cookie] && !slices.Contains(mc.staleCookies[sw.ID], e.Cookie) {
+				t.Fatalf("%s holds an m-flow entry of cookie %#x: no live channel's current epoch, not remembered as stale", sw.Name, e.Cookie)
+			}
+		}
+	}
+}
+
 // TestJournalReplayCorpusShapes keeps the seed corpus honest: between them
 // the programs open, close, repair, fail a repair for good, degrade, refuse,
-// restore a flow and compact the journal.
+// restore a flow, compact the journal and retransmit over a lossy southbound
+// channel.
 func TestJournalReplayCorpusShapes(t *testing.T) {
-	var dials, repairs, given, degraded, refused, restored, snapshots uint64
+	var dials, repairs, given, degraded, refused, restored, snapshots, retransmits uint64
 	for _, prog := range journalReplayCorpus {
 		mc, j := runJournalProgram(t, prog)
 		dials += mc.Requests
@@ -210,11 +259,13 @@ func TestJournalReplayCorpusShapes(t *testing.T) {
 		refused += mc.ChannelsRefused
 		restored += mc.FlowsRestored
 		snapshots += j.Snapshots
-		t.Logf("% x: dials %d repairs %d given up %d degraded %d refused %d restored %d snapshots %d live %d",
-			prog, mc.Requests, mc.Repairs, mc.RepairFailures, mc.ChannelsDegraded, mc.ChannelsRefused, mc.FlowsRestored, j.Snapshots, mc.LiveChannels())
+		retransmits += mc.Ch.Retransmits
+		t.Logf("% x: dials %d repairs %d given up %d degraded %d refused %d restored %d snapshots %d retransmits %d live %d",
+			prog, mc.Requests, mc.Repairs, mc.RepairFailures, mc.ChannelsDegraded, mc.ChannelsRefused, mc.FlowsRestored, j.Snapshots, mc.Ch.Retransmits, mc.LiveChannels())
 	}
 	for name, n := range map[string]uint64{"dial": dials, "repair": repairs, "repair given up": given,
-		"degraded dial": degraded, "refused dial": refused, "restored flow": restored, "journal snapshot": snapshots} {
+		"degraded dial": degraded, "refused dial": refused, "restored flow": restored, "journal snapshot": snapshots,
+		"southbound retransmission": retransmits} {
 		if n == 0 {
 			t.Errorf("no program in the corpus produces a %s", name)
 		}
