@@ -33,6 +33,23 @@ var ErrUnacked = errors.New("ctrlplane: message unacknowledged after retries")
 // authoritative. Like ErrTableFull this is an answered refusal, not a loss.
 var ErrStaleEpoch = errors.New("ctrlplane: rejected, fencing epoch is stale")
 
+// A rule cookie is, low bits to high, its owner's ID (40 bits), repair epoch
+// (16) and the generation of the controller life that built it (8). Its
+// owner is the cookie with the epoch masked out (OpenFlow's cookie_mask).
+const (
+	cookieEpochShift        = 40
+	cookieEpochMask  uint64 = 0xffff << cookieEpochShift
+)
+
+// RuleCookie returns the cookie of owner id's rules of one epoch, built by
+// controller generation gen.
+func RuleCookie(id uint64, epoch, gen uint32) uint64 {
+	return id | uint64(epoch)<<cookieEpochShift&cookieEpochMask | uint64(gen&0xff)<<56
+}
+
+// cookieOwner returns the owner a cookie names; 0 names none.
+func cookieOwner(cookie uint64) uint64 { return cookie &^ cookieEpochMask }
+
 // Channel is the controller's handle to the fabric's switches.
 //
 // Reliability model: every state-changing message (FlowMod, GroupMod,
@@ -43,6 +60,14 @@ var ErrStaleEpoch = errors.New("ctrlplane: rejected, fencing epoch is stale")
 // message applications are idempotent, so a retransmit after a lost
 // acknowledgement is harmless — OpenFlow's own semantics for overlapping
 // FlowMods.
+//
+// Ordering: on one switch, messages carrying rules of the same owner apply
+// in send order. A FlowMod, GroupMod, batch or DeleteByCookie is held back
+// while an earlier message to its switch of its owner is unresolved, and
+// sent when the last of those resolves, after which none of them lands
+// again. Two deletes commute, and so do two installs of one cookie (one
+// epoch's rules never share a match): those pairs are not ordered. Other
+// owners' messages never wait.
 type Channel struct {
 	Eng *sim.Engine
 	Net *netsim.Network
@@ -120,13 +145,22 @@ type Channel struct {
 }
 
 // swState is the channel's transaction window toward one switch: an ordered
-// one, so that a barrier can tell the messages sent before it from those sent
-// after (Channel.Barrier).
+// one, so that a barrier can tell the messages issued before it from those
+// issued after (Channel.Barrier).
 type swState struct {
-	seq      uint64 // send sequence number of the last message sent
-	inflight int    // messages sent and not yet acknowledged or abandoned
-	failed   uint64 // abandoned messages
-	waiters  []*msg // barriers with unresolved predecessors, in issue order
+	seq      uint64     // sequence number of the last message issued
+	inflight int        // messages issued and not yet acknowledged or abandoned
+	failed   uint64     // abandoned messages
+	owned    []ownedMsg // messages carrying rules, sent and unresolved, in no order
+	waiters  []*msg     // barriers and held messages not yet sent, in issue order
+}
+
+// ownedMsg is what ordering reads of a sent message carrying rules, kept in
+// the window itself so that a scan of it reads no message record.
+type ownedMsg struct {
+	seq    uint64
+	cookie uint64
+	del    bool
 }
 
 // Control-channel reliability defaults.
@@ -217,9 +251,9 @@ func (c *Channel) lost() bool {
 	return c.lossRNG.Float64() < c.LossRate
 }
 
-// InFlight reports how many messages to switch id are sent but not yet
+// InFlight reports how many messages to switch id are issued but not yet
 // acknowledged or abandoned — the controller's per-switch transaction
-// window.
+// window, held messages included and waiting barriers not.
 func (c *Channel) InFlight(id topo.NodeID) int { return c.sw[id].inflight }
 
 // Failed reports how many messages to switch id were abandoned after
@@ -227,25 +261,14 @@ func (c *Channel) InFlight(id topo.NodeID) int { return c.sw[id].inflight }
 // landed.
 func (c *Channel) Failed(id topo.NodeID) uint64 { return c.sw[id].failed }
 
-// FlowMod installs e on sw, then invokes onApplied (which may be nil) after
-// the acknowledgement returns. If the message is abandoned after retries,
-// onApplied never fires; use FlowModResult to observe failures.
-func (c *Channel) FlowMod(sw *netsim.Switch, e *flowtable.Entry, onApplied func()) {
-	c.FlowModResult(sw, e, func(ok bool) {
-		if ok && onApplied != nil {
-			onApplied()
-		}
-	})
-}
-
 // FlowModResult installs e on sw and reports whether the switch
 // acknowledged AND accepted it — a table-full refusal counts as failure,
 // because the rule is not installed.
 func (c *Channel) FlowModResult(sw *netsim.Switch, e *flowtable.Entry, onDone func(ok bool)) {
 	c.FlowMods++
 	m := c.newMsg(msgFlowMod, sw)
-	m.entry, m.onOK = e, onDone
-	m.send()
+	m.entry, m.cookie, m.onOK = e, e.Cookie, onDone
+	c.issue(m)
 }
 
 // FlowModErr installs e on sw and reports the outcome as an error: nil when
@@ -258,37 +281,31 @@ func (c *Channel) FlowModResult(sw *netsim.Switch, e *flowtable.Entry, onDone fu
 func (c *Channel) FlowModErr(sw *netsim.Switch, e *flowtable.Entry, onDone func(err error)) {
 	c.FlowMods++
 	m := c.newMsg(msgFlowMod, sw)
-	m.entry, m.onErr = e, onDone
-	m.send()
+	m.entry, m.cookie, m.onErr = e, e.Cookie, onDone
+	c.issue(m)
 }
 
-// GroupMod installs g on sw; onApplied fires after the acknowledgement.
-func (c *Channel) GroupMod(sw *netsim.Switch, g *flowtable.Group, onApplied func()) {
-	c.GroupModResult(sw, g, func(ok bool) {
-		if ok && onApplied != nil {
-			onApplied()
-		}
-	})
-}
-
-// GroupModResult installs g on sw and reports whether the switch
-// acknowledged and accepted it (a stale-epoch refusal counts as failure).
-func (c *Channel) GroupModResult(sw *netsim.Switch, g *flowtable.Group, onDone func(ok bool)) {
+// GroupModResult installs g on sw as a rule of the cookie given (0: of no
+// owner; a group carries no cookie of its own) and reports whether the
+// switch acknowledged and accepted it (a stale-epoch refusal counts as
+// failure).
+func (c *Channel) GroupModResult(sw *netsim.Switch, g *flowtable.Group, cookie uint64, onDone func(ok bool)) {
 	c.GroupMods++
 	m := c.newMsg(msgGroupMod, sw)
-	m.group, m.onOK = g, onDone
-	m.send()
+	m.group, m.cookie, m.onOK = g, cookie, onDone
+	c.issue(m)
 }
 
 // DeleteByCookie removes all entries with the cookie from sw; onDone (may
 // be nil) receives the removal count after the acknowledgement returns, or
 // -1 if the switch never acknowledged (the controller must assume the rules
-// are still installed).
+// are still installed). It applies after every earlier install of the
+// cookie's owner to sw, so none of them puts a rule back once it is answered.
 func (c *Channel) DeleteByCookie(sw *netsim.Switch, cookie uint64, onDone func(removed int)) {
 	c.Deletes++
 	m := c.newMsg(msgDelete, sw)
 	m.cookie, m.n, m.onCount = cookie, -1, onDone
-	m.send()
+	c.issue(m)
 }
 
 // PacketOut injects p at sw with the given actions after control latency.
@@ -314,15 +331,15 @@ func (c *Channel) PacketOut(sw *netsim.Switch, actions []flowtable.Action, p *pa
 	})
 }
 
-// Barrier completes after every message sent to sw before the barrier has
+// Barrier completes after every message issued to sw before the barrier has
 // been acknowledged or abandoned, plus one reliable round trip of its own —
 // the OFPT_BARRIER_REQUEST/REPLY semantics this package's doc promises. It
-// orders against earlier messages only, earlier barriers on the wire
-// included: nothing sent to sw after the barrier was issued can delay it, so
-// a switch under steady traffic still answers a barrier two round trips after
-// the call at the latest (lossless). A barrier that is itself still waiting
-// has sent nothing and fences nothing; two barriers waiting on the same
-// messages leave together.
+// orders against earlier messages only, earlier barriers on the wire and
+// messages still held behind their owner's included: nothing issued to sw
+// after the barrier can delay it, so a switch under steady traffic of other
+// owners still answers a barrier two round trips after the call at the latest
+// (lossless). A barrier that is itself still waiting has sent nothing and
+// fences nothing; two barriers waiting on the same messages leave together.
 // onDone reports whether the barrier itself was acknowledged and accepted;
 // a stale-epoch refusal reads as failure, so a fenced-off master cannot
 // mistake its barriers for proof of write authority.
@@ -420,7 +437,7 @@ func (c *Channel) Hello(sw *netsim.Switch, onDone func(ok bool)) {
 	c.Hellos++
 	m := c.newMsg(msgHello, sw)
 	m.onOK = onDone
-	m.send()
+	c.issue(m)
 }
 
 // DumpFlows requests sw's full flow-table state — the OFPMP_FLOW +
@@ -433,23 +450,14 @@ func (c *Channel) DumpFlows(sw *netsim.Switch, onDone func(entries []*flowtable.
 	c.Dumps++
 	m := c.newMsg(msgDump, sw)
 	m.onDump = onDone
-	m.send()
+	c.issue(m)
 }
 
-// InstallAll sends one FlowMod per (switch, entry) pair concurrently and
-// invokes onAll once every message is resolved (acknowledged or abandoned)
-// — how the Mimic Controller installs a whole m-flow path in a single round
-// trip, keeping route setup time flat in route length (Fig 7).
-func (c *Channel) InstallAll(mods []Mod, onAll func()) {
-	c.InstallAllResult(mods, func(failed int) {
-		if onAll != nil {
-			onAll()
-		}
-	})
-}
-
-// InstallAllResult is InstallAll with the number of abandoned messages
-// reported, so the controller knows whether the whole path truly landed.
+// InstallAllResult sends one message per entry and per group of mods,
+// concurrently, and invokes onAll (may be nil) with the number abandoned or
+// refused once every message has resolved — one round trip for a whole
+// m-flow path, keeping route setup time flat in route length (Fig 7). A
+// mod's group is a rule of its entry's cookie.
 func (c *Channel) InstallAllResult(mods []Mod, onAll func(failed int)) {
 	remaining := 0
 	for _, m := range mods {
@@ -478,7 +486,11 @@ func (c *Channel) InstallAllResult(mods []Mod, onAll func(failed int)) {
 	}
 	for _, m := range mods {
 		if m.Group != nil {
-			c.GroupModResult(m.Switch, m.Group, done)
+			cookie := uint64(0)
+			if m.Entry != nil {
+				cookie = m.Entry.Cookie
+			}
+			c.GroupModResult(m.Switch, m.Group, cookie, done)
 		}
 		if m.Entry != nil {
 			c.FlowModResult(m.Switch, m.Entry, done)
@@ -489,15 +501,17 @@ func (c *Channel) InstallAllResult(mods []Mod, onAll func(failed int)) {
 // InstallBatched coalesces mods per destination switch — one southbound
 // message per switch carrying all of that switch's entries and groups,
 // applied in order on a single delivery — and closes each switch's batch
-// with one Barrier. Compared with InstallAll's message-per-mod fan-out this
-// cuts the southbound message count for a whole channel to one batch plus
+// with one Barrier. Compared with InstallAllResult's message-per-mod fan-out
+// this cuts the southbound message count for a whole channel to one batch plus
 // one barrier per switch touched, at the price of one extra round trip (the
 // barrier) on the setup's critical path. onAll receives the number of
 // individual modifications that failed: a table-full refusal counts per
-// entry; a batch abandoned after retries counts every mod it carried. The
-// messages read mods until they resolve: the caller must leave the slice
-// untouched until onAll fires. By then every batch has resolved, and no
-// message reads mods again, so the caller may reuse the slice.
+// entry; a batch abandoned after retries counts every mod it carried. A
+// batch is ordered as a rule of its first entry's cookie, so the mods to one
+// switch should be one owner's. The messages read mods until they resolve:
+// the caller must leave the slice untouched until onAll fires. By then every
+// batch has resolved, and no message reads mods again, so the caller may
+// reuse the slice.
 func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
 	if len(mods) == 0 {
 		if onAll != nil {
@@ -511,7 +525,7 @@ func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
 		if modsAddress(mods[:i], sw) {
 			continue // carried by the batch its first mod opened
 		}
-		nmods := 0
+		nmods, cookie := 0, uint64(0)
 		for _, m := range mods[i:] {
 			if m.Switch != sw {
 				continue
@@ -523,14 +537,17 @@ func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
 			if m.Entry != nil {
 				c.FlowMods++
 				nmods++
+				if cookie == 0 {
+					cookie = m.Entry.Cookie
+				}
 			}
 		}
 		c.Batches++
 		c.BatchedMods += uint64(nmods)
 		inst.remaining++
 		b := c.newMsg(msgBatch, sw)
-		b.mods, b.nmods, b.inst = mods[i:], nmods, inst
-		b.send()
+		b.mods, b.nmods, b.cookie, b.inst = mods[i:], nmods, cookie, inst
+		c.issue(b)
 		// The barrier completes only after the batch (and anything else
 		// already in flight to this switch) resolves, so inst.failed is final
 		// when the last barrier fires. An unacknowledged barrier adds nothing:

@@ -24,7 +24,7 @@ func TestFlowModAppliesAfterLatency(t *testing.T) {
 	eng, net, ch := build(t, g)
 	sw := net.Switch(g.Switches()[0])
 	acked := sim.Time(-1)
-	ch.FlowMod(sw, &flowtable.Entry{Priority: 1}, func() { acked = eng.Now() })
+	ch.FlowModResult(sw, &flowtable.Entry{Priority: 1}, func(bool) { acked = eng.Now() })
 	if sw.Table.Len() != 0 {
 		t.Fatal("FlowMod applied synchronously")
 	}
@@ -49,7 +49,7 @@ func TestInstallAllWaitsForEveryAck(t *testing.T) {
 	}
 	mods = append(mods, Mod{Switch: net.Switch(g.Switches()[0]), Group: &flowtable.Group{ID: 9}})
 	done := sim.Time(-1)
-	ch.InstallAll(mods, func() { done = eng.Now() })
+	ch.InstallAllResult(mods, func(int) { done = eng.Now() })
 	eng.Run()
 	if done < 0 {
 		t.Fatal("InstallAll callback never fired")
@@ -72,7 +72,7 @@ func TestInstallAllEmpty(t *testing.T) {
 	g, _ := topo.Linear(1)
 	eng, _, ch := build(t, g)
 	fired := false
-	ch.InstallAll(nil, func() { fired = true })
+	ch.InstallAllResult(nil, func(int) { fired = true })
 	eng.Run()
 	if !fired {
 		t.Fatal("empty InstallAll never completed")
@@ -233,7 +233,7 @@ func TestChannelLatencyConfigurable(t *testing.T) {
 	ch.Latency = 2 * time.Millisecond
 	sw := net.Switch(g.Switches()[0])
 	var at sim.Time
-	ch.FlowMod(sw, &flowtable.Entry{Priority: 1}, func() { at = eng.Now() })
+	ch.FlowModResult(sw, &flowtable.Entry{Priority: 1}, func(bool) { at = eng.Now() })
 	eng.Run()
 	if at != sim.Time(4*time.Millisecond) {
 		t.Fatalf("ack at %v, want 4ms", at)
@@ -382,7 +382,7 @@ func TestBarrierWaitsForInFlight(t *testing.T) {
 	eng, net, ch := build(t, g)
 	sw := net.Switch(g.Switches()[0])
 	applied := false
-	ch.FlowMod(sw, &flowtable.Entry{Priority: 1}, func() { applied = true })
+	ch.FlowModResult(sw, &flowtable.Entry{Priority: 1}, func(ok bool) { applied = ok })
 	barrierOK := false
 	ch.Barrier(sw, func(ok bool) {
 		if !applied {

@@ -27,15 +27,15 @@ const (
 //
 // Ownership follows netsim's hop record: newMsg takes a record from the
 // channel's free list and the engine is its only holder while an attempt is
-// out (a barrier whose predecessors are still in flight is held by its
-// switch's waiters list instead, until the last of them resolves and resolve
-// sends it). Each attempt schedules the arrival and the ack timer, and the
-// arrival schedules the acknowledgement; every timer wait exceeds one round
-// trip (ackTimeout, maxBackoff), so the timer is always the attempt's last
-// event. The record therefore returns to the free list from timeout — once
-// resolved, abandoned or silenced by Channel.Down — and never while one of
-// its events is pending. The three steps are bound as method values once,
-// when the record is first made.
+// out (a barrier whose predecessors are still in flight, or a message held
+// behind its owner's, is held by its switch's waiters list instead, until the
+// last of those resolves and resolve sends it). Each attempt schedules the
+// arrival and the ack timer, and the arrival schedules the acknowledgement;
+// every timer wait exceeds one round trip (ackTimeout, maxBackoff), so the
+// timer is always the attempt's last event. The record therefore returns to
+// the free list from timeout — once resolved, abandoned or silenced by
+// Channel.Down — and never while one of its events is pending. The three
+// steps are bound as method values once, when the record is first made.
 type msg struct {
 	ch                         *Channel
 	arriveFn, ackFn, timeoutFn func()
@@ -46,7 +46,7 @@ type msg struct {
 	// Payload, by kind.
 	entry  *flowtable.Entry // msgFlowMod
 	group  *flowtable.Group // msgGroupMod
-	cookie uint64           // msgDelete
+	cookie uint64           // of the rules carried, or deleted (msgDelete); 0 for none
 	mods   []Mod            // msgBatch: the caller's mods from this switch's first on; those addressed to sw apply
 	nmods  int              // msgBatch: individual modifications carried
 
@@ -59,19 +59,19 @@ type msg struct {
 	entries []*flowtable.Entry  // msgDump
 	groups  []flowtable.GroupID // msgDump
 
-	// Delivery state. seq is the message's place in its switch's send order.
-	// A barrier waiting for its predecessors has not been sent: until it is,
-	// seq is the place it waits behind — the sequence number of the last
-	// message sent before it was issued — and pending counts the messages up
-	// to there that are unresolved. pending sits in the padding after the loss
-	// draws, so the record keeps its 256-byte size class.
+	// Delivery state. seq is the message's place in its switch's issue order
+	// (a barrier's, in send order). A waiting barrier has not been sent: until
+	// it is, seq is the place it waits behind and pending counts the messages
+	// up to there that are unresolved; a held message counts in pending those
+	// it waits for. pending sits in the padding after the loss draws, so the
+	// record keeps its 256-byte size class.
 	seq      uint64
 	attempt  int
 	backoff  time.Duration
 	resolved bool
 	reqLost  bool  // this attempt's request-direction loss draw
 	ackLost  bool  // this attempt's acknowledgement-direction loss draw
-	pending  int32 // waiting msgBarrier only
+	pending  int32 // waiting in waiters only
 
 	// Completion: at most one is set.
 	onOK    func(ok bool)
@@ -137,23 +137,53 @@ func (c *Channel) release(m *msg) {
 	c.msgFree = append(c.msgFree, m)
 }
 
-// barrier sends m now if nothing is in flight to its switch. Otherwise it
-// parks m behind exactly the messages in flight at this instant — those with
-// sequence numbers up to the last one sent — and nothing sent afterwards can
-// hold it back.
+// issue takes m's place in its switch's order and sends it, or, if it
+// carries rules of an owner, holds it back while an earlier message to the
+// switch that it must apply after is unresolved (ordered).
+func (c *Channel) issue(m *msg) {
+	s := &c.sw[m.sw.ID]
+	s.inflight++
+	s.seq++
+	m.seq = s.seq
+	if cookieOwner(m.cookie) == 0 {
+		m.send()
+		return
+	}
+	for _, u := range s.owned {
+		if ordered(u.cookie, u.del, m) {
+			m.pending++
+		}
+	}
+	for _, w := range s.waiters {
+		if ordered(w.cookie, w.kind == msgDelete, m) {
+			m.pending++
+		}
+	}
+	if m.pending > 0 {
+		s.waiters = append(s.waiters, m)
+		return
+	}
+	s.owned = append(s.owned, ownedMsg{m.seq, m.cookie, m.kind == msgDelete})
+	m.send()
+}
+
+// barrier sends m now if nothing issued to its switch is unresolved.
+// Otherwise it parks m behind exactly the messages unresolved at this instant
+// — those with sequence numbers up to the last one issued — and nothing
+// issued afterwards can hold it back.
 func (c *Channel) barrier(m *msg) {
 	c.Barriers++
 	s := &c.sw[m.sw.ID]
 	if s.inflight == 0 {
-		m.send()
+		c.issue(m)
 		return
 	}
 	m.seq, m.pending = s.seq, int32(s.inflight)
 	s.waiters = append(s.waiters, m)
 }
 
-// resolve closes m's transaction with its switch and sends the parked
-// barriers whose last predecessor it was.
+// resolve closes m's transaction with its switch and sends the waiters whose
+// last predecessor it was.
 func (c *Channel) resolve(m *msg, ok bool) {
 	s := &c.sw[m.sw.ID]
 	s.inflight--
@@ -163,29 +193,52 @@ func (c *Channel) resolve(m *msg, ok bool) {
 		c.GiveUps++
 		s.failed++
 	}
-	// Waiters are parked in issue order, so the places they wait behind never
-	// decrease: the barriers that counted m are a suffix of the list, and
-	// since an earlier waiter's predecessors are a subset of a later one's,
-	// those left with none are a prefix of it.
-	for i := len(s.waiters) - 1; i >= 0 && s.waiters[i].seq >= m.seq; i-- {
-		s.waiters[i].pending--
+	if cookieOwner(m.cookie) != 0 {
+		i := slices.IndexFunc(s.owned, func(u ownedMsg) bool { return u.seq == m.seq })
+		s.owned[i] = s.owned[len(s.owned)-1]
+		s.owned = s.owned[:len(s.owned)-1]
 	}
-	// send only schedules events, so nothing parks a new barrier meanwhile.
+	// A barrier counted m if it waits behind m's place. A held message
+	// counted m if it must apply after m: m was issued first, since a held
+	// message m had to apply after would still hold m back too.
+	for _, w := range s.waiters {
+		if w.kind == msgBarrier && w.seq >= m.seq || ordered(m.cookie, m.kind == msgDelete, w) {
+			w.pending--
+		}
+	}
+	// Sending changes no count (a message sent here is counted until it
+	// resolves) and only schedules events, so nothing joins the waiters.
 	n := 0
-	for ; n < len(s.waiters) && s.waiters[n].pending == 0; n++ {
-		s.waiters[n].send()
+	for _, w := range s.waiters {
+		switch {
+		case w.pending > 0:
+			s.waiters[n] = w
+			n++
+		case w.kind == msgBarrier:
+			c.issue(w)
+		default:
+			s.owned = append(s.owned, ownedMsg{w.seq, w.cookie, w.kind == msgDelete})
+			w.send()
+		}
 	}
-	s.waiters = slices.Delete(s.waiters, 0, n)
+	clear(s.waiters[n:])
+	s.waiters = s.waiters[:n]
+}
+
+// ordered reports whether b, issued to a switch after a message carrying
+// rules of cookie (a delete if del), must apply after it: they carry rules of
+// one owner and are neither both deletes nor both installs of one cookie.
+func ordered(cookie uint64, del bool, b *msg) bool {
+	if o := cookieOwner(cookie); o == 0 || o != cookieOwner(b.cookie) {
+		return false
+	}
+	return del != (b.kind == msgDelete) || !del && cookie != b.cookie
 }
 
 // send reliably delivers m: applied switch-side (idempotently) on every
 // arrival, completed with true after an acknowledgement returns or with false
 // when the retry budget is exhausted.
 func (m *msg) send() {
-	s := &m.ch.sw[m.sw.ID]
-	s.inflight++
-	s.seq++
-	m.seq = s.seq
 	m.backoff = m.ch.ackTimeout()
 	m.try()
 }

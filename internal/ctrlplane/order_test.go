@@ -13,16 +13,17 @@ import (
 
 // The ordering oracle: a southbound program is a list of operations issued at
 // given instants to three switches, run against a real Channel while a
-// black-box observer checks what a barrier promises — and, on a lossless
-// channel, compared instant for instant with a ten-line reference model of
-// "a barrier fences its predecessors only".
+// black-box observer checks what a barrier promises and what ordering by owner
+// promises — and, on a lossless channel, compared instant for instant with a
+// reference model of "a barrier fences its predecessors only, and a message
+// waits for the earlier ones of its owner only".
 
 type sbKind uint8
 
 const (
-	opFlowMod sbKind = iota
-	opDelete         // by the cookie of the latest FlowMod sent to the same switch
-	opGroupMod
+	opFlowMod  sbKind = iota
+	opDelete          // by its own cookie if it names a shared owner, else by that of the latest FlowMod of no shared owner sent to its switch
+	opGroupMod        // a group alone, or with a shared owner a group and its entry through InstallAllResult
 	opHello
 	opDump
 	opBatch // InstallBatched over span consecutive switches, two mods on the first
@@ -30,15 +31,21 @@ const (
 	sbKinds
 )
 
-const sbSwitches = 3
+const (
+	sbSwitches = 3
+	sbOwners   = 3 // owner 0 is each operation's own, 1 and 2 are shared
+	sbEpochs   = 2
+)
 
 // sbOp is one operation of a program. Operations with equal at are issued
 // back to back, in program order, from one event.
 type sbOp struct {
-	at   time.Duration
-	kind sbKind
-	sw   int
-	span int // opBatch: switches sw, sw+1, ... (mod sbSwitches) addressed, 1..sbSwitches
+	at    time.Duration
+	kind  sbKind
+	sw    int
+	span  int // opBatch: switches sw, sw+1, ... (mod sbSwitches) addressed, 1..sbSwitches
+	owner int // 0: the operation's rules are its own; 1, 2: a shared owner's, of epoch epoch
+	epoch int
 }
 
 // touches reports whether op sends a message to switch s.
@@ -49,23 +56,50 @@ func (op sbOp) touches(s int) bool {
 	return (s-op.sw+sbSwitches)%sbSwitches < op.span
 }
 
+// installs reports whether op installs rules.
+func (op sbOp) installs() bool {
+	return op.kind == opFlowMod || op.kind == opBatch || op.kind == opGroupMod && op.owner > 0
+}
+
+// opCookie returns the cookie of operation i's rules, or of those it deletes.
+func opCookie(prog []sbOp, i int) uint64 {
+	op := prog[i]
+	switch {
+	case op.owner > 0:
+		return RuleCookie(uint64(1000+op.owner), uint32(op.epoch), 0)
+	case op.kind != opDelete:
+		return uint64(i + 1)
+	}
+	for j := i - 1; j >= 0; j-- {
+		if prog[j].kind == opFlowMod && prog[j].sw == op.sw && prog[j].owner == 0 {
+			return opCookie(prog, j)
+		}
+	}
+	return 1 << cookieEpochShift // nobody's
+}
+
 // sbOutcome is what the observer saw of one operation.
 type sbOutcome struct {
-	fired   int      // completion callbacks received
-	done    sim.Time // instant of the last one
-	failed  bool     // the sender was told it did not (all) land
-	deleted bool     // opFlowMod: a later delete targets its cookie
-	entries []*flowtable.Entry
+	fired   int                // completion callbacks received
+	done    sim.Time           // instant of the last one
+	failed  bool               // the sender was told it did not (all) land
+	deleted [sbSwitches]bool   // installs: a later delete targets its cookie on that switch
+	entries []*flowtable.Entry // installs: the entries, and the switch and first application of each
 	entrySw []int
+	first   []sim.Time
 }
 
 // runProgram plays prog on a fresh three-switch channel and fails t unless
 // (a) whenever a barrier — explicit, or the one closing an InstallBatched —
 // completes, every message sent to its switch before it has resolved, and is
-// installed or was counted failed; and every operation completes exactly
-// once, with no window left open and no barrier left parked. deadWindow takes
-// switch 2 down from 3 ms to 6 ms, so that messages are abandoned too. It
-// returns each operation's completion instant.
+// installed or was counted failed; (b) on every switch, every application of
+// an install precedes every application of a later one of the same owner and
+// another cookie, no rule survives a later acknowledged delete of its cookie,
+// and no delete removes a rule of its cookie installed later (the pairs of
+// one owner whose order the tables show); and every operation completes
+// exactly once, with no window left open and no message left waiting.
+// deadWindow takes switch 2 down from 3 ms to 6 ms, so that messages are
+// abandoned too. It returns each operation's completion instant.
 func runProgram(t testing.TB, prog []sbOp, loss float64, seed uint64, deadWindow bool) []sim.Time {
 	t.Helper()
 	g, err := topo.Linear(sbSwitches)
@@ -104,7 +138,7 @@ func runProgram(t testing.TB, prog []sbOp, loss float64, seed uint64, deadWindow
 					what, i, s, eng.Now(), j, op.kind, op.at)
 			}
 			for k, e := range o.entries {
-				if o.entrySw[k] != s || installed[e] || o.deleted {
+				if o.entrySw[k] != s || installed[e] || o.deleted[s] {
 					continue
 				}
 				// A batch reports only with its own barriers; until then the
@@ -127,27 +161,33 @@ func runProgram(t testing.TB, prog []sbOp, loss float64, seed uint64, deadWindow
 		out[i].done = eng.Now()
 		out[i].failed = failed
 	}
-	lastFlowMod := [sbSwitches]int{-1, -1, -1}
 	issue := func(i int) {
 		op, o := prog[i], &out[i]
+		cookie := opCookie(prog, i)
 		rule := func(s, k int) *flowtable.Entry {
-			e := mflowEntry(4*i+k, uint64(i+1))
+			e := mflowEntry(4*i+k, cookie)
 			o.entries, o.entrySw = append(o.entries, e), append(o.entrySw, s)
+			o.first = append(o.first, 0)
 			return e
 		}
 		s := sw[op.sw]
 		switch op.kind {
 		case opFlowMod:
-			lastFlowMod[op.sw] = i
 			ch.FlowModErr(s, rule(op.sw, 0), func(err error) { complete(i, err != nil) })
 		case opDelete:
-			cookie := uint64(1 << 40) // nobody's
-			if j := lastFlowMod[op.sw]; j >= 0 {
-				cookie, out[j].deleted = uint64(j+1), true
+			for j := range prog[:i] {
+				if prog[j].installs() && prog[j].touches(op.sw) && opCookie(prog, j) == cookie {
+					out[j].deleted[op.sw] = true
+				}
 			}
 			ch.DeleteByCookie(s, cookie, func(n int) { complete(i, n < 0) })
 		case opGroupMod:
-			ch.GroupModResult(s, &flowtable.Group{ID: flowtable.GroupID(i + 1)}, func(ok bool) { complete(i, !ok) })
+			group := &flowtable.Group{ID: flowtable.GroupID(i + 1)}
+			if op.owner == 0 {
+				ch.GroupModResult(s, group, 0, func(ok bool) { complete(i, !ok) })
+				break
+			}
+			ch.InstallAllResult([]Mod{{Switch: s, Entry: rule(op.sw, 0), Group: group}}, func(failed int) { complete(i, failed > 0) })
 		case opHello:
 			ch.Hello(s, func(ok bool) { complete(i, !ok) })
 		case opDump:
@@ -187,7 +227,17 @@ func runProgram(t testing.TB, prog []sbOp, loss float64, seed uint64, deadWindow
 		})
 		i = j
 	}
-	eng.Run()
+	// An entry's Installed is stamped on every application, so the first
+	// nonzero stamp seen is its first application and the last its last.
+	for eng.Step() {
+		for i := range out {
+			for k, e := range out[i].entries {
+				if out[i].first[k] == 0 && e.Installed != 0 {
+					out[i].first[k] = e.Installed
+				}
+			}
+		}
+	}
 
 	done := make([]sim.Time, len(prog))
 	for i := range out {
@@ -197,59 +247,139 @@ func runProgram(t testing.TB, prog []sbOp, loss float64, seed uint64, deadWindow
 		done[i] = out[i].done
 	}
 	for s, x := range sw {
-		if ch.InFlight(x.ID) != 0 || len(ch.sw[x.ID].waiters) != 0 {
-			t.Fatalf("s%d ends with %d messages in flight and %d barriers parked", s, ch.InFlight(x.ID), len(ch.sw[x.ID].waiters))
+		if ch.InFlight(x.ID) != 0 || len(ch.sw[x.ID].waiters) != 0 || len(ch.sw[x.ID].owned) != 0 {
+			t.Fatalf("s%d ends with %d messages in flight and %d waiting", s, ch.InFlight(x.ID), len(ch.sw[x.ID].waiters))
 		}
 	}
+	checkOwnerOrder(t, prog, out, sw)
 	return done
 }
 
+// checkOwnerOrder checks promise (b) of runProgram once the program has run.
+func checkOwnerOrder(t testing.TB, prog []sbOp, out []sbOutcome, sw []*netsim.Switch) {
+	t.Helper()
+	installed := make(map[*flowtable.Entry]bool)
+	for _, x := range sw {
+		for _, e := range x.Table.Entries() {
+			installed[e] = true
+		}
+	}
+	deletedAfter := func(i, s int, cookie uint64) bool {
+		for j := i + 1; j < len(prog); j++ {
+			if prog[j].kind == opDelete && prog[j].sw == s && opCookie(prog, j) == cookie {
+				return true
+			}
+		}
+		return false
+	}
+	for b := range prog {
+		cb := opCookie(prog, b)
+		for a := range prog[:b] {
+			ca := opCookie(prog, a)
+			if cookieOwner(ca) == 0 || cookieOwner(ca) != cookieOwner(cb) {
+				continue
+			}
+			for ka, ea := range out[a].entries {
+				s := out[a].entrySw[ka]
+				switch {
+				case prog[b].installs() && ca != cb:
+					for kb := range out[b].entries {
+						if out[b].entrySw[kb] == s && ea.Installed != 0 && out[b].first[kb] != 0 && ea.Installed >= out[b].first[kb] {
+							t.Fatalf("s%d: operation %d (cookie %#x) applied at %v, after operation %d (cookie %#x) of the same owner first applied at %v",
+								s, a, ca, ea.Installed, b, cb, out[b].first[kb])
+						}
+					}
+				case prog[b].kind == opDelete && prog[b].sw == s && ca == cb && !out[b].failed && installed[ea]:
+					t.Fatalf("s%d: a rule of operation %d (cookie %#x) outlived the acknowledged delete %d of its cookie", s, a, ca, b)
+				}
+			}
+			if prog[a].kind != opDelete || ca != cb {
+				continue
+			}
+			for kb, eb := range out[b].entries {
+				s := out[b].entrySw[kb]
+				if s == prog[a].sw && out[b].first[kb] != 0 && !installed[eb] && !deletedAfter(b, s, cb) {
+					t.Fatalf("s%d: a rule of operation %d (cookie %#x) was removed by the earlier delete %d", s, b, cb, a)
+				}
+			}
+		}
+	}
+}
+
 // modelProgram is the reference: on a lossless channel every message is
-// acknowledged one round trip after it is sent, and a barrier is sent at the
-// later of its issue instant and the latest acknowledgement among the
-// messages sent to its switch before it was issued — barriers already sent
-// included, barriers still waiting not (they have sent nothing yet). It
-// returns each operation's completion instant; an InstallBatched completes
-// with its last barrier.
+// acknowledged one round trip after it is sent. A message carrying rules is
+// sent at the later of its issue instant and the latest acknowledgement among
+// the earlier messages to its switch of its owner that it does not commute
+// with — both deletes, or both installs of one cookie, commute. A barrier is
+// sent at the later of its issue instant and the latest acknowledgement among
+// the messages issued to its switch before it — those held back by owner and
+// barriers already sent included, barriers still waiting not (they have sent
+// nothing yet). It returns each operation's completion instant; an
+// InstallBatched completes with its last barrier, an InstallAllResult with its
+// last message.
 func modelProgram(prog []sbOp, latency time.Duration) []sim.Time {
-	type sent struct{ at, ack sim.Time }
+	type sent struct {
+		at, ack sim.Time
+		barrier bool
+		cookie  uint64 // 0 for a message that carries no rule
+		del     bool
+	}
 	var wire [sbSwitches][]sent
-	message := func(s int, at sim.Time) sim.Time {
-		wire[s] = append(wire[s], sent{at, at.Add(2 * latency)})
-		return at.Add(2 * latency)
+	message := func(s int, at sim.Time, cookie uint64, del bool) sim.Time {
+		if cookieOwner(cookie) == 0 {
+			cookie = 0
+		}
+		send := at
+		for _, m := range wire[s] {
+			if cookie != 0 && cookieOwner(m.cookie) == cookieOwner(cookie) && (m.del != del || !del && m.cookie != cookie) {
+				send = max(send, m.ack)
+			}
+		}
+		wire[s] = append(wire[s], sent{at: send, ack: send.Add(2 * latency), cookie: cookie, del: del})
+		return send.Add(2 * latency)
 	}
 	barrier := func(s int, at sim.Time) sim.Time {
 		release := at
 		for _, m := range wire[s] {
-			if m.at <= at && m.ack > release {
-				release = m.ack
+			if !m.barrier || m.at <= at {
+				release = max(release, m.ack)
 			}
 		}
-		return message(s, release)
+		wire[s] = append(wire[s], sent{at: release, ack: release.Add(2 * latency), barrier: true})
+		return release.Add(2 * latency)
 	}
 	done := make([]sim.Time, len(prog))
 	for i, op := range prog {
-		at := sim.Time(op.at)
-		switch op.kind {
-		case opBarrier:
+		at, cookie := sim.Time(op.at), opCookie(prog, i)
+		switch {
+		case op.kind == opBarrier:
 			done[i] = barrier(op.sw, at)
-		case opBatch:
+		case op.kind == opBatch:
 			for d := 0; d < op.span; d++ {
 				s := (op.sw + d) % sbSwitches
-				message(s, at)
+				message(s, at, cookie, false)
 				done[i] = max(done[i], barrier(s, at))
 			}
+		case op.kind == opDelete:
+			done[i] = message(op.sw, at, cookie, true)
+		case op.installs(): // a FlowMod, or an owned group and its entry
+			done[i] = message(op.sw, at, cookie, false)
+			if op.kind == opGroupMod {
+				done[i] = max(done[i], message(op.sw, at, cookie, false))
+			}
 		default:
-			done[i] = message(op.sw, at)
+			done[i] = message(op.sw, at, 0, false)
 		}
 	}
 	return done
 }
 
 // randomProgram draws groups of one to four operations at instants spread
-// over 8 ms. Each group's instant carries its own nanosecond offset, so no
-// acknowledgement ever lands at the instant another group is issued and the
-// model never has to break a tie the engine breaks by event order.
+// over 8 ms, a third of them each operation's own and the rest two shared
+// owners' in two epochs. Each group's instant carries its own nanosecond
+// offset, so no acknowledgement ever lands at the instant another group is
+// issued and the model never has to break a tie the engine breaks by event
+// order.
 func randomProgram(seed uint64) []sbOp {
 	rng := sim.NewRNG(seed)
 	groups := 20 + rng.Intn(40)
@@ -261,7 +391,8 @@ func randomProgram(seed uint64) []sbOp {
 	var prog []sbOp
 	for _, t := range at {
 		for n := 1 + rng.Intn(4); n > 0; n-- {
-			op := sbOp{at: t, kind: sbKind(rng.Intn(int(sbKinds))), sw: rng.Intn(sbSwitches), span: 1 + rng.Intn(sbSwitches)}
+			op := sbOp{at: t, kind: sbKind(rng.Intn(int(sbKinds))), sw: rng.Intn(sbSwitches), span: 1 + rng.Intn(sbSwitches),
+				owner: rng.Intn(sbOwners), epoch: rng.Intn(sbEpochs)}
 			if rng.Intn(3) == 0 {
 				op.kind = opBarrier // a third of the traffic, as in a dial: batch, barrier, delete
 			}
@@ -273,10 +404,15 @@ func randomProgram(seed uint64) []sbOp {
 
 // TestBarrierFencesOnlyPredecessors: seeded random southbound schedules at
 // three loss rates. (a) A completed barrier vouches for everything sent
-// before it (runProgram). (b) On a lossless channel every completion instant
-// equals the reference model's — a barrier completes one round trip after the
-// later of its issue and its last predecessor's acknowledgement, never later.
-// (c) A switch fed a fresh FlowMod every half latency for ever still
+// before it, and (b) one owner's messages apply in send order (runProgram).
+// (c) On a lossless channel every completion instant equals the reference
+// model's — a barrier completes one round trip after the later of its issue
+// and its last predecessor's acknowledgement, a message one round trip after
+// the later of its issue and the acknowledgement of the last earlier message
+// of its owner it must follow, never later. (d) Other owners never wait: with
+// every operation of shared owner 1 taken out of a lossless program, every
+// other operation but a barrier, which fences all owners, completes when it
+// did. (e) A switch fed a fresh FlowMod every half latency for ever still
 // completes a barrier two round trips after it is issued.
 func TestBarrierFencesOnlyPredecessors(t *testing.T) {
 	for _, loss := range []float64{0, 0.01, 0.1} {
@@ -289,8 +425,22 @@ func TestBarrierFencesOnlyPredecessors(t *testing.T) {
 			want := modelProgram(prog, DefaultControlLatency)
 			for i := range prog {
 				if got[i] != want[i] {
-					t.Fatalf("seed %d: operation %d (kind %d, s%d, issued at %v) completed at %v, reference model says %v",
-						seed, i, prog[i].kind, prog[i].sw, prog[i].at, got[i], want[i])
+					t.Fatalf("seed %d: operation %d (kind %d, s%d, owner %d, issued at %v) completed at %v, reference model says %v",
+						seed, i, prog[i].kind, prog[i].sw, prog[i].owner, prog[i].at, got[i], want[i])
+				}
+			}
+			var rest []sbOp
+			var kept []int
+			for i, op := range prog {
+				if op.owner != 1 {
+					rest, kept = append(rest, op), append(kept, i)
+				}
+			}
+			without := runProgram(t, rest, 0, seed, false)
+			for j, i := range kept {
+				if prog[i].kind != opBarrier && prog[i].kind != opBatch && without[j] != got[i] {
+					t.Fatalf("seed %d: operation %d (kind %d, s%d, owner %d) completed at %v, and at %v without owner 1's traffic",
+						seed, i, prog[i].kind, prog[i].sw, prog[i].owner, got[i], without[j])
 				}
 			}
 		}
@@ -320,8 +470,8 @@ func TestBarrierFencesOnlyPredecessors(t *testing.T) {
 
 // decodeProgram reads a fuzz input: a loss byte (0, 1 %, 10 % or 30 %; bit 2
 // opens switch 2's dead window), a loss-seed byte, then two bytes an
-// operation — kind and switch, then the gap to the previous operation in
-// 50 µs steps (0 = the same instant) and a batch's span.
+// operation — kind, switch, owner and epoch, then the gap to the previous
+// operation in 50 µs steps (0 = the same instant) and a batch's span.
 func decodeProgram(data []byte) (prog []sbOp, loss float64, seed uint64, deadWindow bool) {
 	if len(data) < 2 {
 		return nil, 0, 0, false
@@ -331,11 +481,14 @@ func decodeProgram(data []byte) (prog []sbOp, loss float64, seed uint64, deadWin
 	at := time.Duration(0)
 	for data = data[2:]; len(data) >= 2 && len(prog) < 256; data = data[2:] {
 		at += time.Duration(data[1]&0x3f) * 50 * time.Microsecond
+		x := int(data[0])
 		prog = append(prog, sbOp{
-			at:   at,
-			kind: sbKind(data[0] % byte(sbKinds)),
-			sw:   int(data[0]/byte(sbKinds)) % sbSwitches,
-			span: 1 + int(data[1]>>6)%sbSwitches,
+			at:    at,
+			kind:  sbKind(x % int(sbKinds)),
+			sw:    x / int(sbKinds) % sbSwitches,
+			owner: x / int(sbKinds) / sbSwitches % sbOwners,
+			epoch: x / int(sbKinds) / sbSwitches / sbOwners % sbEpochs,
+			span:  1 + int(data[1]>>6)%sbSwitches,
 		})
 	}
 	return prog, loss, seed, deadWindow
@@ -343,11 +496,16 @@ func decodeProgram(data []byte) (prog []sbOp, loss float64, seed uint64, deadWin
 
 // FuzzSouthboundOrder feeds arbitrary message programs and loss seeds to
 // runProgram: whatever the interleaving, a completed barrier vouches for
-// everything sent before it and every message completes exactly once.
+// everything sent before it, one owner's messages apply in send order, and
+// every message completes exactly once.
 func FuzzSouthboundOrder(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 6, 0, 0, 1, 6, 0})                       // FlowMod, barrier, FlowMod, barrier
 	f.Add([]byte{2, 7, 5, 0x80, 6, 0, 1, 2, 6, 0, 6, 0, 5, 0x41})     // batches and stacked barriers at 10 % loss
 	f.Add([]byte{7, 3, 2, 60, 9, 0, 13, 0, 20, 10, 6, 0, 13, 30, 20}) // 30 % loss into the dead window
+	// One owner's FlowMod, next epoch's batch, delete of the first epoch and
+	// a barrier on s0, another owner's group with its entry and its delete on
+	// s1, at 30 % loss.
+	f.Add([]byte{3, 1, 21, 0, 89, 0x42, 22, 2, 6, 0, 51, 1, 50, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, loss, seed, deadWindow := decodeProgram(data)
 		runProgram(t, prog, loss, seed, deadWindow)

@@ -342,9 +342,7 @@ func (mc *MC) reinstallOnMiss(sw *netsim.Switch, inPort int, p *packet.Packet) b
 			if len(rr.entry.Actions) > 0 {
 				mc.Ch.PacketOut(sw, rr.entry.Actions, p.Clone())
 			}
-			// An install like any other: a close waits for it.
-			st.installs++
-			mc.Ch.FlowModResult(sw, rr.entry, func(bool) { st.installDone() })
+			mc.Ch.FlowModResult(sw, rr.entry, nil)
 			return true
 		}
 	}
@@ -388,11 +386,7 @@ func (mc *MC) upgradeChannel(st *channelState) bool {
 			Channel: st.id, DetectedAt: detectedAt, CompletedAt: mc.Net.Eng.Now(), Attempts: 1,
 		})
 	})
-	st.installs++
-	mc.Ch.InstallAllResult(flowMods, func(int) {
-		st.installDone()
-		restored()
-	})
+	mc.Ch.InstallAllResult(flowMods, func(int) { restored() })
 	return true
 }
 

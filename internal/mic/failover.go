@@ -744,7 +744,10 @@ func mflowCookie(cookie uint64) bool { return cookie > ctrlplane.CookieCommon }
 // surviving stale-epoch rules are deleted by cookie, then a Barrier bounds
 // the transaction. The diff is always against the union of every shard's
 // intent: a shard diffing the dump against only its own would classify its
-// siblings' live rules as stale and delete them. onDone reports
+// siblings' live rules as stale and delete them. But each shard puts its own
+// channels' rules back over its own southbound channel, so that they apply
+// before the shard's close of a channel (one owner's messages apply in send
+// order), and a barrier per shard closes the pass. onDone reports
 // (reinstalled, staleDeleted) counts.
 func (c *Cluster) reconcileSwitch(m *member, sw *netsim.Switch, onDone func(reinstalled, stale int)) {
 	mc := m.lead()
@@ -759,7 +762,7 @@ func (c *Cluster) reconcileSwitch(m *member, sw *netsim.Switch, onDone func(rein
 			onDone(0, 0)
 			return
 		}
-		intent, intentOrder, groupIntent, groupOrder := m.unit.unionIntent(sw.ID)
+		intent, groupIntent := m.unit.unionIntent(sw.ID)
 		// Diff the dump: installed m-flow entries are either intended (keep)
 		// or stale (a dead life's leftover — collect its cookie for deletion).
 		have := make(map[reconKey]bool)
@@ -783,62 +786,45 @@ func (c *Cluster) reconcileSwitch(m *member, sw *netsim.Switch, onDone func(rein
 		for _, gid := range groups {
 			haveGroup[gid] = true
 			if _, want := groupIntent[gid]; !want {
-				// Stale group: direct teardown, same idiom as CloseChannel.
+				// Stale group: direct teardown.
 				sw.Table.DeleteGroup(gid)
 			}
 		}
-		var mods []ctrlplane.Mod
-		for _, gid := range groupOrder {
-			if !haveGroup[gid] {
-				mods = append(mods, ctrlplane.Mod{Switch: sw, Group: groupIntent[gid]})
-			}
-		}
-		for _, k := range intentOrder {
-			if !have[k] {
-				mods = append(mods, ctrlplane.Mod{Switch: sw, Entry: intent[k]})
-			}
-		}
-		reinstalled := len(mods)
-		staleDeleted := 0
-		// Installs are sent before deletes: messages apply in send order, so
-		// a same-match stale rule is replaced before its cookie delete lands.
-		// The reinstall counts as an install of every channel it carries rules
-		// of, so none of them is closed under it.
-		var owners []*channelState
-		if len(mods) > 0 {
-			owners = m.unit.carriers(sw.ID, mods)
-		}
-		for _, st := range owners {
-			st.installs++
-		}
-		reconciled := gated(mc, func(failed int) {
+		installed := gated(mc, func(failed int) {
 			if failed > 0 {
 				c.needsReconcile[sw.ID] = true
 			}
 		})
-		mc.Ch.InstallAllResult(mods, func(failed int) {
-			for _, st := range owners {
-				st.installDone()
+		reinstalled, staleDeleted, out := 0, 0, len(m.unit.shards)
+		for _, sh := range m.unit.shards {
+			mods, n := sh.missingAt(sw, have, haveGroup)
+			reinstalled += n
+			sh.Ch.InstallAllResult(mods, installed)
+			if sh == mc {
+				// Older epochs of the lead's channels apply after their
+				// reinstall.
+				for _, cookie := range staleCookies {
+					mc.Ch.DeleteByCookie(sw, cookie, gated(mc, func(removed int) {
+						if removed > 0 {
+							staleDeleted += removed
+						} else if removed < 0 {
+							c.needsReconcile[sw.ID] = true
+						}
+					}))
+				}
 			}
-			reconciled(failed)
-		})
-		for _, cookie := range staleCookies {
-			mc.Ch.DeleteByCookie(sw, cookie, gated(mc, func(removed int) {
-				if removed > 0 {
-					staleDeleted += removed
-				} else if removed < 0 {
+			sh.Ch.Barrier(sw, gated(mc, func(ok bool) {
+				if !ok {
 					c.needsReconcile[sw.ID] = true
 				}
+				if out--; out > 0 {
+					return
+				}
+				c.Counters.Add("rules_reinstalled", uint64(reinstalled))
+				c.Counters.Add("rules_stale_deleted", uint64(staleDeleted))
+				onDone(reinstalled, staleDeleted)
 			}))
 		}
-		mc.Ch.Barrier(sw, gated(mc, func(ok bool) {
-			if !ok {
-				c.needsReconcile[sw.ID] = true
-			}
-			c.Counters.Add("rules_reinstalled", uint64(reinstalled))
-			c.Counters.Add("rules_stale_deleted", uint64(staleDeleted))
-			onDone(reinstalled, staleDeleted)
-		}))
 	}))
 }
 
@@ -902,7 +888,7 @@ func (c *Cluster) Audit() (stale, missing int) {
 		return 0, 0
 	}
 	for _, sw := range c.Net.Switches() {
-		intent, _, _, _ := m.unit.unionIntent(sw.ID)
+		intent, _ := m.unit.unionIntent(sw.ID)
 		have := make(map[reconKey]bool)
 		for _, e := range sw.Table.Entries() {
 			if !mflowCookie(e.Cookie) {

@@ -3,6 +3,7 @@ package mic
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"mic/internal/bytequeue"
 	"mic/internal/ctrlplane"
 	"mic/internal/flowtable"
+	"mic/internal/netsim"
 	"mic/internal/topo"
 )
 
@@ -128,6 +130,10 @@ func diffAt(a, b []byte) int {
 //	5     cut a link as 3 does, run one control round trip, then close that
 //	      channel: the close lands while the repair's install is out
 //	6     set the southbound loss rate to 0-30 %
+//	7     dial as 1 does and, 700 µs in — its batch out, not all of it
+//	      acknowledged — cut a link under the new channel's first flow as 3
+//	      does: the repair's install goes out while the batch may still be
+//	      retransmitting
 //
 // After every step the engine runs dry and then the live controller's books
 // balance, a fresh passive controller fed Journal.Records() and finishRestore
@@ -150,6 +156,7 @@ var journalReplayCorpus = [][]byte{
 	{0x18, 0x39, 0x58, 0x79, 0x98, 0xb9, 0x02, 0x0a, 0x04, 0x02, 0x18}, // the ladder: whole, degraded, refused; closes restore
 	{0x00, 0x08, 0x05, 0x00},             // a close while the repair's install is out, then a dial into the freed storage
 	{0xa6, 0x00, 0x18, 0x0b, 0x05, 0x02}, // 20 % loss: dials, a repair, a close mid-repair, a close
+	{0x56, 0x07, 0x02},                   // 10 % loss: a cut under a dial, repaired while the batch is out; its close
 }
 
 // runJournalProgram is FuzzJournalReplay's body; it returns the controller
@@ -168,30 +175,43 @@ func runJournalProgram(t *testing.T, prog []byte) (*MC, *Journal) {
 		port int
 	}
 	var cuts []link
+	cut := func(id uint64, arg int) bool {
+		path := mc.channels[id].info.Flows[0].Path
+		if len(path) < 5 {
+			return false // both hosts on one switch: no switch-to-switch link
+		}
+		i := 1 + arg%(len(path)-3)
+		l := link{path[i], g.PortTo(path[i], path[i+1])}
+		bed.net.SetLinkDown(l.node, l.port, true)
+		cuts = append(cuts, l)
+		return true
+	}
 	for _, b := range prog {
 		arg := int(b >> 3)
 		live := sortedChanIDs(mc.channels)
 		switch op := b & 7; {
-		case op <= 1:
-			from, to := arg%16, (arg*7+5+int(op)*3)%16
+		case op <= 1 || op == 7:
+			from, to := arg%16, (arg*7+5+int(op&1)*3)%16
 			if from == to {
 				continue
 			}
+			id := mc.nextChan
 			mc.EstablishChannel(bed.hostIP(from), bed.hostIP(to).String(), ChannelOptions{MFlows: 1 + arg%4}, func(*ChannelInfo, error) {})
+			if op == 7 {
+				bed.eng.RunFor(700 * time.Microsecond)
+				if _, ok := mc.channels[id]; ok {
+					cut(id, arg)
+				}
+			}
 		case op == 2 && len(live) > 0:
 			if err := mc.CloseChannel(live[arg%len(live)], nil); err != nil {
 				t.Fatal(err)
 			}
 		case (op == 3 || op == 5) && len(live) > 0:
 			id := live[arg%len(live)]
-			path := mc.channels[id].info.Flows[0].Path
-			if len(path) < 5 {
-				continue // both hosts on one switch: no switch-to-switch link
+			if !cut(id, arg) {
+				continue
 			}
-			i := 1 + arg%(len(path)-3)
-			l := link{path[i], g.PortTo(path[i], path[i+1])}
-			bed.net.SetLinkDown(l.node, l.port, true)
-			cuts = append(cuts, l)
 			if op == 5 {
 				bed.eng.RunFor(2 * mc.Ch.Latency)
 				if _, ok := mc.channels[id]; ok { // the repair may have given it up
@@ -217,31 +237,81 @@ func runJournalProgram(t *testing.T, prog []byte) (*MC, *Journal) {
 	return mc, j
 }
 
-// checkTables holds the switches' flow tables to the MC: every m-flow entry
-// installed belongs to a live channel's current epoch or carries a cookie the
-// MC remembers as not deleted from that switch, and no entry is installed
-// twice, in two tables or in one. A delete overtaken by an install shows as
-// the first; storage recycled while one of its entries was still installed
-// shows as the second, once a later channel's install puts the same entry on
-// another switch.
+// checkTables fails t unless tablesError finds the switches' tables as the MC
+// wants them.
 func checkTables(t testing.TB, mc *MC) {
 	t.Helper()
+	if err := tablesError(mc); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tablesError holds the switches' flow tables to the MC at quiescence, no
+// southbound message in flight:
+//   - every m-flow entry installed belongs to a live channel's current epoch
+//     or carries a cookie the MC remembers as not deleted from that switch;
+//   - no entry is installed twice, in two tables or in one;
+//   - every entry and group a live channel intends is installed where it is
+//     intended, unless that switch abandoned a message;
+//   - every group installed is one a live channel intends there.
+//
+// A delete overtaken by an install shows as the first; storage recycled while
+// one of its entries was still installed as the second, once a later
+// channel's install puts the same entry on another switch; an older epoch's
+// install overtaking a newer one, and the old epoch's purge then deleting it,
+// as the third; a group outliving its epoch as the fourth.
+func tablesError(mc *MC) error {
 	current := make(map[uint64]bool)
+	groups := make(map[topo.NodeID]map[flowtable.GroupID]*flowtable.Group)
 	for _, id := range sortedChanIDs(mc.channels) {
 		current[mc.channels[id].cookie()] = true
-	}
-	installedOn := make(map[*flowtable.Entry]string)
-	for _, sw := range mc.Net.Switches() {
-		for _, e := range sw.Table.Entries() {
-			if other, twice := installedOn[e]; twice {
-				t.Fatalf("one entry (cookie %#x) is installed on %s and on %s", e.Cookie, other, sw.Name)
-			}
-			installedOn[e] = sw.Name
-			if e.Priority == ctrlplane.PriorityMFlow && !current[e.Cookie] && !slices.Contains(mc.staleCookies[sw.ID], e.Cookie) {
-				t.Fatalf("%s holds an m-flow entry of cookie %#x: no live channel's current epoch, not remembered as stale", sw.Name, e.Cookie)
+		for _, rr := range mc.channels[id].rules {
+			if rr.group != nil {
+				if groups[rr.node] == nil {
+					groups[rr.node] = make(map[flowtable.GroupID]*flowtable.Group)
+				}
+				groups[rr.node][rr.group.ID] = rr.group
 			}
 		}
 	}
+	installedOn := make(map[*flowtable.Entry]*netsim.Switch)
+	for _, sw := range mc.Net.Switches() {
+		if n := mc.Ch.InFlight(sw.ID); n != 0 {
+			return fmt.Errorf("%s has %d southbound messages in flight; tables are checked at quiescence", sw.Name, n)
+		}
+		for _, e := range sw.Table.Entries() {
+			if other, twice := installedOn[e]; twice {
+				return fmt.Errorf("one entry (cookie %#x) is installed on %s and on %s", e.Cookie, other.Name, sw.Name)
+			}
+			installedOn[e] = sw
+			if e.Priority == ctrlplane.PriorityMFlow && !current[e.Cookie] && !slices.Contains(mc.staleCookies[sw.ID], e.Cookie) {
+				return fmt.Errorf("%s holds an m-flow entry of cookie %#x: no live channel's current epoch, not remembered as stale", sw.Name, e.Cookie)
+			}
+		}
+		for _, gid := range sw.Table.GroupIDs() {
+			if groups[sw.ID][gid] == nil {
+				return fmt.Errorf("%s holds group %d, which no live channel's current epoch has there", sw.Name, gid)
+			}
+		}
+	}
+	for _, id := range sortedChanIDs(mc.channels) {
+		for _, rr := range mc.channels[id].rules {
+			sw := mc.Net.Switch(rr.node)
+			if mc.Ch.Failed(sw.ID) > 0 {
+				continue
+			}
+			if rr.entry != nil && installedOn[rr.entry] != sw {
+				return fmt.Errorf("%s lacks an entry of channel %d's current epoch (cookie %#x)", sw.Name, id, rr.entry.Cookie)
+			}
+			if rr.group == nil {
+				continue
+			}
+			if g, ok := sw.Table.Group(rr.group.ID); !ok || g != rr.group {
+				return fmt.Errorf("%s lacks group %d of channel %d's current epoch", sw.Name, rr.group.ID, id)
+			}
+		}
+	}
+	return nil
 }
 
 // TestJournalReplayCorpusShapes keeps the seed corpus honest: between them

@@ -110,7 +110,7 @@ func (mc *MC) switchRestored(node topo.NodeID) {
 	cookies := mc.staleCookies[node]
 	delete(mc.staleCookies, node)
 	for _, cookie := range cookies {
-		mc.deleteEpoch([]topo.NodeID{node}, cookie, nil)
+		mc.deleteEpoch([]topo.NodeID{node}, cookie, nil, nil)
 	}
 }
 

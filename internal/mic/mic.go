@@ -227,37 +227,6 @@ type channelState struct {
 	res       []flowRes    // per flow, the durable resources (survive repairs)
 
 	epochStore // the current epoch: its rules and what they are built in
-
-	// installs counts the southbound installs carrying the channel's rules, of
-	// any epoch, that have not resolved; the deletes waiting for them — a
-	// close, a superseded epoch's purge — are held in onInstalled. A delete
-	// sent while an install is out can be overtaken by one of its
-	// retransmissions, which puts the rule back for good.
-	installs    int
-	onInstalled []func()
-}
-
-// installDone marks one install of the channel's rules resolved; the last one
-// out runs the deletes that waited for it, in the order they were deferred.
-func (st *channelState) installDone() {
-	if st.installs--; st.installs > 0 {
-		return
-	}
-	waiting := st.onInstalled
-	st.onInstalled = nil
-	for _, fn := range waiting {
-		fn()
-	}
-}
-
-// afterInstalls runs fn now if no install of the channel's rules is in
-// flight, otherwise once the last one resolves.
-func (st *channelState) afterInstalls(fn func()) {
-	if st.installs == 0 {
-		fn()
-		return
-	}
-	st.onInstalled = append(st.onInstalled, fn)
 }
 
 // epochStore is one rule epoch of a channel: its intended rules and the

@@ -1136,11 +1136,9 @@ func BenchmarkMAddrChainGeneration(b *testing.B) {
 	f := newFixture(b, Config{MNs: 3})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, mods, err := f.mc.computeChannel(f.hostIP(i%8), f.hostIP(8+i%8).String(), ChannelOptions{}.withDefaults(f.mc.Cfg))
-		if err != nil {
+		if _, err := f.mc.computeChannel(f.hostIP(i%8), f.hostIP(8+i%8).String(), ChannelOptions{}.withDefaults(f.mc.Cfg)); err != nil {
 			b.Fatal(err)
 		}
-		_ = mods
 		// Free resources for the next iteration.
 		for id := range f.mc.channels {
 			f.mc.CloseChannel(id, nil)

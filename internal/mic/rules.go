@@ -101,7 +101,7 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 // and sharded controllers (shard.go) each bring their own core.
 func (mc *MC) serveChannel(initiator addr.IP, target string, opts ChannelOptions, cb func(*ChannelInfo, error)) {
 	mc.planCost = 0
-	st, mods, err := mc.computeChannel(initiator, target, opts)
+	st, err := mc.computeChannel(initiator, target, opts)
 	cost := mc.planCost
 	mc.planCost = 0
 	mc.Net.CPU.Charge("mc", cost)
@@ -109,9 +109,6 @@ func (mc *MC) serveChannel(initiator addr.IP, target string, opts ChannelOptions
 		mc.Net.Eng.After(requestLatency, func() { cb(nil, err) })
 		return
 	}
-	// The install is counted from here, not from when the planning core gets
-	// to send it: a repair or close in between must wait for it as well.
-	st.installs++
 	now := mc.Net.Eng.Now()
 	start := mc.cpuFree
 	if start < now {
@@ -125,32 +122,35 @@ func (mc *MC) serveChannel(initiator addr.IP, target string, opts ChannelOptions
 		mc.Net.Eng.After(requestLatency, func() { cb(st.info, nil) })
 	})
 	mc.Net.Eng.After(delay, mc.gate(func() {
+		// A repair or close may have come first: what goes out is the epoch
+		// the channel has now (rules in place replace themselves), or nothing.
+		if mc.channels[st.id] != st {
+			mc.Net.Eng.After(requestLatency, func() { cb(nil, fmt.Errorf("mic: channel %d closed before its rules were installed", st.id)) })
+			return
+		}
 		// One coalesced southbound message per switch, closed by a single
 		// barrier — the installer stage of the pipeline.
-		mc.Ch.InstallBatched(mods, func(int) {
-			st.installDone()
-			acked()
-		})
+		mc.Ch.InstallBatched(st.mods, func(int) { acked() })
 	}))
 }
 
 // computeChannel performs the MC's routing calculation synchronously and
-// returns the new channel plus the table modifications to install.
-func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptions) (*channelState, []ctrlplane.Mod, error) {
+// returns the new channel; its mods are the table modifications to install.
+func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptions) (*channelState, error) {
 	respIP, err := mc.ResolveTarget(target)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if mc.Net.Graph.HostByIP(initiator) == nil {
 		// The refusal does not echo the address: the requester knows what it
 		// sent, and the string also lands in shared failure paths.
-		return nil, nil, fmt.Errorf("mic: initiator is not a host on this fabric")
+		return nil, fmt.Errorf("mic: initiator is not a host on this fabric")
 	}
 	if respIP == initiator {
-		return nil, nil, fmt.Errorf("mic: initiator and responder are the same host")
+		return nil, fmt.Errorf("mic: initiator and responder are the same host")
 	}
 	if opts.MNs < 1 {
-		return nil, nil, fmt.Errorf("mic: need at least one Mimic Node, got %d", opts.MNs)
+		return nil, fmt.Errorf("mic: need at least one Mimic Node, got %d", opts.MNs)
 	}
 
 	id := mc.nextChan
@@ -180,7 +180,7 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 		if errors.Is(err, ErrOverloaded) {
 			mc.ChannelsRefused++
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	st.mods = mods
 	mc.channels[id] = st
@@ -188,7 +188,7 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 	// standby reconciles switches against intent, so a partially installed
 	// channel is completed, never half-forgotten.
 	mc.journalChannel(RecOpen, st)
-	return st, mods, nil
+	return st, nil
 }
 
 // computeFlow is the one transaction that adds an m-flow to a channel,
@@ -607,7 +607,9 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 	// Make-before-break: install the new epoch's rules first (identical
 	// matches replace in place), then delete the old epoch everywhere. At no
 	// instant is the m-flow without rules, so no packet can fall through to
-	// common routing and leak toward an m-address's real owner.
+	// common routing and leak toward an m-address's real owner. Both are
+	// messages of the channel's owner, so each switch applies them in that
+	// order, after any install of the old epoch still out.
 	//
 	// Update the existing ChannelInfo in place: clients hold a pointer to
 	// it, so they observe the repaired paths without a new round trip.
@@ -618,33 +620,17 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 	*st.info = *next.info
 	st.epochStore, st.epoch, st.gen = next.epochStore, next.epoch, next.gen
 	mc.journalChannel(RecUpdate, st)
-	// Group IDs are never reused, so none of the old epoch's groups is also
-	// one of the new epoch's.
-	mc.deleteGroups(oldRules)
-	st.installs++
 	mc.Ch.InstallAllResult(mods, func(failed int) {
-		st.installDone()
 		// The channel is repaired once the new epoch is installed; the old
 		// epoch's deletion is housekeeping that proceeds in the background
-		// (and may have to wait for an older install of it to resolve, or for
-		// dead switches to resurrect).
+		// (and may have to wait for dead switches to resurrect).
 		if failed > 0 {
 			cb(fmt.Errorf("mic: repair of channel %d incomplete: %d rule installs unacknowledged", id, failed))
 		} else {
 			cb(nil)
 		}
-		st.afterInstalls(func() { mc.deleteEpoch(oldSwitches, oldCookie, nil) })
+		mc.deleteEpoch(oldSwitches, oldCookie, oldRules, nil)
 	})
-}
-
-// deleteGroups removes the partial-multicast groups among rules from their
-// switches' group tables.
-func (mc *MC) deleteGroups(rules []ruleRec) {
-	for _, rr := range rules {
-		if rr.group != nil {
-			mc.Net.Switch(rr.node).Table.DeleteGroup(rr.group.ID)
-		}
-	}
 }
 
 // deleteEpoch deletes one rule epoch of a channel — a repair's superseded
@@ -652,17 +638,19 @@ func (mc *MC) deleteGroups(rules []ruleRec) {
 // from every switch it was installed on, in the order given
 // (channelState.switches: ascending), and calls done (may be nil) once every
 // switch has answered or been given up on, confirmed when every one answered.
-// Dead switches — and live switches that never acknowledge the delete — are
-// remembered in staleCookies and purged when they come back (a restarting
-// switch reconnects with whatever rules it had).
-func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, done func(confirmed bool)) {
+// A switch's answer also takes the epoch's groups among rules off it: the
+// delete applied after every install of them sent there. Dead switches — and
+// live switches that never acknowledge the delete — are remembered in
+// staleCookies and purged when they come back (a restarting switch
+// reconnects with whatever rules it had).
+func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, rules []ruleRec, done func(confirmed bool)) {
 	if len(switches) == 0 {
 		if done != nil {
 			mc.Net.Eng.After(0, func() { done(true) })
 		}
 		return
 	}
-	d := &epochDelete{mc: mc, cookie: cookie, remaining: len(switches), done: done}
+	d := &epochDelete{mc: mc, cookie: cookie, rules: rules, remaining: len(switches), done: done}
 	for _, node := range switches {
 		node := node
 		if sw := mc.Net.Switch(node); sw.Down {
@@ -679,12 +667,19 @@ func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, done func(confi
 type epochDelete struct {
 	mc        *MC
 	cookie    uint64
+	rules     []ruleRec
 	remaining int
 	stale     bool // some switch did not confirm
 	done      func(confirmed bool)
 }
 
 func (d *epochDelete) answered(node topo.NodeID, removed int) {
+	// Group IDs are never reused, so no later epoch's group is among these.
+	for _, rr := range d.rules {
+		if rr.node == node && rr.group != nil {
+			d.mc.Net.Switch(node).Table.DeleteGroup(rr.group.ID)
+		}
+	}
 	if removed < 0 {
 		d.mc.staleCookies[node] = append(d.mc.staleCookies[node], d.cookie)
 		d.stale = true
@@ -737,18 +732,17 @@ func (mc *MC) pickFake(endpoint addr.IP, pool []addr.IP) (addr.IP, error) {
 	return 0, fmt.Errorf("mic: all %d plausible fake addresses are in use: %w", len(pool), ErrOverloaded)
 }
 
-// cookie derives the flow-table cookie for a channel's current rule epoch.
-// Repairs bump the epoch so new rules can be installed BEFORE the previous
-// epoch's rules are deleted: overlapping entries (same match, same
-// priority) are replaced in place and survive the old epoch's deletion,
-// leaving no window in which m-flow traffic can leak into common routing.
-// Cookie layout: low 40 bits channel (offset past ctrlplane.CookieCommon),
-// then 16 bits repair epoch, then 8 bits controller generation — so rules
-// installed by a controller life that has since been replaced are
-// identifiable by cookie alone, the handle takeover reconciliation and
-// stale-rule purging key on.
+// cookie derives the flow-table cookie for a channel's current rule epoch
+// (ctrlplane.RuleCookie; the channel's ID is offset past
+// ctrlplane.CookieCommon). Repairs bump the epoch so new rules can be
+// installed BEFORE the previous epoch's rules are deleted: overlapping
+// entries (same match, same priority) are replaced in place and survive the
+// old epoch's deletion, leaving no window in which m-flow traffic can leak
+// into common routing. The controller generation makes rules installed by a
+// life that has since been replaced identifiable by cookie alone, the handle
+// takeover reconciliation and stale-rule purging key on.
 func (st *channelState) cookie() uint64 {
-	return (st.id + 2) | uint64(st.epoch&0xffff)<<40 | uint64(st.gen&0xff)<<56
+	return ctrlplane.RuleCookie(st.id+2, st.epoch, st.gen)
 }
 
 // CloseChannel tears down a channel: deletes its rules everywhere, frees
@@ -762,19 +756,6 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 	delete(mc.channels, id)
 	mc.journalClose(id)
 	mc.unbook(st, st.res, st.info.Flows, nil)
-	// With an install of the channel's rules still out, the deletes wait for
-	// it (afterInstalls, spelled out so a close with none allocates nothing).
-	if st.installs > 0 {
-		st.onInstalled = append(st.onInstalled, mc.gate(func() { mc.purgeClosed(st, cb) }))
-		return nil
-	}
-	mc.purgeClosed(st, cb)
-	return nil
-}
-
-// purgeClosed removes a closed channel's groups and rules from its switches.
-func (mc *MC) purgeClosed(st *channelState, cb func()) {
-	mc.deleteGroups(st.rules)
 	// Rule-budget intent is released only once every switch has
 	// acknowledged its deletes: until then the slots are still physically
 	// occupied, and releasing early would let a dial admitted during the
@@ -795,7 +776,8 @@ func (mc *MC) purgeClosed(st *channelState, cb func()) {
 		}
 	}
 	mc.scratch.switches = st.switches(mc.scratch.switches)
-	mc.deleteEpoch(mc.scratch.switches, st.cookie(), finish)
+	mc.deleteEpoch(mc.scratch.switches, st.cookie(), st.rules, finish)
+	return nil
 }
 
 // recycle puts a closed channel's epoch store on the free list, where the
@@ -804,20 +786,20 @@ func (mc *MC) purgeClosed(st *channelState, cb func()) {
 // entry and action list the channel had, so the store goes back only when
 // nothing can reach them any more:
 //
-//   - every switch confirmed the epoch's delete (purgeClosed's confirmed): no
-//     cookie went to staleCookies, so no table holds an entry;
-//   - every southbound message that carried them has resolved (installs is 0;
-//     a close waits for it, and a closed channel starts no install), so none
-//     is retransmitted later — and a frame that looked a rule up before its
-//     delete ran its actions a switch latency later, inside the delete's
-//     acknowledgement round trip;
+//   - every switch confirmed the epoch's delete (CloseChannel's confirmed):
+//     no cookie went to staleCookies, so no table holds an entry, and no
+//     southbound message that carried them is out — each delete applied after
+//     every one sent to its switch, and none went to a switch the channel
+//     has no rule on. A frame that looked a rule up before its delete ran its
+//     actions a switch latency later, inside the delete's acknowledgement
+//     round trip;
 //   - this controller life templated it (slabs is not empty): a channel
 //     rebuilt from the journal carries another life's entries, which a
 //     standby holds too.
 //
 // Anything else is left to the collector.
 func (mc *MC) recycle(st *channelState) {
-	if st.installs > 0 || len(st.slabs) == 0 {
+	if len(st.slabs) == 0 {
 		return
 	}
 	for i := range st.slabs {

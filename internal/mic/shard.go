@@ -2,7 +2,6 @@ package mic
 
 import (
 	"fmt"
-	"slices"
 
 	"mic/internal/addr"
 	"mic/internal/ctrlplane"
@@ -215,57 +214,52 @@ func (s *ShardedMC) PacketIn(sw *netsim.Switch, inPort int, p *packet.Packet) {
 	packetIn(s.shards, sw, inPort, p)
 }
 
-// unionIntent collects every shard's intended rules for one switch, shards
-// in index order and channels in sorted-ID order within each — the
-// deterministic message order reconciliation and the audit both key on.
-func (s *ShardedMC) unionIntent(node topo.NodeID) (intent map[reconKey]*flowtable.Entry, intentOrder []reconKey, groupIntent map[flowtable.GroupID]*flowtable.Group, groupOrder []flowtable.GroupID) {
+// unionIntent collects every shard's intended rules for one switch: the
+// entries by reconciliation key and the groups by ID, what reconciliation and
+// the audit diff a switch's table against.
+func (s *ShardedMC) unionIntent(node topo.NodeID) (intent map[reconKey]*flowtable.Entry, groupIntent map[flowtable.GroupID]*flowtable.Group) {
 	intent = make(map[reconKey]*flowtable.Entry)
 	groupIntent = make(map[flowtable.GroupID]*flowtable.Group)
 	for _, mc := range s.shards {
-		for _, id := range sortedChanIDs(mc.channels) {
-			st := mc.channels[id]
+		// lint:ignore detrange filling maps; the result is independent of order
+		for _, st := range mc.channels {
 			for _, rr := range st.rules {
 				if rr.node != node {
 					continue
 				}
 				if rr.entry != nil {
-					k := entryReconKey(rr.entry)
-					if _, dup := intent[k]; !dup {
-						intentOrder = append(intentOrder, k)
-					}
-					intent[k] = rr.entry
+					intent[entryReconKey(rr.entry)] = rr.entry
 				}
 				if rr.group != nil {
-					if _, dup := groupIntent[rr.group.ID]; !dup {
-						groupOrder = append(groupOrder, rr.group.ID)
-					}
 					groupIntent[rr.group.ID] = rr.group
 				}
 			}
 		}
 	}
-	return intent, intentOrder, groupIntent, groupOrder
+	return intent, groupIntent
 }
 
-// carriers returns the unit's channels, in unionIntent's order, with a rule
-// on node whose entry or group is among mods: the channels an install of mods
-// is an install of.
-func (s *ShardedMC) carriers(node topo.NodeID, mods []ctrlplane.Mod) []*channelState {
-	var out []*channelState
-	for _, mc := range s.shards {
-		for _, id := range sortedChanIDs(mc.channels) {
-			st := mc.channels[id]
-			if slices.ContainsFunc(st.rules, func(rr ruleRec) bool { return rr.node == node && modsCarry(mods, rr) }) {
-				out = append(out, st)
+// missingAt returns the mods that put back what of the shard's intent for sw
+// a dump of it lacks (have, haveGroup), channels in ID order, a group with
+// its rule's entry, whose cookie orders it; n counts the rules and groups.
+func (mc *MC) missingAt(sw *netsim.Switch, have map[reconKey]bool, haveGroup map[flowtable.GroupID]bool) (mods []ctrlplane.Mod, n int) {
+	for _, id := range sortedChanIDs(mc.channels) {
+		for _, rr := range mc.channels[id].rules {
+			if rr.node != sw.ID {
+				continue
 			}
+			mod := ctrlplane.Mod{Switch: sw, Entry: rr.entry}
+			if rr.group != nil && !haveGroup[rr.group.ID] {
+				mod.Group = rr.group
+				n++
+			}
+			if rr.entry != nil && !have[entryReconKey(rr.entry)] {
+				n++
+			} else if mod.Group == nil {
+				continue
+			}
+			mods = append(mods, mod)
 		}
 	}
-	return out
-}
-
-// modsCarry reports whether one of mods installs rr's entry or group.
-func modsCarry(mods []ctrlplane.Mod, rr ruleRec) bool {
-	return slices.ContainsFunc(mods, func(m ctrlplane.Mod) bool {
-		return rr.entry != nil && m.Entry == rr.entry || rr.group != nil && m.Group == rr.group
-	})
+	return mods, n
 }
