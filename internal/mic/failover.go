@@ -7,12 +7,9 @@ import (
 	"time"
 
 	"mic/internal/addr"
-	"mic/internal/ctrlplane"
-	"mic/internal/flowtable"
 	"mic/internal/metrics"
 	"mic/internal/netsim"
 	"mic/internal/sim"
-	"mic/internal/topo"
 )
 
 // This file makes the Mimic Controller survivable: a Cluster runs one active
@@ -28,8 +25,8 @@ import (
 // A unit is N >= 1 shard MCs behind one router (shard.go) on one controller
 // host; it lives, dies and is promoted as a whole. This is the only HA
 // composition in the package: everything below loops over the unit's shards,
-// and a single MC is the unit of one. Heartbeats, epoch Hellos and
-// reconciliation traffic ride shard 0's southbound channel.
+// and a single MC is the unit of one. Heartbeats, epoch Hellos and switch
+// dumps ride shard 0's southbound channel.
 
 // ClusterConfig tunes failover behaviour.
 type ClusterConfig struct {
@@ -201,10 +198,6 @@ type Cluster struct {
 	// are rejected fabric-side. The founding active runs epoch 0.
 	fence uint64
 
-	// needsReconcile flags switches whose takeover reconciliation could not
-	// complete (switch dead or dump abandoned); retried when they come back.
-	needsReconcile map[topo.NodeID]bool
-
 	repairSubs []func(RepairEvent)
 	downSubs   []func(id uint64, err error)
 }
@@ -216,13 +209,12 @@ type Cluster struct {
 // and restart controllers like any other element.
 func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
-		Net:            net,
-		Cfg:            cfg.withDefaults(),
-		CCfg:           ccfg.withDefaults(),
-		Journal:        NewJournal(),
-		Counters:       metrics.NewCounters(),
-		active:         0,
-		needsReconcile: make(map[topo.NodeID]bool),
+		Net:      net,
+		Cfg:      cfg.withDefaults(),
+		CCfg:     ccfg.withDefaults(),
+		Journal:  NewJournal(),
+		Counters: metrics.NewCounters(),
+		active:   0,
 	}
 	// Fixed registration order: reports render counters in first-Add order.
 	for _, name := range append([]string{
@@ -235,7 +227,7 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 	}
 	c.Journal.Fencing = !c.CCfg.DisableFencing
 
-	primary, err := newShardedMC(net, c.Cfg, c.CCfg.Shards, mcShard)
+	primary, err := newShardedMC(net, c.Cfg, c.CCfg.Shards, false)
 	if err != nil {
 		return nil, err
 	}
@@ -244,7 +236,7 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 	}
 	c.addMember(primary)
 	for i := 0; i < c.CCfg.Standbys; i++ {
-		sb, err := newShardedMC(net, c.Cfg, c.CCfg.Shards, mcPassive)
+		sb, err := newShardedMC(net, c.Cfg, c.CCfg.Shards, true)
 		if err != nil {
 			return nil, err
 		}
@@ -261,12 +253,6 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 			if m := c.memberByCtrl(ev.Port); m != nil {
 				c.memberRejoined(m)
 			}
-		case netsim.SwitchUp:
-			c.retryReconcile(ev.Node)
-		case netsim.Heal:
-			// A healed management cut may restore the path to switches whose
-			// takeover reconciliation could not complete; retry them all.
-			c.retryAllReconcile()
 		}
 	})
 
@@ -312,7 +298,7 @@ func (c *Cluster) addMember(unit *ShardedMC) {
 }
 
 // lead is the shard whose southbound channel carries the member's cross-shard
-// control traffic: heartbeats, epoch Hellos, switch dumps and reconciliation.
+// control traffic: heartbeats, epoch Hellos and switch dumps.
 func (m *member) lead() *MC { return m.unit.shards[0] }
 
 func (c *Cluster) eng() *sim.Engine { return c.Net.Eng }
@@ -673,9 +659,7 @@ func (c *Cluster) takeover(m *member) bool {
 		mc.journal = c.Journal
 		mc.activeCtrl = true
 		mc.fence = c.fence
-		if mc.Cfg.AutoRepair {
-			mc.enableAutoRepair()
-		}
+		mc.startProber()
 		if !c.CCfg.DisableFencing {
 			mc.Ch.Epoch = c.fence
 		}
@@ -695,165 +679,23 @@ func (c *Cluster) takeover(m *member) bool {
 	c.startBeating(m)
 
 	stats := TakeoverStats{Member: c.active, Channels: m.unit.LiveChannels()}
-	if c.CCfg.DisableReconcile {
-		c.finishTakeover(m, stats)
-		return true
-	}
+	clear(m.unit.recon) // an earlier life's; every switch gets a pass now
 	switches := c.Net.Switches()
 	remaining := len(switches)
-	if remaining == 0 {
+	if c.CCfg.DisableReconcile || remaining == 0 {
 		c.finishTakeover(m, stats)
 		return true
 	}
 	for _, sw := range switches {
-		c.reconcileSwitch(m, sw, func(reinstalled, stale int) {
+		m.unit.converge(sw.ID, false, func(reinstalled, stale int) {
 			stats.Reinstalled += reinstalled
 			stats.StaleDeleted += stale
-			remaining--
-			if remaining == 0 {
+			if remaining--; remaining == 0 {
 				c.finishTakeover(m, stats)
 			}
 		})
 	}
 	return true
-}
-
-// reconKey identifies one flow entry for reconciliation: the full match plus
-// priority and cookie. Two controller lives computing the same channel from
-// the same journal produce the same key; a dead life's stale epoch differs
-// in the cookie and is caught.
-type reconKey struct {
-	match    flowtable.Match
-	priority int
-	cookie   uint64
-}
-
-func entryReconKey(e *flowtable.Entry) reconKey {
-	return reconKey{match: e.Match, priority: e.Priority, cookie: e.Cookie}
-}
-
-// mflowCookie reports whether a cookie tags an m-flow rule. Proactive common
-// routing uses CookieCommon and default entries use zero; every m-flow
-// cookie is offset past both (see channelState.cookie).
-func mflowCookie(cookie uint64) bool { return cookie > ctrlplane.CookieCommon }
-
-// reconcileSwitch diffs one switch's dumped flow table against the unit's
-// rebuilt intent and converges it: missing rules are reinstalled FIRST (an
-// install over the same match replaces in place, so a stale-epoch rule is
-// upgraded make-before-break and the m-flow never loses coverage), then
-// surviving stale-epoch rules are deleted by cookie, then a Barrier bounds
-// the transaction. The diff is always against the union of every shard's
-// intent: a shard diffing the dump against only its own would classify its
-// siblings' live rules as stale and delete them. But each shard puts its own
-// channels' rules back over its own southbound channel, so that they apply
-// before the shard's close of a channel (one owner's messages apply in send
-// order), and a barrier per shard closes the pass. onDone reports
-// (reinstalled, staleDeleted) counts.
-func (c *Cluster) reconcileSwitch(m *member, sw *netsim.Switch, onDone func(reinstalled, stale int)) {
-	mc := m.lead()
-	if sw.Down {
-		c.needsReconcile[sw.ID] = true
-		c.eng().After(0, func() { onDone(0, 0) })
-		return
-	}
-	mc.Ch.DumpFlows(sw, mc.gate3(func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool) {
-		if !ok {
-			c.needsReconcile[sw.ID] = true
-			onDone(0, 0)
-			return
-		}
-		intent, groupIntent := m.unit.unionIntent(sw.ID)
-		// Diff the dump: installed m-flow entries are either intended (keep)
-		// or stale (a dead life's leftover — collect its cookie for deletion).
-		have := make(map[reconKey]bool)
-		staleSeen := make(map[uint64]bool)
-		var staleCookies []uint64
-		for _, e := range entries {
-			if !mflowCookie(e.Cookie) {
-				continue // common routing is generation-invariant
-			}
-			k := entryReconKey(e)
-			if _, want := intent[k]; want {
-				have[k] = true
-				continue
-			}
-			if !staleSeen[e.Cookie] {
-				staleSeen[e.Cookie] = true
-				staleCookies = append(staleCookies, e.Cookie)
-			}
-		}
-		haveGroup := make(map[flowtable.GroupID]bool)
-		for _, gid := range groups {
-			haveGroup[gid] = true
-			if _, want := groupIntent[gid]; !want {
-				// Stale group: direct teardown.
-				sw.Table.DeleteGroup(gid)
-			}
-		}
-		installed := gated(mc, func(failed int) {
-			if failed > 0 {
-				c.needsReconcile[sw.ID] = true
-			}
-		})
-		reinstalled, staleDeleted, out := 0, 0, len(m.unit.shards)
-		for _, sh := range m.unit.shards {
-			mods, n := sh.missingAt(sw, have, haveGroup)
-			reinstalled += n
-			sh.Ch.InstallAllResult(mods, installed)
-			if sh == mc {
-				// Older epochs of the lead's channels apply after their
-				// reinstall.
-				for _, cookie := range staleCookies {
-					mc.Ch.DeleteByCookie(sw, cookie, gated(mc, func(removed int) {
-						if removed > 0 {
-							staleDeleted += removed
-						} else if removed < 0 {
-							c.needsReconcile[sw.ID] = true
-						}
-					}))
-				}
-			}
-			sh.Ch.Barrier(sw, gated(mc, func(ok bool) {
-				if !ok {
-					c.needsReconcile[sw.ID] = true
-				}
-				if out--; out > 0 {
-					return
-				}
-				c.Counters.Add("rules_reinstalled", uint64(reinstalled))
-				c.Counters.Add("rules_stale_deleted", uint64(staleDeleted))
-				onDone(reinstalled, staleDeleted)
-			}))
-		}
-	}))
-}
-
-// retryAllReconcile retries every switch still flagged for reconciliation,
-// in node order (the flag map is unordered).
-func (c *Cluster) retryAllReconcile() {
-	ids := make([]topo.NodeID, 0, len(c.needsReconcile))
-	// lint:ignore detrange keys are collected then sorted immediately below
-	for id := range c.needsReconcile {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		c.retryReconcile(id)
-	}
-}
-
-// retryReconcile re-runs reconciliation for a switch whose takeover pass
-// could not complete, once it is back. No-op without a live active.
-func (c *Cluster) retryReconcile(node topo.NodeID) {
-	if !c.needsReconcile[node] {
-		return
-	}
-	m := c.activeMember()
-	if m == nil {
-		return // the next takeover reconciles everything anyway
-	}
-	delete(c.needsReconcile, node)
-	c.reconcileSwitch(m, c.Net.Switch(node), func(int, int) {})
 }
 
 // finishTakeover closes the loop on the blackout: any channel the dead
@@ -878,7 +720,7 @@ func (c *Cluster) finishTakeover(m *member, stats TakeoverStats) {
 }
 
 // Audit omnisciently diffs every switch's installed flow table against the
-// union of the acting unit's intent and returns the discrepancy counts:
+// union of the acting unit's intent, as a pass does, and returns the counts:
 // stale m-flow entries no live channel wants, and intended entries not
 // installed. The failover acceptance bar is (0, 0) after reconciliation
 // settles.
@@ -888,24 +730,8 @@ func (c *Cluster) Audit() (stale, missing int) {
 		return 0, 0
 	}
 	for _, sw := range c.Net.Switches() {
-		intent, _ := m.unit.unionIntent(sw.ID)
-		have := make(map[reconKey]bool)
-		for _, e := range sw.Table.Entries() {
-			if !mflowCookie(e.Cookie) {
-				continue
-			}
-			k := entryReconKey(e)
-			have[k] = true
-			if _, want := intent[k]; !want {
-				stale++
-			}
-		}
-		// lint:ignore detrange membership counting; result independent of order
-		for k := range intent {
-			if !have[k] {
-				missing++
-			}
-		}
+		_, _, staleN, missingN := m.unit.diff(sw.ID, sw.Table.Entries())
+		stale, missing = stale+staleN, missing+missingN
 	}
 	return stale, missing
 }
@@ -926,14 +752,18 @@ func (c *Cluster) Telemetry() *metrics.Counters {
 	c.Counters.Set("journal_records", uint64(c.Journal.Len()))
 	c.Counters.Set("journal_divergent", c.Journal.Divergent)
 	var mcs []*MC
-	var rejects uint64
+	var rejects, reinstalled, staleDeleted uint64
 	for _, m := range c.members {
 		mcs = append(mcs, m.unit.shards...)
 		for _, mc := range m.unit.shards {
 			rejects += mc.Ch.StaleRejects
 		}
+		reinstalled += m.unit.reinstalled
+		staleDeleted += m.unit.staleDeleted
 	}
 	c.Counters.Set("stale_rejects", rejects)
+	c.Counters.Set("rules_reinstalled", reinstalled)
+	c.Counters.Set("rules_stale_deleted", staleDeleted)
 	sums := telemetry(mcs)
 	for _, name := range memberCounters {
 		c.Counters.Set(name, sums.Get(name))

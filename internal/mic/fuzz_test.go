@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"slices"
 	"testing"
 	"time"
 
@@ -126,7 +125,10 @@ func diffAt(a, b []byte) int {
 //	3     cut a link under a live channel's first flow (the MC repairs, or,
 //	      with nothing left to route over, gives the channel up after two
 //	      attempts)
-//	4     heal every cut link
+//	4     with the argument's low bit clear, heal every cut link and restart
+//	      every crashed switch; with it set, crash the switch in the middle of a
+//	      live channel's first flow (the MC repairs around it, and the unit
+//	      reconciles it when it restarts)
 //	5     cut a link as 3 does, run one control round trip, then close that
 //	      channel: the close lands while the repair's install is out
 //	6     set the southbound loss rate to 0-30 %
@@ -157,24 +159,27 @@ var journalReplayCorpus = [][]byte{
 	{0x00, 0x08, 0x05, 0x00},             // a close while the repair's install is out, then a dial into the freed storage
 	{0xa6, 0x00, 0x18, 0x0b, 0x05, 0x02}, // 20 % loss: dials, a repair, a close mid-repair, a close
 	{0x56, 0x07, 0x02},                   // 10 % loss: a cut under a dial, repaired while the batch is out; its close
+	{0x00, 0x0c, 0x02, 0x04},             // a dial, a crash, a close while the switch is down, its restart
+	{0xa6, 0x00, 0x08, 0x0c, 0x04},       // 20 % loss: dials, a crash the repair runs under, the restart
 }
 
 // runJournalProgram is FuzzJournalReplay's body; it returns the controller
-// and its journal as the program left them.
-func runJournalProgram(t *testing.T, prog []byte) (*MC, *Journal) {
+// and its journal as the program left them, and how many switches restarted.
+func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts int) {
 	if len(prog) > 40 {
 		prog = prog[:40]
 	}
 	bed := newFixture(t, Config{MNs: 3, AutoRepair: true, RepairMaxRetries: 1, RepairBackoff: 100 * time.Microsecond,
 		Admission: AdmissionConfig{Enabled: true, Rate: 1e6, Burst: 64, SwitchRuleBudget: 12}})
 	mc, g := bed.mc, bed.graph
-	j := &Journal{SnapshotEvery: 3}
+	j = &Journal{SnapshotEvery: 3}
 	mc.journal = j
 	type link struct {
 		node topo.NodeID
 		port int
 	}
 	var cuts []link
+	var crashed []topo.NodeID
 	cut := func(id uint64, arg int) bool {
 		path := mc.channels[id].info.Flows[0].Path
 		if len(path) < 5 {
@@ -222,11 +227,22 @@ func runJournalProgram(t *testing.T, prog []byte) (*MC, *Journal) {
 			}
 		case op == 6:
 			mc.Ch.LossRate = float64(arg%31) / 100
-		case op == 4:
+		case op == 4 && arg&1 == 0:
 			for _, l := range cuts {
 				bed.net.SetLinkDown(l.node, l.port, false)
 			}
 			cuts = nil
+			for _, node := range crashed {
+				if bed.net.Switch(node).Down {
+					bed.net.SetSwitchDown(node, false)
+					restarts++
+				}
+			}
+			crashed = nil
+		case op == 4 && len(live) > 0:
+			path := mc.channels[live[arg>>1%len(live)]].info.Flows[0].Path
+			crashed = append(crashed, path[len(path)/2])
+			bed.net.SetSwitchDown(path[len(path)/2], true)
 		default:
 			continue
 		}
@@ -234,7 +250,7 @@ func runJournalProgram(t *testing.T, prog []byte) (*MC, *Journal) {
 		checkReplay(t, mc, j)
 		checkTables(t, mc)
 	}
-	return mc, j
+	return mc, j, restarts
 }
 
 // checkTables fails t unless tablesError finds the switches' tables as the MC
@@ -248,8 +264,8 @@ func checkTables(t testing.TB, mc *MC) {
 
 // tablesError holds the switches' flow tables to the MC at quiescence, no
 // southbound message in flight:
-//   - every m-flow entry installed belongs to a live channel's current epoch
-//     or carries a cookie the MC remembers as not deleted from that switch;
+//   - every m-flow entry installed belongs to a live channel's current epoch,
+//     or its switch is marked for the unit to reconcile;
 //   - no entry is installed twice, in two tables or in one;
 //   - every entry and group a live channel intends is installed where it is
 //     intended, unless that switch abandoned a message;
@@ -284,8 +300,8 @@ func tablesError(mc *MC) error {
 				return fmt.Errorf("one entry (cookie %#x) is installed on %s and on %s", e.Cookie, other.Name, sw.Name)
 			}
 			installedOn[e] = sw
-			if e.Priority == ctrlplane.PriorityMFlow && !current[e.Cookie] && !slices.Contains(mc.staleCookies[sw.ID], e.Cookie) {
-				return fmt.Errorf("%s holds an m-flow entry of cookie %#x: no live channel's current epoch, not remembered as stale", sw.Name, e.Cookie)
+			if e.Priority == ctrlplane.PriorityMFlow && !current[e.Cookie] && !mc.unit.recon[sw.ID].marked {
+				return fmt.Errorf("%s holds an m-flow entry of cookie %#x: no live channel's current epoch, and the switch is not marked for reconcile", sw.Name, e.Cookie)
 			}
 		}
 		for _, gid := range sw.Table.GroupIDs() {
@@ -316,12 +332,13 @@ func tablesError(mc *MC) error {
 
 // TestJournalReplayCorpusShapes keeps the seed corpus honest: between them
 // the programs open, close, repair, fail a repair for good, degrade, refuse,
-// restore a flow, compact the journal and retransmit over a lossy southbound
-// channel.
+// restore a flow, compact the journal, retransmit over a lossy southbound
+// channel and restart a crashed switch.
 func TestJournalReplayCorpusShapes(t *testing.T) {
-	var dials, repairs, given, degraded, refused, restored, snapshots, retransmits uint64
+	var dials, repairs, given, degraded, refused, restored, snapshots, retransmits, restarts uint64
 	for _, prog := range journalReplayCorpus {
-		mc, j := runJournalProgram(t, prog)
+		mc, j, n := runJournalProgram(t, prog)
+		restarts += uint64(n)
 		dials += mc.Requests
 		repairs += mc.Repairs
 		given += mc.RepairFailures
@@ -330,12 +347,12 @@ func TestJournalReplayCorpusShapes(t *testing.T) {
 		restored += mc.FlowsRestored
 		snapshots += j.Snapshots
 		retransmits += mc.Ch.Retransmits
-		t.Logf("% x: dials %d repairs %d given up %d degraded %d refused %d restored %d snapshots %d retransmits %d live %d",
-			prog, mc.Requests, mc.Repairs, mc.RepairFailures, mc.ChannelsDegraded, mc.ChannelsRefused, mc.FlowsRestored, j.Snapshots, mc.Ch.Retransmits, mc.LiveChannels())
+		t.Logf("% x: dials %d repairs %d given up %d degraded %d refused %d restored %d snapshots %d retransmits %d restarts %d live %d",
+			prog, mc.Requests, mc.Repairs, mc.RepairFailures, mc.ChannelsDegraded, mc.ChannelsRefused, mc.FlowsRestored, j.Snapshots, mc.Ch.Retransmits, n, mc.LiveChannels())
 	}
 	for name, n := range map[string]uint64{"dial": dials, "repair": repairs, "repair given up": given,
 		"degraded dial": degraded, "refused dial": refused, "restored flow": restored, "journal snapshot": snapshots,
-		"southbound retransmission": retransmits} {
+		"southbound retransmission": retransmits, "switch restart": restarts} {
 		if n == 0 {
 			t.Errorf("no program in the corpus produces a %s", name)
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"mic/internal/ctrlplane"
-	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -33,38 +32,15 @@ type repairJob struct {
 	dirty      bool // another failure hit this channel mid-repair
 }
 
-// enableAutoRepair subscribes the MC to fabric events and, when configured,
-// starts the control-plane liveness prober for silent failures. Safe to call
-// again on reactivation (takeover after an earlier crash): the fabric
-// subscription registers once and gates on liveness; a fresh prober is
-// started only when none is running.
-func (mc *MC) enableAutoRepair() {
-	if !mc.notifySubscribed {
-		mc.notifySubscribed = true
-		mc.Net.Notify(func(ev netsim.Event) {
-			if mc.down || !mc.activeCtrl {
-				// A dead controller hears nothing, and a revived ex-active
-				// demoted to standby must not run repairs; reconciliation
-				// catches up on the next takeover.
-				return
-			}
-			switch ev.Kind {
-			case netsim.PortDown:
-				mc.failLink(linkKey{ev.Node, ev.Port})
-			case netsim.SwitchDown:
-				mc.failNode(ev.Node)
-			case netsim.SwitchUp:
-				mc.switchRestored(ev.Node)
-			case netsim.PortUp:
-				// Nothing to do: live channels were already rerouted, and the
-				// restored capacity is picked up by the next path selection.
-			}
-		})
-	}
-	if mc.Cfg.ProbeInterval > 0 && mc.stopProber == nil {
+// startProber starts the control-plane liveness prober for silent failures
+// under AutoRepair, when configured and none is running (a takeover after an
+// earlier crash starts it again). Fabric failure events reach the
+// self-healing layer through the unit's one subscription (ShardedMC.own).
+func (mc *MC) startProber() {
+	if mc.Cfg.AutoRepair && mc.Cfg.ProbeInterval > 0 && mc.stopProber == nil {
 		mc.prober = ctrlplane.NewProber(mc.Ch, mc.Cfg.ProbeInterval)
 		mc.prober.OnDown = func(id topo.NodeID) { mc.failNode(id) }
-		mc.prober.OnUp = func(id topo.NodeID) { mc.switchRestored(id) }
+		mc.prober.OnUp = func(id topo.NodeID) { mc.unit.reconnect(id) }
 		mc.stopProber = mc.prober.Start()
 	}
 }
@@ -101,17 +77,6 @@ func sortedIDSet(set []uint64) []uint64 {
 	ids := slices.Clone(set)
 	slices.Sort(ids)
 	return ids
-}
-
-// switchRestored purges rule epochs that could not be deleted while the
-// switch was dead, so a resurrected switch does not keep forwarding for
-// long-gone m-addresses.
-func (mc *MC) switchRestored(node topo.NodeID) {
-	cookies := mc.staleCookies[node]
-	delete(mc.staleCookies, node)
-	for _, cookie := range cookies {
-		mc.deleteEpoch([]topo.NodeID{node}, cookie, nil, nil)
-	}
 }
 
 // scheduleRepair starts (or re-flags) the self-healing job for a channel.

@@ -3,6 +3,7 @@ package mic
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -352,7 +353,8 @@ func mflowRulesAt(f *fixture, node topo.NodeID) int {
 }
 
 // TestStaleRulesPurgedOnSwitchRestore: rules that could not be deleted from
-// a dead switch are removed when it comes back.
+// a dead switch are removed by the pass its reconnect runs, after which every
+// table holds exactly what the live channels intend.
 func TestStaleRulesPurgedOnSwitchRestore(t *testing.T) {
 	f := newFixture(t, Config{MNs: 2, AutoRepair: true})
 	f.mc.Ch.MaxRetries = 2 // keep the give-up path short
@@ -388,19 +390,27 @@ func TestStaleRulesPurgedOnSwitchRestore(t *testing.T) {
 	if n := mflowRules(); n != 0 {
 		t.Fatalf("restored switch still holds %d stale m-flow rules", n)
 	}
-	if len(f.mc.staleCookies[victim]) != 0 {
-		t.Fatalf("stale cookie bookkeeping not drained: %v", f.mc.staleCookies[victim])
-	}
+	checkTables(t, f.mc)
 	checkBooks(t, f.mc)
 }
 
 // TestCloseWhileSwitchDownLeavesNothing: a channel closed while one of its
 // switches is silently dead cannot have its rules deleted there. The close
-// must remember the cookie like a repair's purge does, so the switch does not
-// come back forwarding for m-addresses whose flow IDs have since been
-// recycled into another channel.
+// must mark the switch like a repair's purge does, so that it is reconciled
+// when it comes back instead of forwarding for m-addresses whose flow IDs
+// have since been recycled into another channel — with or without the
+// self-healing layer, which the reconnect does not depend on.
 func TestCloseWhileSwitchDownLeavesNothing(t *testing.T) {
-	f := newFixture(t, Config{MNs: 2, AutoRepair: true})
+	for _, autoRepair := range []bool{true, false} {
+		t.Run(fmt.Sprintf("AutoRepair=%v", autoRepair), func(t *testing.T) {
+			closeWhileSwitchDown(t, Config{MNs: 2, AutoRepair: autoRepair})
+		})
+	}
+}
+
+// closeWhileSwitchDown is one arm of TestCloseWhileSwitchDownLeavesNothing.
+func closeWhileSwitchDown(t *testing.T, cfg Config) {
+	f := newFixture(t, cfg)
 	var info *ChannelInfo
 	f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(ci *ChannelInfo, err error) {
 		if err != nil {
@@ -432,9 +442,43 @@ func TestCloseWhileSwitchDownLeavesNothing(t *testing.T) {
 	if n := mflowRules(); n != 0 {
 		t.Fatalf("restored switch still holds %d rules of the closed channel", n)
 	}
-	if len(f.mc.staleCookies[victim]) != 0 {
-		t.Fatalf("stale cookie bookkeeping not drained: %v", f.mc.staleCookies[victim])
+	checkTables(t, f.mc)
+	checkBooks(t, f.mc)
+}
+
+// TestExhaustedDeleteOnLiveSwitchConverges: a close whose deletes run out of
+// retries on live switches, with no prober to report a reconnect that never
+// comes anyway, must not leave the rules there. Every unconfirmed delete to a
+// switch that is up hands it to the unit, which reconciles it at once and
+// retries the pass until the control channel carries it.
+func TestExhaustedDeleteOnLiveSwitchConverges(t *testing.T) {
+	f := newFixture(t, Config{MNs: 2})
+	var info *ChannelInfo
+	f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(ci *ChannelInfo, err error) {
+		if err != nil {
+			t.Fatalf("establish: %v", err)
+		}
+		info = ci
+	})
+	f.eng.RunFor(6 * time.Millisecond)
+	f.mc.Ch.MaxRetries, f.mc.Ch.LossRate = 2, 1
+	closed := false
+	if err := f.mc.CloseChannel(info.ID, func() {
+		closed = true
+		f.mc.Ch.LossRate = 0
+	}); err != nil {
+		t.Fatal(err)
 	}
+	f.eng.RunFor(2 * time.Second)
+	if !closed {
+		t.Fatal("close did not finish")
+	}
+	for _, sw := range f.net.Switches() {
+		if n := mflowRulesAt(f, sw.ID); n != 0 {
+			t.Fatalf("%s still holds %d rules of the closed channel", sw.Name, n)
+		}
+	}
+	checkTables(t, f.mc)
 	checkBooks(t, f.mc)
 }
 
@@ -477,7 +521,7 @@ func closeDuringRepair(t *testing.T, loss float64, seed uint64) {
 	}
 	for _, sw := range f.net.Switches() {
 		if n := mflowRulesAt(f, sw.ID); n != 0 {
-			t.Fatalf("loss %g seed %d: %s still holds %d rules of the closed channel (stale cookies %v)", loss, seed, sw.Name, n, f.mc.staleCookies)
+			t.Fatalf("loss %g seed %d: %s still holds %d rules of the closed channel (marked for reconcile: %v)", loss, seed, sw.Name, n, f.mc.unit.recon[sw.ID].marked)
 		}
 	}
 	checkBooks(t, f.mc)
@@ -491,11 +535,13 @@ func closeDuringRepair(t *testing.T, loss float64, seed uint64) {
 // one with the same match — an edge switch's untagged ingress rule — and the
 // purge of epoch 0 then deleted it. Before one owner's southbound messages
 // applied in send order, the repaired epoch lacked a rule at 30 of these 300
-// seeds at 5 % loss and 97 at 30 %.
+// seeds at 5 % loss and 97 at 30 %. Each seed also runs with a switch of the
+// dial's path crashing under the repair and restarting (repairDuringDial).
 func TestRepairDuringInstallKeepsNewEpoch(t *testing.T) {
 	for _, loss := range []float64{0, 0.05, 0.30} {
 		for seed := uint64(1); seed <= 300; seed++ {
-			repairDuringDial(t, Config{MNs: 2, AutoRepair: true}, loss, seed)
+			repairDuringDial(t, Config{MNs: 2, AutoRepair: true}, loss, seed, false)
+			repairDuringDial(t, Config{MNs: 2, AutoRepair: true}, loss, seed, true)
 		}
 	}
 }
@@ -509,7 +555,8 @@ func TestRepairDuringInstallKeepsNewEpoch(t *testing.T) {
 func TestRepairDuringInstallLeavesNoGroup(t *testing.T) {
 	for _, loss := range []float64{0, 0.05, 0.30} {
 		for seed := uint64(1); seed <= 300; seed++ {
-			repairDuringDial(t, Config{MNs: 2, AutoRepair: true, MulticastFanout: 2}, loss, seed)
+			repairDuringDial(t, Config{MNs: 2, AutoRepair: true, MulticastFanout: 2}, loss, seed, false)
+			repairDuringDial(t, Config{MNs: 2, AutoRepair: true, MulticastFanout: 2}, loss, seed, true)
 		}
 	}
 }
@@ -517,21 +564,29 @@ func TestRepairDuringInstallLeavesNoGroup(t *testing.T) {
 // repairDuringDial is one run of the two sweeps above: a dial from host 0 to
 // host 15, the first switch-to-switch link of its planned path cut 700 µs in,
 // five seconds to settle; then the channel must be repaired and the tables
-// hold its new epoch, all of it, and nothing else.
-func repairDuringDial(t *testing.T, cfg Config, loss float64, seed uint64) {
+// hold its new epoch, all of it, and nothing else. With crash, the switch in
+// the middle of the planned path also dies 1 ms after the cut and restarts 2
+// ms later, so its reconnect pass runs while the dial's superseded batch may
+// still be retransmitting to it.
+func repairDuringDial(t *testing.T, cfg Config, loss float64, seed uint64, crash bool) {
 	t.Helper()
 	f := newFixture(t, cfg)
 	f.mc.Ch.LossRate, f.mc.Ch.LossSeed = loss, seed
 	f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(*ChannelInfo, error) {})
 	f.eng.RunFor(700 * time.Microsecond)
 	st := f.mc.channels[sortedChanIDs(f.mc.channels)[0]]
-	cutFirstInterSwitchLink(t, f, st.info.Flows[0].Path)
+	path := st.info.Flows[0].Path
+	cutFirstInterSwitchLink(t, f, path)
+	if victim := path[len(path)/2]; crash {
+		f.eng.After(time.Millisecond, func() { f.net.SetSwitchDown(victim, true) })
+		f.eng.After(3*time.Millisecond, func() { f.net.SetSwitchDown(victim, false) })
+	}
 	f.eng.RunFor(5 * time.Second)
 	if f.mc.channels[st.id] != st || st.epoch == 0 {
-		t.Fatalf("loss %g seed %d: the channel was not repaired (epoch %d, %d repairs, %d given up)", loss, seed, st.epoch, f.mc.Repairs, f.mc.RepairFailures)
+		t.Fatalf("loss %g seed %d crash %v: the channel was not repaired (epoch %d, %d repairs, %d given up)", loss, seed, crash, st.epoch, f.mc.Repairs, f.mc.RepairFailures)
 	}
 	if err := tablesError(f.mc); err != nil {
-		t.Fatalf("loss %g seed %d: %v", loss, seed, err)
+		t.Fatalf("loss %g seed %d crash %v: %v", loss, seed, crash, err)
 	}
 	checkBooks(t, f.mc)
 }

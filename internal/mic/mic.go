@@ -366,11 +366,6 @@ type MC struct {
 	// writes at the southbound boundary.
 	fence uint64
 
-	// notifySubscribed dedupes fabric-event subscription across repeated
-	// activations (takeover after an earlier crash): netsim listeners cannot
-	// be removed, so the MC registers once and gates on liveness instead.
-	notifySubscribed bool
-
 	// entryInUse reserves (endpoint, fake peer IP) pairs so two channels
 	// never share an untagged endpoint tuple — the paper's "unique match
 	// entry" requirement at the unlabeled first/last segments.
@@ -396,9 +391,9 @@ type MC struct {
 	// at a time; overlapping failures mark the job dirty for re-check.
 	repairJobs map[uint64]*repairJob
 
-	// staleCookies remembers rule epochs that could not be deleted from a
-	// dead switch; they are purged when the switch comes back.
-	staleCookies map[topo.NodeID][]uint64
+	// unit is the controller unit the MC is a shard of — itself alone when it
+	// runs standalone — through which it converges switches (reconcile).
+	unit *ShardedMC
 
 	// storeFree holds the epoch stores of cleanly closed channels, most
 	// recent last; a new channel or repair epoch takes the last (recycle).
@@ -460,31 +455,23 @@ type MC struct {
 
 // NewMC builds a controller for the network: assigns S_IDs and MAGA keys to
 // every switch, picks the common-flow class and label, installs proactive
-// common routing, and attaches itself as the fabric's packet-in handler.
+// common routing and attaches as the fabric's packet-in handler. It is the
+// controller unit of one shard (shard.go).
 func NewMC(net *netsim.Network, cfg Config) (*MC, error) {
-	return newMC(net, cfg, mcActive)
+	s, err := NewShardedMC(net, cfg, 1)
+	if err != nil {
+		return nil, err
+	}
+	return s.shards[0], nil
 }
 
-// mcMode selects how much of the fabric a new controller takes ownership of.
-type mcMode int
-
-const (
-	// mcActive is a standalone active controller: it installs common
-	// routing, attaches as the fabric's packet-in handler and self-heals.
-	mcActive mcMode = iota
-	// mcPassive is a shard of a warm standby unit: it derives the full MAGA
-	// keying — Config.Seed guarantees it matches the active's — but stays
-	// inert until a takeover activates it.
-	mcPassive
-	// mcShard is an active controller running as one shard behind a
-	// ShardedMC router (shard.go): it plans, admits and self-heals its own
-	// channels, but the router owns the shared fabric attachments (common
-	// routing, packet-in demux, eviction hooks), installed exactly once.
-	mcShard
-)
-
-// newMC is NewMC parameterized by ownership mode.
-func newMC(net *netsim.Network, cfg Config, mode mcMode) (*MC, error) {
+// newMC builds one shard of a controller unit: active, planning, admitting
+// and self-healing its own channels while the unit owns the shared fabric
+// attachments (common routing, packet-in demux, eviction hooks); or, passive,
+// a shard of a warm standby unit that derives the full MAGA keying —
+// Config.Seed guarantees it matches the active's — but stays inert until a
+// takeover activates it.
+func newMC(net *netsim.Network, cfg Config, passive bool) (*MC, error) {
 	cfg = cfg.withDefaults()
 	idLo, idHi, err := cfg.idSpace()
 	if err != nil {
@@ -495,23 +482,22 @@ func newMC(net *netsim.Network, cfg Config, mode mcMode) (*MC, error) {
 		return nil, fmt.Errorf("mic: %d switches exceed %d-bit S_ID space", len(switches), cfg.Widths.SID)
 	}
 	mc := &MC{
-		Net:          net,
-		Ch:           ctrlplane.NewChannel(net),
-		Cfg:          cfg,
-		rng:          sim.NewRNG(cfg.Seed),
-		params:       make(map[topo.NodeID]maga.Params),
-		gens:         make(map[topo.NodeID]*maga.Generator),
-		sids:         make(map[topo.NodeID]uint32),
-		flowIDs:      newIDAllocator(idLo, idHi),
-		hidden:       make(map[string]addr.IP),
-		channels:     make(map[uint64]*channelState),
-		entryInUse:   make(map[[2]addr.IP]bool),
-		repairJobs:   make(map[uint64]*repairJob),
-		staleCookies: make(map[topo.NodeID][]uint64),
-		ruleCount:    make(map[topo.NodeID]int),
-		commonBase:   make(map[topo.NodeID]int),
-		nextChan:     uint64(cfg.InstanceID) << 32,
-		nextGroup:    cfg.InstanceID << 24,
+		Net:        net,
+		Ch:         ctrlplane.NewChannel(net),
+		Cfg:        cfg,
+		rng:        sim.NewRNG(cfg.Seed),
+		params:     make(map[topo.NodeID]maga.Params),
+		gens:       make(map[topo.NodeID]*maga.Generator),
+		sids:       make(map[topo.NodeID]uint32),
+		flowIDs:    newIDAllocator(idLo, idHi),
+		hidden:     make(map[string]addr.IP),
+		channels:   make(map[uint64]*channelState),
+		entryInUse: make(map[[2]addr.IP]bool),
+		repairJobs: make(map[uint64]*repairJob),
+		ruleCount:  make(map[topo.NodeID]int),
+		commonBase: make(map[topo.NodeID]int),
+		nextChan:   uint64(cfg.InstanceID) << 32,
+		nextGroup:  cfg.InstanceID << 24,
 		// The token bucket starts full: cold-start dials are admitted up to
 		// Burst rather than queued behind the first refill.
 		admitTokens: float64(cfg.Admission.Burst),
@@ -551,20 +537,9 @@ func newMC(net *netsim.Network, cfg Config, mode mcMode) (*MC, error) {
 			mc.topoGen++
 		}
 	})
-	mc.activeCtrl = mode != mcPassive
-	if mode == mcPassive {
-		return mc, nil
-	}
-	if mode == mcActive {
-		router := &ctrlplane.ProactiveRouter{CFLabel: mc.CFLabel}
-		if _, err := router.Install(net); err != nil {
-			return nil, err
-		}
-		net.SetController(mc)
-		mc.armEviction()
-	}
-	if cfg.AutoRepair {
-		mc.enableAutoRepair()
+	mc.activeCtrl = !passive
+	if !passive {
+		mc.startProber()
 	}
 	return mc, nil
 }
@@ -691,7 +666,6 @@ func (mc *MC) resetState() {
 	mc.entryInUse = make(map[[2]addr.IP]bool)
 	mc.resetLoad()
 	mc.repairJobs = make(map[uint64]*repairJob)
-	mc.staleCookies = make(map[topo.NodeID][]uint64)
 	mc.storeFree = nil
 	mc.nextChan = uint64(mc.Cfg.InstanceID) << 32
 	mc.nextGroup = mc.Cfg.InstanceID << 24
@@ -725,11 +699,6 @@ func (mc *MC) emitChannelDown(id uint64, err error) {
 	for _, fn := range mc.downSubs {
 		fn(id, err)
 	}
-}
-
-// PacketIn implements netsim.Controller for a standalone MC: a unit of one.
-func (mc *MC) PacketIn(sw *netsim.Switch, inPort int, p *packet.Packet) {
-	packetIn([]*MC{mc}, sw, inPort, p)
 }
 
 // packetIn is the fabric's table-miss handler over one controller unit's

@@ -580,11 +580,11 @@ func TestDistributedControllers(t *testing.T) {
 	net := netsim.New(eng, g, netsim.Config{})
 	w := (Config{}).withDefaults().Widths
 	half := w.MaxFlowIDs() / 2
-	mcA, err := NewMC(net, Config{Seed: 5, InstanceID: 1, IDSpace: IDRange{0, half}})
+	mcA, err := NewMC(net, Config{Seed: 5, MulticastFanout: 2, InstanceID: 1, IDSpace: IDRange{0, half}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcB, err := NewMC(net, Config{Seed: 5, InstanceID: 2, IDSpace: IDRange{half, w.MaxFlowIDs()}})
+	mcB, err := NewMC(net, Config{Seed: 5, MulticastFanout: 2, InstanceID: 2, IDSpace: IDRange{half, w.MaxFlowIDs()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,6 +634,15 @@ func TestDistributedControllers(t *testing.T) {
 	if infoA.ID>>32 == infoB.ID>>32 {
 		t.Fatalf("instance ID spaces overlap: %x %x", infoA.ID, infoB.ID)
 	}
+	// A's close goes unconfirmed everywhere, so A reconciles those switches:
+	// its passes delete A's rules and leave B's rules and groups, which no
+	// shard of A minted.
+	mcA.Ch.MaxRetries, mcA.Ch.LossRate = 1, 1
+	if err := mcA.CloseChannel(infoA.ID, func() { mcA.Ch.LossRate = 0 }); err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	checkTables(t, mcB)
 }
 
 func TestIDSpaceValidation(t *testing.T) {

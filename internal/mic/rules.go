@@ -634,15 +634,14 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 }
 
 // deleteEpoch deletes one rule epoch of a channel — a repair's superseded
-// one, a closing channel's last, or one switchRestored finds remembered —
-// from every switch it was installed on, in the order given
-// (channelState.switches: ascending), and calls done (may be nil) once every
-// switch has answered or been given up on, confirmed when every one answered.
-// A switch's answer also takes the epoch's groups among rules off it: the
-// delete applied after every install of them sent there. Dead switches — and
-// live switches that never acknowledge the delete — are remembered in
-// staleCookies and purged when they come back (a restarting switch
-// reconnects with whatever rules it had).
+// one or a closing channel's last — from every switch it was installed on,
+// in the order given (channelState.switches: ascending), and calls done (may
+// be nil) once every switch has answered or been given up on, confirmed when
+// every one answered. A switch's answer also takes the epoch's groups among
+// rules off it: the delete applied after every install of them sent there. A
+// dead switch, or a live one that never acknowledges the delete, is handed to
+// the unit to reconcile: at once if it is up, when it reconnects if not (a
+// restarting switch comes back with whatever rules it had).
 func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, rules []ruleRec, done func(confirmed bool)) {
 	if len(switches) == 0 {
 		if done != nil {
@@ -650,7 +649,7 @@ func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, rules []ruleRec
 		}
 		return
 	}
-	d := &epochDelete{mc: mc, cookie: cookie, rules: rules, remaining: len(switches), done: done}
+	d := &epochDelete{mc: mc, rules: rules, remaining: len(switches), done: done}
 	for _, node := range switches {
 		node := node
 		if sw := mc.Net.Switch(node); sw.Down {
@@ -666,7 +665,6 @@ func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, rules []ruleRec
 // close allocates one per switch, and that is most of what a close costs).
 type epochDelete struct {
 	mc        *MC
-	cookie    uint64
 	rules     []ruleRec
 	remaining int
 	stale     bool // some switch did not confirm
@@ -681,7 +679,7 @@ func (d *epochDelete) answered(node topo.NodeID, removed int) {
 		}
 	}
 	if removed < 0 {
-		d.mc.staleCookies[node] = append(d.mc.staleCookies[node], d.cookie)
+		d.mc.unit.reconcile(node)
 		d.stale = true
 	}
 	if d.remaining--; d.remaining == 0 && d.done != nil {
@@ -745,6 +743,17 @@ func (st *channelState) cookie() uint64 {
 	return ctrlplane.RuleCookie(st.id+2, st.epoch, st.gen)
 }
 
+// mflowCookie reports whether a cookie tags an m-flow rule. Proactive common
+// routing uses CookieCommon and default entries use zero; every m-flow
+// cookie is offset past both (see channelState.cookie).
+func mflowCookie(cookie uint64) bool { return cookie > ctrlplane.CookieCommon }
+
+// cookieChannel recovers the channel a rule cookie was built for: RuleCookie
+// keeps the epoch and the generation in the bits a zero ID leaves clear.
+func cookieChannel(cookie uint64) uint64 {
+	return cookie&^ctrlplane.RuleCookie(0, ^uint32(0), ^uint32(0)) - 2
+}
+
 // CloseChannel tears down a channel: deletes its rules everywhere, frees
 // its flow IDs and address reservations. cb (may be nil) fires after the
 // deletions are acknowledged.
@@ -787,7 +796,7 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 // nothing can reach them any more:
 //
 //   - every switch confirmed the epoch's delete (CloseChannel's confirmed):
-//     no cookie went to staleCookies, so no table holds an entry, and no
+//     no switch was left marked, so no table holds an entry, and no
 //     southbound message that carried them is out — each delete applied after
 //     every one sent to its switch, and none went to a switch the channel
 //     has no rule on. A frame that looked a rule up before its delete ran its

@@ -2,6 +2,7 @@ package mic
 
 import (
 	"fmt"
+	"slices"
 
 	"mic/internal/addr"
 	"mic/internal/ctrlplane"
@@ -28,12 +29,13 @@ import (
 // Config.Seed only, never InstanceID, so a rule computed by any shard is
 // meaningful to every other controller on the fabric (and to a standby).
 //
-// The unit is all the router knows about. Replacing a dead unit — journal,
-// heartbeats, leases, promotion, reconciliation, audit — is the Cluster's
-// job (failover.go), which runs one unit per member and loops over its
-// shards; a unit of one shard is the degenerate case, not a separate path.
-// Each shard stamps its journal records with its shard index, so the
-// cluster's single log replays into N disjoint controllers.
+// The unit also converges switches against what its shards intend (reconcile,
+// below), and a standalone MC is the unit of one. Replacing a dead unit —
+// journal, heartbeats, leases, promotion, audit — is the Cluster's job
+// (failover.go), which runs one unit per member and loops over its shards; a
+// unit of one shard is the degenerate case, not a separate path. Each shard
+// stamps its journal records with its shard index, so the cluster's single
+// log replays into N disjoint controllers.
 
 // ShardedMC is a controller unit. It implements ControlPlane (client-facing)
 // and netsim.Controller (fabric-facing).
@@ -45,19 +47,31 @@ type ShardedMC struct {
 	// edgeShard maps an initiator's access switch to its owning shard, fixed
 	// at construction in graph enumeration order.
 	edgeShard map[topo.NodeID]int
+
+	// recon is each switch's convergence state, by NodeID (reconcile).
+	recon []switchRecon
+	// reinstalled and staleDeleted count what the unit's passes did.
+	reinstalled, staleDeleted uint64
+}
+
+// switchRecon is what a unit knows about converging one switch.
+type switchRecon struct {
+	marked bool // the switch may hold rules no shard wants
+	busy   bool // a pass is out, or waits out its backoff
+	tries  int  // passes failed in a row since the last trigger
 }
 
 // NewShardedMC builds n active controller shards over the fabric and
-// installs the shared attachments once. n == 1 degenerates to a standalone
-// MC behind the router, the baseline arm of the s10 scale-out experiment.
+// installs the shared attachments once. n == 1 is a standalone MC (NewMC),
+// the baseline arm of the s10 scale-out experiment.
 func NewShardedMC(net *netsim.Network, cfg Config, n int) (*ShardedMC, error) {
-	return newShardedMC(net, cfg, n, mcShard)
+	return newShardedMC(net, cfg, n, false)
 }
 
-// newShardedMC builds a unit of n shards: active ones (mcShard) with the
-// router's fabric attachments installed, or the inert passive twin
-// (mcPassive) a Cluster keeps as a warm standby until a takeover.
-func newShardedMC(net *netsim.Network, cfg Config, n int, mode mcMode) (*ShardedMC, error) {
+// newShardedMC builds a unit of n shards: active ones with the router's
+// fabric attachments installed, or the inert passive twin a Cluster keeps as a
+// warm standby until a takeover.
+func newShardedMC(net *netsim.Network, cfg Config, n int, passive bool) (*ShardedMC, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mic: shard count %d must be at least 1", n)
 	}
@@ -78,7 +92,7 @@ func newShardedMC(net *netsim.Network, cfg Config, n int, mode mcMode) (*Sharded
 		if i == n-1 {
 			shardCfg.IDSpace.Hi = hi // the last shard absorbs the remainder
 		}
-		mc, err := newMC(net, shardCfg, mode)
+		mc, err := newMC(net, shardCfg, passive)
 		if err != nil {
 			return nil, err
 		}
@@ -99,7 +113,8 @@ func newShardedMC(net *netsim.Network, cfg Config, n int, mode mcMode) (*Sharded
 			nextShard = (nextShard + 1) % n
 		}
 	}
-	if mode == mcShard {
+	s.own()
+	if !passive {
 		router := &ctrlplane.ProactiveRouter{CFLabel: s.shards[0].CFLabel}
 		if _, err := router.Install(net); err != nil {
 			return nil, err
@@ -131,14 +146,24 @@ func (s *ShardedMC) shardOf(initiator addr.IP) int {
 }
 
 // shardOfChannel recovers the owning shard from a channel ID: channel IDs
-// carry their minting controller's InstanceID in the high 32 bits, and the
-// shards' InstanceIDs are base..base+n-1 in shard order.
+// carry their minting controller's InstanceID in the high 32 bits.
 func (s *ShardedMC) shardOfChannel(id uint64) (int, error) {
-	i := int(uint32(id>>32)) - int(s.Cfg.InstanceID)
-	if i < 0 || i >= len(s.shards) {
+	i := s.instanceShard(uint32(id >> 32))
+	if i < 0 {
 		return 0, fmt.Errorf("mic: channel %d belongs to no shard of this controller", id)
 	}
 	return i, nil
+}
+
+// instanceShard returns the index of the shard with the given InstanceID, or
+// -1: the shards' InstanceIDs are base..base+n-1 in shard order. A channel ID
+// carries its minting shard's InstanceID above bit 32, a group ID in its top
+// byte.
+func (s *ShardedMC) instanceShard(instance uint32) int {
+	if i := instance - s.Cfg.InstanceID; i < uint32(len(s.shards)) {
+		return int(i)
+	}
+	return -1
 }
 
 // Engine implements ControlPlane.
@@ -240,16 +265,16 @@ func (s *ShardedMC) unionIntent(node topo.NodeID) (intent map[reconKey]*flowtabl
 }
 
 // missingAt returns the mods that put back what of the shard's intent for sw
-// a dump of it lacks (have, haveGroup), channels in ID order, a group with
-// its rule's entry, whose cookie orders it; n counts the rules and groups.
-func (mc *MC) missingAt(sw *netsim.Switch, have map[reconKey]bool, haveGroup map[flowtable.GroupID]bool) (mods []ctrlplane.Mod, n int) {
+// a dump of it lacks (have, groups), channels in ID order, a group with its
+// rule's entry, whose cookie orders it; n counts the rules and groups.
+func (mc *MC) missingAt(sw *netsim.Switch, have map[reconKey]bool, groups []flowtable.GroupID) (mods []ctrlplane.Mod, n int) {
 	for _, id := range sortedChanIDs(mc.channels) {
 		for _, rr := range mc.channels[id].rules {
 			if rr.node != sw.ID {
 				continue
 			}
 			mod := ctrlplane.Mod{Switch: sw, Entry: rr.entry}
-			if rr.group != nil && !haveGroup[rr.group.ID] {
+			if rr.group != nil && !slices.Contains(groups, rr.group.ID) {
 				mod.Group = rr.group
 				n++
 			}
@@ -262,4 +287,203 @@ func (mc *MC) missingAt(sw *netsim.Switch, have map[reconKey]bool, haveGroup map
 		}
 	}
 	return mods, n
+}
+
+// A switch may hold rules no shard wants — a dead controller life's, or an
+// epoch's whose delete it never confirmed — and the unit's one way to
+// converge it is a pass (below). Passes run on every switch at a takeover, on
+// a marked switch that reconnects (SwitchUp, the prober's OnUp, a management
+// heal), and on a live switch when one of the unit's deletes to it goes
+// unconfirmed. A pass that fails while its switch is up is retried with the
+// repair job's backoff; once the retries are spent, the mark waits for the
+// next reconnect, heal or takeover.
+//
+// own makes s the unit of its shards and subscribes it to fabric events once:
+// failures go to the shards' self-healing under AutoRepair, reconnects to
+// reconcile. A dead unit hears nothing, and a standby acts on nothing.
+func (s *ShardedMC) own() {
+	s.recon = make([]switchRecon, len(s.Net.Graph.Nodes))
+	for _, mc := range s.shards {
+		mc.unit = s
+	}
+	s.Net.Notify(func(ev netsim.Event) {
+		if lead := s.shards[0]; lead.down || !lead.activeCtrl {
+			return
+		}
+		for _, mc := range s.shards {
+			if ev.Kind == netsim.PortDown && s.Cfg.AutoRepair {
+				mc.failLink(linkKey{ev.Node, ev.Port})
+			} else if ev.Kind == netsim.SwitchDown && s.Cfg.AutoRepair {
+				mc.failNode(ev.Node)
+			}
+		}
+		switch ev.Kind {
+		case netsim.SwitchUp:
+			s.reconnect(ev.Node)
+		case netsim.Heal:
+			for id := range s.recon {
+				s.reconnect(topo.NodeID(id))
+			}
+		}
+	})
+}
+
+// reconnect converges a switch that is back in reach, if it is marked.
+func (s *ShardedMC) reconnect(node topo.NodeID) {
+	if s.recon[node].marked {
+		s.reconcile(node)
+	}
+}
+
+// reconcile marks node and converges it now, with a fresh retry budget, or
+// after the pass that is out.
+func (s *ShardedMC) reconcile(node topo.NodeID) {
+	r := &s.recon[node]
+	r.marked, r.tries = true, 0
+	if !r.busy {
+		s.converge(node, true, nil)
+	}
+}
+
+// converge runs a pass on node if it is up and the unit active, or leaves it
+// marked. With fence the pass waits until all the shards have in flight to
+// the switch is resolved: a superseded batch may land after a dump, and must
+// be read by it. A takeover's passes, whose channels carry only Hellos, need
+// no fence and report to onDone (may be nil) once.
+func (s *ShardedMC) converge(node topo.NodeID, fence bool, onDone func(reinstalled, stale int)) {
+	r, lead, sw := &s.recon[node], s.shards[0], s.Net.Switch(node)
+	if onDone == nil {
+		onDone = func(int, int) {}
+	}
+	if sw.Down || lead.down || !lead.activeCtrl {
+		r.marked = true
+		onDone(0, 0)
+		return
+	}
+	r.busy, r.marked = true, false
+	out := 1
+	fenced := gated(lead, func(bool) {
+		if out--; out == 0 {
+			s.pass(sw, func(reinstalled, stale int, ok bool) {
+				onDone(reinstalled, stale)
+				s.settle(node, ok)
+			})
+		}
+	})
+	for _, sh := range s.shards {
+		if fence && sh.Ch.InFlight(node) > 0 {
+			out++
+			sh.Ch.Barrier(sw, fenced)
+		}
+	}
+	fenced(true)
+}
+
+// settle follows a pass: a failed one leaves its switch marked and, while the
+// switch is up, is retried after the repair job's backoff until its retries
+// are spent; a switch marked again while the pass was out gets another now.
+func (s *ShardedMC) settle(node topo.NodeID, ok bool) {
+	r, lead := &s.recon[node], s.shards[0]
+	r.busy, r.marked = false, r.marked || !ok
+	switch {
+	case !r.marked || s.Net.Switch(node).Down:
+	case ok:
+		s.converge(node, true, nil)
+	case r.tries < lead.repairMaxRetries():
+		r.tries++
+		r.busy = true
+		s.Net.Eng.After(lead.repairBackoff(r.tries), lead.gate(func() {
+			r.busy = false
+			s.converge(node, true, nil)
+		}))
+	}
+}
+
+// pass dumps sw, diffs the dump against the union of the shards' intent and
+// converges the switch. Each shard puts its channels' missing rules back and
+// then deletes the stale cookies it minted, over its own southbound channel,
+// so each delete applies after the reinstall of its match (one owner's
+// messages apply in send order); a rule no shard minted is another
+// controller's and stays. A barrier per shard closes the pass. Stale
+// groups leave when the last barrier answers, re-checked against intent then:
+// the barriers fenced every message that could put them back. done reports
+// the counts and whether every message was confirmed.
+func (s *ShardedMC) pass(sw *netsim.Switch, done func(reinstalled, stale int, ok bool)) {
+	lead := s.shards[0]
+	lead.Ch.DumpFlows(sw, lead.gate3(func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool) {
+		if !ok {
+			done(0, 0, false)
+			return
+		}
+		have, stale, _, _ := s.diff(sw.ID, entries)
+		reinstalled, staleDeleted, out := 0, 0, len(s.shards)
+		for i, sh := range s.shards {
+			mods, n := sh.missingAt(sw, have, groups)
+			reinstalled += n
+			sh.Ch.InstallAllResult(mods, gated(lead, func(failed int) { ok = ok && failed == 0 }))
+			for _, cookie := range stale {
+				if s.instanceShard(uint32(cookieChannel(cookie)>>32)) == i {
+					sh.Ch.DeleteByCookie(sw, cookie, gated(lead, func(removed int) {
+						ok = ok && removed >= 0
+						staleDeleted += max(removed, 0)
+					}))
+				}
+			}
+			sh.Ch.Barrier(sw, gated(lead, func(acked bool) {
+				ok = ok && acked
+				if out--; out > 0 {
+					return
+				}
+				if len(groups) > 0 {
+					_, groupIntent := s.unionIntent(sw.ID)
+					for _, gid := range groups {
+						if groupIntent[gid] == nil && s.instanceShard(uint32(gid)>>24) >= 0 {
+							sw.Table.DeleteGroup(gid)
+						}
+					}
+				}
+				s.reinstalled += uint64(reinstalled)
+				s.staleDeleted += uint64(staleDeleted)
+				done(reinstalled, staleDeleted, ok)
+			}))
+		}
+	}))
+}
+
+// reconKey identifies one flow entry for reconciliation: the full match plus
+// priority and cookie. Two controller lives computing the same channel from
+// the same journal produce the same key; a dead life's stale epoch differs
+// in the cookie and is caught.
+type reconKey struct {
+	match    flowtable.Match
+	priority int
+	cookie   uint64
+}
+
+func entryReconKey(e *flowtable.Entry) reconKey {
+	return reconKey{match: e.Match, priority: e.Priority, cookie: e.Cookie}
+}
+
+// diff classifies the m-flow entries of node's table against the union of
+// the shards' intent: have holds the intended ones installed, stale the
+// cookies of the others in first-seen order, staleN counts those entries and
+// missing the intended ones not installed. A pass and the audit read a table
+// through it alike.
+func (s *ShardedMC) diff(node topo.NodeID, entries []*flowtable.Entry) (have map[reconKey]bool, stale []uint64, staleN, missing int) {
+	intent, _ := s.unionIntent(node)
+	have = make(map[reconKey]bool)
+	for _, e := range entries {
+		if !mflowCookie(e.Cookie) {
+			continue // common routing is generation-invariant
+		}
+		if k := entryReconKey(e); intent[k] != nil {
+			have[k] = true
+			continue
+		}
+		staleN++
+		if !slices.Contains(stale, e.Cookie) {
+			stale = append(stale, e.Cookie)
+		}
+	}
+	return have, stale, staleN, len(intent) - len(have)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mic/internal/flowtable"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -231,8 +232,8 @@ func TestShardedDoubleFailover(t *testing.T) {
 }
 
 // TestTakeoverSweepAndLateReconcile pins the two halves of a takeover that
-// only exist in the Cluster, for single-MC and four-shard units alike (one
-// code path, table-driven over Shards):
+// outlive its passes, for single-MC and four-shard units alike (one code
+// path, table-driven over Shards):
 //
 // sweep — a channel whose path dies during the blackout has nobody to repair
 // it (the failure event fired at a dead controller); the post-takeover
@@ -240,8 +241,9 @@ func TestShardedDoubleFailover(t *testing.T) {
 // through the normal self-healing path.
 //
 // late reconcile — a switch that is down when the standby takes over cannot
-// be dumped; it must be reconciled when its SwitchUp arrives, so the dead
-// life's rules on it are purged and the audit ends at (0, 0).
+// be dumped; the unit leaves it marked, and its reconnect trigger (SwitchUp)
+// runs the pass, so the dead life's rules on it are purged and the audit ends
+// at (0, 0).
 func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("sweep/shards=%d", shards), func(t *testing.T) {
@@ -307,6 +309,83 @@ func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestShardedTakeoverMidRepairMakesBeforeBreaking sweeps a four-shard
+// takeover under southbound loss: a shard-1 channel's dial has a link of its
+// path cut under it, and the active dies while the repair's install is out and
+// before its purge, so the successor finds old-epoch entries where the new
+// epoch is intended and puts the new ones back over loss. After every event
+// until the takeover completes, every match of a live channel that a switch
+// has held stays held, by the channel's current entry or an older epoch's:
+// each stale delete goes out over the channel of the shard that minted it,
+// after that shard's reinstall of the same match.
+func TestShardedTakeoverMidRepairMakesBeforeBreaking(t *testing.T) {
+	for _, loss := range []float64{0.05, 0.30} {
+		for seed := uint64(1); seed <= 100; seed++ {
+			shardedTakeoverMidRepair(t, loss, seed)
+		}
+	}
+}
+
+// shardedTakeoverMidRepair is one run of the sweep above.
+func shardedTakeoverMidRepair(t *testing.T, loss float64, seed uint64) {
+	t.Helper()
+	f := newClusterFixture(t, Config{MNs: 3, AutoRepair: true}, ClusterConfig{Shards: 4})
+	for _, sh := range f.cl.members[1].unit.shards {
+		sh.Ch.LossRate, sh.Ch.LossSeed = loss, seed
+	}
+	taken := false
+	f.cl.OnTakeover = func(TakeoverStats) { taken = true }
+	// Straight to the unit: the Cluster's request retry would open duplicates.
+	f.cl.members[0].unit.EstablishChannel(f.stacks[2].Host.IP, f.stacks[15].Host.IP.String(), ChannelOptions{}, func(*ChannelInfo, error) {})
+	f.eng.RunFor(700 * time.Microsecond)
+	lead := f.cl.members[0].unit.shards[1] // host 2: shard 1 of 4
+	if len(lead.channels) != 1 {
+		t.Fatalf("loss %g seed %d: shard 1 holds %d channels, want the dial's", loss, seed, len(lead.channels))
+	}
+	path := lead.channels[sortedChanIDs(lead.channels)[0]].info.Flows[0].Path
+	cutFirstInterSwitchLink(t, &fixture{eng: f.eng, net: f.net, graph: f.graph}, path)
+	f.eng.RunFor(600 * time.Microsecond) // the repair's install is out, held behind the dial's batch
+	f.net.SetCtrlHostDown(0, true)
+
+	// held records every (switch, match) of a successor channel some table
+	// has held; each must stay covered by an entry of that channel.
+	type key struct {
+		node  topo.NodeID
+		match flowtable.Match
+		prio  int
+		ch    uint64
+	}
+	held := map[key]bool{}
+	for !taken && f.eng.Step() {
+		for _, sh := range f.cl.members[1].unit.shards {
+			for _, id := range sortedChanIDs(sh.channels) {
+				for _, rr := range sh.channels[id].rules {
+					if rr.entry == nil {
+						continue
+					}
+					k := key{rr.node, rr.entry.Match, rr.entry.Priority, id}
+					covered := false
+					for _, e := range f.net.Switch(rr.node).Table.Conflicts(k.match, k.prio) {
+						covered = covered || cookieChannel(e.Cookie) == id
+					}
+					if held[k] && !covered {
+						t.Fatalf("loss %g seed %d: at %v %s lost channel %d's match %v", loss, seed, f.eng.Now(), f.net.Switch(rr.node).Name, id, k.match)
+					}
+					held[k] = held[k] || covered
+				}
+			}
+		}
+	}
+	if !taken {
+		t.Fatalf("loss %g seed %d: no takeover", loss, seed)
+	}
+	f.settle(time.Second)
+	if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
+		t.Fatalf("loss %g seed %d: audit stale=%d missing=%d", loss, seed, st, miss)
+	}
+	checkClusterReplay(t, f.cl)
 }
 
 // clusterEcho opens an echo channel from -> to over the cluster, sends
