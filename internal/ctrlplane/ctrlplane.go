@@ -139,9 +139,11 @@ type Channel struct {
 	lossRNG *sim.RNG
 	sw      []swState // per-switch transaction state, indexed by NodeID
 
-	// Free lists of the pooled delivery and install records (message.go).
+	// Free lists of the pooled delivery and install records (message.go)
+	// and of the heartbeat records.
 	msgFree  []*msg
 	instFree []*install
+	beatFree []*heartbeat
 }
 
 // swState is the channel's transaction window toward one switch: an ordered
@@ -385,47 +387,84 @@ func (c *Channel) Echo(sw *netsim.Switch, cb func(alive bool)) {
 // unretransmitted round trip, subject to the channel's loss model and to
 // directional partition cuts between the two hosts. cb runs at the receiver
 // after one control latency if the beat survives; ack (may be nil) runs at
-// the sender with true when the receiver's acknowledgement returns, or
-// false after the ack timeout — the lease-renewal signal. A crashed sender
-// (Down) emits nothing and hears nothing — which is precisely the signal a
-// standby watches for.
-func (c *Channel) Heartbeat(to int, cb func(), ack func(ok bool)) {
+// the sender with the beat's send time and true when the receiver's
+// acknowledgement returns, or false after the ack timeout — the
+// lease-renewal signal. A crashed sender (Down) emits nothing and hears
+// nothing — which is precisely the signal a standby watches for. The beat
+// is a pooled record: a caller passing callbacks it bound once sends beats
+// without allocating.
+func (c *Channel) Heartbeat(to int, cb func(), ack func(sent sim.Time, ok bool)) {
 	if c.Down {
 		return
 	}
 	c.Heartbeats++
-	answered := false
-	reqLost := c.lost()
-	reach := func(from, dst int) bool {
-		if c.CtrlHost < 0 {
-			return true
-		}
-		return c.Net.MgmtReachable(netsim.MgmtCtrl(from), netsim.MgmtCtrl(dst))
+	var b *heartbeat
+	if last := len(c.beatFree) - 1; last >= 0 {
+		b = c.beatFree[last]
+		c.beatFree = c.beatFree[:last]
+	} else {
+		b = &heartbeat{ch: c}
+		b.arriveFn, b.ackFn, b.timeoutFn = b.arrive, b.acked, b.timeout
 	}
-	c.Eng.After(c.Latency, func() {
-		if reqLost || c.Net.CtrlHostDown(to) || !reach(c.CtrlHost, to) {
-			return
-		}
-		cb()
-		ackLost := c.lost()
-		c.Eng.After(c.Latency, func() {
-			if ackLost || answered || c.Down || !reach(to, c.CtrlHost) {
-				return
-			}
-			answered = true
-			if ack != nil {
-				ack(true)
-			}
-		})
-	})
-	c.Eng.After(c.ackTimeout(), func() {
-		if !answered && !c.Down {
-			answered = true
-			if ack != nil {
-				ack(false)
-			}
-		}
-	})
+	b.to, b.sent, b.onHeard, b.onAck = to, c.Eng.Now(), cb, ack
+	b.reqLost = c.lost()
+	c.Eng.After(c.Latency, b.arriveFn)
+	c.Eng.After(c.ackTimeout(), b.timeoutFn)
+}
+
+// heartbeat is one beat in flight, pooled like msg: the arrival at the
+// receiver schedules the acknowledgement, and the ack timer, which exceeds
+// one round trip, is always the beat's last event and returns the record to
+// the channel's free list.
+type heartbeat struct {
+	ch                         *Channel
+	arriveFn, ackFn, timeoutFn func()
+
+	to               int
+	sent             sim.Time
+	reqLost, ackLost bool
+	answered         bool
+	onHeard          func()
+	onAck            func(sent sim.Time, ok bool)
+}
+
+// ctrlReach reports whether the management network carries a message from
+// controller host from to controller host dst.
+func (c *Channel) ctrlReach(from, dst int) bool {
+	if c.CtrlHost < 0 {
+		return true
+	}
+	return c.Net.MgmtReachable(netsim.MgmtCtrl(from), netsim.MgmtCtrl(dst))
+}
+
+func (b *heartbeat) arrive() {
+	c := b.ch
+	if b.reqLost || c.Net.CtrlHostDown(b.to) || !c.ctrlReach(c.CtrlHost, b.to) {
+		return
+	}
+	b.onHeard()
+	b.ackLost = c.lost()
+	c.Eng.After(c.Latency, b.ackFn)
+}
+
+func (b *heartbeat) acked() {
+	c := b.ch
+	if b.ackLost || c.Down || !c.ctrlReach(b.to, c.CtrlHost) {
+		return
+	}
+	b.answered = true
+	if b.onAck != nil {
+		b.onAck(b.sent, true)
+	}
+}
+
+func (b *heartbeat) timeout() {
+	c := b.ch
+	if !b.answered && !c.Down && b.onAck != nil {
+		b.onAck(b.sent, false)
+	}
+	*b = heartbeat{ch: c, arriveFn: b.arriveFn, ackFn: b.ackFn, timeoutFn: b.timeoutFn}
+	c.beatFree = append(c.beatFree, b)
 }
 
 // Hello announces the channel's fencing epoch to sw: the first message a

@@ -6,6 +6,7 @@ import (
 
 	"mic/internal/flowtable"
 	"mic/internal/netsim"
+	"mic/internal/sim"
 	"mic/internal/topo"
 )
 
@@ -18,7 +19,7 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 	peer := net.RegisterCtrlHost()
 
 	heard, acked := false, false
-	ch.Heartbeat(peer, func() { heard = true }, func(ok bool) { acked = ok })
+	ch.Heartbeat(peer, func() { heard = true }, func(_ sim.Time, ok bool) { acked = ok })
 	eng.Run()
 	if !heard {
 		t.Fatal("beat never reached the peer")
@@ -42,7 +43,7 @@ func TestHeartbeatDirectionalCuts(t *testing.T) {
 	// Request leg cut: the peer hears nothing, the sender times out.
 	net.SetMgmtCut(me, them, true)
 	heard, acked, answered := false, false, false
-	ch.Heartbeat(peer, func() { heard = true }, func(ok bool) { acked, answered = ok, true })
+	ch.Heartbeat(peer, func() { heard = true }, func(_ sim.Time, ok bool) { acked, answered = ok, true })
 	eng.Run()
 	if heard {
 		t.Fatal("beat crossed a cut request leg")
@@ -55,7 +56,7 @@ func TestHeartbeatDirectionalCuts(t *testing.T) {
 	// Ack leg cut: the peer hears the beat, the sender's renewal still fails.
 	net.SetMgmtCut(them, me, true)
 	heard, acked, answered = false, false, false
-	ch.Heartbeat(peer, func() { heard = true }, func(ok bool) { acked, answered = ok, true })
+	ch.Heartbeat(peer, func() { heard = true }, func(_ sim.Time, ok bool) { acked, answered = ok, true })
 	eng.Run()
 	if !heard {
 		t.Fatal("ack-leg cut swallowed the request leg too")

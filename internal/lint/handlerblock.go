@@ -12,9 +12,9 @@ import (
 // could release does not slow the simulation down — it deadlocks it.
 //
 // Handler roots are the function values passed to the well-known
-// registration calls (sim.Engine.At/After, netsim.Host.SetHandler,
-// netsim.Network.AddTap/Notify — matched by method name so test fixtures
-// and future packages are covered too). A root passed as a function-typed
+// registration calls (sim.Engine.At/After, sim.Timer.Bind,
+// netsim.Host.SetHandler, netsim.Network.AddTap/Notify — matched by method
+// name so test fixtures and future packages are covered too). A root passed as a function-typed
 // struct field (a pooled record's callback, bound once: rec.fn = rec.fire,
 // then At(t, rec.fn)) stands for every value the package assigns to that
 // field. From each root the analyzer walks statically-resolvable calls into
@@ -34,7 +34,7 @@ var HandlerBlock = &Analyzer{
 // surface is small and distinctively named, and a false positive is one
 // suppression away.
 var registrationMethods = map[string]bool{
-	"At": true, "After": true, "SetHandler": true, "AddTap": true, "Notify": true,
+	"At": true, "After": true, "Bind": true, "SetHandler": true, "AddTap": true, "Notify": true,
 }
 
 var blockingWaits = map[string]string{

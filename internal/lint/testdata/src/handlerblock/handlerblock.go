@@ -13,6 +13,13 @@ func (e *Engine) After(d int, do func()) {}
 
 type Host struct{}
 
+// Timer mirrors sim.Timer: its handler is registered once, by Bind, and
+// every later Reset schedules it.
+type Timer struct{}
+
+func (t *Timer) Bind(e *Engine, fn func()) {}
+func (t *Timer) Reset(d int)               {}
+
 func (h *Host) SetHandler(fn func(port int)) {}
 
 func direct(e *Engine, ch chan int, wg *sync.WaitGroup) {
@@ -170,4 +177,29 @@ func (m *delivery) timeout() {
 	m.wg.Wait() // want `sync.WaitGroup.Wait blocks`
 	var e Engine
 	m.try(&e)
+}
+
+// conn owns a timer embedded by value, bound once to a method; the method
+// is a handler although no At or After names it.
+type conn struct {
+	rto  Timer
+	acks chan int
+}
+
+func newConn(e *Engine) *conn {
+	c := &conn{acks: make(chan int)}
+	c.rto.Bind(e, c.onTimeout)
+	return c
+}
+
+func (c *conn) onTimeout() {
+	<-c.acks // want `channel receive can block`
+	c.rto.Reset(10)
+}
+
+// timerLiteral binds a function literal.
+func timerLiteral(e *Engine, t *Timer, ch chan int) {
+	t.Bind(e, func() {
+		<-ch // want `channel receive can block`
+	})
 }

@@ -127,9 +127,15 @@ type member struct {
 	// (in flight for replicationLag). A takeover drains them first.
 	pending []Record
 
-	// beatGen cancels this member's heartbeat/watchdog tickers: each
-	// (re)start bumps it and stale tickers see the mismatch and die.
-	beatGen uint64
+	// The member's timers: the active's beat ticker and lease check, the
+	// standby's watchdog ticker. A role change stops all three.
+	beat, lease, watch sim.Timer
+
+	// heard and acked are the member's ends of a heartbeat (Channel.Heartbeat),
+	// bound once: heard runs when a beat reaches it, acked when a beat it sent
+	// is answered or times out.
+	heard func()
+	acked func(sent sim.Time, ok bool)
 
 	// lastBeat is when this standby last heard the active; missedRun counts
 	// consecutive overdue checks.
@@ -278,6 +284,22 @@ func (c *Cluster) addMember(unit *ShardedMC) {
 	if len(c.members) == 0 {
 		m.role = roleActive
 	}
+	m.beat.Bind(c.eng(), func() { c.sendBeats(m) })
+	m.lease.Bind(c.eng(), func() { c.leaseEdge(m) })
+	m.watch.Bind(c.eng(), func() { c.checkBeats(m) })
+	m.heard = func() {
+		if m.role == roleStandby {
+			m.lastBeat = c.eng().Now()
+			// Hearing the successor releases a demoted ex-active back into
+			// the standby pool.
+			m.demoted = false
+		}
+	}
+	m.acked = func(sent sim.Time, ok bool) {
+		if ok {
+			c.extendLease(m, sent)
+		}
+	}
 	c.members = append(c.members, m)
 	c.Journal.Follow(func(r Record) {
 		if m.role != roleStandby {
@@ -418,78 +440,60 @@ func (c *Cluster) drain(m *member) {
 // latency later than its send). See DESIGN.md §4g for the full ordering
 // argument.
 func (c *Cluster) startBeating(m *member) {
-	m.beatGen++
-	gen := m.beatGen
+	m.stopTimers()
 	if !c.CCfg.DisableFencing {
 		m.leaseUntil = c.eng().Now().Add(c.CCfg.leaseDuration())
-		c.armLeaseCheck(m, gen, m.leaseUntil)
+		m.lease.ResetAt(m.leaseUntil)
 	}
-	var tick func()
-	tick = func() {
-		if gen != m.beatGen || m.role != roleActive {
-			return
+	m.beat.Reset(c.CCfg.HeartbeatInterval)
+}
+
+// sendBeats is one tick of the active's beat ticker.
+func (c *Cluster) sendBeats(m *member) {
+	for _, other := range c.members {
+		if other == m || other.role == roleDead {
+			continue
 		}
-		sendAt := c.eng().Now()
-		for _, other := range c.members {
-			if other == m || other.role == roleDead {
-				continue
-			}
-			other := other
-			c.Counters.Add("heartbeats_sent", 1)
-			m.lead().Ch.Heartbeat(other.ctrlIdx, func() {
-				if other.role == roleStandby {
-					other.lastBeat = c.eng().Now()
-					// Hearing the successor releases a demoted ex-active
-					// back into the standby pool.
-					other.demoted = false
-				}
-			}, func(ok bool) {
-				if ok && gen == m.beatGen && m.role == roleActive {
-					c.extendLease(m, gen, sendAt)
-				}
-			})
-		}
-		c.eng().After(c.CCfg.HeartbeatInterval, tick)
+		c.Counters.Add("heartbeats_sent", 1)
+		m.lead().Ch.Heartbeat(other.ctrlIdx, other.heard, m.acked)
 	}
-	c.eng().After(c.CCfg.HeartbeatInterval, tick)
+	m.beat.Reset(c.CCfg.HeartbeatInterval)
+}
+
+// stopTimers cancels m's tickers and lease check.
+func (m *member) stopTimers() {
+	m.beat.Stop()
+	m.lease.Stop()
+	m.watch.Stop()
 }
 
 // extendLease renews m's mastership lease off one acknowledged beat: the
 // lease runs leaseDuration from the beat's *send* time (the conservative
-// end — the ack only proves the peer heard it after that).
-func (c *Cluster) extendLease(m *member, gen uint64, sendAt sim.Time) {
-	if c.CCfg.DisableFencing {
-		return
-	}
+// end — the ack only proves the peer heard it after that). Only a running
+// lease is renewed: none runs with fencing off, and a step-down, crash or
+// Stop stops it. A beat sent in an earlier active life renews nothing
+// either: the life's first lease already runs from after it.
+func (c *Cluster) extendLease(m *member, sendAt sim.Time) {
 	until := sendAt.Add(c.CCfg.leaseDuration())
-	if until <= m.leaseUntil {
+	if !m.lease.Armed() || until <= m.leaseUntil {
 		return
 	}
 	m.leaseUntil = until
-	c.armLeaseCheck(m, gen, until)
+	m.lease.ResetAt(until)
 }
 
-// armLeaseCheck schedules a step-down check for the exact lease edge. If the
-// lease was extended meanwhile, a newer check is armed and this one is a
-// no-op.
-func (c *Cluster) armLeaseCheck(m *member, gen uint64, until sim.Time) {
-	c.eng().At(until, func() {
-		if gen != m.beatGen || m.role != roleActive || c.CCfg.DisableFencing {
-			return
-		}
-		if c.eng().Now() < m.leaseUntil {
-			return // renewed; the newer edge has its own check
-		}
-		if c.usurperExists(m) {
-			c.stepDown(m)
-			return
-		}
-		// No peer could take over (all dead, or demoted and waiting to hear
-		// from us): mastership cannot be usurped, so the lease self-extends
-		// rather than orphaning the fabric with no controller at all.
-		m.leaseUntil = c.eng().Now().Add(c.CCfg.leaseDuration())
-		c.armLeaseCheck(m, gen, m.leaseUntil)
-	})
+// leaseEdge runs at the lease's expiry: the lease timer's latest arming is
+// always for m.leaseUntil, which only rises, so an extension supersedes it.
+func (c *Cluster) leaseEdge(m *member) {
+	if c.usurperExists(m) {
+		c.stepDown(m)
+		return
+	}
+	// No peer could take over (all dead, or demoted and waiting to hear
+	// from us): mastership cannot be usurped, so the lease self-extends
+	// rather than orphaning the fabric with no controller at all.
+	m.leaseUntil = c.eng().Now().Add(c.CCfg.leaseDuration())
+	m.lease.ResetAt(m.leaseUntil)
 }
 
 // usurperExists reports whether any standby is in a state where its takeover
@@ -518,7 +522,6 @@ func (c *Cluster) stepDown(m *member) {
 	c.Counters.Add("stepdowns", 1)
 	m.role = roleStandby
 	m.demoted = true
-	m.beatGen++ // cancel the beat ticker and pending lease checks
 	if c.active == c.memberIndex(m) {
 		c.active = -1
 	}
@@ -542,27 +545,24 @@ func (c *Cluster) stepDown(m *member) {
 // latency slack). HeartbeatMisses consecutive overdue checks — a debounce
 // against individual beat losses — trigger the takeover.
 func (c *Cluster) startWatchdog(m *member) {
-	m.beatGen++
-	gen := m.beatGen
+	m.stopTimers()
 	m.lastBeat = c.eng().Now()
 	m.missedRun = 0
-	var tick func()
-	tick = func() {
-		if gen != m.beatGen || m.role != roleStandby {
+	m.watch.Reset(c.CCfg.HeartbeatInterval)
+}
+
+// checkBeats is one tick of a standby's watchdog ticker.
+func (c *Cluster) checkBeats(m *member) {
+	if c.eng().Now().Sub(m.lastBeat) > c.CCfg.HeartbeatInterval*3/2 {
+		m.missedRun++
+		c.Counters.Add("heartbeats_missed", 1)
+		if m.missedRun >= c.CCfg.HeartbeatMisses && c.leaseExpiredFor(m) && c.takeover(m) {
 			return
 		}
-		if c.eng().Now().Sub(m.lastBeat) > c.CCfg.HeartbeatInterval*3/2 {
-			m.missedRun++
-			c.Counters.Add("heartbeats_missed", 1)
-			if m.missedRun >= c.CCfg.HeartbeatMisses && c.leaseExpiredFor(m) && c.takeover(m) {
-				return
-			}
-		} else {
-			m.missedRun = 0
-		}
-		c.eng().After(c.CCfg.HeartbeatInterval, tick)
+	} else {
+		m.missedRun = 0
 	}
-	c.eng().After(c.CCfg.HeartbeatInterval, tick)
+	m.watch.Reset(c.CCfg.HeartbeatInterval)
 }
 
 // leaseExpiredFor reports whether standby m's side of the lease protocol
@@ -592,7 +592,7 @@ func (c *Cluster) memberCrashed(m *member) {
 	}
 	wasActive := m.role == roleActive
 	m.role = roleDead
-	m.beatGen++ // cancel tickers
+	m.stopTimers()
 	m.pending = nil
 	for _, mc := range m.unit.shards {
 		mc.crash()
@@ -775,7 +775,7 @@ func (c *Cluster) Telemetry() *metrics.Counters {
 // engine with Run() can reach quiescence.
 func (c *Cluster) Stop() {
 	for _, m := range c.members {
-		m.beatGen++
+		m.stopTimers()
 		for _, mc := range m.unit.shards {
 			mc.StopProber()
 		}

@@ -145,22 +145,42 @@ const (
 )
 
 // calendar is the engine's near tier. Slot b&ringMask holds the events of
-// absolute bucket b = at>>bucketShift, unsorted. Only buckets within
-// ringBuckets of the current instant's are admitted and no pending event
-// lies before the current instant, so all events of a slot share one
-// absolute bucket and the first occupied slot at or after the current one,
-// in ring order, holds the tier's earliest event. A two-level bitmap finds
-// that slot with two TrailingZeros64.
+// absolute bucket b = at>>bucketShift. Only buckets within ringBuckets of
+// the current instant's are admitted and no pending event lies before the
+// current instant, so all events of a slot share one absolute bucket and the
+// first occupied slot at or after the current one, in ring order, holds the
+// tier's earliest event. A two-level bitmap finds that slot with two
+// TrailingZeros64.
+//
+// The events themselves live in one pool of nodes that grows with the
+// pending count, not with the ring, and a fired event's node goes on a free
+// list. A slot is a circular list threaded through the pool by index, in
+// (at, seq) order, and the slot keeps its last node, whose successor is its
+// first: an event later than the slot's last (the usual case, seq only
+// growing) is appended in constant time, and the slot's earliest event is
+// its first, with no scan. What the ring costs up front is the index
+// arrays, about 21 KB, none of it pointers the GC must scan.
 type calendar struct {
-	n       int               // events held
-	summary uint64            // bit w set iff occ[w] != 0
-	occ     [ringWords]uint64 // bit s set iff fill[s] > 0
-	fill    [ringBuckets]uint8
-	slots   [ringBuckets][bucketCap]event
+	n       int                // events held
+	summary uint64             // bit w set iff occ[w] != 0
+	occ     [ringWords]uint64  // bit s set iff fill[s] > 0
+	fill    [ringBuckets]uint8 // events in slot s
+	last    [ringBuckets]int32 // slot s's last node; 0 for none
+	nodes   []node             // node 0 is never used, so index 0 means none
+	free    int32              // first node of the free list; 0 for none
+}
+
+// node is one pooled calendar entry: an event and the next node of its slot
+// (the slot's first, after its last) or of the free list.
+type node struct {
+	ev   event
+	next int32
 }
 
 // The summary word has one bit per occ word.
 const _ = uint(64 - ringWords)
+
+func newCalendar() *calendar { return &calendar{nodes: make([]node, 1, 64)} }
 
 // add stores ev in slot s and reports whether there was room.
 func (c *calendar) add(s uint64, ev event) bool {
@@ -168,12 +188,36 @@ func (c *calendar) add(s uint64, ev event) bool {
 	if f == bucketCap {
 		return false
 	}
-	c.slots[s][f] = ev
-	c.fill[s] = f + 1
-	if f == 0 {
+	i := c.free
+	if i != 0 {
+		c.free = c.nodes[i].next
+	} else {
+		i = int32(len(c.nodes))
+		c.nodes = append(c.nodes, node{})
+	}
+	c.nodes[i].ev = ev
+	last := c.last[s]
+	switch {
+	case last == 0:
+		c.nodes[i].next = i
+		c.last[s] = i
 		c.occ[s>>6] |= 1 << (s & 63)
 		c.summary |= 1 << (s >> 6)
+	case !ev.before(&c.nodes[last].ev):
+		c.nodes[i].next = c.nodes[last].next
+		c.nodes[last].next = i
+		c.last[s] = i
+	default:
+		// ev goes before the last node: after the last node that precedes
+		// it, starting from the last itself, which precedes the first.
+		p := last
+		for q := c.nodes[p].next; !ev.before(&c.nodes[q].ev); q = c.nodes[q].next {
+			p = q
+		}
+		c.nodes[i].next = c.nodes[p].next
+		c.nodes[p].next = i
 	}
+	c.fill[s] = f + 1
 	c.n++
 	return true
 }
@@ -195,19 +239,28 @@ func (c *calendar) first(from uint64) uint64 {
 	return w<<6 + uint64(bits.TrailingZeros64(c.occ[w]))
 }
 
-// remove deletes event i of slot s.
-func (c *calendar) remove(s uint64, i int) {
-	b := &c.slots[s]
-	last := c.fill[s] - 1
-	b[i] = b[last]
-	b[last] = event{} // release the closure to the GC
-	c.fill[s] = last
-	if last == 0 {
+// earliest returns slot s's earliest event, its first. The slot must not be
+// empty.
+func (c *calendar) earliest(s uint64) *event {
+	return &c.nodes[c.nodes[c.last[s]].next].ev
+}
+
+// pop removes slot s's earliest event and frees its node.
+func (c *calendar) pop(s uint64) {
+	last := c.last[s]
+	i := c.nodes[last].next
+	if i == last {
+		c.last[s] = 0
 		c.occ[s>>6] &^= 1 << (s & 63)
 		if c.occ[s>>6] == 0 {
 			c.summary &^= 1 << (s >> 6)
 		}
+	} else {
+		c.nodes[last].next = c.nodes[i].next
 	}
+	c.nodes[i] = node{next: c.free} // release the closure to the GC
+	c.free = i
+	c.fill[s]--
 	c.n--
 }
 
@@ -272,7 +325,7 @@ func (e *Engine) At(t Time, do func()) {
 	ev := event{at: t, seq: e.seq, do: do}
 	if b := uint64(t) >> bucketShift; b-uint64(e.now)>>bucketShift < ringBuckets {
 		if e.cal == nil {
-			e.cal = new(calendar)
+			e.cal = newCalendar()
 		}
 		if e.cal.add(b&ringMask, ev) {
 			return
@@ -296,33 +349,27 @@ func (e *Engine) Stop() { e.stopped = true }
 const inHeap = ringBuckets
 
 // next locates the earliest queued event: the smaller of the two tiers'
-// minima. It returns nil when nothing is queued; otherwise s and i place
-// the event in the calendar, or s is inHeap.
-func (e *Engine) next() (ev *event, s uint64, i int) {
+// minima. It returns nil when nothing is queued; otherwise s places the
+// event in the calendar, or is inHeap.
+func (e *Engine) next() (ev *event, s uint64) {
 	if len(e.heap) > 0 {
 		ev, s = &e.heap[0], inHeap
 	}
 	c := e.cal
 	if c == nil || c.n == 0 {
-		return ev, s, 0
+		return ev, s
 	}
 	cs := c.first(uint64(e.now) >> bucketShift & ringMask)
-	b := &c.slots[cs]
-	for k := 1; k < int(c.fill[cs]); k++ {
-		if b[k].before(&b[i]) {
-			i = k
-		}
+	if cev := c.earliest(cs); ev == nil || cev.before(ev) {
+		return cev, cs
 	}
-	if ev != nil && ev.before(&b[i]) {
-		return ev, s, 0
-	}
-	return &b[i], cs, i
+	return ev, s
 }
 
 // fireBy fires the next event if it is due at or before deadline, and
 // reports whether one fired.
 func (e *Engine) fireBy(deadline Time) bool {
-	next, s, i := e.next()
+	next, s := e.next()
 	if next == nil || next.at > deadline {
 		return false
 	}
@@ -330,7 +377,7 @@ func (e *Engine) fireBy(deadline Time) bool {
 	if s == inHeap {
 		e.heap.pop()
 	} else {
-		e.cal.remove(s, i)
+		e.cal.pop(s)
 	}
 	e.now = ev.at
 	e.firing = ev.seq
@@ -361,7 +408,7 @@ func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped && e.fireBy(deadline) {
 	}
-	if next, _, _ := e.next(); e.now <= deadline && (next == nil || next.at > deadline) {
+	if next, _ := e.next(); e.now <= deadline && (next == nil || next.at > deadline) {
 		e.now = deadline
 		e.firing = e.seq
 	}

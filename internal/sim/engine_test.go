@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -260,6 +262,52 @@ func TestPick(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("Pick never chose some elements: %v", seen)
+	}
+}
+
+// TestTimerResetAllocsNothing: once bound, a timer is armed, re-armed,
+// stopped and fired without allocating, in the calendar and in the heap.
+func TestTimerResetAllocsNothing(t *testing.T) {
+	e := New()
+	var tm Timer
+	fired := 0
+	tm.Bind(e, func() { fired++ })
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm.Reset(5 * Millisecond) // past the calendar's horizon
+		tm.Reset(Microsecond)     // supersedes it
+		tm.ResetAt(e.Now().Add(2 * Microsecond))
+		tm.Stop()
+		tm.Reset(3 * Microsecond)
+		e.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("a timer's arm/re-arm/stop/fire cycle allocates %v times, want 0", allocs)
+	}
+	if fired != 1001 || tm.Armed() {
+		t.Fatalf("handler ran %d times over 1001 cycles, Armed() = %v; want one run per cycle, disarmed", fired, tm.Armed())
+	}
+}
+
+// TestNewEngineFootprint: what an engine allocates up front is its
+// calendar's index, and what it allocates later follows the pending count,
+// not the ring's size.
+func TestNewEngineFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(calendar{}); size > 32<<10 {
+		t.Fatalf("calendar is %d bytes, want at most 32 KiB", size)
+	}
+	nop := func() {}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := New()
+	for i := 0; i < 10_000; i++ {
+		e.After(Duration(i%8)*Microsecond, nop)
+		if e.Pending() == 8 {
+			e.Step()
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<10 {
+		t.Fatalf("New plus 10k At/Step cycles at <= 8 pending allocated %d bytes, want at most 64 KiB", got)
 	}
 }
 

@@ -14,6 +14,28 @@ type scheduler interface {
 	Step() bool
 	RunUntil(Time)
 	Stop()
+	// bind binds t (nil: a new timer) to handler fn, disarmed.
+	bind(t timer, fn func()) timer
+}
+
+// timer is the part of Timer the queue tests drive.
+type timer interface {
+	Reset(Duration)
+	ResetAt(Time)
+	Stop()
+	Armed() bool
+}
+
+// engineScheduler drives an Engine and its Timers.
+type engineScheduler struct{ *Engine }
+
+func (e engineScheduler) bind(t timer, fn func()) timer {
+	tm, _ := t.(*Timer)
+	if tm == nil {
+		tm = new(Timer)
+	}
+	tm.Bind(e.Engine, fn)
+	return tm
 }
 
 // heapEngine is the oracle: the scheduling rules of Engine over the 4-ary
@@ -49,6 +71,44 @@ func (o *heapEngine) Step() bool {
 	return true
 }
 
+func (o *heapEngine) bind(t timer, fn func()) timer {
+	m, _ := t.(*modelTimer)
+	if m == nil {
+		m = &modelTimer{o: o}
+	}
+	m.fn, m.armed = fn, false
+	m.gen++
+	return m
+}
+
+// modelTimer is the naive model of a Timer: every arming schedules its own
+// event, and a generation counter lets only the latest arming that was not
+// stopped run the handler, at that arming's (at, seq).
+type modelTimer struct {
+	o     *heapEngine
+	fn    func()
+	gen   int
+	armed bool
+}
+
+func (m *modelTimer) Reset(d Duration) { m.ResetAt(m.o.now.Add(max(d, 0))) }
+
+func (m *modelTimer) ResetAt(at Time) {
+	m.gen++
+	gen := m.gen
+	m.armed = true
+	m.o.At(at, func() {
+		if gen == m.gen && m.armed {
+			m.armed = false
+			m.fn()
+		}
+	})
+}
+
+func (m *modelTimer) Stop() { m.armed = false }
+
+func (m *modelTimer) Armed() bool { return m.armed }
+
 func (o *heapEngine) RunUntil(deadline Time) {
 	o.stopped = false
 	for !o.stopped && len(o.q) > 0 && o.q[0].at <= deadline {
@@ -83,11 +143,15 @@ func delay(class, x byte) Duration {
 
 // maxProgramEvents bounds what one program schedules, so that handlers
 // scheduling handlers terminate.
-const maxProgramEvents = 4096
+const (
+	maxProgramEvents = 4096
+	programTimers    = 4
+)
 
-// runProgram interprets prog against s and returns a log of every event
-// fired (its id and the instant it observed) and of the clock after every
-// operation. Two schedulers agree iff their logs are equal.
+// runProgram interprets prog against s and returns a log of every event and
+// timer handler fired (its id and the instant it observed) and of the clock
+// and the timers' armed states after every operation. Two schedulers agree
+// iff their logs are equal.
 func runProgram(s scheduler, prog []byte) []string {
 	var log []string
 	next := func() byte {
@@ -97,6 +161,33 @@ func runProgram(s scheduler, prog []byte) []string {
 		b := prog[0]
 		prog = prog[1:]
 		return b
+	}
+	var timers [programTimers]timer
+	binds := 0
+	bind := func(i int) {
+		binds++
+		b, rearm := binds, binds%3 == 0
+		timers[i] = s.bind(timers[i], func() {
+			log = append(log, fmt.Sprintf("timer %d.%d @%d", i, b, s.Now()))
+			// Every third binding re-arms its timer once, from its own
+			// handler.
+			if rearm {
+				rearm = false
+				timers[i].Reset(delay(byte(b), byte(b)))
+			}
+		})
+	}
+	for i := range timers {
+		bind(i)
+	}
+	armed := func() string {
+		m := 0
+		for i, t := range timers {
+			if t.Armed() {
+				m |= 1 << i
+			}
+		}
+		return fmt.Sprintf("armed %04b", m)
 	}
 	ids := 0
 	var schedule func(d Duration, after bool, kids []byte)
@@ -109,15 +200,20 @@ func runProgram(s scheduler, prog []byte) []string {
 		do := func() {
 			log = append(log, fmt.Sprintf("fire %d @%d", id, s.Now()))
 			// Scheduling from inside a handler: each pair of bytes left
-			// to this event is one child.
+			// to this event is one child, or one timer operation.
 			for len(kids) >= 2 {
 				c, x := kids[0], kids[1]
 				kids = kids[2:]
-				if c%16 == 15 {
+				switch c % 16 {
+				case 15:
 					s.Stop()
-					continue
+				case 14:
+					timers[x%programTimers].Reset(delay(c>>4, x))
+				case 13:
+					timers[x%programTimers].Stop()
+				default:
+					schedule(delay(c, x), x&1 == 0, kids)
 				}
-				schedule(delay(c, x), x&1 == 0, kids)
 			}
 		}
 		if after {
@@ -127,9 +223,9 @@ func runProgram(s scheduler, prog []byte) []string {
 		}
 	}
 	for len(prog) > 0 {
-		switch op := next(); op % 8 {
+		switch op := next(); op % 16 {
 		case 0, 1: // one event
-			schedule(delay(next(), next()), op%8 == 0, nil)
+			schedule(delay(next(), next()), op%16 == 0, nil)
 		case 2: // a burst into one bucket, enough to overflow it
 			c, x := next(), next()
 			for i := 0; i < bucketCap+3; i++ {
@@ -151,19 +247,29 @@ func runProgram(s scheduler, prog []byte) []string {
 			s.RunUntil(s.Now().Add(delay(next(), next())))
 		case 7:
 			s.RunUntil(s.Now().Add(horizon * Duration(next()%4)))
+		case 8, 12: // rebind a timer: disarmed, with a new handler
+			bind(int(next() % programTimers))
+		case 9, 13:
+			i := int(next() % programTimers)
+			timers[i].Reset(delay(next(), next()))
+		case 10, 14:
+			i := int(next() % programTimers)
+			timers[i].ResetAt(s.Now().Add(delay(next(), next())))
+		case 11, 15:
+			timers[next()%programTimers].Stop()
 		}
-		log = append(log, fmt.Sprintf("now %d", s.Now()))
+		log = append(log, fmt.Sprintf("now %d %s", s.Now(), armed()))
 	}
 	for s.Step() {
 	}
-	return append(log, fmt.Sprintf("end %d", s.Now()))
+	return append(log, fmt.Sprintf("end %d %s", s.Now(), armed()))
 }
 
 // checkProgram runs prog on the two-tier engine and on the oracle.
 func checkProgram(t *testing.T, prog []byte) {
 	t.Helper()
 	e := New()
-	got, want := runProgram(e, prog), runProgram(&heapEngine{}, prog)
+	got, want := runProgram(engineScheduler{e}, prog), runProgram(&heapEngine{}, prog)
 	if e.Pending() != 0 {
 		t.Fatalf("engine drained with Pending() = %d", e.Pending())
 	}
@@ -203,6 +309,16 @@ var queueCorpus = [][]byte{
 	{3, 3, 0, 0, 1, 7, 4, 9, 2, 5, 3, 2, 15, 0, 2, 8, 2, 4, 1, 2, 9, 7, 2, 6, 2, 200, 7, 3},
 	// RunUntil landing exactly on an event, between events, and beyond all.
 	{1, 2, 4, 1, 2, 8, 6, 2, 4, 6, 2, 2, 6, 2, 1, 7, 1},
+	// Timers (the third of the four initial bindings re-arms itself once):
+	// timer 0 reset near, further, then past the horizon; timer 1 armed for
+	// the instant of an event scheduled after it; timer 2 armed and stopped;
+	// timer 3 armed and rebound. After a run, timer 2 is armed again and an
+	// event's handler resets timer 1 at its own instant and stops timer 2.
+	{9, 0, 2, 9, 9, 0, 2, 200, 9, 0, 4, 3, 10, 1, 2, 4, 1, 2, 4, 9, 2, 3, 5, 11, 2,
+		9, 3, 1, 7, 8, 3, 4, 7, 9, 2, 2, 100, 3, 2, 14, 1, 13, 2, 2, 4, 4, 7, 4, 7},
+	// Timer 2's handler re-arms it; a reset moves that arming nearer, and an
+	// event's handler resets it once more, at the event's own instant.
+	{9, 2, 1, 9, 4, 0, 9, 2, 2, 5, 3, 2, 14, 2, 1, 2, 2, 50, 4, 7, 7, 2},
 }
 
 func TestEventQueueMatchesHeap(t *testing.T) {

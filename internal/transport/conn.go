@@ -69,9 +69,8 @@ type Conn struct {
 	sampleAt     sim.Time
 	sampling     bool
 
-	// Retransmission timer.
-	timerGen   uint64
-	timerArmed bool
+	// Retransmission timer, bound to onTimeout.
+	rtx sim.Timer
 
 	// Counters.
 	BytesSentApp int64 // accepted from the application
@@ -89,6 +88,7 @@ func newConn(s *Stack, tuple packet.FiveTuple, passive bool) *Conn {
 		rto:      initialRTO,
 		ooo:      make(map[uint32][]byte),
 	}
+	c.rtx.Bind(s.eng, c.onTimeout)
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
 	c.sndMax = c.iss
@@ -180,7 +180,7 @@ func (c *Conn) sendSYN() {
 	c.stack.emit(c.mkPacket(packet.FlagSYN, c.iss, 0, 0))
 	c.sndNxt = c.iss + 1
 	c.bumpMax()
-	c.armTimer()
+	c.rtx.Reset(c.rto)
 }
 
 // bumpMax records the high-water mark of transmitted sequence space.
@@ -194,7 +194,7 @@ func (c *Conn) sendSYNACK() {
 	c.stack.emit(c.mkPacket(packet.FlagSYN|packet.FlagACK, c.iss, 0, 0))
 	c.sndNxt = c.iss + 1
 	c.bumpMax()
-	c.armTimer()
+	c.rtx.Reset(c.rto)
 }
 
 func (c *Conn) sendACK() {
@@ -238,7 +238,7 @@ func (c *Conn) pump() {
 			}
 			c.sndNxt += uint32(n)
 			c.bumpMax()
-			c.armTimer()
+			c.rtx.Reset(c.rto)
 			continue
 		}
 		// All data sent: emit FIN if requested and window permits.
@@ -248,7 +248,7 @@ func (c *Conn) pump() {
 			c.sndNxt++
 			c.bumpMax()
 			c.finSent = true
-			c.armTimer()
+			c.rtx.Reset(c.rto)
 		}
 		return
 	}
@@ -266,7 +266,7 @@ func (c *Conn) handle(p *packet.Packet) {
 			c.sndUna = p.Ack
 			c.rcvNxt = p.Seq + 1
 			c.state = stateEstablished
-			c.disarmTimer()
+			c.rtx.Stop()
 			c.sendACK()
 			if cb := c.onConnected; cb != nil {
 				c.onConnected = nil
@@ -294,7 +294,7 @@ func (c *Conn) handle(p *packet.Packet) {
 		if p.Flags&packet.FlagACK != 0 && p.Ack == c.iss+1 {
 			c.sndUna = p.Ack
 			c.state = stateEstablished
-			c.disarmTimer()
+			c.rtx.Stop()
 			if cb := c.onAccept; cb != nil {
 				c.onAccept = nil
 				cb(c)
@@ -388,10 +388,10 @@ func (c *Conn) processAck(ack uint32) {
 			c.cwnd += MSS * int(advanced) / c.cwnd
 		}
 		if c.sndUna == c.sndNxt {
-			c.disarmTimer()
+			c.rtx.Stop()
 			c.maybeDrop()
 		} else {
-			c.armTimer()
+			c.rtx.Reset(c.rto)
 		}
 	} else if ack == c.sndUna && c.sndUna != c.sndNxt {
 		c.dupAcks++
@@ -487,25 +487,11 @@ func (c *Conn) retransmitOldest() {
 		n := min(MSS, c.sendBuf.Len()-sent)
 		c.stack.emit(c.mkPacket(packet.FlagACK|packet.FlagPSH, c.sndUna, sent, n))
 	}
-	c.armTimer()
+	c.rtx.Reset(c.rto)
 }
 
-func (c *Conn) armTimer() {
-	c.timerGen++
-	gen := c.timerGen
-	c.timerArmed = true
-	c.stack.after(c.rto, func() { c.onTimeout(gen) })
-}
-
-func (c *Conn) disarmTimer() {
-	c.timerGen++
-	c.timerArmed = false
-}
-
-func (c *Conn) onTimeout(gen uint64) {
-	if gen != c.timerGen || c.state == stateClosed {
-		return
-	}
+// onTimeout runs when the retransmission timer's latest arming expires.
+func (c *Conn) onTimeout() {
 	if c.state == stateSynSent || c.state == stateSynRcvd {
 		c.synRetries++
 		if c.synRetries > maxSynRetries {
@@ -514,7 +500,6 @@ func (c *Conn) onTimeout(gen uint64) {
 		}
 	}
 	if c.sndUna == c.sndNxt {
-		c.timerArmed = false
 		return // nothing outstanding
 	}
 	// Timeout: multiplicative backoff, then go-back-N recovery. Rewinding
@@ -534,8 +519,8 @@ func (c *Conn) onTimeout(gen uint64) {
 		}
 		c.sndNxt = c.sndUna
 		c.pump()
-		if !c.timerArmed {
-			c.armTimer()
+		if !c.rtx.Armed() {
+			c.rtx.Reset(c.rto)
 		}
 		return
 	}
@@ -546,7 +531,7 @@ func (c *Conn) onTimeout(gen uint64) {
 func (c *Conn) maybeDrop() {
 	if c.remoteFinned && c.finSent && c.sndUna == c.sndNxt {
 		c.state = stateClosed
-		c.disarmTimer()
+		c.rtx.Stop()
 		c.stack.drop(c)
 	}
 }
@@ -557,7 +542,7 @@ func (c *Conn) teardown(err *TransportError) {
 	}
 	wasHandshaking := c.state == stateSynSent
 	c.state = stateClosed
-	c.disarmTimer()
+	c.rtx.Stop()
 	c.stack.drop(c)
 	if wasHandshaking && c.onConnected != nil {
 		cb := c.onConnected
@@ -605,7 +590,7 @@ func (c *Conn) Stats() ConnStats {
 		Cwnd:        c.cwnd,
 		Ssthresh:    c.ssthresh,
 		RTO:         c.rto,
-		TimerArmed:  c.timerArmed,
+		TimerArmed:  c.rtx.Armed(),
 		Retransmits: c.Retransmits,
 	}
 }

@@ -15,7 +15,6 @@ package transport
 
 import (
 	"fmt"
-	"time"
 
 	"mic/internal/addr"
 	"mic/internal/netsim"
@@ -135,8 +134,4 @@ func (s *Stack) emit(p *packet.Packet) { s.Host.Send(0, p) }
 
 func (s *Stack) drop(c *Conn) { delete(s.conns, c.tuple.Reverse()) }
 
-// clock/timer helpers
-
 func (s *Stack) now() sim.Time { return s.eng.Now() }
-
-func (s *Stack) after(d time.Duration, fn func()) { s.eng.After(d, fn) }

@@ -99,7 +99,7 @@ func TestNewIncarnationDisplacesStaleConn(t *testing.T) {
 	// Evaporate the dialer: forget its conn without any FIN/RST on the wire,
 	// and rewind the port allocator so the next dial reuses the same tuple.
 	delete(r.a.conns, first.tuple.Reverse())
-	first.disarmTimer()
+	first.rtx.Stop()
 	r.a.nextPort = first.tuple.SrcPort
 
 	var second *Conn
@@ -548,5 +548,71 @@ func TestHandshakeRetriesUnderHeavyLoss(t *testing.T) {
 	r.eng.RunUntil(sim.Time(120 * time.Second))
 	if !connected {
 		t.Fatal("handshake never completed under 20% loss")
+	}
+}
+
+// TestRoundTripAllocsNothing: on a warmed connection pair, a 64-byte request
+// and its echo cost no allocation anywhere on the path — the segments, the
+// hops, the send buffers and the retransmission timers of both ends.
+func TestRoundTripAllocsNothing(t *testing.T) {
+	r := newRig(t, 3, netsim.Config{})
+	r.b.Listen(7, func(c *Conn) { c.OnData(func(b []byte) { c.Send(b) }) })
+	var client *Conn
+	echoed := 0
+	r.a.Dial(r.b.Host.IP, 7, func(c *Conn, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		client = c
+		c.OnData(func(b []byte) { echoed += len(b) })
+	})
+	r.eng.Run()
+	req := pattern(64)
+	roundTrip := func() {
+		client.Send(req)
+		r.eng.Run()
+	}
+	for i := 0; i < 16; i++ {
+		roundTrip()
+	}
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Fatalf("a 64-byte round trip allocates %v times, want 0", allocs)
+	}
+	if echoed != 64*(16+201) {
+		t.Fatalf("echoed %d bytes, want %d", echoed, 64*(16+201))
+	}
+}
+
+// TestGoBackNTimeoutLeavesOneArming: a timeout that rewinds the flight
+// leaves exactly one live arming of the retransmission timer, and it expires
+// once, one backed-off RTO later.
+func TestGoBackNTimeoutLeavesOneArming(t *testing.T) {
+	r := newRig(t, 3, netsim.Config{})
+	r.b.Listen(9000, func(c *Conn) { c.OnData(func([]byte) {}) })
+	var sender *Conn
+	r.a.Dial(r.b.Host.IP, 9000, func(c *Conn, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		sender = c
+	})
+	r.eng.Run()
+	sws := r.graph.Switches()
+	r.net.SetLinkDown(sws[0], r.graph.PortTo(sws[0], sws[1]), true)
+	sender.Send(pattern(4 * MSS))
+	for sender.Retransmits == 0 && r.eng.Step() {
+	}
+	st := sender.Stats()
+	if sender.Retransmits != 1 || !st.TimerArmed || st.InFlight == 0 {
+		t.Fatalf("after the first timeout: retransmits %d, stats %+v; want 1 retransmit, a flight out and the timer armed", sender.Retransmits, st)
+	}
+	expiry := r.eng.Now().Add(st.RTO)
+	r.eng.RunUntil(expiry - 1)
+	if sender.Retransmits != 1 {
+		t.Fatalf("retransmits %d before the backed-off RTO elapsed, want 1", sender.Retransmits)
+	}
+	r.eng.RunUntil(expiry)
+	if st := sender.Stats(); sender.Retransmits != 2 || !st.TimerArmed || st.RTO != 4*initialRTO {
+		t.Fatalf("at the backed-off RTO: retransmits %d, stats %+v; want 2, armed, RTO %v", sender.Retransmits, st, 4*initialRTO)
 	}
 }
