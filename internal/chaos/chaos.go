@@ -456,32 +456,19 @@ func Scenario(g *topo.Graph, seed uint64, cfg ScenarioConfig) (Schedule, error) 
 	return s.sorted(), nil
 }
 
-// LossyConfig parameterizes LossyScenario. Zero fields pick defaults.
+// LossyConfig parameterizes LossyScenario.
 type LossyConfig struct {
 	// From and To are the transfer endpoints. Both required.
 	From, To topo.NodeID
-
-	Start   time.Duration // first degradation time (default 5ms)
-	Spacing time.Duration // gap between acts (default 40ms)
-	Window  time.Duration // how long each degradation lasts (default 60ms)
-	Loss    float64       // loss rate of the moderate acts (default 0.2)
 }
 
-func (c LossyConfig) withDefaults() LossyConfig {
-	if c.Start <= 0 {
-		c.Start = 5 * time.Millisecond
-	}
-	if c.Spacing <= 0 {
-		c.Spacing = 40 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 60 * time.Millisecond
-	}
-	if c.Loss <= 0 {
-		c.Loss = 0.2
-	}
-	return c
-}
+// LossyScenario's timing and loss.
+const (
+	lossyStart   = 5 * time.Millisecond  // first degradation time
+	lossySpacing = 40 * time.Millisecond // gap between acts
+	lossyWindow  = 60 * time.Millisecond // how long each degradation lasts
+	lossyLoss    = 0.2                   // loss rate of the moderate acts
+)
 
 // LossyScenario builds a deterministic gray-failure storm for a fat-tree:
 // no link ever goes administratively down, so the MC sees nothing — every
@@ -491,13 +478,12 @@ func (c LossyConfig) withDefaults() LossyConfig {
 // responder's edge, and a full blackhole of one core switch's cable that
 // later clears on its own.
 func LossyScenario(g *topo.Graph, seed uint64, cfg LossyConfig) (Schedule, error) {
-	cfg = cfg.withDefaults()
 	if PodOfHost(g, cfg.From) == 0 || PodOfHost(g, cfg.To) == 0 {
 		return nil, fmt.Errorf("chaos: From/To must be fat-tree hosts")
 	}
 	rng := sim.NewRNG(seed).Stream("chaos-lossy")
 	var s Schedule
-	at := cfg.Start
+	at := lossyStart
 
 	aggUplinks := func(edgeID topo.NodeID) []int {
 		var out []int
@@ -509,7 +495,7 @@ func LossyScenario(g *topo.Graph, seed uint64, cfg LossyConfig) (Schedule, error
 		return out
 	}
 
-	// Act 1: cfg.Loss random loss on one uplink of the initiator's edge.
+	// Act 1: lossyLoss random loss on one uplink of the initiator's edge.
 	// Transport convergence territory — the m-flows crossing it degrade.
 	fromEdge := g.Node(cfg.From).Ports[0].Peer
 	up := aggUplinks(fromEdge)
@@ -519,9 +505,9 @@ func LossyScenario(g *topo.Graph, seed uint64, cfg LossyConfig) (Schedule, error
 	p1 := sim.Pick(rng, up)
 	s = append(s,
 		Fault{At: at, Kind: LinkDegrade, Node: fromEdge, Port: p1,
-			Profile: netsim.FaultProfile{Loss: cfg.Loss}},
-		Fault{At: at + cfg.Window, Kind: LinkClear, Node: fromEdge, Port: p1})
-	at += cfg.Spacing
+			Profile: netsim.FaultProfile{Loss: lossyLoss}},
+		Fault{At: at + lossyWindow, Kind: LinkClear, Node: fromEdge, Port: p1})
+	at += lossySpacing
 
 	// Act 2: a mangler on one uplink of the responder's edge — duplication,
 	// reordering and corruption at once, the worst kind of flaky optic.
@@ -533,9 +519,9 @@ func LossyScenario(g *topo.Graph, seed uint64, cfg LossyConfig) (Schedule, error
 	p2 := sim.Pick(rng, up)
 	s = append(s,
 		Fault{At: at, Kind: LinkDegrade, Node: toEdge, Port: p2,
-			Profile: netsim.FaultProfile{Loss: cfg.Loss / 2, Dup: 0.1, Reorder: 0.2, Corrupt: 0.05}},
-		Fault{At: at + cfg.Window, Kind: LinkClear, Node: toEdge, Port: p2})
-	at += cfg.Spacing
+			Profile: netsim.FaultProfile{Loss: lossyLoss / 2, Dup: 0.1, Reorder: 0.2, Corrupt: 0.05}},
+		Fault{At: at + lossyWindow, Kind: LinkClear, Node: toEdge, Port: p2})
+	at += lossySpacing
 
 	// Act 3: silent blackhole of one core switch's first cable. Any m-flow
 	// routed across it stalls completely until the profile clears — the MC
@@ -554,45 +540,29 @@ func LossyScenario(g *topo.Graph, seed uint64, cfg LossyConfig) (Schedule, error
 	s = append(s,
 		Fault{At: at, Kind: LinkDegrade, Node: core, Port: corePort,
 			Profile: netsim.FaultProfile{Loss: 1}},
-		Fault{At: at + cfg.Window, Kind: LinkClear, Node: core, Port: corePort})
+		Fault{At: at + lossyWindow, Kind: LinkClear, Node: core, Port: corePort})
 
 	return s.sorted(), nil
 }
 
-// FailoverConfig parameterizes FailoverScenario. Zero fields pick defaults.
+// FailoverConfig parameterizes FailoverScenario. A zero Start picks the
+// default.
 type FailoverConfig struct {
 	// From and To are the transfer endpoints whose channels must ride
 	// through the controller kill. Both required.
 	From, To topo.NodeID
 
-	// Ctrl is the controller-host index to kill (default 0, the primary).
-	Ctrl int
-
-	Start  time.Duration // kill time, after the transfer is mid-flight (default 30ms)
-	PreCut time.Duration // how long before the kill the responder-side cut lands (default 1ms)
-	Outage time.Duration // how long the killed controller stays dead (default 60ms)
-	Cut    time.Duration // offset after the kill at which a second link is cut (default 5ms)
-	Heal   time.Duration // how long the mid-blackout cut lasts (default 50ms)
+	Start time.Duration // kill time, after the transfer is mid-flight (default 30ms)
 }
 
-func (c FailoverConfig) withDefaults() FailoverConfig {
-	if c.Start <= 0 {
-		c.Start = 30 * time.Millisecond
-	}
-	if c.PreCut <= 0 {
-		c.PreCut = time.Millisecond
-	}
-	if c.Outage <= 0 {
-		c.Outage = 60 * time.Millisecond
-	}
-	if c.Cut <= 0 {
-		c.Cut = 5 * time.Millisecond
-	}
-	if c.Heal <= 0 {
-		c.Heal = 50 * time.Millisecond
-	}
-	return c
-}
+// FailoverScenario's victim and timing after the kill.
+const (
+	failoverCtrl   = 0                     // the controller host killed: the primary
+	failoverPreCut = time.Millisecond      // how long before the kill the responder-side cut lands
+	failoverOutage = 60 * time.Millisecond // how long the killed controller stays dead
+	failoverCut    = 5 * time.Millisecond  // offset after the kill at which a second link is cut
+	failoverHeal   = 50 * time.Millisecond // how long the mid-blackout cut lasts
+)
 
 // FailoverScenario builds the controller-kill storm for a fat-tree running a
 // mic.Cluster, deterministically from seed. Four acts: an uplink of the
@@ -606,12 +576,14 @@ func (c FailoverConfig) withDefaults() FailoverConfig {
 // controller restarts and must rejoin as a standby by journal replay. Both
 // cuts heal later so flapped-away capacity returns.
 func FailoverScenario(g *topo.Graph, seed uint64, cfg FailoverConfig) (Schedule, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Start <= 0 {
+		cfg.Start = 30 * time.Millisecond
+	}
 	if PodOfHost(g, cfg.From) == 0 || PodOfHost(g, cfg.To) == 0 {
 		return nil, fmt.Errorf("chaos: From/To must be fat-tree hosts")
 	}
-	if cfg.PreCut >= cfg.Start {
-		return nil, fmt.Errorf("chaos: PreCut %v must be shorter than Start %v", cfg.PreCut, cfg.Start)
+	if failoverPreCut >= cfg.Start {
+		return nil, fmt.Errorf("chaos: Start %v must be later than the %v pre-kill cut", cfg.Start, failoverPreCut)
 	}
 	rng := sim.NewRNG(seed).Stream("chaos-failover")
 	aggUplinks := func(edgeID topo.NodeID) []int {
@@ -633,58 +605,35 @@ func FailoverScenario(g *topo.Graph, seed uint64, cfg FailoverConfig) (Schedule,
 	preCutPort := sim.Pick(rng, toUp)
 	cutPort := sim.Pick(rng, fromUp)
 	s := Schedule{
-		{At: cfg.Start - cfg.PreCut, Kind: LinkCut, Node: toEdge, Port: preCutPort},
-		{At: cfg.Start, Kind: MCKill, Ctrl: cfg.Ctrl},
-		{At: cfg.Start + cfg.Cut, Kind: LinkCut, Node: fromEdge, Port: cutPort},
-		{At: cfg.Start + cfg.Outage, Kind: MCRestart, Ctrl: cfg.Ctrl},
-		{At: cfg.Start + cfg.Cut + cfg.Heal, Kind: LinkRestore, Node: fromEdge, Port: cutPort},
-		{At: cfg.Start + cfg.Cut + cfg.Heal, Kind: LinkRestore, Node: toEdge, Port: preCutPort},
+		{At: cfg.Start - failoverPreCut, Kind: LinkCut, Node: toEdge, Port: preCutPort},
+		{At: cfg.Start, Kind: MCKill, Ctrl: failoverCtrl},
+		{At: cfg.Start + failoverCut, Kind: LinkCut, Node: fromEdge, Port: cutPort},
+		{At: cfg.Start + failoverOutage, Kind: MCRestart, Ctrl: failoverCtrl},
+		{At: cfg.Start + failoverCut + failoverHeal, Kind: LinkRestore, Node: fromEdge, Port: cutPort},
+		{At: cfg.Start + failoverCut + failoverHeal, Kind: LinkRestore, Node: toEdge, Port: preCutPort},
 	}
 	return s.sorted(), nil
 }
 
-// PartitionConfig parameterizes PartitionScenario. Zero fields pick defaults.
+// PartitionConfig parameterizes PartitionScenario.
 type PartitionConfig struct {
 	// From and To are the transfer endpoints whose channels must ride
 	// through both partitions. Both required.
 	From, To topo.NodeID
-
-	// CtrlA and CtrlB are the two controller hosts of the cluster under
-	// test: A the founding active, B its standby (defaults 0 and 1).
-	CtrlA, CtrlB int
-
-	Start   time.Duration // act 1 split time, mid-transfer (default 30ms)
-	Window  time.Duration // how long each partition lasts (default 40ms)
-	Spacing time.Duration // gap between the acts (default 20ms)
-
-	// CutAt is the offset into act 2 at which a fabric link cut lands — late
-	// enough that a fenced cluster has completed its takeover, so the repair
-	// race pits the new active against the zombie (default 15ms).
-	CutAt time.Duration
-	Heal  time.Duration // how long the act-2 fabric cut lasts (default 30ms)
 }
 
-func (c PartitionConfig) withDefaults() PartitionConfig {
-	if c.CtrlB == 0 && c.CtrlA == 0 {
-		c.CtrlB = 1
-	}
-	if c.Start <= 0 {
-		c.Start = 30 * time.Millisecond
-	}
-	if c.Window <= 0 {
-		c.Window = 40 * time.Millisecond
-	}
-	if c.Spacing <= 0 {
-		c.Spacing = 20 * time.Millisecond
-	}
-	if c.CutAt <= 0 {
-		c.CutAt = 15 * time.Millisecond
-	}
-	if c.Heal <= 0 {
-		c.Heal = 30 * time.Millisecond
-	}
-	return c
-}
+// PartitionScenario's timing. The cluster under test has controller hosts 0
+// (A, the founding active) and 1 (B, its standby).
+const (
+	partitionStart   = 30 * time.Millisecond // act 1 split time, mid-transfer
+	partitionWindow  = 40 * time.Millisecond // how long each partition lasts
+	partitionSpacing = 20 * time.Millisecond // gap between the acts
+	// partitionCutAt is the offset into act 2 at which a fabric link cut
+	// lands — late enough that a fenced cluster has completed its takeover,
+	// so the repair race pits the new active against the zombie.
+	partitionCutAt = 15 * time.Millisecond
+	partitionHeal  = 30 * time.Millisecond // how long the act-2 fabric cut lasts
+)
 
 // PartitionScenario builds the management-partition storm for a fat-tree
 // running a two-member mic.Cluster, deterministically from seed. Three acts:
@@ -706,30 +655,26 @@ func (c PartitionConfig) withDefaults() PartitionConfig {
 // the deposed member must rejoin as a standby with zero stale rules and zero
 // journal divergence (fencing on).
 func PartitionScenario(g *topo.Graph, seed uint64, cfg PartitionConfig) (Schedule, error) {
-	cfg = cfg.withDefaults()
 	if PodOfHost(g, cfg.From) == 0 || PodOfHost(g, cfg.To) == 0 {
 		return nil, fmt.Errorf("chaos: From/To must be fat-tree hosts")
 	}
-	if cfg.CtrlA == cfg.CtrlB {
-		return nil, fmt.Errorf("chaos: CtrlA and CtrlB must differ (got %d)", cfg.CtrlA)
-	}
 	rng := sim.NewRNG(seed).Stream("chaos-partition")
-	ctrlA, ctrlB := netsim.MgmtCtrl(cfg.CtrlA), netsim.MgmtCtrl(cfg.CtrlB)
+	ctrlA, ctrlB := netsim.MgmtCtrl(0), netsim.MgmtCtrl(1)
 	var s Schedule
 
-	// Act 1: symmetric controller split, healed after Window.
-	t1 := cfg.Start
+	// Act 1: symmetric controller split, healed after partitionWindow.
+	t1 := partitionStart
 	s = append(s,
 		Fault{At: t1, Kind: MgmtCut, MFrom: ctrlA, MTo: ctrlB},
 		Fault{At: t1, Kind: MgmtCut, MFrom: ctrlB, MTo: ctrlA},
-		Fault{At: t1 + cfg.Window, Kind: MgmtHeal, MFrom: ctrlA, MTo: ctrlB},
-		Fault{At: t1 + cfg.Window, Kind: MgmtHeal, MFrom: ctrlB, MTo: ctrlA})
+		Fault{At: t1 + partitionWindow, Kind: MgmtHeal, MFrom: ctrlA, MTo: ctrlB},
+		Fault{At: t1 + partitionWindow, Kind: MgmtHeal, MFrom: ctrlB, MTo: ctrlA})
 
 	// Act 2: asymmetric zombie — B (the active since act 1) loses outbound
 	// reachability to A and to a strict subset of switches. The subset is a
 	// seed-picked half of the fabric, so the zombie can still damage the
 	// other half.
-	t2 := t1 + cfg.Window + cfg.Spacing
+	t2 := t1 + partitionWindow + partitionSpacing
 	switches := g.Switches()
 	if len(switches) < 2 {
 		return nil, fmt.Errorf("chaos: need 2+ switches for a strict subset, have %d", len(switches))
@@ -746,8 +691,8 @@ func PartitionScenario(g *topo.Graph, seed uint64, cfg PartitionConfig) (Schedul
 	}
 	// Mid-partition fabric cut: an uplink of the responder's edge, forcing
 	// a self-healing reroute while two controllers think they own the
-	// fabric. Landed after CutAt so a fenced cluster's takeover (lease +
-	// misses, single-digit milliseconds) has already completed.
+	// fabric. Landed after partitionCutAt so a fenced cluster's takeover
+	// (lease + misses, single-digit milliseconds) has already completed.
 	toEdge := g.Node(cfg.To).Ports[0].Peer
 	var toUp []int
 	for port, p := range g.Node(toEdge).Ports {
@@ -759,11 +704,11 @@ func PartitionScenario(g *topo.Graph, seed uint64, cfg PartitionConfig) (Schedul
 		return nil, fmt.Errorf("chaos: edge %s needs 2+ agg uplinks", g.Node(toEdge).Name)
 	}
 	cutPort := sim.Pick(rng, toUp)
-	s = append(s, Fault{At: t2 + cfg.CutAt, Kind: LinkCut, Node: toEdge, Port: cutPort})
-	s = append(s, Fault{At: t2 + cfg.CutAt + cfg.Heal, Kind: LinkRestore, Node: toEdge, Port: cutPort})
+	s = append(s, Fault{At: t2 + partitionCutAt, Kind: LinkCut, Node: toEdge, Port: cutPort})
+	s = append(s, Fault{At: t2 + partitionCutAt + partitionHeal, Kind: LinkRestore, Node: toEdge, Port: cutPort})
 
 	// Act 3: heal every management cut; the deposed member rejoins.
-	t3 := t2 + cfg.Window
+	t3 := t2 + partitionWindow
 	s = append(s, Fault{At: t3, Kind: MgmtHeal, MFrom: ctrlB, MTo: ctrlA})
 	for _, id := range subset {
 		s = append(s, Fault{At: t3, Kind: MgmtHeal, MFrom: ctrlB, MTo: netsim.MgmtSwitch(id)})

@@ -140,10 +140,10 @@ type Channel struct {
 	sw      []swState // per-switch transaction state, indexed by NodeID
 
 	// Free lists of the pooled delivery and install records (message.go)
-	// and of the heartbeat records.
-	msgFree  []*msg
-	instFree []*install
-	beatFree []*heartbeat
+	// and of the echo and heartbeat records.
+	msgFree   []*msg
+	instFree  []*install
+	probeFree []*probe
 }
 
 // swState is the channel's transaction window toward one switch: an ordered
@@ -188,23 +188,14 @@ func NewChannel(net *netsim.Network) *Channel {
 	}
 }
 
-// mgmtTo reports whether a message from this channel's controller host
-// currently reaches sw over the management network (partition cuts only;
-// switch liveness is judged separately).
-func (c *Channel) mgmtTo(sw *netsim.Switch) bool {
-	if c.CtrlHost < 0 {
-		return true
-	}
-	return c.Net.MgmtReachable(netsim.MgmtCtrl(c.CtrlHost), netsim.MgmtSwitch(sw.ID))
-}
+// home is this channel's controller host as a management endpoint.
+func (c *Channel) home() netsim.MgmtEnd { return netsim.MgmtCtrl(c.CtrlHost) }
 
-// mgmtFrom reports whether sw's replies currently reach this channel's
-// controller host — the other direction of an asymmetric partition.
-func (c *Channel) mgmtFrom(sw *netsim.Switch) bool {
-	if c.CtrlHost < 0 {
-		return true
-	}
-	return c.Net.MgmtReachable(netsim.MgmtSwitch(sw.ID), netsim.MgmtCtrl(c.CtrlHost))
+// reaches reports whether a message from one management endpoint currently
+// gets through to another (partition cuts only; the liveness of either end
+// is judged separately). An unbound channel is never cut off.
+func (c *Channel) reaches(from, to netsim.MgmtEnd) bool {
+	return c.CtrlHost < 0 || c.Net.MgmtReachable(from, to)
 }
 
 // ackTimeout returns the effective per-attempt ack timeout: configured or
@@ -322,7 +313,7 @@ func (c *Channel) PacketOut(sw *netsim.Switch, actions []flowtable.Action, p *pa
 		return
 	}
 	c.Eng.After(c.Latency, func() {
-		if sw.Down || !c.mgmtTo(sw) {
+		if sw.Down || !c.reaches(c.home(), netsim.MgmtSwitch(sw.ID)) {
 			return
 		}
 		if !sw.AcceptFenced(c.Epoch) {
@@ -351,35 +342,16 @@ func (c *Channel) Barrier(sw *netsim.Switch, onDone func(ok bool)) {
 	c.barrier(m)
 }
 
-// Echo sends one liveness probe to sw: a single unretransmitted round trip.
-// cb receives true if the reply arrives within the ack timeout. A false
+// Echo sends one liveness probe to sw: a single unretransmitted round trip
+// on the pooled record Heartbeat uses. cb receives the probe's send time and
+// true if the reply arrives within the ack timeout, false otherwise. A false
 // reading can be loss, not death — callers (the Prober) must debounce.
-func (c *Channel) Echo(sw *netsim.Switch, cb func(alive bool)) {
+func (c *Channel) Echo(sw *netsim.Switch, cb func(sent sim.Time, alive bool)) {
 	if c.Down {
 		return
 	}
 	c.Echoes++
-	answered := false
-	reqLost := c.lost()
-	c.Eng.After(c.Latency, func() {
-		if reqLost || sw.Down || !c.mgmtTo(sw) {
-			return
-		}
-		repLost := c.lost()
-		c.Eng.After(c.Latency, func() {
-			if repLost || answered || c.Down || !c.mgmtFrom(sw) {
-				return
-			}
-			answered = true
-			cb(true)
-		})
-	})
-	c.Eng.After(c.ackTimeout(), func() {
-		if !answered && !c.Down {
-			answered = true
-			cb(false)
-		}
-	})
+	c.sendProbe(netsim.MgmtSwitch(sw.ID), nil, cb)
 }
 
 // Heartbeat sends one controller-to-controller liveness beat over the
@@ -390,81 +362,90 @@ func (c *Channel) Echo(sw *netsim.Switch, cb func(alive bool)) {
 // the sender with the beat's send time and true when the receiver's
 // acknowledgement returns, or false after the ack timeout — the
 // lease-renewal signal. A crashed sender (Down) emits nothing and hears
-// nothing — which is precisely the signal a standby watches for. The beat
-// is a pooled record: a caller passing callbacks it bound once sends beats
-// without allocating.
+// nothing — which is precisely the signal a standby watches for. A caller
+// passing callbacks it bound once sends beats without allocating.
 func (c *Channel) Heartbeat(to int, cb func(), ack func(sent sim.Time, ok bool)) {
 	if c.Down {
 		return
 	}
 	c.Heartbeats++
-	var b *heartbeat
-	if last := len(c.beatFree) - 1; last >= 0 {
-		b = c.beatFree[last]
-		c.beatFree = c.beatFree[:last]
-	} else {
-		b = &heartbeat{ch: c}
-		b.arriveFn, b.ackFn, b.timeoutFn = b.arrive, b.acked, b.timeout
-	}
-	b.to, b.sent, b.onHeard, b.onAck = to, c.Eng.Now(), cb, ack
-	b.reqLost = c.lost()
-	c.Eng.After(c.Latency, b.arriveFn)
-	c.Eng.After(c.ackTimeout(), b.timeoutFn)
+	c.sendProbe(netsim.MgmtCtrl(to), cb, ack)
 }
 
-// heartbeat is one beat in flight, pooled like msg: the arrival at the
-// receiver schedules the acknowledgement, and the ack timer, which exceeds
-// one round trip, is always the beat's last event and returns the record to
-// the channel's free list.
-type heartbeat struct {
-	ch                         *Channel
-	arriveFn, ackFn, timeoutFn func()
+// sendProbe sends one probe to far, a switch or a controller host, on a
+// record from the free list.
+func (c *Channel) sendProbe(far netsim.MgmtEnd, onHeard func(), onAck func(sent sim.Time, ok bool)) {
+	var r *probe
+	if last := len(c.probeFree) - 1; last >= 0 {
+		r = c.probeFree[last]
+		c.probeFree = c.probeFree[:last]
+	} else {
+		r = &probe{ch: c}
+		r.arriveFn, r.ackFn = r.arrive, r.acked
+		r.timer.Bind(c.Eng, r.timeout)
+	}
+	r.far, r.sent, r.onHeard, r.onAck = far, c.Eng.Now(), onHeard, onAck
+	r.reqLost = c.lost()
+	c.Eng.After(c.Latency, r.arriveFn)
+	r.timer.Reset(c.ackTimeout())
+}
 
-	to               int
+// probe is one echo or heartbeat in flight, pooled like msg and released
+// the same way: its arrival and acknowledgement fire within one round trip,
+// before its ack timer, so it returns to the channel's free list as soon as
+// it is answered (the timer stopped), or when the timer fires.
+type probe struct {
+	ch              *Channel
+	arriveFn, ackFn func()
+	timer           sim.Timer
+
+	far              netsim.MgmtEnd // the switch echoed, or the controller host beaten to
 	sent             sim.Time
 	reqLost, ackLost bool
-	answered         bool
-	onHeard          func()
+	onHeard          func() // at the receiver; heartbeats only
 	onAck            func(sent sim.Time, ok bool)
 }
 
-// ctrlReach reports whether the management network carries a message from
-// controller host from to controller host dst.
-func (c *Channel) ctrlReach(from, dst int) bool {
-	if c.CtrlHost < 0 {
-		return true
+// farDown reports whether the probed end is down: a dead switch or a
+// crashed controller host neither hears nor answers.
+func (r *probe) farDown() bool {
+	if r.far.Ctrl >= 0 {
+		return r.ch.Net.CtrlHostDown(r.far.Ctrl)
 	}
-	return c.Net.MgmtReachable(netsim.MgmtCtrl(from), netsim.MgmtCtrl(dst))
+	return r.ch.Net.Switch(r.far.Node).Down
 }
 
-func (b *heartbeat) arrive() {
-	c := b.ch
-	if b.reqLost || c.Net.CtrlHostDown(b.to) || !c.ctrlReach(c.CtrlHost, b.to) {
+func (r *probe) arrive() {
+	c := r.ch
+	if r.reqLost || r.farDown() || !c.reaches(c.home(), r.far) {
 		return
 	}
-	b.onHeard()
-	b.ackLost = c.lost()
-	c.Eng.After(c.Latency, b.ackFn)
+	if r.onHeard != nil {
+		r.onHeard()
+	}
+	r.ackLost = c.lost()
+	c.Eng.After(c.Latency, r.ackFn)
 }
 
-func (b *heartbeat) acked() {
-	c := b.ch
-	if b.ackLost || c.Down || !c.ctrlReach(b.to, c.CtrlHost) {
+func (r *probe) acked() {
+	c := r.ch
+	if r.ackLost || c.Down || !c.reaches(r.far, c.home()) {
 		return
 	}
-	b.answered = true
-	if b.onAck != nil {
-		b.onAck(b.sent, true)
-	}
+	r.timer.Stop()
+	r.finish(true)
 }
 
-func (b *heartbeat) timeout() {
-	c := b.ch
-	if !b.answered && !c.Down && b.onAck != nil {
-		b.onAck(b.sent, false)
+func (r *probe) timeout() { r.finish(false) }
+
+// finish releases r and reports the outcome, unless the sender has died.
+func (r *probe) finish(ok bool) {
+	c, sent, onAck := r.ch, r.sent, r.onAck
+	*r = probe{ch: c, arriveFn: r.arriveFn, ackFn: r.ackFn, timer: r.timer}
+	c.probeFree = append(c.probeFree, r)
+	if !c.Down && onAck != nil {
+		onAck(sent, ok)
 	}
-	*b = heartbeat{ch: c, arriveFn: b.arriveFn, ackFn: b.ackFn, timeoutFn: b.timeoutFn}
-	c.beatFree = append(c.beatFree, b)
 }
 
 // Hello announces the channel's fencing epoch to sw: the first message a

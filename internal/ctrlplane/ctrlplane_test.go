@@ -468,6 +468,33 @@ func TestProberDetectsSilentFailure(t *testing.T) {
 	}
 }
 
+// TestProberIgnoresEchoesAfterStop: a switch declared dead comes back while
+// a probe round is in flight, and the prober is stopped before the round's
+// echoes are answered. The answers arrive, but a stopped prober records
+// nothing: no recovery, and the engine drains.
+func TestProberIgnoresEchoesAfterStop(t *testing.T) {
+	g, _ := topo.Linear(1)
+	eng, net, ch := build(t, g)
+	id := g.Switches()[0]
+	p := NewProber(ch, 10*time.Millisecond)
+	net.SetSwitchDownQuiet(id, true)
+	stop := p.Start()
+	eng.RunFor(35 * time.Millisecond) // three silent rounds
+	if !p.Dead(id) || p.Deaths != 1 {
+		t.Fatalf("silent switch: dead %v, deaths %d", p.Dead(id), p.Deaths)
+	}
+	net.SetSwitchDownQuiet(id, false)
+	eng.RunUntil(sim.Time(40*time.Millisecond + ch.Latency)) // round four's echoes arrived
+	stop()
+	eng.Run()
+	if p.Probes != 4 || p.Recoveries != 0 || !p.Dead(id) {
+		t.Fatalf("after stop: probes %d recoveries %d dead %v, want 4, 0, true", p.Probes, p.Recoveries, p.Dead(id))
+	}
+	if ch.Echoes != 4*ProbeRedundancy {
+		t.Fatalf("%d echoes sent, want %d", ch.Echoes, 4*ProbeRedundancy)
+	}
+}
+
 // TestProberTolleratesLoss: at 20% control loss a healthy fabric must not be
 // declared dead (the consecutive-miss debounce).
 func TestProberToleratesLoss(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 
 	"mic/internal/flowtable"
 	"mic/internal/netsim"
+	"mic/internal/sim"
 )
 
 // msgKind names what a reliable southbound message asks of the switch.
@@ -25,20 +26,24 @@ const (
 // retransmission state, what the switch answered and whom to tell — held in
 // one pooled record per message instead of a tree of closures per attempt.
 //
-// Ownership follows netsim's hop record: newMsg takes a record from the
-// channel's free list and the engine is its only holder while an attempt is
-// out (a barrier whose predecessors are still in flight, or a message held
-// behind its owner's, is held by its switch's waiters list instead, until the
-// last of those resolves and resolve sends it). Each attempt schedules the
-// arrival and the ack timer, and the arrival schedules the acknowledgement;
-// every timer wait exceeds one round trip (ackTimeout, maxBackoff), so the
-// timer is always the attempt's last event. The record therefore returns to
-// the free list from timeout — once resolved, abandoned or silenced by
-// Channel.Down — and never while one of its events is pending. The three
-// steps are bound as method values once, when the record is first made.
+// newMsg takes a record from the channel's free list; a barrier whose
+// predecessors are still in flight, or a message held behind its owner's,
+// waits in its switch's waiters list until the last of those resolves and
+// resolve sends it. Each attempt schedules its arrival and arms the ack
+// timer, and the arrival schedules the acknowledgement. Every timer wait
+// exceeds one round trip (ackTimeout, maxBackoff), so an attempt's arrival
+// and acknowledgement have fired by the time its timer is due: the timer is
+// the only event that can still name the record once it resolves. The
+// record therefore returns to the free list as soon as it resolves
+// (acknowledged or abandoned) or is silenced by Channel.Down, its timer
+// stopped; the stale arming pops as a no-op even if the record has been
+// reused, since a sim.Timer runs its handler for its latest arming only.
+// arrive and ack are bound as method values, and the timer to timeout, once,
+// when the record is first made.
 type msg struct {
-	ch                         *Channel
-	arriveFn, ackFn, timeoutFn func()
+	ch              *Channel
+	arriveFn, ackFn func()
+	timer           sim.Timer // the attempt's ack timeout
 
 	kind msgKind
 	sw   *netsim.Switch
@@ -63,15 +68,13 @@ type msg struct {
 	// (a barrier's, in send order). A waiting barrier has not been sent: until
 	// it is, seq is the place it waits behind and pending counts the messages
 	// up to there that are unresolved; a held message counts in pending those
-	// it waits for. pending sits in the padding after the loss draws, so the
-	// record keeps its 256-byte size class.
-	seq      uint64
-	attempt  int
-	backoff  time.Duration
-	resolved bool
-	reqLost  bool  // this attempt's request-direction loss draw
-	ackLost  bool  // this attempt's acknowledgement-direction loss draw
-	pending  int32 // waiting in waiters only
+	// it waits for.
+	seq     uint64
+	attempt int
+	backoff time.Duration
+	reqLost bool  // this attempt's request-direction loss draw
+	ackLost bool  // this attempt's acknowledgement-direction loss draw
+	pending int32 // waiting in waiters only
 
 	// Completion: at most one is set.
 	onOK    func(ok bool)
@@ -125,15 +128,17 @@ func (c *Channel) newMsg(kind msgKind, sw *netsim.Switch) *msg {
 		c.msgFree = c.msgFree[:last]
 	} else {
 		m = &msg{ch: c}
-		m.arriveFn, m.ackFn, m.timeoutFn = m.arrive, m.ack, m.timeout
+		m.arriveFn, m.ackFn = m.arrive, m.ack
+		m.timer.Bind(c.Eng, m.timeout)
 	}
 	m.kind, m.sw = kind, sw
 	return m
 }
 
-// release returns m, with no event pending, to the free list.
+// release returns m, its timer disarmed, to the free list. The record stays
+// bound: its timer is written back in place.
 func (c *Channel) release(m *msg) {
-	*m = msg{ch: c, arriveFn: m.arriveFn, ackFn: m.ackFn, timeoutFn: m.timeoutFn}
+	*m = msg{ch: c, arriveFn: m.arriveFn, ackFn: m.ackFn, timer: m.timer}
 	c.msgFree = append(c.msgFree, m)
 }
 
@@ -260,7 +265,7 @@ func (m *msg) try() {
 	c.Eng.After(c.Latency, m.arriveFn)
 	wait := min(m.backoff, c.maxBackoff())
 	m.backoff *= 2
-	c.Eng.After(wait, m.timeoutFn)
+	m.timer.Reset(wait)
 }
 
 func (m *msg) arrive() {
@@ -269,7 +274,7 @@ func (m *msg) arrive() {
 	// vanishes exactly like a loss, which is what makes the liveness
 	// prober and the give-up path necessary. A management-network
 	// partition black-holes the direction it cuts the same way.
-	if m.reqLost || m.sw.Down || !c.mgmtTo(m.sw) {
+	if m.reqLost || m.sw.Down || !c.reaches(c.home(), netsim.MgmtSwitch(m.sw.ID)) {
 		return
 	}
 	m.apply()
@@ -279,17 +284,18 @@ func (m *msg) arrive() {
 
 func (m *msg) ack() {
 	c := m.ch
-	if m.ackLost || m.resolved || c.Down || !c.mgmtFrom(m.sw) {
+	if m.ackLost || c.Down || !c.reaches(netsim.MgmtSwitch(m.sw.ID), c.home()) {
 		return
 	}
-	m.resolved = true
+	m.timer.Stop()
 	c.resolve(m, true)
 	m.complete(true)
+	c.release(m)
 }
 
 func (m *msg) timeout() {
 	c := m.ch
-	if m.resolved || c.Down {
+	if c.Down {
 		c.release(m)
 		return
 	}
@@ -298,7 +304,6 @@ func (m *msg) timeout() {
 		m.try()
 		return
 	}
-	m.resolved = true
 	c.resolve(m, false)
 	m.complete(false)
 	c.release(m)

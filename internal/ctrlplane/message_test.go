@@ -247,36 +247,81 @@ func TestSouthboundMessageAllocs(t *testing.T) {
 	}
 }
 
-// TestMessageRecordHeldUntilTimerFires: an acknowledged message's record
-// stays out of the free list until its ack timer — its last pending event —
-// has fired, so a message sent in between takes a different record.
-func TestMessageRecordHeldUntilTimerFires(t *testing.T) {
+// TestResolvedRecordReusedBeforeItsTimerPops: an acknowledged message's
+// record goes back to the free list at once, and the next message takes it
+// while the first one's ack timer arming is still pending; that arming pops
+// in the middle of the second message's round trip as a no-op — no timeout,
+// no retransmit — and the second message completes on its own timer's
+// record.
+func TestResolvedRecordReusedBeforeItsTimerPops(t *testing.T) {
 	eng, _, ch, sw := oneSwitch(t)
-	acked := false
-	ch.Barrier(sw, func(ok bool) { acked = ok })
+	acked := 0
+	onOK := func(ok bool) {
+		if ok {
+			acked++
+		}
+	}
+	ch.Barrier(sw, onOK)
 	eng.RunUntil(sim.Time(2 * ch.Latency))
-	if !acked {
-		t.Fatal("barrier not acknowledged after one round trip")
-	}
-	if len(ch.msgFree) != 0 {
-		t.Fatal("record returned to the free list while its ack timer was pending")
-	}
-	ch.Barrier(sw, nil) // must not reuse the first record
-	eng.RunUntil(sim.Time(ch.ackTimeout()) - 1)
-	if len(ch.msgFree) != 0 {
-		t.Fatal("record returned to the free list before its ack timer fired")
-	}
-	eng.RunUntil(sim.Time(ch.ackTimeout()))
-	if len(ch.msgFree) != 1 {
-		t.Fatalf("free list holds %d records once the first timer fired, want 1", len(ch.msgFree))
+	if acked != 1 || len(ch.msgFree) != 1 {
+		t.Fatalf("after one round trip: %d acked, %d records free (want 1, 1)", acked, len(ch.msgFree))
 	}
 	first := ch.msgFree[0]
-	eng.Run()
-	if len(ch.msgFree) != 2 || ch.msgFree[1] == first {
-		t.Fatalf("two overlapping messages shared a record: free list %v", ch.msgFree)
+	if first.sw != nil || first.attempt != 0 || first.timer.Armed() {
+		t.Fatalf("released record keeps state from its message: %+v", first)
 	}
-	if first.sw != nil || first.onOK != nil || first.resolved || first.attempt != 0 {
-		t.Fatalf("released record keeps state from its last message: %+v", first)
+	eng.RunUntil(sim.Time(2*ch.Latency + ch.Latency/2))
+	ch.Barrier(sw, onOK)
+	if len(ch.msgFree) != 0 {
+		t.Fatal("the second message did not take the freed record")
+	}
+	eng.RunUntil(sim.Time(ch.ackTimeout())) // the first arming pops
+	if ch.Timeouts != 0 || ch.Retransmits != 0 || acked != 1 || ch.InFlight(sw.ID) != 1 {
+		t.Fatalf("stale arming acted: timeouts %d retransmits %d acked %d inflight %d",
+			ch.Timeouts, ch.Retransmits, acked, ch.InFlight(sw.ID))
+	}
+	eng.Run()
+	if acked != 2 || ch.Acked != 2 || ch.Timeouts != 0 || ch.Retransmits != 0 {
+		t.Fatalf("second message: acked %d/%d timeouts %d retransmits %d", acked, ch.Acked, ch.Timeouts, ch.Retransmits)
+	}
+	if len(ch.msgFree) != 1 || ch.msgFree[0] != first {
+		t.Fatalf("two messages in sequence used %d records, want the one", len(ch.msgFree))
+	}
+}
+
+// TestResolvedProbeReusedBeforeItsTimerPops: the same for the echo and
+// heartbeat record. An answered echo frees its record, a heartbeat sent
+// before the echo's ack timer is due takes it, and the echo's stale arming
+// reports nothing to either caller.
+func TestResolvedProbeReusedBeforeItsTimerPops(t *testing.T) {
+	eng, net, ch, sw := oneSwitch(t)
+	ch.CtrlHost = net.RegisterCtrlHost()
+	peer := net.RegisterCtrlHost()
+	var log []string
+	report := func(kind string) func(sim.Time, bool) {
+		return func(sent sim.Time, ok bool) {
+			log = append(log, fmt.Sprintf("%s %v %v at %v", kind, sent, ok, eng.Now()))
+		}
+	}
+	ch.Echo(sw, report("echo"))
+	eng.RunUntil(sim.Time(2 * ch.Latency))
+	if len(ch.probeFree) != 1 {
+		t.Fatalf("answered echo left %d records free, want 1", len(ch.probeFree))
+	}
+	first := ch.probeFree[0]
+	eng.RunUntil(sim.Time(2*ch.Latency + ch.Latency/2))
+	heard := 0
+	ch.Heartbeat(peer, func() { heard++ }, report("beat"))
+	if len(ch.probeFree) != 0 {
+		t.Fatal("the heartbeat did not take the freed record")
+	}
+	eng.Run()
+	want := "[echo 0s true at 1ms beat 1.25ms true at 2.25ms]"
+	if fmt.Sprint(log) != want || heard != 1 {
+		t.Fatalf("reports %v (heard %d), want %s", log, heard, want)
+	}
+	if len(ch.probeFree) != 1 || ch.probeFree[0] != first {
+		t.Fatalf("two probes in sequence used %d records, want the one", len(ch.probeFree))
 	}
 }
 

@@ -3,30 +3,21 @@ package ctrlplane
 import (
 	"time"
 
+	"mic/internal/sim"
 	"mic/internal/topo"
 )
 
 // Prober detects silent switch failures — a wedged forwarding plane that
 // emits no port-status event — by sending periodic Echo probes over the
 // control channel, the simulation's stand-in for OpenFlow echo
-// request/reply keepalives. A switch is declared dead after Misses
-// consecutive unanswered probes (a single miss can be control-channel
-// loss), and declared recovered on the first answered probe afterwards.
+// request/reply keepalives. A switch is declared dead after ProbeMisses
+// consecutive unanswered probe rounds (a single miss can be control-channel
+// loss), and declared recovered on the first answered round afterwards.
 type Prober struct {
 	Ch *Channel
 
 	// Interval between probe rounds. Every switch is probed each round.
 	Interval time.Duration
-
-	// Misses is how many consecutive unanswered probe rounds declare a
-	// switch dead. Zero means DefaultProbeMisses.
-	Misses int
-
-	// Redundancy is how many echoes one probe round sends per switch; the
-	// round misses only when all are lost, so a lossy-but-alive control
-	// channel does not masquerade as switch death. Zero means
-	// DefaultProbeRedundancy.
-	Redundancy int
 
 	// OnDown fires when a switch crosses the miss threshold; OnUp when a
 	// previously declared-dead switch answers again. Both may be nil.
@@ -41,79 +32,74 @@ type Prober struct {
 
 	missed map[topo.NodeID]int
 	dead   map[topo.NodeID]bool
-	gen    uint64 // bumping cancels the running ticker
+	round  sim.Timer // the next probe round; disarmed once stopped
 }
 
-// DefaultProbeMisses tolerates two lost probe rounds before declaring
-// death; combined with DefaultProbeRedundancy it keeps the false-positive
-// rate negligible at realistic control-loss rates.
-const DefaultProbeMisses = 3
+// ProbeMisses tolerates two lost probe rounds before declaring death;
+// combined with ProbeRedundancy it keeps the false-positive rate negligible
+// at realistic control-loss rates.
+const ProbeMisses = 3
 
-// DefaultProbeRedundancy is the echoes sent per switch per round.
-const DefaultProbeRedundancy = 4
+// ProbeRedundancy is the echoes sent per switch per round; the round misses
+// only when all are lost, so a lossy-but-alive control channel does not
+// masquerade as switch death.
+const ProbeRedundancy = 4
 
 // NewProber builds a prober over ch probing every interval. Call Start to
 // begin probing.
 func NewProber(ch *Channel, interval time.Duration) *Prober {
-	return &Prober{
+	p := &Prober{
 		Ch:       ch,
 		Interval: interval,
 		missed:   make(map[topo.NodeID]int),
 		dead:     make(map[topo.NodeID]bool),
 	}
+	p.round.Bind(ch.Eng, p.tick)
+	return p
 }
 
 // Dead reports whether the prober currently believes switch id is down.
 func (p *Prober) Dead(id topo.NodeID) bool { return p.dead[id] }
 
-// Start begins periodic probing and returns a stop function.
+// Start begins periodic probing and returns a stop function; echoes still in
+// flight when it is called record nothing.
 func (p *Prober) Start() (stop func()) {
-	p.gen++
-	gen := p.gen
-	eng := p.Ch.Eng
-	threshold := p.Misses
-	if threshold <= 0 {
-		threshold = DefaultProbeMisses
-	}
-	var tick func()
-	tick = func() {
-		if gen != p.gen {
-			return
-		}
-		p.Probes++
-		red := p.Redundancy
-		if red <= 0 {
-			red = DefaultProbeRedundancy
-		}
-		for _, sw := range p.Ch.Net.Switches() {
-			sw := sw
-			pending := red
-			alive := false
-			settle := func(ok bool) {
-				if gen != p.gen {
-					return
-				}
-				if ok {
-					alive = true
-				}
-				pending--
-				if pending > 0 {
-					return
-				}
-				p.record(sw.ID, alive, threshold)
+	p.round.Reset(p.Interval)
+	return p.round.Stop
+}
+
+// tick is one probe round: ProbeRedundancy echoes to every switch, whose
+// answers settle into one verdict per switch.
+func (p *Prober) tick() {
+	p.Probes++
+	for _, sw := range p.Ch.Net.Switches() {
+		id := sw.ID
+		pending := ProbeRedundancy
+		alive := false
+		settle := func(_ sim.Time, ok bool) {
+			// tick re-arms the round before any echo it sends can answer,
+			// so the round is armed exactly while the prober runs.
+			if !p.round.Armed() {
+				return
 			}
-			for i := 0; i < red; i++ {
-				p.Ch.Echo(sw, settle)
+			if ok {
+				alive = true
 			}
+			pending--
+			if pending > 0 {
+				return
+			}
+			p.record(id, alive)
 		}
-		eng.After(p.Interval, tick)
+		for i := 0; i < ProbeRedundancy; i++ {
+			p.Ch.Echo(sw, settle)
+		}
 	}
-	eng.After(p.Interval, tick)
-	return func() { p.gen++ }
+	p.round.Reset(p.Interval)
 }
 
 // record folds one probe-round verdict into the per-switch state machine.
-func (p *Prober) record(id topo.NodeID, alive bool, threshold int) {
+func (p *Prober) record(id topo.NodeID, alive bool) {
 	if alive {
 		p.missed[id] = 0
 		if p.dead[id] {
@@ -126,7 +112,7 @@ func (p *Prober) record(id topo.NodeID, alive bool, threshold int) {
 		return
 	}
 	p.missed[id]++
-	if p.missed[id] >= threshold && !p.dead[id] {
+	if p.missed[id] >= ProbeMisses && !p.dead[id] {
 		p.dead[id] = true
 		p.Deaths++
 		if p.OnDown != nil {

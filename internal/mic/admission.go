@@ -156,9 +156,9 @@ func (mc *MC) refillTokens() {
 	}
 }
 
-// scheduleDrain arms one timer for the instant the next token accrues.
+// scheduleDrain arms the drain timer for the instant the next token accrues.
 func (mc *MC) scheduleDrain() {
-	if mc.drainArmed || len(mc.admitQueue) == 0 {
+	if mc.drain.Armed() || len(mc.admitQueue) == 0 {
 		return
 	}
 	need := 1 - mc.admitTokens
@@ -169,11 +169,7 @@ func (mc *MC) scheduleDrain() {
 	if wait <= 0 {
 		wait = time.Microsecond
 	}
-	mc.drainArmed = true
-	mc.Net.Eng.After(wait, mc.gate(func() {
-		mc.drainArmed = false
-		mc.drainQueue()
-	}))
+	mc.drain.Reset(wait)
 }
 
 // drainQueue grants tokens to queued requests in FIFO order.
@@ -233,14 +229,13 @@ func (mc *MC) quiesceAdmission() {
 }
 
 // resetAdmission clears the limiter state on crash/restart. Queued requests
-// from the dead life are already disarmed by the incarnation gate; their
-// callers' retry layer re-issues them, like any request in flight to a dead
-// process.
+// from the dead life are already disarmed (crash and stepDown stop the drain
+// timer, the incarnation gate the shed deadlines); their callers' retry
+// layer re-issues them, like any request in flight to a dead process.
 func (mc *MC) resetAdmission() {
 	mc.admitTokens = float64(mc.Cfg.Admission.Burst) // restart with a full bucket
 	mc.admitLast = mc.Net.Eng.Now()
 	mc.admitQueue = nil
-	mc.drainArmed = false
 	mc.ruleCount = make(map[topo.NodeID]int)
 	mc.commonBase = make(map[topo.NodeID]int)
 }

@@ -82,7 +82,7 @@ type Client struct {
 	channels map[string]*cachedChannel
 	pending  map[string][]*chanWaiter
 	streams  map[uint64][]*Stream // live streams by channel ID, in open order
-	notifier uint64               // generation counter; bumping cancels the running notifier
+	idle     sim.Timer            // the idle notifier's next tick
 }
 
 // chanWaiter is one dial waiting on channel establishment. canceled is set
@@ -400,14 +400,8 @@ func (c *Client) Channel(target string) (*ChannelInfo, bool) {
 // Every interval, channels unused for at least one full interval are torn
 // down at the MC. Returns a stop function.
 func (c *Client) StartIdleNotifier(interval time.Duration) (stop func()) {
-	c.notifier++
-	gen := c.notifier
 	eng := c.MC.Engine()
-	var tick func()
-	tick = func() {
-		if gen != c.notifier {
-			return
-		}
+	c.idle.Bind(eng, func() {
 		now := eng.Now()
 		for target, cc := range c.channels {
 			if now.Sub(cc.lastUsed) >= interval {
@@ -415,10 +409,10 @@ func (c *Client) StartIdleNotifier(interval time.Duration) (stop func()) {
 				_ = c.CloseChannel(target, nil)
 			}
 		}
-		eng.After(interval, tick)
-	}
-	eng.After(interval, tick)
-	return func() { c.notifier++ }
+		c.idle.Reset(interval)
+	})
+	c.idle.Reset(interval)
+	return c.idle.Stop
 }
 
 func hello(token uint64, idx, total uint8) []byte {

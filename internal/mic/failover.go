@@ -38,15 +38,6 @@ type ClusterConfig struct {
 	// routed to shards by index.
 	Shards int
 
-	// HeartbeatInterval is the active's beat period over the management
-	// network; standbys also check for overdue beats at this period.
-	HeartbeatInterval time.Duration
-
-	// HeartbeatMisses is how many consecutive overdue checks a standby
-	// tolerates before declaring the active dead and taking over. The
-	// debounce absorbs individual beat losses on a lossy management network.
-	HeartbeatMisses int
-
 	// DisableReconcile skips the takeover flow-table reconciliation — the
 	// ablation arm that shows why dumping and diffing switch state matters.
 	DisableReconcile bool
@@ -62,9 +53,17 @@ type ClusterConfig struct {
 
 // Failover defaults.
 const (
-	DefaultStandbys          = 1
+	DefaultStandbys = 1
+
+	// DefaultHeartbeatInterval is the active's beat period over the
+	// management network; standbys also check for overdue beats at this
+	// period.
 	DefaultHeartbeatInterval = 2 * time.Millisecond
-	DefaultHeartbeatMisses   = 3
+
+	// DefaultHeartbeatMisses is how many consecutive overdue checks a standby
+	// tolerates before declaring the active dead and taking over. The
+	// debounce absorbs individual beat losses on a lossy management network.
+	DefaultHeartbeatMisses = 3
 )
 
 // What no experiment varies.
@@ -79,17 +78,16 @@ const (
 	requestRetries = 50
 )
 
-// leaseDuration is the mastership lease, HeartbeatInterval × HeartbeatMisses
-// (which keeps detection timing identical to the miss-count-only protocol).
-// Each acknowledged heartbeat extends the active's lease to the beat's send
-// time plus this duration; when the lease expires unrenewed (and a standby
-// exists that could usurp), the active steps down. A standby conversely
-// refuses to take over until at least this long has passed since it last
-// heard the active — so a partitioned-away active has always stepped down
-// before any successor's takeover window opens (DESIGN.md §4g).
-func (c ClusterConfig) leaseDuration() time.Duration {
-	return time.Duration(c.HeartbeatMisses) * c.HeartbeatInterval
-}
+// leaseDuration is the mastership lease, DefaultHeartbeatInterval ×
+// DefaultHeartbeatMisses (which keeps detection timing identical to the
+// miss-count-only protocol). Each acknowledged heartbeat extends the active's
+// lease to the beat's send time plus this duration; when the lease expires
+// unrenewed (and a standby exists that could usurp), the active steps down.
+// A standby conversely refuses to take over until at least this long has
+// passed since it last heard the active — so a partitioned-away active has
+// always stepped down before any successor's takeover window opens
+// (DESIGN.md §4g).
+const leaseDuration = DefaultHeartbeatMisses * DefaultHeartbeatInterval
 
 func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Standbys == 0 {
@@ -97,12 +95,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	}
 	if c.Shards == 0 {
 		c.Shards = 1
-	}
-	if c.HeartbeatInterval == 0 {
-		c.HeartbeatInterval = DefaultHeartbeatInterval
-	}
-	if c.HeartbeatMisses == 0 {
-		c.HeartbeatMisses = DefaultHeartbeatMisses
 	}
 	return c
 }
@@ -442,10 +434,10 @@ func (c *Cluster) drain(m *member) {
 func (c *Cluster) startBeating(m *member) {
 	m.stopTimers()
 	if !c.CCfg.DisableFencing {
-		m.leaseUntil = c.eng().Now().Add(c.CCfg.leaseDuration())
+		m.leaseUntil = c.eng().Now().Add(leaseDuration)
 		m.lease.ResetAt(m.leaseUntil)
 	}
-	m.beat.Reset(c.CCfg.HeartbeatInterval)
+	m.beat.Reset(DefaultHeartbeatInterval)
 }
 
 // sendBeats is one tick of the active's beat ticker.
@@ -457,7 +449,7 @@ func (c *Cluster) sendBeats(m *member) {
 		c.Counters.Add("heartbeats_sent", 1)
 		m.lead().Ch.Heartbeat(other.ctrlIdx, other.heard, m.acked)
 	}
-	m.beat.Reset(c.CCfg.HeartbeatInterval)
+	m.beat.Reset(DefaultHeartbeatInterval)
 }
 
 // stopTimers cancels m's tickers and lease check.
@@ -474,7 +466,7 @@ func (m *member) stopTimers() {
 // Stop stops it. A beat sent in an earlier active life renews nothing
 // either: the life's first lease already runs from after it.
 func (c *Cluster) extendLease(m *member, sendAt sim.Time) {
-	until := sendAt.Add(c.CCfg.leaseDuration())
+	until := sendAt.Add(leaseDuration)
 	if !m.lease.Armed() || until <= m.leaseUntil {
 		return
 	}
@@ -492,7 +484,7 @@ func (c *Cluster) leaseEdge(m *member) {
 	// No peer could take over (all dead, or demoted and waiting to hear
 	// from us): mastership cannot be usurped, so the lease self-extends
 	// rather than orphaning the fabric with no controller at all.
-	m.leaseUntil = c.eng().Now().Add(c.CCfg.leaseDuration())
+	m.leaseUntil = c.eng().Now().Add(leaseDuration)
 	m.lease.ResetAt(m.leaseUntil)
 }
 
@@ -542,27 +534,27 @@ func (c *Cluster) stepDown(m *member) {
 
 // startWatchdog runs a standby's death detector: every interval it checks
 // whether the last beat is overdue (1.5 intervals: one full period plus
-// latency slack). HeartbeatMisses consecutive overdue checks — a debounce
-// against individual beat losses — trigger the takeover.
+// latency slack). DefaultHeartbeatMisses consecutive overdue checks — a
+// debounce against individual beat losses — trigger the takeover.
 func (c *Cluster) startWatchdog(m *member) {
 	m.stopTimers()
 	m.lastBeat = c.eng().Now()
 	m.missedRun = 0
-	m.watch.Reset(c.CCfg.HeartbeatInterval)
+	m.watch.Reset(DefaultHeartbeatInterval)
 }
 
 // checkBeats is one tick of a standby's watchdog ticker.
 func (c *Cluster) checkBeats(m *member) {
-	if c.eng().Now().Sub(m.lastBeat) > c.CCfg.HeartbeatInterval*3/2 {
+	if c.eng().Now().Sub(m.lastBeat) > DefaultHeartbeatInterval*3/2 {
 		m.missedRun++
 		c.Counters.Add("heartbeats_missed", 1)
-		if m.missedRun >= c.CCfg.HeartbeatMisses && c.leaseExpiredFor(m) && c.takeover(m) {
+		if m.missedRun >= DefaultHeartbeatMisses && c.leaseExpiredFor(m) && c.takeover(m) {
 			return
 		}
 	} else {
 		m.missedRun = 0
 	}
-	m.watch.Reset(c.CCfg.HeartbeatInterval)
+	m.watch.Reset(DefaultHeartbeatInterval)
 }
 
 // leaseExpiredFor reports whether standby m's side of the lease protocol
@@ -580,7 +572,7 @@ func (c *Cluster) leaseExpiredFor(m *member) bool {
 	if m.demoted {
 		return false
 	}
-	return c.eng().Now().Sub(m.lastBeat) > c.CCfg.leaseDuration()
+	return c.eng().Now().Sub(m.lastBeat) > leaseDuration
 }
 
 // memberCrashed handles a controller-host death: the process stops cold

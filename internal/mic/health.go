@@ -174,8 +174,7 @@ type healthMonitor struct {
 	nextProbe uint32
 	probation int // extra ticks to keep running after a repair notification
 
-	tickFn     func() // the watchdog event, bound once
-	timerArmed bool
+	timer sim.Timer // the watchdog, bound once
 
 	// Retransmits counts slices re-sent over another m-flow.
 	Retransmits int64
@@ -187,7 +186,7 @@ func newHealthMonitor(s *Stream) *healthMonitor {
 		flows: make([]flowHealth, len(s.conns)),
 		sent:  make([]int64, len(s.conns)),
 	}
-	m.tickFn = m.tick
+	m.timer.Bind(s.eng, m.tick)
 	now := s.eng.Now()
 	for i := range m.flows {
 		m.flows[i].lastHeard = now
@@ -400,17 +399,16 @@ func (m *healthMonitor) onRepair() {
 
 // arm schedules the next watchdog tick if one is not already pending.
 func (m *healthMonitor) arm() {
-	if m.timerArmed || m.s.closed || m.s.failed != nil {
+	if m.timer.Armed() || m.s.closed || m.s.failed != nil {
 		return
 	}
-	m.timerArmed = true
-	m.s.eng.After(healthInterval, m.tickFn)
+	m.timer.Reset(healthInterval)
 }
 
-// disarm drops the queued backlog; only terminal paths (Close, fail) call
-// it, and a tick still pending finds the stream closed or failed.
+// disarm stops the watchdog and drops the queued backlog; only terminal
+// paths (Close, fail) call it, and arm refuses from then on.
 func (m *healthMonitor) disarm() {
-	m.timerArmed = false
+	m.timer.Stop()
 	m.sendQ = fifo[[]byte]{}
 }
 
@@ -419,10 +417,6 @@ func (m *healthMonitor) disarm() {
 // When the stream goes idle (nothing outstanding, no probation) the timer
 // stops, so a finished transfer never keeps the engine alive.
 func (m *healthMonitor) tick() {
-	if m.s.closed || m.s.failed != nil {
-		return
-	}
-	m.timerArmed = false
 	now := m.s.eng.Now()
 
 	for i := range m.flows {

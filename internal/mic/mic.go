@@ -437,7 +437,7 @@ type MC struct {
 	admitTokens float64
 	admitLast   sim.Time
 	admitQueue  []*admitReq
-	drainArmed  bool
+	drain       sim.Timer // grants the queue's head its token; runs drainQueue
 	ruleCount   map[topo.NodeID]int
 	commonBase  map[topo.NodeID]int
 
@@ -503,6 +503,7 @@ func newMC(net *netsim.Network, cfg Config, passive bool) (*MC, error) {
 		admitTokens: float64(cfg.Admission.Burst),
 	}
 	mc.pathRng = mc.rng.Stream(fmt.Sprintf("paths-%d", cfg.InstanceID))
+	mc.drain.Bind(net.Eng, mc.drainQueue)
 	mc.linkBase = make([]int, len(net.Graph.Nodes)+1)
 	for i, n := range net.Graph.Nodes {
 		mc.linkBase[i+1] = mc.linkBase[i] + len(n.Ports)
@@ -598,6 +599,7 @@ func (mc *MC) crash() {
 	mc.down = true
 	mc.activeCtrl = false
 	mc.incarnation++
+	mc.drain.Stop()
 	mc.Ch.Down = true
 	mc.StopProber()
 }
@@ -651,6 +653,7 @@ func (mc *MC) stepDown() {
 	mc.activeCtrl = false
 	mc.quiesceAdmission()
 	mc.incarnation++
+	mc.drain.Stop()
 	mc.journal = nil
 	mc.StopProber()
 }

@@ -34,23 +34,18 @@ func newCapFixture(t testing.TB, cfg Config, capacity int) *fixture {
 	return f
 }
 
-// TestClusterConfigDefaults pins the failover heartbeat defaults (2ms beat,
-// 3 misses) and checks that explicit values pass through withDefaults
-// untouched.
+// TestClusterConfigDefaults pins the failover defaults: one standby, one
+// shard, a 2ms beat, 3 misses and the 6ms lease they make.
 func TestClusterConfigDefaults(t *testing.T) {
 	d := ClusterConfig{}.withDefaults()
-	if d.HeartbeatInterval != 2*time.Millisecond {
-		t.Errorf("default HeartbeatInterval = %v, want 2ms", d.HeartbeatInterval)
-	}
-	if d.HeartbeatMisses != 3 {
-		t.Errorf("default HeartbeatMisses = %d, want 3", d.HeartbeatMisses)
+	if d.Standbys != 1 || d.Shards != 1 {
+		t.Errorf("default standbys/shards = %d/%d, want 1/1", d.Standbys, d.Shards)
 	}
 	if DefaultHeartbeatInterval != 2*time.Millisecond || DefaultHeartbeatMisses != 3 {
-		t.Errorf("exported defaults drifted: %v / %d", DefaultHeartbeatInterval, DefaultHeartbeatMisses)
+		t.Errorf("heartbeat defaults drifted: %v / %d", DefaultHeartbeatInterval, DefaultHeartbeatMisses)
 	}
-	c := ClusterConfig{HeartbeatInterval: 7 * time.Millisecond, HeartbeatMisses: 5}.withDefaults()
-	if c.HeartbeatInterval != 7*time.Millisecond || c.HeartbeatMisses != 5 {
-		t.Errorf("custom heartbeat config overwritten: %v / %d", c.HeartbeatInterval, c.HeartbeatMisses)
+	if leaseDuration != 6*time.Millisecond {
+		t.Errorf("lease = %v, want 6ms", leaseDuration)
 	}
 }
 
@@ -125,6 +120,32 @@ func TestAdmissionDisabledIsPassThrough(t *testing.T) {
 	}
 	if ran != 100 || f.mc.RequestsAdmitted != 0 {
 		t.Fatalf("ran=%d admitted=%d, want 100 runs and no accounting", ran, f.mc.RequestsAdmitted)
+	}
+}
+
+// TestCrashStopsAdmissionDrain: a dial queued for a token when its
+// controller crashes is never granted one by the dead life — crash stops the
+// drain timer — and the revived life starts with an empty queue and a full
+// bucket.
+func TestCrashStopsAdmissionDrain(t *testing.T) {
+	f := newFixture(t, Config{Admission: AdmissionConfig{
+		Enabled: true, Rate: 100, Burst: 1, QueueLimit: 4, QueueDeadline: time.Second,
+	}})
+	ran := 0
+	for i := 0; i < 2; i++ {
+		f.mc.admit(func() { ran++ }, func(err error) { t.Errorf("refused: %v", err) })
+	}
+	if ran != 1 || len(f.mc.admitQueue) != 1 || !f.mc.drain.Armed() {
+		t.Fatalf("ran %d, queued %d, drain armed %v; want 1, 1, true", ran, len(f.mc.admitQueue), f.mc.drain.Armed())
+	}
+	f.mc.crash()
+	f.eng.Run()
+	if ran != 1 || f.mc.RequestsAdmitted != 1 {
+		t.Fatalf("the dead life admitted its queue: ran %d, admitted %d", ran, f.mc.RequestsAdmitted)
+	}
+	f.mc.revive()
+	if len(f.mc.admitQueue) != 0 || f.mc.drain.Armed() || f.mc.admitTokens != 1 {
+		t.Fatalf("revived limiter: queued %d, drain armed %v, tokens %v", len(f.mc.admitQueue), f.mc.drain.Armed(), f.mc.admitTokens)
 	}
 }
 

@@ -88,14 +88,13 @@ type Stream struct {
 	// Incoming. A slice arriving in sequence goes from its conn's parser
 	// straight to onData; reasm holds copies of the others (overtook a gap,
 	// or arrived before a receiver was registered).
-	parse      []bytequeue.Queue
-	reasm      map[uint32][]byte
-	seqIn      uint32
-	slicesIn   []int64 // per-conn slices received (reported back in acks)
-	lastAck    []sim.Time
-	ackPending []bool
-	ackFn      []func() // per-conn delayed-ack event, bound once
-	onData     func([]byte)
+	parse    []bytequeue.Queue
+	reasm    map[uint32][]byte
+	seqIn    uint32
+	slicesIn []int64 // per-conn slices received (reported back in acks)
+	lastAck  []sim.Time
+	ack      []sim.Timer // per-conn delayed ack, bound once
+	onData   func([]byte)
 
 	onClose     func()
 	onError     func(error)
@@ -159,8 +158,7 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 		parse:      make([]bytequeue.Queue, len(conns)),
 		slicesIn:   make([]int64, len(conns)),
 		lastAck:    make([]sim.Time, len(conns)),
-		ackPending: make([]bool, len(conns)),
-		ackFn:      make([]func(), len(conns)),
+		ack:        make([]sim.Timer, len(conns)),
 		connClosed: make([]bool, len(conns)),
 		SlicesOut:  make([]int64, len(conns)),
 	}
@@ -169,7 +167,7 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 	}
 	for i, c := range conns {
 		i, c := i, c
-		s.ackFn[i] = func() { s.delayedAck(i) }
+		s.ack[i].Bind(eng, func() { s.delayedAck(i) })
 		c.OnData(func(b []byte) { s.feed(i, b) })
 		c.OnClose(func() {
 			s.connClosed[i] = true
@@ -409,7 +407,7 @@ func (s *Stream) maybeAck(i int) {
 		s.sendAck(i)
 		return
 	}
-	if s.ackPending[i] {
+	if s.ack[i].Armed() {
 		return // a delayed ack is already scheduled; it will carry this seq
 	}
 	now := s.eng.Now()
@@ -418,13 +416,11 @@ func (s *Stream) maybeAck(i int) {
 		s.sendAck(i)
 		return
 	}
-	s.ackPending[i] = true
-	s.eng.After(s.lastAck[i].Add(ackInterval).Sub(now), s.ackFn[i])
+	s.ack[i].ResetAt(s.lastAck[i].Add(ackInterval))
 }
 
 // delayedAck is the trailing ack maybeAck scheduled on conn i.
 func (s *Stream) delayedAck(i int) {
-	s.ackPending[i] = false
 	if s.closed || s.failed != nil || s.connClosed[i] {
 		return
 	}
