@@ -107,7 +107,6 @@ func main() {
 	}
 	eng.RunUntil(sim.Time(400 * time.Millisecond))
 	fmt.Printf("flows restored to degraded channels: %d\n", mc.Telemetry().Get("flows_restored"))
-	mc.StopProber()
 
 	if !admitted {
 		fmt.Println("fabric still saturated — the refusal stayed typed and the client stayed informed")

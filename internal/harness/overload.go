@@ -215,7 +215,6 @@ func RunStorm(opts StormOptions) (*StormResult, error) {
 	// completed or stalled for good by then — and a fixed deadline is
 	// exactly as deterministic as a drain.
 	eng.RunUntil(sim.Time(5 * time.Second))
-	mc.StopProber()
 
 	for _, c := range clients {
 		res.Retries += c.DialRetryCount

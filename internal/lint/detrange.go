@@ -137,14 +137,40 @@ func (c *bodyClassifier) allowedAssign(s *ast.AssignStmt) bool {
 		}
 		return true
 	case token.ASSIGN:
+		blank := true
 		for _, lhs := range s.Lhs {
 			if !c.allowedTarget(lhs) {
 				return false
 			}
+			if id, ok := lhs.(*ast.Ident); !ok || id.Name != "_" {
+				blank = false
+			}
 		}
-		return true
+		// An assignment to blanks only keeps nothing: it is there for its
+		// right-hand side's effect, like an expression statement.
+		return !blank || !c.calls(s.Rhs)
 	}
 	return false
+}
+
+// calls reports whether any of exprs calls a function (a conversion is not a
+// call); the body of a function literal is not inspected.
+func (c *bodyClassifier) calls(exprs []ast.Expr) bool {
+	found := false
+	for _, e := range exprs {
+		ast.Inspect(e, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncLit:
+				return false
+			case *ast.CallExpr:
+				if !c.pass.TypesInfo.Types[n.Fun].IsType() {
+					found = true
+				}
+			}
+			return !found
+		})
+	}
+	return found
 }
 
 // allowedTarget accepts plain-assignment targets that cannot make the loop

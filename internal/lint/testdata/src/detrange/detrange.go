@@ -70,6 +70,34 @@ func rekey(m map[string]int) map[string]int {
 	return out
 }
 
+// rekeyCall is exempt too: the value comes from a call, but each iteration
+// still writes its own key.
+func rekeyCall(m map[string]int) map[string]int {
+	out := make(map[string]int, len(m))
+	for k, v := range m {
+		out[k] = double(v)
+	}
+	return out
+}
+
+func double(v int) int { return 2 * v }
+
+var visited []string
+
+// effect is a call made for its side effect, which depends on call order.
+func effect(k string) error {
+	visited = append(visited, k)
+	return nil
+}
+
+// blankedEffect discards the result of a call for effect: the blank target
+// hides the call from nothing, and the calls run in map order.
+func blankedEffect(m map[string]int) {
+	for k := range m { // want `range over map`
+		_ = effect(k)
+	}
+}
+
 // drain is exempt: delete of the visited key.
 func drain(m map[string]int) {
 	for k := range m {

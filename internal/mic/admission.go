@@ -136,7 +136,7 @@ func (mc *MC) admit(run func(), refuse func(error)) {
 		mc.QueuePeak = n
 	}
 	if !a.DisableShed {
-		mc.Net.Eng.After(a.QueueDeadline, mc.gate(func() { mc.shedStale(req) }))
+		mc.Net.Eng.After(a.QueueDeadline, mc.unit.gate(func() { mc.shedStale(req) }))
 	}
 	mc.scheduleDrain()
 }
@@ -350,7 +350,7 @@ func (mc *MC) reinstallOnMiss(sw *netsim.Switch, inPort int, p *packet.Packet) b
 // health machinery to probe and rebalance onto the new flow.
 func (mc *MC) maybeRestoreDegraded() {
 	a := mc.Cfg.Admission
-	if !a.Enabled || a.DisableDegrade || !mc.activeCtrl {
+	if !a.Enabled || a.DisableDegrade || !mc.unit.active {
 		return
 	}
 	for _, id := range sortedChanIDs(mc.channels) {
@@ -376,7 +376,7 @@ func (mc *MC) upgradeChannel(st *channelState) bool {
 	// and the repair event below makes their streams re-probe it.
 	mc.FlowsRestored++
 	mc.journalChannel(RecUpdate, st)
-	restored := mc.gate(func() {
+	restored := mc.unit.gate(func() {
 		mc.emitRepair(RepairEvent{
 			Channel: st.id, DetectedAt: detectedAt, CompletedAt: mc.Net.Eng.Now(), Attempts: 1,
 		})

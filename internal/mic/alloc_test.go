@@ -238,15 +238,15 @@ func TestTemplateFlowFitsItsSlab(t *testing.T) {
 func TestClusterBeatsAllocNothing(t *testing.T) {
 	f := newClusterFixture(t, Config{}, ClusterConfig{Standbys: 1})
 	f.eng.RunFor(10 * DefaultHeartbeatInterval) // the beat records' first uses
-	sent := f.cl.Counters.Get("heartbeats_sent")
+	sent := f.cl.Telemetry().Get("heartbeats_sent")
 	allocs := testing.AllocsPerRun(100, func() { f.eng.RunFor(DefaultHeartbeatInterval) })
 	if allocs != 0 {
 		t.Fatalf("a heartbeat interval allocates %v times, want 0", allocs)
 	}
-	if beats := f.cl.Counters.Get("heartbeats_sent") - sent; beats != 101 {
+	if beats := f.cl.Telemetry().Get("heartbeats_sent") - sent; beats != 101 {
 		t.Fatalf("%d beats over 101 intervals, want one each", beats)
 	}
-	if missed := f.cl.Counters.Get("heartbeats_missed"); missed != 0 || f.cl.Takeovers() != 0 {
+	if missed := f.cl.Telemetry().Get("heartbeats_missed"); missed != 0 || f.cl.Takeovers() != 0 {
 		t.Fatalf("%d missed beats, %d takeovers on a steady cluster", missed, f.cl.Takeovers())
 	}
 	f.settle(time.Duration(f.eng.Now()))

@@ -146,7 +146,7 @@ func auditBooks(t testing.TB, mc *MC, closing bool) {
 // what a standby promoted this instant would hold.
 func replayed(t testing.TB, mc *MC, j *Journal) *MC {
 	t.Helper()
-	twin, err := newMC(mc.Net, mc.Cfg, true)
+	twin, err := newMC(mc.Net, mc.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"mic/internal/addr"
@@ -398,16 +399,24 @@ func (c *Client) Channel(target string) (*ChannelInfo, bool) {
 // (Sec IV-B1): instead of a shutdown request per connection, "a dedicated
 // module in the initiator will send notification to the MC periodically."
 // Every interval, channels unused for at least one full interval are torn
-// down at the MC. Returns a stop function.
+// down at the MC, in target order: close order decides which flow IDs the
+// MC hands out next, and so the next channel's m-addresses. Returns a stop
+// function.
 func (c *Client) StartIdleNotifier(interval time.Duration) (stop func()) {
 	eng := c.MC.Engine()
 	c.idle.Bind(eng, func() {
 		now := eng.Now()
+		var idle []string
+		// lint:ignore detrange targets are collected then sorted immediately below
 		for target, cc := range c.channels {
 			if now.Sub(cc.lastUsed) >= interval {
-				// lint:ignore errdrop errors cannot occur here: the channel is cached, and idle teardown is best-effort anyway
-				_ = c.CloseChannel(target, nil)
+				idle = append(idle, target)
 			}
+		}
+		slices.Sort(idle)
+		for _, target := range idle {
+			// lint:ignore errdrop errors cannot occur here: the channel is cached, and idle teardown is best-effort anyway
+			_ = c.CloseChannel(target, nil)
 		}
 		c.idle.Reset(interval)
 	})

@@ -23,10 +23,11 @@ import (
 // layer answers what a deployment actually needs when it stops existing.
 //
 // A unit is N >= 1 shard MCs behind one router (shard.go) on one controller
-// host; it lives, dies and is promoted as a whole. This is the only HA
-// composition in the package: everything below loops over the unit's shards,
-// and a single MC is the unit of one. Heartbeats, epoch Hellos and switch
-// dumps ride shard 0's southbound channel.
+// host; it lives, dies and is promoted as a whole, and owns that life: the
+// Cluster decides when a unit crashes, revives, steps down or is promoted,
+// and the unit carries it out. This is the only HA composition in the
+// package, and a single MC is the unit of one. Heartbeats, epoch Hellos and
+// switch dumps ride shard 0's southbound channel.
 
 // ClusterConfig tunes failover behaviour.
 type ClusterConfig struct {
@@ -99,21 +100,13 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	return c
 }
 
-// memberRole is a cluster member's current role.
-type memberRole int
-
-const (
-	roleStandby memberRole = iota
-	roleActive
-	roleDead
-)
-
 // member is one controller host in the cluster: a unit of shard MCs that
-// crash, restart, step down and take over together.
+// crash, restart, step down and take over together. Its role is its unit's
+// life: dead while the unit is down, active while it is active, a standby
+// otherwise.
 type member struct {
 	unit    *ShardedMC
 	ctrlIdx int // netsim controller-host index (crash/restart handle)
-	role    memberRole
 
 	// pending holds replicated journal records shipped but not yet applied
 	// (in flight for replicationLag). A takeover drains them first.
@@ -168,9 +161,10 @@ type Cluster struct {
 	// Journal is the active's replicated mutation log.
 	Journal *Journal
 
-	// Counters tracks controller-liveness telemetry (heartbeats, takeovers,
-	// reconciliation work) in fixed registration order for stable reports.
-	Counters *metrics.Counters
+	// Controller-liveness tallies, reported by Telemetry: beats sent and
+	// overdue watchdog checks, lease-loss step-downs, and dial requests
+	// re-issued across a blackout or a step-down.
+	heartbeatsSent, heartbeatsMissed, stepdowns, requestRetries uint64
 
 	// RecordsRefused counts replicated journal records that named a shard no
 	// unit of this cluster has — a foreign writer on the log. They are
@@ -195,9 +189,6 @@ type Cluster struct {
 	// ablation is on) announced to every switch so older epochs' mutations
 	// are rejected fabric-side. The founding active runs epoch 0.
 	fence uint64
-
-	repairSubs []func(RepairEvent)
-	downSubs   []func(id uint64, err error)
 }
 
 // NewCluster builds the failover group: one active unit (which installs
@@ -207,21 +198,11 @@ type Cluster struct {
 // and restart controllers like any other element.
 func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
-		Net:      net,
-		Cfg:      cfg.withDefaults(),
-		CCfg:     ccfg.withDefaults(),
-		Journal:  NewJournal(),
-		Counters: metrics.NewCounters(),
-		active:   0,
-	}
-	// Fixed registration order: reports render counters in first-Add order.
-	for _, name := range append([]string{
-		"heartbeats_sent", "heartbeats_missed", "takeovers", "stepdowns",
-		"rules_reinstalled", "rules_stale_deleted", "request_retries",
-		"journal_appends", "journal_snapshots", "journal_records",
-		"journal_divergent", "stale_rejects",
-	}, memberCounters...) {
-		c.Counters.Set(name, 0)
+		Net:     net,
+		Cfg:     cfg.withDefaults(),
+		CCfg:    ccfg.withDefaults(),
+		Journal: NewJournal(),
+		active:  0,
 	}
 	c.Journal.Fencing = !c.CCfg.DisableFencing
 
@@ -229,9 +210,7 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 	if err != nil {
 		return nil, err
 	}
-	for _, mc := range primary.shards {
-		mc.journal = c.Journal
-	}
+	primary.journal = c.Journal
 	c.addMember(primary)
 	for i := 0; i < c.CCfg.Standbys; i++ {
 		sb, err := newShardedMC(net, c.Cfg, c.CCfg.Shards, true)
@@ -262,25 +241,21 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 }
 
 // addMember registers one controller unit with the cluster: a netsim
-// controller host (the chaos layer's kill handle), a journal follower (the
-// replication feed; the active skips its own records), and event relays so
-// cluster-level subscribers hear whichever member is acting.
+// controller host (the chaos layer's kill handle) and a journal follower
+// (the replication feed; the active skips its own records).
 func (c *Cluster) addMember(unit *ShardedMC) {
-	m := &member{unit: unit, ctrlIdx: c.Net.RegisterCtrlHost(), role: roleStandby}
+	m := &member{unit: unit, ctrlIdx: c.Net.RegisterCtrlHost()}
 	// Bind every shard's southbound channel to the member's management-
 	// network endpoint, so partitions between this controller host and
 	// switches (or peer controllers) actually cut its traffic.
 	for _, mc := range unit.shards {
 		mc.Ch.CtrlHost = m.ctrlIdx
 	}
-	if len(c.members) == 0 {
-		m.role = roleActive
-	}
 	m.beat.Bind(c.eng(), func() { c.sendBeats(m) })
 	m.lease.Bind(c.eng(), func() { c.leaseEdge(m) })
 	m.watch.Bind(c.eng(), func() { c.checkBeats(m) })
 	m.heard = func() {
-		if m.role == roleStandby {
+		if m.standby() {
 			m.lastBeat = c.eng().Now()
 			// Hearing the successor releases a demoted ex-active back into
 			// the standby pool.
@@ -294,26 +269,19 @@ func (c *Cluster) addMember(unit *ShardedMC) {
 	}
 	c.members = append(c.members, m)
 	c.Journal.Follow(func(r Record) {
-		if m.role != roleStandby {
+		if !m.standby() {
 			return // the active wrote it; the dead rebuild by full replay
 		}
 		c.replicate(m, r)
-	})
-	unit.SubscribeRepair(func(ev RepairEvent) {
-		for _, fn := range c.repairSubs {
-			fn(ev)
-		}
-	})
-	unit.SubscribeChannelDown(func(id uint64, err error) {
-		for _, fn := range c.downSubs {
-			fn(id, err)
-		}
 	})
 }
 
 // lead is the shard whose southbound channel carries the member's cross-shard
 // control traffic: heartbeats, epoch Hellos and switch dumps.
 func (m *member) lead() *MC { return m.unit.shards[0] }
+
+// standby reports whether m's unit is alive but passive.
+func (m *member) standby() bool { return !m.unit.down && !m.unit.active }
 
 func (c *Cluster) eng() *sim.Engine { return c.Net.Eng }
 
@@ -343,7 +311,7 @@ func (c *Cluster) activeMember() *member {
 		return nil
 	}
 	m := c.members[c.active]
-	if m.role != roleActive {
+	if !m.unit.active {
 		return nil
 	}
 	return m
@@ -382,7 +350,7 @@ func (c *Cluster) Fence() uint64 { return c.fence }
 func (c *Cluster) replicate(m *member, r Record) {
 	m.pending = append(m.pending, r)
 	c.eng().After(replicationLag, func() {
-		if m.role != roleStandby || len(m.pending) == 0 {
+		if !m.standby() || len(m.pending) == 0 {
 			return // drained by a takeover, or member died/promoted meanwhile
 		}
 		rec := m.pending[0]
@@ -443,10 +411,10 @@ func (c *Cluster) startBeating(m *member) {
 // sendBeats is one tick of the active's beat ticker.
 func (c *Cluster) sendBeats(m *member) {
 	for _, other := range c.members {
-		if other == m || other.role == roleDead {
+		if other == m || other.unit.down {
 			continue
 		}
-		c.Counters.Add("heartbeats_sent", 1)
+		c.heartbeatsSent++
 		m.lead().Ch.Heartbeat(other.ctrlIdx, other.heard, m.acked)
 	}
 	m.beat.Reset(DefaultHeartbeatInterval)
@@ -493,7 +461,7 @@ func (c *Cluster) leaseEdge(m *member) {
 // unrenewed active to step down.
 func (c *Cluster) usurperExists(m *member) bool {
 	for _, other := range c.members {
-		if other != m && other.role == roleStandby && !other.demoted {
+		if other != m && other.standby() && !other.demoted {
 			return true
 		}
 	}
@@ -508,11 +476,10 @@ func (c *Cluster) usurperExists(m *member) bool {
 // rebuilds its state from the journal and watches for the successor's
 // heartbeat, which is what clears the demotion.
 func (c *Cluster) stepDown(m *member) {
-	if m.role != roleActive {
+	if !m.unit.active {
 		return
 	}
-	c.Counters.Add("stepdowns", 1)
-	m.role = roleStandby
+	c.stepdowns++
 	m.demoted = true
 	if c.active == c.memberIndex(m) {
 		c.active = -1
@@ -521,10 +488,7 @@ func (c *Cluster) stepDown(m *member) {
 	// Rebuild from the journal: unjournaled in-flight plans from the active
 	// life are discarded — their switch rules (if any landed) are the next
 	// takeover's reconciliation fodder, same as a crashed active's.
-	for _, mc := range m.unit.shards {
-		mc.stepDown()
-		mc.resetState()
-	}
+	m.unit.stepDown()
 	c.replay(m)
 	c.startWatchdog(m)
 	if c.OnStepDown != nil {
@@ -547,7 +511,7 @@ func (c *Cluster) startWatchdog(m *member) {
 func (c *Cluster) checkBeats(m *member) {
 	if c.eng().Now().Sub(m.lastBeat) > DefaultHeartbeatInterval*3/2 {
 		m.missedRun++
-		c.Counters.Add("heartbeats_missed", 1)
+		c.heartbeatsMissed++
 		if m.missedRun >= DefaultHeartbeatMisses && c.leaseExpiredFor(m) && c.takeover(m) {
 			return
 		}
@@ -579,16 +543,13 @@ func (c *Cluster) leaseExpiredFor(m *member) bool {
 // (channel silent, closures disarmed), and if it was the active, the cluster
 // enters a blackout that only a standby's watchdog can end.
 func (c *Cluster) memberCrashed(m *member) {
-	if m.role == roleDead {
+	if m.unit.down {
 		return
 	}
-	wasActive := m.role == roleActive
-	m.role = roleDead
+	wasActive := m.unit.active
 	m.stopTimers()
 	m.pending = nil
-	for _, mc := range m.unit.shards {
-		mc.crash()
-	}
+	m.unit.crash()
 	if wasActive {
 		if c.active == c.memberIndex(m) {
 			c.active = -1
@@ -605,14 +566,11 @@ func (c *Cluster) memberCrashed(m *member) {
 // new southbound channel, full journal replay, watchdog armed. It does not
 // reclaim the active role — at most it becomes the next takeover's winner.
 func (c *Cluster) memberRejoined(m *member) {
-	if m.role != roleDead {
+	if !m.unit.down {
 		return
 	}
-	m.role = roleStandby
 	m.pending = nil
-	for _, mc := range m.unit.shards {
-		mc.revive()
-	}
+	m.unit.revive()
 	c.replay(m)
 	c.startWatchdog(m)
 }
@@ -635,23 +593,18 @@ func (c *Cluster) takeover(m *member) bool {
 		return false
 	}
 	c.takeovers++
-	c.Counters.Add("takeovers", 1)
 	c.drain(m)
-	m.role = roleActive
 	m.demoted = false
 	c.active = c.memberIndex(m)
 	c.fence++
-	// Every shard of this life carries the promotion's generation in its rule
-	// cookies and its fencing epoch on journal writes and (unless the fencing
-	// ablation is on) southbound messages, so a deposed life is told apart —
-	// and rejected — shard by shard.
-	for _, mc := range m.unit.shards {
+	// The promoted life carries the takeover's generation in its rule cookies
+	// and its fencing epoch on journal writes and (unless the fencing ablation
+	// is on) every shard's southbound messages, so a deposed life is told
+	// apart — and rejected — shard by shard.
+	u := m.unit
+	u.active, u.generation, u.fence, u.journal = true, c.takeovers, c.fence, c.Journal
+	for _, mc := range u.shards {
 		mc.finishRestore(c.Journal)
-		mc.generation = c.takeovers
-		mc.journal = c.Journal
-		mc.activeCtrl = true
-		mc.fence = c.fence
-		mc.startProber()
 		if !c.CCfg.DisableFencing {
 			mc.Ch.Epoch = c.fence
 		}
@@ -659,7 +612,7 @@ func (c *Cluster) takeover(m *member) bool {
 	// The journal learns the new life's epoch before its first append, so a
 	// deposed life's raced-in writes read as divergent however they interleave.
 	c.Journal.RaiseFence(c.fence)
-	m.unit.attach()
+	u.attach()
 	if !c.CCfg.DisableFencing {
 		// Announce the new epoch to every reachable switch before any
 		// reconciliation traffic: same channel, same latency, so the Hello
@@ -736,13 +689,10 @@ var memberCounters = []string{
 	"channels_refused", "flows_restored", "mflow_rules_evicted",
 }
 
-// Telemetry folds journal statistics and the members' admission counters
-// into the counters and returns them.
+// Telemetry reports the cluster's liveness tallies, the journal statistics,
+// the units' reconciliation work and the members' admission counters, in a
+// fixed order for stable reports.
 func (c *Cluster) Telemetry() *metrics.Counters {
-	c.Counters.Set("journal_appends", c.Journal.Appends)
-	c.Counters.Set("journal_snapshots", c.Journal.Snapshots)
-	c.Counters.Set("journal_records", uint64(c.Journal.Len()))
-	c.Counters.Set("journal_divergent", c.Journal.Divergent)
 	var mcs []*MC
 	var rejects, reinstalled, staleDeleted uint64
 	for _, m := range c.members {
@@ -753,14 +703,24 @@ func (c *Cluster) Telemetry() *metrics.Counters {
 		reinstalled += m.unit.reinstalled
 		staleDeleted += m.unit.staleDeleted
 	}
-	c.Counters.Set("stale_rejects", rejects)
-	c.Counters.Set("rules_reinstalled", reinstalled)
-	c.Counters.Set("rules_stale_deleted", staleDeleted)
+	t := metrics.NewCounters()
+	t.Set("heartbeats_sent", c.heartbeatsSent)
+	t.Set("heartbeats_missed", c.heartbeatsMissed)
+	t.Set("takeovers", uint64(c.takeovers))
+	t.Set("stepdowns", c.stepdowns)
+	t.Set("rules_reinstalled", reinstalled)
+	t.Set("rules_stale_deleted", staleDeleted)
+	t.Set("request_retries", c.requestRetries)
+	t.Set("journal_appends", c.Journal.Appends)
+	t.Set("journal_snapshots", c.Journal.Snapshots)
+	t.Set("journal_records", uint64(c.Journal.Len()))
+	t.Set("journal_divergent", c.Journal.Divergent)
+	t.Set("stale_rejects", rejects)
 	sums := telemetry(mcs)
 	for _, name := range memberCounters {
-		c.Counters.Set(name, sums.Get(name))
+		t.Set(name, sums.Get(name))
 	}
-	return c.Counters
+	return t
 }
 
 // Stop cancels every member's tickers and probers so a harness driving the
@@ -768,9 +728,7 @@ func (c *Cluster) Telemetry() *metrics.Counters {
 func (c *Cluster) Stop() {
 	for _, m := range c.members {
 		m.stopTimers()
-		for _, mc := range m.unit.shards {
-			mc.StopProber()
-		}
+		m.unit.StopProber()
 	}
 }
 
@@ -780,15 +738,21 @@ func (c *Cluster) Engine() *sim.Engine { return c.Net.Eng }
 // ClientSeed implements ControlPlane.
 func (c *Cluster) ClientSeed() uint64 { return c.Cfg.Seed }
 
-// SubscribeRepair implements ControlPlane: subscribers hear repair events
-// from whichever member is acting, across takeovers.
+// SubscribeRepair implements ControlPlane: fn registers on every member's
+// unit, so it hears repair events from whichever member is acting, across
+// takeovers.
 func (c *Cluster) SubscribeRepair(fn func(RepairEvent)) {
-	c.repairSubs = append(c.repairSubs, fn)
+	for _, m := range c.members {
+		m.unit.SubscribeRepair(fn)
+	}
 }
 
-// SubscribeChannelDown implements ControlPlane.
+// SubscribeChannelDown implements ControlPlane, registering on every
+// member's unit like SubscribeRepair.
 func (c *Cluster) SubscribeChannelDown(fn func(id uint64, err error)) {
-	c.downSubs = append(c.downSubs, fn)
+	for _, m := range c.members {
+		m.unit.SubscribeChannelDown(fn)
+	}
 }
 
 // EstablishChannel implements ControlPlane with crash-retry: a request is
@@ -807,7 +771,7 @@ func (c *Cluster) EstablishChannel(initiator addr.IP, target string, opts Channe
 				})
 				return
 			}
-			c.Counters.Add("request_retries", 1)
+			c.requestRetries++
 			c.eng().After(requestTimeout, func() { attempt(n + 1) })
 			return
 		}
@@ -826,7 +790,7 @@ func (c *Cluster) EstablishChannel(initiator addr.IP, target string, opts Channe
 				// The controller answered but had stepped down (lease lost,
 				// partition): wait out the takeover and re-dial the successor.
 				answered = true
-				c.Counters.Add("request_retries", 1)
+				c.requestRetries++
 				c.eng().After(requestTimeout, func() { attempt(n + 1) })
 				return
 			}
@@ -842,7 +806,7 @@ func (c *Cluster) EstablishChannel(initiator addr.IP, target string, opts Channe
 				cb(nil, fmt.Errorf("mic: channel request timed out after %d retries", n))
 				return
 			}
-			c.Counters.Add("request_retries", 1)
+			c.requestRetries++
 			attempt(n + 1)
 		})
 	}

@@ -236,7 +236,7 @@ func TestRequestRetriesAcrossBlackout(t *testing.T) {
 	if string(echoed) != "survived the blackout" {
 		t.Fatalf("echo = %q", echoed)
 	}
-	if f.cl.Counters.Get("request_retries") == 0 {
+	if f.cl.Telemetry().Get("request_retries") == 0 {
 		t.Fatal("request served with no retries; the blackout never exercised the retry path")
 	}
 	if f.cl.Takeovers() != 1 {

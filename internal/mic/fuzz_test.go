@@ -173,7 +173,7 @@ func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts 
 		Admission: AdmissionConfig{Enabled: true, Rate: 1e6, Burst: 64, SwitchRuleBudget: 12}})
 	mc, g := bed.mc, bed.graph
 	j = &Journal{SnapshotEvery: 3}
-	mc.journal = j
+	mc.unit.journal = j
 	type link struct {
 		node topo.NodeID
 		port int

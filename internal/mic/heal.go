@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"mic/internal/ctrlplane"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -30,28 +29,6 @@ type repairJob struct {
 	detectedAt sim.Time
 	attempts   int
 	dirty      bool // another failure hit this channel mid-repair
-}
-
-// startProber starts the control-plane liveness prober for silent failures
-// under AutoRepair, when configured and none is running (a takeover after an
-// earlier crash starts it again). Fabric failure events reach the
-// self-healing layer through the unit's one subscription (ShardedMC.own).
-func (mc *MC) startProber() {
-	if mc.Cfg.AutoRepair && mc.Cfg.ProbeInterval > 0 && mc.stopProber == nil {
-		mc.prober = ctrlplane.NewProber(mc.Ch, mc.Cfg.ProbeInterval)
-		mc.prober.OnDown = func(id topo.NodeID) { mc.failNode(id) }
-		mc.prober.OnUp = func(id topo.NodeID) { mc.unit.reconnect(id) }
-		mc.stopProber = mc.prober.Start()
-	}
-}
-
-// StopProber halts the liveness prober, draining its pending engine events.
-// Needed by harnesses that drive the engine with Run() to completion.
-func (mc *MC) StopProber() {
-	if mc.stopProber != nil {
-		mc.stopProber()
-		mc.stopProber = nil
-	}
 }
 
 // failLink schedules repair for every channel routed over the failed link.
@@ -93,7 +70,7 @@ func (mc *MC) scheduleRepair(id uint64) {
 	}
 	job := &repairJob{detectedAt: mc.Net.Eng.Now()}
 	mc.repairJobs[id] = job
-	mc.Net.Eng.After(mc.Ch.Latency, mc.gate(func() { mc.runRepair(id, job) }))
+	mc.Net.Eng.After(mc.Ch.Latency, mc.unit.gate(func() { mc.runRepair(id, job) }))
 }
 
 func (mc *MC) repairMaxRetries() int {
@@ -136,12 +113,12 @@ func (mc *MC) runRepair(id uint64, job *repairJob) {
 		return
 	}
 	job.attempts++
-	mc.RepairChannel(id, gated(mc, func(err error) {
+	mc.RepairChannel(id, gated(mc.unit, func(err error) {
 		if job.dirty {
 			// Another failure hit mid-repair (possibly on the path we just
 			// installed). Re-verify immediately: the next runRepair picks a
 			// path disjoint from everything currently dead.
-			mc.Net.Eng.After(0, mc.gate(func() { mc.runRepair(id, job) }))
+			mc.Net.Eng.After(0, mc.unit.gate(func() { mc.runRepair(id, job) }))
 			return
 		}
 		if err == nil {
@@ -152,7 +129,7 @@ func (mc *MC) runRepair(id uint64, job *repairJob) {
 			mc.settleRepair(id, job, err)
 			return
 		}
-		mc.Net.Eng.After(mc.repairBackoff(job.attempts), mc.gate(func() { mc.runRepair(id, job) }))
+		mc.Net.Eng.After(mc.repairBackoff(job.attempts), mc.unit.gate(func() { mc.runRepair(id, job) }))
 	}))
 }
 

@@ -333,10 +333,10 @@ func TestAutoRepairViaProber(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("silent failure broke the transfer: %d/%d", len(got), len(data))
 	}
-	if f.mc.prober.Deaths == 0 {
+	if f.mc.unit.prober.Deaths == 0 {
 		t.Fatal("prober never declared the victim dead")
 	}
-	f.mc.StopProber()
+	f.mc.unit.StopProber()
 	checkBooks(t, f.mc)
 }
 

@@ -312,21 +312,21 @@ func (j *Journal) compact() {
 // repairs.
 
 func (mc *MC) journalHidden(name string, ip addr.IP) {
-	if mc.journal == nil {
-		return
+	if u := mc.unit; u.journal != nil {
+		u.journal.Append(Record{Kind: RecHidden, Fence: u.fence, Shard: mc.shardID, Name: name, IP: ip})
 	}
-	mc.journal.Append(Record{Kind: RecHidden, Fence: mc.fence, Shard: mc.shardID, Name: name, IP: ip})
 }
 
 // journalChannel appends st's facts as they now stand: RecOpen for a new
 // channel, RecUpdate after a repair or a restored flow.
 func (mc *MC) journalChannel(kind RecordKind, st *channelState) {
-	if mc.journal == nil {
+	u := mc.unit
+	if u.journal == nil {
 		return
 	}
 	r := Record{
 		Kind:      kind,
-		Fence:     mc.fence,
+		Fence:     u.fence,
 		Shard:     mc.shardID,
 		Channel:   st.id,
 		Initiator: st.initiator,
@@ -347,14 +347,13 @@ func (mc *MC) journalChannel(kind RecordKind, st *channelState) {
 		r.Entries = append(r.Entries, fr.entry)
 		r.Finals = append(r.Finals, fr.finalSrc)
 	}
-	mc.journal.Append(r)
+	u.journal.Append(r)
 }
 
 func (mc *MC) journalClose(id uint64) {
-	if mc.journal == nil {
-		return
+	if u := mc.unit; u.journal != nil {
+		u.journal.Append(Record{Kind: RecClose, Fence: u.fence, Shard: mc.shardID, Channel: id})
 	}
-	mc.journal.Append(Record{Kind: RecClose, Fence: mc.fence, Shard: mc.shardID, Channel: id})
 }
 
 // channel rebuilds the channel a RecOpen or RecUpdate states.

@@ -22,7 +22,6 @@ import (
 	"mic/internal/flowtable"
 	"mic/internal/maga"
 	"mic/internal/netsim"
-	"mic/internal/packet"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -304,12 +303,6 @@ type MC struct {
 	nextChan  uint64
 	nextGroup uint32
 
-	// journal, when non-nil, receives a record for every externally visible
-	// mutation (channel open/repair/close, hidden-service registration) so a
-	// standby controller can rebuild this MC's state by replay (failover.go).
-	// A standalone MC runs with no journal and pays nothing.
-	journal *Journal
-
 	// shardID labels this controller's journal records when it runs as one
 	// shard of a ShardedMC (shard.go); 0 for a standalone controller. The
 	// Cluster routes replayed records back to the matching shard by this ID,
@@ -340,32 +333,6 @@ type MC struct {
 	PathCacheHits   uint64
 	PathCacheMisses uint64
 
-	// down marks a crashed controller process: request handling, packet-ins
-	// and failure reactions all stop. incarnation bumps on every crash and
-	// restart; closures left on the engine by an earlier life check it (gate)
-	// so they never act on state a later life rebuilt.
-	down        bool
-	incarnation uint64
-
-	// activeCtrl marks this MC as the fabric's acting controller. Standbys
-	// and revived ex-actives are alive but passive: they replay the journal
-	// and must not react to fabric events or run repairs until a takeover
-	// promotes them.
-	activeCtrl bool
-
-	// generation counts controller lives over the fabric (bumped per
-	// takeover). It is folded into rule cookies, so the rules installed by a
-	// dead primary are distinguishable from the new active's — the "cookie
-	// epoch" that reconciliation keys stale-rule deletion on.
-	generation uint32
-
-	// fence is the mastership fencing epoch this MC holds (Cluster.fence at
-	// promotion; 0 standalone). It is stamped on every journal record so the
-	// store can detect writes raced in by a deposed master, and mirrored
-	// into Ch.Epoch when fencing is enforced so switches reject the same
-	// writes at the southbound boundary.
-	fence uint64
-
 	// entryInUse reserves (endpoint, fake peer IP) pairs so two channels
 	// never share an untagged endpoint tuple — the paper's "unique match
 	// entry" requirement at the unlabeled first/last segments.
@@ -392,16 +359,14 @@ type MC struct {
 	repairJobs map[uint64]*repairJob
 
 	// unit is the controller unit the MC is a shard of — itself alone when it
-	// runs standalone — through which it converges switches (reconcile).
+	// runs standalone. The unit owns the controller life the MC serves in
+	// (liveness, mastership, generation, fence, journal and the gates that
+	// read them) and converges switches for it (reconcile).
 	unit *ShardedMC
 
 	// storeFree holds the epoch stores of cleanly closed channels, most
 	// recent last; a new channel or repair epoch takes the last (recycle).
 	storeFree []epochStore
-
-	// prober drives silent-failure detection when Cfg.ProbeInterval > 0.
-	prober     *ctrlplane.Prober
-	stopProber func()
 
 	// repairSubs hear every completed self-healing job, successful or
 	// terminal; downSubs hear a channel abandoned because no live path exists
@@ -465,13 +430,12 @@ func NewMC(net *netsim.Network, cfg Config) (*MC, error) {
 	return s.shards[0], nil
 }
 
-// newMC builds one shard of a controller unit: active, planning, admitting
-// and self-healing its own channels while the unit owns the shared fabric
-// attachments (common routing, packet-in demux, eviction hooks); or, passive,
-// a shard of a warm standby unit that derives the full MAGA keying —
-// Config.Seed guarantees it matches the active's — but stays inert until a
-// takeover activates it.
-func newMC(net *netsim.Network, cfg Config, passive bool) (*MC, error) {
+// newMC builds one shard of a controller unit: it plans, admits and heals its
+// own channels while its unit is active, and the unit owns the shared fabric
+// attachments (common routing, packet-in demux, eviction hooks, the prober).
+// Every shard, a standby unit's too, derives the full MAGA keying —
+// Config.Seed guarantees it matches the active's.
+func newMC(net *netsim.Network, cfg Config) (*MC, error) {
 	cfg = cfg.withDefaults()
 	idLo, idHi, err := cfg.idSpace()
 	if err != nil {
@@ -538,10 +502,6 @@ func newMC(net *netsim.Network, cfg Config, passive bool) (*MC, error) {
 			mc.topoGen++
 		}
 	})
-	mc.activeCtrl = !passive
-	if !passive {
-		mc.startProber()
-	}
 	return mc, nil
 }
 
@@ -552,77 +512,17 @@ func (mc *MC) Engine() *sim.Engine { return mc.Net.Eng }
 // (ControlPlane).
 func (mc *MC) ClientSeed() uint64 { return mc.Cfg.Seed }
 
-// gate wraps fn so it runs only while the MC is alive in the same
-// incarnation that scheduled it. Engine closures left behind by a crashed
-// controller (request handlers, repair retries) must not act after a
-// restart rebuilds the very state they captured.
-func (mc *MC) gate(fn func()) func() {
-	inc := mc.incarnation
-	return func() {
-		if mc.down || inc != mc.incarnation {
-			return
-		}
-		fn()
-	}
-}
-
-// gated is gate for a callback of one argument: an error, a count, a verdict.
-func gated[T any](mc *MC, fn func(T)) func(T) {
-	inc := mc.incarnation
-	return func(v T) {
-		if mc.down || inc != mc.incarnation {
-			return
-		}
-		fn(v)
-	}
-}
-
-// gate3 is gate for the switch-dump callback.
-func (mc *MC) gate3(fn func([]*flowtable.Entry, []flowtable.GroupID, bool)) func([]*flowtable.Entry, []flowtable.GroupID, bool) {
-	inc := mc.incarnation
-	return func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool) {
-		if mc.down || inc != mc.incarnation {
-			return
-		}
-		fn(entries, groups, ok)
-	}
-}
-
-// crash kills the controller process: the southbound channel goes silent
-// mid-transaction, the prober stops, and every scheduled closure from this
-// life is disarmed. Switch state is untouched — installed rules keep
-// forwarding, which is what makes failover survivable for in-flight flows.
-func (mc *MC) crash() {
-	if mc.down {
-		return
-	}
-	mc.down = true
-	mc.activeCtrl = false
-	mc.incarnation++
-	mc.drain.Stop()
-	mc.Ch.Down = true
-	mc.StopProber()
-}
-
-// revive restarts a crashed controller process with empty state: a fresh
-// southbound channel (the old one died with the process; closures scheduled
-// by the previous life still reference it and must stay dead) and blank
-// bookkeeping, ready for journal replay. The incarnation bump disarms any
-// closure the previous life left on the engine. The revived MC stays
-// passive — a restarted controller rejoins as a standby; only a takeover
-// makes it active again.
-func (mc *MC) revive() {
-	if !mc.down {
-		return
-	}
-	mc.down = false
-	mc.incarnation++
+// revive gives the shard of a restarted unit a fresh southbound channel (the
+// old one died with the process; closures scheduled by the previous life
+// still reference it and must stay dead) and blank bookkeeping, ready for
+// journal replay. incarnation is the unit's new one.
+func (mc *MC) revive(incarnation uint64) {
 	old := mc.Ch
 	mc.Ch = ctrlplane.NewChannel(mc.Net)
 	mc.Ch.Latency = old.Latency
 	mc.Ch.LossRate = old.LossRate
 	// Decorrelate the new process's loss pattern from the dead one's.
-	mc.Ch.LossSeed = old.LossSeed ^ (mc.incarnation * 0x9e3779b97f4a7c15)
+	mc.Ch.LossSeed = old.LossSeed ^ (incarnation * 0x9e3779b97f4a7c15)
 	mc.Ch.AckTimeout = old.AckTimeout
 	mc.Ch.MaxRetries = old.MaxRetries
 	mc.Ch.MaxBackoff = old.MaxBackoff
@@ -638,25 +538,6 @@ func (mc *MC) revive() {
 // its mastership lease. Clients (and the Cluster's retry layer) treat it as
 // a transient: retry until the takeover completes.
 var ErrNotActive = errors.New("mic: controller is not the active master")
-
-// stepDown demotes an active controller that failed to renew its mastership
-// lease: planning quiesces (queued dials are refused with ErrNotActive),
-// journal writes stop, and every closure the active life left on the engine
-// is disarmed. Unlike crash, the process stays up and the channel stays open
-// — in-flight southbound messages may still land, which is exactly what the
-// switch-side fencing epoch exists to reject once a successor announces
-// itself.
-func (mc *MC) stepDown() {
-	if !mc.activeCtrl {
-		return
-	}
-	mc.activeCtrl = false
-	mc.quiesceAdmission()
-	mc.incarnation++
-	mc.drain.Stop()
-	mc.journal = nil
-	mc.StopProber()
-}
 
 // resetState clears every piece of channel bookkeeping — a restarted process
 // remembers nothing; the journal is the only source of truth it rebuilds
@@ -702,36 +583,6 @@ func (mc *MC) emitChannelDown(id uint64, err error) {
 	for _, fn := range mc.downSubs {
 		fn(id, err)
 	}
-}
-
-// packetIn is the fabric's table-miss handler over one controller unit's
-// shards (one for a standalone MC; a unit lives and dies as a whole, so
-// shard 0 speaks for its liveness). Unmatched MF-labeled packets are
-// partial-multicast decoys and die silently (the paper's "dropped at the
-// next hop"); anything else is an unexpected miss. Both are tallied on
-// shard 0, the aggregate's one home.
-func packetIn(shards []*MC, sw *netsim.Switch, inPort int, p *packet.Packet) {
-	home := shards[0]
-	if home.down {
-		return
-	}
-	if l, ok := p.TopMPLS(); ok && l != home.CFLabel {
-		// Under EvictIdle a miss may be an intended rule displaced by
-		// capacity eviction; the shard holding the covering channel
-		// reinstalls it (plus a packet-out), turning the eviction into one
-		// controller round trip. Without EvictIdle the seed semantics hold:
-		// every MF-labeled miss is a dying decoy.
-		if home.Cfg.Admission.EvictIdle {
-			for _, mc := range shards {
-				if mc.activeCtrl && mc.reinstallOnMiss(sw, inPort, p) {
-					return
-				}
-			}
-		}
-		home.DecoysDropped++
-		return
-	}
-	home.UnexpectedMisses++
 }
 
 // RegisterHiddenService maps a service nickname to its real host, the

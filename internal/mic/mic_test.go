@@ -2,6 +2,7 @@ package mic
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -823,6 +824,52 @@ func TestIdleNotifierKeepsActiveChannels(t *testing.T) {
 	f.eng.RunUntil(sim.Time(85 * time.Millisecond))
 	if f.mc.Requests != 1 {
 		t.Fatalf("active channel was torn down: %d MC requests", f.mc.Requests)
+	}
+}
+
+// TestIdleNotifierClosesInTargetOrder: two channels that idle out in one
+// tick are closed in target order, not map order. The free list their flow
+// IDs go back on is LIFO, so close order decides the next channel's flow IDs
+// and m-addresses; every fresh bed must hand the next dial the same ones.
+func TestIdleNotifierClosesInTargetOrder(t *testing.T) {
+	var first []flowRes
+	for bed := 0; bed < 128; bed++ {
+		f := newFixture(t, Config{})
+		for _, h := range []int{9, 12, 15} {
+			Listen(f.stacks[h], 80, false, func(s *Stream) { s.OnData(func([]byte) {}) })
+		}
+		client := NewClient(f.stacks[0], f.mc)
+		client.StartIdleNotifier(50 * time.Millisecond)
+		for _, h := range []int{9, 12} {
+			client.Dial(f.hostIP(h).String(), 80, func(s *Stream, err error) {
+				if err != nil {
+					t.Fatalf("dial %d: %v", h, err)
+				}
+				s.Close()
+			})
+		}
+		f.eng.RunUntil(sim.Time(200 * time.Millisecond))
+		if n := f.mc.LiveChannels(); n != 0 {
+			t.Fatalf("bed %d: %d channels survived the notifier", bed, n)
+		}
+		var id uint64
+		client.Dial(f.hostIP(15).String(), 80, func(s *Stream, err error) {
+			if err != nil {
+				t.Fatalf("dial 15: %v", err)
+			}
+			info, _ := client.Channel(f.hostIP(15).String())
+			id = info.ID
+		})
+		f.eng.RunUntil(sim.Time(230 * time.Millisecond))
+		st := f.mc.channels[id]
+		if st == nil {
+			t.Fatalf("bed %d: the third dial left no channel", bed)
+		}
+		if bed == 0 {
+			first = st.res
+		} else if !slices.Equal(st.res, first) {
+			t.Fatalf("bed %d: the third channel holds %v, bed 0's held %v", bed, st.res, first)
+		}
 	}
 }
 

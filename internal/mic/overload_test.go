@@ -138,12 +138,12 @@ func TestCrashStopsAdmissionDrain(t *testing.T) {
 	if ran != 1 || len(f.mc.admitQueue) != 1 || !f.mc.drain.Armed() {
 		t.Fatalf("ran %d, queued %d, drain armed %v; want 1, 1, true", ran, len(f.mc.admitQueue), f.mc.drain.Armed())
 	}
-	f.mc.crash()
+	f.mc.unit.crash()
 	f.eng.Run()
 	if ran != 1 || f.mc.RequestsAdmitted != 1 {
 		t.Fatalf("the dead life admitted its queue: ran %d, admitted %d", ran, f.mc.RequestsAdmitted)
 	}
-	f.mc.revive()
+	f.mc.unit.revive()
 	if len(f.mc.admitQueue) != 0 || f.mc.drain.Armed() || f.mc.admitTokens != 1 {
 		t.Fatalf("revived limiter: queued %d, drain armed %v, tokens %v", len(f.mc.admitQueue), f.mc.drain.Armed(), f.mc.admitTokens)
 	}
@@ -324,7 +324,6 @@ func runLadder(t *testing.T, f *fixture, initiators []int, deadline time.Duratio
 		})
 	}
 	f.eng.RunUntil(sim.Time(deadline))
-	f.mc.StopProber()
 	f.eng.Run()
 	checkBooks(t, f.mc)
 	return outcomes, clients

@@ -119,7 +119,7 @@ func TestAsymmetricPartitionZombieFenced(t *testing.T) {
 	if !bytes.Equal(got(), data) {
 		t.Fatalf("transfer broken: %d/%d bytes", len(got()), len(data))
 	}
-	if n := f.cl.Counters.Get("stepdowns"); n == 0 {
+	if n := f.cl.Telemetry().Get("stepdowns"); n == 0 {
 		t.Fatal("the cut-off active never stepped down")
 	}
 	if f.cl.Takeovers() == 0 {
@@ -179,7 +179,7 @@ func TestAsymmetricPartitionAblationZombieWrites(t *testing.T) {
 	if !bytes.Equal(got(), data) {
 		t.Fatalf("transfer broken: %d/%d bytes", len(got()), len(data))
 	}
-	if n := f.cl.Counters.Get("stepdowns"); n != 0 {
+	if n := f.cl.Telemetry().Get("stepdowns"); n != 0 {
 		t.Fatalf("stepdowns = %d with fencing disabled, want 0", n)
 	}
 	if f.cl.Takeovers() == 0 {

@@ -69,7 +69,7 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 	// channels it has no authority to install; the caller's retry layer
 	// re-dials the successor. A crashed MC stays silent — dead processes
 	// don't answer — and the gate below drops the request as before.
-	if !mc.down && !mc.activeCtrl {
+	if u := mc.unit; !u.down && !u.active {
 		mc.Net.Eng.After(2*requestLatency, func() { cb(nil, ErrNotActive) })
 		return
 	}
@@ -78,7 +78,7 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 	// dies simply vanishes, like any message to a dead process, and the
 	// caller's retry layer (Cluster) re-issues it to the new active.
 	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
-	mc.Net.Eng.After(requestLatency, mc.gate(func() {
+	mc.Net.Eng.After(requestLatency, mc.unit.gate(func() {
 		// Admission control (admission.go): the request either gets a token
 		// now, waits in the bounded queue, or is refused with a typed
 		// ErrOverloaded — never silently dropped.
@@ -118,10 +118,10 @@ func (mc *MC) serveChannel(initiator addr.IP, target string, opts ChannelOptions
 	delay := mc.cpuFree.Sub(now)
 	// Acknowledgement: sealed by the MC, opened by the client.
 	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
-	acked := mc.gate(func() {
+	acked := mc.unit.gate(func() {
 		mc.Net.Eng.After(requestLatency, func() { cb(st.info, nil) })
 	})
-	mc.Net.Eng.After(delay, mc.gate(func() {
+	mc.Net.Eng.After(delay, mc.unit.gate(func() {
 		// A repair or close may have come first: what goes out is the epoch
 		// the channel has now (rules in place replace themselves), or nothing.
 		if mc.channels[st.id] != st {
@@ -160,7 +160,7 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 		initiator: initiator,
 		responder: respIP,
 		opts:      opts,
-		gen:       mc.generation,
+		gen:       mc.unit.generation,
 		info:      &ChannelInfo{ID: id},
 	}
 	st.epochStore = mc.takeStore()
@@ -588,7 +588,7 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 		responder: st.responder,
 		opts:      st.opts,
 		epoch:     st.epoch + 1,
-		gen:       mc.generation,
+		gen:       mc.unit.generation,
 		info:      &ChannelInfo{ID: id},
 		res:       st.res,
 	}
@@ -773,7 +773,7 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 	// degraded-channel restore fires after the last ack, so its install lands
 	// on freed slots. Gated: a promoted life rebuilds its own accounting.
 	finish := func(confirmed bool) {
-		mc.gate(func() {
+		mc.unit.gate(func() {
 			mc.unbook(st, nil, nil, st.rules)
 			if confirmed {
 				mc.recycle(st)

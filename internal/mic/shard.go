@@ -23,17 +23,20 @@ import (
 // virtual planning CPU (mc.cpuFree) — the serialized-planning bottleneck
 // that sharding exists to split. Fabric-wide attachments that must exist
 // exactly once — proactive common routing, the packet-in handler, the
-// eviction hooks — belong to the router, not the shards.
+// eviction hooks, the liveness prober — belong to the router, not the
+// shards. So does the controller life: the unit is one process that
+// crashes, restarts, steps down and is promoted as a whole, and every shard
+// reads its liveness, mastership, generation, fence and journal here.
 //
 // Every shard derives identical MAGA keying: keying streams hang off
 // Config.Seed only, never InstanceID, so a rule computed by any shard is
 // meaningful to every other controller on the fabric (and to a standby).
 //
 // The unit also converges switches against what its shards intend (reconcile,
-// below), and a standalone MC is the unit of one. Replacing a dead unit —
-// journal, heartbeats, leases, promotion, audit — is the Cluster's job
-// (failover.go), which runs one unit per member and loops over its shards; a
-// unit of one shard is the degenerate case, not a separate path. Each shard
+// below), and a standalone MC is the unit of one. Deciding when a unit dies,
+// rejoins, steps down or is promoted — journal, heartbeats, leases, audit —
+// is the Cluster's job (failover.go), which runs one unit per member; a unit
+// of one shard is the degenerate case, not a separate path. Each shard
 // stamps its journal records with its shard index, so the cluster's single
 // log replays into N disjoint controllers.
 
@@ -52,6 +55,30 @@ type ShardedMC struct {
 	recon []switchRecon
 	// reinstalled and staleDeleted count what the unit's passes did.
 	reinstalled, staleDeleted uint64
+
+	// The controller life the shards serve in. down marks a crashed process:
+	// requests, packet-ins and failure reactions all stop. active marks the
+	// fabric's acting controller; a standby, or a revived or deposed
+	// ex-active, replays the journal and reacts to nothing until a takeover
+	// promotes it. incarnation bumps on every crash, restart and step-down
+	// and disarms the closures an earlier life left on the engine (gate).
+	down, active bool
+	incarnation  uint64
+	// generation (the Cluster's takeover count at promotion) is folded into
+	// every rule cookie, so reconciliation tells a dead life's rules from
+	// this one's. fence (Cluster.fence at promotion, 0 standalone) is stamped
+	// on journal records and, with fencing on, mirrored into each shard's
+	// Ch.Epoch, so the store and the switches refuse a deposed master's
+	// writes. journal, when non-nil, takes a record of every externally
+	// visible mutation of any shard for a standby to replay (failover.go); a
+	// standalone unit has none and pays nothing.
+	generation uint32
+	fence      uint64
+	journal    *Journal
+
+	// prober drives silent-failure detection when Cfg.ProbeInterval > 0.
+	prober     *ctrlplane.Prober
+	stopProber func()
 }
 
 // switchRecon is what a unit knows about converging one switch.
@@ -83,7 +110,7 @@ func newShardedMC(net *netsim.Network, cfg Config, n int, passive bool) (*Sharde
 	if (hi-lo)/uint32(n) < 2 {
 		return nil, fmt.Errorf("mic: ID space [%d, %d) too small to split %d ways", lo, hi, n)
 	}
-	s := &ShardedMC{Net: net, Cfg: base, edgeShard: make(map[topo.NodeID]int)}
+	s := &ShardedMC{Net: net, Cfg: base, edgeShard: make(map[topo.NodeID]int), active: !passive}
 	span := (hi - lo) / uint32(n)
 	for i := 0; i < n; i++ {
 		shardCfg := base
@@ -92,7 +119,7 @@ func newShardedMC(net *netsim.Network, cfg Config, n int, passive bool) (*Sharde
 		if i == n-1 {
 			shardCfg.IDSpace.Hi = hi // the last shard absorbs the remainder
 		}
-		mc, err := newMC(net, shardCfg, passive)
+		mc, err := newMC(net, shardCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -226,17 +253,162 @@ func (s *ShardedMC) LiveChannels() int {
 }
 
 // attach takes the fabric attachments that exist once per unit: the
-// packet-in handler and the per-switch eviction hooks, whose victims are
-// attributed to shard 0's counter (the aggregate's home).
+// packet-in handler, the per-switch eviction hooks, whose victims are
+// attributed to shard 0's counter (the aggregate's home), and the liveness
+// prober.
 func (s *ShardedMC) attach() {
 	s.Net.SetController(s)
 	s.shards[0].armEviction()
+	s.startProber()
 }
 
-// PacketIn implements netsim.Controller: the router demuxes fabric misses
-// over its shards (packetIn, mic.go).
+// startProber starts the control-plane liveness prober for silent failures
+// under AutoRepair, when configured and none is running (a takeover after an
+// earlier crash starts it again). It probes over the lead shard's channel; a
+// switch it declares dead fails on every shard, one that answers again is
+// reconnected. Fabric failure events reach the shards through the unit's one
+// subscription (own).
+func (s *ShardedMC) startProber() {
+	if s.Cfg.AutoRepair && s.Cfg.ProbeInterval > 0 && s.stopProber == nil {
+		s.prober = ctrlplane.NewProber(s.shards[0].Ch, s.Cfg.ProbeInterval)
+		s.prober.OnDown = func(id topo.NodeID) {
+			for _, mc := range s.shards {
+				mc.failNode(id)
+			}
+		}
+		s.prober.OnUp = s.reconnect
+		s.stopProber = s.prober.Start()
+	}
+}
+
+// StopProber halts the liveness prober, draining its pending engine events.
+// Needed by harnesses that drive the engine with Run() to completion.
+func (s *ShardedMC) StopProber() {
+	if s.stopProber != nil {
+		s.stopProber()
+		s.stopProber = nil
+	}
+}
+
+// PacketIn implements netsim.Controller: the fabric's table-miss handler. A
+// dead unit hears nothing. Unmatched MF-labeled packets are
+// partial-multicast decoys and die silently (the paper's "dropped at the
+// next hop"); anything else is an unexpected miss. Both are tallied on
+// shard 0, the aggregate's one home.
 func (s *ShardedMC) PacketIn(sw *netsim.Switch, inPort int, p *packet.Packet) {
-	packetIn(s.shards, sw, inPort, p)
+	if s.down {
+		return
+	}
+	home := s.shards[0]
+	if l, ok := p.TopMPLS(); ok && l != home.CFLabel {
+		// Under EvictIdle a miss may be an intended rule displaced by
+		// capacity eviction; the shard holding the covering channel
+		// reinstalls it (plus a packet-out), turning the eviction into one
+		// controller round trip — while the unit is active: a deposed unit
+		// stays the fabric's controller until a successor attaches, and
+		// reinstalls nothing. Without EvictIdle the seed semantics hold:
+		// every MF-labeled miss is a dying decoy.
+		if s.active && s.Cfg.Admission.EvictIdle {
+			for _, mc := range s.shards {
+				if mc.reinstallOnMiss(sw, inPort, p) {
+					return
+				}
+			}
+		}
+		home.DecoysDropped++
+		return
+	}
+	home.UnexpectedMisses++
+}
+
+// gate wraps fn so it runs only while the unit is alive in the same
+// incarnation that scheduled it. Engine closures left behind by a crashed or
+// deposed life (request handlers, repair retries, pass callbacks) must not
+// act after a restart or step-down rebuilds the very state they captured.
+func (s *ShardedMC) gate(fn func()) func() {
+	inc := s.incarnation
+	return func() {
+		if !s.down && inc == s.incarnation {
+			fn()
+		}
+	}
+}
+
+// gated is gate for a callback of one argument: an error, a count, a verdict.
+func gated[T any](s *ShardedMC, fn func(T)) func(T) {
+	inc := s.incarnation
+	return func(v T) {
+		if !s.down && inc == s.incarnation {
+			fn(v)
+		}
+	}
+}
+
+// gate3 is gate for the switch-dump callback.
+func (s *ShardedMC) gate3(fn func([]*flowtable.Entry, []flowtable.GroupID, bool)) func([]*flowtable.Entry, []flowtable.GroupID, bool) {
+	inc := s.incarnation
+	return func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool) {
+		if !s.down && inc == s.incarnation {
+			fn(entries, groups, ok)
+		}
+	}
+}
+
+// crash kills the controller process: every shard's southbound channel goes
+// silent mid-transaction, the admission drains and the prober stop, and
+// every scheduled closure from this life is disarmed. Switch state is
+// untouched — installed rules keep forwarding, which is what makes failover
+// survivable for in-flight flows.
+func (s *ShardedMC) crash() {
+	if s.down {
+		return
+	}
+	s.down, s.active = true, false
+	s.incarnation++
+	for _, mc := range s.shards {
+		mc.drain.Stop()
+		mc.Ch.Down = true
+	}
+	s.StopProber()
+}
+
+// revive restarts a crashed controller process with empty state, every shard
+// on a fresh southbound channel, ready for journal replay. The incarnation
+// bump disarms any closure the previous life left on the engine. The revived
+// unit stays passive — a restarted controller rejoins as a standby; only a
+// takeover makes it active again.
+func (s *ShardedMC) revive() {
+	if !s.down {
+		return
+	}
+	s.down = false
+	s.incarnation++
+	for _, mc := range s.shards {
+		mc.revive(s.incarnation)
+	}
+}
+
+// stepDown demotes an active unit that failed to renew its mastership lease:
+// planning quiesces (queued dials are refused with ErrNotActive), journal
+// writes stop, every closure the active life left on the engine is disarmed
+// and the shards forget what they planned, for the Cluster to rebuild from
+// the journal. Unlike crash, the process stays up and the channels stay open
+// — in-flight southbound messages may still land, which is exactly what the
+// switch-side fencing epoch exists to reject once a successor announces
+// itself.
+func (s *ShardedMC) stepDown() {
+	if !s.active {
+		return
+	}
+	s.active = false
+	s.incarnation++
+	s.journal = nil
+	for _, mc := range s.shards {
+		mc.quiesceAdmission()
+		mc.drain.Stop()
+		mc.resetState()
+	}
+	s.StopProber()
 }
 
 // unionIntent collects every shard's intended rules for one switch: the
@@ -307,7 +479,7 @@ func (s *ShardedMC) own() {
 		mc.unit = s
 	}
 	s.Net.Notify(func(ev netsim.Event) {
-		if lead := s.shards[0]; lead.down || !lead.activeCtrl {
+		if s.down || !s.active {
 			return
 		}
 		for _, mc := range s.shards {
@@ -351,18 +523,18 @@ func (s *ShardedMC) reconcile(node topo.NodeID) {
 // be read by it. A takeover's passes, whose channels carry only Hellos, need
 // no fence and report to onDone (may be nil) once.
 func (s *ShardedMC) converge(node topo.NodeID, fence bool, onDone func(reinstalled, stale int)) {
-	r, lead, sw := &s.recon[node], s.shards[0], s.Net.Switch(node)
+	r, sw := &s.recon[node], s.Net.Switch(node)
 	if onDone == nil {
 		onDone = func(int, int) {}
 	}
-	if sw.Down || lead.down || !lead.activeCtrl {
+	if sw.Down || s.down || !s.active {
 		r.marked = true
 		onDone(0, 0)
 		return
 	}
 	r.busy, r.marked = true, false
 	out := 1
-	fenced := gated(lead, func(bool) {
+	fenced := gated(s, func(bool) {
 		if out--; out == 0 {
 			s.pass(sw, func(reinstalled, stale int, ok bool) {
 				onDone(reinstalled, stale)
@@ -392,7 +564,7 @@ func (s *ShardedMC) settle(node topo.NodeID, ok bool) {
 	case r.tries < lead.repairMaxRetries():
 		r.tries++
 		r.busy = true
-		s.Net.Eng.After(lead.repairBackoff(r.tries), lead.gate(func() {
+		s.Net.Eng.After(lead.repairBackoff(r.tries), s.gate(func() {
 			r.busy = false
 			s.converge(node, true, nil)
 		}))
@@ -410,7 +582,7 @@ func (s *ShardedMC) settle(node topo.NodeID, ok bool) {
 // the counts and whether every message was confirmed.
 func (s *ShardedMC) pass(sw *netsim.Switch, done func(reinstalled, stale int, ok bool)) {
 	lead := s.shards[0]
-	lead.Ch.DumpFlows(sw, lead.gate3(func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool) {
+	lead.Ch.DumpFlows(sw, s.gate3(func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool) {
 		if !ok {
 			done(0, 0, false)
 			return
@@ -420,16 +592,16 @@ func (s *ShardedMC) pass(sw *netsim.Switch, done func(reinstalled, stale int, ok
 		for i, sh := range s.shards {
 			mods, n := sh.missingAt(sw, have, groups)
 			reinstalled += n
-			sh.Ch.InstallAllResult(mods, gated(lead, func(failed int) { ok = ok && failed == 0 }))
+			sh.Ch.InstallAllResult(mods, gated(s, func(failed int) { ok = ok && failed == 0 }))
 			for _, cookie := range stale {
 				if s.instanceShard(uint32(cookieChannel(cookie)>>32)) == i {
-					sh.Ch.DeleteByCookie(sw, cookie, gated(lead, func(removed int) {
+					sh.Ch.DeleteByCookie(sw, cookie, gated(s, func(removed int) {
 						ok = ok && removed >= 0
 						staleDeleted += max(removed, 0)
 					}))
 				}
 			}
-			sh.Ch.Barrier(sw, gated(lead, func(acked bool) {
+			sh.Ch.Barrier(sw, gated(s, func(acked bool) {
 				ok = ok && acked
 				if out--; out > 0 {
 					return

@@ -3,6 +3,7 @@ package mic
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -118,6 +119,73 @@ func TestShardedEchoTransfers(t *testing.T) {
 	}
 	if err := f.smc.CloseChannel(uint64(f.smc.Cfg.InstanceID+99)<<32, nil); err == nil {
 		t.Fatal("closing a foreign-shard channel ID should error")
+	}
+}
+
+// TestShardedUnitProbesOnce: a unit runs one liveness prober, over its lead
+// shard's channel, and a switch it finds silently dead fails on every shard —
+// channels of two different shards crossing it are both repaired.
+func TestShardedUnitProbesOnce(t *testing.T) {
+	f := newShardFixture(t, Config{AutoRepair: true, ProbeInterval: 5 * time.Millisecond, MNs: 2}, 4)
+	// Hosts 0 and 1 sit behind shard 0's edge switch, 2 and 3 behind shard
+	// 1's; every responder is in another pod.
+	var ids []uint64
+	for i, from := range []int{0, 1, 2, 3} {
+		to := f.stacks[8+i*2].Host.IP.String()
+		f.smc.EstablishChannel(f.stacks[from].Host.IP, to, ChannelOptions{}, func(info *ChannelInfo, err error) {
+			if err != nil {
+				t.Fatalf("dial from host %d: %v", from, err)
+			}
+			ids = append(ids, info.ID)
+		})
+	}
+	f.eng.RunFor(20 * time.Millisecond)
+	if len(ids) != 4 {
+		t.Fatalf("%d of 4 dials answered", len(ids))
+	}
+	for i := 0; i < f.smc.Shards(); i++ {
+		if n := f.smc.Shard(i).Ch.Echoes; (n > 0) != (i == 0) {
+			t.Fatalf("shard %d sent %d echoes; want only the lead shard probing", i, n)
+		}
+	}
+	// The victim is an interior switch crossed by a channel of each shard.
+	shardOf := func(id uint64) *MC { return f.smc.Shard(int(id>>32) - int(f.smc.Cfg.InstanceID)) }
+	crossing := func(node topo.NodeID) []uint64 {
+		var over []uint64
+		for _, id := range ids {
+			for _, fl := range shardOf(id).channels[id].info.Flows {
+				if slices.Contains(fl.Path[2:len(fl.Path)-2], node) {
+					over = append(over, id)
+					break
+				}
+			}
+		}
+		return over
+	}
+	victim, over := topo.NodeID(-1), []uint64(nil)
+	for _, sw := range f.graph.Switches() {
+		over = crossing(sw)
+		if slices.ContainsFunc(over, func(id uint64) bool { return shardOf(id) != shardOf(over[0]) }) {
+			victim = sw
+			break
+		}
+	}
+	if victim < 0 {
+		t.Fatal("no interior switch carries channels of two shards")
+	}
+	f.net.SetSwitchDownQuiet(victim, true)
+	f.eng.RunFor(200 * time.Millisecond)
+	if n := len(crossing(victim)); n != 0 {
+		t.Fatalf("%d of the %d channels over the dead switch still cross it", n, len(over))
+	}
+	for _, id := range over {
+		if shardOf(id).Repairs == 0 {
+			t.Fatalf("channel %d's shard repaired nothing", id)
+		}
+	}
+	f.smc.StopProber()
+	for i := 0; i < f.smc.Shards(); i++ {
+		checkBooks(t, f.smc.Shard(i))
 	}
 }
 
