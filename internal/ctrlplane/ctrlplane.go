@@ -398,7 +398,11 @@ type probe struct {
 	ch              *Channel
 	arriveFn, ackFn func()
 	timer           sim.Timer
+	probeState
+}
 
+// probeState is what one use of a probe record carries; finish zeroes it.
+type probeState struct {
 	far              netsim.MgmtEnd // the switch echoed, or the controller host beaten to
 	sent             sim.Time
 	reqLost, ackLost bool
@@ -441,7 +445,7 @@ func (r *probe) timeout() { r.finish(false) }
 // finish releases r and reports the outcome, unless the sender has died.
 func (r *probe) finish(ok bool) {
 	c, sent, onAck := r.ch, r.sent, r.onAck
-	*r = probe{ch: c, arriveFn: r.arriveFn, ackFn: r.ackFn, timer: r.timer}
+	r.probeState = probeState{}
 	c.probeFree = append(c.probeFree, r)
 	if !c.Down && onAck != nil {
 		onAck(sent, ok)

@@ -36,15 +36,19 @@ const (
 // the only event that can still name the record once it resolves. The
 // record therefore returns to the free list as soon as it resolves
 // (acknowledged or abandoned) or is silenced by Channel.Down, its timer
-// stopped; the stale arming pops as a no-op even if the record has been
-// reused, since a sim.Timer runs its handler for its latest arming only.
+// stopped, which takes the pending arming out of the engine's queue.
 // arrive and ack are bound as method values, and the timer to timeout, once,
 // when the record is first made.
 type msg struct {
 	ch              *Channel
 	arriveFn, ackFn func()
 	timer           sim.Timer // the attempt's ack timeout
+	msgState
+}
 
+// msgState is what one use of a msg record carries; release zeroes it and
+// leaves the bound parts above in place.
+type msgState struct {
 	kind msgKind
 	sw   *netsim.Switch
 
@@ -136,9 +140,9 @@ func (c *Channel) newMsg(kind msgKind, sw *netsim.Switch) *msg {
 }
 
 // release returns m, its timer disarmed, to the free list. The record stays
-// bound: its timer is written back in place.
+// bound.
 func (c *Channel) release(m *msg) {
-	*m = msg{ch: c, arriveFn: m.arriveFn, ackFn: m.ackFn, timer: m.timer}
+	m.msgState = msgState{}
 	c.msgFree = append(c.msgFree, m)
 }
 

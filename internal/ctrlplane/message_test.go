@@ -248,11 +248,11 @@ func TestSouthboundMessageAllocs(t *testing.T) {
 }
 
 // TestResolvedRecordReusedBeforeItsTimerPops: an acknowledged message's
-// record goes back to the free list at once, and the next message takes it
-// while the first one's ack timer arming is still pending; that arming pops
-// in the middle of the second message's round trip as a no-op — no timeout,
-// no retransmit — and the second message completes on its own timer's
-// record.
+// record goes back to the free list at once, its ack timer stopped, and the
+// next message takes it before the first one's timeout would have been due;
+// that instant passes in the middle of the second message's round trip with
+// no timeout and no retransmit, and the second message completes on its own
+// timer's arming.
 func TestResolvedRecordReusedBeforeItsTimerPops(t *testing.T) {
 	eng, _, ch, sw := oneSwitch(t)
 	acked := 0
@@ -275,7 +275,7 @@ func TestResolvedRecordReusedBeforeItsTimerPops(t *testing.T) {
 	if len(ch.msgFree) != 0 {
 		t.Fatal("the second message did not take the freed record")
 	}
-	eng.RunUntil(sim.Time(ch.ackTimeout())) // the first arming pops
+	eng.RunUntil(sim.Time(ch.ackTimeout())) // the first arming would be due
 	if ch.Timeouts != 0 || ch.Retransmits != 0 || acked != 1 || ch.InFlight(sw.ID) != 1 {
 		t.Fatalf("stale arming acted: timeouts %d retransmits %d acked %d inflight %d",
 			ch.Timeouts, ch.Retransmits, acked, ch.InFlight(sw.ID))
@@ -291,7 +291,7 @@ func TestResolvedRecordReusedBeforeItsTimerPops(t *testing.T) {
 
 // TestResolvedProbeReusedBeforeItsTimerPops: the same for the echo and
 // heartbeat record. An answered echo frees its record, a heartbeat sent
-// before the echo's ack timer is due takes it, and the echo's stale arming
+// before the echo's ack timer is due takes it, and the echo's stopped arming
 // reports nothing to either caller.
 func TestResolvedProbeReusedBeforeItsTimerPops(t *testing.T) {
 	eng, net, ch, sw := oneSwitch(t)

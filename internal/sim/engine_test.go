@@ -288,6 +288,111 @@ func TestTimerResetAllocsNothing(t *testing.T) {
 	}
 }
 
+// TestTimerBindAllocsNothing: binding, and rebinding, a timer allocates
+// nothing; the handler is the caller's.
+func TestTimerBindAllocsNothing(t *testing.T) {
+	e := New()
+	var tm Timer
+	fn := func() {}
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm.Bind(e, fn)
+		tm.Reset(Microsecond)
+		tm.Bind(e, fn)
+	})
+	if allocs != 0 {
+		t.Fatalf("Bind allocates %v times, want 0", allocs)
+	}
+}
+
+// TestBindRemovesPendingArming: rebinding an armed timer takes its arming out
+// of the queue, in either tier, so neither the old handler nor the new one
+// runs at the old instant.
+func TestBindRemovesPendingArming(t *testing.T) {
+	for _, d := range []Duration{Microsecond, 5 * Millisecond} { // calendar, heap
+		e := New()
+		var tm Timer
+		var ran []string
+		tm.Bind(e, func() { ran = append(ran, "old") })
+		tm.Reset(d)
+		e.At(Time(2*d), func() {})
+		if e.Pending() != 2 {
+			t.Fatalf("armed at %v: Pending() = %d, want 2", d, e.Pending())
+		}
+		tm.Bind(e, func() { ran = append(ran, "new") })
+		if tm.Armed() || e.Pending() != 1 {
+			t.Fatalf("rebound at %v: Armed() = %v, Pending() = %d; want false, 1", d, tm.Armed(), e.Pending())
+		}
+		e.Run()
+		if len(ran) != 0 || e.Processed() != 1 {
+			t.Fatalf("rebound at %v: handlers ran %v, %d events fired; want none, 1", d, ran, e.Processed())
+		}
+	}
+}
+
+// TestRunEndsWhereCancelledArmingWouldFire: cancelled armings never fire,
+// yet Run drains to the instant the last of them was due, as it did when a
+// cancelled arming still popped as a no-op; RunUntil's deadline rule is
+// unchanged.
+func TestRunEndsWhereCancelledArmingWouldFire(t *testing.T) {
+	e := New()
+	var near, far Timer
+	fired := 0
+	near.Bind(e, func() { fired++ })
+	far.Bind(e, func() { fired++ })
+	near.Reset(100 * Microsecond)
+	far.Reset(5 * Millisecond) // past the calendar's horizon
+	e.At(10, func() {})
+	e.At(20, func() { near.Stop(); far.Reset(3 * Millisecond) })
+	e.At(30, func() { far.Stop() })
+	e.RunUntil(Time(Millisecond))
+	if e.Now() != Time(Millisecond) || e.Pending() != 0 {
+		t.Fatalf("RunUntil(1ms): Now() = %v, Pending() = %d; want 1ms, 0", e.Now(), e.Pending())
+	}
+	e.Run()
+	if want := Time(5 * Millisecond); e.Now() != want || e.FiringSeq() != e.LastSeq() {
+		t.Fatalf("Run drained to %v (FiringSeq %d, LastSeq %d), want %v, where the last cancelled arming was due", e.Now(), e.FiringSeq(), e.LastSeq(), want)
+	}
+	if fired != 0 || e.Processed() != 3 {
+		t.Fatalf("handlers ran %d times, %d events fired; want 0, 3: cancelled armings are not events", fired, e.Processed())
+	}
+	e.At(e.Now().Add(Microsecond), func() {})
+	e.Run()
+	if e.Now() != Time(5*Millisecond+Microsecond) {
+		t.Fatalf("next Run ended at %v, want 5.001ms", e.Now())
+	}
+}
+
+// TestHeapRemoveKeepsOrder removes timer armings from the heap alone at
+// random positions, root and last included, and checks that every timer
+// knows where its arming is and that the rest pops in (at, seq) order.
+func TestHeapRemoveKeepsOrder(t *testing.T) {
+	r := NewRNG(3)
+	for round := 0; round < 200; round++ {
+		var q eventQueue
+		timers := make([]Timer, 1+r.Intn(40))
+		for i := range timers {
+			q.push(event{at: Time(r.Intn(20)), seq: uint64(i + 1), t: &timers[i]})
+		}
+		for _, i := range r.Perm(len(timers))[:r.Intn(len(timers)+1)] {
+			q.remove(^timers[i].pos)
+			timers[i].pos = 0
+			for j := range q {
+				if q[j].t.pos != ^j {
+					t.Fatalf("round %d: the arming at heap index %d records %d", round, j, q[j].t.pos)
+				}
+			}
+		}
+		var last *event
+		for len(q) > 0 {
+			ev := q.pop()
+			if last != nil && ev.before(last) {
+				t.Fatalf("round %d: popped (%v, %d) after (%v, %d)", round, ev.at, ev.seq, last.at, last.seq)
+			}
+			last = &ev
+		}
+	}
+}
+
 // TestNewEngineFootprint: what an engine allocates up front is its
 // calendar's index, and what it allocates later follows the pending count,
 // not the ring's size.

@@ -12,8 +12,10 @@ type scheduler interface {
 	At(Time, func())
 	After(Duration, func())
 	Step() bool
+	Run()
 	RunUntil(Time)
 	Stop()
+	Pending() int
 	// bind binds t (nil: a new timer) to handler fn, disarmed.
 	bind(t timer, fn func()) timer
 }
@@ -39,12 +41,17 @@ func (e engineScheduler) bind(t timer, fn func()) timer {
 }
 
 // heapEngine is the oracle: the scheduling rules of Engine over the 4-ary
-// heap alone, with no calendar in front.
+// heap alone, with no calendar in front, and timers modelled naively. A
+// cancelled timer arming stays in its heap, marked dead by its timer's
+// generation counter; the oracle then acts as if it had been removed: Step
+// discards it unfired and without moving the clock, RunUntil and Run look
+// past it, and Pending does not count it.
 type heapEngine struct {
-	now     Time
-	q       eventQueue
-	seq     uint64
-	stopped bool
+	now, latest Time
+	q           eventQueue
+	seq         uint64
+	stopped     bool
+	live        map[uint64]func() bool // a timer arming's liveness, by seq
 }
 
 func (o *heapEngine) Now() Time { return o.now }
@@ -54,6 +61,7 @@ func (o *heapEngine) At(t Time, do func()) {
 		panic("oracle: scheduling in the past")
 	}
 	o.seq++
+	o.latest = max(o.latest, t)
 	o.q.push(event{at: t, seq: o.seq, do: do})
 }
 
@@ -61,14 +69,49 @@ func (o *heapEngine) After(d Duration, do func()) { o.At(o.now.Add(d), do) }
 
 func (o *heapEngine) Stop() { o.stopped = true }
 
+// dead reports whether ev is a cancelled timer arming. Cancellation is
+// final: a timer's generation only grows.
+func (o *heapEngine) dead(ev *event) bool {
+	live, ok := o.live[ev.seq]
+	return ok && !live()
+}
+
+// prune discards the dead armings at the top of the heap.
+func (o *heapEngine) prune() {
+	for len(o.q) > 0 && o.dead(&o.q[0]) {
+		delete(o.live, o.q.pop().seq)
+	}
+}
+
 func (o *heapEngine) Step() bool {
-	if len(o.q) == 0 {
+	if o.prune(); len(o.q) == 0 {
 		return false
 	}
 	ev := o.q.pop()
+	delete(o.live, ev.seq)
 	o.now = ev.at
 	ev.do()
 	return true
+}
+
+func (o *heapEngine) Run() {
+	o.stopped = false
+	for !o.stopped {
+		if !o.Step() {
+			o.now = max(o.now, o.latest)
+			return
+		}
+	}
+}
+
+func (o *heapEngine) Pending() int {
+	n := 0
+	for i := range o.q {
+		if !o.dead(&o.q[i]) {
+			n++
+		}
+	}
+	return n
 }
 
 func (o *heapEngine) bind(t timer, fn func()) timer {
@@ -98,11 +141,13 @@ func (m *modelTimer) ResetAt(at Time) {
 	gen := m.gen
 	m.armed = true
 	m.o.At(at, func() {
-		if gen == m.gen && m.armed {
-			m.armed = false
-			m.fn()
-		}
+		m.armed = false
+		m.fn()
 	})
+	if m.o.live == nil {
+		m.o.live = make(map[uint64]func() bool)
+	}
+	m.o.live[m.o.seq] = func() bool { return gen == m.gen && m.armed }
 }
 
 func (m *modelTimer) Stop() { m.armed = false }
@@ -111,7 +156,7 @@ func (m *modelTimer) Armed() bool { return m.armed }
 
 func (o *heapEngine) RunUntil(deadline Time) {
 	o.stopped = false
-	for !o.stopped && len(o.q) > 0 && o.q[0].at <= deadline {
+	for o.prune(); !o.stopped && len(o.q) > 0 && o.q[0].at <= deadline; o.prune() {
 		o.Step()
 	}
 	if o.now < deadline && (len(o.q) == 0 || o.q[0].at > deadline) {
@@ -149,9 +194,9 @@ const (
 )
 
 // runProgram interprets prog against s and returns a log of every event and
-// timer handler fired (its id and the instant it observed) and of the clock
-// and the timers' armed states after every operation. Two schedulers agree
-// iff their logs are equal.
+// timer handler fired (its id and the instant it observed) and of the clock,
+// the timers' armed states and the pending count after every operation, and
+// of the clock Run drains to. Two schedulers agree iff their logs are equal.
 func runProgram(s scheduler, prog []byte) []string {
 	var log []string
 	next := func() byte {
@@ -258,9 +303,9 @@ func runProgram(s scheduler, prog []byte) []string {
 		case 11, 15:
 			timers[next()%programTimers].Stop()
 		}
-		log = append(log, fmt.Sprintf("now %d %s", s.Now(), armed()))
+		log = append(log, fmt.Sprintf("now %d %s pending %d", s.Now(), armed(), s.Pending()))
 	}
-	for s.Step() {
+	for s.Run(); s.Pending() > 0; s.Run() { // a handler may stop a run
 	}
 	return append(log, fmt.Sprintf("end %d %s", s.Now(), armed()))
 }
@@ -319,6 +364,25 @@ var queueCorpus = [][]byte{
 	// Timer 2's handler re-arms it; a reset moves that arming nearer, and an
 	// event's handler resets it once more, at the event's own instant.
 	{9, 2, 1, 9, 4, 0, 9, 2, 2, 5, 3, 2, 14, 2, 1, 2, 2, 50, 4, 7, 7, 2},
+	// Removal from a calendar slot: timer 0's arming as the slot's only
+	// node, stopped; as its first node (events at 20 and 30 ns after it),
+	// stopped; as its last (events at 10 and 20 ns before it), re-armed
+	// within the slot; as a middle node, stopped.
+	{9, 0, 1, 50, 11, 0, 4, 7},
+	{9, 0, 1, 10, 1, 1, 20, 1, 1, 30, 11, 0, 4, 7},
+	{1, 1, 10, 1, 1, 20, 9, 0, 1, 30, 9, 0, 1, 15, 4, 7},
+	{1, 1, 10, 9, 0, 1, 20, 1, 1, 30, 11, 0, 4, 7},
+	// Removal from the heap: timer 0's arming past the horizon as the
+	// heap's root, stopped; as its last element, re-armed into the calendar.
+	{9, 0, 4, 0, 1, 4, 10, 1, 4, 20, 11, 0, 7, 2},
+	{1, 4, 0, 1, 4, 10, 9, 0, 4, 20, 9, 0, 1, 5, 7, 2},
+	// An arming that spilled from a full bucket to the heap, stopped; then
+	// one re-armed from the heap into the same bucket once it has room.
+	{2, 1, 10, 9, 0, 1, 12, 11, 0, 4, 7, 4, 7},
+	{2, 1, 10, 9, 1, 1, 11, 4, 3, 9, 1, 1, 11, 4, 7, 4, 7},
+	// Armed when Bind is called: timer 0 in the calendar, timer 1 in the
+	// heap; the new handlers run only when armed again.
+	{9, 0, 1, 10, 9, 1, 4, 5, 8, 0, 12, 1, 7, 2, 9, 0, 1, 10, 4, 7},
 }
 
 func TestEventQueueMatchesHeap(t *testing.T) {

@@ -1,29 +1,33 @@
 package sim
 
 // Timer is a re-armable one-shot timer, embedded by value in its owner and
-// bound once to an engine and a handler. Arming it schedules an ordinary
-// event through At, so every arming takes exactly the (at, seq) place that
-// an At call would. The timer remembers the sequence number of its latest
-// arming, and the bound fire function runs the handler only when the event
-// firing is that arming: an earlier arming, superseded by a Reset or
-// cancelled by Stop, still pops at its instant, as a no-op. Nothing is
-// removed from the queue, so a Timer schedules exactly the events that one
-// closure per arming, checked against a generation counter, would; unlike
-// those closures, re-arming allocates nothing.
+// bound once to an engine and a handler. Arming it schedules one event, which
+// takes exactly the (at, seq) place that an At call would and runs the
+// handler directly. Re-arming or stopping it removes the pending arming from
+// the queue, so a superseded or cancelled wait is never popped: it costs no
+// event, and Processed and Pending do not count it. The one trace it leaves
+// is the clock Run ends on (see Run). Neither arming nor binding allocates.
 //
-// A bound Timer must not be copied: its fire function refers to it.
+// A Timer must not be copied once bound: the queue refers to it while it is
+// armed. go vet's copylocks check reports copies.
 type Timer struct {
-	eng  *Engine
-	fn   func()
-	fire func() // t.run, bound once
-	seq  uint64 // the live arming's sequence number; 0 when none is pending
+	_   noCopy
+	eng *Engine
+	fn  func()
+	pos int // the pending arming's place: a calendar node (> 0), ^ its heap index (< 0), or 0 when none
 }
 
-// Bind attaches t to engine e and handler fn, disarmed. It is the timer's
-// only allocation: bind once, when the owner is made.
+// noCopy makes go vet's copylocks check report a copied Timer.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
+// Bind attaches t to engine e and handler fn, disarmed: a pending arming is
+// removed, so it never runs either handler.
 func (t *Timer) Bind(e *Engine, fn func()) {
-	t.eng, t.fn, t.seq = e, fn, 0
-	t.fire = t.run
+	t.Stop()
+	t.eng, t.fn = e, fn
 }
 
 // Reset arms t to fire d from now, superseding any pending arming. Negative
@@ -37,21 +41,17 @@ func (t *Timer) Reset(d Duration) {
 
 // ResetAt arms t to fire at instant at, superseding any pending arming.
 func (t *Timer) ResetAt(at Time) {
-	t.eng.At(at, t.fire)
-	t.seq = t.eng.LastSeq()
+	t.Stop()
+	t.eng.schedule(event{at: at, do: t.fn, t: t})
 }
 
-// Stop cancels the pending arming, if any; its event fires as a no-op.
-func (t *Timer) Stop() { t.seq = 0 }
-
-// Armed reports whether an arming is pending that will run the handler.
-// It is false inside the handler until the handler re-arms.
-func (t *Timer) Armed() bool { return t.seq != 0 }
-
-func (t *Timer) run() {
-	if t.seq != t.eng.FiringSeq() {
-		return
+// Stop cancels the pending arming, if any, removing it from the queue.
+func (t *Timer) Stop() {
+	if t.pos != 0 {
+		t.eng.cancel(t)
 	}
-	t.seq = 0
-	t.fn()
 }
+
+// Armed reports whether an arming is pending. It is false inside the handler
+// until the handler re-arms.
+func (t *Timer) Armed() bool { return t.pos != 0 }
