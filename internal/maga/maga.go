@@ -276,10 +276,17 @@ func (g *Generator) Label(flowID uint32, src, dst addr.IP) addr.Label {
 // addresses that could legitimately appear on the MN's egress link,
 // Sec IV-B3's topology restriction).
 func (g *Generator) MAddr(flowID uint32, srcPool, dstPool []addr.IP) (src, dst addr.IP, label addr.Label) {
-	if len(srcPool) == 0 || len(dstPool) == 0 {
+	i, j := g.Draw(len(srcPool), len(dstPool))
+	src, dst = srcPool[i], dstPool[j]
+	return src, dst, g.Label(flowID, src, dst)
+}
+
+// Draw is MAddr for pools read by index: it draws the positions of the fake
+// source in a pool of nSrc addresses, then of the fake destination in one of
+// nDst, exactly as MAddr does; Label, called next, completes the m-address.
+func (g *Generator) Draw(nSrc, nDst int) (src, dst int) {
+	if nSrc == 0 || nDst == 0 {
 		panic("maga: empty m-address pool")
 	}
-	src = sim.Pick(g.rng, srcPool)
-	dst = sim.Pick(g.rng, dstPool)
-	return src, dst, g.Label(flowID, src, dst)
+	return g.rng.Intn(nSrc), g.rng.Intn(nDst)
 }

@@ -305,6 +305,22 @@ func TestMAddrUsesPools(t *testing.T) {
 	}
 }
 
+// TestDrawMatchesMAddr: Draw then Label, on a generator seeded alike, mints
+// what MAddr mints from the same pools.
+func TestDrawMatchesMAddr(t *testing.T) {
+	p := NewParams(sim.NewRNG(1), DefaultWidths())
+	byPool, byIndex := NewGenerator(p, 1, sim.NewRNG(2)), NewGenerator(p, 1, sim.NewRNG(2))
+	srcPool := []addr.IP{addr.V4(10, 0, 0, 1), addr.V4(10, 0, 0, 2), addr.V4(10, 0, 0, 3)}
+	dstPool := []addr.IP{addr.V4(10, 0, 1, 1), addr.V4(10, 0, 1, 2)}
+	for flow := uint32(0); flow < 50; flow++ {
+		s, d, l := byPool.MAddr(flow, srcPool, dstPool)
+		i, j := byIndex.Draw(len(srcPool), len(dstPool))
+		if srcPool[i] != s || dstPool[j] != d || byIndex.Label(flow, srcPool[i], dstPool[j]) != l {
+			t.Fatalf("flow %d: Draw and Label minted (%v, %v), MAddr (%v, %v, %v)", flow, srcPool[i], dstPool[j], s, d, l)
+		}
+	}
+}
+
 func BenchmarkGeneratorMAddr(b *testing.B) {
 	w := DefaultWidths()
 	p := NewParams(sim.NewRNG(1), w)

@@ -118,8 +118,9 @@ func (mc *MC) allocFlowRes(st *channelState, plan flowPlan) (flowRes, error) {
 	// switch, unique among the initiator's live channels. Final source: the
 	// fake peer the responder sees; also serves as the reply's entry address,
 	// so it gets the same uniqueness reservation.
-	if res.entry, err = mc.pickFake(initIP, mc.poolAhead(plan.path, plan.swPos[0], initIP, respIP)); err == nil {
-		res.finalSrc, err = mc.pickFake(respIP, mc.poolBehind(plan.path, plan.swPos[len(plan.swPos)-1], initIP, respIP))
+	ex := mc.reach.excluding(initIP, respIP)
+	if res.entry, err = mc.pickFake(initIP, mc.poolAhead(plan.path, plan.swPos[0], ex)); err == nil {
+		res.finalSrc, err = mc.pickFake(respIP, mc.poolBehind(plan.path, plan.swPos[len(plan.swPos)-1], ex))
 	}
 	if err != nil {
 		mc.flowIDs.releaseFlow(res)
@@ -149,17 +150,14 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 	sc := &mc.scratch
 	recs = sc.recs[:0]
 
-	// Forward tuple chain T[0..n].
+	// Forward tuple chain T[0..n]. No minted address is an endpoint's.
+	ex := mc.reach.excluding(initIP, respIP)
 	sc.fwd = slices.Grow(sc.fwd[:0], n+1)[:n+1]
 	T := sc.fwd
 	T[0] = tuple{src: initIP, dst: entry}
 	for j := 1; j < n; j++ {
 		mn := path[mnPos[j-1]]
-		gen := mc.gens[mn]
-		srcPool := mc.reach.via(poolSrc, mn, g.PortTo(mn, path[mnPos[j-1]-1]), initIP, respIP)
-		dstPool := mc.reach.via(poolDst, mn, g.PortTo(mn, path[mnPos[j-1]+1]), initIP, respIP)
-		s, d, l := gen.MAddr(fwdID, srcPool, dstPool)
-		T[j] = tuple{src: s, dst: d, label: l, tagged: true}
+		T[j] = mc.mint(mn, fwdID, g.PortTo(mn, path[mnPos[j-1]-1]), g.PortTo(mn, path[mnPos[j-1]+1]), ex)
 	}
 	T[n] = tuple{src: finalSrc, dst: respIP}
 
@@ -171,11 +169,7 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 	U[n] = tuple{src: respIP, dst: finalSrc}
 	for j := n - 1; j >= 1; j-- {
 		mn := path[mnPos[j]] // MN_{j+1} in 1-based terms
-		gen := mc.gens[mn]
-		srcPool := mc.reach.via(poolSrc, mn, g.PortTo(mn, path[mnPos[j]+1]), initIP, respIP)
-		dstPool := mc.reach.via(poolDst, mn, g.PortTo(mn, path[mnPos[j]-1]), initIP, respIP)
-		s, d, l := gen.MAddr(revID, srcPool, dstPool)
-		U[j] = tuple{src: s, dst: d, label: l, tagged: true}
+		U[j] = mc.mint(mn, revID, g.PortTo(mn, path[mnPos[j]+1]), g.PortTo(mn, path[mnPos[j]-1]), ex)
 	}
 	U[0] = tuple{src: entry, dst: initIP}
 

@@ -1,6 +1,8 @@
 package mic
 
 import (
+	"slices"
+
 	"mic/internal/addr"
 	"mic/internal/topo"
 )
@@ -10,34 +12,33 @@ import (
 // these pools so that a fake source/destination observed on a link is a
 // host that could legitimately appear there — the paper's per-MN
 // restriction on m_src_ip and m_dst_ip (Sec IV-B3, Fig 5 example).
+//
+// A pool holds host ordinals, indexes into all in the graph's host order, so
+// every pool is ascending by construction and a host's place in one is
+// found by binary search.
 type reachability struct {
-	pools [][][]addr.IP // [switch NodeID][port]; nil rows for hosts
-	all   []addr.IP     // every host address: the fallback pool
-
-	// buf holds the two pools via last filled. A source and a destination
-	// pool are live together while one m-address is minted; nothing keeps
-	// either past that, so the next draw overwrites them.
-	buf [2][]addr.IP
+	g     *topo.Graph
+	pools [][][]int32 // [switch NodeID][port]; nil rows for hosts
+	all   []addr.IP   // every host's address, by ordinal
+	every []int32     // every ordinal: the fallback pool
+	// twin chains the hosts sharing an address: the next higher ordinal with
+	// ordinal o's address, or -1. Nil when every address is unique.
+	twin []int32
 }
-
-// The two pool buffers of reachability.via.
-const (
-	poolSrc = iota
-	poolDst
-)
 
 // computeReachability runs one BFS per host: a host h belongs to the pool
 // of (switch s, port p) iff some shortest path from s to h leaves via p.
 func computeReachability(g *topo.Graph) reachability {
-	r := reachability{pools: make([][][]addr.IP, len(g.Nodes))}
+	r := reachability{g: g, pools: make([][][]int32, len(g.Nodes))}
 	switches := g.Switches()
 	for _, sid := range switches {
-		r.pools[sid] = make([][]addr.IP, len(g.Node(sid).Ports))
+		r.pools[sid] = make([][]int32, len(g.Node(sid).Ports))
 	}
 	hops := topo.NewHops(g)
-	for _, hid := range g.Hosts() {
+	for o, hid := range g.Hosts() {
 		ip := g.Node(hid).IP
 		r.all = append(r.all, ip)
+		r.every = append(r.every, int32(o))
 		dist := hops.From(hid)
 		for _, sid := range switches {
 			ds := dist[sid]
@@ -46,38 +47,130 @@ func computeReachability(g *topo.Graph) reachability {
 			}
 			for port, p := range g.Node(sid).Ports {
 				if dist[p.Peer] == ds-1 {
-					r.pools[sid][port] = append(r.pools[sid][port], ip)
+					r.pools[sid][port] = append(r.pools[sid][port], int32(o))
 				}
 			}
 		}
 	}
+	last := make(map[addr.IP]int32, len(r.all))
+	for o, ip := range r.all {
+		if prev, dup := last[ip]; dup {
+			if r.twin == nil {
+				r.twin = make([]int32, len(r.all))
+				for i := range r.twin {
+					r.twin[i] = -1
+				}
+			}
+			r.twin[prev] = int32(o)
+		}
+		last[ip] = int32(o)
+	}
 	return r
 }
 
-// via fills buffer which (poolSrc or poolDst) with the plausible host
-// addresses through (sw, port), excluding the listed addresses, and returns
-// it; the result is valid until the next via on the same buffer. Falls back
-// to all hosts (minus excluded) when the directional pool is empty or fully
-// excluded, so address minting never fails on degenerate topologies.
-func (r *reachability) via(which int, sw topo.NodeID, port int, exclude ...addr.IP) []addr.IP {
-	pool := filterIPs(r.buf[which][:0], r.pools[sw][port], exclude)
-	if len(pool) == 0 {
-		pool = filterIPs(pool, r.all, exclude)
-	}
-	r.buf[which] = pool
-	return pool
+// excluded names the hosts a pool view leaves out: every host holding one of
+// up to two addresses, each given by the lowest ordinal holding it, or -1.
+type excluded [2]int32
+
+// excludeNone leaves every host in.
+var excludeNone = excluded{-1, -1}
+
+// excluding returns the exclusion of every host holding address a or b.
+func (r *reachability) excluding(a, b addr.IP) excluded {
+	return excluded{r.ordinal(a), r.ordinal(b)}
 }
 
-// filterIPs appends to out the addresses of pool not listed in exclude.
-func filterIPs(out, pool, exclude []addr.IP) []addr.IP {
-outer:
-	for _, ip := range pool {
-		for _, ex := range exclude {
-			if ip == ex {
-				continue outer
+// ordinal returns the lowest ordinal of a host holding ip, or -1.
+func (r *reachability) ordinal(ip addr.IP) int32 {
+	h := r.g.HostByIP(ip)
+	if h == nil {
+		return -1
+	}
+	o, _ := slices.BinarySearch(r.g.Hosts(), h.ID)
+	return int32(o)
+}
+
+// via returns the plausible host addresses through (sw, port), minus the
+// excluded hosts, as a view of the pool read in place. Falls back to all
+// hosts (minus excluded) when the directional pool is empty or fully
+// excluded, so address minting never fails on degenerate topologies.
+func (r *reachability) via(sw topo.NodeID, port int, ex excluded) poolView {
+	v := r.view(r.pools[sw][port], ex)
+	if v.Len() == 0 {
+		v = r.view(r.every, ex)
+	}
+	return v
+}
+
+// view is pool minus the excluded hosts: one binary search per host.
+func (r *reachability) view(pool []int32, ex excluded) poolView {
+	v := poolView{all: r.all, pool: pool}
+	for _, o := range ex {
+		for ; o >= 0; o = r.nextTwin(o) {
+			if p, ok := slices.BinarySearch(pool, o); ok {
+				v.skip(int32(p))
 			}
 		}
-		out = append(out, ip)
 	}
-	return out
+	return v
+}
+
+// nextTwin returns the next host sharing ordinal o's address, or -1.
+func (r *reachability) nextTwin(o int32) int32 {
+	if r.twin == nil {
+		return -1
+	}
+	return r.twin[o]
+}
+
+// poolView is a pool of host ordinals minus some of its positions, read in
+// place: At(k) is the address of the pool's k-th position that is not
+// skipped. Skipped positions are the excluded endpoints': at most two, held
+// inline, unless hosts share an address.
+type poolView struct {
+	all  []addr.IP
+	pool []int32
+	n    int      // positions skipped
+	two  [2]int32 // the skipped positions, ascending, while n <= 2
+	more []int32  // all skipped positions, ascending, once n > 2
+}
+
+// skip removes position p from the view; skipping it twice is a no-op.
+func (v *poolView) skip(p int32) {
+	if v.n < 2 {
+		if v.n == 1 && v.two[0] >= p {
+			if v.two[0] == p {
+				return
+			}
+			v.two[0], p = p, v.two[0]
+		}
+		v.two[v.n] = p
+		v.n++
+		return
+	}
+	if v.more == nil {
+		v.more = []int32{v.two[0], v.two[1]}
+	}
+	if i, found := slices.BinarySearch(v.more, p); !found {
+		v.more = slices.Insert(v.more, i, p)
+		v.n++
+	}
+}
+
+// Len returns how many addresses the view holds.
+func (v *poolView) Len() int { return len(v.pool) - v.n }
+
+// At returns the view's k-th address, 0 <= k < Len().
+func (v *poolView) At(k int) addr.IP {
+	skipped := v.more
+	if skipped == nil {
+		skipped = v.two[:v.n]
+	}
+	for _, p := range skipped {
+		if int(p) > k {
+			break
+		}
+		k++
+	}
+	return v.all[v.pool[k]]
 }

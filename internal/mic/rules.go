@@ -320,11 +320,7 @@ func (mc *MC) buildMulticast(slab *flowtable.Slab, node, prevNode, nextNode topo
 		if port == realOut || port == inPort || g.Node(p.Peer).Kind != topo.KindSwitch {
 			continue
 		}
-		gen := mc.gens[node]
-		srcPool := mc.reach.via(poolSrc, node, inPort)
-		dstPool := mc.reach.via(poolDst, node, port)
-		s, d, l := gen.MAddr(flowID, srcPool, dstPool)
-		dt := tuple{src: s, dst: d, label: l, tagged: true}
+		dt := mc.mint(node, flowID, inPort, port, excludeNone)
 		mark := slab.Mark()
 		mc.rewriteActions(slab, arriving, dt)
 		slab.Add(flowtable.Output(port))
@@ -512,8 +508,8 @@ func (mc *MC) unbook(st *channelState, res []flowRes, flows []FlowInfo, rules []
 // linkPair returns the dense numbers of the two directed links between
 // adjacent nodes a and b.
 func (mc *MC) linkPair(a, b topo.NodeID) [2]int {
-	g := mc.Net.Graph
-	return [2]int{mc.linkIndex(linkKey{a, g.PortTo(a, b)}), mc.linkIndex(linkKey{b, g.PortTo(b, a)})}
+	ap, bp := mc.Net.Graph.Cable(a, b)
+	return [2]int{mc.linkIndex(linkKey{a, ap}), mc.linkIndex(linkKey{b, bp})}
 }
 
 // linkIndex returns a directed link's dense number.
@@ -551,6 +547,9 @@ func dropID(set []uint64, id uint64) []uint64 {
 
 // pathAlive reports whether no switch or link of p has failed.
 func (mc *MC) pathAlive(p topo.Path) bool {
+	if mc.Net.AllUp() {
+		return true
+	}
 	g := mc.Net.Graph
 	for i, node := range p {
 		if g.Node(node).Kind == topo.KindSwitch && mc.Net.Switch(node).Down {
@@ -687,24 +686,32 @@ func (d *epochDelete) answered(node topo.NodeID, removed int) {
 	}
 }
 
+// mint draws Mimic Node mn's m-address for flowID on the link segment
+// between its ports in and out: a fake source plausible arriving on in, a
+// fake destination plausible leaving by out, neither an excluded host, and
+// the label binding them to flowID.
+func (mc *MC) mint(mn topo.NodeID, flowID uint32, in, out int, ex excluded) tuple {
+	src, dst := mc.reach.via(mn, in, ex), mc.reach.via(mn, out, ex)
+	gen := mc.gens[mn]
+	i, j := gen.Draw(src.Len(), dst.Len())
+	s, d := src.At(i), dst.At(j)
+	return tuple{src: s, dst: d, label: gen.Label(flowID, s, d), tagged: true}
+}
+
 // poolAhead returns plausible entry addresses: hosts beyond firstSwitchPos
-// along the path, from the first switch's forward egress. Like poolBehind's,
-// the result lives in the reachability's source buffer until the next pool
-// is drawn; pickFake consumes it at once.
-func (mc *MC) poolAhead(path topo.Path, firstSwitchPos int, exclude ...addr.IP) []addr.IP {
+// along the path, from the first switch's forward egress.
+func (mc *MC) poolAhead(path topo.Path, firstSwitchPos int, ex excluded) poolView {
 	g := mc.Net.Graph
 	sw := path[firstSwitchPos]
-	port := g.PortTo(sw, path[firstSwitchPos+1])
-	return mc.reach.via(poolSrc, sw, port, exclude...)
+	return mc.reach.via(sw, g.PortTo(sw, path[firstSwitchPos+1]), ex)
 }
 
 // poolBehind returns plausible final sources: hosts behind lastSwitchPos
 // (on the initiator side), from the last switch's reverse egress.
-func (mc *MC) poolBehind(path topo.Path, lastSwitchPos int, exclude ...addr.IP) []addr.IP {
+func (mc *MC) poolBehind(path topo.Path, lastSwitchPos int, ex excluded) poolView {
 	g := mc.Net.Graph
 	sw := path[lastSwitchPos]
-	port := g.PortTo(sw, path[lastSwitchPos-1])
-	return mc.reach.via(poolSrc, sw, port, exclude...)
+	return mc.reach.via(sw, g.PortTo(sw, path[lastSwitchPos-1]), ex)
 }
 
 // pickFake picks an address from pool that is not reserved for endpoint: one
@@ -712,13 +719,14 @@ func (mc *MC) poolBehind(path topo.Path, lastSwitchPos int, exclude ...addr.IP) 
 // first free address scanning on from there. The reservation itself is
 // booked when the flow is adopted (book); a flow's two picks are for
 // different endpoints, so they cannot collide with each other meanwhile.
-func (mc *MC) pickFake(endpoint addr.IP, pool []addr.IP) (addr.IP, error) {
-	if len(pool) == 0 {
+func (mc *MC) pickFake(endpoint addr.IP, pool poolView) (addr.IP, error) {
+	n := pool.Len()
+	if n == 0 {
 		return 0, fmt.Errorf("mic: no plausible fake addresses available")
 	}
-	start := mc.pathRng.Intn(len(pool))
-	for i := 0; i < len(pool); i++ {
-		if ip := pool[(start+i)%len(pool)]; !mc.entryInUse[[2]addr.IP{endpoint, ip}] {
+	start := mc.pathRng.Intn(n)
+	for i := 0; i < n; i++ {
+		if ip := pool.At((start + i) % n); !mc.entryInUse[[2]addr.IP{endpoint, ip}] {
 			return ip, nil
 		}
 	}
@@ -727,7 +735,7 @@ func (mc *MC) pickFake(endpoint addr.IP, pool []addr.IP) (addr.IP, error) {
 	// the degradation ladder like any other budget miss. The endpoint the
 	// pool is reserved against stays out of the string — for responder-side
 	// pools it is the real address the refusal's recipient dialed blind.
-	return 0, fmt.Errorf("mic: all %d plausible fake addresses are in use: %w", len(pool), ErrOverloaded)
+	return 0, fmt.Errorf("mic: all %d plausible fake addresses are in use: %w", n, ErrOverloaded)
 }
 
 // cookie derives the flow-table cookie for a channel's current rule epoch

@@ -318,6 +318,9 @@ type Network struct {
 
 	nodes     []node // indexed by topo.NodeID
 	listeners []Listener
+	// failed counts the failed switches and the link directions down for any
+	// cause: zero iff every path of the fabric is alive (AllUp).
+	failed    int
 	faultSeed uint64
 	ctrlHosts []bool // down flag per registered controller host
 
@@ -537,9 +540,24 @@ func (n *Network) SetLinkDown(node topo.NodeID, port int, down bool) {
 		d := n.dir(pk.node, pk.port)
 		was := d.down()
 		d.linkDown = down
+		n.count(was, d.down())
 		n.notifyPort(pk, was, d.down())
 	}
 }
+
+// count keeps failed as a liveness flag goes from was to now.
+func (n *Network) count(was, now bool) {
+	switch {
+	case now && !was:
+		n.failed++
+	case was && !now:
+		n.failed--
+	}
+}
+
+// AllUp reports whether no switch and no link of the fabric has failed,
+// silently or not.
+func (n *Network) AllUp() bool { return n.failed == 0 }
 
 // notifyPort emits a port event if the effective liveness flipped.
 func (n *Network) notifyPort(pk portKey, was, now bool) {
@@ -581,6 +599,7 @@ func (n *Network) setSwitchDown(id topo.NodeID, down bool, notify bool) {
 		return
 	}
 	sw.Down = down
+	n.count(!down, down)
 	delta := 1
 	if !down {
 		delta = -1
@@ -590,6 +609,7 @@ func (n *Network) setSwitchDown(id topo.NodeID, down bool, notify bool) {
 			d := n.dir(pk.node, pk.port)
 			was := d.down()
 			d.swDown += delta
+			n.count(was, d.down())
 			if notify {
 				n.notifyPort(pk, was, d.down())
 			}

@@ -517,6 +517,49 @@ func TestSwitchRestoreKeepsIndependentLinkFailures(t *testing.T) {
 	_ = eng
 }
 
+// TestAllUpTracksEveryFailure: AllUp is true exactly when no switch is down
+// and no link direction is down for any cause, across overlapping cuts,
+// crashes, silent crashes and restores.
+func TestAllUpTracksEveryFailure(t *testing.T) {
+	g, _ := topo.FatTree(4)
+	n := New(sim.New(), g, Config{})
+	sws := g.Switches()
+	check := func(step string) {
+		t.Helper()
+		want := true
+		for _, id := range sws {
+			want = want && !n.Switch(id).Down
+		}
+		for _, nd := range g.Nodes {
+			for port := range nd.Ports {
+				want = want && !n.LinkDown(nd.ID, port)
+			}
+		}
+		if n.AllUp() != want {
+			t.Fatalf("after %s: AllUp() = %v, want %v", step, n.AllUp(), want)
+		}
+	}
+	check("nothing")
+	n.SetLinkDown(sws[0], 0, true)
+	check("a cut")
+	n.SetSwitchDown(sws[0], true)
+	check("a crash over the cut")
+	n.SetLinkDown(sws[0], 0, true)
+	check("the cut repeated")
+	n.SetSwitchDown(sws[0], false)
+	check("the restart")
+	n.SetLinkDown(sws[0], 0, false)
+	check("the mend")
+	n.SetSwitchDownQuiet(sws[5], true)
+	check("a silent crash")
+	n.SetSwitchDown(sws[6], true)
+	check("an adjacent crash")
+	n.SetSwitchDownQuiet(sws[5], false)
+	check("the silent restart")
+	n.SetSwitchDown(sws[6], false)
+	check("everything restored")
+}
+
 // faultRig wires h1-s1-h2 with forwarding both ways and a counter on h2.
 func faultRig(t *testing.T, cfg Config) (*sim.Engine, *Network, *Host, *Switch, *Host, *int) {
 	t.Helper()
