@@ -24,21 +24,41 @@ func MustParseIP(s string) IP {
 	return ip
 }
 
-// ParseIP parses dotted-quad IPv4 notation.
+// ParseIP parses dotted-quad IPv4 notation: four decimal octets of at most
+// 255, none signed or with a leading zero. It reads s in place and allocates
+// only for an error.
 func ParseIP(s string) (IP, error) {
-	parts := strings.Split(s, ".")
-	if len(parts) != 4 {
+	if strings.Count(s, ".") != 3 {
 		return 0, fmt.Errorf("addr: malformed IPv4 %q", s)
 	}
 	var ip uint32
-	for _, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil || v < 0 || v > 255 || (len(p) > 1 && p[0] == '0') {
+	for rest, more := s, true; more; {
+		var p string
+		p, rest, more = strings.Cut(rest, ".")
+		v, ok := parseOctet(p)
+		if !ok {
 			return 0, fmt.Errorf("addr: malformed IPv4 octet %q in %q", p, s)
 		}
-		ip = ip<<8 | uint32(v)
+		ip = ip<<8 | v
 	}
 	return IP(ip), nil
+}
+
+// parseOctet parses one octet of dotted-quad notation: one to three decimal
+// digits, no leading zero, at most 255.
+func parseOctet(p string) (uint32, bool) {
+	if len(p) == 0 || len(p) > 3 || len(p) > 1 && p[0] == '0' {
+		return 0, false
+	}
+	var v uint32
+	for i := 0; i < len(p); i++ {
+		c := p[i]
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		v = v*10 + uint32(c-'0')
+	}
+	return v, v <= 255
 }
 
 // V4 assembles an address from four octets.

@@ -290,11 +290,12 @@ func (c *Channel) GroupModResult(sw *netsim.Switch, g *flowtable.Group, cookie u
 }
 
 // DeleteByCookie removes all entries with the cookie from sw; onDone (may
-// be nil) receives the removal count after the acknowledgement returns, or
-// -1 if the switch never acknowledged (the controller must assume the rules
-// are still installed). It applies after every earlier install of the
+// be nil) receives sw's ID and the removal count after the acknowledgement
+// returns, or -1 if the switch never acknowledged (the controller must assume
+// the rules are still installed). Naming the switch lets one function serve
+// a delete sent to many. It applies after every earlier install of the
 // cookie's owner to sw, so none of them puts a rule back once it is answered.
-func (c *Channel) DeleteByCookie(sw *netsim.Switch, cookie uint64, onDone func(removed int)) {
+func (c *Channel) DeleteByCookie(sw *netsim.Switch, cookie uint64, onDone func(node topo.NodeID, removed int)) {
 	c.Deletes++
 	m := c.newMsg(msgDelete, sw)
 	m.cookie, m.n, m.onCount = cookie, -1, onDone

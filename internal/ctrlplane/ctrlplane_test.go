@@ -86,7 +86,7 @@ func TestDeleteByCookie(t *testing.T) {
 	sw.Table.Insert(&flowtable.Entry{Priority: 1, Cookie: 7}, 0)
 	sw.Table.Insert(&flowtable.Entry{Priority: 2, Cookie: 7, Match: flowtable.Match{Mask: flowtable.MatchInPort, InPort: 1}}, 0)
 	removed := -1
-	ch.DeleteByCookie(sw, 7, func(n int) { removed = n })
+	ch.DeleteByCookie(sw, 7, func(_ topo.NodeID, n int) { removed = n })
 	eng.Run()
 	if removed != 2 {
 		t.Fatalf("removed = %d, want 2", removed)
@@ -417,7 +417,7 @@ func TestDeleteByCookieOnDeadSwitch(t *testing.T) {
 	sw.Table.Insert(&flowtable.Entry{Priority: 1, Cookie: 9}, 0)
 	net.SetSwitchDown(sw.ID, true)
 	removed := 0
-	ch.DeleteByCookie(sw, 9, func(n int) { removed = n })
+	ch.DeleteByCookie(sw, 9, func(_ topo.NodeID, n int) { removed = n })
 	eng.Run()
 	if removed != -1 {
 		t.Fatalf("removed = %d, want -1 (unacknowledged)", removed)

@@ -7,6 +7,7 @@ import (
 	"mic/internal/flowtable"
 	"mic/internal/netsim"
 	"mic/internal/sim"
+	"mic/internal/topo"
 )
 
 // msgKind names what a reliable southbound message asks of the switch.
@@ -83,7 +84,7 @@ type msgState struct {
 	// Completion: at most one is set.
 	onOK    func(ok bool)
 	onErr   func(err error)
-	onCount func(removed int)
+	onCount func(node topo.NodeID, removed int)
 	onDump  func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool)
 	inst    *install // msgBatch and its closing msgBarrier
 }
@@ -395,10 +396,10 @@ func (m *msg) complete(ok bool) {
 			return
 		}
 		if !ok || m.stale {
-			m.onCount(-1)
+			m.onCount(m.sw.ID, -1)
 			return
 		}
-		m.onCount(m.n)
+		m.onCount(m.sw.ID, m.n)
 	case msgDump:
 		if m.onDump != nil {
 			m.onDump(m.entries, m.groups, ok)

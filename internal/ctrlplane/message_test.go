@@ -67,7 +67,7 @@ func playSchedule(loss float64, seed uint64) string {
 		ch.Barrier(sw[s], func(ok bool) { logf("barrier %s s%d ok=%v", tag, s, ok) })
 	}
 	del := func(tag string, s int, cookie uint64) {
-		ch.DeleteByCookie(sw[s], cookie, func(n int) { logf("delete %s s%d cookie=%d removed=%d", tag, s, cookie, n) })
+		ch.DeleteByCookie(sw[s], cookie, func(_ topo.NodeID, n int) { logf("delete %s s%d cookie=%d removed=%d", tag, s, cookie, n) })
 	}
 	dump := func(tag string, s int) {
 		ch.DumpFlows(sw[s], func(es []*flowtable.Entry, gs []flowtable.GroupID, ok bool) {
@@ -226,7 +226,7 @@ func TestSouthboundMessageAllocs(t *testing.T) {
 			oks++
 		}
 	}
-	onCount := func(n int) { removed += n }
+	onCount := func(_ topo.NodeID, n int) { removed += n }
 	onAll := func(f int) { failed += f }
 	round := func() {
 		ch.InstallBatched(mods, onAll)
@@ -333,7 +333,7 @@ func TestChannelDownMidFlightFiresNoCallback(t *testing.T) {
 	eng, _, ch, sw := oneSwitch(t)
 	fired := 0
 	ch.FlowModResult(sw, mflowEntry(1, 7), func(bool) { fired++ })
-	ch.DeleteByCookie(sw, 9, func(int) { fired++ })
+	ch.DeleteByCookie(sw, 9, func(topo.NodeID, int) { fired++ })
 	ch.Barrier(sw, func(bool) { fired++ })
 	ch.InstallBatched([]Mod{{Switch: sw, Entry: mflowEntry(2, 7)}}, func(int) { fired++ })
 	eng.RunUntil(sim.Time(ch.Latency)) // requests delivered, acknowledgements on the wire

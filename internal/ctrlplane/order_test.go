@@ -180,7 +180,7 @@ func runProgram(t testing.TB, prog []sbOp, loss float64, seed uint64, deadWindow
 					out[j].deleted[op.sw] = true
 				}
 			}
-			ch.DeleteByCookie(s, cookie, func(n int) { complete(i, n < 0) })
+			ch.DeleteByCookie(s, cookie, func(_ topo.NodeID, n int) { complete(i, n < 0) })
 		case opGroupMod:
 			group := &flowtable.Group{ID: flowtable.GroupID(i + 1)}
 			if op.owner == 0 {

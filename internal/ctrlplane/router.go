@@ -58,57 +58,87 @@ func (r *ProactiveRouter) Install(net *netsim.Network) (int, error) {
 	hops := topo.NewHops(g)
 	switches := g.Switches()
 	hosts := g.Hosts()
-	// A switch's common routing is one batch: two rules per host, with three
-	// actions between them toward a remote host, five for an attached one.
+	next := make([]int, len(g.Nodes))
+	// routes calls visit for every switch with a route toward every host,
+	// hosts outer and switches in order, with the egress port toward it.
+	routes := func(visit func(h *topo.Node, sid topo.NodeID, out int) error) error {
+		for _, hid := range hosts {
+			if err := nextHops(g, hops.From(hid), hid, next); err != nil {
+				return err
+			}
+			for _, sid := range switches {
+				if out := next[sid]; out >= 0 {
+					if err := visit(g.Node(hid), sid, out); err != nil {
+						return err
+					}
+				}
+			}
+		}
+		return nil
+	}
+	// A switch's common routing is one batch: two rules per host it routes
+	// to. Toward a remote host both action lists depend on the egress port
+	// alone, so the switch carves one list per port it routes out of —
+	// PushMPLS(CF), Output(out), whose tail is the tagged rule's list — and
+	// every remote host's rules share it: no code writes into an installed
+	// list. An attached host's pair sets its MAC and is its own. The first
+	// walk counts what each switch carves, so its slab is sized exactly.
+	base := make([]int, len(g.Nodes)+1) // port p of node n is base[n]+p
+	for id, n := range g.Nodes {
+		base[id+1] = base[id] + len(n.Ports)
+	}
+	used := make([]bool, base[len(g.Nodes)])
+	type batch struct{ rules, attached, ports int }
+	batches := make([]batch, len(g.Nodes))
+	if err := routes(func(h *topo.Node, sid topo.NodeID, out int) error {
+		b := &batches[sid]
+		b.rules += 2
+		switch port := base[sid] + out; {
+		case g.Node(sid).Ports[out].Peer == h.ID:
+			b.attached++
+		case !used[port]:
+			used[port] = true
+			b.ports++
+		}
+		return nil
+	}); err != nil {
+		return installed, err
+	}
 	slabs := make([]flowtable.Slab, len(g.Nodes))
 	for _, sid := range switches {
-		attached := 0
-		for _, p := range g.Node(sid).Ports {
-			if g.Node(p.Peer).Kind == topo.KindHost {
-				attached++
-			}
-		}
-		slabs[sid] = flowtable.NewSlab(2*len(hosts), 3*len(hosts)+2*attached)
+		b := batches[sid]
+		slabs[sid] = flowtable.NewSlab(b.rules, 5*b.attached+2*b.ports)
 	}
-	next := make([]int, len(g.Nodes))
-	for _, hid := range hosts {
-		h := g.Node(hid)
-		if err := nextHops(g, hops.From(hid), hid, next); err != nil {
-			return installed, err
+	shared := make([][]flowtable.Action, len(used))
+	err := routes(func(h *topo.Node, sid topo.NodeID, out int) error {
+		sw := net.Switch(sid)
+		slab := &slabs[sid]
+		untagged := flowtable.Entry{
+			Priority: PriorityCommonUntagged,
+			Cookie:   CookieCommon,
+			Match:    flowtable.Match{Mask: flowtable.MatchNoMPLS | flowtable.MatchIPDst, IPDst: h.IP},
 		}
-		for _, sid := range switches {
-			sw := net.Switch(sid)
-			out := next[sid]
-			if out < 0 {
-				continue // unreachable from this switch
-			}
-			slab := &slabs[sid]
-			untagged := flowtable.Entry{
-				Priority: PriorityCommonUntagged,
-				Cookie:   CookieCommon,
-				Match:    flowtable.Match{Mask: flowtable.MatchNoMPLS | flowtable.MatchIPDst, IPDst: h.IP},
-			}
-			tagged := flowtable.Entry{
-				Priority: PriorityCommonTagged,
-				Cookie:   CookieCommon,
-				Match:    flowtable.Match{Mask: flowtable.MatchMPLS | flowtable.MatchIPDst, MPLS: r.CFLabel, IPDst: h.IP},
-			}
-			if g.Node(sid).Ports[out].Peer == hid { // h is attached to this switch
-				untagged.Actions = slab.List(flowtable.SetEthDst(h.MAC), flowtable.Output(out))
-				tagged.Actions = slab.List(flowtable.PopMPLS(), flowtable.SetEthDst(h.MAC), flowtable.Output(out))
-			} else {
-				untagged.Actions = slab.List(flowtable.PushMPLS(r.CFLabel), flowtable.Output(out))
-				tagged.Actions = slab.List(flowtable.Output(out))
-			}
-			if err := install(sw, slab.Entry(untagged)); err != nil {
-				return installed, err
-			}
-			if err := install(sw, slab.Entry(tagged)); err != nil {
-				return installed, err
-			}
+		tagged := flowtable.Entry{
+			Priority: PriorityCommonTagged,
+			Cookie:   CookieCommon,
+			Match:    flowtable.Match{Mask: flowtable.MatchMPLS | flowtable.MatchIPDst, MPLS: r.CFLabel, IPDst: h.IP},
 		}
-	}
-	return installed, nil
+		if g.Node(sid).Ports[out].Peer == h.ID { // h is attached to this switch
+			untagged.Actions = slab.List(flowtable.SetEthDst(h.MAC), flowtable.Output(out))
+			tagged.Actions = slab.List(flowtable.PopMPLS(), flowtable.SetEthDst(h.MAC), flowtable.Output(out))
+		} else {
+			list := &shared[base[sid]+out]
+			if *list == nil {
+				*list = slab.List(flowtable.PushMPLS(r.CFLabel), flowtable.Output(out))
+			}
+			untagged.Actions, tagged.Actions = *list, (*list)[1:]
+		}
+		if err := install(sw, slab.Entry(untagged)); err != nil {
+			return err
+		}
+		return install(sw, slab.Entry(tagged))
+	})
+	return installed, err
 }
 
 // nextHops fills next with, for each switch that can reach dst, the egress

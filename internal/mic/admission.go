@@ -17,7 +17,6 @@ import (
 	"mic/internal/metrics"
 	"mic/internal/netsim"
 	"mic/internal/packet"
-	"mic/internal/sim"
 	"mic/internal/topo"
 )
 
@@ -99,46 +98,46 @@ func (a AdmissionConfig) withDefaults() AdmissionConfig {
 	return a
 }
 
-// admitReq is one channel-open request waiting for a token.
-type admitReq struct {
-	at     sim.Time
-	run    func()
-	refuse func(error)
-	done   bool // answered: granted a token or shed
-}
-
-// admit passes run through the token bucket, or parks it in the bounded
-// queue, or refuses it. Exactly one of run / refuse eventually fires (within
-// this controller incarnation): the zero-silent-drop guarantee under
-// overload.
-func (mc *MC) admit(run func(), refuse func(error)) {
+// admit passes a dial through the token bucket, or parks it in the bounded
+// queue, or refuses it. Exactly one of serving and refusing eventually
+// happens (within this controller incarnation): the zero-silent-drop
+// guarantee under overload.
+func (mc *MC) admit(d *dial) {
 	a := mc.Cfg.Admission
 	if !a.Enabled {
-		run()
+		mc.serveChannel(d)
 		return
 	}
 	mc.refillTokens()
 	if len(mc.admitQueue) == 0 && mc.admitTokens >= 1 {
 		mc.admitTokens--
 		mc.RequestsAdmitted++
-		run()
+		mc.serveChannel(d)
 		return
 	}
 	if !a.DisableShed && len(mc.admitQueue) >= a.QueueLimit {
 		mc.RequestsShed++
-		refuse(fmt.Errorf("mic: admission queue full (%d waiting): %w", len(mc.admitQueue), ErrOverloaded))
+		d.reply(requestLatency, fmt.Errorf("mic: admission queue full (%d waiting): %w", len(mc.admitQueue), ErrOverloaded))
 		return
 	}
-	req := &admitReq{at: mc.Net.Eng.Now(), run: run, refuse: refuse}
-	mc.admitQueue = append(mc.admitQueue, req)
+	mc.admitQueue = append(mc.admitQueue, d)
 	mc.RequestsQueued++
 	if n := uint64(len(mc.admitQueue)); n > mc.QueuePeak {
 		mc.QueuePeak = n
 	}
 	if !a.DisableShed {
-		mc.Net.Eng.After(a.QueueDeadline, mc.unit.gate(func() { mc.shedStale(req) }))
+		d.deadlineInc = mc.unit.incarnation
+		mc.Net.Eng.After(a.QueueDeadline, d.deadline)
 	}
 	mc.scheduleDrain()
+}
+
+// deadline is a queued dial's admission deadline, gated on the incarnation
+// that queued it.
+func (d *dial) deadline() {
+	if u := d.mc.unit; !u.down && d.deadlineInc == u.incarnation {
+		d.mc.shedStale(d)
+	}
 }
 
 // refillTokens accrues bucket tokens for the time elapsed since the last
@@ -176,28 +175,28 @@ func (mc *MC) scheduleDrain() {
 func (mc *MC) drainQueue() {
 	mc.refillTokens()
 	for len(mc.admitQueue) > 0 && mc.admitTokens >= 1 {
-		req := mc.admitQueue[0]
+		d := mc.admitQueue[0]
 		mc.admitQueue = mc.admitQueue[1:]
-		if req.done {
+		if d.dequeued {
 			continue
 		}
-		req.done = true
+		d.dequeued = true
 		mc.admitTokens--
 		mc.RequestsAdmitted++
-		req.run()
+		mc.serveChannel(d)
 	}
 	mc.scheduleDrain()
 }
 
 // shedStale answers a queued request that outlived its deadline. The request
 // is refused with a typed error — the client hears back, always.
-func (mc *MC) shedStale(req *admitReq) {
-	if req.done {
+func (mc *MC) shedStale(d *dial) {
+	if d.dequeued {
 		return
 	}
-	req.done = true
-	for i, r := range mc.admitQueue {
-		if r == req {
+	d.dequeued = true
+	for i, q := range mc.admitQueue {
+		if q == d {
 			copy(mc.admitQueue[i:], mc.admitQueue[i+1:])
 			mc.admitQueue[len(mc.admitQueue)-1] = nil
 			mc.admitQueue = mc.admitQueue[:len(mc.admitQueue)-1]
@@ -205,9 +204,10 @@ func (mc *MC) shedStale(req *admitReq) {
 		}
 	}
 	mc.RequestsShed++
-	waited := mc.Net.Eng.Now().Sub(req.at)
-	req.refuse(fmt.Errorf("mic: request shed after queueing %v (deadline %v): %w",
-		waited, mc.Cfg.Admission.QueueDeadline, ErrOverloaded))
+	// The deadline fired exactly one QueueDeadline after the dial queued.
+	waited := mc.Cfg.Admission.QueueDeadline
+	d.reply(requestLatency, fmt.Errorf("mic: request shed after queueing %v (deadline %v): %w",
+		waited, waited, ErrOverloaded))
 }
 
 // quiesceAdmission is the step-down half of planning teardown: every dial
@@ -218,13 +218,13 @@ func (mc *MC) shedStale(req *admitReq) {
 func (mc *MC) quiesceAdmission() {
 	q := mc.admitQueue
 	mc.admitQueue = nil
-	for _, req := range q {
-		if req.done {
+	for _, d := range q {
+		if d.dequeued {
 			continue
 		}
-		req.done = true
+		d.dequeued = true
 		mc.RequestsShed++
-		req.refuse(fmt.Errorf("mic: dial abandoned at step-down: %w", ErrNotActive))
+		d.reply(requestLatency, fmt.Errorf("mic: dial abandoned at step-down: %w", ErrNotActive))
 	}
 }
 

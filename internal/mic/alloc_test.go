@@ -13,20 +13,23 @@ import (
 
 // establishCloseBudget bounds the heap allocations of one EstablishChannel +
 // CloseChannel round on an idle fat-tree(4) controller — the benchmark's
-// mic.establish_allocs kernel: 26 measured, 28 under the race detector (CI
+// mic.establish_allocs kernel: 13 measured, 15 under the race detector (CI
 // runs the suite both ways), plus 25 %. What remains is what the channel
-// keeps — its state and the ChannelInfo handed to the client, a list each for
-// its flow resources and flows, the path and the MN list — plus the request's
-// own closures (one per gate, per switch a delete is sent to, per callback),
-// the record the deletes share, and the test's address formatting and
-// parsing. A round's rule storage — slabs, rule list, mod list — is the store
-// the previous round's close gave back, and a close's switch list is MC
-// scratch; nothing the flow tables or the link and switch indexes do
-// allocates, nor do pools, candidate paths, tuple chains, plan scratch or
-// southbound messages. The closure-per-message control plane spent 406, the
-// map-indexed, boxed-action one 83, the one that kept seven derived lists per
-// channel 36, the one that allocated every channel's storage afresh 31.
-const establishCloseBudget = 32
+// keeps — its state and the ChannelInfo handed to the client, a list each
+// for its flow resources and flows, the path and the MN list — plus two
+// records and the functions bound to them: the dial's record, its step and
+// its install completion, and the close's record and the one completion all
+// its switches' deletes share; and the test's callback and address
+// formatting. A round's rule storage — slabs, rule list, mod list — is the
+// store the previous round's close gave back, and a close's switch list is
+// MC scratch; nothing the flow tables or the link and switch indexes do
+// allocates, nor do address parsing, pools, candidate paths, tuple chains,
+// plan scratch or southbound messages. The closure-per-message control plane
+// spent 406, the map-indexed, boxed-action one 83, the one that kept seven
+// derived lists per channel 36, the one that allocated every channel's
+// storage afresh 31, the one that chained a dial's and a close's steps as
+// closures 26.
+const establishCloseBudget = 16
 
 func TestEstablishCloseAllocBudget(t *testing.T) {
 	f := newFixture(t, Config{MNs: 3})
@@ -61,11 +64,11 @@ func TestEstablishCloseAllocBudget(t *testing.T) {
 
 // TestClosedChannelStorageReused: the next dial builds its rules in the store
 // of a cleanly closed channel — its first entry sits where the closed
-// channel's did — but not in the store of a close a dead switch could not
-// confirm, nor in that of a channel rebuilt from the journal, whose entries
-// another controller life carved. MNs 5 makes every switch of a cross-pod
-// path an MN, so every dial over one templates as many rules and actions as
-// the last and any of its slabs fits.
+// channel's did — or of an epoch a repair superseded and every switch purged,
+// but not in the store of a close or purge a dead switch could not confirm,
+// nor in that of a channel rebuilt from the journal, whose entries another
+// controller life carved. MNs 5 makes every switch of a cross-pod path an MN,
+// so every dial over one templates as many rules and actions as the last.
 func TestClosedChannelStorageReused(t *testing.T) {
 	cfg := Config{MNs: 5}
 	dial := func(t *testing.T, eng *sim.Engine, cp ControlPlane, from, to addr.IP) *ChannelInfo {
@@ -123,6 +126,49 @@ func TestClosedChannelStorageReused(t *testing.T) {
 			t.Fatal("the next dial reused the slab of a close a dead switch never confirmed")
 		}
 		checkBooks(t, f.mc)
+	})
+
+	t.Run("repair purge confirmed", func(t *testing.T) {
+		f := newFixture(t, Config{MNs: 5, AutoRepair: true})
+		info := dial(t, f.eng, f.mc, f.hostIP(0), f.hostIP(15))
+		old := firstEntry(f.mc, info.ID)
+		cutFirstInterSwitchLink(t, f, info.Flows[0].Path)
+		f.eng.RunFor(10 * time.Millisecond)
+		if f.mc.Repairs != 1 || firstEntry(f.mc, info.ID) == old {
+			t.Fatalf("%d repairs; the channel still has its first epoch's entries: %v", f.mc.Repairs, firstEntry(f.mc, info.ID) == old)
+		}
+		if len(f.mc.storeFree) != 1 {
+			t.Fatalf("%d stores on the free list after a purge every switch confirmed, want 1", len(f.mc.storeFree))
+		}
+		next := dial(t, f.eng, f.mc, f.hostIP(1), f.hostIP(14))
+		if firstEntry(f.mc, next.ID) != old {
+			t.Fatal("the next dial's first entry is not in the superseded epoch's slab")
+		}
+		checkBooks(t, f.mc)
+		checkTables(t, f.mc)
+	})
+
+	t.Run("repair purge with a switch down", func(t *testing.T) {
+		f := newFixture(t, Config{MNs: 5, AutoRepair: true})
+		info := dial(t, f.eng, f.mc, f.hostIP(0), f.hostIP(15))
+		old := firstEntry(f.mc, info.ID)
+		victim := info.Flows[0].Path[3] // the core switch: the repair routes around it
+		f.net.SetSwitchDown(victim, true)
+		f.eng.RunFor(2 * time.Second)
+		if f.mc.Repairs != 1 || firstEntry(f.mc, info.ID) == old {
+			t.Fatalf("%d repairs; the channel still has its first epoch's entries: %v", f.mc.Repairs, firstEntry(f.mc, info.ID) == old)
+		}
+		f.net.SetSwitchDown(victim, false)
+		f.eng.RunFor(2 * time.Second)
+		if len(f.mc.storeFree) != 0 {
+			t.Fatal("a purge the dead switch never confirmed put its store on the free list")
+		}
+		next := dial(t, f.eng, f.mc, f.hostIP(1), f.hostIP(14))
+		if firstEntry(f.mc, next.ID) == old {
+			t.Fatal("the next dial reused the slab of a purge a dead switch never confirmed")
+		}
+		checkBooks(t, f.mc)
+		checkTables(t, f.mc)
 	})
 
 	t.Run("journal-replayed channel", func(t *testing.T) {

@@ -1,0 +1,129 @@
+package mic
+
+import (
+	"testing"
+
+	"mic/internal/ctrlplane"
+)
+
+// TestKillPointsOverOneDialAndClose crashes the controller unit right after
+// each engine event of one dial, from its request to its answer, and of one
+// close, from the close to the last delete answer; it then revives the unit
+// and runs to quiescence. The dead life must not answer, except with a dial
+// answer already on the wire when it died. It must send nothing more, on its
+// own southbound channel or on the revived life's, and it must put no store
+// on the free list. Promoted and converged the way a takeover would, the
+// revived life leaves tables and books that agree, and it serves a new dial.
+func TestKillPointsOverOneDialAndClose(t *testing.T) {
+	cfg := Config{MNs: 3, MulticastFanout: 2}
+	type phase struct {
+		name string
+		// begin starts the phase on a fresh bed; done is its answer.
+		begin func(t *testing.T, f *fixture, done func())
+		// wire: an answer scheduled before the crash still arrives. A dial's
+		// answer is a message to the client; a close's is the controller's
+		// own reading of the last delete acknowledgement, which a dead
+		// process never hears.
+		wire bool
+	}
+	dial := func(t *testing.T, f *fixture, done func(*ChannelInfo)) {
+		f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(info *ChannelInfo, err error) {
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			done(info)
+		})
+	}
+	phases := []phase{
+		{name: "dial", wire: true, begin: func(t *testing.T, f *fixture, done func()) {
+			dial(t, f, func(*ChannelInfo) { done() })
+		}},
+		{name: "close", begin: func(t *testing.T, f *fixture, done func()) {
+			var id uint64
+			dial(t, f, func(info *ChannelInfo) { id = info.ID })
+			f.eng.Run()
+			if err := f.mc.CloseChannel(id, done); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, ph := range phases {
+		t.Run(ph.name, func(t *testing.T) {
+			// The undisturbed phase, event by event: lastSeq[k] is the engine's
+			// last scheduled sequence number after k events, answerSeq the
+			// event that answers, and events counts those up to it.
+			ref := newFixture(t, cfg)
+			answerSeq, events := uint64(0), 0
+			ph.begin(t, ref, func() { answerSeq = ref.eng.FiringSeq() })
+			lastSeq := []uint64{ref.eng.LastSeq()}
+			for answerSeq == 0 {
+				if !ref.eng.Step() {
+					t.Fatal("the phase ended unanswered")
+				}
+				events++
+				lastSeq = append(lastSeq, ref.eng.LastSeq())
+			}
+			if events < 8 {
+				t.Fatalf("the phase took %d events; the sweep would prove little", events)
+			}
+			onWire := 0
+			for k := 0; k < events; k++ {
+				f := newFixture(t, cfg)
+				answers := 0
+				ph.begin(t, f, func() { answers++ })
+				for i := 0; i < k; i++ {
+					f.eng.Step()
+				}
+				u, dead := f.mc.unit, f.mc.Ch
+				sent := southbound(dead)
+				u.crash()
+				u.revive()
+				f.eng.Run()
+				want := 0
+				if ph.wire && lastSeq[k] >= answerSeq {
+					want = 1
+				}
+				onWire += want
+				if answers != want {
+					t.Fatalf("killed after event %d of %d: %d answers, want %d", k, events, answers, want)
+				}
+				if got := southbound(dead); got != sent {
+					t.Fatalf("killed after event %d: the dead life's channel counted %+v at its crash, %+v after", k, sent, got)
+				}
+				if got := southbound(f.mc.Ch); got != (southboundCount{}) {
+					t.Fatalf("killed after event %d: the revived standby sent %+v", k, got)
+				}
+				if n := len(f.mc.storeFree); n != 0 || f.mc.LiveChannels() != 0 {
+					t.Fatalf("killed after event %d: %d stores recycled, %d channels live", k, n, f.mc.LiveChannels())
+				}
+				// Promote the revived life with a new generation and converge
+				// every switch, as a takeover does; its journal is empty.
+				u.active, u.generation = true, u.generation+1
+				for _, sw := range f.net.Switches() {
+					u.converge(sw.ID, false, nil)
+				}
+				f.eng.Run()
+				checkTables(t, f.mc)
+				checkBooks(t, f.mc)
+				served := 0
+				dial(t, f, func(*ChannelInfo) { served++ })
+				f.eng.Run()
+				if served != 1 {
+					t.Fatalf("killed after event %d: the revived life did not serve a dial", k)
+				}
+				checkTables(t, f.mc)
+				checkBooks(t, f.mc)
+			}
+			t.Logf("%s: %d kill points, %d with the answer on the wire", ph.name, events, onWire)
+		})
+	}
+}
+
+// southboundCount is what a southbound channel has sent, by kind.
+type southboundCount struct {
+	flowMods, groupMods, deletes, barriers, batches, batchedMods, dumps, hellos, retransmits uint64
+}
+
+func southbound(ch *ctrlplane.Channel) southboundCount {
+	return southboundCount{ch.FlowMods, ch.GroupMods, ch.Deletes, ch.Barriers, ch.Batches, ch.BatchedMods, ch.Dumps, ch.Hellos, ch.Retransmits}
+}

@@ -364,9 +364,13 @@ type MC struct {
 	// read them) and converges switches for it (reconcile).
 	unit *ShardedMC
 
-	// storeFree holds the epoch stores of cleanly closed channels, most
-	// recent last; a new channel or repair epoch takes the last (recycle).
+	// storeFree holds the stores of retired epochs — cleanly closed
+	// channels' and confirmed repair purges' — most recent last; a new
+	// channel or repair epoch takes the last (recycle).
 	storeFree []epochStore
+	// slabHigh is the largest m-flow this MC has templated, in entries and
+	// in actions: the size of every new slab (templateFlow).
+	slabHigh struct{ entries, actions int }
 
 	// repairSubs hear every completed self-healing job, successful or
 	// terminal; downSubs hear a channel abandoned because no live path exists
@@ -401,7 +405,7 @@ type MC struct {
 	// switch's common-routing rule count for derived budgets.
 	admitTokens float64
 	admitLast   sim.Time
-	admitQueue  []*admitReq
+	admitQueue  []*dial
 	drain       sim.Timer // grants the queue's head its token; runs drainQueue
 	ruleCount   map[topo.NodeID]int
 	commonBase  map[topo.NodeID]int

@@ -49,6 +49,31 @@ func TestClusterConfigDefaults(t *testing.T) {
 	}
 }
 
+// probeAdmission sends dials that reach admission one request latency
+// later and records each one's answer, in call order. Their initiator is no
+// host of the fabric, so a dial granted a token is answered one request
+// latency after the grant with the planner's refusal and one refused at
+// admission with ErrOverloaded, as long after the refusal: admission's
+// verdicts and their instants are all that show.
+type probeAdmission struct {
+	f       *fixture
+	answers [][]probeAnswer
+}
+
+type probeAnswer struct {
+	at      sim.Time
+	granted bool
+	err     error
+}
+
+func (p *probeAdmission) dial() {
+	i := len(p.answers)
+	p.answers = append(p.answers, nil)
+	p.f.mc.EstablishChannel(0, p.f.hostIP(15).String(), ChannelOptions{}, func(_ *ChannelInfo, err error) {
+		p.answers[i] = append(p.answers[i], probeAnswer{p.f.eng.Now(), !errors.Is(err, ErrOverloaded), err})
+	})
+}
+
 // TestAdmissionTokenBucket walks the whole limiter with seven concurrent
 // requests: the full bucket admits Burst immediately, the next requests
 // queue up to QueueLimit, overflow is refused on the spot, the first queued
@@ -60,45 +85,38 @@ func TestAdmissionTokenBucket(t *testing.T) {
 		Enabled: true, Rate: 100, Burst: 2,
 		QueueLimit: 2, QueueDeadline: 15 * time.Millisecond,
 	}})
-	type outcome struct {
-		at  sim.Time
-		err error
-	}
-	results := make(map[int][]outcome)
-	f.eng.After(time.Millisecond, func() {
+	p := &probeAdmission{f: f}
+	f.eng.After(time.Millisecond-requestLatency, func() {
 		for i := 0; i < 7; i++ {
-			i := i
-			f.mc.admit(
-				func() { results[i] = append(results[i], outcome{f.eng.Now(), nil}) },
-				func(err error) { results[i] = append(results[i], outcome{f.eng.Now(), err}) },
-			)
+			p.dial()
 		}
 	})
 	f.eng.Run()
 
-	for i := 0; i < 7; i++ {
-		if n := len(results[i]); n != 1 {
+	for i, answers := range p.answers {
+		if n := len(answers); n != 1 {
 			t.Fatalf("request %d answered %d times, want exactly 1", i, n)
 		}
 	}
-	ms := func(d time.Duration) sim.Time { return sim.Time(d) }
+	// An answer leaves one request latency after admission's verdict.
+	ms := func(d time.Duration) sim.Time { return sim.Time(d + requestLatency) }
 	// Bucket starts full: requests 0 and 1 are admitted at arrival.
 	for _, i := range []int{0, 1} {
-		if r := results[i][0]; r.err != nil || r.at != ms(time.Millisecond) {
+		if r := p.answers[i][0]; !r.granted || r.at != ms(time.Millisecond) {
 			t.Errorf("request %d: got (%v, t=%v), want admitted at 1ms", i, r.err, r.at)
 		}
 	}
 	// Request 2 queues and drains when the first token accrues (1/Rate = 10ms).
-	if r := results[2][0]; r.err != nil || r.at != ms(11*time.Millisecond) {
+	if r := p.answers[2][0]; !r.granted || r.at != ms(11*time.Millisecond) {
 		t.Errorf("request 2: got (%v, t=%v), want admitted at 11ms", r.err, r.at)
 	}
 	// Request 3 queues behind it and outlives the 15ms deadline: shed at 16ms.
-	if r := results[3][0]; !errors.Is(r.err, ErrOverloaded) || r.at != ms(16*time.Millisecond) {
+	if r := p.answers[3][0]; r.granted || r.at != ms(16*time.Millisecond) {
 		t.Errorf("request 3: got (%v, t=%v), want shed with ErrOverloaded at 16ms", r.err, r.at)
 	}
 	// Requests 4-6 find the queue full and are refused immediately.
 	for _, i := range []int{4, 5, 6} {
-		if r := results[i][0]; !errors.Is(r.err, ErrOverloaded) || r.at != ms(time.Millisecond) {
+		if r := p.answers[i][0]; r.granted || r.at != ms(time.Millisecond) {
 			t.Errorf("request %d: got (%v, t=%v), want queue-full refusal at 1ms", i, r.err, r.at)
 		}
 	}
@@ -111,15 +129,21 @@ func TestAdmissionTokenBucket(t *testing.T) {
 }
 
 // TestAdmissionDisabledIsPassThrough: the zero AdmissionConfig must keep the
-// seed behaviour — every request runs inline, nothing is counted.
+// seed behaviour — every request is served at once, nothing is counted.
 func TestAdmissionDisabledIsPassThrough(t *testing.T) {
 	f := newFixture(t, Config{})
-	ran := 0
+	p := &probeAdmission{f: f}
 	for i := 0; i < 100; i++ {
-		f.mc.admit(func() { ran++ }, func(error) { t.Fatal("refused with admission disabled") })
+		p.dial()
 	}
-	if ran != 100 || f.mc.RequestsAdmitted != 0 {
-		t.Fatalf("ran=%d admitted=%d, want 100 runs and no accounting", ran, f.mc.RequestsAdmitted)
+	f.eng.Run()
+	for i, answers := range p.answers {
+		if len(answers) != 1 || !answers[0].granted || answers[0].at != sim.Time(2*requestLatency) {
+			t.Fatalf("request %d answered %v, want served on arrival with admission disabled", i, answers)
+		}
+	}
+	if f.mc.RequestsAdmitted != 0 {
+		t.Fatalf("admitted=%d, want no accounting", f.mc.RequestsAdmitted)
 	}
 }
 
@@ -131,17 +155,18 @@ func TestCrashStopsAdmissionDrain(t *testing.T) {
 	f := newFixture(t, Config{Admission: AdmissionConfig{
 		Enabled: true, Rate: 100, Burst: 1, QueueLimit: 4, QueueDeadline: time.Second,
 	}})
-	ran := 0
+	p := &probeAdmission{f: f}
 	for i := 0; i < 2; i++ {
-		f.mc.admit(func() { ran++ }, func(err error) { t.Errorf("refused: %v", err) })
+		p.dial()
 	}
-	if ran != 1 || len(f.mc.admitQueue) != 1 || !f.mc.drain.Armed() {
-		t.Fatalf("ran %d, queued %d, drain armed %v; want 1, 1, true", ran, len(f.mc.admitQueue), f.mc.drain.Armed())
+	f.eng.RunFor(requestLatency)
+	if f.mc.RequestsAdmitted != 1 || len(f.mc.admitQueue) != 1 || !f.mc.drain.Armed() {
+		t.Fatalf("admitted %d, queued %d, drain armed %v; want 1, 1, true", f.mc.RequestsAdmitted, len(f.mc.admitQueue), f.mc.drain.Armed())
 	}
 	f.mc.unit.crash()
 	f.eng.Run()
-	if ran != 1 || f.mc.RequestsAdmitted != 1 {
-		t.Fatalf("the dead life admitted its queue: ran %d, admitted %d", ran, f.mc.RequestsAdmitted)
+	if len(p.answers[1]) != 0 || f.mc.RequestsAdmitted != 1 {
+		t.Fatalf("the dead life admitted its queue: answers %v, admitted %d", p.answers[1], f.mc.RequestsAdmitted)
 	}
 	f.mc.unit.revive()
 	if len(f.mc.admitQueue) != 0 || f.mc.drain.Armed() || f.mc.admitTokens != 1 {

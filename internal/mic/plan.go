@@ -53,7 +53,7 @@ type planScratch struct {
 	fwd, rev           []tuple   // templateFlow's tuple chains
 	recs               []ruleRec // templateFlow's output, consumed by computeFlow
 
-	switches []topo.NodeID // purgeClosed: the switch list deleteEpoch walks at once
+	switches []topo.NodeID // CloseChannel: the switch list deleteEpoch walks at once
 }
 
 // planFlow selects a path and places opts.MNs Mimic Nodes on it (clamped to
@@ -132,11 +132,11 @@ func (mc *MC) allocFlowRes(st *channelState, plan flowPlan) (flowRes, error) {
 // templateFlow is the templater stage: the MAGA tuple chains in both
 // directions and the complete rewrite/forward/multicast rule set for one
 // planned m-flow, emitted as self-contained ruleRecs carved from the returned
-// slab — spare, an emptied slab of a closed channel, if it has room, else a
+// slab — spare, an emptied slab of a retired epoch, if it has room, else a
 // new one. It writes nothing into MC or channel state beyond the scratch the
-// chains and the returned recs live in (valid until the next templateFlow) —
-// groups are numbered from groupBase, and the caller advances mc.nextGroup by
-// the returned groupsUsed.
+// chains and the returned recs live in (valid until the next templateFlow)
+// and the slab high-water mark — groups are numbered from groupBase, and the
+// caller advances mc.nextGroup by the returned groupsUsed.
 func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, opts ChannelOptions, cookie uint64, groupBase uint32, spare flowtable.Slab) (recs []ruleRec, slab flowtable.Slab, fi FlowInfo, groupsUsed uint32) {
 	g := mc.Net.Graph
 	path, mnPos, n := plan.path, plan.mnPos, plan.n
@@ -197,8 +197,12 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 		decoys = groups * (opts.MulticastFanout - 1)
 	}
 	entries, actions := rules+decoys, 2*(n*maxMNActions+1)+rules-2*n+groups+decoys*maxMNActions
+	// A new slab is as large as the largest m-flow templated yet, so a
+	// recycled one fits whatever m-flow comes next.
+	hw := &mc.slabHigh
+	hw.entries, hw.actions = max(hw.entries, entries), max(hw.actions, actions)
 	if slab = spare; !slab.Fits(entries, actions) {
-		slab = flowtable.NewSlab(entries, actions)
+		slab = flowtable.NewSlab(hw.entries, hw.actions)
 	}
 	add := func(node topo.NodeID, m flowtable.Match, actions []flowtable.Action, grp *flowtable.Group) {
 		recs = append(recs, ruleRec{node: node, group: grp, entry: slab.Entry(flowtable.Entry{

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"mic/internal/addr"
 	"mic/internal/ctrlplane"
@@ -62,7 +63,8 @@ func (t tuple) match() flowtable.Match {
 // complete — the interval a client measures as "MIC connect" time (Fig 7).
 func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOptions, cb func(*ChannelInfo, error)) {
 	mc.Requests++
-	opts = opts.withDefaults(mc.Cfg)
+	d := &dial{mc: mc, initiator: initiator, target: target, opts: opts.withDefaults(mc.Cfg), cb: cb}
+	d.step = d.run
 	// A live controller that is not the acting master refuses new dials
 	// outright. This is the step-down contract: a deposed active answers
 	// ErrNotActive (after the request round trip) instead of planning
@@ -70,7 +72,7 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 	// re-dials the successor. A crashed MC stays silent — dead processes
 	// don't answer — and the gate below drops the request as before.
 	if u := mc.unit; !u.down && !u.active {
-		mc.Net.Eng.After(2*requestLatency, func() { cb(nil, ErrNotActive) })
+		d.reply(2*requestLatency, ErrNotActive)
 		return
 	}
 	// Request packet: sealed by the client, opened by the MC. Both handling
@@ -78,17 +80,88 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 	// dies simply vanishes, like any message to a dead process, and the
 	// caller's retry layer (Cluster) re-issues it to the new active.
 	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
-	mc.Net.Eng.After(requestLatency, mc.unit.gate(func() {
+	d.next(dialRequest, requestLatency)
+}
+
+// dial is one channel request's way through the MC, from the request packet
+// to the answer, as one record whose one step runs every stage. The stages
+// are linear — each schedules the next, or hands the record to admission or
+// to the southbound channel, which call back once — so at most one engine
+// event names the record, besides a queued request's admission deadline.
+//
+// A gated stage runs only while the unit lives in the incarnation stamped
+// when the stage was scheduled: a request in flight when its controller died
+// or stepped down must not act on the state a later life rebuilt. The answer
+// is not gated: once sent it arrives, like any message already on the wire.
+// Records are never reused, since an engine event cannot be taken back and
+// one firing on a reused record would read the new request's incarnation.
+type dial struct {
+	mc        *MC
+	initiator addr.IP
+	stage     dialStage // what the next step does
+	dequeued  bool      // admission: the request left the queue, granted a token or shed
+	target    string
+	opts      ChannelOptions
+	cb        func(*ChannelInfo, error)
+
+	inc         uint64        // the incarnation a gated stage runs in
+	deadlineInc uint64        // admission: the incarnation its queue deadline runs in
+	step        func()        // run, bound once: every engine event of the chain
+	st          *channelState // the channel planned for the request
+	err         error         // the answer's refusal; nil answers with st.info
+}
+
+// dialStage is what a dial's next step does.
+type dialStage uint8
+
+const (
+	dialRequest dialStage = iota // gated: the request reaches the MC and asks admission
+	dialInstall                  // gated: the planner is done; install the channel's rules
+	dialAnswer                   // the answer reaches the client
+)
+
+// next schedules stage after delay, gated on the incarnation of now.
+func (d *dial) next(stage dialStage, delay time.Duration) {
+	d.stage, d.inc = stage, d.mc.unit.incarnation
+	d.mc.Net.Eng.After(delay, d.step)
+}
+
+// reply sends the client its answer — err, or the channel if err is nil —
+// which arrives after delay.
+func (d *dial) reply(delay time.Duration, err error) {
+	d.stage, d.err = dialAnswer, err
+	d.mc.Net.Eng.After(delay, d.step)
+}
+
+// run is the dial's one step.
+func (d *dial) run() {
+	if d.stage == dialAnswer {
+		if d.err != nil {
+			d.cb(nil, d.err)
+		} else {
+			d.cb(d.st.info, nil)
+		}
+		return
+	}
+	if !d.live() {
+		return
+	}
+	switch d.stage {
+	case dialRequest:
 		// Admission control (admission.go): the request either gets a token
 		// now, waits in the bounded queue, or is refused with a typed
 		// ErrOverloaded — never silently dropped.
-		mc.admit(
-			func() { mc.serveChannel(initiator, target, opts, cb) },
-			func(err error) {
-				mc.Net.Eng.After(requestLatency, func() { cb(nil, err) })
-			},
-		)
-	}))
+		d.mc.admit(d)
+	case dialInstall:
+		d.install()
+	}
+}
+
+// live reports whether the unit still lives in the incarnation the dial's
+// gated stage was scheduled in.
+func (d *dial) live() bool {
+	u := d.mc.unit
+	return !u.down && d.inc == u.incarnation
 }
 
 // serveChannel is the admitted half of EstablishChannel: planning, rule
@@ -99,14 +172,14 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 // the planner would actually have finished it, so a storm of dials queues
 // behind the controller's plan throughput exactly as on real hardware —
 // and sharded controllers (shard.go) each bring their own core.
-func (mc *MC) serveChannel(initiator addr.IP, target string, opts ChannelOptions, cb func(*ChannelInfo, error)) {
+func (mc *MC) serveChannel(d *dial) {
 	mc.planCost = 0
-	st, err := mc.computeChannel(initiator, target, opts)
+	st, err := mc.computeChannel(d.initiator, d.target, d.opts)
 	cost := mc.planCost
 	mc.planCost = 0
 	mc.Net.CPU.Charge("mc", cost)
 	if err != nil {
-		mc.Net.Eng.After(requestLatency, func() { cb(nil, err) })
+		d.reply(requestLatency, err)
 		return
 	}
 	now := mc.Net.Eng.Now()
@@ -116,22 +189,32 @@ func (mc *MC) serveChannel(initiator addr.IP, target string, opts ChannelOptions
 	}
 	mc.cpuFree = start.Add(cost)
 	delay := mc.cpuFree.Sub(now)
-	// Acknowledgement: sealed by the MC, opened by the client.
+	// Acknowledgement: sealed by the MC, opened by the client. The install
+	// and its acknowledgement are gated on this incarnation.
 	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
-	acked := mc.unit.gate(func() {
-		mc.Net.Eng.After(requestLatency, func() { cb(st.info, nil) })
-	})
-	mc.Net.Eng.After(delay, mc.unit.gate(func() {
-		// A repair or close may have come first: what goes out is the epoch
-		// the channel has now (rules in place replace themselves), or nothing.
-		if mc.channels[st.id] != st {
-			mc.Net.Eng.After(requestLatency, func() { cb(nil, fmt.Errorf("mic: channel %d closed before its rules were installed", st.id)) })
-			return
-		}
-		// One coalesced southbound message per switch, closed by a single
-		// barrier — the installer stage of the pipeline.
-		mc.Ch.InstallBatched(st.mods, func(int) { acked() })
-	}))
+	d.st = st
+	d.next(dialInstall, delay)
+}
+
+// install sends the planned channel's rules, once the planner is done.
+func (d *dial) install() {
+	mc, st := d.mc, d.st
+	// A repair or close may have come first: what goes out is the epoch the
+	// channel has now (rules in place replace themselves), or nothing.
+	if mc.channels[st.id] != st {
+		d.reply(requestLatency, fmt.Errorf("mic: channel %d closed before its rules were installed", st.id))
+		return
+	}
+	// One coalesced southbound message per switch, closed by a single
+	// barrier — the installer stage of the pipeline.
+	mc.Ch.InstallBatched(st.mods, d.installed)
+}
+
+// installed answers the client once the switches confirmed the install.
+func (d *dial) installed(int) {
+	if d.live() {
+		d.reply(requestLatency, nil)
+	}
 }
 
 // computeChannel performs the MC's routing calculation synchronously and
@@ -612,9 +695,11 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 	//
 	// Update the existing ChannelInfo in place: clients hold a pointer to
 	// it, so they observe the repaired paths without a new round trip.
-	// The old epoch's store is left to the collector: its entries stay
-	// installed until the purge below is confirmed.
-	oldSwitches, oldCookie, oldRules := st.switches(nil), st.cookie(), st.rules
+	// The old epoch's store goes with its purge, which recycles it if this
+	// life, which carved it, is still the unit's when the purge is answered.
+	old := st.epochStore
+	purge := &epochDelete{mc: mc, store: &old, inc: mc.unit.incarnation}
+	oldSwitches, oldCookie := st.switches(nil), st.cookie()
 	next.mods = mods
 	*st.info = *next.info
 	st.epochStore, st.epoch, st.gen = next.epochStore, next.epoch, next.gen
@@ -628,51 +713,54 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 		} else {
 			cb(nil)
 		}
-		mc.deleteEpoch(oldSwitches, oldCookie, oldRules, nil)
+		mc.deleteEpoch(purge, oldSwitches, oldCookie)
 	})
 }
 
 // deleteEpoch deletes one rule epoch of a channel — a repair's superseded
 // one or a closing channel's last — from every switch it was installed on,
-// in the order given (channelState.switches: ascending), and calls done (may
-// be nil) once every switch has answered or been given up on, confirmed when
-// every one answered. A switch's answer also takes the epoch's groups among
-// rules off it: the delete applied after every install of them sent there. A
-// dead switch, or a live one that never acknowledges the delete, is handed to
-// the unit to reconcile: at once if it is up, when it reconnects if not (a
+// in the order given (channelState.switches: ascending), and finishes d once
+// every switch has answered or been given up on, confirmed when every one
+// answered. A switch's answer also takes the epoch's groups off it: the
+// delete applied after every install of them sent there. A dead
+// switch, or a live one that never acknowledges the delete, is handed to the
+// unit to reconcile: at once if it is up, when it reconnects if not (a
 // restarting switch comes back with whatever rules it had).
-func (mc *MC) deleteEpoch(switches []topo.NodeID, cookie uint64, rules []ruleRec, done func(confirmed bool)) {
+func (mc *MC) deleteEpoch(d *epochDelete, switches []topo.NodeID, cookie uint64) {
+	d.remaining = len(switches)
 	if len(switches) == 0 {
-		if done != nil {
-			mc.Net.Eng.After(0, func() { done(true) })
+		if d.closed != nil {
+			mc.Net.Eng.After(0, func() { d.finish(true) })
 		}
 		return
 	}
-	d := &epochDelete{mc: mc, rules: rules, remaining: len(switches), done: done}
+	answered := d.answered // one function for every switch's answer
 	for _, node := range switches {
-		node := node
 		if sw := mc.Net.Switch(node); sw.Down {
-			d.answered(node, -1)
+			answered(node, -1)
 		} else {
-			mc.Ch.DeleteByCookie(sw, cookie, func(removed int) { d.answered(node, removed) })
+			mc.Ch.DeleteByCookie(sw, cookie, answered)
 		}
 	}
 }
 
-// epochDelete is what one deleteEpoch's switches share, so that each
-// switch's completion closure holds a pointer and a node ID and no more (a
-// close allocates one per switch, and that is most of what a close costs).
+// epochDelete is one deleteEpoch: what its switches' answers share, and what
+// follows the last of them — a close's finish, or the recycling of a
+// repair's superseded store.
 type epochDelete struct {
 	mc        *MC
-	rules     []ruleRec
+	store     *epochStore // the epoch's rules and their storage
 	remaining int
 	stale     bool // some switch did not confirm
-	done      func(confirmed bool)
+
+	closed *channelState // a close: the channel closed
+	cb     func()        // a close: the caller's callback, may be nil
+	inc    uint64        // a repair's purge: the incarnation that carved the store
 }
 
 func (d *epochDelete) answered(node topo.NodeID, removed int) {
 	// Group IDs are never reused, so no later epoch's group is among these.
-	for _, rr := range d.rules {
+	for _, rr := range d.store.rules {
 		if rr.node == node && rr.group != nil {
 			d.mc.Net.Switch(node).Table.DeleteGroup(rr.group.ID)
 		}
@@ -681,8 +769,37 @@ func (d *epochDelete) answered(node topo.NodeID, removed int) {
 		d.mc.unit.reconcile(node)
 		d.stale = true
 	}
-	if d.remaining--; d.remaining == 0 && d.done != nil {
-		d.done(!d.stale)
+	if d.remaining--; d.remaining == 0 {
+		d.finish(!d.stale)
+	}
+}
+
+// finish follows the epoch's last answer. A close releases the rule budget
+// only now: until every switch has acknowledged its deletes the slots are
+// still physically occupied, and releasing early would let a dial admitted
+// during the delete window install into a still-full table — refused under
+// the deny-new policy and silently blackholed. For the same reason the
+// degraded-channel restore fires after the last ack, so its install lands on
+// freed slots. That part is gated on the unit being alive when the answer
+// arrives: a promoted life rebuilds its own accounting. A repair's purge
+// recycles the superseded store, gated on the life that carved it.
+func (d *epochDelete) finish(confirmed bool) {
+	mc, u := d.mc, d.mc.unit
+	if st := d.closed; st != nil {
+		if !u.down {
+			mc.unbook(st, nil, nil, st.rules)
+			if confirmed {
+				mc.recycle(d.store)
+			}
+			mc.maybeRestoreDegraded()
+		}
+		if d.cb != nil {
+			d.cb()
+		}
+		return
+	}
+	if confirmed && !u.down && d.inc == u.incarnation {
+		mc.recycle(d.store)
 	}
 }
 
@@ -774,39 +891,23 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 	mc.journalClose(id)
 	mc.unbook(st, st.res, st.info.Flows, nil)
 	// Rule-budget intent is released only once every switch has
-	// acknowledged its deletes: until then the slots are still physically
-	// occupied, and releasing early would let a dial admitted during the
-	// delete window install into a still-full table — refused under the
-	// deny-new policy and silently blackholed. For the same reason the
-	// degraded-channel restore fires after the last ack, so its install lands
-	// on freed slots. Gated: a promoted life rebuilds its own accounting.
-	finish := func(confirmed bool) {
-		mc.unit.gate(func() {
-			mc.unbook(st, nil, nil, st.rules)
-			if confirmed {
-				mc.recycle(st)
-			}
-			mc.maybeRestoreDegraded()
-		})()
-		if cb != nil {
-			cb()
-		}
-	}
+	// acknowledged its deletes (epochDelete.finish).
 	mc.scratch.switches = st.switches(mc.scratch.switches)
-	mc.deleteEpoch(mc.scratch.switches, st.cookie(), st.rules, finish)
+	mc.deleteEpoch(&epochDelete{mc: mc, store: &st.epochStore, closed: st, cb: cb}, mc.scratch.switches, st.cookie())
 	return nil
 }
 
-// recycle puts a closed channel's epoch store on the free list, where the
-// next channel or repair epoch builds its rules in it: the rule and mod lists
+// recycle puts the store of an epoch whose rules are gone — a closed
+// channel's, or a repair's superseded one — on the free list, where the next
+// channel or repair epoch builds its rules in it: the rule and mod lists
 // refilled, each slab carved again from the start. That overwrites every
-// entry and action list the channel had, so the store goes back only when
+// entry and action list the epoch had, so the store goes back only when
 // nothing can reach them any more:
 //
-//   - every switch confirmed the epoch's delete (CloseChannel's confirmed):
-//     no switch was left marked, so no table holds an entry, and no
-//     southbound message that carried them is out — each delete applied after
-//     every one sent to its switch, and none went to a switch the channel
+//   - every switch confirmed the epoch's delete (epochDelete.finish's
+//     confirmed): no switch was left marked, so no table holds an entry, and
+//     no southbound message that carried them is out — each delete applied
+//     after every one sent to its switch, and none went to a switch the epoch
 //     has no rule on. A frame that looked a rule up before its delete ran its
 //     actions a switch latency later, inside the delete's acknowledgement
 //     round trip;
@@ -815,16 +916,16 @@ func (mc *MC) CloseChannel(id uint64, cb func()) error {
 //     standby holds too.
 //
 // Anything else is left to the collector.
-func (mc *MC) recycle(st *channelState) {
-	if len(st.slabs) == 0 {
+func (mc *MC) recycle(s *epochStore) {
+	if len(s.slabs) == 0 {
 		return
 	}
-	for i := range st.slabs {
-		st.slabs[i].Reset()
+	for i := range s.slabs {
+		s.slabs[i].Reset()
 	}
-	clear(st.rules)
-	clear(st.mods)
-	mc.storeFree = append(mc.storeFree, epochStore{rules: st.rules[:0], slabs: st.slabs[:0], mods: st.mods[:0]})
+	clear(s.rules)
+	clear(s.mods)
+	mc.storeFree = append(mc.storeFree, epochStore{rules: s.rules[:0], slabs: s.slabs[:0], mods: s.mods[:0]})
 }
 
 // takeStore hands a new epoch the most recently recycled store, or an empty

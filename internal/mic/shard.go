@@ -589,16 +589,20 @@ func (s *ShardedMC) pass(sw *netsim.Switch, done func(reinstalled, stale int, ok
 		}
 		have, stale, _, _ := s.diff(sw.ID, entries)
 		reinstalled, staleDeleted, out := 0, 0, len(s.shards)
+		inc := s.incarnation
+		deleted := func(_ topo.NodeID, removed int) { // one for every stale cookie
+			if !s.down && inc == s.incarnation {
+				ok = ok && removed >= 0
+				staleDeleted += max(removed, 0)
+			}
+		}
 		for i, sh := range s.shards {
 			mods, n := sh.missingAt(sw, have, groups)
 			reinstalled += n
 			sh.Ch.InstallAllResult(mods, gated(s, func(failed int) { ok = ok && failed == 0 }))
 			for _, cookie := range stale {
 				if s.instanceShard(uint32(cookieChannel(cookie)>>32)) == i {
-					sh.Ch.DeleteByCookie(sw, cookie, gated(s, func(removed int) {
-						ok = ok && removed >= 0
-						staleDeleted += max(removed, 0)
-					}))
+					sh.Ch.DeleteByCookie(sw, cookie, deleted)
 				}
 			}
 			sh.Ch.Barrier(sw, gated(s, func(acked bool) {
