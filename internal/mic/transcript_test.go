@@ -72,8 +72,9 @@ var transcriptFaults = []struct {
 // streamTranscript runs one transfer (a forward body, then a reply once the
 // body has fully arrived) over an F-flow channel whose switch-to-switch
 // links all carry fault from the moment the stream opens, and renders what
-// both endpoints handed to their conns.
-func streamTranscript(t *testing.T, flows int, fault netsim.FaultProfile, seed uint64) string {
+// both endpoints handed to their conns. A non-zero uniform pads every slice
+// of both endpoints to that many bytes (SetUniformSliceSize).
+func streamTranscript(t *testing.T, flows int, fault netsim.FaultProfile, uniform int, seed uint64) string {
 	const fwdSize, revSize = 160 << 10, 6000
 	g, err := topo.FatTree(4)
 	if err != nil {
@@ -94,6 +95,7 @@ func streamTranscript(t *testing.T, flows int, fault netsim.FaultProfile, seed u
 	fwdGot, revGot := 0, 0
 	Listen(dst, 80, false, func(s *Stream) {
 		server, serverRecs = s, record(s, eng)
+		s.SetUniformSliceSize(uniform)
 		s.OnData(func(b []byte) {
 			fwdCRC = crc32.Update(fwdCRC, castagnoli, b)
 			if fwdGot += len(b); fwdGot == fwdSize {
@@ -107,6 +109,7 @@ func streamTranscript(t *testing.T, flows int, fault netsim.FaultProfile, seed u
 			t.Fatalf("dial: %v", err)
 		}
 		client, clientRecs = s, record(s, eng)
+		s.SetUniformSliceSize(uniform)
 		if !fault.IsZero() {
 			for _, sw := range g.Switches() {
 				for port, p := range g.Node(sw).Ports {
@@ -150,7 +153,17 @@ func TestStreamTranscriptGolden(t *testing.T) {
 		for _, fault := range transcriptFaults {
 			for seed := uint64(1); seed <= 20; seed++ {
 				fmt.Fprintf(&b, "== F=%d fault=%s seed=%d\n", flows, fault.name, seed)
-				b.WriteString(streamTranscript(t, flows, fault.f, seed))
+				b.WriteString(streamTranscript(t, flows, fault.f, 0, seed))
+			}
+		}
+	}
+	// Uniform slices: payloads far above maxSlice, padded frame lengths.
+	for _, uniform := range []int{4096, 16384} {
+		for _, fault := range []int{0, 2} {
+			fault := transcriptFaults[fault]
+			for seed := uint64(1); seed <= 20; seed++ {
+				fmt.Fprintf(&b, "== F=2 fault=%s uniform=%d seed=%d\n", fault.name, uniform, seed)
+				b.WriteString(streamTranscript(t, 2, fault.f, uniform, seed))
 			}
 		}
 	}
