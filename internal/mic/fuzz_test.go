@@ -17,90 +17,131 @@ import (
 // FuzzStreamFeed is a differential fuzzer for the receive path. The input
 // is a script: each 4-byte step picks a sequence number out of a small
 // space (so duplicates, gaps and late fills are common), a payload length,
-// the conn the frame arrives on and where that frame is cut into two
-// fragments — the second fragment is held back until the conn's next frame,
-// so frames of different conns interleave mid-frame. The stream must deliver
-// exactly the bytes, and count exactly the duplicates, of a naive map-based
-// reassembler that sees whole frames in completion order.
+// the conn the frame arrives on and how the conn's bytes are cut. Every
+// script runs twice:
+//
+//   - fragments: each frame is cut into two calls and the second is held
+//     back until the conn's next frame, so frames of different conns
+//     interleave mid-frame;
+//   - segments: a conn's bytes accumulate (odd cut byte) or go out in one
+//     call that keeps back only the tail of the newest frame, so a call
+//     carries the rest of a cut frame, whole frames, then the head of the
+//     next, with cuts inside the header as well.
+//
+// Every fed buffer is overwritten once feed returns, so a held slice that
+// still aliases its input shows up as corrupt bytes. The stream must
+// deliver exactly the bytes, count exactly the duplicates and hold exactly
+// the slices of a naive map-based reassembler that sees whole frames in
+// completion order.
 func FuzzStreamFeed(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 1, 5, 1, 3})
 	f.Add([]byte{1, 5, 0, 2, 0, 6, 1, 9, 0, 6, 0, 0, 2, 0, 1, 1})
 	f.Add([]byte{3, 200, 2, 7, 2, 9, 1, 0, 1, 1, 0, 255, 0, 40, 2, 3})
+	f.Add([]byte{2, 30, 0, 1, 1, 30, 0, 5, 0, 30, 0, 14, 3, 30, 1, 2, 4, 9, 0, 68})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		const conns = 3
-		s := &Stream{
-			reasm:    make(map[uint32][]byte),
-			parse:    make([]bytequeue.Queue, conns),
-			slicesIn: make([]int64, conns),
-		}
-		var got []byte
-		s.OnData(func(b []byte) { got = append(got, b...) })
-
-		// The reference: whole frames, in the order they complete.
-		var want []byte
-		model := map[uint32][]byte{}
-		var next uint32
-		var dups int64
-		complete := func(seq uint32, payload []byte) {
-			if _, held := model[seq]; held || seq < next {
-				dups++
-				return
-			}
-			model[seq] = payload
-			for p, ok := model[next]; ok; p, ok = model[next] {
-				want = append(want, p...)
-				delete(model, next)
-				next++
-			}
-		}
-
-		type held struct {
-			tail    []byte
-			seq     uint32
-			payload []byte
-		}
-		var pending [conns]*held
-		flush := func(c int) {
-			if h := pending[c]; h != nil {
-				pending[c] = nil
-				s.feed(c, h.tail)
-				complete(h.seq, h.payload)
-			}
-		}
-		for step := 0; len(script) >= 4; step++ {
-			seq, n, c, cut := uint32(script[0]%24), int(script[1]), int(script[2])%conns, int(script[3])
-			script = script[4:]
-			flush(c)
-			payload := make([]byte, n)
-			for i := range payload {
-				payload[i] = byte(step*31 + i)
-			}
-			frame := make([]byte, sliceHeaderLen+n+cut%3) // sometimes padded
-			binary.BigEndian.PutUint32(frame[0:4], seq)
-			binary.BigEndian.PutUint16(frame[4:6], uint16(n))
-			binary.BigEndian.PutUint16(frame[6:8], uint16(len(frame)-sliceHeaderLen))
-			copy(frame[sliceHeaderLen:], payload)
-			cut %= len(frame) + 1
-			s.feed(c, frame[:cut])
-			if cut == len(frame) {
-				complete(seq, payload)
-				continue
-			}
-			pending[c] = &held{tail: frame[cut:], seq: seq, payload: payload}
-		}
-		for c := range pending {
-			flush(c)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("delivered %d bytes, reference %d; first difference at %d", len(got), len(want), diffAt(got, want))
-		}
-		if s.SlicesDup != dups {
-			t.Fatalf("SlicesDup = %d, reference %d", s.SlicesDup, dups)
-		}
-		if s.seqIn != next || len(s.reasm) != len(model) {
-			t.Fatalf("stream at seq %d holding %d, reference at %d holding %d", s.seqIn, len(s.reasm), next, len(model))
+		for _, segments := range []bool{false, true} {
+			feedScript(t, script, segments)
 		}
 	})
+}
+
+func feedScript(t *testing.T, script []byte, segments bool) {
+	const conns = 3
+	s := &Stream{
+		parse:    make([]bytequeue.Queue, conns),
+		slicesIn: make([]int64, conns),
+	}
+	var got []byte
+	s.OnData(func(b []byte) { got = append(got, b...) })
+	feed := func(c int, b []byte) {
+		s.feed(c, b)
+		for i := range b {
+			b[i] = 0xA5
+		}
+	}
+
+	// The reference: whole frames, in the order they complete.
+	var want []byte
+	model := map[uint32][]byte{}
+	var next uint32
+	var dups int64
+	complete := func(seq uint32, payload []byte) {
+		if _, held := model[seq]; held || seq < next {
+			dups++
+			return
+		}
+		model[seq] = payload
+		for p, ok := model[next]; ok; p, ok = model[next] {
+			want = append(want, p...)
+			delete(model, next)
+			next++
+		}
+	}
+
+	type frame struct {
+		end     int // the conn's byte offset just past the frame
+		seq     uint32
+		payload []byte
+	}
+	var (
+		pending [conns][]byte  // bytes a conn has yet to feed
+		fed     [conns]int     // bytes a conn has fed
+		open    [conns][]frame // frames not wholly fed, in order
+		scratch []byte
+	)
+	flush := func(c, k int) { // feed the first k pending bytes of conn c
+		scratch = append(scratch[:0], pending[c][:k]...)
+		pending[c] = pending[c][k:]
+		fed[c] += k
+		feed(c, scratch)
+		for len(open[c]) > 0 && open[c][0].end <= fed[c] {
+			complete(open[c][0].seq, open[c][0].payload)
+			open[c] = open[c][1:]
+		}
+	}
+	for step := 0; len(script) >= 4; step++ {
+		seq, n, c, cut := uint32(script[0]%24), int(script[1]), int(script[2])%conns, int(script[3])
+		script = script[4:]
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(step*31 + i)
+		}
+		frameBytes := make([]byte, sliceHeaderLen+n+cut%3) // sometimes padded
+		binary.BigEndian.PutUint32(frameBytes[0:4], seq)
+		binary.BigEndian.PutUint16(frameBytes[4:6], uint16(n))
+		binary.BigEndian.PutUint16(frameBytes[6:8], uint16(len(frameBytes)-sliceHeaderLen))
+		copy(frameBytes[sliceHeaderLen:], payload)
+		if segments {
+			pending[c] = append(pending[c], frameBytes...)
+			open[c] = append(open[c], frame{end: fed[c] + len(pending[c]), seq: seq, payload: payload})
+			if cut%2 == 0 {
+				flush(c, len(pending[c])-(cut/2)%(len(frameBytes)+1))
+			}
+			continue
+		}
+		flush(c, len(pending[c])) // the tail of the conn's previous frame
+		cut %= len(frameBytes) + 1
+		pending[c] = frameBytes[cut:]
+		open[c] = append(open[c], frame{end: fed[c] + len(frameBytes), seq: seq, payload: payload})
+		feed(c, frameBytes[:cut])
+		fed[c] += cut
+		if cut == len(frameBytes) {
+			complete(seq, payload)
+			open[c] = open[c][1:]
+		}
+	}
+	for c := range pending {
+		flush(c, len(pending[c]))
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("segments=%v: delivered %d bytes, reference %d; first difference at %d", segments, len(got), len(want), diffAt(got, want))
+	}
+	if s.SlicesDup != dups {
+		t.Fatalf("segments=%v: SlicesDup = %d, reference %d", segments, s.SlicesDup, dups)
+	}
+	if s.seqIn != next || s.reasm.held != len(model) {
+		t.Fatalf("segments=%v: stream at seq %d holding %d, reference at %d holding %d", segments, s.seqIn, s.reasm.held, next, len(model))
+	}
 }
 
 func diffAt(a, b []byte) int {

@@ -540,7 +540,6 @@ func TestIDRecycling(t *testing.T) {
 func TestStreamSliceReassemblyOutOfOrder(t *testing.T) {
 	// Direct unit test of the slicing protocol: feed slices out of order.
 	s := &Stream{
-		reasm:    make(map[uint32][]byte),
 		parse:    make([]bytequeue.Queue, 2),
 		slicesIn: make([]int64, 2),
 	}

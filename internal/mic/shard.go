@@ -55,6 +55,14 @@ type ShardedMC struct {
 	recon []switchRecon
 	// reinstalled and staleDeleted count what the unit's passes did.
 	reinstalled, staleDeleted uint64
+	// Reconcile scratch, cleared on entry by unionIntent (intent,
+	// groupIntent) and diff (have). What those return dies inside the call
+	// or callback that reads it: a pass consumes have in its dump callback,
+	// its barrier callback reads group intent at once, and the audit keeps
+	// only counts.
+	intent      map[reconKey]*flowtable.Entry
+	groupIntent map[flowtable.GroupID]*flowtable.Group
+	have        map[reconKey]bool
 
 	// The controller life the shards serve in. down marks a crashed process:
 	// requests, packet-ins and failure reactions all stop. active marks the
@@ -413,10 +421,10 @@ func (s *ShardedMC) stepDown() {
 
 // unionIntent collects every shard's intended rules for one switch: the
 // entries by reconciliation key and the groups by ID, what reconciliation and
-// the audit diff a switch's table against.
+// the audit diff a switch's table against. Both maps are the unit's scratch,
+// valid until the next call.
 func (s *ShardedMC) unionIntent(node topo.NodeID) (intent map[reconKey]*flowtable.Entry, groupIntent map[flowtable.GroupID]*flowtable.Group) {
-	intent = make(map[reconKey]*flowtable.Entry)
-	groupIntent = make(map[flowtable.GroupID]*flowtable.Group)
+	intent, groupIntent = clearedMap(&s.intent), clearedMap(&s.groupIntent)
 	for _, mc := range s.shards {
 		// lint:ignore detrange filling maps; the result is independent of order
 		for _, st := range mc.channels {
@@ -644,10 +652,10 @@ func entryReconKey(e *flowtable.Entry) reconKey {
 // the shards' intent: have holds the intended ones installed, stale the
 // cookies of the others in first-seen order, staleN counts those entries and
 // missing the intended ones not installed. A pass and the audit read a table
-// through it alike.
+// through it alike; have is the unit's scratch, valid until the next call.
 func (s *ShardedMC) diff(node topo.NodeID, entries []*flowtable.Entry) (have map[reconKey]bool, stale []uint64, staleN, missing int) {
 	intent, _ := s.unionIntent(node)
-	have = make(map[reconKey]bool)
+	have = clearedMap(&s.have)
 	for _, e := range entries {
 		if !mflowCookie(e.Cookie) {
 			continue // common routing is generation-invariant
@@ -662,4 +670,14 @@ func (s *ShardedMC) diff(node topo.NodeID, entries []*flowtable.Entry) (have map
 		}
 	}
 	return have, stale, staleN, len(intent) - len(have)
+}
+
+// clearedMap empties the scratch map *m, making it on first use, and
+// returns it.
+func clearedMap[K comparable, V any](m *map[K]V) map[K]V {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	clear(*m)
+	return *m
 }

@@ -3,6 +3,7 @@ package mic
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"mic/internal/netsim"
@@ -72,8 +73,8 @@ func TestReorderedFlowsDeliverExactStream(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("delivered %d bytes, first difference at %d of %d", len(got), diffAt(got, want), len(want))
 	}
-	if len(server.reasm) != 0 {
-		t.Fatalf("%d slices left in reassembly", len(server.reasm))
+	if server.reasm.held != 0 {
+		t.Fatalf("%d slices left in reassembly", server.reasm.held)
 	}
 }
 
@@ -140,7 +141,7 @@ func TestBulkSendAllocBudget(t *testing.T) {
 		// Ack whatever was released until the backlog has drained.
 		for m := a.health; m.out.len() > 0; {
 			ac.take()
-			binary.BigEndian.PutUint32(ack[sliceHeaderLen+1:], a.seqOut-uint32(m.sendQ.len()))
+			binary.BigEndian.PutUint32(ack[sliceHeaderLen+1:], a.seqOut-uint32(m.queued))
 			binary.BigEndian.PutUint32(ack[sliceHeaderLen+5:], uint32(m.sent[0]))
 			a.feed(0, ack[:])
 		}
@@ -178,7 +179,74 @@ func TestInOrderFeedAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(500, feed); allocs != 0 {
 		t.Fatalf("in-order feed allocated %v times, want 0", allocs)
 	}
-	if delivered != int(seq)*maxSlice || len(b.reasm) != 0 {
-		t.Fatalf("delivered %d bytes of %d slices, %d in reassembly", delivered, seq, len(b.reasm))
+	if delivered != int(seq)*maxSlice || b.reasm.held != 0 {
+		t.Fatalf("delivered %d bytes of %d slices, %d in reassembly", delivered, seq, b.reasm.held)
+	}
+}
+
+// TestFirstBulkSendAllocatesOnlyFrames: with the window full, Send(1 MiB)
+// queues every slice it makes. It allocates the framed bytes, what the ends
+// of its slab chunks waste (at most one chunk in all) and a little queue,
+// never a header per queued frame.
+func TestFirstBulkSendAllocatesOnlyFrames(t *testing.T) {
+	const size, overhead = 1 << 20, 4 << 10
+	eng := sim.New()
+	a, _ := stubStream(eng)
+	for a.SlicesOut[0] < windowSlices {
+		a.Send(pattern(maxSlice))
+	}
+	data := pattern(size)
+	seq := a.seqOut
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	a.Send(data)
+	runtime.ReadMemStats(&after)
+	framed := size + int(a.seqOut-seq)*sliceHeaderLen
+	alloc := int(after.TotalAlloc - before.TotalAlloc)
+	t.Logf("Send(1 MiB) behind a full window: %d B for %d framed", alloc, framed)
+	if budget := framed + slabChunk + overhead; alloc > budget {
+		t.Fatalf("Send(1 MiB) behind a full window allocated %d B, budget %d (%d framed)", alloc, budget, framed)
+	}
+}
+
+// TestReassemblyStorageReused: slices held behind a gap on one conn, the gap
+// filled on the other, everything drained — a second such round reuses the
+// first round's ring and chunks and allocates nothing.
+func TestReassemblyStorageReused(t *testing.T) {
+	const held = 100
+	eng := sim.New()
+	c0, c1 := &stubConn{out: make([]byte, 0, 4<<10)}, &stubConn{out: make([]byte, 0, 4<<10)}
+	s := newStream([]transport.ByteStream{c0, c1}, sim.NewRNG(1), eng, HealthConfig{})
+	next, bad := uint32(0), 0
+	s.OnData(func(p []byte) {
+		if binary.BigEndian.Uint32(p) != next {
+			bad++
+		}
+		next++
+	})
+	frame := make([]byte, sliceHeaderLen+maxSlice)
+	binary.BigEndian.PutUint16(frame[4:6], maxSlice)
+	binary.BigEndian.PutUint16(frame[6:8], maxSlice)
+	feed := func(conn int, seq uint32) {
+		binary.BigEndian.PutUint32(frame[0:4], seq)
+		binary.BigEndian.PutUint32(frame[sliceHeaderLen:], seq) // the payload names its slice
+		s.feed(conn, frame)
+	}
+	round := func() {
+		gap := s.seqIn
+		for k := uint32(1); k <= held; k++ {
+			feed(1, gap+k)
+		}
+		feed(0, gap)
+		eng.RunFor(ackInterval) // the trailing acks
+		c0.take()
+		c1.take()
+	}
+	round()
+	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+		t.Fatalf("hold-%d-then-fill round allocated %v times, want 0", held, allocs)
+	}
+	if want := uint32(12 * (held + 1)); s.seqIn != want || next != want || bad != 0 {
+		t.Fatalf("at seq %d, delivered %d slices, %d out of order; want %d in order", s.seqIn, next, bad, want)
 	}
 }
