@@ -242,7 +242,7 @@ func chaosReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size i
 }
 
 // mckillReport plays the controller-kill storm against a MIC transfer
-// served by a failover cluster (one active, one warm standby) and reports
+// served by a failover cluster (one active, one standby) and reports
 // the takeover: detection by missed heartbeats, journal replay, switch
 // reconciliation, the post-takeover repair sweep, and a final omniscient
 // audit of every switch's flow table against the new active's intent.

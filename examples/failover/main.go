@@ -1,9 +1,10 @@
 // Failover: the Mimic Controller cluster surviving its own death. A bulk
-// transfer runs over a mimic channel while a warm standby MC tails the
-// active's journal. Mid-transfer the active controller host is killed —
-// nothing else: no handoff call, no operator. The standby misses heartbeats,
-// declares the active dead, replays the journal to rebuild every channel's
-// state, bumps the controller generation, reconciles every switch's flow
+// transfer runs over a mimic channel while the active MC journals every
+// mutation and a standby MC, holding no channel state, watches its
+// heartbeats. Mid-transfer the active controller host is killed — nothing
+// else: no handoff call, no operator. The standby misses heartbeats,
+// declares the active dead, replays the journal once to rebuild every
+// channel's state, bumps the controller generation, reconciles every switch's flow
 // table against the rebuilt intent (deleting the dead life's stale rules by
 // cookie, reinstalling anything missing), and re-arms self-healing. The
 // data plane never stops: switches keep forwarding on installed rules
@@ -30,7 +31,7 @@ func main() {
 	eng := sim.New()
 	net := netsim.New(eng, graph, netsim.Config{})
 
-	// One active + one warm standby, replicating via the journal.
+	// One active + one standby that rebuilds from the journal when promoted.
 	cluster, err := mic.NewCluster(net, mic.Config{MNs: 3, AutoRepair: true}, mic.ClusterConfig{})
 	if err != nil {
 		log.Fatal(err)

@@ -3,8 +3,8 @@
 // degradation (loss/duplication/reordering/corruption storms), southbound
 // control-channel degradation, and correlated whole-pod failures. A
 // Schedule is data — reproducible from a seed, printable, and replayable —
-// and a Runner turns it into SetLinkDown/SetSwitchDown/LossRate calls at
-// the scheduled virtual times. Tests and the micsim chaos scenario use it
+// and a Runner turns it into SetLinkDown/SetSwitchDown/SetLinkFault calls
+// and southbound loss settings at the scheduled virtual times. Tests and the micsim chaos scenario use it
 // to assert that MIC's self-healing control plane keeps transfers alive
 // through arbitrary (survivable) fault storms.
 //

@@ -30,7 +30,7 @@ import (
 //     output becomes error strings, telemetry labels and journal-adjacent
 //     report text;
 //   - calls into internal/metrics and internal/trace: emission surfaces
-//     replicated to standbys or rendered into reports;
+//     rendered into reports;
 //   - packet-header writes: packet.Packet SetSrcIP/SetDstIP calls, direct
 //     assignments to its address fields, and calls to the flowtable
 //     address-rewrite action constructors (SetIPSrc/SetIPDst/SetEthSrc/

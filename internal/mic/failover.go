@@ -13,11 +13,11 @@ import (
 )
 
 // This file makes the Mimic Controller survivable: a Cluster runs one active
-// controller unit plus warm standby units that tail its journal, detect its
-// death by missed heartbeats, and take over — replaying the journal,
-// reconciling every switch's flow table against the rebuilt intent (delete
-// the dead life's stale rules by cookie, reinstall what never landed), and
-// re-arming self-healing. In-flight m-flows keep forwarding throughout: a
+// controller unit that journals every mutation plus standby units that hold
+// no channel state, detect its death by missed heartbeats, and take over —
+// rebuilding from the journal once, reconciling every switch's flow table
+// against the rebuilt intent (delete the dead life's stale rules by cookie,
+// reinstall what never landed), and re-arming self-healing. In-flight m-flows keep forwarding throughout: a
 // controller crash leaves switch state untouched, and reconciliation is
 // make-before-break. The paper assumes the MC simply exists (Sec III); this
 // layer answers what a deployment actually needs when it stops existing.
@@ -31,7 +31,7 @@ import (
 
 // ClusterConfig tunes failover behaviour.
 type ClusterConfig struct {
-	// Standbys is how many warm standby controllers to run (default 1).
+	// Standbys is how many standby controllers to run (default 1).
 	Standbys int
 
 	// Shards is how many shard MCs make up each member's controller unit
@@ -69,9 +69,6 @@ const (
 
 // What no experiment varies.
 const (
-	// replicationLag is the journal-record shipping delay from the active to
-	// each standby — the replication stream's one-way latency.
-	replicationLag = 250 * time.Microsecond
 	// requestTimeout is how long a client-facing request waits for the
 	// active's answer before re-issuing it (the request may have died with
 	// the controller); requestRetries bounds the re-issues.
@@ -107,10 +104,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 type member struct {
 	unit    *ShardedMC
 	ctrlIdx int // netsim controller-host index (crash/restart handle)
-
-	// pending holds replicated journal records shipped but not yet applied
-	// (in flight for replicationLag). A takeover drains them first.
-	pending []Record
 
 	// The member's timers: the active's beat ticker and lease check, the
 	// standby's watchdog ticker. A role change stops all three.
@@ -149,16 +142,17 @@ type TakeoverStats struct {
 }
 
 // Cluster runs a failover group of Mimic Controllers over one fabric: an
-// active that serves requests and journals every mutation, and warm standbys
-// that tail the journal and race to take over when the active's heartbeats
-// stop. It implements ControlPlane, so clients bind to the cluster and ride
-// through a controller crash with at most a request retry.
+// active that serves requests and journals every mutation, and standbys that
+// race to take over when the active's heartbeats stop and rebuild from the
+// journal when they win. It implements ControlPlane, so clients bind to the
+// cluster and ride through a controller crash with at most a request retry.
 type Cluster struct {
 	Net  *netsim.Network
 	Cfg  Config        // the MC config every member runs (defaults applied)
 	CCfg ClusterConfig // failover tuning (defaults applied)
 
-	// Journal is the active's replicated mutation log.
+	// Journal is the active's mutation log, the only state a promotion
+	// rebuilds from.
 	Journal *Journal
 
 	// Controller-liveness tallies, reported by Telemetry: beats sent and
@@ -166,9 +160,10 @@ type Cluster struct {
 	// re-issued across a blackout or a step-down.
 	heartbeatsSent, heartbeatsMissed, stepdowns, requestRetries uint64
 
-	// RecordsRefused counts replicated journal records that named a shard no
-	// unit of this cluster has — a foreign writer on the log. They are
-	// skipped, never folded into some other shard's state.
+	// RecordsRefused counts journal records that named a shard no unit of
+	// this cluster has — a foreign writer on the log — summed over every
+	// promotion's rebuild. They are skipped, never folded into some other
+	// shard's state.
 	RecordsRefused uint64
 
 	// OnTakeover (may be nil) observes every completed takeover.
@@ -192,10 +187,9 @@ type Cluster struct {
 }
 
 // NewCluster builds the failover group: one active unit (which installs
-// common routing and starts journaling) plus ccfg.Standbys passive units
-// tailing the journal over a replicationLag-delayed feed. Every member
-// registers as one controller host in the network, so chaos faults can kill
-// and restart controllers like any other element.
+// common routing and starts journaling) plus ccfg.Standbys empty passive
+// units. Every member registers as one controller host in the network, so
+// chaos faults can kill and restart controllers like any other element.
 func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		Net:     net,
@@ -240,9 +234,8 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 	return c, nil
 }
 
-// addMember registers one controller unit with the cluster: a netsim
-// controller host (the chaos layer's kill handle) and a journal follower
-// (the replication feed; the active skips its own records).
+// addMember registers one controller unit with the cluster as a netsim
+// controller host, the chaos layer's kill handle.
 func (c *Cluster) addMember(unit *ShardedMC) {
 	m := &member{unit: unit, ctrlIdx: c.Net.RegisterCtrlHost()}
 	// Bind every shard's southbound channel to the member's management-
@@ -268,12 +261,6 @@ func (c *Cluster) addMember(unit *ShardedMC) {
 		}
 	}
 	c.members = append(c.members, m)
-	c.Journal.Follow(func(r Record) {
-		if !m.standby() {
-			return // the active wrote it; the dead rebuild by full replay
-		}
-		c.replicate(m, r)
-	})
 }
 
 // lead is the shard whose southbound channel carries the member's cross-shard
@@ -343,49 +330,6 @@ func (c *Cluster) Takeovers() int { return int(c.takeovers) }
 
 // Fence reports the cluster's current mastership fencing epoch.
 func (c *Cluster) Fence() uint64 { return c.fence }
-
-// replicate ships one journal record to a standby: it arrives and is applied
-// one replicationLag later, in append order. Records still in flight when
-// the standby is promoted are drained synchronously by the takeover.
-func (c *Cluster) replicate(m *member, r Record) {
-	m.pending = append(m.pending, r)
-	c.eng().After(replicationLag, func() {
-		if !m.standby() || len(m.pending) == 0 {
-			return // drained by a takeover, or member died/promoted meanwhile
-		}
-		rec := m.pending[0]
-		m.pending = m.pending[1:]
-		c.apply(m, rec)
-	})
-}
-
-// apply folds one journal record into the shard of m's unit that minted it.
-// A record naming a shard the unit does not have is refused rather than
-// merged into a shard whose ID space it never came from.
-func (c *Cluster) apply(m *member, r Record) {
-	if int(r.Shard) >= len(m.unit.shards) {
-		c.RecordsRefused++
-		return
-	}
-	m.unit.shards[r.Shard].applyRecord(r)
-}
-
-// replay rebuilds m's unit from scratch out of the full journal.
-func (c *Cluster) replay(m *member) {
-	for _, r := range c.Journal.Records() {
-		c.apply(m, r)
-	}
-}
-
-// drain applies every in-flight journal record immediately — the promoted
-// standby must be caught up before it rebuilds counters and reconciles.
-func (c *Cluster) drain(m *member) {
-	for len(m.pending) > 0 {
-		rec := m.pending[0]
-		m.pending = m.pending[1:]
-		c.apply(m, rec)
-	}
-}
 
 // startBeating runs the active's heartbeat ticker: every interval, one
 // unreliable beat to every live peer over the management network. A crashed
@@ -472,8 +416,10 @@ func (c *Cluster) usurperExists(m *member) bool {
 // order matters: planning quiesces and journal writes stop *now*, at the
 // lease edge, which is strictly before any successor's takeover window opens
 // — so with fencing on, a partitioned-away master never writes concurrently
-// with its successor. The deposed member rejoins as a demoted standby: it
-// rebuilds its state from the journal and watches for the successor's
+// with its successor. The deposed member rejoins as a demoted standby: its
+// unit forgets its state — unjournaled in-flight plans are discarded, and
+// their switch rules (if any landed) are the next takeover's reconciliation
+// fodder, same as a crashed active's — and it watches for the successor's
 // heartbeat, which is what clears the demotion.
 func (c *Cluster) stepDown(m *member) {
 	if !m.unit.active {
@@ -484,12 +430,7 @@ func (c *Cluster) stepDown(m *member) {
 	if c.active == c.memberIndex(m) {
 		c.active = -1
 	}
-	m.pending = nil
-	// Rebuild from the journal: unjournaled in-flight plans from the active
-	// life are discarded — their switch rules (if any landed) are the next
-	// takeover's reconciliation fodder, same as a crashed active's.
 	m.unit.stepDown()
-	c.replay(m)
 	c.startWatchdog(m)
 	if c.OnStepDown != nil {
 		c.OnStepDown(c.memberIndex(m), c.eng().Now())
@@ -548,7 +489,6 @@ func (c *Cluster) memberCrashed(m *member) {
 	}
 	wasActive := m.unit.active
 	m.stopTimers()
-	m.pending = nil
 	m.unit.crash()
 	if wasActive {
 		if c.active == c.memberIndex(m) {
@@ -563,29 +503,27 @@ func (c *Cluster) memberCrashed(m *member) {
 }
 
 // memberRejoined restarts a dead controller as a fresh standby: empty state,
-// new southbound channel, full journal replay, watchdog armed. It does not
-// reclaim the active role — at most it becomes the next takeover's winner.
+// new southbound channel, watchdog armed. It does not reclaim the active
+// role — at most it becomes the next takeover's winner, and rebuilds then.
 func (c *Cluster) memberRejoined(m *member) {
 	if !m.unit.down {
 		return
 	}
-	m.pending = nil
 	m.unit.revive()
-	c.replay(m)
 	c.startWatchdog(m)
 }
 
-// takeover promotes standby m to active: drain the replication stream,
-// normalize counters from the journal, bump the controller generation (the
-// cookie field that marks the dead life's rules as stale) and the fencing
-// epoch (announced to every switch so the deposed life's in-flight mutations
-// are rejected), attach to the fabric, reconcile every switch, then sweep
-// for channels the blackout left broken. Returns false when a live active
-// exists that this standby can still hear — the watchdog backs off and keeps
-// watching. An active it *cannot* hear does not stay its hand: after a
-// management partition the standby has no evidence of that master, whose own
-// lease has it stepping down on the other side (or, in the fencing ablation,
-// blundering on as the zombie the epoch check exists to reject).
+// takeover promotes standby m to active: rebuild its unit from the journal,
+// bump the controller generation (the cookie field that marks the dead
+// life's rules as stale) and the fencing epoch (announced to every switch so
+// the deposed life's in-flight mutations are rejected), attach to the
+// fabric, reconcile every switch, then sweep for channels the blackout left
+// broken. Returns false when a live active exists that this standby can
+// still hear — the watchdog backs off and keeps watching. An active it
+// *cannot* hear does not stay its hand: after a management partition the
+// standby has no evidence of that master, whose own lease has it stepping
+// down on the other side (or, in the fencing ablation, blundering on as the
+// zombie the epoch check exists to reject).
 func (c *Cluster) takeover(m *member) bool {
 	if a := c.activeMember(); a != nil &&
 		c.Net.MgmtReachable(netsim.MgmtCtrl(a.ctrlIdx), netsim.MgmtCtrl(m.ctrlIdx)) {
@@ -593,7 +531,7 @@ func (c *Cluster) takeover(m *member) bool {
 		return false
 	}
 	c.takeovers++
-	c.drain(m)
+	c.RecordsRefused += uint64(m.unit.restore(c.Journal))
 	m.demoted = false
 	c.active = c.memberIndex(m)
 	c.fence++
@@ -603,9 +541,8 @@ func (c *Cluster) takeover(m *member) bool {
 	// apart — and rejected — shard by shard.
 	u := m.unit
 	u.active, u.generation, u.fence, u.journal = true, c.takeovers, c.fence, c.Journal
-	for _, mc := range u.shards {
-		mc.finishRestore(c.Journal)
-		if !c.CCfg.DisableFencing {
+	if !c.CCfg.DisableFencing {
+		for _, mc := range u.shards {
 			mc.Ch.Epoch = c.fence
 		}
 	}

@@ -12,7 +12,7 @@ import (
 )
 
 // clusterFixture is the failover-test testbed: a fat-tree fabric run by a
-// mic.Cluster (active + warm standby) instead of a standalone MC.
+// mic.Cluster (active + standby) instead of a standalone MC.
 type clusterFixture struct {
 	eng    *sim.Engine
 	net    *netsim.Network

@@ -7,8 +7,8 @@ import (
 )
 
 // This file is the MC's durability layer: a journal of every externally
-// visible mutation, compacted by periodic snapshots, from which a standby
-// controller rebuilds the full MC state by replay (failover.go). The journal
+// visible mutation, compacted by periodic snapshots, from which a promoted
+// standby rebuilds the full MC state by replay (failover.go). The journal
 // is in-sim — records are structured values, not serialized bytes — but each
 // record carries exactly the fields a wire encoding would need, and replay
 // touches no RNG, no clock and no map-iteration order, so a rebuild is
@@ -69,16 +69,16 @@ type Record struct {
 	Fenced bool
 
 	// Shard identifies which shard of the controller unit wrote the record
-	// (0 for a single-shard controller). The Cluster routes each record to
-	// the matching shard on replay, and the journal's counter high-waters
-	// are keyed on it.
+	// (0 for a single-shard controller). ShardedMC.restore routes each
+	// record to the matching shard on replay, and the journal's counter
+	// high-waters are keyed on it.
 	Shard uint32
 
-	// RecHidden. The journal is the one sanctioned replication path for
-	// real addresses: standbys must rebuild the hidden map and the real
-	// endpoint pair to serve repairs and closes after takeover. The fields
-	// are secret-marked so the taint analysis still flags any journal
-	// consumer that formats or emits them.
+	// RecHidden. The journal is the one sanctioned path by which real
+	// addresses reach another controller: a successor must rebuild the
+	// hidden map and the real endpoint pair to serve repairs and closes
+	// after takeover. The fields are secret-marked so the taint analysis
+	// still flags any journal consumer that formats or emits them.
 	Name string
 	// lint:secret
 	IP addr.IP
@@ -112,11 +112,12 @@ type Record struct {
 // tail records a snapshot folds the log down to one record per live fact.
 const DefaultSnapshotEvery = 64
 
-// Journal is the replicated MC mutation log. The active controller appends;
-// standbys tail via Follow and rebuild state by replaying Records. The log
-// self-compacts: every SnapshotEvery appends it folds closed channels and
-// superseded updates away, keeping one record per live fact (plus counter
-// high-waters kept separately), so its size tracks live state, not history.
+// Journal is the MC mutation log. The active controller appends; a promoted
+// standby rebuilds its state by replaying Records once (ShardedMC.restore).
+// The log self-compacts: every SnapshotEvery appends it folds closed
+// channels and superseded updates away, keeping one record per live fact
+// (plus counter high-waters kept separately), so its size tracks live
+// state, not history.
 type Journal struct {
 	// SnapshotEvery overrides the compaction threshold (0 = default).
 	SnapshotEvery int
@@ -149,8 +150,6 @@ type Journal struct {
 	// Appends and Snapshots count journal activity for reports.
 	Appends   uint64
 	Snapshots uint64
-
-	followers []func(Record)
 }
 
 // NewJournal returns an empty journal with default compaction.
@@ -175,8 +174,8 @@ func (j *Journal) snapshotEvery() int {
 	return DefaultSnapshotEvery
 }
 
-// Append assigns the record its sequence number, logs it, fans it out to
-// followers, and compacts when the tail is long enough.
+// Append assigns the record its sequence number, logs it, and compacts when
+// the tail is long enough.
 func (j *Journal) Append(r Record) {
 	j.seq++
 	r.Seq = j.seq
@@ -190,7 +189,7 @@ func (j *Journal) Append(r Record) {
 		if j.Fencing {
 			r.Fenced = true
 			j.tail = append(j.tail, r)
-			return // discarded: no high-waters, no replication, no replay
+			return // discarded: no high-waters, no replay
 		}
 	} else if r.Fence > j.fenceHigh {
 		j.fenceHigh = r.Fence
@@ -215,18 +214,10 @@ func (j *Journal) Append(r Record) {
 		j.groupHighShard[r.Shard] = r.NextGroup
 	}
 	j.tail = append(j.tail, r)
-	for _, f := range j.followers {
-		f(r)
-	}
 	if len(j.tail) >= j.snapshotEvery() {
 		j.compact()
 	}
 }
-
-// Follow registers fn to receive every subsequent record in append order —
-// the standby's replication feed. Compaction does not re-deliver records: a
-// follower attached at journal creation sees the complete history.
-func (j *Journal) Follow(fn func(Record)) { j.followers = append(j.followers, fn) }
 
 // Records returns the full current log: snapshot base then tail, in replay
 // order, with Fenced (zombie) records filtered out. Replaying them against
@@ -383,8 +374,8 @@ func (r Record) channel() *channelState {
 // (book) — the same two functions live serving uses, so a replayed
 // controller's tables are the live one's. It mutates bookkeeping only — no
 // southbound I/O, no RNG draws, no allocator draws (finishRestore normalizes
-// counters afterwards) — so a standby can apply records incrementally while
-// fully passive.
+// counters afterwards) — so a standby can replay the log while fully
+// passive.
 func (mc *MC) applyRecord(r Record) {
 	if r.Kind == RecHidden {
 		mc.hidden[r.Name] = r.IP
@@ -409,7 +400,7 @@ func (mc *MC) applyRecord(r Record) {
 // finishRestore normalizes the counters after replay: the flow-ID allocator
 // is rebuilt from the journaled high-water mark minus the IDs live channels
 // hold, and the channel/group counters jump past everything ever issued.
-// Called exactly once, at activation (takeover or rejoin-rebuild).
+// Called exactly once per rebuild, by ShardedMC.restore at a takeover.
 func (mc *MC) finishRestore(j *Journal) {
 	held := make(map[uint32]bool)
 	// lint:ignore detrange set-insertion only; result independent of order

@@ -67,9 +67,10 @@ type ShardedMC struct {
 	// The controller life the shards serve in. down marks a crashed process:
 	// requests, packet-ins and failure reactions all stop. active marks the
 	// fabric's acting controller; a standby, or a revived or deposed
-	// ex-active, replays the journal and reacts to nothing until a takeover
-	// promotes it. incarnation bumps on every crash, restart and step-down
-	// and disarms the closures an earlier life left on the engine (gate).
+	// ex-active, holds no channel state and reacts to nothing until a
+	// takeover rebuilds it from the journal (restore) and promotes it.
+	// incarnation bumps on every crash, restart and step-down and disarms
+	// the closures an earlier life left on the engine (gate).
 	down, active bool
 	incarnation  uint64
 	// generation (the Cluster's takeover count at promotion) is folded into
@@ -78,8 +79,8 @@ type ShardedMC struct {
 	// on journal records and, with fencing on, mirrored into each shard's
 	// Ch.Epoch, so the store and the switches refuse a deposed master's
 	// writes. journal, when non-nil, takes a record of every externally
-	// visible mutation of any shard for a standby to replay (failover.go); a
-	// standalone unit has none and pays nothing.
+	// visible mutation of any shard for a successor to replay (failover.go);
+	// a standalone unit has none and pays nothing.
 	generation uint32
 	fence      uint64
 	journal    *Journal
@@ -104,8 +105,8 @@ func NewShardedMC(net *netsim.Network, cfg Config, n int) (*ShardedMC, error) {
 }
 
 // newShardedMC builds a unit of n shards: active ones with the router's
-// fabric attachments installed, or the inert passive twin a Cluster keeps as a
-// warm standby until a takeover.
+// fabric attachments installed, or the inert, empty passive twin a Cluster
+// keeps as a standby until a takeover.
 func newShardedMC(net *netsim.Network, cfg Config, n int, passive bool) (*ShardedMC, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("mic: shard count %d must be at least 1", n)
@@ -381,10 +382,10 @@ func (s *ShardedMC) crash() {
 }
 
 // revive restarts a crashed controller process with empty state, every shard
-// on a fresh southbound channel, ready for journal replay. The incarnation
-// bump disarms any closure the previous life left on the engine. The revived
-// unit stays passive — a restarted controller rejoins as a standby; only a
-// takeover makes it active again.
+// on a fresh southbound channel. The incarnation bump disarms any closure
+// the previous life left on the engine. The revived unit stays passive — a
+// restarted controller rejoins as a standby; only a takeover makes it
+// active again.
 func (s *ShardedMC) revive() {
 	if !s.down {
 		return
@@ -399,10 +400,10 @@ func (s *ShardedMC) revive() {
 // stepDown demotes an active unit that failed to renew its mastership lease:
 // planning quiesces (queued dials are refused with ErrNotActive), journal
 // writes stop, every closure the active life left on the engine is disarmed
-// and the shards forget what they planned, for the Cluster to rebuild from
-// the journal. Unlike crash, the process stays up and the channels stay open
-// — in-flight southbound messages may still land, which is exactly what the
-// switch-side fencing epoch exists to reject once a successor announces
+// and the shards forget what they planned; a later promotion rebuilds them
+// from the journal. Unlike crash, the process stays up and the channels stay
+// open — in-flight southbound messages may still land, which is exactly what
+// the switch-side fencing epoch exists to reject once a successor announces
 // itself.
 func (s *ShardedMC) stepDown() {
 	if !s.active {
@@ -417,6 +418,26 @@ func (s *ShardedMC) stepDown() {
 		mc.resetState()
 	}
 	s.StopProber()
+}
+
+// restore rebuilds the unit from the journal, the one way a standby is
+// filled: every record goes to the shard that minted it, then every shard
+// normalizes its counters. The unit must be empty, as it is when built and
+// after revive or stepDown. A record naming a shard the unit does not have
+// (a differently sharded writer on the log) is refused, never folded into
+// another shard's state; restore returns how many were.
+func (s *ShardedMC) restore(j *Journal) (refused int) {
+	for _, r := range j.Records() {
+		if int(r.Shard) >= len(s.shards) {
+			refused++
+			continue
+		}
+		s.shards[r.Shard].applyRecord(r)
+	}
+	for _, mc := range s.shards {
+		mc.finishRestore(j)
+	}
+	return refused
 }
 
 // unionIntent collects every shard's intended rules for one switch: the

@@ -177,8 +177,8 @@ func TestShardedDoubleFailover(t *testing.T) {
 		})
 	})
 
-	// Second failover at 70ms: whoever is acting dies; the survivor has
-	// replicated records from both lives.
+	// Second failover at 70ms: whoever is acting dies; the survivor
+	// rebuilds from records of both lives.
 	var first int
 	f.eng.After(70*time.Millisecond, func() {
 		first = f.cl.ActiveIndex()
@@ -316,10 +316,11 @@ func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 // path cut under it, and the active dies while the repair's install is out and
 // before its purge, so the successor finds old-epoch entries where the new
 // epoch is intended and puts the new ones back over loss. After every event
-// until the takeover completes, every match of a live channel that a switch
-// has held stays held, by the channel's current entry or an older epoch's:
-// each stale delete goes out over the channel of the shard that minted it,
-// after that shard's reinstall of the same match.
+// from the kill until the takeover completes, every match of a channel the
+// successor intends that a switch has held stays held, by the channel's
+// current entry or an older epoch's: each stale delete goes out over the
+// channel of the shard that minted it, after that shard's reinstall of the
+// same match.
 func TestShardedTakeoverMidRepairMakesBeforeBreaking(t *testing.T) {
 	for _, loss := range []float64{0.05, 0.30} {
 		for seed := uint64(1); seed <= 100; seed++ {
@@ -349,6 +350,15 @@ func shardedTakeoverMidRepair(t *testing.T, loss float64, seed uint64) {
 	f.eng.RunFor(600 * time.Microsecond) // the repair's install is out, held behind the dial's batch
 	f.net.SetCtrlHostDown(0, true)
 
+	// Until member 1 is promoted it holds no channels; what it will intend is
+	// the journal replayed into one twin per shard. The cluster is headless,
+	// so the journal cannot change before the promotion.
+	successor := f.cl.members[1].unit
+	var twins []*MC
+	for _, sh := range successor.shards {
+		twins = append(twins, replayed(t, sh, f.cl.Journal))
+	}
+
 	// held records every (switch, match) of a successor channel some table
 	// has held; each must stay covered by an entry of that channel.
 	type key struct {
@@ -359,7 +369,11 @@ func shardedTakeoverMidRepair(t *testing.T, loss float64, seed uint64) {
 	}
 	held := map[key]bool{}
 	for !taken && f.eng.Step() {
-		for _, sh := range f.cl.members[1].unit.shards {
+		intent := twins
+		if successor.active {
+			intent = successor.shards
+		}
+		for _, sh := range intent {
 			for _, id := range sortedChanIDs(sh.channels) {
 				for _, rr := range sh.channels[id].rules {
 					if rr.entry == nil {

@@ -271,28 +271,36 @@ func TestShardedFailoverTakeover(t *testing.T) {
 
 // TestShardedReplayRejectsUnknownShard: a journal record naming a shard the
 // cluster's units do not have (a differently sharded writer on the log) must
-// be refused wherever the cluster applies records — here the lagged feed to
-// a standby and the full replay of a rejoining member — never merged into
-// some other shard or indexed out of range.
+// be refused at every promotion's rebuild — here member 1's takeover, then
+// member 0's after it rejoined and member 1 died — never merged into some
+// other shard or indexed out of range.
 func TestShardedReplayRejectsUnknownShard(t *testing.T) {
 	f := newClusterFixture(t, Config{}, ClusterConfig{Shards: 2})
 	f.cl.Journal.Append(Record{Kind: RecOpen, Channel: 1, Shard: 3})
-	f.eng.RunFor(time.Millisecond) // the replication feed delivers it
-	if f.cl.RecordsRefused != 1 {
-		t.Fatalf("replication feed refused %d records, want 1", f.cl.RecordsRefused)
+	noneFolded := func() {
+		t.Helper()
+		for i, m := range f.cl.members {
+			if n := m.unit.LiveChannels(); n != 0 {
+				t.Fatalf("member %d folded the foreign record into %d channels", i, n)
+			}
+		}
 	}
 	f.net.SetCtrlHostDown(0, true)
 	f.eng.RunFor(50 * time.Millisecond)
-	f.net.SetCtrlHostDown(0, false) // rejoin: full replay of the log
+	if f.cl.Takeovers() != 1 || f.cl.ActiveIndex() != 1 || f.cl.RecordsRefused != 1 {
+		t.Fatalf("takeovers = %d, active = %d, refused = %d; want member 1 promoted refusing the record once",
+			f.cl.Takeovers(), f.cl.ActiveIndex(), f.cl.RecordsRefused)
+	}
+	noneFolded()
+	f.net.SetCtrlHostDown(0, false) // member 0 rejoins as an empty standby
 	f.eng.RunFor(10 * time.Millisecond)
-	if f.cl.Takeovers() != 1 || f.cl.RecordsRefused != 2 {
-		t.Fatalf("takeovers = %d, refused = %d; want 1 takeover and the rejoin replay refusing the record again", f.cl.Takeovers(), f.cl.RecordsRefused)
+	f.net.SetCtrlHostDown(1, true)
+	f.eng.RunFor(50 * time.Millisecond)
+	if f.cl.Takeovers() != 2 || f.cl.ActiveIndex() != 0 || f.cl.RecordsRefused != 2 {
+		t.Fatalf("takeovers = %d, active = %d, refused = %d; want member 0 promoted refusing the record again",
+			f.cl.Takeovers(), f.cl.ActiveIndex(), f.cl.RecordsRefused)
 	}
-	for i, m := range f.cl.members {
-		if n := m.unit.LiveChannels(); n != 0 {
-			t.Fatalf("member %d folded the foreign record into %d channels", i, n)
-		}
-	}
+	noneFolded()
 	f.settle(100 * time.Millisecond)
 }
 

@@ -35,7 +35,8 @@ func (f FaultProfile) IsZero() bool {
 	return f.Loss == 0 && f.Dup == 0 && f.Reorder == 0 && f.Corrupt == 0
 }
 
-// Uniform returns a loss-only profile, the shape Config.LossRate installs.
+// Uniform returns a loss-only profile: each frame is lost with probability
+// loss.
 func Uniform(loss float64) FaultProfile { return FaultProfile{Loss: loss} }
 
 // SetLinkFault installs (or, with a zero profile, clears) a fault profile

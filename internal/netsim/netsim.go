@@ -49,15 +49,7 @@ type Config struct {
 	// it is off by default because the checks are O(payload) per packet.
 	PoolDebug bool
 
-	// LossRate injects uniform random frame loss on every link (0 = none).
-	// It is a back-compat alias: New installs Uniform(LossRate) as the fault
-	// profile of every link, equivalent to calling SetLinkFault everywhere.
-	// Deterministic per LossSeed; used for failure-injection tests.
-	LossRate float64
-	LossSeed uint64
-
-	// FaultSeed drives the per-link fault RNG streams (SetLinkFault). Zero
-	// falls back to LossSeed, so existing loss-injection configs reproduce.
+	// FaultSeed drives the per-link fault RNG streams (SetLinkFault).
 	FaultSeed uint64
 
 	// FlowTableCapacity bounds every switch's flow table (the TCAM model);
@@ -321,7 +313,6 @@ type Network struct {
 	// failed counts the failed switches and the link directions down for any
 	// cause: zero iff every path of the fabric is alive (AllUp).
 	failed    int
-	faultSeed uint64
 	ctrlHosts []bool // down flag per registered controller host
 
 	// mgmtCuts holds the active directional management-network partitions
@@ -377,10 +368,6 @@ func New(eng *sim.Engine, g *topo.Graph, cfg Config) *Network {
 	if cfg.PoolDebug {
 		n.pool.SetDebug(true)
 	}
-	n.faultSeed = n.Cfg.FaultSeed
-	if n.faultSeed == 0 {
-		n.faultSeed = n.Cfg.LossSeed
-	}
 	for _, node := range g.Nodes {
 		switch node.Kind {
 		case topo.KindSwitch:
@@ -392,20 +379,12 @@ func New(eng *sim.Engine, g *topo.Graph, cfg Config) *Network {
 		}
 		n.nodes[node.ID].dirs = make([]linkDir, len(node.Ports))
 	}
-	if n.Cfg.LossRate > 0 {
-		// Back-compat alias: uniform loss everywhere via per-link profiles.
-		for _, node := range g.Nodes {
-			for p := range node.Ports {
-				n.SetLinkFault(node.ID, p, Uniform(n.Cfg.LossRate))
-			}
-		}
-	}
 	return n
 }
 
 // faultStream derives the deterministic fault RNG for one link direction.
 func (n *Network) faultStream(pk portKey) *sim.RNG {
-	return sim.NewRNG(n.faultSeed ^ 0x10559).Stream(fmt.Sprintf("fault-%d-%d", pk.node, pk.port))
+	return sim.NewRNG(n.Cfg.FaultSeed ^ 0x10559).Stream(fmt.Sprintf("fault-%d-%d", pk.node, pk.port))
 }
 
 // PacketPool returns the network's packet pool. Transport stacks draw their

@@ -391,7 +391,12 @@ func TestLossInjectionDeterministic(t *testing.T) {
 	run := func() uint64 {
 		g, _ := topo.Linear(1)
 		eng := sim.New()
-		n := New(eng, g, Config{LossRate: 0.3, LossSeed: 5})
+		n := New(eng, g, Config{FaultSeed: 5})
+		for _, node := range g.Nodes {
+			for p := range node.Ports {
+				n.SetLinkFault(node.ID, p, Uniform(0.3))
+			}
+		}
 		h1, h2 := n.Host(g.Hosts()[0]), n.Host(g.Hosts()[1])
 		s1 := n.Switch(g.Switches()[0])
 		s1.Table.Insert(&flowtable.Entry{Priority: 1, Actions: []flowtable.Action{flowtable.Output(n.Graph.PortTo(s1.ID, h2.ID))}}, 0)
@@ -689,19 +694,5 @@ func TestLinkFaultCorruption(t *testing.T) {
 	}
 	if n.Stats.TxBytes == before {
 		t.Fatal("corrupted frame did not burn wire time")
-	}
-}
-
-// TestLossRateAliasInstallsProfiles: the legacy uniform LossRate config is
-// now sugar for per-link profiles on every link.
-func TestLossRateAliasInstallsProfiles(t *testing.T) {
-	g, _ := topo.Linear(2)
-	n := New(sim.New(), g, Config{LossRate: 0.25, LossSeed: 9})
-	for _, node := range g.Nodes {
-		for p := range node.Ports {
-			if prof := n.LinkFault(node.ID, p); prof.Loss != 0.25 {
-				t.Fatalf("link (%s,%d) profile %+v, want Loss=0.25", g.Node(node.ID).Name, p, prof)
-			}
-		}
 	}
 }

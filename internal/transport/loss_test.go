@@ -33,9 +33,8 @@ func TestRetransmitConvergenceTable(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			r := newRig(t, 3, netsim.Config{FaultSeed: 1234})
-			// Fault one interior hop with a per-link profile (not the
-			// global LossRate alias): handshake, data and acks all cross
-			// it in both directions.
+			// Fault one interior hop with a per-link profile: handshake,
+			// data and acks all cross it in both directions.
 			sws := r.graph.Switches()
 			r.net.SetLinkFault(sws[0], r.graph.PortTo(sws[0], sws[1]),
 				netsim.FaultProfile{Loss: tc.loss})

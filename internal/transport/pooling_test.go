@@ -16,9 +16,9 @@ import (
 func TestPooledForwardingLifecycle(t *testing.T) {
 	r := newRig(t, 3, netsim.Config{
 		QueueCapPackets: 8,
-		LossRate:        0.02,
-		LossSeed:        7,
+		FaultSeed:       7,
 	})
+	r.uniformLoss(0.02)
 	const total = 256 * 1024
 	var got int
 	r.b.Listen(80, func(c *Conn) {

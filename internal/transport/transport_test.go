@@ -44,6 +44,18 @@ func newRig(t *testing.T, switches int, cfg netsim.Config) *rig {
 	}
 }
 
+// uniformLoss installs rate uniform frame loss on every link of the rig's
+// fabric, both directions. Each link direction draws from its own stream of
+// the network's FaultSeed, so the draws do not depend on when it runs, as
+// long as no frame has crossed yet.
+func (r *rig) uniformLoss(rate float64) {
+	for _, node := range r.graph.Nodes {
+		for p := range node.Ports {
+			r.net.SetLinkFault(node.ID, p, netsim.Uniform(rate))
+		}
+	}
+}
+
 func TestHandshake(t *testing.T) {
 	r := newRig(t, 3, netsim.Config{})
 	accepted := false
@@ -491,7 +503,8 @@ func BenchmarkBulkTransfer1MB(b *testing.B) {
 
 func TestBulkUnderRandomLoss(t *testing.T) {
 	// 0.5% uniform frame loss on every link: reliability must still hold.
-	r := newRig(t, 3, netsim.Config{LossRate: 0.005, LossSeed: 42})
+	r := newRig(t, 3, netsim.Config{FaultSeed: 42})
+	r.uniformLoss(0.005)
 	data := pattern(512 << 10)
 	var got []byte
 	r.b.Listen(9000, func(c *Conn) {
@@ -518,7 +531,8 @@ func TestBulkUnderRandomLoss(t *testing.T) {
 }
 
 func TestSSLUnderRandomLoss(t *testing.T) {
-	r := newRig(t, 2, netsim.Config{LossRate: 0.003, LossSeed: 7})
+	r := newRig(t, 2, netsim.Config{FaultSeed: 7})
+	r.uniformLoss(0.003)
 	data := pattern(128 << 10)
 	var got []byte
 	r.b.ListenSSL(443, func(sc *SecureConn) {
@@ -539,7 +553,8 @@ func TestSSLUnderRandomLoss(t *testing.T) {
 func TestHandshakeRetriesUnderHeavyLoss(t *testing.T) {
 	// 20% loss: the SYN will likely need retransmission but must converge
 	// (deterministically, given the seed).
-	r := newRig(t, 1, netsim.Config{LossRate: 0.2, LossSeed: 99})
+	r := newRig(t, 1, netsim.Config{FaultSeed: 99})
+	r.uniformLoss(0.2)
 	connected := false
 	r.b.Listen(80, func(c *Conn) {})
 	r.a.Dial(r.b.Host.IP, 80, func(c *Conn, err error) {
