@@ -50,6 +50,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "micsim: -from and -to must be distinct host indices in 0..15")
 		os.Exit(2)
 	}
+	if *size < 0 {
+		fmt.Fprintln(os.Stderr, "micsim: -size must not be negative")
+		os.Exit(2)
+	}
 	if *scenario != "" {
 		sc := scenarioByName(*scenario)
 		if sc == nil {

@@ -15,7 +15,7 @@ import (
 func init() {
 	register(Experiment{
 		ID:    "s10",
-		Title: "Scale-out: channel-setup throughput vs controller shards and plan cache",
+		Title: "Scale-out: channel-setup throughput vs controller planning cores and plan cache",
 		Run:   runS10ScaleOut,
 	})
 }
@@ -32,14 +32,14 @@ const (
 )
 
 // SetupBenchOptions parameterizes one channel-setup-throughput run: a
-// control-plane-only dial storm (no transport payload) against a sharded
-// Mimic Controller, measuring how fast the plan/alloc/install pipeline
-// turns dials into established channels.
+// control-plane-only dial storm (no transport payload) against one Mimic
+// Controller, measuring how fast the plan/alloc/install pipeline turns dials
+// into established channels.
 type SetupBenchOptions struct {
 	Seed uint64
 
 	Arity        int  // fat-tree k
-	Shards       int  // controller shards
+	Cores        int  // the controller's planning cores (mic.Config.PlanCores)
 	DisableCache bool // ablate the path-plan cache
 	MaxDials     int  // schedule cap
 }
@@ -54,29 +54,27 @@ type SetupBenchResult struct {
 	ChannelsPerSec float64 // OK / makespan
 	P50Ms, P99Ms   float64 // per-dial setup latency percentiles
 
-	CacheHits, CacheMisses uint64 // plan-cache accounting, summed over shards
-	Batches, BatchedMods   uint64 // southbound coalescing, summed over shards
+	CacheHits, CacheMisses uint64 // plan-cache accounting
+	Batches, BatchedMods   uint64 // southbound coalescing
 }
 
-// RunSetupBench drives one seeded control-plane dial storm against a
-// ShardedMC and measures channel-setup throughput. Channels are opened via
+// RunSetupBench drives one seeded control-plane dial storm against an MC
+// and measures channel-setup throughput. Channels are opened via
 // EstablishChannel directly — no transport stacks — so the pipeline under
-// test is exactly planner -> allocator -> batched installer, serialized per
-// shard by the virtual planning CPU. Deterministic for a given options
-// value.
+// test is exactly planner -> allocator -> batched installer, paced by the
+// virtual planning cores. Deterministic for a given options value.
 func RunSetupBench(opts SetupBenchOptions) (*SetupBenchResult, error) {
 	tb, err := newFabric(opts.Arity, netsim.Config{})
 	if err != nil {
 		return nil, err
 	}
 	eng, g := tb.Eng, tb.Graph
-	// No other bed fronts a bare ShardedMC, so it is built here rather than
-	// earning a third control-plane field on Testbed.
-	smc, err := mic.NewShardedMC(tb.Net, mic.Config{
+	mc, err := mic.NewMC(tb.Net, mic.Config{
 		MFlows: benchMFlows, Seed: opts.Seed,
 		Widths:           maga.FitWidths(len(g.Switches())),
 		DisablePathCache: opts.DisableCache,
-	}, opts.Shards)
+		PlanCores:        opts.Cores,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -96,7 +94,7 @@ func RunSetupBench(opts SetupBenchOptions) (*SetupBenchResult, error) {
 			issued := eng.Now()
 			initIP := g.Node(d.From).IP
 			target := g.Node(d.To).IP.String()
-			smc.EstablishChannel(initIP, target, mic.ChannelOptions{}, func(info *mic.ChannelInfo, err error) {
+			mc.EstablishChannel(initIP, target, mic.ChannelOptions{}, func(info *mic.ChannelInfo, err error) {
 				if err != nil {
 					res.Failed++
 					return
@@ -108,7 +106,7 @@ func RunSetupBench(opts SetupBenchOptions) (*SetupBenchResult, error) {
 				}
 				eng.After(benchHold, func() {
 					// lint:ignore errdrop bench teardown is best-effort; a failed close only means the channel already went away
-					_ = smc.CloseChannel(info.ID, nil)
+					_ = mc.CloseChannel(info.ID, nil)
 				})
 			})
 		})
@@ -122,13 +120,8 @@ func RunSetupBench(opts SetupBenchOptions) (*SetupBenchResult, error) {
 	}
 	res.P50Ms = lat.Percentile(50)
 	res.P99Ms = lat.Percentile(99)
-	for i := 0; i < smc.Shards(); i++ {
-		sh := smc.Shard(i)
-		res.CacheHits += sh.PathCacheHits
-		res.CacheMisses += sh.PathCacheMisses
-		res.Batches += sh.Ch.Batches
-		res.BatchedMods += sh.Ch.BatchedMods
-	}
+	res.CacheHits, res.CacheMisses = mc.PathCacheHits, mc.PathCacheMisses
+	res.Batches, res.BatchedMods = mc.Ch.Batches, mc.Ch.BatchedMods
 	return res, nil
 }
 
@@ -147,36 +140,36 @@ func s10Dials(arity int, quick bool) int {
 }
 
 // runS10ScaleOut regenerates the scale-out figure: the same dial storm
-// against 1, 2 and 4 controller shards, with and without the path-plan
-// cache. The (1, off) row is the pre-scale-out single-controller baseline;
-// the headline ratio is (4, on) over it.
+// against a controller with 1, 2 and 4 planning cores, with and without the
+// path-plan cache. The (1, off) row is the pre-scale-out controller; the
+// headline ratio is (4, on) over it.
 func runS10ScaleOut(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	shardCounts := []int{1, 2, 4}
+	coreCounts := []int{1, 2, 4}
 	if cfg.Quick {
-		shardCounts = []int{1, 4}
+		coreCounts = []int{1, 4}
 	}
-	tbl := metrics.NewTable("shards", "cache", "dials", "ok", "failed", "channels_per_s", "p50_ms", "p99_ms", "cache_hits", "cache_misses", "sb_batches")
+	tbl := metrics.NewTable("cores", "cache", "dials", "ok", "failed", "channels_per_s", "p50_ms", "p99_ms", "cache_hits", "cache_misses", "sb_batches")
 	var base, best float64
-	for _, shards := range shardCounts {
+	for _, cores := range coreCounts {
 		for _, disable := range []bool{false, true} {
 			r, err := RunSetupBench(SetupBenchOptions{
-				Seed: cfg.Seed, Arity: cfg.Arity, Shards: shards, DisableCache: disable,
+				Seed: cfg.Seed, Arity: cfg.Arity, Cores: cores, DisableCache: disable,
 				MaxDials: s10Dials(cfg.Arity, cfg.Quick),
 			})
 			if err != nil {
-				return nil, fmt.Errorf("s10 shards=%d cache=%v: %w", shards, !disable, err)
+				return nil, fmt.Errorf("s10 cores=%d cache=%v: %w", cores, !disable, err)
 			}
 			cache := "on"
 			if disable {
 				cache = "off"
 			}
-			tbl.AddRow(shards, cache, r.Dials, r.OK, r.Failed,
+			tbl.AddRow(cores, cache, r.Dials, r.OK, r.Failed,
 				r.ChannelsPerSec, r.P50Ms, r.P99Ms, r.CacheHits, r.CacheMisses, r.Batches)
-			if shards == 1 && disable {
+			if cores == 1 && disable {
 				base = r.ChannelsPerSec
 			}
-			if shards == shardCounts[len(shardCounts)-1] && !disable {
+			if cores == coreCounts[len(coreCounts)-1] && !disable {
 				best = r.ChannelsPerSec
 			}
 		}
@@ -188,9 +181,9 @@ func runS10ScaleOut(cfg RunConfig) (*Result, error) {
 	return &Result{
 		ID: "s10", Title: fmt.Sprintf("Channel-setup throughput, fat-tree(%d)", cfg.Arity), Table: tbl,
 		Notes: []string{
-			fmt.Sprintf("speedup (max shards + cache vs 1 shard, cache off): %.2fx", speedup),
+			fmt.Sprintf("speedup (max cores + cache vs 1 core, cache off): %.2fx", speedup),
 			"the (1, off) row is the pre-scale-out controller: one serialized planning core running a full graph search per m-flow",
-			"sharding splits the planning core per initiator edge partition; the plan cache turns repeat edge-pair searches into segment reattachment",
+			"each added core plans another dial at once; the plan cache turns repeat edge-pair searches into segment reattachment",
 			"every dial is acknowledged or typed-failed; channels close 5ms after setup so flow IDs recycle through the storm",
 		},
 	}, nil

@@ -126,7 +126,7 @@ func (mc *MC) admit(d *dial) {
 		mc.QueuePeak = n
 	}
 	if !a.DisableShed {
-		d.deadlineInc = mc.unit.incarnation
+		d.deadlineInc = mc.incarnation
 		mc.Net.Eng.After(a.QueueDeadline, d.deadline)
 	}
 	mc.scheduleDrain()
@@ -135,7 +135,7 @@ func (mc *MC) admit(d *dial) {
 // deadline is a queued dial's admission deadline, gated on the incarnation
 // that queued it.
 func (d *dial) deadline() {
-	if u := d.mc.unit; !u.down && d.deadlineInc == u.incarnation {
+	if !d.mc.down && d.deadlineInc == d.mc.incarnation {
 		d.mc.shedStale(d)
 	}
 }
@@ -298,8 +298,8 @@ func (mc *MC) flowOverBudget() (topo.NodeID, bool) {
 }
 
 // armEviction opts every switch into MC-coordinated LRU eviction when
-// EvictIdle is configured; called on activation (initial or takeover), on a
-// standalone MC or on shard 0 of a unit — the per-switch hook has one owner.
+// EvictIdle is configured; called on activation (initial or takeover) — the
+// per-switch hook has one owner, the acting controller.
 // The hook only counts m-flow victims — common rules are never Evictable.
 func (mc *MC) armEviction() {
 	if !mc.Cfg.Admission.EvictIdle {
@@ -350,7 +350,7 @@ func (mc *MC) reinstallOnMiss(sw *netsim.Switch, inPort int, p *packet.Packet) b
 // health machinery to probe and rebalance onto the new flow.
 func (mc *MC) maybeRestoreDegraded() {
 	a := mc.Cfg.Admission
-	if !a.Enabled || a.DisableDegrade || !mc.unit.active {
+	if !a.Enabled || a.DisableDegrade || !mc.active {
 		return
 	}
 	for _, id := range sortedChanIDs(mc.channels) {
@@ -376,7 +376,7 @@ func (mc *MC) upgradeChannel(st *channelState) bool {
 	// and the repair event below makes their streams re-probe it.
 	mc.FlowsRestored++
 	mc.journalChannel(RecUpdate, st)
-	restored := mc.unit.gate(func() {
+	restored := mc.gate(func() {
 		mc.emitRepair(RepairEvent{
 			Channel: st.id, DetectedAt: detectedAt, CompletedAt: mc.Net.Eng.Now(), Attempts: 1,
 		})
@@ -390,7 +390,7 @@ func (mc *MC) upgradeChannel(st *channelState) bool {
 func (mc *MC) Telemetry() *metrics.Counters { return telemetry([]*MC{mc}) }
 
 // telemetry sums the admission/overload counters over mcs — one standalone
-// MC, or every shard of every cluster member — in fixed registration order.
+// MC, or every cluster member — in fixed registration order.
 func telemetry(mcs []*MC) *metrics.Counters {
 	c := metrics.NewCounters()
 	for _, ctr := range []struct {

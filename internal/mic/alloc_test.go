@@ -174,13 +174,13 @@ func TestClosedChannelStorageReused(t *testing.T) {
 	t.Run("journal-replayed channel", func(t *testing.T) {
 		f := newClusterFixture(t, cfg, ClusterConfig{})
 		info := dial(t, f.eng, f.cl, f.stacks[0].Host.IP, f.stacks[15].Host.IP)
-		old := firstEntry(f.cl.activeMember().lead(), info.ID)
+		old := firstEntry(f.cl.activeMember().mc, info.ID)
 		f.net.SetCtrlHostDown(0, true)
 		f.eng.RunFor(2 * time.Second)
 		if f.cl.Takeovers() != 1 {
 			t.Fatalf("takeovers = %d, want 1", f.cl.Takeovers())
 		}
-		mc := f.cl.activeMember().lead()
+		mc := f.cl.activeMember().mc
 		if firstEntry(mc, info.ID) != old {
 			t.Fatal("the promoted standby does not hold the dead life's entries")
 		}

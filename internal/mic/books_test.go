@@ -141,22 +141,15 @@ func auditBooks(t testing.TB, mc *MC, closing bool) {
 	}
 }
 
-// replayed returns a fresh passive twin of mc rebuilt from the journal alone:
-// every record of mc's shard applied in order, then the counters normalized —
-// what a standby promoted this instant would hold.
+// replayed returns a fresh passive twin of mc rebuilt from the journal alone
+// (restore) — what a standby promoted this instant would hold.
 func replayed(t testing.TB, mc *MC, j *Journal) *MC {
 	t.Helper()
 	twin, err := newMC(mc.Net, mc.Cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	twin.shardID = mc.shardID
-	for _, r := range j.Records() {
-		if r.Shard == mc.shardID {
-			twin.applyRecord(r)
-		}
-	}
-	twin.finishRestore(j)
+	twin.restore(j)
 	return twin
 }
 
@@ -171,16 +164,14 @@ func checkReplay(t testing.TB, mc *MC, j *Journal) {
 	checkBooks(t, twin)
 }
 
-// checkClusterReplay is checkReplay over every shard of the acting unit.
+// checkClusterReplay is checkReplay on the acting member.
 func checkClusterReplay(t testing.TB, cl *Cluster) {
 	t.Helper()
 	m := cl.activeMember()
 	if m == nil {
 		t.Fatal("no active member to check")
 	}
-	for _, mc := range m.unit.shards {
-		checkReplay(t, mc, cl.Journal)
-	}
+	checkReplay(t, m.mc, cl.Journal)
 }
 
 // sameChannels compares two controllers' live channels field by field.

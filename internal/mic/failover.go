@@ -13,7 +13,7 @@ import (
 )
 
 // This file makes the Mimic Controller survivable: a Cluster runs one active
-// controller unit that journals every mutation plus standby units that hold
+// controller that journals every mutation plus standby controllers that hold
 // no channel state, detect its death by missed heartbeats, and take over —
 // rebuilding from the journal once, reconciling every switch's flow table
 // against the rebuilt intent (delete the dead life's stale rules by cookie,
@@ -22,22 +22,15 @@ import (
 // make-before-break. The paper assumes the MC simply exists (Sec III); this
 // layer answers what a deployment actually needs when it stops existing.
 //
-// A unit is N >= 1 shard MCs behind one router (shard.go) on one controller
-// host; it lives, dies and is promoted as a whole, and owns that life: the
-// Cluster decides when a unit crashes, revives, steps down or is promoted,
-// and the unit carries it out. This is the only HA composition in the
-// package, and a single MC is the unit of one. Heartbeats, epoch Hellos and
-// switch dumps ride shard 0's southbound channel.
+// Each member is one MC on one controller host, and the MC owns its life
+// (life.go): the Cluster decides when a member crashes, revives, steps down
+// or is promoted, and the MC carries it out. Heartbeats, epoch Hellos and
+// switch dumps ride the member's southbound channel.
 
 // ClusterConfig tunes failover behaviour.
 type ClusterConfig struct {
 	// Standbys is how many standby controllers to run (default 1).
 	Standbys int
-
-	// Shards is how many shard MCs make up each member's controller unit
-	// (default 1). Every member runs the same count: journal records are
-	// routed to shards by index.
-	Shards int
 
 	// DisableReconcile skips the takeover flow-table reconciliation — the
 	// ablation arm that shows why dumping and diffing switch state matters.
@@ -91,18 +84,13 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Standbys == 0 {
 		c.Standbys = DefaultStandbys
 	}
-	if c.Shards == 0 {
-		c.Shards = 1
-	}
 	return c
 }
 
-// member is one controller host in the cluster: a unit of shard MCs that
-// crash, restart, step down and take over together. Its role is its unit's
-// life: dead while the unit is down, active while it is active, a standby
-// otherwise.
+// member is one controller host in the cluster. Its role is its MC's life:
+// dead while the MC is down, active while it is active, a standby otherwise.
 type member struct {
-	unit    *ShardedMC
+	mc      *MC
 	ctrlIdx int // netsim controller-host index (crash/restart handle)
 
 	// The member's timers: the active's beat ticker and lease check, the
@@ -160,12 +148,6 @@ type Cluster struct {
 	// re-issued across a blackout or a step-down.
 	heartbeatsSent, heartbeatsMissed, stepdowns, requestRetries uint64
 
-	// RecordsRefused counts journal records that named a shard no unit of
-	// this cluster has — a foreign writer on the log — summed over every
-	// promotion's rebuild. They are skipped, never folded into some other
-	// shard's state.
-	RecordsRefused uint64
-
 	// OnTakeover (may be nil) observes every completed takeover.
 	OnTakeover func(TakeoverStats)
 
@@ -176,7 +158,7 @@ type Cluster struct {
 	active  int // index of the acting member, -1 during a blackout
 
 	// takeovers counts completed promotions; it is also the generation the
-	// promoted unit's rules carry in their cookies.
+	// promoted MC's rules carry in their cookies.
 	takeovers uint32
 
 	// fence is the cluster's mastership fencing epoch: bumped on every
@@ -186,9 +168,9 @@ type Cluster struct {
 	fence uint64
 }
 
-// NewCluster builds the failover group: one active unit (which installs
+// NewCluster builds the failover group: one active MC (which installs
 // common routing and starts journaling) plus ccfg.Standbys empty passive
-// units. Every member registers as one controller host in the network, so
+// ones. Every member registers as one controller host in the network, so
 // chaos faults can kill and restart controllers like any other element.
 func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
@@ -200,17 +182,18 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 	}
 	c.Journal.Fencing = !c.CCfg.DisableFencing
 
-	primary, err := newShardedMC(net, c.Cfg, c.CCfg.Shards, false)
+	primary, err := NewMC(net, c.Cfg)
 	if err != nil {
 		return nil, err
 	}
 	primary.journal = c.Journal
 	c.addMember(primary)
 	for i := 0; i < c.CCfg.Standbys; i++ {
-		sb, err := newShardedMC(net, c.Cfg, c.CCfg.Shards, true)
+		sb, err := newMC(net, c.Cfg)
 		if err != nil {
 			return nil, err
 		}
+		sb.own()
 		c.addMember(sb)
 	}
 
@@ -234,16 +217,14 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 	return c, nil
 }
 
-// addMember registers one controller unit with the cluster as a netsim
+// addMember registers one controller with the cluster as a netsim
 // controller host, the chaos layer's kill handle.
-func (c *Cluster) addMember(unit *ShardedMC) {
-	m := &member{unit: unit, ctrlIdx: c.Net.RegisterCtrlHost()}
-	// Bind every shard's southbound channel to the member's management-
-	// network endpoint, so partitions between this controller host and
-	// switches (or peer controllers) actually cut its traffic.
-	for _, mc := range unit.shards {
-		mc.Ch.CtrlHost = m.ctrlIdx
-	}
+func (c *Cluster) addMember(mc *MC) {
+	m := &member{mc: mc, ctrlIdx: c.Net.RegisterCtrlHost()}
+	// Bind the southbound channel to the member's management-network
+	// endpoint, so partitions between this controller host and switches (or
+	// peer controllers) actually cut its traffic.
+	mc.Ch.CtrlHost = m.ctrlIdx
 	m.beat.Bind(c.eng(), func() { c.sendBeats(m) })
 	m.lease.Bind(c.eng(), func() { c.leaseEdge(m) })
 	m.watch.Bind(c.eng(), func() { c.checkBeats(m) })
@@ -263,12 +244,8 @@ func (c *Cluster) addMember(unit *ShardedMC) {
 	c.members = append(c.members, m)
 }
 
-// lead is the shard whose southbound channel carries the member's cross-shard
-// control traffic: heartbeats, epoch Hellos and switch dumps.
-func (m *member) lead() *MC { return m.unit.shards[0] }
-
-// standby reports whether m's unit is alive but passive.
-func (m *member) standby() bool { return !m.unit.down && !m.unit.active }
+// standby reports whether m's MC is alive but passive.
+func (m *member) standby() bool { return !m.mc.down && !m.mc.active }
 
 func (c *Cluster) eng() *sim.Engine { return c.Net.Eng }
 
@@ -298,24 +275,23 @@ func (c *Cluster) activeMember() *member {
 		return nil
 	}
 	m := c.members[c.active]
-	if !m.unit.active {
+	if !m.mc.active {
 		return nil
 	}
 	return m
 }
 
-// ActiveMC returns the acting unit's lead shard (the whole controller when
-// Shards is 1), or nil during a blackout — the window between the active's
-// death and a standby's takeover.
+// ActiveMC returns the acting controller, or nil during a blackout — the
+// window between the active's death and a standby's takeover.
 func (c *Cluster) ActiveMC() *MC {
 	if m := c.activeMember(); m != nil {
-		return m.lead()
+		return m.mc
 	}
 	return nil
 }
 
-// MemberMC returns the lead shard of member i's unit (tests and harnesses).
-func (c *Cluster) MemberMC(i int) *MC { return c.members[i].lead() }
+// MemberMC returns member i's controller (tests and harnesses).
+func (c *Cluster) MemberMC(i int) *MC { return c.members[i].mc }
 
 // ActiveIndex returns the acting member's index, or -1 during a blackout.
 func (c *Cluster) ActiveIndex() int {
@@ -355,11 +331,11 @@ func (c *Cluster) startBeating(m *member) {
 // sendBeats is one tick of the active's beat ticker.
 func (c *Cluster) sendBeats(m *member) {
 	for _, other := range c.members {
-		if other == m || other.unit.down {
+		if other == m || other.mc.down {
 			continue
 		}
 		c.heartbeatsSent++
-		m.lead().Ch.Heartbeat(other.ctrlIdx, other.heard, m.acked)
+		m.mc.Ch.Heartbeat(other.ctrlIdx, other.heard, m.acked)
 	}
 	m.beat.Reset(DefaultHeartbeatInterval)
 }
@@ -417,12 +393,12 @@ func (c *Cluster) usurperExists(m *member) bool {
 // lease edge, which is strictly before any successor's takeover window opens
 // — so with fencing on, a partitioned-away master never writes concurrently
 // with its successor. The deposed member rejoins as a demoted standby: its
-// unit forgets its state — unjournaled in-flight plans are discarded, and
+// MC forgets its state — unjournaled in-flight plans are discarded, and
 // their switch rules (if any landed) are the next takeover's reconciliation
 // fodder, same as a crashed active's — and it watches for the successor's
 // heartbeat, which is what clears the demotion.
 func (c *Cluster) stepDown(m *member) {
-	if !m.unit.active {
+	if !m.mc.active {
 		return
 	}
 	c.stepdowns++
@@ -430,7 +406,7 @@ func (c *Cluster) stepDown(m *member) {
 	if c.active == c.memberIndex(m) {
 		c.active = -1
 	}
-	m.unit.stepDown()
+	m.mc.stepDown()
 	c.startWatchdog(m)
 	if c.OnStepDown != nil {
 		c.OnStepDown(c.memberIndex(m), c.eng().Now())
@@ -484,12 +460,12 @@ func (c *Cluster) leaseExpiredFor(m *member) bool {
 // (channel silent, closures disarmed), and if it was the active, the cluster
 // enters a blackout that only a standby's watchdog can end.
 func (c *Cluster) memberCrashed(m *member) {
-	if m.unit.down {
+	if m.mc.down {
 		return
 	}
-	wasActive := m.unit.active
+	wasActive := m.mc.active
 	m.stopTimers()
-	m.unit.crash()
+	m.mc.crash()
 	if wasActive {
 		if c.active == c.memberIndex(m) {
 			c.active = -1
@@ -506,14 +482,14 @@ func (c *Cluster) memberCrashed(m *member) {
 // new southbound channel, watchdog armed. It does not reclaim the active
 // role — at most it becomes the next takeover's winner, and rebuilds then.
 func (c *Cluster) memberRejoined(m *member) {
-	if !m.unit.down {
+	if !m.mc.down {
 		return
 	}
-	m.unit.revive()
+	m.mc.revive()
 	c.startWatchdog(m)
 }
 
-// takeover promotes standby m to active: rebuild its unit from the journal,
+// takeover promotes standby m to active: rebuild its MC from the journal,
 // bump the controller generation (the cookie field that marks the dead
 // life's rules as stale) and the fencing epoch (announced to every switch so
 // the deposed life's in-flight mutations are rejected), attach to the
@@ -531,37 +507,35 @@ func (c *Cluster) takeover(m *member) bool {
 		return false
 	}
 	c.takeovers++
-	c.RecordsRefused += uint64(m.unit.restore(c.Journal))
+	mc := m.mc
+	mc.restore(c.Journal)
 	m.demoted = false
 	c.active = c.memberIndex(m)
 	c.fence++
 	// The promoted life carries the takeover's generation in its rule cookies
 	// and its fencing epoch on journal writes and (unless the fencing ablation
-	// is on) every shard's southbound messages, so a deposed life is told
-	// apart — and rejected — shard by shard.
-	u := m.unit
-	u.active, u.generation, u.fence, u.journal = true, c.takeovers, c.fence, c.Journal
+	// is on) its southbound messages, so a deposed life is told apart — and
+	// rejected.
+	mc.active, mc.generation, mc.fence, mc.journal = true, c.takeovers, c.fence, c.Journal
 	if !c.CCfg.DisableFencing {
-		for _, mc := range u.shards {
-			mc.Ch.Epoch = c.fence
-		}
+		mc.Ch.Epoch = c.fence
 	}
 	// The journal learns the new life's epoch before its first append, so a
 	// deposed life's raced-in writes read as divergent however they interleave.
 	c.Journal.RaiseFence(c.fence)
-	u.attach()
+	mc.attach()
 	if !c.CCfg.DisableFencing {
 		// Announce the new epoch to every reachable switch before any
 		// reconciliation traffic: same channel, same latency, so the Hello
 		// lands first and every later message from a deposed life is stale.
 		for _, sw := range c.Net.Switches() {
-			m.lead().Ch.Hello(sw, nil)
+			mc.Ch.Hello(sw, nil)
 		}
 	}
 	c.startBeating(m)
 
-	stats := TakeoverStats{Member: c.active, Channels: m.unit.LiveChannels()}
-	clear(m.unit.recon) // an earlier life's; every switch gets a pass now
+	stats := TakeoverStats{Member: c.active, Channels: mc.LiveChannels()}
+	clear(mc.recon) // an earlier life's; every switch gets a pass now
 	switches := c.Net.Switches()
 	remaining := len(switches)
 	if c.CCfg.DisableReconcile || remaining == 0 {
@@ -569,7 +543,7 @@ func (c *Cluster) takeover(m *member) bool {
 		return true
 	}
 	for _, sw := range switches {
-		m.unit.converge(sw.ID, false, func(reinstalled, stale int) {
+		mc.converge(sw.ID, false, func(reinstalled, stale int) {
 			stats.Reinstalled += reinstalled
 			stats.StaleDeleted += stale
 			if remaining--; remaining == 0 {
@@ -585,10 +559,7 @@ func (c *Cluster) takeover(m *member) bool {
 // with it) is detected by a liveness sweep and queued through the normal
 // self-healing path. Then the takeover becomes observable.
 func (c *Cluster) finishTakeover(m *member, stats TakeoverStats) {
-	for _, mc := range m.unit.shards {
-		if !mc.Cfg.AutoRepair {
-			continue
-		}
+	if mc := m.mc; mc.Cfg.AutoRepair {
 		for _, id := range sortedChanIDs(mc.channels) {
 			if !mc.channelAlive(mc.channels[id]) {
 				mc.scheduleRepair(id)
@@ -602,7 +573,7 @@ func (c *Cluster) finishTakeover(m *member, stats TakeoverStats) {
 }
 
 // Audit omnisciently diffs every switch's installed flow table against the
-// union of the acting unit's intent, as a pass does, and returns the counts:
+// acting controller's intent, as a pass does, and returns the counts:
 // stale m-flow entries no live channel wants, and intended entries not
 // installed. The failover acceptance bar is (0, 0) after reconciliation
 // settles.
@@ -612,33 +583,31 @@ func (c *Cluster) Audit() (stale, missing int) {
 		return 0, 0
 	}
 	for _, sw := range c.Net.Switches() {
-		_, _, staleN, missingN := m.unit.diff(sw.ID, sw.Table.Entries())
+		_, _, staleN, missingN := m.mc.diff(sw.ID, sw.Table.Entries())
 		stale, missing = stale+staleN, missing+missingN
 	}
 	return stale, missing
 }
 
 // memberCounters lists the per-controller tallies the cluster reports, summed
-// over every shard of every member: each accumulates its own while active,
-// and sums (unlike gauges) survive takeovers.
+// over every member: each accumulates its own while active, and sums
+// (unlike gauges) survive takeovers.
 var memberCounters = []string{
 	"dials_admitted", "dials_shed", "channels_degraded",
 	"channels_refused", "flows_restored", "mflow_rules_evicted",
 }
 
 // Telemetry reports the cluster's liveness tallies, the journal statistics,
-// the units' reconciliation work and the members' admission counters, in a
-// fixed order for stable reports.
+// the members' reconciliation work and admission counters, in a fixed order
+// for stable reports.
 func (c *Cluster) Telemetry() *metrics.Counters {
 	var mcs []*MC
 	var rejects, reinstalled, staleDeleted uint64
 	for _, m := range c.members {
-		mcs = append(mcs, m.unit.shards...)
-		for _, mc := range m.unit.shards {
-			rejects += mc.Ch.StaleRejects
-		}
-		reinstalled += m.unit.reinstalled
-		staleDeleted += m.unit.staleDeleted
+		mcs = append(mcs, m.mc)
+		rejects += m.mc.Ch.StaleRejects
+		reinstalled += m.mc.reinstalled
+		staleDeleted += m.mc.staleDeleted
 	}
 	t := metrics.NewCounters()
 	t.Set("heartbeats_sent", c.heartbeatsSent)
@@ -665,7 +634,7 @@ func (c *Cluster) Telemetry() *metrics.Counters {
 func (c *Cluster) Stop() {
 	for _, m := range c.members {
 		m.stopTimers()
-		m.unit.StopProber()
+		m.mc.StopProber()
 	}
 }
 
@@ -675,20 +644,19 @@ func (c *Cluster) Engine() *sim.Engine { return c.Net.Eng }
 // ClientSeed implements ControlPlane.
 func (c *Cluster) ClientSeed() uint64 { return c.Cfg.Seed }
 
-// SubscribeRepair implements ControlPlane: fn registers on every member's
-// unit, so it hears repair events from whichever member is acting, across
-// takeovers.
+// SubscribeRepair implements ControlPlane: fn registers on every member, so
+// it hears repair events from whichever member is acting, across takeovers.
 func (c *Cluster) SubscribeRepair(fn func(RepairEvent)) {
 	for _, m := range c.members {
-		m.unit.SubscribeRepair(fn)
+		m.mc.SubscribeRepair(fn)
 	}
 }
 
 // SubscribeChannelDown implements ControlPlane, registering on every
-// member's unit like SubscribeRepair.
+// member like SubscribeRepair.
 func (c *Cluster) SubscribeChannelDown(fn func(id uint64, err error)) {
 	for _, m := range c.members {
-		m.unit.SubscribeChannelDown(fn)
+		m.mc.SubscribeChannelDown(fn)
 	}
 }
 
@@ -713,7 +681,7 @@ func (c *Cluster) EstablishChannel(initiator addr.IP, target string, opts Channe
 			return
 		}
 		answered := false
-		m.unit.EstablishChannel(initiator, target, opts, func(info *ChannelInfo, err error) {
+		m.mc.EstablishChannel(initiator, target, opts, func(info *ChannelInfo, err error) {
 			if answered {
 				// A retry superseded this attempt; its late success would be
 				// an unobserved duplicate — release it.
@@ -757,19 +725,18 @@ func (c *Cluster) CloseChannel(id uint64, cb func()) error {
 	if m == nil {
 		return fmt.Errorf("mic: no active controller")
 	}
-	return m.unit.CloseChannel(id, cb)
+	return m.mc.CloseChannel(id, cb)
 }
 
-// RegisterHiddenService registers the mapping on every shard of the acting
-// unit; each journals its copy, so standbys and successors resolve the name
-// too. Like CloseChannel it fails during a blackout.
+// RegisterHiddenService registers the mapping on the acting controller,
+// which journals it, so standbys and successors resolve the name too. Like CloseChannel it fails during a blackout.
 // lint:secret ip
 func (c *Cluster) RegisterHiddenService(name string, ip addr.IP) error {
 	m := c.activeMember()
 	if m == nil {
 		return fmt.Errorf("mic: no active controller")
 	}
-	return m.unit.RegisterHiddenService(name, ip)
+	return m.mc.RegisterHiddenService(name, ip)
 }
 
 // sortedChanIDs returns the channel IDs in ascending order, so every sweep

@@ -168,7 +168,7 @@ func diffAt(a, b []byte) int {
 //	      attempts)
 //	4     with the argument's low bit clear, heal every cut link and restart
 //	      every crashed switch; with it set, crash the switch in the middle of a
-//	      live channel's first flow (the MC repairs around it, and the unit
+//	      live channel's first flow (the MC repairs around it, and
 //	      reconciles it when it restarts)
 //	5     cut a link as 3 does, run one control round trip, then close that
 //	      channel: the close lands while the repair's install is out
@@ -179,7 +179,7 @@ func diffAt(a, b []byte) int {
 //	      retransmitting
 //
 // After every step the engine runs dry and then the live controller's books
-// balance, a fresh passive controller fed Journal.Records() and finishRestore
+// balance, a fresh passive controller rebuilt by restore from the journal
 // holds the same channels fact for fact, its books balance too, and the
 // switches' tables hold what checkTables allows.
 func FuzzJournalReplay(f *testing.F) {
@@ -214,7 +214,7 @@ func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts 
 		Admission: AdmissionConfig{Enabled: true, Rate: 1e6, Burst: 64, SwitchRuleBudget: 12}})
 	mc, g := bed.mc, bed.graph
 	j = &Journal{SnapshotEvery: 3}
-	mc.unit.journal = j
+	mc.journal = j
 	type link struct {
 		node topo.NodeID
 		port int
@@ -306,7 +306,7 @@ func checkTables(t testing.TB, mc *MC) {
 // tablesError holds the switches' flow tables to the MC at quiescence, no
 // southbound message in flight:
 //   - every m-flow entry installed belongs to a live channel's current epoch,
-//     or its switch is marked for the unit to reconcile;
+//     or its switch is marked for the MC to reconcile;
 //   - no entry is installed twice, in two tables or in one;
 //   - every entry and group a live channel intends is installed where it is
 //     intended, unless that switch abandoned a message;
@@ -341,7 +341,7 @@ func tablesError(mc *MC) error {
 				return fmt.Errorf("one entry (cookie %#x) is installed on %s and on %s", e.Cookie, other.Name, sw.Name)
 			}
 			installedOn[e] = sw
-			if e.Priority == ctrlplane.PriorityMFlow && !current[e.Cookie] && !mc.unit.recon[sw.ID].marked {
+			if e.Priority == ctrlplane.PriorityMFlow && !current[e.Cookie] && !mc.recon[sw.ID].marked {
 				return fmt.Errorf("%s holds an m-flow entry of cookie %#x: no live channel's current epoch, and the switch is not marked for reconcile", sw.Name, e.Cookie)
 			}
 		}

@@ -70,7 +70,7 @@ func (mc *MC) scheduleRepair(id uint64) {
 	}
 	job := &repairJob{detectedAt: mc.Net.Eng.Now()}
 	mc.repairJobs[id] = job
-	mc.Net.Eng.After(mc.Ch.Latency, mc.unit.gate(func() { mc.runRepair(id, job) }))
+	mc.Net.Eng.After(mc.Ch.Latency, mc.gate(func() { mc.runRepair(id, job) }))
 }
 
 func (mc *MC) repairMaxRetries() int {
@@ -113,12 +113,12 @@ func (mc *MC) runRepair(id uint64, job *repairJob) {
 		return
 	}
 	job.attempts++
-	mc.RepairChannel(id, gated(mc.unit, func(err error) {
+	mc.RepairChannel(id, gated(mc, func(err error) {
 		if job.dirty {
 			// Another failure hit mid-repair (possibly on the path we just
 			// installed). Re-verify immediately: the next runRepair picks a
 			// path disjoint from everything currently dead.
-			mc.Net.Eng.After(0, mc.unit.gate(func() { mc.runRepair(id, job) }))
+			mc.Net.Eng.After(0, mc.gate(func() { mc.runRepair(id, job) }))
 			return
 		}
 		if err == nil {
@@ -129,7 +129,7 @@ func (mc *MC) runRepair(id uint64, job *repairJob) {
 			mc.settleRepair(id, job, err)
 			return
 		}
-		mc.Net.Eng.After(mc.repairBackoff(job.attempts), mc.unit.gate(func() { mc.runRepair(id, job) }))
+		mc.Net.Eng.After(mc.repairBackoff(job.attempts), mc.gate(func() { mc.runRepair(id, job) }))
 	}))
 }
 

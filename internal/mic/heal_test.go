@@ -333,10 +333,10 @@ func TestAutoRepairViaProber(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("silent failure broke the transfer: %d/%d", len(got), len(data))
 	}
-	if f.mc.unit.prober.Deaths == 0 {
+	if f.mc.prober.Deaths == 0 {
 		t.Fatal("prober never declared the victim dead")
 	}
-	f.mc.unit.StopProber()
+	f.mc.StopProber()
 	checkBooks(t, f.mc)
 }
 
@@ -449,7 +449,7 @@ func closeWhileSwitchDown(t *testing.T, cfg Config) {
 // TestExhaustedDeleteOnLiveSwitchConverges: a close whose deletes run out of
 // retries on live switches, with no prober to report a reconnect that never
 // comes anyway, must not leave the rules there. Every unconfirmed delete to a
-// switch that is up hands it to the unit, which reconciles it at once and
+// switch that is up marks it for reconcile, which runs a pass at once and
 // retries the pass until the control channel carries it.
 func TestExhaustedDeleteOnLiveSwitchConverges(t *testing.T) {
 	f := newFixture(t, Config{MNs: 2})
@@ -521,7 +521,7 @@ func closeDuringRepair(t *testing.T, loss float64, seed uint64) {
 	}
 	for _, sw := range f.net.Switches() {
 		if n := mflowRulesAt(f, sw.ID); n != 0 {
-			t.Fatalf("loss %g seed %d: %s still holds %d rules of the closed channel (marked for reconcile: %v)", loss, seed, sw.Name, n, f.mc.unit.recon[sw.ID].marked)
+			t.Fatalf("loss %g seed %d: %s still holds %d rules of the closed channel (marked for reconcile: %v)", loss, seed, sw.Name, n, f.mc.recon[sw.ID].marked)
 		}
 	}
 	checkBooks(t, f.mc)
@@ -601,7 +601,7 @@ func repairDuringDial(t *testing.T, cfg Config, loss float64, seed uint64, crash
 func TestRepairWhileDialQueuedBehindPlanner(t *testing.T) {
 	dial := func(t *testing.T) (*fixture, *channelState, *error) {
 		f := newFixture(t, Config{MNs: 2, AutoRepair: true})
-		f.mc.cpuFree = sim.Time(3 * time.Millisecond)
+		f.mc.cpuFree[0] = sim.Time(3 * time.Millisecond)
 		answer := new(error)
 		*answer = errors.New("dial not answered")
 		f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(_ *ChannelInfo, err error) { *answer = err })

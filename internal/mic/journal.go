@@ -68,12 +68,6 @@ type Record struct {
 	// zombie had never written.
 	Fenced bool
 
-	// Shard identifies which shard of the controller unit wrote the record
-	// (0 for a single-shard controller). ShardedMC.restore routes each
-	// record to the matching shard on replay, and the journal's counter
-	// high-waters are keyed on it.
-	Shard uint32
-
 	// RecHidden. The journal is the one sanctioned path by which real
 	// addresses reach another controller: a successor must rebuild the
 	// hidden map and the real endpoint pair to serve repairs and closes
@@ -113,7 +107,7 @@ type Record struct {
 const DefaultSnapshotEvery = 64
 
 // Journal is the MC mutation log. The active controller appends; a promoted
-// standby rebuilds its state by replaying Records once (ShardedMC.restore).
+// standby rebuilds its state by replaying Records once (MC.restore).
 // The log self-compacts: every SnapshotEvery appends it folds closed
 // channels and superseded updates away, keeping one record per live fact
 // (plus counter high-waters kept separately), so its size tracks live
@@ -140,12 +134,10 @@ type Journal struct {
 	tail []Record // records since the last snapshot
 	seq  uint64
 
-	// Counter high-waters, keyed by Record.Shard (a single-shard controller
-	// is shard 0): shard ID spaces are disjoint, so one shard's AllocNext
-	// must never clamp another's allocator.
-	allocHighShard map[uint32]uint32 // highest journaled AllocNext
-	groupHighShard map[uint32]uint32 // highest journaled NextGroup
-	chanHighShard  map[uint32]uint64 // highest opened channel ID + 1
+	// Counter high-waters, which a restore moves its counters past.
+	allocHigh uint32 // highest journaled AllocNext
+	groupHigh uint32 // highest journaled NextGroup
+	chanHigh  uint64 // highest opened channel ID + 1
 
 	// Appends and Snapshots count journal activity for reports.
 	Appends   uint64
@@ -194,25 +186,16 @@ func (j *Journal) Append(r Record) {
 	} else if r.Fence > j.fenceHigh {
 		j.fenceHigh = r.Fence
 	}
-	if j.allocHighShard == nil {
-		j.allocHighShard = make(map[uint32]uint32)
-		j.groupHighShard = make(map[uint32]uint32)
-		j.chanHighShard = make(map[uint32]uint64)
-	}
 	switch r.Kind {
 	case RecOpen, RecUpdate:
 		// RecUpdate carries AllocNext too: a degraded-channel upgrade
 		// allocates fresh flow IDs without a RecOpen.
-		if r.Kind == RecOpen && r.Channel+1 > j.chanHighShard[r.Shard] {
-			j.chanHighShard[r.Shard] = r.Channel + 1
+		if r.Kind == RecOpen {
+			j.chanHigh = max(j.chanHigh, r.Channel+1)
 		}
-		if r.AllocNext > j.allocHighShard[r.Shard] {
-			j.allocHighShard[r.Shard] = r.AllocNext
-		}
+		j.allocHigh = max(j.allocHigh, r.AllocNext)
 	}
-	if r.NextGroup > j.groupHighShard[r.Shard] {
-		j.groupHighShard[r.Shard] = r.NextGroup
-	}
+	j.groupHigh = max(j.groupHigh, r.NextGroup)
 	j.tail = append(j.tail, r)
 	if len(j.tail) >= j.snapshotEvery() {
 		j.compact()
@@ -239,17 +222,6 @@ func (j *Journal) Records() []Record {
 
 // Len reports the current log length (after compaction).
 func (j *Journal) Len() int { return len(j.base) + len(j.tail) }
-
-// AllocHighShard returns shard's flow-ID allocation high-water mark. Like
-// GroupHighShard and ChanHighShard it reads records tagged with that shard
-// only: a promoted shard restores its own counters, never a sibling's.
-func (j *Journal) AllocHighShard(shard uint32) uint32 { return j.allocHighShard[shard] }
-
-// GroupHighShard returns shard's group-ID counter high-water mark.
-func (j *Journal) GroupHighShard(shard uint32) uint32 { return j.groupHighShard[shard] }
-
-// ChanHighShard returns one past the highest channel ID shard ever opened.
-func (j *Journal) ChanHighShard(shard uint32) uint64 { return j.chanHighShard[shard] }
 
 // compact folds the log down to one record per live fact: hidden services in
 // registration order, then live channels in open order, each as its latest
@@ -303,22 +275,20 @@ func (j *Journal) compact() {
 // repairs.
 
 func (mc *MC) journalHidden(name string, ip addr.IP) {
-	if u := mc.unit; u.journal != nil {
-		u.journal.Append(Record{Kind: RecHidden, Fence: u.fence, Shard: mc.shardID, Name: name, IP: ip})
+	if mc.journal != nil {
+		mc.journal.Append(Record{Kind: RecHidden, Fence: mc.fence, Name: name, IP: ip})
 	}
 }
 
 // journalChannel appends st's facts as they now stand: RecOpen for a new
 // channel, RecUpdate after a repair or a restored flow.
 func (mc *MC) journalChannel(kind RecordKind, st *channelState) {
-	u := mc.unit
-	if u.journal == nil {
+	if mc.journal == nil {
 		return
 	}
 	r := Record{
 		Kind:      kind,
-		Fence:     u.fence,
-		Shard:     mc.shardID,
+		Fence:     mc.fence,
 		Channel:   st.id,
 		Initiator: st.initiator,
 		Responder: st.responder,
@@ -338,12 +308,12 @@ func (mc *MC) journalChannel(kind RecordKind, st *channelState) {
 		r.Entries = append(r.Entries, fr.entry)
 		r.Finals = append(r.Finals, fr.finalSrc)
 	}
-	u.journal.Append(r)
+	mc.journal.Append(r)
 }
 
 func (mc *MC) journalClose(id uint64) {
-	if u := mc.unit; u.journal != nil {
-		u.journal.Append(Record{Kind: RecClose, Fence: u.fence, Shard: mc.shardID, Channel: id})
+	if mc.journal != nil {
+		mc.journal.Append(Record{Kind: RecClose, Fence: mc.fence, Channel: id})
 	}
 }
 
@@ -373,7 +343,7 @@ func (r Record) channel() *channelState {
 // (unbook) and, unless it is a close, puts what the record states on them
 // (book) — the same two functions live serving uses, so a replayed
 // controller's tables are the live one's. It mutates bookkeeping only — no
-// southbound I/O, no RNG draws, no allocator draws (finishRestore normalizes
+// southbound I/O, no RNG draws, no allocator draws (restore normalizes
 // counters afterwards) — so a standby can replay the log while fully
 // passive.
 func (mc *MC) applyRecord(r Record) {
@@ -395,24 +365,4 @@ func (mc *MC) applyRecord(r Record) {
 	mc.channels[st.id] = st
 	mc.nextChan = max(mc.nextChan, st.id+1)
 	mc.nextGroup = max(mc.nextGroup, r.NextGroup)
-}
-
-// finishRestore normalizes the counters after replay: the flow-ID allocator
-// is rebuilt from the journaled high-water mark minus the IDs live channels
-// hold, and the channel/group counters jump past everything ever issued.
-// Called exactly once per rebuild, by ShardedMC.restore at a takeover.
-func (mc *MC) finishRestore(j *Journal) {
-	held := make(map[uint32]bool)
-	// lint:ignore detrange set-insertion only; result independent of order
-	for _, st := range mc.channels {
-		for _, r := range st.res {
-			held[r.fwdID], held[r.revID] = true, true
-		}
-	}
-	// Counters come from this shard's records only: clamping one shard's
-	// allocator to another shard's high-water would hand out IDs it does
-	// not own.
-	mc.flowIDs.restore(j.AllocHighShard(mc.shardID), held)
-	mc.nextChan = max(mc.nextChan, j.ChanHighShard(mc.shardID), uint64(mc.Cfg.InstanceID)<<32)
-	mc.nextGroup = max(mc.nextGroup, j.GroupHighShard(mc.shardID))
 }

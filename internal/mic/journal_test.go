@@ -85,6 +85,34 @@ func TestIDAllocatorRestore(t *testing.T) {
 	}
 }
 
+// TestIDAllocatorDoubleRelease is the regression test for the allocator
+// double-release bug: releasing the same flow ID twice used to enqueue it on
+// the free list twice, after which two different m-flows could be handed the
+// same ID — colliding MAGA tuples across channels.
+func TestIDAllocatorDoubleRelease(t *testing.T) {
+	a := newIDAllocator(0, 4)
+	id, err := a.alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.release(id)
+	a.release(id) // must be a no-op, not a second free-list entry
+	seen := map[uint32]bool{}
+	for {
+		got, err := a.alloc()
+		if err != nil {
+			break // space exhausted
+		}
+		if seen[got] {
+			t.Fatalf("allocator handed out flow ID %d twice after double release", got)
+		}
+		seen[got] = true
+	}
+	if len(seen) != 4 {
+		t.Fatalf("allocated %d distinct IDs from a 4-ID space, want 4", len(seen))
+	}
+}
+
 // TestJournalCompactionBoundsLength churns open/close pairs through a
 // small-threshold journal and asserts the log length tracks live state,
 // not history — while the counter high-waters and live facts survive.
@@ -117,14 +145,8 @@ func TestJournalCompactionBoundsLength(t *testing.T) {
 	if hidden != 1 || open999 != 1 {
 		t.Fatalf("live facts after compaction: hidden=%d open999=%d, want 1/1", hidden, open999)
 	}
-	if got := j.AllocHighShard(0); got != 104 {
-		t.Fatalf("AllocHighShard(0) = %d, want 104", got)
-	}
-	if got := j.ChanHighShard(0); got != 1000 {
-		t.Fatalf("ChanHighShard(0) = %d, want 1000", got)
-	}
-	if a, c := j.AllocHighShard(1), j.ChanHighShard(1); a != 0 || c != 0 {
-		t.Fatalf("shard 1 high-waters = %d/%d from shard-0 records only, want 0/0", a, c)
+	if j.allocHigh != 104 || j.chanHigh != 1000 || j.groupHigh != 1 {
+		t.Fatalf("high-waters alloc/chan/group = %d/%d/%d, want 104/1000/1", j.allocHigh, j.chanHigh, j.groupHigh)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 	"mic/internal/ctrlplane"
 )
 
-// TestKillPointsOverOneDialAndClose crashes the controller unit right after
+// TestKillPointsOverOneDialAndClose crashes the controller right after
 // each engine event of one dial, from its request to its answer, and of one
-// close, from the close to the last delete answer; it then revives the unit
+// close, from the close to the last delete answer; it then revives it
 // and runs to quiescence. The dead life must not answer, except with a dial
 // answer already on the wire when it died. It must send nothing more, on its
 // own southbound channel or on the revived life's, and it must put no store
@@ -75,10 +75,10 @@ func TestKillPointsOverOneDialAndClose(t *testing.T) {
 				for i := 0; i < k; i++ {
 					f.eng.Step()
 				}
-				u, dead := f.mc.unit, f.mc.Ch
+				mc, dead := f.mc, f.mc.Ch
 				sent := southbound(dead)
-				u.crash()
-				u.revive()
+				mc.crash()
+				mc.revive()
 				f.eng.Run()
 				want := 0
 				if ph.wire && lastSeq[k] >= answerSeq {
@@ -99,9 +99,9 @@ func TestKillPointsOverOneDialAndClose(t *testing.T) {
 				}
 				// Promote the revived life with a new generation and converge
 				// every switch, as a takeover does; its journal is empty.
-				u.active, u.generation = true, u.generation+1
+				mc.active, mc.generation = true, mc.generation+1
 				for _, sw := range f.net.Switches() {
-					u.converge(sw.ID, false, nil)
+					mc.converge(sw.ID, false, nil)
 				}
 				f.eng.Run()
 				checkTables(t, f.mc)
@@ -169,7 +169,7 @@ func TestClusterKillPointsOverOneDial(t *testing.T) {
 		if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
 			t.Fatalf("killed after event %d: audit stale=%d missing=%d, want 0/0", k, st, miss)
 		}
-		switch live := f.cl.activeMember().unit.LiveChannels(); live {
+		switch live := f.cl.activeMember().mc.LiveChannels(); live {
 		case 1:
 		case 2:
 			orphans++

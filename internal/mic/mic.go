@@ -51,6 +51,12 @@ type Config struct {
 	// ablation knob for the s10 setup-throughput experiment.
 	DisablePathCache bool
 
+	// PlanCores is how many cores the controller's planning CPU has
+	// (default 1). An admitted dial plans on the core that is free first,
+	// the lowest on ties, so up to PlanCores dials plan at once while each
+	// one's planning stays serialized — the s10 experiment sweeps it.
+	PlanCores int
+
 	// StrictMNs makes channel establishment fail when no path offers the
 	// requested number of Mimic Nodes. By default the MC degrades
 	// gracefully and uses as many MNs as the best path allows (same-ToR
@@ -168,6 +174,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed
+	}
+	if c.PlanCores == 0 {
+		c.PlanCores = 1
 	}
 	c.Admission = c.Admission.withDefaults()
 	return c
@@ -303,27 +312,20 @@ type MC struct {
 	nextChan  uint64
 	nextGroup uint32
 
-	// shardID labels this controller's journal records when it runs as one
-	// shard of a ShardedMC (shard.go); 0 for a standalone controller. The
-	// Cluster routes replayed records back to the matching shard by this ID,
-	// and finishRestore reads the journal's per-shard high-waters keyed on it.
-	shardID uint32
-
 	// planCache memoizes equal-cost path enumeration per access-switch pair
-	// (plancache.go); topoGen invalidates every cached plan the instant any
-	// fabric liveness event fires.
-	planCache *planCache
-	topoGen   uint64
+	// as switch-only segments (plancache.go); its size is bounded by the
+	// number of distinct edge pairs dialed.
+	planCache map[planKey][][]topo.NodeID
 
 	// scratch holds the buffers path selection and the pipeline stages reuse
 	// from one m-flow to the next (plan.go).
 	scratch planScratch
 
-	// cpuFree is the virtual time at which this controller's planning CPU is
-	// next idle. Channel planning is serialized per controller process —
-	// exactly the per-MC bottleneck that sharding splits — while the install
-	// round trips of one request overlap the planning of the next.
-	cpuFree sim.Time
+	// cpuFree holds, per planning core, the virtual time at which it is next
+	// idle. A dial's planning runs on one core, so a storm of dials queues
+	// behind Cfg.PlanCores of them, while the install round trips of one
+	// request overlap the planning of the next.
+	cpuFree []sim.Time
 	// planCost accumulates the planning CPU of the request being computed:
 	// computeCost per graph search, planCacheHitCost per cache hit.
 	planCost time.Duration
@@ -358,11 +360,42 @@ type MC struct {
 	// at a time; overlapping failures mark the job dirty for re-check.
 	repairJobs map[uint64]*repairJob
 
-	// unit is the controller unit the MC is a shard of — itself alone when it
-	// runs standalone. The unit owns the controller life the MC serves in
-	// (liveness, mastership, generation, fence, journal and the gates that
-	// read them) and converges switches for it (reconcile).
-	unit *ShardedMC
+	// The controller life (life.go). down marks a crashed process:
+	// requests, packet-ins and failure reactions all stop. active marks the
+	// fabric's acting controller; a standby, or a revived or deposed
+	// ex-active, holds no channel state and reacts to nothing until a
+	// takeover rebuilds it from the journal (restore) and promotes it.
+	// incarnation bumps on every crash, restart and step-down and disarms
+	// the closures an earlier life left on the engine (gate).
+	down, active bool
+	incarnation  uint64
+	// generation (the Cluster's takeover count at promotion) is folded into
+	// every rule cookie, so reconciliation tells a dead life's rules from
+	// this one's. fence (Cluster.fence at promotion, 0 standalone) is stamped
+	// on journal records and, with fencing on, mirrored into Ch.Epoch, so the
+	// store and the switches refuse a deposed master's writes. journal, when
+	// non-nil, takes a record of every externally visible mutation for a
+	// successor to replay (failover.go); a standalone MC has none and pays
+	// nothing.
+	generation uint32
+	fence      uint64
+	journal    *Journal
+
+	// prober drives silent-failure detection when Cfg.ProbeInterval > 0.
+	prober     *ctrlplane.Prober
+	stopProber func()
+
+	// recon is each switch's convergence state, by NodeID (reconcile.go);
+	// reinstalled and staleDeleted count what the passes did. intent,
+	// groupIntent and have are the passes' scratch, cleared on entry by
+	// intentAt and diff. What those return dies inside the call or callback
+	// that reads it: a pass consumes have in its dump callback, its barrier
+	// callback reads group intent at once, and the audit keeps only counts.
+	recon                     []switchRecon
+	reinstalled, staleDeleted uint64
+	intent                    map[reconKey]*flowtable.Entry
+	groupIntent               map[flowtable.GroupID]*flowtable.Group
+	have                      map[reconKey]bool
 
 	// storeFree holds the stores of retired epochs — cleanly closed
 	// channels' and confirmed repair purges' — most recent last; a new
@@ -422,28 +455,36 @@ type MC struct {
 	MissReinstalls   uint64 // evicted rules reinstalled on table miss
 }
 
-// NewMC builds a controller for the network: assigns S_IDs and MAGA keys to
-// every switch, picks the common-flow class and label, installs proactive
-// common routing and attaches as the fabric's packet-in handler. It is the
-// controller unit of one shard (shard.go).
+// NewMC builds an active controller for the network: assigns S_IDs and
+// MAGA keys to every switch, picks the common-flow class and label, installs
+// proactive common routing and attaches as the fabric's packet-in handler.
 func NewMC(net *netsim.Network, cfg Config) (*MC, error) {
-	s, err := NewShardedMC(net, cfg, 1)
+	mc, err := newMC(net, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return s.shards[0], nil
+	mc.own()
+	mc.active = true
+	router := &ctrlplane.ProactiveRouter{CFLabel: mc.CFLabel}
+	if _, err := router.Install(net); err != nil {
+		return nil, err
+	}
+	mc.attach()
+	return mc, nil
 }
 
-// newMC builds one shard of a controller unit: it plans, admits and heals its
-// own channels while its unit is active, and the unit owns the shared fabric
-// attachments (common routing, packet-in demux, eviction hooks, the prober).
-// Every shard, a standby unit's too, derives the full MAGA keying —
+// newMC builds an inert, empty, passive controller: it hears no fabric event
+// until own subscribes it, the way a Cluster keeps a standby until a
+// takeover. Every controller, a standby too, derives the full MAGA keying —
 // Config.Seed guarantees it matches the active's.
 func newMC(net *netsim.Network, cfg Config) (*MC, error) {
 	cfg = cfg.withDefaults()
 	idLo, idHi, err := cfg.idSpace()
 	if err != nil {
 		return nil, err
+	}
+	if cfg.PlanCores < 1 {
+		return nil, fmt.Errorf("mic: PlanCores %d is negative", cfg.PlanCores)
 	}
 	switches := net.Graph.Switches()
 	if uint32(len(switches))+1 > cfg.Widths.MaxSIDs() {
@@ -469,6 +510,8 @@ func newMC(net *netsim.Network, cfg Config) (*MC, error) {
 		// The token bucket starts full: cold-start dials are admitted up to
 		// Burst rather than queued behind the first refill.
 		admitTokens: float64(cfg.Admission.Burst),
+		cpuFree:     make([]sim.Time, cfg.PlanCores),
+		recon:       make([]switchRecon, len(net.Graph.Nodes)),
 	}
 	mc.pathRng = mc.rng.Stream(fmt.Sprintf("paths-%d", cfg.InstanceID))
 	mc.drain.Bind(net.Eng, mc.drainQueue)
@@ -494,18 +537,7 @@ func newMC(net *netsim.Network, cfg Config) (*MC, error) {
 	mc.CFLabel = cfGen.Label(0, 0, 0)
 
 	mc.reach = computeReachability(net.Graph)
-	mc.planCache = newPlanCache()
-	// Any liveness change anywhere in the fabric invalidates every cached
-	// path plan (generation bump, O(1)). The listener is unconditional and
-	// ungated: cached plans are pure topology artifacts, valid to maintain
-	// across crashes and while passive, and a stale plan on a promoted
-	// standby would route through a dead link.
-	net.Notify(func(ev netsim.Event) {
-		switch ev.Kind {
-		case netsim.PortDown, netsim.PortUp, netsim.SwitchDown, netsim.SwitchUp:
-			mc.topoGen++
-		}
-	})
+	mc.planCache = make(map[planKey][][]topo.NodeID)
 	return mc, nil
 }
 
@@ -516,17 +548,24 @@ func (mc *MC) Engine() *sim.Engine { return mc.Net.Eng }
 // (ControlPlane).
 func (mc *MC) ClientSeed() uint64 { return mc.Cfg.Seed }
 
-// revive gives the shard of a restarted unit a fresh southbound channel (the
-// old one died with the process; closures scheduled by the previous life
-// still reference it and must stay dead) and blank bookkeeping, ready for
-// journal replay. incarnation is the unit's new one.
-func (mc *MC) revive(incarnation uint64) {
+// revive restarts a crashed controller process with empty state on a fresh
+// southbound channel: the old one died with the process, and closures
+// scheduled by the previous life still reference it and must stay dead, as
+// the incarnation bump makes them. The revived MC stays passive — a
+// restarted controller rejoins as a standby; only a takeover makes it
+// active again.
+func (mc *MC) revive() {
+	if !mc.down {
+		return
+	}
+	mc.down = false
+	mc.incarnation++
 	old := mc.Ch
 	mc.Ch = ctrlplane.NewChannel(mc.Net)
 	mc.Ch.Latency = old.Latency
 	mc.Ch.LossRate = old.LossRate
 	// Decorrelate the new process's loss pattern from the dead one's.
-	mc.Ch.LossSeed = old.LossSeed ^ (incarnation * 0x9e3779b97f4a7c15)
+	mc.Ch.LossSeed = old.LossSeed ^ (mc.incarnation * 0x9e3779b97f4a7c15)
 	mc.Ch.AckTimeout = old.AckTimeout
 	mc.Ch.MaxRetries = old.MaxRetries
 	mc.Ch.MaxBackoff = old.MaxBackoff

@@ -491,6 +491,39 @@ func TestErrorPaths(t *testing.T) {
 	}
 }
 
+// TestEstablishRefusesEmptyOptions: a dial asking for fewer than one m-flow,
+// Mimic Node or multicast copy is refused before a channel ID is drawn, so
+// nothing is live, booked or journaled afterwards.
+func TestEstablishRefusesEmptyOptions(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts ChannelOptions
+	}{
+		{"no m-flows", ChannelOptions{MFlows: -1}},
+		{"no Mimic Nodes", ChannelOptions{MNs: -1}},
+		{"no multicast copies", ChannelOptions{MulticastFanout: -1}},
+	} {
+		f := newFixture(t, Config{})
+		j := NewJournal()
+		f.mc.journal = j
+		next := f.mc.nextChan
+		var answer error
+		answered := false
+		f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), c.opts, func(info *ChannelInfo, err error) {
+			answered, answer = true, err
+		})
+		f.eng.Run()
+		if !answered || answer == nil {
+			t.Fatalf("%s: answered %v with error %v, want a refusal", c.name, answered, answer)
+		}
+		if n := f.mc.LiveChannels(); n != 0 || f.mc.nextChan != next || j.Len() != 0 || f.mc.flowIDs.inUse() != 0 {
+			t.Fatalf("%s: %d channels live, channel counter %d -> %d, %d journal records, %d flow IDs held; want nothing",
+				c.name, n, next, f.mc.nextChan, j.Len(), f.mc.flowIDs.inUse())
+		}
+		checkBooks(t, f.mc)
+	}
+}
+
 func TestSetupTimeFlatInMNCount(t *testing.T) {
 	// The paper's Fig 7 claim: route setup stays nearly constant as the
 	// route length grows, because rules install in parallel.
@@ -635,8 +668,8 @@ func TestDistributedControllers(t *testing.T) {
 		t.Fatalf("instance ID spaces overlap: %x %x", infoA.ID, infoB.ID)
 	}
 	// A's close goes unconfirmed everywhere, so A reconciles those switches:
-	// its passes delete A's rules and leave B's rules and groups, which no
-	// shard of A minted.
+	// its passes delete A's rules and leave B's rules and groups, which A did
+	// not mint.
 	mcA.Ch.MaxRetries, mcA.Ch.LossRate = 1, 1
 	if err := mcA.CloseChannel(infoA.ID, func() { mcA.Ch.LossRate = 0 }); err != nil {
 		t.Fatal(err)

@@ -34,12 +34,12 @@ func newCapFixture(t testing.TB, cfg Config, capacity int) *fixture {
 	return f
 }
 
-// TestClusterConfigDefaults pins the failover defaults: one standby, one
-// shard, a 2ms beat, 3 misses and the 6ms lease they make.
+// TestClusterConfigDefaults pins the failover defaults: one standby, a 2ms
+// beat, 3 misses and the 6ms lease they make.
 func TestClusterConfigDefaults(t *testing.T) {
 	d := ClusterConfig{}.withDefaults()
-	if d.Standbys != 1 || d.Shards != 1 {
-		t.Errorf("default standbys/shards = %d/%d, want 1/1", d.Standbys, d.Shards)
+	if d.Standbys != 1 {
+		t.Errorf("default standbys = %d, want 1", d.Standbys)
 	}
 	if DefaultHeartbeatInterval != 2*time.Millisecond || DefaultHeartbeatMisses != 3 {
 		t.Errorf("heartbeat defaults drifted: %v / %d", DefaultHeartbeatInterval, DefaultHeartbeatMisses)
@@ -163,12 +163,12 @@ func TestCrashStopsAdmissionDrain(t *testing.T) {
 	if f.mc.RequestsAdmitted != 1 || len(f.mc.admitQueue) != 1 || !f.mc.drain.Armed() {
 		t.Fatalf("admitted %d, queued %d, drain armed %v; want 1, 1, true", f.mc.RequestsAdmitted, len(f.mc.admitQueue), f.mc.drain.Armed())
 	}
-	f.mc.unit.crash()
+	f.mc.crash()
 	f.eng.Run()
 	if len(p.answers[1]) != 0 || f.mc.RequestsAdmitted != 1 {
 		t.Fatalf("the dead life admitted its queue: answers %v, admitted %d", p.answers[1], f.mc.RequestsAdmitted)
 	}
-	f.mc.unit.revive()
+	f.mc.revive()
 	if len(f.mc.admitQueue) != 0 || f.mc.drain.Armed() || f.mc.admitTokens != 1 {
 		t.Fatalf("revived limiter: queued %d, drain armed %v, tokens %v", len(f.mc.admitQueue), f.mc.drain.Armed(), f.mc.admitTokens)
 	}

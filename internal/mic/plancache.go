@@ -13,10 +13,11 @@ import (
 // keyed by access-switch pair; candidates are filtered and drawn as segments
 // and only the chosen one is joined to the concrete hosts, so steady-state
 // setup is O(F) rule instantiation instead of a graph search. Liveness is
-// NOT cached: candidates are stored pre-filter and aliveSegs runs per lookup,
-// while any fabric liveness event invalidates the whole cache via a
-// generation bump (mic.topoGen), covering the paths a
-// failure removed from the graph-search result itself.
+// NOT cached: the enumerations (topo.Graph.EqualCostPaths,
+// PathsWithMinSwitches) read the graph's structure only, never its
+// liveness, so their candidates stay valid forever, and aliveSegs filters
+// out the ones crossing a failed link or switch on every lookup. A fabric
+// event therefore never invalidates an entry.
 
 // planKey identifies one cached candidate set: the endpoints' access
 // switches plus the minimum-switch requirement (minSw < 0 keys the plain
@@ -25,23 +26,6 @@ type planKey struct {
 	a, b  topo.NodeID
 	minSw int
 }
-
-// planVal is one cached candidate set: switch-only segments (host endpoints
-// stripped) and the topology generation they were computed under.
-type planVal struct {
-	gen  uint64
-	segs [][]topo.NodeID
-}
-
-// planCache memoizes path enumeration per access-switch pair. Entries are
-// invalidated lazily: a lookup whose generation mismatches recomputes and
-// overwrites in place, so no event-time sweep is needed and the map's size
-// is bounded by the number of distinct edge pairs dialed.
-type planCache struct {
-	m map[planKey]planVal
-}
-
-func newPlanCache() *planCache { return &planCache{m: make(map[planKey]planVal)} }
 
 // accessSwitch returns the unique switch a single-homed host hangs off, or
 // -1 when the host is multi-homed (BCube) — which the cache does not model.
@@ -93,14 +77,14 @@ func (mc *MC) lookupPaths(src, dst topo.NodeID, minSw int, compute func() []topo
 		return stripHosts(compute())
 	}
 	key := planKey{a: accessSwitch(mc.Net.Graph, src), b: accessSwitch(mc.Net.Graph, dst), minSw: minSw}
-	if v, ok := mc.planCache.m[key]; ok && v.gen == mc.topoGen {
+	if segs, ok := mc.planCache[key]; ok {
 		mc.PathCacheHits++
 		mc.planCost += planCacheHitCost
-		return v.segs
+		return segs
 	}
 	mc.PathCacheMisses++
 	mc.planCost += computeCost
 	segs := stripHosts(compute())
-	mc.planCache.m[key] = planVal{gen: mc.topoGen, segs: segs}
+	mc.planCache[key] = segs
 	return segs
 }

@@ -31,16 +31,16 @@ func establish(t *testing.T, f *fixture, init, resp int) *ChannelInfo {
 
 // TestPlanCacheHitsAndInvalidation checks the cache's accounting: within
 // one channel every m-flow after the first shares the edge pair (hit), a
-// second host pair behind the same edges hits the same entry, and any
-// fabric liveness event invalidates the whole cache via the generation
-// bump.
+// second host pair behind the same edges hits the same entry, and a failure
+// invalidates nothing — a link cut on the cached path leaves the entry
+// serving, and the liveness filter routes the next dial around the cut.
 func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	f := newFixture(t, Config{MNs: 3, MFlows: 2})
 
 	// Hosts 0 and 1 hang off one edge switch in FatTree(4); 8 and 9 off
 	// another pod's edge. First flow misses, second flow of the same
 	// channel hits the just-filled entry.
-	establish(t, f, 0, 8)
+	first := establish(t, f, 0, 8)
 	if f.mc.PathCacheMisses != 1 || f.mc.PathCacheHits != 1 {
 		t.Fatalf("after dial 1: misses=%d hits=%d, want 1/1", f.mc.PathCacheMisses, f.mc.PathCacheHits)
 	}
@@ -51,14 +51,18 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 		t.Fatalf("after dial 2: misses=%d hits=%d, want 1/3", f.mc.PathCacheMisses, f.mc.PathCacheHits)
 	}
 
-	// A port-down event anywhere in the fabric bumps the topology
-	// generation; the stale entry recomputes on next lookup.
-	sw := f.graph.Switches()[0]
-	f.net.SetLinkDown(sw, 0, true)
+	// Cut a link the first channel's path crosses: the same edge pair still
+	// hits for both m-flows, and neither takes the cut link.
+	cutFirstInterSwitchLink(t, f, first.Flows[0].Path)
 	f.eng.Run()
-	establish(t, f, 0, 8)
-	if f.mc.PathCacheMisses != 2 {
-		t.Fatalf("after failure event: misses=%d, want 2 (generation invalidated)", f.mc.PathCacheMisses)
+	again := establish(t, f, 0, 8)
+	if f.mc.PathCacheMisses != 1 || f.mc.PathCacheHits != 5 {
+		t.Fatalf("after the cut: misses=%d hits=%d, want 1/5", f.mc.PathCacheMisses, f.mc.PathCacheHits)
+	}
+	for i, fl := range again.Flows {
+		if !f.mc.pathAlive(fl.Path) {
+			t.Fatalf("flow %d of the dial after the cut crosses it: %v", i, fl.Path)
+		}
 	}
 }
 
@@ -108,7 +112,7 @@ func BenchmarkEqualCostPathsFatTree16(b *testing.B) {
 	}
 	b.Run("miss", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mc.topoGen++ // invalidate: every lookup recomputes
+			clear(mc.planCache) // every lookup recomputes
 			_ = mc.lookupPaths(src, dst, -1, compute)
 		}
 	})
@@ -150,5 +154,53 @@ func TestPlanCacheHitIsCheaper(t *testing.T) {
 	uncached := run(true)
 	if cached >= uncached {
 		t.Fatalf("storm completion with cache (%v) not faster than without (%v)", cached, uncached)
+	}
+}
+
+// TestPlanCoresPaceDials: with the cache off each dial costs one graph
+// search of planning CPU. Two dials issued at the same instant queue on one
+// core, so the second is answered exactly one planning cost after the first;
+// on two cores they plan side by side and are answered at the same instant.
+func TestPlanCoresPaceDials(t *testing.T) {
+	for _, c := range []struct {
+		cores int
+		gap   time.Duration
+	}{{1, computeCost}, {2, 0}} {
+		f := newFixture(t, Config{DisablePathCache: true, PlanCores: c.cores})
+		var at [2]sim.Time
+		for i, from := range []int{0, 4} {
+			f.mc.EstablishChannel(f.hostIP(from), f.hostIP(15-from).String(), ChannelOptions{}, func(_ *ChannelInfo, err error) {
+				if err != nil {
+					t.Fatalf("%d cores, dial %d: %v", c.cores, i, err)
+				}
+				at[i] = f.eng.Now()
+			})
+		}
+		f.eng.Run()
+		if f.mc.PathCacheMisses != 2 {
+			t.Fatalf("%d cores: %d graph searches, want one per dial", c.cores, f.mc.PathCacheMisses)
+		}
+		if at[0] == 0 || at[1].Sub(at[0]) != c.gap {
+			t.Fatalf("%d cores: dials answered at %v and %v, want %v apart", c.cores, at[0], at[1], c.gap)
+		}
+	}
+}
+
+// TestPlanCoresValidation: a negative core count is refused, and zero means
+// one core.
+func TestPlanCoresValidation(t *testing.T) {
+	g, err := topo.FatTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewMC(netsim.New(sim.New(), g, netsim.Config{}), Config{PlanCores: -1}); err == nil {
+		t.Fatal("PlanCores -1 accepted")
+	}
+	mc, err := NewMC(netsim.New(sim.New(), g, netsim.Config{}), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.Cfg.PlanCores != 1 || len(mc.cpuFree) != 1 {
+		t.Fatalf("zero PlanCores gave %d cores (%d planning clocks), want 1", mc.Cfg.PlanCores, len(mc.cpuFree))
 	}
 }

@@ -71,7 +71,7 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 	// channels it has no authority to install; the caller's retry layer
 	// re-dials the successor. A crashed MC stays silent — dead processes
 	// don't answer — and the gate below drops the request as before.
-	if u := mc.unit; !u.down && !u.active {
+	if !mc.down && !mc.active {
 		d.reply(2*requestLatency, ErrNotActive)
 		return
 	}
@@ -89,7 +89,7 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 // to the southbound channel, which call back once — so at most one engine
 // event names the record, besides a queued request's admission deadline.
 //
-// A gated stage runs only while the unit lives in the incarnation stamped
+// A gated stage runs only while the MC lives in the incarnation stamped
 // when the stage was scheduled: a request in flight when its controller died
 // or stepped down must not act on the state a later life rebuilt. The answer
 // is not gated: once sent it arrives, like any message already on the wire.
@@ -122,7 +122,7 @@ const (
 
 // next schedules stage after delay, gated on the incarnation of now.
 func (d *dial) next(stage dialStage, delay time.Duration) {
-	d.stage, d.inc = stage, d.mc.unit.incarnation
+	d.stage, d.inc = stage, d.mc.incarnation
 	d.mc.Net.Eng.After(delay, d.step)
 }
 
@@ -157,21 +157,20 @@ func (d *dial) run() {
 	}
 }
 
-// live reports whether the unit still lives in the incarnation the dial's
+// live reports whether the MC still lives in the incarnation the dial's
 // gated stage was scheduled in.
 func (d *dial) live() bool {
-	u := d.mc.unit
-	return !u.down && d.inc == u.incarnation
+	return !d.mc.down && d.inc == d.mc.incarnation
 }
 
 // serveChannel is the admitted half of EstablishChannel: planning, rule
 // installation, acknowledgement. Planning itself runs synchronously (the
 // plan must exist before anything can be installed), but its CPU cost is
-// modeled by serializing requests through the controller's single planning
-// core (mc.cpuFree): each admitted dial's installation is deferred until
-// the planner would actually have finished it, so a storm of dials queues
-// behind the controller's plan throughput exactly as on real hardware —
-// and sharded controllers (shard.go) each bring their own core.
+// modeled by serializing requests through the controller's planning cores
+// (mc.cpuFree): each admitted dial takes the core that is free first, the
+// lowest on ties, and its installation is deferred until that core would
+// actually have finished planning it, so a storm of dials queues behind the
+// controller's plan throughput exactly as on real hardware.
 func (mc *MC) serveChannel(d *dial) {
 	mc.planCost = 0
 	st, err := mc.computeChannel(d.initiator, d.target, d.opts)
@@ -182,13 +181,15 @@ func (mc *MC) serveChannel(d *dial) {
 		d.reply(requestLatency, err)
 		return
 	}
-	now := mc.Net.Eng.Now()
-	start := mc.cpuFree
-	if start < now {
-		start = now
+	core := 0
+	for i, free := range mc.cpuFree {
+		if free < mc.cpuFree[core] {
+			core = i
+		}
 	}
-	mc.cpuFree = start.Add(cost)
-	delay := mc.cpuFree.Sub(now)
+	now := mc.Net.Eng.Now()
+	mc.cpuFree[core] = max(mc.cpuFree[core], now).Add(cost)
+	delay := mc.cpuFree[core].Sub(now)
 	// Acknowledgement: sealed by the MC, opened by the client. The install
 	// and its acknowledgement are gated on this incarnation.
 	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
@@ -235,6 +236,12 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 	if opts.MNs < 1 {
 		return nil, fmt.Errorf("mic: need at least one Mimic Node, got %d", opts.MNs)
 	}
+	if opts.MFlows < 1 {
+		return nil, fmt.Errorf("mic: need at least one m-flow, got %d", opts.MFlows)
+	}
+	if opts.MulticastFanout < 1 {
+		return nil, fmt.Errorf("mic: multicast fanout must be at least 1, got %d", opts.MulticastFanout)
+	}
 
 	id := mc.nextChan
 	mc.nextChan++
@@ -243,7 +250,7 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 		initiator: initiator,
 		responder: respIP,
 		opts:      opts,
-		gen:       mc.unit.generation,
+		gen:       mc.generation,
 		info:      &ChannelInfo{ID: id},
 	}
 	st.epochStore = mc.takeStore()
@@ -670,7 +677,7 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 		responder: st.responder,
 		opts:      st.opts,
 		epoch:     st.epoch + 1,
-		gen:       mc.unit.generation,
+		gen:       mc.generation,
 		info:      &ChannelInfo{ID: id},
 		res:       st.res,
 	}
@@ -696,9 +703,9 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 	// Update the existing ChannelInfo in place: clients hold a pointer to
 	// it, so they observe the repaired paths without a new round trip.
 	// The old epoch's store goes with its purge, which recycles it if this
-	// life, which carved it, is still the unit's when the purge is answered.
+	// life, which carved it, is still the MC's when the purge is answered.
 	old := st.epochStore
-	purge := &epochDelete{mc: mc, store: &old, inc: mc.unit.incarnation}
+	purge := &epochDelete{mc: mc, store: &old, inc: mc.incarnation}
 	oldSwitches, oldCookie := st.switches(nil), st.cookie()
 	next.mods = mods
 	*st.info = *next.info
@@ -724,7 +731,7 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 // answered. A switch's answer also takes the epoch's groups off it: the
 // delete applied after every install of them sent there. A dead
 // switch, or a live one that never acknowledges the delete, is handed to the
-// unit to reconcile: at once if it is up, when it reconnects if not (a
+// MC to reconcile: at once if it is up, when it reconnects if not (a
 // restarting switch comes back with whatever rules it had).
 func (mc *MC) deleteEpoch(d *epochDelete, switches []topo.NodeID, cookie uint64) {
 	d.remaining = len(switches)
@@ -766,7 +773,7 @@ func (d *epochDelete) answered(node topo.NodeID, removed int) {
 		}
 	}
 	if removed < 0 {
-		d.mc.unit.reconcile(node)
+		d.mc.reconcile(node)
 		d.stale = true
 	}
 	if d.remaining--; d.remaining == 0 {
@@ -780,13 +787,13 @@ func (d *epochDelete) answered(node topo.NodeID, removed int) {
 // during the delete window install into a still-full table — refused under
 // the deny-new policy and silently blackholed. For the same reason the
 // degraded-channel restore fires after the last ack, so its install lands on
-// freed slots. That part is gated on the unit being alive when the answer
+// freed slots. That part is gated on the MC being alive when the answer
 // arrives: a promoted life rebuilds its own accounting. A repair's purge
 // recycles the superseded store, gated on the life that carved it.
 func (d *epochDelete) finish(confirmed bool) {
-	mc, u := d.mc, d.mc.unit
+	mc := d.mc
 	if st := d.closed; st != nil {
-		if !u.down {
+		if !mc.down {
 			mc.unbook(st, nil, nil, st.rules)
 			if confirmed {
 				mc.recycle(d.store)
@@ -798,7 +805,7 @@ func (d *epochDelete) finish(confirmed bool) {
 		}
 		return
 	}
-	if confirmed && !u.down && d.inc == u.incarnation {
+	if confirmed && !mc.down && d.inc == mc.incarnation {
 		mc.recycle(d.store)
 	}
 }
