@@ -41,104 +41,123 @@ type ProactiveRouter struct {
 // Install computes next hops by BFS per destination host and installs the
 // rules synchronously (before the simulation starts, as a proactive
 // controller would). It returns the number of entries installed.
+//
+// Each switch's rules are one deferred batch (flowtable.Table.
+// InstallDeferred): counted, and checked against the table's capacity, now,
+// but carved by commonRoutes.carve only when the table is first read, so a
+// fabric that forwards nothing never builds them. Every next hop is computed
+// here, so a missing one is still Install's error.
 func (r *ProactiveRouter) Install(net *netsim.Network) (int, error) {
 	g := net.Graph
-	installed := 0
-	// Common routing is the baseline the fabric cannot run without: a
-	// capacity too small for it is a configuration error, surfaced here
-	// rather than silently dropped rules.
-	install := func(sw *netsim.Switch, e *flowtable.Entry) error {
-		if err := sw.Table.TryInsert(e, net.Eng.Now()); err != nil {
-			return fmt.Errorf("ctrlplane: common routing overflows switch %s (capacity %d): %w",
-				sw.Name, sw.Table.Capacity, err)
-		}
-		installed++
-		return nil
-	}
 	hops := topo.NewHops(g)
 	switches := g.Switches()
 	hosts := g.Hosts()
 	next := make([]int, len(g.Nodes))
-	// routes calls visit for every switch with a route toward every host,
-	// hosts outer and switches in order, with the egress port toward it.
-	routes := func(visit func(h *topo.Node, sid topo.NodeID, out int) error) error {
-		for _, hid := range hosts {
-			if err := nextHops(g, hops.From(hid), hid, next); err != nil {
-				return err
-			}
-			for _, sid := range switches {
-				if out := next[sid]; out >= 0 {
-					if err := visit(g.Node(hid), sid, out); err != nil {
-						return err
-					}
-				}
+	// outs[i*len(hosts)+j] is switch i's egress port toward host j, -1 if
+	// it has no route there.
+	outs := make([]int32, len(switches)*len(hosts))
+	for j, hid := range hosts {
+		if err := nextHops(g, hops.From(hid), hid, next); err != nil {
+			return 0, err
+		}
+		for i, sid := range switches {
+			outs[i*len(hosts)+j] = int32(next[sid])
+		}
+	}
+	shapes := []flowtable.FieldMask{commonUntagged, commonTagged}
+	installed := 0
+	for i, sid := range switches {
+		c := &commonRoutes{label: r.CFLabel, g: g, node: g.Node(sid), hosts: hosts, outs: outs[i*len(hosts) : (i+1)*len(hosts)]}
+		n := 0
+		for _, out := range c.outs {
+			if out >= 0 {
+				n += 2
 			}
 		}
-		return nil
-	}
-	// A switch's common routing is one batch: two rules per host it routes
-	// to. Toward a remote host both action lists depend on the egress port
-	// alone, so the switch carves one list per port it routes out of —
-	// PushMPLS(CF), Output(out), whose tail is the tagged rule's list — and
-	// every remote host's rules share it: no code writes into an installed
-	// list. An attached host's pair sets its MAC and is its own. The first
-	// walk counts what each switch carves, so its slab is sized exactly.
-	base := make([]int, len(g.Nodes)+1) // port p of node n is base[n]+p
-	for id, n := range g.Nodes {
-		base[id+1] = base[id] + len(n.Ports)
-	}
-	used := make([]bool, base[len(g.Nodes)])
-	type batch struct{ rules, attached, ports int }
-	batches := make([]batch, len(g.Nodes))
-	if err := routes(func(h *topo.Node, sid topo.NodeID, out int) error {
-		b := &batches[sid]
-		b.rules += 2
-		switch port := base[sid] + out; {
-		case g.Node(sid).Ports[out].Peer == h.ID:
-			b.attached++
-		case !used[port]:
-			used[port] = true
-			b.ports++
-		}
-		return nil
-	}); err != nil {
-		return installed, err
-	}
-	slabs := make([]flowtable.Slab, len(g.Nodes))
-	for _, sid := range switches {
-		b := batches[sid]
-		slabs[sid] = flowtable.NewSlab(b.rules, 5*b.attached+2*b.ports)
-	}
-	shared := make([][]flowtable.Action, len(used))
-	err := routes(func(h *topo.Node, sid topo.NodeID, out int) error {
+		// Common routing is the baseline the fabric cannot run without: a
+		// capacity too small for it is a configuration error, surfaced here
+		// rather than silently dropped rules.
 		sw := net.Switch(sid)
-		slab := &slabs[sid]
+		if err := sw.Table.InstallDeferred(n, CookieCommon, shapes, net.Eng.Now(), c.carve); err != nil {
+			return installed, fmt.Errorf("ctrlplane: common routing overflows switch %s (capacity %d): %w",
+				sw.Name, sw.Table.Capacity, err)
+		}
+		installed += n
+	}
+	return installed, nil
+}
+
+// The match shapes of common routing: an untagged packet to a host, and a
+// CF-tagged one.
+const (
+	commonUntagged = flowtable.MatchNoMPLS | flowtable.MatchIPDst
+	commonTagged   = flowtable.MatchMPLS | flowtable.MatchIPDst
+)
+
+// commonRoutes is one switch's common routing, as its next hops toward every
+// host.
+type commonRoutes struct {
+	label addr.Label
+	g     *topo.Graph
+	node  *topo.Node
+	hosts []topo.NodeID
+	outs  []int32 // egress port toward hosts[j], -1 if none
+}
+
+// carve builds the switch's common routing: two rules per host it routes to,
+// in host order. Toward a remote host both action lists depend on the egress
+// port alone, so the switch carves one list per port it routes out of —
+// PushMPLS(CF), Output(out), whose tail is the tagged rule's list — and every
+// remote host's rules share it: no code writes into an installed list. An
+// attached host's pair sets its MAC and is its own. A first walk counts what
+// the switch carves, so its entries and its slab are sized exactly.
+func (c *commonRoutes) carve() []flowtable.Entry {
+	ports := c.node.Ports
+	shared := make([][]flowtable.Action, len(ports))
+	rules, attached, lists := 0, 0, 0
+	for j, out := range c.outs {
+		switch {
+		case out < 0:
+			continue
+		case ports[out].Peer == c.hosts[j]:
+			attached++
+		case shared[out] == nil:
+			shared[out] = []flowtable.Action{} // an empty list marks the port counted
+			lists++
+		}
+		rules += 2
+	}
+	clear(shared)
+	entries := make([]flowtable.Entry, 0, rules)
+	slab := flowtable.NewSlab(0, 5*attached+2*lists)
+	for j, out := range c.outs {
+		if out < 0 {
+			continue
+		}
+		h := c.g.Node(c.hosts[j])
 		untagged := flowtable.Entry{
 			Priority: PriorityCommonUntagged,
 			Cookie:   CookieCommon,
-			Match:    flowtable.Match{Mask: flowtable.MatchNoMPLS | flowtable.MatchIPDst, IPDst: h.IP},
+			Match:    flowtable.Match{Mask: commonUntagged, IPDst: h.IP},
 		}
 		tagged := flowtable.Entry{
 			Priority: PriorityCommonTagged,
 			Cookie:   CookieCommon,
-			Match:    flowtable.Match{Mask: flowtable.MatchMPLS | flowtable.MatchIPDst, MPLS: r.CFLabel, IPDst: h.IP},
+			Match:    flowtable.Match{Mask: commonTagged, MPLS: c.label, IPDst: h.IP},
 		}
-		if g.Node(sid).Ports[out].Peer == h.ID { // h is attached to this switch
-			untagged.Actions = slab.List(flowtable.SetEthDst(h.MAC), flowtable.Output(out))
-			tagged.Actions = slab.List(flowtable.PopMPLS(), flowtable.SetEthDst(h.MAC), flowtable.Output(out))
+		if ports[out].Peer == h.ID { // h is attached to this switch
+			untagged.Actions = slab.List(flowtable.SetEthDst(h.MAC), flowtable.Output(int(out)))
+			tagged.Actions = slab.List(flowtable.PopMPLS(), flowtable.SetEthDst(h.MAC), flowtable.Output(int(out)))
 		} else {
-			list := &shared[base[sid]+out]
+			list := &shared[out]
 			if *list == nil {
-				*list = slab.List(flowtable.PushMPLS(r.CFLabel), flowtable.Output(out))
+				*list = slab.List(flowtable.PushMPLS(c.label), flowtable.Output(int(out)))
 			}
 			untagged.Actions, tagged.Actions = *list, (*list)[1:]
 		}
-		if err := install(sw, slab.Entry(untagged)); err != nil {
-			return err
-		}
-		return install(sw, slab.Entry(tagged))
-	})
-	return installed, err
+		entries = append(entries, untagged, tagged)
+	}
+	return entries
 }
 
 // nextHops fills next with, for each switch that can reach dst, the egress

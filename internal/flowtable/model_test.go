@@ -2,6 +2,7 @@ package flowtable
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -18,7 +19,9 @@ import (
 // linearly for everything. Table's bag, cookie index, intrusive classifier
 // index, on-demand order and microflow cache must be indistinguishable from it
 // through the public surface: Entries order, Len, Lookup, Conflicts, the
-// entries' Installed/LastUsed stamps, eviction callbacks and counters.
+// entries' Installed/LastUsed stamps, eviction callbacks and counters. A
+// deferred batch (InstallDeferred) is installed into the model eagerly, at
+// its install instant, entry by entry.
 
 type modelEntry struct {
 	real      *Entry // the entry handed to the real table; identity only
@@ -205,30 +208,53 @@ func tableProgram(t *testing.T, prog []byte) {
 			MPLS:   addr.Label(b >> 7 & 1),
 		}
 	}
+	modelOf := func(e *Entry) *modelEntry {
+		return &modelEntry{real: e, prio: e.Priority, match: e.Match, cookie: e.Cookie, evictable: e.Evictable, idle: e.IdleTimeout, hard: e.HardTimeout}
+	}
+	// The latest deferred batch: its cookie, its declared shapes, and whether
+	// the table has called its fill. build is whether the current op must
+	// build a pending batch; an op that must not leaves it pending.
+	var (
+		batchCookie uint64
+		batchShapes []FieldMask
+		batchBuilt  *bool
+		build       bool
+	)
 	// install hands e to the table and a fresh model entry describing it to
-	// the model. e may be new, the very entry already installed, or one that
-	// left the table earlier: the table must not care which.
+	// the model. e may be new, the very entry already installed, one that
+	// left the table earlier, or one of a pending batch's: the table must not
+	// care which. It builds a pending batch when e has one of the batch's
+	// shapes or is new to a full table under EvictLRU.
 	install := func(e *Entry) error {
-		me := &modelEntry{real: e, prio: e.Priority, match: e.Match, cookie: e.Cookie, evictable: e.Evictable, idle: e.IdleTimeout, hard: e.HardTimeout}
-		got, want := tb.TryInsert(e, now), m.tryInsert(me, now)
+		replace := len(m.conflicts(e.Match, e.Priority)) > 0
+		full := tb.Capacity > 0 && tb.Len() >= tb.Capacity && tb.Policy == EvictLRU && !replace
+		build = slices.Contains(batchShapes, e.Match.Mask) || full
+		got, want := tb.TryInsert(e, now), m.tryInsert(modelOf(e), now)
 		if got != want {
 			t.Fatalf("op %d: TryInsert = %v, model %v", pc, got, want)
 		}
 		return got
 	}
-	insert := func(prio int, mt Match, cookie uint64, flags int) {
-		e := &Entry{Priority: prio, Match: mt, Cookie: cookie, Evictable: flags&1 == 1}
+	configure := func(e *Entry, flags int) {
+		e.Evictable = flags&1 == 1
 		if flags&2 != 0 {
 			e.IdleTimeout = time.Duration(1+flags>>4&3) * time.Second
 		}
 		if flags&4 != 0 {
 			e.HardTimeout = time.Duration(1+flags>>6&3) * time.Second
 		}
+	}
+	insert := func(prio int, mt Match, cookie uint64, flags int) {
+		e := &Entry{Priority: prio, Match: mt, Cookie: cookie}
+		configure(e, flags)
 		install(e)
 	}
 
 	for pc < len(prog) {
-		switch op := next() % 12; op {
+		prev := batchBuilt
+		pending := prev != nil && !*prev
+		build = false
+		switch op := next() % 13; op {
 		case 0, 1: // a new entry, or a replacement if it happens to collide
 			insert(next()%4, match(), uint64(next()%5), next())
 		case 2: // replace an installed entry, same cookie
@@ -243,10 +269,12 @@ func tableProgram(t *testing.T, prog []byte) {
 			}
 		case 4:
 			c := uint64(next() % 5)
+			build = c == batchCookie
 			if got, want := tb.DeleteByCookie(c), m.deleteByCookie(c); got != want {
 				t.Fatalf("op %d: DeleteByCookie(%d) = %d, model %d", pc, c, got, want)
 			}
 		case 5:
+			build = true
 			got, want := tb.Expire(now), m.expire(now)
 			if len(got) != len(want) {
 				t.Fatalf("op %d: Expire evicted %d, model %d", pc, len(got), len(want))
@@ -278,7 +306,44 @@ func tableProgram(t *testing.T, prog []byte) {
 					m.removed = append(m.removed[:i], m.removed[i+1:]...)
 				}
 			}
+		case 12: // a deferred batch of one to four new entries
+			build = true
+			cookie := uint64(next() % 5)
+			shapes := []FieldMask{diffMasks[next()%len(diffMasks)]} // declared, maybe unused
+			es := make([]Entry, 0, 4)
+			for k := 1 + next()%4; k > 0; k-- {
+				e := Entry{Priority: next() % 4, Match: match(), Cookie: cookie}
+				configure(&e, next())
+				dup := false
+				for i := range es {
+					dup = dup || es[i].Priority == e.Priority && es[i].Match.Equal(e.Match)
+				}
+				if !dup {
+					es = append(es, e)
+					if !slices.Contains(shapes, e.Match.Mask) {
+						shapes = append(shapes, e.Match.Mask)
+					}
+				}
+			}
+			built := false
+			fill := func() []Entry {
+				if built {
+					t.Fatalf("a deferred batch was filled twice")
+				}
+				built = true
+				return es
+			}
+			got := tb.InstallDeferred(len(es), cookie, shapes, now, fill)
+			var want error
+			for i := 0; i < len(es) && want == nil; i++ {
+				want = m.tryInsert(modelOf(&es[i]), now)
+			}
+			if got != want {
+				t.Fatalf("op %d: InstallDeferred = %v, model %v", pc, got, want)
+			}
+			batchCookie, batchShapes, batchBuilt = cookie, shapes, &built
 		default: // 8, 9: a packet
+			build = true
 			a, b := next(), next()
 			p := &packet.Packet{
 				SrcMAC: addr.MAC(b >> 1 & 1), DstMAC: addr.MAC(b >> 2 & 1),
@@ -290,12 +355,20 @@ func tableProgram(t *testing.T, prog []byte) {
 				p.PushMPLS(addr.Label(b >> 7 & 1))
 			}
 			inPort := b & 1
+			hits, misses := tb.CacheHits, tb.CacheMisses
+			got, hit := tb.Lookup(p, inPort, now)
+			if tb.CacheHits+tb.CacheMisses != hits+misses+1 || hit != (tb.CacheHits > hits) || hit && pending {
+				t.Fatalf("op %d: Lookup hit=%v moved hits %d -> %d, misses %d -> %d (a deferred batch pending: %v)",
+					pc, hit, hits, tb.CacheHits, misses, tb.CacheMisses, pending)
+			}
 			linear := tb.lookupLinear(p, inPort)
-			got, _ := tb.Lookup(p, inPort, now)
 			want := m.lookup(p, inPort, now)
 			if got != want || linear != want {
 				t.Fatalf("op %d: Lookup = %p, lookupLinear = %p, model %p\ntable:\n%s", pc, got, linear, want, tb.Dump())
 			}
+		}
+		if pending && *prev != build {
+			t.Fatalf("op %d: a pending deferred batch built: %v, want %v", pc, *prev, build)
 		}
 		compareTable(t, pc, tb, m)
 		if fmt.Sprint(realLog) != fmt.Sprint(m.evictLog) {
@@ -305,13 +378,56 @@ func tableProgram(t *testing.T, prog []byte) {
 }
 
 // compareTable checks everything observable about tb against the model, and
-// the bag's and the index's own invariants.
+// the bag's and the index's own invariants. While a deferred batch is
+// pending, only what leaves it pending is compared: the entries, their order
+// and stamps are read (Entries, Conflicts) once an op has built it, so the
+// next ops meet the batch unbuilt.
 func compareTable(t *testing.T, pc int, tb *Table, m *modelTable) {
 	t.Helper()
 	checkIndex(t, tb)
 	if tb.Len() != len(m.entries) {
 		t.Fatalf("op %d: Len() = %d, model %d", pc, tb.Len(), len(m.entries))
 	}
+	if tb.pending.fill == nil {
+		compareEntries(t, pc, tb, m)
+	}
+	if tb.byCookie != nil {
+		indexed := 0
+		// lint:ignore detrange counting and membership only; order does not matter
+		for cookie, list := range tb.byCookie {
+			if len(list) == 0 {
+				t.Fatalf("op %d: cookie index keeps an empty list for cookie %d", pc, cookie)
+			}
+			for _, e := range list {
+				if e.Cookie != cookie || tb.entries[e.pos] != e {
+					t.Fatalf("op %d: cookie index lists a wrong or removed entry under %d", pc, cookie)
+				}
+			}
+			indexed += len(list)
+		}
+		if indexed != len(tb.entries) {
+			t.Fatalf("op %d: cookie index holds %d entries, table %d", pc, indexed, len(tb.entries))
+		}
+	}
+	if tb.EvictedIdle != m.evictedIdle || tb.EvictedHard != m.evictedHard || tb.EvictedCapacity != m.evictedCapacity {
+		t.Fatalf("op %d: evicted idle/hard/capacity = %d/%d/%d, model %d/%d/%d", pc,
+			tb.EvictedIdle, tb.EvictedHard, tb.EvictedCapacity, m.evictedIdle, m.evictedHard, m.evictedCapacity)
+	}
+	ids := tb.GroupIDs()
+	if len(ids) != len(m.groups) {
+		t.Fatalf("op %d: %d groups, model %d", pc, len(ids), len(m.groups))
+	}
+	for _, id := range ids {
+		if !m.groups[id] {
+			t.Fatalf("op %d: group %d installed, not in the model", pc, id)
+		}
+	}
+}
+
+// compareEntries compares the table's entries in match order, with their
+// stamps, bag positions and conflicts, against the model's.
+func compareEntries(t *testing.T, pc int, tb *Table, m *modelTable) {
+	t.Helper()
 	got := tb.Entries()
 	if len(got) != len(m.entries) {
 		t.Fatalf("op %d: Entries() has %d entries, model %d", pc, len(got), len(m.entries))
@@ -330,37 +446,6 @@ func compareTable(t *testing.T, pc int, tb *Table, m *modelTable) {
 		conf := tb.Conflicts(me.match, me.prio)
 		if want := m.conflicts(me.match, me.prio); len(conf) != len(want) || len(conf) != 1 || conf[0] != want[0] {
 			t.Fatalf("op %d: Conflicts of entry %d = %v, model %v", pc, i, conf, want)
-		}
-	}
-	if tb.byCookie != nil {
-		indexed := 0
-		// lint:ignore detrange counting and membership only; order does not matter
-		for cookie, list := range tb.byCookie {
-			if len(list) == 0 {
-				t.Fatalf("op %d: cookie index keeps an empty list for cookie %d", pc, cookie)
-			}
-			for _, e := range list {
-				if e.Cookie != cookie || tb.entries[e.pos] != e {
-					t.Fatalf("op %d: cookie index lists a wrong or removed entry under %d", pc, cookie)
-				}
-			}
-			indexed += len(list)
-		}
-		if indexed != tb.Len() {
-			t.Fatalf("op %d: cookie index holds %d entries, table %d", pc, indexed, tb.Len())
-		}
-	}
-	if tb.EvictedIdle != m.evictedIdle || tb.EvictedHard != m.evictedHard || tb.EvictedCapacity != m.evictedCapacity {
-		t.Fatalf("op %d: evicted idle/hard/capacity = %d/%d/%d, model %d/%d/%d", pc,
-			tb.EvictedIdle, tb.EvictedHard, tb.EvictedCapacity, m.evictedIdle, m.evictedHard, m.evictedCapacity)
-	}
-	ids := tb.GroupIDs()
-	if len(ids) != len(m.groups) {
-		t.Fatalf("op %d: %d groups, model %d", pc, len(ids), len(m.groups))
-	}
-	for _, id := range ids {
-		if !m.groups[id] {
-			t.Fatalf("op %d: group %d installed, not in the model", pc, id)
 		}
 	}
 }
@@ -390,6 +475,29 @@ var tableCorpus = [][]byte{
 	// pointers removed by DeleteByCookie and by idle expiry handed back, into
 	// an empty bucket and into one that has since been refilled.
 	{1, 1, 0, 2, 4, 40, 1, 1, 0, 2, 4, 48, 2, 1, 0, 1, 4, 56, 3, 1, 11, 0, 9, 0, 40, 4, 3, 11, 0, 11, 0, 4, 1, 7, 5, 0, 3, 4, 32, 4, 3, 7, 20, 5, 11, 2, 0, 2, 4, 40, 0, 1, 11, 0, 9, 0, 40, 10, 0},
+	// Deferred batches, each over the last: the second builds the first and,
+	// one of its shapes being in use, goes in at once, replacing an entry in
+	// place; the third is deferred, the fourth builds it, a lookup the fourth.
+	{0, 0, 12, 1, 11, 1, 2, 12, 32, 0, 1, 11, 160, 0, 12, 1, 12, 2, 2, 12, 32, 0, 3, 13, 8, 0, 0, 3, 64, 0,
+		12, 2, 1, 1, 1, 1, 1, 1, 0, 1, 0, 0, 12, 2, 9, 0, 0, 9, 0, 0, 8, 0, 32, 8, 1, 160},
+	// DeleteByCookie before any read: of another cookie, which leaves the
+	// batch unbuilt, then of the batch's, which builds and removes it with an
+	// entry installed before it under the same cookie.
+	{0, 0, 0, 1, 3, 32, 2, 0, 12, 2, 4, 2, 0, 12, 0, 0, 3, 12, 96, 0, 2, 10, 128, 0, 4, 3, 4, 2, 8, 0, 96},
+	// A TryInsert on another shape leaves the batch unbuilt; one replacing a
+	// batch entry under another cookie builds it first.
+	{0, 0, 12, 1, 12, 1, 2, 11, 32, 0, 1, 12, 64, 0, 0, 0, 3, 0, 4, 0, 0, 2, 11, 32, 3, 0, 8, 1, 32, 4, 1},
+	// Capacity 4 under LRU: a batch that exactly fits is deferred; a new
+	// entry on another shape finds the table full, builds it and evicts the
+	// least recently used; a batch that does not fit goes in at once,
+	// evicting what it can and refused at the first entry it cannot place.
+	{3, 1, 0, 0, 2, 8, 0, 1, 0, 0, 2, 16, 0, 1, 12, 1, 13, 1, 1, 13, 8, 0, 1, 13, 16, 0, 7, 1, 0, 0, 2, 24, 0, 1,
+		12, 2, 11, 2, 1, 11, 32, 0, 1, 11, 64, 0, 1, 11, 96, 0, 8, 0, 32},
+	// A lookup is the first read: group edits, a time step and an insert on
+	// another shape leave the batch unbuilt; the lookup builds it and misses,
+	// the next hits; then its idle entry expires.
+	{0, 0, 12, 4, 3, 3, 0, 12, 0, 0, 1, 12, 32, 2, 2, 11, 32, 0, 3, 1, 1, 0, 6, 1, 0, 7, 3, 0, 0, 2, 8, 1, 0,
+		8, 0, 32, 8, 0, 32, 7, 20, 5},
 }
 
 func TestTableMatchesSortedSliceModel(t *testing.T) {

@@ -3,6 +3,7 @@ package flowtable
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -108,6 +109,12 @@ type Entry struct {
 // chains carry it — so match order (priority desc, seq asc) is materialised
 // only when a dump, an audit or the linear oracle asks (Entries) and cached
 // until the next mutation.
+//
+// A batch installed with InstallDeferred — a switch's common routing — is
+// counted at once but built only when something could observe it: its
+// entries are the same, with the same sequence numbers and stamps, as if
+// each had been inserted at the install instant, so a table that carries no
+// traffic never pays for them.
 type Table struct {
 	entries []*Entry // unordered; entries[e.pos] == e
 	ordered []*Entry // entries in match order, valid while sorted is set
@@ -131,6 +138,9 @@ type Table struct {
 
 	micro microCache
 	gen   uint64 // bumped on any table modification; stale cache entries ignored
+
+	// pending is the deferred batch not yet built, if its fill is non-nil.
+	pending deferred
 
 	// CacheHits / CacheMisses count Lookup calls served by the microflow
 	// cache vs the full classifier — the fast/slow-path split the virtual
@@ -161,8 +171,99 @@ func NewTable() *Table {
 	return &Table{groups: make(map[GroupID]*Group)}
 }
 
-// Len returns the number of installed entries.
-func (t *Table) Len() int { return len(t.entries) }
+// Len returns the number of installed entries, a deferred batch's included.
+func (t *Table) Len() int { return len(t.entries) + t.pending.n }
+
+// deferred is a batch installed by InstallDeferred and not yet built.
+type deferred struct {
+	n      int
+	cookie uint64
+	shapes []FieldMask
+	now    sim.Time
+	seq    uint64 // the sequence number before the batch's first
+	fill   func() []Entry
+}
+
+// covers reports whether the batch is pending and declares shape mask.
+func (b *deferred) covers(mask FieldMask) bool {
+	return b.fill != nil && slices.Contains(b.shapes, mask)
+}
+
+// filled returns what fill built, after checking it holds exactly the n
+// entries the batch declared, each with the batch's cookie and one of its
+// shapes: a wrong declaration would otherwise let an observation that should
+// have built the batch skip it.
+func (b *deferred) filled() []Entry {
+	es := b.fill()
+	if len(es) != b.n {
+		panic(fmt.Sprintf("flowtable: a deferred batch of %d entries filled %d", b.n, len(es)))
+	}
+	for i := range es {
+		if es[i].Cookie != b.cookie || !slices.Contains(b.shapes, es[i].Match.Mask) {
+			panic(fmt.Sprintf("flowtable: deferred entry %d has cookie %d and shape %#x, outside its batch's declaration", i, es[i].Cookie, es[i].Match.Mask))
+		}
+	}
+	return es
+}
+
+// InstallDeferred installs n entries at time now, all with the given cookie
+// and each matching on one of shapes, as fill will build them: in fill's
+// order, as if each were handed to TryInsert at now. Len and the capacity
+// check count them at once, and their sequence numbers are reserved at once,
+// but fill runs only when the table is first observed in a way that could
+// tell them apart from entries built eagerly: Lookup, Entries (and so Dump),
+// Conflicts, Expire, an LRU eviction, a TryInsert on one of shapes, a
+// DeleteByCookie of cookie, or the next InstallDeferred. A TryInsert on
+// another shape, a DeleteByCookie of another cookie and the group table
+// leave the batch unbuilt.
+//
+// fill must return exactly n entries, no two with one match and priority;
+// it panics otherwise. A batch that could replace an installed entry (one of
+// shapes is in use) or does not fit under Capacity is installed at once,
+// entry by entry through TryInsert, and the first refusal is returned.
+func (t *Table) InstallDeferred(n int, cookie uint64, shapes []FieldMask, now sim.Time, fill func() []Entry) error {
+	t.build()
+	b := deferred{n: n, cookie: cookie, shapes: shapes, now: now, seq: t.seq, fill: fill}
+	eager := t.Capacity > 0 && t.Len()+n > t.Capacity
+	for _, st := range t.subs {
+		eager = eager || st.heads > 0 && slices.Contains(shapes, st.mask)
+	}
+	if eager {
+		es := b.filled()
+		for i := range es {
+			if err := t.TryInsert(&es[i], now); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	t.pending = b
+	t.seq += uint64(n)
+	return nil
+}
+
+// build builds the pending deferred batch, if any, through the insert path
+// with the sequence numbers it reserved and its install instant.
+func (t *Table) build() {
+	b := t.pending
+	if b.fill == nil {
+		return
+	}
+	t.pending = deferred{}
+	es := b.filled()
+	for i := range es {
+		e := &es[i]
+		norm := e.Match.normalized()
+		h := norm.hash()
+		st := t.shape(norm.Mask)
+		at := st.locate(h, &norm, e.Priority)
+		if at.cur != nil && at.cur.Priority == e.Priority {
+			panic(fmt.Sprintf("flowtable: deferred batch holds two entries of match %v at priority %d", e.Match, e.Priority))
+		}
+		b.seq++
+		t.link(e, st, at, h, b.now, b.seq)
+	}
+}
 
 // invalidate marks every microflow cache entry stale in O(1). Callers bump
 // the generation on any mutation that could change a lookup result.
@@ -266,13 +367,12 @@ func (t *Table) Insert(e *Entry, now sim.Time) {
 // and the microflow cache generation — untouched. Insertion shifts nothing:
 // its cost is independent of how many entries the table holds.
 func (t *Table) TryInsert(e *Entry, now sim.Time) error {
+	if t.pending.covers(e.Match.Mask) {
+		t.build()
+	}
 	norm := e.Match.normalized()
 	h := norm.hash()
-	st := t.subtable(norm.Mask)
-	if st == nil {
-		st = &subtable{mask: norm.Mask, slots: make([]*Entry, 8)}
-		t.subs = append(t.subs, st)
-	}
+	st := t.shape(norm.Mask)
 	at := st.locate(h, &norm, e.Priority)
 	if old := at.cur; old != nil && old.Priority == e.Priority {
 		// Replace: same match, same priority (unique within a bucket). old
@@ -294,23 +394,43 @@ func (t *Table) TryInsert(e *Entry, now sim.Time) error {
 		return nil
 	}
 
-	if t.Capacity > 0 && len(t.entries) >= t.Capacity {
-		if t.Policy != EvictLRU || !t.evictLRU() {
+	if t.Capacity > 0 && t.Len() >= t.Capacity {
+		if t.Policy != EvictLRU {
+			return ErrTableFull
+		}
+		t.build() // the victim is chosen among every entry
+		if !t.evictLRU() {
 			return ErrTableFull
 		}
 		// The victim may have shared e's bucket or slot; locate again.
 		at = st.locate(h, &norm, e.Priority)
 	}
+	t.seq++
+	t.link(e, st, at, h, now, t.seq)
+	return nil
+}
 
+// shape returns the subtable indexing matches of shape mask, creating it if
+// no entry of that shape was ever installed.
+func (t *Table) shape(mask FieldMask) *subtable {
+	st := t.subtable(mask)
+	if st == nil {
+		st = &subtable{mask: mask, slots: make([]*Entry, 8)}
+		t.subs = append(t.subs, st)
+	}
+	return st
+}
+
+// link installs e, whose match is new at its priority and hashes to h, at
+// at in st, as of now with sequence number seq.
+func (t *Table) link(e *Entry, st *subtable, at place, h uint64, now sim.Time, seq uint64) {
 	e.Installed = now
 	e.LastUsed = now
 	t.invalidate()
-	t.seq++
-	e.seq = t.seq
+	e.seq = seq
 	e.hash = h
 	st.link(at, e, at.cur)
 	t.add(e)
-	return nil
 }
 
 // evictLRU removes the least-recently-used Evictable entry (ties broken by
@@ -346,6 +466,7 @@ func (t *Table) evictLRU() bool {
 // this). Misses are never cached, mirroring OVS, where a table miss is an
 // upcall rather than a datapath flow.
 func (t *Table) Lookup(p *packet.Packet, inPort int, now sim.Time) (e *Entry, hit bool) {
+	t.build()
 	k := microKeyOf(p, inPort)
 	kh := k.hash()
 	if cached := t.micro.get(kh, &k, t.gen); cached != nil {
@@ -403,6 +524,9 @@ func (t *Table) lookupLinear(p *packet.Packet, inPort int) *Entry {
 // DeleteByCookie removes all entries with the given cookie and returns how
 // many were removed, in time proportional to that number.
 func (t *Table) DeleteByCookie(cookie uint64) int {
+	if t.pending.fill != nil && t.pending.cookie == cookie {
+		t.build()
+	}
 	if t.byCookie == nil {
 		t.byCookie = make(map[uint64][]*Entry)
 		for _, e := range t.entries {
@@ -429,6 +553,7 @@ func (t *Table) DeleteByCookie(cookie uint64) int {
 // per-reason counter when both timeouts have lapsed (the entry was doomed
 // regardless of traffic).
 func (t *Table) Expire(now sim.Time) []*Entry {
+	t.build()
 	var evicted []*Entry
 	for _, e := range t.entries {
 		if idle, hard := e.expired(now); idle || hard {
@@ -469,6 +594,7 @@ func (e *Entry) expired(now sim.Time) (idle, hard bool) {
 // Conflicts returns entries whose match equals m at the same priority —
 // the ambiguity MIC's Collision Avoidance Mechanism must rule out.
 func (t *Table) Conflicts(m Match, priority int) []*Entry {
+	t.build()
 	norm := m.normalized()
 	st := t.subtable(norm.Mask)
 	if st == nil {
@@ -487,6 +613,7 @@ func (t *Table) Conflicts(m Match, priority int) []*Entry {
 // priority, then insertion order). The returned slice is shared and valid
 // until the table is next modified; callers must not modify it.
 func (t *Table) Entries() []*Entry {
+	t.build()
 	if !t.sorted {
 		t.ordered = append(t.ordered[:0], t.entries...)
 		sort.Slice(t.ordered, func(i, j int) bool { return entryLess(t.ordered[i], t.ordered[j]) })

@@ -1,6 +1,7 @@
 package mic
 
 import (
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -8,7 +9,10 @@ import (
 
 	"mic/internal/addr"
 	"mic/internal/flowtable"
+	"mic/internal/maga"
+	"mic/internal/netsim"
 	"mic/internal/sim"
+	"mic/internal/topo"
 )
 
 // establishCloseBudget bounds the heap allocations of one EstablishChannel +
@@ -296,4 +300,38 @@ func TestClusterBeatsAllocNothing(t *testing.T) {
 		t.Fatalf("%d missed beats, %d takeovers on a steady cluster", missed, f.cl.Takeovers())
 	}
 	f.settle(time.Duration(f.eng.Now()))
+}
+
+// TestNewMCBuildBudget bounds what building a controller's testbed allocates
+// (netsim.New plus NewMC, the graph built beforehand): 1 MB on fat-tree(8),
+// 40 MB on fat-tree(16). Common routing is counted but not carved until a
+// switch's table is first read, so a testbed that forwards nothing never
+// builds its two rules per host on every switch, and the m-address pools are
+// carved from one array. Before both, the build allocated 5.66 MB and
+// 189 MB; with deferred common routing alone, 0.64 MB and 30 MB; with both,
+// 0.51 MB and 11.7 MB.
+func TestNewMCBuildBudget(t *testing.T) {
+	for _, c := range []struct {
+		k      int
+		budget uint64
+	}{{8, 1e6}, {16, 40e6}} {
+		g, err := topo.FatTree(c.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		net := netsim.New(sim.New(), g, netsim.Config{})
+		mc, err := NewMC(net, Config{MNs: 3, MFlows: 2, Widths: maga.FitWidths(len(g.Switches()))})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc := after.TotalAlloc - before.TotalAlloc
+		t.Logf("fat-tree(%d): netsim.New + NewMC allocated %.2f MB", c.k, float64(alloc)/1e6)
+		if alloc > c.budget {
+			t.Errorf("fat-tree(%d): netsim.New + NewMC allocated %d B, budget %d", c.k, alloc, c.budget)
+		}
+		runtime.KeepAlive(mc)
+	}
 }

@@ -77,10 +77,12 @@ const (
 	// write cannot flood the transport buffers — a slice's age then
 	// measures wire time rather than queue depth, keeping retransmitAfter
 	// meaningful, and the backlog is assigned to flows at release time so
-	// rebalancing applies to queued bytes too. Sized so one flow's window
-	// alone sustains line rate on the simulated 1 Gbps fabric under the
-	// ~1ms stream ack clock, while F flows' combined windows still drain
-	// well inside retransmitAfter.
+	// rebalancing applies to queued bytes too. Sized so F flows' combined
+	// windows drain well inside retransmitAfter. It does not let one flow
+	// alone sustain line rate on the simulated 1 Gbps fabric under the ~1ms
+	// stream ack clock: fig 9a's F = 1 transfer is window-bound at ~5 %
+	// below TCP, and lifting the window to 1024 closes that gap but slows
+	// bulk8_mic, where 8 flows contend (EXPERIMENTS, ROADMAP item 14).
 	windowSlices = 256
 )
 

@@ -28,29 +28,60 @@ type reachability struct {
 
 // computeReachability runs one BFS per host: a host h belongs to the pool
 // of (switch s, port p) iff some shortest path from s to h leaves via p.
+// The BFSes run twice: the first walk counts every pool, so all of them are
+// carved from one array instead of each growing by append.
 func computeReachability(g *topo.Graph) reachability {
 	r := reachability{g: g, pools: make([][][]int32, len(g.Nodes))}
 	switches := g.Switches()
+	hosts := g.Hosts()
+	// Pool (s, p) is rows[base[s]+p]; r.pools[s] is switch s's run of rows.
+	base := make([]int, len(g.Nodes))
+	nrows := 0
 	for _, sid := range switches {
-		r.pools[sid] = make([][]int32, len(g.Node(sid).Ports))
+		base[sid] = nrows
+		nrows += len(g.Node(sid).Ports)
+	}
+	rows := make([][]int32, nrows)
+	for _, sid := range switches {
+		r.pools[sid] = rows[base[sid] : base[sid]+len(g.Node(sid).Ports)]
 	}
 	hops := topo.NewHops(g)
-	for o, hid := range g.Hosts() {
-		ip := g.Node(hid).IP
-		r.all = append(r.all, ip)
-		r.every = append(r.every, int32(o))
-		dist := hops.From(hid)
-		for _, sid := range switches {
-			ds := dist[sid]
-			if ds < 0 {
-				continue
-			}
-			for port, p := range g.Node(sid).Ports {
-				if dist[p.Peer] == ds-1 {
-					r.pools[sid][port] = append(r.pools[sid][port], int32(o))
+	// walk calls visit with every pool host o belongs to, hosts in ordinal
+	// order, so each pool comes out ascending.
+	walk := func(visit func(row int, o int32)) {
+		for o, hid := range hosts {
+			dist := hops.From(hid)
+			for _, sid := range switches {
+				ds := dist[sid]
+				if ds < 0 {
+					continue
+				}
+				for port, p := range g.Node(sid).Ports {
+					if dist[p.Peer] == ds-1 {
+						visit(base[sid]+port, int32(o))
+					}
 				}
 			}
 		}
+	}
+	sizes := make([]int, nrows)
+	walk(func(row int, _ int32) { sizes[row]++ })
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	ords := make([]int32, total)
+	for row, n := range sizes {
+		if n > 0 {
+			rows[row], ords = ords[:0:n], ords[n:]
+		}
+	}
+	walk(func(row int, o int32) { rows[row] = append(rows[row], o) })
+	r.all = make([]addr.IP, len(hosts))
+	r.every = make([]int32, len(hosts))
+	for o, hid := range hosts {
+		r.all[o] = g.Node(hid).IP
+		r.every[o] = int32(o)
 	}
 	last := make(map[addr.IP]int32, len(r.all))
 	for o, ip := range r.all {

@@ -2,6 +2,7 @@ package mic
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"mic/internal/addr"
@@ -49,10 +50,47 @@ func checkView(t testing.TB, r *reachability, sw topo.NodeID, port int, a, b add
 	}
 }
 
-// checkAllPools runs checkView on every (switch, port) pool for each pair.
+// appendedPools builds every (switch, port) pool by appending one host at a
+// time, as computeReachability did before it counted first: kept as the
+// oracle of the carved pools.
+func appendedPools(g *topo.Graph) [][][]int32 {
+	pools := make([][][]int32, len(g.Nodes))
+	for _, sid := range g.Switches() {
+		pools[sid] = make([][]int32, len(g.Node(sid).Ports))
+	}
+	hops := topo.NewHops(g)
+	for o, hid := range g.Hosts() {
+		dist := hops.From(hid)
+		for _, sid := range g.Switches() {
+			ds := dist[sid]
+			if ds < 0 {
+				continue
+			}
+			for port, p := range g.Node(sid).Ports {
+				if dist[p.Peer] == ds-1 {
+					pools[sid][port] = append(pools[sid][port], int32(o))
+				}
+			}
+		}
+	}
+	return pools
+}
+
+// checkPoolsCarved compares the carved pools with the appended ones: the
+// same hosts in the same order, and nil exactly where a pool is empty.
+func checkPoolsCarved(t testing.TB, g *topo.Graph, r *reachability) {
+	t.Helper()
+	if want := appendedPools(g); !reflect.DeepEqual(r.pools, want) {
+		t.Fatalf("carved pools differ from the appended ones:\n got %v\nwant %v", r.pools, want)
+	}
+}
+
+// checkAllPools checks the carved pools against the appended ones, then
+// runs checkView on every (switch, port) pool for each pair.
 func checkAllPools(t testing.TB, g *topo.Graph, pairs [][2]addr.IP) {
 	t.Helper()
 	r := computeReachability(g)
+	checkPoolsCarved(t, g, &r)
 	for _, sw := range g.Switches() {
 		for port := range g.Node(sw).Ports {
 			for _, p := range pairs {
@@ -64,8 +102,8 @@ func checkAllPools(t testing.TB, g *topo.Graph, pairs [][2]addr.IP) {
 
 // TestPoolViewMatchesFilter: on fat-tree(4) for every endpoint pair, on
 // fat-tree(8) for every endpoint with four partners each, and on a graph
-// whose hosts share addresses, every pool view reads as the filtered copy
-// did. The pairs include one address twice and an address no host holds;
+// whose hosts share addresses, the pools are the appended ones and every
+// pool view reads as the filtered copy did. The pairs include one address twice and an address no host holds;
 // excluding a host-facing port's only host exercises the fallback to every
 // host.
 func TestPoolViewMatchesFilter(t *testing.T) {
@@ -111,8 +149,9 @@ func TestPoolViewMatchesFilter(t *testing.T) {
 
 // FuzzPoolView builds a small fabric from the input — up to six switches,
 // up to twelve hosts drawing from eight addresses (so hosts often share
-// one), arbitrary cables — and checks every pool view against the filtered
-// copy for the exclusion pairs the input lists.
+// one), arbitrary cables — and checks its pools against the appended ones
+// and every pool view against the filtered copy for the exclusion pairs the
+// input lists.
 func FuzzPoolView(f *testing.F) {
 	f.Add([]byte{2, 4, 1, 0, 2, 1, 1, 0, 3, 1, 0, 1, 1, 2, 3, 4})
 	f.Add([]byte{5, 11, 0, 0, 0, 1, 0, 2, 1, 3, 1, 4, 2, 5, 2, 0, 3, 1, 3, 2, 4, 3, 4, 4, 3, 0, 1, 1, 2, 2, 3, 3, 4, 4, 0, 0, 5, 0, 0, 1, 1, 8})
