@@ -67,8 +67,9 @@ func main() {
 		})
 	})
 
-	// The client talks to the cluster, not a specific controller; requests
-	// issued during the blackout are retried until the new active answers.
+	// The client talks to the cluster, not a specific controller: a request
+	// issued during the blackout goes to the new active when it is promoted,
+	// and one the dead active left unanswered is sent to it again.
 	client := mic.NewClient(src, cluster)
 	client.Dial(dst.Host.IP.String(), 80, func(s *mic.Stream, err error) {
 		if err != nil {

@@ -31,8 +31,9 @@ type s8Outcome struct {
 // mid-repair). Three variants: MIC F=1, MIC F=4, and F=4 with the takeover
 // reconciliation pass disabled. Goodput shows the data plane riding through
 // the headless window on installed rules; the blackout column is the setup
-// latency of a channel requested at the kill instant — it absorbs the full
-// heartbeat-detection + journal-replay + reconciliation window; the stale
+// latency of a channel requested at the kill instant — it waits out
+// heartbeat detection and journal replay, and the promoted standby serves it
+// while it reconciles the switches; the stale
 // column is the differential audit after takeover, non-zero only for the
 // ablation.
 func runS8Failover(cfg RunConfig) (*Result, error) {
@@ -66,7 +67,7 @@ func runS8Failover(cfg RunConfig) (*Result, error) {
 		Notes: []string{
 			"the chaos failover scenario cuts one uplink 1ms before the kill so the primary dies mid-repair, then cuts a second uplink while the cluster is headless and restarts the dead host later",
 			"goodput barely dips: switches keep forwarding on installed rules through the blackout; the F=1 channel rides one path, F=4 spreads the cut across four",
-			"setup_blackout_ms: a dial issued at the kill instant waits out heartbeat-miss detection, journal replay and switch reconciliation before the promoted standby answers — this is the control-plane outage the data plane never sees",
+			"setup_blackout_ms: a dial issued at the kill instant waits out heartbeat-miss detection and journal replay; the promotion sends it to the new active, which serves it while it reconciles the switches — this is the control-plane outage the data plane never sees",
 			"stale_rules_after: post-takeover differential audit of every switch against the rebuilt intent; zero with reconciliation, non-zero for the ablation because the dead life's rules are never purged",
 		},
 	}, nil

@@ -338,14 +338,14 @@ func TestExperimentS11Quick(t *testing.T) {
 	if off.staleRules == 0 && off.divergent == 0 {
 		t.Fatal("fencing-off ablation shows no stale installs; the control proves nothing")
 	}
-	// The symmetric-split handover blackout is lease expiry (6ms) + takeover
-	// + one retry quantum — tens of milliseconds at the very most.
+	// The symmetric-split handover blackout is at most lease expiry (6ms) +
+	// takeover + one dial: the probe waits for the promotion, which sends it.
 	if on.splitBlackoutMs <= 0 || on.splitBlackoutMs > 30 {
 		t.Fatalf("split dial blackout = %.2fms, implausible", on.splitBlackoutMs)
 	}
-	// The zombie-window probe rides out the asymmetric partition (the
-	// cluster refuses to serve until the successor reconciles), but must
-	// still resolve well before the retry budget runs dry.
+	// The zombie-window probe's dial, left unanswered by the cut-off active
+	// when it stepped down, is answered by the successor once it has
+	// reconciled the fabric, well inside the request deadline.
 	if on.zombieBlackoutMs <= 0 || on.zombieBlackoutMs > 150 {
 		t.Fatalf("zombie dial blackout = %.2fms, implausible", on.zombieBlackoutMs)
 	}

@@ -69,8 +69,8 @@ func runS11Partition(cfg RunConfig) (*Result, error) {
 	return &Result{
 		ID: "s11", Title: "Dial blackout and stale state across management partitions", Table: tbl,
 		Notes: []string{
-			"split_blackout_ms: a channel requested as the symmetric split expires the active's lease; the step-down-then-takeover handover bounds it by lease duration plus takeover plus one retry quantum — the figure's availability claim",
-			"zombie_blackout_ms: a channel requested the instant the asymmetric partition opens; the fenced cluster refuses to serve until the successor has reconciled the fabric it can actually reach, so this probe rides out the partition window — the availability price of refusing split-brain, and the one column where the unfenced ablation can look better",
+			"split_blackout_ms: a channel requested as the symmetric split expires the active's lease waits for the standby's promotion, which sends it; the step-down-then-takeover handover bounds it by the lease duration plus one dial — the figure's availability claim",
+			"zombie_blackout_ms: a channel requested the instant the asymmetric partition opens goes to the active being cut off, which journals it but cannot install it; fenced, that active steps down at its lease edge and the successor, once it has reconciled the fabric, answers the request with the journaled channel; unfenced, the zombie never steps down, keeps the request and answers it only when the partition heals",
 			"stale_rules_after: differential flow-table audit once every cut heals; zero with fencing because the lease forces the zombie to quiesce and switch-side epoch rejection kills anything it still sends, non-zero for the ablation because both masters repair the same fabric cut and neither purges the other's rules",
 			"journal_divergent: appends stamped with a fencing epoch below the journal's high-water mark — a deposed master writing as if it were still in charge; the lease protocol keeps this at zero by quiescing before the takeover window opens",
 			"switch_rejects: mutations refused by switches for carrying a stale epoch; the backstop only engages when fencing is on — the ablation's zero here is the vulnerability, not a virtue",

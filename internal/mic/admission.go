@@ -126,16 +126,15 @@ func (mc *MC) admit(d *dial) {
 		mc.QueuePeak = n
 	}
 	if !a.DisableShed {
-		d.deadlineInc = mc.incarnation
 		mc.Net.Eng.After(a.QueueDeadline, d.deadline)
 	}
 	mc.scheduleDrain()
 }
 
 // deadline is a queued dial's admission deadline, gated on the incarnation
-// that queued it.
+// that queued it: the one its request stage ran in.
 func (d *dial) deadline() {
-	if !d.mc.down && d.deadlineInc == d.mc.incarnation {
+	if d.live() {
 		d.mc.shedStale(d)
 	}
 }
@@ -210,28 +209,11 @@ func (mc *MC) shedStale(d *dial) {
 		waited, waited, ErrOverloaded))
 }
 
-// quiesceAdmission is the step-down half of planning teardown: every dial
-// still parked in the admission queue is refused with ErrNotActive. A master
-// that lost its lease must not answer "yes" to anything it admitted before
-// noticing — but it can still answer, and refusing beats leaving clients to
-// time out against a controller that will never serve them.
-func (mc *MC) quiesceAdmission() {
-	q := mc.admitQueue
-	mc.admitQueue = nil
-	for _, d := range q {
-		if d.dequeued {
-			continue
-		}
-		d.dequeued = true
-		mc.RequestsShed++
-		d.reply(requestLatency, fmt.Errorf("mic: dial abandoned at step-down: %w", ErrNotActive))
-	}
-}
-
-// resetAdmission clears the limiter state on crash/restart. Queued requests
-// from the dead life are already disarmed (crash and stepDown stop the drain
-// timer, the incarnation gate the shed deadlines); their callers' retry
-// layer re-issues them, like any request in flight to a dead process.
+// resetAdmission clears the limiter state on restart and step-down. Queued
+// requests from the ended life are already disarmed (crash and stepDown stop
+// the drain timer, the incarnation gate the shed deadlines) and go
+// unanswered, like any request in flight to a dead process; a Cluster sends
+// them to the successor.
 func (mc *MC) resetAdmission() {
 	mc.admitTokens = float64(mc.Cfg.Admission.Burst) // restart with a full bucket
 	mc.admitLast = mc.Net.Eng.Now()

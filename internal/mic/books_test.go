@@ -182,7 +182,7 @@ func sameChannels(t testing.TB, live, twin *MC) {
 	}
 	for _, id := range sortedChanIDs(live.channels) {
 		a, b := live.channels[id], twin.channels[id]
-		if a.id != b.id || a.initiator != b.initiator || a.responder != b.responder || a.opts != b.opts {
+		if a.id != b.id || a.req != b.req || a.initiator != b.initiator || a.responder != b.responder || a.opts != b.opts {
 			t.Fatalf("channel %d: identity differs after replay", id)
 		}
 		if a.epoch != b.epoch || a.gen != b.gen {

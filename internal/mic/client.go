@@ -375,14 +375,19 @@ func (c *Client) register(id uint64, s *Stream) {
 }
 
 // CloseChannel tears down the cached channel to target at the MC. Streams
-// using it should be closed first. cb may be nil.
+// using it should be closed first. cb may be nil. A close refused with
+// ErrNotActive (a Cluster's takeover blackout) keeps the channel cached, so
+// it can be closed again.
 func (c *Client) CloseChannel(target string, cb func()) error {
 	cc, ok := c.channels[target]
 	if !ok {
 		return fmt.Errorf("mic: no cached channel to %q", target)
 	}
-	delete(c.channels, target)
-	return c.MC.CloseChannel(cc.info.ID, cb)
+	err := c.MC.CloseChannel(cc.info.ID, cb)
+	if !errors.Is(err, ErrNotActive) {
+		delete(c.channels, target)
+	}
+	return err
 }
 
 // Channel returns the cached channel info for target, if any. Harnesses use
@@ -415,7 +420,7 @@ func (c *Client) StartIdleNotifier(interval time.Duration) (stop func()) {
 		}
 		slices.Sort(idle)
 		for _, target := range idle {
-			// lint:ignore errdrop errors cannot occur here: the channel is cached, and idle teardown is best-effort anyway
+			// lint:ignore errdrop a close refused during a takeover blackout keeps the channel cached, and the next tick closes it again
 			_ = c.CloseChannel(target, nil)
 		}
 		c.idle.Reset(interval)

@@ -1,8 +1,8 @@
 package mic
 
 import (
-	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -60,14 +60,9 @@ const (
 	DefaultHeartbeatMisses = 3
 )
 
-// What no experiment varies.
-const (
-	// requestTimeout is how long a client-facing request waits for the
-	// active's answer before re-issuing it (the request may have died with
-	// the controller); requestRetries bounds the re-issues.
-	requestTimeout = 10 * time.Millisecond
-	requestRetries = 50
-)
+// requestDeadline bounds how long a dial waits for its answer, across every
+// takeover it waits out, before it fails. No experiment varies it.
+const requestDeadline = 500 * time.Millisecond
 
 // leaseDuration is the mastership lease, DefaultHeartbeatInterval ×
 // DefaultHeartbeatMisses (which keeps detection timing identical to the
@@ -133,7 +128,8 @@ type TakeoverStats struct {
 // active that serves requests and journals every mutation, and standbys that
 // race to take over when the active's heartbeats stop and rebuild from the
 // journal when they win. It implements ControlPlane, so clients bind to the
-// cluster and ride through a controller crash with at most a request retry.
+// cluster and ride through a controller crash: a dial the dead life left
+// unanswered is sent again once a successor has taken over.
 type Cluster struct {
 	Net  *netsim.Network
 	Cfg  Config        // the MC config every member runs (defaults applied)
@@ -144,9 +140,13 @@ type Cluster struct {
 	Journal *Journal
 
 	// Controller-liveness tallies, reported by Telemetry: beats sent and
-	// overdue watchdog checks, lease-loss step-downs, and dial requests
-	// re-issued across a blackout or a step-down.
+	// overdue watchdog checks, lease-loss step-downs, and dials a takeover
+	// sent (requests a dead life left unanswered or a blackout held back).
 	heartbeatsSent, heartbeatsMissed, stepdowns, requestRetries uint64
+
+	// nextReq numbers the dials; pending holds the unanswered, in issue order.
+	nextReq uint64
+	pending []*request
 
 	// OnTakeover (may be nil) observes every completed takeover.
 	OnTakeover func(TakeoverStats)
@@ -155,7 +155,7 @@ type Cluster struct {
 	OnStepDown func(member int, at sim.Time)
 
 	members []*member
-	active  int // index of the acting member, -1 during a blackout
+	active  int // the member made active last; it acts while its MC is active
 
 	// takeovers counts completed promotions; it is also the generation the
 	// promoted MC's rules carry in their cookies.
@@ -178,7 +178,6 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 		Cfg:     cfg.withDefaults(),
 		CCfg:    ccfg.withDefaults(),
 		Journal: NewJournal(),
-		active:  0,
 	}
 	c.Journal.Fencing = !c.CCfg.DisableFencing
 
@@ -271,14 +270,10 @@ func (c *Cluster) memberIndex(m *member) int {
 
 // activeMember returns the acting member, or nil during a blackout.
 func (c *Cluster) activeMember() *member {
-	if c.active < 0 {
-		return nil
+	if m := c.members[c.active]; m.mc.active {
+		return m
 	}
-	m := c.members[c.active]
-	if !m.mc.active {
-		return nil
-	}
-	return m
+	return nil
 }
 
 // ActiveMC returns the acting controller, or nil during a blackout — the
@@ -403,9 +398,6 @@ func (c *Cluster) stepDown(m *member) {
 	}
 	c.stepdowns++
 	m.demoted = true
-	if c.active == c.memberIndex(m) {
-		c.active = -1
-	}
 	m.mc.stepDown()
 	c.startWatchdog(m)
 	if c.OnStepDown != nil {
@@ -467,9 +459,6 @@ func (c *Cluster) memberCrashed(m *member) {
 	m.stopTimers()
 	m.mc.crash()
 	if wasActive {
-		if c.active == c.memberIndex(m) {
-			c.active = -1
-		}
 		// The master every demoted standby was waiting to hear from is
 		// provably dead; release them into the takeover race.
 		for _, other := range c.members {
@@ -533,6 +522,14 @@ func (c *Cluster) takeover(m *member) bool {
 		}
 	}
 	c.startBeating(m)
+	// A dial issued during the blackout goes to the new life now, as any
+	// dial issued from here on does.
+	for _, r := range c.pending {
+		if r.mc == nil {
+			c.requestRetries++
+			c.send(r, mc)
+		}
+	}
 
 	stats := TakeoverStats{Member: c.active, Channels: mc.LiveChannels()}
 	clear(mc.recon) // an earlier life's; every switch gets a pass now
@@ -557,13 +554,21 @@ func (c *Cluster) takeover(m *member) bool {
 // finishTakeover closes the loop on the blackout: any channel the dead
 // active never got to repair (its failure events and repair callbacks died
 // with it) is detected by a liveness sweep and queued through the normal
-// self-healing path. Then the takeover becomes observable.
+// self-healing path. Then every dial a dead life left unanswered goes to the
+// new life, its journaled channel reconciled and the repairs' paths drawn,
+// and the takeover becomes observable.
 func (c *Cluster) finishTakeover(m *member, stats TakeoverStats) {
 	if mc := m.mc; mc.Cfg.AutoRepair {
 		for _, id := range sortedChanIDs(mc.channels) {
 			if !mc.channelAlive(mc.channels[id]) {
 				mc.scheduleRepair(id)
 			}
+		}
+	}
+	for _, r := range c.pending {
+		if r.mc.incarnation != r.inc {
+			c.requestRetries++
+			c.send(r, m.mc)
 		}
 	}
 	stats.At = c.eng().Now()
@@ -660,81 +665,73 @@ func (c *Cluster) SubscribeChannelDown(fn func(id uint64, err error)) {
 	}
 }
 
-// EstablishChannel implements ControlPlane with crash-retry: a request is
-// issued to the acting controller and re-issued after requestTimeout if no
-// answer arrives — the controller may have died with the request in flight,
-// or the cluster may be in a takeover blackout. A late answer from a
-// superseded attempt is a duplicate channel and is closed, not delivered.
-func (c *Cluster) EstablishChannel(initiator addr.IP, target string, opts ChannelOptions, cb func(*ChannelInfo, error)) {
-	var attempt func(n int)
-	attempt = func(n int) {
-		m := c.activeMember()
-		if m == nil {
-			if n >= requestRetries {
-				c.eng().After(0, func() {
-					cb(nil, fmt.Errorf("mic: no active controller after %d request retries", n))
-				})
-				return
-			}
-			c.requestRetries++
-			c.eng().After(requestTimeout, func() { attempt(n + 1) })
-			return
-		}
-		answered := false
-		m.mc.EstablishChannel(initiator, target, opts, func(info *ChannelInfo, err error) {
-			if answered {
-				// A retry superseded this attempt; its late success would be
-				// an unobserved duplicate — release it.
-				if err == nil && info != nil {
-					// lint:ignore errdrop releasing a superseded duplicate is best-effort; the caller already got its answer from the retry
-					_ = c.CloseChannel(info.ID, nil)
-				}
-				return
-			}
-			if errors.Is(err, ErrNotActive) && n < requestRetries {
-				// The controller answered but had stepped down (lease lost,
-				// partition): wait out the takeover and re-dial the successor.
-				answered = true
-				c.requestRetries++
-				c.eng().After(requestTimeout, func() { attempt(n + 1) })
-				return
-			}
-			answered = true
-			cb(info, err)
-		})
-		c.eng().After(requestTimeout, func() {
-			if answered {
-				return
-			}
-			answered = true
-			if n >= requestRetries {
-				cb(nil, fmt.Errorf("mic: channel request timed out after %d retries", n))
-				return
-			}
-			c.requestRetries++
-			attempt(n + 1)
-		})
-	}
-	attempt(0)
+// request is a dial the Cluster has not had answered. Its ID names it to
+// every controller life, through the journal; mc and inc are the life it was
+// last sent to, mc nil until then.
+type request struct {
+	id        uint64
+	initiator addr.IP
+	target    string
+	opts      ChannelOptions
+	cb        func(*ChannelInfo, error)
+	mc        *MC
+	inc       uint64
 }
 
-// CloseChannel implements ControlPlane. Closes fail during a blackout; an
-// idle-closing client simply retries on its next idle tick.
+// EstablishChannel implements ControlPlane. The dial takes the next request
+// ID and goes to the acting controller, or during a blackout to the next
+// promoted one (takeover). A dial its life left unanswered goes to the
+// successor once that has reconciled the fabric (finishTakeover), and one
+// unanswered after requestDeadline fails.
+func (c *Cluster) EstablishChannel(initiator addr.IP, target string, opts ChannelOptions, cb func(*ChannelInfo, error)) {
+	c.nextReq++
+	r := &request{id: c.nextReq, initiator: initiator, target: target, opts: opts, cb: cb}
+	c.pending = append(c.pending, r)
+	c.eng().After(requestDeadline, func() {
+		c.answer(r, nil, fmt.Errorf("mic: channel request unanswered after %v", requestDeadline))
+	})
+	if m := c.activeMember(); m != nil {
+		c.send(r, m.mc)
+	}
+}
+
+// send sends r to mc's current life, an active one, whose answer alone
+// counts: if the life ends unanswering, the next takeover sends r again.
+func (c *Cluster) send(r *request, mc *MC) {
+	inc := mc.incarnation
+	r.mc, r.inc = mc, inc
+	mc.establish(r.id, r.initiator, r.target, r.opts, func(info *ChannelInfo, err error) {
+		if r.mc == mc && r.inc == inc {
+			c.answer(r, info, err)
+		}
+	})
+}
+
+// answer gives r's caller its one answer.
+func (c *Cluster) answer(r *request, info *ChannelInfo, err error) {
+	if i := slices.Index(c.pending, r); i >= 0 {
+		c.pending = slices.Delete(c.pending, i, i+1)
+		r.cb(info, err)
+	}
+}
+
+// CloseChannel implements ControlPlane. A close during a blackout is refused
+// with ErrNotActive, and the caller keeps the channel to close it again.
 func (c *Cluster) CloseChannel(id uint64, cb func()) error {
 	m := c.activeMember()
 	if m == nil {
-		return fmt.Errorf("mic: no active controller")
+		return fmt.Errorf("mic: close of channel %d during a takeover blackout: %w", id, ErrNotActive)
 	}
 	return m.mc.CloseChannel(id, cb)
 }
 
-// RegisterHiddenService registers the mapping on the acting controller,
-// which journals it, so standbys and successors resolve the name too. Like CloseChannel it fails during a blackout.
+// RegisterHiddenService registers the mapping on the acting controller, which
+// journals it for successors; like CloseChannel it is refused in a blackout.
 // lint:secret ip
 func (c *Cluster) RegisterHiddenService(name string, ip addr.IP) error {
 	m := c.activeMember()
 	if m == nil {
-		return fmt.Errorf("mic: no active controller")
+		return fmt.Errorf("mic: hidden service %q registered during a takeover blackout: %w", name, ErrNotActive)
 	}
 	return m.mc.RegisterHiddenService(name, ip)
 }

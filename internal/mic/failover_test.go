@@ -2,6 +2,7 @@ package mic
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -210,8 +211,8 @@ func TestReconciliationOffLeavesStaleRules(t *testing.T) {
 }
 
 // TestRequestRetriesAcrossBlackout dials while the cluster is headless: the
-// request must be re-issued until the standby takes over, then succeed with
-// zero manual intervention.
+// request waits for the standby's promotion, which sends it, then succeeds
+// with zero manual intervention.
 func TestRequestRetriesAcrossBlackout(t *testing.T) {
 	f := newClusterFixture(t, Config{MNs: 3}, ClusterConfig{})
 	f.net.SetCtrlHostDown(0, true) // blackout before anyone dials
@@ -242,6 +243,52 @@ func TestRequestRetriesAcrossBlackout(t *testing.T) {
 	if f.cl.Takeovers() != 1 {
 		t.Fatalf("takeovers = %d, want 1", f.cl.Takeovers())
 	}
+}
+
+// TestIdleCloseRetriedAcrossBlackout: the idle notifier closes a channel
+// while the cluster is headless. The close is refused with ErrNotActive and
+// the client keeps the channel cached, so a tick after the takeover closes
+// it at the successor, which then holds no channel.
+func TestIdleCloseRetriedAcrossBlackout(t *testing.T) {
+	f := newClusterFixture(t, Config{MNs: 3}, ClusterConfig{})
+	Listen(f.stacks[15], 80, false, func(*Stream) {})
+	client := NewClient(f.stacks[2], f.cl)
+	target := f.stacks[15].Host.IP.String()
+	client.Dial(target, 80, func(s *Stream, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		s.Close()
+	})
+	f.eng.RunFor(10 * time.Millisecond)
+	info, ok := client.Channel(target)
+	if !ok {
+		t.Fatal("no channel after the dial")
+	}
+	f.net.SetCtrlHostDown(0, true)
+	if err := f.cl.CloseChannel(info.ID, nil); !errors.Is(err, ErrNotActive) {
+		t.Fatalf("close during the blackout: %v, want ErrNotActive", err)
+	}
+	var takeoverAt sim.Time
+	f.cl.OnTakeover = func(ts TakeoverStats) { takeoverAt = ts.At }
+	stop := client.StartIdleNotifier(time.Millisecond)
+	f.eng.RunFor(time.Millisecond)
+	if _, ok := client.Channel(target); !ok {
+		t.Fatal("a close refused during the blackout dropped the channel from the client's cache")
+	}
+	f.eng.RunUntil(sim.Time(200 * time.Millisecond))
+	stop()
+	f.settle(300 * time.Millisecond)
+	if takeoverAt == 0 {
+		t.Fatal("no takeover")
+	}
+	if _, ok := client.Channel(target); ok {
+		t.Fatal("the client still caches the channel after the takeover")
+	}
+	if n := f.cl.ActiveMC().LiveChannels(); n != 0 {
+		t.Fatalf("the successor holds %d channels, want 0: the idle close was lost in the blackout", n)
+	}
+	checkClusterReplay(t, f.cl)
 }
 
 // TestRestartedControllerRejoinsAndTakesOverAgain runs two failovers: the

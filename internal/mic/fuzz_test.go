@@ -172,16 +172,21 @@ func diffAt(a, b []byte) int {
 //	      reconciles it when it restarts)
 //	5     cut a link as 3 does, run one control round trip, then close that
 //	      channel: the close lands while the repair's install is out
-//	6     set the southbound loss rate to 0-30 %
+//	6     with arguments 0-30, set the southbound loss rate to that many %;
+//	      with 31, ask a twin replayed from the journal again for every
+//	      answered request whose channel is live, as a takeover re-sends a
+//	      request its dead life answered: the twin answers each with its
+//	      channel, opens none and sends nothing southbound
 //	7     dial as 1 does and, 700 µs in — its batch out, not all of it
 //	      acknowledged — cut a link under the new channel's first flow as 3
 //	      does: the repair's install goes out while the batch may still be
 //	      retransmitting
 //
-// After every step the engine runs dry and then the live controller's books
-// balance, a fresh passive controller rebuilt by restore from the journal
-// holds the same channels fact for fact, its books balance too, and the
-// switches' tables hold what checkTables allows.
+// Every dial carries a request ID, which the journal must keep through its
+// compactions. After every step the engine runs dry and then the live
+// controller's books balance, a fresh passive controller rebuilt by restore
+// from the journal holds the same channels fact for fact, its books balance
+// too, and the switches' tables hold what checkTables allows.
 func FuzzJournalReplay(f *testing.F) {
 	for _, prog := range journalReplayCorpus {
 		f.Add(prog)
@@ -197,16 +202,19 @@ var journalReplayCorpus = [][]byte{
 	{0x08, 0x03, 0x0b},                   // a dial, two cuts and their repairs
 	{0x01, 0x03, 0x23, 0x04, 0x01, 0x02}, // both uplinks cut: repaired, then given up; heal, dial again, close
 	{0x18, 0x39, 0x58, 0x79, 0x98, 0xb9, 0x02, 0x0a, 0x04, 0x02, 0x18}, // the ladder: whole, degraded, refused; closes restore
-	{0x00, 0x08, 0x05, 0x00},             // a close while the repair's install is out, then a dial into the freed storage
-	{0xa6, 0x00, 0x18, 0x0b, 0x05, 0x02}, // 20 % loss: dials, a repair, a close mid-repair, a close
-	{0x56, 0x07, 0x02},                   // 10 % loss: a cut under a dial, repaired while the batch is out; its close
-	{0x00, 0x0c, 0x02, 0x04},             // a dial, a crash, a close while the switch is down, its restart
-	{0xa6, 0x00, 0x08, 0x0c, 0x04},       // 20 % loss: dials, a crash the repair runs under, the restart
+	{0x00, 0x08, 0x05, 0x00},                         // a close while the repair's install is out, then a dial into the freed storage
+	{0xa6, 0x00, 0x18, 0x0b, 0x05, 0x02},             // 20 % loss: dials, a repair, a close mid-repair, a close
+	{0x56, 0x07, 0x02},                               // 10 % loss: a cut under a dial, repaired while the batch is out; its close
+	{0x00, 0x0c, 0x02, 0x04},                         // a dial, a crash, a close while the switch is down, its restart
+	{0xa6, 0x00, 0x08, 0x0c, 0x04},                   // 20 % loss: dials, a crash the repair runs under, the restart
+	{0x00, 0x08, 0x03, 0x18, 0xfe},                   // dials and a repair, compacted; the answered requests asked again
+	{0x18, 0x39, 0x58, 0x79, 0x98, 0xb9, 0x02, 0xfe}, // the ladder, a close that restores a flow; asked again
 }
 
 // runJournalProgram is FuzzJournalReplay's body; it returns the controller
-// and its journal as the program left them, and how many switches restarted.
-func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts int) {
+// and its journal as the program left them, how many switches restarted and
+// how many answered requests were asked again.
+func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts, reasked int) {
 	if len(prog) > 40 {
 		prog = prog[:40]
 	}
@@ -221,6 +229,7 @@ func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts 
 	}
 	var cuts []link
 	var crashed []topo.NodeID
+	var answered []answeredRequest
 	cut := func(id uint64, arg int) bool {
 		path := mc.channels[id].info.Flows[0].Path
 		if len(path) < 5 {
@@ -241,8 +250,12 @@ func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts 
 			if from == to {
 				continue
 			}
-			id := mc.nextChan
-			mc.EstablishChannel(bed.hostIP(from), bed.hostIP(to).String(), ChannelOptions{MFlows: 1 + arg%4}, func(*ChannelInfo, error) {})
+			id, req := mc.nextChan, mc.Requests+1
+			mc.establish(req, bed.hostIP(from), bed.hostIP(to).String(), ChannelOptions{MFlows: 1 + arg%4}, func(info *ChannelInfo, err error) {
+				if err == nil {
+					answered = append(answered, answeredRequest{req, info.ID})
+				}
+			})
 			if op == 7 {
 				bed.eng.RunFor(700 * time.Microsecond)
 				if _, ok := mc.channels[id]; ok {
@@ -266,8 +279,10 @@ func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts 
 					}
 				}
 			}
+		case op == 6 && arg == 31:
+			reasked += askAgain(t, mc, j, answered)
 		case op == 6:
-			mc.Ch.LossRate = float64(arg%31) / 100
+			mc.Ch.LossRate = float64(arg) / 100
 		case op == 4 && arg&1 == 0:
 			for _, l := range cuts {
 				bed.net.SetLinkDown(l.node, l.port, false)
@@ -291,7 +306,39 @@ func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts 
 		checkReplay(t, mc, j)
 		checkTables(t, mc)
 	}
-	return mc, j, restarts
+	return mc, j, restarts, reasked
+}
+
+// answeredRequest is a dial's request ID and the channel it was answered with.
+type answeredRequest struct{ req, channel uint64 }
+
+// askAgain asks a twin replayed from j again for every answered request
+// whose channel mc still holds. The twin must answer each with that channel,
+// open none and send nothing southbound. It returns how many it asked.
+func askAgain(t *testing.T, mc *MC, j *Journal, answered []answeredRequest) int {
+	t.Helper()
+	twin := replayed(t, mc, j)
+	twin.active = true
+	next, asked, answers := twin.nextChan, 0, 0
+	for _, a := range answered {
+		st, live := mc.channels[a.channel]
+		if !live {
+			continue
+		}
+		asked++
+		twin.establish(a.req, st.initiator, st.responder.String(), st.opts, func(info *ChannelInfo, err error) {
+			if err != nil || info.ID != a.channel {
+				t.Fatalf("request %d asked again: answered %+v, %v; want channel %d", a.req, info, err, a.channel)
+			}
+			answers++
+		})
+	}
+	mc.Net.Eng.Run()
+	if answers != asked || twin.nextChan != next || twin.LiveChannels() != mc.LiveChannels() || southbound(twin.Ch) != (southboundCount{}) {
+		t.Fatalf("%d requests asked again, %d answered; the twin opened channels %d to %d and sent %+v",
+			asked, answers, next, twin.nextChan, southbound(twin.Ch))
+	}
+	return asked
 }
 
 // checkTables fails t unless tablesError finds the switches' tables as the MC
@@ -374,12 +421,13 @@ func tablesError(mc *MC) error {
 // TestJournalReplayCorpusShapes keeps the seed corpus honest: between them
 // the programs open, close, repair, fail a repair for good, degrade, refuse,
 // restore a flow, compact the journal, retransmit over a lossy southbound
-// channel and restart a crashed switch.
+// channel, restart a crashed switch and ask answered requests again.
 func TestJournalReplayCorpusShapes(t *testing.T) {
-	var dials, repairs, given, degraded, refused, restored, snapshots, retransmits, restarts uint64
+	var dials, repairs, given, degraded, refused, restored, snapshots, retransmits, restarts, reasked uint64
 	for _, prog := range journalReplayCorpus {
-		mc, j, n := runJournalProgram(t, prog)
+		mc, j, n, asked := runJournalProgram(t, prog)
 		restarts += uint64(n)
+		reasked += uint64(asked)
 		dials += mc.Requests
 		repairs += mc.Repairs
 		given += mc.RepairFailures
@@ -388,12 +436,12 @@ func TestJournalReplayCorpusShapes(t *testing.T) {
 		restored += mc.FlowsRestored
 		snapshots += j.Snapshots
 		retransmits += mc.Ch.Retransmits
-		t.Logf("% x: dials %d repairs %d given up %d degraded %d refused %d restored %d snapshots %d retransmits %d restarts %d live %d",
-			prog, mc.Requests, mc.Repairs, mc.RepairFailures, mc.ChannelsDegraded, mc.ChannelsRefused, mc.FlowsRestored, j.Snapshots, mc.Ch.Retransmits, n, mc.LiveChannels())
+		t.Logf("% x: dials %d repairs %d given up %d degraded %d refused %d restored %d snapshots %d retransmits %d restarts %d asked again %d live %d",
+			prog, mc.Requests, mc.Repairs, mc.RepairFailures, mc.ChannelsDegraded, mc.ChannelsRefused, mc.FlowsRestored, j.Snapshots, mc.Ch.Retransmits, n, asked, mc.LiveChannels())
 	}
 	for name, n := range map[string]uint64{"dial": dials, "repair": repairs, "repair given up": given,
 		"degraded dial": degraded, "refused dial": refused, "restored flow": restored, "journal snapshot": snapshots,
-		"southbound retransmission": retransmits, "switch restart": restarts} {
+		"southbound retransmission": retransmits, "switch restart": restarts, "request asked again": reasked} {
 		if n == 0 {
 			t.Errorf("no program in the corpus produces a %s", name)
 		}

@@ -78,9 +78,11 @@ type Record struct {
 	IP addr.IP
 
 	// Channel records. RecClose names the Channel only; RecOpen and RecUpdate
-	// carry all of its facts. FlowIDs (forward, reverse per flow), Entries and
-	// Finals are the wire form of the per-flow resources, parallel to Flows.
+	// carry all of its facts, the request that opened it (Req) among them.
+	// FlowIDs (forward, reverse per flow), Entries and Finals are the wire
+	// form of the per-flow resources, parallel to Flows.
 	Channel uint64
+	Req     uint64
 	// lint:secret
 	Initiator addr.IP
 	// lint:secret
@@ -290,6 +292,7 @@ func (mc *MC) journalChannel(kind RecordKind, st *channelState) {
 		Kind:      kind,
 		Fence:     mc.fence,
 		Channel:   st.id,
+		Req:       st.req,
 		Initiator: st.initiator,
 		Responder: st.responder,
 		Opts:      st.opts,
@@ -321,6 +324,7 @@ func (mc *MC) journalClose(id uint64) {
 func (r Record) channel() *channelState {
 	st := &channelState{
 		id:        r.Channel,
+		req:       r.Req,
 		initiator: r.Initiator,
 		responder: r.Responder,
 		opts:      r.Opts,

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mic/internal/ctrlplane"
+	"mic/internal/netsim"
 )
 
 // TestKillPointsOverOneDialAndClose crashes the controller right after
@@ -122,62 +123,126 @@ func TestKillPointsOverOneDialAndClose(t *testing.T) {
 
 // TestClusterKillPointsOverOneDial kills the active member of a two-member
 // Cluster right after each engine event of one dial, from its request
-// through the event that answers it, and lets the standby take over. At
-// every kill point the client gets exactly one answer, and no error; the
-// successor's books equal its journal twin's, its tables audit clean, and
-// it holds the dial's channel once or twice. Twice is a channel the dead
-// life journaled but never answered, orphaned when the retry, which carries
-// no request identity, opens another. That is a known open bug, so the count
-// is logged, not asserted.
+// through the event that answers it, and lets the standby take over. A dial
+// the dead life journaled but never answered is sent again by the takeover,
+// and the successor answers it with the channel its journal holds.
 func TestClusterKillPointsOverOneDial(t *testing.T) {
+	points, orphans := clusterDialPoints(t, false)
+	t.Logf("%d kill points, %d leave 2 live channels", points, orphans)
+	if orphans != 0 {
+		t.Errorf("%d of %d kill points leave an orphan channel beside the answered one", orphans, points)
+	}
+}
+
+// TestClusterStepDownPointsOverOneDial is the same sweep with the active cut
+// off instead of killed: every management path to and from it is cut, so it
+// steps down at its lease edge with the dial's request, planning or install
+// in flight, or its answer sent (TestQueuedDialAcrossStepDown covers a dial
+// in the admission queue); the standby takes over, and the cut heals 100 ms
+// later, when the deposed member rejoins as a standby.
+func TestClusterStepDownPointsOverOneDial(t *testing.T) {
+	points, orphans := clusterDialPoints(t, true)
+	t.Logf("%d step-down points, %d leave 2 live channels", points, orphans)
+	if orphans != 0 {
+		t.Errorf("%d of %d step-down points leave an orphan channel beside the answered one", orphans, points)
+	}
+}
+
+// clusterDialPoints ends the active member's life right after each engine
+// event of one dial, by a kill or, with stepDown, a management cut, and lets
+// the standby take over. At every point the client gets exactly one answer,
+// and no error, naming a channel whose journaled rules are all installed;
+// the successor holds exactly one live channel, the answered one; its books
+// equal its journal twin's, and its tables audit clean. It returns the
+// number of points and how many left an orphan beside the answered channel,
+// the one failure it counts rather than stops at.
+func clusterDialPoints(t *testing.T, stepDown bool) (points, orphans int) {
 	cfg := Config{MNs: 3, MFlows: 2}
-	dial := func(f *clusterFixture, answered func(error)) {
-		f.cl.EstablishChannel(f.stacks[0].Host.IP, f.stacks[15].Host.IP.String(), ChannelOptions{}, func(_ *ChannelInfo, err error) {
-			answered(err)
-		})
+	dial := func(f *clusterFixture, answered func(*ChannelInfo, error)) {
+		f.cl.EstablishChannel(f.stacks[0].Host.IP, f.stacks[15].Host.IP.String(), ChannelOptions{}, answered)
 	}
 	// The undisturbed dial: events counts the engine events up to and
 	// including the one that answers.
 	ref := newClusterFixture(t, cfg, ClusterConfig{})
 	done, events := false, 0
-	dial(ref, func(error) { done = true })
+	dial(ref, func(*ChannelInfo, error) { done = true })
 	for !done {
 		if !ref.eng.Step() {
 			t.Fatal("the dial ended unanswered")
 		}
 		events++
 	}
-	orphans := 0
 	for k := 0; k <= events; k++ {
 		f := newClusterFixture(t, cfg, ClusterConfig{})
-		answers := 0
-		dial(f, func(err error) {
+		var answers []*ChannelInfo
+		dial(f, func(info *ChannelInfo, err error) {
 			if err != nil {
-				t.Fatalf("killed after event %d: dial: %v", k, err)
+				t.Fatalf("ended after event %d: dial: %v", k, err)
 			}
-			answers++
+			if sw := uninstalled(f, info.ID); sw != "" {
+				t.Fatalf("ended after event %d: answered with channel %d before %s held its rules", k, info.ID, sw)
+			}
+			answers = append(answers, info)
 		})
 		for i := 0; i < k; i++ {
 			f.eng.Step()
 		}
-		f.net.SetCtrlHostDown(0, true)
+		if stepDown {
+			active := []netsim.MgmtEnd{netsim.MgmtCtrl(0)}
+			rest := []netsim.MgmtEnd{netsim.MgmtCtrl(1)}
+			for _, sw := range f.net.Switches() {
+				rest = append(rest, netsim.MgmtSwitch(sw.ID))
+			}
+			f.net.CutSets(active, rest)
+			f.eng.After(100*time.Millisecond, func() { f.net.HealSets(active, rest) })
+		} else {
+			f.net.SetCtrlHostDown(0, true)
+		}
 		f.settle(400 * time.Millisecond)
-		if f.cl.Takeovers() != 1 || answers != 1 {
-			t.Fatalf("killed after event %d of %d: %d takeovers, %d answers; want 1 and 1", k, events, f.cl.Takeovers(), answers)
+		if f.cl.Takeovers() != 1 || len(answers) != 1 {
+			t.Fatalf("ended after event %d of %d: %d takeovers, %d answers; want 1 and 1", k, events, f.cl.Takeovers(), len(answers))
+		}
+		if stepDown && f.cl.stepdowns != 1 {
+			t.Fatalf("ended after event %d: %d step-downs, want 1", k, f.cl.stepdowns)
 		}
 		checkClusterReplay(t, f.cl)
 		if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
-			t.Fatalf("killed after event %d: audit stale=%d missing=%d, want 0/0", k, st, miss)
+			t.Fatalf("ended after event %d: audit stale=%d missing=%d, want 0/0", k, st, miss)
 		}
-		switch live := f.cl.activeMember().mc.LiveChannels(); live {
-		case 1:
-		case 2:
+		successor := f.cl.activeMember().mc
+		switch live := successor.LiveChannels(); {
+		case successor.channels[answers[0].ID] == nil || live > 2:
+			t.Fatalf("ended after event %d of %d: the successor holds channels %v, want only the answered %d",
+				k, events, sortedChanIDs(successor.channels), answers[0].ID)
+		case live == 2:
 			orphans++
-		default:
-			t.Fatalf("killed after event %d: the successor holds %d channels, want 1 or 2", k, live)
 		}
 	}
-	t.Logf("%d kill points, %d leave 2 live channels", events+1, orphans)
+	return events + 1, orphans
+}
+
+// uninstalled names a switch that lacks an entry the journal's latest
+// record of channel id intends there, or returns "".
+func uninstalled(f *clusterFixture, id uint64) string {
+	var rules []ruleRec
+	for _, r := range f.cl.Journal.Records() {
+		if r.Channel == id && (r.Kind == RecOpen || r.Kind == RecUpdate) {
+			rules = r.Rules
+		}
+	}
+	for _, rr := range rules {
+		if rr.entry == nil {
+			continue
+		}
+		sw, held := f.net.Switch(rr.node), false
+		for _, e := range sw.Table.Conflicts(rr.entry.Match, rr.entry.Priority) {
+			held = held || cookieChannel(e.Cookie) == id
+		}
+		if !held {
+			return sw.Name
+		}
+	}
+	return ""
 }
 
 // southboundCount is what a southbound channel has sent, by kind.

@@ -150,10 +150,10 @@ func (mc *MC) crash() {
 }
 
 // stepDown demotes an active MC that failed to renew its mastership lease:
-// planning quiesces (queued dials are refused with ErrNotActive), journal
-// writes stop, every closure the active life left on the engine is disarmed
-// and the MC forgets what it planned; a later promotion rebuilds it from the
-// journal. Unlike crash, the process stays up and the channel stays open —
+// planning stops (queued dials go unanswered, as a crashed life's do, and a
+// Cluster sends them to the successor), journal writes stop, every closure
+// the active life left on the engine is disarmed and the MC forgets what it
+// planned; a later promotion rebuilds it from the journal. Unlike crash, the process stays up and the channel stays open —
 // in-flight southbound messages may still land, which is exactly what the
 // switch-side fencing epoch exists to reject once a successor announces
 // itself.
@@ -164,7 +164,6 @@ func (mc *MC) stepDown() {
 	mc.active = false
 	mc.incarnation++
 	mc.journal = nil
-	mc.quiesceAdmission()
 	mc.drain.Stop()
 	mc.resetState()
 	mc.StopProber()

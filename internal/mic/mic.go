@@ -223,7 +223,8 @@ type ChannelInfo struct {
 // else. The real endpoint pair lives here — and only here — outside the
 // journal.
 type channelState struct {
-	id uint64
+	id  uint64
+	req uint64 // the request that opened it (establish), 0 for none
 	// lint:secret
 	initiator addr.IP // real dialing endpoint
 	// lint:secret
@@ -578,8 +579,9 @@ func (mc *MC) revive() {
 
 // ErrNotActive is returned to dials that reach a controller which is not the
 // acting master — a standby, or an ex-active that stepped down after losing
-// its mastership lease. Clients (and the Cluster's retry layer) treat it as
-// a transient: retry until the takeover completes.
+// its mastership lease — and to the closes and registrations a Cluster
+// refuses during a takeover blackout. It is transient: retry once the
+// takeover completes, as a Client's idle closes do.
 var ErrNotActive = errors.New("mic: controller is not the active master")
 
 // resetState clears every piece of channel bookkeeping — a restarted process

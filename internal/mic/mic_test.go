@@ -1224,7 +1224,7 @@ func BenchmarkMAddrChainGeneration(b *testing.B) {
 	f := newFixture(b, Config{MNs: 3})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.mc.computeChannel(f.hostIP(i%8), f.hostIP(8+i%8).String(), ChannelOptions{}.withDefaults(f.mc.Cfg)); err != nil {
+		if _, err := f.mc.computeChannel(0, f.hostIP(i%8), f.hostIP(8+i%8).String(), ChannelOptions{}.withDefaults(f.mc.Cfg)); err != nil {
 			b.Fatal(err)
 		}
 		// Free resources for the next iteration.

@@ -2,6 +2,7 @@ package mic
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -190,6 +191,48 @@ func TestAsymmetricPartitionAblationZombieWrites(t *testing.T) {
 	}
 	if stale, _ := f.cl.Audit(); stale == 0 {
 		t.Fatal("no stale rules survived the heal; the ablation shows nothing")
+	}
+}
+
+// TestQueuedDialAcrossStepDown cuts the active off from every peer and
+// switch with one dial in install and another waiting in its admission
+// queue. The step-down drops the queued dial unanswered, as a crash would;
+// the successor is sent both, answers the first with the channel the
+// deposed life journaled and plans the second, so each dial is answered
+// once and the successor holds exactly the two answered channels.
+func TestQueuedDialAcrossStepDown(t *testing.T) {
+	f := newClusterFixture(t, Config{MNs: 3, Admission: AdmissionConfig{Enabled: true, Rate: 100, Burst: 1}}, ClusterConfig{})
+	answers := make([]*ChannelInfo, 2)
+	for i, to := range []int{15, 14} {
+		f.cl.EstablishChannel(f.stacks[i].Host.IP, f.stacks[to].Host.IP.String(), ChannelOptions{}, func(info *ChannelInfo, err error) {
+			if err != nil || answers[i] != nil {
+				t.Fatalf("dial %d: %v, or answered twice", i, err)
+			}
+			answers[i] = info
+		})
+	}
+	f.eng.RunFor(time.Millisecond)
+	if deposed := f.cl.members[0].mc; len(deposed.channels) != 1 || len(deposed.admitQueue) != 1 {
+		t.Fatalf("the active holds %d channels and queues %d dials, want 1 and 1", len(deposed.channels), len(deposed.admitQueue))
+	}
+	active, rest := []netsim.MgmtEnd{netsim.MgmtCtrl(0)}, []netsim.MgmtEnd{netsim.MgmtCtrl(1)}
+	for _, sw := range f.net.Switches() {
+		rest = append(rest, netsim.MgmtSwitch(sw.ID))
+	}
+	f.net.CutSets(active, rest)
+	f.eng.After(100*time.Millisecond, func() { f.net.HealSets(active, rest) })
+	f.settle(400 * time.Millisecond)
+	if f.cl.stepdowns != 1 || f.cl.Takeovers() != 1 || answers[0] == nil || answers[1] == nil {
+		t.Fatalf("%d step-downs, %d takeovers, answers %v; want 1, 1 and both dials answered", f.cl.stepdowns, f.cl.Takeovers(), answers)
+	}
+	want := []uint64{answers[0].ID, answers[1].ID}
+	slices.Sort(want)
+	if got := sortedChanIDs(f.cl.ActiveMC().channels); !slices.Equal(got, want) {
+		t.Fatalf("the successor holds channels %v, want the answered %v", got, want)
+	}
+	checkClusterReplay(t, f.cl)
+	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
+		t.Fatalf("audit stale=%d missing=%d, want 0/0", stale, missing)
 	}
 }
 

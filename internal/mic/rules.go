@@ -62,14 +62,21 @@ func (t tuple) match() flowtable.Match {
 // virtual timeline after the request round trip and rule installation
 // complete — the interval a client measures as "MIC connect" time (Fig 7).
 func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOptions, cb func(*ChannelInfo, error)) {
+	mc.establish(0, initiator, target, opts, cb)
+}
+
+// establish is EstablishChannel for request req: a Cluster's request ID,
+// which the channel keeps and the journal carries, or 0 for none. A request
+// whose ID a live channel holds is answered with that channel.
+func (mc *MC) establish(req uint64, initiator addr.IP, target string, opts ChannelOptions, cb func(*ChannelInfo, error)) {
 	mc.Requests++
-	d := &dial{mc: mc, initiator: initiator, target: target, opts: opts.withDefaults(mc.Cfg), cb: cb}
+	d := &dial{mc: mc, req: req, initiator: initiator, target: target, opts: opts.withDefaults(mc.Cfg), cb: cb}
 	d.step = d.run
 	// A live controller that is not the acting master refuses new dials
 	// outright. This is the step-down contract: a deposed active answers
 	// ErrNotActive (after the request round trip) instead of planning
-	// channels it has no authority to install; the caller's retry layer
-	// re-dials the successor. A crashed MC stays silent — dead processes
+	// channels it has no authority to install (a Cluster sends requests to
+	// the acting life only). A crashed MC stays silent — dead processes
 	// don't answer — and the gate below drops the request as before.
 	if !mc.down && !mc.active {
 		d.reply(2*requestLatency, ErrNotActive)
@@ -78,7 +85,7 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 	// Request packet: sealed by the client, opened by the MC. Both handling
 	// steps are gated on controller liveness: a request in flight when the MC
 	// dies simply vanishes, like any message to a dead process, and the
-	// caller's retry layer (Cluster) re-issues it to the new active.
+	// Cluster sends it to the successor once the takeover is done.
 	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
 	d.next(dialRequest, requestLatency)
 }
@@ -97,6 +104,7 @@ func (mc *MC) EstablishChannel(initiator addr.IP, target string, opts ChannelOpt
 // one firing on a reused record would read the new request's incarnation.
 type dial struct {
 	mc        *MC
+	req       uint64 // the request ID, 0 for none
 	initiator addr.IP
 	stage     dialStage // what the next step does
 	dequeued  bool      // admission: the request left the queue, granted a token or shed
@@ -104,11 +112,10 @@ type dial struct {
 	opts      ChannelOptions
 	cb        func(*ChannelInfo, error)
 
-	inc         uint64        // the incarnation a gated stage runs in
-	deadlineInc uint64        // admission: the incarnation its queue deadline runs in
-	step        func()        // run, bound once: every engine event of the chain
-	st          *channelState // the channel planned for the request
-	err         error         // the answer's refusal; nil answers with st.info
+	inc  uint64        // the incarnation a gated stage, or the queue deadline, runs in
+	step func()        // run, bound once: every engine event of the chain
+	st   *channelState // the channel planned for the request
+	err  error         // the answer's refusal; nil answers with st.info
 }
 
 // dialStage is what a dial's next step does.
@@ -148,6 +155,11 @@ func (d *dial) run() {
 	}
 	switch d.stage {
 	case dialRequest:
+		if d.st = d.mc.requested(d.req); d.st != nil {
+			d.mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
+			d.reply(requestLatency, nil)
+			return
+		}
 		// Admission control (admission.go): the request either gets a token
 		// now, waits in the bounded queue, or is refused with a typed
 		// ErrOverloaded — never silently dropped.
@@ -173,7 +185,7 @@ func (d *dial) live() bool {
 // controller's plan throughput exactly as on real hardware.
 func (mc *MC) serveChannel(d *dial) {
 	mc.planCost = 0
-	st, err := mc.computeChannel(d.initiator, d.target, d.opts)
+	st, err := mc.computeChannel(d.req, d.initiator, d.target, d.opts)
 	cost := mc.planCost
 	mc.planCost = 0
 	mc.Net.CPU.Charge("mc", cost)
@@ -195,6 +207,21 @@ func (mc *MC) serveChannel(d *dial) {
 	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
 	d.st = st
 	d.next(dialInstall, delay)
+}
+
+// requested returns the live channel opened for request req, if any; a
+// standalone MC's dials carry none and look nothing up.
+func (mc *MC) requested(req uint64) *channelState {
+	if req == 0 {
+		return nil
+	}
+	// lint:ignore detrange request IDs are unique, so at most one channel matches
+	for _, st := range mc.channels {
+		if st.req == req {
+			return st
+		}
+	}
+	return nil
 }
 
 // install sends the planned channel's rules, once the planner is done.
@@ -219,8 +246,9 @@ func (d *dial) installed(int) {
 }
 
 // computeChannel performs the MC's routing calculation synchronously and
-// returns the new channel; its mods are the table modifications to install.
-func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptions) (*channelState, error) {
+// returns the new channel, opened for request req; its mods are the table
+// modifications to install.
+func (mc *MC) computeChannel(req uint64, initiator addr.IP, target string, opts ChannelOptions) (*channelState, error) {
 	respIP, err := mc.ResolveTarget(target)
 	if err != nil {
 		return nil, err
@@ -247,6 +275,7 @@ func (mc *MC) computeChannel(initiator addr.IP, target string, opts ChannelOptio
 	mc.nextChan++
 	st := &channelState{
 		id:        id,
+		req:       req,
 		initiator: initiator,
 		responder: respIP,
 		opts:      opts,

@@ -3,6 +3,7 @@ package mic
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -24,12 +25,12 @@ func fencedAt(t *testing.T, f *clusterFixture) {
 	}
 }
 
-// TestShardedFailoverTakeover runs the cluster takeover under live
+// TestClusterFailoverTakeover runs the cluster takeover under live
 // transfers: the active journals a channel per transfer, then its controller
 // host dies. The standby's watchdog detects the silence; the takeover
 // replays the journal, reconciles the switches against the rebuilt intent,
 // and must pass a clean audit and serve new dials.
-func TestShardedFailoverTakeover(t *testing.T) {
+func TestClusterFailoverTakeover(t *testing.T) {
 	f := newClusterFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true}, ClusterConfig{Standbys: 1})
 	var stats []TakeoverStats
 	f.cl.OnTakeover = func(ts TakeoverStats) { stats = append(stats, ts) }
@@ -116,13 +117,14 @@ func stormRun(t *testing.T, seed uint64) string {
 	f.cl.OnTakeover = func(ts TakeoverStats) { stats = append(stats, ts) }
 
 	// A storm of staggered dials across many edge pairs: some establish and
-	// start sending before the crash, some land in the blackout and are
-	// re-issued by the cluster's request retry, some arrive only after
-	// promotion.
+	// start sending before the crash, some are in flight at it or land in the
+	// blackout and are sent to the promoted controller, some arrive only
+	// after promotion.
 	const pairs = 8
 	data := pattern(128 << 10)
 	got := make([][]byte, pairs)
 	dialErrs := make([]error, pairs)
+	clients := make([]*Client, pairs)
 	for i := 0; i < pairs; i++ {
 		i := i
 		resp := f.stacks[(i*3+5)%16]
@@ -132,6 +134,7 @@ func stormRun(t *testing.T, seed uint64) string {
 		})
 		f.eng.After(time.Duration(i)*4*time.Millisecond, func() {
 			client := NewClient(f.stacks[i%4], f.cl)
+			clients[i] = client
 			client.Dial(resp.Host.IP.String(), port, func(s *Stream, err error) {
 				if err != nil {
 					dialErrs[i] = err
@@ -169,13 +172,19 @@ func stormRun(t *testing.T, seed uint64) string {
 	if j.Divergent != 0 {
 		t.Errorf("journal divergence = %d across a clean failover, want 0", j.Divergent)
 	}
-	// A dial in flight at the kill may have been journaled by the dead life
-	// without its answer ever reaching the client; the retry opens a second
-	// channel and the first stays live on the successor. At least one channel
-	// per pair, then — the exact count is pinned by the byte-identity test.
+	// The successor holds exactly the channels the storm's dials were
+	// answered with, none of them closed: a dial the dead life journaled
+	// without answering is answered with its journaled channel, not another.
+	var held []uint64
+	for i, client := range clients {
+		if info, ok := client.Channel(f.stacks[(i*3+5)%16].Host.IP.String()); ok {
+			held = append(held, info.ID)
+		}
+	}
+	slices.Sort(held)
 	live := f.cl.members[1].mc.LiveChannels()
-	if live < pairs {
-		t.Errorf("live channels after the storm = %d, want >= %d", live, pairs)
+	if ids := sortedChanIDs(f.cl.members[1].mc.channels); !slices.Equal(ids, held) {
+		t.Errorf("live channels after the storm %v, answered %v", ids, held)
 	}
 	fencedAt(t, f)
 	fmt.Fprintf(&sb, "takeover at %v: channels=%d reinstalled=%d stale=%d\n",
@@ -190,18 +199,18 @@ func stormRun(t *testing.T, seed uint64) string {
 	return sb.String()
 }
 
-// TestShardedTakeoverMidDialStorm: a cluster must absorb a takeover while a
+// TestClusterTakeoverMidDialStorm: a cluster must absorb a takeover while a
 // dial storm is in flight — pre-crash channels keep forwarding,
 // blackout-window dials retry onto the promoted controller, and the
 // reconciliation still audits clean.
-func TestShardedTakeoverMidDialStorm(t *testing.T) {
+func TestClusterTakeoverMidDialStorm(t *testing.T) {
 	stormRun(t, 7)
 }
 
-// TestShardedStormByteIdentity: the storm-takeover scenario is part of the
+// TestClusterStormByteIdentity: the storm-takeover scenario is part of the
 // determinism contract — same seed, same crash schedule, byte-identical
 // observables (including journal accounting and per-switch fencing state).
-func TestShardedStormByteIdentity(t *testing.T) {
+func TestClusterStormByteIdentity(t *testing.T) {
 	a := stormRun(t, 11)
 	b := stormRun(t, 11)
 	if a != b {
@@ -209,12 +218,12 @@ func TestShardedStormByteIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedDoubleFailover: the active dies, standby 1 promotes (epoch 1)
+// TestClusterDoubleFailover: the active dies, standby 1 promotes (epoch 1)
 // and serves; standby 1 dies too, and standby 2 — whose state is the same
 // journal, now containing records from two lives — promotes at epoch 2.
 // Channels from both lives must survive, the audit must come back clean,
 // and every switch's fencing mark must have followed the epochs up.
-func TestShardedDoubleFailover(t *testing.T) {
+func TestClusterDoubleFailover(t *testing.T) {
 	f := newClusterFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true}, ClusterConfig{Standbys: 2})
 
 	data := pattern(64 << 10)
@@ -382,7 +391,7 @@ func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 	})
 }
 
-// TestShardedTakeoverMidRepairMakesBeforeBreaking sweeps a takeover under
+// TestClusterTakeoverMidRepairMakesBeforeBreaking sweeps a takeover under
 // southbound loss: a channel's dial has a link of its path cut under it, and
 // the active dies while the repair's install is out and before its purge, so
 // the successor finds old-epoch entries where the new epoch is intended and
@@ -392,7 +401,7 @@ func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 // older epoch's: each stale delete goes out after the reinstall of the same
 // match. Every run reaches that state: the takeover reinstalls a rule and
 // deletes a stale one.
-func TestShardedTakeoverMidRepairMakesBeforeBreaking(t *testing.T) {
+func TestClusterTakeoverMidRepairMakesBeforeBreaking(t *testing.T) {
 	for _, loss := range []float64{0.05, 0.30} {
 		for seed := uint64(1); seed <= 100; seed++ {
 			takeoverMidRepair(t, loss, seed)
@@ -408,9 +417,16 @@ func takeoverMidRepair(t *testing.T, loss float64, seed uint64) {
 	successor.Ch.LossRate, successor.Ch.LossSeed = loss, seed
 	var stats []TakeoverStats
 	f.cl.OnTakeover = func(ts TakeoverStats) { stats = append(stats, ts) }
-	// Straight to the MC: the Cluster's request retry would open duplicates.
+	// The takeover sends the dial again, and the successor answers it with
+	// the channel the dead life journaled.
 	active := f.cl.members[0].mc
-	active.EstablishChannel(f.stacks[2].Host.IP, f.stacks[15].Host.IP.String(), ChannelOptions{}, func(*ChannelInfo, error) {})
+	var answers []*ChannelInfo
+	f.cl.EstablishChannel(f.stacks[2].Host.IP, f.stacks[15].Host.IP.String(), ChannelOptions{}, func(info *ChannelInfo, err error) {
+		if err != nil {
+			t.Errorf("loss %g seed %d: dial: %v", loss, seed, err)
+		}
+		answers = append(answers, info)
+	})
 	f.eng.RunFor(700 * time.Microsecond)
 	if len(active.channels) != 1 {
 		t.Fatalf("loss %g seed %d: the active holds %d channels, want the dial's", loss, seed, len(active.channels))
@@ -464,6 +480,10 @@ func takeoverMidRepair(t *testing.T, loss float64, seed uint64) {
 			loss, seed, stats[0].Reinstalled, stats[0].StaleDeleted)
 	}
 	f.settle(time.Second)
+	if len(answers) != 1 || successor.LiveChannels() != 1 || successor.channels[answers[0].ID] == nil {
+		t.Fatalf("loss %g seed %d: %d answers, successor channels %v; want one answer naming the one channel",
+			loss, seed, len(answers), sortedChanIDs(successor.channels))
+	}
 	if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
 		t.Fatalf("loss %g seed %d: audit stale=%d missing=%d", loss, seed, st, miss)
 	}
