@@ -68,3 +68,41 @@ func TestSwitchDatapathAllocFree(t *testing.T) {
 		t.Fatalf("steady-state hop allocated %v times per packet, want 0", allocs)
 	}
 }
+
+// TestCorruptingLinkAllocFree: a frame the switch forwards onto a link
+// whose receiver's FCS rejects it costs no allocation either — the fault
+// fates are hop records like every other step.
+func TestCorruptingLinkAllocFree(t *testing.T) {
+	g, err := topo.Linear(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.New()
+	net := New(eng, g, Config{FaultSeed: 5})
+	sw := net.Switch(g.Switches()[0])
+	src, dst := net.Host(g.Hosts()[0]), net.Host(g.Hosts()[1])
+	out := g.PortTo(sw.ID, dst.ID)
+	sw.Table.Insert(&flowtable.Entry{Priority: 1, Actions: []flowtable.Action{flowtable.Output(out)}}, 0)
+	net.SetLinkFault(sw.ID, out, FaultProfile{Corrupt: 1})
+	dst.SetHandler(func(int, *packet.Packet) { t.Fatal("corrupted frame delivered") })
+
+	pool := net.PacketPool()
+	forward := func() {
+		p := pool.Get()
+		p.SrcIP, p.DstIP = src.IP, dst.IP
+		p.Proto, p.TTL = packet.ProtoTCP, 64
+		src.Send(0, p)
+		eng.Run()
+	}
+	for i := 0; i < 3; i++ {
+		forward()
+	}
+	corrupted := net.Stats.Corrupted
+	allocs := testing.AllocsPerRun(1000, forward)
+	if net.Stats.Corrupted-corrupted != 1001 || net.Stats.Forwarded != 1004 {
+		t.Fatalf("corrupted %d of 1001 frames, forwarded %d of 1004", net.Stats.Corrupted-corrupted, net.Stats.Forwarded)
+	}
+	if allocs != 0 {
+		t.Fatalf("a frame onto a corrupting link allocated %v times, want 0", allocs)
+	}
+}

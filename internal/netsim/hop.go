@@ -11,10 +11,10 @@ import (
 type hopKind uint8
 
 const (
-	hopHostSend    hopKind = iota // host-stack latency paid: serialise out of the NIC
-	hopArrive                     // propagation finished: the frame reaches the peer node
-	hopSwitchRun                  // forwarding latency paid: apply the matched actions
-	hopHostDeliver                // host-stack latency paid: hand the frame to the handler
+	hopHostSend  hopKind = iota // host-stack latency paid: serialise out of the NIC
+	hopIngress                  // the node's latency since arrived paid: the node handles the frame
+	hopSwitchRun                // Switch.Execute's forwarding latency paid: apply the given actions
+	hopCorrupt                  // the frame reached a NIC whose FCS check rejects it
 )
 
 // hop is one scheduled step of one packet: what the engine event of that
@@ -35,10 +35,12 @@ type hop struct {
 	port    int
 	p       *packet.Packet
 	actions []flowtable.Action // hopSwitchRun only
+	arrived sim.Time           // hopIngress only
 }
 
-// schedule books step kind for p at (node, port) to run at instant at.
-func (n *Network) schedule(at sim.Time, kind hopKind, node topo.NodeID, port int, p *packet.Packet, actions []flowtable.Action) {
+// schedule books step kind for p at (node, port) to run at instant at and
+// returns the record, whose kind-specific fields the caller fills in.
+func (n *Network) schedule(at sim.Time, kind hopKind, node topo.NodeID, port int, p *packet.Packet) *hop {
 	var h *hop
 	if last := len(n.hopFree) - 1; last >= 0 {
 		h = n.hopFree[last]
@@ -47,24 +49,39 @@ func (n *Network) schedule(at sim.Time, kind hopKind, node topo.NodeID, port int
 		h = &hop{net: n}
 		h.fn = h.fire
 	}
-	h.kind, h.node, h.port, h.p, h.actions = kind, node, port, p, actions
+	h.kind, h.node, h.port, h.p = kind, node, port, p
 	n.Eng.At(at, h.fn)
+	return h
+}
+
+// arrive books the one event a frame costs at the node it reaches at
+// instant at: the node's latency later, the node handles it.
+func (n *Network) arrive(at sim.Time, node topo.NodeID, port int, p *packet.Packet) {
+	lat := n.Cfg.HostLatency
+	if n.nodes[node].sw != nil {
+		lat = n.Cfg.SwitchLatency
+	}
+	n.schedule(at.Add(lat), hopIngress, node, port, p).arrived = at
 }
 
 func (h *hop) fire() {
-	n, kind, node, port, p, actions := h.net, h.kind, h.node, h.port, h.p, h.actions
+	n, kind, node, port, p, actions, arrived := h.net, h.kind, h.node, h.port, h.p, h.actions, h.arrived
 	h.p, h.actions = nil, nil
 	n.hopFree = append(n.hopFree, h)
 	switch kind {
 	case hopHostSend:
 		n.send(node, port, p)
-	case hopArrive:
-		n.recv(node, port, p)
+	case hopIngress:
+		n.fireTaps(node, port, Ingress, arrived, p)
+		if sw := n.nodes[node].sw; sw != nil {
+			sw.forward(port, arrived, p)
+		} else {
+			n.nodes[node].host.deliver(port, p)
+		}
 	case hopSwitchRun:
 		n.nodes[node].sw.run(actions, port, p)
-	case hopHostDeliver:
-		n.Stats.Delivered++
-		n.nodes[node].host.handler(port, p)
+	case hopCorrupt:
+		n.Stats.Corrupted++
 		p.Release()
 	}
 }

@@ -37,15 +37,15 @@ func (h *Host) Send(port int, p *packet.Packet) {
 	h.TxPackets++
 	n := h.net
 	n.stackCPU.Charge(n.Cfg.CostHostPacket)
-	n.schedule(n.Eng.Now().Add(n.Cfg.HostLatency), hopHostSend, h.ID, port, p, nil)
+	n.schedule(n.Eng.Now().Add(n.Cfg.HostLatency), hopHostSend, h.ID, port, p)
 }
 
-// recv delivers an arriving frame to the registered handler after the
-// host-stack latency. The host is the packet's sink: the handler may read
-// the frame only for the duration of the call (copying what it keeps, which
-// the transport stack does), and the packet returns to the pool when the
-// handler returns.
-func (h *Host) recv(inPort int, p *packet.Packet) {
+// deliver hands a frame to the registered handler, run one host-stack
+// latency after the frame arrived. The host is the packet's sink: the
+// handler may read the frame only for the duration of the call (copying
+// what it keeps, which the transport stack does), and the packet returns to
+// the pool when the handler returns.
+func (h *Host) deliver(inPort int, p *packet.Packet) {
 	h.RxPackets++
 	n := h.net
 	n.stackCPU.Charge(n.Cfg.CostHostPacket)
@@ -54,5 +54,7 @@ func (h *Host) recv(inPort int, p *packet.Packet) {
 		p.Release()
 		return
 	}
-	n.schedule(n.Eng.Now().Add(n.Cfg.HostLatency), hopHostDeliver, h.ID, inPort, p, nil)
+	n.Stats.Delivered++
+	h.handler(inPort, p)
+	p.Release()
 }

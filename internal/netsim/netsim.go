@@ -140,7 +140,7 @@ type TapEvent struct {
 	Node topo.NodeID
 	Port int
 	Dir  Direction
-	At   sim.Time
+	At   sim.Time // egress: when sent; ingress: when it arrived
 	Pkt  *packet.Packet
 }
 
@@ -225,7 +225,7 @@ type Stats struct {
 	// Per-link fault injection outcomes (SetLinkFault).
 	LostFault  uint64 // frames dropped by an injected loss profile
 	Corrupted  uint64 // frames discarded by the receiver's FCS after corruption
-	Duplicated uint64 // extra copies delivered by a duplication profile
+	Duplicated uint64 // extra copies made by a duplication profile
 	Reordered  uint64 // frames delayed by reorder jitter
 }
 
@@ -484,12 +484,12 @@ func (n *Network) AddTap(id topo.NodeID, fn Tap) {
 	n.nodes[id].taps = append(n.nodes[id].taps, fn)
 }
 
-func (n *Network) fireTaps(id topo.NodeID, port int, dir Direction, p *packet.Packet) {
+func (n *Network) fireTaps(id topo.NodeID, port int, dir Direction, at sim.Time, p *packet.Packet) {
 	taps := n.nodes[id].taps
 	if len(taps) == 0 {
 		return
 	}
-	ev := TapEvent{Node: id, Port: port, Dir: dir, At: n.Eng.Now(), Pkt: p.Clone()}
+	ev := TapEvent{Node: id, Port: port, Dir: dir, At: at, Pkt: p.Clone()}
 	for _, t := range taps {
 		t(ev)
 	}
@@ -612,13 +612,14 @@ func (n *Network) LinkTxBytes(id topo.NodeID, port int) uint64 {
 }
 
 // send serializes p out of (from, port): drop-tail queueing, transmission
-// delay at the configured bandwidth, then propagation to the peer.
+// delay at the configured bandwidth, propagation, then the one event the
+// frame costs at the peer (arrive).
 func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 	node := n.Graph.Node(from)
 	if port < 0 || port >= len(node.Ports) {
 		panic(fmt.Sprintf("netsim: %s sending out nonexistent port %d", node.Name, port))
 	}
-	n.fireTaps(from, port, Egress, p)
+	n.fireTaps(from, port, Egress, n.Eng.Now(), p)
 	dir := &n.nodes[from].dirs[port]
 	fate := dir.fate()
 	if fate == fateLost {
@@ -651,36 +652,19 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 	dir.queue.push(txFrame{done: done, seq: n.Eng.LastSeq()})
 	dir.txBytes += uint64(wire)
 	n.Stats.TxBytes += uint64(wire)
-	arrive := done.Add(n.Cfg.LinkDelay)
+	at := done.Add(n.Cfg.LinkDelay)
 	switch fate {
 	case fateCorrupt:
 		// The frame burns wire time but the receiving NIC's FCS rejects it.
-		n.Eng.At(arrive, func() {
-			n.Stats.Corrupted++
-			p.Release()
-		})
-	case fateDup:
-		dup := p.Clone()
-		n.schedule(arrive, hopArrive, peer.Peer, peer.PeerPort, p, nil)
-		n.Eng.At(arrive, func() {
-			n.Stats.Duplicated++
-			n.recv(peer.Peer, peer.PeerPort, dup)
-		})
-	case fateReorder:
-		jitter := time.Duration(dir.faultRNG.Int63n(int64(dir.fault.Jitter)) + 1)
-		n.Stats.Reordered++
-		n.schedule(arrive.Add(jitter), hopArrive, peer.Peer, peer.PeerPort, p, nil)
-	default:
-		n.schedule(arrive, hopArrive, peer.Peer, peer.PeerPort, p, nil)
-	}
-}
-
-func (n *Network) recv(at topo.NodeID, port int, p *packet.Packet) {
-	n.fireTaps(at, port, Ingress, p)
-	nd := &n.nodes[at]
-	if nd.sw != nil {
-		nd.sw.recv(port, p)
+		n.schedule(at, hopCorrupt, peer.Peer, peer.PeerPort, p)
 		return
+	case fateDup:
+		n.Stats.Duplicated++
+		n.arrive(at, peer.Peer, peer.PeerPort, p)
+		p = p.Clone() // the copy arrives at the same instant, after the original
+	case fateReorder:
+		n.Stats.Reordered++
+		at = at.Add(time.Duration(dir.faultRNG.Int63n(int64(dir.fault.Jitter)) + 1))
 	}
-	nd.host.recv(port, p)
+	n.arrive(at, peer.Peer, peer.PeerPort, p)
 }

@@ -34,6 +34,13 @@ func frame(src, dst addr.IP, payload string) *packet.Packet {
 	}
 }
 
+// firstArrival is the instant p, sent by a host at instant 0, reaches the
+// switch at the far end of the host's link.
+func firstArrival(n *Network, p *packet.Packet) sim.Time {
+	wire := time.Duration(p.WireLen()) * 8 * time.Second / time.Duration(n.Cfg.LinkBandwidthBps)
+	return sim.Time(n.Cfg.HostLatency + wire + n.Cfg.LinkDelay)
+}
+
 func TestDeliveryThroughOneSwitch(t *testing.T) {
 	eng, n, h1, s1, h2 := linear1(t)
 	port := n.Graph.PortTo(s1.ID, h2.ID)
@@ -143,6 +150,41 @@ func TestFig2RewriteChain(t *testing.T) {
 	}
 }
 
+// TestOneEventPerNode pins the event budget of a frame: one engine event
+// per node it reaches, plus the sender's. Across h1-s1-s2-s3-h2 that is the
+// send, one per switch and the delivery.
+func TestOneEventPerNode(t *testing.T) {
+	g, err := topo.Linear(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.New()
+	n := New(eng, g, Config{})
+	src, dst := n.Host(g.Hosts()[0]), n.Host(g.Hosts()[1])
+	sws := g.Switches()
+	for i, id := range sws {
+		next := dst.ID
+		if i+1 < len(sws) {
+			next = sws[i+1]
+		}
+		n.Switch(id).Table.Insert(&flowtable.Entry{
+			Priority: 1,
+			Actions:  []flowtable.Action{flowtable.Output(g.PortTo(id, next))},
+		}, 0)
+	}
+	delivered := 0
+	dst.SetHandler(func(int, *packet.Packet) { delivered++ })
+	before := eng.Processed()
+	src.Send(0, frame(src.IP, dst.IP, "x"))
+	eng.Run()
+	if delivered != 1 {
+		t.Fatalf("delivered %d frames, want 1", delivered)
+	}
+	if got := eng.Processed() - before; got != 5 {
+		t.Fatalf("one frame across three switches cost %d engine events, want 5", got)
+	}
+}
+
 func TestQueueOverflowDrops(t *testing.T) {
 	g, _ := topo.Linear(1)
 	eng := sim.New()
@@ -227,21 +269,51 @@ func TestGroupMulticast(t *testing.T) {
 type ctrlRecorder struct {
 	ins int
 	sw  *Switch
+	at  sim.Time
 }
 
 func (c *ctrlRecorder) PacketIn(sw *Switch, inPort int, p *packet.Packet) {
 	c.ins++
 	c.sw = sw
+	c.at = sw.net.Eng.Now()
 }
 
+// TestTableMissGoesToController also pins when the miss is raised: a switch
+// reads its table one forwarding latency after the frame arrives.
 func TestTableMissGoesToController(t *testing.T) {
 	eng, n, h1, s1, _ := linear1(t)
 	ctrl := &ctrlRecorder{}
 	n.SetController(ctrl)
-	h1.Send(0, frame(h1.IP, addr.V4(9, 9, 9, 9), "?"))
+	p := frame(h1.IP, addr.V4(9, 9, 9, 9), "?")
+	want := firstArrival(n, p).Add(n.Cfg.SwitchLatency)
+	h1.Send(0, p)
 	eng.Run()
 	if ctrl.ins != 1 || ctrl.sw != s1 {
 		t.Fatalf("PacketIn calls = %d (sw=%v)", ctrl.ins, ctrl.sw)
+	}
+	if ctrl.at != want {
+		t.Fatalf("PacketIn at %v, want arrival + SwitchLatency = %v", ctrl.at, want)
+	}
+}
+
+// TestRuleInstalledDuringLatencyApplies: a rule that lands while a frame
+// waits out the forwarding latency forwards that frame, and the entry's
+// LastUsed records the frame's arrival, not the lookup.
+func TestRuleInstalledDuringLatencyApplies(t *testing.T) {
+	eng, n, h1, s1, h2 := linear1(t)
+	p := frame(h1.IP, h2.IP, "late rule")
+	arrived := firstArrival(n, p)
+	e := &flowtable.Entry{Priority: 1, Actions: []flowtable.Action{flowtable.Output(n.Graph.PortTo(s1.ID, h2.ID))}}
+	eng.At(arrived.Add(n.Cfg.SwitchLatency/2), func() { s1.Table.Insert(e, eng.Now()) })
+	delivered := 0
+	h2.SetHandler(func(int, *packet.Packet) { delivered++ })
+	h1.Send(0, p)
+	eng.Run()
+	if delivered != 1 || n.Stats.TableMiss != 0 {
+		t.Fatalf("delivered %d, table misses %d: want the rule installed mid-latency to forward the frame", delivered, n.Stats.TableMiss)
+	}
+	if e.LastUsed != arrived {
+		t.Fatalf("LastUsed = %v, want the arrival instant %v", e.LastUsed, arrived)
 	}
 }
 
@@ -258,17 +330,23 @@ func TestTapReceivesClone(t *testing.T) {
 	eng, n, h1, s1, h2 := linear1(t)
 	s1.Table.Insert(&flowtable.Entry{Priority: 1, Actions: []flowtable.Action{flowtable.Output(n.Graph.PortTo(s1.ID, h2.ID))}}, 0)
 	var tapped *packet.Packet
+	var tappedAt sim.Time
 	n.AddTap(s1.ID, func(ev TapEvent) {
 		if ev.Dir == Ingress {
-			tapped = ev.Pkt
+			tapped, tappedAt = ev.Pkt, ev.At
 		}
 	})
 	var delivered *packet.Packet
 	h2.SetHandler(func(_ int, p *packet.Packet) { delivered = p })
-	h1.Send(0, frame(h1.IP, h2.IP, "secret"))
+	p := frame(h1.IP, h2.IP, "secret")
+	arrived := firstArrival(n, p)
+	h1.Send(0, p)
 	eng.Run()
 	if tapped == nil || delivered == nil {
 		t.Fatal("missing tap or delivery")
+	}
+	if tappedAt != arrived {
+		t.Fatalf("ingress tap stamped %v, want the arrival instant %v", tappedAt, arrived)
 	}
 	tapped.Payload[0] = 'X' // adversary mutation must not corrupt the flow
 	if delivered.Payload[0] == 'X' {
@@ -339,10 +417,12 @@ func BenchmarkForwardOneHop(b *testing.B) {
 	p := frame(h1.IP, h2.IP, "bench")
 	b.ReportAllocs()
 	b.ResetTimer()
+	before := eng.Processed()
 	for i := 0; i < b.N; i++ {
 		h1.Send(0, p.Clone())
 		eng.Run()
 	}
+	b.ReportMetric(float64(eng.Processed()-before)/float64(b.N), "events/op")
 }
 
 func TestSetLinkDownBlackHoles(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 
 	"mic/internal/flowtable"
 	"mic/internal/packet"
+	"mic/internal/sim"
 	"mic/internal/topo"
 )
 
@@ -52,18 +53,21 @@ func (s *Switch) AcceptFenced(epoch uint64) bool {
 	return true
 }
 
-// recv runs the pipeline for one arriving packet. Lookups served by the
-// microflow cache charge the fast-path CPU cost; full classifier lookups
-// (and table misses, which are controller upcalls) charge the slow path —
-// the same split the paper's OVS testbed exhibits.
-func (s *Switch) recv(inPort int, p *packet.Packet) {
+// forward runs the pipeline, one forwarding latency after p arrived on
+// inPort at instant arrived: the lookup reads the table as it stands now,
+// and the actions run in the same event; the hit entry's LastUsed records
+// the arrival. Lookups served by the microflow cache charge the fast-path
+// CPU cost; full classifier lookups (and table misses, which are
+// controller upcalls) charge the slow path — the same split the paper's
+// OVS testbed exhibits.
+func (s *Switch) forward(inPort int, arrived sim.Time, p *packet.Packet) {
 	if s.Down {
 		s.net.Stats.LostDown++
 		p.Release()
 		return
 	}
 	s.RxPackets++
-	entry, hit := s.Table.Lookup(p, inPort, s.net.Eng.Now())
+	entry, hit := s.Table.Lookup(p, inPort, arrived)
 	if hit {
 		s.CacheHits++
 		s.net.vswitchCPU.Charge(s.net.Cfg.CostSwitchCacheHit)
@@ -81,17 +85,17 @@ func (s *Switch) recv(inPort int, p *packet.Packet) {
 		p.Release()
 		return
 	}
-	s.Execute(entry.Actions, inPort, p)
+	s.run(entry.Actions, inPort, p)
 }
 
 // Execute applies an action list to p after the configured forwarding
-// latency, taking ownership of p. OpenFlow semantics: set-field actions
-// mutate the packet in order; each Output forwards the packet as rewritten
-// so far; OutputGroup clones the packet per bucket (type ALL) — the
-// primitive behind MIC's partial multicast.
+// latency, taking ownership of p: a controller's packet-out. OpenFlow
+// semantics: set-field actions mutate the packet in order; each Output
+// forwards the packet as rewritten so far; OutputGroup clones the packet
+// per bucket (type ALL) — the primitive behind MIC's partial multicast.
 func (s *Switch) Execute(actions []flowtable.Action, inPort int, p *packet.Packet) {
 	n := s.net
-	n.schedule(n.Eng.Now().Add(n.Cfg.SwitchLatency), hopSwitchRun, s.ID, inPort, p, actions)
+	n.schedule(n.Eng.Now().Add(n.Cfg.SwitchLatency), hopSwitchRun, s.ID, inPort, p).actions = actions
 }
 
 // run applies actions immediately (forwarding latency already paid) and
@@ -131,17 +135,5 @@ func (s *Switch) run(actions []flowtable.Action, inPort int, p *packet.Packet) {
 	}
 	if !handedOff {
 		p.Release()
-	}
-}
-
-// FloodExcept sends p out of every port except the one it arrived on. Used
-// by the learning baseline controller, not by MIC.
-func (s *Switch) FloodExcept(inPort int, p *packet.Packet) {
-	for port := range s.net.Graph.Node(s.ID).Ports {
-		if port != inPort {
-			s.TxPackets++
-			s.net.Stats.Forwarded++
-			s.net.send(s.ID, port, p.Clone())
-		}
 	}
 }

@@ -38,7 +38,12 @@ func (r *Recorder) Attach(node topo.NodeID) {
 			r.drops++
 			return
 		}
+		// A node reports an ingress frame when it handles it, one latency
+		// after the arrival instant At: keep the capture in At order.
 		r.evs = append(r.evs, ev)
+		for i := len(r.evs) - 1; i > 0 && r.evs[i-1].At > ev.At; i-- {
+			r.evs[i], r.evs[i-1] = r.evs[i-1], r.evs[i]
+		}
 	})
 }
 
@@ -55,7 +60,7 @@ func (r *Recorder) Len() int { return len(r.evs) }
 // Truncated reports how many events were discarded due to the limit.
 func (r *Recorder) Truncated() uint64 { return r.drops }
 
-// Events returns the captured events in arrival order.
+// Events returns the captured events in time order.
 func (r *Recorder) Events() []netsim.TapEvent { return r.evs }
 
 // Text renders a tcpdump-style line per event.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mic/internal/ctrlplane"
+	"mic/internal/flowtable"
 	"mic/internal/netsim"
 	"mic/internal/packet"
 	"mic/internal/sim"
@@ -131,5 +132,36 @@ func TestPcapTimestampsMonotonic(t *testing.T) {
 		last = ts
 		incl := int(binary.LittleEndian.Uint32(b[off+8 : off+12]))
 		off += 16 + incl
+	}
+}
+
+// TestEventsInTimeOrder: frames arriving at a switch closer together than
+// its forwarding latency interleave their ingress and egress reports; the
+// capture still lists every event in time order.
+func TestEventsInTimeOrder(t *testing.T) {
+	g, err := topo.Linear(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := sim.New()
+	net := netsim.New(eng, g, netsim.Config{})
+	sw := net.Switch(g.Switches()[0])
+	src, dst := net.Host(g.Hosts()[0]), net.Host(g.Hosts()[1])
+	sw.Table.Insert(&flowtable.Entry{Priority: 1, Actions: []flowtable.Action{flowtable.Output(g.PortTo(sw.ID, dst.ID))}}, 0)
+	dst.SetHandler(func(int, *packet.Packet) {})
+	rec := New(net, 0)
+	rec.Attach(sw.ID)
+	for i := 0; i < 4; i++ {
+		src.Send(0, &packet.Packet{SrcIP: src.IP, DstIP: dst.IP, Proto: packet.ProtoUDP, TTL: 64, Payload: []byte("burst")})
+	}
+	eng.Run()
+	evs := rec.Events()
+	if len(evs) != 8 {
+		t.Fatalf("captured %d events, want 4 ingress + 4 egress", len(evs))
+	}
+	for i := 1; i < len(evs); i++ {
+		if evs[i].At < evs[i-1].At {
+			t.Fatalf("event %d at %v listed after one at %v", i, evs[i].At, evs[i-1].At)
+		}
 	}
 }
