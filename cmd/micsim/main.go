@@ -55,16 +55,21 @@ func main() {
 		os.Exit(2)
 	}
 	if *scenario != "" {
-		sc := scenarioByName(*scenario)
-		if sc == nil {
+		e := lookup(*scenario)
+		if e == nil {
 			fmt.Fprintf(os.Stderr, "micsim: unknown scenario %q; valid scenarios:\n%s", *scenario, scenarioHelp())
 			os.Exit(2)
 		}
 		if s != harness.SchemeMICTCP && s != harness.SchemeMICSSL {
-			fmt.Fprintf(os.Stderr, "micsim: -scenario %s needs a MIC scheme (%s)\n", sc.name, sc.why)
+			fmt.Fprintf(os.Stderr, "micsim: -scenario %s needs a MIC scheme (%s)\n", e.name, e.why)
 			os.Exit(2)
 		}
-		if err := sc.run(os.Stdout, s == harness.SchemeMICSSL, *from, *to, *mns, *mflows, *fanout, *size, *seed); err != nil {
+		if *latency {
+			fmt.Fprintln(os.Stderr, "micsim: -latency measures a plain transfer; it does not combine with -scenario")
+			os.Exit(2)
+		}
+		p := harness.Params{Seed: *seed, From: *from, To: *to, Size: *size, Secure: s == harness.SchemeMICSSL}
+		if err := e.play(os.Stdout, p, *mns, *mflows, *fanout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -93,54 +98,62 @@ func main() {
 	}
 }
 
-// scenarioSpec registers one named fault scenario: its report function (all
-// scenarios share one signature and write a deterministic report), a doc
-// line for -scenario help, and why it needs a MIC scheme.
-type scenarioSpec struct {
-	name string
-	doc  string
-	why  string
-	run  func(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error
+// entry is one row of the scenario table: a name, a line for -scenario help,
+// why the scenario needs a MIC scheme, and the scenario itself.
+type entry struct {
+	name, doc, why string
+	harness.Scenario
 }
 
-// scenarios is the registry -scenario dispatches over. Adding a scenario is
-// one entry here; unknown-name errors and -scenario help stay in sync for
-// free.
-var scenarios = []scenarioSpec{
+// healing is the control plane of every fault scenario, besides micsim's
+// channel-shape flags: self-healing, with retries to spare.
+var healing = mic.Config{AutoRepair: true, RepairMaxRetries: 20}
+
+// scenarios is the table -scenario and -scenario help read. Adding a
+// scenario is one entry here.
+var scenarios = []entry{
 	{
 		name: "chaos",
 		doc:  "five-act fabric fault storm: link flap, switch/pod crashes, control-channel loss",
 		why:  "self-healing lives in the MC",
-		run:  chaosReport,
+		Scenario: harness.Scenario{Title: "chaos", MIC: healing, Transfer: true,
+			Faults: chaos.Scenario, Log: harness.LogRepairs, Report: chaosReport},
 	},
 	{
 		name: "lossy",
 		doc:  "gray-failure storm: silent loss, mangling, blackhole; no control-plane events",
 		why:  "the health machinery lives in the stream",
-		run:  lossyReport,
+		Scenario: harness.Scenario{Title: "lossy", MIC: healing, Transfer: true,
+			Faults: chaos.LossyScenario, Report: lossyReport},
 	},
 	{
 		name: "mckill",
 		doc:  "controller crash-failover: kill the active MC mid-transfer; standby takes over and reconciles",
 		why:  "controller failover lives in the MC cluster",
-		run:  mckillReport,
+		Scenario: harness.Scenario{Title: "failover", Cluster: &mic.ClusterConfig{}, MIC: healing, Transfer: true,
+			Faults: func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
+				return chaos.FailoverScenario(g, seed, chaos.FailoverConfig{From: from, To: to})
+			},
+			Log: harness.LogTakeovers | harness.LogRepairs, Window: 2 * time.Second, Report: clusterReport},
 	},
 	{
-		name: "storm",
-		doc:  "setup storm: Poisson dial burst at 4x the admission rate into capacity-bounded flow tables",
-		why:  "admission control and graceful degradation live in the MC",
-		run:  stormReport,
+		name:     "storm",
+		doc:      "setup storm: Poisson dial burst at 4x the admission rate into capacity-bounded flow tables",
+		why:      "admission control and graceful degradation live in the MC",
+		Scenario: stormScenario(),
 	},
 	{
 		name: "partition",
 		doc:  "management partitions: symmetric controller split, asymmetric zombie-primary, heal-and-rejoin; lease step-down and epoch fencing",
 		why:  "partition-tolerant mastership lives in the MC cluster",
-		run:  partitionReport,
+		Scenario: harness.Scenario{Title: "partition", Cluster: &mic.ClusterConfig{}, MIC: healing, Transfer: true,
+			Faults: chaos.PartitionScenario, Log: harness.LogStepDowns | harness.LogTakeovers | harness.LogEpochs,
+			Window: 2 * time.Second, Report: partitionReport},
 	},
 }
 
-// scenarioByName finds a registered scenario, or nil.
-func scenarioByName(name string) *scenarioSpec {
+// lookup finds a scenario in the table, or nil.
+func lookup(name string) *entry {
 	for i := range scenarios {
 		if scenarios[i].name == name {
 			return &scenarios[i]
@@ -149,13 +162,23 @@ func scenarioByName(name string) *scenarioSpec {
 	return nil
 }
 
-// scenarioHelp renders one line per registered scenario.
+// scenarioHelp renders one line per scenario in the table.
 func scenarioHelp() string {
 	var b strings.Builder
-	for _, sc := range scenarios {
-		fmt.Fprintf(&b, "  %-8s %s\n", sc.name, sc.doc)
+	for _, e := range scenarios {
+		fmt.Fprintf(&b, "  %-8s %s\n", e.name, e.doc)
 	}
 	return b.String()
+}
+
+// play runs e at p with micsim's channel-shape flags, narrating to w.
+// Everything printed is a function of the arguments — main_test.go diffs
+// each seed-7 report against a golden file.
+func (e *entry) play(w io.Writer, p harness.Params, mns, mflows, fanout int) error {
+	s := e.Scenario
+	s.MIC.MNs, s.MIC.MFlows, s.MIC.MulticastFanout = mns, mflows, fanout
+	_, err := harness.Run(s, p, w)
+	return err
 }
 
 func parseScheme(s string) (harness.Scheme, error) {
@@ -195,32 +218,15 @@ func runMIC(secure bool, from, to, mns, mflows, fanout, size int, seed uint64) {
 	}
 }
 
-// playScenario is harness.PlayScenario as the fault-scenario reports call it:
-// micsim's knobs, a zero payload, no probes, everything narrated to w.
-// Everything printed is a function of the arguments — main_test.go diffs each
-// seed-7 report against a golden file.
-func playScenario(w io.Writer, title string, gen func(*topo.Graph, uint64, topo.NodeID, topo.NodeID) (chaos.Schedule, error),
-	ha *mic.ClusterConfig, log harness.Log, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) (*harness.Testbed, *harness.Transfer, error) {
-	return harness.PlayScenario(mic.Config{MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed},
-		ha, secure, from, to, make([]byte, size), gen, nil, 2*time.Second, w, title, log)
-}
-
-// lossyReport plays the gray-failure storm — per-link loss, packet
-// mangling, a silent blackhole — against a MIC transfer and reports what
-// the degraded-mode data plane did about it: per-m-flow health, slice
-// retransmissions, rebalanced traffic split. Unlike the chaos scenario,
-// most of these faults never raise a control-plane event; surviving them is
-// the endpoints' job.
-func lossyReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	gen := func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
-		return chaos.LossyScenario(g, seed, chaos.LossyConfig{From: from, To: to})
-	}
-	tb, xfer, err := playScenario(w, "lossy", gen, nil, 0, secure, from, to, mns, mflows, fanout, size, seed)
-	if err != nil {
-		return err
-	}
+// lossyReport closes the gray-failure storm's narration — per-link loss,
+// packet mangling, a silent blackhole — with what the degraded-mode data
+// plane did about it: per-m-flow health, slice retransmissions, rebalanced
+// traffic split. Unlike the chaos scenario, most of these faults never raise
+// a control-plane event; surviving them is the endpoints' job.
+func lossyReport(w io.Writer, o *harness.Outcome) error {
+	xfer := o.Transfer
 	fmt.Fprintf(w, "slice retransmits=%d duplicate slices=%d repairs=%d\n",
-		xfer.Stream.Retransmits(), xfer.Remote.SlicesDup, tb.MC.Repairs)
+		xfer.Stream.Retransmits(), xfer.Remote.SlicesDup, o.Bed.MC.Repairs)
 	for i, h := range xfer.Stream.Health() {
 		fmt.Fprintf(w, "m-flow %d: state=%v srtt=%v slices-out=%d acked=%d retx-away=%d\n",
 			i, h.State, h.SRTT, h.SlicesOut, h.SlicesAcked, h.Retx)
@@ -228,113 +234,71 @@ func lossyReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size i
 	return nil
 }
 
-// chaosReport plays the standard five-act fault storm against a MIC
-// transfer with auto-repair enabled and reports what the control plane did
-// about it.
-func chaosReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	gen := func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
-		return chaos.Scenario(g, seed, chaos.ScenarioConfig{From: from, To: to})
-	}
-	tb, _, err := playScenario(w, "chaos", gen, nil, harness.LogRepairs, secure, from, to, mns, mflows, fanout, size, seed)
-	if err != nil {
-		return err
-	}
-	mc := tb.MC
+// chaosReport closes the five-act fault storm's narration with what the
+// self-healing control plane did about it.
+func chaosReport(w io.Writer, o *harness.Outcome) error {
+	mc := o.Bed.MC
 	fmt.Fprintf(w, "repairs=%d repair-failures=%d retransmits=%d timeouts=%d give-ups=%d\n",
 		mc.Repairs, mc.RepairFailures, mc.Ch.Retransmits, mc.Ch.Timeouts, mc.Ch.GiveUps)
 	return nil
 }
 
-// mckillReport plays the controller-kill storm against a MIC transfer
-// served by a failover cluster (one active, one standby) and reports
-// the takeover: detection by missed heartbeats, journal replay, switch
-// reconciliation, the post-takeover repair sweep, and a final omniscient
-// audit of every switch's flow table against the new active's intent.
-func mckillReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	tb, _, err := playScenario(w, "failover", harness.FailoverScript, &mic.ClusterConfig{}, harness.LogTakeovers|harness.LogRepairs,
-		secure, from, to, mns, mflows, fanout, size, seed)
-	if err != nil {
-		return err
-	}
-	auditAndTelemetry(w, tb.Cluster)
+// clusterReport closes a cluster scenario's narration — for mckill, a
+// failover cluster (one active, one standby) detecting the kill by missed
+// heartbeats, replaying the journal, reconciling switches and sweeping for
+// repairs — with an omniscient audit of every switch's flow table against
+// the active's intent, then the liveness counters.
+func clusterReport(w io.Writer, o *harness.Outcome) error {
+	cl := o.Bed.Cluster
+	stale, missing := cl.Audit()
+	fmt.Fprintf(w, "flow-table audit: stale=%d missing=%d\n", stale, missing)
+	fmt.Fprint(w, cl.Telemetry().String())
 	return nil
 }
 
-// partitionReport plays the management-partition storm against a MIC
-// transfer served by a failover cluster with lease-based mastership and
-// fencing epochs: a symmetric controller split (the active steps down, the
-// standby takes over, the deposed member rejoins demoted on heal), then an
-// asymmetric zombie-primary partition (the active loses only its outbound
-// paths — its lease expires while a mid-partition fabric cut tempts it to
-// keep repairing), then a full heal. The report shows every step-down and
-// takeover, the final fencing epoch, switch-side stale rejections, journal
-// divergence, and the flow-table audit — the acceptance bar is stale=0,
-// missing=0, divergent=0 with fencing on.
-func partitionReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	tb, _, err := playScenario(w, "partition", harness.PartitionScript, &mic.ClusterConfig{}, harness.LogStepDowns|harness.LogTakeovers|harness.LogEpochs,
-		secure, from, to, mns, mflows, fanout, size, seed)
-	if err != nil {
-		return err
-	}
-	cl := tb.Cluster
+// partitionReport closes the management-partition storm's narration. A
+// failover cluster with lease-based mastership and fencing epochs rides a
+// symmetric controller split (the active steps down, the standby takes over,
+// the deposed member rejoins demoted on heal), then an asymmetric
+// zombie-primary partition (the active loses only its outbound paths — its
+// lease expires while a mid-partition fabric cut tempts it to keep
+// repairing), then a full heal. The report shows the final fencing epoch,
+// switch-side stale rejections and journal divergence, then clusterReport —
+// the acceptance bar is stale=0, missing=0, divergent=0 with fencing on.
+func partitionReport(w io.Writer, o *harness.Outcome) error {
+	tb, cl := o.Bed, o.Bed.Cluster
 	var maxMark uint64
 	for _, sw := range tb.Net.Switches() {
 		maxMark = max(maxMark, sw.FenceEpoch)
 	}
 	fmt.Fprintf(w, "fencing: epoch=%d switch-mark=%d switch-rejects=%d journal-divergent=%d\n",
 		cl.Fence(), maxMark, tb.StaleRejected(), cl.Journal.Divergent)
-	auditAndTelemetry(w, cl)
-	return nil
+	return clusterReport(w, o)
 }
 
-// auditAndTelemetry closes a cluster scenario's report: the omniscient
-// flow-table audit, then the liveness counters.
-func auditAndTelemetry(w io.Writer, cl *mic.Cluster) {
-	stale, missing := cl.Audit()
-	fmt.Fprintf(w, "flow-table audit: stale=%d missing=%d\n", stale, missing)
-	fmt.Fprint(w, cl.Telemetry().String())
+// stormScenario is harness.StormScenario at 4x the admission rate, reported
+// by stormReport. -from/-to are ignored (the storm picks its own host pairs).
+func stormScenario() harness.Scenario {
+	s := harness.StormScenario(4)
+	s.Report = stormReport
+	return s
 }
 
-// stormReport plays a seeded setup storm — Poisson dial arrivals at 4x the
-// MC's admission rate, from eight initiator hosts into capacity-bounded
-// flow tables — and reports how the overload layer held up: every dial's
-// outcome (full-F, degraded-F, typed refusal, timeout), dial-latency p99,
+// stormReport reports how the overload layer held up: every dial's outcome
+// (full-F, degraded-F, typed refusal, timeout), dial-latency p99,
 // steady-state goodput of the streams that were admitted, and the MC's
-// admission telemetry. -from/-to are ignored (the storm picks its own host
-// pairs); each admitted stream sends size/128 bytes (clamped to [4 KiB,
-// 1 MiB]) so the default -size stays tractable across ~100 admitted dials.
-// Everything it prints is a function of its arguments — main_test.go diffs
-// the seed-7 report against a golden file.
-func stormReport(w io.Writer, secure bool, from, to, mns, mflows, fanout, size int, seed uint64) error {
-	pay := size / 128
-	if pay < 4<<10 {
-		pay = 4 << 10
-	}
-	if pay > 1<<20 {
-		pay = 1 << 20
-	}
-	if mflows < 2 {
-		mflows = 4 // the degradation ladder needs headroom below the request
-	}
-	admission := harness.StormAdmission()
-	opts := harness.StormOptions{
-		Seed: seed, Rate: 4 * admission.Rate,
-		MFlows: mflows, MNs: mns, Fanout: fanout, Secure: secure,
-		Payload: pay, Admission: admission,
-	}
-	res, err := harness.RunStorm(opts)
-	if err != nil {
-		return err
-	}
+// admission telemetry. A dial never answered is an error.
+func stormReport(w io.Writer, o *harness.Outcome) error {
+	s, res := o.Scenario, o.Storm
 	fmt.Fprintf(w, "setup storm (seed %d): %d dials offered at %.0f/s, admission rate %.0f/s, table capacity %d\n",
-		seed, res.Dials, opts.Rate, admission.Rate, harness.StormTableCapacity)
+		s.MIC.Seed, res.Dials, s.Storm.Rate, s.MIC.Admission.Rate, s.Net.FlowTableCapacity)
 	fmt.Fprintf(w, "outcomes: ok=%d degraded=%d refused=%d timed-out=%d failed=%d (answered %d/%d)\n",
 		res.OK, res.Degraded, res.Refused, res.TimedOut, res.Failed, res.Answered, res.Dials)
 	if res.Answered != res.Dials {
 		return fmt.Errorf("micsim: %d dials silently dropped", res.Dials-res.Answered)
 	}
 	fmt.Fprintf(w, "client retries: %d, p99 dial latency: %.3f ms, achieved F: %.2f of %d requested\n",
-		res.Retries, res.P99DialMs, res.AchievedF, mflows)
+		res.Retries, res.P99DialMs, res.AchievedF, s.MIC.MFlows)
 	fmt.Fprintf(w, "steady-state goodput_mbps: %.1f\n", res.GoodputMbps)
 	fmt.Fprint(w, res.Counters.String())
 	return nil

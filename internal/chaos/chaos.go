@@ -310,41 +310,27 @@ func (r *Runner) apply(f Fault) {
 	}
 }
 
-// ScenarioConfig parameterizes the standard chaos scenario. The zero value
-// of every field picks a sensible default.
-type ScenarioConfig struct {
-	// From and To are the transfer endpoints whose connectivity every
-	// fault must leave repairable. Both required.
-	From, To topo.NodeID
+// Scenario's timing and control-loss rate.
+const (
+	scenarioStart   = 5 * time.Millisecond  // first fault time
+	scenarioSpacing = 40 * time.Millisecond // gap between fault groups
+	scenarioOutage  = 25 * time.Millisecond // crash duration before restart
+	scenarioFlap    = 8 * time.Millisecond  // link down-time in a flap
+	scenarioLoss    = 0.25                  // control-loss rate of the degradation window
+	scenarioLossFor = 30 * time.Millisecond // degradation window length
+)
 
-	Start   time.Duration // first fault time (default 5ms)
-	Spacing time.Duration // gap between fault groups (default 40ms)
-	Outage  time.Duration // crash duration before restart (default 25ms)
-	Flap    time.Duration // link down-time in a flap (default 8ms)
-	Loss    float64       // control-loss rate for the degradation window (default 0.25)
-	LossFor time.Duration // degradation window length (default 30ms)
-}
-
-func (c ScenarioConfig) withDefaults() ScenarioConfig {
-	if c.Start <= 0 {
-		c.Start = 5 * time.Millisecond
+// edgeUplinks returns the edge switch of host and, in port order, the ports
+// of that switch that lead to an aggregation switch.
+func edgeUplinks(g *topo.Graph, host topo.NodeID) (topo.NodeID, []int) {
+	edge := g.Node(host).Ports[0].Peer
+	var up []int
+	for port, p := range g.Node(edge).Ports {
+		if strings.HasPrefix(g.Node(p.Peer).Name, "agg") {
+			up = append(up, port)
+		}
 	}
-	if c.Spacing <= 0 {
-		c.Spacing = 40 * time.Millisecond
-	}
-	if c.Outage <= 0 {
-		c.Outage = 25 * time.Millisecond
-	}
-	if c.Flap <= 0 {
-		c.Flap = 8 * time.Millisecond
-	}
-	if c.Loss <= 0 {
-		c.Loss = 0.25
-	}
-	if c.LossFor <= 0 {
-		c.LossFor = 30 * time.Millisecond
-	}
-	return c
+	return edge, up
 }
 
 // Scenario builds the standard five-act fault storm for a fat-tree,
@@ -352,37 +338,29 @@ func (c ScenarioConfig) withDefaults() ScenarioConfig {
 // core-switch crash/restart, a control-channel degradation window, an
 // aggregation-switch crash in the responder's pod, and a correlated
 // whole-pod failure of a bystander pod. Victim selection is randomized by
-// seed, but every act leaves at least one live path between From and To, so
+// seed, but every act leaves at least one live path between from and to, so
 // a self-healing control plane must deliver the transfer in full.
-func Scenario(g *topo.Graph, seed uint64, cfg ScenarioConfig) (Schedule, error) {
-	cfg = cfg.withDefaults()
-	fromPod, toPod := PodOfHost(g, cfg.From), PodOfHost(g, cfg.To)
+func Scenario(g *topo.Graph, seed uint64, from, to topo.NodeID) (Schedule, error) {
+	fromPod, toPod := PodOfHost(g, from), PodOfHost(g, to)
 	if fromPod == 0 || toPod == 0 {
-		return nil, fmt.Errorf("chaos: From/To must be fat-tree hosts (got pods %d, %d)", fromPod, toPod)
+		return nil, fmt.Errorf("chaos: from/to must be fat-tree hosts (got pods %d, %d)", fromPod, toPod)
 	}
 	rng := sim.NewRNG(seed).Stream("chaos-scenario")
 	var s Schedule
-	at := cfg.Start
+	at := scenarioStart
 
 	// Act 1: flap one uplink of the initiator's edge switch. The edge keeps
 	// its other aggregation uplink, so a detour exists while the link is
 	// down — and the flap may even self-heal before repair finishes.
-	edge := g.Node(g.Node(cfg.From).Ports[0].Peer)
-	var uplinks []int
-	for port, p := range edge.Ports {
-		if strings.HasPrefix(g.Node(p.Peer).Name, "agg") {
-			uplinks = append(uplinks, port)
-		}
-	}
+	edgeID, uplinks := edgeUplinks(g, from)
 	if len(uplinks) < 2 {
-		return nil, fmt.Errorf("chaos: edge %s has %d agg uplinks, need 2+", edge.Name, len(uplinks))
+		return nil, fmt.Errorf("chaos: edge %s has %d agg uplinks, need 2+", g.Node(edgeID).Name, len(uplinks))
 	}
 	flapPort := sim.Pick(rng, uplinks)
-	edgeID := g.Node(cfg.From).Ports[0].Peer
 	s = append(s,
 		Fault{At: at, Kind: LinkCut, Node: edgeID, Port: flapPort},
-		Fault{At: at + cfg.Flap, Kind: LinkRestore, Node: edgeID, Port: flapPort})
-	at += cfg.Spacing
+		Fault{At: at + scenarioFlap, Kind: LinkRestore, Node: edgeID, Port: flapPort})
+	at += scenarioSpacing
 
 	// Act 2: crash one core switch. The other cores keep every pod pair
 	// connected.
@@ -393,29 +371,22 @@ func Scenario(g *topo.Graph, seed uint64, cfg ScenarioConfig) (Schedule, error) 
 	core := sim.Pick(rng, cores)
 	s = append(s,
 		Fault{At: at, Kind: SwitchCrash, Node: core},
-		Fault{At: at + cfg.Outage, Kind: SwitchRestart, Node: core})
-	at += cfg.Spacing
+		Fault{At: at + scenarioOutage, Kind: SwitchRestart, Node: core})
+	at += scenarioSpacing
 
 	// Act 3: degrade the southbound control channel. Repairs triggered in
 	// this window must converge through retransmission.
 	s = append(s,
-		Fault{At: at, Kind: ControlLoss, Loss: cfg.Loss},
-		Fault{At: at + cfg.LossFor, Kind: ControlLoss, Loss: 0})
+		Fault{At: at, Kind: ControlLoss, Loss: scenarioLoss},
+		Fault{At: at + scenarioLossFor, Kind: ControlLoss, Loss: 0})
 	// Overlap the degradation with a link cut so a repair actually rides the
 	// lossy channel: cut an uplink of the responder's edge switch.
-	respEdgeID := g.Node(cfg.To).Ports[0].Peer
-	respEdge := g.Node(respEdgeID)
-	var respUplinks []int
-	for port, p := range respEdge.Ports {
-		if strings.HasPrefix(g.Node(p.Peer).Name, "agg") {
-			respUplinks = append(respUplinks, port)
-		}
-	}
+	respEdgeID, respUplinks := edgeUplinks(g, to)
 	lossyCut := sim.Pick(rng, respUplinks)
 	s = append(s,
-		Fault{At: at + cfg.LossFor/4, Kind: LinkCut, Node: respEdgeID, Port: lossyCut},
-		Fault{At: at + cfg.Spacing, Kind: LinkRestore, Node: respEdgeID, Port: lossyCut})
-	at += cfg.Spacing + cfg.Spacing/2
+		Fault{At: at + scenarioLossFor/4, Kind: LinkCut, Node: respEdgeID, Port: lossyCut},
+		Fault{At: at + scenarioSpacing, Kind: LinkRestore, Node: respEdgeID, Port: lossyCut})
+	at += scenarioSpacing + scenarioSpacing/2
 
 	// Act 4: crash one aggregation switch in the responder's pod; its twin
 	// carries the pod while it is dark.
@@ -426,8 +397,8 @@ func Scenario(g *topo.Graph, seed uint64, cfg ScenarioConfig) (Schedule, error) 
 	agg := sim.Pick(rng, aggs)
 	s = append(s,
 		Fault{At: at, Kind: SwitchCrash, Node: agg},
-		Fault{At: at + cfg.Outage, Kind: SwitchRestart, Node: agg})
-	at += cfg.Spacing
+		Fault{At: at + scenarioOutage, Kind: SwitchRestart, Node: agg})
+	at += scenarioSpacing
 
 	// Act 5: correlated pod failure — a bystander pod loses every switch at
 	// once. From/To traffic does not transit third pods in a fat tree, but
@@ -451,15 +422,9 @@ func Scenario(g *topo.Graph, seed uint64, cfg ScenarioConfig) (Schedule, error) 
 	pod := sim.Pick(rng, bystanders)
 	s = append(s,
 		Fault{At: at, Kind: PodCrash, Pod: pod},
-		Fault{At: at + cfg.Outage, Kind: PodRestart, Pod: pod})
+		Fault{At: at + scenarioOutage, Kind: PodRestart, Pod: pod})
 
 	return s.sorted(), nil
-}
-
-// LossyConfig parameterizes LossyScenario.
-type LossyConfig struct {
-	// From and To are the transfer endpoints. Both required.
-	From, To topo.NodeID
 }
 
 // LossyScenario's timing and loss.
@@ -477,28 +442,17 @@ const (
 // initiator's edge, a mangled (dup+reorder+corrupt) uplink at the
 // responder's edge, and a full blackhole of one core switch's cable that
 // later clears on its own.
-func LossyScenario(g *topo.Graph, seed uint64, cfg LossyConfig) (Schedule, error) {
-	if PodOfHost(g, cfg.From) == 0 || PodOfHost(g, cfg.To) == 0 {
-		return nil, fmt.Errorf("chaos: From/To must be fat-tree hosts")
+func LossyScenario(g *topo.Graph, seed uint64, from, to topo.NodeID) (Schedule, error) {
+	if PodOfHost(g, from) == 0 || PodOfHost(g, to) == 0 {
+		return nil, fmt.Errorf("chaos: from/to must be fat-tree hosts")
 	}
 	rng := sim.NewRNG(seed).Stream("chaos-lossy")
 	var s Schedule
 	at := lossyStart
 
-	aggUplinks := func(edgeID topo.NodeID) []int {
-		var out []int
-		for port, p := range g.Node(edgeID).Ports {
-			if strings.HasPrefix(g.Node(p.Peer).Name, "agg") {
-				out = append(out, port)
-			}
-		}
-		return out
-	}
-
 	// Act 1: lossyLoss random loss on one uplink of the initiator's edge.
 	// Transport convergence territory — the m-flows crossing it degrade.
-	fromEdge := g.Node(cfg.From).Ports[0].Peer
-	up := aggUplinks(fromEdge)
+	fromEdge, up := edgeUplinks(g, from)
 	if len(up) == 0 {
 		return nil, fmt.Errorf("chaos: initiator edge has no agg uplinks")
 	}
@@ -511,8 +465,7 @@ func LossyScenario(g *topo.Graph, seed uint64, cfg LossyConfig) (Schedule, error
 
 	// Act 2: a mangler on one uplink of the responder's edge — duplication,
 	// reordering and corruption at once, the worst kind of flaky optic.
-	toEdge := g.Node(cfg.To).Ports[0].Peer
-	up = aggUplinks(toEdge)
+	toEdge, up := edgeUplinks(g, to)
 	if len(up) == 0 {
 		return nil, fmt.Errorf("chaos: responder edge has no agg uplinks")
 	}
@@ -586,18 +539,8 @@ func FailoverScenario(g *topo.Graph, seed uint64, cfg FailoverConfig) (Schedule,
 		return nil, fmt.Errorf("chaos: Start %v must be later than the %v pre-kill cut", cfg.Start, failoverPreCut)
 	}
 	rng := sim.NewRNG(seed).Stream("chaos-failover")
-	aggUplinks := func(edgeID topo.NodeID) []int {
-		var out []int
-		for port, p := range g.Node(edgeID).Ports {
-			if strings.HasPrefix(g.Node(p.Peer).Name, "agg") {
-				out = append(out, port)
-			}
-		}
-		return out
-	}
-	fromEdge := g.Node(cfg.From).Ports[0].Peer
-	toEdge := g.Node(cfg.To).Ports[0].Peer
-	fromUp, toUp := aggUplinks(fromEdge), aggUplinks(toEdge)
+	fromEdge, fromUp := edgeUplinks(g, cfg.From)
+	toEdge, toUp := edgeUplinks(g, cfg.To)
 	if len(fromUp) < 2 || len(toUp) < 2 {
 		return nil, fmt.Errorf("chaos: edges %s/%s need 2+ agg uplinks each",
 			g.Node(fromEdge).Name, g.Node(toEdge).Name)
@@ -613,13 +556,6 @@ func FailoverScenario(g *topo.Graph, seed uint64, cfg FailoverConfig) (Schedule,
 		{At: cfg.Start + failoverCut + failoverHeal, Kind: LinkRestore, Node: toEdge, Port: preCutPort},
 	}
 	return s.sorted(), nil
-}
-
-// PartitionConfig parameterizes PartitionScenario.
-type PartitionConfig struct {
-	// From and To are the transfer endpoints whose channels must ride
-	// through both partitions. Both required.
-	From, To topo.NodeID
 }
 
 // PartitionScenario's timing. The cluster under test has controller hosts 0
@@ -654,9 +590,9 @@ const (
 // Act 3 — heal: every management cut is restored, the fabric cut heals, and
 // the deposed member must rejoin as a standby with zero stale rules and zero
 // journal divergence (fencing on).
-func PartitionScenario(g *topo.Graph, seed uint64, cfg PartitionConfig) (Schedule, error) {
-	if PodOfHost(g, cfg.From) == 0 || PodOfHost(g, cfg.To) == 0 {
-		return nil, fmt.Errorf("chaos: From/To must be fat-tree hosts")
+func PartitionScenario(g *topo.Graph, seed uint64, from, to topo.NodeID) (Schedule, error) {
+	if PodOfHost(g, from) == 0 || PodOfHost(g, to) == 0 {
+		return nil, fmt.Errorf("chaos: from/to must be fat-tree hosts")
 	}
 	rng := sim.NewRNG(seed).Stream("chaos-partition")
 	ctrlA, ctrlB := netsim.MgmtCtrl(0), netsim.MgmtCtrl(1)
@@ -693,13 +629,7 @@ func PartitionScenario(g *topo.Graph, seed uint64, cfg PartitionConfig) (Schedul
 	// a self-healing reroute while two controllers think they own the
 	// fabric. Landed after partitionCutAt so a fenced cluster's takeover
 	// (lease + misses, single-digit milliseconds) has already completed.
-	toEdge := g.Node(cfg.To).Ports[0].Peer
-	var toUp []int
-	for port, p := range g.Node(toEdge).Ports {
-		if strings.HasPrefix(g.Node(p.Peer).Name, "agg") {
-			toUp = append(toUp, port)
-		}
-	}
+	toEdge, toUp := edgeUplinks(g, to)
 	if len(toUp) < 2 {
 		return nil, fmt.Errorf("chaos: edge %s needs 2+ agg uplinks", g.Node(toEdge).Name)
 	}

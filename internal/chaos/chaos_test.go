@@ -15,30 +15,17 @@ import (
 	"mic/internal/transport"
 )
 
-func quickCfg(from, to topo.NodeID) chaos.ScenarioConfig {
-	return chaos.ScenarioConfig{
-		From:    from,
-		To:      to,
-		Start:   3 * time.Millisecond,
-		Spacing: 15 * time.Millisecond,
-		Outage:  10 * time.Millisecond,
-		Flap:    4 * time.Millisecond,
-		Loss:    0.25,
-		LossFor: 12 * time.Millisecond,
-	}
-}
-
 func TestScenarioDeterministic(t *testing.T) {
 	g, err := topo.FatTree(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	from, to := g.Hosts()[0], g.Hosts()[15]
-	a, err := chaos.Scenario(g, 42, quickCfg(from, to))
+	a, err := chaos.Scenario(g, 42, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := chaos.Scenario(g, 42, quickCfg(from, to))
+	b, err := chaos.Scenario(g, 42, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +39,7 @@ func TestScenarioDeterministic(t *testing.T) {
 	// victim somewhere across the acts.
 	diverged := false
 	for seed := uint64(1); seed <= 8 && !diverged; seed++ {
-		c, err := chaos.Scenario(g, seed, quickCfg(from, to))
+		c, err := chaos.Scenario(g, seed, from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +58,7 @@ func TestScenarioTargetsAreSurvivable(t *testing.T) {
 	from, to := g.Hosts()[0], g.Hosts()[15]
 	fromPod, toPod := chaos.PodOfHost(g, from), chaos.PodOfHost(g, to)
 	for seed := uint64(0); seed < 20; seed++ {
-		s, err := chaos.Scenario(g, seed, quickCfg(from, to))
+		s, err := chaos.Scenario(g, seed, from, to)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +98,7 @@ func TestChaosTransferSurvives(t *testing.T) {
 	for _, hid := range g.Hosts() {
 		stacks = append(stacks, transport.NewStack(net.Host(hid)))
 	}
-	data := make([]byte, 8<<20)
+	data := make([]byte, 32<<20) // spans all five acts of the default schedule
 	for i := range data {
 		data[i] = byte(i*131 + i>>10)
 	}
@@ -128,7 +115,7 @@ func TestChaosTransferSurvives(t *testing.T) {
 		s.Send(data)
 	})
 
-	sched, err := chaos.Scenario(g, 7, quickCfg(g.Hosts()[0], g.Hosts()[15]))
+	sched, err := chaos.Scenario(g, 7, g.Hosts()[0], g.Hosts()[15])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +164,7 @@ func TestChaosDeterministicOutcome(t *testing.T) {
 		for _, hid := range g.Hosts() {
 			stacks = append(stacks, transport.NewStack(net.Host(hid)))
 		}
-		data := make([]byte, 2<<20)
+		data := make([]byte, 32<<20)
 		got := 0
 		mic.Listen(stacks[15], 80, false, func(s *mic.Stream) {
 			s.OnData(func(b []byte) { got += len(b) })
@@ -189,7 +176,7 @@ func TestChaosDeterministicOutcome(t *testing.T) {
 			}
 			s.Send(data)
 		})
-		sched, err := chaos.Scenario(g, 3, quickCfg(g.Hosts()[0], g.Hosts()[15]))
+		sched, err := chaos.Scenario(g, 3, g.Hosts()[0], g.Hosts()[15])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,12 +201,11 @@ func TestLossyScenarioDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	from, to := g.Hosts()[0], g.Hosts()[15]
-	cfg := chaos.LossyConfig{From: from, To: to}
-	a, err := chaos.LossyScenario(g, 9, cfg)
+	a, err := chaos.LossyScenario(g, 9, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := chaos.LossyScenario(g, 9, cfg)
+	b, err := chaos.LossyScenario(g, 9, from, to)
 	if err != nil {
 		t.Fatal(err)
 	}

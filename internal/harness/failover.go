@@ -73,44 +73,37 @@ func runS8Failover(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-// FailoverScript is the controller-kill storm (chaos.FailoverScenario at its
-// defaults) as a PlayScenario script.
-func FailoverScript(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
-	return chaos.FailoverScenario(g, seed, chaos.FailoverConfig{From: from, To: to})
-}
-
 // s8Trial runs one controller-kill trial and reports goodput, the blackout
 // probe's setup latency, and the post-takeover audit's stale-rule count.
 func s8Trial(mflows int, noReconcile bool, size int, seed uint64) (s8Outcome, error) {
-	// The blackout probe: a second tenant asks for a channel at the very
-	// moment the controller dies. Its setup latency is the control-plane
-	// outage window.
-	var blackout *probe
-	arm := func(tb *Testbed, sched chaos.Schedule) {
-		var killAt time.Duration
-		for _, f := range sched {
-			if f.Kind == chaos.MCKill {
-				killAt = f.At
+	o, err := Run(Scenario{
+		Cluster:  &mic.ClusterConfig{DisableReconcile: noReconcile},
+		MIC:      mic.Config{MNs: 3, MFlows: mflows, AutoRepair: true, RepairMaxRetries: 20},
+		Transfer: true,
+		Faults: func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
+			return chaos.FailoverScenario(g, seed, chaos.FailoverConfig{From: from, To: to})
+		},
+		// The blackout probe: a second tenant asks for a channel at the very
+		// moment the controller dies. Its setup latency is the control-plane
+		// outage window.
+		Probes: func(sched chaos.Schedule) []Probe {
+			var killAt time.Duration
+			for _, f := range sched {
+				if f.Kind == chaos.MCKill {
+					killAt = f.At
+				}
 			}
-		}
-		blackout = tb.probeDial(killAt, 3, 12)
-	}
-	tb, xfer, err := PlayScenario(mic.Config{MNs: 3, MFlows: mflows, Seed: seed},
-		&mic.ClusterConfig{DisableReconcile: noReconcile}, false, 0, 15, payload(size),
-		FailoverScript, arm, 10*time.Second, nil, "", 0)
+			return []Probe{{At: killAt, From: 3, To: 12}}
+		},
+		Window: 10 * time.Second,
+	}, Params{Seed: seed, From: 0, To: 15, Size: size}, nil)
 	if err != nil {
 		return s8Outcome{}, err
 	}
-	if blackout.err != nil {
-		return s8Outcome{}, blackout.err
-	}
-	if blackout.done == 0 {
-		return s8Outcome{}, fmt.Errorf("harness: blackout probe dial never completed")
-	}
-	staleN, _ := tb.Cluster.Audit()
+	staleN, _ := o.Bed.Cluster.Audit()
 	return s8Outcome{
-		goodput:    xfer.Mbps(),
-		blackoutMs: blackout.ms(),
+		goodput:    o.Transfer.Mbps(),
+		blackoutMs: o.ProbeMs[0],
 		stale:      float64(staleN),
 	}, nil
 }

@@ -29,51 +29,30 @@ const (
 	stormWindow       = 50 * time.Millisecond // arrival window
 	stormHold         = 25 * time.Millisecond // channel lifetime after the send completes
 	stormSetupTimeout = 250 * time.Millisecond
-
-	// StormTableCapacity is the per-switch flow-table capacity; 32 entries of
-	// it are common routing.
-	StormTableCapacity = 48
+	stormSize         = 4 << 20 // fig s9's Params.Size: each admitted stream sends 32 KiB
+	stormPort         = 81      // apart from the transfer's and the probes' port 80
 )
 
-// StormAdmission is the admission config of every storm the repository runs
-// (micsim's storm scenario, fig s9, the acceptance tests). SwitchRuleBudget
-// 24 over-subscribes the 16 physical m-flow slots per switch (capacity 48 -
-// 32 common), so admitted intent exceeds table space and the
-// eviction/reinstall machinery actually engages.
-func StormAdmission() mic.AdmissionConfig {
-	return mic.AdmissionConfig{
+// StormScenario is the setup storm every storm the repository runs shares
+// (micsim's storm scenario, fig s9, the acceptance tests): Poisson dials at
+// load times the admission rate from eight host pairs over 50 ms, against a
+// standalone MC whose fat-tree(4) switches hold 48 flow entries, 32 of them
+// common routing, measured at a 5 s horizon. Its admission's
+// SwitchRuleBudget 24 over-subscribes the 16 physical m-flow slots per
+// switch, so admitted intent exceeds table space and the eviction/reinstall
+// machinery actually engages.
+func StormScenario(load float64) Scenario {
+	adm := mic.AdmissionConfig{
 		Enabled: true, Rate: 1000, Burst: 8,
 		QueueLimit: 32, QueueDeadline: 10 * time.Millisecond,
 		EvictIdle: true, SwitchRuleBudget: 24,
 	}
-}
-
-// StormOptions parameterizes one setup-storm run.
-type StormOptions struct {
-	Seed uint64
-
-	Rate     float64 // offered dial rate, dials/sec
-	MaxDials int     // schedule cap (default 4096)
-
-	// Channel shape.
-	MFlows int  // requested m-flows per channel (default 4)
-	MNs    int  // Mimic Nodes per m-flow (0 = the MC's default)
-	Fanout int  // partial-multicast fanout (0 = the MC's default)
-	Secure bool // MIC-SSL instead of MIC-TCP
-
-	Payload int // bytes each admitted stream sends (default 32 KiB)
-
-	Admission mic.AdmissionConfig
-}
-
-func (o StormOptions) withDefaults() StormOptions {
-	if o.MFlows <= 0 {
-		o.MFlows = 4
+	return Scenario{
+		Net:    netsim.Config{FlowTableCapacity: 48},
+		MIC:    mic.Config{Admission: adm},
+		Storm:  &chaos.StormConfig{Pairs: stormPairs, Rate: load * adm.Rate, Window: stormWindow},
+		Window: 5 * time.Second,
 	}
-	if o.Payload <= 0 {
-		o.Payload = 32 << 10
-	}
-	return o
 }
 
 // StormResult aggregates one storm run. The zero-silent-drop invariant is
@@ -109,80 +88,73 @@ func (r StormResult) RefusalRate() float64 {
 	return float64(r.Answered-r.OK-r.Degraded) / float64(r.Answered)
 }
 
-// RunStorm drives one seeded setup storm against a standalone MC with
-// capacity-bounded flow tables: each scheduled dial gets a fresh client (so
-// every dial is a distinct channel-open hitting admission control), admitted
-// streams push Payload bytes and close stormHold later, and the result classifies
-// every dial by outcome. Deterministic for a given options value.
-func RunStorm(opts StormOptions) (*StormResult, error) {
-	opts = opts.withDefaults()
-	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{FlowTableCapacity: StormTableCapacity}, mic.Config{
-		MNs: opts.MNs, MFlows: opts.MFlows, MulticastFanout: opts.Fanout,
-		Seed: opts.Seed, Admission: opts.Admission,
-	}, nil)
+// stormRun is a storm in flight: each dial's outcome and each admitted
+// stream's receive stats accumulate in it as the engine runs.
+type stormRun struct {
+	res           StormResult
+	lat, achieved metrics.Sample
+	clients       []*mic.Client
+	recvs         []*stormRecv
+	payload       int // bytes each admitted stream sends
+}
+
+type stormRecv struct {
+	got         int
+	first, last sim.Time
+}
+
+// startStorm schedules cfg's dials at p.Seed. Each dial gets a fresh client
+// (so every dial is a distinct channel-open hitting admission control)
+// asking for mflows m-flows; each admitted stream sends its share of p.Size
+// and closes stormHold later. Every responder host listens once.
+func (tb *Testbed) startStorm(cfg chaos.StormConfig, mflows int, p Params) (*stormRun, error) {
+	dials, err := chaos.SetupStorm(tb.Graph, p.Seed, cfg)
 	if err != nil {
 		return nil, err
 	}
-	eng, mc := tb.Eng, tb.MC
+	eng := tb.Eng
 	stacks := make(map[topo.NodeID]*transport.Stack)
 	for i, hid := range tb.Graph.Hosts() {
 		stacks[hid] = tb.Stacks[i]
 	}
-
-	dials, err := chaos.SetupStorm(tb.Graph, opts.Seed, chaos.StormConfig{
-		Pairs: stormPairs, Rate: opts.Rate, Window: stormWindow, MaxDials: opts.MaxDials,
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Responder side: every responder host listens once; per-stream receive
-	// stats feed the goodput figure.
-	type recvStat struct {
-		got         int
-		first, last sim.Time
-	}
-	var recvs []*recvStat
+	st := &stormRun{res: StormResult{Dials: len(dials)}, payload: min(max(p.Size/128, 4<<10), 1<<20)}
 	seen := make(map[topo.NodeID]bool)
 	for _, d := range dials {
 		if seen[d.To] {
 			continue
 		}
 		seen[d.To] = true
-		mic.Listen(stacks[d.To], 80, opts.Secure, func(s *mic.Stream) {
-			st := &recvStat{}
-			recvs = append(recvs, st)
+		mic.Listen(stacks[d.To], stormPort, p.Secure, func(s *mic.Stream) {
+			r := &stormRecv{}
+			st.recvs = append(st.recvs, r)
 			s.OnData(func(b []byte) {
-				if st.got == 0 {
-					st.first = eng.Now()
+				if r.got == 0 {
+					r.first = eng.Now()
 				}
-				st.got += len(b)
-				st.last = eng.Now()
+				r.got += len(b)
+				r.last = eng.Now()
 			})
 		})
 	}
 
-	res := &StormResult{Dials: len(dials)}
-	var lat metrics.Sample
-	var achieved metrics.Sample
-	clients := make([]*mic.Client, 0, len(dials))
-	data := payload(opts.Payload)
+	res := &st.res
+	data := payload(st.payload)
 	for i, d := range dials {
 		eng.After(d.At, func() {
-			client := mic.NewClientSeeded(stacks[d.From], mc, uint64(i)+1)
-			client.Secure = opts.Secure
-			client.Opts = mic.ChannelOptions{MFlows: opts.MFlows}
+			client := mic.NewClientSeeded(stacks[d.From], tb.controlPlane(), uint64(i)+1)
+			client.Secure = p.Secure
+			client.Opts = mic.ChannelOptions{MFlows: mflows}
 			client.SetupTimeout = stormSetupTimeout
-			clients = append(clients, client)
+			st.clients = append(st.clients, client)
 			issued := eng.Now()
 			target := stacks[d.To].Host.IP.String()
-			client.Dial(target, 80, func(s *mic.Stream, err error) {
+			client.Dial(target, stormPort, func(s *mic.Stream, err error) {
 				res.Answered++
 				switch {
 				case err == nil:
-					lat.Add(eng.Now().Sub(issued).Seconds() * 1e3)
-					achieved.Add(float64(s.FlowCount()))
-					if s.FlowCount() < opts.MFlows {
+					st.lat.Add(eng.Now().Sub(issued).Seconds() * 1e3)
+					st.achieved.Add(float64(s.FlowCount()))
+					if s.FlowCount() < mflows {
 						res.Degraded++
 					} else {
 						res.OK++
@@ -206,30 +178,30 @@ func RunStorm(opts StormOptions) (*StormResult, error) {
 			})
 		})
 	}
+	return st, nil
+}
 
-	// A fixed virtual-time horizon, not Run-to-quiescence: torn-down
-	// channels can leave peers retransmitting on a capped RTO forever
-	// (there is deliberately no transport give-up timer), so the event
-	// queue never empties. Steady state is reached well before the
-	// horizon — every dial is answered and every admitted stream has
-	// completed or stalled for good by then — and a fixed deadline is
-	// exactly as deterministic as a drain.
-	eng.RunUntil(sim.Time(5 * time.Second))
-
-	for _, c := range clients {
+// result closes the storm's books once the engine has stopped.
+func (st *stormRun) result(tb *Testbed) *StormResult {
+	res := &st.res
+	for _, c := range st.clients {
 		res.Retries += c.DialRetryCount
 	}
 	var good metrics.Sample
-	for _, st := range recvs {
-		if st.got >= opts.Payload && st.last > st.first {
-			good.Add(float64(st.got) * 8 / st.last.Sub(st.first).Seconds() / 1e6)
+	for _, r := range st.recvs {
+		if r.got >= st.payload && r.last > r.first {
+			good.Add(float64(r.got) * 8 / r.last.Sub(r.first).Seconds() / 1e6)
 		}
 	}
-	res.P99DialMs = lat.Percentile(99)
+	res.P99DialMs = st.lat.Percentile(99)
 	res.GoodputMbps = good.Mean()
-	res.AchievedF = achieved.Mean()
-	res.Counters = mc.Telemetry()
-	return res, nil
+	res.AchievedF = st.achieved.Mean()
+	if tb.Cluster != nil {
+		res.Counters = tb.Cluster.Telemetry()
+	} else {
+		res.Counters = tb.MC.Telemetry()
+	}
+	return res
 }
 
 // runS9Overload regenerates the overload figure: seeded setup storms at
@@ -240,7 +212,6 @@ func RunStorm(opts StormOptions) (*StormResult, error) {
 // below the requested 4 before refusals climb.
 func runS9Overload(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	admission := StormAdmission()
 	variants := []struct {
 		name string
 		mut  func(*mic.AdmissionConfig)
@@ -256,13 +227,14 @@ func runS9Overload(cfg RunConfig) (*Result, error) {
 	tbl := metrics.NewTable("variant", "offered_per_s", "goodput_mbps", "p99_dial_ms", "refusal_rate", "achieved_f")
 	for _, v := range variants {
 		for _, m := range multipliers {
-			a := admission
-			v.mut(&a)
+			s := StormScenario(m)
+			v.mut(&s.MIC.Admission)
 			cols, err := runTrialColumns(cfg.Trials, cfg.Seed, func(seed uint64) ([]float64, error) {
-				r, err := RunStorm(StormOptions{Seed: seed, Rate: admission.Rate * m, Admission: a})
+				o, err := Run(s, Params{Seed: seed, Size: stormSize}, nil)
 				if err != nil {
 					return nil, err
 				}
+				r := o.Storm
 				if r.Answered != r.Dials {
 					return nil, fmt.Errorf("%d of %d dials never answered", r.Dials-r.Answered, r.Dials)
 				}
@@ -271,7 +243,7 @@ func runS9Overload(cfg RunConfig) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("s9 %s x%g: %w", v.name, m, err)
 			}
-			tbl.AddRow(fmt.Sprintf("%s_x%g", v.name, m), admission.Rate*m, cols[0].Mean(), cols[1].Mean(), cols[2].Mean(), cols[3].Mean())
+			tbl.AddRow(fmt.Sprintf("%s_x%g", v.name, m), s.Storm.Rate, cols[0].Mean(), cols[1].Mean(), cols[2].Mean(), cols[3].Mean())
 		}
 	}
 	return &Result{

@@ -2,17 +2,23 @@ package harness
 
 import "testing"
 
+// storm runs s at seed 7 with fig s9's per-stream payload.
+func storm(t *testing.T, s Scenario) *StormResult {
+	t.Helper()
+	o, err := Run(s, Params{Seed: 7, Size: stormSize}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o.Storm
+}
+
 // TestStormAcceptance is the issue's acceptance bar: a seeded setup storm
 // at 4x the sustainable dial rate against capacity-bounded tables must
 // reach steady state with zero silently-dropped requests, a refusal rate
 // below 100% (degraded-F admissions occur), and goodput of admitted
 // channels within 20% of an unloaded baseline.
 func TestStormAcceptance(t *testing.T) {
-	adm := StormAdmission()
-	r, err := RunStorm(StormOptions{Seed: 7, Rate: 4 * adm.Rate, Admission: adm})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := storm(t, StormScenario(4))
 
 	// Zero silent drops: every scheduled dial's callback fired.
 	if r.Answered != r.Dials {
@@ -37,10 +43,9 @@ func TestStormAcceptance(t *testing.T) {
 
 	// Goodput of admitted channels within 20% of an unloaded baseline (a
 	// single dial on the same fabric and admission config).
-	base, err := RunStorm(StormOptions{Seed: 7, Rate: 4 * adm.Rate, MaxDials: 1, Admission: adm})
-	if err != nil {
-		t.Fatal(err)
-	}
+	one := StormScenario(4)
+	one.Storm.MaxDials = 1
+	base := storm(t, one)
 	if base.GoodputMbps <= 0 || r.GoodputMbps <= 0 {
 		t.Fatalf("goodput missing: storm %.1f, baseline %.1f", r.GoodputMbps, base.GoodputMbps)
 	}
@@ -55,17 +60,10 @@ func TestStormAcceptance(t *testing.T) {
 // deadline fires instead of a prompt typed refusal, so timeouts replace
 // refusals and p99 dial latency degrades.
 func TestStormShedOffAblationWorse(t *testing.T) {
-	adm := StormAdmission()
-	on, err := RunStorm(StormOptions{Seed: 7, Rate: 4 * adm.Rate, Admission: adm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	admOff := StormAdmission()
-	admOff.DisableShed = true
-	off, err := RunStorm(StormOptions{Seed: 7, Rate: 4 * adm.Rate, Admission: admOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	on := storm(t, StormScenario(4))
+	shedOff := StormScenario(4)
+	shedOff.MIC.Admission.DisableShed = true
+	off := storm(t, shedOff)
 	if off.Answered != off.Dials {
 		t.Fatalf("shed-off run dropped %d dials silently", off.Dials-off.Answered)
 	}
@@ -82,16 +80,7 @@ func TestStormShedOffAblationWorse(t *testing.T) {
 // TestStormDeterministic: two same-seed runs produce identical results —
 // every counter, every latency percentile, every goodput figure.
 func TestStormDeterministic(t *testing.T) {
-	adm := StormAdmission()
-	opts := StormOptions{Seed: 7, Rate: 4 * adm.Rate, Admission: adm}
-	a, err := RunStorm(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunStorm(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := storm(t, StormScenario(4)), storm(t, StormScenario(4))
 	if a.Counters.String() != b.Counters.String() {
 		t.Errorf("telemetry differs:\n%s\nvs\n%s", a.Counters, b.Counters)
 	}
@@ -100,4 +89,21 @@ func TestStormDeterministic(t *testing.T) {
 	if ac != bc {
 		t.Errorf("results differ:\n%+v\nvs\n%+v", ac, bc)
 	}
+}
+
+// TestStormComposesWithTransfer: a scenario's workloads are independent. A
+// bulk transfer into one of the storm's responder hosts shares the bed with
+// the storm, not a listener: the transfer completes (Run fails otherwise)
+// and every storm dial is answered.
+func TestStormComposesWithTransfer(t *testing.T) {
+	s := StormScenario(1)
+	s.Transfer = true
+	o, err := Run(s, Params{Seed: 7, From: 0, To: 15, Size: 1 << 20}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := o.Storm; r.Answered != r.Dials || r.OK+r.Degraded == 0 {
+		t.Fatalf("storm beside a transfer: %d of %d dials answered, %d admitted", r.Answered, r.Dials, r.OK+r.Degraded)
+	}
+	t.Logf("transfer %.1f Mbps beside %d storm dials", o.Transfer.Mbps(), o.Storm.Dials)
 }

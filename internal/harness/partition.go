@@ -1,14 +1,12 @@
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
 	"mic/internal/chaos"
 	"mic/internal/metrics"
 	"mic/internal/mic"
-	"mic/internal/topo"
 )
 
 func init() {
@@ -78,55 +76,50 @@ func runS11Partition(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-// PartitionScript is the management-partition storm (chaos.PartitionScenario
-// at its defaults) as a PlayScenario script.
-func PartitionScript(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
-	return chaos.PartitionScenario(g, seed, chaos.PartitionConfig{From: from, To: to})
-}
-
 // s11Trial runs one partition storm and reports the blackout probes' setup
 // latencies plus the post-heal safety counters. The bulk transfer keeps a
 // channel installed across all three acts so the mid-partition fabric cut has
 // something to force a repair race over.
 func s11Trial(disableFencing bool, size int, seed uint64) (s11Outcome, error) {
-	var split, zombie *probe
-	arm := func(tb *Testbed, sched chaos.Schedule) {
-		// The symmetric split opens at the earliest MgmtCut, the asymmetric
-		// act at the latest (act 3 is all heals).
-		splitAt := sched[len(sched)-1].At
-		var zombieAt time.Duration
-		for _, f := range sched {
-			if f.Kind == chaos.MgmtCut {
-				splitAt = min(splitAt, f.At)
-				zombieAt = max(zombieAt, f.At)
+	o, err := Run(Scenario{
+		Cluster:  &mic.ClusterConfig{DisableFencing: disableFencing},
+		MIC:      mic.Config{MNs: 3, MFlows: 2, AutoRepair: true, RepairMaxRetries: 20},
+		Transfer: true,
+		Faults:   chaos.PartitionScenario,
+		Probes: func(sched chaos.Schedule) []Probe {
+			// The symmetric split opens at the earliest MgmtCut, the
+			// asymmetric act at the latest (act 3 is all heals).
+			splitAt := sched[len(sched)-1].At
+			var zombieAt time.Duration
+			for _, f := range sched {
+				if f.Kind == chaos.MgmtCut {
+					splitAt = min(splitAt, f.At)
+					zombieAt = max(zombieAt, f.At)
+				}
 			}
-		}
-		// Probe 1: a dial timed to land as the split expires the founding
-		// active's lease — the handover window the lease+takeover bound covers.
-		lease := time.Duration(mic.DefaultHeartbeatMisses) * mic.DefaultHeartbeatInterval
-		split = tb.probeDial(splitAt+lease, 3, 12)
-		// Probe 2: a second tenant dials at the exact instant the now-active
-		// controller is partitioned from its peer and half the fabric.
-		zombie = tb.probeDial(zombieAt, 5, 13)
-	}
-	tb, _, err := PlayScenario(mic.Config{MNs: 3, MFlows: 2, Seed: seed},
-		&mic.ClusterConfig{DisableFencing: disableFencing}, false, 0, 15, payload(size),
-		PartitionScript, arm, 2*time.Second, nil, "", 0)
+			lease := time.Duration(mic.DefaultHeartbeatMisses) * mic.DefaultHeartbeatInterval
+			return []Probe{
+				// A dial timed to land as the split expires the founding
+				// active's lease — the handover window the lease+takeover
+				// bound covers.
+				{At: splitAt + lease, From: 3, To: 12},
+				// A second tenant dials at the exact instant the now-active
+				// controller is partitioned from its peer and half the fabric.
+				{At: zombieAt, From: 5, To: 13},
+			}
+		},
+		Window: 2 * time.Second,
+	}, Params{Seed: seed, From: 0, To: 15, Size: size}, nil)
 	if err != nil {
 		return s11Outcome{}, err
 	}
-	if err := errors.Join(split.err, zombie.err); err != nil {
-		return s11Outcome{}, err
-	}
-	if split.done == 0 || zombie.done == 0 {
-		return s11Outcome{}, fmt.Errorf("harness: partition blackout probe never completed")
-	}
-	staleN, _ := tb.Cluster.Audit()
+	cl := o.Bed.Cluster
+	staleN, _ := cl.Audit()
 	return s11Outcome{
-		splitBlackoutMs:  split.ms(),
-		zombieBlackoutMs: zombie.ms(),
+		splitBlackoutMs:  o.ProbeMs[0],
+		zombieBlackoutMs: o.ProbeMs[1],
 		staleRules:       float64(staleN),
-		divergent:        float64(tb.Cluster.Journal.Divergent),
-		rejects:          float64(tb.StaleRejected()),
+		divergent:        float64(cl.Journal.Divergent),
+		rejects:          float64(o.Bed.StaleRejected()),
 	}, nil
 }

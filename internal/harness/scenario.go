@@ -13,10 +13,167 @@ import (
 	"mic/internal/topo"
 )
 
-// This file is the part of the bed every fault scenario shares: one bulk MIC
-// transfer, a chaos script played against the fabric with its events
-// narrated, the run-to-quiescence driver, and PlayScenario, which strings
-// them together.
+// This file is the one way a fault scenario runs: a Scenario value — control
+// plane, fabric, workload, fault script, narration, run window and report —
+// played on a fresh bed by Run. Every micsim scenario and the trials of figs
+// s8, s9 and s11 are values of it.
+
+// Scenario is one fault scenario as data. Its workload is a bulk transfer, a
+// setup storm, or both; its faults are a chaos script written for the
+// transfer's endpoints at the run's seed.
+type Scenario struct {
+	Title string // heads the narrated schedule
+
+	// Cluster, when non-nil, runs the control plane as a failover cluster
+	// under it (its ablation flags included); nil runs a standalone MC.
+	Cluster *mic.ClusterConfig
+	Net     netsim.Config // the fat-tree(4) fabric's configuration
+	MIC     mic.Config    // what the control plane runs; Run sets its Seed
+
+	// Transfer carries one bulk MIC stream of Params.Size bytes from host
+	// Params.From to host Params.To.
+	Transfer bool
+	// Storm, when non-nil, dials a chaos.SetupStorm at the run's seed; see
+	// startStorm.
+	Storm *chaos.StormConfig
+
+	// Faults writes the chaos script for the transfer's endpoints at the
+	// run's seed; nil plays none. Probes, when non-nil, times blackout dials
+	// against that script.
+	Faults func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error)
+	Probes func(chaos.Schedule) []Probe
+
+	Log Log // the control-plane reactions narrated besides the faults
+
+	// Window is how long a clustered bed runs before its heartbeat tickers,
+	// which never drain, stop and the rest drains; a standalone bed drains at
+	// once. A storm ends at Window instead, since the peers of its closed
+	// channels retransmit on a capped RTO forever (there is deliberately no
+	// transport give-up timer) and the event queue never empties.
+	Window time.Duration
+
+	// Report, when non-nil, ends the narration with the outcome's summary.
+	Report func(w io.Writer, o *Outcome) error
+}
+
+// Params is what one run of a scenario varies.
+type Params struct {
+	Seed     uint64
+	From, To int // the transfer's host indices
+	// Size is the bytes the transfer carries; each admitted storm stream
+	// sends Size/128, clamped to [4 KiB, 1 MiB].
+	Size   int
+	Secure bool // MIC-SSL instead of MIC-TCP
+}
+
+// Probe is a blackout probe: a fresh tenant's dial from host From to a
+// listener on host To, issued At into the run. Its setup latency is the
+// control-plane outage seen from there.
+type Probe struct {
+	At       time.Duration
+	From, To int
+}
+
+// Outcome is what one run left behind.
+type Outcome struct {
+	Scenario Scenario // as run: MIC.Seed and a storm's m-flow request resolved
+	Bed      *Testbed
+	Transfer *Transfer    // nil without a transfer
+	Storm    *StormResult // nil without a storm
+	ProbeMs  []float64    // each probe's setup latency, in Probes order
+}
+
+// Run plays s with p on a fresh fat-tree(4) bed: the workload starts, the
+// fault script is written and played, the probes are armed against it, and
+// the engine runs as s.Window says. With w non-nil the schedule,
+// every fault, the reactions s.Log selects, the delivery line and s.Report
+// are narrated to it; everything printed is a function of s and p. A
+// transfer that does not complete, or a probe dial that fails or never
+// completes, is an error.
+func Run(s Scenario, p Params, w io.Writer) (*Outcome, error) {
+	s.MIC.Seed = p.Seed
+	if s.Storm != nil && s.MIC.MFlows < 2 {
+		s.MIC.MFlows = 4 // the degradation ladder needs headroom below the request
+	}
+	tb, err := NewTestbed(SchemeMICTCP, 4, s.Net, s.MIC, s.Cluster)
+	if err != nil {
+		return nil, err
+	}
+	o := &Outcome{Scenario: s, Bed: tb}
+	if s.Transfer {
+		o.Transfer = tb.StartTransfer(p.Secure, p.From, p.To, payload(p.Size))
+	}
+	var storm *stormRun
+	if s.Storm != nil {
+		if storm, err = tb.startStorm(*s.Storm, s.MIC.MFlows, p); err != nil {
+			return nil, err
+		}
+	}
+	var sched chaos.Schedule
+	if s.Faults != nil {
+		hosts := tb.Graph.Hosts()
+		if sched, err = s.Faults(tb.Graph, p.Seed, hosts[p.From], hosts[p.To]); err != nil {
+			return nil, err
+		}
+		if w != nil {
+			fmt.Fprintf(w, "%s schedule (seed %d):\n%s", s.Title, p.Seed, sched.Render(tb.Graph))
+		}
+	}
+	var ch *ctrlplane.Channel
+	if tb.MC != nil {
+		ch = tb.MC.Ch // control-loss faults degrade the standalone MC's channel
+	}
+	runner := chaos.NewRunner(tb.Net, ch)
+	if w != nil {
+		runner.OnFault = func(f chaos.Fault) {
+			fmt.Fprintf(w, "%12v  fault  %s\n", time.Duration(tb.Eng.Now()), f.Kind)
+		}
+		tb.narrate(w, s.Log)
+	}
+	runner.Play(sched)
+	var probes []*probe
+	if s.Probes != nil {
+		for _, pr := range s.Probes(sched) {
+			probes = append(probes, tb.probeDial(pr))
+		}
+	}
+
+	if storm != nil {
+		tb.Eng.RunUntil(sim.Time(s.Window))
+	} else {
+		tb.Run(s.Window)
+	}
+
+	if x := o.Transfer; x != nil {
+		if err := x.Err(); err != nil {
+			return nil, err
+		}
+		if w != nil {
+			fmt.Fprintf(w, "delivered %d bytes in %v (%.1f Mbps) through %d faults",
+				x.Got, x.Wall(), x.Mbps(), len(runner.Applied))
+			if tb.Cluster != nil {
+				fmt.Fprintf(w, " and %d takeover(s)", tb.Cluster.Takeovers())
+			}
+			fmt.Fprintln(w)
+		}
+	}
+	if storm != nil {
+		o.Storm = storm.result(tb)
+	}
+	for i, pr := range probes {
+		if pr.err != nil {
+			return nil, pr.err
+		}
+		if pr.done == 0 {
+			return nil, fmt.Errorf("harness: probe dial %d never completed", i)
+		}
+		o.ProbeMs = append(o.ProbeMs, time.Duration(pr.done-pr.issued).Seconds()*1e3)
+	}
+	if w != nil && s.Report != nil {
+		return o, s.Report(w, o)
+	}
+	return o, nil
+}
 
 // Transfer is the bed's bulk transfer: one MIC stream carrying Size bytes
 // between two hosts, observed from the receiving end.
@@ -79,7 +236,7 @@ func (t *Transfer) Wall() time.Duration { return time.Duration(t.End - t.Start) 
 // Mbps is the transfer's goodput over Wall.
 func (t *Transfer) Mbps() float64 { return mbps(t.Size, t.Wall()) }
 
-// Log selects which control-plane reactions Play narrates, besides the
+// Log selects which control-plane reactions Run narrates, besides the
 // faults themselves.
 type Log uint
 
@@ -89,25 +246,6 @@ const (
 	LogStepDowns                 // cluster lease-loss step-downs
 	LogEpochs                    // takeover lines carry the fencing epoch
 )
-
-// Play schedules the chaos script against the bed and, when w is non-nil,
-// narrates every fault as it fires plus the reactions log selects, one
-// timestamped line each. The returned runner counts what was applied.
-func (tb *Testbed) Play(sched chaos.Schedule, w io.Writer, log Log) *chaos.Runner {
-	var ch *ctrlplane.Channel
-	if tb.MC != nil {
-		ch = tb.MC.Ch // control-loss faults degrade the standalone MC's channel
-	}
-	runner := chaos.NewRunner(tb.Net, ch)
-	if w != nil {
-		runner.OnFault = func(f chaos.Fault) {
-			fmt.Fprintf(w, "%12v  fault  %s\n", time.Duration(tb.Eng.Now()), f.Kind)
-		}
-		tb.narrate(w, log)
-	}
-	runner.Play(sched)
-	return runner
-}
 
 // narrate attaches the reaction printers log selects.
 func (tb *Testbed) narrate(w io.Writer, log Log) {
@@ -153,51 +291,6 @@ func (tb *Testbed) Run(window time.Duration) {
 	tb.Eng.Run()
 }
 
-// PlayScenario is what every fault scenario — a micsim report or a harness
-// trial — shares: the paper's testbed under a self-healing control plane
-// running micCfg (a failover cluster when ha is non-nil), one bulk transfer
-// of data from host `from` to host `to`, the chaos script gen writes for that
-// pair at micCfg.Seed, played; arm (if non-nil) to time probes against the
-// schedule before the engine starts; the run to quiescence; and the delivery
-// check. With w non-nil the schedule, every fault, the reactions log selects
-// and the delivery line are narrated to it under title.
-func PlayScenario(micCfg mic.Config, ha *mic.ClusterConfig, secure bool, from, to int, data []byte,
-	gen func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error),
-	arm func(tb *Testbed, sched chaos.Schedule), window time.Duration,
-	w io.Writer, title string, log Log) (*Testbed, *Transfer, error) {
-	micCfg.AutoRepair, micCfg.RepairMaxRetries = true, 20
-	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, micCfg, ha)
-	if err != nil {
-		return nil, nil, err
-	}
-	xfer := tb.StartTransfer(secure, from, to, data)
-	hosts := tb.Graph.Hosts()
-	sched, err := gen(tb.Graph, micCfg.Seed, hosts[from], hosts[to])
-	if err != nil {
-		return nil, nil, err
-	}
-	if w != nil {
-		fmt.Fprintf(w, "%s schedule (seed %d):\n%s", title, micCfg.Seed, sched.Render(tb.Graph))
-	}
-	runner := tb.Play(sched, w, log)
-	if arm != nil {
-		arm(tb, sched)
-	}
-	tb.Run(window)
-	if err := xfer.Err(); err != nil {
-		return nil, nil, err
-	}
-	if w != nil {
-		fmt.Fprintf(w, "delivered %d bytes in %v (%.1f Mbps) through %d faults",
-			xfer.Got, xfer.Wall(), xfer.Mbps(), len(runner.Applied))
-		if ha != nil {
-			fmt.Fprintf(w, " and %d takeover(s)", tb.Cluster.Takeovers())
-		}
-		fmt.Fprintln(w)
-	}
-	return tb, xfer, nil
-}
-
 // StaleRejected sums, over every switch, the mutations refused for carrying
 // a stale fencing epoch.
 func (tb *Testbed) StaleRejected() uint64 {
@@ -208,22 +301,20 @@ func (tb *Testbed) StaleRejected() uint64 {
 	return n
 }
 
-// probe is a blackout probe: a fresh tenant's dial issued at a chosen
-// instant, whose setup latency is the control-plane outage seen from there.
+// probe is a Probe in flight.
 type probe struct {
 	issued, done sim.Time
 	err          error
 }
 
-// probeDial schedules a dial from host `from` to a listener on host `to` at
-// virtual time at.
-func (tb *Testbed) probeDial(at time.Duration, from, to int) *probe {
+// probeDial schedules pr's dial.
+func (tb *Testbed) probeDial(pr Probe) *probe {
 	p := &probe{}
-	mic.Listen(tb.Stacks[to], 80, false, func(*mic.Stream) {})
-	tb.Eng.After(at, func() {
+	mic.Listen(tb.Stacks[pr.To], 80, false, func(*mic.Stream) {})
+	tb.Eng.After(pr.At, func() {
 		p.issued = tb.Eng.Now()
-		client := mic.NewClient(tb.Stacks[from], tb.controlPlane())
-		client.Dial(tb.hostIP(to).String(), 80, func(_ *mic.Stream, err error) {
+		client := mic.NewClient(tb.Stacks[pr.From], tb.controlPlane())
+		client.Dial(tb.hostIP(pr.To).String(), 80, func(_ *mic.Stream, err error) {
 			if err != nil {
 				p.err = err
 				return
@@ -233,6 +324,3 @@ func (tb *Testbed) probeDial(at time.Duration, from, to int) *probe {
 	})
 	return p
 }
-
-// ms is the probe's setup latency in milliseconds.
-func (p *probe) ms() float64 { return time.Duration(p.done-p.issued).Seconds() * 1e3 }
