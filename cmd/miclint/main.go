@@ -1,6 +1,7 @@
-// Command miclint runs the determinism and anonymity analyzers from
-// internal/lint over the given packages (default ./...) and exits non-zero
-// if any unsuppressed diagnostic is found.
+// Command miclint runs the determinism, anonymity and unused-code
+// analyzers from internal/lint over the given packages (default ./...) and
+// exits non-zero if any unsuppressed diagnostic is found. The unused check
+// reads the whole program whatever the patterns.
 //
 //	go run ./cmd/miclint ./...
 //
@@ -17,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"mic/internal/lint"
@@ -87,7 +89,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "miclint:", err)
 		os.Exit(2)
 	}
-	findings, err := lint.Run(analyzers, pkgs)
+	// unused is a whole-program check: whatever the patterns, it follows
+	// references through the module and its nested modules.
+	var prog *lint.Program
+	if slices.Contains(analyzers, lint.Unused) {
+		if prog, err = lint.LoadProgram(wd); err != nil {
+			fmt.Fprintln(os.Stderr, "miclint:", err)
+			os.Exit(2)
+		}
+	}
+	findings, err := lint.Run(analyzers, pkgs, prog)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "miclint:", err)
 		os.Exit(2)

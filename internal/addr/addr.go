@@ -1,8 +1,7 @@
 // Package addr provides the address types used throughout the simulator:
-// IPv4 addresses, Ethernet MAC addresses, MPLS labels, subnets and simple
-// allocation pools. IPv4 addresses are plain uint32 values so the MAGA hash
-// functions (internal/maga) can mix them with XOR/shift arithmetic exactly
-// as the paper describes.
+// IPv4 addresses, Ethernet MAC addresses and MPLS labels. IPv4 addresses
+// are plain uint32 values so the MAGA hash functions (internal/maga) can
+// mix them with XOR/shift arithmetic exactly as the paper describes.
 package addr
 
 import (
@@ -13,16 +12,6 @@ import (
 
 // IP is an IPv4 address in host byte order (a.b.c.d == a<<24|b<<16|c<<8|d).
 type IP uint32
-
-// MustParseIP parses dotted-quad notation and panics on malformed input.
-// It is intended for constants in tests and topology builders.
-func MustParseIP(s string) IP {
-	ip, err := ParseIP(s)
-	if err != nil {
-		panic(err)
-	}
-	return ip
-}
 
 // ParseIP parses dotted-quad IPv4 notation: four decimal octets of at most
 // 255, none signed or with a leading zero. It reads s in place and allocates
@@ -116,126 +105,5 @@ type Label uint32
 // MaxLabel is the largest valid MPLS label value (2^20 - 1).
 const MaxLabel Label = 1<<20 - 1
 
-// Valid reports whether l fits in 20 bits.
-func (l Label) Valid() bool { return l <= MaxLabel }
-
 // String renders the label in decimal, as tcpdump does.
 func (l Label) String() string { return strconv.FormatUint(uint64(l), 10) }
-
-// Subnet is an IPv4 prefix.
-type Subnet struct {
-	Base IP
-	Bits int // prefix length, 0..32
-}
-
-// MustParseSubnet parses "a.b.c.d/len" and panics on malformed input.
-func MustParseSubnet(s string) Subnet {
-	sn, err := ParseSubnet(s)
-	if err != nil {
-		panic(err)
-	}
-	return sn
-}
-
-// ParseSubnet parses CIDR notation "a.b.c.d/len".
-func ParseSubnet(s string) (Subnet, error) {
-	slash := strings.IndexByte(s, '/')
-	if slash < 0 {
-		return Subnet{}, fmt.Errorf("addr: subnet %q missing /len", s)
-	}
-	ip, err := ParseIP(s[:slash])
-	if err != nil {
-		return Subnet{}, err
-	}
-	bits, err := strconv.Atoi(s[slash+1:])
-	if err != nil || bits < 0 || bits > 32 {
-		return Subnet{}, fmt.Errorf("addr: bad prefix length in %q", s)
-	}
-	sn := Subnet{Base: ip, Bits: bits}
-	return Subnet{Base: sn.mask(ip), Bits: bits}, nil
-}
-
-func (s Subnet) mask(ip IP) IP {
-	if s.Bits == 0 {
-		return 0
-	}
-	m := ^uint32(0) << (32 - s.Bits)
-	return IP(uint32(ip) & m)
-}
-
-// Contains reports whether ip is inside the prefix.
-func (s Subnet) Contains(ip IP) bool { return s.mask(ip) == s.Base }
-
-// Size returns the number of addresses covered by the prefix.
-func (s Subnet) Size() uint64 { return 1 << (32 - s.Bits) }
-
-// Nth returns the i-th address of the prefix. It panics if i is out of range.
-func (s Subnet) Nth(i uint64) IP {
-	if i >= s.Size() {
-		panic(fmt.Sprintf("addr: index %d out of subnet %v", i, s))
-	}
-	return s.Base + IP(i)
-}
-
-// String renders CIDR notation.
-func (s Subnet) String() string { return fmt.Sprintf("%v/%d", s.Base, s.Bits) }
-
-// Pool hands out addresses from a subnet sequentially, with release and
-// reuse. It backs host address assignment in topology builders.
-type Pool struct {
-	subnet Subnet
-	next   uint64
-	free   []IP
-	used   map[IP]bool
-}
-
-// NewPool returns a pool over the given subnet, skipping the network address.
-func NewPool(s Subnet) *Pool {
-	p := &Pool{subnet: s, used: make(map[IP]bool)}
-	if s.Bits < 32 {
-		p.next = 1 // skip the all-zeros network address
-	}
-	return p
-}
-
-// Alloc returns an unused address, preferring released ones.
-func (p *Pool) Alloc() (IP, error) {
-	if n := len(p.free); n > 0 {
-		ip := p.free[n-1]
-		p.free = p.free[:n-1]
-		p.used[ip] = true
-		return ip, nil
-	}
-	for p.next < p.subnet.Size() {
-		ip := p.subnet.Nth(p.next)
-		p.next++
-		if !p.used[ip] {
-			p.used[ip] = true
-			return ip, nil
-		}
-	}
-	return 0, fmt.Errorf("addr: pool %v exhausted", p.subnet)
-}
-
-// Reserve marks a specific address as in use.
-func (p *Pool) Reserve(ip IP) error {
-	if !p.subnet.Contains(ip) {
-		return fmt.Errorf("addr: %v not in pool subnet %v", ip, p.subnet)
-	}
-	if p.used[ip] {
-		return fmt.Errorf("addr: %v already allocated", ip)
-	}
-	p.used[ip] = true
-	return nil
-}
-
-// Release returns an address to the pool.
-func (p *Pool) Release(ip IP) {
-	if p.used[ip] {
-		delete(p.used, ip)
-		p.free = append(p.free, ip)
-	}
-}
-
-// InUse reports how many addresses are currently allocated.
-func (p *Pool) InUse() int { return len(p.used) }

@@ -123,7 +123,7 @@ func TestV4Octets(t *testing.T) {
 	if a != 10 || b != 20 || c != 30 || d != 40 {
 		t.Fatalf("Octets = %d.%d.%d.%d", a, b, c, d)
 	}
-	if ip != MustParseIP("10.20.30.40") {
+	if want, err := ParseIP("10.20.30.40"); err != nil || ip != want {
 		t.Fatal("V4 disagrees with ParseIP")
 	}
 }
@@ -138,114 +138,5 @@ func TestMACRoundTrip(t *testing.T) {
 	}
 	if Broadcast.String() != "ff:ff:ff:ff:ff:ff" {
 		t.Fatalf("Broadcast = %v", Broadcast)
-	}
-}
-
-func TestLabelValid(t *testing.T) {
-	if !Label(0).Valid() || !MaxLabel.Valid() {
-		t.Fatal("valid labels rejected")
-	}
-	if Label(1 << 20).Valid() {
-		t.Fatal("21-bit label accepted")
-	}
-}
-
-func TestParseSubnet(t *testing.T) {
-	s := MustParseSubnet("10.0.1.7/24")
-	if s.Base != MustParseIP("10.0.1.0") {
-		t.Fatalf("base not masked: %v", s.Base)
-	}
-	if !s.Contains(MustParseIP("10.0.1.255")) {
-		t.Fatal("Contains failed inside prefix")
-	}
-	if s.Contains(MustParseIP("10.0.2.0")) {
-		t.Fatal("Contains accepted outside prefix")
-	}
-	if s.Size() != 256 {
-		t.Fatalf("Size = %d", s.Size())
-	}
-	if s.Nth(5) != MustParseIP("10.0.1.5") {
-		t.Fatalf("Nth(5) = %v", s.Nth(5))
-	}
-}
-
-func TestParseSubnetRejectsMalformed(t *testing.T) {
-	for _, s := range []string{"10.0.0.0", "10.0.0.0/33", "10.0.0.0/-1", "10.0.0.0/x", "300.0.0.0/8"} {
-		if _, err := ParseSubnet(s); err == nil {
-			t.Errorf("ParseSubnet(%q) accepted malformed input", s)
-		}
-	}
-}
-
-func TestSubnetZeroBits(t *testing.T) {
-	s := MustParseSubnet("0.0.0.0/0")
-	if !s.Contains(MustParseIP("255.255.255.255")) {
-		t.Fatal("/0 must contain everything")
-	}
-	if s.Size() != 1<<32 {
-		t.Fatalf("Size = %d", s.Size())
-	}
-}
-
-func TestSubnetNthPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Nth out of range did not panic")
-		}
-	}()
-	MustParseSubnet("10.0.0.0/30").Nth(4)
-}
-
-func TestPoolAllocUnique(t *testing.T) {
-	p := NewPool(MustParseSubnet("10.0.0.0/28"))
-	seen := map[IP]bool{}
-	for i := 0; i < 15; i++ { // 16 minus the skipped network address
-		ip, err := p.Alloc()
-		if err != nil {
-			t.Fatalf("Alloc %d: %v", i, err)
-		}
-		if seen[ip] {
-			t.Fatalf("duplicate allocation %v", ip)
-		}
-		seen[ip] = true
-	}
-	if _, err := p.Alloc(); err == nil {
-		t.Fatal("exhausted pool still allocated")
-	}
-}
-
-func TestPoolReleaseReuse(t *testing.T) {
-	p := NewPool(MustParseSubnet("10.0.0.0/30"))
-	a, _ := p.Alloc()
-	b, _ := p.Alloc()
-	p.Release(a)
-	c, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != a {
-		t.Fatalf("released %v not reused, got %v", a, c)
-	}
-	if p.InUse() != 2 {
-		t.Fatalf("InUse = %d, want 2", p.InUse())
-	}
-	_ = b
-}
-
-func TestPoolReserve(t *testing.T) {
-	p := NewPool(MustParseSubnet("10.0.0.0/24"))
-	target := MustParseIP("10.0.0.1")
-	if err := p.Reserve(target); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Reserve(target); err == nil {
-		t.Fatal("double reserve accepted")
-	}
-	if err := p.Reserve(MustParseIP("10.0.1.1")); err == nil {
-		t.Fatal("reserve outside subnet accepted")
-	}
-	ip, _ := p.Alloc()
-	if ip == target {
-		t.Fatal("Alloc handed out a reserved address")
 	}
 }

@@ -34,12 +34,14 @@ func (s HeaderSighting) Sanctioned() bool { return s.Field != "" }
 // of each watched real address. A real address smuggled through an MPLS
 // label, a sequence number, a port pair, or header padding is caught here
 // even though no parsed field would ever show it.
+// lint:ignore unused test oracle: the byte-level scan TestHeaderByteLeakScan runs
 type LeakScanner struct {
 	watch     []addr.IP
 	Sightings []HeaderSighting
 }
 
 // NewLeakScanner watches the given real endpoint addresses.
+// lint:ignore unused test oracle: the byte-level scan TestHeaderByteLeakScan runs
 func NewLeakScanner(watch ...addr.IP) *LeakScanner {
 	return &LeakScanner{watch: watch}
 }

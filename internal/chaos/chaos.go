@@ -171,19 +171,6 @@ func (s Schedule) sorted() Schedule {
 	return out
 }
 
-// Kinds returns the distinct fault kinds the schedule contains.
-func (s Schedule) Kinds() []Kind {
-	seen := map[Kind]bool{}
-	var out []Kind
-	for _, f := range s {
-		if !seen[f.Kind] {
-			seen[f.Kind] = true
-			out = append(out, f.Kind)
-		}
-	}
-	return out
-}
-
 // Pod membership is recovered from the fat-tree builder's naming scheme
 // ("agg<pod>_<i>", "edge<pod>_<i>"); chaos only targets pods on fat trees.
 

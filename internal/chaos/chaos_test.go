@@ -10,6 +10,7 @@ import (
 	"mic/internal/chaos"
 	"mic/internal/mic"
 	"mic/internal/netsim"
+	"mic/internal/packet"
 	"mic/internal/sim"
 	"mic/internal/topo"
 	"mic/internal/transport"
@@ -32,8 +33,8 @@ func TestScenarioDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed produced different schedules:\n%s\nvs\n%s", a.Render(g), b.Render(g))
 	}
-	if kinds := a.Kinds(); len(kinds) < 3 {
-		t.Fatalf("schedule has only %d distinct fault kinds: %v", len(kinds), kinds)
+	if n := kinds(a); len(n) < 3 {
+		t.Fatalf("schedule has only %d distinct fault kinds: %v", len(n), n)
 	}
 	// Distinct seeds should (for this topology) pick at least one different
 	// victim somewhere across the acts.
@@ -127,8 +128,8 @@ func TestChaosTransferSurvives(t *testing.T) {
 	if len(runner.Applied) != len(sched) {
 		t.Fatalf("only %d/%d faults applied", len(runner.Applied), len(sched))
 	}
-	if kinds := sched.Kinds(); len(kinds) < 3 {
-		t.Fatalf("schedule exercised only %d fault kinds: %v", len(kinds), kinds)
+	if n := kinds(sched); len(n) < 3 {
+		t.Fatalf("schedule exercised only %d fault kinds: %v", len(n), n)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatalf("chaos broke the transfer: %d/%d bytes delivered (repairs=%d failures=%d)",
@@ -227,7 +228,8 @@ func TestLossyScenarioDeterministic(t *testing.T) {
 }
 
 // TestRunnerAppliesLinkDegrade checks the runner actually installs and
-// clears per-link fault profiles on the live network.
+// clears per-link fault profiles on the live network: a frame sent into the
+// degraded cable is lost, one sent after the clear is not.
 func TestRunnerAppliesLinkDegrade(t *testing.T) {
 	g, err := topo.FatTree(4)
 	if err != nil {
@@ -235,22 +237,29 @@ func TestRunnerAppliesLinkDegrade(t *testing.T) {
 	}
 	eng := sim.New()
 	net := netsim.New(eng, g, netsim.Config{})
-	edge := g.Node(g.Hosts()[0]).Ports[0].Peer
-	profile := netsim.FaultProfile{Loss: 0.3, Dup: 0.1}
+	host := net.Host(g.Hosts()[0])
+	uplink := g.Node(host.ID).Ports[0]
 	sched := chaos.Schedule{
-		{At: time.Millisecond, Kind: chaos.LinkDegrade, Node: edge, Port: 0, Profile: profile},
-		{At: 2 * time.Millisecond, Kind: chaos.LinkClear, Node: edge, Port: 0},
+		{At: time.Millisecond, Kind: chaos.LinkDegrade, Node: uplink.Peer, Port: uplink.PeerPort, Profile: netsim.FaultProfile{Loss: 1}},
+		{At: 2 * time.Millisecond, Kind: chaos.LinkClear, Node: uplink.Peer, Port: uplink.PeerPort},
 	}
 	runner := chaos.NewRunner(net, nil)
 	runner.Play(sched)
 
+	send := func() {
+		host.Send(0, &packet.Packet{SrcIP: host.IP, DstIP: host.IP + 1, Proto: packet.ProtoTCP, TTL: 64})
+	}
 	eng.RunUntil(sim.Time(1500 * time.Microsecond))
-	if got := net.LinkFault(edge, 0); got.Loss != profile.Loss || got.Dup != profile.Dup {
-		t.Fatalf("profile after degrade = %+v, want %+v", got, profile)
+	send()
+	eng.RunUntil(sim.Time(1900 * time.Microsecond))
+	if net.Stats.LostFault != 1 {
+		t.Fatalf("frames lost to the degraded link = %d, want 1", net.Stats.LostFault)
 	}
 	eng.RunUntil(sim.Time(3 * time.Millisecond))
-	if got := net.LinkFault(edge, 0); !got.IsZero() {
-		t.Fatalf("profile after clear = %+v, want zero", got)
+	send()
+	eng.Run()
+	if net.Stats.LostFault != 1 {
+		t.Fatalf("frames lost after the clear = %d, want still 1", net.Stats.LostFault)
 	}
 	if len(runner.Applied) != 2 {
 		t.Fatalf("applied %d faults, want 2", len(runner.Applied))
@@ -429,4 +438,17 @@ func TestDegradedModeTransfer64MB(t *testing.T) {
 	} else {
 		t.Logf("health off: stalled at %v with %d/%d bytes", cap, gotOff, len(data))
 	}
+}
+
+// kinds returns the distinct fault kinds s contains.
+func kinds(s chaos.Schedule) []chaos.Kind {
+	seen := map[chaos.Kind]bool{}
+	var out []chaos.Kind
+	for _, f := range s {
+		if !seen[f.Kind] {
+			seen[f.Kind] = true
+			out = append(out, f.Kind)
+		}
+	}
+	return out
 }

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"mic/internal/sim"
@@ -94,24 +93,4 @@ func SetupStorm(g *topo.Graph, seed uint64, cfg StormConfig) ([]Dial, error) {
 		return nil, fmt.Errorf("chaos: storm produced no dials (rate %.0f over %v)", cfg.Rate, cfg.Window)
 	}
 	return dials, nil
-}
-
-// RenderDials formats a dial schedule for reports: one summary line plus
-// one line per dial, in arrival order.
-func RenderDials(g *topo.Graph, dials []Dial) string {
-	var b strings.Builder
-	if len(dials) == 0 {
-		b.WriteString("storm: no dials\n")
-		return b.String()
-	}
-	span := dials[len(dials)-1].At - dials[0].At
-	rate := 0.0
-	if span > 0 {
-		rate = float64(len(dials)-1) / span.Seconds()
-	}
-	fmt.Fprintf(&b, "storm: %d dials over %v (%.0f/s achieved)\n", len(dials), span.Round(time.Microsecond), rate)
-	for _, d := range dials {
-		fmt.Fprintf(&b, "  %8v  %s -> %s\n", d.At.Round(time.Microsecond), g.Node(d.From).Name, g.Node(d.To).Name)
-	}
-	return b.String()
 }

@@ -511,3 +511,6 @@ func TestProberToleratesLoss(t *testing.T) {
 		t.Fatalf("prober ran %d rounds, expected ~100", p.Probes)
 	}
 }
+
+// Dead reports whether the prober currently believes switch id is down.
+func (p *Prober) Dead(id topo.NodeID) bool { return p.dead[id] }

@@ -381,3 +381,17 @@ func TestGiveUpReleasesBarrierWaitersOnce(t *testing.T) {
 		t.Fatalf("%d barriers still parked, %d records free (want 0, 3)", len(ch.sw[sw.ID].waiters), len(ch.msgFree))
 	}
 }
+
+// FlowModErr installs e on sw and reports the outcome as an error: nil when
+// the entry was installed and acknowledged; flowtable.ErrTableFull when the
+// switch answered but refused the entry (a negative acknowledgement — the
+// OpenFlow OFPFMFC_TABLE_FULL error reply); ErrUnacked when the retry budget
+// ran out with no answer at all. Retransmits re-apply idempotently: once an
+// attempt installs the entry, later attempts take the replace path and the
+// captured error stays nil.
+func (c *Channel) FlowModErr(sw *netsim.Switch, e *flowtable.Entry, onDone func(err error)) {
+	c.FlowMods++
+	m := c.newMsg(msgFlowMod, sw)
+	m.entry, m.cookie, m.onErr = e, e.Cookie, onDone
+	c.issue(m)
+}

@@ -58,9 +58,6 @@ func NewProber(ch *Channel, interval time.Duration) *Prober {
 	return p
 }
 
-// Dead reports whether the prober currently believes switch id is down.
-func (p *Prober) Dead(id topo.NodeID) bool { return p.dead[id] }
-
 // Start begins periodic probing and returns a stop function; echoes still in
 // flight when it is called record nothing.
 func (p *Prober) Start() (stop func()) {

@@ -181,7 +181,6 @@ func checkSameEntries(t *testing.T, where string, got, want []*flowtable.Entry) 
 	for i, w := range want {
 		g := got[i]
 		if g.Priority != w.Priority || g.Match != w.Match || g.Cookie != w.Cookie || g.Evictable != w.Evictable ||
-			g.IdleTimeout != w.IdleTimeout || g.HardTimeout != w.HardTimeout ||
 			g.Installed != w.Installed || g.LastUsed != w.LastUsed || g.Packets != w.Packets || g.Bytes != w.Bytes ||
 			!slices.Equal(g.Actions, w.Actions) {
 			t.Fatalf("%s: entry %d is %+v, oracle %+v", where, i, *g, *w)

@@ -48,12 +48,6 @@ func SetIPSrc(ip addr.IP) Action { return Action{OpSetIPSrc, uint64(ip)} }
 // SetIPDst rewrites the destination IPv4 address.
 func SetIPDst(ip addr.IP) Action { return Action{OpSetIPDst, uint64(ip)} }
 
-// SetTPSrc rewrites the transport source port.
-func SetTPSrc(port uint16) Action { return Action{OpSetTPSrc, uint64(port)} }
-
-// SetTPDst rewrites the transport destination port.
-func SetTPDst(port uint16) Action { return Action{OpSetTPDst, uint64(port)} }
-
 // PushMPLS pushes a label onto the stack.
 func PushMPLS(l addr.Label) Action { return Action{OpPushMPLS, uint64(l)} }
 

@@ -3,10 +3,8 @@ package flowtable
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"mic/internal/addr"
-	"mic/internal/sim"
 )
 
 // --- TCAM capacity model: deny-new, LRU eviction, per-reason counters ----
@@ -65,8 +63,7 @@ func TestCapacityLRUEviction(t *testing.T) {
 	tb.Capacity = 2
 	tb.Policy = EvictLRU
 	var evicted []*Entry
-	var reasons []EvictReason
-	tb.OnEvict = func(e *Entry, r EvictReason) { evicted = append(evicted, e); reasons = append(reasons, r) }
+	tb.OnEvict = func(e *Entry) { evicted = append(evicted, e) }
 
 	a := capEntry(1, 10, true)
 	b := capEntry(2, 11, true)
@@ -86,9 +83,6 @@ func TestCapacityLRUEviction(t *testing.T) {
 	}
 	if len(evicted) != 1 || evicted[0] != b {
 		t.Fatalf("evicted %v, want the LRU entry b", evicted)
-	}
-	if reasons[0] != EvictCapacity {
-		t.Fatalf("eviction reason = %v, want capacity", reasons[0])
 	}
 	if tb.EvictedCapacity != 1 {
 		t.Fatalf("EvictedCapacity = %d, want 1", tb.EvictedCapacity)
@@ -156,86 +150,5 @@ func TestFailedInsertKeepsCacheWarm(t *testing.T) {
 	}
 	if _, hit := tb.Lookup(pkt(), 0, 4); !hit {
 		t.Fatal("failed insert invalidated the cache")
-	}
-}
-
-// TestEvictReasonCounters: idle, hard and capacity evictions each increment
-// their own counter and report their own reason through OnEvict; hard wins
-// when an entry exceeds both timeouts.
-func TestEvictReasonCounters(t *testing.T) {
-	tb := NewTable()
-	tb.Policy = EvictLRU
-	tb.Capacity = 3
-	var reasons []EvictReason
-	tb.OnEvict = func(_ *Entry, r EvictReason) { reasons = append(reasons, r) }
-
-	// Priorities order the Expire scan: idle (prio 2) is visited before
-	// hard (prio 1), so OnEvict reasons arrive [idle, hard].
-	idle := capEntry(2, 10, false)
-	idle.IdleTimeout = time.Second
-	hard := capEntry(1, 11, false)
-	hard.IdleTimeout = time.Second // exceeds both; hard must win
-	hard.HardTimeout = 2 * time.Second
-	lru := capEntry(3, 12, true)
-	tb.TryInsert(idle, 0)
-	tb.TryInsert(hard, 0)
-	tb.TryInsert(lru, 0)
-
-	if ev := tb.Expire(sim.Time(3 * time.Second)); len(ev) != 2 {
-		t.Fatalf("Expire evicted %d entries, want 2", len(ev))
-	}
-	if tb.EvictedIdle != 1 || tb.EvictedHard != 1 {
-		t.Fatalf("EvictedIdle/Hard = %d/%d, want 1/1", tb.EvictedIdle, tb.EvictedHard)
-	}
-
-	// Refill to capacity, then force one capacity eviction.
-	tb.TryInsert(capEntry(4, 13, true), sim.Time(4*time.Second))
-	tb.TryInsert(capEntry(5, 14, true), sim.Time(4*time.Second))
-	if err := tb.TryInsert(capEntry(6, 15, true), sim.Time(5*time.Second)); err != nil {
-		t.Fatalf("LRU insert: %v", err)
-	}
-	if tb.EvictedCapacity != 1 {
-		t.Fatalf("EvictedCapacity = %d, want 1", tb.EvictedCapacity)
-	}
-	want := []EvictReason{EvictIdle, EvictHard, EvictCapacity}
-	if len(reasons) != 3 {
-		t.Fatalf("OnEvict fired %d times, want 3 (%v)", len(reasons), reasons)
-	}
-	for i, r := range reasons {
-		if r != want[i] {
-			t.Fatalf("OnEvict reasons = %v, want %v", reasons, want)
-		}
-	}
-}
-
-// TestExpireFreesCapacity: timeout expiry opens slots that a subsequent
-// TryInsert may use — the interaction that keeps deny-new tables usable as
-// idle channels age out.
-func TestExpireFreesCapacity(t *testing.T) {
-	tb := NewTable()
-	tb.Capacity = 1
-	e := capEntry(1, 10, false)
-	e.IdleTimeout = time.Second
-	tb.TryInsert(e, 0)
-	if err := tb.TryInsert(capEntry(2, 11, false), sim.Time(time.Millisecond)); !errors.Is(err, ErrTableFull) {
-		t.Fatalf("pre-expiry insert: err = %v, want ErrTableFull", err)
-	}
-	tb.Expire(sim.Time(2 * time.Second))
-	if err := tb.TryInsert(capEntry(2, 11, false), sim.Time(2*time.Second)); err != nil {
-		t.Fatalf("post-expiry insert: %v", err)
-	}
-	if tb.Len() != 1 || tb.EvictedIdle != 1 {
-		t.Fatalf("len=%d idle=%d, want 1/1", tb.Len(), tb.EvictedIdle)
-	}
-}
-
-// TestEvictReasonString pins the reason labels used in logs and telemetry.
-func TestEvictReasonString(t *testing.T) {
-	for r, want := range map[EvictReason]string{
-		EvictIdle: "idle", EvictHard: "hard", EvictCapacity: "capacity",
-	} {
-		if got := r.String(); got != want {
-			t.Errorf("EvictReason(%d).String() = %q, want %q", r, got, want)
-		}
 	}
 }

@@ -1,19 +1,21 @@
 package flowtable
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"mic/internal/addr"
 	"mic/internal/packet"
-	"mic/internal/sim"
 )
+
+// protoUDP is a protocol number other than TCP, for matches that must miss.
+const protoUDP uint8 = 17
 
 func pkt() *packet.Packet {
 	return &packet.Packet{
 		SrcMAC: 1, DstMAC: 2,
-		SrcIP: addr.MustParseIP("10.0.0.1"), DstIP: addr.MustParseIP("10.0.0.8"),
+		SrcIP: addr.V4(10, 0, 0, 1), DstIP: addr.V4(10, 0, 0, 8),
 		Proto: packet.ProtoTCP, TTL: 64,
 		SrcPort: 1234, DstPort: 80,
 		Payload: []byte("x"),
@@ -36,7 +38,7 @@ func TestMatchFields(t *testing.T) {
 		{"tuple hit", Match{Mask: MatchIPSrc | MatchIPDst | MatchTPDst, IPSrc: p.SrcIP, IPDst: p.DstIP, TPDst: 80}, true},
 		{"tuple partial miss", Match{Mask: MatchIPSrc | MatchTPDst, IPSrc: p.SrcIP, TPDst: 81}, false},
 		{"proto hit", Match{Mask: MatchProto, Proto: packet.ProtoTCP}, true},
-		{"proto miss", Match{Mask: MatchProto, Proto: packet.ProtoUDP}, false},
+		{"proto miss", Match{Mask: MatchProto, Proto: protoUDP}, false},
 		{"ethsrc hit", Match{Mask: MatchEthSrc, EthSrc: 1}, true},
 		{"ethdst miss", Match{Mask: MatchEthDst, EthDst: 9}, false},
 		{"tpsrc hit", Match{Mask: MatchTPSrc, TPSrc: 1234}, true},
@@ -88,8 +90,8 @@ func TestActionsApply(t *testing.T) {
 	p := pkt()
 	for _, a := range []Action{
 		SetEthSrc(10), SetEthDst(11),
-		SetIPSrc(addr.MustParseIP("10.0.0.3")), SetIPDst(addr.MustParseIP("10.0.0.4")),
-		SetTPSrc(1000), SetTPDst(2000),
+		SetIPSrc(addr.V4(10, 0, 0, 3)), SetIPDst(addr.V4(10, 0, 0, 4)),
+		{OpSetTPSrc, 1000}, {OpSetTPDst, 2000},
 		PushMPLS(500),
 	} {
 		a.Apply(p)
@@ -217,32 +219,6 @@ func TestTableDeleteByCookie(t *testing.T) {
 	}
 }
 
-func TestTableExpireIdle(t *testing.T) {
-	tb := NewTable()
-	e := &Entry{Priority: 1, Match: Match{}, IdleTimeout: 10 * time.Second}
-	tb.Insert(e, 0)
-	tb.Lookup(pkt(), 0, sim.Time(5e9))
-	if ev := tb.Expire(sim.Time(14e9)); len(ev) != 0 {
-		t.Fatal("expired while still fresh")
-	}
-	if ev := tb.Expire(sim.Time(15e9)); len(ev) != 1 {
-		t.Fatal("idle entry not expired")
-	}
-	if tb.Len() != 0 {
-		t.Fatal("expired entry still installed")
-	}
-}
-
-func TestTableExpireHard(t *testing.T) {
-	tb := NewTable()
-	e := &Entry{Priority: 1, Match: Match{}, HardTimeout: time.Second}
-	tb.Insert(e, 0)
-	tb.Lookup(pkt(), 0, sim.Time(9e8)) // refresh does not matter for hard timeout
-	if ev := tb.Expire(sim.Time(1e9)); len(ev) != 1 {
-		t.Fatal("hard timeout not honored")
-	}
-}
-
 func TestTableConflicts(t *testing.T) {
 	tb := NewTable()
 	m := Match{Mask: MatchIPSrc | MatchIPDst, IPSrc: 1, IPDst: 2}
@@ -313,4 +289,33 @@ func BenchmarkLookup64Entries(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tb.Lookup(p, 0, 0)
 	}
+}
+
+// Equal reports whether two matches constrain exactly the same header
+// space.
+func (m Match) Equal(o Match) bool { return m.equal(&o) }
+
+// Dump renders the table — flow entries in match order, then the group
+// table in ascending group ID so the dump is byte-stable across runs.
+func (t *Table) Dump() string {
+	s := ""
+	for _, e := range t.Entries() {
+		s += fmt.Sprintf("prio=%d cookie=%d %v ->", e.Priority, e.Cookie, e.Match)
+		for _, a := range e.Actions {
+			s += " " + a.String()
+		}
+		s += fmt.Sprintf(" (pkts=%d)\n", e.Packets)
+	}
+	for _, id := range t.GroupIDs() {
+		g := t.groups[id]
+		s += fmt.Sprintf("group=%d type=all buckets=%d ->", uint32(id), len(g.Buckets))
+		for _, b := range g.Buckets {
+			for _, a := range b.Actions {
+				s += " " + a.String()
+			}
+			s += " |"
+		}
+		s += "\n"
+	}
+	return s
 }

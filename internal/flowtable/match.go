@@ -85,11 +85,9 @@ func (m Match) Covers(p *packet.Packet, inPort int) bool {
 	return true
 }
 
-// Equal reports whether two matches constrain exactly the same header
+// equal reports whether two matches constrain exactly the same header
 // space. Used to detect the routing collisions of Sec IV-B3: two entries
 // with equal matches at equal priority are ambiguous.
-func (m Match) Equal(o Match) bool { return m.equal(&o) }
-
 func (m *Match) equal(o *Match) bool {
 	if m.Mask != o.Mask {
 		return false

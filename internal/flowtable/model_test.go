@@ -29,8 +29,6 @@ type modelEntry struct {
 	match     Match
 	cookie    uint64
 	evictable bool
-	idle      time.Duration
-	hard      time.Duration
 	installed sim.Time
 	lastUsed  sim.Time
 	seq       uint64
@@ -43,13 +41,13 @@ type modelTable struct {
 	policy   EvictPolicy
 	groups   map[GroupID]bool
 
-	// removed lists the entries that left by delete, expiry or capacity
+	// removed lists the entries that left by delete or capacity
 	// eviction and have not been handed back since: the pointers a
 	// reinstall-after-eviction gives TryInsert again.
 	removed []*modelEntry
 
-	evictedIdle, evictedHard, evictedCapacity uint64
-	evictLog                                  []string
+	evictedCapacity uint64
+	evictLog        []string
 }
 
 func (m *modelTable) less(a, b *modelEntry) bool {
@@ -88,7 +86,7 @@ func (m *modelTable) tryInsert(e *modelEntry, now sim.Time) error {
 		if victim < 0 {
 			return ErrTableFull
 		}
-		m.evictLog = append(m.evictLog, fmt.Sprintf("%p %v", m.entries[victim].real, EvictCapacity))
+		m.evictLog = append(m.evictLog, fmt.Sprintf("%p", m.entries[victim].real))
 		m.evictedCapacity++
 		m.removed = append(m.removed, m.entries[victim])
 		m.removeAt(victim)
@@ -115,30 +113,6 @@ func (m *modelTable) deleteByCookie(cookie uint64) int {
 	}
 	m.entries = kept
 	return removed
-}
-
-func (m *modelTable) expire(now sim.Time) []*Entry {
-	var out []*Entry
-	kept := m.entries[:0]
-	for _, e := range m.entries {
-		idle := e.idle > 0 && now.Sub(e.lastUsed) >= e.idle
-		hard := e.hard > 0 && now.Sub(e.installed) >= e.hard
-		switch {
-		case hard:
-			m.evictedHard++
-			m.evictLog = append(m.evictLog, fmt.Sprintf("%p %v", e.real, EvictHard))
-		case idle:
-			m.evictedIdle++
-			m.evictLog = append(m.evictLog, fmt.Sprintf("%p %v", e.real, EvictIdle))
-		default:
-			kept = append(kept, e)
-			continue
-		}
-		out = append(out, e.real)
-		m.removed = append(m.removed, e)
-	}
-	m.entries = kept
-	return out
 }
 
 func (m *modelTable) lookup(p *packet.Packet, inPort int, now sim.Time) *Entry {
@@ -185,11 +159,11 @@ func tableProgram(t *testing.T, prog []byte) {
 		tb.Policy, m.policy = EvictLRU, EvictLRU
 	}
 	var realLog []string
-	tb.OnEvict = func(e *Entry, reason EvictReason) {
+	tb.OnEvict = func(e *Entry) {
 		if e.pos >= 0 && int(e.pos) < len(tb.entries) && tb.entries[e.pos] == e {
-			t.Fatalf("OnEvict(%v) fired while the entry was still installed", reason)
+			t.Fatal("OnEvict fired while the entry was still installed")
 		}
-		realLog = append(realLog, fmt.Sprintf("%p %v", e, reason))
+		realLog = append(realLog, fmt.Sprintf("%p", e))
 	}
 
 	now := sim.Time(0)
@@ -202,14 +176,14 @@ func tableProgram(t *testing.T, prog []byte) {
 			EthDst: addr.MAC(b >> 2 & 1),
 			IPSrc:  addr.IP(b >> 3 & 3),
 			IPDst:  addr.IP(b >> 5 & 3),
-			Proto:  []uint8{packet.ProtoTCP, packet.ProtoUDP}[a>>4&1],
+			Proto:  []uint8{packet.ProtoTCP, protoUDP}[a>>4&1],
 			TPSrc:  uint16(80 + a>>5&1),
 			TPDst:  uint16(80 + a>>6&1),
 			MPLS:   addr.Label(b >> 7 & 1),
 		}
 	}
 	modelOf := func(e *Entry) *modelEntry {
-		return &modelEntry{real: e, prio: e.Priority, match: e.Match, cookie: e.Cookie, evictable: e.Evictable, idle: e.IdleTimeout, hard: e.HardTimeout}
+		return &modelEntry{real: e, prio: e.Priority, match: e.Match, cookie: e.Cookie, evictable: e.Evictable}
 	}
 	// The latest deferred batch: its cookie, its declared shapes, and whether
 	// the table has called its fill. build is whether the current op must
@@ -237,12 +211,6 @@ func tableProgram(t *testing.T, prog []byte) {
 	}
 	configure := func(e *Entry, flags int) {
 		e.Evictable = flags&1 == 1
-		if flags&2 != 0 {
-			e.IdleTimeout = time.Duration(1+flags>>4&3) * time.Second
-		}
-		if flags&4 != 0 {
-			e.HardTimeout = time.Duration(1+flags>>6&3) * time.Second
-		}
 	}
 	insert := func(prio int, mt Match, cookie uint64, flags int) {
 		e := &Entry{Priority: prio, Match: mt, Cookie: cookie}
@@ -273,17 +241,6 @@ func tableProgram(t *testing.T, prog []byte) {
 			if got, want := tb.DeleteByCookie(c), m.deleteByCookie(c); got != want {
 				t.Fatalf("op %d: DeleteByCookie(%d) = %d, model %d", pc, c, got, want)
 			}
-		case 5:
-			build = true
-			got, want := tb.Expire(now), m.expire(now)
-			if len(got) != len(want) {
-				t.Fatalf("op %d: Expire evicted %d, model %d", pc, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("op %d: Expire()[%d] differs from the model (order or membership)", pc, i)
-				}
-			}
 		case 6:
 			id := GroupID(next() % 3)
 			if next()%2 == 0 {
@@ -299,7 +256,7 @@ func tableProgram(t *testing.T, prog []byte) {
 			if len(m.entries) > 0 {
 				install(m.entries[next()%len(m.entries)].real)
 			}
-		case 11: // reinstall a pointer that left by delete, expiry or eviction
+		case 11: // reinstall a pointer that left by delete or eviction
 			if len(m.removed) > 0 {
 				i := next() % len(m.removed)
 				if install(m.removed[i].real) == nil {
@@ -348,7 +305,7 @@ func tableProgram(t *testing.T, prog []byte) {
 			p := &packet.Packet{
 				SrcMAC: addr.MAC(b >> 1 & 1), DstMAC: addr.MAC(b >> 2 & 1),
 				SrcIP: addr.IP(b >> 3 & 3), DstIP: addr.IP(b >> 5 & 3),
-				Proto:   []uint8{packet.ProtoTCP, packet.ProtoUDP}[a>>4&1],
+				Proto:   []uint8{packet.ProtoTCP, protoUDP}[a>>4&1],
 				SrcPort: uint16(80 + a>>5&1), DstPort: uint16(80 + a>>6&1), TTL: 64,
 			}
 			if a&1 == 1 {
@@ -409,9 +366,8 @@ func compareTable(t *testing.T, pc int, tb *Table, m *modelTable) {
 			t.Fatalf("op %d: cookie index holds %d entries, table %d", pc, indexed, len(tb.entries))
 		}
 	}
-	if tb.EvictedIdle != m.evictedIdle || tb.EvictedHard != m.evictedHard || tb.EvictedCapacity != m.evictedCapacity {
-		t.Fatalf("op %d: evicted idle/hard/capacity = %d/%d/%d, model %d/%d/%d", pc,
-			tb.EvictedIdle, tb.EvictedHard, tb.EvictedCapacity, m.evictedIdle, m.evictedHard, m.evictedCapacity)
+	if tb.EvictedCapacity != m.evictedCapacity {
+		t.Fatalf("op %d: evicted %d, model %d", pc, tb.EvictedCapacity, m.evictedCapacity)
 	}
 	ids := tb.GroupIDs()
 	if len(ids) != len(m.groups) {
@@ -461,10 +417,10 @@ var tableCorpus = [][]byte{
 	// Capacity 2, LRU: evictable and pinned entries, lookups that refresh
 	// LastUsed, time steps, inserts that evict the least recently used.
 	{1, 1, 0, 2, 4, 40, 1, 1, 0, 2, 4, 41, 2, 0, 7, 3, 8, 0, 40, 7, 2, 0, 1, 4, 42, 3, 1, 8, 0, 41, 0, 0, 4, 43, 3, 1, 4, 1, 0, 3, 4, 44, 0, 1},
-	// Idle and hard timeouts expiring together and apart, in match order.
+	// Inserts across priorities with time steps and lookups between them.
 	{0, 0, 0, 1, 2, 8, 1, 2, 0, 3, 2, 16, 2, 6, 0, 2, 2, 24, 3, 70, 7, 11, 5, 8, 2, 24, 7, 11, 5, 7, 30, 5},
 	// The cookie index kept honest across replace-with-other-cookie, LRU
-	// eviction and expiry after it exists.
+	// eviction after it exists.
 	{3, 1, 4, 0, 0, 1, 1, 8, 1, 1, 0, 1, 2, 8, 1, 3, 3, 0, 2, 1, 0, 2, 3, 9, 2, 3, 0, 1, 2, 10, 3, 7, 4, 1, 7, 40, 5, 4, 2, 4, 3},
 	// Replace with self (a retransmitted FlowMod): three priorities of one
 	// match, each installed entry handed to TryInsert again — head, middle
@@ -472,7 +428,7 @@ var tableCorpus = [][]byte{
 	{0, 0, 0, 3, 10, 9, 1, 0, 0, 1, 10, 9, 1, 0, 0, 2, 10, 9, 2, 0, 10, 0, 10, 1, 10, 2, 9, 1, 128, 4, 1, 10, 0, 9, 1, 128, 0, 3, 10, 9, 3, 0, 10, 1, 10, 0, 4, 2, 9, 1, 128, 4, 3},
 	// Reinstall what left earlier (reinstall-on-miss after an eviction):
 	// capacity 2 under LRU, the victim handed back (evicting another), then
-	// pointers removed by DeleteByCookie and by idle expiry handed back, into
+	// pointers removed by DeleteByCookie handed back, into
 	// an empty bucket and into one that has since been refilled.
 	{1, 1, 0, 2, 4, 40, 1, 1, 0, 2, 4, 48, 2, 1, 0, 1, 4, 56, 3, 1, 11, 0, 9, 0, 40, 4, 3, 11, 0, 11, 0, 4, 1, 7, 5, 0, 3, 4, 32, 4, 3, 7, 20, 5, 11, 2, 0, 2, 4, 40, 0, 1, 11, 0, 9, 0, 40, 10, 0},
 	// Deferred batches, each over the last: the second builds the first and,
@@ -495,7 +451,7 @@ var tableCorpus = [][]byte{
 		12, 2, 11, 2, 1, 11, 32, 0, 1, 11, 64, 0, 1, 11, 96, 0, 8, 0, 32},
 	// A lookup is the first read: group edits, a time step and an insert on
 	// another shape leave the batch unbuilt; the lookup builds it and misses,
-	// the next hits; then its idle entry expires.
+	// the next hits; then time moves on.
 	{0, 0, 12, 4, 3, 3, 0, 12, 0, 0, 1, 12, 32, 2, 2, 11, 32, 0, 3, 1, 1, 0, 6, 1, 0, 7, 3, 0, 0, 2, 8, 1, 0,
 		8, 0, 32, 8, 0, 32, 7, 20, 5},
 }

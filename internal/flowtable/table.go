@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"mic/internal/packet"
 	"mic/internal/sim"
@@ -28,30 +27,6 @@ const (
 	EvictLRU
 )
 
-// EvictReason says why an entry left the table without an explicit delete.
-type EvictReason int
-
-const (
-	// EvictIdle: the entry's IdleTimeout elapsed without traffic.
-	EvictIdle EvictReason = iota
-	// EvictHard: the entry's HardTimeout elapsed since installation.
-	EvictHard
-	// EvictCapacity: the entry was displaced by an insert under EvictLRU.
-	EvictCapacity
-)
-
-func (r EvictReason) String() string {
-	switch r {
-	case EvictIdle:
-		return "idle"
-	case EvictHard:
-		return "hard"
-	case EvictCapacity:
-		return "capacity"
-	}
-	return "unknown"
-}
-
 // Entry is one installed flow rule.
 type Entry struct {
 	Priority int
@@ -70,11 +45,6 @@ type Entry struct {
 	// pos is the entry's index in its table's bag (Table.entries); it sits
 	// in the padding after Evictable, so Entry keeps its size.
 	pos int32
-
-	// IdleTimeout evicts the entry when unused for that long; HardTimeout
-	// evicts it unconditionally after installation. Zero disables.
-	IdleTimeout time.Duration
-	HardTimeout time.Duration
 
 	// Counters.
 	Packets   uint64
@@ -156,11 +126,13 @@ type Table struct {
 	// Policy selects the at-capacity behaviour for new entries.
 	Policy EvictPolicy
 
-	// OnEvict, when non-nil, observes every timeout or capacity eviction
-	// (not explicit deletes) after the entry has left the table.
-	OnEvict func(e *Entry, reason EvictReason)
+	// OnEvict, when non-nil, observes every capacity eviction (not
+	// explicit deletes) after the entry has left the table.
+	OnEvict func(e *Entry)
 
-	// Per-reason eviction counters.
+	// EvictedCapacity counts capacity evictions. EvictedIdle and
+	// EvictedHard are always zero — the table expires nothing on timeouts —
+	// and remain only because benchmark/ reads them.
 	EvictedIdle     uint64
 	EvictedHard     uint64
 	EvictedCapacity uint64
@@ -211,8 +183,8 @@ func (b *deferred) filled() []Entry {
 // order, as if each were handed to TryInsert at now. Len and the capacity
 // check count them at once, and their sequence numbers are reserved at once,
 // but fill runs only when the table is first observed in a way that could
-// tell them apart from entries built eagerly: Lookup, Entries (and so Dump),
-// Conflicts, Expire, an LRU eviction, a TryInsert on one of shapes, a
+// tell them apart from entries built eagerly: Lookup, Entries (and so a
+// dump), Conflicts, an LRU eviction, a TryInsert on one of shapes, a
 // DeleteByCookie of cookie, or the next InstallDeferred. A TryInsert on
 // another shape, a DeleteByCookie of another cookie and the group table
 // leave the batch unbuilt.
@@ -455,7 +427,7 @@ func (t *Table) evictLRU() bool {
 	t.invalidate()
 	t.EvictedCapacity++
 	if t.OnEvict != nil {
-		t.OnEvict(victim, EvictCapacity)
+		t.OnEvict(victim)
 	}
 	return true
 }
@@ -512,6 +484,7 @@ func (t *Table) lookupClassifier(p *packet.Packet, inPort int) *Entry {
 
 // lookupLinear is the pre-cache linear priority scan, kept as the oracle for
 // the cached-vs-linear differential test. It does not update counters.
+// lint:ignore unused test oracle: the linear scan the indexed lookup is checked against
 func (t *Table) lookupLinear(p *packet.Packet, inPort int) *Entry {
 	for _, e := range t.Entries() {
 		if e.Match.Covers(p, inPort) {
@@ -548,51 +521,9 @@ func (t *Table) DeleteByCookie(cookie uint64) int {
 	return len(list)
 }
 
-// Expire evicts entries whose idle or hard timeout has elapsed by now, and
-// returns the evicted entries in match order. Hard expiry wins the
-// per-reason counter when both timeouts have lapsed (the entry was doomed
-// regardless of traffic).
-func (t *Table) Expire(now sim.Time) []*Entry {
-	t.build()
-	var evicted []*Entry
-	for _, e := range t.entries {
-		if idle, hard := e.expired(now); idle || hard {
-			evicted = append(evicted, e)
-		}
-	}
-	if len(evicted) == 0 {
-		return nil
-	}
-	sort.Slice(evicted, func(i, j int) bool { return entryLess(evicted[i], evicted[j]) })
-	reasons := make([]EvictReason, len(evicted))
-	for i, e := range evicted {
-		if _, hard := e.expired(now); hard {
-			t.EvictedHard++
-			reasons[i] = EvictHard
-		} else {
-			t.EvictedIdle++
-			reasons[i] = EvictIdle
-		}
-		t.remove(e)
-	}
-	t.invalidate()
-	if t.OnEvict != nil {
-		for i, e := range evicted {
-			t.OnEvict(e, reasons[i])
-		}
-	}
-	return evicted
-}
-
-// expired reports which of e's timeouts have elapsed by now.
-func (e *Entry) expired(now sim.Time) (idle, hard bool) {
-	idle = e.IdleTimeout > 0 && now.Sub(e.LastUsed) >= e.IdleTimeout
-	hard = e.HardTimeout > 0 && now.Sub(e.Installed) >= e.HardTimeout
-	return idle, hard
-}
-
 // Conflicts returns entries whose match equals m at the same priority —
 // the ambiguity MIC's Collision Avoidance Mechanism must rule out.
+// lint:ignore unused test oracle: the collision check the mic tests assert with
 func (t *Table) Conflicts(m Match, priority int) []*Entry {
 	t.build()
 	norm := m.normalized()
@@ -653,29 +584,4 @@ func (t *Table) GroupIDs() []GroupID {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// Dump renders the table — flow entries in match order, then the group
-// table in ascending group ID so the dump is byte-stable across runs.
-func (t *Table) Dump() string {
-	s := ""
-	for _, e := range t.Entries() {
-		s += fmt.Sprintf("prio=%d cookie=%d %v ->", e.Priority, e.Cookie, e.Match)
-		for _, a := range e.Actions {
-			s += " " + a.String()
-		}
-		s += fmt.Sprintf(" (pkts=%d)\n", e.Packets)
-	}
-	for _, id := range t.GroupIDs() {
-		g := t.groups[id]
-		s += fmt.Sprintf("group=%d type=all buckets=%d ->", uint32(id), len(g.Buckets))
-		for _, b := range g.Buckets {
-			for _, a := range b.Actions {
-				s += " " + a.String()
-			}
-			s += " |"
-		}
-		s += "\n"
-	}
-	return s
 }

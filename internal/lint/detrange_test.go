@@ -13,7 +13,7 @@ func TestDetRangeSkipsUntaggedPackages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	findings, err := Run([]*Analyzer{DetRange}, pkgs)
+	findings, err := Run([]*Analyzer{DetRange}, pkgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -53,6 +53,9 @@ type Pass struct {
 	// `// lint:deterministic` directive.
 	Deterministic bool
 
+	// prog is the whole program the run follows references through.
+	prog *Program
+
 	// dirs carries the package's parsed directives so analyzers with
 	// directive-declared inputs (addrleak's lint:secret sources) can
 	// resolve them against declarations.
@@ -78,11 +81,6 @@ type Diagnostic struct {
 	Message string
 }
 
-// String renders the diagnostic with a resolved position.
-func (d Diagnostic) render(fset *token.FileSet) string {
-	return fmt.Sprintf("%s: %s (%s)", fset.Position(d.Pos), d.Message, d.Check)
-}
-
 // Finding is a non-suppressed diagnostic resolved against source positions,
 // ready for printing.
 type Finding struct {
@@ -96,12 +94,29 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s (%s)", f.Position, f.Message, f.Check)
 }
 
+// A Program is the code a run follows references through (the unused
+// check): Pkgs are read and may be reported on, Refs are read only and
+// every declaration in them counts as a caller.
+type Program struct {
+	Pkgs []*Package
+	Refs []*Package
+
+	live map[string]bool // liveKeys, computed on first use
+}
+
 // Run applies every analyzer to every package and returns the findings that
 // survive `// lint:ignore` suppression, sorted by position. Malformed
 // directives (unknown check name, missing reason) are themselves reported
 // as findings under the "directive" pseudo-check, so a typo in a
 // suppression cannot silently disable it.
-func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
+//
+// prog is the whole program the unused check reads (LoadProgram), which
+// must hold pkgs; nil makes pkgs the whole program.
+func Run(analyzers []*Analyzer, pkgs []*Package, prog *Program) ([]Finding, error) {
+	if prog == nil {
+		prog = &Program{Pkgs: pkgs}
+	}
+
 	// Directive check names are validated against the full suite, not just
 	// the analyzers selected for this run: suppressing a check that is not
 	// running is legitimate (miclint -checks ...), naming one that does
@@ -137,6 +152,7 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 				Pkg:           pkg.Types,
 				TypesInfo:     pkg.TypesInfo,
 				Deterministic: dirs.deterministic,
+				prog:          prog,
 				dirs:          dirs,
 				report:        func(d Diagnostic) { diags = append(diags, d) },
 			}
@@ -170,7 +186,8 @@ func Run(analyzers []*Analyzer, pkgs []*Package) ([]Finding, error) {
 }
 
 // Analyzers returns the full miclint suite in reporting order: the
-// determinism checks, then the anonymity contract (addrleak) and errdrop.
+// determinism checks, then the anonymity contract (addrleak), errdrop and
+// unused.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRange, VirtClock, HandlerBlock, AddrLeak, ErrDrop}
+	return []*Analyzer{DetRange, VirtClock, HandlerBlock, AddrLeak, ErrDrop, Unused}
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -128,4 +129,36 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		})
 	}
 	return pkgs, nil
+}
+
+// LoadProgram loads the whole program of the module containing dir: the
+// module's packages (./...) and, read for references only, those of every
+// module one directory below its root — benchmark/, whose
+// `replace mic => ../` lets it import mic/internal/... .
+func LoadProgram(dir string) (*Program, error) {
+	cmd := exec.Command("go", "env", "GOMOD")
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go env GOMOD: %v", err)
+	}
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == os.DevNull {
+		return nil, fmt.Errorf("%s is not inside a module", dir)
+	}
+	root := filepath.Dir(gomod)
+	pkgs, err := Load(root, "./...")
+	if err != nil {
+		return nil, err
+	}
+	prog := &Program{Pkgs: pkgs}
+	nested, _ := filepath.Glob(filepath.Join(root, "*", "go.mod"))
+	for _, mod := range nested {
+		refs, err := Load(filepath.Dir(mod), "./...")
+		if err != nil {
+			return nil, err
+		}
+		prog.Refs = append(prog.Refs, refs...)
+	}
+	return prog, nil
 }

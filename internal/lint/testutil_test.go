@@ -19,35 +19,34 @@ type expectation struct {
 	hit  bool
 }
 
-// runTestdata loads ./testdata/src/<name>, runs the analyzers over it, and
+// runTestdata loads ./testdata/src/<name> and the packages below it (the
+// whole program, for the unused check), runs the analyzers over it, and
 // compares the surviving findings against the fixture's want comments —
 // which exercises suppression too: a suppressed diagnostic has no want
 // comment and must not surface.
 func runTestdata(t *testing.T, analyzers []*Analyzer, name string) {
 	t.Helper()
-	pkgs, err := Load(".", "./testdata/src/"+name)
+	pkgs, err := Load(".", "./testdata/src/"+name+"/...")
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("fixture %s: got %d packages, want 1", name, len(pkgs))
-	}
-	pkg := pkgs[0]
 
 	var wants []*expectation
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := wantRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					m := wantRe.FindStringSubmatch(c.Text)
+					if m == nil {
+						continue
+					}
+					re, err := regexp.Compile(m[1])
+					if err != nil {
+						t.Fatalf("bad want regexp %q: %v", m[1], err)
+					}
+					pos := pkg.Fset.Position(c.Pos())
+					wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, re: re})
 				}
-				re, err := regexp.Compile(m[1])
-				if err != nil {
-					t.Fatalf("bad want regexp %q: %v", m[1], err)
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, re: re})
 			}
 		}
 	}
@@ -55,7 +54,7 @@ func runTestdata(t *testing.T, analyzers []*Analyzer, name string) {
 		t.Fatalf("fixture %s has no want comments", name)
 	}
 
-	findings, err := Run(analyzers, pkgs)
+	findings, err := Run(analyzers, pkgs, nil)
 	if err != nil {
 		t.Fatalf("running analyzers on %s: %v", name, err)
 	}

@@ -155,11 +155,8 @@ func NewTupleHash(rng *sim.RNG, nVars, width int) TupleHash {
 	return h
 }
 
-// Width returns the output width in bits.
-func (h TupleHash) Width() int { return h.width }
-
 // Hash evaluates the function. len(vals) must equal the arity; the last
-// value must fit in Width bits.
+// value must fit in the output width.
 func (h TupleHash) Hash(vals ...uint32) uint32 {
 	if len(vals) != len(h.fixed)+1 {
 		panic(fmt.Sprintf("maga: Hash arity %d, want %d", len(vals), len(h.fixed)+1))

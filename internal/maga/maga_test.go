@@ -151,7 +151,7 @@ func TestLabelComposition(t *testing.T) {
 		fp &= 1<<w.FPart - 1
 		l := ComposeLabel(sp, fp, w)
 		gotSp, gotFp := SplitLabel(l, w)
-		return l.Valid() && gotSp == sp && gotFp == fp
+		return l <= addr.MaxLabel && gotSp == sp && gotFp == fp
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -166,7 +166,7 @@ func TestGeneratorLabelInClass(t *testing.T) {
 	src, dst := addr.V4(10, 0, 0, 1), addr.V4(10, 0, 0, 8)
 	for flow := uint32(0); flow < 64; flow++ {
 		l := g.Label(flow, src, dst)
-		if !l.Valid() {
+		if l > addr.MaxLabel {
 			t.Fatalf("invalid label %v", l)
 		}
 		if got := p.ClassOf(l); got != 17 {

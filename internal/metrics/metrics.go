@@ -39,20 +39,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Min returns the smallest observation, or NaN when empty.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	m := s.xs[0]
-	for _, x := range s.xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Max returns the largest observation, or NaN when empty.
 func (s *Sample) Max() float64 {
 	if len(s.xs) == 0 {
@@ -65,20 +51,6 @@ func (s *Sample) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Stddev returns the population standard deviation, or NaN when empty.
-func (s *Sample) Stddev() float64 {
-	if len(s.xs) == 0 {
-		return math.NaN()
-	}
-	mean := s.Mean()
-	sum := 0.0
-	for _, x := range s.xs {
-		d := x - mean
-		sum += d * d
-	}
-	return math.Sqrt(sum / float64(len(s.xs)))
 }
 
 // Percentile returns the p-th percentile (0..100) by nearest-rank on a
@@ -101,9 +73,6 @@ func (s *Sample) Percentile(p float64) float64 {
 	}
 	return sorted[rank]
 }
-
-// Median is Percentile(50).
-func (s *Sample) Median() float64 { return s.Percentile(50) }
 
 // CPUAccount tallies virtual CPU time charged by simulated components,
 // bucketed by category (e.g. "crypto", "stack", "relay", "switch"). It is
@@ -181,29 +150,10 @@ func (a *CPUAccount) Categories() []string {
 	return out
 }
 
-// Merge adds all of b's charges into a.
-func (a *CPUAccount) Merge(b *CPUAccount) {
-	// lint:ignore detrange each category is charged into its own meter; no cross-iteration state
-	for c, m := range b.byCategory {
-		if m.charged {
-			a.Charge(c, m.total)
-		}
-	}
-}
-
-// Utilization returns total CPU time over wall (virtual) time, as a
-// fraction. A value of 2.0 means two cores' worth of work.
-func (a *CPUAccount) Utilization(wall time.Duration) float64 {
-	if wall <= 0 {
-		return 0
-	}
-	return float64(a.Total()) / float64(wall)
-}
-
 // Counters is an ordered set of named integer counters: the export surface
 // for component liveness/health telemetry (controller heartbeats, takeovers,
 // reconciliation results). Names render in first-Add order, so a component
-// that always adds its counters in one fixed order produces byte-stable
+// that always sets its counters in one fixed order produces byte-stable
 // report output.
 type Counters struct {
 	names  []string
@@ -213,15 +163,6 @@ type Counters struct {
 // NewCounters returns an empty counter set.
 func NewCounters() *Counters {
 	return &Counters{values: make(map[string]uint64)}
-}
-
-// Add increments name by delta, creating it (at the end of the order) on
-// first use.
-func (c *Counters) Add(name string, delta uint64) {
-	if _, ok := c.values[name]; !ok {
-		c.names = append(c.names, name)
-	}
-	c.values[name] += delta
 }
 
 // Set overwrites name's value, creating it on first use.
@@ -237,11 +178,6 @@ func (c *Counters) Get(name string) uint64 {
 	return c.values[name]
 }
 
-// Names returns a copy of the counter names in first-Add order.
-func (c *Counters) Names() []string {
-	return append([]string(nil), c.names...)
-}
-
 // String renders one "name=value" pair per line in first-Add order.
 func (c *Counters) String() string {
 	var b strings.Builder
@@ -249,14 +185,6 @@ func (c *Counters) String() string {
 		fmt.Fprintf(&b, "%s=%d\n", n, c.values[n])
 	}
 	return b.String()
-}
-
-// Mbps converts a byte count moved over a duration to megabits per second.
-func Mbps(bytes int64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(bytes) * 8 / d.Seconds() / 1e6
 }
 
 // Table renders aligned fixed-width text tables for harness output.

@@ -22,8 +22,8 @@ func TestSampleStats(t *testing.T) {
 	if s.Min() != 1 || s.Max() != 5 {
 		t.Errorf("Min/Max = %v/%v", s.Min(), s.Max())
 	}
-	if s.Median() != 3 {
-		t.Errorf("Median = %v", s.Median())
+	if s.Percentile(50) != 3 {
+		t.Errorf("P50 = %v", s.Percentile(50))
 	}
 	if got := s.Percentile(100); got != 5 {
 		t.Errorf("P100 = %v", got)
@@ -31,15 +31,12 @@ func TestSampleStats(t *testing.T) {
 	if got := s.Percentile(0); got != 1 {
 		t.Errorf("P0 = %v", got)
 	}
-	if sd := s.Stddev(); math.Abs(sd-math.Sqrt(2)) > 1e-9 {
-		t.Errorf("Stddev = %v", sd)
-	}
 }
 
 func TestSampleEmptyIsNaN(t *testing.T) {
 	var s Sample
 	for name, f := range map[string]func() float64{
-		"Mean": s.Mean, "Min": s.Min, "Max": s.Max, "Median": s.Median, "Stddev": s.Stddev,
+		"Mean": s.Mean, "Min": s.Min, "Max": s.Max, "P50": func() float64 { return s.Percentile(50) },
 	} {
 		if !math.IsNaN(f()) {
 			t.Errorf("%s of empty sample is not NaN", name)
@@ -82,13 +79,10 @@ func TestCPUAccount(t *testing.T) {
 	if len(cats) != 2 || cats[0] != "crypto" || cats[1] != "stack" {
 		t.Fatalf("Categories = %v", cats)
 	}
-	if u := a.Utilization(100 * time.Millisecond); u != 0.25 {
-		t.Fatalf("Utilization = %v", u)
-	}
 }
 
 // A resolved meter charges its category, and a category nobody charged
-// stays out of Categories (and of a Merge): Fig 9c lists what ran, not what
+// stays out of Categories: Fig 9c lists what ran, not what
 // was wired up.
 func TestCPUMeter(t *testing.T) {
 	a := NewCPUAccount()
@@ -101,25 +95,12 @@ func TestCPUMeter(t *testing.T) {
 	if a.Category("vswitch") != 4*time.Microsecond || a.Category("stack") != 0 || a.Total() != 4*time.Microsecond {
 		t.Fatalf("vswitch = %v, stack = %v, total = %v", a.Category("vswitch"), a.Category("stack"), a.Total())
 	}
-	b := NewCPUAccount()
-	b.Merge(a)
-	if cats := b.Categories(); len(cats) != 1 || cats[0] != "vswitch" {
-		t.Fatalf("Categories after merge = %v, want [vswitch]", cats)
+	if cats := a.Categories(); len(cats) != 1 || cats[0] != "vswitch" {
+		t.Fatalf("Categories = %v, want [vswitch]", cats)
 	}
 	stack.Charge(0)
 	if cats := a.Categories(); len(cats) != 2 {
 		t.Fatalf("Categories = %v after a zero charge, want both", cats)
-	}
-}
-
-func TestCPUAccountMerge(t *testing.T) {
-	a, b := NewCPUAccount(), NewCPUAccount()
-	a.Charge("x", time.Second)
-	b.Charge("x", time.Second)
-	b.Charge("y", 2*time.Second)
-	a.Merge(b)
-	if a.Category("x") != 2*time.Second || a.Category("y") != 2*time.Second {
-		t.Fatalf("after merge: %v %v", a.Category("x"), a.Category("y"))
 	}
 }
 
@@ -130,15 +111,6 @@ func TestCPUAccountNegativePanics(t *testing.T) {
 		}
 	}()
 	NewCPUAccount().Charge("x", -1)
-}
-
-func TestMbps(t *testing.T) {
-	if got := Mbps(125_000_000, time.Second); math.Abs(got-1000) > 1e-9 {
-		t.Fatalf("Mbps = %v, want 1000", got)
-	}
-	if Mbps(100, 0) != 0 {
-		t.Fatal("Mbps with zero duration should be 0")
-	}
 }
 
 func TestTableRendering(t *testing.T) {
@@ -181,9 +153,8 @@ func TestTableCSV(t *testing.T) {
 func TestCountersOrderAndRendering(t *testing.T) {
 	c := NewCounters()
 	c.Set("takeovers", 0)
-	c.Add("heartbeats_sent", 3)
-	c.Add("heartbeats_sent", 2)
-	c.Add("takeovers", 1)
+	c.Set("heartbeats_sent", 5)
+	c.Set("takeovers", 1)
 	c.Set("rules_reinstalled", 7)
 	if got := c.Get("heartbeats_sent"); got != 5 {
 		t.Fatalf("Get(heartbeats_sent) = %d, want 5", got)
@@ -191,20 +162,24 @@ func TestCountersOrderAndRendering(t *testing.T) {
 	if got := c.Get("absent"); got != 0 {
 		t.Fatalf("Get(absent) = %d, want 0", got)
 	}
-	// Order is first-use, not alphabetical, and Add after Set must not
+	// Order is first-use, not alphabetical, and a second Set must not
 	// re-register the name.
-	want := []string{"takeovers", "heartbeats_sent", "rules_reinstalled"}
-	names := c.Names()
-	if len(names) != len(want) {
-		t.Fatalf("Names() = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", names, want)
-		}
-	}
 	const rendered = "takeovers=1\nheartbeats_sent=5\nrules_reinstalled=7\n"
 	if got := c.String(); got != rendered {
 		t.Fatalf("String() = %q, want %q", got, rendered)
 	}
+}
+
+// Min returns the smallest observation, or NaN when empty.
+func (s *Sample) Min() float64 {
+	if len(s.xs) == 0 {
+		return math.NaN()
+	}
+	m := s.xs[0]
+	for _, x := range s.xs[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
 }

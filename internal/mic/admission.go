@@ -63,10 +63,6 @@ type AdmissionConfig struct {
 	// unbounded).
 	SwitchRuleBudget int
 
-	// DisableDegrade refuses a dial the moment its full F does not fit
-	// (ablation: no degradation ladder).
-	DisableDegrade bool
-
 	// DisableShed removes the queue bound and the deadline (ablation: the
 	// queue grows without limit and requests wait forever).
 	DisableShed bool
@@ -289,8 +285,8 @@ func (mc *MC) armEviction() {
 	}
 	for _, sw := range mc.Net.Switches() {
 		sw.Table.Policy = flowtable.EvictLRU
-		sw.Table.OnEvict = func(e *flowtable.Entry, reason flowtable.EvictReason) {
-			if reason == flowtable.EvictCapacity && mflowCookie(e.Cookie) {
+		sw.Table.OnEvict = func(e *flowtable.Entry) {
+			if mflowCookie(e.Cookie) {
 				mc.RulesEvicted++
 			}
 		}
@@ -332,7 +328,7 @@ func (mc *MC) reinstallOnMiss(sw *netsim.Switch, inPort int, p *packet.Packet) b
 // health machinery to probe and rebalance onto the new flow.
 func (mc *MC) maybeRestoreDegraded() {
 	a := mc.Cfg.Admission
-	if !a.Enabled || a.DisableDegrade || !mc.active {
+	if !a.Enabled || !mc.active {
 		return
 	}
 	for _, id := range sortedChanIDs(mc.channels) {

@@ -407,6 +407,7 @@ func (c *Client) Channel(target string) (*ChannelInfo, bool) {
 // down at the MC, in target order: close order decides which flow IDs the
 // MC hands out next, and so the next channel's m-addresses. Returns a stop
 // function.
+// lint:ignore unused paper mechanism (Sec IV-B1) that its tests exercise
 func (c *Client) StartIdleNotifier(interval time.Duration) (stop func()) {
 	eng := c.MC.Engine()
 	c.idle.Bind(eng, func() {

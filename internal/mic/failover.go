@@ -278,6 +278,7 @@ func (c *Cluster) activeMember() *member {
 
 // ActiveMC returns the acting controller, or nil during a blackout — the
 // window between the active's death and a standby's takeover.
+// lint:ignore unused fault-injection seam: the acting controller, to kill or inspect
 func (c *Cluster) ActiveMC() *MC {
 	if m := c.activeMember(); m != nil {
 		return m.mc
@@ -289,6 +290,7 @@ func (c *Cluster) ActiveMC() *MC {
 func (c *Cluster) MemberMC(i int) *MC { return c.members[i].mc }
 
 // ActiveIndex returns the acting member's index, or -1 during a blackout.
+// lint:ignore unused fault-injection seam: the acting member, to kill or inspect
 func (c *Cluster) ActiveIndex() int {
 	if c.activeMember() == nil {
 		return -1
@@ -728,7 +730,7 @@ func (c *Cluster) CloseChannel(id uint64, cb func()) error {
 // RegisterHiddenService registers the mapping on the acting controller, which
 // journals it for successors; like CloseChannel it is refused in a blackout.
 // lint:secret ip
-func (c *Cluster) RegisterHiddenService(name string, ip addr.IP) error {
+func (c *Cluster) RegisterHiddenService(name string, ip addr.IP) error { // lint:ignore unused paper mechanism (Sec IV-D) that the cluster tests exercise
 	m := c.activeMember()
 	if m == nil {
 		return fmt.Errorf("mic: hidden service %q registered during a takeover blackout: %w", name, ErrNotActive)

@@ -57,12 +57,6 @@ type Config struct {
 	// one's planning stays serialized — the s10 experiment sweeps it.
 	PlanCores int
 
-	// StrictMNs makes channel establishment fail when no path offers the
-	// requested number of Mimic Nodes. By default the MC degrades
-	// gracefully and uses as many MNs as the best path allows (same-ToR
-	// host pairs in a fat-tree admit only one switch on any simple path).
-	StrictMNs bool
-
 	// PathPolicy selects among equal-cost candidates: PathRandom (default,
 	// best for anonymity — predictable placement helps an adversary) or
 	// PathLeastLoaded, which exploits the MC's global channel map to avoid
@@ -717,8 +711,6 @@ func (a *idAllocator) releaseFlow(r flowRes) {
 	a.release(r.fwdID)
 	a.release(r.revID)
 }
-
-func (a *idAllocator) inUse() int { return len(a.held) }
 
 // restore rebuilds allocator state after journal replay: next becomes the
 // journaled high-water mark, held the IDs live channels hold and the free

@@ -390,12 +390,9 @@ func TestNoRuleConflicts(t *testing.T) {
 		t.Fatalf("echoes = %d, want %d", okCount, len(pairs))
 	}
 	for _, sw := range f.net.Switches() {
-		entries := sw.Table.Entries()
-		for i, e := range entries {
-			for _, other := range entries[i+1:] {
-				if e.Priority == other.Priority && e.Match.Equal(other.Match) {
-					t.Fatalf("conflicting entries on %s: %v", sw.Name, e.Match)
-				}
+		for _, e := range sw.Table.Entries() {
+			if len(sw.Table.Conflicts(e.Match, e.Priority)) != 1 {
+				t.Fatalf("conflicting entries on %s: %v", sw.Name, e.Match)
 			}
 		}
 	}
@@ -405,7 +402,7 @@ func TestPathExtensionWhenShortestTooShort(t *testing.T) {
 	// Hosts 0 and 2 sit in the same pod (shortest path: 3 switches) but we
 	// demand 5 MNs, forcing the paper's longer-path calculation through the
 	// core.
-	f := newFixture(t, Config{MNs: 5, StrictMNs: true})
+	f := newFixture(t, Config{MNs: 5})
 	var got []byte
 	Listen(f.stacks[2], 80, false, func(s *Stream) {
 		s.OnData(func(b []byte) { got = append(got, b...) })
@@ -433,7 +430,7 @@ func TestPathExtensionWhenShortestTooShort(t *testing.T) {
 
 func TestSameEdgeDegradesMNCount(t *testing.T) {
 	// Hosts 0 and 1 share a ToR: every simple path has exactly one switch.
-	// Default (non-strict) config degrades to 1 MN; strict config errors.
+	// The MC degrades to 1 MN.
 	f := newFixture(t, Config{MNs: 3})
 	var got []byte
 	Listen(f.stacks[1], 80, false, func(s *Stream) {
@@ -453,15 +450,6 @@ func TestSameEdgeDegradesMNCount(t *testing.T) {
 	info, _ := client.Channel(f.hostIP(1).String())
 	if len(info.Flows[0].MNs) != 1 {
 		t.Fatalf("MNs = %d, want 1 (clamped)", len(info.Flows[0].MNs))
-	}
-
-	strict := newFixture(t, Config{MNs: 3, StrictMNs: true})
-	sClient := NewClient(strict.stacks[0], strict.mc)
-	gotErr := false
-	sClient.Dial(strict.hostIP(1).String(), 80, func(s *Stream, err error) { gotErr = err != nil })
-	strict.eng.Run()
-	if !gotErr {
-		t.Fatal("strict mode did not reject the impossible MN count")
 	}
 }
 
@@ -652,12 +640,9 @@ func TestDistributedControllers(t *testing.T) {
 	}
 	// No ambiguous rules anywhere despite two independent controllers.
 	for _, sw := range net.Switches() {
-		entries := sw.Table.Entries()
-		for i, e := range entries {
-			for _, other := range entries[i+1:] {
-				if e.Priority == other.Priority && e.Match.Equal(other.Match) {
-					t.Fatalf("cross-controller rule conflict on %s: %v", sw.Name, e.Match)
-				}
+		for _, e := range sw.Table.Entries() {
+			if len(sw.Table.Conflicts(e.Match, e.Priority)) != 1 {
+				t.Fatalf("cross-controller rule conflict on %s: %v", sw.Name, e.Match)
 			}
 		}
 	}
@@ -1093,12 +1078,9 @@ func TestCrossTopology(t *testing.T) {
 				t.Fatalf("%s: %d/%d echoes", b.name, echoes, len(pairs))
 			}
 			for _, sw := range net.Switches() {
-				entries := sw.Table.Entries()
-				for i, e := range entries {
-					for _, other := range entries[i+1:] {
-						if e.Priority == other.Priority && e.Match.Equal(other.Match) {
-							t.Fatalf("%s: conflicting entries on %s", b.name, sw.Name)
-						}
+				for _, e := range sw.Table.Entries() {
+					if len(sw.Table.Conflicts(e.Match, e.Priority)) != 1 {
+						t.Fatalf("%s: conflicting entries on %s", b.name, sw.Name)
 					}
 				}
 			}
@@ -1232,5 +1214,37 @@ func BenchmarkMAddrChainGeneration(b *testing.B) {
 			f.mc.CloseChannel(id, nil)
 		}
 		f.eng.Run()
+	}
+}
+
+func (a *idAllocator) inUse() int { return len(a.held) }
+
+// SetUniformSliceSize switches the stream to fixed-size slices: every
+// slice body is padded to exactly size bytes (64..16384), making all data
+// packets on a wire segment indistinguishable by length. Costs padding
+// bandwidth on the final slice of each Send. Zero restores randomized
+// slice sizes.
+func (s *Stream) SetUniformSliceSize(size int) {
+	if size != 0 && (size < 64 || size > 16384) {
+		panic("mic: uniform slice size out of range [64, 16384]")
+	}
+	s.uniform = size
+}
+
+// Err returns the stream's terminal error, if any: non-nil after the MC
+// declared the underlying channel unrepairable (SubscribeChannelDown).
+func (s *Stream) Err() error { return s.failed }
+
+// OnError registers a callback fired at most once, when the stream dies
+// terminally: the MC abandoned the channel (no live path after all repair
+// retries) and tore it down. The stream is unusable afterwards; Err
+// returns the same error. Without the callback the error is still
+// available from Err — but registering it is how an application turns a
+// would-be hang into a clean failure.
+func (s *Stream) OnError(fn func(error)) {
+	s.onError = fn
+	if s.failed != nil && fn != nil {
+		s.onError = nil
+		fn(s.failed)
 	}
 }

@@ -396,29 +396,6 @@ func TestDegradeBeforeRefuse(t *testing.T) {
 	}
 }
 
-// TestDisableDegradeRefusesOutright: the ablation jumps straight from full
-// admissions to refusals — no reduced-F channels exist.
-func TestDisableDegradeRefusesOutright(t *testing.T) {
-	f := newFixture(t, Config{MFlows: 4, MNs: 3, Admission: AdmissionConfig{
-		Enabled: true, Rate: 1e6, Burst: 64, SwitchRuleBudget: 16, DisableDegrade: true,
-	}})
-	Listen(f.stacks[15], 80, false, func(s *Stream) {})
-	outcomes, _ := runLadder(t, f, []int{0, 1, 2, 3, 4, 5}, 150*time.Millisecond)
-
-	refused := 0
-	for i, o := range outcomes {
-		if o.err == nil && o.flows != 4 {
-			t.Fatalf("dial %d admitted with F=%d despite DisableDegrade", i, o.flows)
-		}
-		if errors.Is(o.err, ErrOverloaded) {
-			refused++
-		}
-	}
-	if refused == 0 || f.mc.ChannelsDegraded != 0 {
-		t.Fatalf("refused=%d degraded=%d, want refusals and zero degradations", refused, f.mc.ChannelsDegraded)
-	}
-}
-
 // TestDegradedRestoreOnClose: closing a channel releases budget, and the
 // oldest degraded channel gets an m-flow back — F recovers as pressure
 // clears, driven by the same repair machinery that heals faults.

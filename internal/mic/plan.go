@@ -1,7 +1,6 @@
 package mic
 
 import (
-	"fmt"
 	"slices"
 
 	"mic/internal/addr"
@@ -56,8 +55,11 @@ type planScratch struct {
 	switches []topo.NodeID // CloseChannel: the switch list deleteEpoch walks at once
 }
 
-// planFlow selects a path and places opts.MNs Mimic Nodes on it (clamped to
-// the path's switch count unless StrictMNs). It mutates no MC bookkeeping —
+// planFlow selects a path and places opts.MNs Mimic Nodes on it, clamped to
+// the path's switch count: when no path offers that many switches the MC
+// degrades gracefully and uses as many MNs as the best path allows (same-ToR
+// host pairs in a fat-tree admit only one switch on any simple path). It
+// mutates no MC bookkeeping —
 // path-load charging and resource allocation are later stages.
 func (mc *MC) planFlow(initNode, respNode topo.NodeID, opts ChannelOptions) (flowPlan, error) {
 	g := mc.Net.Graph
@@ -76,13 +78,7 @@ func (mc *MC) planFlow(initNode, respNode topo.NodeID, opts ChannelOptions) (flo
 	}
 	sc.swPos = swPos
 	k := len(swPos)
-	n := opts.MNs
-	if k < n {
-		if mc.Cfg.StrictMNs {
-			return flowPlan{}, fmt.Errorf("mic: selected path has %d switches, need %d MNs", k, n)
-		}
-		n = k
-	}
+	n := min(opts.MNs, k)
 	// Choose which switches act as MNs: a random subset, kept in path order.
 	sc.perm = slices.Grow(sc.perm[:0], k)[:k]
 	mnSel := mc.pathRng.PermInto(sc.perm)[:n]

@@ -291,7 +291,7 @@ func (mc *MC) computeChannel(req uint64, initiator addr.IP, target string, opts 
 		// Degradation ladder: under table pressure, admit with fewer m-flows
 		// (down to minFlows) before refusing outright. Only budget pressure
 		// degrades — a routing failure still fails.
-		if errors.Is(err, ErrOverloaded) && !mc.Cfg.Admission.DisableDegrade && len(st.res) >= minFlows {
+		if errors.Is(err, ErrOverloaded) && len(st.res) >= minFlows {
 			mc.ChannelsDegraded++
 			break
 		}
@@ -467,16 +467,13 @@ func (mc *MC) selectPath(src, dst topo.NodeID, minSwitches int) (topo.Path, erro
 	if len(longer) > 0 {
 		return mc.pickPath(src, dst, longer), nil
 	}
-	if len(cands) > 0 && !mc.Cfg.StrictMNs {
+	if len(cands) > 0 {
 		// Degrade: the caller clamps the MN count to the path's switches.
 		return mc.pickPath(src, dst, cands), nil
 	}
 	// Routing refusals reach the dialing client; naming the endpoints here
 	// would hand the initiator the responder's real host (and a hidden
-	// service's real location). Counts only.
-	if mc.Cfg.StrictMNs && (len(cands) > 0 || len(longer) > 0) {
-		return nil, fmt.Errorf("mic: no live path with %d switches between the endpoints", minSwitches)
-	}
+	// service's real location).
 	return nil, fmt.Errorf("mic: no live path between the endpoints")
 }
 

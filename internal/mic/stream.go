@@ -219,22 +219,6 @@ func (s *Stream) Remotes() []addr.IP {
 	return out
 }
 
-// SetUniformSliceSize switches the stream to fixed-size slices: every
-// slice body is padded to exactly size bytes (64..16384), making all data
-// packets on a wire segment indistinguishable by length. Costs padding
-// bandwidth on the final slice of each Send. Zero restores randomized
-// slice sizes.
-func (s *Stream) SetUniformSliceSize(size int) {
-	if size != 0 && (size < 64 || size > 16384) {
-		panic("mic: uniform slice size out of range [64, 16384]")
-	}
-	s.uniform = size
-}
-
-// Err returns the stream's terminal error, if any: non-nil after the MC
-// declared the underlying channel unrepairable (SubscribeChannelDown).
-func (s *Stream) Err() error { return s.failed }
-
 // Send slices data and spreads the slices across the m-flows, weighted by
 // flow health (uniformly when the health machinery is disabled). data is
 // copied into slice frames before Send returns. Slicing is eager even when
@@ -301,20 +285,6 @@ func (s *Stream) OnData(fn func([]byte)) {
 // OnClose registers a callback fired once every underlying connection has
 // closed.
 func (s *Stream) OnClose(fn func()) { s.onClose = fn }
-
-// OnError registers a callback fired at most once, when the stream dies
-// terminally: the MC abandoned the channel (no live path after all repair
-// retries) and tore it down. The stream is unusable afterwards; Err
-// returns the same error. Without the callback the error is still
-// available from Err — but registering it is how an application turns a
-// would-be hang into a clean failure.
-func (s *Stream) OnError(fn func(error)) {
-	s.onError = fn
-	if s.failed != nil && fn != nil {
-		s.onError = nil
-		fn(s.failed)
-	}
-}
 
 // fail marks the stream terminally dead and closes its connections.
 func (s *Stream) fail(err error) {

@@ -35,10 +35,6 @@ func (f FaultProfile) IsZero() bool {
 	return f.Loss == 0 && f.Dup == 0 && f.Reorder == 0 && f.Corrupt == 0
 }
 
-// Uniform returns a loss-only profile: each frame is lost with probability
-// loss.
-func Uniform(loss float64) FaultProfile { return FaultProfile{Loss: loss} }
-
 // SetLinkFault installs (or, with a zero profile, clears) a fault profile
 // on the cable at (node, port), both directions — the degraded-link twin of
 // SetLinkDown. The link keeps forwarding, so no port-status event fires and
@@ -66,15 +62,6 @@ func (n *Network) SetLinkFault(node topo.NodeID, port int, f FaultProfile) {
 // ClearLinkFault removes any fault profile from the cable at (node, port).
 func (n *Network) ClearLinkFault(node topo.NodeID, port int) {
 	n.SetLinkFault(node, port, FaultProfile{})
-}
-
-// LinkFault returns the fault profile active on the (node, port) direction,
-// or the zero profile for a clean link.
-func (n *Network) LinkFault(node topo.NodeID, port int) FaultProfile {
-	if d := n.dir(node, port); d != nil && d.fault != nil {
-		return *d.fault
-	}
-	return FaultProfile{}
 }
 
 // frameFate classifies what the active fault profile does to one frame.

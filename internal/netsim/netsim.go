@@ -568,6 +568,7 @@ func (n *Network) SetSwitchDown(id topo.NodeID, down bool) {
 // SetSwitchDownQuiet is SetSwitchDown without event emission: a silent
 // failure (wedged forwarding plane, dead management NIC) that only the
 // control plane's liveness prober can detect.
+// lint:ignore unused fault-injection seam: a silent switch failure only the prober can see
 func (n *Network) SetSwitchDownQuiet(id topo.NodeID, down bool) {
 	n.setSwitchDown(id, down, false)
 }

@@ -110,7 +110,7 @@ func TestFig2RewriteChain(t *testing.T) {
 	alice, bob := n.Host(hosts[0]), n.Host(hosts[1])
 	s1, s2, s3 := n.Switch(sws[0]), n.Switch(sws[1]), n.Switch(sws[2])
 
-	ip := addr.MustParseIP
+	ip := func(d byte) addr.IP { return addr.V4(10, 0, 0, d) }
 	ins := func(sw *Switch, mSrc, mDst, nSrc, nDst addr.IP, out int) {
 		sw.Table.Insert(&flowtable.Entry{
 			Priority: 1,
@@ -118,9 +118,9 @@ func TestFig2RewriteChain(t *testing.T) {
 			Actions:  []flowtable.Action{flowtable.SetIPSrc(nSrc), flowtable.SetIPDst(nDst), flowtable.Output(out)},
 		}, 0)
 	}
-	ins(s1, ip("10.0.0.1"), ip("10.0.0.2"), ip("10.0.0.3"), ip("10.0.0.4"), g.PortTo(s1.ID, s2.ID))
-	ins(s2, ip("10.0.0.3"), ip("10.0.0.4"), ip("10.0.0.5"), ip("10.0.0.6"), g.PortTo(s2.ID, s3.ID))
-	ins(s3, ip("10.0.0.5"), ip("10.0.0.6"), ip("10.0.0.7"), ip("10.0.0.8"), g.PortTo(s3.ID, bob.ID))
+	ins(s1, ip(1), ip(2), ip(3), ip(4), g.PortTo(s1.ID, s2.ID))
+	ins(s2, ip(3), ip(4), ip(5), ip(6), g.PortTo(s2.ID, s3.ID))
+	ins(s3, ip(5), ip(6), ip(7), ip(8), g.PortTo(s3.ID, bob.ID))
 
 	// Tap the middle link to assert no real addresses appear there.
 	var midObserved []packet.FlowKey
@@ -128,20 +128,20 @@ func TestFig2RewriteChain(t *testing.T) {
 
 	var got *packet.Packet
 	bob.SetHandler(func(_ int, p *packet.Packet) { got = p })
-	alice.Send(0, frame(ip("10.0.0.1"), ip("10.0.0.2"), "anonymous hello"))
+	alice.Send(0, frame(ip(1), ip(2), "anonymous hello"))
 	eng.Run()
 
 	if got == nil {
 		t.Fatal("Bob received nothing")
 	}
-	if got.SrcIP != ip("10.0.0.7") || got.DstIP != ip("10.0.0.8") {
+	if got.SrcIP != ip(7) || got.DstIP != ip(8) {
 		t.Fatalf("Bob sees %v->%v, want 10.0.0.7->10.0.0.8", got.SrcIP, got.DstIP)
 	}
 	if string(got.Payload) != "anonymous hello" {
 		t.Fatalf("payload corrupted: %q", got.Payload)
 	}
 	for _, k := range midObserved {
-		if k.SrcIP == ip("10.0.0.1") || k.DstIP == ip("10.0.0.8") {
+		if k.SrcIP == ip(1) || k.DstIP == ip(8) {
 			t.Fatalf("real address leaked at middle switch: %+v", k)
 		}
 	}
@@ -474,7 +474,7 @@ func TestLossInjectionDeterministic(t *testing.T) {
 		n := New(eng, g, Config{FaultSeed: 5})
 		for _, node := range g.Nodes {
 			for p := range node.Ports {
-				n.SetLinkFault(node.ID, p, Uniform(0.3))
+				n.SetLinkFault(node.ID, p, FaultProfile{Loss: 0.3})
 			}
 		}
 		h1, h2 := n.Host(g.Hosts()[0]), n.Host(g.Hosts()[1])
@@ -698,8 +698,8 @@ func TestLinkFaultClear(t *testing.T) {
 		t.Fatal("frame survived 100% loss")
 	}
 	n.ClearLinkFault(h1.ID, 0)
-	if got := n.LinkFault(h1.ID, 0); !got.IsZero() {
-		t.Fatalf("profile still active after clear: %+v", got)
+	if d := n.dir(h1.ID, 0); d.fault != nil {
+		t.Fatalf("profile still active after clear: %+v", *d.fault)
 	}
 	for i := 0; i < 10; i++ {
 		h1.Send(0, frame(h1.IP, 0, "b"))

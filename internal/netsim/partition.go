@@ -75,6 +75,7 @@ func (n *Network) SetMgmtCut(from, to MgmtEnd, cut bool) {
 // CutSets cuts every direction between the two endpoint sets (a symmetric
 // partition separating group a from group b). Reachability within each
 // group is untouched.
+// lint:ignore unused fault-injection seam: a symmetric partition between two endpoint sets
 func (n *Network) CutSets(a, b []MgmtEnd) {
 	for _, x := range a {
 		for _, y := range b {
@@ -86,6 +87,7 @@ func (n *Network) CutSets(a, b []MgmtEnd) {
 
 // HealSets heals every direction between the two endpoint sets, undoing
 // CutSets.
+// lint:ignore unused fault-injection seam: undoes CutSets
 func (n *Network) HealSets(a, b []MgmtEnd) {
 	for _, x := range a {
 		for _, y := range b {

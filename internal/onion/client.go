@@ -210,6 +210,3 @@ func (circ *Circuit) Close() {
 	circ.sendRelay(relayEnd, nil, len(circ.hops))
 	circ.link.Close()
 }
-
-// RouteLen reports the number of relays in the circuit.
-func (circ *Circuit) RouteLen() int { return len(circ.route) }

@@ -109,11 +109,6 @@ type cell struct {
 	blob   [blobLen]byte
 }
 
-func (c *cell) marshal() []byte {
-	var out [CellSize]byte
-	return c.marshalInto(&out)
-}
-
 // marshalInto serializes the cell into a caller-owned wire buffer and
 // returns it as a slice. Senders that transmit over a ByteStream — whose
 // Send contract is to copy synchronously — reuse one buffer per endpoint,

@@ -377,7 +377,7 @@ func TestRelayCounters(t *testing.T) {
 		t.Fatal("echo incomplete")
 	}
 	served, forwarded := 0, uint64(0)
-	for _, r := range f.dir.Relays() {
+	for _, r := range f.dir.relays {
 		served += int(r.CircuitsServed)
 		forwarded += r.CellsForwarded
 	}
@@ -439,8 +439,8 @@ func TestRouteLen(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
-		if circ.RouteLen() != 4 {
-			t.Fatalf("RouteLen = %d", circ.RouteLen())
+		if len(circ.route) != 4 {
+			t.Fatalf("route length = %d", len(circ.route))
 		}
 	})
 	f.eng.Run()
@@ -463,4 +463,9 @@ func BenchmarkCircuitBuild3Relays(b *testing.B) {
 			b.Fatal("circuit build incomplete")
 		}
 	}
+}
+
+func (c *cell) marshal() []byte {
+	var out [CellSize]byte
+	return c.marshalInto(&out)
 }

@@ -259,9 +259,6 @@ func (d *Directory) AddRelay(stack *transport.Stack, port uint16) *Relay {
 	return r
 }
 
-// Relays returns the registered relays.
-func (d *Directory) Relays() []*Relay { return d.relays }
-
 // PickRoute selects n distinct relays, excluding any on the given hosts.
 func (d *Directory) PickRoute(rng *sim.RNG, n int, exclude ...addr.IP) ([]*Relay, error) {
 	var pool []*Relay

@@ -13,8 +13,8 @@ func samplePacket() *Packet {
 		SrcMAC:  addr.MAC(0x0000aa000001),
 		DstMAC:  addr.MAC(0x0000aa000002),
 		MPLS:    []addr.Label{1234, 567},
-		SrcIP:   addr.MustParseIP("10.0.0.1"),
-		DstIP:   addr.MustParseIP("10.0.0.8"),
+		SrcIP:   addr.V4(10, 0, 0, 1),
+		DstIP:   addr.V4(10, 0, 0, 8),
 		Proto:   ProtoTCP,
 		TTL:     64,
 		SrcPort: 40001,
@@ -172,7 +172,7 @@ func TestFlowKey(t *testing.T) {
 	if p.Key().Label != NoLabel {
 		t.Fatal("labelless key should use NoLabel")
 	}
-	if NoLabel.Valid() {
+	if NoLabel <= addr.MaxLabel {
 		t.Fatal("NoLabel must be outside the valid label range")
 	}
 }

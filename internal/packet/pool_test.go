@@ -134,7 +134,7 @@ func TestKeyCacheInvalidation(t *testing.T) {
 		t.Fatalf("Key after PushMPLS = %d, want 7", got)
 	}
 
-	ip := addr.MustParseIP("192.168.1.1")
+	ip := addr.V4(192, 168, 1, 1)
 	p.SetSrcIP(ip)
 	if got := p.Key().SrcIP; got != ip {
 		t.Fatalf("Key after SetSrcIP = %v, want %v", got, ip)

@@ -23,16 +23,11 @@ import (
 type Time int64
 
 // Duration mirrors time.Duration so call sites can use familiar literals
-// (e.g. 5*sim.Microsecond) without importing package time.
+// (e.g. 5*sim.Nanosecond) without importing package time.
 type Duration = time.Duration
 
-// Convenience re-exports of common units.
-const (
-	Nanosecond  = time.Nanosecond
-	Microsecond = time.Microsecond
-	Millisecond = time.Millisecond
-	Second      = time.Second
-)
+// Nanosecond re-exports the unit.
+const Nanosecond = time.Nanosecond
 
 // MaxTime is the largest representable virtual timestamp.
 const MaxTime = Time(math.MaxInt64)
@@ -409,9 +404,6 @@ func (e *Engine) cancel(t *Timer) {
 	}
 	t.pos = 0
 }
-
-// Stop makes Run and RunUntil return after the currently firing event.
-func (e *Engine) Stop() { e.stopped = true }
 
 // inHeap is the slot next reports for the heap's root.
 const inHeap = ringBuckets

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 )
 
@@ -149,11 +150,11 @@ func TestEngineProcessed(t *testing.T) {
 }
 
 func TestTimeArithmetic(t *testing.T) {
-	tm := Time(0).Add(3 * Second)
+	tm := Time(0).Add(3 * time.Second)
 	if tm != 3e9 {
 		t.Fatalf("Add = %d", tm)
 	}
-	if tm.Sub(Time(1e9)) != 2*Second {
+	if tm.Sub(Time(1e9)) != 2*time.Second {
 		t.Fatalf("Sub = %v", tm.Sub(Time(1e9)))
 	}
 	if tm.Seconds() != 3 {
@@ -273,11 +274,11 @@ func TestTimerResetAllocsNothing(t *testing.T) {
 	fired := 0
 	tm.Bind(e, func() { fired++ })
 	allocs := testing.AllocsPerRun(1000, func() {
-		tm.Reset(5 * Millisecond) // past the calendar's horizon
-		tm.Reset(Microsecond)     // supersedes it
-		tm.ResetAt(e.Now().Add(2 * Microsecond))
+		tm.Reset(5 * time.Millisecond) // past the calendar's horizon
+		tm.Reset(time.Microsecond)     // supersedes it
+		tm.ResetAt(e.Now().Add(2 * time.Microsecond))
 		tm.Stop()
-		tm.Reset(3 * Microsecond)
+		tm.Reset(3 * time.Microsecond)
 		e.Run()
 	})
 	if allocs != 0 {
@@ -296,7 +297,7 @@ func TestTimerBindAllocsNothing(t *testing.T) {
 	fn := func() {}
 	allocs := testing.AllocsPerRun(1000, func() {
 		tm.Bind(e, fn)
-		tm.Reset(Microsecond)
+		tm.Reset(time.Microsecond)
 		tm.Bind(e, fn)
 	})
 	if allocs != 0 {
@@ -308,7 +309,7 @@ func TestTimerBindAllocsNothing(t *testing.T) {
 // of the queue, in either tier, so neither the old handler nor the new one
 // runs at the old instant.
 func TestBindRemovesPendingArming(t *testing.T) {
-	for _, d := range []Duration{Microsecond, 5 * Millisecond} { // calendar, heap
+	for _, d := range []Duration{time.Microsecond, 5 * time.Millisecond} { // calendar, heap
 		e := New()
 		var tm Timer
 		var ran []string
@@ -339,25 +340,25 @@ func TestRunEndsWhereCancelledArmingWouldFire(t *testing.T) {
 	fired := 0
 	near.Bind(e, func() { fired++ })
 	far.Bind(e, func() { fired++ })
-	near.Reset(100 * Microsecond)
-	far.Reset(5 * Millisecond) // past the calendar's horizon
+	near.Reset(100 * time.Microsecond)
+	far.Reset(5 * time.Millisecond) // past the calendar's horizon
 	e.At(10, func() {})
-	e.At(20, func() { near.Stop(); far.Reset(3 * Millisecond) })
+	e.At(20, func() { near.Stop(); far.Reset(3 * time.Millisecond) })
 	e.At(30, func() { far.Stop() })
-	e.RunUntil(Time(Millisecond))
-	if e.Now() != Time(Millisecond) || e.Pending() != 0 {
+	e.RunUntil(Time(time.Millisecond))
+	if e.Now() != Time(time.Millisecond) || e.Pending() != 0 {
 		t.Fatalf("RunUntil(1ms): Now() = %v, Pending() = %d; want 1ms, 0", e.Now(), e.Pending())
 	}
 	e.Run()
-	if want := Time(5 * Millisecond); e.Now() != want || e.FiringSeq() != e.LastSeq() {
+	if want := Time(5 * time.Millisecond); e.Now() != want || e.FiringSeq() != e.LastSeq() {
 		t.Fatalf("Run drained to %v (FiringSeq %d, LastSeq %d), want %v, where the last cancelled arming was due", e.Now(), e.FiringSeq(), e.LastSeq(), want)
 	}
 	if fired != 0 || e.Processed() != 3 {
 		t.Fatalf("handlers ran %d times, %d events fired; want 0, 3: cancelled armings are not events", fired, e.Processed())
 	}
-	e.At(e.Now().Add(Microsecond), func() {})
+	e.At(e.Now().Add(time.Microsecond), func() {})
 	e.Run()
-	if e.Now() != Time(5*Millisecond+Microsecond) {
+	if e.Now() != Time(5*time.Millisecond+time.Microsecond) {
 		t.Fatalf("next Run ended at %v, want 5.001ms", e.Now())
 	}
 }
@@ -405,7 +406,7 @@ func TestNewEngineFootprint(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	e := New()
 	for i := 0; i < 10_000; i++ {
-		e.After(Duration(i%8)*Microsecond, nop)
+		e.After(Duration(i%8)*time.Microsecond, nop)
 		if e.Pending() == 8 {
 			e.Step()
 		}
@@ -439,3 +440,6 @@ func BenchmarkRNGUint64(b *testing.B) {
 		_ = r.Uint64()
 	}
 }
+
+// Stop makes Run and RunUntil return after the currently firing event.
+func (e *Engine) Stop() { e.stopped = true }

@@ -85,13 +85,6 @@ func (r *RNG) PermInto(p []int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using swap, Fisher–Yates style.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		swap(i, r.Intn(i+1))
-	}
-}
-
 // Pick returns a uniformly chosen element of xs. It panics on empty input.
 func Pick[T any](r *RNG, xs []T) T {
 	return xs[r.Intn(len(xs))]

@@ -178,6 +178,7 @@ func Ring(n int) (*Graph, error) {
 // links and hostsPer ports for hosts. Construction is the incremental
 // Jellyfish procedure with link breaking, driven by a seeded RNG so a
 // given (n, netDeg, hostsPer, seed) tuple is reproducible.
+// lint:ignore unused shared test fixture: the irregular fabric router and MC tests in three packages run on
 func Jellyfish(n, netDeg, hostsPer int, seed uint64) (*Graph, error) {
 	if n < 3 || netDeg < 2 || hostsPer < 0 {
 		return nil, fmt.Errorf("topo: jellyfish needs n >= 3, netDeg >= 2, hostsPer >= 0")

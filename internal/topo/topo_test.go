@@ -214,7 +214,7 @@ func TestHostByIP(t *testing.T) {
 	if got := g.HostByIP(h.IP); got != h {
 		t.Fatalf("HostByIP(%v) = %v", h.IP, got)
 	}
-	if g.HostByIP(addr.MustParseIP("1.1.1.1")) != nil {
+	if g.HostByIP(addr.V4(1, 1, 1, 1)) != nil {
 		t.Fatal("HostByIP found nonexistent address")
 	}
 }

@@ -60,9 +60,6 @@ func (r *Recorder) Len() int { return len(r.evs) }
 // Truncated reports how many events were discarded due to the limit.
 func (r *Recorder) Truncated() uint64 { return r.drops }
 
-// Events returns the captured events in time order.
-func (r *Recorder) Events() []netsim.TapEvent { return r.evs }
-
 // Text renders a tcpdump-style line per event.
 func (r *Recorder) Text() string {
 	var b strings.Builder

@@ -15,6 +15,9 @@ import (
 	"mic/internal/transport"
 )
 
+// protoUDP is UDP's IP protocol number.
+const protoUDP uint8 = 17
+
 func capture(t *testing.T, limit int) (*Recorder, *netsim.Network) {
 	t.Helper()
 	g, err := topo.Linear(2)
@@ -103,7 +106,7 @@ func TestPcapOutputWellFormed(t *testing.T) {
 	}
 	// One ingress event per record.
 	ingress := 0
-	for _, ev := range rec.Events() {
+	for _, ev := range rec.evs {
 		if ev.Dir == netsim.Ingress {
 			ingress++
 		}
@@ -152,10 +155,10 @@ func TestEventsInTimeOrder(t *testing.T) {
 	rec := New(net, 0)
 	rec.Attach(sw.ID)
 	for i := 0; i < 4; i++ {
-		src.Send(0, &packet.Packet{SrcIP: src.IP, DstIP: dst.IP, Proto: packet.ProtoUDP, TTL: 64, Payload: []byte("burst")})
+		src.Send(0, &packet.Packet{SrcIP: src.IP, DstIP: dst.IP, Proto: protoUDP, TTL: 64, Payload: []byte("burst")})
 	}
 	eng.Run()
-	evs := rec.Events()
+	evs := rec.evs
 	if len(evs) != 8 {
 		t.Fatalf("captured %d events, want 4 ingress + 4 egress", len(evs))
 	}

@@ -115,9 +115,6 @@ func isn(t packet.FiveTuple) uint32 {
 	return h
 }
 
-// LocalAddr returns the connection's local endpoint.
-func (c *Conn) LocalAddr() (addr.IP, uint16) { return c.tuple.SrcIP, c.tuple.SrcPort }
-
 // RemoteAddr returns the connection's remote endpoint as this host sees it
 // — under MIC this is an m-address, not the peer's real identity.
 func (c *Conn) RemoteAddr() (addr.IP, uint16) { return c.tuple.DstIP, c.tuple.DstPort }
@@ -131,9 +128,6 @@ func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 
 // OnClose registers a callback fired when the remote side closes.
 func (c *Conn) OnClose(fn func()) { c.onClose = fn }
-
-// Established reports whether the handshake has completed.
-func (c *Conn) Established() bool { return c.state == stateEstablished }
 
 // Send queues application data for reliable delivery.
 func (c *Conn) Send(data []byte) {
@@ -421,9 +415,6 @@ func (c *Conn) updateRTT(sample time.Duration) {
 		c.rto = maxRTO
 	}
 }
-
-// SRTT exposes the smoothed RTT estimate for measurements.
-func (c *Conn) SRTT() time.Duration { return c.srtt }
 
 func (c *Conn) processData(seq uint32, payload []byte) {
 	if seqLT(seq, c.rcvNxt) {

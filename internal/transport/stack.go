@@ -68,9 +68,6 @@ func (s *Stack) Listen(port uint16, onAccept func(*Conn)) *Listener {
 	return l
 }
 
-// Close stops accepting new connections.
-func (l *Listener) Close() { delete(l.stack.listeners, l.port) }
-
 // Dial opens a connection to dst:port. onConnected fires with the
 // established connection, or with a non-nil error if the handshake
 // ultimately times out.

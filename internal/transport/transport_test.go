@@ -51,7 +51,7 @@ func newRig(t *testing.T, switches int, cfg netsim.Config) *rig {
 func (r *rig) uniformLoss(rate float64) {
 	for _, node := range r.graph.Nodes {
 		for p := range node.Ports {
-			r.net.SetLinkFault(node.ID, p, netsim.Uniform(rate))
+			r.net.SetLinkFault(node.ID, p, netsim.FaultProfile{Loss: rate})
 		}
 	}
 }
@@ -74,7 +74,7 @@ func TestHandshake(t *testing.T) {
 	if dialed == nil || !accepted {
 		t.Fatal("handshake incomplete")
 	}
-	if !dialed.Established() {
+	if dialed.state != stateEstablished {
 		t.Fatal("conn not established")
 	}
 	// Handshake costs one RTT at the dialer; sanity-bound it.
@@ -101,7 +101,7 @@ func TestNewIncarnationDisplacesStaleConn(t *testing.T) {
 		first = c
 	})
 	r.eng.Run()
-	if first == nil || !first.Established() {
+	if first == nil || first.state != stateEstablished {
 		t.Fatal("first handshake incomplete")
 	}
 	if len(r.b.conns) != 1 {
@@ -123,7 +123,7 @@ func TestNewIncarnationDisplacesStaleConn(t *testing.T) {
 		second = c
 	})
 	r.eng.Run()
-	if second == nil || !second.Established() {
+	if second == nil || second.state != stateEstablished {
 		t.Fatal("second handshake did not displace the stale conn")
 	}
 	if second.tuple != first.tuple {
@@ -333,11 +333,11 @@ func TestSRTTConverges(t *testing.T) {
 		}
 	})
 	r.eng.Run()
-	if conn.SRTT() == 0 {
+	if conn.srtt == 0 {
 		t.Fatal("no RTT samples collected")
 	}
-	if conn.SRTT() > 5*time.Millisecond {
-		t.Fatalf("SRTT = %v implausibly large", conn.SRTT())
+	if conn.srtt > 5*time.Millisecond {
+		t.Fatalf("SRTT = %v implausibly large", conn.srtt)
 	}
 }
 
