@@ -3,12 +3,11 @@
 //
 // The naive pattern it replaces — `buf = append(buf, b...)` to push and
 // `buf = buf[n:]` to consume — discards the consumed capacity, so a
-// long-lived stream buffer re-grows on nearly every append; sliding the
-// live bytes back to the front instead re-copies the whole in-flight
-// window per refill. The ring reuses consumed space where it lies, so the
-// live bytes may wrap around the end of the storage: a sender reads them
-// as at most two spans (Spans); a parser, whose live run is a partial
-// frame, asks for a contiguous frame (Front).
+// long-lived stream buffer re-grows on nearly every append. The ring
+// reuses consumed space where it lies, so the live bytes may wrap around
+// the end of the storage: they read as at most two spans (Spans); a
+// parser, whose live run is a partial frame, asks for a contiguous frame
+// (Front).
 //
 // This package is part of the determinism contract (DESIGN.md).
 //

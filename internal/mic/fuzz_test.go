@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mic/internal/bytequeue"
+	"mic/internal/chunk"
 	"mic/internal/ctrlplane"
 	"mic/internal/flowtable"
 	"mic/internal/netsim"
@@ -28,8 +29,10 @@ import (
 //     carries the rest of a cut frame, whole frames, then the head of the
 //     next, with cuts inside the header as well.
 //
-// Every fed buffer is overwritten once feed returns, so a held slice that
-// still aliases its input shows up as corrupt bytes. The stream must
+// Every fed buffer is a span of a chunk from a debug pool, as a conn hands
+// the stream a packet's payload, and is recycled — poisoned — once feed
+// returns, so a held slice that still aliases its input shows up as
+// corrupt bytes. The stream must
 // deliver exactly the bytes, count exactly the duplicates and hold exactly
 // the slices of a naive map-based reassembler that sees whole frames in
 // completion order.
@@ -53,11 +56,15 @@ func feedScript(t *testing.T, script []byte, segments bool) {
 	}
 	var got []byte
 	s.OnData(func(b []byte) { got = append(got, b...) })
+	chunks := chunk.NewPool()
+	chunks.SetDebug(true)
+	in := chunk.Carver{Pool: chunks}
 	feed := func(c int, b []byte) {
-		s.feed(c, b)
-		for i := range b {
-			b[i] = 0xA5
-		}
+		sp := in.Carve(len(b), len(b))
+		copy(sp.Bytes(), b)
+		s.feed(c, sp.Bytes())
+		sp.C.Release()
+		in.Drop()
 	}
 
 	// The reference: whole frames, in the order they complete.

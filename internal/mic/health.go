@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"mic/internal/chunk"
 	"mic/internal/sim"
 )
 
@@ -155,8 +156,8 @@ func (q *fifo[T]) pop() T {
 
 // outSlice tracks one sent-but-unacked slice for retransmission.
 type outSlice struct {
-	frame  []byte // full wire frame (header + padded body): resend verbatim
-	flow   int    // flow currently responsible for delivering it
+	frame  chunk.Span // full wire frame (header + padded body): resend verbatim
+	flow   int        // flow currently responsible for delivering it
 	sentAt sim.Time
 	retx   int
 }
@@ -172,9 +173,9 @@ type healthMonitor struct {
 	out  fifo[outSlice]
 	sent []int64 // slices (first-tx + retx) transmitted per conn
 	// sendQ holds the sliced frames waiting for window room as runs: frames
-	// carved one after another from one slab chunk are one entry. queued
-	// counts the frames.
-	sendQ  fifo[[]byte]
+	// carved one after another from one chunk are one entry. queued counts
+	// the frames.
+	sendQ  fifo[chunk.Span]
 	queued int
 
 	nextProbe uint32
@@ -272,8 +273,8 @@ func (m *healthMonitor) bestEffortFlow(not int) int {
 // enqueue admits one freshly sliced frame to the send path: transmitted
 // immediately if some m-flow has window room, queued until acks open a
 // window otherwise.
-func (m *healthMonitor) enqueue(frame []byte) {
-	if k := m.sendQ.len(); k == 0 || !m.s.joinRun(m.sendQ.at(k-1), frame) {
+func (m *healthMonitor) enqueue(frame chunk.Span) {
+	if k := m.sendQ.len(); k == 0 || !joinRun(m.sendQ.at(k-1), frame) {
 		m.sendQ.push(frame)
 	}
 	m.queued++
@@ -285,8 +286,7 @@ func (m *healthMonitor) enqueue(frame []byte) {
 // assigned to an m-flow at release time, not at Send time, so the choice
 // reflects current health — rebalancing moves the queued backlog away
 // from a flow the moment it turns sick, not just future writes. A frame
-// split off the front run is capped at its own end, so once recycled it
-// cannot reach the frame behind it.
+// split off the front run takes one of the run's references along.
 func (m *healthMonitor) pump() {
 	for m.sendQ.len() > 0 {
 		flow := m.pickWindowedFlow()
@@ -295,8 +295,9 @@ func (m *healthMonitor) pump() {
 		}
 		run := m.sendQ.at(0)
 		frame := *run
-		if k := frameLen(frame); k < len(frame) {
-			frame, *run = frame[:k:k], frame[k:]
+		if k := frameLen(frame.Bytes()); k < frame.N {
+			frame.N = k
+			run.Off, run.N = run.Off+k, run.N-k
 		} else {
 			m.sendQ.pop()
 		}
@@ -304,7 +305,7 @@ func (m *healthMonitor) pump() {
 		m.s.SlicesOut[flow]++
 		m.out.push(outSlice{frame: frame, flow: flow, sentAt: m.s.eng.Now()})
 		m.sent[flow]++
-		m.s.conns[flow].Send(frame)
+		m.s.send(flow, frame)
 	}
 }
 
@@ -364,8 +365,8 @@ func (m *healthMonitor) onHeard(i int) {
 func (m *healthMonitor) onAck(i int, cumAck uint32, connRecv int64) {
 	m.onHeard(i)
 	m.flows[i].acked = connRecv
-	for m.out.len() > 0 && seqLT32(binary.BigEndian.Uint32(m.out.at(0).frame), cumAck) {
-		m.s.recycleFrame(m.out.pop().frame)
+	for m.out.len() > 0 && seqLT32(binary.BigEndian.Uint32(m.out.at(0).frame.Bytes()), cumAck) {
+		m.out.pop().frame.C.Release()
 	}
 	m.pump()
 }
@@ -423,11 +424,23 @@ func (m *healthMonitor) arm() {
 	m.timer.Reset(healthInterval)
 }
 
-// disarm stops the watchdog and drops the queued backlog; only terminal
-// paths (Close, fail) call it, and arm refuses from then on.
+// disarm stops the watchdog and drops the queued backlog and the
+// outstanding set, releasing each frame's reference: nothing re-sends a
+// slice from now on (the conns still deliver what they hold), and a late
+// ack finds nothing to retire. Only terminal paths (Close, fail) call it,
+// and arm refuses from then on.
 func (m *healthMonitor) disarm() {
 	m.timer.Stop()
-	m.sendQ, m.queued = fifo[[]byte]{}, 0
+	for m.out.len() > 0 {
+		m.out.pop().frame.C.Release()
+	}
+	for m.sendQ.len() > 0 {
+		run := m.sendQ.pop()
+		for b := run.Bytes(); len(b) > 0; b = b[frameLen(b):] {
+			run.C.Release()
+		}
+	}
+	m.queued = 0
 }
 
 // tick is the stream-level watchdog: classify flows, probe quiet ones,
@@ -523,7 +536,7 @@ func (m *healthMonitor) retransmitOverdue(now sim.Time) {
 		o.sentAt = now
 		o.retx++
 		m.s.SlicesRetx++
-		m.s.conns[to].Send(o.frame)
+		m.s.send(to, o.frame)
 	}
 }
 

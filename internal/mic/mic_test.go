@@ -31,9 +31,9 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	// PoolDebug arms the packet pool's use-after-release guard for every
-	// MIC fixture test — MN rewrites, group multicast and heal paths all
-	// run with poisoned free-list detection.
+	// PoolDebug arms the packet and chunk pools' use-after-release guards
+	// for every MIC fixture test — MN rewrites, group multicast, heal paths
+	// and every stream's frames run with poisoned free-list detection.
 	net := netsim.New(eng, g, netsim.Config{PoolDebug: true})
 	mc, err := NewMC(net, cfg)
 	if err != nil {

@@ -1,0 +1,247 @@
+package mic
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+	"time"
+	"unsafe"
+
+	"mic/internal/chunk"
+	"mic/internal/netsim"
+	"mic/internal/topo"
+	"mic/internal/transport"
+)
+
+// gateConn stands between a stream and one of its conns: it passes frames
+// through (by reference, as the conn takes them) or, while hold is set,
+// keeps copies of them back — a flow whose bytes are late.
+type gateConn struct {
+	*transport.Conn
+	hold bool
+	held [][]byte
+}
+
+func (g *gateConn) Send(b []byte) {
+	if g.hold {
+		g.held = append(g.held, append([]byte(nil), b...))
+		return
+	}
+	g.Conn.Send(b)
+}
+
+func (g *gateConn) SendSpan(s chunk.Span) {
+	if g.hold {
+		g.held = append(g.held, append([]byte(nil), s.Bytes()...))
+		return
+	}
+	g.Conn.SendSpan(s)
+}
+
+// open lets the held frames go, in order, and passes everything after.
+func (g *gateConn) open() {
+	g.hold = false
+	for _, b := range g.held {
+		g.Conn.Send(b)
+	}
+	g.held = nil
+}
+
+// dialPair opens a channel from host 0 to host 15 whose server collects
+// what it receives, and returns both streams once the engine is idle.
+func dialPair(t *testing.T, f *fixture, got *[]byte) (client, server *Stream) {
+	t.Helper()
+	Listen(f.stacks[15], 80, false, func(s *Stream) {
+		server = s
+		s.OnData(func(b []byte) { *got = append(*got, b...) })
+	})
+	NewClient(f.stacks[0], f.mc).Dial(f.hostIP(15).String(), 80, func(s *Stream, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		client = s
+	})
+	f.eng.Run()
+	if client == nil || server == nil {
+		t.Fatal("channel not open")
+	}
+	return client, server
+}
+
+// TestChunkOutlivesStreamAck is the hazard the chunk references exist for.
+// Slice S goes out on flow A, whose bytes are held back, and the watchdog
+// re-sends it on flow B into a cut, so B's conn queues S's span and loses
+// the segment. Then the cut heals and A delivers S: the peer's stream ack
+// retires S while B's TCP has not seen its ack, and only then B times out,
+// rewinds and sends S again from its queue. With chunk poisoning on, a
+// chunk recycled on the stream ack would put poison on B's wire. The stream
+// would mask that — it discards the duplicate, and a later slice the
+// poisoned parse swallowed would be re-sent on A — so the bytes each
+// receiving conn delivered are checked too: whole frames, each slice
+// exactly as sent.
+func TestChunkOutlivesStreamAck(t *testing.T) {
+	f := newFixture(t, Config{MFlows: 2, MNs: 2})
+	var got []byte
+	client, server := dialPair(t, f, &got)
+	var raw [2][]byte
+	for i, c := range server.conns {
+		c.OnData(func(b []byte) {
+			raw[i] = append(raw[i], b...)
+			server.feed(i, b)
+		})
+	}
+	var gates [2]*gateConn
+	for i, c := range client.conns {
+		gates[i] = &gateConn{Conn: c.(*transport.Conn), hold: true}
+		client.conns[i] = gates[i]
+	}
+	first, second := pattern(64), bytes.Repeat([]byte{7}, 64)
+	client.Send(first)
+	a, sent := client.health.out.at(0).flow, client.health.out.at(0).sentAt
+	b := 1 - a
+	gates[b].open()
+	client.Send(second) // the frame carver moves off S's chunk
+
+	host := f.graph.Hosts()[0]
+	f.eng.RunUntil(sent.Add(retransmitAfter - time.Millisecond))
+	f.net.SetLinkDown(host, 0, true)
+	f.eng.RunUntil(sent.Add(retransmitAfter))
+	if s := client.health.out.at(0); s.retx != 1 || s.flow != b {
+		t.Fatalf("S re-sent %d times, now on flow %d; want once, on flow %d", s.retx, s.flow, b)
+	}
+	f.eng.RunFor(2500 * time.Microsecond)
+	f.net.SetLinkDown(host, 0, false)
+	gates[a].open()
+	for client.health.out.len() > 0 && f.eng.Step() {
+	}
+	st := gates[b].Stats()
+	retx := gates[b].Retransmits
+	if client.health.out.len() != 0 || st.InFlight == 0 {
+		t.Fatalf("when the stream ack retired S: %d slices outstanding, flow B %+v; want none, and B's copy of S unacked", client.health.out.len(), st)
+	}
+	f.eng.Run()
+	if gates[b].Retransmits == retx || server.SlicesDup == 0 {
+		t.Fatalf("flow B retransmits %d -> %d, %d duplicate slices: B never re-sent S after the ack retired it", retx, gates[b].Retransmits, server.SlicesDup)
+	}
+	if want := append(first, second...); !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d bytes, want %d; first difference at %d", len(got), len(want), diffAt(got, want))
+	}
+	for i := range raw {
+		checkFrames(t, i, raw[i], [][]byte{first, second})
+	}
+}
+
+// checkFrames parses the bytes conn i delivered: whole frames only, every
+// control frame of a known type, every slice numbered seq carrying exactly
+// slices[seq].
+func checkFrames(t *testing.T, i int, raw []byte, slices [][]byte) {
+	t.Helper()
+	for off := 0; off < len(raw); {
+		if len(raw)-off < sliceHeaderLen || len(raw)-off < frameLen(raw[off:]) {
+			t.Fatalf("conn %d: %d bytes from offset %d are not a whole frame", i, len(raw)-off, off)
+		}
+		f := raw[off : off+frameLen(raw[off:])]
+		off += len(f)
+		if n := binary.BigEndian.Uint16(f[4:6]); n&ctlFlag != 0 {
+			if typ := f[sliceHeaderLen]; typ < ctlAck || typ > ctlProbeAck {
+				t.Fatalf("conn %d: control frame of type %d at offset %d", i, typ, off-len(f))
+			}
+			continue
+		}
+		seq := binary.BigEndian.Uint32(f[0:4])
+		if seq >= uint32(len(slices)) || !bytes.Equal(f[sliceHeaderLen:sliceHeaderLen+int(binary.BigEndian.Uint16(f[4:6]))], slices[seq]) {
+			t.Fatalf("conn %d: slice %d at offset %d is not what was sent", i, seq, off-len(f))
+		}
+	}
+}
+
+// TestChunksQuiesceAfterFaultyRun: an echoed transfer over an F = 2 channel
+// whose switch links duplicate, reorder and corrupt frames, with a tap
+// cloning every frame at every switch, leaves every chunk back in the pool once
+// both streams closed — no stream slice, conn queue entry, out-of-order
+// segment or in-flight packet kept a reference.
+func TestChunksQuiesceAfterFaultyRun(t *testing.T) {
+	f := newFixture(t, Config{MFlows: 2, MNs: 2})
+	const size = 200 << 10
+	want := pattern(size)
+	var back []byte
+	Listen(f.stacks[15], 80, false, func(s *Stream) {
+		s.OnData(func(b []byte) { s.Send(b) })
+		s.OnClose(s.Close)
+	})
+	var client *Stream
+	NewClient(f.stacks[0], f.mc).Dial(f.hostIP(15).String(), 80, func(s *Stream, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		client = s
+		s.OnData(func(b []byte) {
+			if back = append(back, b...); len(back) == size {
+				s.Close()
+			}
+		})
+		for _, sw := range f.graph.Switches() {
+			for port, p := range f.graph.Node(sw).Ports {
+				if f.graph.Node(p.Peer).Kind == topo.KindSwitch {
+					f.net.SetLinkFault(sw, port, netsim.FaultProfile{Dup: 0.05, Reorder: 0.2, Corrupt: 0.02})
+				}
+			}
+		}
+		s.Send(want)
+	})
+	taps := 0
+	for _, sw := range f.graph.Switches() {
+		f.net.AddTap(sw, func(netsim.TapEvent) { taps++ })
+	}
+	f.eng.Run()
+	if !bytes.Equal(back, want) {
+		t.Fatalf("echoed %d bytes, want %d intact", len(back), size)
+	}
+	if st := f.net.Stats; taps == 0 || st.Duplicated == 0 || st.Corrupted == 0 || client.Retransmits() == 0 {
+		t.Fatalf("faults did not bite: %d taps, %d duplicated, %d corrupted, %d slice retransmits", taps, st.Duplicated, st.Corrupted, client.Retransmits())
+	}
+	if pl := f.net.ChunkPool(); pl.Gets != pl.Puts {
+		t.Fatalf("%d chunks handed out, %d back in the pool", pl.Gets, pl.Puts)
+	}
+}
+
+// TestMICSegmentsAliasStreamFrames pins the MIC-TCP copy ledger: the stream
+// copies each payload byte into a slice frame, and that is the only copy
+// before the receiver. The conn queues the frames by reference — it copies
+// only the hello and the control frames — and a segment lying inside one
+// queued span reaches the receiving conn as the sender's frame bytes
+// themselves.
+func TestMICSegmentsAliasStreamFrames(t *testing.T) {
+	f := newFixture(t, Config{MFlows: 1, MNs: 2})
+	var got []byte
+	client, server := dialPair(t, f, &got)
+	// Interpose on the receiving conn: is each delivered run of bytes
+	// inside a frame the sender still holds?
+	segments, aliased := 0, 0
+	server.conns[0].OnData(func(b []byte) {
+		segments++
+		at := uintptr(unsafe.Pointer(&b[0]))
+		for i := 0; i < client.health.out.len(); i++ {
+			fr := client.health.out.at(i).frame.Bytes()
+			if base := uintptr(unsafe.Pointer(&fr[0])); at >= base && at < base+uintptr(len(fr)) {
+				aliased++
+				break
+			}
+		}
+		server.feed(0, b)
+	})
+	want := pattern(256 << 10)
+	client.Send(want)
+	f.eng.Run()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d bytes, want %d intact", len(got), len(want))
+	}
+	if aliased*10 < segments*9 {
+		t.Fatalf("%d of %d delivered segments alias a frame of the sender's stream, want at least 90 %%", aliased, segments)
+	}
+	conn := client.conns[0].(*transport.Conn)
+	ctl := conn.BytesCopied - helloLen
+	if ctl < 0 || ctl%(sliceHeaderLen+ctlBodyLen) != 0 || ctl*100 > conn.BytesSentApp {
+		t.Fatalf("the sender's conn copied %d of %d bytes; want the hello and whole control frames only", conn.BytesCopied, conn.BytesSentApp)
+	}
+}

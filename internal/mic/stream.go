@@ -6,6 +6,7 @@ import (
 
 	"mic/internal/addr"
 	"mic/internal/bytequeue"
+	"mic/internal/chunk"
 	"mic/internal/sim"
 	"mic/internal/transport"
 )
@@ -44,13 +45,21 @@ const (
 // data they shadow preserves the partial-multicast defense's effect.
 const ackInterval = time.Millisecond
 
-// slabChunk caps one allocation of slice-frame storage (~40 slices). One
-// slab per write measured slower: fresh multi-megabyte spans zero slowly.
-// The receiver's reassembly chunks share the size.
+// slabChunk caps one chunk of slice-frame storage (~40 slices). One chunk
+// per write measured slower: fresh multi-megabyte spans zero slowly. The
+// receiver's reassembly chunks share the size.
 const slabChunk = 32 << 10
 
+// spanSender is a conn that queues a chunk span by reference
+// (transport.Conn); a frame goes to any other conn through Send, which
+// copies it.
+type spanSender interface{ SendSpan(s chunk.Span) }
+
+// chunkSource is a conn that names the chunk pool of its network.
+type chunkSource interface{ Chunks() *chunk.Pool }
+
 // sendCtl sends one control frame on conn i. The frame is built in the
-// stream's scratch array: every conn's Send copies before it returns.
+// stream's scratch array, which Send copies before it returns.
 func (s *Stream) sendCtl(i int, typ byte, a, b uint32) {
 	f := s.ctl[:]
 	binary.BigEndian.PutUint16(f[4:6], ctlFlag|ctlBodyLen)
@@ -77,15 +86,14 @@ type Stream struct {
 	// bytes so all data packets on the wire share one size — a defense
 	// against packet-size fingerprinting (an extension beyond the paper).
 	uniform int
-	// frameFree recycles slice frame buffers. A frame becomes reusable
-	// once no Send can re-transmit it: immediately after the conn copies
-	// it (health disabled), or when its cumulative ack retires it from
-	// the outstanding set (health enabled). slab is the chunk frames are
-	// carved from when the freelist has none; slab[:carved] is handed out.
-	frameFree [][]byte
-	slab      []byte
-	carved    int
-	ctl       [sliceHeaderLen + ctlBodyLen]byte // sendCtl's scratch frame
+	// frames carves slice frames from the network's chunks. Each frame
+	// holds a reference on its chunk until no Send can re-transmit it:
+	// right after the conn took it (health disabled), or when its
+	// cumulative ack retires it from the outstanding set (health enabled).
+	// The conns, their in-flight packets and the peer's out-of-order
+	// buffer hold references of their own.
+	frames chunk.Carver
+	ctl    [sliceHeaderLen + ctlBodyLen]byte // sendCtl's scratch frame
 
 	// Incoming. A frame is handled where it lies in the bytes a conn
 	// delivered; parse[i] holds only the frame a segment boundary cut, until
@@ -122,47 +130,35 @@ type Stream struct {
 	SlicesDup  int64   // duplicate slices discarded by the receiver
 }
 
-// newFrame returns an n-byte frame buffer: a recycled one of sufficient
-// capacity, else carved from the slab, which is replenished with a chunk
-// sized for the rest bytes the current Send has yet to slice (headers add
-// at most sliceHeaderLen per minSlice) — so a small Send allocates exactly
-// its frame. Callers overwrite header and payload and clear any padding.
-func (s *Stream) newFrame(n, rest int) []byte {
-	if k := len(s.frameFree); k > 0 {
-		b := s.frameFree[k-1]
-		s.frameFree = s.frameFree[:k-1]
-		if cap(b) >= n {
-			return b[:n]
-		}
-	}
-	if len(s.slab)-s.carved < n {
-		s.slab, s.carved = make([]byte, max(n, min(slabChunk, n+rest+rest*sliceHeaderLen/minSlice+sliceHeaderLen))), 0
-	}
-	b := s.slab[s.carved : s.carved+n : s.carved+n]
-	s.carved += n
-	return b
+// newFrame returns an n-byte frame holding a reference on its chunk. A
+// new chunk is sized for the rest bytes the current Send has yet to slice
+// (headers add at most sliceHeaderLen per minSlice) up to slabChunk — so a
+// small Send allocates exactly its frame, and once acked, a frame's chunk
+// is carved again or recycled. Callers overwrite header and payload and
+// clear any padding.
+func (s *Stream) newFrame(n, rest int) chunk.Span {
+	return s.frames.Carve(n, min(slabChunk, n+rest+rest*sliceHeaderLen/minSlice+sliceHeaderLen))
 }
 
-// joinRun extends *run over frame when frame was carved from the slab right
-// behind it, so a queue of frames sliced one after another holds one entry.
-// Both stay capped at their own end: a run never reaches a neighbour.
-func (s *Stream) joinRun(run *[]byte, frame []byte) bool {
-	at := s.carved - len(frame)
-	start := at - len(*run)
-	if start < 0 || &s.slab[at] != &frame[0] || &s.slab[start] != &(*run)[0] {
+// joinRun extends *run over frame when frame lies right behind it in the
+// same chunk, so a queue of frames sliced one after another holds one
+// entry. A run holds one reference per frame it covers.
+func joinRun(run *chunk.Span, frame chunk.Span) bool {
+	if run.C != frame.C || run.Off+run.N != frame.Off {
 		return false
 	}
-	*run = s.slab[start:s.carved:s.carved]
+	run.N += frame.N
 	return true
 }
 
-// recycleFrame returns a frame to the freelist. Only frames that no code
-// path can still read or re-send may be recycled; every conn's Send copies
-// synchronously, so a frame is safe once it has left the outstanding set.
-func (s *Stream) recycleFrame(b []byte) {
-	if cap(b) > 0 && len(s.frameFree) < 64 {
-		s.frameFree = append(s.frameFree, b)
+// send hands frame f to conn i: by reference where the conn queues spans,
+// as a copy otherwise. The caller keeps its own reference.
+func (s *Stream) send(i int, f chunk.Span) {
+	if c, ok := s.conns[i].(spanSender); ok {
+		c.SendSpan(f)
+		return
 	}
+	s.conns[i].Send(f.Bytes())
 }
 
 // newStream wires s onto its connections; conns must all be established.
@@ -177,6 +173,11 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 		ack:        make([]sim.Timer, len(conns)),
 		connClosed: make([]bool, len(conns)),
 		SlicesOut:  make([]int64, len(conns)),
+	}
+	if src, ok := conns[0].(chunkSource); ok {
+		s.frames.Pool = src.Chunks()
+	} else {
+		s.frames.Pool = chunk.NewPool()
 	}
 	if !hc.Disabled {
 		s.health = newHealthMonitor(s)
@@ -224,6 +225,8 @@ func (s *Stream) Remotes() []addr.IP {
 // copied into slice frames before Send returns. Slicing is eager even when
 // the window is full: slice sizes and flow picks interleave on one RNG while
 // the window has room, so deferring either would move the draw sequence.
+// The frames are what the conns queue and the packets carry: a payload byte
+// is copied once on its way to the wire, here.
 func (s *Stream) Send(data []byte) {
 	if s.closed || s.failed != nil {
 		return
@@ -244,24 +247,25 @@ func (s *Stream) Send(data []byte) {
 			}
 			padded = n
 		}
-		body := s.newFrame(sliceHeaderLen+padded, len(data)-n)
+		frame := s.newFrame(sliceHeaderLen+padded, len(data)-n)
+		body := frame.Bytes()
 		binary.BigEndian.PutUint32(body[0:4], s.seqOut)
 		binary.BigEndian.PutUint16(body[4:6], uint16(n))
 		binary.BigEndian.PutUint16(body[6:8], uint16(padded))
 		copy(body[sliceHeaderLen:], data[:n])
-		// Recycled frames carry stale bytes; the padding must not leak them
+		// Recycled chunks carry stale bytes; the padding must not leak them
 		// onto the wire.
 		clear(body[sliceHeaderLen+n:])
 		s.seqOut++
 		if s.health != nil {
 			// Windowed path: the monitor releases slices as acks open
 			// window room, picking the flow at release time.
-			s.health.enqueue(body)
+			s.health.enqueue(frame)
 		} else {
 			flow := s.rng.Intn(len(s.conns))
 			s.SlicesOut[flow]++
-			s.conns[flow].Send(body)
-			s.recycleFrame(body)
+			s.send(flow, frame)
+			frame.C.Release()
 		}
 		data = data[n:]
 	}
@@ -271,7 +275,8 @@ func (s *Stream) Send(data []byte) {
 // while none was registered. The slice handed to fn aliases the bytes the
 // conn delivered (the packet payload), the conn's parser (a slice a segment
 // boundary cut) or a reassembly chunk, and is valid only during the call
-// (Conn.OnData's contract); fn may Send it — Send copies before it returns.
+// (Conn.OnData's contract), and is read-only: it may alias the sender's
+// chunk. fn may Send it — Send copies before it returns.
 //
 // A stream with no receiver registered holds what arrives but never advances
 // its cumulative ack, so its peer keeps retransmitting until one is: an
@@ -295,6 +300,7 @@ func (s *Stream) fail(err error) {
 	if s.health != nil {
 		s.health.disarm()
 	}
+	s.frames.Drop()
 	if fin := s.onFinalize; fin != nil {
 		s.onFinalize = nil
 		fin()
@@ -317,6 +323,7 @@ func (s *Stream) Close() {
 	if s.health != nil {
 		s.health.disarm()
 	}
+	s.frames.Drop()
 	if fin := s.onFinalize; fin != nil {
 		s.onFinalize = nil
 		fin()

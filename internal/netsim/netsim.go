@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"mic/internal/addr"
+	"mic/internal/chunk"
 	"mic/internal/flowtable"
 	"mic/internal/metrics"
 	"mic/internal/packet"
@@ -44,9 +45,10 @@ type Config struct {
 	CostSwitchAction   time.Duration // per packet-mutating flow action
 	CostHostPacket     time.Duration // per packet through a host stack
 
-	// PoolDebug enables the packet pool's use-after-release guard
-	// (poisoned free-list buffers, double-release panics). Tests set it;
-	// it is off by default because the checks are O(payload) per packet.
+	// PoolDebug enables the packet and chunk pools' use-after-release
+	// guards (poisoned free-list buffers and chunks, double-release
+	// panics). Tests set it; it is off by default because the checks are
+	// O(payload) per packet.
 	PoolDebug bool
 
 	// FaultSeed drives the per-link fault RNG streams (SetLinkFault).
@@ -319,9 +321,11 @@ type Network struct {
 	// (SetMgmtCut). Nil when the management network is whole.
 	mgmtCuts map[mgmtCut]bool
 
-	// pool recycles data-plane packets. Per network (not global) because
-	// the harness runs independent engines on parallel goroutines.
-	pool *packet.Pool
+	// pool recycles data-plane packets and chunks the payload bytes they
+	// alias. Per network (not global) because the harness runs independent
+	// engines on parallel goroutines.
+	pool   *packet.Pool
+	chunks *chunk.Pool
 
 	// hopFree recycles hop records (hop.go), per network for the same
 	// reason.
@@ -357,16 +361,18 @@ func (n *Network) dir(id topo.NodeID, port int) *linkDir {
 // New builds runtimes for every node of g.
 func New(eng *sim.Engine, g *topo.Graph, cfg Config) *Network {
 	n := &Network{
-		Eng:   eng,
-		Graph: g,
-		CPU:   metrics.NewCPUAccount(),
-		Cfg:   cfg.withDefaults(),
-		nodes: make([]node, len(g.Nodes)),
-		pool:  packet.NewPool(),
+		Eng:    eng,
+		Graph:  g,
+		CPU:    metrics.NewCPUAccount(),
+		Cfg:    cfg.withDefaults(),
+		nodes:  make([]node, len(g.Nodes)),
+		pool:   packet.NewPool(),
+		chunks: chunk.NewPool(),
 	}
 	n.vswitchCPU, n.stackCPU = n.CPU.Meter("vswitch"), n.CPU.Meter("stack")
 	if cfg.PoolDebug {
 		n.pool.SetDebug(true)
+		n.chunks.SetDebug(true)
 	}
 	for _, node := range g.Nodes {
 		switch node.Kind {
@@ -391,6 +397,11 @@ func (n *Network) faultStream(pk portKey) *sim.RNG {
 // data packets from it; the fabric releases packets back at their sinks
 // (delivery, drop, or table miss).
 func (n *Network) PacketPool() *packet.Pool { return n.pool }
+
+// ChunkPool returns the network's chunk pool. Transport stacks and MIC
+// streams carve the payload bytes they send from it; a chunk comes back
+// once no send queue, stream and in-flight packet holds it.
+func (n *Network) ChunkPool() *chunk.Pool { return n.chunks }
 
 // Switch returns the switch runtime for a node ID.
 func (n *Network) Switch(id topo.NodeID) *Switch {

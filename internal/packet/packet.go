@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"mic/internal/addr"
+	"mic/internal/chunk"
 )
 
 // EtherType values used by the simulator.
@@ -66,6 +67,9 @@ type Packet struct {
 	Flags            uint8
 	Window           uint16
 
+	// Payload is read-only once the packet is in flight: it may alias the
+	// sender's chunk (SetPayloadSpan), whose bytes the sender re-reads to
+	// retransmit. A component that must change payload bytes Clones first.
 	Payload []byte
 
 	// key caches the FlowKey so repeated per-hop lookups don't recompute it;
@@ -76,8 +80,11 @@ type Packet struct {
 
 	// buf is the pool-owned payload backing store; SetPayload copies into it
 	// so the payload's lifetime is tied to the packet, not to the caller's
-	// buffer. pool/released implement the free list (pool.go).
+	// buffer. chunk is the chunk Payload aliases instead (SetPayloadSpan),
+	// holding one reference that Release drops. pool/released implement the
+	// free list (pool.go).
 	buf      []byte
+	chunk    *chunk.Chunk
 	pool     *Pool
 	released bool
 }
@@ -92,12 +99,14 @@ func (p *Packet) WireLen() int {
 
 // Clone returns a deep copy of p. The payload bytes are copied too, so the
 // clone can be rewritten independently (needed for partial multicast).
-// Clones are never pool-owned, regardless of p's provenance.
+// Clones are never pool-owned, regardless of p's provenance, and never
+// alias a chunk.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	q.pool = nil
 	q.released = false
 	q.buf = nil
+	q.chunk = nil
 	if len(p.MPLS) > 0 {
 		q.MPLS = append([]addr.Label(nil), p.MPLS...)
 	} else {
@@ -128,19 +137,33 @@ func (p *Packet) SetDstIP(ip addr.IP) {
 // SetPayload copies b into the packet's own backing buffer (pool-owned for
 // pooled packets), so the caller's slice is not aliased and may be reused
 // immediately.
-func (p *Packet) SetPayload(b []byte) { p.SetPayloadSpans(b, nil) }
+func (p *Packet) SetPayload(b []byte) { copy(p.PayloadBuffer(len(b)), b) }
 
-// SetPayloadSpans is SetPayload for a payload held in two pieces — a ring
-// buffer's live bytes across its wrap: the packet carries a followed by b.
-func (p *Packet) SetPayloadSpans(a, b []byte) {
-	n := len(a) + len(b)
+// PayloadBuffer sets the payload to n bytes of the packet's own backing
+// buffer and returns them for the caller to fill.
+func (p *Packet) PayloadBuffer(n int) []byte {
 	if cap(p.buf) < n {
 		p.buf = make([]byte, n)
 	}
 	p.buf = p.buf[:n]
-	copy(p.buf[copy(p.buf, a):], b)
 	p.Payload = p.buf
+	return p.buf
 }
+
+// SetPayloadSpan makes the payload alias s, taking a reference on its chunk
+// that Release drops: the bytes are not copied, and must not change while
+// the packet is in flight. For pooled packets only (Release is what drops
+// the reference); the payload must not be set again before Release.
+func (p *Packet) SetPayloadSpan(s chunk.Span) {
+	s.C.Retain()
+	p.chunk = s.C
+	p.Payload = s.Bytes()
+}
+
+// PayloadChunk returns the chunk the payload aliases, or nil when the packet
+// carries its own bytes. A receiver that keeps the payload past the packet's
+// release may Retain it instead of copying.
+func (p *Packet) PayloadChunk() *chunk.Chunk { return p.chunk }
 
 // mplsHeadroom is the spare label capacity allocated when a stack grows, so
 // the push at the next MN reuses it instead of allocating.

@@ -5,9 +5,11 @@ package transport
 // which is how the paper evaluates both MIC-TCP and MIC-SSL.
 //
 // Buffer ownership is the same on every implementation: Send copies data
-// before it returns; the slice handed to an OnData callback is valid only
-// during the call. Register OnData before the accept/connect callback
-// returns — a Conn drops bytes that arrive with no receiver.
+// before it returns (a Conn also queues chunk spans by reference, SendSpan);
+// the slice handed to an OnData callback is valid only during the call and
+// is read-only — it may be the sender's own bytes, in a chunk the sender
+// will read again to retransmit. Register OnData before the accept/connect
+// callback returns — a Conn drops bytes that arrive with no receiver.
 type ByteStream interface {
 	Send(data []byte)
 	OnData(fn func([]byte))

@@ -4,7 +4,7 @@ import (
 	"time"
 
 	"mic/internal/addr"
-	"mic/internal/bytequeue"
+	"mic/internal/chunk"
 	"mic/internal/packet"
 	"mic/internal/sim"
 )
@@ -44,11 +44,11 @@ type Conn struct {
 
 	// Send side.
 	iss        uint32
-	sndUna     uint32          // oldest unacknowledged sequence
-	sndNxt     uint32          // next sequence to send
-	sndMax     uint32          // highest sequence ever sent (go-back-N may rewind sndNxt)
-	sendBuf    bytequeue.Queue // bytes from sndUna (acked bytes are popped)
-	bufSeq     uint32          // sequence number of the queue's front byte
+	sndUna     uint32    // oldest unacknowledged sequence
+	sndNxt     uint32    // next sequence to send
+	sndMax     uint32    // highest sequence ever sent (go-back-N may rewind sndNxt)
+	sendQ      sendQueue // bytes from sndUna (acked bytes are popped)
+	bufSeq     uint32    // sequence number of the queue's front byte
 	cwnd       int
 	ssthresh   int
 	dupAcks    int
@@ -59,7 +59,7 @@ type Conn struct {
 
 	// Receive side.
 	rcvNxt       uint32
-	ooo          map[uint32][]byte
+	ooo          map[uint32]oooSegment
 	remoteFinned bool
 
 	// RTT estimation (RFC 6298 style).
@@ -74,6 +74,7 @@ type Conn struct {
 
 	// Counters.
 	BytesSentApp int64 // accepted from the application
+	BytesCopied  int64 // of those, copied in by Send (SendSpan's are referenced)
 	BytesRecvApp int64 // delivered to the application
 	Retransmits  int64
 }
@@ -86,8 +87,9 @@ func newConn(s *Stack, tuple packet.FiveTuple, passive bool) *Conn {
 		cwnd:     initialCwnd,
 		ssthresh: initialSsth,
 		rto:      initialRTO,
-		ooo:      make(map[uint32][]byte),
+		ooo:      make(map[uint32]oooSegment),
 	}
+	c.sendQ.own.Pool = s.chunks
 	c.rtx.Bind(s.eng, c.onTimeout)
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
@@ -122,22 +124,42 @@ func (c *Conn) RemoteAddr() (addr.IP, uint16) { return c.tuple.DstIP, c.tuple.Ds
 // OnData registers the receive callback. Bytes that arrive in order while no
 // callback is registered are acknowledged and dropped, so register inside
 // the Listen/Dial callback, before control returns to the engine. The slice
-// handed to fn aliases a pooled packet's payload and is valid only during
-// the call: copy what must outlive it.
+// handed to fn is a pooled packet's payload — often the sender's chunk
+// itself — so it is read-only and valid only during the call: copy what
+// must outlive it.
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 
 // OnClose registers a callback fired when the remote side closes.
 func (c *Conn) OnClose(fn func()) { c.onClose = fn }
 
-// Send queues application data for reliable delivery.
+// Send queues application data for reliable delivery, copying it into the
+// conn's own chunks before it returns.
 func (c *Conn) Send(data []byte) {
 	if c.state == stateClosed || c.finQueued {
 		return
 	}
 	c.BytesSentApp += int64(len(data))
-	c.sendBuf.Append(data)
+	c.BytesCopied += int64(len(data))
+	c.sendQ.copyIn(data)
 	c.pump()
 }
+
+// SendSpan queues s for reliable delivery without copying it: the conn
+// takes its own reference on s's chunk and drops it once s is acked. The
+// bytes must not change from now on.
+func (c *Conn) SendSpan(s chunk.Span) {
+	if c.state == stateClosed || c.finQueued {
+		return
+	}
+	c.BytesSentApp += int64(s.N)
+	s.C.Retain()
+	c.sendQ.push(s)
+	c.pump()
+}
+
+// Chunks returns the chunk pool the conn's stack carves from, for a writer
+// that builds the spans it hands to SendSpan.
+func (c *Conn) Chunks() *chunk.Pool { return c.stack.chunks }
 
 // Close flushes queued data then sends FIN.
 func (c *Conn) Close() {
@@ -155,8 +177,9 @@ func seqLE(a, b uint32) bool { return int32(b-a) >= 0 }
 func seqLT(a, b uint32) bool { return int32(b-a) > 0 }
 
 // mkPacket builds a frame on a pooled packet carrying n bytes of the send
-// buffer from offset off (n == 0: no payload). The bytes are copied into the
-// packet's own buffer, so in-flight frames never alias the send buffer.
+// queue from offset off (n == 0: no payload). The payload aliases the
+// queued span that holds it, or is gathered when it crosses spans
+// (sendQueue.load).
 func (c *Conn) mkPacket(flags uint8, seq uint32, off, n int) *packet.Packet {
 	p := c.stack.pool.Get()
 	p.SrcMAC, p.DstMAC = c.stack.Host.MAC, addr.Broadcast
@@ -165,7 +188,7 @@ func (c *Conn) mkPacket(flags uint8, seq uint32, off, n int) *packet.Packet {
 	p.SrcPort, p.DstPort = c.tuple.SrcPort, c.tuple.DstPort
 	p.Seq, p.Ack, p.Flags, p.Window = seq, c.rcvNxt, flags, 65535
 	if n > 0 {
-		p.SetPayloadSpans(c.sendBuf.Spans(off, n))
+		c.sendQ.load(p, off, n)
 	}
 	return p
 }
@@ -205,11 +228,11 @@ func (c *Conn) pump() {
 		if inflight < 0 {
 			inflight = 0
 		}
-		sent := int(c.sndNxt - c.bufSeq) // bytes of sendBuf already sent
+		sent := int(c.sndNxt - c.bufSeq) // bytes of sendQ already sent
 		if sent < 0 {
 			sent = 0
 		}
-		avail := c.sendBuf.Len() - sent
+		avail := c.sendQ.Len() - sent
 		if avail > 0 && inflight < c.cwnd {
 			n := avail
 			if n > MSS {
@@ -316,7 +339,7 @@ func (c *Conn) handle(p *packet.Packet) {
 		c.processAck(p.Ack)
 	}
 	if len(p.Payload) > 0 {
-		c.processData(p.Seq, p.Payload)
+		c.processData(p.Seq, p.Payload, p.PayloadChunk())
 	}
 	if p.Flags&packet.FlagFIN != 0 {
 		finSeq := p.Seq + uint32(len(p.Payload))
@@ -361,10 +384,10 @@ func (c *Conn) processAck(ack uint32) {
 		}
 		if seqLT(c.bufSeq, dataAck) {
 			trim := int(dataAck - c.bufSeq)
-			if trim > c.sendBuf.Len() {
-				trim = c.sendBuf.Len()
+			if trim > c.sendQ.Len() {
+				trim = c.sendQ.Len()
 			}
-			c.sendBuf.PopFront(trim)
+			c.sendQ.popFront(trim)
 			c.bufSeq += uint32(trim)
 		}
 		// RTT sample (Karn: sampling flag cleared on retransmit).
@@ -416,7 +439,23 @@ func (c *Conn) updateRTT(sample time.Duration) {
 	}
 }
 
-func (c *Conn) processData(seq uint32, payload []byte) {
+// oooSegment is a segment that overtook a gap: a reference on the sender's
+// chunk when its payload aliases one (c set), else a copy.
+type oooSegment struct {
+	b []byte
+	c *chunk.Chunk
+}
+
+// release drops the segment's chunk reference, if it holds one.
+func (s oooSegment) release() {
+	if s.c != nil {
+		s.c.Release()
+	}
+}
+
+// processData accepts one segment's payload; ch is the chunk it aliases,
+// nil if the packet carries its own bytes.
+func (c *Conn) processData(seq uint32, payload []byte, ch *chunk.Chunk) {
 	if seqLT(seq, c.rcvNxt) {
 		// Fully or partially old. Trim the old prefix.
 		if seqLE(c.rcvNxt, seq+uint32(len(payload))) {
@@ -436,11 +475,15 @@ func (c *Conn) processData(seq uint32, payload []byte) {
 				break
 			}
 			delete(c.ooo, c.rcvNxt)
-			c.deliver(next)
+			c.deliver(next.b)
+			next.release()
 		}
-	} else {
-		if _, dup := c.ooo[seq]; !dup {
-			c.ooo[seq] = append([]byte(nil), payload...)
+	} else if _, dup := c.ooo[seq]; !dup {
+		if ch != nil {
+			ch.Retain()
+			c.ooo[seq] = oooSegment{b: payload, c: ch}
+		} else {
+			c.ooo[seq] = oooSegment{b: append([]byte(nil), payload...)}
 		}
 	}
 	c.sendACK()
@@ -472,10 +515,10 @@ func (c *Conn) retransmitOldest() {
 		c.stack.emit(c.mkPacket(packet.FlagFIN|packet.FlagACK, c.finSeq, 0, 0))
 	default:
 		sent := int(c.sndUna - c.bufSeq)
-		if sent < 0 || sent >= c.sendBuf.Len() {
+		if sent < 0 || sent >= c.sendQ.Len() {
 			return
 		}
-		n := min(MSS, c.sendBuf.Len()-sent)
+		n := min(MSS, c.sendQ.Len()-sent)
 		c.stack.emit(c.mkPacket(packet.FlagACK|packet.FlagPSH, c.sndUna, sent, n))
 	}
 	c.rtx.Reset(c.rto)
@@ -524,6 +567,18 @@ func (c *Conn) maybeDrop() {
 		c.state = stateClosed
 		c.rtx.Stop()
 		c.stack.drop(c)
+		c.releaseBytes()
+	}
+}
+
+// releaseBytes drops every chunk reference a closed conn holds: its send
+// queue, its own fill chunk, its out-of-order segments.
+func (c *Conn) releaseBytes() {
+	c.sendQ.reset()
+	// lint:ignore detrange releases commute: which recycled chunk a later Get reuses shows in no byte and no virtual instant
+	for seq, s := range c.ooo {
+		s.release()
+		delete(c.ooo, seq)
 	}
 }
 
@@ -535,6 +590,7 @@ func (c *Conn) teardown(err *TransportError) {
 	c.state = stateClosed
 	c.rtx.Stop()
 	c.stack.drop(c)
+	c.releaseBytes()
 	if wasHandshaking && c.onConnected != nil {
 		cb := c.onConnected
 		c.onConnected = nil
@@ -570,7 +626,7 @@ func (c *Conn) Stats() ConnStats {
 	if sent < 0 {
 		sent = 0
 	}
-	unsent := c.sendBuf.Len() - sent
+	unsent := c.sendQ.Len() - sent
 	if unsent < 0 {
 		unsent = 0
 	}

@@ -9,10 +9,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"time"
 
 	"mic/internal/addr"
 	"mic/internal/bytequeue"
+	"mic/internal/chunk"
 )
 
 // SSL cost model. Records are really encrypted (AES-256-CTR) and
@@ -41,8 +43,10 @@ type SecureConn struct {
 	stack *Stack
 
 	enc, dec   cipher.Stream
-	macKeyOut  []byte
-	macKeyIn   []byte
+	macOut     hash.Hash // HMAC-SHA256, Reset for every record
+	macIn      hash.Hash
+	mac        [sha256.Size]byte // sum's scratch
+	out        chunk.Carver      // where Send seals records
 	recvBuf    bytequeue.Queue
 	onRecord   func(typ byte, payload []byte) // the current handshake step, then decrypt
 	onData     func([]byte)
@@ -68,7 +72,7 @@ func (s *Stack) DialSSL(dst addr.IP, port uint16, onReady func(*SecureConn, erro
 			onReady(nil, err)
 			return
 		}
-		sc := &SecureConn{C: c, stack: s}
+		sc := newSecureConn(c)
 		priv := keyFor(c.tuple.SrcIP, c.tuple.SrcPort, 0xC11E)
 		// ClientHello.
 		sc.chargeCrypto(sslHandshakeClientCost)
@@ -96,7 +100,7 @@ func (s *Stack) DialSSL(dst addr.IP, port uint16, onReady func(*SecureConn, erro
 // after its handshake completes.
 func (s *Stack) ListenSSL(port uint16, onReady func(*SecureConn)) *Listener {
 	return s.Listen(port, func(c *Conn) {
-		sc := &SecureConn{C: c, stack: s}
+		sc := newSecureConn(c)
 		priv := keyFor(c.tuple.SrcIP, c.tuple.SrcPort, 0x5E44)
 		step := 0
 		sc.onRecord = func(typ byte, payload []byte) {
@@ -118,6 +122,13 @@ func (s *Stack) ListenSSL(port uint16, onReady func(*SecureConn)) *Listener {
 		}
 		c.OnData(sc.feed)
 	})
+}
+
+// newSecureConn wraps c; its records are sealed into chunks of c's pool.
+func newSecureConn(c *Conn) *SecureConn {
+	sc := &SecureConn{C: c, stack: c.stack}
+	sc.out.Pool = c.stack.chunks
+	return sc
 }
 
 // keyFor derives a deterministic X25519 private key per connection side.
@@ -174,10 +185,10 @@ func (sc *SecureConn) deriveKeys(master [32]byte, isClient bool) {
 	}
 	if isClient {
 		sc.enc, sc.dec = mkStream(kc), mkStream(ks)
-		sc.macKeyOut, sc.macKeyIn = mkc[:], mks[:]
+		sc.macOut, sc.macIn = hmac.New(sha256.New, mkc[:]), hmac.New(sha256.New, mks[:])
 	} else {
 		sc.enc, sc.dec = mkStream(ks), mkStream(kc)
-		sc.macKeyOut, sc.macKeyIn = mks[:], mkc[:]
+		sc.macOut, sc.macIn = hmac.New(sha256.New, mks[:]), hmac.New(sha256.New, mkc[:])
 	}
 }
 
@@ -222,16 +233,25 @@ func (sc *SecureConn) installDataPath() {
 }
 
 func (sc *SecureConn) checkMAC(body, mac []byte) bool {
-	h := hmac.New(sha256.New, sc.macKeyIn)
-	var seq [8]byte
-	binary.BigEndian.PutUint64(seq[:], sc.seqIn)
+	ok := hmac.Equal(sc.sum(sc.macIn, sc.seqIn, body), mac)
 	sc.seqIn++
-	h.Write(seq[:])
-	h.Write(body)
-	return hmac.Equal(h.Sum(nil)[:sslMACLen], mac)
+	return ok
 }
 
-// Send encrypts and queues application data.
+// sum returns the truncated MAC of record number seq with body b, computed
+// by h, which it resets first, in sc.mac (which also stages seq: a local
+// array would escape through the hash.Hash interface).
+func (sc *SecureConn) sum(h hash.Hash, seq uint64, b []byte) []byte {
+	h.Reset()
+	binary.BigEndian.PutUint64(sc.mac[:8], seq)
+	h.Write(sc.mac[:8])
+	h.Write(b)
+	return h.Sum(sc.mac[:0])[:sslMACLen]
+}
+
+// Send encrypts and queues application data. Each record is sealed —
+// header, ciphertext, MAC — into one span of the secure conn's chunks and
+// handed to the conn by reference.
 func (sc *SecureConn) Send(data []byte) {
 	if !sc.handshaken {
 		panic("transport: Send before SSL handshake completion")
@@ -239,19 +259,17 @@ func (sc *SecureConn) Send(data []byte) {
 	sc.BytesSentApp += int64(len(data))
 	for len(data) > 0 {
 		n := min(len(data), maxRecordPayload)
-		chunk := data[:n]
+		rec := sc.out.Grow(sslRecordHeaderLen + n + sslMACLen)
+		b := rec.Bytes()
+		putRecordHeader(b, recordTypeData, n+sslMACLen)
+		ct := b[sslRecordHeaderLen : sslRecordHeaderLen+n]
+		sc.enc.XORKeyStream(ct, data[:n])
 		data = data[n:]
-		ct := make([]byte, n)
-		sc.enc.XORKeyStream(ct, chunk)
-		h := hmac.New(sha256.New, sc.macKeyOut)
-		var seq [8]byte
-		binary.BigEndian.PutUint64(seq[:], sc.seqOut)
+		copy(b[sslRecordHeaderLen+n:], sc.sum(sc.macOut, sc.seqOut, ct))
 		sc.seqOut++
-		h.Write(seq[:])
-		h.Write(ct)
-		mac := h.Sum(nil)[:sslMACLen]
 		sc.chargeCrypto(sslPerRecordCost + time.Duration(n)*sslPerByteCost)
-		sc.C.Send(frameRecord(recordTypeData, append(ct, mac...)))
+		sc.C.SendSpan(rec)
+		rec.C.Release()
 	}
 }
 
@@ -262,8 +280,15 @@ func (sc *SecureConn) OnData(fn func([]byte)) { sc.onData = fn }
 // OnClose registers a close callback.
 func (sc *SecureConn) OnClose(fn func()) { sc.onClose = fn }
 
-// Close closes the underlying connection.
-func (sc *SecureConn) Close() { sc.C.Close() }
+// Close closes the underlying connection and drops the chunk records are
+// sealed into.
+func (sc *SecureConn) Close() {
+	sc.C.Close()
+	sc.out.Drop()
+}
+
+// Chunks returns the chunk pool of the underlying connection.
+func (sc *SecureConn) Chunks() *chunk.Pool { return sc.C.Chunks() }
 
 // RemoteAddr returns the remote endpoint of the underlying connection.
 func (sc *SecureConn) RemoteAddr() (addr.IP, uint16) { return sc.C.RemoteAddr() }
@@ -279,11 +304,17 @@ func frameRecord(typ byte, payload []byte) []byte {
 		panic(fmt.Sprintf("transport: record payload %d too large", len(payload)))
 	}
 	out := make([]byte, sslRecordHeaderLen+len(payload))
-	out[0] = typ
-	binary.BigEndian.PutUint16(out[1:3], uint16(len(payload)))
-	out[3] = 0
+	putRecordHeader(out, typ, len(payload))
 	copy(out[sslRecordHeaderLen:], payload)
 	return out
+}
+
+// putRecordHeader writes the header of a record of type typ whose payload
+// is n bytes.
+func putRecordHeader(b []byte, typ byte, n int) {
+	b[0] = typ
+	binary.BigEndian.PutUint16(b[1:3], uint16(n))
+	b[3] = 0
 }
 
 // splitRecord returns the complete record at the front of q, if any, without

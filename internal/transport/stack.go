@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"mic/internal/addr"
+	"mic/internal/chunk"
 	"mic/internal/netsim"
 	"mic/internal/packet"
 	"mic/internal/sim"
@@ -27,9 +28,10 @@ const MSS = 1460
 
 // Stack is one host's transport layer. Create at most one per host.
 type Stack struct {
-	Host *netsim.Host
-	eng  *sim.Engine
-	pool *packet.Pool // the network's packet pool; outgoing frames draw from it
+	Host   *netsim.Host
+	eng    *sim.Engine
+	pool   *packet.Pool // the network's packet pool; outgoing frames draw from it
+	chunks *chunk.Pool  // the network's chunk pool; conns carve copied-in bytes from it
 
 	listeners map[uint16]*Listener
 	conns     map[packet.FiveTuple]*Conn
@@ -42,6 +44,7 @@ func NewStack(h *netsim.Host) *Stack {
 		Host:      h,
 		eng:       h.Net().Eng,
 		pool:      h.Net().PacketPool(),
+		chunks:    h.Net().ChunkPool(),
 		listeners: make(map[uint16]*Listener),
 		conns:     make(map[packet.FiveTuple]*Conn),
 		nextPort:  40000,

@@ -28,9 +28,10 @@ func newRig(t *testing.T, switches int, cfg netsim.Config) *rig {
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	// Every transport test runs under the pool's use-after-release guard:
-	// retaining a pooled packet (or its payload) past handoff poisons and
-	// panics instead of silently corrupting.
+	// Every transport test runs under the pools' use-after-release guards:
+	// retaining a pooled packet (or its payload), or reading a chunk past
+	// its last reference, poisons and panics instead of silently
+	// corrupting.
 	cfg.PoolDebug = true
 	net := netsim.New(eng, g, cfg)
 	r := &ctrlplane.ProactiveRouter{CFLabel: 777}
