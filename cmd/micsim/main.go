@@ -8,6 +8,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,80 +23,85 @@ import (
 	"mic/internal/topo"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit code as values: 0 on success, 1 if
+// the run failed, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("micsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		scheme   = flag.String("scheme", "mic-tcp", "tcp | ssl | mic-tcp | mic-ssl | tor")
-		mns      = flag.Int("mns", 3, "Mimic Nodes per m-flow (MIC) / relays (Tor)")
-		mflows   = flag.Int("mflows", 1, "m-flows per channel (MIC)")
-		fanout   = flag.Int("fanout", 1, "partial-multicast fanout (MIC)")
-		size     = flag.Int("size", 4<<20, "bytes to transfer")
-		from     = flag.Int("from", 0, "initiator host index (0-15)")
-		to       = flag.Int("to", 15, "responder host index (0-15)")
-		seed     = flag.Uint64("seed", 1, "RNG seed")
-		latency  = flag.Bool("latency", false, "also measure 10-byte ping-pong latency")
-		scenario = flag.String("scenario", "", "fault scenario to play (MIC schemes only); 'help' lists them")
+		scheme   = fs.String("scheme", "mic-tcp", "tcp | ssl | mic-tcp | mic-ssl | tor")
+		mns      = fs.Int("mns", 3, "Mimic Nodes per m-flow (MIC) / relays (Tor)")
+		mflows   = fs.Int("mflows", 1, "m-flows per channel (MIC)")
+		fanout   = fs.Int("fanout", 1, "partial-multicast fanout (MIC)")
+		size     = fs.Int("size", 4<<20, "bytes to transfer")
+		from     = fs.Int("from", 0, "initiator host index (0-15)")
+		to       = fs.Int("to", 15, "responder host index (0-15)")
+		seed     = fs.Uint64("seed", 1, "RNG seed")
+		latency  = fs.Bool("latency", false, "also measure 10-byte ping-pong latency")
+		scenario = fs.String("scenario", "", "fault scenario to play (MIC schemes only); 'help' lists them")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	s, err := parseScheme(*scheme)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if *scenario == "help" {
-		fmt.Print(scenarioHelp())
-		return
+		fmt.Fprint(stdout, scenarioHelp())
+		return 0
 	}
 	if *from == *to || *from < 0 || *to < 0 || *from > 15 || *to > 15 {
-		fmt.Fprintln(os.Stderr, "micsim: -from and -to must be distinct host indices in 0..15")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "micsim: -from and -to must be distinct host indices in 0..15")
+		return 2
 	}
 	if *size < 0 {
-		fmt.Fprintln(os.Stderr, "micsim: -size must not be negative")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "micsim: -size must not be negative")
+		return 2
 	}
 	if *scenario != "" {
 		e := lookup(*scenario)
 		if e == nil {
-			fmt.Fprintf(os.Stderr, "micsim: unknown scenario %q; valid scenarios:\n%s", *scenario, scenarioHelp())
-			os.Exit(2)
+			fmt.Fprintf(stderr, "micsim: unknown scenario %q; -scenario help lists them\n", *scenario)
+			return 2
 		}
 		if s != harness.SchemeMICTCP && s != harness.SchemeMICSSL {
-			fmt.Fprintf(os.Stderr, "micsim: -scenario %s needs a MIC scheme (%s)\n", e.name, e.why)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "micsim: -scenario %s needs a MIC scheme (%s)\n", e.name, e.why)
+			return 2
 		}
 		if *latency {
-			fmt.Fprintln(os.Stderr, "micsim: -latency measures a plain transfer; it does not combine with -scenario")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "micsim: -latency measures a plain transfer; it does not combine with -scenario")
+			return 2
 		}
 		p := harness.Params{Seed: *seed, From: *from, To: *to, Size: *size, Secure: s == harness.SchemeMICSSL}
-		if err := e.play(os.Stdout, p, *mns, *mflows, *fanout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if err := e.play(stdout, p, *mns, *mflows, *fanout); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
-	switch s {
-	case harness.SchemeMICTCP, harness.SchemeMICSSL:
-		runMIC(s == harness.SchemeMICSSL, *from, *to, *mns, *mflows, *fanout, *size, *seed)
-	default:
-		res, err := harness.ThroughputOneFlow(s, *mns, *size, *seed)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("scheme=%v size=%d throughput=%.1f Mbps wall=%v cpu=%v\n",
-			s, *size, res.Mbps, res.Wall, res.CPUTotal)
+	cfg := mic.Config{MNs: *mns, MFlows: *mflows, MulticastFanout: *fanout, Seed: *seed}
+	if err := transfer(stdout, s, cfg, *from, *to, *size); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *latency {
-		d, err := harness.PingPongLatency(s, *mns, *seed)
+		d, err := harness.PingPongLatency(s, *from, *to, *mns, *seed)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("pingpong latency=%v\n", d)
+		fmt.Fprintf(stdout, "pingpong latency=%v\n", d)
 	}
+	return 0
 }
 
 // entry is one row of the scenario table: a name, a line for -scenario help,
@@ -197,25 +203,32 @@ func parseScheme(s string) (harness.Scheme, error) {
 	return 0, fmt.Errorf("micsim: unknown scheme %q", s)
 }
 
-// runMIC runs one plain transfer with every MIC knob reachable.
-func runMIC(secure bool, from, to, mns, mflows, fanout, size int, seed uint64) {
-	tb, err := harness.NewTestbed(harness.SchemeMICTCP, 4, netsim.Config{}, mic.Config{MNs: mns, MFlows: mflows, MulticastFanout: fanout, Seed: seed}, nil)
+// transfer carries size bytes from host `from` to host `to` under the
+// scheme, the MIC schemes' MC running cfg (-mns is also Tor's relay count),
+// and prints the transfer's metrics, and under MIC the channel's m-flows.
+func transfer(w io.Writer, s harness.Scheme, cfg mic.Config, from, to, size int) error {
+	tb, err := harness.NewTestbed(s, 4, netsim.Config{}, cfg, nil)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	xfer := tb.StartTransfer(secure, from, to, make([]byte, size))
+	x := tb.StartTransfer(s, from, to, 80, cfg.MNs, size)
 	tb.Run(0)
-	if err := xfer.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := x.Err(); err != nil {
+		return err
 	}
-	fmt.Printf("scheme=MIC secure=%v mns=%d mflows=%d fanout=%d\n", secure, mns, mflows, fanout)
-	fmt.Printf("setup=%v throughput=%.1f Mbps wall=%v cpu=%v\n",
-		time.Duration(xfer.Start), xfer.Mbps(), xfer.Wall(), tb.Net.CPU.Total())
-	for i, f := range xfer.Channel.Flows {
-		fmt.Printf("m-flow %d: entry=%v path=%s MNs=%d\n", i, f.Entry, f.Path.Render(tb.Graph), len(f.MNs))
+	if x.Channel == nil {
+		fmt.Fprintf(w, "scheme=%v size=%d throughput=%.1f Mbps wall=%v cpu=%v\n",
+			s, size, x.Mbps(), x.Wall(), tb.Net.CPU.Total()-x.CPUAtStart)
+		return nil
 	}
+	fmt.Fprintf(w, "scheme=MIC secure=%v mns=%d mflows=%d fanout=%d\n",
+		s == harness.SchemeMICSSL, cfg.MNs, cfg.MFlows, cfg.MulticastFanout)
+	fmt.Fprintf(w, "setup=%v throughput=%.1f Mbps wall=%v cpu=%v\n",
+		time.Duration(x.Start), x.Mbps(), x.Wall(), tb.Net.CPU.Total())
+	for i, f := range x.Channel.Flows {
+		fmt.Fprintf(w, "m-flow %d: entry=%v path=%s MNs=%d\n", i, f.Entry, f.Path.Render(tb.Graph), len(f.MNs))
+	}
+	return nil
 }
 
 // lossyReport closes the gray-failure storm's narration — per-link loss,

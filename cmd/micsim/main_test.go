@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -59,7 +60,7 @@ func TestScenarioReportsAreDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if name := strings.TrimSuffix(filepath.Base(f), ".seed7.golden"); lookup(name) == nil {
+		if name := strings.TrimSuffix(filepath.Base(f), ".seed7.golden"); name != plainGolden && lookup(name) == nil {
 			t.Errorf("%s names no scenario in the table", f)
 		}
 	}
@@ -88,6 +89,69 @@ func TestScenarioReportsAreDeterministic(t *testing.T) {
 	}
 }
 
+// plainGolden names the golden of the plain transfer, the one seed-7 golden
+// that is not a scenario's.
+const plainGolden = "plain"
+
+// TestPlainTransferMatchesGolden pins the plain transfer and the ping-pong
+// of every scheme at micsim's default flags: the stdout of
+// "micsim -scheme S -seed 7 -latency" for the five schemes, each after a
+// "$ micsim ..." line. It was captured before every scheme's transfer ran
+// through one harness.Testbed.StartTransfer. Regenerate only on purpose:
+//
+//	go test ./cmd/micsim -run TestPlainTransferMatchesGolden -update
+func TestPlainTransferMatchesGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, scheme := range []string{"tcp", "ssl", "mic-tcp", "mic-ssl", "tor"} {
+		args := []string{"-scheme", scheme, "-seed", "7", "-latency"}
+		fmt.Fprintf(&got, "$ micsim %s\n", strings.Join(args, " "))
+		var stderr bytes.Buffer
+		if code := run(args, &got, &stderr); code != 0 {
+			t.Fatalf("micsim %v: exit %d: %s", args, code, stderr.String())
+		}
+	}
+	golden := filepath.Join("testdata", plainGolden+".seed7.golden")
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("plain transfers diverged from %s:\n%s", golden, firstDiff(string(want), got.String()))
+	}
+}
+
+// TestPlainTransferHonoursPair: -from and -to pick the transfer's and the
+// ping-pong's hosts under every scheme. A pair on one edge switch prints
+// other figures than the default cross-pod pair, and a MIC channel's m-flow
+// runs between the pair.
+func TestPlainTransferHonoursPair(t *testing.T) {
+	for _, scheme := range []string{"tcp", "ssl", "mic-tcp", "mic-ssl", "tor"} {
+		t.Run(scheme, func(t *testing.T) {
+			out := func(args ...string) string {
+				var stdout, stderr bytes.Buffer
+				args = append([]string{"-scheme", scheme, "-size", "65536", "-latency"}, args...)
+				if code := run(args, &stdout, &stderr); code != 0 {
+					t.Fatalf("micsim %v: exit %d: %s", args, code, stderr.String())
+				}
+				return stdout.String()
+			}
+			far, near := out(), out("-from", "2", "-to", "3")
+			if far == near {
+				t.Fatalf("-from 2 -to 3 printed what the default pair does:\n%s", far)
+			}
+			if strings.HasPrefix(scheme, "mic") && !regexp.MustCompile(` path=h3->\S*->h4 `).MatchString(near) {
+				t.Errorf("m-flow does not run from h3 to h4:\n%s", near)
+			}
+		})
+	}
+}
+
 // TestScenarioReportsVaryBySeed guards the test above against vacuity: a
 // report that ignored the seed entirely would pass the identity check.
 func TestScenarioReportsVaryBySeed(t *testing.T) {
@@ -95,6 +159,32 @@ func TestScenarioReportsVaryBySeed(t *testing.T) {
 		t.Run(e.name, func(t *testing.T) {
 			if bytes.Equal(report(t, e.name, 7, 2, 1<<20), report(t, e.name, 8, 2, 1<<20)) {
 				t.Errorf("%s reports for seeds 7 and 8 are identical; the scenario is not consuming the seed", e.name)
+			}
+		})
+	}
+}
+
+// TestErrorPaths: each bad invocation is refused with exit 2 and a one-line
+// message on stderr, before anything runs.
+func TestErrorPaths(t *testing.T) {
+	for _, args := range []string{
+		"-scenario bogus",
+		"-scenario chaos -scheme tcp",
+		"-from 0 -to 0",
+		"-size -5",
+		"-scheme bogus",
+		"-scenario chaos -latency",
+	} {
+		t.Run(args, func(t *testing.T) {
+			var stdout, stderr bytes.Buffer
+			if code := run(strings.Fields(args), &stdout, &stderr); code != 2 {
+				t.Errorf("exit %d, want 2", code)
+			}
+			if msg := stderr.String(); strings.Count(msg, "\n") != 1 || !strings.HasSuffix(msg, "\n") {
+				t.Errorf("stderr is not one line: %q", msg)
+			}
+			if stdout.Len() != 0 {
+				t.Errorf("wrote to stdout: %q", stdout.String())
 			}
 		})
 	}

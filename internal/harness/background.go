@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"mic/internal/adversary"
 	"mic/internal/metrics"
 	"mic/internal/mic"
-	"mic/internal/netsim"
 	"mic/internal/sim"
-	"mic/internal/topo"
 	"mic/internal/workload"
 )
 
@@ -63,18 +60,16 @@ func runS6Background(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-// backgroundTrial runs one bursty MIC transfer h0 -> h15 plus background
-// load, then asks the adversary to identify the victim at the responder
-// edge. Reports whether its top-1 pick carries the responder's address.
+// backgroundTrial runs the rate-pattern bursts over MIC from h0 to h15
+// plus background load, then asks the adversary to identify the victim at
+// the responder edge. Reports whether its top-1 pick carries the
+// responder's address.
 func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr float64, err error) {
-	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, mic.Config{MNs: 2, Seed: seed + 1}, nil)
+	tb, err := pairBed(SchemeMICTCP, mic.Config{MNs: 2}, seed)
 	if err != nil {
 		return false, 0, err
 	}
-	caps := make(map[topo.NodeID]*adversary.Capture)
-	for _, sid := range tb.Graph.Switches() {
-		caps[sid] = adversary.Tap(tb.Net, sid)
-	}
+	caps := tb.tapSwitches()
 	if interarrival > 0 {
 		gen, err := workload.New(tb.Net, tb.Stacks, workload.Config{
 			// h13 and h16 share pod 4 with the victim responder h15 (h16 is
@@ -93,64 +88,15 @@ func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr fl
 	}
 
 	respIdx := 14 // h15: shares edge4_2 with h16, a background destination
-	mic.Listen(tb.Stacks[respIdx], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
-	client := mic.NewClient(tb.Stacks[0], tb.MC)
-	var dialErr error
-	var sendBursts func(s *mic.Stream, n int)
-	sendBursts = func(s *mic.Stream, n int) {
-		if n == 0 {
-			return
-		}
-		s.Send(payload(30_000))
-		tb.Eng.After(4*time.Millisecond, func() { sendBursts(s, n-1) })
+	// Background flows cross the initiator's edge too: the adversary's
+	// reference is the flows touching the initiator.
+	ref, resp, until, err := tb.burstsAtEdges(caps, respIdx, true)
+	if err != nil {
+		return false, 0, err
 	}
-	client.Dial(tb.hostIP(respIdx).String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
-		sendBursts(s, 5)
-	})
-	tb.Eng.Run()
-	if dialErr != nil {
-		return false, 0, dialErr
-	}
-	until := tb.Eng.Now()
-	window := time.Millisecond
-
-	// Pick edges in node order: "first capture with exposure" must not
-	// depend on randomized map iteration.
-	var initEdge, respEdge *adversary.Capture
-	for _, c := range sortedCaptures(caps) {
-		if len(c.Exposure(tb.hostIP(0))) > 0 && initEdge == nil {
-			initEdge = c
-		}
-		if len(c.Exposure(tb.hostIP(respIdx))) > 0 && respEdge == nil {
-			respEdge = c
-		}
-	}
-	if initEdge == nil || respEdge == nil {
-		return false, 0, fmt.Errorf("harness: edge captures missing")
-	}
-	// The adversary's reference signal: the victim's aggregate at the
-	// initiator edge, restricted to flows touching the initiator.
-	initIP := tb.hostIP(0)
-	var agg []float64
-	for _, k := range initEdge.FlowKeys() {
-		if k.SrcIP != initIP && k.DstIP != initIP {
-			continue
-		}
-		s := initEdge.RateSeries(window, k, until)
-		if agg == nil {
-			agg = make([]float64, len(s))
-		}
-		for i := range s {
-			agg[i] += s[i]
-		}
-	}
-	_, corr, _ = respEdge.RateMatch(window, agg, until)
+	_, corr, _ = resp.RateMatch(rateWindow, ref, until)
 	respIP := tb.hostIP(respIdx)
-	for _, key := range respEdge.RateMatchTop(window, agg, until, 0.02) {
+	for _, key := range resp.RateMatchTop(rateWindow, ref, until, 0.02) {
 		if key.SrcIP == respIP || key.DstIP == respIP {
 			return true, corr, nil
 		}

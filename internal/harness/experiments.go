@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mic/internal/metrics"
+	"mic/internal/mic"
 )
 
 // transferSize returns the bulk-transfer size for throughput experiments.
@@ -87,7 +88,7 @@ func runFig8(cfg RunConfig) (*Result, error) {
 	for _, scheme := range AllSchemes() {
 		scheme := scheme
 		sample, err := RunTrials(cfg.Trials, cfg.Seed, func(seed uint64) (float64, error) {
-			d, err := PingPongLatency(scheme, 3, seed)
+			d, err := PingPongLatency(scheme, defaultPair[0], defaultPair[1], 3, seed)
 			return d.Seconds() * 1e3, err
 		})
 		if err != nil {
@@ -149,7 +150,7 @@ func runFig9b(cfg RunConfig) (*Result, error) {
 		for _, scheme := range []Scheme{SchemeTCP, SchemeSSL, SchemeMICTCP, SchemeMICSSL, SchemeTor} {
 			scheme, nf := scheme, nf
 			sample, err := RunTrials(cfg.Trials, cfg.Seed, func(seed uint64) (float64, error) {
-				return MultiFlowAvgThroughput(scheme, nf, size, seed)
+				return MultiFlowAvgThroughput(scheme, nf, size, seed, mic.Config{})
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fig9b %v flows %d: %w", scheme, nf, err)

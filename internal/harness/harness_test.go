@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mic/internal/mic"
 )
 
 var quick = RunConfig{Seed: 7, Trials: 1, Quick: true}
@@ -50,7 +52,7 @@ func TestSetupTimeShapeMatchesFig7(t *testing.T) {
 func TestLatencyShapeMatchesFig8(t *testing.T) {
 	lat := map[Scheme]time.Duration{}
 	for _, s := range AllSchemes() {
-		d, err := PingPongLatency(s, 3, 1)
+		d, err := PingPongLatency(s, defaultPair[0], defaultPair[1], 3, 1)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -94,19 +96,19 @@ func TestThroughputShapeMatchesFig9a(t *testing.T) {
 
 func TestMultiFlowShapeMatchesFig9b(t *testing.T) {
 	const size = 1 << 20
-	tor1, err := MultiFlowAvgThroughput(SchemeTor, 1, size, 1)
+	tor1, err := MultiFlowAvgThroughput(SchemeTor, 1, size, 1, mic.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tor8, err := MultiFlowAvgThroughput(SchemeTor, 8, size, 1)
+	tor8, err := MultiFlowAvgThroughput(SchemeTor, 8, size, 1, mic.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mic1, err := MultiFlowAvgThroughput(SchemeMICTCP, 1, size, 1)
+	mic1, err := MultiFlowAvgThroughput(SchemeMICTCP, 1, size, 1, mic.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mic8, err := MultiFlowAvgThroughput(SchemeMICTCP, 8, size, 1)
+	mic8, err := MultiFlowAvgThroughput(SchemeMICTCP, 8, size, 1, mic.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,6 +117,56 @@ func TestMultiFlowShapeMatchesFig9b(t *testing.T) {
 	}
 	if mic8 < mic1*0.6 {
 		t.Errorf("MIC per-flow throughput should stay roughly flat: 1->%.0f 8->%.0f Mbps", mic1, mic8)
+	}
+}
+
+// TestStartTransferEveryScheme: one StartTransfer carries a payload over
+// each of the five schemes, and only the MIC schemes' transfers name their
+// streams and channel; an empty one ends as its session comes up. A dial the
+// MC refuses fails the transfer with that dial's own error.
+func TestStartTransferEveryScheme(t *testing.T) {
+	const size = 256 << 10
+	for _, s := range AllSchemes() {
+		t.Run(s.String(), func(t *testing.T) {
+			tb, err := pairBed(s, mic.Config{}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := tb.StartTransfer(s, 2, 9, 8080, 0, size)
+			tb.Eng.Run()
+			if err := x.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if x.Got != size || !(0 < x.Start && x.Start < x.End) {
+				t.Fatalf("got %d/%d bytes, start %v end %v", x.Got, size, x.Start, x.End)
+			}
+			isMIC := s == SchemeMICTCP || s == SchemeMICSSL
+			if (x.Stream != nil) != isMIC || (x.Remote != nil) != isMIC || (x.Channel != nil) != isMIC {
+				t.Fatalf("stream %v, remote %v, channel %v set under %v", x.Stream != nil, x.Remote != nil, x.Channel != nil, s)
+			}
+			if isMIC && x.Channel.Flows[0].Path[0] != tb.Graph.Hosts()[2] {
+				t.Fatalf("channel starts at %v, want host 2", x.Channel.Flows[0].Path[0])
+			}
+			// A transfer of no bytes is done when its session is up.
+			tb, err = pairBed(s, mic.Config{}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x = tb.StartTransfer(s, 2, 9, 8080, 0, 0)
+			tb.Eng.Run()
+			if err := x.Err(); err != nil || x.Start == 0 || x.Wall() != 0 {
+				t.Fatalf("empty transfer: err %v, start %v, wall %v", err, x.Start, x.Wall())
+			}
+		})
+	}
+	tb, err := pairBed(SchemeMICTCP, mic.Config{MFlows: -1}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := tb.StartTransfer(SchemeMICTCP, 0, 15, 80, 0, size)
+	tb.Eng.Run()
+	if x.DialErr == nil || x.Err() != x.DialErr || !strings.Contains(x.Err().Error(), "at least one m-flow") {
+		t.Fatalf("refused dial: Err() = %v, DialErr = %v", x.Err(), x.DialErr)
 	}
 }
 

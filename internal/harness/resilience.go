@@ -83,43 +83,36 @@ func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
 		return 0, err
 	}
 	const warm = 64 << 10
-	got, started := 0, false
-	var start, end sim.Time
-	tb.serve(SchemeTCP, 15, 80, func(s appStream) {
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if started && got >= warm+size && end == 0 {
-				end = tb.Eng.Now()
-			}
-		})
-	})
-	var dialErr error
+	t := tb.expect(SchemeTCP, 15, 80, warm+size)
+	var traceErr error
 	data := payload(size)
 	tb.dial(SchemeTCP, 0, 15, 80, 0, func(s appStream, err error) {
 		if err != nil {
-			dialErr = err
+			t.DialErr = err
 			return
 		}
 		s.Send(payload(warm))
 		tb.Eng.After(3*time.Millisecond, func() {
 			node, port, ok := hottestCoreUplink(tb)
 			if !ok {
-				dialErr = fmt.Errorf("harness: warmup traced no agg<->core hop")
+				traceErr = fmt.Errorf("harness: warmup traced no agg<->core hop")
 				return
 			}
 			if loss > 0 {
 				tb.Net.SetLinkFault(node, port, netsim.FaultProfile{Loss: loss})
 			}
-			started = true
-			start = tb.Eng.Now()
+			t.begin(tb, s)
 			s.Send(data)
 		})
 	})
 	tb.Eng.RunUntil(sim.Time(s7Cap))
-	if dialErr != nil {
-		return 0, dialErr
+	if t.DialErr != nil {
+		return 0, t.DialErr
 	}
-	return s7Goodput(got-warm, start, end, tb.Eng.Now()), nil
+	if traceErr != nil {
+		return 0, traceErr
+	}
+	return s7Goodput(t.Got-warm, t, tb.Eng.Now()), nil
 }
 
 // s7MICTrial sends one bulk MIC-TCP transfer h0 -> h15 over F=4 m-flows and
@@ -133,31 +126,18 @@ func s7MICTrial(loss float64, size int, seed uint64, disabled bool) (float64, er
 	if err != nil {
 		return 0, err
 	}
-	got := 0
-	var start, end sim.Time
-	mic.Listen(tb.Stacks[15], 80, false, func(s *mic.Stream) {
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size && end == 0 {
-				end = tb.Eng.Now()
-			}
-		})
-	})
+	t := tb.expect(SchemeMICTCP, 15, 80, size)
 	client := mic.NewClient(tb.Stacks[0], tb.MC)
 	client.Health = mic.HealthConfig{Disabled: disabled}
 	target := tb.hostIP(15).String()
 	var str *mic.Stream
-	var dialErr error
 	client.Dial(target, 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
+		t.DialErr = err
 		str = s
 	})
 	tb.Eng.RunFor(5 * time.Millisecond)
-	if dialErr != nil {
-		return 0, dialErr
+	if t.DialErr != nil {
+		return 0, t.DialErr
 	}
 	if str == nil {
 		return 0, fmt.Errorf("harness: MIC stream not established in 5ms")
@@ -173,24 +153,24 @@ func s7MICTrial(loss float64, size int, seed uint64, disabled bool) (float64, er
 		}
 		tb.Net.SetLinkFault(node, port, netsim.FaultProfile{Loss: loss})
 	}
-	start = tb.Eng.Now()
+	t.begin(tb, str)
 	str.Send(payload(size))
-	tb.Eng.RunUntil(start + sim.Time(s7Cap))
-	return s7Goodput(got, start, end, tb.Eng.Now()), nil
+	tb.Eng.RunUntil(t.Start + sim.Time(s7Cap))
+	return s7Goodput(t.Got, t, tb.Eng.Now()), nil
 }
 
-// s7Goodput converts one trial's byte count into Mbps. A finished trial is
-// scored over its true duration; one that blew the cap is scored over the
-// cap, crediting only what arrived.
-func s7Goodput(bytes int, start, end, now sim.Time) float64 {
+// s7Goodput converts the bytes of t's timed part into Mbps. A finished
+// trial is scored over its true duration; one that blew the cap is scored
+// over the cap, crediting only what arrived.
+func s7Goodput(bytes int, t *Transfer, now sim.Time) float64 {
 	if bytes <= 0 {
 		return 0
 	}
-	at := end
+	at := t.End
 	if at == 0 {
 		at = now
 	}
-	return mbps(bytes, time.Duration(at-start))
+	return mbps(bytes, time.Duration(at-t.Start))
 }
 
 // hottestCoreUplink returns the agg->core link direction that carried the

@@ -101,7 +101,11 @@ func Run(s Scenario, p Params, w io.Writer) (*Outcome, error) {
 	}
 	o := &Outcome{Scenario: s, Bed: tb}
 	if s.Transfer {
-		o.Transfer = tb.StartTransfer(p.Secure, p.From, p.To, payload(p.Size))
+		scheme := SchemeMICTCP
+		if p.Secure {
+			scheme = SchemeMICSSL
+		}
+		o.Transfer = tb.StartTransfer(scheme, p.From, p.To, 80, 0, p.Size)
 	}
 	var storm *stormRun
 	if s.Storm != nil {
@@ -174,67 +178,6 @@ func Run(s Scenario, p Params, w io.Writer) (*Outcome, error) {
 	}
 	return o, nil
 }
-
-// Transfer is the bed's bulk transfer: one MIC stream carrying Size bytes
-// between two hosts, observed from the receiving end.
-type Transfer struct {
-	Size       int
-	Got        int      // bytes the listener has received
-	Start, End sim.Time // stream ready (send begins); last byte received
-	DialErr    error
-
-	// Stream is the initiator's end, Remote the listener's, Channel what the
-	// MC granted the initiator; nil until the dial completes.
-	Stream, Remote *mic.Stream
-	Channel        *mic.ChannelInfo
-}
-
-// StartTransfer listens on host `to`, dials it from host `from` through the
-// bed's control plane and sends data once the stream is up. The transfer's
-// progress accumulates in the returned value as the engine runs.
-func (tb *Testbed) StartTransfer(secure bool, from, to int, data []byte) *Transfer {
-	t := &Transfer{Size: len(data)}
-	mic.Listen(tb.Stacks[to], 80, secure, func(s *mic.Stream) {
-		t.Remote = s
-		s.OnData(func(b []byte) {
-			t.Got += len(b)
-			if t.Got >= t.Size && t.End == 0 {
-				t.End = tb.Eng.Now()
-			}
-		})
-	})
-	client := mic.NewClient(tb.Stacks[from], tb.controlPlane())
-	client.Secure = secure
-	target := tb.hostIP(to).String()
-	client.Dial(target, 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			t.DialErr = err
-			return
-		}
-		t.Stream = s
-		t.Channel, _ = client.Channel(target)
-		t.Start = tb.Eng.Now()
-		s.Send(data)
-	})
-	return t
-}
-
-// Err reports why the transfer did not complete, or nil if it did.
-func (t *Transfer) Err() error {
-	if t.DialErr != nil {
-		return t.DialErr
-	}
-	if t.Got < t.Size {
-		return fmt.Errorf("harness: transfer incomplete (%d/%d bytes)", t.Got, t.Size)
-	}
-	return nil
-}
-
-// Wall is the transfer time, stream ready to last byte.
-func (t *Transfer) Wall() time.Duration { return time.Duration(t.End - t.Start) }
-
-// Mbps is the transfer's goodput over Wall.
-func (t *Transfer) Mbps() float64 { return mbps(t.Size, t.Wall()) }
 
 // Log selects which control-plane reactions Run narrates, besides the
 // faults themselves.

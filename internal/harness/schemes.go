@@ -141,24 +141,21 @@ type appStream interface {
 // session.
 func (tb *Testbed) serve(scheme Scheme, h int, port uint16, handler func(appStream)) {
 	switch scheme {
-	case SchemeTCP:
+	case SchemeTCP, SchemeTor: // Tor exits to a plain TCP server
 		tb.Stacks[h].Listen(port, func(c *transport.Conn) { handler(c) })
 	case SchemeSSL:
 		tb.Stacks[h].ListenSSL(port, func(c *transport.SecureConn) { handler(c) })
-	case SchemeMICTCP:
-		mic.Listen(tb.Stacks[h], port, false, func(s *mic.Stream) { handler(s) })
-	case SchemeMICSSL:
-		mic.Listen(tb.Stacks[h], port, true, func(s *mic.Stream) { handler(s) })
-	case SchemeTor:
-		// Tor exits to a plain TCP server.
-		tb.Stacks[h].Listen(port, func(c *transport.Conn) { handler(c) })
+	case SchemeMICTCP, SchemeMICSSL:
+		mic.Listen(tb.Stacks[h], port, scheme == SchemeMICSSL, func(s *mic.Stream) { handler(s) })
 	}
 }
 
 // dial opens a session from host `from` to host `to` under the scheme.
 // routeLen is the privacy knob: MN count for MIC, relay count for Tor;
-// TCP/SSL ignore it.
-func (tb *Testbed) dial(scheme Scheme, from, to int, port uint16, routeLen int, cb func(appStream, error)) {
+// TCP/SSL ignore it. Under a MIC scheme it returns the dialling client,
+// whose channel cache holds the channel once cb reports the stream up; cb
+// never reports a session up before dial returns.
+func (tb *Testbed) dial(scheme Scheme, from, to int, port uint16, routeLen int, cb func(appStream, error)) *mic.Client {
 	dst := tb.hostIP(to)
 	switch scheme {
 	case SchemeTCP:
@@ -172,6 +169,7 @@ func (tb *Testbed) dial(scheme Scheme, from, to int, port uint16, routeLen int, 
 			client.Opts.MNs = routeLen
 		}
 		client.Dial(dst.String(), port, func(s *mic.Stream, err error) { cbWrap(cb, s, err) })
+		return client
 	case SchemeTor:
 		client := onion.NewClient(tb.Stacks[from], tb.dir)
 		if routeLen <= 0 {
@@ -179,6 +177,7 @@ func (tb *Testbed) dial(scheme Scheme, from, to int, port uint16, routeLen int, 
 		}
 		client.Dial(routeLen, dst, port, func(c *onion.Circuit, err error) { cbWrap(cb, c, err) })
 	}
+	return nil
 }
 
 // cbWrap adapts a typed callback to the appStream interface without
@@ -193,72 +192,151 @@ func cbWrap[T appStream](cb func(appStream, error), s T, err error) {
 
 // --- measurement primitives ---
 
+// Transfer is one session carrying Size bytes between two hosts of a bed,
+// observed at the end that receives them. Every trial that sends a payload
+// and waits for it runs on one.
+type Transfer struct {
+	Size       int
+	Got        int           // bytes received so far
+	Start, End sim.Time      // session up (send begins); byte Size received
+	CPUAtStart time.Duration // the bed's virtual CPU total at Start
+	DialErr    error
+
+	// Under a MIC scheme, Stream is the initiator's end, Remote the
+	// listener's, Channel what the control plane granted the initiator; nil
+	// until the dial completes, and always nil under the other schemes.
+	Stream, Remote *mic.Stream
+	Channel        *mic.ChannelInfo
+}
+
+// StartTransfer listens on host `to` for the scheme's session on port,
+// dials it from host `from` with routeLen as dial reads it, and sends Size
+// bytes of payload once the session is up. The transfer's progress
+// accumulates in the returned value as the engine runs.
+func (tb *Testbed) StartTransfer(scheme Scheme, from, to int, port uint16, routeLen, size int) *Transfer {
+	t := tb.expect(scheme, to, port, size)
+	var client *mic.Client
+	client = tb.dial(scheme, from, to, port, routeLen, func(s appStream, err error) {
+		if err != nil {
+			t.DialErr = err
+			return
+		}
+		t.begin(tb, s)
+		if t.Stream != nil {
+			t.Channel, _ = client.Channel(tb.hostIP(to).String())
+		}
+		s.Send(payload(size))
+	})
+	return t
+}
+
+// expect is a transfer's receiving half: it listens on host `to` for one
+// session of the scheme on port and counts what arrives toward size bytes.
+// A trial that paces its own sends dials the session itself and marks it
+// with begin.
+func (tb *Testbed) expect(scheme Scheme, to int, port uint16, size int) *Transfer {
+	t := &Transfer{Size: size}
+	tb.serve(scheme, to, port, func(s appStream) {
+		t.Remote, _ = s.(*mic.Stream)
+		t.count(tb, s)
+	})
+	return t
+}
+
+// count adds what s receives to Got, and stamps End when byte Size arrives.
+func (t *Transfer) count(tb *Testbed, s appStream) {
+	s.OnData(func(b []byte) {
+		t.Got += len(b)
+		if t.Got >= t.Size && t.End == 0 {
+			t.End = tb.Eng.Now()
+		}
+	})
+}
+
+// begin marks s as the transfer's sending end, about to send. A transfer of
+// no bytes is done once its session is up.
+func (t *Transfer) begin(tb *Testbed, s appStream) {
+	t.Start, t.CPUAtStart = tb.Eng.Now(), tb.Net.CPU.Total()
+	t.Stream, _ = s.(*mic.Stream)
+	if t.Size == 0 {
+		t.End = t.Start
+	}
+}
+
+// Err reports why the transfer did not complete, or nil if it did.
+func (t *Transfer) Err() error {
+	switch {
+	case t.DialErr != nil:
+		return t.DialErr
+	case t.Start == 0:
+		return fmt.Errorf("harness: session never came up")
+	case t.Got < t.Size:
+		return fmt.Errorf("harness: transfer incomplete (%d/%d bytes)", t.Got, t.Size)
+	}
+	return nil
+}
+
+// Wall is the transfer time, session up to last byte.
+func (t *Transfer) Wall() time.Duration { return time.Duration(t.End - t.Start) }
+
+// Mbps is the transfer's goodput over Wall.
+func (t *Transfer) Mbps() float64 { return mbps(t.Size, t.Wall()) }
+
 // defaultPair is a cross-pod host pair: its shortest paths have 5 switches,
 // like the paper's longest fat-tree routes.
 var defaultPair = [2]int{0, 15}
 
+// pairBed builds the bed of the scheme comparisons (figs 7-9): fat-tree(4),
+// a clean fabric, and under a MIC scheme a standalone MC running cfg seeded
+// seed+1.
+func pairBed(scheme Scheme, cfg mic.Config, seed uint64) (*Testbed, error) {
+	cfg.Seed = seed + 1
+	return NewTestbed(scheme, 4, netsim.Config{}, cfg, nil)
+}
+
+// runPair carries size bytes over the scheme from defaultPair's first host
+// to its second, on tb, to quiescence.
+func (tb *Testbed) runPair(scheme Scheme, routeLen, size int) (*Transfer, error) {
+	t := tb.StartTransfer(scheme, defaultPair[0], defaultPair[1], 80, routeLen, size)
+	tb.Eng.Run()
+	return t, t.Err()
+}
+
 // SetupTime measures session establishment (the paper's Fig 7 metric:
 // "MIC connect" / Tor "connect" / TCP / SSL handshake) for one route length.
 func SetupTime(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) {
-	tb, err := NewTestbed(scheme, 4, netsim.Config{}, mic.Config{Seed: seed + 1}, nil)
+	tb, err := pairBed(scheme, mic.Config{}, seed)
 	if err != nil {
 		return 0, err
 	}
-	tb.serve(scheme, defaultPair[1], 80, func(s appStream) {})
-	var setup time.Duration
-	var dialErr error
-	tb.dial(scheme, defaultPair[0], defaultPair[1], 80, routeLen, func(s appStream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
-		setup = time.Duration(tb.Eng.Now())
-	})
-	tb.Eng.Run()
-	if dialErr != nil {
-		return 0, dialErr
-	}
-	if setup == 0 {
-		return 0, fmt.Errorf("harness: %v setup never completed", scheme)
-	}
-	return setup, nil
+	t, err := tb.runPair(scheme, routeLen, 0)
+	return time.Duration(t.Start), err
 }
 
-// PingPongLatency measures the paper's Fig 8 metric: after the session is
-// established, the time from sending 10 bytes until 10 bytes come back.
-func PingPongLatency(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) {
-	tb, err := NewTestbed(scheme, 4, netsim.Config{}, mic.Config{Seed: seed + 1}, nil)
+// PingPongLatency measures the paper's Fig 8 metric: after a session from
+// host `from` to host `to` is established, the time from sending 10 bytes
+// until 10 bytes come back. The responder echoes; the transfer counted is
+// the echo, at the initiator.
+func PingPongLatency(scheme Scheme, from, to, routeLen int, seed uint64) (time.Duration, error) {
+	tb, err := pairBed(scheme, mic.Config{}, seed)
 	if err != nil {
 		return 0, err
 	}
-	tb.serve(scheme, defaultPair[1], 80, func(s appStream) {
+	tb.serve(scheme, to, 80, func(s appStream) {
 		s.OnData(func(b []byte) { s.Send(b) })
 	})
-	var start, end sim.Time
-	var dialErr error
-	tb.dial(scheme, defaultPair[0], defaultPair[1], 80, routeLen, func(s appStream, err error) {
+	echo := &Transfer{Size: 10}
+	tb.dial(scheme, from, to, 80, routeLen, func(s appStream, err error) {
 		if err != nil {
-			dialErr = err
+			echo.DialErr = err
 			return
 		}
-		got := 0
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if got >= 10 {
-				end = tb.Eng.Now()
-			}
-		})
-		start = tb.Eng.Now()
-		s.Send(make([]byte, 10))
+		echo.count(tb, s)
+		echo.begin(tb, s)
+		s.Send(make([]byte, echo.Size))
 	})
 	tb.Eng.Run()
-	if dialErr != nil {
-		return 0, dialErr
-	}
-	if end == 0 {
-		return 0, fmt.Errorf("harness: %v ping-pong never completed", scheme)
-	}
-	return time.Duration(end - start), nil
+	return echo.Wall(), echo.Err()
 }
 
 // ThroughputResult carries a bulk-transfer measurement plus the CPU ledger
@@ -266,49 +344,24 @@ func PingPongLatency(scheme Scheme, routeLen int, seed uint64) (time.Duration, e
 type ThroughputResult struct {
 	Mbps     float64
 	Wall     time.Duration // transfer time
-	CPUTotal time.Duration
+	CPUTotal time.Duration // virtual CPU from the start of the transfer
 	CPUBy    map[string]time.Duration
 }
 
 // ThroughputOneFlow measures a single bulk transfer (Fig 9a).
 func ThroughputOneFlow(scheme Scheme, routeLen int, size int, seed uint64) (ThroughputResult, error) {
-	tb, err := NewTestbed(scheme, 4, netsim.Config{}, mic.Config{Seed: seed + 1}, nil)
+	tb, err := pairBed(scheme, mic.Config{}, seed)
 	if err != nil {
 		return ThroughputResult{}, err
 	}
-	var start, end sim.Time
-	got := 0
-	tb.serve(scheme, defaultPair[1], 80, func(s appStream) {
-		s.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size {
-				end = tb.Eng.Now()
-			}
-		})
-	})
-	var dialErr error
-	var cpuBefore time.Duration
-	tb.dial(scheme, defaultPair[0], defaultPair[1], 80, routeLen, func(s appStream, err error) {
-		if err != nil {
-			dialErr = err
-			return
-		}
-		start = tb.Eng.Now()
-		cpuBefore = tb.Net.CPU.Total()
-		s.Send(payload(size))
-	})
-	tb.Eng.Run()
-	if dialErr != nil {
-		return ThroughputResult{}, dialErr
+	t, err := tb.runPair(scheme, routeLen, size)
+	if err != nil {
+		return ThroughputResult{}, fmt.Errorf("%v: %w", scheme, err)
 	}
-	if end == 0 || got < size {
-		return ThroughputResult{}, fmt.Errorf("harness: %v transfer incomplete (%d/%d bytes)", scheme, got, size)
-	}
-	wall := time.Duration(end - start)
 	res := ThroughputResult{
-		Mbps:     mbps(size, wall),
-		Wall:     wall,
-		CPUTotal: tb.Net.CPU.Total() - cpuBefore,
+		Mbps:     t.Mbps(),
+		Wall:     t.Wall(),
+		CPUTotal: tb.Net.CPU.Total() - t.CPUAtStart,
 		CPUBy:    map[string]time.Duration{},
 	}
 	for _, cat := range tb.Net.CPU.Categories() {
@@ -318,54 +371,29 @@ func ThroughputOneFlow(scheme Scheme, routeLen int, size int, seed uint64) (Thro
 }
 
 // MultiFlowAvgThroughput runs n concurrent bulk transfers on disjoint
-// cross-pod pairs and returns the mean per-flow throughput (Fig 9b).
-func MultiFlowAvgThroughput(scheme Scheme, nFlows, size int, seed uint64) (float64, error) {
-	return MultiFlowAvgThroughputCfg(scheme, nFlows, size, seed, mic.Config{})
-}
-
-// MultiFlowAvgThroughputCfg is MultiFlowAvgThroughput with an explicit MIC
-// configuration (used by the path-policy ablation).
-func MultiFlowAvgThroughputCfg(scheme Scheme, nFlows, size int, seed uint64, micCfg mic.Config) (float64, error) {
-	micCfg.Seed = seed + 1
-	tb, err := NewTestbed(scheme, 4, netsim.Config{}, micCfg, nil)
-	if err != nil {
-		return 0, err
-	}
+// cross-pod pairs, the MIC schemes' MC running micCfg, and returns the mean
+// per-flow throughput (Fig 9b; the path-policy ablation, fig a4, varies
+// micCfg).
+func MultiFlowAvgThroughput(scheme Scheme, nFlows, size int, seed uint64, micCfg mic.Config) (float64, error) {
 	if nFlows > 8 {
 		return 0, fmt.Errorf("harness: at most 8 disjoint pairs on 16 hosts, got %d", nFlows)
 	}
-	type flowState struct {
-		start, end sim.Time
-		got        int
+	tb, err := pairBed(scheme, micCfg, seed)
+	if err != nil {
+		return 0, err
 	}
-	flows := make([]flowState, nFlows)
-	for i := 0; i < nFlows; i++ {
-		i := i
-		src, dst := i, 8+i // pod 1/2 hosts to pod 3/4 hosts
-		port := uint16(8000 + i)
-		tb.serve(scheme, dst, port, func(s appStream) {
-			s.OnData(func(b []byte) {
-				flows[i].got += len(b)
-				if flows[i].got >= size {
-					flows[i].end = tb.Eng.Now()
-				}
-			})
-		})
-		tb.dial(scheme, src, dst, port, 3, func(s appStream, err error) {
-			if err != nil {
-				return
-			}
-			flows[i].start = tb.Eng.Now()
-			s.Send(payload(size))
-		})
+	flows := make([]*Transfer, nFlows)
+	for i := range flows {
+		// pod 1/2 hosts to pod 3/4 hosts
+		flows[i] = tb.StartTransfer(scheme, i, 8+i, uint16(8000+i), 3, size)
 	}
 	tb.Eng.Run()
 	sum := 0.0
-	for i, f := range flows {
-		if f.end == 0 {
-			return 0, fmt.Errorf("harness: %v flow %d incomplete (%d/%d)", scheme, i, f.got, size)
+	for i, t := range flows {
+		if err := t.Err(); err != nil {
+			return 0, fmt.Errorf("%v flow %d: %w", scheme, i, err)
 		}
-		sum += mbps(size, time.Duration(f.end-f.start))
+		sum += t.Mbps()
 	}
 	return sum / float64(nFlows), nil
 }

@@ -9,7 +9,6 @@ import (
 	"mic/internal/maga"
 	"mic/internal/metrics"
 	"mic/internal/mic"
-	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -52,36 +51,40 @@ func init() {
 	})
 }
 
-// micRun drives one MIC transfer h0 -> h15 with every switch tapped, and
-// returns the testbed, captures, channel info, and the adversary's decoy
-// byte overhead relative to useful traffic.
-func micRun(cfg mic.Config, size int, seed uint64) (*Testbed, map[topo.NodeID]*adversary.Capture, *mic.ChannelInfo, error) {
-	cfg.Seed = seed
-	cfg.Seed = seed + 1
-	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, cfg, nil)
+// tracedTransfer carries size bytes over the scheme between defaultPair's
+// hosts (h0 to h15) of a fresh pairBed, its MC under cfg, with every switch
+// tapped, and returns the bed, the transfer and the captures in switch
+// order.
+func tracedTransfer(scheme Scheme, cfg mic.Config, size int, seed uint64) (*Testbed, *Transfer, []*adversary.Capture, error) {
+	tb, err := pairBed(scheme, cfg, seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	caps := make(map[topo.NodeID]*adversary.Capture)
-	for _, sid := range tb.Graph.Switches() {
-		caps[sid] = adversary.Tap(tb.Net, sid)
+	caps := tb.tapSwitches()
+	t, err := tb.runPair(scheme, 0, size)
+	return tb, t, caps, err
+}
+
+// tapSwitches attaches an adversary capture to every switch, before any
+// traffic, and returns them in switch order (ascending node ID), so no
+// experiment lets map order decide which capture it picks first or the
+// order its samples are aggregated in.
+func (tb *Testbed) tapSwitches() []*adversary.Capture {
+	caps := make([]*adversary.Capture, len(tb.Graph.Switches()))
+	for i, sid := range tb.Graph.Switches() {
+		caps[i] = adversary.Tap(tb.Net, sid)
 	}
-	mic.Listen(tb.Stacks[15], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
-	client := mic.NewClient(tb.Stacks[0], tb.MC)
-	var dialErr error
-	client.Dial(tb.hostIP(15).String(), 80, func(s *mic.Stream, err error) {
-		if err != nil {
-			dialErr = err
-			return
+	return caps
+}
+
+// captureAt returns the capture of caps taken at node, or nil.
+func captureAt(caps []*adversary.Capture, node topo.NodeID) *adversary.Capture {
+	for _, c := range caps {
+		if c.Node == node {
+			return c
 		}
-		s.Send(payload(size))
-	})
-	tb.Eng.Run()
-	if dialErr != nil {
-		return nil, nil, nil, dialErr
 	}
-	info, _ := client.Channel(tb.hostIP(15).String())
-	return tb, caps, info, nil
+	return nil
 }
 
 func securitySize(cfg RunConfig) int {
@@ -100,11 +103,11 @@ func runS1Correlation(cfg RunConfig) (*Result, error) {
 		cands := &metrics.Sample{}
 		var txBytes uint64
 		for trial := 0; trial < cfg.Trials; trial++ {
-			tb, caps, info, err := micRun(mic.Config{MNs: 3, MulticastFanout: fanout}, securitySize(cfg), cfg.Seed+uint64(trial)*7919)
+			tb, t, caps, err := tracedTransfer(SchemeMICTCP, mic.Config{MNs: 3, MulticastFanout: fanout}, securitySize(cfg), cfg.Seed+uint64(trial)*7919)
 			if err != nil {
 				return nil, fmt.Errorf("s1 fanout %d: %w", fanout, err)
 			}
-			rep := caps[info.Flows[0].MNs[0]].IngressEgressCorrelation()
+			rep := captureAt(caps, t.Channel.Flows[0].MNs[0]).IngressEgressCorrelation()
 			if rep.DataPackets == 0 {
 				return nil, fmt.Errorf("s1 fanout %d: no packets observed at first MN", fanout)
 			}
@@ -133,11 +136,11 @@ func runS2SizeHiding(cfg RunConfig) (*Result, error) {
 		sample := &metrics.Sample{}
 		for trial := 0; trial < cfg.Trials; trial++ {
 			size := securitySize(cfg)
-			_, caps, _, err := micRun(mic.Config{MFlows: mf, MNs: 2}, size, cfg.Seed+uint64(trial)*104729)
+			_, _, caps, err := tracedTransfer(SchemeMICTCP, mic.Config{MFlows: mf, MNs: 2}, size, cfg.Seed+uint64(trial)*104729)
 			if err != nil {
 				return nil, fmt.Errorf("s2 mflows %d: %w", mf, err)
 			}
-			sample.Add(adversary.LargestFlowFraction(sortedCaptures(caps), int64(size)))
+			sample.Add(adversary.LargestFlowFraction(caps, int64(size)))
 		}
 		tbl.AddRow(mf, sample.Mean())
 	}
@@ -151,12 +154,12 @@ func runS2SizeHiding(cfg RunConfig) (*Result, error) {
 
 func runS3Exposure(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	tb, caps, info, err := micRun(mic.Config{MNs: 3}, securitySize(cfg), cfg.Seed)
+	tb, t, caps, err := tracedTransfer(SchemeMICTCP, mic.Config{MNs: 3}, securitySize(cfg), cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
 	initIP, respIP := tb.hostIP(0), tb.hostIP(15)
-	flow := info.Flows[0]
+	flow := t.Channel.Flows[0]
 	// Classify each on-path switch by position relative to the MNs.
 	mnSet := map[topo.NodeID]int{}
 	for i, mn := range flow.MNs {
@@ -177,7 +180,7 @@ func runS3Exposure(cfg RunConfig) (*Result, error) {
 				pos = "between MNs"
 			}
 		}
-		c := caps[node]
+		c := captureAt(caps, node)
 		exp := c.Exposure(initIP, respIP)
 		tbl.AddRow(tb.Graph.Node(node).Name, label, exp[initIP], exp[respIP], c.LinkedPairs(initIP, respIP))
 	}
@@ -279,18 +282,20 @@ func runA3ChannelReuse(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	const messages = 20
 	load := func(reuse bool) (float64, error) {
-		tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, mic.Config{Seed: cfg.Seed + 1}, nil)
+		tb, err := pairBed(SchemeMICTCP, mic.Config{}, cfg.Seed)
 		if err != nil {
 			return 0, err
 		}
-		mic.Listen(tb.Stacks[15], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
+		tb.serve(SchemeMICTCP, 15, 80, func(s appStream) { s.OnData(func([]byte) {}) })
 		client := mic.NewClient(tb.Stacks[0], tb.MC)
 		target := tb.hostIP(15).String()
 		sent := 0
+		var dialErr error
 		var send func()
 		send = func() {
 			client.Dial(target, 80, func(s *mic.Stream, err error) {
 				if err != nil {
+					dialErr = err
 					return
 				}
 				s.Send([]byte("short rpc"))
@@ -314,6 +319,9 @@ func runA3ChannelReuse(cfg RunConfig) (*Result, error) {
 		}
 		send()
 		tb.Eng.Run()
+		if dialErr != nil {
+			return 0, fmt.Errorf("a3: message %d (reuse=%v): %w", sent+1, reuse, dialErr)
+		}
 		if sent != messages {
 			return 0, fmt.Errorf("a3: only %d/%d messages sent (reuse=%v)", sent, messages, reuse)
 		}
@@ -363,7 +371,7 @@ func runA4PathPolicy(cfg RunConfig) (*Result, error) {
 		for _, nf := range []int{4, 8} {
 			policy, nf := policy, nf
 			sample, err := RunTrials(cfg.Trials, cfg.Seed, func(seed uint64) (float64, error) {
-				return MultiFlowAvgThroughputCfg(SchemeMICTCP, nf, size, seed, mic.Config{PathPolicy: policy})
+				return MultiFlowAvgThroughput(SchemeMICTCP, nf, size, seed, mic.Config{PathPolicy: policy})
 			})
 			if err != nil {
 				return nil, fmt.Errorf("a4 %s/%d: %w", name, nf, err)
@@ -397,65 +405,84 @@ func runS5RatePattern(cfg RunConfig) (*Result, error) {
 	}, nil
 }
 
-// ratePatternTrial sends five bursts through a MIC channel and runs the
-// rate adversary at the responder's edge switch.
+// ratePatternTrial sends the rate-pattern bursts through a MIC channel of
+// mflows m-flows and runs the rate adversary at the responder's edge switch.
 func ratePatternTrial(mflows int, seed uint64) (corr, peak float64, err error) {
-	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, mic.Config{MFlows: mflows, MNs: 2, Seed: seed + 1}, nil)
+	tb, err := pairBed(SchemeMICTCP, mic.Config{MFlows: mflows, MNs: 2}, seed)
 	if err != nil {
 		return 0, 0, err
 	}
-	caps := make(map[topo.NodeID]*adversary.Capture)
-	for _, sid := range tb.Graph.Switches() {
-		caps[sid] = adversary.Tap(tb.Net, sid)
+	ref, resp, until, err := tb.burstsAtEdges(tb.tapSwitches(), 15, false)
+	if err != nil {
+		return 0, 0, err
 	}
-	mic.Listen(tb.Stacks[15], 80, false, func(s *mic.Stream) { s.OnData(func([]byte) {}) })
-	client := mic.NewClient(tb.Stacks[0], tb.MC)
-	var dialErr error
-	var sendBursts func(s *mic.Stream, n int)
-	sendBursts = func(s *mic.Stream, n int) {
-		if n == 0 {
-			return
-		}
-		s.Send(payload(30_000))
-		tb.Eng.After(4*time.Millisecond, func() { sendBursts(s, n-1) })
-	}
-	client.Dial(tb.hostIP(15).String(), 80, func(s *mic.Stream, err error) {
+	_, corr, peak = resp.RateMatch(rateWindow, ref, until)
+	return corr, peak, nil
+}
+
+// The rate-pattern trials' sender (figs s5, s6): bursts sends of burstBytes,
+// burstGap apart; and the window their adversary bins rates in.
+const (
+	bursts     = 5
+	burstBytes = 30_000
+	burstGap   = 4 * time.Millisecond
+	rateWindow = time.Millisecond
+)
+
+// burstsAtEdges sends the rate-pattern bursts over a MIC-TCP channel from
+// host 0 to host `to` of tb, whose switches caps taps in switch order, and
+// runs the engine until they have arrived. It returns what the rate
+// adversary works from over [0, until): ref, the summed rate series at the
+// first switch exposing the initiator — of every flow there, or with
+// initOnly of those addressed from or to the initiator — and resp, the
+// capture of the first switch exposing the responder.
+func (tb *Testbed) burstsAtEdges(caps []*adversary.Capture, to int, initOnly bool) (ref []float64, resp *adversary.Capture, until sim.Time, err error) {
+	t := tb.expect(SchemeMICTCP, to, 80, bursts*burstBytes)
+	tb.dial(SchemeMICTCP, 0, to, 80, 0, func(s appStream, err error) {
 		if err != nil {
-			dialErr = err
+			t.DialErr = err
 			return
 		}
-		sendBursts(s, 5)
+		t.begin(tb, s)
+		var send func(n int)
+		send = func(n int) {
+			if n == 0 {
+				return
+			}
+			s.Send(payload(burstBytes))
+			tb.Eng.After(burstGap, func() { send(n - 1) })
+		}
+		send(bursts)
 	})
 	tb.Eng.Run()
-	if dialErr != nil {
-		return 0, 0, dialErr
+	if err := t.Err(); err != nil {
+		return nil, nil, 0, err
 	}
-	until := tb.Eng.Now()
-	window := time.Millisecond
-	// Pick edges in node order: "first capture with exposure" must not
-	// depend on randomized map iteration.
-	var initEdge, respEdge *adversary.Capture
-	for _, c := range sortedCaptures(caps) {
-		if len(c.Exposure(tb.hostIP(0))) > 0 && initEdge == nil {
-			initEdge = c
+	until = tb.Eng.Now()
+	initIP, respIP := tb.hostIP(0), tb.hostIP(to)
+	var init *adversary.Capture
+	for _, c := range caps {
+		if init == nil && len(c.Exposure(initIP)) > 0 {
+			init = c
 		}
-		if len(c.Exposure(tb.hostIP(15))) > 0 && respEdge == nil {
-			respEdge = c
+		if resp == nil && len(c.Exposure(respIP)) > 0 {
+			resp = c
 		}
 	}
-	if initEdge == nil || respEdge == nil {
-		return 0, 0, fmt.Errorf("harness: edge captures missing")
+	if init == nil || resp == nil {
+		return nil, nil, 0, fmt.Errorf("harness: edge captures missing")
 	}
-	var agg []float64
-	for _, k := range initEdge.FlowKeys() {
-		s := initEdge.RateSeries(window, k, until)
-		if agg == nil {
-			agg = make([]float64, len(s))
+	for _, k := range init.FlowKeys() {
+		if initOnly && k.SrcIP != initIP && k.DstIP != initIP {
+			continue
+		}
+		s := init.RateSeries(rateWindow, k, until)
+		if ref == nil {
+			ref = make([]float64, len(s))
 		}
 		for i := range s {
-			agg[i] += s[i]
+			ref[i] += s[i]
 		}
 	}
-	_, corr, peak = respEdge.RateMatch(window, agg, until)
-	return corr, peak, nil
+	return ref, resp, until, nil
 }

@@ -16,6 +16,18 @@ type Square struct{ Side int }
 
 func (s Square) Area() int { return s.Side * s.Side }
 
+// Scaler names its parameter differently from Square.Scale, and Grower
+// names none where Square.Grow does: a method implements an interface by its
+// parameter and result types alone, so each is reached through its
+// interface.
+type Scaler interface{ Scale(factor int) int }
+
+type Grower interface{ Grow(int) (size int) }
+
+func (s Square) Scale(by int) int { return s.Side * by }
+
+func (s Square) Grow(n int) int { return s.Side + n }
+
 // Perimeter is a method of a live type that no call or interface reaches.
 func (s Square) Perimeter() int { return 4 * s.Side } // want `Square.Perimeter is unused`
 

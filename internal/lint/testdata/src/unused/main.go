@@ -8,5 +8,9 @@ func main() {
 	lib.Used()
 	var s lib.Shape = lib.Square{Side: 2}
 	_ = s.Area()
+	var sc lib.Scaler = lib.Square{Side: 2}
+	_ = sc.Scale(3)
+	var g lib.Grower = lib.Square{Side: 2}
+	_ = g.Grow(1)
 	_ = lib.Second
 }

@@ -103,14 +103,26 @@ func recvType(fn *types.Func) types.Object {
 
 // methodID names a method by what decides whether it implements an
 // interface method: its name, qualified by package path when unexported,
-// and its signature spelled with package paths, so that the separate
-// type-checks of different packages agree on it.
+// and its parameter and result types spelled with package paths, so that
+// the separate type-checks of different packages agree on it. Parameter
+// names are left out: an implementation need not repeat the interface's.
 func methodID(m *types.Func) string {
 	name := m.Name()
 	if !m.Exported() {
 		name = m.Pkg().Path() + "." + name
 	}
-	return name + " " + types.TypeString(m.Type(), (*types.Package).Path)
+	sig := m.Type().(*types.Signature)
+	unnamed := types.NewSignatureType(nil, nil, nil, typesOnly(sig.Params()), typesOnly(sig.Results()), sig.Variadic())
+	return name + " " + types.TypeString(unnamed, (*types.Package).Path)
+}
+
+// typesOnly returns a tuple of t's types, without their names.
+func typesOnly(t *types.Tuple) *types.Tuple {
+	vars := make([]*types.Var, t.Len())
+	for i := range vars {
+		vars[i] = types.NewParam(token.NoPos, nil, "", t.At(i).Type())
+	}
+	return types.NewTuple(vars...)
 }
 
 // ifaceIDs returns the methodIDs of t's methods when t is an interface
