@@ -94,7 +94,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if *latency {
-		d, err := harness.PingPongLatency(s, *from, *to, *mns, *seed)
+		// On a fresh bed of the transfer's configuration, so that the
+		// transfer's queues do not colour the ping-pong.
+		tb, err := harness.NewTestbed(s, 4, netsim.Config{}, cfg, nil)
+		var d time.Duration
+		if err == nil {
+			d, err = tb.PingPong(s, *from, *to, *mns)
+		}
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1

@@ -11,6 +11,8 @@ import (
 	"testing"
 
 	"mic/internal/harness"
+	"mic/internal/mic"
+	"mic/internal/netsim"
 )
 
 // update rewrites the golden reports from the current build instead of
@@ -149,6 +151,30 @@ func TestPlainTransferHonoursPair(t *testing.T) {
 				t.Errorf("m-flow does not run from h3 to h4:\n%s", near)
 			}
 		})
+	}
+}
+
+// TestPingPongRunsOnTransferConfig: -latency measures the ping-pong over a
+// channel of the transfer's own configuration (-seed, -mflows, -fanout), not
+// over the scheme comparisons' bed: the line it prints is what
+// Testbed.PingPong reads on a fresh bed of that configuration.
+func TestPingPongRunsOnTransferConfig(t *testing.T) {
+	args := []string{"-scheme", "mic-tcp", "-seed", "7", "-mflows", "4", "-fanout", "2", "-size", "1024", "-latency"}
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("micsim %v: exit %d: %s", args, code, stderr.String())
+	}
+	cfg := mic.Config{MNs: 3, MFlows: 4, MulticastFanout: 2, Seed: 7}
+	tb, err := harness.NewTestbed(harness.SchemeMICTCP, 4, netsim.Config{}, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := tb.PingPong(harness.SchemeMICTCP, 0, 15, cfg.MNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("pingpong latency=%v\n", d); !strings.HasSuffix(stdout.String(), want) {
+		t.Fatalf("micsim %v printed\n%swant it to end with %q", args, stdout.String(), want)
 	}
 }
 

@@ -1,4 +1,5 @@
-// Package ctrlplane models the SDN southbound interface: FlowMod, GroupMod,
+// Package ctrlplane models the SDN southbound interface: rule installs (the
+// FlowMods and GroupMods of one switch and cookie, in one message), deletes,
 // PacketOut, Barrier and Echo messages carried over a latency-modeled secure
 // channel between the controller and each switch. The paper assumes this
 // channel is secure (Sec III-D); we model its delay, message count and —
@@ -21,17 +22,13 @@ import (
 	"mic/internal/topo"
 )
 
-// ErrUnacked is reported by FlowModErr when a message exhausted its retry
-// budget with no acknowledgement — the controller cannot know whether the
-// rule landed. Distinct from a negative acknowledgement like
-// flowtable.ErrTableFull, where the switch answered and refused.
+// ErrUnacked names the failure of a message that exhausted its retry budget
+// with no acknowledgement — the controller cannot know whether the rule
+// landed. Distinct from a negative acknowledgement like
+// flowtable.ErrTableFull, where the switch answered and refused. Nothing in
+// this module returns it (an install reports a count of failed mods); the
+// benchmark's dial classifier still names it.
 var ErrUnacked = errors.New("ctrlplane: message unacknowledged after retries")
-
-// ErrStaleEpoch is the switch's negative acknowledgement to a state mutation
-// carrying a fencing epoch below the switch's high-water mark: the sender
-// has been fenced off by a newer master and must stop treating itself as
-// authoritative. Like ErrTableFull this is an answered refusal, not a loss.
-var ErrStaleEpoch = errors.New("ctrlplane: rejected, fencing epoch is stale")
 
 // A rule cookie is, low bits to high, its owner's ID (40 bits), repair epoch
 // (16) and the generation of the controller life that built it (8). Its
@@ -52,9 +49,9 @@ func cookieOwner(cookie uint64) uint64 { return cookie &^ cookieEpochMask }
 
 // Channel is the controller's handle to the fabric's switches.
 //
-// Reliability model: every state-changing message (FlowMod, GroupMod,
-// delete, Barrier) is acknowledged by the switch. Either direction may lose
-// a message with probability LossRate; an unacknowledged message is
+// Reliability model: every state-changing message (install, delete,
+// Barrier) is acknowledged by the switch. Either direction may lose a
+// message with probability LossRate; an unacknowledged message is
 // retransmitted after a capped exponential backoff, up to MaxRetries times,
 // and then abandoned (counted in GiveUps and per-switch in Failed). All
 // message applications are idempotent, so a retransmit after a lost
@@ -62,12 +59,13 @@ func cookieOwner(cookie uint64) uint64 { return cookie &^ cookieEpochMask }
 // FlowMods.
 //
 // Ordering: on one switch, messages carrying rules of the same owner apply
-// in send order. A FlowMod, GroupMod, batch or DeleteByCookie is held back
-// while an earlier message to its switch of its owner is unresolved, and
-// sent when the last of those resolves, after which none of them lands
-// again. Two deletes commute, and so do two installs of one cookie (one
-// epoch's rules never share a match): those pairs are not ordered. Other
-// owners' messages never wait.
+// in send order. An install or DeleteByCookie is held back while an earlier
+// message to its switch of its owner is unresolved, and sent when the last
+// of those resolves, after which none of them lands again. Two deletes
+// commute, and so do two installs of one cookie (one epoch's rules never
+// share a match): those pairs are not ordered. Other owners' messages never
+// wait. An install message carries one cookie's rules, so this holds for
+// every rule it carries.
 type Channel struct {
 	Eng *sim.Engine
 	Net *netsim.Network
@@ -110,16 +108,16 @@ type Channel struct {
 	// are never partitioned away.
 	CtrlHost int
 
-	// Epoch is stamped on every state-mutating southbound message (FlowMod,
-	// GroupMod, delete, Barrier, PacketOut, batch). Switches persist the
-	// highest epoch seen and refuse lower ones (netsim.Switch.AcceptFenced),
-	// so a deposed master's writes die at the switch even if it never
-	// noticed losing mastership. 0 means unfenced (standalone controllers).
+	// Epoch is stamped on every state-mutating southbound message (install,
+	// delete, Barrier, PacketOut). Switches persist the highest epoch seen
+	// and refuse lower ones (netsim.Switch.AcceptFenced), so a deposed
+	// master's writes die at the switch even if it never noticed losing
+	// mastership. 0 means unfenced (standalone controllers).
 	Epoch uint64
 
 	// Counters for control-plane overhead and reliability experiments.
-	FlowMods     uint64
-	GroupMods    uint64
+	FlowMods     uint64 // entries sent, whatever message carried them
+	GroupMods    uint64 // groups sent with them
 	PacketOuts   uint64
 	Deletes      uint64
 	Barriers     uint64
@@ -130,11 +128,11 @@ type Channel struct {
 	Timeouts     uint64 // ack timers that expired
 	GiveUps      uint64 // messages abandoned after MaxRetries
 	Acked        uint64 // messages positively acknowledged
-	TableFulls   uint64 // FlowMods the switch refused with a table-full reply
+	TableFulls   uint64 // entries the switch refused with a table-full reply
 	StaleRejects uint64 // mutations the switch refused for a stale fencing epoch
 	Hellos       uint64 // epoch-announcement handshakes sent
-	Batches      uint64 // coalesced per-switch messages sent by InstallBatched
-	BatchedMods  uint64 // individual mods carried inside those batches
+	Batches      uint64 // install messages sent, one per switch and cookie of an install
+	BatchedMods  uint64 // entries and groups carried inside them
 
 	lossRNG *sim.RNG
 	sw      []swState // per-switch transaction state, indexed by NodeID
@@ -254,27 +252,6 @@ func (c *Channel) InFlight(id topo.NodeID) int { return c.sw[id].inflight }
 // landed.
 // lint:ignore unused test oracle: the MC fuzz invariant excuses the switches a channel gave up on
 func (c *Channel) Failed(id topo.NodeID) uint64 { return c.sw[id].failed }
-
-// FlowModResult installs e on sw and reports whether the switch
-// acknowledged AND accepted it — a table-full refusal counts as failure,
-// because the rule is not installed.
-func (c *Channel) FlowModResult(sw *netsim.Switch, e *flowtable.Entry, onDone func(ok bool)) {
-	c.FlowMods++
-	m := c.newMsg(msgFlowMod, sw)
-	m.entry, m.cookie, m.onOK = e, e.Cookie, onDone
-	c.issue(m)
-}
-
-// GroupModResult installs g on sw as a rule of the cookie given (0: of no
-// owner; a group carries no cookie of its own) and reports whether the
-// switch acknowledged and accepted it (a stale-epoch refusal counts as
-// failure).
-func (c *Channel) GroupModResult(sw *netsim.Switch, g *flowtable.Group, cookie uint64, onDone func(ok bool)) {
-	c.GroupMods++
-	m := c.newMsg(msgGroupMod, sw)
-	m.group, m.cookie, m.onOK = g, cookie, onDone
-	c.issue(m)
-}
 
 // DeleteByCookie removes all entries with the cookie from sw; onDone (may
 // be nil) receives sw's ID and the removal count after the acknowledgement
@@ -454,7 +431,7 @@ func (c *Channel) Hello(sw *netsim.Switch, onDone func(ok bool)) {
 
 // DumpFlows requests sw's full flow-table state — the OFPMP_FLOW +
 // OFPMP_GROUP stats multipart a controller issues when reconciling after
-// failover. It is carried reliably like a FlowMod; onDone receives a
+// failover. It is carried reliably like an install; onDone receives a
 // snapshot of the installed entries (shared pointers, read-only by
 // convention) and the installed group IDs in ascending order, or ok=false
 // if the switch never answered within the retry budget.
@@ -465,124 +442,101 @@ func (c *Channel) DumpFlows(sw *netsim.Switch, onDone func(entries []*flowtable.
 	c.issue(m)
 }
 
-// InstallAllResult sends one message per entry and per group of mods,
-// concurrently, and invokes onAll (may be nil) with the number abandoned or
-// refused once every message has resolved — one round trip for a whole
-// m-flow path, keeping route setup time flat in route length (Fig 7). A
-// mod's group is a rule of its entry's cookie.
-func (c *Channel) InstallAllResult(mods []Mod, onAll func(failed int)) {
-	remaining := 0
-	for _, m := range mods {
-		if m.Entry != nil {
-			remaining++
-		}
-		if m.Group != nil {
-			remaining++
-		}
-	}
-	if remaining == 0 {
-		if onAll != nil {
-			c.Eng.After(0, func() { onAll(0) })
-		}
-		return
-	}
-	failed := 0
-	done := func(ok bool) {
-		if !ok {
-			failed++
-		}
-		remaining--
-		if remaining == 0 && onAll != nil {
-			onAll(failed)
-		}
-	}
-	for _, m := range mods {
-		if m.Group != nil {
-			cookie := uint64(0)
-			if m.Entry != nil {
-				cookie = m.Entry.Cookie
-			}
-			c.GroupModResult(m.Switch, m.Group, cookie, done)
-		}
-		if m.Entry != nil {
-			c.FlowModResult(m.Switch, m.Entry, done)
-		}
-	}
-}
+// Install writes mods to their switches, all at once: one message per switch
+// and rule cookie, carrying that cookie's entries addressed to the switch and
+// the groups sent with them, applied in order on a single delivery. onAll
+// (may be nil) receives the number of modifications that failed once every
+// message has resolved — one round trip for a whole m-flow path, keeping
+// route setup time flat in route length (Fig 7). A table-full refusal counts
+// per entry; a message refused for a stale epoch, or abandoned after
+// retries, counts every modification it carried. Each message is ordered as
+// a rule of its cookie, so a later delete of that cookie's owner applies
+// after it. The messages read mods until they resolve: the caller must leave
+// the slice untouched until onAll fires, and may reuse it then.
+func (c *Channel) Install(mods []Mod, onAll func(failed int)) { c.install(mods, onAll, false) }
 
-// InstallBatched coalesces mods per destination switch — one southbound
-// message per switch carrying all of that switch's entries and groups,
-// applied in order on a single delivery — and closes each switch's batch
-// with one Barrier. Compared with InstallAllResult's message-per-mod fan-out
-// this cuts the southbound message count for a whole channel to one batch plus
-// one barrier per switch touched, at the price of one extra round trip (the
-// barrier) on the setup's critical path. onAll receives the number of
-// individual modifications that failed: a table-full refusal counts per
-// entry; a batch abandoned after retries counts every mod it carried. A
-// batch is ordered as a rule of its first entry's cookie, so the mods to one
-// switch should be one owner's. The messages read mods until they resolve:
-// the caller must leave the slice untouched until onAll fires. By then every
-// batch has resolved, and no message reads mods again, so the caller may
-// reuse the slice.
-func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) {
+// InstallBatched is Install with each switch's messages closed by one
+// Barrier, and onAll called when the last barrier completes: a dial's
+// one-cookie install costs one message plus one barrier per switch touched,
+// and one extra round trip (the barrier) on the setup's critical path.
+func (c *Channel) InstallBatched(mods []Mod, onAll func(failed int)) { c.install(mods, onAll, true) }
+
+// install sends mods switch by switch, in the order each switch and each of
+// its cookies first appears, and with fence closes each switch with a
+// barrier.
+func (c *Channel) install(mods []Mod, onAll func(failed int), fence bool) {
 	if len(mods) == 0 {
 		if onAll != nil {
 			c.Eng.After(0, func() { onAll(0) })
 		}
 		return
 	}
-	inst := c.newInstall(onAll)
+	inst := c.newInstall(onAll, fence)
 	for i := range mods {
 		sw := mods[i].Switch
-		if modsAddress(mods[:i], sw) {
-			continue // carried by the batch its first mod opened
+		if modsAddress(mods[:i], sw, 0, true) {
+			continue // sent with its switch's first mod
 		}
-		nmods, cookie := 0, uint64(0)
-		for _, m := range mods[i:] {
-			if m.Switch != sw {
-				continue
-			}
-			if m.Group != nil {
-				c.GroupMods++
-				nmods++
-			}
-			if m.Entry != nil {
-				c.FlowMods++
-				nmods++
-				if cookie == 0 {
-					cookie = m.Entry.Cookie
-				}
+		for j := i; j < len(mods); j++ {
+			if m := mods[j]; m.Switch == sw && !modsAddress(mods[i:j], sw, m.Entry.Cookie, false) {
+				c.sendInstall(mods[j:], inst)
 			}
 		}
-		c.Batches++
-		c.BatchedMods += uint64(nmods)
-		inst.remaining++
-		b := c.newMsg(msgBatch, sw)
-		b.mods, b.nmods, b.cookie, b.inst = mods[i:], nmods, cookie, inst
-		c.issue(b)
-		// The barrier completes only after the batch (and anything else
-		// already in flight to this switch) resolves, so inst.failed is final
-		// when the last barrier fires. An unacknowledged barrier adds nothing:
-		// the batch's own resolution already classified its mods.
-		bar := c.newMsg(msgBarrier, sw)
-		bar.inst = inst
-		c.barrier(bar)
+		if fence {
+			// The barrier completes only after the switch's messages (and
+			// anything else already in flight to it) resolve, so inst.failed
+			// is final when the last barrier fires. An unacknowledged barrier
+			// adds nothing: the messages' own resolution classified their mods.
+			inst.remaining++
+			bar := c.newMsg(msgBarrier, sw)
+			bar.inst = inst
+			c.barrier(bar)
+		}
 	}
 }
 
-// modsAddress reports whether any of mods is addressed to sw.
-func modsAddress(mods []Mod, sw *netsim.Switch) bool {
+// sendInstall sends one install message: mods[0] and every later mod
+// addressed to its switch with its cookie.
+func (c *Channel) sendInstall(mods []Mod, inst *install) {
+	sw, cookie := mods[0].Switch, mods[0].Entry.Cookie
+	nmods := 0
+	for _, m := range mods {
+		if m.Switch != sw || m.Entry.Cookie != cookie {
+			continue
+		}
+		if m.Group != nil {
+			c.GroupMods++
+			nmods++
+		}
+		c.FlowMods++
+		nmods++
+	}
+	c.Batches++
+	c.BatchedMods += uint64(nmods)
+	if !inst.fenced {
+		inst.remaining++
+	}
+	m := c.newMsg(msgInstall, sw)
+	m.mods, m.nmods, m.cookie, m.inst = mods, nmods, cookie, inst
+	c.issue(m)
+}
+
+// modsAddress reports whether any of mods is addressed to sw, with a rule of
+// cookie unless anyCookie.
+func modsAddress(mods []Mod, sw *netsim.Switch, cookie uint64, anyCookie bool) bool {
 	for i := range mods {
-		if mods[i].Switch == sw {
+		if mods[i].Switch == sw && (anyCookie || mods[i].Entry.Cookie == cookie) {
 			return true
 		}
 	}
 	return false
 }
 
-// Mod is one pending table modification.
+// Mod is one pending table modification: an entry, and the group its
+// actions select if that is sent with it. The group is a rule of the entry's
+// cookie.
 type Mod struct {
 	Switch *netsim.Switch
-	Entry  *flowtable.Entry // may be nil
+	Entry  *flowtable.Entry
 	Group  *flowtable.Group // may be nil
 }

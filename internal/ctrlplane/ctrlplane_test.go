@@ -19,12 +19,17 @@ func build(t *testing.T, g *topo.Graph) (*sim.Engine, *netsim.Network, *Channel)
 	return eng, net, NewChannel(net)
 }
 
+// installOne installs e alone on sw; onAll receives 1 if it failed.
+func installOne(ch *Channel, sw *netsim.Switch, e *flowtable.Entry, onAll func(failed int)) {
+	ch.Install([]Mod{{Switch: sw, Entry: e}}, onAll)
+}
+
 func TestFlowModAppliesAfterLatency(t *testing.T) {
 	g, _ := topo.Linear(1)
 	eng, net, ch := build(t, g)
 	sw := net.Switch(g.Switches()[0])
 	acked := sim.Time(-1)
-	ch.FlowModResult(sw, &flowtable.Entry{Priority: 1}, func(bool) { acked = eng.Now() })
+	installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(int) { acked = eng.Now() })
 	if sw.Table.Len() != 0 {
 		t.Fatal("FlowMod applied synchronously")
 	}
@@ -47,9 +52,9 @@ func TestInstallAllWaitsForEveryAck(t *testing.T) {
 	for _, sid := range g.Switches() {
 		mods = append(mods, Mod{Switch: net.Switch(sid), Entry: &flowtable.Entry{Priority: 1}})
 	}
-	mods = append(mods, Mod{Switch: net.Switch(g.Switches()[0]), Group: &flowtable.Group{ID: 9}})
+	mods[0].Group = &flowtable.Group{ID: 9}
 	done := sim.Time(-1)
-	ch.InstallAllResult(mods, func(int) { done = eng.Now() })
+	ch.Install(mods, func(int) { done = eng.Now() })
 	eng.Run()
 	if done < 0 {
 		t.Fatal("InstallAll callback never fired")
@@ -72,7 +77,7 @@ func TestInstallAllEmpty(t *testing.T) {
 	g, _ := topo.Linear(1)
 	eng, _, ch := build(t, g)
 	fired := false
-	ch.InstallAllResult(nil, func(int) { fired = true })
+	ch.Install(nil, func(int) { fired = true })
 	eng.Run()
 	if !fired {
 		t.Fatal("empty InstallAll never completed")
@@ -233,7 +238,7 @@ func TestChannelLatencyConfigurable(t *testing.T) {
 	ch.Latency = 2 * time.Millisecond
 	sw := net.Switch(g.Switches()[0])
 	var at sim.Time
-	ch.FlowModResult(sw, &flowtable.Entry{Priority: 1}, func(bool) { at = eng.Now() })
+	installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(int) { at = eng.Now() })
 	eng.Run()
 	if at != sim.Time(4*time.Millisecond) {
 		t.Fatalf("ack at %v, want 4ms", at)
@@ -287,8 +292,9 @@ func TestECMPSpreadsDestinations(t *testing.T) {
 }
 
 // TestLossyChannelConverges: at 25% per-direction control loss, every
-// FlowMod must still land via retransmission, and the reliability counters
-// must show the work.
+// install message must still land via retransmission, and the reliability
+// counters must show the work. Each entry has its own cookie, so each is its
+// own message.
 func TestLossyChannelConverges(t *testing.T) {
 	g, _ := topo.Linear(4)
 	eng, net, ch := build(t, g)
@@ -299,12 +305,13 @@ func TestLossyChannelConverges(t *testing.T) {
 		for j := 0; j < 8; j++ {
 			mods = append(mods, Mod{Switch: net.Switch(sid), Entry: &flowtable.Entry{
 				Priority: 10 + j,
+				Cookie:   uint64(len(mods) + 1),
 				Match:    flowtable.Match{Mask: flowtable.MatchInPort, InPort: i*10 + j},
 			}})
 		}
 	}
 	failed := -1
-	ch.InstallAllResult(mods, func(f int) { failed = f })
+	ch.Install(mods, func(f int) { failed = f })
 	eng.Run()
 	if failed != 0 {
 		t.Fatalf("abandoned %d mods at 25%% loss (retry budget too small)", failed)
@@ -333,14 +340,14 @@ func TestGiveUpAfterRetryBudget(t *testing.T) {
 	ch.MaxRetries = 3
 	sw := net.Switch(g.Switches()[0])
 	net.SetSwitchDown(sw.ID, true)
-	var gotOK *bool
-	ch.FlowModResult(sw, &flowtable.Entry{Priority: 1}, func(ok bool) { gotOK = &ok })
+	failed := -1
+	installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(f int) { failed = f })
 	if ch.InFlight(sw.ID) != 1 {
 		t.Fatalf("in-flight = %d", ch.InFlight(sw.ID))
 	}
 	eng.Run()
-	if gotOK == nil || *gotOK {
-		t.Fatalf("dead switch acked? %v", gotOK)
+	if failed != 1 {
+		t.Fatalf("dead switch: %d mods failed, want 1", failed)
 	}
 	if ch.GiveUps != 1 || ch.Failed(sw.ID) != 1 {
 		t.Fatalf("give-up not recorded: %d / %d", ch.GiveUps, ch.Failed(sw.ID))
@@ -367,7 +374,7 @@ func TestBackoffIsCapped(t *testing.T) {
 	sw := net.Switch(g.Switches()[0])
 	net.SetSwitchDown(sw.ID, true)
 	var doneAt sim.Time
-	ch.FlowModResult(sw, &flowtable.Entry{Priority: 1}, func(bool) { doneAt = eng.Now() })
+	installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(int) { doneAt = eng.Now() })
 	eng.Run()
 	// 7 attempts, each waiting the capped 2ms: 14ms total.
 	if want := sim.Time(14 * time.Millisecond); doneAt != want {
@@ -382,7 +389,7 @@ func TestBarrierWaitsForInFlight(t *testing.T) {
 	eng, net, ch := build(t, g)
 	sw := net.Switch(g.Switches()[0])
 	applied := false
-	ch.FlowModResult(sw, &flowtable.Entry{Priority: 1}, func(ok bool) { applied = ok })
+	installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(failed int) { applied = failed == 0 })
 	barrierOK := false
 	ch.Barrier(sw, func(ok bool) {
 		if !applied {

@@ -1,7 +1,6 @@
 package ctrlplane
 
 import (
-	"errors"
 	"testing"
 
 	"mic/internal/flowtable"
@@ -67,8 +66,8 @@ func TestHeartbeatDirectionalCuts(t *testing.T) {
 }
 
 // TestStaleEpochRejected: once a switch has seen a newer epoch (via Hello),
-// mutations from a lower-epoch channel come back ErrStaleEpoch and are
-// counted on both sides; the switch table is untouched.
+// mutations from a lower-epoch channel are refused as stale and counted on
+// both sides; the switch table is untouched.
 func TestStaleEpochRejected(t *testing.T) {
 	g, _ := topo.Linear(1)
 	eng, net, old := build(t, g)
@@ -87,11 +86,11 @@ func TestStaleEpochRejected(t *testing.T) {
 		t.Fatalf("switch mark = %d, want 2", sw.FenceEpoch)
 	}
 
-	var modErr error
-	old.FlowModErr(sw, &flowtable.Entry{Priority: 1}, func(err error) { modErr = err })
+	failed := -1
+	installOne(old, sw, &flowtable.Entry{Priority: 1}, func(f int) { failed = f })
 	eng.Run()
-	if !errors.Is(modErr, ErrStaleEpoch) {
-		t.Fatalf("stale FlowMod error = %v, want ErrStaleEpoch", modErr)
+	if failed != 1 || old.GiveUps != 0 {
+		t.Fatalf("stale install: %d mods failed, %d messages abandoned; want 1 refused, 0 abandoned", failed, old.GiveUps)
 	}
 	if sw.Table.Len() != 0 {
 		t.Fatal("stale FlowMod mutated the table")
@@ -111,11 +110,11 @@ func TestStaleEpochRejected(t *testing.T) {
 		t.Fatal("stale barrier reported success")
 	}
 	// And a current-epoch write still lands.
-	var succErr error
-	succ.FlowModErr(sw, &flowtable.Entry{Priority: 1}, func(err error) { succErr = err })
+	failed = -1
+	installOne(succ, sw, &flowtable.Entry{Priority: 1}, func(f int) { failed = f })
 	eng.Run()
-	if succErr != nil || sw.Table.Len() != 1 {
-		t.Fatalf("successor write refused: err=%v len=%d", succErr, sw.Table.Len())
+	if failed != 0 || sw.Table.Len() != 1 {
+		t.Fatalf("successor write refused: %d mods failed, len=%d", failed, sw.Table.Len())
 	}
 }
 
@@ -130,22 +129,22 @@ func TestMgmtCutGatesSouthbound(t *testing.T) {
 	sw := net.Switch(g.Switches()[0])
 	net.SetMgmtCut(netsim.MgmtCtrl(ch.CtrlHost), netsim.MgmtSwitch(sw.ID), true)
 
-	var modErr error
-	gotErr := false
-	ch.FlowModErr(sw, &flowtable.Entry{Priority: 1}, func(err error) { modErr, gotErr = err, true })
+	failed := -1
+	installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(f int) { failed = f })
 	eng.Run()
-	if !gotErr || !errors.Is(modErr, ErrUnacked) {
-		t.Fatalf("install across a cut: gotErr=%v err=%v, want ErrUnacked", gotErr, modErr)
+	if failed != 1 || ch.GiveUps != 1 || ch.StaleRejects != 0 {
+		t.Fatalf("install across a cut: %d mods failed, %d messages abandoned, %d refused; want it abandoned unacknowledged",
+			failed, ch.GiveUps, ch.StaleRejects)
 	}
 	if sw.Table.Len() != 0 {
 		t.Fatal("install crossed a cut management path")
 	}
 
 	net.SetMgmtCut(netsim.MgmtCtrl(ch.CtrlHost), netsim.MgmtSwitch(sw.ID), false)
-	modErr = errors.New("unset")
-	ch.FlowModErr(sw, &flowtable.Entry{Priority: 1}, func(err error) { modErr = err })
+	failed = -1
+	installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(f int) { failed = f })
 	eng.Run()
-	if modErr != nil || sw.Table.Len() != 1 {
-		t.Fatalf("install after heal: err=%v len=%d", modErr, sw.Table.Len())
+	if failed != 0 || sw.Table.Len() != 1 {
+		t.Fatalf("install after heal: %d mods failed, len=%d", failed, sw.Table.Len())
 	}
 }

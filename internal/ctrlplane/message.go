@@ -14,13 +14,11 @@ import (
 type msgKind uint8
 
 const (
-	msgFlowMod msgKind = iota
-	msgGroupMod
+	msgInstall msgKind = iota // one install's mods of one cookie addressed to one switch
 	msgDelete
 	msgBarrier
 	msgHello
 	msgDump
-	msgBatch // all of one InstallBatched call's mods addressed to one switch
 )
 
 // msg is one reliable southbound message: what to apply at the switch, the
@@ -54,18 +52,15 @@ type msgState struct {
 	sw   *netsim.Switch
 
 	// Payload, by kind.
-	entry  *flowtable.Entry // msgFlowMod
-	group  *flowtable.Group // msgGroupMod
-	cookie uint64           // of the rules carried, or deleted (msgDelete); 0 for none
-	mods   []Mod            // msgBatch: the caller's mods from this switch's first on; those addressed to sw apply
-	nmods  int              // msgBatch: individual modifications carried
+	cookie uint64 // of the rules carried, or deleted (msgDelete); 0 for none
+	mods   []Mod  // msgInstall: the caller's mods from the message's first on; those addressed to sw with cookie apply
+	nmods  int    // msgInstall: entries and groups carried
 
 	// What the switch did, recorded on arrival and classified on completion
 	// (retransmits re-run apply and would double-count otherwise).
-	applied bool                // msgBatch: the first arrival applied everything
+	applied bool                // msgInstall: the first arrival applied everything
 	stale   bool                // refused for a stale fencing epoch
-	err     error               // msgFlowMod: the insert's outcome
-	n       int                 // msgDelete: entries removed, -1 until a pass lands; msgBatch: entries refused
+	n       int                 // msgDelete: entries removed, -1 until a pass lands; msgInstall: entries refused
 	entries []*flowtable.Entry  // msgDump
 	groups  []flowtable.GroupID // msgDump
 
@@ -83,22 +78,23 @@ type msgState struct {
 
 	// Completion: at most one is set.
 	onOK    func(ok bool)
-	onErr   func(err error)
 	onCount func(node topo.NodeID, removed int)
 	onDump  func(entries []*flowtable.Entry, groups []flowtable.GroupID, ok bool)
-	inst    *install // msgBatch and its closing msgBarrier
+	inst    *install // msgInstall, and a msgBarrier closing a switch of a fenced install
 }
 
-// install is the completion state one InstallBatched call's messages share:
-// each switch's batch adds its failed mods, each switch's barrier counts
-// down, the last one reports.
+// install is the completion state one install's messages share: each
+// message adds its failed mods, and the install's closing messages — its
+// barriers if fenced, else its install messages — count down; the last one
+// reports.
 type install struct {
-	remaining int // barriers still out
+	fenced    bool // InstallBatched: each switch is closed by a barrier
+	remaining int  // closing messages still out
 	failed    int
 	onAll     func(failed int)
 }
 
-func (c *Channel) newInstall(onAll func(failed int)) *install {
+func (c *Channel) newInstall(onAll func(failed int), fenced bool) *install {
 	var in *install
 	if last := len(c.instFree) - 1; last >= 0 {
 		in = c.instFree[last]
@@ -106,13 +102,13 @@ func (c *Channel) newInstall(onAll func(failed int)) *install {
 	} else {
 		in = new(install)
 	}
-	in.onAll = onAll
+	in.onAll, in.fenced = onAll, fenced
 	return in
 }
 
-// barrierDone counts one switch's closing barrier; the last returns the
-// record to the free list and reports.
-func (c *Channel) barrierDone(in *install) {
+// installDone counts one of the install's closing messages; the last returns
+// the record to the free list and reports.
+func (c *Channel) installDone(in *install) {
 	in.remaining--
 	if in.remaining > 0 {
 		return
@@ -322,45 +318,37 @@ func (m *msg) apply() {
 		m.groups = sw.Table.GroupIDs()
 		return
 	}
-	// Retransmitted batches are duplicates of an already-applied message
+	// Retransmitted installs are duplicates of an already-applied message
 	// (the first arrival applied everything); re-applying would double-count
 	// table refusals.
-	if m.kind == msgBatch {
+	if m.kind == msgInstall {
 		if m.applied {
 			return
 		}
 		m.applied = true
 	}
 	if !sw.AcceptFenced(c.Epoch) {
-		// A FlowMod reports its last arrival's outcome (err); for every
-		// other kind one refusal marks the message for good.
-		m.stale, m.err = true, ErrStaleEpoch
+		m.stale = true // one refusal marks the message for good
 		return
 	}
 	switch m.kind {
-	case msgFlowMod:
-		m.err = sw.Table.TryInsert(m.entry, c.Eng.Now())
-	case msgGroupMod:
-		sw.Table.SetGroup(m.group)
 	case msgDelete:
 		removed := sw.Table.DeleteByCookie(m.cookie)
 		// Retransmitted deletes find nothing; report the first pass's count.
 		if m.n < 0 {
 			m.n = removed
 		}
-	case msgBatch:
+	case msgInstall:
 		for _, mod := range m.mods {
-			if mod.Switch != sw {
+			if mod.Switch != sw || mod.Entry.Cookie != m.cookie {
 				continue
 			}
 			if mod.Group != nil {
 				sw.Table.SetGroup(mod.Group)
 			}
-			if mod.Entry != nil {
-				if err := sw.Table.TryInsert(mod.Entry, c.Eng.Now()); err != nil {
-					m.n++
-					c.TableFulls++
-				}
+			if err := sw.Table.TryInsert(mod.Entry, c.Eng.Now()); err != nil {
+				m.n++
+				c.TableFulls++
 			}
 		}
 	}
@@ -372,22 +360,6 @@ func (m *msg) apply() {
 func (m *msg) complete(ok bool) {
 	c := m.ch
 	switch m.kind {
-	case msgFlowMod:
-		err := m.err
-		switch {
-		case !ok:
-			err = ErrUnacked
-		case err == nil:
-		case err == ErrStaleEpoch:
-			c.StaleRejects++
-		default:
-			c.TableFulls++
-		}
-		if m.onErr != nil {
-			m.onErr(err)
-		} else if m.onOK != nil {
-			m.onOK(err == nil)
-		}
 	case msgDelete:
 		if m.stale {
 			c.StaleRejects++
@@ -404,7 +376,7 @@ func (m *msg) complete(ok bool) {
 		if m.onDump != nil {
 			m.onDump(m.entries, m.groups, ok)
 		}
-	case msgBatch:
+	case msgInstall:
 		switch {
 		case m.stale:
 			c.StaleRejects++
@@ -414,14 +386,17 @@ func (m *msg) complete(ok bool) {
 		default:
 			m.inst.failed += m.n
 		}
-	default: // msgGroupMod, msgBarrier, msgHello
+		if !m.inst.fenced {
+			c.installDone(m.inst)
+		}
+	default: // msgBarrier, msgHello
 		if m.stale {
 			c.StaleRejects++
 			ok = false
 		}
 		switch {
 		case m.inst != nil:
-			c.barrierDone(m.inst)
+			c.installDone(m.inst)
 		case m.onOK != nil:
 			m.onOK(ok)
 		}

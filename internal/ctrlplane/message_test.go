@@ -32,8 +32,8 @@ func mflowEntry(key int, cookie uint64) *flowtable.Entry {
 }
 
 // playSchedule runs a fixed mix of every reliable southbound message kind —
-// batches, single mods, barriers (idle and queued behind in-flight
-// messages), deletes, dumps, hellos — against five switches, one of them
+// installs with and without barriers, barriers (idle and queued behind
+// in-flight messages), deletes, dumps, hellos — against five switches, one of them
 // capacity-bound, one fenced off at a higher epoch and one silently dead for
 // a while, and returns a transcript: the instant and arguments of every
 // completion callback in firing order, then the channel's counters and each
@@ -69,6 +69,9 @@ func playSchedule(loss float64, seed uint64) string {
 	del := func(tag string, s int, cookie uint64) {
 		ch.DeleteByCookie(sw[s], cookie, func(_ topo.NodeID, n int) { logf("delete %s s%d cookie=%d removed=%d", tag, s, cookie, n) })
 	}
+	install := func(what string, mods ...Mod) {
+		ch.Install(mods, func(failed int) { logf("%s failed=%d", what, failed) })
+	}
 	dump := func(tag string, s int) {
 		ch.DumpFlows(sw[s], func(es []*flowtable.Entry, gs []flowtable.GroupID, ok bool) {
 			logf("dump %s s%d entries=%d groups=%v ok=%v", tag, s, len(es), gs, ok)
@@ -88,10 +91,10 @@ func playSchedule(loss float64, seed uint64) string {
 		barrier("a", 0)
 	})
 	at(200*time.Microsecond, func() {
-		ch.FlowModErr(sw[1], mflowEntry(19, 8), func(err error) { logf("flowmod s1 err=%v", err) })
-		ch.FlowModErr(sw[3], mflowEntry(39, 8), func(err error) { logf("flowmod s3 err=%v", err) })
-		ch.GroupModResult(sw[2], &flowtable.Group{ID: 5}, 0, func(ok bool) { logf("groupmod s2 ok=%v", ok) })
-		ch.GroupModResult(sw[3], &flowtable.Group{ID: 5}, 0, func(ok bool) { logf("groupmod s3 ok=%v", ok) })
+		install("install s1", Mod{Switch: sw[1], Entry: mflowEntry(19, 8)})
+		install("install s3", Mod{Switch: sw[3], Entry: mflowEntry(39, 8)})
+		install("group s2", Mod{Switch: sw[2], Entry: mflowEntry(29, 0), Group: &flowtable.Group{ID: 5}})
+		install("group s3", Mod{Switch: sw[3], Entry: mflowEntry(38, 0), Group: &flowtable.Group{ID: 5}})
 	})
 	at(time.Millisecond, func() { dump("a", 0) })
 	at(1500*time.Microsecond, func() {
@@ -110,7 +113,7 @@ func playSchedule(loss float64, seed uint64) string {
 	})
 	at(3*time.Millisecond, func() { net.SetSwitchDownQuiet(sw[4].ID, true) })
 	at(3100*time.Microsecond, func() {
-		ch.FlowModResult(sw[4], mflowEntry(42, 7), func(ok bool) { logf("flowmod s4 ok=%v", ok) })
+		install("install s4", Mod{Switch: sw[4], Entry: mflowEntry(42, 7)})
 		del("b", 4, 8)
 		barrier("d", 4)
 		barrier("e", 4)
@@ -133,7 +136,7 @@ func playSchedule(loss float64, seed uint64) string {
 		for s := 0; s < 3; s++ {
 			mods = append(mods, Mod{Switch: sw[s], Entry: mflowEntry(10*s+5, 9), Group: &flowtable.Group{ID: flowtable.GroupID(20 + s)}})
 		}
-		ch.InstallAllResult(mods, func(failed int) { logf("install-all failed=%d", failed) })
+		install("install-all", mods...)
 		barrier("g", 1)
 	})
 	at(9*time.Millisecond, func() { net.SetSwitchDownQuiet(sw[4].ID, false) })
@@ -159,14 +162,21 @@ func playSchedule(loss float64, seed uint64) string {
 // completion callback and every reliability counter of a mixed southbound
 // schedule, at three loss rates times twenty loss seeds. The transcript was
 // captured from the closure-based deliver this package had before messages
-// became pooled records, and regenerated twice since. When barriers stopped
-// waiting for messages sent after them, lossless barrier completions (and the
-// InstallBatched reports they close) moved earlier and nothing else moved.
-// When messages began to wait for the earlier ones of their owner, the one
-// lossless line to move was delete f, 10.5 → 11.1 ms: it now waits for the
-// FlowMod of its cookie sent into s4's dead window. Under loss a message that
-// leaves at another instant also draws from the one loss stream at another
-// point, which reshuffles every later draw of that run.
+// became pooled records, and regenerated three times since. When barriers
+// stopped waiting for messages sent after them, lossless barrier completions
+// (and the InstallBatched reports they close) moved earlier and nothing else
+// moved. When messages began to wait for the earlier ones of their owner, the
+// one lossless line to move was delete f, 10.5 → 11.1 ms: it now waits for
+// the install of its cookie sent into s4's dead window. When every install
+// became one message per switch and cookie, the single FlowMods and GroupMods
+// became one-mod installs (a group now rides with an entry of no owner) and
+// install-all sent three messages where it had sent six. Lossless, no
+// completion instant moved: the labels did, the counters (batch A carries
+// cookies 7 and 8 to s1-s3 in two messages each, so s3 refuses one more),
+// s3's stale count and s2's entries (a group's entry of no owner stays).
+// Under loss a message that leaves at another instant, or a message fewer,
+// also draws from the one loss stream at another point, which reshuffles
+// every later draw of that run.
 func TestSouthboundScheduleGolden(t *testing.T) {
 	var got bytes.Buffer
 	for _, loss := range []float64{0, 0.1, 0.4} {
@@ -332,7 +342,7 @@ func TestResolvedProbeReusedBeforeItsTimerPops(t *testing.T) {
 func TestChannelDownMidFlightFiresNoCallback(t *testing.T) {
 	eng, _, ch, sw := oneSwitch(t)
 	fired := 0
-	ch.FlowModResult(sw, mflowEntry(1, 7), func(bool) { fired++ })
+	ch.Install([]Mod{{Switch: sw, Entry: mflowEntry(1, 7)}}, func(int) { fired++ })
 	ch.DeleteByCookie(sw, 9, func(topo.NodeID, int) { fired++ })
 	ch.Barrier(sw, func(bool) { fired++ })
 	ch.InstallBatched([]Mod{{Switch: sw, Entry: mflowEntry(2, 7)}}, func(int) { fired++ })
@@ -359,7 +369,7 @@ func TestGiveUpReleasesBarrierWaitersOnce(t *testing.T) {
 	ch.MaxRetries = 1
 	net.SetSwitchDownQuiet(sw.ID, true)
 	var log []string
-	ch.FlowModErr(sw, mflowEntry(1, 7), func(err error) { log = append(log, fmt.Sprintf("flowmod %v", err)) })
+	ch.Install([]Mod{{Switch: sw, Entry: mflowEntry(1, 7)}}, func(failed int) { log = append(log, fmt.Sprintf("install failed=%d", failed)) })
 	for _, tag := range []string{"a", "b"} {
 		ch.Barrier(sw, func(ok bool) { log = append(log, fmt.Sprintf("barrier %s %v", tag, ok)) })
 	}
@@ -367,12 +377,12 @@ func TestGiveUpReleasesBarrierWaitersOnce(t *testing.T) {
 		t.Fatalf("parked barriers count as in flight: %d", ch.InFlight(sw.ID))
 	}
 	eng.Run()
-	want := "[flowmod ctrlplane: message unacknowledged after retries barrier a false barrier b false]"
+	want := "[install failed=1 barrier a false barrier b false]"
 	if fmt.Sprint(log) != want {
 		t.Fatalf("completions %v, want %s", log, want)
 	}
 	// 3 messages x 2 attempts; the barriers' first attempts leave only once
-	// the FlowMod's second timer has expired.
+	// the install's second timer has expired.
 	if ch.GiveUps != 3 || ch.Failed(sw.ID) != 3 || ch.Timeouts != 6 || ch.Retransmits != 3 || ch.InFlight(sw.ID) != 0 {
 		t.Fatalf("giveups %d failed %d timeouts %d retransmits %d inflight %d",
 			ch.GiveUps, ch.Failed(sw.ID), ch.Timeouts, ch.Retransmits, ch.InFlight(sw.ID))
@@ -380,18 +390,4 @@ func TestGiveUpReleasesBarrierWaitersOnce(t *testing.T) {
 	if len(ch.sw[sw.ID].waiters) != 0 || len(ch.msgFree) != 3 {
 		t.Fatalf("%d barriers still parked, %d records free (want 0, 3)", len(ch.sw[sw.ID].waiters), len(ch.msgFree))
 	}
-}
-
-// FlowModErr installs e on sw and reports the outcome as an error: nil when
-// the entry was installed and acknowledged; flowtable.ErrTableFull when the
-// switch answered but refused the entry (a negative acknowledgement — the
-// OpenFlow OFPFMFC_TABLE_FULL error reply); ErrUnacked when the retry budget
-// ran out with no answer at all. Retransmits re-apply idempotently: once an
-// attempt installs the entry, later attempts take the replace path and the
-// captured error stays nil.
-func (c *Channel) FlowModErr(sw *netsim.Switch, e *flowtable.Entry, onDone func(err error)) {
-	c.FlowMods++
-	m := c.newMsg(msgFlowMod, sw)
-	m.entry, m.cookie, m.onErr = e, e.Cookie, onDone
-	c.issue(m)
 }

@@ -21,13 +21,14 @@ import (
 type sbKind uint8
 
 const (
-	opFlowMod  sbKind = iota
-	opDelete          // by its own cookie if it names a shared owner, else by that of the latest FlowMod of no shared owner sent to its switch
-	opGroupMod        // a group alone, or with a shared owner a group and its entry through InstallAllResult
+	opInstall sbKind = iota // Install of one entry
+	opDelete                // by its own cookie if it names a shared owner, else by that of the latest opInstall of no shared owner sent to its switch
+	opGroup                 // Install of one entry and its group
 	opHello
 	opDump
 	opBatch // InstallBatched over span consecutive switches, two mods on the first
 	opBarrier
+	opPass // Install at one switch of several owners' rules, as a reconciliation pass sends them
 	sbKinds
 )
 
@@ -58,24 +59,59 @@ func (op sbOp) touches(s int) bool {
 
 // installs reports whether op installs rules.
 func (op sbOp) installs() bool {
-	return op.kind == opFlowMod || op.kind == opBatch || op.kind == opGroupMod && op.owner > 0
+	return op.kind == opInstall || op.kind == opGroup || op.kind == opBatch || op.kind == opPass
 }
 
+// sharedCookie returns the cookie of shared owner o's rules of one epoch.
+func sharedCookie(o, epoch int) uint64 { return RuleCookie(uint64(1000+o), uint32(epoch), 0) }
+
 // opCookie returns the cookie of operation i's rules, or of those it deletes.
+// A pass also carries rules of its own and of shared owner 2 (opRules).
 func opCookie(prog []sbOp, i int) uint64 {
 	op := prog[i]
 	switch {
 	case op.owner > 0:
-		return RuleCookie(uint64(1000+op.owner), uint32(op.epoch), 0)
+		return sharedCookie(op.owner, op.epoch)
 	case op.kind != opDelete:
 		return uint64(i + 1)
 	}
 	for j := i - 1; j >= 0; j-- {
-		if prog[j].kind == opFlowMod && prog[j].sw == op.sw && prog[j].owner == 0 {
+		if prog[j].kind == opInstall && prog[j].sw == op.sw && prog[j].owner == 0 {
 			return opCookie(prog, j)
 		}
 	}
 	return 1 << cookieEpochShift // nobody's
+}
+
+// sbRule is one rule an installing operation writes: its switch, a key that
+// tells its match from the operation's other rules, its cookie, and whether
+// a group is sent with it.
+type sbRule struct {
+	sw, key int
+	cookie  uint64
+	group   bool
+}
+
+// opRules returns the rules operation i installs, in the order it lists
+// them. A pass lists, at its switch, a rule of its own, one of shared owner 2
+// in its epoch, and a rule of its cookie with a group: three owners' rules
+// with owner 1; with owner 0 or 2, two owners' rules and one cookie listed
+// twice (owner 0's with another cookie between).
+func opRules(prog []sbOp, i int) []sbRule {
+	op, cookie := prog[i], opCookie(prog, i)
+	switch op.kind {
+	case opInstall, opGroup:
+		return []sbRule{{op.sw, 0, cookie, op.kind == opGroup}}
+	case opBatch:
+		var rules []sbRule
+		for d := 0; d < op.span; d++ {
+			rules = append(rules, sbRule{(op.sw + d) % sbSwitches, d, cookie, false})
+		}
+		return append(rules, sbRule{op.sw, 3, cookie, true})
+	case opPass:
+		return []sbRule{{op.sw, 0, uint64(i + 1), false}, {op.sw, 1, sharedCookie(2, op.epoch), false}, {op.sw, 2, cookie, true}}
+	}
+	return nil
 }
 
 // sbOutcome is what the observer saw of one operation.
@@ -83,10 +119,10 @@ type sbOutcome struct {
 	fired   int                // completion callbacks received
 	done    sim.Time           // instant of the last one
 	failed  bool               // the sender was told it did not (all) land
-	deleted [sbSwitches]bool   // installs: a later delete targets its cookie on that switch
-	entries []*flowtable.Entry // installs: the entries, and the switch and first application of each
-	entrySw []int
-	first   []sim.Time
+	entries []*flowtable.Entry // installs: the entries, and per entry its switch,
+	entrySw []int              // its first application and whether a later
+	first   []sim.Time         // delete targets its cookie on its switch
+	deleted []bool
 }
 
 // runProgram plays prog on a fresh three-switch channel and fails t unless
@@ -138,7 +174,7 @@ func runProgram(t testing.TB, prog []sbOp, loss float64, seed uint64, deadWindow
 					what, i, s, eng.Now(), j, op.kind, op.at)
 			}
 			for k, e := range o.entries {
-				if o.entrySw[k] != s || installed[e] || o.deleted[s] {
+				if o.entrySw[k] != s || installed[e] || o.deleted[k] {
 					continue
 				}
 				// A batch reports only with its own barriers; until then the
@@ -163,42 +199,36 @@ func runProgram(t testing.TB, prog []sbOp, loss float64, seed uint64, deadWindow
 	}
 	issue := func(i int) {
 		op, o := prog[i], &out[i]
-		cookie := opCookie(prog, i)
-		rule := func(s, k int) *flowtable.Entry {
-			e := mflowEntry(4*i+k, cookie)
-			o.entries, o.entrySw = append(o.entries, e), append(o.entrySw, s)
-			o.first = append(o.first, 0)
-			return e
-		}
 		s := sw[op.sw]
+		var mods []Mod
+		for _, r := range opRules(prog, i) {
+			e := mflowEntry(4*i+r.key, r.cookie)
+			o.entries, o.entrySw = append(o.entries, e), append(o.entrySw, r.sw)
+			o.first, o.deleted = append(o.first, 0), append(o.deleted, false)
+			m := Mod{Switch: sw[r.sw], Entry: e}
+			if r.group {
+				m.Group = &flowtable.Group{ID: flowtable.GroupID(i + 1)}
+			}
+			mods = append(mods, m)
+		}
 		switch op.kind {
-		case opFlowMod:
-			ch.FlowModErr(s, rule(op.sw, 0), func(err error) { complete(i, err != nil) })
+		case opInstall, opGroup, opPass:
+			ch.Install(mods, func(failed int) { complete(i, failed > 0) })
 		case opDelete:
-			for j := range prog[:i] {
-				if prog[j].installs() && prog[j].touches(op.sw) && opCookie(prog, j) == cookie {
-					out[j].deleted[op.sw] = true
+			cookie := opCookie(prog, i)
+			for j := range out[:i] {
+				for k, e := range out[j].entries {
+					if out[j].entrySw[k] == op.sw && e.Cookie == cookie {
+						out[j].deleted[k] = true
+					}
 				}
 			}
 			ch.DeleteByCookie(s, cookie, func(_ topo.NodeID, n int) { complete(i, n < 0) })
-		case opGroupMod:
-			group := &flowtable.Group{ID: flowtable.GroupID(i + 1)}
-			if op.owner == 0 {
-				ch.GroupModResult(s, group, 0, func(ok bool) { complete(i, !ok) })
-				break
-			}
-			ch.InstallAllResult([]Mod{{Switch: s, Entry: rule(op.sw, 0), Group: group}}, func(failed int) { complete(i, failed > 0) })
 		case opHello:
 			ch.Hello(s, func(ok bool) { complete(i, !ok) })
 		case opDump:
 			ch.DumpFlows(s, func(_ []*flowtable.Entry, _ []flowtable.GroupID, ok bool) { complete(i, !ok) })
 		case opBatch:
-			var mods []Mod
-			for d := 0; d < op.span; d++ {
-				x := (op.sw + d) % sbSwitches
-				mods = append(mods, Mod{Switch: sw[x], Entry: rule(x, d)})
-			}
-			mods = append(mods, Mod{Switch: s, Entry: rule(op.sw, 3), Group: &flowtable.Group{ID: flowtable.GroupID(i + 1)}})
 			ch.InstallBatched(mods, func(failed int) {
 				complete(i, failed > 0)
 				for x := 0; x < sbSwitches; x++ {
@@ -264,42 +294,31 @@ func checkOwnerOrder(t testing.TB, prog []sbOp, out []sbOutcome, sw []*netsim.Sw
 			installed[e] = true
 		}
 	}
-	deletedAfter := func(i, s int, cookie uint64) bool {
-		for j := i + 1; j < len(prog); j++ {
-			if prog[j].kind == opDelete && prog[j].sw == s && opCookie(prog, j) == cookie {
-				return true
-			}
-		}
-		return false
-	}
 	for b := range prog {
-		cb := opCookie(prog, b)
 		for a := range prog[:b] {
-			ca := opCookie(prog, a)
-			if cookieOwner(ca) == 0 || cookieOwner(ca) != cookieOwner(cb) {
-				continue
-			}
 			for ka, ea := range out[a].entries {
-				s := out[a].entrySw[ka]
-				switch {
-				case prog[b].installs() && ca != cb:
-					for kb := range out[b].entries {
-						if out[b].entrySw[kb] == s && ea.Installed != 0 && out[b].first[kb] != 0 && ea.Installed >= out[b].first[kb] {
-							t.Fatalf("s%d: operation %d (cookie %#x) applied at %v, after operation %d (cookie %#x) of the same owner first applied at %v",
-								s, a, ca, ea.Installed, b, cb, out[b].first[kb])
-						}
+				s, ca := out[a].entrySw[ka], ea.Cookie
+				if cookieOwner(ca) == 0 {
+					continue
+				}
+				for kb, eb := range out[b].entries {
+					cb := eb.Cookie
+					if out[b].entrySw[kb] == s && cookieOwner(cb) == cookieOwner(ca) && cb != ca &&
+						ea.Installed != 0 && out[b].first[kb] != 0 && ea.Installed >= out[b].first[kb] {
+						t.Fatalf("s%d: operation %d (cookie %#x) applied at %v, after operation %d (cookie %#x) of the same owner first applied at %v",
+							s, a, ca, ea.Installed, b, cb, out[b].first[kb])
 					}
-				case prog[b].kind == opDelete && prog[b].sw == s && ca == cb && !out[b].failed && installed[ea]:
+				}
+				if prog[b].kind == opDelete && prog[b].sw == s && opCookie(prog, b) == ca && !out[b].failed && installed[ea] {
 					t.Fatalf("s%d: a rule of operation %d (cookie %#x) outlived the acknowledged delete %d of its cookie", s, a, ca, b)
 				}
 			}
-			if prog[a].kind != opDelete || ca != cb {
+			if prog[a].kind != opDelete {
 				continue
 			}
 			for kb, eb := range out[b].entries {
-				s := out[b].entrySw[kb]
-				if s == prog[a].sw && out[b].first[kb] != 0 && !installed[eb] && !deletedAfter(b, s, cb) {
-					t.Fatalf("s%d: a rule of operation %d (cookie %#x) was removed by the earlier delete %d", s, b, cb, a)
+				if out[b].entrySw[kb] == prog[a].sw && eb.Cookie == opCookie(prog, a) && out[b].first[kb] != 0 && !installed[eb] && !out[b].deleted[kb] {
+					t.Fatalf("s%d: a rule of operation %d (cookie %#x) was removed by the earlier delete %d", prog[a].sw, b, eb.Cookie, a)
 				}
 			}
 		}
@@ -314,9 +333,10 @@ func checkOwnerOrder(t testing.TB, prog []sbOp, out []sbOutcome, sw []*netsim.Sw
 // sent at the later of its issue instant and the latest acknowledgement among
 // the messages issued to its switch before it — those held back by owner and
 // barriers already sent included, barriers still waiting not (they have sent
-// nothing yet). It returns each operation's completion instant; an
-// InstallBatched completes with its last barrier, an InstallAllResult with its
-// last message.
+// nothing yet). An install sends, switch by switch, one message per cookie
+// it carries there. It returns each operation's completion instant; an
+// InstallBatched completes with its last barrier, an Install with its last
+// message.
 func modelProgram(prog []sbOp, latency time.Duration) []sim.Time {
 	type sent struct {
 		at, ack sim.Time
@@ -350,22 +370,28 @@ func modelProgram(prog []sbOp, latency time.Duration) []sim.Time {
 	}
 	done := make([]sim.Time, len(prog))
 	for i, op := range prog {
-		at, cookie := sim.Time(op.at), opCookie(prog, i)
+		at := sim.Time(op.at)
 		switch {
 		case op.kind == opBarrier:
 			done[i] = barrier(op.sw, at)
-		case op.kind == opBatch:
-			for d := 0; d < op.span; d++ {
-				s := (op.sw + d) % sbSwitches
-				message(s, at, cookie, false)
-				done[i] = max(done[i], barrier(s, at))
-			}
 		case op.kind == opDelete:
-			done[i] = message(op.sw, at, cookie, true)
-		case op.installs(): // a FlowMod, or an owned group and its entry
-			done[i] = message(op.sw, at, cookie, false)
-			if op.kind == opGroupMod {
-				done[i] = max(done[i], message(op.sw, at, cookie, false))
+			done[i] = message(op.sw, at, opCookie(prog, i), true)
+		case op.installs():
+			rules := opRules(prog, i)
+			for k, r := range rules {
+				if slices.ContainsFunc(rules[:k], func(q sbRule) bool { return q.sw == r.sw }) {
+					continue
+				}
+				var cookies []uint64
+				for _, q := range rules[k:] {
+					if q.sw == r.sw && !slices.Contains(cookies, q.cookie) {
+						cookies = append(cookies, q.cookie)
+						done[i] = max(done[i], message(r.sw, at, q.cookie, false))
+					}
+				}
+				if op.kind == opBatch {
+					done[i] = max(done[i], barrier(r.sw, at))
+				}
 			}
 		default:
 			done[i] = message(op.sw, at, 0, false)
@@ -410,9 +436,10 @@ func randomProgram(seed uint64) []sbOp {
 // and its last predecessor's acknowledgement, a message one round trip after
 // the later of its issue and the acknowledgement of the last earlier message
 // of its owner it must follow, never later. (d) Other owners never wait: with
-// every operation of shared owner 1 taken out of a lossless program, every
-// other operation but a barrier, which fences all owners, completes when it
-// did. (e) A switch fed a fresh FlowMod every half latency for ever still
+// shared owner 1's rules taken out of a lossless program (its operations
+// removed, its passes sending a rule of their own in place of owner 1's),
+// every other operation but a barrier or a batch, which fence all owners,
+// completes when it did. (e) A switch fed a fresh install every half latency for ever still
 // completes a barrier two round trips after it is issued.
 func TestBarrierFencesOnlyPredecessors(t *testing.T) {
 	for _, loss := range []float64{0, 0.01, 0.1} {
@@ -432,13 +459,16 @@ func TestBarrierFencesOnlyPredecessors(t *testing.T) {
 			var rest []sbOp
 			var kept []int
 			for i, op := range prog {
+				if op.kind == opPass && op.owner == 1 {
+					op.owner = 0 // its own rule in place of owner 1's
+				}
 				if op.owner != 1 {
 					rest, kept = append(rest, op), append(kept, i)
 				}
 			}
 			without := runProgram(t, rest, 0, seed, false)
 			for j, i := range kept {
-				if prog[i].kind != opBarrier && prog[i].kind != opBatch && without[j] != got[i] {
+				if prog[i].kind != opBarrier && prog[i].kind != opBatch && prog[i].owner != 1 && without[j] != got[i] {
 					t.Fatalf("seed %d: operation %d (kind %d, s%d, owner %d) completed at %v, and at %v without owner 1's traffic",
 						seed, i, prog[i].kind, prog[i].sw, prog[i].owner, got[i], without[j])
 				}
@@ -451,7 +481,7 @@ func TestBarrierFencesOnlyPredecessors(t *testing.T) {
 	n := 0
 	feed = func() {
 		n++
-		ch.FlowModResult(sw, mflowEntry(n, 7), nil)
+		ch.Install([]Mod{{Switch: sw, Entry: mflowEntry(n, 7)}}, nil)
 		eng.After(ch.Latency/2, feed)
 	}
 	feed()
@@ -499,13 +529,20 @@ func decodeProgram(data []byte) (prog []sbOp, loss float64, seed uint64, deadWin
 // everything sent before it, one owner's messages apply in send order, and
 // every message completes exactly once.
 func FuzzSouthboundOrder(f *testing.F) {
-	f.Add([]byte{0, 1, 0, 0, 6, 0, 0, 1, 6, 0})                       // FlowMod, barrier, FlowMod, barrier
-	f.Add([]byte{2, 7, 5, 0x80, 6, 0, 1, 2, 6, 0, 6, 0, 5, 0x41})     // batches and stacked barriers at 10 % loss
-	f.Add([]byte{7, 3, 2, 60, 9, 0, 13, 0, 20, 10, 6, 0, 13, 30, 20}) // 30 % loss into the dead window
-	// One owner's FlowMod, next epoch's batch, delete of the first epoch and
-	// a barrier on s0, another owner's group with its entry and its delete on
+	f.Add([]byte{0, 1, 0, 0, 6, 0, 0, 1, 6, 0})                        // install, barrier, install, barrier
+	f.Add([]byte{2, 7, 5, 0x80, 6, 0, 1, 2, 6, 0, 6, 0, 5, 0x41})      // batches and stacked barriers at 10 % loss
+	f.Add([]byte{7, 3, 2, 60, 10, 0, 14, 0, 22, 10, 6, 0, 14, 30, 22}) // 30 % loss into the dead window
+	// One owner's install, next epoch's batch, delete of the first epoch and
+	// a barrier on s0, another owner's entry with its group and its delete on
 	// s1, at 30 % loss.
-	f.Add([]byte{3, 1, 21, 0, 89, 0x42, 22, 2, 6, 0, 51, 1, 50, 1})
+	f.Add([]byte{3, 1, 24, 0, 101, 0x42, 25, 2, 6, 0, 58, 1, 57, 1})
+	// A pass on s0 sends a rule of its own and one of shared owner 2 in one
+	// Install, owner 2's cookie is deleted there at the same instant (a close
+	// during a takeover's pass), then a barrier, at 30 % loss. The delete
+	// must wait for the install message that carries owner 2's rule: sending
+	// the pass as one message ordered under its first cookie lets the delete
+	// overtake it here.
+	f.Add([]byte{3, 1, 7, 0, 49, 0, 6, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, loss, seed, deadWindow := decodeProgram(data)
 		runProgram(t, prog, loss, seed, deadWindow)

@@ -313,15 +313,21 @@ func SetupTime(scheme Scheme, routeLen int, seed uint64) (time.Duration, error) 
 	return time.Duration(t.Start), err
 }
 
-// PingPongLatency measures the paper's Fig 8 metric: after a session from
-// host `from` to host `to` is established, the time from sending 10 bytes
-// until 10 bytes come back. The responder echoes; the transfer counted is
-// the echo, at the initiator.
+// PingPongLatency measures the paper's Fig 8 metric on the scheme
+// comparisons' bed (pairBed).
 func PingPongLatency(scheme Scheme, from, to, routeLen int, seed uint64) (time.Duration, error) {
 	tb, err := pairBed(scheme, mic.Config{}, seed)
 	if err != nil {
 		return 0, err
 	}
+	return tb.PingPong(scheme, from, to, routeLen)
+}
+
+// PingPong runs the engine through one ping-pong on tb: after a session from
+// host `from` to host `to` is established, the time from sending 10 bytes
+// until 10 bytes come back. The responder echoes; the transfer counted is
+// the echo, at the initiator.
+func (tb *Testbed) PingPong(scheme Scheme, from, to, routeLen int) (time.Duration, error) {
 	tb.serve(scheme, to, 80, func(s appStream) {
 		s.OnData(func(b []byte) { s.Send(b) })
 	})

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"mic/internal/ctrlplane"
 	"mic/internal/flowtable"
 	"mic/internal/metrics"
 	"mic/internal/netsim"
@@ -250,8 +251,8 @@ func (mc *MC) ruleBudget(node topo.NodeID) int {
 
 // flowOverBudget reports whether intending the m-flow just templated (its
 // rules are in the plan scratch) would push any switch past its budget, and
-// names the first such switch in templating order. Only entry-bearing records
-// count: groups live in the unbounded group table.
+// names the first such switch in templating order. A record counts its
+// entry; groups live in the unbounded group table.
 func (mc *MC) flowOverBudget() (topo.NodeID, bool) {
 	if !mc.Cfg.Admission.Enabled {
 		return 0, false
@@ -259,9 +260,6 @@ func (mc *MC) flowOverBudget() (topo.NodeID, bool) {
 	delta := make(map[topo.NodeID]int)
 	var order []topo.NodeID
 	for _, rr := range mc.scratch.recs {
-		if rr.entry == nil {
-			continue
-		}
 		if _, seen := delta[rr.node]; !seen {
 			order = append(order, rr.node)
 		}
@@ -305,17 +303,14 @@ func (mc *MC) reinstallOnMiss(sw *netsim.Switch, inPort int, p *packet.Packet) b
 			continue
 		}
 		for _, rr := range st.rules {
-			if rr.node != sw.ID || rr.entry == nil {
-				continue
-			}
-			if !rr.entry.Match.Covers(p, inPort) {
+			if rr.node != sw.ID || !rr.entry.Match.Covers(p, inPort) {
 				continue
 			}
 			mc.MissReinstalls++
 			if len(rr.entry.Actions) > 0 {
 				mc.Ch.PacketOut(sw, rr.entry.Actions, p.Clone())
 			}
-			mc.Ch.FlowModResult(sw, rr.entry, nil)
+			mc.Ch.Install([]ctrlplane.Mod{{Switch: sw, Entry: rr.entry}}, nil)
 			return true
 		}
 	}
@@ -359,7 +354,7 @@ func (mc *MC) upgradeChannel(st *channelState) bool {
 			Channel: st.id, DetectedAt: detectedAt, CompletedAt: mc.Net.Eng.Now(), Attempts: 1,
 		})
 	})
-	mc.Ch.InstallAllResult(flowMods, func(int) { restored() })
+	mc.Ch.Install(flowMods, func(int) { restored() })
 	return true
 }
 

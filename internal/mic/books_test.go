@@ -84,9 +84,7 @@ func auditBooks(t testing.TB, mc *MC, closing bool) {
 			}
 		}
 		for _, rr := range st.rules {
-			if rr.entry != nil {
-				rules[rr.node]++
-			}
+			rules[rr.node]++
 		}
 	}
 

@@ -99,9 +99,6 @@ func TestAckImpliesInstalledUnderChurn(t *testing.T) {
 									t.Fatalf("channel %d acknowledged at %v without group %d on switch %d", info.ID, eng.Now(), r.group.ID, r.node)
 								}
 							}
-							if r.entry == nil {
-								continue
-							}
 							installed := false
 							for _, e := range tbl.Conflicts(r.entry.Match, r.entry.Priority) {
 								installed = installed || e == r.entry

@@ -411,7 +411,7 @@ func tablesError(mc *MC) error {
 			if mc.Ch.Failed(sw.ID) > 0 {
 				continue
 			}
-			if rr.entry != nil && installedOn[rr.entry] != sw {
+			if installedOn[rr.entry] != sw {
 				return fmt.Errorf("%s lacks an entry of channel %d's current epoch (cookie %#x)", sw.Name, id, rr.entry.Cookie)
 			}
 			if rr.group == nil {

@@ -231,9 +231,6 @@ func uninstalled(f *clusterFixture, id uint64) string {
 		}
 	}
 	for _, rr := range rules {
-		if rr.entry == nil {
-			continue
-		}
 		sw, held := f.net.Switch(rr.node), false
 		for _, e := range sw.Table.Conflicts(rr.entry.Match, rr.entry.Priority) {
 			held = held || cookieChannel(e.Cookie) == id

@@ -266,12 +266,12 @@ type flowRes struct {
 }
 
 // ruleRec records one intended rule of a channel's current epoch: a flow
-// entry and/or a group on one switch. It is the unit of journaling,
-// takeover reconciliation and the failover audit — the MC's "intent" for
-// what the switch should hold.
+// entry on one switch, and the group its actions select if it has one. It
+// is the unit of journaling, takeover reconciliation and the failover audit
+// — the MC's "intent" for what the switch should hold.
 type ruleRec struct {
 	node  topo.NodeID
-	entry *flowtable.Entry // may be nil (group-only record)
+	entry *flowtable.Entry
 	group *flowtable.Group // may be nil
 }
 

@@ -477,9 +477,7 @@ func TestBudgetReplaySurvivesFailover(t *testing.T) {
 	want := make(map[topo.NodeID]int)
 	for _, st := range promoted.channels {
 		for _, rr := range st.rules {
-			if rr.entry != nil {
-				want[rr.node]++
-			}
+			want[rr.node]++
 		}
 	}
 	for node, n := range want {

@@ -116,7 +116,7 @@ func (mc *MC) pass(sw *netsim.Switch, done func(reinstalled, stale int, ok bool)
 				staleDeleted += max(removed, 0)
 			}
 		}
-		mc.Ch.InstallAllResult(mods, gated(mc, func(failed int) { ok = ok && failed == 0 }))
+		mc.Ch.Install(mods, gated(mc, func(failed int) { ok = ok && failed == 0 }))
 		for _, cookie := range stale {
 			if mc.minted(cookieChannel(cookie), 32) {
 				mc.Ch.DeleteByCookie(sw, cookie, deleted)
@@ -159,9 +159,7 @@ func (mc *MC) intentAt(node topo.NodeID) (intent map[reconKey]*flowtable.Entry, 
 			if rr.node != node {
 				continue
 			}
-			if rr.entry != nil {
-				intent[entryReconKey(rr.entry)] = rr.entry
-			}
+			intent[entryReconKey(rr.entry)] = rr.entry
 			if rr.group != nil {
 				groupIntent[rr.group.ID] = rr.group
 			}
@@ -184,7 +182,7 @@ func (mc *MC) missingAt(sw *netsim.Switch, have map[reconKey]bool, groups []flow
 				mod.Group = rr.group
 				n++
 			}
-			if rr.entry != nil && !have[entryReconKey(rr.entry)] {
+			if !have[entryReconKey(rr.entry)] {
 				n++
 			} else if mod.Group == nil {
 				continue

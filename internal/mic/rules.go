@@ -582,9 +582,7 @@ func (mc *MC) book(st *channelState, res []flowRes, flows []FlowInfo, rules []ru
 		}
 	}
 	for _, rr := range rules {
-		if rr.entry != nil {
-			mc.ruleCount[rr.node]++
-		}
+		mc.ruleCount[rr.node]++
 	}
 }
 
@@ -615,7 +613,7 @@ func (mc *MC) unbook(st *channelState, res []flowRes, flows []FlowInfo, rules []
 		}
 	}
 	for _, rr := range rules {
-		if rr.entry != nil && mc.ruleCount[rr.node] > 0 {
+		if mc.ruleCount[rr.node] > 0 {
 			mc.ruleCount[rr.node]--
 		}
 	}
@@ -737,7 +735,7 @@ func (mc *MC) RepairChannel(id uint64, cb func(error)) {
 	*st.info = *next.info
 	st.epochStore, st.epoch, st.gen = next.epochStore, next.epoch, next.gen
 	mc.journalChannel(RecUpdate, st)
-	mc.Ch.InstallAllResult(mods, func(failed int) {
+	mc.Ch.Install(mods, func(failed int) {
 		// The channel is repaired once the new epoch is installed; the old
 		// epoch's deletion is housekeeping that proceeds in the background
 		// (and may have to wait for dead switches to resurrect).

@@ -457,9 +457,6 @@ func takeoverMidRepair(t *testing.T, loss float64, seed uint64) {
 		}
 		for _, id := range sortedChanIDs(intent.channels) {
 			for _, rr := range intent.channels[id].rules {
-				if rr.entry == nil {
-					continue
-				}
 				k := key{rr.node, rr.entry.Match, rr.entry.Priority, id}
 				covered := false
 				for _, e := range f.net.Switch(rr.node).Table.Conflicts(k.match, k.prio) {
