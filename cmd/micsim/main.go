@@ -222,15 +222,16 @@ func transfer(w io.Writer, s harness.Scheme, cfg mic.Config, from, to, size int)
 	if err := x.Err(); err != nil {
 		return err
 	}
+	cpu := tb.Net.CPU.Total() - x.CPUAtStart // the transfer's, under every scheme
 	if x.Channel == nil {
 		fmt.Fprintf(w, "scheme=%v size=%d throughput=%.1f Mbps wall=%v cpu=%v\n",
-			s, size, x.Mbps(), x.Wall(), tb.Net.CPU.Total()-x.CPUAtStart)
+			s, size, x.Mbps(), x.Wall(), cpu)
 		return nil
 	}
 	fmt.Fprintf(w, "scheme=MIC secure=%v mns=%d mflows=%d fanout=%d\n",
 		s == harness.SchemeMICSSL, cfg.MNs, cfg.MFlows, cfg.MulticastFanout)
 	fmt.Fprintf(w, "setup=%v throughput=%.1f Mbps wall=%v cpu=%v\n",
-		time.Duration(x.Start), x.Mbps(), x.Wall(), tb.Net.CPU.Total())
+		time.Duration(x.Start), x.Mbps(), x.Wall(), cpu)
 	for i, f := range x.Channel.Flows {
 		fmt.Fprintf(w, "m-flow %d: entry=%v path=%s MNs=%d\n", i, f.Entry, f.Path.Render(tb.Graph), len(f.MNs))
 	}

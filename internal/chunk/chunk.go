@@ -3,13 +3,21 @@
 // pool, and spans of them.
 //
 // A byte written into a chunk is copied nowhere else on its way to the
-// wire: a MIC stream carves its slice frames from chunks, a conn's send
+// reader: a MIC stream carves its slice frames from chunks, a conn's send
 // queue holds spans of the chunks it was handed (or copied into), and a
-// packet whose segment lies inside one span aliases it. Each holder takes a
-// reference and drops it when done — the stream when the slice is acked,
-// the conn when the span is, the packet when it is released at its sink —
-// and the chunk returns to its pool only when the last reference goes. A
-// leaked reference costs only reuse (the garbage collector still frees the
+// packet whose segment lies inside one span keeps that span. On the
+// receiving side the conn hands the packet's span on — in order, or after
+// it waited in the conn's out-of-order buffer — and the receiving stream
+// handles each frame where it lies, keeping by reference the head of a
+// frame a segment boundary cut and every slice that must wait for a gap.
+// Bytes in no chunk (a segment gathered from two spans, a secure conn's
+// plaintext) are copied once into chunks of whoever must keep them: the
+// conn's, for a segment that waits out of order, else the stream's. Each
+// holder takes a reference and drops it when done — the stream when the
+// slice is acked or delivered, the conn when the span is acked or
+// delivered, the packet when it is released at its sink — and the chunk
+// returns to its pool only when the last reference goes. A leaked
+// reference costs only reuse (the garbage collector still frees the
 // chunk); a reference dropped too early is a use-after-free, which the
 // pool's debug mode turns into poisoned bytes.
 //

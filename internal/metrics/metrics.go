@@ -18,11 +18,17 @@ import (
 
 // Sample accumulates float64 observations.
 type Sample struct {
-	xs []float64
+	xs []float64 // in insertion order, so Mean's sum is order-stable
+	// sorted is a sorted copy of xs, made by the first Percentile after an
+	// Add; nil until then.
+	sorted []float64
 }
 
 // Add appends an observation.
-func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
+func (s *Sample) Add(x float64) {
+	s.xs = append(s.xs, x)
+	s.sorted = nil
+}
 
 // N returns the number of observations.
 func (s *Sample) N() int { return len(s.xs) }
@@ -54,13 +60,17 @@ func (s *Sample) Max() float64 {
 }
 
 // Percentile returns the p-th percentile (0..100) by nearest-rank on a
-// sorted copy, or NaN when empty.
+// sorted copy, or NaN when empty. The copy is made and sorted once per
+// batch of Adds, so reading several percentiles costs one sort.
 func (s *Sample) Percentile(p float64) float64 {
 	if len(s.xs) == 0 {
 		return math.NaN()
 	}
-	sorted := append([]float64(nil), s.xs...)
-	sort.Float64s(sorted)
+	if s.sorted == nil {
+		s.sorted = append([]float64(nil), s.xs...)
+		sort.Float64s(s.sorted)
+	}
+	sorted := s.sorted
 	if p <= 0 {
 		return sorted[0]
 	}

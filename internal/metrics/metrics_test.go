@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,38 @@ func TestSampleStats(t *testing.T) {
 	}
 	if got := s.Percentile(0); got != 1 {
 		t.Errorf("P0 = %v", got)
+	}
+}
+
+// TestPercentileSortsOncePerBatch: with Adds and Percentiles interleaved,
+// every percentile equals nearest-rank on a fresh sorted copy, a second
+// read of a batch sorts nothing, and Mean — summed in insertion order — is
+// bit-identical before and after a Percentile.
+func TestPercentileSortsOncePerBatch(t *testing.T) {
+	var s Sample
+	var xs []float64
+	x := 0.3
+	for batch := 1; batch <= 40; batch++ {
+		for k := 0; k < batch; k++ {
+			x = math.Mod(x*7919.17+0.1, 1000) // distinct, unsorted, non-integral
+			s.Add(x)
+			xs = append(xs, x)
+		}
+		mean := s.Mean()
+		sorted := append([]float64(nil), xs...)
+		sort.Float64s(sorted)
+		for _, p := range []float64{0, 1, 25, 50, 90, 99, 99.9, 100} {
+			rank := min(max(int(math.Ceil(p/100*float64(len(sorted))))-1, 0), len(sorted)-1)
+			if got := s.Percentile(p); got != sorted[rank] {
+				t.Fatalf("batch %d: P%v = %v, a fresh sort says %v", batch, p, got, sorted[rank])
+			}
+		}
+		if allocs := testing.AllocsPerRun(10, func() { s.Percentile(50) }); allocs != 0 {
+			t.Fatalf("batch %d: a second Percentile allocated %v times, want 0", batch, allocs)
+		}
+		if after := s.Mean(); math.Float64bits(after) != math.Float64bits(mean) {
+			t.Fatalf("batch %d: Mean %v before a Percentile, %v after", batch, mean, after)
+		}
 	}
 }
 

@@ -529,7 +529,7 @@ func (l *Listener) bind(bs transport.ByteStream, token uint64, idx, total int, r
 	// Replay bytes that arrived glued to or after the hellos.
 	for i, b := range ps.bufs {
 		if len(b) > 0 {
-			s.feed(i, b)
+			s.feedBytes(i, b)
 		}
 	}
 	l.onOpen(s)

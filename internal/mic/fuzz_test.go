@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"mic/internal/bytequeue"
 	"mic/internal/chunk"
 	"mic/internal/ctrlplane"
 	"mic/internal/flowtable"
@@ -19,7 +18,7 @@ import (
 // is a script: each 4-byte step picks a sequence number out of a small
 // space (so duplicates, gaps and late fills are common), a payload length,
 // the conn the frame arrives on and how the conn's bytes are cut. Every
-// script runs twice:
+// script runs three times:
 //
 //   - fragments: each frame is cut into two calls and the second is held
 //     back until the conn's next frame, so frames of different conns
@@ -27,44 +26,110 @@ import (
 //   - segments: a conn's bytes accumulate (odd cut byte) or go out in one
 //     call that keeps back only the tail of the newest frame, so a call
 //     carries the rest of a cut frame, whole frames, then the head of the
-//     next, with cuts inside the header as well.
+//     next, with cuts inside the header as well;
+//   - spans: cut as segments are, but fed the way a conn feeds them:
+//     consecutive calls of one conn lie one after another in one chunk, so
+//     a cut frame is completed in place. The step's first byte (beyond the
+//     sequence number) makes a call start a new chunk instead, breaking
+//     adjacency, or arrive as bytes in no chunk, which the stream copies,
+//     and may chop the call into 5- or 300-byte calls, so a frame arrives
+//     in many pieces and headers are cut. The conns' last bytes are never
+//     fed, so the stream is closed holding cut frames and waiting slices.
 //
-// Every fed buffer is a span of a chunk from a debug pool, as a conn hands
-// the stream a packet's payload, and is recycled — poisoned — once feed
-// returns, so a held slice that still aliases its input shows up as
-// corrupt bytes. The stream must
-// deliver exactly the bytes, count exactly the duplicates and hold exactly
-// the slices of a naive map-based reassembler that sees whole frames in
-// completion order.
+// In the first two modes every fed buffer is a span of a fresh chunk of a
+// debug pool, recycled — poisoned — once feed returns. In the third, the
+// feeder drops its reference on the span once feed returns and its chunk
+// is carved again from the front as soon as no one else holds it, and a
+// chunkless call's buffer is poisoned once feed returns. So a held slice or
+// a cut frame kept without a reference of its own shows up as corrupt
+// bytes. The stream must deliver exactly the bytes, count exactly the
+// duplicates and hold exactly the slices of a naive map-based reassembler
+// that sees whole frames in completion order, and once closed it must have
+// given every chunk back (Gets == Puts).
 func FuzzStreamFeed(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 1, 5, 1, 3})
 	f.Add([]byte{1, 5, 0, 2, 0, 6, 1, 9, 0, 6, 0, 0, 2, 0, 1, 1})
 	f.Add([]byte{3, 200, 2, 7, 2, 9, 1, 0, 1, 1, 0, 255, 0, 40, 2, 3})
 	f.Add([]byte{2, 30, 0, 1, 1, 30, 0, 5, 0, 30, 0, 14, 3, 30, 1, 2, 4, 9, 0, 68})
+	// Spans: among adjacent calls, ones that start a new chunk (first byte
+	// 24–47) and ones in no chunk (48–71).
+	f.Add([]byte{1, 40, 0, 60, 24, 40, 0, 5, 2, 90, 0, 200, 74, 12, 1, 0, 0, 50, 0, 96, 51, 50, 0, 7, 2, 20, 0, 0})
+	f.Add([]byte{5, 100, 1, 150, 28, 3, 1, 16, 3, 100, 0, 80, 52, 100, 1, 190, 2, 0, 0, 2, 1, 77, 1, 230, 24, 7, 0, 4, 4, 30, 1, 1})
+	// Spans chopped into 5-byte (first byte 96–191) and 300-byte (192–255)
+	// calls, adjacent, in new chunks and in no chunk.
+	f.Add([]byte{121, 90, 0, 10, 98, 60, 1, 0, 146, 80, 0, 4, 195, 250, 1, 6, 216, 200, 0, 100, 96, 30, 2, 0, 219, 120, 2, 51})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		for _, segments := range []bool{false, true} {
-			feedScript(t, script, segments)
+		for mode := range feedModes {
+			feedScript(t, script, mode)
 		}
 	})
 }
 
-func feedScript(t *testing.T, script []byte, segments bool) {
-	const conns = 3
+// feedModes names FuzzStreamFeed's three ways of cutting and feeding.
+var feedModes = [...]string{"fragments", "segments", "spans"}
+
+// bareStream is a stream with no conns, for feeding by hand; its copies are
+// carved from chunks.
+func bareStream(conns int, chunks *chunk.Pool) *Stream {
 	s := &Stream{
-		parse:    make([]bytequeue.Queue, conns),
+		cut:      make([]cutFrame, conns),
 		slicesIn: make([]int64, conns),
 	}
-	var got []byte
-	s.OnData(func(b []byte) { got = append(got, b...) })
+	s.recv.Pool = chunks
+	return s
+}
+
+func feedScript(t *testing.T, script []byte, mode int) {
+	const conns = 3
 	chunks := chunk.NewPool()
 	chunks.SetDebug(true)
-	in := chunk.Carver{Pool: chunks}
+	s := bareStream(conns, chunks)
+	var got []byte
+	s.OnData(func(b []byte) { got = append(got, b...) })
+	var (
+		fresh chunk.Carver        // fragments, segments: a new chunk per call
+		wire  [conns]chunk.Carver // spans: each conn's run of adjacent calls
+		how   byte                // spans: how the next call arrives
+		plain [conns][]byte       // spans: chunkless calls' buffers
+	)
+	fresh.Pool = chunks
+	for c := range wire {
+		wire[c].Pool = chunks
+	}
 	feed := func(c int, b []byte) {
-		sp := in.Carve(len(b), len(b))
-		copy(sp.Bytes(), b)
-		s.feed(c, sp.Bytes())
-		sp.C.Release()
-		in.Drop()
+		if mode < 2 {
+			sp := fresh.Carve(len(b), len(b))
+			copy(sp.Bytes(), b)
+			s.feed(c, sp)
+			sp.C.Release()
+			fresh.Drop()
+			return
+		}
+		chop := len(b)
+		switch how >> 2 {
+		case 1:
+			chop = 5
+		case 2:
+			chop = 300
+		}
+		for ; len(b) > 0; b = b[min(chop, len(b)):] {
+			call := b[:min(chop, len(b))]
+			switch how % 4 {
+			case 1:
+				wire[c].Drop() // a new chunk: this call does not continue the last
+			case 2:
+				plain[c] = append(plain[c][:0], call...)
+				s.feedBytes(c, plain[c])
+				for i := range plain[c] {
+					plain[c][i] = 0xA5
+				}
+				continue
+			}
+			sp := wire[c].Carve(len(call), 4<<10)
+			copy(sp.Bytes(), call)
+			s.feed(c, sp)
+			sp.C.Release()
+		}
 	}
 
 	// The reference: whole frames, in the order they complete.
@@ -108,6 +173,7 @@ func feedScript(t *testing.T, script []byte, segments bool) {
 	}
 	for step := 0; len(script) >= 4; step++ {
 		seq, n, c, cut := uint32(script[0]%24), int(script[1]), int(script[2])%conns, int(script[3])
+		how = script[0] / 24
 		script = script[4:]
 		payload := make([]byte, n)
 		for i := range payload {
@@ -118,7 +184,7 @@ func feedScript(t *testing.T, script []byte, segments bool) {
 		binary.BigEndian.PutUint16(frameBytes[4:6], uint16(n))
 		binary.BigEndian.PutUint16(frameBytes[6:8], uint16(len(frameBytes)-sliceHeaderLen))
 		copy(frameBytes[sliceHeaderLen:], payload)
-		if segments {
+		if mode > 0 {
 			pending[c] = append(pending[c], frameBytes...)
 			open[c] = append(open[c], frame{end: fed[c] + len(pending[c]), seq: seq, payload: payload})
 			if cut%2 == 0 {
@@ -137,17 +203,27 @@ func feedScript(t *testing.T, script []byte, segments bool) {
 			open[c] = open[c][1:]
 		}
 	}
-	for c := range pending {
-		flush(c, len(pending[c]))
+	if mode < 2 {
+		for c := range pending {
+			flush(c, len(pending[c]))
+		}
 	}
+	m := feedModes[mode]
 	if !bytes.Equal(got, want) {
-		t.Fatalf("segments=%v: delivered %d bytes, reference %d; first difference at %d", segments, len(got), len(want), diffAt(got, want))
+		t.Fatalf("%s: delivered %d bytes, reference %d; first difference at %d", m, len(got), len(want), diffAt(got, want))
 	}
 	if s.SlicesDup != dups {
-		t.Fatalf("segments=%v: SlicesDup = %d, reference %d", segments, s.SlicesDup, dups)
+		t.Fatalf("%s: SlicesDup = %d, reference %d", m, s.SlicesDup, dups)
 	}
 	if s.seqIn != next || s.reasm.held != len(model) {
-		t.Fatalf("segments=%v: stream at seq %d holding %d, reference at %d holding %d", segments, s.seqIn, s.reasm.held, next, len(model))
+		t.Fatalf("%s: stream at seq %d holding %d, reference at %d holding %d", m, s.seqIn, s.reasm.held, next, len(model))
+	}
+	s.Close()
+	for c := range wire {
+		wire[c].Drop()
+	}
+	if chunks.Gets != chunks.Puts {
+		t.Fatalf("%s: closed stream left %d chunks handed out, %d back in the pool", m, chunks.Gets, chunks.Puts)
 	}
 }
 

@@ -436,7 +436,10 @@ func (m *healthMonitor) disarm() {
 	}
 	for m.sendQ.len() > 0 {
 		run := m.sendQ.pop()
-		for b := run.Bytes(); len(b) > 0; b = b[frameLen(b):] {
+		// One reference per frame; a frame's length is read before its
+		// reference goes, which may be the chunk's last.
+		for b := run.Bytes(); len(b) > 0; {
+			b = b[frameLen(b):]
 			run.C.Release()
 		}
 	}

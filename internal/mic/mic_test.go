@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"mic/internal/addr"
-	"mic/internal/bytequeue"
+	"mic/internal/chunk"
 	"mic/internal/netsim"
 	"mic/internal/packet"
 	"mic/internal/sim"
@@ -560,10 +560,7 @@ func TestIDRecycling(t *testing.T) {
 
 func TestStreamSliceReassemblyOutOfOrder(t *testing.T) {
 	// Direct unit test of the slicing protocol: feed slices out of order.
-	s := &Stream{
-		parse:    make([]bytequeue.Queue, 2),
-		slicesIn: make([]int64, 2),
-	}
+	s := bareStream(2, chunk.NewPool())
 	var got []byte
 	s.OnData(func(b []byte) { got = append(got, b...) })
 	mk := func(seq uint32, payload string) []byte {
@@ -574,18 +571,18 @@ func TestStreamSliceReassemblyOutOfOrder(t *testing.T) {
 		copy(b[sliceHeaderLen:], payload)
 		return b
 	}
-	s.feed(0, mk(1, "world"))
+	s.feedBytes(0, mk(1, "world"))
 	if len(got) != 0 {
 		t.Fatal("delivered out of order")
 	}
-	s.feed(1, mk(0, "hello "))
+	s.feedBytes(1, mk(0, "hello "))
 	if string(got) != "hello world" {
 		t.Fatalf("got %q", got)
 	}
 	// Split across feeds (partial header).
 	frag := mk(2, "!!")
-	s.feed(0, frag[:3])
-	s.feed(0, frag[3:])
+	s.feedBytes(0, frag[:3])
+	s.feedBytes(0, frag[3:])
 	if string(got) != "hello world!!" {
 		t.Fatalf("got %q", got)
 	}

@@ -85,9 +85,14 @@ func TestChunkOutlivesStreamAck(t *testing.T) {
 	client, server := dialPair(t, f, &got)
 	var raw [2][]byte
 	for i, c := range server.conns {
-		c.OnData(func(b []byte) {
+		conn := c.(*transport.Conn)
+		conn.OnData(func(b []byte) {
 			raw[i] = append(raw[i], b...)
-			server.feed(i, b)
+			server.feedBytes(i, b)
+		})
+		conn.OnSpan(func(sp chunk.Span) {
+			raw[i] = append(raw[i], sp.Bytes()...)
+			server.feed(i, sp)
 		})
 	}
 	var gates [2]*gateConn
@@ -218,9 +223,14 @@ func TestMICSegmentsAliasStreamFrames(t *testing.T) {
 	// Interpose on the receiving conn: is each delivered run of bytes
 	// inside a frame the sender still holds?
 	segments, aliased := 0, 0
-	server.conns[0].OnData(func(b []byte) {
+	conn := server.conns[0].(*transport.Conn)
+	conn.OnData(func(b []byte) {
 		segments++
-		at := uintptr(unsafe.Pointer(&b[0]))
+		server.feedBytes(0, b)
+	})
+	conn.OnSpan(func(sp chunk.Span) {
+		segments++
+		at := uintptr(unsafe.Pointer(&sp.Bytes()[0]))
 		for i := 0; i < client.health.out.len(); i++ {
 			fr := client.health.out.at(i).frame.Bytes()
 			if base := uintptr(unsafe.Pointer(&fr[0])); at >= base && at < base+uintptr(len(fr)) {
@@ -228,7 +238,7 @@ func TestMICSegmentsAliasStreamFrames(t *testing.T) {
 				break
 			}
 		}
-		server.feed(0, b)
+		server.feed(0, sp)
 	})
 	want := pattern(256 << 10)
 	client.Send(want)
@@ -239,7 +249,7 @@ func TestMICSegmentsAliasStreamFrames(t *testing.T) {
 	if aliased*10 < segments*9 {
 		t.Fatalf("%d of %d delivered segments alias a frame of the sender's stream, want at least 90 %%", aliased, segments)
 	}
-	conn := client.conns[0].(*transport.Conn)
+	conn = client.conns[0].(*transport.Conn)
 	ctl := conn.BytesCopied - helloLen
 	if ctl < 0 || ctl%(sliceHeaderLen+ctlBodyLen) != 0 || ctl*100 > conn.BytesSentApp {
 		t.Fatalf("the sender's conn copied %d of %d bytes; want the hello and whole control frames only", conn.BytesCopied, conn.BytesSentApp)

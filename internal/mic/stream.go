@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mic/internal/addr"
-	"mic/internal/bytequeue"
 	"mic/internal/chunk"
 	"mic/internal/sim"
 	"mic/internal/transport"
@@ -46,9 +45,14 @@ const (
 const ackInterval = time.Millisecond
 
 // slabChunk caps one chunk of slice-frame storage (~40 slices). One chunk
-// per write measured slower: fresh multi-megabyte spans zero slowly. The
-// receiver's reassembly chunks share the size.
+// per write measured slower: fresh multi-megabyte spans zero slowly.
 const slabChunk = 32 << 10
+
+// recvChunk sizes the chunks a stream copies received bytes into (about
+// three segments): a slice held from one pins little, and an unpinned one
+// is carved again from its front. A larger copy gets a chunk of its own
+// size.
+const recvChunk = 4 << 10
 
 // spanSender is a conn that queues a chunk span by reference
 // (transport.Conn); a frame goes to any other conn through Send, which
@@ -57,6 +61,11 @@ type spanSender interface{ SendSpan(s chunk.Span) }
 
 // chunkSource is a conn that names the chunk pool of its network.
 type chunkSource interface{ Chunks() *chunk.Pool }
+
+// spanReceiver is a conn that hands the bytes lying in a chunk over as a
+// span (transport.Conn), so the stream can keep them by reference; bytes
+// from any other conn arrive through OnData and are copied once.
+type spanReceiver interface{ OnSpan(fn func(chunk.Span)) }
 
 // sendCtl sends one control frame on conn i. The frame is built in the
 // stream's scratch array, which Send copies before it returns.
@@ -95,12 +104,15 @@ type Stream struct {
 	frames chunk.Carver
 	ctl    [sliceHeaderLen + ctlBodyLen]byte // sendCtl's scratch frame
 
-	// Incoming. A frame is handled where it lies in the bytes a conn
-	// delivered; parse[i] holds only the frame a segment boundary cut, until
-	// the bytes that complete it arrive. A slice arriving in sequence goes
-	// straight to onData; reasm holds copies of the others (overtook a gap,
-	// or arrived before a receiver was registered).
-	parse    []bytequeue.Queue
+	// Incoming. Received bytes are chunk spans: the sender's frames where
+	// the conn names the chunk its bytes lie in, else a copy carved from
+	// recv. A frame is handled where it lies; cut[i] keeps, by reference,
+	// the head of the frame a segment boundary cut on conn i until the bytes
+	// that complete it arrive. A slice arriving in sequence goes straight to
+	// onData; reasm holds references to the others (overtook a gap, or
+	// arrived before a receiver was registered).
+	recv     chunk.Carver
+	cut      []cutFrame
 	reasm    reassembly
 	seqIn    uint32
 	slicesIn []int64 // per-conn slices received (reported back in acks)
@@ -167,7 +179,7 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 		conns:      conns,
 		rng:        rng,
 		eng:        eng,
-		parse:      make([]bytequeue.Queue, len(conns)),
+		cut:        make([]cutFrame, len(conns)),
 		slicesIn:   make([]int64, len(conns)),
 		lastAck:    make([]sim.Time, len(conns)),
 		ack:        make([]sim.Timer, len(conns)),
@@ -179,13 +191,17 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 	} else {
 		s.frames.Pool = chunk.NewPool()
 	}
+	s.recv.Pool = s.frames.Pool
 	if !hc.Disabled {
 		s.health = newHealthMonitor(s)
 	}
 	for i, c := range conns {
 		i, c := i, c
 		s.ack[i].Bind(eng, func() { s.delayedAck(i) })
-		c.OnData(func(b []byte) { s.feed(i, b) })
+		c.OnData(func(b []byte) { s.feedBytes(i, b) })
+		if r, ok := c.(spanReceiver); ok {
+			r.OnSpan(func(sp chunk.Span) { s.feed(i, sp) })
+		}
 		c.OnClose(func() {
 			s.connClosed[i] = true
 			if s.health != nil {
@@ -272,11 +288,12 @@ func (s *Stream) Send(data []byte) {
 }
 
 // OnData registers the receive callback and flushes anything reassembled
-// while none was registered. The slice handed to fn aliases the bytes the
-// conn delivered (the packet payload), the conn's parser (a slice a segment
-// boundary cut) or a reassembly chunk, and is valid only during the call
-// (Conn.OnData's contract), and is read-only: it may alias the sender's
-// chunk. fn may Send it — Send copies before it returns.
+// while none was registered. The slice handed to fn lies in a chunk the
+// stream or its conn holds a reference on — the sender's frame itself, or
+// the stream's one copy of bytes its conn could not hand over by reference
+// — and is valid only during the call (Conn.OnData's contract), and is
+// read-only: it may alias the sender's chunk. fn may Send it — Send copies
+// before it returns.
 //
 // A stream with no receiver registered holds what arrives but never advances
 // its cumulative ack, so its peer keeps retransmitting until one is: an
@@ -301,6 +318,7 @@ func (s *Stream) fail(err error) {
 		s.health.disarm()
 	}
 	s.frames.Drop()
+	s.dropReceived()
 	if fin := s.onFinalize; fin != nil {
 		s.onFinalize = nil
 		fin()
@@ -324,6 +342,7 @@ func (s *Stream) Close() {
 		s.health.disarm()
 	}
 	s.frames.Drop()
+	s.dropReceived()
 	if fin := s.onFinalize; fin != nil {
 		s.onFinalize = nil
 		fin()
@@ -333,45 +352,128 @@ func (s *Stream) Close() {
 	}
 }
 
-// feed accepts raw bytes from connection i and handles every frame that
-// completes in them, in order. A frame lying wholly inside b is handled in
-// place; only one a segment boundary cut passes through parse[i], which
-// takes just the bytes that complete it.
-func (s *Stream) feed(i int, b []byte) {
-	q := &s.parse[i]
-	gotSlices := false
-	if q.Len() > 0 {
-		if k := sliceHeaderLen - q.Len(); k > 0 { // the cut fell inside the header
-			k = min(k, len(b))
-			q.Append(b[:k])
-			b = b[k:]
-		}
-		if q.Len() >= sliceHeaderLen {
-			n := frameLen(q.Front(sliceHeaderLen))
-			k := min(n-q.Len(), len(b))
-			q.Append(b[:k])
-			b = b[k:]
-			if q.Len() == n {
-				gotSlices = s.frame(i, q.Front(n))
-				q.PopFront(n)
-			}
+// dropReceived releases every reference the receive path holds — held
+// slices, the heads of cut frames, the chunk copies are carved from — once
+// the stream is closed or failed. A closed stream reads nothing more.
+func (s *Stream) dropReceived() {
+	s.reasm.reset()
+	for i := range s.cut {
+		if c := &s.cut[i]; c.sp.C != nil {
+			c.sp.C.Release()
+			*c = cutFrame{}
 		}
 	}
+	s.recv.Drop()
+}
+
+// done reports whether the stream was closed or failed.
+func (s *Stream) done() bool { return s.closed || s.failed != nil }
+
+// feedBytes is feed for bytes that lie in no chunk the conn can name (a
+// secure conn's plaintext, a segment the conn gathered or copied): they are
+// copied once into the stream's own chunks, as Conn.Send copies, and fed
+// from there.
+func (s *Stream) feedBytes(i int, b []byte) {
+	if len(b) == 0 || s.done() {
+		return
+	}
+	sp := s.recv.Carve(len(b), recvChunk)
+	copy(sp.Bytes(), b)
+	s.feed(i, sp)
+	sp.C.Release()
+}
+
+// feed accepts the bytes in from connection i — valid only during the
+// call, under the caller's reference — and handles every frame that
+// completes in them, in order, where it lies. A frame that in's end cuts
+// is kept by reference (cutFrame) until the bytes that complete it arrive.
+func (s *Stream) feed(i int, in chunk.Span) {
+	if s.done() {
+		return
+	}
+	gotSlices := false
+	if s.cut[i].have > 0 {
+		var k int
+		k, gotSlices = s.complete(i, in)
+		if s.done() {
+			return
+		}
+		in.Off += k
+		in.N -= k
+	}
+	b := in.Bytes()
 	for len(b) >= sliceHeaderLen {
 		n := frameLen(b)
 		if len(b) < n {
 			break
 		}
-		gotSlices = s.frame(i, b[:n]) || gotSlices
+		gotSlices = s.frame(i, chunk.Span{C: in.C, Off: in.Off + in.N - len(b), N: n}) || gotSlices
+		if s.done() {
+			return
+		}
 		b = b[n:]
 	}
-	q.Append(b) // the head of a frame the segment's end cut; often empty
-	if gotSlices && !s.closed && s.failed == nil && i < len(s.conns) {
+	if len(b) > 0 { // the head of a frame the segment's end cut
+		in.C.Retain()
+		s.cut[i] = cutFrame{sp: chunk.Span{C: in.C, Off: in.Off + in.N - len(b), N: len(b)}, have: len(b)}
+	}
+	if gotSlices && i < len(s.conns) {
 		// Ack on the conn the data arrived on: the cumulative ack frees the
 		// sender's retransmit state, and its arrival path proves this m-flow
 		// alive in the reverse direction.
 		s.maybeAck(i)
 	}
+}
+
+// cutFrame is the head of a frame a segment boundary cut: its first have
+// bytes, at the front of sp, whose chunk it holds a reference on. sp is the
+// bytes a conn handed over (have == sp.N) for as long as each next piece
+// continues them in the same chunk (joinRun); a piece that does not is
+// gathered with them into a span carved from the stream's own chunks,
+// sized for the whole frame once its header is known.
+type cutFrame struct {
+	sp   chunk.Span
+	have int
+}
+
+// complete moves the bytes the cut frame on conn i still lacks from the
+// front of in into it and, if that completes it, handles it. It returns how
+// many bytes of in it took and whether the frame was a data slice.
+func (s *Stream) complete(i int, in chunk.Span) (int, bool) {
+	c := &s.cut[i]
+	head := c.sp.Bytes()[:c.have]
+	n := 0 // the frame's length, once its header is known
+	if c.have >= sliceHeaderLen {
+		n = frameLen(head)
+	} else if c.have+in.N >= sliceHeaderLen { // the cut fell inside the header
+		var hdr [sliceHeaderLen]byte
+		copy(hdr[copy(hdr[:], head):], in.Bytes())
+		n = frameLen(hdr[:])
+	}
+	k := in.N
+	if n > 0 {
+		k = min(n-c.have, in.N)
+	}
+	piece := chunk.Span{C: in.C, Off: in.Off, N: k}
+	switch {
+	case c.have == c.sp.N && joinRun(&c.sp, piece):
+	case c.sp.N-c.have >= k: // gathered already, with room for the piece
+		copy(c.sp.Bytes()[c.have:], piece.Bytes())
+	default:
+		g := s.recv.Carve(max(n, c.have+k), recvChunk)
+		copy(g.Bytes(), head)
+		copy(g.Bytes()[c.have:], piece.Bytes())
+		c.sp.C.Release()
+		c.sp = g
+	}
+	if c.have += k; c.have < n || n == 0 {
+		return k, false
+	}
+	f := chunk.Span{C: c.sp.C, Off: c.sp.Off, N: n}
+	*c = cutFrame{}
+	slice := s.frame(i, f)
+	f.C.Release()
+	return k, slice
 }
 
 // frameLen returns the length of the frame whose header is hdr.
@@ -385,15 +487,17 @@ func frameLen(hdr []byte) int {
 }
 
 // frame handles one whole frame f that arrived on connection i and reports
-// whether it was a data slice.
-func (s *Stream) frame(i int, f []byte) bool {
-	rawLen := binary.BigEndian.Uint16(f[4:6])
+// whether it was a data slice. f is valid only during the call; a slice
+// that must wait takes a reference of its own.
+func (s *Stream) frame(i int, f chunk.Span) bool {
+	b := f.Bytes()
+	rawLen := binary.BigEndian.Uint16(b[4:6])
 	if rawLen&ctlFlag != 0 {
-		s.handleCtl(i, f[sliceHeaderLen:])
+		s.handleCtl(i, b[sliceHeaderLen:])
 		return false
 	}
-	seq := binary.BigEndian.Uint32(f[0:4])
-	payload := f[sliceHeaderLen : sliceHeaderLen+int(rawLen)]
+	seq := binary.BigEndian.Uint32(b[0:4])
+	payload := chunk.Span{C: f.C, Off: f.Off + sliceHeaderLen, N: int(rawLen)}
 	if i < len(s.slicesIn) {
 		s.slicesIn[i]++
 	}
@@ -402,8 +506,8 @@ func (s *Stream) frame(i int, f []byte) bool {
 		// The common case: deliver straight from where the frame lies, then
 		// see whether this slice closed a gap in front of buffered ones.
 		s.seqIn++
-		s.BytesRecv += int64(len(payload))
-		s.onData(payload)
+		s.BytesRecv += int64(payload.N)
+		s.onData(payload.Bytes())
 		s.drain()
 	case seqLT32(seq, s.seqIn) || !s.reasm.hold(s.seqIn, seq, payload):
 		// Already delivered or already buffered: a retransmitted slice's
@@ -470,80 +574,55 @@ func (s *Stream) handleCtl(i int, body []byte) {
 }
 
 // drain delivers the buffered slices that have become contiguous. A slice's
-// chunk is released once onData has returned.
+// reference is dropped once onData has returned.
 func (s *Stream) drain() {
 	if s.onData == nil {
 		return
 	}
 	for s.reasm.held > 0 {
 		h := s.reasm.take(s.seqIn)
-		if h.chunk == nil {
+		if h.C == nil {
 			return
 		}
 		s.seqIn++
-		s.BytesRecv += int64(len(h.b))
-		s.onData(h.b)
-		s.reasm.release(h.chunk)
+		s.BytesRecv += int64(h.N)
+		s.onData(h.Bytes())
+		h.C.Release()
 	}
 }
 
 // reassembly holds the slices that overtook a gap, or arrived before a
-// receiver was registered, until they become contiguous. It is a ring of
-// slots indexed by sequence number over copies packed into recycled chunks,
-// so once it has held its peak it allocates nothing.
+// receiver was registered, until they become contiguous: a ring of slots
+// indexed by sequence number, each holding a reference on the span of its
+// slice's payload — the sender's frame, or the stream's copy — so once the
+// ring has grown to its peak, holding allocates nothing and copies nothing.
 type reassembly struct {
 	// ring holds slice seq at seq&(len(ring)-1), for seqIn <= seq <
 	// seqIn+len(ring); its length is zero or a power of two, doubled when
 	// a slice lands beyond it. The sender's windows bound how far ahead.
 	ring []heldSlice
 	held int // occupied slots
-
-	fill *reasmChunk   // the chunk copies go into; nil until the first
-	free []*reasmChunk // emptied slabChunk-sized chunks
 }
 
-// heldSlice is one ring slot; chunk is nil while the slot is empty.
+// heldSlice is one ring slot: a chunk span in two thirds of chunk.Span's
+// size (a chunk is far below 2 GiB). c is nil while the slot is empty.
 type heldSlice struct {
-	b     []byte
-	chunk *reasmChunk
+	c      *chunk.Chunk
+	off, n int32
 }
 
-// reasmChunk is storage for held slices: buf[:used] is handed out, live of
-// those slices are not yet delivered, and the chunk is empty again at zero.
-type reasmChunk struct {
-	buf  []byte
-	used int
-	live int
-}
-
-// hold copies payload into slot seq, unless that slot is already occupied.
-func (r *reassembly) hold(seqIn, seq uint32, payload []byte) bool {
+// hold keeps payload in slot seq, taking a reference on its chunk, unless
+// that slot is already occupied.
+func (r *reassembly) hold(seqIn, seq uint32, payload chunk.Span) bool {
 	if d := seq - seqIn; int64(d) >= int64(len(r.ring)) {
 		r.grow(seqIn, d)
 	}
 	h := &r.ring[seq&uint32(len(r.ring)-1)]
-	if h.chunk != nil {
+	if h.c != nil {
 		return false
 	}
-	c := r.fill
-	n := len(payload)
-	switch {
-	case n > slabChunk:
-		c = &reasmChunk{buf: make([]byte, n)} // its own, dropped once delivered
-	case c == nil || len(c.buf)-c.used < n:
-		if k := len(r.free); k > 0 {
-			c = r.free[k-1]
-			r.free = r.free[:k-1]
-		} else {
-			c = &reasmChunk{buf: make([]byte, slabChunk)}
-		}
-		r.fill = c
-	}
-	h.b = c.buf[c.used : c.used+n : c.used+n]
-	h.chunk = c
-	copy(h.b, payload)
-	c.used += n
-	c.live++
+	payload.C.Retain()
+	*h = heldSlice{payload.C, int32(payload.Off), int32(payload.N)}
 	r.held++
 	return true
 }
@@ -563,27 +642,27 @@ func (r *reassembly) grow(seqIn, d uint32) {
 	r.ring = ring
 }
 
-// take empties and returns slot seq; its chunk is nil if nothing was held.
-// Only called while something is held, so the ring exists.
-func (r *reassembly) take(seq uint32) heldSlice {
+// take empties slot seq and returns its span, whose reference passes to
+// the caller; its C is nil if nothing was held. Only called while something
+// is held, so the ring exists.
+func (r *reassembly) take(seq uint32) chunk.Span {
 	h := &r.ring[seq&uint32(len(r.ring)-1)]
-	v := *h
-	if v.chunk != nil {
-		*h = heldSlice{}
-		r.held--
+	if h.c == nil {
+		return chunk.Span{}
 	}
+	v := chunk.Span{C: h.c, Off: int(h.off), N: int(h.n)}
+	*h = heldSlice{}
+	r.held--
 	return v
 }
 
-// release marks one slice of c delivered. An emptied chunk is reused from
-// its start: in place while it is the fill chunk, from the free list
-// otherwise (unless it was made for one oversized slice).
-func (r *reassembly) release(c *reasmChunk) {
-	if c.live--; c.live > 0 {
-		return
+// reset drops every held slice.
+func (r *reassembly) reset() {
+	for k := range r.ring {
+		if h := &r.ring[k]; h.c != nil {
+			h.c.Release()
+			*h = heldSlice{}
+		}
 	}
-	c.used = 0
-	if c != r.fill && len(c.buf) == slabChunk {
-		r.free = append(r.free, c)
-	}
+	r.held = 0
 }

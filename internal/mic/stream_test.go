@@ -5,17 +5,19 @@ import (
 	"encoding/binary"
 	"runtime"
 	"testing"
+	"time"
 
+	"mic/internal/chunk"
 	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
 	"mic/internal/transport"
 )
 
-// The OnData contract: the slice handed to the callback aliases parser (or
+// The OnData contract: the slice handed to the callback aliases chunk (or
 // pooled-packet) storage and dies when the callback returns. Both tests run
-// on the fixture's poisoning packet pool, so a byte read after its owner
-// let go of it arrives as 0xA5 and breaks the comparison.
+// on the fixture's poisoning pools, so a byte read after its owner let go
+// of it arrives as 0xA5 and breaks the comparison.
 
 // TestEchoInsideCallback: the handler sends the very slice it was handed.
 // Send must have copied it before returning, on both the plain and the
@@ -111,9 +113,9 @@ func TestSmallRoundAllocFree(t *testing.T) {
 	msg := pattern(64)
 	round := func() {
 		a.Send(msg)
-		b.feed(0, ac.take())
+		b.feedBytes(0, ac.take())
 		eng.RunFor(ackInterval) // the trailing ack and, every other round, the watchdog
-		a.feed(0, bc.take())
+		a.feedBytes(0, bc.take())
 	}
 	for i := 0; i < 64; i++ {
 		round()
@@ -143,7 +145,7 @@ func TestBulkSendAllocBudget(t *testing.T) {
 			ac.take()
 			binary.BigEndian.PutUint32(ack[sliceHeaderLen+1:], a.seqOut-uint32(m.queued))
 			binary.BigEndian.PutUint32(ack[sliceHeaderLen+5:], uint32(m.sent[0]))
-			a.feed(0, ack[:])
+			a.feedBytes(0, ack[:])
 		}
 	}
 	send()
@@ -154,34 +156,43 @@ func TestBulkSendAllocBudget(t *testing.T) {
 	}
 }
 
-// TestInOrderFeedAllocFree: a full-size slice arriving in sequence goes from
-// the parser to the callback without a copy, a map operation or an
-// allocation.
+// TestInOrderFeedAllocFree: a full-size slice arriving in sequence, cut
+// mid-frame by a segment boundary as a conn hands it over — two adjacent
+// spans of the sender's chunk — goes to the callback where it lies: no
+// copy, no chunk taken from the pool, no allocation.
 func TestInOrderFeedAllocFree(t *testing.T) {
 	eng := sim.New()
 	b, _ := stubStream(eng)
 	delivered := 0
 	b.OnData(func(p []byte) { delivered += len(p) })
-	frame := make([]byte, sliceHeaderLen+maxSlice)
+	pool := b.recv.Pool
+	src := sender(pool, sliceHeaderLen+maxSlice)
+	frame := src.Bytes()
 	binary.BigEndian.PutUint16(frame[4:6], maxSlice)
 	binary.BigEndian.PutUint16(frame[6:8], maxSlice)
 	seq := uint32(0)
 	feed := func() {
 		binary.BigEndian.PutUint32(frame[0:4], seq)
 		seq++
-		// Split mid-frame, as segment boundaries do.
-		b.feed(0, frame[:900])
-		b.feed(0, frame[900:])
+		b.feed(0, chunk.Span{C: src.C, Off: 0, N: 900})
+		b.feed(0, chunk.Span{C: src.C, Off: 900, N: len(frame) - 900})
 	}
 	for i := 0; i < 8; i++ {
 		feed()
 	}
+	gets := pool.Gets
 	if allocs := testing.AllocsPerRun(500, feed); allocs != 0 {
 		t.Fatalf("in-order feed allocated %v times, want 0", allocs)
 	}
-	if delivered != int(seq)*maxSlice || b.reasm.held != 0 {
-		t.Fatalf("delivered %d bytes of %d slices, %d in reassembly", delivered, seq, b.reasm.held)
+	if delivered != int(seq)*maxSlice || b.reasm.held != 0 || pool.Gets != gets {
+		t.Fatalf("delivered %d bytes of %d slices, %d in reassembly, %d chunks taken; want all, none, none", delivered, seq, b.reasm.held, pool.Gets-gets)
 	}
+}
+
+// sender returns an n-byte span of a chunk from pool, standing for the
+// sender's frames a conn hands over; the caller holds its one reference.
+func sender(pool *chunk.Pool, n int) chunk.Span {
+	return chunk.Span{C: pool.Get(n), N: n}
 }
 
 // TestFirstBulkSendAllocatesOnlyFrames: with the window full, Send(1 MiB)
@@ -209,14 +220,19 @@ func TestFirstBulkSendAllocatesOnlyFrames(t *testing.T) {
 	}
 }
 
-// TestReassemblyStorageReused: slices held behind a gap on one conn, the gap
-// filled on the other, everything drained — a second such round reuses the
-// first round's ring and chunks and allocates nothing.
-func TestReassemblyStorageReused(t *testing.T) {
-	const held = 100
+// TestReceivedSlicesReferenceTheirChunks: slices held behind a gap on one
+// conn, the gap filled on the other, everything drained; then frames cut by
+// every segment boundary of a conn. Both rounds arrive as spans of the
+// sender's chunk, as a conn hands them over, and the stream keeps what must
+// wait by reference: once the ring has grown, a round takes no chunk from
+// the pool and allocates nothing, and every reference it took is dropped.
+func TestReceivedSlicesReferenceTheirChunks(t *testing.T) {
+	const held, size = 100, sliceHeaderLen + maxSlice
 	eng := sim.New()
 	c0, c1 := &stubConn{out: make([]byte, 0, 4<<10)}, &stubConn{out: make([]byte, 0, 4<<10)}
 	s := newStream([]transport.ByteStream{c0, c1}, sim.NewRNG(1), eng, HealthConfig{})
+	pool := s.recv.Pool
+	pool.SetDebug(true)
 	next, bad := uint32(0), 0
 	s.OnData(func(p []byte) {
 		if binary.BigEndian.Uint32(p) != next {
@@ -224,29 +240,117 @@ func TestReassemblyStorageReused(t *testing.T) {
 		}
 		next++
 	})
-	frame := make([]byte, sliceHeaderLen+maxSlice)
-	binary.BigEndian.PutUint16(frame[4:6], maxSlice)
-	binary.BigEndian.PutUint16(frame[6:8], maxSlice)
-	feed := func(conn int, seq uint32) {
-		binary.BigEndian.PutUint32(frame[0:4], seq)
-		binary.BigEndian.PutUint32(frame[sliceHeaderLen:], seq) // the payload names its slice
-		s.feed(conn, frame)
+	src := sender(pool, (held+1)*size)
+	// put writes slice seq, its payload naming it, at frame k of src.
+	put := func(k int, seq uint32) chunk.Span {
+		f := chunk.Span{C: src.C, Off: k * size, N: size}
+		b := f.Bytes()
+		binary.BigEndian.PutUint32(b[0:4], seq)
+		binary.BigEndian.PutUint16(b[4:6], maxSlice)
+		binary.BigEndian.PutUint16(b[6:8], maxSlice)
+		binary.BigEndian.PutUint32(b[sliceHeaderLen:], seq)
+		return f
 	}
-	round := func() {
-		gap := s.seqIn
-		for k := uint32(1); k <= held; k++ {
-			feed(1, gap+k)
-		}
-		feed(0, gap)
+	acks := func() {
 		eng.RunFor(ackInterval) // the trailing acks
 		c0.take()
 		c1.take()
 	}
-	round()
-	if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
-		t.Fatalf("hold-%d-then-fill round allocated %v times, want 0", held, allocs)
+	holdThenFill := func() {
+		gap := s.seqIn
+		for k := 1; k <= held; k++ {
+			s.feed(1, put(k, gap+uint32(k)))
+		}
+		if s.reasm.held != held {
+			t.Fatalf("%d slices held behind the gap, want %d", s.reasm.held, held)
+		}
+		s.feed(0, put(0, gap))
+		acks()
 	}
-	if want := uint32(12 * (held + 1)); s.seqIn != want || next != want || bad != 0 {
+	cutFrames := func() {
+		for k := 0; k <= held; k++ {
+			put(k, s.seqIn+uint32(k))
+		}
+		for off := 0; off < src.N; off += transport.MSS {
+			s.feed(0, chunk.Span{C: src.C, Off: off, N: min(transport.MSS, src.N-off)})
+		}
+		acks()
+	}
+	for _, r := range []struct {
+		name  string
+		round func()
+	}{{"hold-then-fill", holdThenFill}, {"cut-frame", cutFrames}} {
+		name, round := r.name, r.round
+		round()
+		gets := pool.Gets
+		if allocs := testing.AllocsPerRun(10, round); allocs != 0 {
+			t.Errorf("%s round allocated %v times, want 0", name, allocs)
+		}
+		if pool.Gets != gets {
+			t.Errorf("%s rounds took %d chunks from the pool, want none", name, pool.Gets-gets)
+		}
+	}
+	if want := uint32(2 * 12 * (held + 1)); s.seqIn != want || next != want || bad != 0 {
 		t.Fatalf("at seq %d, delivered %d slices, %d out of order; want %d in order", s.seqIn, next, bad, want)
 	}
+	src.C.Release()
+	s.Close()
+	if pool.Gets != pool.Puts {
+		t.Fatalf("%d chunks handed out, %d back in the pool: a received slice kept its reference", pool.Gets, pool.Puts)
+	}
+}
+
+// TestClosedStreamReleasesReceivedChunks: an F = 2 transfer crosses a link
+// cut under one m-flow, so the other's slices wait behind the gap. Both
+// streams close while the server holds such slices and the head of a frame
+// a segment boundary cut; once the cut heals and the conns finish, every
+// chunk of the network is back in its pool.
+func TestClosedStreamReleasesReceivedChunks(t *testing.T) {
+	f := newFixture(t, Config{MFlows: 2, MNs: 2})
+	var got []byte
+	client, server := dialPair(t, f, &got)
+	var id uint64
+	for ch := range f.mc.channels {
+		id = ch
+	}
+	flows := f.mc.channels[id].info.Flows
+	on1 := map[[2]topo.NodeID]bool{}
+	for k := 0; k+1 < len(flows[1].Path); k++ {
+		on1[[2]topo.NodeID{flows[1].Path[k], flows[1].Path[k+1]}] = true
+	}
+	var node topo.NodeID
+	port := -1
+	for k, p := 1, flows[0].Path; k+2 < len(p) && port < 0; k++ {
+		if !on1[[2]topo.NodeID{p[k], p[k+1]}] {
+			node, port = p[k], f.graph.PortTo(p[k], p[k+1])
+		}
+	}
+	if port < 0 {
+		t.Fatal("m-flow 0 has no switch link of its own")
+	}
+	client.Send(pattern(1 << 20))
+	f.eng.RunFor(200 * time.Microsecond)
+	f.net.SetLinkDown(node, port, true)
+	cut := func() bool {
+		for _, c := range server.cut {
+			if c.have > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	for !(server.reasm.held > 0 && cut()) {
+		if !f.eng.Step() {
+			t.Fatal("the server never held a slice behind the gap while a frame was cut")
+		}
+	}
+	held := server.reasm.held
+	server.Close()
+	client.Close()
+	f.net.SetLinkDown(node, port, false)
+	f.eng.Run()
+	if pl := f.net.ChunkPool(); pl.Gets != pl.Puts {
+		t.Fatalf("streams closed holding %d slices and a cut frame: %d chunks handed out, %d back in the pool", held, pl.Gets, pl.Puts)
+	}
+	t.Logf("closed holding %d slices and a cut frame, %d bytes delivered; %d chunks, all back", held, len(got), f.net.ChunkPool().Gets)
 }

@@ -66,6 +66,9 @@ type Packet struct {
 	Seq, Ack         uint32
 	Flags            uint8
 	Window           uint16
+	// chunkOff is where Payload starts in chunk (below); it sits in what
+	// would be alignment padding, so keeping the span costs no size.
+	chunkOff int32
 
 	// Payload is read-only once the packet is in flight: it may alias the
 	// sender's chunk (SetPayloadSpan), whose bytes the sender re-reads to
@@ -81,8 +84,8 @@ type Packet struct {
 	// buf is the pool-owned payload backing store; SetPayload copies into it
 	// so the payload's lifetime is tied to the packet, not to the caller's
 	// buffer. chunk is the chunk Payload aliases instead (SetPayloadSpan),
-	// holding one reference that Release drops. pool/released implement the
-	// free list (pool.go).
+	// from chunkOff, holding one reference that Release drops.
+	// pool/released implement the free list (pool.go).
 	buf      []byte
 	chunk    *chunk.Chunk
 	pool     *Pool
@@ -156,14 +159,19 @@ func (p *Packet) PayloadBuffer(n int) []byte {
 // the reference); the payload must not be set again before Release.
 func (p *Packet) SetPayloadSpan(s chunk.Span) {
 	s.C.Retain()
-	p.chunk = s.C
+	p.chunk, p.chunkOff = s.C, int32(s.Off)
 	p.Payload = s.Bytes()
 }
 
-// PayloadChunk returns the chunk the payload aliases, or nil when the packet
-// carries its own bytes. A receiver that keeps the payload past the packet's
-// release may Retain it instead of copying.
-func (p *Packet) PayloadChunk() *chunk.Chunk { return p.chunk }
+// PayloadSpan returns the span the payload aliases — its C is nil when the
+// packet carries its own bytes. A receiver that keeps the payload past the
+// packet's release may Retain the span's chunk instead of copying.
+func (p *Packet) PayloadSpan() chunk.Span {
+	if p.chunk == nil {
+		return chunk.Span{}
+	}
+	return chunk.Span{C: p.chunk, Off: int(p.chunkOff), N: len(p.Payload)}
+}
 
 // mplsHeadroom is the spare label capacity allocated when a stack grows, so
 // the push at the next MN reuses it instead of allocating.

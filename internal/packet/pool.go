@@ -12,11 +12,11 @@ import "fmt"
 // hands it back to the pool, after which the holder (and anyone it showed the
 // packet to) must not touch it or its payload again. Components that need to
 // retain data past the handoff must Clone the packet (clones are never
-// pool-owned) or copy the bytes out (or Retain the PayloadChunk). Release on
-// a non-pooled packet is a no-op, so sinks can release unconditionally. A
-// payload that aliases a chunk is not the packet's: Release drops the
-// packet's reference on it, and the debug poisoning covers only the
-// packet's own buffer (the chunk pool poisons chunks).
+// pool-owned) or copy the bytes out (or Retain the PayloadSpan's chunk).
+// Release on a non-pooled packet is a no-op, so sinks can release
+// unconditionally. A payload that aliases a chunk is not the packet's:
+// Release drops the packet's reference on it, and the debug poisoning
+// covers only the packet's own buffer (the chunk pool poisons chunks).
 //
 // Pools are not safe for concurrent use; each Network owns one, matching the
 // engine's single-threaded event loop.

@@ -40,6 +40,7 @@ type Conn struct {
 	onConnected func(*Conn, error)
 	onAccept    func(*Conn)
 	onData      func([]byte)
+	onSpan      func(chunk.Span)
 	onClose     func()
 
 	// Send side.
@@ -59,7 +60,8 @@ type Conn struct {
 
 	// Receive side.
 	rcvNxt       uint32
-	ooo          map[uint32]oooSegment
+	ooo          map[uint32]chunk.Span // segments that overtook a gap, each holding a reference
+	oooCopies    chunk.Carver          // the chunks a segment in no chunk is copied into to wait in ooo
 	remoteFinned bool
 
 	// RTT estimation (RFC 6298 style).
@@ -87,9 +89,10 @@ func newConn(s *Stack, tuple packet.FiveTuple, passive bool) *Conn {
 		cwnd:     initialCwnd,
 		ssthresh: initialSsth,
 		rto:      initialRTO,
-		ooo:      make(map[uint32]oooSegment),
+		ooo:      make(map[uint32]chunk.Span),
 	}
 	c.sendQ.own.Pool = s.chunks
+	c.oooCopies.Pool = s.chunks
 	c.rtx.Bind(s.eng, c.onTimeout)
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
@@ -128,6 +131,15 @@ func (c *Conn) RemoteAddr() (addr.IP, uint16) { return c.tuple.DstIP, c.tuple.Ds
 // itself — so it is read-only and valid only during the call: copy what
 // must outlive it.
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
+
+// OnSpan registers a receiver for the bytes that lie in a chunk — a segment
+// whose payload aliases the sender's span, or one that waited in the
+// out-of-order buffer — so it can keep them past the call by taking a
+// reference on the span's chunk instead of copying. The span is read-only
+// and its reference is the conn's, valid only during the call. A segment
+// in no chunk (gathered from two spans) that arrives in order still goes to
+// OnData's callback; with no OnSpan receiver, every byte does.
+func (c *Conn) OnSpan(fn func(chunk.Span)) { c.onSpan = fn }
 
 // OnClose registers a callback fired when the remote side closes.
 func (c *Conn) OnClose(fn func()) { c.onClose = fn }
@@ -339,7 +351,7 @@ func (c *Conn) handle(p *packet.Packet) {
 		c.processAck(p.Ack)
 	}
 	if len(p.Payload) > 0 {
-		c.processData(p.Seq, p.Payload, p.PayloadChunk())
+		c.processData(p.Seq, p.Payload, p.PayloadSpan())
 	}
 	if p.Flags&packet.FlagFIN != 0 {
 		finSeq := p.Seq + uint32(len(p.Payload))
@@ -439,27 +451,17 @@ func (c *Conn) updateRTT(sample time.Duration) {
 	}
 }
 
-// oooSegment is a segment that overtook a gap: a reference on the sender's
-// chunk when its payload aliases one (c set), else a copy.
-type oooSegment struct {
-	b []byte
-	c *chunk.Chunk
-}
-
-// release drops the segment's chunk reference, if it holds one.
-func (s oooSegment) release() {
-	if s.c != nil {
-		s.c.Release()
-	}
-}
-
-// processData accepts one segment's payload; ch is the chunk it aliases,
-// nil if the packet carries its own bytes.
-func (c *Conn) processData(seq uint32, payload []byte, ch *chunk.Chunk) {
+// processData accepts one segment's payload b; sp is the span of the chunk
+// b lies in, its C nil if none. A segment that overtook a gap waits in ooo
+// as a span holding a reference: its own, or a copy's carved from
+// oooCopies when it lies in no chunk.
+func (c *Conn) processData(seq uint32, b []byte, sp chunk.Span) {
 	if seqLT(seq, c.rcvNxt) {
 		// Fully or partially old. Trim the old prefix.
-		if seqLE(c.rcvNxt, seq+uint32(len(payload))) {
-			payload = payload[c.rcvNxt-seq:]
+		if seqLE(c.rcvNxt, seq+uint32(len(b))) {
+			k := int(c.rcvNxt - seq)
+			b = b[k:]
+			sp.Off, sp.N = sp.Off+k, sp.N-k
 			seq = c.rcvNxt
 		} else {
 			c.sendACK()
@@ -467,7 +469,7 @@ func (c *Conn) processData(seq uint32, payload []byte, ch *chunk.Chunk) {
 		}
 	}
 	if seq == c.rcvNxt {
-		c.deliver(payload)
+		c.deliver(b, sp)
 		// Drain contiguous out-of-order segments.
 		for {
 			next, ok := c.ooo[c.rcvNxt]
@@ -475,24 +477,31 @@ func (c *Conn) processData(seq uint32, payload []byte, ch *chunk.Chunk) {
 				break
 			}
 			delete(c.ooo, c.rcvNxt)
-			c.deliver(next.b)
-			next.release()
+			c.deliver(next.Bytes(), next)
+			next.C.Release()
 		}
 	} else if _, dup := c.ooo[seq]; !dup {
-		if ch != nil {
-			ch.Retain()
-			c.ooo[seq] = oooSegment{b: payload, c: ch}
+		if sp.C != nil {
+			sp.C.Retain()
 		} else {
-			c.ooo[seq] = oooSegment{b: append([]byte(nil), payload...)}
+			sp = c.oooCopies.Grow(len(b))
+			copy(sp.Bytes(), b)
 		}
+		c.ooo[seq] = sp
 	}
 	c.sendACK()
 }
 
-func (c *Conn) deliver(b []byte) {
+// deliver hands the in-order bytes b to the receiver: as their span sp
+// where they lie in a chunk and an OnSpan receiver is registered, as bytes
+// otherwise.
+func (c *Conn) deliver(b []byte, sp chunk.Span) {
 	c.rcvNxt += uint32(len(b))
 	c.BytesRecvApp += int64(len(b))
-	if c.onData != nil {
+	switch {
+	case sp.C != nil && c.onSpan != nil:
+		c.onSpan(sp)
+	case c.onData != nil:
 		c.onData(b)
 	}
 }
@@ -572,14 +581,15 @@ func (c *Conn) maybeDrop() {
 }
 
 // releaseBytes drops every chunk reference a closed conn holds: its send
-// queue, its own fill chunk, its out-of-order segments.
+// queue and its out-of-order segments, and the fill chunks of its copies.
 func (c *Conn) releaseBytes() {
 	c.sendQ.reset()
 	// lint:ignore detrange releases commute: which recycled chunk a later Get reuses shows in no byte and no virtual instant
 	for seq, s := range c.ooo {
-		s.release()
+		s.C.Release()
 		delete(c.ooo, seq)
 	}
+	c.oooCopies.Drop()
 }
 
 func (c *Conn) teardown(err *TransportError) {

@@ -153,7 +153,7 @@ func TestSegmentAliasesItsSpan(t *testing.T) {
 
 	p := packets.Get()
 	q.load(p, 100, MSS)
-	if &p.Payload[0] != &a.Bytes()[100] || p.PayloadChunk() != a.C {
+	if &p.Payload[0] != &a.Bytes()[100] || p.PayloadSpan() != (chunk.Span{C: a.C, Off: a.Off + 100, N: MSS}) {
 		t.Fatal("a segment inside one span does not alias it")
 	}
 	q.popFront(2000) // acked: the queue's reference on a's chunk goes
@@ -161,14 +161,14 @@ func TestSegmentAliasesItsSpan(t *testing.T) {
 		t.Fatal("the acked span's bytes changed under an in-flight packet")
 	}
 	clone := p.Clone()
-	if &clone.Payload[0] == &p.Payload[0] || clone.PayloadChunk() != nil {
+	if &clone.Payload[0] == &p.Payload[0] || clone.PayloadSpan().C != nil {
 		t.Fatal("Clone aliases the chunk")
 	}
 	p.Release()
 
 	p = packets.Get()
 	q.load(p, 500, MSS) // the front is b's first byte now
-	if p.PayloadChunk() != b.C || &p.Payload[0] != &b.Bytes()[500] {
+	if p.PayloadSpan() != (chunk.Span{C: b.C, Off: b.Off + 500, N: MSS}) || &p.Payload[0] != &b.Bytes()[500] {
 		t.Fatal("a segment inside the second span does not alias it")
 	}
 	p.Release()
@@ -183,7 +183,7 @@ func TestSegmentAliasesItsSpan(t *testing.T) {
 	q.push(d)
 	p = packets.Get()
 	q.load(p, 200, 1000)
-	if p.PayloadChunk() != nil || &p.Payload[0] == &c.Bytes()[200] {
+	if p.PayloadSpan().C != nil || &p.Payload[0] == &c.Bytes()[200] {
 		t.Fatal("a segment crossing spans was not gathered into the packet's buffer")
 	}
 	if !bytes.Equal(p.Payload, append(append([]byte(nil), c.Bytes()[200:]...), d.Bytes()[:500]...)) {
