@@ -96,7 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *latency {
 		// On a fresh bed of the transfer's configuration, so that the
 		// transfer's queues do not colour the ping-pong.
-		tb, err := harness.NewTestbed(s, 4, netsim.Config{}, cfg, nil)
+		tb, err := harness.NewTestbed(s, 4, netsim.Config{Seed: cfg.Seed}, cfg, nil)
 		var d time.Duration
 		if err == nil {
 			d, err = tb.PingPong(s, *from, *to, *mns)
@@ -211,9 +211,9 @@ func parseScheme(s string) (harness.Scheme, error) {
 
 // transfer carries size bytes from host `from` to host `to` under the
 // scheme, the MIC schemes' MC running cfg (-mns is also Tor's relay count),
-// and prints the transfer's metrics, and under MIC the channel's m-flows.
+// and prints the transfer's metrics and its m-flows (MIC) or circuit (Tor).
 func transfer(w io.Writer, s harness.Scheme, cfg mic.Config, from, to, size int) error {
-	tb, err := harness.NewTestbed(s, 4, netsim.Config{}, cfg, nil)
+	tb, err := harness.NewTestbed(s, 4, netsim.Config{Seed: cfg.Seed}, cfg, nil)
 	if err != nil {
 		return err
 	}
@@ -226,6 +226,9 @@ func transfer(w io.Writer, s harness.Scheme, cfg mic.Config, from, to, size int)
 	if x.Channel == nil {
 		fmt.Fprintf(w, "scheme=%v size=%d throughput=%.1f Mbps wall=%v cpu=%v\n",
 			s, size, x.Mbps(), x.Wall(), cpu)
+		if x.Circuit != nil {
+			fmt.Fprintf(w, "circuit: %s->%s\n", strings.Join(x.Circuit.Hosts(), "->"), tb.Stacks[to].Host.Name)
+		}
 		return nil
 	}
 	fmt.Fprintf(w, "scheme=MIC secure=%v mns=%d mflows=%d fanout=%d\n",

@@ -130,8 +130,8 @@ func TestPlainTransferMatchesGolden(t *testing.T) {
 
 // TestPlainTransferHonoursPair: -from and -to pick the transfer's and the
 // ping-pong's hosts under every scheme. A pair on one edge switch prints
-// other figures than the default cross-pod pair, and a MIC channel's m-flow
-// runs between the pair.
+// other figures than the default cross-pod pair, a MIC channel's m-flow runs
+// between the pair, and so does a Tor circuit.
 func TestPlainTransferHonoursPair(t *testing.T) {
 	for _, scheme := range []string{"tcp", "ssl", "mic-tcp", "mic-ssl", "tor"} {
 		t.Run(scheme, func(t *testing.T) {
@@ -150,6 +150,9 @@ func TestPlainTransferHonoursPair(t *testing.T) {
 			if strings.HasPrefix(scheme, "mic") && !regexp.MustCompile(` path=h3->\S*->h4 `).MatchString(near) {
 				t.Errorf("m-flow does not run from h3 to h4:\n%s", near)
 			}
+			if scheme == "tor" && !regexp.MustCompile(`(?m)^circuit: h3->\S*->h4$`).MatchString(near) {
+				t.Errorf("circuit does not run from h3 to h4:\n%s", near)
+			}
 		})
 	}
 }
@@ -165,7 +168,7 @@ func TestPingPongRunsOnTransferConfig(t *testing.T) {
 		t.Fatalf("micsim %v: exit %d: %s", args, code, stderr.String())
 	}
 	cfg := mic.Config{MNs: 3, MFlows: 4, MulticastFanout: 2, Seed: 7}
-	tb, err := harness.NewTestbed(harness.SchemeMICTCP, 4, netsim.Config{}, cfg, nil)
+	tb, err := harness.NewTestbed(harness.SchemeMICTCP, 4, netsim.Config{Seed: cfg.Seed}, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ package ctrlplane
 
 import (
 	"errors"
+	"fmt"
 	"time"
 
 	"mic/internal/flowtable"
@@ -75,10 +76,9 @@ type Channel struct {
 	Latency time.Duration
 
 	// LossRate drops each control message direction independently with this
-	// probability (0 = perfectly reliable, the seed behaviour). Deterministic
-	// per LossSeed.
+	// probability (0 = perfectly reliable, the seed behaviour). The coin is
+	// the channel's own stream of the network's seed.
 	LossRate float64
-	LossSeed uint64
 
 	// AckTimeout is how long an attempt waits for its acknowledgement before
 	// retransmitting. Zero means DefaultAckTimeoutRTTs round trips. Values at
@@ -134,7 +134,7 @@ type Channel struct {
 	Batches      uint64 // install messages sent, one per switch and cookie of an install
 	BatchedMods  uint64 // entries and groups carried inside them
 
-	lossRNG *sim.RNG
+	lossRNG *sim.RNG  // named for the channel's number on Net
 	sw      []swState // per-switch transaction state, indexed by NodeID
 
 	// Free lists of the pooled delivery and install records (message.go)
@@ -182,6 +182,7 @@ func NewChannel(net *netsim.Network) *Channel {
 		Net:      net,
 		Latency:  DefaultControlLatency,
 		CtrlHost: -1,
+		lossRNG:  net.Stream(fmt.Sprintf("southbound-loss/%d", net.RegisterChannel())),
 		sw:       make([]swState, len(net.Graph.Nodes)),
 	}
 }
@@ -232,15 +233,7 @@ func (c *Channel) maxBackoff() time.Duration {
 }
 
 // lost flips the loss coin for one message direction.
-func (c *Channel) lost() bool {
-	if c.LossRate <= 0 {
-		return false
-	}
-	if c.lossRNG == nil {
-		c.lossRNG = sim.NewRNG(c.LossSeed ^ 0xc7a05)
-	}
-	return c.lossRNG.Float64() < c.LossRate
-}
+func (c *Channel) lost() bool { return c.LossRate > 0 && c.lossRNG.Float64() < c.LossRate }
 
 // InFlight reports how many messages to switch id are issued but not yet
 // acknowledged or abandoned — the controller's per-switch transaction

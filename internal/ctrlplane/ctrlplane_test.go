@@ -14,8 +14,15 @@ import (
 
 func build(t *testing.T, g *topo.Graph) (*sim.Engine, *netsim.Network, *Channel) {
 	t.Helper()
+	return buildOn(t, g, 0)
+}
+
+// buildOn is build on a network seeded seed, the root of the channel's
+// southbound loss coin.
+func buildOn(t *testing.T, g *topo.Graph, seed uint64) (*sim.Engine, *netsim.Network, *Channel) {
+	t.Helper()
 	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
+	net := netsim.New(eng, g, netsim.Config{Seed: seed})
 	return eng, net, NewChannel(net)
 }
 
@@ -297,9 +304,8 @@ func TestECMPSpreadsDestinations(t *testing.T) {
 // own message.
 func TestLossyChannelConverges(t *testing.T) {
 	g, _ := topo.Linear(4)
-	eng, net, ch := build(t, g)
+	eng, net, ch := buildOn(t, g, 7)
 	ch.LossRate = 0.25
-	ch.LossSeed = 7
 	var mods []Mod
 	for i, sid := range g.Switches() {
 		for j := 0; j < 8; j++ {
@@ -506,9 +512,8 @@ func TestProberIgnoresEchoesAfterStop(t *testing.T) {
 // declared dead (the consecutive-miss debounce).
 func TestProberToleratesLoss(t *testing.T) {
 	g, _ := topo.Linear(4)
-	eng, _, ch := build(t, g)
+	eng, _, ch := buildOn(t, g, 99)
 	ch.LossRate = 0.2
-	ch.LossSeed = 99
 	p := NewProber(ch, 5*time.Millisecond)
 	p.OnDown = func(id topo.NodeID) { t.Errorf("false positive on switch %v", id) }
 	stop := p.Start()

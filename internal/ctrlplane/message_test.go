@@ -44,10 +44,9 @@ func playSchedule(loss float64, seed uint64) string {
 		panic(err)
 	}
 	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
+	net := netsim.New(eng, g, netsim.Config{Seed: seed})
 	ch := NewChannel(net)
 	ch.LossRate = loss
-	ch.LossSeed = seed
 	ch.MaxRetries = 3
 	var sw []*netsim.Switch
 	for _, id := range g.Switches() {

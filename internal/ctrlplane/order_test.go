@@ -143,9 +143,9 @@ func runProgram(t testing.TB, prog []sbOp, loss float64, seed uint64, deadWindow
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
+	net := netsim.New(eng, g, netsim.Config{Seed: seed})
 	ch := NewChannel(net)
-	ch.LossRate, ch.LossSeed, ch.MaxRetries = loss, seed, 2
+	ch.LossRate, ch.MaxRetries = loss, 2
 	var sw []*netsim.Switch
 	for _, id := range g.Switches() {
 		sw = append(sw, net.Switch(id))

@@ -299,7 +299,7 @@ func tableProgram(t *testing.T, prog []byte) {
 				t.Fatalf("op %d: InstallDeferred = %v, model %v", pc, got, want)
 			}
 			batchCookie, batchShapes, batchBuilt = cookie, shapes, &built
-		default: // 8, 9: a packet
+		default: // 5, 8, 9: a packet
 			build = true
 			a, b := next(), next()
 			p := &packet.Packet{

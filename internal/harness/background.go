@@ -26,7 +26,6 @@ func init() {
 // switch as the victim.
 func runS6Background(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
-	trials := cfg.Trials * 3
 	tbl := metrics.NewTable("background", "top1_accuracy", "mean_best_corr")
 	for _, bg := range []struct {
 		name  string
@@ -36,19 +35,13 @@ func runS6Background(cfg RunConfig) (*Result, error) {
 		{"moderate (1 flow/ms)", time.Millisecond},
 		{"heavy (1 flow/250us)", 250 * time.Microsecond},
 	} {
-		hits := 0
-		corrs := &metrics.Sample{}
-		for trial := 0; trial < trials; trial++ {
-			hit, corr, err := backgroundTrial(bg.inter, cfg.Seed+uint64(trial)*2654435761)
-			if err != nil {
-				return nil, fmt.Errorf("s6 %s: %w", bg.name, err)
-			}
-			if hit {
-				hits++
-			}
-			corrs.Add(corr)
+		cols, err := runTrialColumns(cfg.Trials*3, cfg.Seed, func(seed uint64) ([]float64, error) {
+			return backgroundTrial(bg.inter, seed)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("s6 %s: %w", bg.name, err)
 		}
-		tbl.AddRow(bg.name, float64(hits)/float64(trials), corrs.Mean())
+		tbl.AddRow(bg.name, cols[0].Mean(), cols[1].Mean())
 	}
 	return &Result{
 		ID: "s6", Title: "Rate-matching accuracy vs background load", Table: tbl,
@@ -63,11 +56,11 @@ func runS6Background(cfg RunConfig) (*Result, error) {
 // backgroundTrial runs the rate-pattern bursts over MIC from h0 to h15
 // plus background load, then asks the adversary to identify the victim at
 // the responder edge. Reports whether its top-1 pick carries the
-// responder's address.
-func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr float64, err error) {
+// responder's address (1 or 0) and the best correlation it saw.
+func backgroundTrial(interarrival time.Duration, seed uint64) ([]float64, error) {
 	tb, err := pairBed(SchemeMICTCP, mic.Config{MNs: 2}, seed)
 	if err != nil {
-		return false, 0, err
+		return nil, err
 	}
 	caps := tb.tapSwitches()
 	if interarrival > 0 {
@@ -78,10 +71,9 @@ func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr fl
 			Pairs:            [][2]int{{1, 13}, {2, 15}, {3, 12}, {4, 13}, {5, 11}},
 			MeanInterarrival: interarrival,
 			Sizes:            workload.Pareto{Alpha: 1.3, Min: 2 << 10, Max: 256 << 10},
-			Seed:             seed + 9,
 		})
 		if err != nil {
-			return false, 0, err
+			return nil, err
 		}
 		// Pair {2,15}: h16 is stacks[15]; responder is stacks[14] (h15).
 		gen.Run(sim.Time(40 * time.Millisecond))
@@ -92,14 +84,14 @@ func backgroundTrial(interarrival time.Duration, seed uint64) (hit bool, corr fl
 	// reference is the flows touching the initiator.
 	ref, resp, until, err := tb.burstsAtEdges(caps, respIdx, true)
 	if err != nil {
-		return false, 0, err
+		return nil, err
 	}
-	_, corr, _ = resp.RateMatch(rateWindow, ref, until)
+	_, corr, _ := resp.RateMatch(rateWindow, ref, until)
 	respIP := tb.hostIP(respIdx)
 	for _, key := range resp.RateMatchTop(rateWindow, ref, until, 0.02) {
 		if key.SrcIP == respIP || key.DstIP == respIP {
-			return true, corr, nil
+			return []float64{1, corr}, nil
 		}
 	}
-	return false, corr, nil
+	return []float64{0, corr}, nil
 }

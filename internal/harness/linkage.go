@@ -6,7 +6,6 @@ import (
 	"mic/internal/adversary"
 	"mic/internal/metrics"
 	"mic/internal/mic"
-	"mic/internal/sim"
 )
 
 func init() {
@@ -42,7 +41,7 @@ func runS4Linkage(cfg RunConfig) (*Result, error) {
 	}
 	initIP, respIP := tb.hostIP(0), tb.hostIP(15)
 
-	rng := sim.NewRNG(cfg.Seed ^ 0x54)
+	rng := tb.Net.Stream("linkage")
 	tbl := metrics.NewTable("compromised_fraction", "TCP_linkage_prob", "MIC_linkage_prob")
 	for _, frac := range []float64{0.1, 0.2, 0.3, 0.5, 0.8} {
 		k := int(frac*float64(len(micList)) + 0.5)

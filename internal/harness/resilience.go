@@ -38,26 +38,22 @@ func runS7Resilience(cfg RunConfig) (*Result, error) {
 	}
 	tbl := metrics.NewTable("link_loss", "tcp_mbps", "mic_f4_mbps", "mic_f4_nohealth_mbps")
 	for _, p := range []float64{0, 0.01, 0.05, 0.20} {
-		p := p
-		tcp, err := RunTrials(cfg.Trials, cfg.Seed, func(seed uint64) (float64, error) {
-			return s7TCPTrial(p, size, seed)
+		cols, err := runTrialColumns(cfg.Trials, cfg.Seed, func(seed uint64) ([]float64, error) {
+			tcp, err := s7TCPTrial(p, size, seed)
+			if err != nil {
+				return nil, fmt.Errorf("tcp: %w", err)
+			}
+			on, err := s7MICTrial(p, size, seed, false)
+			if err != nil {
+				return nil, fmt.Errorf("mic: %w", err)
+			}
+			off, err := s7MICTrial(p, size, seed, true)
+			return []float64{tcp, on, off}, err
 		})
 		if err != nil {
-			return nil, fmt.Errorf("s7 tcp loss=%g: %w", p, err)
+			return nil, fmt.Errorf("s7 loss=%g: %w", p, err)
 		}
-		micOn, err := RunTrials(cfg.Trials, cfg.Seed, func(seed uint64) (float64, error) {
-			return s7MICTrial(p, size, seed, false)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("s7 mic loss=%g: %w", p, err)
-		}
-		micOff, err := RunTrials(cfg.Trials, cfg.Seed, func(seed uint64) (float64, error) {
-			return s7MICTrial(p, size, seed, true)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("s7 mic-nohealth loss=%g: %w", p, err)
-		}
-		tbl.AddRow(fmt.Sprintf("%g%%", p*100), tcp.Mean(), micOn.Mean(), micOff.Mean())
+		tbl.AddRow(fmt.Sprintf("%g%%", p*100), cols[0].Mean(), cols[1].Mean(), cols[2].Mean())
 	}
 	return &Result{
 		ID: "s7", Title: "Goodput under a gray (lossy) interior link", Table: tbl,
@@ -78,7 +74,7 @@ const s7Cap = 60 * time.Second
 // in Mbps, with the path's agg<->core hop degraded to the given loss rate.
 // The hop is discovered by tracing a warmup transfer's link counters.
 func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
-	tb, err := NewTestbed(SchemeTCP, 4, netsim.Config{}, mic.Config{}, nil)
+	tb, err := NewTestbed(SchemeTCP, 4, netsim.Config{Seed: seed}, mic.Config{}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -120,7 +116,7 @@ func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
 // m-flow degraded to the given loss rate. disabled turns off the stream's
 // health/retransmit/rebalance machinery (the ablation).
 func s7MICTrial(loss float64, size int, seed uint64, disabled bool) (float64, error) {
-	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{}, mic.Config{
+	tb, err := NewTestbed(SchemeMICTCP, 4, netsim.Config{Seed: seed}, mic.Config{
 		MNs: 2, MFlows: 4, PathPolicy: mic.PathLeastLoaded, Seed: seed + 1,
 	}, nil)
 	if err != nil {

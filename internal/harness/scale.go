@@ -7,7 +7,6 @@ import (
 	"mic/internal/metrics"
 	"mic/internal/mic"
 	"mic/internal/netsim"
-	"mic/internal/sim"
 )
 
 func init() {
@@ -67,7 +66,7 @@ type scaleRow struct {
 // scaleTrial establishes channels between distinct host pairs sequentially
 // and samples the setup latency and table occupancy at each checkpoint.
 func scaleTrial(k int, widths maga.Widths, checks []int, seed uint64) ([]scaleRow, error) {
-	tb, err := NewTestbed(SchemeMICTCP, k, netsim.Config{}, mic.Config{MNs: 3, Widths: widths, Seed: seed}, nil)
+	tb, err := NewTestbed(SchemeMICTCP, k, netsim.Config{Seed: seed}, mic.Config{MNs: 3, Widths: widths, Seed: seed}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +78,7 @@ func scaleTrial(k int, widths maga.Widths, checks []int, seed uint64) ([]scaleRo
 	}
 
 	var rows []scaleRow
-	rng := sim.NewRNG(seed ^ 0x5ca1e)
+	rng := net.Stream("scale")
 	check := 0
 	var establish func(i int)
 	establish = func(i int) {

@@ -64,7 +64,7 @@ type SetupBenchResult struct {
 // test is exactly planner -> allocator -> batched installer, paced by the
 // virtual planning cores. Deterministic for a given options value.
 func RunSetupBench(opts SetupBenchOptions) (*SetupBenchResult, error) {
-	tb, err := newFabric(opts.Arity, netsim.Config{})
+	tb, err := newFabric(opts.Arity, netsim.Config{Seed: opts.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ type Scenario struct {
 	// Cluster, when non-nil, runs the control plane as a failover cluster
 	// under it (its ablation flags included); nil runs a standalone MC.
 	Cluster *mic.ClusterConfig
-	Net     netsim.Config // the fat-tree(4) fabric's configuration
+	Net     netsim.Config // the fat-tree(4) fabric's configuration; Run sets its Seed
 	MIC     mic.Config    // what the control plane runs; Run sets its Seed
 
 	// Transfer carries one bulk MIC stream of Params.Size bytes from host
@@ -76,7 +76,7 @@ type Probe struct {
 
 // Outcome is what one run left behind.
 type Outcome struct {
-	Scenario Scenario // as run: MIC.Seed and a storm's m-flow request resolved
+	Scenario Scenario // as run: the seeds and a storm's m-flow request resolved
 	Bed      *Testbed
 	Transfer *Transfer    // nil without a transfer
 	Storm    *StormResult // nil without a storm
@@ -91,7 +91,7 @@ type Outcome struct {
 // transfer that does not complete, or a probe dial that fails or never
 // completes, is an error.
 func Run(s Scenario, p Params, w io.Writer) (*Outcome, error) {
-	s.MIC.Seed = p.Seed
+	s.Net.Seed, s.MIC.Seed = p.Seed, p.Seed
 	if s.Storm != nil && s.MIC.MFlows < 2 {
 		s.MIC.MFlows = 4 // the degradation ladder needs headroom below the request
 	}

@@ -207,6 +207,7 @@ type Transfer struct {
 	// until the dial completes, and always nil under the other schemes.
 	Stream, Remote *mic.Stream
 	Channel        *mic.ChannelInfo
+	Circuit        *onion.Circuit // under Tor, the initiator's circuit once up
 }
 
 // StartTransfer listens on host `to` for the scheme's session on port,
@@ -258,6 +259,7 @@ func (t *Transfer) count(tb *Testbed, s appStream) {
 func (t *Transfer) begin(tb *Testbed, s appStream) {
 	t.Start, t.CPUAtStart = tb.Eng.Now(), tb.Net.CPU.Total()
 	t.Stream, _ = s.(*mic.Stream)
+	t.Circuit, _ = s.(*onion.Circuit)
 	if t.Size == 0 {
 		t.End = t.Start
 	}
@@ -287,11 +289,11 @@ func (t *Transfer) Mbps() float64 { return mbps(t.Size, t.Wall()) }
 var defaultPair = [2]int{0, 15}
 
 // pairBed builds the bed of the scheme comparisons (figs 7-9): fat-tree(4),
-// a clean fabric, and under a MIC scheme a standalone MC running cfg seeded
-// seed+1.
+// a clean fabric seeded seed, and under a MIC scheme a standalone MC running
+// cfg seeded seed+1.
 func pairBed(scheme Scheme, cfg mic.Config, seed uint64) (*Testbed, error) {
 	cfg.Seed = seed + 1
-	return NewTestbed(scheme, 4, netsim.Config{}, cfg, nil)
+	return NewTestbed(scheme, 4, netsim.Config{Seed: seed}, cfg, nil)
 }
 
 // runPair carries size bytes over the scheme from defaultPair's first host

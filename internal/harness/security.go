@@ -97,29 +97,26 @@ func securitySize(cfg RunConfig) int {
 func runS1Correlation(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	tbl := metrics.NewTable("fanout", "correlation_success", "mean_candidates", "traffic_overhead")
-	var baseBytes uint64
+	var baseBytes float64
 	for _, fanout := range []int{1, 2, 3} {
-		sample := &metrics.Sample{}
-		cands := &metrics.Sample{}
-		var txBytes uint64
-		for trial := 0; trial < cfg.Trials; trial++ {
-			tb, t, caps, err := tracedTransfer(SchemeMICTCP, mic.Config{MNs: 3, MulticastFanout: fanout}, securitySize(cfg), cfg.Seed+uint64(trial)*7919)
+		cols, err := runTrialColumns(cfg.Trials, cfg.Seed, func(seed uint64) ([]float64, error) {
+			tb, t, caps, err := tracedTransfer(SchemeMICTCP, mic.Config{MNs: 3, MulticastFanout: fanout}, securitySize(cfg), seed)
 			if err != nil {
-				return nil, fmt.Errorf("s1 fanout %d: %w", fanout, err)
+				return nil, err
 			}
 			rep := captureAt(caps, t.Channel.Flows[0].MNs[0]).IngressEgressCorrelation()
 			if rep.DataPackets == 0 {
-				return nil, fmt.Errorf("s1 fanout %d: no packets observed at first MN", fanout)
+				return nil, fmt.Errorf("no packets observed at first MN")
 			}
-			sample.Add(rep.MeanSuccess)
-			cands.Add(rep.MeanCandidates)
-			txBytes += tb.Net.Stats.TxBytes
+			return []float64{rep.MeanSuccess, rep.MeanCandidates, float64(tb.Net.Stats.TxBytes)}, nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("s1 fanout %d: %w", fanout, err)
 		}
 		if fanout == 1 {
-			baseBytes = txBytes
+			baseBytes = cols[2].Mean()
 		}
-		overhead := float64(txBytes)/float64(baseBytes) - 1
-		tbl.AddRow(fanout, sample.Mean(), cands.Mean(), fmt.Sprintf("+%.0f%%", overhead*100))
+		tbl.AddRow(fanout, cols[0].Mean(), cols[1].Mean(), fmt.Sprintf("+%.0f%%", (cols[2].Mean()/baseBytes-1)*100))
 	}
 	return &Result{
 		ID: "s1", Title: "MN-local correlation vs partial-multicast fanout", Table: tbl,
@@ -132,15 +129,17 @@ func runS1Correlation(cfg RunConfig) (*Result, error) {
 func runS2SizeHiding(cfg RunConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	tbl := metrics.NewTable("m_flows", "largest_flow_fraction")
+	size := securitySize(cfg)
 	for _, mf := range []int{1, 2, 4, 8} {
-		sample := &metrics.Sample{}
-		for trial := 0; trial < cfg.Trials; trial++ {
-			size := securitySize(cfg)
-			_, _, caps, err := tracedTransfer(SchemeMICTCP, mic.Config{MFlows: mf, MNs: 2}, size, cfg.Seed+uint64(trial)*104729)
+		sample, err := RunTrials(cfg.Trials, cfg.Seed, func(seed uint64) (float64, error) {
+			_, _, caps, err := tracedTransfer(SchemeMICTCP, mic.Config{MFlows: mf, MNs: 2}, size, seed)
 			if err != nil {
-				return nil, fmt.Errorf("s2 mflows %d: %w", mf, err)
+				return 0, err
 			}
-			sample.Add(adversary.LargestFlowFraction(caps, int64(size)))
+			return adversary.LargestFlowFraction(caps, int64(size)), nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("s2 mflows %d: %w", mf, err)
 		}
 		tbl.AddRow(mf, sample.Mean())
 	}

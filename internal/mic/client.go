@@ -115,8 +115,11 @@ func NewClient(stack *transport.Stack, mc ControlPlane) *Client {
 // tokens would collide at the listener.
 func NewClientSeeded(stack *transport.Stack, mc ControlPlane, salt uint64) *Client {
 	c := &Client{
-		Stack:    stack,
-		MC:       mc,
+		Stack: stack,
+		MC:    mc,
+		// The one root mixing constants into its seed. It follows the run's
+		// seed through ClientSeed; a redraw would move every benchmark
+		// virtual metric it feeds (DESIGN §5 "One seed tree" measures it).
 		rng:      sim.NewRNG(uint64(stack.Host.IP) ^ mc.ClientSeed() ^ 0x5ac1e5 ^ salt*0x9e3779b97f4a7c15),
 		channels: make(map[string]*cachedChannel),
 		pending:  make(map[string][]*chanWaiter),
@@ -471,7 +474,7 @@ func Listen(stack *transport.Stack, port uint16, secure bool, onOpen func(*Strea
 		stack:   stack,
 		onOpen:  onOpen,
 		pending: make(map[uint64]*pendingStream),
-		rng:     sim.NewRNG(uint64(stack.Host.IP) ^ 0x11e55),
+		rng:     stack.Host.Net().Stream("listener/" + stack.Host.Name),
 	}
 	if secure {
 		stack.ListenSSL(port, func(sc *transport.SecureConn) { l.accept(sc) })

@@ -23,13 +23,18 @@ type clusterFixture struct {
 }
 
 func newClusterFixture(t testing.TB, cfg Config, ccfg ClusterConfig) *clusterFixture {
+	return newClusterFixtureOn(t, cfg, ccfg, 0)
+}
+
+// newClusterFixtureOn is newClusterFixture on a network seeded netSeed.
+func newClusterFixtureOn(t testing.TB, cfg Config, ccfg ClusterConfig, netSeed uint64) *clusterFixture {
 	t.Helper()
 	g, err := topo.FatTree(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{PoolDebug: true})
+	net := netsim.New(eng, g, netsim.Config{PoolDebug: true, Seed: netSeed})
 	cl, err := NewCluster(net, cfg, ccfg)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +82,42 @@ func clusterTransfer(t *testing.T, f *clusterFixture, data []byte, killAt, deadl
 	}
 	f.settle(deadline)
 	return got, time.Duration(end - start)
+}
+
+// TestLossStreamsAreDistinct: under control-channel loss, the two members
+// of a Cluster, and a member's revived life, each flip their own coins. A
+// channel's loss stream is named for its creation index on the network, so
+// no two channels of one run, the revived life's fresh one included, share
+// a loss pattern.
+func TestLossStreamsAreDistinct(t *testing.T) {
+	f := newClusterFixture(t, Config{MNs: 2}, ClusterConfig{})
+	f.cl.Stop()
+	sw := f.net.Switch(f.graph.Switches()[0])
+	// pattern fires 64 single-shot echoes at sw over mc's channel at 50 %
+	// loss and spells which came back.
+	pattern := func(mc *MC) string {
+		mc.Ch.LossRate = 0.5
+		got := make([]byte, 64)
+		for i := range got {
+			mc.Ch.Echo(sw, func(_ sim.Time, alive bool) {
+				if got[i] = '0'; alive {
+					got[i] = '1'
+				}
+			})
+		}
+		f.eng.RunFor(10 * time.Millisecond)
+		return string(got)
+	}
+	first, second := f.cl.members[0].mc, f.cl.members[1].mc
+	a, b := pattern(first), pattern(second)
+	if a == b {
+		t.Errorf("both members lose the same echoes: %s", a)
+	}
+	first.crash()
+	first.revive()
+	if revived := pattern(first); revived == a {
+		t.Errorf("the revived life loses the echoes its dead one did: %s", a)
+	}
 }
 
 // TestFailoverTransfer64MB is the acceptance bar for the failover layer: a

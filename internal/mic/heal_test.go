@@ -262,9 +262,8 @@ func TestAutoRepairTerminalWhenNoPath(t *testing.T) {
 // TestAutoRepairWithLossyControlChannel: the whole detect→repair loop must
 // converge even when every southbound message can be lost.
 func TestAutoRepairWithLossyControlChannel(t *testing.T) {
-	f := newFixture(t, Config{MNs: 3, AutoRepair: true})
+	f := newFixtureOn(t, Config{MNs: 3, AutoRepair: true}, 11)
 	f.mc.Ch.LossRate = 0.2
-	f.mc.Ch.LossSeed = 11
 	data := pattern(300_000)
 	var got []byte
 	Listen(f.stacks[15], 80, false, func(s *Stream) {
@@ -499,7 +498,7 @@ func TestCloseDuringInstallLeavesNothing(t *testing.T) {
 // closeDuringRepair is one run of TestCloseDuringInstallLeavesNothing.
 func closeDuringRepair(t *testing.T, loss float64, seed uint64) {
 	t.Helper()
-	f := newFixture(t, Config{MNs: 2})
+	f := newFixtureOn(t, Config{MNs: 2}, seed)
 	var info *ChannelInfo
 	f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(ci *ChannelInfo, err error) {
 		if err != nil {
@@ -508,7 +507,7 @@ func closeDuringRepair(t *testing.T, loss float64, seed uint64) {
 		info = ci
 	})
 	f.eng.RunFor(6 * time.Millisecond)
-	f.mc.Ch.LossRate, f.mc.Ch.LossSeed = loss, seed
+	f.mc.Ch.LossRate = loss
 	f.mc.RepairChannel(info.ID, func(error) {})
 	f.eng.RunFor(150 * time.Microsecond)
 	closed := false
@@ -570,8 +569,8 @@ func TestRepairDuringInstallLeavesNoGroup(t *testing.T) {
 // still be retransmitting to it.
 func repairDuringDial(t *testing.T, cfg Config, loss float64, seed uint64, crash bool) {
 	t.Helper()
-	f := newFixture(t, cfg)
-	f.mc.Ch.LossRate, f.mc.Ch.LossSeed = loss, seed
+	f := newFixtureOn(t, cfg, seed)
+	f.mc.Ch.LossRate = loss
 	f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(*ChannelInfo, error) {})
 	f.eng.RunFor(700 * time.Microsecond)
 	st := f.mc.channels[sortedChanIDs(f.mc.channels)[0]]

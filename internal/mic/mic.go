@@ -546,9 +546,9 @@ func (mc *MC) ClientSeed() uint64 { return mc.Cfg.Seed }
 // revive restarts a crashed controller process with empty state on a fresh
 // southbound channel: the old one died with the process, and closures
 // scheduled by the previous life still reference it and must stay dead, as
-// the incarnation bump makes them. The revived MC stays passive — a
-// restarted controller rejoins as a standby; only a takeover makes it
-// active again.
+// the incarnation bump makes them; the fresh one flips its own loss coins.
+// The revived MC stays passive — a restarted controller rejoins as a
+// standby; only a takeover makes it active again.
 func (mc *MC) revive() {
 	if !mc.down {
 		return
@@ -559,8 +559,6 @@ func (mc *MC) revive() {
 	mc.Ch = ctrlplane.NewChannel(mc.Net)
 	mc.Ch.Latency = old.Latency
 	mc.Ch.LossRate = old.LossRate
-	// Decorrelate the new process's loss pattern from the dead one's.
-	mc.Ch.LossSeed = old.LossSeed ^ (mc.incarnation * 0x9e3779b97f4a7c15)
 	mc.Ch.AckTimeout = old.AckTimeout
 	mc.Ch.MaxRetries = old.MaxRetries
 	mc.Ch.MaxBackoff = old.MaxBackoff

@@ -24,7 +24,11 @@ type fixture struct {
 	graph  *topo.Graph
 }
 
-func newFixture(t testing.TB, cfg Config) *fixture {
+func newFixture(t testing.TB, cfg Config) *fixture { return newFixtureOn(t, cfg, 0) }
+
+// newFixtureOn is newFixture on a network seeded netSeed, the root of its
+// fault streams and of every channel's southbound loss coin.
+func newFixtureOn(t testing.TB, cfg Config, netSeed uint64) *fixture {
 	t.Helper()
 	g, err := topo.FatTree(4)
 	if err != nil {
@@ -34,7 +38,7 @@ func newFixture(t testing.TB, cfg Config) *fixture {
 	// PoolDebug arms the packet and chunk pools' use-after-release guards
 	// for every MIC fixture test — MN rewrites, group multicast, heal paths
 	// and every stream's frames run with poisoned free-list detection.
-	net := netsim.New(eng, g, netsim.Config{PoolDebug: true})
+	net := netsim.New(eng, g, netsim.Config{PoolDebug: true, Seed: netSeed})
 	mc, err := NewMC(net, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -412,9 +412,9 @@ func TestClusterTakeoverMidRepairMakesBeforeBreaking(t *testing.T) {
 // takeoverMidRepair is one run of the sweep above.
 func takeoverMidRepair(t *testing.T, loss float64, seed uint64) {
 	t.Helper()
-	f := newClusterFixture(t, Config{MNs: 3, AutoRepair: true}, ClusterConfig{})
+	f := newClusterFixtureOn(t, Config{MNs: 3, AutoRepair: true}, ClusterConfig{}, seed)
 	successor := f.cl.members[1].mc
-	successor.Ch.LossRate, successor.Ch.LossSeed = loss, seed
+	successor.Ch.LossRate = loss
 	var stats []TakeoverStats
 	f.cl.OnTakeover = func(ts TakeoverStats) { stats = append(stats, ts) }
 	// The takeover sends the dial again, and the successor answers it with

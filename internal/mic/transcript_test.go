@@ -81,7 +81,7 @@ func streamTranscript(t *testing.T, flows int, fault netsim.FaultProfile, unifor
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{PoolDebug: true, FaultSeed: seed})
+	net := netsim.New(eng, g, netsim.Config{PoolDebug: true, Seed: seed})
 	mc, err := NewMC(net, Config{MFlows: flows, MNs: 2, Seed: seed})
 	if err != nil {
 		t.Fatal(err)

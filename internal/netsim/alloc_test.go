@@ -78,7 +78,7 @@ func TestCorruptingLinkAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := sim.New()
-	net := New(eng, g, Config{FaultSeed: 5})
+	net := New(eng, g, Config{Seed: 5})
 	sw := net.Switch(g.Switches()[0])
 	src, dst := net.Host(g.Hosts()[0]), net.Host(g.Hosts()[1])
 	out := g.PortTo(sw.ID, dst.ID)

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"time"
 
 	"mic/internal/topo"
@@ -9,9 +10,9 @@ import (
 // FaultProfile degrades one link without cutting it: each frame sent into
 // the link independently suffers loss, duplication, reordering (extra
 // delay jitter) or corruption with the configured probabilities. All four
-// are deterministic per (Config.FaultSeed, link): replaying a run with the
-// same seed and workload reproduces the exact same frame fates. A zero
-// profile means a clean link.
+// are drawn from the link direction's stream of Config.Seed: replaying a
+// run with the same seed and workload reproduces the exact same frame
+// fates. A zero profile means a clean link.
 //
 // Corrupted frames are modeled as receiver-side FCS drops — the NIC
 // discards them, so to every protocol above L2 corruption is loss, but the
@@ -54,7 +55,7 @@ func (n *Network) SetLinkFault(node topo.NodeID, port int, f FaultProfile) {
 		prof := f
 		d.fault = &prof
 		if d.faultRNG == nil {
-			d.faultRNG = n.faultStream(pk)
+			d.faultRNG = n.Stream(fmt.Sprintf("fault-%d-%d", pk.node, pk.port))
 		}
 	}
 }

@@ -51,8 +51,8 @@ type Config struct {
 	// O(payload) per packet.
 	PoolDebug bool
 
-	// FaultSeed drives the per-link fault RNG streams (SetLinkFault).
-	FaultSeed uint64
+	// Seed is the root of every random draw on the network (Stream).
+	Seed uint64
 
 	// FlowTableCapacity bounds every switch's flow table (the TCAM model);
 	// zero keeps tables unbounded, the seed behaviour. The at-capacity
@@ -243,8 +243,8 @@ type linkDir struct {
 	swDown    int  // number of failed endpoint switches darkening this cable
 
 	// fault, when non-nil, degrades this direction (SetLinkFault). The RNG
-	// stream is per direction, derived from Config.FaultSeed, so frame fates
-	// on one link never depend on traffic crossing another.
+	// is the direction's own stream of Config.Seed, so frame fates on one
+	// link never depend on traffic crossing another.
 	fault    *FaultProfile
 	faultRNG *sim.RNG
 }
@@ -316,6 +316,7 @@ type Network struct {
 	// cause: zero iff every path of the fabric is alive (AllUp).
 	failed    int
 	ctrlHosts []bool // down flag per registered controller host
+	channels  int    // control channels registered (RegisterChannel)
 
 	// mgmtCuts holds the active directional management-network partitions
 	// (SetMgmtCut). Nil when the management network is whole.
@@ -388,10 +389,9 @@ func New(eng *sim.Engine, g *topo.Graph, cfg Config) *Network {
 	return n
 }
 
-// faultStream derives the deterministic fault RNG for one link direction.
-func (n *Network) faultStream(pk portKey) *sim.RNG {
-	return sim.NewRNG(n.Cfg.FaultSeed ^ 0x10559).Stream(fmt.Sprintf("fault-%d-%d", pk.node, pk.port))
-}
+// Stream returns the stream of Config.Seed named label: its draws depend on
+// the seed and the label alone.
+func (n *Network) Stream(label string) *sim.RNG { return sim.NewRNG(n.Cfg.Seed).Stream(label) }
 
 // PacketPool returns the network's packet pool. Transport stacks draw their
 // data packets from it; the fabric releases packets back at their sinks
@@ -463,6 +463,13 @@ func (n *Network) SetController(ctrl Controller) {
 func (n *Network) RegisterCtrlHost() int {
 	n.ctrlHosts = append(n.ctrlHosts, false)
 	return len(n.ctrlHosts) - 1
+}
+
+// RegisterChannel numbers a new control channel, from 0 in creation order:
+// the engine is single-threaded, so the number is the same in every run.
+func (n *Network) RegisterChannel() int {
+	n.channels++
+	return n.channels - 1
 }
 
 // SetCtrlHostDown crashes or restarts the controller host at idx. Listeners

@@ -471,7 +471,7 @@ func TestLossInjectionDeterministic(t *testing.T) {
 	run := func() uint64 {
 		g, _ := topo.Linear(1)
 		eng := sim.New()
-		n := New(eng, g, Config{FaultSeed: 5})
+		n := New(eng, g, Config{Seed: 5})
 		for _, node := range g.Nodes {
 			for p := range node.Ports {
 				n.SetLinkFault(node.ID, p, FaultProfile{Loss: 0.3})
@@ -666,7 +666,7 @@ func faultRig(t *testing.T, cfg Config) (*sim.Engine, *Network, *Host, *Switch, 
 // of frames, deterministically per seed, and clears cleanly.
 func TestLinkFaultLoss(t *testing.T) {
 	run := func() (uint64, int) {
-		eng, n, h1, _, _, delivered := faultRig(t, Config{FaultSeed: 11})
+		eng, n, h1, _, _, delivered := faultRig(t, Config{Seed: 11})
 		n.SetLinkFault(h1.ID, 0, FaultProfile{Loss: 0.3})
 		for i := 0; i < 200; i++ {
 			at := time.Duration(i) * 50 * time.Microsecond // spaced: no queue drops
@@ -713,7 +713,7 @@ func TestLinkFaultClear(t *testing.T) {
 // TestLinkFaultDuplication: a dup profile delivers extra copies and counts
 // them.
 func TestLinkFaultDuplication(t *testing.T) {
-	eng, n, h1, _, _, delivered := faultRig(t, Config{FaultSeed: 3})
+	eng, n, h1, _, _, delivered := faultRig(t, Config{Seed: 3})
 	n.SetLinkFault(h1.ID, 0, FaultProfile{Dup: 1.0})
 	for i := 0; i < 20; i++ {
 		h1.Send(0, frame(h1.IP, 0, "d"))
@@ -732,7 +732,7 @@ func TestLinkFaultDuplication(t *testing.T) {
 
 // TestLinkFaultReorder: reorder jitter delays some frames past later ones.
 func TestLinkFaultReorder(t *testing.T) {
-	eng, n, h1, s1, h2, _ := faultRig(t, Config{FaultSeed: 7})
+	eng, n, h1, s1, h2, _ := faultRig(t, Config{Seed: 7})
 	_ = s1
 	n.SetLinkFault(h1.ID, 0, FaultProfile{Reorder: 0.3, Jitter: 500 * time.Microsecond})
 	var order []int
@@ -761,7 +761,7 @@ func TestLinkFaultReorder(t *testing.T) {
 // TestLinkFaultCorruption: corrupted frames burn wire time but never reach
 // the handler.
 func TestLinkFaultCorruption(t *testing.T) {
-	eng, n, h1, _, _, delivered := faultRig(t, Config{FaultSeed: 5})
+	eng, n, h1, _, _, delivered := faultRig(t, Config{Seed: 5})
 	n.SetLinkFault(h1.ID, 0, FaultProfile{Corrupt: 1.0})
 	before := n.Stats.TxBytes
 	h1.Send(0, frame(h1.IP, 0, "c"))

@@ -23,7 +23,7 @@ func NewClient(stack *transport.Stack, dir *Directory) *Client {
 		Stack: stack,
 		Dir:   dir,
 		cfg:   dir.cfg,
-		rng:   sim.NewRNG(uint64(stack.Host.IP) ^ 0x70c),
+		rng:   stack.Host.Net().Stream("onion/" + stack.Host.Name),
 	}
 }
 
@@ -49,29 +49,30 @@ type Circuit struct {
 
 var _ transport.ByteStream = (*Circuit)(nil)
 
-// Dial builds a circuit through nRelays random relays and connects to the
-// destination server. cb fires when the exit reports the connection open —
-// the interval the paper measures as Tor's route setup time (Fig 7).
-// The destination is the client's secret: on the wire it appears only
-// inside onion-encrypted blobs (the exit, which must connect, is the one
-// party that legitimately learns it).
+// Hosts names the circuit's client host, then its relays' hosts, entry first.
+func (circ *Circuit) Hosts() []string {
+	hosts := []string{circ.client.Stack.Host.Name}
+	for _, r := range circ.route {
+		hosts = append(hosts, r.Stack.Host.Name)
+	}
+	return hosts
+}
+
+// Dial builds a circuit through nRelays random relays (telescoping: CREATE
+// to the first, then one EXTEND round trip per additional relay), then
+// BEGINs the connection to the destination server. cb fires when the exit
+// reports the connection open — the interval the paper measures as Tor's
+// route setup time (Fig 7). The destination is the client's secret: on the
+// wire it appears only inside onion-encrypted blobs (the exit, which must
+// connect, is the one party that legitimately learns it).
 // lint:secret dst
 func (c *Client) Dial(nRelays int, dst addr.IP, port uint16, cb func(*Circuit, error)) {
 	route, err := c.Dir.PickRoute(c.rng, nRelays, c.Stack.Host.IP, dst)
+	if err == nil && len(route) == 0 {
+		err = fmt.Errorf("onion: empty route")
+	}
 	if err != nil {
 		cb(nil, err)
-		return
-	}
-	c.DialRoute(route, dst, port, cb)
-}
-
-// DialRoute builds a circuit through the given relays (telescoping: CREATE
-// to the first, then one EXTEND round trip per additional relay), then
-// BEGINs the exit connection.
-// lint:secret dst
-func (c *Client) DialRoute(route []*Relay, dst addr.IP, port uint16, cb func(*Circuit, error)) {
-	if len(route) == 0 {
-		cb(nil, fmt.Errorf("onion: empty route"))
 		return
 	}
 	circ := &Circuit{client: c, route: route, circID: c.rng.Uint32() | 1}

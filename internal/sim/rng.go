@@ -9,8 +9,17 @@ type RNG struct {
 	s [4]uint64
 }
 
+// RecordRoot, when non-nil, receives the seed of every generator NewRNG
+// makes, Stream's children included, on the goroutine making it. A test
+// seam: set it only while no engine runs, and serialise what it records,
+// since the harness runs trials on several goroutines.
+var RecordRoot func(seed uint64)
+
 // NewRNG returns a generator seeded from seed via splitmix64.
 func NewRNG(seed uint64) *RNG {
+	if RecordRoot != nil {
+		RecordRoot(seed)
+	}
 	r := &RNG{}
 	for i := range r.s {
 		seed += 0x9e3779b97f4a7c15

@@ -32,7 +32,7 @@ func TestRetransmitConvergenceTable(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newRig(t, 3, netsim.Config{FaultSeed: 1234})
+			r := newRig(t, 3, netsim.Config{Seed: 1234})
 			// Fault one interior hop with a per-link profile: handshake,
 			// data and acks all cross it in both directions.
 			sws := r.graph.Switches()
@@ -94,7 +94,7 @@ func TestRetransmitConvergenceTable(t *testing.T) {
 // for a single in-flight window, then cleared), so exactly one recovery event
 // — fast retransmit or one RTO — must be counted, not zero and not a storm.
 func TestRetransmitCounterAccountsEveryRecovery(t *testing.T) {
-	r := newRig(t, 3, netsim.Config{FaultSeed: 7})
+	r := newRig(t, 3, netsim.Config{Seed: 7})
 	sws := r.graph.Switches()
 	port := r.graph.PortTo(sws[0], sws[1])
 

@@ -16,7 +16,7 @@ import (
 func TestPooledForwardingLifecycle(t *testing.T) {
 	r := newRig(t, 3, netsim.Config{
 		QueueCapPackets: 8,
-		FaultSeed:       7,
+		Seed:            7,
 	})
 	r.uniformLoss(0.02)
 	const total = 256 * 1024

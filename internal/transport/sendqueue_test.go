@@ -283,7 +283,7 @@ func TestSSLRoundTripAllocsNothing(t *testing.T) {
 // cloning every frame, leaves no chunk referenced once both sides closed —
 // no send queue, out-of-order segment or in-flight packet kept one.
 func TestChunksQuiesceAfterFaultyTransfer(t *testing.T) {
-	r := newRig(t, 3, netsim.Config{FaultSeed: 3})
+	r := newRig(t, 3, netsim.Config{Seed: 3})
 	for _, node := range r.graph.Nodes {
 		for p := range node.Ports {
 			r.net.SetLinkFault(node.ID, p, netsim.FaultProfile{Loss: 0.01, Dup: 0.02, Reorder: 0.2, Corrupt: 0.01})

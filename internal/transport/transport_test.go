@@ -47,7 +47,7 @@ func newRig(t *testing.T, switches int, cfg netsim.Config) *rig {
 
 // uniformLoss installs rate uniform frame loss on every link of the rig's
 // fabric, both directions. Each link direction draws from its own stream of
-// the network's FaultSeed, so the draws do not depend on when it runs, as
+// the network's Seed, so the draws do not depend on when it runs, as
 // long as no frame has crossed yet.
 func (r *rig) uniformLoss(rate float64) {
 	for _, node := range r.graph.Nodes {
@@ -504,7 +504,7 @@ func BenchmarkBulkTransfer1MB(b *testing.B) {
 
 func TestBulkUnderRandomLoss(t *testing.T) {
 	// 0.5% uniform frame loss on every link: reliability must still hold.
-	r := newRig(t, 3, netsim.Config{FaultSeed: 42})
+	r := newRig(t, 3, netsim.Config{Seed: 42})
 	r.uniformLoss(0.005)
 	data := pattern(512 << 10)
 	var got []byte
@@ -532,7 +532,7 @@ func TestBulkUnderRandomLoss(t *testing.T) {
 }
 
 func TestSSLUnderRandomLoss(t *testing.T) {
-	r := newRig(t, 2, netsim.Config{FaultSeed: 7})
+	r := newRig(t, 2, netsim.Config{Seed: 7})
 	r.uniformLoss(0.003)
 	data := pattern(128 << 10)
 	var got []byte
@@ -554,7 +554,7 @@ func TestSSLUnderRandomLoss(t *testing.T) {
 func TestHandshakeRetriesUnderHeavyLoss(t *testing.T) {
 	// 20% loss: the SYN will likely need retransmission but must converge
 	// (deterministically, given the seed).
-	r := newRig(t, 1, netsim.Config{FaultSeed: 99})
+	r := newRig(t, 1, netsim.Config{Seed: 99})
 	r.uniformLoss(0.2)
 	connected := false
 	r.b.Listen(80, func(c *Conn) {})

@@ -68,8 +68,6 @@ type Config struct {
 	Sizes SizeDist
 	// Port is the server port on every destination.
 	Port uint16
-	// Seed drives all randomness.
-	Seed uint64
 }
 
 // Generator launches background flows on a fabric.
@@ -100,7 +98,7 @@ func New(net *netsim.Network, stacks []*transport.Stack, cfg Config) (*Generator
 	if cfg.Port == 0 {
 		cfg.Port = 9900
 	}
-	g := &Generator{cfg: cfg, eng: net.Eng, stacks: stacks, rng: sim.NewRNG(cfg.Seed ^ 0x3017)}
+	g := &Generator{cfg: cfg, eng: net.Eng, stacks: stacks, rng: net.Stream("workload")}
 	listeners := map[int]bool{}
 	for _, pr := range cfg.Pairs {
 		if pr[0] < 0 || pr[0] >= len(stacks) || pr[1] < 0 || pr[1] >= len(stacks) || pr[0] == pr[1] {

@@ -42,7 +42,7 @@ func TestParetoPanicsOnBadParams(t *testing.T) {
 func TestGeneratorRunsFlows(t *testing.T) {
 	g, _ := topo.FatTree(4)
 	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
+	net := netsim.New(eng, g, netsim.Config{Seed: 3})
 	router := &ctrlplane.ProactiveRouter{CFLabel: 88}
 	if _, err := router.Install(net); err != nil {
 		t.Fatal(err)
@@ -55,7 +55,6 @@ func TestGeneratorRunsFlows(t *testing.T) {
 		Pairs:            [][2]int{{0, 15}, {1, 14}, {2, 13}},
 		MeanInterarrival: 500 * time.Microsecond,
 		Sizes:            Pareto{Alpha: 1.3, Min: 1000, Max: 50000},
-		Seed:             3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +97,7 @@ func TestGeneratorDeterministic(t *testing.T) {
 	run := func() (int, int64) {
 		g, _ := topo.FatTree(4)
 		eng := sim.New()
-		net := netsim.New(eng, g, netsim.Config{})
+		net := netsim.New(eng, g, netsim.Config{Seed: 77})
 		router := &ctrlplane.ProactiveRouter{CFLabel: 88}
 		router.Install(net)
 		var stacks []*transport.Stack
@@ -108,7 +107,6 @@ func TestGeneratorDeterministic(t *testing.T) {
 		gen, _ := New(net, stacks, Config{
 			Pairs:            [][2]int{{0, 15}, {3, 9}},
 			MeanInterarrival: time.Millisecond,
-			Seed:             77,
 		})
 		gen.Run(sim.Time(20 * time.Millisecond))
 		eng.Run()
