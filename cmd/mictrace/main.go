@@ -6,6 +6,7 @@
 //
 //	mictrace -node core1 -out /tmp/core1.pcap
 //	mictrace -node edge1_1          # text dump to stdout
+//	mictrace -node edge1_1 -seed 2  # another draw of paths, addresses and slices
 package main
 
 import (
@@ -26,10 +27,11 @@ func main() {
 		size  = flag.Int("size", 20000, "bytes to transfer")
 		mns   = flag.Int("mns", 3, "Mimic Nodes")
 		limit = flag.Int("limit", 2000, "max captured events")
+		seed  = flag.Uint64("seed", 1, "RNG seed (the network's and the controller's)")
 	)
 	flag.Parse()
 
-	rec, err := capture(*node, *size, *mns, *limit)
+	rec, err := capture(*node, *size, *mns, *limit, *seed)
 	if err != nil {
 		fail(err)
 	}
@@ -52,10 +54,11 @@ func main() {
 	fmt.Printf("wrote %d events to %s\n", rec.Len(), *out)
 }
 
-// capture runs one echoed MIC transfer h0 -> h15 on the paper's testbed and
-// returns what the tapped switch (every switch when node is empty) saw.
-func capture(node string, size, mns, limit int) (*trace.Recorder, error) {
-	tb, err := harness.NewTestbed(harness.SchemeMICTCP, 4, netsim.Config{}, mic.Config{MNs: mns}, nil)
+// capture runs one echoed MIC transfer h0 -> h15 on the paper's testbed,
+// seeded seed, and returns what the tapped switch (every switch when node
+// is empty) saw.
+func capture(node string, size, mns, limit int, seed uint64) (*trace.Recorder, error) {
+	tb, err := harness.NewTestbed(harness.SchemeMICTCP, 4, netsim.Config{Seed: seed}, mic.Config{MNs: mns, Seed: seed}, nil)
 	if err != nil {
 		return nil, err
 	}

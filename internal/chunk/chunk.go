@@ -2,21 +2,26 @@
 // a transfer: reference-counted byte arrays, recycled through a per-network
 // pool, and spans of them.
 //
-// A byte written into a chunk is copied nowhere else on its way to the
-// reader: a MIC stream carves its slice frames from chunks, a conn's send
-// queue holds spans of the chunks it was handed (or copied into), and a
-// packet whose segment lies inside one span keeps that span. On the
-// receiving side the conn hands the packet's span on — in order, or after
-// it waited in the conn's out-of-order buffer — and the receiving stream
-// handles each frame where it lies, keeping by reference the head of a
-// frame a segment boundary cut and every slice that must wait for a gap.
-// Bytes in no chunk (a segment gathered from two spans, a secure conn's
-// plaintext) are copied once into chunks of whoever must keep them: the
-// conn's, for a segment that waits out of order, else the stream's. Each
-// holder takes a reference and drops it when done — the stream when the
-// slice is acked or delivered, the conn when the span is acked or
-// delivered, the packet when it is released at its sink — and the chunk
-// returns to its pool only when the last reference goes. A leaked
+// Span is the one representation of payload bytes between a writer and a
+// reader. A byte written into a chunk is copied nowhere else on its way to
+// the reader: a MIC stream carves its slice frames from chunks, a conn's
+// send queue holds spans of the chunks it was handed (or copied into), and
+// a packet whose segment lies inside one span keeps that span; a segment
+// crossing two spans is gathered into a span of the sending conn's own
+// small chunks, which the packet keeps the same way. On the receiving side
+// the conn hands the packet's span on — in order, or after it waited in
+// the conn's out-of-order ring — and the receiver keeps what it must by
+// reference: a MIC stream the head of a frame a segment boundary cut and
+// every slice that must wait for a gap, a secure conn the pieces of a cut
+// record, whose MAC it checks where they lie before decrypting them into a
+// span of its own chunks that it hands up the same way. Only bytes in no
+// chunk (a fabric duplicate or packet-out, which Clone copies out of its
+// chunk; a payload built by hand) are copied, once, into chunks of the
+// receiving conn or of whoever must keep them. Each holder takes a reference and drops it when
+// done — the stream when the slice is acked or delivered, the conn when
+// the span is acked or delivered, the packet when it is released at its
+// sink — and the chunk returns to its pool only when the last reference
+// goes. A leaked
 // reference costs only reuse (the garbage collector still frees the
 // chunk); a reference dropped too early is a use-after-free, which the
 // pool's debug mode turns into poisoned bytes.
@@ -178,7 +183,8 @@ func fillPoison(b []byte) {
 }
 
 // Carver hands out fresh spans of one owner's chunks: a stream's slice
-// frames, a conn's copied-in bytes, a secure conn's sealed records. It
+// frames, a conn's copied-in bytes and gathered segments, a secure conn's
+// sealed and opened records. It
 // holds a reference on the chunk it carves from (the fill chunk), and
 // carves that chunk again from its start whenever that reference is the
 // only one left — every span it handed out has been dropped by every

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"mic/internal/chunk"
+	"mic/internal/ring"
 	"mic/internal/sim"
 )
 
@@ -124,36 +125,6 @@ type flowHealth struct {
 	suspectUntil sim.Time
 }
 
-// fifo is a slice-backed queue, indexed from the front. Popped slots are
-// reclaimed when it empties, or when a push finds the array full and at
-// least half popped: a bounded window cycles through one array, O(1) amortized.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) len() int    { return len(q.items) - q.head }
-func (q *fifo[T]) at(i int) *T { return &q.items[q.head+i] }
-
-func (q *fifo[T]) push(v T) {
-	if len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
-	}
-	q.items = append(q.items, v)
-}
-
-func (q *fifo[T]) pop() T {
-	v := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	if q.head++; q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	}
-	return v
-}
-
 // outSlice tracks one sent-but-unacked slice for retransmission.
 type outSlice struct {
 	frame  chunk.Span // full wire frame (header + padded body): resend verbatim
@@ -170,12 +141,12 @@ type healthMonitor struct {
 	// out is the outstanding set: slices are numbered and released in order,
 	// so it is one consecutive run of sequence numbers, retired from the
 	// front by the cumulative ack and walked in sequence order by the watchdog.
-	out  fifo[outSlice]
+	out  ring.Ring[outSlice]
 	sent []int64 // slices (first-tx + retx) transmitted per conn
 	// sendQ holds the sliced frames waiting for window room as runs: frames
 	// carved one after another from one chunk are one entry. queued counts
 	// the frames.
-	sendQ  fifo[chunk.Span]
+	sendQ  ring.Ring[chunk.Span]
 	queued int
 
 	nextProbe uint32
@@ -274,8 +245,8 @@ func (m *healthMonitor) bestEffortFlow(not int) int {
 // immediately if some m-flow has window room, queued until acks open a
 // window otherwise.
 func (m *healthMonitor) enqueue(frame chunk.Span) {
-	if k := m.sendQ.len(); k == 0 || !joinRun(m.sendQ.at(k-1), frame) {
-		m.sendQ.push(frame)
+	if k := m.sendQ.Len(); k == 0 || !joinRun(m.sendQ.At(k-1), frame) {
+		m.sendQ.Push(frame)
 	}
 	m.queued++
 	m.pump()
@@ -288,22 +259,22 @@ func (m *healthMonitor) enqueue(frame chunk.Span) {
 // from a flow the moment it turns sick, not just future writes. A frame
 // split off the front run takes one of the run's references along.
 func (m *healthMonitor) pump() {
-	for m.sendQ.len() > 0 {
+	for m.sendQ.Len() > 0 {
 		flow := m.pickWindowedFlow()
 		if flow < 0 {
 			return
 		}
-		run := m.sendQ.at(0)
+		run := m.sendQ.At(0)
 		frame := *run
 		if k := frameLen(frame.Bytes()); k < frame.N {
 			frame.N = k
 			run.Off, run.N = run.Off+k, run.N-k
 		} else {
-			m.sendQ.pop()
+			m.sendQ.Pop()
 		}
 		m.queued--
 		m.s.SlicesOut[flow]++
-		m.out.push(outSlice{frame: frame, flow: flow, sentAt: m.s.eng.Now()})
+		m.out.Push(outSlice{frame: frame, flow: flow, sentAt: m.s.eng.Now()})
 		m.sent[flow]++
 		m.s.send(flow, frame)
 	}
@@ -365,8 +336,8 @@ func (m *healthMonitor) onHeard(i int) {
 func (m *healthMonitor) onAck(i int, cumAck uint32, connRecv int64) {
 	m.onHeard(i)
 	m.flows[i].acked = connRecv
-	for m.out.len() > 0 && seqLT32(binary.BigEndian.Uint32(m.out.at(0).frame.Bytes()), cumAck) {
-		m.out.pop().frame.C.Release()
+	for m.out.Len() > 0 && seqLT32(binary.BigEndian.Uint32(m.out.At(0).frame.Bytes()), cumAck) {
+		m.out.Pop().frame.C.Release()
 	}
 	m.pump()
 }
@@ -431,11 +402,11 @@ func (m *healthMonitor) arm() {
 // and arm refuses from then on.
 func (m *healthMonitor) disarm() {
 	m.timer.Stop()
-	for m.out.len() > 0 {
-		m.out.pop().frame.C.Release()
+	for m.out.Len() > 0 {
+		m.out.Pop().frame.C.Release()
 	}
-	for m.sendQ.len() > 0 {
-		run := m.sendQ.pop()
+	for m.sendQ.Len() > 0 {
+		run := m.sendQ.Pop()
 		// One reference per frame; a frame's length is read before its
 		// reference goes, which may be the chunk's last.
 		for b := run.Bytes(); len(b) > 0; {
@@ -490,7 +461,7 @@ func (m *healthMonitor) tick() {
 	if m.probation > 0 {
 		m.probation--
 	}
-	if m.out.len() > 0 || m.sendQ.len() > 0 || m.probation > 0 {
+	if m.out.Len() > 0 || m.sendQ.Len() > 0 || m.probation > 0 {
 		m.arm()
 	}
 }
@@ -514,8 +485,8 @@ func (m *healthMonitor) retxTimeout() time.Duration {
 // sequence-number dedup makes that harmless.
 func (m *healthMonitor) retransmitOverdue(now sim.Time) {
 	timeout := m.retxTimeout()
-	for i := 0; i < m.out.len(); i++ {
-		o := m.out.at(i)
+	for i := 0; i < m.out.Len(); i++ {
+		o := m.out.At(i)
 		// Exponential backoff per slice: a copy may still be crawling in
 		// over a sick-but-alive flow, and re-sending it every timeout
 		// would turn one bad link into a self-inflicted traffic storm.

@@ -102,7 +102,7 @@ func TestChunkOutlivesStreamAck(t *testing.T) {
 	}
 	first, second := pattern(64), bytes.Repeat([]byte{7}, 64)
 	client.Send(first)
-	a, sent := client.health.out.at(0).flow, client.health.out.at(0).sentAt
+	a, sent := client.health.out.At(0).flow, client.health.out.At(0).sentAt
 	b := 1 - a
 	gates[b].open()
 	client.Send(second) // the frame carver moves off S's chunk
@@ -111,18 +111,18 @@ func TestChunkOutlivesStreamAck(t *testing.T) {
 	f.eng.RunUntil(sent.Add(retransmitAfter - time.Millisecond))
 	f.net.SetLinkDown(host, 0, true)
 	f.eng.RunUntil(sent.Add(retransmitAfter))
-	if s := client.health.out.at(0); s.retx != 1 || s.flow != b {
+	if s := client.health.out.At(0); s.retx != 1 || s.flow != b {
 		t.Fatalf("S re-sent %d times, now on flow %d; want once, on flow %d", s.retx, s.flow, b)
 	}
 	f.eng.RunFor(2500 * time.Microsecond)
 	f.net.SetLinkDown(host, 0, false)
 	gates[a].open()
-	for client.health.out.len() > 0 && f.eng.Step() {
+	for client.health.out.Len() > 0 && f.eng.Step() {
 	}
 	st := gates[b].Stats()
 	retx := gates[b].Retransmits
-	if client.health.out.len() != 0 || st.InFlight == 0 {
-		t.Fatalf("when the stream ack retired S: %d slices outstanding, flow B %+v; want none, and B's copy of S unacked", client.health.out.len(), st)
+	if client.health.out.Len() != 0 || st.InFlight == 0 {
+		t.Fatalf("when the stream ack retired S: %d slices outstanding, flow B %+v; want none, and B's copy of S unacked", client.health.out.Len(), st)
 	}
 	f.eng.Run()
 	if gates[b].Retransmits == retx || server.SlicesDup == 0 {
@@ -231,8 +231,8 @@ func TestMICSegmentsAliasStreamFrames(t *testing.T) {
 	conn.OnSpan(func(sp chunk.Span) {
 		segments++
 		at := uintptr(unsafe.Pointer(&sp.Bytes()[0]))
-		for i := 0; i < client.health.out.len(); i++ {
-			fr := client.health.out.at(i).frame.Bytes()
+		for i := 0; i < client.health.out.Len(); i++ {
+			fr := client.health.out.At(i).frame.Bytes()
 			if base := uintptr(unsafe.Pointer(&fr[0])); at >= base && at < base+uintptr(len(fr)) {
 				aliased++
 				break
@@ -253,5 +253,63 @@ func TestMICSegmentsAliasStreamFrames(t *testing.T) {
 	ctl := conn.BytesCopied - helloLen
 	if ctl < 0 || ctl%(sliceHeaderLen+ctlBodyLen) != 0 || ctl*100 > conn.BytesSentApp {
 		t.Fatalf("the sender's conn copied %d of %d bytes; want the hello and whole control frames only", conn.BytesCopied, conn.BytesSentApp)
+	}
+}
+
+// TestStreamReceivesByReference: over an F = 2 channel, every byte a
+// stream receives reaches it as a span, so neither stream copies a
+// received byte in (BytesCopiedIn), and every chunk is back in the pool
+// once both streams closed. Under MIC-TCP a span is the sender's frames
+// where a segment lies in one, else the chunk the sending conn gathered a
+// segment crossing two frames' chunks into (both conns did); under MIC-SSL
+// it is the chunk the secure conn decrypted a record into.
+func TestStreamReceivesByReference(t *testing.T) {
+	for _, secure := range []bool{false, true} {
+		f := newFixture(t, Config{MFlows: 2, MNs: 2})
+		const size = 1 << 20
+		want := pattern(size)
+		var server, client *Stream
+		Listen(f.stacks[15], 80, secure, func(s *Stream) {
+			server = s
+			s.OnData(func(b []byte) { s.Send(b) })
+			s.OnClose(s.Close)
+		})
+		var back []byte
+		c := NewClient(f.stacks[0], f.mc)
+		c.Secure = secure
+		c.Dial(f.hostIP(15).String(), 80, func(s *Stream, err error) {
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			client = s
+			s.OnData(func(b []byte) {
+				if back = append(back, b...); len(back) == size {
+					s.Close()
+				}
+			})
+			s.Send(want)
+		})
+		f.eng.Run()
+		if !bytes.Equal(back, want) {
+			t.Fatalf("secure=%v: echoed %d bytes, want %d intact", secure, len(back), size)
+		}
+		if !secure {
+			var gathered [2]int64
+			for k, s := range []*Stream{client, server} {
+				for _, c := range s.conns {
+					gathered[k] += c.(*transport.Conn).BytesGather
+				}
+			}
+			t.Logf("gathered %d bytes out of the client, %d out of the server", gathered[0], gathered[1])
+			if gathered[0] == 0 || gathered[1] == 0 {
+				t.Fatal("no segment crossed two chunks")
+			}
+		}
+		if client.BytesCopiedIn != 0 || server.BytesCopiedIn != 0 {
+			t.Fatalf("secure=%v: the streams copied %d and %d received bytes in, want 0", secure, client.BytesCopiedIn, server.BytesCopiedIn)
+		}
+		if pl := f.net.ChunkPool(); pl.Gets != pl.Puts {
+			t.Fatalf("secure=%v: %d chunks handed out, %d back in the pool", secure, pl.Gets, pl.Puts)
+		}
 	}
 }

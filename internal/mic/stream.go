@@ -48,7 +48,8 @@ const ackInterval = time.Millisecond
 // per write measured slower: fresh multi-megabyte spans zero slowly.
 const slabChunk = 32 << 10
 
-// recvChunk sizes the chunks a stream copies received bytes into (about
+// recvChunk sizes the chunks a stream copies received bytes into — bytes
+// in no chunk, and the pieces of a frame cut across two chunks (about
 // three segments): a slice held from one pins little, and an unpinned one
 // is carved again from its front. A larger copy gets a chunk of its own
 // size.
@@ -62,9 +63,10 @@ type spanSender interface{ SendSpan(s chunk.Span) }
 // chunkSource is a conn that names the chunk pool of its network.
 type chunkSource interface{ Chunks() *chunk.Pool }
 
-// spanReceiver is a conn that hands the bytes lying in a chunk over as a
-// span (transport.Conn), so the stream can keep them by reference; bytes
-// from any other conn arrive through OnData and are copied once.
+// spanReceiver is a conn that hands every byte over as a span
+// (transport.Conn, transport.SecureConn), so the stream can keep them by
+// reference; bytes from any other conn arrive through OnData and are
+// copied once.
 type spanReceiver interface{ OnSpan(fn func(chunk.Span)) }
 
 // sendCtl sends one control frame on conn i. The frame is built in the
@@ -104,9 +106,10 @@ type Stream struct {
 	frames chunk.Carver
 	ctl    [sliceHeaderLen + ctlBodyLen]byte // sendCtl's scratch frame
 
-	// Incoming. Received bytes are chunk spans: the sender's frames where
-	// the conn names the chunk its bytes lie in, else a copy carved from
-	// recv. A frame is handled where it lies; cut[i] keeps, by reference,
+	// Incoming. Received bytes are chunk spans: the ones the conn hands
+	// over (the sender's frames, the chunk a segment crossing two of them
+	// was gathered into, a secure conn's plaintext), else a copy carved
+	// from recv. A frame is handled where it lies; cut[i] keeps, by reference,
 	// the head of the frame a segment boundary cut on conn i until the bytes
 	// that complete it arrive. A slice arriving in sequence goes straight to
 	// onData; reasm holds references to the others (overtook a gap, or
@@ -140,6 +143,10 @@ type Stream struct {
 	SlicesOut  []int64 // per m-flow first-transmission slice counts (traffic-split evidence)
 	SlicesRetx int64   // slices re-sent over another m-flow
 	SlicesDup  int64   // duplicate slices discarded by the receiver
+	// BytesCopiedIn counts the received bytes the stream copied because no
+	// chunk held them (feedBytes): zero when every conn hands its bytes
+	// over as spans.
+	BytesCopiedIn int64
 }
 
 // newFrame returns an n-byte frame holding a reference on its chunk. A
@@ -198,9 +205,10 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 	for i, c := range conns {
 		i, c := i, c
 		s.ack[i].Bind(eng, func() { s.delayedAck(i) })
-		c.OnData(func(b []byte) { s.feedBytes(i, b) })
 		if r, ok := c.(spanReceiver); ok {
 			r.OnSpan(func(sp chunk.Span) { s.feed(i, sp) })
+		} else {
+			c.OnData(func(b []byte) { s.feedBytes(i, b) })
 		}
 		c.OnClose(func() {
 			s.connClosed[i] = true
@@ -370,15 +378,17 @@ func (s *Stream) dropReceived() {
 func (s *Stream) done() bool { return s.closed || s.failed != nil }
 
 // feedBytes is feed for bytes that lie in no chunk the conn can name (a
-// secure conn's plaintext, a segment the conn gathered or copied): they are
-// copied once into the stream's own chunks, as Conn.Send copies, and fed
-// from there.
+// conn that cannot hand spans over, what a listener buffered before the
+// stream existed): they are copied once into
+// the stream's own chunks, as Conn.Send copies, counted in BytesCopiedIn,
+// and fed from there.
 func (s *Stream) feedBytes(i int, b []byte) {
 	if len(b) == 0 || s.done() {
 		return
 	}
 	sp := s.recv.Carve(len(b), recvChunk)
 	copy(sp.Bytes(), b)
+	s.BytesCopiedIn += int64(len(b))
 	s.feed(i, sp)
 	sp.C.Release()
 }

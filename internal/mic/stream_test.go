@@ -123,8 +123,8 @@ func TestSmallRoundAllocFree(t *testing.T) {
 	if allocs := testing.AllocsPerRun(500, round); allocs != 0 {
 		t.Fatalf("64-byte send/deliver/ack round allocated %v times, want 0", allocs)
 	}
-	if b.BytesRecv != a.BytesSent || a.health.out.len() != 0 {
-		t.Fatalf("rounds did not complete: sent %d, received %d, %d outstanding", a.BytesSent, b.BytesRecv, a.health.out.len())
+	if b.BytesRecv != a.BytesSent || a.health.out.Len() != 0 {
+		t.Fatalf("rounds did not complete: sent %d, received %d, %d outstanding", a.BytesSent, b.BytesRecv, a.health.out.Len())
 	}
 }
 
@@ -141,7 +141,7 @@ func TestBulkSendAllocBudget(t *testing.T) {
 	send := func() {
 		a.Send(data)
 		// Ack whatever was released until the backlog has drained.
-		for m := a.health; m.out.len() > 0; {
+		for m := a.health; m.out.Len() > 0; {
 			ac.take()
 			binary.BigEndian.PutUint32(ack[sliceHeaderLen+1:], a.seqOut-uint32(m.queued))
 			binary.BigEndian.PutUint32(ack[sliceHeaderLen+5:], uint32(m.sent[0]))

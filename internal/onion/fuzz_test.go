@@ -1,20 +1,54 @@
 package onion
 
-import "testing"
+import (
+	"testing"
 
-// FuzzCellParser checks the fixed-size cell reassembler never panics and
-// never emits more cells than the input could contain.
+	"mic/internal/chunk"
+)
+
+// FuzzCellParser feeds a byte stream to the cell parser cut at arbitrary
+// offsets, each piece in a fresh chunk of a debug pool that is recycled —
+// poisoned — as soon as feed returns, and checks the cells it emits against
+// parseCell over the flat stream: the same cells in the same order, every
+// byte of a cut cell read while its piece was live.
 func FuzzCellParser(f *testing.F) {
 	c := cell{circID: 7, cmd: cmdRelay}
-	f.Add(c.marshal())
-	f.Add([]byte{})
-	f.Add(make([]byte, CellSize-1))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	two := append(c.marshal(), (&cell{circID: 8, cmd: cmdCreate}).marshal()...)
+	f.Add(c.marshal(), []byte{100})
+	f.Add([]byte{}, []byte{})
+	f.Add(make([]byte, CellSize-1), []byte{1, 2, 3})
+	f.Add(two, []byte{255, 255, 7, 0, 3})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+		var want []cell
+		for b := data; len(b) >= CellSize; b = b[CellSize:] {
+			want = append(want, parseCell(b))
+		}
+		pool := chunk.NewPool()
+		pool.SetDebug(true)
 		var p cellParser
-		cells := 0
-		p.feed(data, func(cell) { cells++ })
-		if cells > len(data)/CellSize {
-			t.Fatalf("emitted %d cells from %d bytes", cells, len(data))
+		var got []cell
+		for rest, i := data, 0; len(rest) > 0; i++ {
+			n := len(rest)
+			if i < len(cuts) {
+				n = min(n, 1+int(cuts[i])*3)
+			}
+			c := pool.Get(n)
+			s := chunk.Span{C: c, N: n}
+			copy(s.Bytes(), rest[:n])
+			p.feed(s.Bytes(), func(cl cell) { got = append(got, cl) })
+			c.Release()
+			rest = rest[n:]
+		}
+		if len(got) != len(want) {
+			t.Fatalf("emitted %d cells from %d bytes, want %d", len(got), len(data), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("cell %d differs from the flat parse", i)
+			}
+		}
+		if p.have != len(data)%CellSize {
+			t.Fatalf("holds %d bytes of a cut cell, want %d", p.have, len(data)%CellSize)
 		}
 	})
 }

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"mic/internal/addr"
-	"mic/internal/bytequeue"
 )
 
 // Config models the relay cost structure. Constants approximate a
@@ -128,17 +127,31 @@ func parseCell(b []byte) cell {
 	return c
 }
 
-// cellParser reassembles fixed-size cells from a byte stream.
+// cellParser cuts fixed-size cells out of a byte stream. A cell lying
+// inside the bytes it is fed is parsed where it lies; only the head of the
+// one a segment boundary cut is kept, in a fixed array, until the bytes
+// that complete it arrive.
 type cellParser struct {
-	buf bytequeue.Queue
+	cut  [CellSize]byte
+	have int // bytes of cut held
 }
 
+// feed emits every cell that completes in b, in order. b is read only
+// during the call.
 func (p *cellParser) feed(b []byte, emit func(cell)) {
-	p.buf.Append(b)
-	for p.buf.Len() >= CellSize {
-		emit(parseCell(p.buf.Front(CellSize)))
-		p.buf.PopFront(CellSize)
+	if p.have > 0 {
+		k := copy(p.cut[p.have:], b)
+		b = b[k:]
+		if p.have += k; p.have < CellSize {
+			return
+		}
+		p.have = 0
+		emit(parseCell(p.cut[:]))
 	}
+	for ; len(b) >= CellSize; b = b[CellSize:] {
+		emit(parseCell(b))
+	}
+	p.have = copy(p.cut[:], b)
 }
 
 // relayBlob builds a plaintext relay blob.

@@ -65,12 +65,38 @@ func newRelay(dir *Directory, stack *transport.Stack, port uint16, cfg Config) *
 // IP returns the relay's host address.
 func (r *Relay) IP() addr.IP { return r.Stack.Host.IP }
 
-// serveLink parses cells from one inbound link connection.
+// serveLink parses cells from one inbound link connection. A link carries
+// one circuit (a client or an extending relay dials a link per circuit),
+// named by the link's first cell. When the peer closes the link, the relay
+// closes its side and tears that circuit down beyond it, as a Tor relay
+// destroys the circuits of a closed channel.
 func (r *Relay) serveLink(conn *transport.Conn) {
 	var p cellParser
+	var id uint32 // the circuit's ID on this link; client and relay IDs are never 0
 	conn.OnData(func(b []byte) {
-		p.feed(b, func(c cell) { r.handleCell(conn, c) })
+		p.feed(b, func(c cell) {
+			if id == 0 {
+				id = c.circID
+			}
+			r.handleCell(conn, c)
+		})
 	})
+	conn.OnClose(func() {
+		conn.Close()
+		if rc, ok := r.circuits[id]; ok && rc.prev == conn {
+			r.teardown(rc)
+		}
+	})
+}
+
+// teardown closes a circuit's connections beyond this relay.
+func (r *Relay) teardown(rc *relayCirc) {
+	if rc.exit != nil {
+		rc.exit.Close()
+	}
+	if rc.next != nil {
+		rc.next.Close()
+	}
 }
 
 // busy schedules fn after the relay's serial processor frees up plus cost,
@@ -147,12 +173,7 @@ func (r *Relay) forwardCell(rc *relayCirc, c cell) {
 			rc.exit.Send(append([]byte(nil), data...))
 		}
 	case relayEnd:
-		if rc.exit != nil {
-			rc.exit.Close()
-		}
-		if rc.next != nil {
-			rc.next.Close()
-		}
+		r.teardown(rc)
 	}
 }
 

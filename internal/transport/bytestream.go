@@ -9,8 +9,8 @@ package transport
 // the slice handed to an OnData callback is valid only during the call and
 // is read-only — it may be the sender's own bytes, in a chunk the sender
 // will read again to retransmit. A receiver that must keep bytes past the
-// call copies them, or, on a Conn, registers OnSpan and takes a reference
-// on the span's chunk instead. Register OnData before the accept/connect
+// call copies them, or, on a Conn or a SecureConn, registers OnSpan and
+// takes a reference on the span's chunk instead. Register OnData before the accept/connect
 // callback returns — a Conn drops bytes that arrive with no receiver.
 type ByteStream interface {
 	Send(data []byte)

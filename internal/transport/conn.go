@@ -6,6 +6,7 @@ import (
 	"mic/internal/addr"
 	"mic/internal/chunk"
 	"mic/internal/packet"
+	"mic/internal/ring"
 	"mic/internal/sim"
 )
 
@@ -60,8 +61,8 @@ type Conn struct {
 
 	// Receive side.
 	rcvNxt       uint32
-	ooo          map[uint32]chunk.Span // segments that overtook a gap, each holding a reference
-	oooCopies    chunk.Carver          // the chunks a segment in no chunk is copied into to wait in ooo
+	ooo          oooQueue     // segments that overtook a gap, each holding a reference
+	copies       chunk.Carver // the chunks a payload in no chunk is copied into (copyIn)
 	remoteFinned bool
 
 	// RTT estimation (RFC 6298 style).
@@ -77,6 +78,7 @@ type Conn struct {
 	// Counters.
 	BytesSentApp int64 // accepted from the application
 	BytesCopied  int64 // of those, copied in by Send (SendSpan's are referenced)
+	BytesGather  int64 // sent in segments gathered across queued spans (a copy per transmission)
 	BytesRecvApp int64 // delivered to the application
 	Retransmits  int64
 }
@@ -89,10 +91,9 @@ func newConn(s *Stack, tuple packet.FiveTuple, passive bool) *Conn {
 		cwnd:     initialCwnd,
 		ssthresh: initialSsth,
 		rto:      initialRTO,
-		ooo:      make(map[uint32]chunk.Span),
+		sendQ:    newSendQueue(s.chunks),
 	}
-	c.sendQ.own.Pool = s.chunks
-	c.oooCopies.Pool = s.chunks
+	c.copies.Pool = s.chunks
 	c.rtx.Bind(s.eng, c.onTimeout)
 	c.sndUna = c.iss
 	c.sndNxt = c.iss
@@ -132,13 +133,14 @@ func (c *Conn) RemoteAddr() (addr.IP, uint16) { return c.tuple.DstIP, c.tuple.Ds
 // must outlive it.
 func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 
-// OnSpan registers a receiver for the bytes that lie in a chunk — a segment
-// whose payload aliases the sender's span, or one that waited in the
-// out-of-order buffer — so it can keep them past the call by taking a
-// reference on the span's chunk instead of copying. The span is read-only
-// and its reference is the conn's, valid only during the call. A segment
-// in no chunk (gathered from two spans) that arrives in order still goes to
-// OnData's callback; with no OnSpan receiver, every byte does.
+// OnSpan registers a receiver for every byte that arrives, in order, as a
+// span of a chunk — the sender's (a peer conn's segment aliases a span of
+// its queue, or of the chunk a crossing segment was gathered into) or this
+// conn's own, where a payload in no chunk was copied once — so it can keep
+// the bytes past the call by taking a reference on the span's chunk
+// instead of copying. The span is read-only and its reference is the
+// conn's, valid only during the call. A conn with an OnSpan receiver calls
+// no OnData callback.
 func (c *Conn) OnSpan(fn func(chunk.Span)) { c.onSpan = fn }
 
 // OnClose registers a callback fired when the remote side closes.
@@ -190,8 +192,8 @@ func seqLT(a, b uint32) bool { return int32(b-a) > 0 }
 
 // mkPacket builds a frame on a pooled packet carrying n bytes of the send
 // queue from offset off (n == 0: no payload). The payload aliases the
-// queued span that holds it, or is gathered when it crosses spans
-// (sendQueue.load).
+// queued span that holds it, or the span it was gathered into when it
+// crosses spans (sendQueue.load).
 func (c *Conn) mkPacket(flags uint8, seq uint32, off, n int) *packet.Packet {
 	p := c.stack.pool.Get()
 	p.SrcMAC, p.DstMAC = c.stack.Host.MAC, addr.Broadcast
@@ -199,8 +201,8 @@ func (c *Conn) mkPacket(flags uint8, seq uint32, off, n int) *packet.Packet {
 	p.Proto, p.TTL = packet.ProtoTCP, 64
 	p.SrcPort, p.DstPort = c.tuple.SrcPort, c.tuple.DstPort
 	p.Seq, p.Ack, p.Flags, p.Window = seq, c.rcvNxt, flags, 65535
-	if n > 0 {
-		c.sendQ.load(p, off, n)
+	if n > 0 && c.sendQ.load(p, off, n) {
+		c.BytesGather += int64(n)
 	}
 	return p
 }
@@ -452,9 +454,13 @@ func (c *Conn) updateRTT(sample time.Duration) {
 }
 
 // processData accepts one segment's payload b; sp is the span of the chunk
-// b lies in, its C nil if none. A segment that overtook a gap waits in ooo
-// as a span holding a reference: its own, or a copy's carved from
-// oooCopies when it lies in no chunk.
+// b lies in, its C nil if none. A payload in no chunk (a fabric duplicate
+// or packet-out, which Clone copies out of its chunk, or a frame built by
+// hand) is copied once into the conn's own chunks where it needs a span:
+// for an OnSpan receiver, or to wait in ooo. A segment that overtook a gap
+// waits in ooo as a span holding a reference. A waiting segment is
+// delivered when rcvNxt reaches its first byte exactly, and dropped once
+// rcvNxt passes it.
 func (c *Conn) processData(seq uint32, b []byte, sp chunk.Span) {
 	if seqLT(seq, c.rcvNxt) {
 		// Fully or partially old. Trim the old prefix.
@@ -469,37 +475,51 @@ func (c *Conn) processData(seq uint32, b []byte, sp chunk.Span) {
 		}
 	}
 	if seq == c.rcvNxt {
-		c.deliver(b, sp)
+		if sp.C == nil && c.onSpan != nil {
+			sp = c.copyIn(b)
+			c.deliver(b, sp)
+			sp.C.Release()
+		} else {
+			c.deliver(b, sp)
+		}
 		// Drain contiguous out-of-order segments.
-		for {
-			next, ok := c.ooo[c.rcvNxt]
-			if !ok {
+		for c.ooo.Len() > 0 {
+			if seqLT(c.rcvNxt, c.ooo.At(0).seq) {
 				break
 			}
-			delete(c.ooo, c.rcvNxt)
-			c.deliver(next.Bytes(), next)
-			next.C.Release()
+			next := c.ooo.Pop()
+			if next.seq == c.rcvNxt {
+				c.deliver(next.sp.Bytes(), next.sp)
+			}
+			next.sp.C.Release()
 		}
-	} else if _, dup := c.ooo[seq]; !dup {
+	} else if k, ok := c.ooo.slot(seq); ok {
 		if sp.C != nil {
 			sp.C.Retain()
 		} else {
-			sp = c.oooCopies.Grow(len(b))
-			copy(sp.Bytes(), b)
+			sp = c.copyIn(b)
 		}
-		c.ooo[seq] = sp
+		c.ooo.insert(k, oooSegment{seq, sp})
 	}
 	c.sendACK()
 }
 
-// deliver hands the in-order bytes b to the receiver: as their span sp
-// where they lie in a chunk and an OnSpan receiver is registered, as bytes
-// otherwise.
+// copyIn copies b into a span of the conn's own chunks, holding one
+// reference of its own.
+func (c *Conn) copyIn(b []byte) chunk.Span {
+	sp := c.copies.Grow(len(b))
+	copy(sp.Bytes(), b)
+	return sp
+}
+
+// deliver hands the in-order bytes b to the receiver: as their span sp to
+// an OnSpan receiver (processData has put them in a chunk), as bytes to
+// OnData's callback otherwise.
 func (c *Conn) deliver(b []byte, sp chunk.Span) {
 	c.rcvNxt += uint32(len(b))
 	c.BytesRecvApp += int64(len(b))
 	switch {
-	case sp.C != nil && c.onSpan != nil:
+	case c.onSpan != nil:
 		c.onSpan(sp)
 	case c.onData != nil:
 		c.onData(b)
@@ -584,12 +604,10 @@ func (c *Conn) maybeDrop() {
 // queue and its out-of-order segments, and the fill chunks of its copies.
 func (c *Conn) releaseBytes() {
 	c.sendQ.reset()
-	// lint:ignore detrange releases commute: which recycled chunk a later Get reuses shows in no byte and no virtual instant
-	for seq, s := range c.ooo {
-		s.C.Release()
-		delete(c.ooo, seq)
+	for c.ooo.Len() > 0 {
+		c.ooo.Pop().sp.C.Release()
 	}
-	c.oooCopies.Drop()
+	c.copies.Drop()
 }
 
 func (c *Conn) teardown(err *TransportError) {
@@ -650,4 +668,36 @@ func (c *Conn) Stats() ConnStats {
 		TimerArmed:  c.rtx.Armed(),
 		Retransmits: c.Retransmits,
 	}
+}
+
+// oooQueue holds the segments that overtook a gap in sequence order, on a
+// ring. Segments mostly arrive in sequence behind the gap, so an insert is
+// usually a push at the back.
+type oooQueue struct{ ring.Ring[oooSegment] }
+
+// oooSegment is one waiting segment: its first sequence number and its
+// payload, holding a reference on the span's chunk.
+type oooSegment struct {
+	seq uint32
+	sp  chunk.Span
+}
+
+// slot returns where a segment starting at seq goes to keep the queue in
+// sequence order, and false if a segment starting at seq already waits.
+func (q *oooQueue) slot(seq uint32) (int, bool) {
+	k := q.Len()
+	for k > 0 && seqLT(seq, q.At(k-1).seq) {
+		k--
+	}
+	return k, k == 0 || q.At(k-1).seq != seq
+}
+
+// insert puts s at position k (from slot), shifting the later entries
+// back, and takes over the reference s holds.
+func (q *oooQueue) insert(k int, s oooSegment) {
+	q.Push(s)
+	for i := q.Len() - 1; i > k; i-- {
+		*q.At(i) = *q.At(i - 1)
+	}
+	*q.At(k) = s
 }

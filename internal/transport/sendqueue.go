@@ -11,16 +11,30 @@ import (
 // chunks) or handed over by reference (SendSpan: a MIC stream's slice
 // frames, a secure conn's records), and a span that continues the tail
 // entry in the same chunk extends it. A segment lying inside one entry
-// aliases it (the packet takes its own reference); only one that crosses
-// entries is gathered into the packet's buffer. So an acked span's chunk
-// outlives the queue entry for as long as an in-flight packet, a
-// retransmission the stream queued elsewhere or a receiver's out-of-order
-// buffer still holds it.
+// aliases it (the packet takes its own reference); one that crosses
+// entries is gathered into a span of the conn's gather chunks, which the
+// packet aliases the same way. So every segment reaches the receiver as a
+// span, and an acked span's chunk outlives the queue entry for as long as
+// an in-flight packet, a retransmission the stream queued elsewhere or a
+// receiver's out-of-order buffer still holds it.
 type sendQueue struct {
-	spans []chunk.Span // live entries are spans[head:]
-	head  int
-	n     int          // bytes queued
-	own   chunk.Carver // the chunks copied-in bytes go into
+	spans  []chunk.Span // live entries are spans[head:]
+	head   int
+	n      int          // bytes queued
+	own    chunk.Carver // the chunks copied-in bytes go into
+	gather chunk.Carver // the chunks a segment crossing entries is gathered into
+}
+
+// smallChunk sizes the chunks a conn gathers a segment crossing queued
+// spans into and a secure conn decrypts a record into: two full segments,
+// or a few MIC frames, each. One size class for both, so a chunk one
+// endpoint released is taken again by the next carve on any conn of the
+// network; a larger record gets a chunk of its own size.
+const smallChunk = 4 << 10
+
+// newSendQueue returns an empty queue whose chunks come from p.
+func newSendQueue(p *chunk.Pool) sendQueue {
+	return sendQueue{own: chunk.Carver{Pool: p}, gather: chunk.Carver{Pool: p}}
 }
 
 // Len returns the number of queued bytes.
@@ -79,9 +93,10 @@ func (q *sendQueue) popFront(n int) {
 }
 
 // load sets p's payload to the n queued bytes from offset off: an alias of
-// the entry holding them all, or else a copy gathered from the entries they
-// cross. It panics if the range is not queued.
-func (q *sendQueue) load(p *packet.Packet, off, n int) {
+// the entry holding them all, or else of a span of the gather chunks the
+// bytes are copied into from the entries they cross. It panics if the
+// range is not queued. It reports whether the bytes were gathered.
+func (q *sendQueue) load(p *packet.Packet, off, n int) bool {
 	if off < 0 || n <= 0 || off+n > q.n {
 		panic("transport: sendQueue.load out of range")
 	}
@@ -92,16 +107,21 @@ func (q *sendQueue) load(p *packet.Packet, off, n int) {
 	}
 	if s := q.spans[i]; off+n <= s.N {
 		p.SetPayloadSpan(chunk.Span{C: s.C, Off: s.Off + off, N: n})
-		return
+		return false
 	}
-	buf := p.PayloadBuffer(n)
+	g := q.gather.Carve(n, smallChunk)
+	buf := g.Bytes()
 	for k := 0; k < n; i, off = i+1, 0 {
 		k += copy(buf[k:], q.spans[i].Bytes()[off:])
 	}
+	p.SetPayloadSpan(g)
+	g.C.Release() // the packet's reference covers it now
+	return true
 }
 
-// reset drops every entry and the conn's own fill chunk: the conn is gone.
+// reset drops every entry and the conn's fill chunks: the conn is gone.
 func (q *sendQueue) reset() {
 	q.popFront(q.n)
 	q.own.Drop()
+	q.gather.Drop()
 }

@@ -21,9 +21,10 @@ import (
 //	4  release one in-flight packet, in any order
 //	5  the second owner drops one reference it kept (a stream's ack)
 //
-// Both pools poison what they recycle. Every segment must equal the model's
-// bytes when cut and still equal them when its packet is released — after
-// any acks, drops and recycling in between — and once everything is
+// Both pools poison what they recycle. Every segment must carry a span (an
+// alias of its entry, or of the chunk it was gathered into), equal the
+// model's bytes when cut and still equal them when its packet is released —
+// after any acks, drops and recycling in between — and once everything is
 // released every chunk must be back in the pool.
 func FuzzSendQueue(f *testing.F) {
 	f.Add([]byte{0, 9, 0, 2, 0, 0, 3, 1, 0, 4, 0, 0})
@@ -34,7 +35,7 @@ func FuzzSendQueue(f *testing.F) {
 		chunks, packets := chunk.NewPool(), packet.NewPool()
 		chunks.SetDebug(true)
 		packets.SetDebug(true)
-		q := sendQueue{own: chunk.Carver{Pool: chunks}}
+		q := newSendQueue(chunks)
 		other := chunk.Carver{Pool: chunks}
 		var model []byte
 		type segment struct {
@@ -79,6 +80,9 @@ func FuzzSendQueue(f *testing.F) {
 				n := 1 + (a^b*7)%min(MSS, q.Len()-off)
 				p := packets.Get()
 				q.load(p, off, n)
+				if sp := p.PayloadSpan(); sp.C == nil || &sp.Bytes()[0] != &p.Payload[0] {
+					t.Fatalf("step %d: segment [%d,+%d) carries no span", step, off, n)
+				}
 				if !bytes.Equal(p.Payload, model[off:off+n]) {
 					t.Fatalf("step %d: segment [%d,+%d) differs from the queued bytes at %d", step, off, n, diffAt(p.Payload, model[off:off+n]))
 				}
@@ -138,12 +142,13 @@ func diffAt(a, b []byte) int {
 // TestSegmentAliasesItsSpan pins the copy ledger of a cut: a segment lying
 // inside one queued span carries that span's bytes themselves (pointer
 // identity) and holds a reference on its chunk until the packet is
-// released; a segment crossing two spans is gathered into the packet's own
-// buffer; Clone copies either way.
+// released; a segment crossing two spans is gathered into a span of the
+// queue's own 4 KiB gather chunks, which the packet aliases the same way,
+// so the receiver gets it as a span too; Clone copies either way.
 func TestSegmentAliasesItsSpan(t *testing.T) {
 	chunks, packets := chunk.NewPool(), packet.NewPool()
 	w := chunk.Carver{Pool: chunks}
-	q := sendQueue{own: chunk.Carver{Pool: chunks}}
+	q := newSendQueue(chunks)
 	a := w.Carve(2000, 2000)
 	b := w.Carve(2000, 2000) // a new chunk: b does not continue a
 	fillPattern(a.Bytes(), 1)
@@ -174,7 +179,7 @@ func TestSegmentAliasesItsSpan(t *testing.T) {
 	p.Release()
 	q.reset()
 
-	q = sendQueue{own: chunk.Carver{Pool: chunks}}
+	q = newSendQueue(chunks)
 	c, gap, d := w.Carve(700, 2000), w.Carve(1, 2000), w.Carve(700, 2000)
 	gap.C.Release() // d does not continue c
 	fillPattern(c.Bytes(), 3)
@@ -183,14 +188,18 @@ func TestSegmentAliasesItsSpan(t *testing.T) {
 	q.push(d)
 	p = packets.Get()
 	q.load(p, 200, 1000)
-	if p.PayloadSpan().C != nil || &p.Payload[0] == &c.Bytes()[200] {
-		t.Fatal("a segment crossing spans was not gathered into the packet's buffer")
+	g := p.PayloadSpan()
+	if g.C == nil || g.C == c.C || g.C == d.C || g.N != 1000 || &p.Payload[0] != &g.Bytes()[0] {
+		t.Fatal("a segment crossing spans was not gathered into a span of the queue's own chunks")
 	}
 	if !bytes.Equal(p.Payload, append(append([]byte(nil), c.Bytes()[200:]...), d.Bytes()[:500]...)) {
 		t.Fatal("the gathered segment differs from the spans it crosses")
 	}
+	q.reset() // the packet's reference keeps the gathered bytes
+	if !bytes.Equal(p.Payload, append(append([]byte(nil), c.Bytes()[200:]...), d.Bytes()[:500]...)) {
+		t.Fatal("the gathered segment changed when the queue let go of it")
+	}
 	p.Release()
-	q.reset()
 	w.Drop()
 	if chunks.Gets != chunks.Puts {
 		t.Fatalf("%d chunks handed out, %d back in the pool", chunks.Gets, chunks.Puts)
@@ -317,6 +326,61 @@ func TestChunksQuiesceAfterFaultyTransfer(t *testing.T) {
 	st := r.net.Stats
 	if taps == 0 || st.Duplicated == 0 || st.Corrupted == 0 {
 		t.Fatalf("faults did not bite: %d taps, %d duplicated, %d corrupted", taps, st.Duplicated, st.Corrupted)
+	}
+	if pl := r.net.ChunkPool(); pl.Gets != pl.Puts {
+		t.Fatalf("%d chunks handed out, %d back in the pool", pl.Gets, pl.Puts)
+	}
+}
+
+// TestChunksQuiesceAfterSSLClose: an SSL transfer each way through links
+// that lose, duplicate and reorder frames, then the client sends half a
+// record and closes. The server's record reader holds the cut record's
+// pieces by reference when the FIN arrives; once both sides closed, every
+// chunk is back in the pool.
+func TestChunksQuiesceAfterSSLClose(t *testing.T) {
+	r := newRig(t, 3, netsim.Config{Seed: 5})
+	for _, node := range r.graph.Nodes {
+		for p := range node.Ports {
+			r.net.SetLinkFault(node.ID, p, netsim.FaultProfile{Loss: 0.01, Dup: 0.02, Reorder: 0.2})
+		}
+	}
+	const size = 200 << 10
+	want := pattern(size)
+	var server *SecureConn
+	got := 0
+	r.b.ListenSSL(443, func(sc *SecureConn) {
+		server = sc
+		sc.OnData(func(b []byte) {
+			if got += len(b); got == size {
+				sc.Send(want)
+			}
+		})
+		sc.OnClose(sc.Close)
+	})
+	var client *SecureConn
+	var back []byte
+	r.a.DialSSL(r.b.Host.IP, 443, func(sc *SecureConn, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		client = sc
+		sc.OnData(func(b []byte) { back = append(back, b...) })
+		sc.Send(want)
+	})
+	r.eng.Run()
+	if got != size || !bytes.Equal(back, want) {
+		t.Fatalf("delivered %d and %d bytes, want %d each way", got, len(back), size)
+	}
+	half := frameRecord(recordTypeData, pattern(100))
+	client.C.Send(half[:60])
+	r.eng.Run()
+	if server.records.have != 60 || len(server.records.part) == 0 {
+		t.Fatalf("the server holds %d bytes of the cut record, want 60", server.records.have)
+	}
+	client.Close()
+	r.eng.Run()
+	if server.records.have != 0 {
+		t.Fatal("the server's conn closed with a cut record still held")
 	}
 	if pl := r.net.ChunkPool(); pl.Gets != pl.Puts {
 		t.Fatalf("%d chunks handed out, %d back in the pool", pl.Gets, pl.Puts)

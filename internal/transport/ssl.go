@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"mic/internal/addr"
-	"mic/internal/bytequeue"
 	"mic/internal/chunk"
 )
 
@@ -47,9 +46,11 @@ type SecureConn struct {
 	macIn      hash.Hash
 	mac        [sha256.Size]byte // sum's scratch
 	out        chunk.Carver      // where Send seals records
-	recvBuf    bytequeue.Queue
-	onRecord   func(typ byte, payload []byte) // the current handshake step, then decrypt
+	in         chunk.Carver      // where a verified record is decrypted
+	records    recordReader
+	onRecord   func(typ byte, payload []byte) // the current handshake step
 	onData     func([]byte)
+	onSpan     func(chunk.Span)
 	onClose    func()
 	busyUntil  int64 // virtual-ns until which this conn's CPU is busy
 	seqOut     uint64
@@ -89,10 +90,9 @@ func (s *Stack) DialSSL(dst addr.IP, port uint16, onReady func(*SecureConn, erro
 			sc.chargeCrypto(sslHandshakeClientCost)
 			c.Send(frameRecord(recordTypeHandshake, []byte("finished")))
 			sc.handshaken = true
-			sc.installDataPath()
 			onReady(sc, nil)
 		}
-		c.OnData(sc.feed)
+		c.OnSpan(sc.records.feed)
 	})
 }
 
@@ -116,18 +116,21 @@ func (s *Stack) ListenSSL(port uint16, onReady func(*SecureConn)) *Listener {
 				step = 1
 			case step == 1 && typ == recordTypeHandshake:
 				sc.handshaken = true
-				sc.installDataPath()
 				onReady(sc)
 			}
 		}
-		c.OnData(sc.feed)
+		c.OnSpan(sc.records.feed)
 	})
 }
 
-// newSecureConn wraps c; its records are sealed into chunks of c's pool.
+// newSecureConn wraps c; its records are sealed into, and decrypted into,
+// chunks of c's pool.
 func newSecureConn(c *Conn) *SecureConn {
 	sc := &SecureConn{C: c, stack: c.stack}
 	sc.out.Pool = c.stack.chunks
+	sc.in.Pool = c.stack.chunks
+	sc.records.emit = sc.record
+	c.OnClose(sc.connClosed)
 	return sc
 }
 
@@ -192,60 +195,78 @@ func (sc *SecureConn) deriveKeys(master [32]byte, isClient bool) {
 	}
 }
 
-// feed is the underlying conn's receive callback for its whole life: every
-// complete record goes to whichever handler is current at its turn. The
-// payload aliases the queue and is popped once the handler returns.
-func (sc *SecureConn) feed(b []byte) {
-	sc.recvBuf.Append(b)
-	for {
-		typ, payload, ok := splitRecord(&sc.recvBuf)
-		if !ok {
-			return
-		}
-		sc.onRecord(typ, payload)
-		sc.recvBuf.PopFront(sslRecordHeaderLen + len(payload))
+// record handles one complete record, whose bytes — header included — are
+// the pieces rec (valid only during the call): a handshake record goes to
+// the current handshake step, gathered into bytes of its own; once the
+// handshake is done, a data record is opened.
+func (sc *SecureConn) record(rec []chunk.Span) {
+	if sc.handshaken {
+		sc.open(rec)
+		return
 	}
+	b := make([]byte, spansLen(rec))
+	readSpans(rec, 0, b)
+	sc.onRecord(b[0], b[sslRecordHeaderLen:])
 }
 
-// installDataPath switches the record handler to decrypt-and-deliver; the
-// record is decrypted in place in the receive queue.
-func (sc *SecureConn) installDataPath() {
-	sc.onRecord = func(typ byte, payload []byte) {
-		if typ != recordTypeData || len(payload) < sslMACLen {
-			return
-		}
-		body, mac := payload[:len(payload)-sslMACLen], payload[len(payload)-sslMACLen:]
-		sc.chargeCrypto(sslPerRecordCost + time.Duration(len(body))*sslPerByteCost)
-		if !sc.checkMAC(body, mac) {
-			return // corrupted record: drop
-		}
-		sc.dec.XORKeyStream(body, body)
-		sc.BytesRecvApp += int64(len(body))
-		if sc.onData != nil {
-			sc.onData(body)
-		}
+// open checks a data record's MAC over its ciphertext where the pieces
+// lie, and only then decrypts them into a span carved from the secure
+// conn's own chunks, which it hands up: to OnSpan's receiver if one is
+// registered, else to OnData's. A record that fails its MAC is dropped
+// without advancing the decryption stream, and no byte of the sender's
+// chunks is ever written.
+func (sc *SecureConn) open(rec []chunk.Span) {
+	var hdr [sslRecordHeaderLen]byte
+	readSpans(rec, 0, hdr[:])
+	payload := spansLen(rec) - sslRecordHeaderLen
+	if hdr[0] != recordTypeData || payload < sslMACLen {
+		return
 	}
-	sc.C.OnClose(func() {
-		if sc.onClose != nil {
-			sc.onClose()
-		}
-	})
-}
-
-func (sc *SecureConn) checkMAC(body, mac []byte) bool {
-	ok := hmac.Equal(sc.sum(sc.macIn, sc.seqIn, body), mac)
+	n := payload - sslMACLen
+	sc.chargeCrypto(sslPerRecordCost + time.Duration(n)*sslPerByteCost)
+	var mac [sslMACLen]byte
+	readSpans(rec, sslRecordHeaderLen+n, mac[:])
+	ok := hmac.Equal(sc.sum(sc.macIn, sc.seqIn, rec, sslRecordHeaderLen, n), mac[:])
 	sc.seqIn++
-	return ok
+	if !ok || n == 0 {
+		return // corrupted record: drop
+	}
+	pt := sc.in.Carve(n, smallChunk)
+	dst := pt.Bytes()
+	eachSpan(rec, sslRecordHeaderLen, n, func(b []byte) {
+		sc.dec.XORKeyStream(dst, b)
+		dst = dst[len(b):]
+	})
+	sc.BytesRecvApp += int64(n)
+	switch {
+	case sc.onSpan != nil:
+		sc.onSpan(pt)
+	case sc.onData != nil:
+		sc.onData(pt.Bytes())
+	}
+	pt.C.Release()
 }
 
-// sum returns the truncated MAC of record number seq with body b, computed
-// by h, which it resets first, in sc.mac (which also stages seq: a local
-// array would escape through the hash.Hash interface).
-func (sc *SecureConn) sum(h hash.Hash, seq uint64, b []byte) []byte {
+// connClosed runs when the underlying conn closes: no more bytes arrive,
+// so the pieces of a record they left cut and the chunk records are
+// decrypted into are dropped, and the receiver is told.
+func (sc *SecureConn) connClosed() {
+	sc.records.reset()
+	sc.in.Drop()
+	if sc.onClose != nil {
+		sc.onClose()
+	}
+}
+
+// sum returns the truncated MAC of record number seq whose body is the n
+// bytes from offset off of rec's pieces, computed by h, which it resets
+// first, in sc.mac (which also stages seq: a local array would escape
+// through the hash.Hash interface).
+func (sc *SecureConn) sum(h hash.Hash, seq uint64, rec []chunk.Span, off, n int) []byte {
 	h.Reset()
 	binary.BigEndian.PutUint64(sc.mac[:8], seq)
 	h.Write(sc.mac[:8])
-	h.Write(b)
+	eachSpan(rec, off, n, func(b []byte) { h.Write(b) })
 	return h.Sum(sc.mac[:0])[:sslMACLen]
 }
 
@@ -259,29 +280,43 @@ func (sc *SecureConn) Send(data []byte) {
 	sc.BytesSentApp += int64(len(data))
 	for len(data) > 0 {
 		n := min(len(data), maxRecordPayload)
-		rec := sc.out.Grow(sslRecordHeaderLen + n + sslMACLen)
-		b := rec.Bytes()
-		putRecordHeader(b, recordTypeData, n+sslMACLen)
-		ct := b[sslRecordHeaderLen : sslRecordHeaderLen+n]
-		sc.enc.XORKeyStream(ct, data[:n])
+		rec := sc.seal(data[:n])
 		data = data[n:]
-		copy(b[sslRecordHeaderLen+n:], sc.sum(sc.macOut, sc.seqOut, ct))
-		sc.seqOut++
 		sc.chargeCrypto(sslPerRecordCost + time.Duration(n)*sslPerByteCost)
 		sc.C.SendSpan(rec)
 		rec.C.Release()
 	}
 }
 
+// seal seals pt as one data record into a span of the secure conn's
+// chunks, holding one reference of its own.
+func (sc *SecureConn) seal(pt []byte) chunk.Span {
+	n := len(pt)
+	rec := sc.out.Grow(sslRecordHeaderLen + n + sslMACLen)
+	b := rec.Bytes()
+	putRecordHeader(b, recordTypeData, n+sslMACLen)
+	sc.enc.XORKeyStream(b[sslRecordHeaderLen:sslRecordHeaderLen+n], pt)
+	copy(b[sslRecordHeaderLen+n:], sc.sum(sc.macOut, sc.seqOut, []chunk.Span{rec}, sslRecordHeaderLen, n))
+	sc.seqOut++
+	return rec
+}
+
 // OnData registers the plaintext receive callback (ByteStream's contract:
 // records arriving with none are dropped; fn's slice dies when fn returns).
 func (sc *SecureConn) OnData(fn func([]byte)) { sc.onData = fn }
+
+// OnSpan registers a receiver for each record's plaintext as a span of the
+// secure conn's chunks, so it can keep the bytes past the call by taking a
+// reference instead of copying (Conn.OnSpan's contract). It takes
+// precedence over OnData's callback.
+func (sc *SecureConn) OnSpan(fn func(chunk.Span)) { sc.onSpan = fn }
 
 // OnClose registers a close callback.
 func (sc *SecureConn) OnClose(fn func()) { sc.onClose = fn }
 
 // Close closes the underlying connection and drops the chunk records are
-// sealed into.
+// sealed into. What the receive side holds goes when the conn has closed
+// both ways (connClosed): the peer's bytes may still arrive until then.
 func (sc *SecureConn) Close() {
 	sc.C.Close()
 	sc.out.Drop()
@@ -317,16 +352,91 @@ func putRecordHeader(b []byte, typ byte, n int) {
 	b[3] = 0
 }
 
-// splitRecord returns the complete record at the front of q, if any, without
-// consuming it: it occupies sslRecordHeaderLen+len(payload) bytes.
-func splitRecord(q *bytequeue.Queue) (typ byte, payload []byte, ok bool) {
-	if q.Len() < sslRecordHeaderLen {
-		return 0, nil, false
+// recordReader cuts the records out of the spans a conn hands over (an
+// OnSpan receiver). A record lying inside one span is handed to emit as
+// that span, where it lies; the pieces of a record that span boundaries
+// cut are kept by reference until the bytes that complete it arrive, and
+// then handed over together. Nothing is copied.
+type recordReader struct {
+	emit func(rec []chunk.Span) // rec: the record's bytes, header included, valid during the call
+	part []chunk.Span           // the cut record's pieces, each holding a reference
+	have int                    // bytes in part
+}
+
+// feed takes the bytes in, valid only during the call under the caller's
+// reference, and emits every record that completes in them, in order.
+func (r *recordReader) feed(in chunk.Span) {
+	for in.N > 0 {
+		n := r.recordLen(in)
+		if n == 0 || r.have+in.N < n { // the record is cut again: keep in
+			in.C.Retain()
+			r.part = append(r.part, in)
+			r.have += in.N
+			return
+		}
+		k := n - r.have
+		r.part = append(r.part, chunk.Span{C: in.C, Off: in.Off, N: k})
+		in.Off, in.N = in.Off+k, in.N-k
+		r.emit(r.part)
+		r.part[len(r.part)-1] = chunk.Span{} // in's piece holds no reference of its own
+		r.part = r.part[:len(r.part)-1]
+		r.reset()
 	}
-	n := sslRecordHeaderLen + int(binary.BigEndian.Uint16(q.Front(sslRecordHeaderLen)[1:3]))
-	if q.Len() < n {
-		return 0, nil, false
+}
+
+// recordLen returns the length of the record that starts with the cut
+// pieces and continues with in, zero while its header is incomplete.
+func (r *recordReader) recordLen(in chunk.Span) int {
+	if r.have+in.N < sslRecordHeaderLen {
+		return 0
 	}
-	rec := q.Front(n)
-	return rec[0], rec[sslRecordHeaderLen:], true
+	var hdr [sslRecordHeaderLen]byte
+	k := readSpans(r.part, 0, hdr[:min(r.have, sslRecordHeaderLen)])
+	copy(hdr[k:], in.Bytes())
+	return sslRecordHeaderLen + int(binary.BigEndian.Uint16(hdr[1:3]))
+}
+
+// reset drops the pieces of a cut record.
+func (r *recordReader) reset() {
+	for i, p := range r.part {
+		p.C.Release()
+		r.part[i] = chunk.Span{}
+	}
+	r.part, r.have = r.part[:0], 0
+}
+
+// spansLen returns how many bytes the spans hold.
+func spansLen(ss []chunk.Span) int {
+	n := 0
+	for _, s := range ss {
+		n += s.N
+	}
+	return n
+}
+
+// eachSpan calls fn on each piece of the n bytes from offset off of the
+// spans' concatenation, in order.
+func eachSpan(ss []chunk.Span, off, n int, fn func([]byte)) {
+	for _, s := range ss {
+		if n == 0 {
+			return
+		}
+		if off >= s.N {
+			off -= s.N
+			continue
+		}
+		b := s.Bytes()[off:]
+		b = b[:min(len(b), n)]
+		fn(b)
+		n -= len(b)
+		off = 0
+	}
+}
+
+// readSpans copies the bytes from offset off of the spans' concatenation
+// into dst and returns how many it copied.
+func readSpans(ss []chunk.Span, off int, dst []byte) int {
+	k := 0
+	eachSpan(ss, off, len(dst), func(b []byte) { k += copy(dst[k:], b) })
+	return k
 }

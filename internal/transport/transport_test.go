@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"mic/internal/bytequeue"
+	"mic/internal/chunk"
 	"mic/internal/ctrlplane"
 	"mic/internal/netsim"
 	"mic/internal/sim"
@@ -21,7 +21,7 @@ type rig struct {
 	graph *topo.Graph
 }
 
-func newRig(t *testing.T, switches int, cfg netsim.Config) *rig {
+func newRig(t testing.TB, switches int, cfg netsim.Config) *rig {
 	t.Helper()
 	g, err := topo.Linear(switches)
 	if err != nil {
@@ -443,29 +443,50 @@ func TestSSLHandshakeSlowerThanTCP(t *testing.T) {
 	}
 }
 
+// TestRecordFraming: the record reader emits nothing for a cut header or a
+// cut payload, keeps the pieces by reference until the record completes,
+// then emits it whole (header included) and a record lying in one span as
+// that span itself; a reset drops the pieces of a record left cut.
 func TestRecordFraming(t *testing.T) {
+	pool := chunk.NewPool()
+	pool.SetDebug(true)
+	var got [][]chunk.Span // each record's pieces
+	var bodies [][]byte    // each record's bytes, read while they are valid
+	r := recordReader{emit: func(rec []chunk.Span) {
+		got = append(got, append([]chunk.Span(nil), rec...))
+		b := make([]byte, spansLen(rec))
+		readSpans(rec, 0, b)
+		bodies = append(bodies, b)
+	}}
+	w := chunk.Carver{Pool: pool}
+	feed := func(b []byte) chunk.Span {
+		s := w.Carve(len(b), 64)
+		copy(s.Bytes(), b)
+		r.feed(s)
+		s.C.Release()
+		return s
+	}
 	rec := frameRecord(recordTypeData, []byte("abc"))
-	var q bytequeue.Queue
-	// Partial buffers must not yield a record.
-	q.Append(rec[:2])
-	if _, _, ok := splitRecord(&q); ok {
-		t.Fatal("partial header yielded a record")
+	feed(rec[:2])
+	feed(rec[2 : len(rec)-1])
+	if len(got) != 0 || r.have != len(rec)-1 {
+		t.Fatalf("a cut record emitted %d records, holds %d bytes", len(got), r.have)
 	}
-	q.Append(rec[2 : len(rec)-1])
-	if _, _, ok := splitRecord(&q); ok {
-		t.Fatal("partial payload yielded a record")
+	second := frameRecord(recordTypeHandshake, []byte("xy"))
+	whole := feed(append(append(rec[len(rec)-1:], second...), frameRecord(recordTypeData, []byte("z"))[:3]...))
+	if len(got) != 2 || r.have != 3 {
+		t.Fatalf("emitted %d records, holding %d bytes; want 2, 3", len(got), r.have)
 	}
-	// Two records back-to-back.
-	q.Append(rec[len(rec)-1:])
-	q.Append(frameRecord(recordTypeHandshake, []byte("xy")))
-	typ, payload, ok := splitRecord(&q)
-	if !ok || typ != recordTypeData || string(payload) != "abc" {
-		t.Fatalf("framing round trip failed: %v %q %v", typ, payload, ok)
+	if len(got[0]) != 3 || !bytes.Equal(bodies[0], rec) {
+		t.Fatalf("the cut record came back as %d pieces %q, want 3 pieces %q", len(got[0]), bodies[0], rec)
 	}
-	q.PopFront(sslRecordHeaderLen + len(payload))
-	typ, payload, ok = splitRecord(&q)
-	if !ok || typ != recordTypeHandshake || string(payload) != "xy" || q.Len() != sslRecordHeaderLen+2 {
-		t.Fatal("second record failed")
+	if len(got[1]) != 1 || got[1][0] != (chunk.Span{C: whole.C, Off: whole.Off + 1, N: len(second)}) || !bytes.Equal(bodies[1], second) {
+		t.Fatal("a record lying in one span was not emitted where it lies")
+	}
+	r.reset()
+	w.Drop()
+	if pool.Gets != pool.Puts {
+		t.Fatalf("%d chunks handed out, %d back in the pool", pool.Gets, pool.Puts)
 	}
 }
 
