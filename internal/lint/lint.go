@@ -32,7 +32,7 @@ type Analyzer struct {
 
 	// DeterministicOnly restricts the analyzer to packages carrying the
 	// `// lint:deterministic` directive. Analyzers that enforce invariants
-	// of virtual-time code (detrange, virtclock) set this; structural
+	// of virtual-time code (detrange, virtclock, unreadseed) set this; structural
 	// checks (handlerblock, addrleak, errdrop) run everywhere.
 	DeterministicOnly bool
 
@@ -189,5 +189,5 @@ func Run(analyzers []*Analyzer, pkgs []*Package, prog *Program) ([]Finding, erro
 // determinism checks, then the anonymity contract (addrleak), errdrop and
 // unused.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{DetRange, VirtClock, HandlerBlock, AddrLeak, ErrDrop, Unused}
+	return []*Analyzer{DetRange, VirtClock, UnreadSeed, HandlerBlock, AddrLeak, ErrDrop, Unused}
 }

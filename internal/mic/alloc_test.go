@@ -107,7 +107,7 @@ func TestClosedChannelStorageReused(t *testing.T) {
 		if firstEntry(f.mc, next.ID) != old {
 			t.Fatal("the next dial's first entry is not in the closed channel's slab")
 		}
-		checkBooks(t, f.mc)
+		verify(t, f)
 	})
 
 	t.Run("close with a switch down", func(t *testing.T) {
@@ -129,7 +129,7 @@ func TestClosedChannelStorageReused(t *testing.T) {
 		if firstEntry(f.mc, next.ID) == old {
 			t.Fatal("the next dial reused the slab of a close a dead switch never confirmed")
 		}
-		checkBooks(t, f.mc)
+		verify(t, f)
 	})
 
 	t.Run("repair purge confirmed", func(t *testing.T) {
@@ -148,8 +148,7 @@ func TestClosedChannelStorageReused(t *testing.T) {
 		if firstEntry(f.mc, next.ID) != old {
 			t.Fatal("the next dial's first entry is not in the superseded epoch's slab")
 		}
-		checkBooks(t, f.mc)
-		checkTables(t, f.mc)
+		verify(t, f)
 	})
 
 	t.Run("repair purge with a switch down", func(t *testing.T) {
@@ -171,8 +170,7 @@ func TestClosedChannelStorageReused(t *testing.T) {
 		if firstEntry(f.mc, next.ID) == old {
 			t.Fatal("the next dial reused the slab of a purge a dead switch never confirmed")
 		}
-		checkBooks(t, f.mc)
-		checkTables(t, f.mc)
+		verify(t, f)
 	})
 
 	t.Run("journal-replayed channel", func(t *testing.T) {
@@ -200,7 +198,7 @@ func TestClosedChannelStorageReused(t *testing.T) {
 			t.Fatal("the next dial reused a slab the dead controller life carved")
 		}
 		f.settle(3 * time.Second)
-		checkClusterReplay(t, f.cl)
+		verify(t, f)
 	})
 }
 

@@ -9,25 +9,14 @@ import (
 	"mic/internal/maga"
 	"mic/internal/netsim"
 	"mic/internal/sim"
-	"mic/internal/topo"
 )
 
 // churnBed is fat-tree(8) under a cluster (one active, one standby) with the
 // benchmark's dial options: three MNs, two m-flows, widths fitted to 80
 // switches.
-func churnBed(t *testing.T) (*sim.Engine, *netsim.Network, *Cluster) {
+func churnBed(t *testing.T) *fixture {
 	t.Helper()
-	g, err := topo.FatTree(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
-	cl, err := NewCluster(net, Config{MNs: 3, MFlows: 2, Widths: maga.FitWidths(len(g.Switches()))}, ClusterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return eng, net, cl
+	return buildFixture(t, 8, netsim.Config{}, Config{MNs: 3, MFlows: 2, Widths: maga.FitWidths(80)}, &ClusterConfig{})
 }
 
 // TestAckImpliesInstalledUnderChurn is the safety property southbound
@@ -42,7 +31,8 @@ func churnBed(t *testing.T) (*sim.Engine, *netsim.Network, *Cluster) {
 func TestAckImpliesInstalledUnderChurn(t *testing.T) {
 	const hold = 5 * time.Millisecond
 
-	eng, net, cl := churnBed(t)
+	f := churnBed(t)
+	eng, net, cl := f.eng, f.net, f.cl
 	hosts := net.Graph.Hosts()
 	var idle time.Duration
 	cl.EstablishChannel(net.Graph.Node(hosts[0]).IP, net.Graph.Node(hosts[len(hosts)-1]).IP.String(), ChannelOptions{},
@@ -68,7 +58,8 @@ func TestAckImpliesInstalledUnderChurn(t *testing.T) {
 		{"burst 60k/s", 1200, 60000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			eng, net, cl := churnBed(t)
+			f := churnBed(t)
+			eng, net, cl := f.eng, f.net, f.cl
 			mc := cl.ActiveMC()
 			common := 0
 			for _, sw := range net.Switches() {
@@ -91,7 +82,7 @@ func TestAckImpliesInstalledUnderChurn(t *testing.T) {
 							t.Fatalf("dial issued at %v failed after %d answers: %v", d.At, len(lat), err)
 						}
 						lat = append(lat, time.Duration(eng.Now())-d.At)
-						checkBooksClosing(t, mc)
+						checkBooks(t, mc)
 						for _, r := range mc.channels[info.ID].rules {
 							tbl := net.Switch(r.node).Table
 							if r.group != nil {
@@ -132,12 +123,11 @@ func TestAckImpliesInstalledUnderChurn(t *testing.T) {
 			for _, sw := range net.Switches() {
 				left += sw.Table.Len()
 			}
-			checkBooks(t, mc)
-			stale, missing := cl.Audit()
-			if left != 0 || mc.flowIDs.inUse() != 0 || mc.LiveChannels() != 0 || stale != 0 || missing != 0 {
-				t.Fatalf("after drain: %d m-flow rules installed, %d flow IDs held, %d channels live, audit stale=%d missing=%d",
-					left, mc.flowIDs.inUse(), mc.LiveChannels(), stale, missing)
+			if left != 0 || mc.flowIDs.inUse() != 0 || mc.LiveChannels() != 0 {
+				t.Fatalf("after drain: %d m-flow rules installed, %d flow IDs held, %d channels live",
+					left, mc.flowIDs.inUse(), mc.LiveChannels())
 			}
+			verify(t, f)
 		})
 	}
 }

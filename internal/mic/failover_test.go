@@ -6,58 +6,13 @@ import (
 	"testing"
 	"time"
 
-	"mic/internal/netsim"
 	"mic/internal/sim"
-	"mic/internal/topo"
-	"mic/internal/transport"
 )
-
-// clusterFixture is the failover-test testbed: a fat-tree fabric run by a
-// mic.Cluster (active + standby) instead of a standalone MC.
-type clusterFixture struct {
-	eng    *sim.Engine
-	net    *netsim.Network
-	cl     *Cluster
-	stacks []*transport.Stack
-	graph  *topo.Graph
-}
-
-func newClusterFixture(t testing.TB, cfg Config, ccfg ClusterConfig) *clusterFixture {
-	return newClusterFixtureOn(t, cfg, ccfg, 0)
-}
-
-// newClusterFixtureOn is newClusterFixture on a network seeded netSeed.
-func newClusterFixtureOn(t testing.TB, cfg Config, ccfg ClusterConfig, netSeed uint64) *clusterFixture {
-	t.Helper()
-	g, err := topo.FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{PoolDebug: true, Seed: netSeed})
-	cl, err := NewCluster(net, cfg, ccfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &clusterFixture{eng: eng, net: net, cl: cl, graph: g}
-	for _, hid := range g.Hosts() {
-		f.stacks = append(f.stacks, transport.NewStack(net.Host(hid)))
-	}
-	return f
-}
-
-// settle drives the engine to the deadline, cancels the cluster's perpetual
-// tickers, and drains what remains.
-func (f *clusterFixture) settle(deadline time.Duration) {
-	f.eng.RunUntil(sim.Time(deadline))
-	f.cl.Stop()
-	f.eng.Run()
-}
 
 // clusterTransfer runs one from->to transfer of data over the cluster and
 // returns the received bytes and the wall time from first to last byte.
 // killAt > 0 crashes controller host 0 at that virtual time.
-func clusterTransfer(t *testing.T, f *clusterFixture, data []byte, killAt, deadline time.Duration) ([]byte, time.Duration) {
+func clusterTransfer(t *testing.T, f *fixture, data []byte, killAt, deadline time.Duration) ([]byte, time.Duration) {
 	t.Helper()
 	var got []byte
 	var start, end sim.Time
@@ -151,10 +106,7 @@ func TestFailoverTransfer64MB(t *testing.T) {
 	if f.cl.ActiveIndex() != 1 {
 		t.Fatalf("active member = %d, want 1 (the standby)", f.cl.ActiveIndex())
 	}
-	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
-		t.Fatalf("post-takeover flow-table audit: stale=%d missing=%d, want 0/0", stale, missing)
-	}
-	checkClusterReplay(t, f.cl)
+	verify(t, f)
 	// The dip bound: the blackout is ~HeartbeatMisses*HeartbeatInterval plus
 	// reconciliation, single-digit milliseconds. Anything beyond 250ms of
 	// extra wall time means forwarding actually stopped.
@@ -194,7 +146,7 @@ func TestTakeoverReconciliationCleansStaleRules(t *testing.T) {
 	// Cut a link on the first m-flow's path; the active starts repairing.
 	// One millisecond later — after the new epoch's installs are in flight
 	// but before the old epoch's purge completes — the process dies.
-	cutFirstInterSwitchLink(t, &fixture{eng: f.eng, net: f.net, graph: f.graph}, info.Flows[0].Path)
+	cutFirstInterSwitchLink(t, f, info.Flows[0].Path)
 	f.eng.After(time.Millisecond, func() { f.net.SetCtrlHostDown(0, true) })
 	f.settle(10 * time.Second)
 
@@ -210,17 +162,14 @@ func TestTakeoverReconciliationCleansStaleRules(t *testing.T) {
 	if stats[0].Channels == 0 {
 		t.Fatal("takeover rebuilt no channels from the journal")
 	}
-	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
-		t.Fatalf("post-takeover audit: stale=%d missing=%d, want 0/0", stale, missing)
-	}
-	checkClusterReplay(t, f.cl)
+	verify(t, f)
 }
 
 // TestReconciliationOffLeavesStaleRules is the ablation arm:
 // DisableReconcile skips the takeover dump-and-diff, so the same
-// mid-repair kill leaves the dead life's rules on the switches — visible
-// as a non-zero stale count in the audit. This is the experiment's control
-// group and proves the audit can actually fail.
+// mid-repair kill leaves the dead life's rules on the switches, and verify
+// must name one. This is the experiment's control group and proves the
+// oracle can actually fail.
 func TestReconciliationOffLeavesStaleRules(t *testing.T) {
 	f := newClusterFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true},
 		ClusterConfig{DisableReconcile: true})
@@ -239,15 +188,15 @@ func TestReconciliationOffLeavesStaleRules(t *testing.T) {
 	})
 	f.eng.RunFor(6 * time.Millisecond)
 	info, _ := client.Channel(target)
-	cutFirstInterSwitchLink(t, &fixture{eng: f.eng, net: f.net, graph: f.graph}, info.Flows[0].Path)
+	cutFirstInterSwitchLink(t, f, info.Flows[0].Path)
 	f.eng.After(time.Millisecond, func() { f.net.SetCtrlHostDown(0, true) })
 	f.settle(10 * time.Second)
 
 	if f.cl.Takeovers() != 1 {
 		t.Fatalf("takeovers = %d, want 1", f.cl.Takeovers())
 	}
-	if stale, _ := f.cl.Audit(); stale == 0 {
-		t.Fatal("reconciliation-off takeover left no stale rules; the ablation shows nothing")
+	if err := verifyError(f); !errors.Is(err, errStale) {
+		t.Fatalf("reconciliation-off takeover: verify says %v, want a stale entry; the ablation shows nothing", err)
 	}
 }
 
@@ -329,7 +278,7 @@ func TestIdleCloseRetriedAcrossBlackout(t *testing.T) {
 	if n := f.cl.ActiveMC().LiveChannels(); n != 0 {
 		t.Fatalf("the successor holds %d channels, want 0: the idle close was lost in the blackout", n)
 	}
-	checkClusterReplay(t, f.cl)
+	verify(t, f)
 }
 
 // TestRestartedControllerRejoinsAndTakesOverAgain runs two failovers: the
@@ -376,10 +325,7 @@ func TestRestartedControllerRejoinsAndTakesOverAgain(t *testing.T) {
 	if string(echoed) != "one.two." {
 		t.Fatalf("echo across two failovers = %q, want \"one.two.\"", echoed)
 	}
-	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
-		t.Fatalf("audit after two failovers: stale=%d missing=%d", stale, missing)
-	}
-	checkClusterReplay(t, f.cl)
+	verify(t, f)
 	// The second active's channel bookkeeping came entirely from journal
 	// replay on a process that had crashed and restarted — its rebuilt
 	// channel count must match reality.

@@ -3,14 +3,10 @@ package mic
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"testing"
 	"time"
 
 	"mic/internal/chunk"
-	"mic/internal/ctrlplane"
-	"mic/internal/flowtable"
-	"mic/internal/netsim"
 	"mic/internal/topo"
 )
 
@@ -267,9 +263,10 @@ func diffAt(a, b []byte) int {
 //
 // Every dial carries a request ID, which the journal must keep through its
 // compactions. After every step the engine runs dry and then the live
-// controller's books balance, a fresh passive controller rebuilt by restore
-// from the journal holds the same channels fact for fact, its books balance
-// too, and the switches' tables hold what checkTables allows.
+// controller passes verify: its books balance, a fresh passive controller
+// rebuilt by restore from the journal holds the same channels fact for fact,
+// its books balance too, and the switches' tables hold what tablesError
+// allows.
 func FuzzJournalReplay(f *testing.F) {
 	for _, prog := range journalReplayCorpus {
 		f.Add(prog)
@@ -386,8 +383,7 @@ func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts,
 			continue
 		}
 		bed.eng.Run()
-		checkReplay(t, mc, j)
-		checkTables(t, mc)
+		verify(t, bed)
 	}
 	return mc, j, restarts, reasked
 }
@@ -400,7 +396,7 @@ type answeredRequest struct{ req, channel uint64 }
 // open none and send nothing southbound. It returns how many it asked.
 func askAgain(t *testing.T, mc *MC, j *Journal, answered []answeredRequest) int {
 	t.Helper()
-	twin := replayed(t, mc, j)
+	twin := replayed(mc, j)
 	twin.active = true
 	next, asked, answers := twin.nextChan, 0, 0
 	for _, a := range answered {
@@ -422,83 +418,6 @@ func askAgain(t *testing.T, mc *MC, j *Journal, answered []answeredRequest) int 
 			asked, answers, next, twin.nextChan, southbound(twin.Ch))
 	}
 	return asked
-}
-
-// checkTables fails t unless tablesError finds the switches' tables as the MC
-// wants them.
-func checkTables(t testing.TB, mc *MC) {
-	t.Helper()
-	if err := tablesError(mc); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// tablesError holds the switches' flow tables to the MC at quiescence, no
-// southbound message in flight:
-//   - every m-flow entry installed belongs to a live channel's current epoch,
-//     or its switch is marked for the MC to reconcile;
-//   - no entry is installed twice, in two tables or in one;
-//   - every entry and group a live channel intends is installed where it is
-//     intended, unless that switch abandoned a message;
-//   - every group installed is one a live channel intends there.
-//
-// A delete overtaken by an install shows as the first; storage recycled while
-// one of its entries was still installed as the second, once a later
-// channel's install puts the same entry on another switch; an older epoch's
-// install overtaking a newer one, and the old epoch's purge then deleting it,
-// as the third; a group outliving its epoch as the fourth.
-func tablesError(mc *MC) error {
-	current := make(map[uint64]bool)
-	groups := make(map[topo.NodeID]map[flowtable.GroupID]*flowtable.Group)
-	for _, id := range sortedChanIDs(mc.channels) {
-		current[mc.channels[id].cookie()] = true
-		for _, rr := range mc.channels[id].rules {
-			if rr.group != nil {
-				if groups[rr.node] == nil {
-					groups[rr.node] = make(map[flowtable.GroupID]*flowtable.Group)
-				}
-				groups[rr.node][rr.group.ID] = rr.group
-			}
-		}
-	}
-	installedOn := make(map[*flowtable.Entry]*netsim.Switch)
-	for _, sw := range mc.Net.Switches() {
-		if n := mc.Ch.InFlight(sw.ID); n != 0 {
-			return fmt.Errorf("%s has %d southbound messages in flight; tables are checked at quiescence", sw.Name, n)
-		}
-		for _, e := range sw.Table.Entries() {
-			if other, twice := installedOn[e]; twice {
-				return fmt.Errorf("one entry (cookie %#x) is installed on %s and on %s", e.Cookie, other.Name, sw.Name)
-			}
-			installedOn[e] = sw
-			if e.Priority == ctrlplane.PriorityMFlow && !current[e.Cookie] && !mc.recon[sw.ID].marked {
-				return fmt.Errorf("%s holds an m-flow entry of cookie %#x: no live channel's current epoch, and the switch is not marked for reconcile", sw.Name, e.Cookie)
-			}
-		}
-		for _, gid := range sw.Table.GroupIDs() {
-			if groups[sw.ID][gid] == nil {
-				return fmt.Errorf("%s holds group %d, which no live channel's current epoch has there", sw.Name, gid)
-			}
-		}
-	}
-	for _, id := range sortedChanIDs(mc.channels) {
-		for _, rr := range mc.channels[id].rules {
-			sw := mc.Net.Switch(rr.node)
-			if mc.Ch.Failed(sw.ID) > 0 {
-				continue
-			}
-			if installedOn[rr.entry] != sw {
-				return fmt.Errorf("%s lacks an entry of channel %d's current epoch (cookie %#x)", sw.Name, id, rr.entry.Cookie)
-			}
-			if rr.group == nil {
-				continue
-			}
-			if g, ok := sw.Table.Group(rr.group.ID); !ok || g != rr.group {
-				return fmt.Errorf("%s lacks group %d of channel %d's current epoch", sw.Name, rr.group.ID, id)
-			}
-		}
-	}
-	return nil
 }
 
 // TestJournalReplayCorpusShapes keeps the seed corpus honest: between them

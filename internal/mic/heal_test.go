@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"mic/internal/ctrlplane"
+	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -77,7 +78,7 @@ func TestAutoRepairSurvivesLinkFailure(t *testing.T) {
 			t.Fatal("repaired path still crosses the failed link")
 		}
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestAutoRepairSurvivesSwitchFailure: a whole switch dies; the SwitchDown
@@ -119,7 +120,7 @@ func TestAutoRepairSurvivesSwitchFailure(t *testing.T) {
 			t.Fatal("repaired path still crosses the failed switch")
 		}
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestAutoRepairDoubleFailure cuts a second link — on the freshly repaired
@@ -211,7 +212,7 @@ func TestAutoRepairDoubleFailure(t *testing.T) {
 			}
 		}
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestAutoRepairTerminalWhenNoPath: killing the responder's only edge
@@ -256,13 +257,13 @@ func TestAutoRepairTerminalWhenNoPath(t *testing.T) {
 	if f.mc.RepairFailures != 1 {
 		t.Fatalf("RepairFailures = %d", f.mc.RepairFailures)
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestAutoRepairWithLossyControlChannel: the whole detect→repair loop must
 // converge even when every southbound message can be lost.
 func TestAutoRepairWithLossyControlChannel(t *testing.T) {
-	f := newFixtureOn(t, Config{MNs: 3, AutoRepair: true}, 11)
+	f := buildFixture(t, 4, netsim.Config{Seed: 11}, Config{MNs: 3, AutoRepair: true}, nil)
 	f.mc.Ch.LossRate = 0.2
 	data := pattern(300_000)
 	var got []byte
@@ -295,7 +296,7 @@ func TestAutoRepairWithLossyControlChannel(t *testing.T) {
 	if f.mc.Repairs == 0 {
 		t.Fatal("no repair recorded")
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestAutoRepairViaProber: a silent switch failure (no port-status event)
@@ -336,7 +337,7 @@ func TestAutoRepairViaProber(t *testing.T) {
 		t.Fatal("prober never declared the victim dead")
 	}
 	f.mc.StopProber()
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // mflowRulesAt counts the entries on a switch that belong to m-flow epochs
@@ -389,8 +390,7 @@ func TestStaleRulesPurgedOnSwitchRestore(t *testing.T) {
 	if n := mflowRules(); n != 0 {
 		t.Fatalf("restored switch still holds %d stale m-flow rules", n)
 	}
-	checkTables(t, f.mc)
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestCloseWhileSwitchDownLeavesNothing: a channel closed while one of its
@@ -441,8 +441,7 @@ func closeWhileSwitchDown(t *testing.T, cfg Config) {
 	if n := mflowRules(); n != 0 {
 		t.Fatalf("restored switch still holds %d rules of the closed channel", n)
 	}
-	checkTables(t, f.mc)
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestExhaustedDeleteOnLiveSwitchConverges: a close whose deletes run out of
@@ -477,8 +476,7 @@ func TestExhaustedDeleteOnLiveSwitchConverges(t *testing.T) {
 			t.Fatalf("%s still holds %d rules of the closed channel", sw.Name, n)
 		}
 	}
-	checkTables(t, f.mc)
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestCloseDuringInstallLeavesNothing: a close issued while an install of the
@@ -498,7 +496,7 @@ func TestCloseDuringInstallLeavesNothing(t *testing.T) {
 // closeDuringRepair is one run of TestCloseDuringInstallLeavesNothing.
 func closeDuringRepair(t *testing.T, loss float64, seed uint64) {
 	t.Helper()
-	f := newFixtureOn(t, Config{MNs: 2}, seed)
+	f := buildFixture(t, 4, netsim.Config{Seed: seed}, Config{MNs: 2}, nil)
 	var info *ChannelInfo
 	f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(ci *ChannelInfo, err error) {
 		if err != nil {
@@ -523,7 +521,7 @@ func closeDuringRepair(t *testing.T, loss float64, seed uint64) {
 			t.Fatalf("loss %g seed %d: %s still holds %d rules of the closed channel (marked for reconcile: %v)", loss, seed, sw.Name, n, f.mc.recon[sw.ID].marked)
 		}
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestRepairDuringInstallKeepsNewEpoch: a link of a new channel's path is cut
@@ -569,7 +567,7 @@ func TestRepairDuringInstallLeavesNoGroup(t *testing.T) {
 // still be retransmitting to it.
 func repairDuringDial(t *testing.T, cfg Config, loss float64, seed uint64, crash bool) {
 	t.Helper()
-	f := newFixtureOn(t, cfg, seed)
+	f := buildFixture(t, 4, netsim.Config{Seed: seed}, cfg, nil)
 	f.mc.Ch.LossRate = loss
 	f.mc.EstablishChannel(f.hostIP(0), f.hostIP(15).String(), ChannelOptions{}, func(*ChannelInfo, error) {})
 	f.eng.RunFor(700 * time.Microsecond)
@@ -584,10 +582,9 @@ func repairDuringDial(t *testing.T, cfg Config, loss float64, seed uint64, crash
 	if f.mc.channels[st.id] != st || st.epoch == 0 {
 		t.Fatalf("loss %g seed %d crash %v: the channel was not repaired (epoch %d, %d repairs, %d given up)", loss, seed, crash, st.epoch, f.mc.Repairs, f.mc.RepairFailures)
 	}
-	if err := tablesError(f.mc); err != nil {
+	if err := verifyError(f); err != nil {
 		t.Fatalf("loss %g seed %d crash %v: %v", loss, seed, crash, err)
 	}
-	checkBooks(t, f.mc)
 }
 
 // TestRepairWhileDialQueuedBehindPlanner: a dial storm keeps the planning
@@ -614,8 +611,7 @@ func TestRepairWhileDialQueuedBehindPlanner(t *testing.T) {
 		if *answer != nil || st.epoch != 1 {
 			t.Fatalf("dial answered %v, channel at epoch %d; want a repaired channel", *answer, st.epoch)
 		}
-		checkTables(t, f.mc)
-		checkBooks(t, f.mc)
+		verify(t, f)
 	})
 	t.Run("closed", func(t *testing.T) {
 		f, st, answer := dial(t)
@@ -631,8 +627,7 @@ func TestRepairWhileDialQueuedBehindPlanner(t *testing.T) {
 				t.Fatalf("%s holds %d rules of a channel closed before it was installed", sw.Name, n)
 			}
 		}
-		checkTables(t, f.mc)
-		checkBooks(t, f.mc)
+		verify(t, f)
 	})
 }
 
@@ -681,7 +676,7 @@ func TestIDRecyclingAcrossRepairEpochs(t *testing.T) {
 	if grown := f.mc.flowIDs.next - f.mc.flowIDs.lo; grown > 2 {
 		t.Fatalf("allocator grew to %d fresh IDs; recycling broken", grown)
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 }
 
 // TestFailedRepairKeepsBooks: a repair attempt that finds no path changes
@@ -707,7 +702,7 @@ func TestFailedRepairKeepsBooks(t *testing.T) {
 	if !ok {
 		t.Fatal("no channel after dial")
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 
 	edge, agg := info.Flows[0].Path[1], info.Flows[0].Path[2]
 	spare := -1 // an uplink flow 0 does not use: the one that heals
@@ -725,7 +720,7 @@ func TestFailedRepairKeepsBooks(t *testing.T) {
 	if job := f.mc.repairJobs[info.ID]; job == nil || job.attempts != 1 || st.epoch != 0 {
 		t.Fatalf("want one failed attempt and the old epoch standing; job %+v, epoch %d", job, st.epoch)
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 
 	f.net.SetLinkDown(edge, spare, false)
 	f.eng.RunFor(20 * time.Millisecond)
@@ -737,5 +732,5 @@ func TestFailedRepairKeepsBooks(t *testing.T) {
 			t.Fatalf("a repaired flow leaves the edge switch by port %d, only %d is up", got, spare)
 		}
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 }

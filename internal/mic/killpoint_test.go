@@ -105,16 +105,14 @@ func TestKillPointsOverOneDialAndClose(t *testing.T) {
 					mc.converge(sw.ID, false, nil)
 				}
 				f.eng.Run()
-				checkTables(t, f.mc)
-				checkBooks(t, f.mc)
+				verify(t, f)
 				served := 0
 				dial(t, f, func(*ChannelInfo) { served++ })
 				f.eng.Run()
 				if served != 1 {
 					t.Fatalf("killed after event %d: the revived life did not serve a dial", k)
 				}
-				checkTables(t, f.mc)
-				checkBooks(t, f.mc)
+				verify(t, f)
 			}
 			t.Logf("%s: %d kill points, %d with the answer on the wire", ph.name, events, onWire)
 		})
@@ -152,13 +150,12 @@ func TestClusterStepDownPointsOverOneDial(t *testing.T) {
 // event of one dial, by a kill or, with stepDown, a management cut, and lets
 // the standby take over. At every point the client gets exactly one answer,
 // and no error, naming a channel whose journaled rules are all installed;
-// the successor holds exactly one live channel, the answered one; its books
-// equal its journal twin's, and its tables audit clean. It returns the
-// number of points and how many left an orphan beside the answered channel,
-// the one failure it counts rather than stops at.
+// the successor holds exactly one live channel, the answered one, and passes
+// verify. It returns the number of points and how many left an orphan beside
+// the answered channel, the one failure it counts rather than stops at.
 func clusterDialPoints(t *testing.T, stepDown bool) (points, orphans int) {
 	cfg := Config{MNs: 3, MFlows: 2}
-	dial := func(f *clusterFixture, answered func(*ChannelInfo, error)) {
+	dial := func(f *fixture, answered func(*ChannelInfo, error)) {
 		f.cl.EstablishChannel(f.stacks[0].Host.IP, f.stacks[15].Host.IP.String(), ChannelOptions{}, answered)
 	}
 	// The undisturbed dial: events counts the engine events up to and
@@ -205,9 +202,8 @@ func clusterDialPoints(t *testing.T, stepDown bool) (points, orphans int) {
 		if stepDown && f.cl.stepdowns != 1 {
 			t.Fatalf("ended after event %d: %d step-downs, want 1", k, f.cl.stepdowns)
 		}
-		checkClusterReplay(t, f.cl)
-		if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
-			t.Fatalf("ended after event %d: audit stale=%d missing=%d, want 0/0", k, st, miss)
+		if err := verifyError(f); err != nil {
+			t.Fatalf("ended after event %d: %v", k, err)
 		}
 		successor := f.cl.activeMember().mc
 		switch live := successor.LiveChannels(); {
@@ -223,7 +219,7 @@ func clusterDialPoints(t *testing.T, stepDown bool) (points, orphans int) {
 
 // uninstalled names a switch that lacks an entry the journal's latest
 // record of channel id intends there, or returns "".
-func uninstalled(f *clusterFixture, id uint64) string {
+func uninstalled(f *fixture, id uint64) string {
 	var rules []ruleRec
 	for _, r := range f.cl.Journal.Records() {
 		if r.Channel == id && (r.Kind == RecOpen || r.Kind == RecUpdate) {

@@ -15,42 +15,71 @@ import (
 	"mic/internal/transport"
 )
 
-// fixture is a fat-tree fabric with an MC and per-host transport stacks.
+// fixture is a test bed: a fat-tree fabric with per-host transport stacks,
+// run by a standalone MC or, when cl is set, by a Cluster. verify holds its
+// acting controller to the oracle.
 type fixture struct {
 	eng    *sim.Engine
 	net    *netsim.Network
-	mc     *MC
+	mc     *MC      // the standalone controller; nil on a cluster bed
+	cl     *Cluster // nil on a standalone bed
 	stacks []*transport.Stack
 	graph  *topo.Graph
 }
 
-func newFixture(t testing.TB, cfg Config) *fixture { return newFixtureOn(t, cfg, 0) }
+func newFixture(t testing.TB, cfg Config) *fixture {
+	return buildFixture(t, 4, netsim.Config{}, cfg, nil)
+}
 
-// newFixtureOn is newFixture on a network seeded netSeed, the root of its
-// fault streams and of every channel's southbound loss coin.
-func newFixtureOn(t testing.TB, cfg Config, netSeed uint64) *fixture {
+func newClusterFixture(t testing.TB, cfg Config, ccfg ClusterConfig) *fixture {
+	return buildFixture(t, 4, netsim.Config{}, cfg, &ccfg)
+}
+
+// buildFixture builds a bed on fat-tree(k), its network configured by nc
+// (nc.Seed roots its fault streams and every channel's southbound loss coin),
+// run by a standalone MC, or by a Cluster when ccfg is not nil.
+func buildFixture(t testing.TB, k int, nc netsim.Config, cfg Config, ccfg *ClusterConfig) *fixture {
 	t.Helper()
-	g, err := topo.FatTree(4)
+	g, err := topo.FatTree(k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.New()
 	// PoolDebug arms the packet and chunk pools' use-after-release guards
 	// for every MIC fixture test — MN rewrites, group multicast, heal paths
 	// and every stream's frames run with poisoned free-list detection.
-	net := netsim.New(eng, g, netsim.Config{PoolDebug: true, Seed: netSeed})
-	mc, err := NewMC(net, cfg)
+	nc.PoolDebug = true
+	f := &fixture{eng: sim.New(), graph: g}
+	f.net = netsim.New(f.eng, g, nc)
+	if ccfg == nil {
+		f.mc, err = NewMC(f.net, cfg)
+	} else {
+		f.cl, err = NewCluster(f.net, cfg, *ccfg)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Whatever repair or flow restore a fixture test provokes, the books
-	// balance when it is announced (a close may be waiting for its acks).
-	mc.SubscribeRepair(func(RepairEvent) { checkBooksClosing(t, mc) })
-	f := &fixture{eng: eng, net: net, mc: mc, graph: g}
+	// Whatever repair or flow restore a test provokes, the books of the
+	// controller that announces it balance (checkBooks) at that instant.
+	watch := func(mc *MC) { mc.SubscribeRepair(func(RepairEvent) { checkBooks(t, mc) }) }
+	if f.cl == nil {
+		watch(f.mc)
+	} else {
+		for _, m := range f.cl.members {
+			watch(m.mc)
+		}
+	}
 	for _, hid := range g.Hosts() {
-		f.stacks = append(f.stacks, transport.NewStack(net.Host(hid)))
+		f.stacks = append(f.stacks, transport.NewStack(f.net.Host(hid)))
 	}
 	return f
+}
+
+// settle drives a cluster bed's engine to the deadline, cancels the
+// cluster's perpetual tickers, and drains what remains.
+func (f *fixture) settle(deadline time.Duration) {
+	f.eng.RunUntil(sim.Time(deadline))
+	f.cl.Stop()
+	f.eng.Run()
 }
 
 // hostIP returns host i's address as a string target.
@@ -512,7 +541,7 @@ func TestEstablishRefusesEmptyOptions(t *testing.T) {
 			t.Fatalf("%s: %d channels live, channel counter %d -> %d, %d journal records, %d flow IDs held; want nothing",
 				c.name, n, next, f.mc.nextChan, j.Len(), f.mc.flowIDs.inUse())
 		}
-		checkBooks(t, f.mc)
+		verify(t, f)
 	}
 }
 
@@ -597,22 +626,13 @@ func TestStreamSliceReassemblyOutOfOrder(t *testing.T) {
 // ID spaces and instance IDs serve different initiators on one fabric
 // without any rule collision.
 func TestDistributedControllers(t *testing.T) {
-	g, _ := topo.FatTree(4)
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{})
 	w := (Config{}).withDefaults().Widths
 	half := w.MaxFlowIDs() / 2
-	mcA, err := NewMC(net, Config{Seed: 5, MulticastFanout: 2, InstanceID: 1, IDSpace: IDRange{0, half}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newFixture(t, Config{Seed: 5, MulticastFanout: 2, InstanceID: 1, IDSpace: IDRange{0, half}})
+	eng, net, stacks, mcA := f.eng, f.net, f.stacks, f.mc
 	mcB, err := NewMC(net, Config{Seed: 5, MulticastFanout: 2, InstanceID: 2, IDSpace: IDRange{half, w.MaxFlowIDs()}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	var stacks []*transport.Stack
-	for _, hid := range g.Hosts() {
-		stacks = append(stacks, transport.NewStack(net.Host(hid)))
 	}
 	okA, okB := false, false
 	Listen(stacks[15], 80, false, func(s *Stream) { s.OnData(func(b []byte) { s.Send(b) }) })
@@ -661,7 +681,8 @@ func TestDistributedControllers(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng.Run()
-	checkTables(t, mcB)
+	f.mc = mcB // A holds nothing now; B's channel must be intact
+	verify(t, f)
 }
 
 func TestIDSpaceValidation(t *testing.T) {

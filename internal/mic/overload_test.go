@@ -7,32 +7,8 @@ import (
 	"time"
 
 	"mic/internal/addr"
-	"mic/internal/netsim"
 	"mic/internal/sim"
-	"mic/internal/topo"
-	"mic/internal/transport"
 )
-
-// newCapFixture is newFixture with a per-switch flow-table capacity, the
-// testbed for admission control and the degradation ladder.
-func newCapFixture(t testing.TB, cfg Config, capacity int) *fixture {
-	t.Helper()
-	g, err := topo.FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.New()
-	net := netsim.New(eng, g, netsim.Config{PoolDebug: true, FlowTableCapacity: capacity})
-	mc, err := NewMC(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := &fixture{eng: eng, net: net, mc: mc, graph: g}
-	for _, hid := range g.Hosts() {
-		f.stacks = append(f.stacks, transport.NewStack(net.Host(hid)))
-	}
-	return f
-}
 
 // TestClusterConfigDefaults pins the failover defaults: one standby, a 2ms
 // beat, 3 misses and the 6ms lease they make.
@@ -350,7 +326,7 @@ func runLadder(t *testing.T, f *fixture, initiators []int, deadline time.Duratio
 	}
 	f.eng.RunUntil(sim.Time(deadline))
 	f.eng.Run()
-	checkBooks(t, f.mc)
+	verify(t, f)
 	return outcomes, clients
 }
 
@@ -435,7 +411,7 @@ func TestDegradedRestoreOnClose(t *testing.T) {
 	if f.mc.FlowsRestored == 0 {
 		t.Fatalf("FlowsRestored = 0 after budget release")
 	}
-	checkBooks(t, f.mc)
+	verify(t, f)
 	info := clients[degraded].channels[target]
 	if info == nil {
 		t.Fatal("degraded channel missing from its client's cache")
@@ -473,21 +449,5 @@ func TestBudgetReplaySurvivesFailover(t *testing.T) {
 	if promoted.LiveChannels() != 3 {
 		t.Fatalf("promoted MC lost channels: %d live, want 3", promoted.LiveChannels())
 	}
-	checkClusterReplay(t, f.cl)
-	want := make(map[topo.NodeID]int)
-	for _, st := range promoted.channels {
-		for _, rr := range st.rules {
-			want[rr.node]++
-		}
-	}
-	for node, n := range want {
-		if promoted.ruleCount[node] != n {
-			t.Errorf("switch %d: replayed ruleCount %d, recomputed %d", node, promoted.ruleCount[node], n)
-		}
-	}
-	for node, n := range promoted.ruleCount {
-		if n != 0 && want[node] == 0 {
-			t.Errorf("switch %d: phantom intent %d with no backing rules", node, n)
-		}
-	}
+	verify(t, f)
 }

@@ -2,6 +2,7 @@ package mic
 
 import (
 	"bytes"
+	"errors"
 	"slices"
 	"testing"
 	"time"
@@ -13,7 +14,7 @@ import (
 // partitionTransfer starts a from->to bulk transfer on the cluster fixture
 // and returns a getter for the received bytes. The transfer's channel is
 // what the zombie and the legitimate active later race to repair.
-func partitionTransfer(t *testing.T, f *clusterFixture, data []byte) (*Client, func() []byte) {
+func partitionTransfer(t *testing.T, f *fixture, data []byte) (*Client, func() []byte) {
 	t.Helper()
 	var got []byte
 	Listen(f.stacks[15], 80, false, func(s *Stream) {
@@ -70,10 +71,7 @@ func TestLeaseStepDownPrecedesTakeover(t *testing.T) {
 	if f.cl.Fence() == 0 {
 		t.Fatal("takeover did not bump the fencing epoch")
 	}
-	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
-		t.Fatalf("audit after split+heal: stale=%d missing=%d", stale, missing)
-	}
-	checkClusterReplay(t, f.cl)
+	verify(t, f)
 }
 
 // TestAsymmetricPartitionZombieFenced is the acceptance bar for fenced
@@ -108,7 +106,7 @@ func TestAsymmetricPartitionZombieFenced(t *testing.T) {
 			t.Error("no channel to cut")
 			return
 		}
-		cutFirstInterSwitchLink(t, &fixture{eng: f.eng, net: f.net, graph: f.graph}, info.Flows[0].Path)
+		cutFirstInterSwitchLink(t, f, info.Flows[0].Path)
 	})
 	f.eng.After(80*time.Millisecond, func() {
 		for _, c := range cuts {
@@ -129,22 +127,16 @@ func TestAsymmetricPartitionZombieFenced(t *testing.T) {
 	if f.cl.Fence() == 0 {
 		t.Fatal("promotion did not bump the fencing epoch")
 	}
-	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
-		t.Fatalf("audit after heal: stale=%d missing=%d, want 0/0", stale, missing)
-	}
-	checkClusterReplay(t, f.cl)
-	if n := f.cl.Journal.Divergent; n != 0 {
-		t.Fatalf("journal divergence = %d, want 0: a deposed master wrote to the log", n)
-	}
+	verify(t, f)
 }
 
 // TestAsymmetricPartitionAblationZombieWrites is the control group: the same
 // asymmetric partition with fencing disabled. Mastership falls back to
 // reachability voting, so the cut-off active never steps down, the standby
 // promotes anyway (split-brain), and the repair race leaves the zombie's
-// writes behind — visible as stale rules on the switches and stale-fence
-// appends in the journal. If this test ever finds the damage gone, the
-// fencing tests above are vacuous.
+// writes behind: verify must name stale rules on the switches and a journal
+// that took the zombie's appends. If this test ever finds the damage gone,
+// the fencing tests above are vacuous.
 func TestAsymmetricPartitionAblationZombieWrites(t *testing.T) {
 	f := newClusterFixture(t, Config{MNs: 3, MFlows: 2, AutoRepair: true, Seed: 5},
 		ClusterConfig{DisableFencing: true})
@@ -168,7 +160,7 @@ func TestAsymmetricPartitionAblationZombieWrites(t *testing.T) {
 			t.Error("no channel to cut")
 			return
 		}
-		cutFirstInterSwitchLink(t, &fixture{eng: f.eng, net: f.net, graph: f.graph}, info.Flows[0].Path)
+		cutFirstInterSwitchLink(t, f, info.Flows[0].Path)
 	})
 	f.eng.After(80*time.Millisecond, func() {
 		for _, c := range cuts {
@@ -186,11 +178,8 @@ func TestAsymmetricPartitionAblationZombieWrites(t *testing.T) {
 	if f.cl.Takeovers() == 0 {
 		t.Fatal("the standby never promoted; no split-brain to measure")
 	}
-	if f.cl.Journal.Divergent == 0 {
-		t.Fatal("no zombie writes reached the journal; the ablation shows nothing")
-	}
-	if stale, _ := f.cl.Audit(); stale == 0 {
-		t.Fatal("no stale rules survived the heal; the ablation shows nothing")
+	if err := verifyError(f); !errors.Is(err, errStale) || !errors.Is(err, errDivergent) {
+		t.Fatalf("verify says %v, want a stale entry and a divergent journal; the ablation shows nothing", err)
 	}
 }
 
@@ -230,10 +219,7 @@ func TestQueuedDialAcrossStepDown(t *testing.T) {
 	if got := sortedChanIDs(f.cl.ActiveMC().channels); !slices.Equal(got, want) {
 		t.Fatalf("the successor holds channels %v, want the answered %v", got, want)
 	}
-	checkClusterReplay(t, f.cl)
-	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
-		t.Fatalf("audit stale=%d missing=%d, want 0/0", stale, missing)
-	}
+	verify(t, f)
 }
 
 // TestDemotedMemberRejoinsAndRetakes: after a split demotes the founding
@@ -279,10 +265,7 @@ func TestDemotedMemberRejoinsAndRetakes(t *testing.T) {
 	if f.cl.Fence() != 2 {
 		t.Fatalf("fence = %d after two takeovers, want 2", f.cl.Fence())
 	}
-	if stale, missing := f.cl.Audit(); stale != 0 || missing != 0 {
-		t.Fatalf("audit: stale=%d missing=%d", stale, missing)
-	}
-	checkClusterReplay(t, f.cl)
+	verify(t, f)
 }
 
 // TestJournalFencingDiscardsZombieWrites pins the journal's append-time

@@ -9,21 +9,10 @@ import (
 	"time"
 
 	"mic/internal/flowtable"
+	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
-
-// fencedAt fails the test unless every switch's fencing mark equals the
-// cluster's current epoch: each promotion's Hello fan-out must have reached
-// the whole fabric.
-func fencedAt(t *testing.T, f *clusterFixture) {
-	t.Helper()
-	for _, sw := range f.net.Switches() {
-		if sw.FenceEpoch != f.cl.Fence() {
-			t.Errorf("%s fencing mark = %d, cluster epoch %d", sw.Name, sw.FenceEpoch, f.cl.Fence())
-		}
-	}
-}
 
 // TestClusterFailoverTakeover runs the cluster takeover under live
 // transfers: the active journals a channel per transfer, then its controller
@@ -79,9 +68,7 @@ func TestClusterFailoverTakeover(t *testing.T) {
 	if stats[0].StaleDeleted != 0 {
 		t.Fatalf("reconciliation deleted %d rules as stale; the rebuilt intent should cover every live rule", stats[0].StaleDeleted)
 	}
-	if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
-		t.Fatalf("post-takeover audit: stale=%d missing=%d, want 0/0", st, miss)
-	}
+	verify(t, f)
 	if got, want := f.cl.members[1].mc.LiveChannels(), pairs; got != want || stats[0].Channels != want {
 		t.Fatalf("promoted controller live channels = %d (takeover rebuilt %d), want %d", got, stats[0].Channels, want)
 	}
@@ -104,11 +91,12 @@ func TestClusterFailoverTakeover(t *testing.T) {
 	if string(reply) != "after takeover" {
 		t.Fatalf("post-takeover reply = %q", reply)
 	}
+	verify(t, f)
 }
 
 // stormRun drives one takeover-under-storm scenario and
 // returns a deterministic summary of everything observable: transfer
-// outcomes, takeover stats, audit, journal accounting, and switch fencing
+// outcomes, takeover stats, journal accounting, and switch fencing
 // marks. The byte-identity test compares two of these.
 func stormRun(t *testing.T, seed uint64) string {
 	t.Helper()
@@ -163,15 +151,7 @@ func stormRun(t *testing.T, seed uint64) string {
 	if len(stats) != 1 {
 		t.Fatalf("takeovers = %d, want 1", len(stats))
 	}
-	auditStale, auditMissing := f.cl.Audit()
-	if auditStale != 0 || auditMissing != 0 {
-		t.Errorf("post-takeover audit: stale=%d missing=%d", auditStale, auditMissing)
-	}
-	checkClusterReplay(t, f.cl)
 	j := f.cl.Journal
-	if j.Divergent != 0 {
-		t.Errorf("journal divergence = %d across a clean failover, want 0", j.Divergent)
-	}
 	// The successor holds exactly the channels the storm's dials were
 	// answered with, none of them closed: a dial the dead life journaled
 	// without answering is answered with its journaled channel, not another.
@@ -186,16 +166,15 @@ func stormRun(t *testing.T, seed uint64) string {
 	if ids := sortedChanIDs(f.cl.members[1].mc.channels); !slices.Equal(ids, held) {
 		t.Errorf("live channels after the storm %v, answered %v", ids, held)
 	}
-	fencedAt(t, f)
 	fmt.Fprintf(&sb, "takeover at %v: channels=%d reinstalled=%d stale=%d\n",
 		time.Duration(stats[0].At), stats[0].Channels, stats[0].Reinstalled, stats[0].StaleDeleted)
-	fmt.Fprintf(&sb, "audit: stale=%d missing=%d\n", auditStale, auditMissing)
 	fmt.Fprintf(&sb, "live=%d divergent=%d appends=%d records=%d\n", live, j.Divergent, j.Appends, j.Len())
 	for _, sw := range f.net.Switches() {
 		fmt.Fprintf(&sb, "%s: fence=%d rejects=%d rules=%d\n", sw.Name, sw.FenceEpoch, sw.StaleRejected, sw.Table.Len())
 	}
 	sb.WriteString(f.cl.Telemetry().String())
 	f.settle(3 * time.Second)
+	verify(t, f)
 	return sb.String()
 }
 
@@ -279,20 +258,13 @@ func TestClusterDoubleFailover(t *testing.T) {
 	if f.cl.Takeovers() != 2 || first < 1 || second < 1 || second == first {
 		t.Fatalf("takeovers = %d, successors = %d then %d; want both standbys promoted in turn", f.cl.Takeovers(), first, second)
 	}
-	if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
-		t.Fatalf("audit after double failover: stale=%d missing=%d", st, miss)
-	}
-	checkClusterReplay(t, f.cl)
 	if n := f.cl.members[second].mc.LiveChannels(); n != 2 {
 		t.Fatalf("live channels after double failover = %d, want 2", n)
-	}
-	if d := f.cl.Journal.Divergent; d != 0 {
-		t.Fatalf("journal divergence = %d across two clean failovers, want 0", d)
 	}
 	if f.cl.Fence() != 2 {
 		t.Fatalf("cluster epoch = %d after two promotions, want 2", f.cl.Fence())
 	}
-	fencedAt(t, f)
+	verify(t, f)
 
 	// The epoch-2 controller serves fresh dials.
 	respC := f.stacks[13]
@@ -334,7 +306,7 @@ func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 		stream, info, echoed := clusterEcho(t, f, 2, 15)
 		f.net.SetCtrlHostDown(0, true)
 		f.eng.RunFor(time.Millisecond)
-		cutFirstInterSwitchLink(t, &fixture{eng: f.eng, net: f.net, graph: f.graph}, info.Flows[0].Path)
+		cutFirstInterSwitchLink(t, f, info.Flows[0].Path)
 		f.eng.RunFor(50 * time.Millisecond)
 		if f.cl.Takeovers() != 1 {
 			t.Fatalf("takeovers = %d, want 1", f.cl.Takeovers())
@@ -347,10 +319,7 @@ func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 		if string(*echoed) != "one.two." {
 			t.Fatalf("echo across the blackout cut = %q, want \"one.two.\"", *echoed)
 		}
-		if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
-			t.Fatalf("audit: stale=%d missing=%d", st, miss)
-		}
-		checkClusterReplay(t, f.cl)
+		verify(t, f)
 	})
 	t.Run("late-reconcile", func(t *testing.T) {
 		f := newClusterFixture(t, Config{MNs: 3, AutoRepair: true}, ClusterConfig{})
@@ -379,10 +348,7 @@ func TestTakeoverSweepAndLateReconcile(t *testing.T) {
 		}
 		f.net.SetSwitchDown(victim, false)
 		f.eng.RunFor(50 * time.Millisecond)
-		if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
-			t.Fatalf("audit after the switch returned: stale=%d missing=%d, want 0/0", st, miss)
-		}
-		checkClusterReplay(t, f.cl)
+		verify(t, f)
 		stream.Send([]byte("two."))
 		f.settle(2 * time.Second)
 		if string(*echoed) != "one.two." {
@@ -412,7 +378,7 @@ func TestClusterTakeoverMidRepairMakesBeforeBreaking(t *testing.T) {
 // takeoverMidRepair is one run of the sweep above.
 func takeoverMidRepair(t *testing.T, loss float64, seed uint64) {
 	t.Helper()
-	f := newClusterFixtureOn(t, Config{MNs: 3, AutoRepair: true}, ClusterConfig{}, seed)
+	f := buildFixture(t, 4, netsim.Config{Seed: seed}, Config{MNs: 3, AutoRepair: true}, &ClusterConfig{})
 	successor := f.cl.members[1].mc
 	successor.Ch.LossRate = loss
 	var stats []TakeoverStats
@@ -432,14 +398,14 @@ func takeoverMidRepair(t *testing.T, loss float64, seed uint64) {
 		t.Fatalf("loss %g seed %d: the active holds %d channels, want the dial's", loss, seed, len(active.channels))
 	}
 	path := active.channels[sortedChanIDs(active.channels)[0]].info.Flows[0].Path
-	cutFirstInterSwitchLink(t, &fixture{eng: f.eng, net: f.net, graph: f.graph}, path)
+	cutFirstInterSwitchLink(t, f, path)
 	f.eng.RunFor(600 * time.Microsecond) // the repair's install is out, held behind the dial's batch
 	f.net.SetCtrlHostDown(0, true)
 
 	// Until member 1 is promoted it holds no channels; what it will intend is
 	// the journal replayed into a twin. The cluster is headless, so the
 	// journal cannot change before the promotion.
-	twin := replayed(t, successor, f.cl.Journal)
+	twin := replayed(successor, f.cl.Journal)
 
 	// held records every (switch, match) of a successor channel some table
 	// has held; each must stay covered by an entry of that channel.
@@ -481,16 +447,15 @@ func takeoverMidRepair(t *testing.T, loss float64, seed uint64) {
 		t.Fatalf("loss %g seed %d: %d answers, successor channels %v; want one answer naming the one channel",
 			loss, seed, len(answers), sortedChanIDs(successor.channels))
 	}
-	if st, miss := f.cl.Audit(); st != 0 || miss != 0 {
-		t.Fatalf("loss %g seed %d: audit stale=%d missing=%d", loss, seed, st, miss)
+	if err := verifyError(f); err != nil {
+		t.Fatalf("loss %g seed %d: %v", loss, seed, err)
 	}
-	checkClusterReplay(t, f.cl)
 }
 
 // clusterEcho opens an echo channel from -> to over the cluster, sends
 // "one." and runs 10ms so it is established and journaled. It returns the
 // stream, the channel info and the echoed bytes.
-func clusterEcho(t *testing.T, f *clusterFixture, from, to int) (*Stream, *ChannelInfo, *[]byte) {
+func clusterEcho(t *testing.T, f *fixture, from, to int) (*Stream, *ChannelInfo, *[]byte) {
 	t.Helper()
 	echoed := new([]byte)
 	Listen(f.stacks[to], 80, false, func(s *Stream) {

@@ -170,7 +170,7 @@ func (r *Relay) forwardCell(rc *relayCirc, c cell) {
 	case relayData:
 		if rc.exit != nil {
 			r.CellsForwarded++
-			rc.exit.Send(append([]byte(nil), data...))
+			rc.exit.Send(data) // Send copies before it returns
 		}
 	case relayEnd:
 		r.teardown(rc)
