@@ -13,9 +13,8 @@ import (
 
 func main() {
 	var (
-		kind  = flag.String("topo", "fattree", "fattree | leafspine | linear | bcube | ring")
-		k     = flag.Int("k", 4, "fat-tree arity / linear & ring switch count / bcube n")
-		lvl   = flag.Int("levels", 1, "bcube levels")
+		kind  = flag.String("topo", "fattree", "fattree | leafspine | linear | ring")
+		k     = flag.Int("k", 4, "fat-tree arity / linear & ring switch count")
 		paths = flag.String("paths", "", "show equal-cost paths between two hosts, e.g. -paths h1,h16")
 	)
 	flag.Parse()
@@ -29,8 +28,6 @@ func main() {
 		g, err = topo.LeafSpine(*k, *k*2, *k)
 	case "linear":
 		g, err = topo.Linear(*k)
-	case "bcube":
-		g, err = topo.BCube(*k, *lvl)
 	case "ring":
 		g, err = topo.Ring(*k)
 	default:

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mic/internal/addr"
+	"mic/internal/ctrlplane"
 	"mic/internal/metrics"
 	"mic/internal/netsim"
 	"mic/internal/sim"
@@ -188,7 +189,7 @@ func NewCluster(net *netsim.Network, cfg Config, ccfg ClusterConfig) (*Cluster, 
 	primary.journal = c.Journal
 	c.addMember(primary)
 	for i := 0; i < c.CCfg.Standbys; i++ {
-		sb, err := newMC(net, c.Cfg)
+		sb, err := newMC(net, c.Cfg, ctrlplane.NewChannel(net))
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mic/internal/chunk"
+	"mic/internal/ctrlplane"
 	"mic/internal/topo"
 )
 
@@ -393,10 +394,16 @@ type answeredRequest struct{ req, channel uint64 }
 
 // askAgain asks a twin replayed from j again for every answered request
 // whose channel mc still holds. The twin must answer each with that channel,
-// open none and send nothing southbound. It returns how many it asked.
+// open none and send nothing southbound. It returns how many it asked. An
+// active twin counts its own sends, so unlike replayed's it runs on a
+// southbound channel of its own.
 func askAgain(t *testing.T, mc *MC, j *Journal, answered []answeredRequest) int {
 	t.Helper()
-	twin := replayed(mc, j)
+	twin, err := newMC(mc.Net, mc.Cfg, ctrlplane.NewChannel(mc.Net))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin.restore(j)
 	twin.active = true
 	next, asked, answers := twin.nextChan, 0, 0
 	for _, a := range answered {

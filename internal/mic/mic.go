@@ -454,7 +454,7 @@ type MC struct {
 // MAGA keys to every switch, picks the common-flow class and label, installs
 // proactive common routing and attaches as the fabric's packet-in handler.
 func NewMC(net *netsim.Network, cfg Config) (*MC, error) {
-	mc, err := newMC(net, cfg)
+	mc, err := newMC(net, cfg, ctrlplane.NewChannel(net))
 	if err != nil {
 		return nil, err
 	}
@@ -468,11 +468,11 @@ func NewMC(net *netsim.Network, cfg Config) (*MC, error) {
 	return mc, nil
 }
 
-// newMC builds an inert, empty, passive controller: it hears no fabric event
-// until own subscribes it, the way a Cluster keeps a standby until a
-// takeover. Every controller, a standby too, derives the full MAGA keying —
-// Config.Seed guarantees it matches the active's.
-func newMC(net *netsim.Network, cfg Config) (*MC, error) {
+// newMC builds an inert, empty, passive controller on southbound channel ch:
+// it hears no fabric event until own subscribes it, the way a Cluster keeps
+// a standby until a takeover. Every controller, a standby too, derives the
+// full MAGA keying — Config.Seed guarantees it matches the active's.
+func newMC(net *netsim.Network, cfg Config, ch *ctrlplane.Channel) (*MC, error) {
 	cfg = cfg.withDefaults()
 	idLo, idHi, err := cfg.idSpace()
 	if err != nil {
@@ -487,7 +487,7 @@ func newMC(net *netsim.Network, cfg Config) (*MC, error) {
 	}
 	mc := &MC{
 		Net:        net,
-		Ch:         ctrlplane.NewChannel(net),
+		Ch:         ch,
 		Cfg:        cfg,
 		rng:        sim.NewRNG(cfg.Seed),
 		params:     make(map[topo.NodeID]maga.Params),

@@ -67,8 +67,7 @@ func (mc *MC) planFlow(initNode, respNode topo.NodeID, opts ChannelOptions) (flo
 	if err != nil {
 		return flowPlan{}, err
 	}
-	// Switch positions within the path (hosts occupy the two ends; BCube
-	// paths may also transit hosts, which cannot rewrite).
+	// Switch positions within the path (hosts occupy the two ends).
 	sc := &mc.scratch
 	swPos := sc.swPos[:0]
 	for i, n := range path {
@@ -220,9 +219,6 @@ func (mc *MC) templateFlow(plan flowPlan, res flowRes, initIP, respIP addr.IP, o
 	cur := 0 // index into T: tuple currently on the wire
 	for pi := 1; pi < len(path)-1; pi++ {
 		node := path[pi]
-		if g.Node(node).Kind != topo.KindSwitch {
-			continue // BCube relay hosts forward in their stack; out of scope here
-		}
 		out := g.PortTo(node, path[pi+1])
 		j := mnIndexAt(mnPos, pi)
 		if j < 0 {

@@ -28,7 +28,7 @@ type planKey struct {
 }
 
 // accessSwitch returns the unique switch a single-homed host hangs off, or
-// -1 when the host is multi-homed (BCube) — which the cache does not model.
+// -1 when the host is multi-homed, which the cache does not model.
 func accessSwitch(g *topo.Graph, host topo.NodeID) topo.NodeID {
 	n := g.Node(host)
 	if n.Kind != topo.KindHost || len(n.Ports) != 1 {
@@ -42,11 +42,9 @@ func accessSwitch(g *topo.Graph, host topo.NodeID) topo.NodeID {
 }
 
 // cacheUsable reports whether the plan cache can serve (src, dst): both
-// endpoints must be single-homed hosts and the graph must not route through
-// hosts (host-transit paths depend on the concrete endpoints, not just
-// their edges).
+// endpoints must be single-homed hosts.
 func (mc *MC) cacheUsable(src, dst topo.NodeID) bool {
-	if mc.Cfg.DisablePathCache || mc.Net.Graph.AllowHostTransit {
+	if mc.Cfg.DisablePathCache {
 		return false
 	}
 	return accessSwitch(mc.Net.Graph, src) >= 0 && accessSwitch(mc.Net.Graph, dst) >= 0

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
 
 	"mic/internal/addr"
 	"mic/internal/ctrlplane"
 	"mic/internal/flowtable"
 	"mic/internal/netsim"
+	"mic/internal/sim"
 	"mic/internal/topo"
 )
 
@@ -279,14 +281,47 @@ func tablesError(mc *MC) error {
 }
 
 // replayed returns a fresh passive twin of mc rebuilt from the journal alone
-// (restore) — what a standby promoted this instant would hold.
+// (restore) — what a standby promoted this instant would hold. The twin
+// sends nothing, so it shares mc's southbound channel: a channel of its own
+// would take the next RegisterChannel number and move the southbound-loss
+// stream of every channel built after it.
 func replayed(mc *MC, j *Journal) *MC {
-	twin, err := newMC(mc.Net, mc.Cfg)
+	twin, err := newMC(mc.Net, mc.Cfg, mc.Ch)
 	if err != nil {
 		panic(err) // mc runs the same config
 	}
 	twin.restore(j)
 	return twin
+}
+
+// TestVerifyLeavesChannelNumbersAlone: two identical journaled beds, one
+// verified mid-run, number the next control channel alike, so verifying
+// never moves the southbound-loss stream of a channel built later.
+func TestVerifyLeavesChannelNumbersAlone(t *testing.T) {
+	var next [2]int
+	for i := range next {
+		f := newClusterFixture(t, Config{}, ClusterConfig{Standbys: 1})
+		Listen(f.stacks[15], 80, false, func(*Stream) {})
+		NewClient(f.stacks[0], f.cl).Dial(f.hostIP(15).String(), 80, func(_ *Stream, err error) {
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+		})
+		f.eng.RunUntil(sim.Time(20 * time.Millisecond))
+		if len(f.cl.Journal.Records()) == 0 {
+			t.Fatal("nothing journaled to replay")
+		}
+		if i == 0 {
+			if err := verifyError(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		next[i] = f.net.RegisterChannel()
+		f.settle(30 * time.Millisecond)
+	}
+	if next[0] != next[1] {
+		t.Fatalf("next channel number %d after verify, %d without", next[0], next[1])
+	}
 }
 
 // sameChannels compares two controllers' live channels field by field.

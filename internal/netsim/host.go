@@ -31,8 +31,7 @@ func (h *Host) Net() *Network { return h.net }
 func (h *Host) SetHandler(fn func(inPort int, p *packet.Packet)) { h.handler = fn }
 
 // Send emits p out of the given NIC port after the host-stack latency,
-// charging stack CPU. Most hosts have a single port 0; BCube servers are
-// multi-homed.
+// charging stack CPU. Every builder's hosts have a single port 0.
 func (h *Host) Send(port int, p *packet.Packet) {
 	h.TxPackets++
 	n := h.net

@@ -53,7 +53,7 @@ func FatTree(k int) (*Graph, error) {
 			}
 		}
 	}
-	return g, g.Validate(false)
+	return g, g.Validate()
 }
 
 // LeafSpine builds a two-tier Clos: every leaf connects to every spine,
@@ -79,7 +79,7 @@ func LeafSpine(spines, leaves, hostsPerLeaf int) (*Graph, error) {
 			g.Connect(leaf, g.AddHost(fmt.Sprintf("h%d", hostN), ip, mac))
 		}
 	}
-	return g, g.Validate(false)
+	return g, g.Validate()
 }
 
 // Linear builds a chain of n switches with one host at each end — the
@@ -105,53 +105,7 @@ func Linear(n int) (*Graph, error) {
 	ipB, macB := hostAddrs(2)
 	g.Connect(g.AddHost("h1", ipA, macA), first)
 	g.Connect(prev, g.AddHost("h2", ipB, macB))
-	return g, g.Validate(false)
-}
-
-// BCube builds the server-centric BCube(n, levels) topology (Guo et al.,
-// SIGCOMM'09), which the paper cites as a network where compromised servers
-// forward traffic. n is the switch port count; levels is the highest level
-// (BCube_0 has levels=0). Hosts are multi-homed: each connects to levels+1
-// switches.
-func BCube(n, levels int) (*Graph, error) {
-	if n < 2 || levels < 0 {
-		return nil, fmt.Errorf("topo: BCube needs n >= 2 and levels >= 0")
-	}
-	g := New()
-	g.AllowHostTransit = true // BCube is server-centric: servers forward
-	numHosts := 1
-	for i := 0; i <= levels; i++ {
-		numHosts *= n
-	}
-	hosts := make([]NodeID, numHosts)
-	for i := range hosts {
-		ip, mac := hostAddrs(i + 1)
-		hosts[i] = g.AddHost(fmt.Sprintf("h%d", i+1), ip, mac)
-	}
-	// Level l has numHosts/n switches; switch j at level l connects hosts
-	// whose index differs only in digit l (base n).
-	for l := 0; l <= levels; l++ {
-		numSw := numHosts / n
-		for j := 0; j < numSw; j++ {
-			sw := g.AddSwitch(fmt.Sprintf("b%d_%d", l, j+1))
-			// Decompose j into the host index digits excluding digit l.
-			for d := 0; d < n; d++ {
-				lo := j % pow(n, l)
-				hi := j / pow(n, l)
-				hostIdx := hi*pow(n, l+1) + d*pow(n, l) + lo
-				g.Connect(sw, hosts[hostIdx])
-			}
-		}
-	}
-	return g, g.Validate(true)
-}
-
-func pow(b, e int) int {
-	r := 1
-	for i := 0; i < e; i++ {
-		r *= b
-	}
-	return r
+	return g, g.Validate()
 }
 
 // Ring builds n switches in a cycle, one host per switch. Useful for tests
@@ -170,7 +124,7 @@ func Ring(n int) (*Graph, error) {
 	for i := range sw {
 		g.Connect(sw[i], sw[(i+1)%n])
 	}
-	return g, g.Validate(false)
+	return g, g.Validate()
 }
 
 // Jellyfish builds the random-regular-graph topology (Singla et al.,
@@ -249,7 +203,7 @@ func Jellyfish(n, netDeg, hostsPer int, seed uint64) (*Graph, error) {
 	if len(g.EqualCostPaths(sw[0], sw[n-1], 1)) == 0 {
 		return nil, fmt.Errorf("topo: jellyfish(%d,%d,seed=%d) came out disconnected; pick another seed", n, netDeg, seed)
 	}
-	return g, g.Validate(false)
+	return g, g.Validate()
 }
 
 // newSplitMix returns a tiny seeded generator for builders that must not

@@ -54,11 +54,6 @@ type Node struct {
 type Graph struct {
 	Nodes []*Node
 
-	// AllowHostTransit permits paths to forward through hosts, as in
-	// server-centric topologies (BCube). Switch-centric builders leave it
-	// false: there, hosts appear only as path endpoints.
-	AllowHostTransit bool
-
 	// Indexes maintained by add: node IDs by kind in creation order, and the
 	// first host added under each address.
 	hosts, switches []NodeID
@@ -187,7 +182,7 @@ func (g *Graph) EqualCostPaths(src, dst NodeID, max int) []Path {
 		}
 		for _, p := range g.Nodes[u].Ports {
 			v := p.Peer
-			if !g.AllowHostTransit && g.Nodes[v].Kind == KindHost && v != dst {
+			if g.Nodes[v].Kind == KindHost && v != dst {
 				continue
 			}
 			if dTo[v] == dTo[u]-1 {
@@ -200,17 +195,17 @@ func (g *Graph) EqualCostPaths(src, dst NodeID, max int) []Path {
 }
 
 // distNoHostTransit is BFS toward dst where hosts other than dst do not
-// forward (unless the graph allows host transit).
+// forward.
 func (g *Graph) distNoHostTransit(dst NodeID) []int {
 	d := make([]int, len(g.Nodes))
-	g.hopsFrom(dst, g.AllowHostTransit, d, nil)
+	g.hopsFrom(dst, d, nil)
 	return d
 }
 
 // hopsFrom fills d with every node's hop distance from src, -1 where
-// unreachable; hosts other than src forward only if transit. It returns the
-// queue it used, for reuse.
-func (g *Graph) hopsFrom(src NodeID, transit bool, d []int, queue []NodeID) []NodeID {
+// unreachable; hosts other than src do not forward. It returns the queue it
+// used, for reuse.
+func (g *Graph) hopsFrom(src NodeID, d []int, queue []NodeID) []NodeID {
 	for i := range d {
 		d[i] = -1
 	}
@@ -218,7 +213,7 @@ func (g *Graph) hopsFrom(src NodeID, transit bool, d []int, queue []NodeID) []No
 	queue = append(queue[:0], src)
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
-		if !transit && g.Nodes[u].Kind == KindHost && u != src {
+		if g.Nodes[u].Kind == KindHost && u != src {
 			continue // hosts receive but do not forward
 		}
 		for _, p := range g.Nodes[u].Ports {
@@ -251,7 +246,7 @@ func NewHops(g *Graph) *Hops {
 // From returns every node's hop distance from src, -1 where unreachable. The
 // slice is valid until the next call.
 func (h *Hops) From(src NodeID) []int {
-	h.queue = h.g.hopsFrom(src, false, h.dist, h.queue)
+	h.queue = h.g.hopsFrom(src, h.dist, h.queue)
 	return h.dist
 }
 
@@ -283,7 +278,7 @@ func (g *Graph) PathsWithMinSwitches(src, dst NodeID, minSwitches, maxLen, max i
 		if len(acc) > maxLen {
 			return
 		}
-		if !g.AllowHostTransit && g.Nodes[u].Kind == KindHost && u != src {
+		if g.Nodes[u].Kind == KindHost && u != src {
 			return // hosts do not forward
 		}
 		for _, p := range g.Nodes[u].Ports {
@@ -297,9 +292,8 @@ func (g *Graph) PathsWithMinSwitches(src, dst NodeID, minSwitches, maxLen, max i
 }
 
 // Validate checks structural invariants: port back-references are symmetric
-// and every host has exactly one uplink (except in server-centric topologies,
-// where multiple are allowed; pass multiHomed=true there).
-func (g *Graph) Validate(multiHomed bool) error {
+// and every host has exactly one uplink.
+func (g *Graph) Validate() error {
 	for _, n := range g.Nodes {
 		for i, p := range n.Ports {
 			peer := g.Nodes[p.Peer]
@@ -311,7 +305,7 @@ func (g *Graph) Validate(multiHomed bool) error {
 				return fmt.Errorf("topo: asymmetric cabling between %s and %s", n.Name, peer.Name)
 			}
 		}
-		if n.Kind == KindHost && !multiHomed && len(n.Ports) != 1 {
+		if n.Kind == KindHost && len(n.Ports) != 1 {
 			return fmt.Errorf("topo: host %s has %d ports, want 1", n.Name, len(n.Ports))
 		}
 	}

@@ -185,29 +185,6 @@ func TestLeafSpine(t *testing.T) {
 	}
 }
 
-func TestBCube(t *testing.T) {
-	g, err := BCube(4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Hosts()) != 16 {
-		t.Fatalf("BCube(4,1) hosts = %d, want 16", len(g.Hosts()))
-	}
-	if len(g.Switches()) != 8 {
-		t.Fatalf("BCube(4,1) switches = %d, want 8", len(g.Switches()))
-	}
-	for _, h := range g.Hosts() {
-		if len(g.Node(h).Ports) != 2 {
-			t.Fatalf("BCube host %s has %d ports, want 2", g.Node(h).Name, len(g.Node(h).Ports))
-		}
-	}
-	// Any two hosts must be reachable.
-	hosts := g.Hosts()
-	if p := g.EqualCostPaths(hosts[0], hosts[15], 0); len(p) == 0 {
-		t.Fatal("BCube hosts unreachable")
-	}
-}
-
 func TestHostByIP(t *testing.T) {
 	g, _ := FatTree(4)
 	h := g.Node(g.Hosts()[3])
@@ -226,7 +203,7 @@ func TestValidateDetectsAsymmetry(t *testing.T) {
 	g.Connect(a, b)
 	// Corrupt the back-reference.
 	g.Node(b).Ports[0].PeerPort = 7
-	if err := g.Validate(false); err == nil {
+	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed asymmetric cabling")
 	}
 }
@@ -259,9 +236,8 @@ func TestCableEndsArePortTo(t *testing.T) {
 		multi.Connect(c[0], c[1])
 	}
 	ft, _ := FatTree(8)
-	bc, _ := BCube(3, 2)
 	jf, _ := Jellyfish(20, 4, 2, 5)
-	for _, g := range []*Graph{multi, ft, bc, jf} {
+	for _, g := range []*Graph{multi, ft, jf} {
 		for _, from := range g.Nodes {
 			for to := range g.Nodes {
 				want := -1
