@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mic/internal/addr"
+	"mic/internal/chunk"
 	"mic/internal/sim"
 	"mic/internal/transport"
 )
@@ -292,12 +293,12 @@ func (c *Client) withChannel(target string, w *chanWaiter) {
 // its connection (and any already collected) instead of building a stream.
 func (c *Client) openStream(info *ChannelInfo, port uint16, canceled *bool, cb func(*Stream, error)) {
 	n := len(info.Flows)
-	conns := make([]transport.ByteStream, n)
+	conns := make([]conn, n)
 	token := c.rng.Uint64()
 	remaining := n
 	failed := false
-	onConn := func(i int) func(transport.ByteStream, error) {
-		return func(bs transport.ByteStream, err error) {
+	onConn := func(i int) func(conn, error) {
+		return func(bs conn, err error) {
 			if failed {
 				if bs != nil {
 					bs.Close()
@@ -452,16 +453,18 @@ type Listener struct {
 	// the first channel arrives; the zero value enables defaults.
 	Health HealthConfig
 
-	stack   *transport.Stack
+	eng     *sim.Engine
 	onOpen  func(*Stream)
 	pending map[uint64]*pendingStream
 	rng     *sim.RNG
 }
 
+// pendingStream is a channel whose m-flow connections are still arriving:
+// conns[i] once conn i's hello came, held[i] the bytes that arrived on it
+// after the hello, kept by reference until the stream exists.
 type pendingStream struct {
-	total int
-	conns []transport.ByteStream
-	bufs  [][]byte
+	conns []conn
+	held  [][]chunk.Span
 	have  int
 }
 
@@ -471,7 +474,7 @@ func Listen(stack *transport.Stack, port uint16, secure bool, onOpen func(*Strea
 	l := &Listener{
 		Port:    port,
 		Secure:  secure,
-		stack:   stack,
+		eng:     stack.Host.Net().Eng,
 		onOpen:  onOpen,
 		pending: make(map[uint64]*pendingStream),
 		rng:     stack.Host.Net().Stream("listener/" + stack.Host.Name),
@@ -484,56 +487,75 @@ func Listen(stack *transport.Stack, port uint16, secure bool, onOpen func(*Strea
 	return l
 }
 
-// accept buffers bytes from a new connection until its hello arrives, then
-// binds the connection into its channel's pending stream.
-func (l *Listener) accept(bs transport.ByteStream) {
-	var pre []byte
-	bs.OnData(func(b []byte) {
-		pre = append(pre, b...)
-		if len(pre) < helloLen {
+// accept reads a new connection's hello — its helloLen bytes are copied,
+// the only bytes a listener copies — then binds the connection into its
+// channel's pending stream with the rest of the span the hello ended in.
+func (l *Listener) accept(c conn) {
+	var h [helloLen]byte
+	have := 0
+	c.OnSpan(func(sp chunk.Span) {
+		k := copy(h[have:], sp.Bytes())
+		if have += k; have < helloLen {
 			return
 		}
-		token := binary.BigEndian.Uint64(pre[0:8])
-		idx, total := int(pre[8]), int(pre[9])
-		rest := append([]byte(nil), pre[helloLen:]...)
-		l.bind(bs, token, idx, total, rest)
+		sp.Off, sp.N = sp.Off+k, sp.N-k
+		l.bind(c, binary.BigEndian.Uint64(h[0:8]), int(h[8]), int(h[9]), sp)
 	})
 }
 
-func (l *Listener) bind(bs transport.ByteStream, token uint64, idx, total int, rest []byte) {
-	if total < 1 || idx >= total {
-		bs.Close()
+// bind adds c, whose hello named it m-flow idx of total of channel token,
+// to the channel's pending stream; rest is what arrived after the hello.
+// Until the last m-flow binds, the listener keeps what arrives on c by
+// reference; then the stream is built and fed it, conn by conn. A conn that
+// closes first abandons the channel (drop).
+func (l *Listener) bind(c conn, token uint64, idx, total int, rest chunk.Span) {
+	ps := l.pending[token]
+	if total < 1 || idx >= total || ps != nil && (len(ps.conns) != total || ps.conns[idx] != nil) {
+		c.OnSpan(nil) // drop whatever else arrives
+		c.Close()
 		return
 	}
-	ps, ok := l.pending[token]
-	if !ok {
-		ps = &pendingStream{
-			total: total,
-			conns: make([]transport.ByteStream, total),
-			bufs:  make([][]byte, total),
-		}
+	if ps == nil {
+		ps = &pendingStream{conns: make([]conn, total), held: make([][]chunk.Span, total)}
 		l.pending[token] = ps
 	}
-	if ps.total != total || ps.conns[idx] != nil {
-		bs.Close()
-		return
+	ps.conns[idx] = c
+	hold := func(sp chunk.Span) {
+		if sp.N > 0 {
+			sp.C.Retain()
+			ps.held[idx] = append(ps.held[idx], sp)
+		}
 	}
-	ps.conns[idx] = bs
-	ps.bufs[idx] = rest
-	ps.have++
-	if ps.have < total {
-		// Buffer anything that arrives before the channel's other m-flow
-		// connections show up; newStream rebinds the handler later.
-		bs.OnData(func(b []byte) { ps.bufs[idx] = append(ps.bufs[idx], b...) })
+	hold(rest)
+	if ps.have++; ps.have < total {
+		// newStream rebinds both handlers once the other m-flows show up.
+		c.OnSpan(hold)
+		c.OnClose(func() { l.drop(token, ps) })
 		return
 	}
 	delete(l.pending, token)
-	s := newStream(ps.conns, l.rng.Stream(fmt.Sprintf("resp-%d", token)), l.stack.Host.Net().Eng, l.Health)
-	// Replay bytes that arrived glued to or after the hellos.
-	for i, b := range ps.bufs {
-		if len(b) > 0 {
-			s.feedBytes(i, b)
-		}
+	s := newStream(ps.conns, l.rng.Stream(fmt.Sprintf("resp-%d", token)), l.eng, l.Health)
+	for i, held := range ps.held {
+		s.replay(i, held)
 	}
 	l.onOpen(s)
+}
+
+// drop abandons the pending stream of channel token, one of whose conns
+// closed before the channel's other m-flows arrived: the spans held for it
+// are released and its conns' further bytes ignored. Nothing more goes on
+// the wire.
+func (l *Listener) drop(token uint64, ps *pendingStream) {
+	delete(l.pending, token)
+	for _, held := range ps.held {
+		for _, sp := range held {
+			sp.C.Release()
+		}
+	}
+	for _, c := range ps.conns {
+		if c != nil {
+			c.OnSpan(nil)
+			c.OnClose(nil)
+		}
+	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"mic/internal/chunk"
 	"mic/internal/ctrlplane"
+	"mic/internal/sim"
 	"mic/internal/topo"
 )
 
@@ -15,7 +16,7 @@ import (
 // is a script: each 4-byte step picks a sequence number out of a small
 // space (so duplicates, gaps and late fills are common), a payload length,
 // the conn the frame arrives on and how the conn's bytes are cut. Every
-// script runs three times:
+// script is fed to a bare stream three ways, and once through a listener:
 //
 //   - fragments: each frame is cut into two calls and the second is held
 //     back until the conn's next frame, so frames of different conns
@@ -28,37 +29,41 @@ import (
 //     consecutive calls of one conn lie one after another in one chunk, so
 //     a cut frame is completed in place. The step's first byte (beyond the
 //     sequence number) makes a call start a new chunk instead, breaking
-//     adjacency, or arrive as bytes in no chunk, which the stream copies,
-//     and may chop the call into 5- or 300-byte calls, so a frame arrives
-//     in many pieces and headers are cut. The conns' last bytes are never
-//     fed, so the stream is closed holding cut frames and waiting slices.
+//     adjacency, and may chop the call into 5- or 300-byte calls, so a
+//     frame arrives in many pieces and headers are cut. The conns' last
+//     bytes are never fed, so the stream is closed holding cut frames and
+//     waiting slices;
+//   - listener: each conn's hello, then its frames, reach a Listener in
+//     calls cut at any offset, the conns arriving in any order (listenScript).
 //
 // In the first two modes every fed buffer is a span of a fresh chunk of a
-// debug pool, recycled — poisoned — once feed returns. In the third, the
+// debug pool, recycled — poisoned — once feed returns. In the last two, the
 // feeder drops its reference on the span once feed returns and its chunk
-// is carved again from the front as soon as no one else holds it, and a
-// chunkless call's buffer is poisoned once feed returns. So a held slice or
-// a cut frame kept without a reference of its own shows up as corrupt
-// bytes. The stream must deliver exactly the bytes, count exactly the
-// duplicates and hold exactly the slices of a naive map-based reassembler
-// that sees whole frames in completion order, and once closed it must have
-// given every chunk back (Gets == Puts).
+// is carved again from the front as soon as no one else holds it. So a
+// held slice, a cut frame or a span the listener held kept without a
+// reference of its own shows up as corrupt bytes. The stream must deliver
+// exactly the bytes, count exactly the duplicates and hold exactly the
+// slices of a naive map-based reassembler that sees whole frames in
+// completion order (the listener: of a bare stream fed the same bytes
+// directly), and once closed it must have given every chunk back (Gets ==
+// Puts).
 func FuzzStreamFeed(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 0, 1, 5, 1, 3})
 	f.Add([]byte{1, 5, 0, 2, 0, 6, 1, 9, 0, 6, 0, 0, 2, 0, 1, 1})
 	f.Add([]byte{3, 200, 2, 7, 2, 9, 1, 0, 1, 1, 0, 255, 0, 40, 2, 3})
 	f.Add([]byte{2, 30, 0, 1, 1, 30, 0, 5, 0, 30, 0, 14, 3, 30, 1, 2, 4, 9, 0, 68})
 	// Spans: among adjacent calls, ones that start a new chunk (first byte
-	// 24–47) and ones in no chunk (48–71).
+	// 24–47).
 	f.Add([]byte{1, 40, 0, 60, 24, 40, 0, 5, 2, 90, 0, 200, 74, 12, 1, 0, 0, 50, 0, 96, 51, 50, 0, 7, 2, 20, 0, 0})
 	f.Add([]byte{5, 100, 1, 150, 28, 3, 1, 16, 3, 100, 0, 80, 52, 100, 1, 190, 2, 0, 0, 2, 1, 77, 1, 230, 24, 7, 0, 4, 4, 30, 1, 1})
 	// Spans chopped into 5-byte (first byte 96–191) and 300-byte (192–255)
-	// calls, adjacent, in new chunks and in no chunk.
+	// calls, adjacent and in new chunks.
 	f.Add([]byte{121, 90, 0, 10, 98, 60, 1, 0, 146, 80, 0, 4, 195, 250, 1, 6, 216, 200, 0, 100, 96, 30, 2, 0, 219, 120, 2, 51})
 	f.Fuzz(func(t *testing.T, script []byte) {
 		for mode := range feedModes {
 			feedScript(t, script, mode)
 		}
+		listenScript(t, script)
 	})
 }
 
@@ -87,7 +92,6 @@ func feedScript(t *testing.T, script []byte, mode int) {
 		fresh chunk.Carver        // fragments, segments: a new chunk per call
 		wire  [conns]chunk.Carver // spans: each conn's run of adjacent calls
 		how   byte                // spans: how the next call arrives
-		plain [conns][]byte       // spans: chunkless calls' buffers
 	)
 	fresh.Pool = chunks
 	for c := range wire {
@@ -111,16 +115,8 @@ func feedScript(t *testing.T, script []byte, mode int) {
 		}
 		for ; len(b) > 0; b = b[min(chop, len(b)):] {
 			call := b[:min(chop, len(b))]
-			switch how % 4 {
-			case 1:
+			if how%4 == 1 {
 				wire[c].Drop() // a new chunk: this call does not continue the last
-			case 2:
-				plain[c] = append(plain[c][:0], call...)
-				s.feedBytes(c, plain[c])
-				for i := range plain[c] {
-					plain[c][i] = 0xA5
-				}
-				continue
 			}
 			sp := wire[c].Carve(len(call), 4<<10)
 			copy(sp.Bytes(), call)
@@ -169,18 +165,10 @@ func feedScript(t *testing.T, script []byte, mode int) {
 		}
 	}
 	for step := 0; len(script) >= 4; step++ {
-		seq, n, c, cut := uint32(script[0]%24), int(script[1]), int(script[2])%conns, int(script[3])
+		seq, c, cut := uint32(script[0]%24), int(script[2])%conns, int(script[3])
 		how = script[0] / 24
+		frameBytes, payload := scriptFrame(step, script)
 		script = script[4:]
-		payload := make([]byte, n)
-		for i := range payload {
-			payload[i] = byte(step*31 + i)
-		}
-		frameBytes := make([]byte, sliceHeaderLen+n+cut%3) // sometimes padded
-		binary.BigEndian.PutUint32(frameBytes[0:4], seq)
-		binary.BigEndian.PutUint16(frameBytes[4:6], uint16(n))
-		binary.BigEndian.PutUint16(frameBytes[6:8], uint16(len(frameBytes)-sliceHeaderLen))
-		copy(frameBytes[sliceHeaderLen:], payload)
 		if mode > 0 {
 			pending[c] = append(pending[c], frameBytes...)
 			open[c] = append(open[c], frame{end: fed[c] + len(pending[c]), seq: seq, payload: payload})
@@ -221,6 +209,133 @@ func feedScript(t *testing.T, script []byte, mode int) {
 	}
 	if chunks.Gets != chunks.Puts {
 		t.Fatalf("%s: closed stream left %d chunks handed out, %d back in the pool", m, chunks.Gets, chunks.Puts)
+	}
+}
+
+// scriptFrame builds the frame of a FuzzStreamFeed script's step, whose
+// four bytes begin step: slice seq out of a small space, carrying n
+// bytes that name the step, sometimes padded. It returns the frame and the
+// payload.
+func scriptFrame(k int, step []byte) (frame, payload []byte) {
+	seq, n, cut := uint32(step[0]%24), int(step[1]), int(step[3])
+	frame = make([]byte, sliceHeaderLen+n+cut%3)
+	binary.BigEndian.PutUint32(frame[0:4], seq)
+	binary.BigEndian.PutUint16(frame[4:6], uint16(n))
+	binary.BigEndian.PutUint16(frame[6:8], uint16(len(frame)-sliceHeaderLen))
+	payload = frame[sliceHeaderLen : sliceHeaderLen+n]
+	for i := range payload {
+		payload[i] = byte(k*31 + i)
+	}
+	return frame, payload
+}
+
+// listenScript is FuzzStreamFeed's listener arm. The script's frames go
+// to three conns as in feedScript, behind the hello of a channel of three
+// m-flows. Each step then feeds its conn's next 1–256 bytes, from where
+// that conn's last call ended in the same chunk, so the conns arrive in the
+// script's order and a hello, a frame or the bytes after a hello are cut at
+// any offset; then every conn's rest is fed but for the last conn's final
+// few bytes. The listener holds what arrives after each hello by
+// reference until the last hello completes, and the stream it builds must
+// deliver the bytes, count the duplicates and hold the slices of a bare
+// stream fed the same bytes directly: at the instant the stream opened,
+// each conn's bytes past its hello in conn order (as the listener replays
+// them), then each later call. Once closed — or, if some hello never
+// completed, once the conns close — the listener holds no pending stream,
+// and every chunk is back in the pool.
+func listenScript(t *testing.T, script []byte) {
+	const conns = 3
+	chunks := chunk.NewPool()
+	chunks.SetDebug(true)
+	var wire [conns][]byte
+	for c := range wire {
+		wire[c] = hello(7, uint8(c), conns)
+	}
+	for k, step := 0, script; len(step) >= 4; k, step = k+1, step[4:] {
+		frame, _ := scriptFrame(k, step)
+		c := int(step[2]) % conns
+		wire[c] = append(wire[c], frame...)
+	}
+
+	ref := bareStream(conns, chunks)
+	var want []byte
+	ref.OnData(func(b []byte) { want = append(want, b...) })
+	var (
+		s      *Stream
+		got    []byte
+		fed    [conns]int
+		carver [conns]chunk.Carver
+		fc     [conns]*stubConn
+	)
+	l := &Listener{eng: sim.New(), pending: make(map[uint64]*pendingStream), rng: sim.NewRNG(1)}
+	l.onOpen = func(st *Stream) {
+		s = st
+		s.OnData(func(b []byte) { got = append(got, b...) })
+		for c := range wire {
+			feedCopy(ref, c, wire[c][helloLen:fed[c]])
+		}
+	}
+	for c := range fc {
+		fc[c] = &stubConn{chunks: chunks}
+		carver[c].Pool = chunks
+	}
+	call := func(c, k int) {
+		k = min(k, len(wire[c])-fed[c])
+		if k <= 0 {
+			return
+		}
+		if fed[c] == 0 {
+			l.accept(fc[c])
+		}
+		b := wire[c][fed[c] : fed[c]+k]
+		open := s != nil
+		fed[c] += k
+		sp := carver[c].Carve(k, 4<<10)
+		copy(sp.Bytes(), b)
+		if fc[c].onSpan != nil {
+			fc[c].onSpan(sp)
+		}
+		sp.C.Release()
+		if open {
+			feedCopy(ref, c, b)
+		}
+	}
+	for step := script; len(step) >= 4; step = step[4:] {
+		call(int(step[2])%conns, 1+int(step[3]))
+	}
+	for c := range wire {
+		rest := len(wire[c]) - fed[c]
+		if c == conns-1 && len(script) > 0 {
+			rest -= int(script[0]) % 16
+		}
+		call(c, rest)
+	}
+
+	if s == nil {
+		for _, c := range fc {
+			if c.onClose != nil {
+				c.onClose()
+			}
+		}
+		if len(l.pending) != 0 {
+			t.Fatal("listener: the pending stream outlived its conns")
+		}
+	} else {
+		if !bytes.Equal(got, want) {
+			t.Fatalf("listener: delivered %d bytes, direct feed %d; first difference at %d", len(got), len(want), diffAt(got, want))
+		}
+		if s.SlicesDup != ref.SlicesDup || s.seqIn != ref.seqIn || s.reasm.held != ref.reasm.held {
+			t.Fatalf("listener: stream at seq %d holding %d with %d duplicates, direct feed at %d holding %d with %d",
+				s.seqIn, s.reasm.held, s.SlicesDup, ref.seqIn, ref.reasm.held, ref.SlicesDup)
+		}
+		s.Close()
+	}
+	ref.Close()
+	for c := range carver {
+		carver[c].Drop()
+	}
+	if chunks.Gets != chunks.Puts {
+		t.Fatalf("listener: %d chunks handed out, %d back in the pool", chunks.Gets, chunks.Puts)
 	}
 }
 

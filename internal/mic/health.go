@@ -92,7 +92,7 @@ const (
 // zero value enables it.
 type HealthConfig struct {
 	// Disabled turns off the active machinery — monitoring, probing, slice
-	// retransmission and rebalancing — reverting Send to uniform slicing.
+	// retransmission and rebalancing — reverting Send to uniform flow picks.
 	// Receive-side duties (acking slices, answering probes) stay on, so a
 	// disabled endpoint never blinds its peer. Ablation knob.
 	Disabled bool
@@ -276,7 +276,7 @@ func (m *healthMonitor) pump() {
 		m.s.SlicesOut[flow]++
 		m.out.Push(outSlice{frame: frame, flow: flow, sentAt: m.s.eng.Now()})
 		m.sent[flow]++
-		m.s.send(flow, frame)
+		m.s.conns[flow].SendSpan(frame)
 	}
 }
 
@@ -510,7 +510,7 @@ func (m *healthMonitor) retransmitOverdue(now sim.Time) {
 		o.sentAt = now
 		o.retx++
 		m.s.SlicesRetx++
-		m.s.send(to, o.frame)
+		m.s.conns[to].SendSpan(o.frame)
 	}
 }
 

@@ -604,18 +604,18 @@ func TestStreamSliceReassemblyOutOfOrder(t *testing.T) {
 		copy(b[sliceHeaderLen:], payload)
 		return b
 	}
-	s.feedBytes(0, mk(1, "world"))
+	feedCopy(s, 0, mk(1, "world"))
 	if len(got) != 0 {
 		t.Fatal("delivered out of order")
 	}
-	s.feedBytes(1, mk(0, "hello "))
+	feedCopy(s, 1, mk(0, "hello "))
 	if string(got) != "hello world" {
 		t.Fatalf("got %q", got)
 	}
 	// Split across feeds (partial header).
 	frag := mk(2, "!!")
-	s.feedBytes(0, frag[:3])
-	s.feedBytes(0, frag[3:])
+	feedCopy(s, 0, frag[:3])
+	feedCopy(s, 0, frag[3:])
 	if string(got) != "hello world!!" {
 		t.Fatalf("got %q", got)
 	}
@@ -1113,71 +1113,6 @@ func TestCrossTopology(t *testing.T) {
 	}
 }
 
-// TestUniformSlicePadding: with fixed-size slices every data-bearing wire
-// packet has the same length, defeating packet-size fingerprinting.
-func TestUniformSlicePadding(t *testing.T) {
-	f := newFixture(t, Config{MNs: 2})
-	var got []byte
-	Listen(f.stacks[15], 80, false, func(s *Stream) {
-		s.OnData(func(b []byte) { got = append(got, b...) })
-	})
-	sizes := map[int]int{}
-	for _, sid := range f.graph.Switches() {
-		f.net.AddTap(sid, func(ev netsim.TapEvent) {
-			if ev.Dir == netsim.Ingress && len(ev.Pkt.Payload) > 0 {
-				sizes[len(ev.Pkt.Payload)]++
-			}
-		})
-	}
-	client := NewClient(f.stacks[0], f.mc)
-	data := pattern(10_000)
-	client.Dial(f.hostIP(15).String(), 80, func(s *Stream, err error) {
-		if err != nil {
-			t.Fatalf("dial: %v", err)
-		}
-		s.SetUniformSliceSize(512)
-		s.Send(data)
-	})
-	f.eng.Run()
-	if !bytes.Equal(got, data) {
-		t.Fatalf("padded transfer corrupted: %d/%d", len(got), len(data))
-	}
-	// All full-size data segments observed on the wire must be one of at
-	// most two sizes: the full padded slice and TCP's MSS-boundary split of
-	// it. Crucially no size reveals the app's true message boundaries.
-	// Count distinct payload sizes above the pure-ACK threshold.
-	distinct := 0
-	for sz, n := range sizes {
-		if sz > 64 && n > 0 {
-			distinct++
-		}
-	}
-	if distinct > 3 {
-		t.Fatalf("too many distinct data packet sizes under padding: %v", sizes)
-	}
-	// Sanity: the padded slice size dominates.
-	want := 512 + sliceHeaderLen
-	found := false
-	for sz := range sizes {
-		if sz == want || sz == want*2 || sz == 1460 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected %d-byte slices on the wire: %v", want, sizes)
-	}
-}
-
-func TestUniformSliceSizeValidation(t *testing.T) {
-	s := &Stream{}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range uniform size accepted")
-		}
-	}()
-	s.SetUniformSliceSize(10)
-}
-
 func BenchmarkEstablishChannel(b *testing.B) {
 	f := newFixture(b, Config{MNs: 3})
 	targets := f.graph.Hosts()
@@ -1241,25 +1176,15 @@ func BenchmarkMAddrChainGeneration(b *testing.B) {
 
 func (a *idAllocator) inUse() int { return len(a.held) }
 
-// SetUniformSliceSize switches the stream to fixed-size slices: every
-// slice body is padded to exactly size bytes (64..16384), making all data
-// packets on a wire segment indistinguishable by length. Costs padding
-// bandwidth on the final slice of each Send. Zero restores randomized
-// slice sizes.
-func (s *Stream) SetUniformSliceSize(size int) {
-	if size != 0 && (size < 64 || size > 16384) {
-		panic("mic: uniform slice size out of range [64, 16384]")
-	}
-	s.uniform = size
-}
-
 // Err returns the stream's terminal error, if any: non-nil after the MC
-// declared the underlying channel unrepairable (SubscribeChannelDown).
+// declared the underlying channel unrepairable (SubscribeChannelDown), or
+// once a reset tore down the stream's last open conn.
 func (s *Stream) Err() error { return s.failed }
 
 // OnError registers a callback fired at most once, when the stream dies
 // terminally: the MC abandoned the channel (no live path after all repair
-// retries) and tore it down. The stream is unusable afterwards; Err
+// retries) and tore it down, or a reset tore down its last open conn. The
+// stream is unusable afterwards; Err
 // returns the same error. Without the callback the error is still
 // available from Err — but registering it is how an application turns a
 // would-be hang into a clean failure.

@@ -85,12 +85,7 @@ func TestChunkOutlivesStreamAck(t *testing.T) {
 	client, server := dialPair(t, f, &got)
 	var raw [2][]byte
 	for i, c := range server.conns {
-		conn := c.(*transport.Conn)
-		conn.OnData(func(b []byte) {
-			raw[i] = append(raw[i], b...)
-			server.feedBytes(i, b)
-		})
-		conn.OnSpan(func(sp chunk.Span) {
+		c.OnSpan(func(sp chunk.Span) {
 			raw[i] = append(raw[i], sp.Bytes()...)
 			server.feed(i, sp)
 		})
@@ -223,12 +218,7 @@ func TestMICSegmentsAliasStreamFrames(t *testing.T) {
 	// Interpose on the receiving conn: is each delivered run of bytes
 	// inside a frame the sender still holds?
 	segments, aliased := 0, 0
-	conn := server.conns[0].(*transport.Conn)
-	conn.OnData(func(b []byte) {
-		segments++
-		server.feedBytes(0, b)
-	})
-	conn.OnSpan(func(sp chunk.Span) {
+	server.conns[0].OnSpan(func(sp chunk.Span) {
 		segments++
 		at := uintptr(unsafe.Pointer(&sp.Bytes()[0]))
 		for i := 0; i < client.health.out.Len(); i++ {
@@ -249,7 +239,7 @@ func TestMICSegmentsAliasStreamFrames(t *testing.T) {
 	if aliased*10 < segments*9 {
 		t.Fatalf("%d of %d delivered segments alias a frame of the sender's stream, want at least 90 %%", aliased, segments)
 	}
-	conn = client.conns[0].(*transport.Conn)
+	conn := client.conns[0].(*transport.Conn)
 	ctl := conn.BytesCopied - helloLen
 	if ctl < 0 || ctl%(sliceHeaderLen+ctlBodyLen) != 0 || ctl*100 > conn.BytesSentApp {
 		t.Fatalf("the sender's conn copied %d of %d bytes; want the hello and whole control frames only", conn.BytesCopied, conn.BytesSentApp)
@@ -257,9 +247,8 @@ func TestMICSegmentsAliasStreamFrames(t *testing.T) {
 }
 
 // TestStreamReceivesByReference: over an F = 2 channel, every byte a
-// stream receives reaches it as a span, so neither stream copies a
-// received byte in (BytesCopiedIn), and every chunk is back in the pool
-// once both streams closed. Under MIC-TCP a span is the sender's frames
+// stream receives reaches it as a span, and every chunk is back in the
+// pool once both streams closed. Under MIC-TCP a span is the sender's frames
 // where a segment lies in one, else the chunk the sending conn gathered a
 // segment crossing two frames' chunks into (both conns did); under MIC-SSL
 // it is the chunk the secure conn decrypted a record into.
@@ -305,11 +294,96 @@ func TestStreamReceivesByReference(t *testing.T) {
 				t.Fatal("no segment crossed two chunks")
 			}
 		}
-		if client.BytesCopiedIn != 0 || server.BytesCopiedIn != 0 {
-			t.Fatalf("secure=%v: the streams copied %d and %d received bytes in, want 0", secure, client.BytesCopiedIn, server.BytesCopiedIn)
-		}
 		if pl := f.net.ChunkPool(); pl.Gets != pl.Puts {
 			t.Fatalf("secure=%v: %d chunks handed out, %d back in the pool", secure, pl.Gets, pl.Puts)
+		}
+	}
+}
+
+// heldBed dials two raw conns from host 0 to a Listener on host 15 as the
+// two m-flows of one channel: conn 0 sends its hello and one slice, conn 1
+// the first half of its hello only. Once the engine is idle the listener
+// holds the slice's bytes, waiting for conn 1. It returns the listener,
+// both ends of both conns and the slice's payload.
+func heldBed(t *testing.T, f *fixture, onOpen func(*Stream)) (l *Listener, client, server [2]*transport.Conn, payload []byte) {
+	t.Helper()
+	l = Listen(f.stacks[15], 80, false, onOpen)
+	n := 0
+	f.stacks[15].Listen(81, func(c *transport.Conn) {
+		server[n] = c
+		n++
+		l.accept(c)
+	})
+	payload = []byte("bytes that arrive before the channel's other m-flow")
+	slice := make([]byte, sliceHeaderLen+len(payload))
+	binary.BigEndian.PutUint16(slice[4:6], uint16(len(payload)))
+	binary.BigEndian.PutUint16(slice[6:8], uint16(len(payload)))
+	copy(slice[sliceHeaderLen:], payload)
+	for i := range client {
+		f.stacks[0].Dial(f.hostIP(15), 81, func(c *transport.Conn, err error) {
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			client[i] = c
+			if i == 0 {
+				c.Send(append(hello(7, 0, 2), slice...))
+			} else {
+				c.Send(hello(7, 1, 2)[:helloLen/2])
+			}
+		})
+	}
+	f.eng.Run()
+	if n != 2 || len(l.pending) != 1 {
+		t.Fatalf("%d conns accepted, %d channels pending; want 2 and 1", n, len(l.pending))
+	}
+	return l, client, server, payload
+}
+
+// TestListenerDropsAbandonedChannel: when a channel's first conn closes
+// before its second finished its hello, the listener forgets the channel.
+func TestListenerDropsAbandonedChannel(t *testing.T) {
+	f := newFixture(t, Config{})
+	l, client, _, _ := heldBed(t, f, func(*Stream) { t.Fatal("a stream opened without its second m-flow") })
+	client[0].Close()
+	f.eng.Run()
+	if len(l.pending) != 0 {
+		t.Fatalf("%d channels still pending after a conn of the only one closed", len(l.pending))
+	}
+}
+
+// TestListenerReleasesHeldSpans: the bytes a listener holds for a channel
+// whose other m-flow has not arrived, by reference, reach the stream
+// intact once it does, and their chunks go back to the pool whether the
+// stream opens or the channel is abandoned.
+func TestListenerReleasesHeldSpans(t *testing.T) {
+	for _, complete := range []bool{false, true} {
+		f := newFixture(t, Config{})
+		var s *Stream
+		var got []byte
+		_, client, server, payload := heldBed(t, f, func(st *Stream) {
+			s = st
+			s.OnData(func(b []byte) { got = append(got, b...) })
+		})
+		if complete {
+			client[1].Send(hello(7, 1, 2)[helloLen/2:])
+			f.eng.Run()
+			if s == nil || !bytes.Equal(got, payload) {
+				t.Fatalf("stream opened %v, delivered %q; want %q", s != nil, got, payload)
+			}
+			s.Close()
+		} else {
+			client[0].Close()
+			f.eng.Run()
+			for _, c := range server {
+				c.Close()
+			}
+		}
+		for _, c := range client {
+			c.Close()
+		}
+		f.eng.Run()
+		if pl := f.net.ChunkPool(); pl.Gets != pl.Puts {
+			t.Fatalf("complete=%v: %d chunks handed out, %d back in the pool", complete, pl.Gets, pl.Puts)
 		}
 	}
 }

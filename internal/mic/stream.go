@@ -48,26 +48,25 @@ const ackInterval = time.Millisecond
 // per write measured slower: fresh multi-megabyte spans zero slowly.
 const slabChunk = 32 << 10
 
-// recvChunk sizes the chunks a stream copies received bytes into — bytes
-// in no chunk, and the pieces of a frame cut across two chunks (about
-// three segments): a slice held from one pins little, and an unpinned one
-// is carved again from its front. A larger copy gets a chunk of its own
-// size.
+// recvChunk sizes the chunks a stream gathers the pieces of a frame cut
+// across two chunks into (about three segments): a slice held from one
+// pins little, and an unpinned one is carved again from its front. A
+// larger frame gets a chunk of its own size.
 const recvChunk = 4 << 10
 
-// spanSender is a conn that queues a chunk span by reference
-// (transport.Conn); a frame goes to any other conn through Send, which
-// copies it.
-type spanSender interface{ SendSpan(s chunk.Span) }
-
-// chunkSource is a conn that names the chunk pool of its network.
-type chunkSource interface{ Chunks() *chunk.Pool }
-
-// spanReceiver is a conn that hands every byte over as a span
-// (transport.Conn, transport.SecureConn), so the stream can keep them by
-// reference; bytes from any other conn arrive through OnData and are
-// copied once.
-type spanReceiver interface{ OnSpan(fn func(chunk.Span)) }
+// conn is one m-flow connection as a stream and a listener hold it: a
+// *transport.Conn under MIC-TCP, a *transport.SecureConn under MIC-SSL.
+// Frames go out by SendSpan (the conn queues the frame's span, or seals a
+// record from it), every received byte comes in as a span (OnSpan), and
+// Err tells a reset from an orderly close once OnClose has fired.
+type conn interface {
+	transport.ByteStream
+	SendSpan(s chunk.Span)
+	OnSpan(fn func(chunk.Span))
+	Chunks() *chunk.Pool
+	RemoteAddr() (addr.IP, uint16)
+	Err() error
+}
 
 // sendCtl sends one control frame on conn i. The frame is built in the
 // stream's scratch array, which Send copies before it returns.
@@ -87,16 +86,12 @@ func (s *Stream) sendCtl(i int, typ byte, a, b uint32) {
 // monitors every m-flow's health, re-sends slices whose m-flow stalled,
 // and rebalances the slicing weights away from sick m-flows.
 type Stream struct {
-	conns []transport.ByteStream
+	conns []conn
 	rng   *sim.RNG
 	eng   *sim.Engine
 
 	// Outgoing.
 	seqOut uint32
-	// uniform, when non-zero, pads every slice body to exactly this many
-	// bytes so all data packets on the wire share one size — a defense
-	// against packet-size fingerprinting (an extension beyond the paper).
-	uniform int
 	// frames carves slice frames from the network's chunks. Each frame
 	// holds a reference on its chunk until no Send can re-transmit it:
 	// right after the conn took it (health disabled), or when its
@@ -106,14 +101,15 @@ type Stream struct {
 	frames chunk.Carver
 	ctl    [sliceHeaderLen + ctlBodyLen]byte // sendCtl's scratch frame
 
-	// Incoming. Received bytes are chunk spans: the ones the conn hands
-	// over (the sender's frames, the chunk a segment crossing two of them
-	// was gathered into, a secure conn's plaintext), else a copy carved
-	// from recv. A frame is handled where it lies; cut[i] keeps, by reference,
-	// the head of the frame a segment boundary cut on conn i until the bytes
-	// that complete it arrive. A slice arriving in sequence goes straight to
-	// onData; reasm holds references to the others (overtook a gap, or
-	// arrived before a receiver was registered).
+	// Incoming. Received bytes are the chunk spans the conn hands over (the
+	// sender's frames, the chunk a segment crossing two of them was gathered
+	// into, a secure conn's plaintext). A frame is handled where it lies;
+	// cut[i] keeps, by reference, the head of the frame a segment boundary
+	// cut on conn i until the bytes that complete it arrive, gathered into
+	// a span carved from recv when they do not continue it in place. A
+	// slice arriving in sequence goes straight to onData; reasm holds
+	// references to the others (overtook a gap, or arrived before a
+	// receiver was registered).
 	recv     chunk.Carver
 	cut      []cutFrame
 	reasm    reassembly
@@ -143,18 +139,13 @@ type Stream struct {
 	SlicesOut  []int64 // per m-flow first-transmission slice counts (traffic-split evidence)
 	SlicesRetx int64   // slices re-sent over another m-flow
 	SlicesDup  int64   // duplicate slices discarded by the receiver
-	// BytesCopiedIn counts the received bytes the stream copied because no
-	// chunk held them (feedBytes): zero when every conn hands its bytes
-	// over as spans.
-	BytesCopiedIn int64
 }
 
 // newFrame returns an n-byte frame holding a reference on its chunk. A
 // new chunk is sized for the rest bytes the current Send has yet to slice
 // (headers add at most sliceHeaderLen per minSlice) up to slabChunk — so a
 // small Send allocates exactly its frame, and once acked, a frame's chunk
-// is carved again or recycled. Callers overwrite header and payload and
-// clear any padding.
+// is carved again or recycled. Callers overwrite header and payload.
 func (s *Stream) newFrame(n, rest int) chunk.Span {
 	return s.frames.Carve(n, min(slabChunk, n+rest+rest*sliceHeaderLen/minSlice+sliceHeaderLen))
 }
@@ -170,18 +161,10 @@ func joinRun(run *chunk.Span, frame chunk.Span) bool {
 	return true
 }
 
-// send hands frame f to conn i: by reference where the conn queues spans,
-// as a copy otherwise. The caller keeps its own reference.
-func (s *Stream) send(i int, f chunk.Span) {
-	if c, ok := s.conns[i].(spanSender); ok {
-		c.SendSpan(f)
-		return
-	}
-	s.conns[i].Send(f.Bytes())
-}
-
 // newStream wires s onto its connections; conns must all be established.
-func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc HealthConfig) *Stream {
+// When the last of them closes, the stream closes (OnClose), or fails with
+// the conn's error if a reset tore it down.
+func newStream(conns []conn, rng *sim.RNG, eng *sim.Engine, hc HealthConfig) *Stream {
 	s := &Stream{
 		conns:      conns,
 		rng:        rng,
@@ -193,11 +176,7 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 		connClosed: make([]bool, len(conns)),
 		SlicesOut:  make([]int64, len(conns)),
 	}
-	if src, ok := conns[0].(chunkSource); ok {
-		s.frames.Pool = src.Chunks()
-	} else {
-		s.frames.Pool = chunk.NewPool()
-	}
+	s.frames.Pool = conns[0].Chunks()
 	s.recv.Pool = s.frames.Pool
 	if !hc.Disabled {
 		s.health = newHealthMonitor(s)
@@ -205,19 +184,20 @@ func newStream(conns []transport.ByteStream, rng *sim.RNG, eng *sim.Engine, hc H
 	for i, c := range conns {
 		i, c := i, c
 		s.ack[i].Bind(eng, func() { s.delayedAck(i) })
-		if r, ok := c.(spanReceiver); ok {
-			r.OnSpan(func(sp chunk.Span) { s.feed(i, sp) })
-		} else {
-			c.OnData(func(b []byte) { s.feedBytes(i, b) })
-		}
+		c.OnSpan(func(sp chunk.Span) { s.feed(i, sp) })
 		c.OnClose(func() {
 			s.connClosed[i] = true
 			if s.health != nil {
 				s.health.flows[i].state = FlowClosed
 			}
-			s.closedConns++
-			if s.closedConns == len(s.conns) && s.onClose != nil {
-				cb := s.onClose
+			if s.closedConns++; s.closedConns < len(s.conns) {
+				return
+			}
+			if err := c.Err(); err != nil {
+				s.fail(err)
+				return
+			}
+			if cb := s.onClose; cb != nil {
 				s.onClose = nil
 				cb()
 			}
@@ -234,12 +214,9 @@ func (s *Stream) FlowCount() int { return len(s.conns) }
 // sees entry addresses, the responder sees fake final sources — never the
 // other party's real address.
 func (s *Stream) Remotes() []addr.IP {
-	out := make([]addr.IP, 0, len(s.conns))
-	for _, c := range s.conns {
-		if ra, ok := c.(interface{ RemoteAddr() (addr.IP, uint16) }); ok {
-			ip, _ := ra.RemoteAddr()
-			out = append(out, ip)
-		}
+	out := make([]addr.IP, len(s.conns))
+	for i, c := range s.conns {
+		out[i], _ = c.RemoteAddr()
 	}
 	return out
 }
@@ -257,29 +234,13 @@ func (s *Stream) Send(data []byte) {
 	}
 	s.BytesSent += int64(len(data))
 	for len(data) > 0 {
-		var n, padded int
-		if s.uniform > 0 {
-			padded = s.uniform
-			n = min(len(data), padded)
-		} else {
-			n = minSlice
-			if span := maxSlice - minSlice; span > 0 {
-				n += s.rng.Intn(span + 1)
-			}
-			if n > len(data) {
-				n = len(data)
-			}
-			padded = n
-		}
-		frame := s.newFrame(sliceHeaderLen+padded, len(data)-n)
+		n := min(minSlice+s.rng.Intn(maxSlice-minSlice+1), len(data))
+		frame := s.newFrame(sliceHeaderLen+n, len(data)-n)
 		body := frame.Bytes()
 		binary.BigEndian.PutUint32(body[0:4], s.seqOut)
 		binary.BigEndian.PutUint16(body[4:6], uint16(n))
-		binary.BigEndian.PutUint16(body[6:8], uint16(padded))
+		binary.BigEndian.PutUint16(body[6:8], uint16(n)) // padded: none
 		copy(body[sliceHeaderLen:], data[:n])
-		// Recycled chunks carry stale bytes; the padding must not leak them
-		// onto the wire.
-		clear(body[sliceHeaderLen+n:])
 		s.seqOut++
 		if s.health != nil {
 			// Windowed path: the monitor releases slices as acks open
@@ -288,7 +249,7 @@ func (s *Stream) Send(data []byte) {
 		} else {
 			flow := s.rng.Intn(len(s.conns))
 			s.SlicesOut[flow]++
-			s.send(flow, frame)
+			s.conns[flow].SendSpan(frame)
 			frame.C.Release()
 		}
 		data = data[n:]
@@ -298,10 +259,9 @@ func (s *Stream) Send(data []byte) {
 // OnData registers the receive callback and flushes anything reassembled
 // while none was registered. The slice handed to fn lies in a chunk the
 // stream or its conn holds a reference on — the sender's frame itself, or
-// the stream's one copy of bytes its conn could not hand over by reference
-// — and is valid only during the call (Conn.OnData's contract), and is
-// read-only: it may alias the sender's chunk. fn may Send it — Send copies
-// before it returns.
+// the chunk a frame cut across two was gathered into — and is valid only
+// during the call (Conn.OnData's contract), and is read-only: it may alias
+// the sender's chunk. fn may Send it — Send copies before it returns.
 //
 // A stream with no receiver registered holds what arrives but never advances
 // its cumulative ack, so its peer keeps retransmitting until one is: an
@@ -313,27 +273,16 @@ func (s *Stream) OnData(fn func([]byte)) {
 }
 
 // OnClose registers a callback fired once every underlying connection has
-// closed.
+// closed, unless a reset tore the last one down: that fails the stream.
 func (s *Stream) OnClose(fn func()) { s.onClose = fn }
 
-// fail marks the stream terminally dead and closes its connections.
+// fail marks the stream terminally dead and tears it down.
 func (s *Stream) fail(err error) {
-	if s.closed || s.failed != nil {
+	if s.done() {
 		return
 	}
 	s.failed = err
-	if s.health != nil {
-		s.health.disarm()
-	}
-	s.frames.Drop()
-	s.dropReceived()
-	if fin := s.onFinalize; fin != nil {
-		s.onFinalize = nil
-		fin()
-	}
-	for _, c := range s.conns {
-		c.Close()
-	}
+	s.teardown()
 	if cb := s.onError; cb != nil {
 		s.onError = nil
 		cb(err)
@@ -346,6 +295,12 @@ func (s *Stream) Close() {
 		return
 	}
 	s.closed = true
+	s.teardown()
+}
+
+// teardown is what Close and fail share: stop the health machinery, drop
+// the frames and what was received, unregister, close every conn.
+func (s *Stream) teardown() {
 	if s.health != nil {
 		s.health.disarm()
 	}
@@ -377,36 +332,45 @@ func (s *Stream) dropReceived() {
 // done reports whether the stream was closed or failed.
 func (s *Stream) done() bool { return s.closed || s.failed != nil }
 
-// feedBytes is feed for bytes that lie in no chunk the conn can name (a
-// conn that cannot hand spans over, what a listener buffered before the
-// stream existed): they are copied once into
-// the stream's own chunks, as Conn.Send copies, counted in BytesCopiedIn,
-// and fed from there.
-func (s *Stream) feedBytes(i int, b []byte) {
-	if len(b) == 0 || s.done() {
-		return
+// feed accepts the bytes in from connection i — valid only during the
+// call, under the caller's reference — handles every frame that completes
+// in them, in order, where it lies, and acks on conn i if they brought a
+// slice: the cumulative ack frees the sender's retransmit state, and its
+// arrival path proves this m-flow alive in the reverse direction.
+func (s *Stream) feed(i int, in chunk.Span) {
+	if s.take(i, in) {
+		s.maybeAck(i)
 	}
-	sp := s.recv.Carve(len(b), recvChunk)
-	copy(sp.Bytes(), b)
-	s.BytesCopiedIn += int64(len(b))
-	s.feed(i, sp)
-	sp.C.Release()
 }
 
-// feed accepts the bytes in from connection i — valid only during the
-// call, under the caller's reference — and handles every frame that
-// completes in them, in order, where it lies. A frame that in's end cuts
-// is kept by reference (cutFrame) until the bytes that complete it arrive.
-func (s *Stream) feed(i int, in chunk.Span) {
+// replay feeds the spans a listener held for conn i before the stream
+// existed, in order, dropping the listener's reference on each, and acks
+// once, as one feed of their bytes would.
+func (s *Stream) replay(i int, held []chunk.Span) {
+	got := false
+	for _, sp := range held {
+		got = s.take(i, sp) || got
+		sp.C.Release()
+	}
+	if got && !s.done() {
+		s.maybeAck(i)
+	}
+}
+
+// take is feed without the ack: it reports whether in brought a data slice
+// on a conn the stream acks on (a bare test stream has none). A frame that
+// in's end cuts is kept by reference (cutFrame) until the bytes that
+// complete it arrive.
+func (s *Stream) take(i int, in chunk.Span) bool {
 	if s.done() {
-		return
+		return false
 	}
 	gotSlices := false
 	if s.cut[i].have > 0 {
 		var k int
 		k, gotSlices = s.complete(i, in)
 		if s.done() {
-			return
+			return false
 		}
 		in.Off += k
 		in.N -= k
@@ -419,7 +383,7 @@ func (s *Stream) feed(i int, in chunk.Span) {
 		}
 		gotSlices = s.frame(i, chunk.Span{C: in.C, Off: in.Off + in.N - len(b), N: n}) || gotSlices
 		if s.done() {
-			return
+			return false
 		}
 		b = b[n:]
 	}
@@ -427,12 +391,7 @@ func (s *Stream) feed(i int, in chunk.Span) {
 		in.C.Retain()
 		s.cut[i] = cutFrame{sp: chunk.Span{C: in.C, Off: in.Off + in.N - len(b), N: len(b)}, have: len(b)}
 	}
-	if gotSlices && i < len(s.conns) {
-		// Ack on the conn the data arrived on: the cumulative ack frees the
-		// sender's retransmit state, and its arrival path proves this m-flow
-		// alive in the reverse direction.
-		s.maybeAck(i)
-	}
+	return gotSlices && i < len(s.conns)
 }
 
 // cutFrame is the head of a frame a segment boundary cut: its first have

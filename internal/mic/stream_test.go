@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"mic/internal/addr"
 	"mic/internal/chunk"
 	"mic/internal/netsim"
 	"mic/internal/sim"
@@ -80,14 +81,30 @@ func TestReorderedFlowsDeliverExactStream(t *testing.T) {
 	}
 }
 
-// stubConn is a ByteStream that keeps what it was sent until the test moves
-// it to the peer, so stream allocation budgets exclude transport.
-type stubConn struct{ out []byte }
+// stubConn is a conn that keeps what it was sent until the test moves it
+// to the peer (feedCopy), so stream allocation budgets exclude transport.
+// A test that plays the conn's far end calls the receiver and the close
+// callback its owner registered.
+type stubConn struct {
+	out     []byte
+	chunks  *chunk.Pool
+	onSpan  func(chunk.Span)
+	onClose func()
+}
 
-func (c *stubConn) Send(b []byte)       { c.out = append(c.out, b...) }
-func (c *stubConn) OnData(func([]byte)) {}
-func (c *stubConn) OnClose(func())      {}
-func (c *stubConn) Close()              {}
+func newStubConn(chunks *chunk.Pool) *stubConn {
+	return &stubConn{out: make([]byte, 0, 2<<20), chunks: chunks}
+}
+
+func (c *stubConn) Send(b []byte)                 { c.out = append(c.out, b...) }
+func (c *stubConn) SendSpan(s chunk.Span)         { c.Send(s.Bytes()) }
+func (c *stubConn) OnData(func([]byte))           {}
+func (c *stubConn) OnSpan(fn func(chunk.Span))    { c.onSpan = fn }
+func (c *stubConn) OnClose(fn func())             { c.onClose = fn }
+func (c *stubConn) Close()                        {}
+func (c *stubConn) Chunks() *chunk.Pool           { return c.chunks }
+func (c *stubConn) RemoteAddr() (addr.IP, uint16) { return 0, 0 }
+func (c *stubConn) Err() error                    { return nil }
 
 // take returns the bytes sent since the last take.
 func (c *stubConn) take() []byte {
@@ -97,10 +114,22 @@ func (c *stubConn) take() []byte {
 }
 
 func stubStream(eng *sim.Engine) (*Stream, *stubConn) {
-	c := &stubConn{out: make([]byte, 0, 2<<20)}
-	s := newStream([]transport.ByteStream{c}, sim.NewRNG(1), eng, HealthConfig{})
+	c := newStubConn(chunk.NewPool())
+	s := newStream([]conn{c}, sim.NewRNG(1), eng, HealthConfig{})
 	s.OnData(func([]byte) {})
 	return s, c
+}
+
+// feedCopy feeds s a copy of b arriving on conn i, in a chunk of the
+// stream's pool, as a conn hands over a payload it had to copy.
+func feedCopy(s *Stream, i int, b []byte) {
+	if len(b) == 0 {
+		return
+	}
+	sp := sender(s.recv.Pool, len(b))
+	copy(sp.Bytes(), b)
+	s.feed(i, sp)
+	sp.C.Release()
 }
 
 // TestSmallRoundAllocFree: a 64-byte send, its delivery, the (delayed)
@@ -113,9 +142,9 @@ func TestSmallRoundAllocFree(t *testing.T) {
 	msg := pattern(64)
 	round := func() {
 		a.Send(msg)
-		b.feedBytes(0, ac.take())
+		feedCopy(b, 0, ac.take())
 		eng.RunFor(ackInterval) // the trailing ack and, every other round, the watchdog
-		a.feedBytes(0, bc.take())
+		feedCopy(a, 0, bc.take())
 	}
 	for i := 0; i < 64; i++ {
 		round()
@@ -145,7 +174,7 @@ func TestBulkSendAllocBudget(t *testing.T) {
 			ac.take()
 			binary.BigEndian.PutUint32(ack[sliceHeaderLen+1:], a.seqOut-uint32(m.queued))
 			binary.BigEndian.PutUint32(ack[sliceHeaderLen+5:], uint32(m.sent[0]))
-			a.feedBytes(0, ack[:])
+			feedCopy(a, 0, ack[:])
 		}
 	}
 	send()
@@ -229,10 +258,10 @@ func TestFirstBulkSendAllocatesOnlyFrames(t *testing.T) {
 func TestReceivedSlicesReferenceTheirChunks(t *testing.T) {
 	const held, size = 100, sliceHeaderLen + maxSlice
 	eng := sim.New()
-	c0, c1 := &stubConn{out: make([]byte, 0, 4<<10)}, &stubConn{out: make([]byte, 0, 4<<10)}
-	s := newStream([]transport.ByteStream{c0, c1}, sim.NewRNG(1), eng, HealthConfig{})
-	pool := s.recv.Pool
+	pool := chunk.NewPool()
 	pool.SetDebug(true)
+	c0, c1 := newStubConn(pool), newStubConn(pool)
+	s := newStream([]conn{c0, c1}, sim.NewRNG(1), eng, HealthConfig{})
 	next, bad := uint32(0), 0
 	s.OnData(func(p []byte) {
 		if binary.BigEndian.Uint32(p) != next {
@@ -353,4 +382,34 @@ func TestClosedStreamReleasesReceivedChunks(t *testing.T) {
 		t.Fatalf("streams closed holding %d slices and a cut frame: %d chunks handed out, %d back in the pool", held, pl.Gets, pl.Puts)
 	}
 	t.Logf("closed holding %d slices and a cut frame, %d bytes delivered; %d chunks, all back", held, len(got), f.net.ChunkPool().Gets)
+}
+
+// TestResetConnFailsStream: mid-transfer on an F = 1 channel with no
+// auto-repair, the channel's one rule at the responder's edge — the
+// untagged rule that takes the responder's segments into the channel —
+// goes. The responder's segments then fall to common routing and reach the
+// host that really owns the fake address they are sent to, whose stack
+// answers with a RST. The RST tears down the responder's only conn, so its
+// stream must fail with the reset, not close as if the peer had finished.
+func TestResetConnFailsStream(t *testing.T) {
+	f := newFixture(t, Config{MFlows: 1, MNs: 2})
+	var got []byte
+	client, server := dialPair(t, f, &got)
+	closed := false
+	server.OnClose(func() { closed = true })
+	var st *channelState
+	for _, s := range f.mc.channels {
+		st = s
+	}
+	path := st.info.Flows[0].Path
+	client.Send(pattern(1 << 20))
+	f.eng.RunFor(time.Millisecond)
+	if n := f.net.Switch(path[len(path)-2]).Table.DeleteByCookie(st.cookie()); n != 1 {
+		t.Fatalf("deleted %d rules of the channel at the responder's edge, want its untagged rule alone", n)
+	}
+	f.eng.RunFor(100 * time.Millisecond)
+	if server.Err() == nil || closed || len(got) == 1<<20 {
+		t.Fatalf("server stream: error %v, closed %v, %d bytes delivered; want the reset, mid-transfer", server.Err(), closed, len(got))
+	}
+	t.Logf("server stream failed after %d bytes: %v", len(got), server.Err())
 }

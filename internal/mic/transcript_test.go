@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"mic/internal/chunk"
 	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
@@ -28,10 +29,11 @@ var update = flag.Bool("update", false, "rewrite testdata/*.golden from this bui
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// recConn digests every frame the stream hands to one conn: the virtual
-// instant, the frame length and the frame's CRC-32C.
+// recConn digests every frame the stream hands to one conn, by Send
+// (control frames) or by SendSpan (slices): the virtual instant, the frame
+// length and the frame's CRC-32C.
 type recConn struct {
-	transport.ByteStream
+	conn
 	eng    *sim.Engine
 	sends  int
 	bytes  int
@@ -39,6 +41,16 @@ type recConn struct {
 }
 
 func (r *recConn) Send(b []byte) {
+	r.note(b)
+	r.conn.Send(b)
+}
+
+func (r *recConn) SendSpan(s chunk.Span) {
+	r.note(s.Bytes())
+	r.conn.SendSpan(s)
+}
+
+func (r *recConn) note(b []byte) {
 	var rec [16]byte
 	binary.BigEndian.PutUint64(rec[0:8], uint64(r.eng.Now()))
 	binary.BigEndian.PutUint32(rec[8:12], uint32(len(b)))
@@ -46,7 +58,6 @@ func (r *recConn) Send(b []byte) {
 	r.digest = crc32.Update(r.digest, castagnoli, rec[:])
 	r.sends++
 	r.bytes += len(b)
-	r.ByteStream.Send(b)
 }
 
 // record interposes a recConn between s and each of its conns. The conns'
@@ -54,7 +65,7 @@ func (r *recConn) Send(b []byte) {
 func record(s *Stream, eng *sim.Engine) []*recConn {
 	recs := make([]*recConn, len(s.conns))
 	for i, c := range s.conns {
-		recs[i] = &recConn{ByteStream: c, eng: eng}
+		recs[i] = &recConn{conn: c, eng: eng}
 		s.conns[i] = recs[i]
 	}
 	return recs
@@ -72,9 +83,8 @@ var transcriptFaults = []struct {
 // streamTranscript runs one transfer (a forward body, then a reply once the
 // body has fully arrived) over an F-flow channel whose switch-to-switch
 // links all carry fault from the moment the stream opens, and renders what
-// both endpoints handed to their conns. A non-zero uniform pads every slice
-// of both endpoints to that many bytes (SetUniformSliceSize).
-func streamTranscript(t *testing.T, flows int, fault netsim.FaultProfile, uniform int, seed uint64) string {
+// both endpoints handed to their conns.
+func streamTranscript(t *testing.T, flows int, fault netsim.FaultProfile, seed uint64) string {
 	const fwdSize, revSize = 160 << 10, 6000
 	g, err := topo.FatTree(4)
 	if err != nil {
@@ -95,7 +105,6 @@ func streamTranscript(t *testing.T, flows int, fault netsim.FaultProfile, unifor
 	fwdGot, revGot := 0, 0
 	Listen(dst, 80, false, func(s *Stream) {
 		server, serverRecs = s, record(s, eng)
-		s.SetUniformSliceSize(uniform)
 		s.OnData(func(b []byte) {
 			fwdCRC = crc32.Update(fwdCRC, castagnoli, b)
 			if fwdGot += len(b); fwdGot == fwdSize {
@@ -109,7 +118,6 @@ func streamTranscript(t *testing.T, flows int, fault netsim.FaultProfile, unifor
 			t.Fatalf("dial: %v", err)
 		}
 		client, clientRecs = s, record(s, eng)
-		s.SetUniformSliceSize(uniform)
 		if !fault.IsZero() {
 			for _, sw := range g.Switches() {
 				for port, p := range g.Node(sw).Ports {
@@ -153,17 +161,7 @@ func TestStreamTranscriptGolden(t *testing.T) {
 		for _, fault := range transcriptFaults {
 			for seed := uint64(1); seed <= 20; seed++ {
 				fmt.Fprintf(&b, "== F=%d fault=%s seed=%d\n", flows, fault.name, seed)
-				b.WriteString(streamTranscript(t, flows, fault.f, 0, seed))
-			}
-		}
-	}
-	// Uniform slices: payloads far above maxSlice, padded frame lengths.
-	for _, uniform := range []int{4096, 16384} {
-		for _, fault := range []int{0, 2} {
-			fault := transcriptFaults[fault]
-			for seed := uint64(1); seed <= 20; seed++ {
-				fmt.Fprintf(&b, "== F=2 fault=%s uniform=%d seed=%d\n", fault.name, uniform, seed)
-				b.WriteString(streamTranscript(t, 2, fault.f, uniform, seed))
+				b.WriteString(streamTranscript(t, flows, fault.f, seed))
 			}
 		}
 	}

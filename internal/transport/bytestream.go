@@ -5,7 +5,8 @@ package transport
 // which is how the paper evaluates both MIC-TCP and MIC-SSL.
 //
 // Buffer ownership is the same on every implementation: Send copies data
-// before it returns (a Conn also queues chunk spans by reference, SendSpan);
+// before it returns (Conn and SecureConn also take chunk spans, SendSpan: a
+// Conn queues one by reference, a SecureConn seals a record from it);
 // the slice handed to an OnData callback is valid only during the call and
 // is read-only — it may be the sender's own bytes, in a chunk the sender
 // will read again to retransmit. A receiver that must keep bytes past the

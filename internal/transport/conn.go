@@ -64,6 +64,7 @@ type Conn struct {
 	ooo          oooQueue     // segments that overtook a gap, each holding a reference
 	copies       chunk.Carver // the chunks a payload in no chunk is copied into (copyIn)
 	remoteFinned bool
+	err          error // why teardown closed the conn; nil after an orderly close
 
 	// RTT estimation (RFC 6298 style).
 	srtt, rttvar time.Duration
@@ -143,8 +144,13 @@ func (c *Conn) OnData(fn func([]byte)) { c.onData = fn }
 // no OnData callback.
 func (c *Conn) OnSpan(fn func(chunk.Span)) { c.onSpan = fn }
 
-// OnClose registers a callback fired when the remote side closes.
+// OnClose registers a callback fired when the remote side closes, or when
+// the conn is torn down (Err tells the two apart).
 func (c *Conn) OnClose(fn func()) { c.onClose = fn }
+
+// Err returns why the conn was torn down — a reset, a handshake that timed
+// out — or nil while it is open and after an orderly close.
+func (c *Conn) Err() error { return c.err }
 
 // Send queues application data for reliable delivery, copying it into the
 // conn's own chunks before it returns.
@@ -616,6 +622,7 @@ func (c *Conn) teardown(err *TransportError) {
 	}
 	wasHandshaking := c.state == stateSynSent
 	c.state = stateClosed
+	c.err = err
 	c.rtx.Stop()
 	c.stack.drop(c)
 	c.releaseBytes()

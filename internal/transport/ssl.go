@@ -288,6 +288,10 @@ func (sc *SecureConn) Send(data []byte) {
 	}
 }
 
+// SendSpan encrypts and queues the bytes of s, sealing from them exactly as
+// Send seals from data; the caller keeps its reference on s.
+func (sc *SecureConn) SendSpan(s chunk.Span) { sc.Send(s.Bytes()) }
+
 // seal seals pt as one data record into a span of the secure conn's
 // chunks, holding one reference of its own.
 func (sc *SecureConn) seal(pt []byte) chunk.Span {
@@ -327,6 +331,9 @@ func (sc *SecureConn) Chunks() *chunk.Pool { return sc.C.Chunks() }
 
 // RemoteAddr returns the remote endpoint of the underlying connection.
 func (sc *SecureConn) RemoteAddr() (addr.IP, uint16) { return sc.C.RemoteAddr() }
+
+// Err returns why the underlying connection was torn down (Conn.Err).
+func (sc *SecureConn) Err() error { return sc.C.Err() }
 
 // chargeCrypto books virtual CPU for cryptographic work.
 func (sc *SecureConn) chargeCrypto(d time.Duration) {
