@@ -20,7 +20,6 @@ import (
 	"mic/internal/harness"
 	"mic/internal/mic"
 	"mic/internal/netsim"
-	"mic/internal/topo"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -129,24 +128,22 @@ var scenarios = []entry{
 		doc:  "five-act fabric fault storm: link flap, switch/pod crashes, control-channel loss",
 		why:  "self-healing lives in the MC",
 		Scenario: harness.Scenario{Title: "chaos", MIC: healing, Transfer: true,
-			Faults: chaos.Scenario, Log: harness.LogRepairs, Report: chaosReport},
+			Faults: chaos.Fabric, Log: harness.LogRepairs, Report: chaosReport},
 	},
 	{
 		name: "lossy",
 		doc:  "gray-failure storm: silent loss, mangling, blackhole; no control-plane events",
 		why:  "the health machinery lives in the stream",
 		Scenario: harness.Scenario{Title: "lossy", MIC: healing, Transfer: true,
-			Faults: chaos.LossyScenario, Report: lossyReport},
+			Faults: chaos.Lossy, Report: lossyReport},
 	},
 	{
 		name: "mckill",
 		doc:  "controller crash-failover: kill the active MC mid-transfer; standby takes over and reconciles",
 		why:  "controller failover lives in the MC cluster",
 		Scenario: harness.Scenario{Title: "failover", Cluster: &mic.ClusterConfig{}, MIC: healing, Transfer: true,
-			Faults: func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
-				return chaos.FailoverScenario(g, seed, chaos.FailoverConfig{From: from, To: to})
-			},
-			Log: harness.LogTakeovers | harness.LogRepairs, Window: 2 * time.Second, Report: clusterReport},
+			Faults: chaos.Failover,
+			Log:    harness.LogTakeovers | harness.LogRepairs, Window: 2 * time.Second, Report: clusterReport},
 	},
 	{
 		name:     "storm",
@@ -159,7 +156,7 @@ var scenarios = []entry{
 		doc:  "management partitions: symmetric controller split, asymmetric zombie-primary, heal-and-rejoin; lease step-down and epoch fencing",
 		why:  "partition-tolerant mastership lives in the MC cluster",
 		Scenario: harness.Scenario{Title: "partition", Cluster: &mic.ClusterConfig{}, MIC: healing, Transfer: true,
-			Faults: chaos.PartitionScenario, Log: harness.LogStepDowns | harness.LogTakeovers | harness.LogEpochs,
+			Faults: chaos.Partition, Log: harness.LogStepDowns | harness.LogTakeovers | harness.LogEpochs,
 			Window: 2 * time.Second, Report: partitionReport},
 	},
 }

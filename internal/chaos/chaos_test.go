@@ -3,7 +3,6 @@ package chaos_test
 import (
 	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -15,69 +14,6 @@ import (
 	"mic/internal/topo"
 	"mic/internal/transport"
 )
-
-func TestScenarioDeterministic(t *testing.T) {
-	g, err := topo.FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, to := g.Hosts()[0], g.Hosts()[15]
-	a, err := chaos.Scenario(g, 42, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := chaos.Scenario(g, 42, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different schedules:\n%s\nvs\n%s", a.Render(g), b.Render(g))
-	}
-	if n := kinds(a); len(n) < 3 {
-		t.Fatalf("schedule has only %d distinct fault kinds: %v", len(n), n)
-	}
-	// Distinct seeds should (for this topology) pick at least one different
-	// victim somewhere across the acts.
-	diverged := false
-	for seed := uint64(1); seed <= 8 && !diverged; seed++ {
-		c, err := chaos.Scenario(g, seed, from, to)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diverged = !reflect.DeepEqual(a, c)
-	}
-	if !diverged {
-		t.Fatal("eight different seeds all produced the 42 schedule; selection is not seeded")
-	}
-}
-
-func TestScenarioTargetsAreSurvivable(t *testing.T) {
-	g, err := topo.FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, to := g.Hosts()[0], g.Hosts()[15]
-	fromPod, toPod := chaos.PodOfHost(g, from), chaos.PodOfHost(g, to)
-	for seed := uint64(0); seed < 20; seed++ {
-		s, err := chaos.Scenario(g, seed, from, to)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range s {
-			switch f.Kind {
-			case chaos.PodCrash, chaos.PodRestart:
-				if f.Pod == fromPod || f.Pod == toPod {
-					t.Fatalf("seed %d crashes an endpoint pod %d:\n%s", seed, f.Pod, s.Render(g))
-				}
-			case chaos.SwitchCrash:
-				name := g.Node(f.Node).Name
-				if name == g.Node(g.Node(from).Ports[0].Peer).Name || name == g.Node(g.Node(to).Ports[0].Peer).Name {
-					t.Fatalf("seed %d crashes an endpoint edge switch %s", seed, name)
-				}
-			}
-		}
-	}
-}
 
 // TestChaosTransferSurvives is the headline robustness test: a fat-tree
 // carrying one MIC transfer absorbs the full five-act fault storm — link
@@ -116,13 +52,15 @@ func TestChaosTransferSurvives(t *testing.T) {
 		s.Send(data)
 	})
 
-	sched, err := chaos.Scenario(g, 7, g.Hosts()[0], g.Hosts()[15])
+	sched, err := chaos.Fabric.Resolve(g, 7, g.Hosts()[0], g.Hosts()[15])
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("schedule:\n%s", sched.Render(g))
 	runner := chaos.NewRunner(net, mc.Ch)
-	runner.Play(sched)
+	if err := runner.Play(sched); err != nil {
+		t.Fatal(err)
+	}
 
 	eng.RunUntil(sim.Time(120 * time.Second))
 	if len(runner.Applied) != len(sched) {
@@ -177,12 +115,14 @@ func TestChaosDeterministicOutcome(t *testing.T) {
 			}
 			s.Send(data)
 		})
-		sched, err := chaos.Scenario(g, 3, g.Hosts()[0], g.Hosts()[15])
+		sched, err := chaos.Fabric.Resolve(g, 3, g.Hosts()[0], g.Hosts()[15])
 		if err != nil {
 			t.Fatal(err)
 		}
 		runner := chaos.NewRunner(net, mc.Ch)
-		runner.Play(sched)
+		if err := runner.Play(sched); err != nil {
+			t.Fatal(err)
+		}
 		eng.RunUntil(sim.Time(60 * time.Second))
 		return runner.Applied, mc.Repairs, got
 	}
@@ -193,37 +133,6 @@ func TestChaosDeterministicOutcome(t *testing.T) {
 	}
 	if r1 != r2 || g1 != g2 {
 		t.Fatalf("outcome diverged: repairs %d vs %d, bytes %d vs %d", r1, r2, g1, g2)
-	}
-}
-
-func TestLossyScenarioDeterministic(t *testing.T) {
-	g, err := topo.FatTree(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from, to := g.Hosts()[0], g.Hosts()[15]
-	a, err := chaos.LossyScenario(g, 9, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := chaos.LossyScenario(g, 9, from, to)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed produced different lossy schedules:\n%s\nvs\n%s", a.Render(g), b.Render(g))
-	}
-	// Every fault is a gray one: degrade or clear, nothing the MC can see.
-	for _, f := range a {
-		if f.Kind != chaos.LinkDegrade && f.Kind != chaos.LinkClear {
-			t.Fatalf("lossy schedule contains a visible fault: %v", f.Kind)
-		}
-	}
-	if len(a) != 6 {
-		t.Fatalf("schedule has %d faults, want 6 (three degrade/clear pairs)", len(a))
-	}
-	if r := a.Render(g); !strings.Contains(r, "link-degrade") || !strings.Contains(r, "loss=") {
-		t.Fatalf("render missing degrade details:\n%s", r)
 	}
 }
 
@@ -244,7 +153,9 @@ func TestRunnerAppliesLinkDegrade(t *testing.T) {
 		{At: 2 * time.Millisecond, Kind: chaos.LinkClear, Node: uplink.Peer, Port: uplink.PeerPort},
 	}
 	runner := chaos.NewRunner(net, nil)
-	runner.Play(sched)
+	if err := runner.Play(sched); err != nil {
+		t.Fatal(err)
+	}
 
 	send := func() {
 		host.Send(0, &packet.Packet{SrcIP: host.IP, DstIP: host.IP + 1, Proto: packet.ProtoTCP, TTL: 64})
@@ -406,7 +317,9 @@ func TestDegradedModeTransfer64MB(t *testing.T) {
 			{At: 20 * time.Millisecond, Kind: chaos.LinkCut, Node: cutNode, Port: cutPort},
 		}
 		runner := chaos.NewRunner(net, mc.Ch)
-		runner.Play(sched)
+		if err := runner.Play(sched); err != nil {
+			t.Fatal(err)
+		}
 		str.Send(data)
 		eng.RunUntil(sim.Time(cap))
 		if len(runner.Applied) != len(sched) {

@@ -7,7 +7,6 @@ import (
 	"mic/internal/chaos"
 	"mic/internal/metrics"
 	"mic/internal/mic"
-	"mic/internal/topo"
 )
 
 func init() {
@@ -80,21 +79,11 @@ func s8Trial(mflows int, noReconcile bool, size int, seed uint64) (s8Outcome, er
 		Cluster:  &mic.ClusterConfig{DisableReconcile: noReconcile},
 		MIC:      mic.Config{MNs: 3, MFlows: mflows, AutoRepair: true, RepairMaxRetries: 20},
 		Transfer: true,
-		Faults: func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error) {
-			return chaos.FailoverScenario(g, seed, chaos.FailoverConfig{From: from, To: to})
-		},
+		Faults:   chaos.Failover,
 		// The blackout probe: a second tenant asks for a channel at the very
-		// moment the controller dies. Its setup latency is the control-plane
-		// outage window.
-		Probes: func(sched chaos.Schedule) []Probe {
-			var killAt time.Duration
-			for _, f := range sched {
-				if f.Kind == chaos.MCKill {
-					killAt = f.At
-				}
-			}
-			return []Probe{{At: killAt, From: 3, To: 12}}
-		},
+		// moment the controller dies (fault 1, the kill). Its setup latency
+		// is the control-plane outage window.
+		Probes: []Probe{{Fault: 1, From: 3, To: 12}},
 		Window: 10 * time.Second,
 	}, Params{Seed: seed, From: 0, To: 15, Size: size}, nil)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mic/internal/chaos"
 	"mic/internal/mic"
 )
 
@@ -450,5 +451,28 @@ func TestRunTrialsJoinsInTrialOrder(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "seed 1000103 ") {
 		t.Fatalf("err = %v, want trial 1's error", err)
+	}
+}
+
+// TestRunRefusesWhatItCannotPlay checks that Run returns an error, rather
+// than narrating a fault that did nothing, for a control-loss act on a
+// cluster bed (there is no one southbound channel to degrade) and for a
+// probe timed against a fault its script does not have.
+func TestRunRefusesWhatItCannotPlay(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		s    Scenario
+	}{
+		{"control loss on a cluster", Scenario{Cluster: &mic.ClusterConfig{}, Transfer: true,
+			Faults: chaos.Fabric, Window: time.Second}},
+		{"probe past the script", Scenario{Transfer: true,
+			Faults: chaos.Lossy, Probes: []Probe{{Fault: len(chaos.Lossy.Faults), From: 3, To: 12}}}},
+	} {
+		var w strings.Builder
+		if _, err := Run(c.s, Params{Seed: 1, From: 0, To: 15, Size: 1 << 10}, &w); err == nil {
+			t.Errorf("%s: Run played it:\n%s", c.name, w.String())
+		} else if strings.Contains(w.String(), "fault ") {
+			t.Errorf("%s: a refused script narrated faults:\n%s", c.name, w.String())
+		}
 	}
 }

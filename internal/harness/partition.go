@@ -81,32 +81,21 @@ func runS11Partition(cfg RunConfig) (*Result, error) {
 // channel installed across all three acts so the mid-partition fabric cut has
 // something to force a repair race over.
 func s11Trial(disableFencing bool, size int, seed uint64) (s11Outcome, error) {
+	lease := time.Duration(mic.DefaultHeartbeatMisses) * mic.DefaultHeartbeatInterval
 	o, err := Run(Scenario{
 		Cluster:  &mic.ClusterConfig{DisableFencing: disableFencing},
 		MIC:      mic.Config{MNs: 3, MFlows: 2, AutoRepair: true, RepairMaxRetries: 20},
 		Transfer: true,
-		Faults:   chaos.PartitionScenario,
-		Probes: func(sched chaos.Schedule) []Probe {
-			// The symmetric split opens at the earliest MgmtCut, the
-			// asymmetric act at the latest (act 3 is all heals).
-			splitAt := sched[len(sched)-1].At
-			var zombieAt time.Duration
-			for _, f := range sched {
-				if f.Kind == chaos.MgmtCut {
-					splitAt = min(splitAt, f.At)
-					zombieAt = max(zombieAt, f.At)
-				}
-			}
-			lease := time.Duration(mic.DefaultHeartbeatMisses) * mic.DefaultHeartbeatInterval
-			return []Probe{
-				// A dial timed to land as the split expires the founding
-				// active's lease — the handover window the lease+takeover
-				// bound covers.
-				{At: splitAt + lease, From: 3, To: 12},
-				// A second tenant dials at the exact instant the now-active
-				// controller is partitioned from its peer and half the fabric.
-				{At: zombieAt, From: 5, To: 13},
-			}
+		Faults:   chaos.Partition,
+		Probes: []Probe{
+			// A dial timed to land as the symmetric split (fault 0) expires
+			// the founding active's lease — the handover window the
+			// lease+takeover bound covers.
+			{Fault: 0, At: lease, From: 3, To: 12},
+			// A second tenant dials at the exact instant the asymmetric act
+			// (fault 4) partitions the now-active controller from its peer
+			// and half the fabric.
+			{Fault: 4, From: 5, To: 13},
 		},
 		Window: 2 * time.Second,
 	}, Params{Seed: seed, From: 0, To: 15, Size: size}, nil)

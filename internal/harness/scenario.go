@@ -10,7 +10,6 @@ import (
 	"mic/internal/mic"
 	"mic/internal/netsim"
 	"mic/internal/sim"
-	"mic/internal/topo"
 )
 
 // This file is the one way a fault scenario runs: a Scenario value — control
@@ -19,8 +18,8 @@ import (
 // s8, s9 and s11 are values of it.
 
 // Scenario is one fault scenario as data. Its workload is a bulk transfer, a
-// setup storm, or both; its faults are a chaos script written for the
-// transfer's endpoints at the run's seed.
+// setup storm, or both; its faults are a chaos.Script whose victims are
+// named by role, resolved for the transfer's endpoints at the run's seed.
 type Scenario struct {
 	Title string // heads the narrated schedule
 
@@ -37,11 +36,10 @@ type Scenario struct {
 	// startStorm.
 	Storm *chaos.StormConfig
 
-	// Faults writes the chaos script for the transfer's endpoints at the
-	// run's seed; nil plays none. Probes, when non-nil, times blackout dials
-	// against that script.
-	Faults func(g *topo.Graph, seed uint64, from, to topo.NodeID) (chaos.Schedule, error)
-	Probes func(chaos.Schedule) []Probe
+	// Faults is the fault script; an empty one plays none. Probes are
+	// blackout dials, each timed against one of its faults.
+	Faults chaos.Script
+	Probes []Probe
 
 	Log Log // the control-plane reactions narrated besides the faults
 
@@ -67,9 +65,10 @@ type Params struct {
 }
 
 // Probe is a blackout probe: a fresh tenant's dial from host From to a
-// listener on host To, issued At into the run. Its setup latency is the
-// control-plane outage seen from there.
+// listener on host To, issued At after fault number Fault of the scenario's
+// script. Its setup latency is the control-plane outage seen from there.
 type Probe struct {
+	Fault    int
 	At       time.Duration
 	From, To int
 }
@@ -84,12 +83,13 @@ type Outcome struct {
 }
 
 // Run plays s with p on a fresh fat-tree(4) bed: the workload starts, the
-// fault script is written and played, the probes are armed against it, and
+// fault script is resolved and played, the probes are armed against it, and
 // the engine runs as s.Window says. With w non-nil the schedule,
 // every fault, the reactions s.Log selects, the delivery line and s.Report
-// are narrated to it; everything printed is a function of s and p. A
-// transfer that does not complete, or a probe dial that fails or never
-// completes, is an error.
+// are narrated to it; everything printed is a function of s and p. A script
+// the runner refuses, a probe timed against a fault the script does not
+// have, a transfer that does not complete, and a probe dial that fails or
+// never completes are errors.
 func Run(s Scenario, p Params, w io.Writer) (*Outcome, error) {
 	s.Net.Seed, s.MIC.Seed = p.Seed, p.Seed
 	if s.Storm != nil && s.MIC.MFlows < 2 {
@@ -114,9 +114,9 @@ func Run(s Scenario, p Params, w io.Writer) (*Outcome, error) {
 		}
 	}
 	var sched chaos.Schedule
-	if s.Faults != nil {
+	if len(s.Faults.Faults) > 0 {
 		hosts := tb.Graph.Hosts()
-		if sched, err = s.Faults(tb.Graph, p.Seed, hosts[p.From], hosts[p.To]); err != nil {
+		if sched, err = s.Faults.Resolve(tb.Graph, p.Seed, hosts[p.From], hosts[p.To]); err != nil {
 			return nil, err
 		}
 		if w != nil {
@@ -134,12 +134,16 @@ func Run(s Scenario, p Params, w io.Writer) (*Outcome, error) {
 		}
 		tb.narrate(w, s.Log)
 	}
-	runner.Play(sched)
+	if err := runner.Play(sched); err != nil {
+		return nil, err
+	}
 	var probes []*probe
-	if s.Probes != nil {
-		for _, pr := range s.Probes(sched) {
-			probes = append(probes, tb.probeDial(pr))
+	for _, pr := range s.Probes {
+		if pr.Fault < 0 || pr.Fault >= len(s.Faults.Faults) {
+			return nil, fmt.Errorf("harness: a probe times against fault %d of a %d-fault script",
+				pr.Fault, len(s.Faults.Faults))
 		}
+		probes = append(probes, tb.probeDial(s.Faults.Faults[pr.Fault].At+pr.At, pr))
 	}
 
 	if storm != nil {
@@ -250,11 +254,11 @@ type probe struct {
 	err          error
 }
 
-// probeDial schedules pr's dial.
-func (tb *Testbed) probeDial(pr Probe) *probe {
+// probeDial schedules pr's dial at.
+func (tb *Testbed) probeDial(at time.Duration, pr Probe) *probe {
 	p := &probe{}
 	mic.Listen(tb.Stacks[pr.To], 80, false, func(*mic.Stream) {})
-	tb.Eng.After(pr.At, func() {
+	tb.Eng.After(at, func() {
 		p.issued = tb.Eng.Now()
 		client := mic.NewClient(tb.Stacks[pr.From], tb.controlPlane())
 		client.Dial(tb.hostIP(pr.To).String(), 80, func(_ *mic.Stream, err error) {
