@@ -15,6 +15,9 @@ import (
 // harnesses decide how to execute them (which client, which port, whether
 // admission control is on) and the schedule stays reusable across ablations.
 
+// stormStart is when every storm's arrival window opens.
+const stormStart = time.Millisecond
+
 // StormConfig parameterizes SetupStorm. Zero fields pick defaults.
 type StormConfig struct {
 	// Pairs is how many distinct initiator hosts dial (each paired with a
@@ -24,9 +27,6 @@ type StormConfig struct {
 	// Rate is the aggregate offered dial rate in dials per second across
 	// all initiators. Default 2000.
 	Rate float64
-
-	// Start is when the first arrival window opens. Default 1ms.
-	Start time.Duration
 
 	// Window is how long arrivals keep coming. Default 100ms.
 	Window time.Duration
@@ -42,9 +42,6 @@ func (c StormConfig) withDefaults() StormConfig {
 	}
 	if c.Rate <= 0 {
 		c.Rate = 2000
-	}
-	if c.Start <= 0 {
-		c.Start = time.Millisecond
 	}
 	if c.Window <= 0 {
 		c.Window = 100 * time.Millisecond
@@ -63,10 +60,10 @@ type Dial struct {
 }
 
 // SetupStorm builds a dial schedule deterministically from seed: arrivals
-// form a Poisson process at cfg.Rate over [Start, Start+Window), each dial
-// drawn from cfg.Pairs fixed initiator->responder host pairs. Initiators
-// are the topology's first Pairs hosts, responders the last Pairs hosts, so
-// the two sets never overlap and every dial crosses the fabric.
+// form a Poisson process at cfg.Rate over [stormStart, stormStart+Window),
+// each dial drawn from cfg.Pairs fixed initiator->responder host pairs.
+// Initiators are the topology's first Pairs hosts, responders the last Pairs
+// hosts, so the two sets never overlap and every dial crosses the fabric.
 func SetupStorm(g *topo.Graph, seed uint64, cfg StormConfig) ([]Dial, error) {
 	cfg = cfg.withDefaults()
 	hosts := g.Hosts()
@@ -78,12 +75,12 @@ func SetupStorm(g *topo.Graph, seed uint64, cfg StormConfig) ([]Dial, error) {
 	responders := hosts[len(hosts)-cfg.Pairs:]
 	rng := sim.NewRNG(seed).Stream("chaos-storm")
 	var dials []Dial
-	at := cfg.Start
+	at := stormStart
 	for len(dials) < cfg.MaxDials {
 		// Exponential inter-arrival via inverse transform; 1-U avoids
 		// log(0). Deterministic given the seeded stream.
 		at += time.Duration(-math.Log(1-rng.Float64()) / cfg.Rate * float64(time.Second))
-		if at >= cfg.Start+cfg.Window {
+		if at >= stormStart+cfg.Window {
 			break
 		}
 		pair := rng.Intn(cfg.Pairs)

@@ -54,15 +54,16 @@ func TestStormVariesBySeed(t *testing.T) {
 	}
 }
 
-// TestStormShape: arrivals are sorted, confined to [Start, Start+Window),
-// cross-fabric (initiator and responder sets disjoint), and the achieved
-// rate is within a factor of two of the offered rate.
+// TestStormShape: arrivals are sorted, confined to
+// [stormStart, stormStart+Window), cross-fabric (initiator and responder
+// sets disjoint), and the achieved rate is within a factor of two of the
+// offered rate.
 func TestStormShape(t *testing.T) {
 	g, err := topo.FatTree(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := StormConfig{Pairs: 4, Rate: 1000, Start: 2 * time.Millisecond, Window: 80 * time.Millisecond}
+	cfg := StormConfig{Pairs: 4, Rate: 1000, Window: 80 * time.Millisecond}
 	dials, err := SetupStorm(g, 11, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -78,8 +79,8 @@ func TestStormShape(t *testing.T) {
 			t.Fatalf("dial %d out of order: %v after %v", i, d.At, last)
 		}
 		last = d.At
-		if d.At < cfg.Start || d.At >= cfg.Start+cfg.Window {
-			t.Fatalf("dial %d at %v outside [%v, %v)", i, d.At, cfg.Start, cfg.Start+cfg.Window)
+		if d.At < stormStart || d.At >= stormStart+cfg.Window {
+			t.Fatalf("dial %d at %v outside [%v, %v)", i, d.At, stormStart, stormStart+cfg.Window)
 		}
 		if !initiators[d.From] || initiators[d.To] {
 			t.Fatalf("dial %d: %d -> %d crosses the initiator/responder split wrong", i, d.From, d.To)

@@ -71,28 +71,14 @@ type Channel struct {
 	Eng *sim.Engine
 	Net *netsim.Network
 
-	// Latency is the one-way control-channel delay per message. The default
-	// approximates a Python SDN controller (Ryu) installing rules over TCP.
-	Latency time.Duration
-
 	// LossRate drops each control message direction independently with this
 	// probability (0 = perfectly reliable, the seed behaviour). The coin is
 	// the channel's own stream of the network's seed.
 	LossRate float64
 
-	// AckTimeout is how long an attempt waits for its acknowledgement before
-	// retransmitting. Zero means DefaultAckTimeoutRTTs round trips. Values at
-	// or below one round trip are clamped above it so a healthy channel never
-	// spuriously retransmits.
-	AckTimeout time.Duration
-
 	// MaxRetries bounds retransmissions per message (attempts = 1+MaxRetries).
 	// Zero means DefaultMaxRetries; negative disables retries entirely.
 	MaxRetries int
-
-	// MaxBackoff caps the exponential growth of the retransmit timer. Zero
-	// means 16x the effective AckTimeout.
-	MaxBackoff time.Duration
 
 	// Down marks the channel's controller endpoint as crashed: nothing is
 	// sent, pending retransmit loops stop, and no callbacks fire. A failover
@@ -163,24 +149,31 @@ type ownedMsg struct {
 	del    bool
 }
 
-// Control-channel reliability defaults.
+// The southbound channel's calibration (EXPERIMENTS.md "Calibration
+// constants"). No experiment varies them.
 const (
-	// DefaultControlLatency approximates one Ryu FlowMod round over the
-	// management network.
-	DefaultControlLatency = 500 * time.Microsecond
-	// DefaultAckTimeoutRTTs expresses the default ack timeout in round trips.
-	DefaultAckTimeoutRTTs = 2
+	// Latency is the one-way control-channel delay per message: one Ryu
+	// (Python) FlowMod round over the management network.
+	Latency = 500 * time.Microsecond
+	// AckTimeout is how long an attempt waits for its acknowledgement before
+	// retransmitting: two round trips, so a healthy channel never
+	// spuriously retransmits.
+	AckTimeout = 4 * Latency
+	// MaxBackoff caps the exponential growth of the retransmit timer. Like
+	// every wait it exceeds the round trip an acknowledgement needs — the
+	// ordering (arrival, acknowledgement, then timer) message records rely
+	// on.
+	MaxBackoff = 16 * AckTimeout
 	// DefaultMaxRetries is the retransmission budget per message.
 	DefaultMaxRetries = 10
 )
 
-// NewChannel returns a channel bound to the network with default latency
-// and a perfectly reliable transport (LossRate 0).
+// NewChannel returns a channel bound to the network with a perfectly
+// reliable transport (LossRate 0).
 func NewChannel(net *netsim.Network) *Channel {
 	return &Channel{
 		Eng:      net.Eng,
 		Net:      net,
-		Latency:  DefaultControlLatency,
 		CtrlHost: -1,
 		lossRNG:  net.Stream(fmt.Sprintf("southbound-loss/%d", net.RegisterChannel())),
 		sw:       make([]swState, len(net.Graph.Nodes)),
@@ -197,19 +190,6 @@ func (c *Channel) reaches(from, to netsim.MgmtEnd) bool {
 	return c.CtrlHost < 0 || c.Net.MgmtReachable(from, to)
 }
 
-// ackTimeout returns the effective per-attempt ack timeout: configured or
-// default, but always strictly more than one round trip.
-func (c *Channel) ackTimeout() time.Duration {
-	t := c.AckTimeout
-	if t == 0 {
-		t = DefaultAckTimeoutRTTs * 2 * c.Latency
-	}
-	if min := 2*c.Latency + c.Latency/2 + 1; t < min {
-		t = min
-	}
-	return t
-}
-
 // attempts returns the total send attempts allowed per message.
 func (c *Channel) attempts() int {
 	switch {
@@ -219,17 +199,6 @@ func (c *Channel) attempts() int {
 		return 1 + DefaultMaxRetries
 	}
 	return 1 + c.MaxRetries
-}
-
-// maxBackoff returns the cap on the retransmit timer. A configured cap below
-// the ack timeout is raised to it: the cap bounds the timer's growth, and no
-// attempt may wait less than the round trip its acknowledgement needs — the
-// ordering (arrival, acknowledgement, then timer) message records rely on.
-func (c *Channel) maxBackoff() time.Duration {
-	if c.MaxBackoff > 0 {
-		return max(c.MaxBackoff, c.ackTimeout())
-	}
-	return 16 * c.ackTimeout()
 }
 
 // lost flips the loss coin for one message direction.
@@ -270,7 +239,7 @@ func (c *Channel) PacketOut(sw *netsim.Switch, actions []flowtable.Action, p *pa
 	if c.lost() {
 		return
 	}
-	c.Eng.After(c.Latency, func() {
+	c.Eng.After(Latency, func() {
 		if sw.Down || !c.reaches(c.home(), netsim.MgmtSwitch(sw.ID)) {
 			return
 		}
@@ -344,8 +313,8 @@ func (c *Channel) sendProbe(far netsim.MgmtEnd, onHeard func(), onAck func(sent 
 	}
 	r.far, r.sent, r.onHeard, r.onAck = far, c.Eng.Now(), onHeard, onAck
 	r.reqLost = c.lost()
-	c.Eng.After(c.Latency, r.arriveFn)
-	r.timer.Reset(c.ackTimeout())
+	c.Eng.After(Latency, r.arriveFn)
+	r.timer.Reset(AckTimeout)
 }
 
 // probe is one echo or heartbeat in flight, pooled like msg and released
@@ -386,7 +355,7 @@ func (r *probe) arrive() {
 		r.onHeard()
 	}
 	r.ackLost = c.lost()
-	c.Eng.After(c.Latency, r.ackFn)
+	c.Eng.After(Latency, r.ackFn)
 }
 
 func (r *probe) acked() {

@@ -44,7 +44,7 @@ func TestFlowModAppliesAfterLatency(t *testing.T) {
 	if sw.Table.Len() != 1 {
 		t.Fatal("FlowMod never applied")
 	}
-	if want := sim.Time(2 * ch.Latency); acked != want {
+	if want := sim.Time(2 * Latency); acked != want {
 		t.Fatalf("ack at %v, want %v (2x one-way latency)", acked, want)
 	}
 	if ch.FlowMods != 1 {
@@ -67,7 +67,7 @@ func TestInstallAllWaitsForEveryAck(t *testing.T) {
 		t.Fatal("InstallAll callback never fired")
 	}
 	// All mods go out concurrently: completion is one control RTT.
-	if want := sim.Time(2 * ch.Latency); done != want {
+	if want := sim.Time(2 * Latency); done != want {
 		t.Fatalf("InstallAll completed at %v, want %v", done, want)
 	}
 	for _, sid := range g.Switches() {
@@ -239,16 +239,20 @@ func TestProactiveRouterLinear(t *testing.T) {
 	}
 }
 
-func TestChannelLatencyConfigurable(t *testing.T) {
+// TestInstallAckedOneRoundTripAfterSend: an install sent at any instant is
+// acknowledged one control round trip later.
+func TestInstallAckedOneRoundTripAfterSend(t *testing.T) {
 	g, _ := topo.Linear(1)
 	eng, net, ch := build(t, g)
-	ch.Latency = 2 * time.Millisecond
 	sw := net.Switch(g.Switches()[0])
+	sent := sim.Time(3 * time.Millisecond)
 	var at sim.Time
-	installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(int) { at = eng.Now() })
+	eng.At(sent, func() {
+		installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(int) { at = eng.Now() })
+	})
 	eng.Run()
-	if at != sim.Time(4*time.Millisecond) {
-		t.Fatalf("ack at %v, want 4ms", at)
+	if want := sent.Add(2 * Latency); at != want {
+		t.Fatalf("ack at %v, want %v", at, want)
 	}
 }
 
@@ -369,21 +373,21 @@ func TestGiveUpAfterRetryBudget(t *testing.T) {
 	}
 }
 
-// TestBackoffIsCapped: with a tiny MaxBackoff the give-up time is linear in
-// the retry count rather than exponential.
+// TestBackoffIsCapped: the retransmit timer doubles from AckTimeout until
+// MaxBackoff caps it, so the give-up time grows linearly past the cap
+// rather than exponentially.
 func TestBackoffIsCapped(t *testing.T) {
 	g, _ := topo.Linear(1)
 	eng, net, ch := build(t, g)
 	ch.MaxRetries = 6
-	ch.AckTimeout = 2 * time.Millisecond
-	ch.MaxBackoff = 2 * time.Millisecond
 	sw := net.Switch(g.Switches()[0])
 	net.SetSwitchDown(sw.ID, true)
 	var doneAt sim.Time
 	installOne(ch, sw, &flowtable.Entry{Priority: 1}, func(int) { doneAt = eng.Now() })
 	eng.Run()
-	// 7 attempts, each waiting the capped 2ms: 14ms total.
-	if want := sim.Time(14 * time.Millisecond); doneAt != want {
+	// 7 attempts wait 2 + 4 + 8 + 16 + 32 + 32 + 32 = 126ms; uncapped, the
+	// last two would wait 64 and 128ms (254ms in all).
+	if want := sim.Time(126 * time.Millisecond); doneAt != want {
 		t.Fatalf("gave up at %v, want %v (cap not applied)", doneAt, want)
 	}
 }
@@ -412,7 +416,7 @@ func TestBarrierWaitsForInFlight(t *testing.T) {
 	ch.Barrier(sw, func(bool) { at = eng.Now() })
 	start := eng.Now()
 	eng.Run()
-	if at.Sub(start) != 2*ch.Latency {
+	if at.Sub(start) != 2*Latency {
 		t.Fatalf("idle barrier took %v, want one RTT", at.Sub(start))
 	}
 	if ch.Barriers != 2 {
@@ -497,7 +501,7 @@ func TestProberIgnoresEchoesAfterStop(t *testing.T) {
 		t.Fatalf("silent switch: dead %v, deaths %d", p.Dead(id), p.Deaths)
 	}
 	net.SetSwitchDownQuiet(id, false)
-	eng.RunUntil(sim.Time(40*time.Millisecond + ch.Latency)) // round four's echoes arrived
+	eng.RunUntil(sim.Time(40*time.Millisecond + Latency)) // round four's echoes arrived
 	stop()
 	eng.Run()
 	if p.Probes != 4 || p.Recoveries != 0 || !p.Dead(id) {

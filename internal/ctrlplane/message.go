@@ -30,7 +30,7 @@ const (
 // waits in its switch's waiters list until the last of those resolves and
 // resolve sends it. Each attempt schedules its arrival and arms the ack
 // timer, and the arrival schedules the acknowledgement. Every timer wait
-// exceeds one round trip (ackTimeout, maxBackoff), so an attempt's arrival
+// exceeds one round trip (AckTimeout, MaxBackoff), so an attempt's arrival
 // and acknowledgement have fired by the time its timer is due: the timer is
 // the only event that can still name the record once it resolves. The
 // record therefore returns to the free list as soon as it resolves
@@ -245,7 +245,7 @@ func ordered(cookie uint64, del bool, b *msg) bool {
 // arrival, completed with true after an acknowledgement returns or with false
 // when the retry budget is exhausted.
 func (m *msg) send() {
-	m.backoff = m.ch.ackTimeout()
+	m.backoff = AckTimeout
 	m.try()
 }
 
@@ -263,8 +263,8 @@ func (m *msg) try() {
 		c.Retransmits++
 	}
 	m.reqLost = c.lost()
-	c.Eng.After(c.Latency, m.arriveFn)
-	wait := min(m.backoff, c.maxBackoff())
+	c.Eng.After(Latency, m.arriveFn)
+	wait := min(m.backoff, MaxBackoff)
 	m.backoff *= 2
 	m.timer.Reset(wait)
 }
@@ -280,7 +280,7 @@ func (m *msg) arrive() {
 	}
 	m.apply()
 	m.ackLost = c.lost()
-	c.Eng.After(c.Latency, m.ackFn)
+	c.Eng.After(Latency, m.ackFn)
 }
 
 func (m *msg) ack() {

@@ -271,7 +271,7 @@ func TestResolvedRecordReusedBeforeItsTimerPops(t *testing.T) {
 		}
 	}
 	ch.Barrier(sw, onOK)
-	eng.RunUntil(sim.Time(2 * ch.Latency))
+	eng.RunUntil(sim.Time(2 * Latency))
 	if acked != 1 || len(ch.msgFree) != 1 {
 		t.Fatalf("after one round trip: %d acked, %d records free (want 1, 1)", acked, len(ch.msgFree))
 	}
@@ -279,12 +279,12 @@ func TestResolvedRecordReusedBeforeItsTimerPops(t *testing.T) {
 	if first.sw != nil || first.attempt != 0 || first.timer.Armed() {
 		t.Fatalf("released record keeps state from its message: %+v", first)
 	}
-	eng.RunUntil(sim.Time(2*ch.Latency + ch.Latency/2))
+	eng.RunUntil(sim.Time(2*Latency + Latency/2))
 	ch.Barrier(sw, onOK)
 	if len(ch.msgFree) != 0 {
 		t.Fatal("the second message did not take the freed record")
 	}
-	eng.RunUntil(sim.Time(ch.ackTimeout())) // the first arming would be due
+	eng.RunUntil(sim.Time(AckTimeout)) // the first arming would be due
 	if ch.Timeouts != 0 || ch.Retransmits != 0 || acked != 1 || ch.InFlight(sw.ID) != 1 {
 		t.Fatalf("stale arming acted: timeouts %d retransmits %d acked %d inflight %d",
 			ch.Timeouts, ch.Retransmits, acked, ch.InFlight(sw.ID))
@@ -313,12 +313,12 @@ func TestResolvedProbeReusedBeforeItsTimerPops(t *testing.T) {
 		}
 	}
 	ch.Echo(sw, report("echo"))
-	eng.RunUntil(sim.Time(2 * ch.Latency))
+	eng.RunUntil(sim.Time(2 * Latency))
 	if len(ch.probeFree) != 1 {
 		t.Fatalf("answered echo left %d records free, want 1", len(ch.probeFree))
 	}
 	first := ch.probeFree[0]
-	eng.RunUntil(sim.Time(2*ch.Latency + ch.Latency/2))
+	eng.RunUntil(sim.Time(2*Latency + Latency/2))
 	heard := 0
 	ch.Heartbeat(peer, func() { heard++ }, report("beat"))
 	if len(ch.probeFree) != 0 {
@@ -345,7 +345,7 @@ func TestChannelDownMidFlightFiresNoCallback(t *testing.T) {
 	ch.DeleteByCookie(sw, 9, func(topo.NodeID, int) { fired++ })
 	ch.Barrier(sw, func(bool) { fired++ })
 	ch.InstallBatched([]Mod{{Switch: sw, Entry: mflowEntry(2, 7)}}, func(int) { fired++ })
-	eng.RunUntil(sim.Time(ch.Latency)) // requests delivered, acknowledgements on the wire
+	eng.RunUntil(sim.Time(Latency)) // requests delivered, acknowledgements on the wire
 	ch.Down = true
 	eng.Run()
 	if fired != 0 {

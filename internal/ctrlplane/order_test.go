@@ -449,7 +449,7 @@ func TestBarrierFencesOnlyPredecessors(t *testing.T) {
 			if loss > 0 {
 				continue
 			}
-			want := modelProgram(prog, DefaultControlLatency)
+			want := modelProgram(prog, Latency)
 			for i := range prog {
 				if got[i] != want[i] {
 					t.Fatalf("seed %d: operation %d (kind %d, s%d, owner %d, issued at %v) completed at %v, reference model says %v",
@@ -482,18 +482,18 @@ func TestBarrierFencesOnlyPredecessors(t *testing.T) {
 	feed = func() {
 		n++
 		ch.Install([]Mod{{Switch: sw, Entry: mflowEntry(n, 7)}}, nil)
-		eng.After(ch.Latency/2, feed)
+		eng.After(Latency/2, feed)
 	}
 	feed()
-	issued := sim.Time(10*ch.Latency + ch.Latency/4)
+	issued := sim.Time(10*Latency + Latency/4)
 	done := sim.Time(-1)
 	eng.At(issued, func() { ch.Barrier(sw, func(bool) { done = eng.Now() }) })
-	eng.RunUntil(issued.Add(20 * ch.Latency))
+	eng.RunUntil(issued.Add(20 * Latency))
 	if done < 0 {
-		t.Fatalf("barrier starved: not complete %v after issue with %d messages still in flight", 20*ch.Latency, ch.InFlight(sw.ID))
+		t.Fatalf("barrier starved: not complete %v after issue with %d messages still in flight", 20*Latency, ch.InFlight(sw.ID))
 	}
 	// Its last predecessor left a quarter latency before it.
-	if want := issued.Add(4*ch.Latency - ch.Latency/4); done != want {
+	if want := issued.Add(4*Latency - Latency/4); done != want {
 		t.Fatalf("barrier issued at %v into a steady feed completed at %v, want %v (last predecessor's ack plus one round trip)", issued, done, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mic/internal/chaos"
+	"mic/internal/maga"
 	"mic/internal/mic"
 )
 
@@ -474,5 +475,34 @@ func TestRunRefusesWhatItCannotPlay(t *testing.T) {
 		} else if strings.Contains(w.String(), "fault ") {
 			t.Errorf("%s: a refused script narrated faults:\n%s", c.name, w.String())
 		}
+	}
+}
+
+// TestA2SplitMintsInOneDraw: fig a2 counts, per trial, the labels each
+// method draws until one carries the MN's class and the flow's ID. Every
+// label the split construction mints does on the first draw; rejection
+// sampling needs about 2^(SID+FPart).
+func TestA2SplitMintsInOneDraw(t *testing.T) {
+	res, err := runA2MPLSSplit(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := res.Table.Rows()
+	if len(rows) != 2 {
+		t.Fatalf("a2 has %d rows, want 2", len(rows))
+	}
+	var split, rej float64
+	if _, err := fmt.Sscan(rows[0][1], &split); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fmt.Sscan(rows[1][1], &rej); err != nil {
+		t.Fatal(err)
+	}
+	if split != 1 {
+		t.Errorf("split + inversion drew %v labels per mint, want 1", split)
+	}
+	w := maga.DefaultWidths()
+	if want := float64(uint(1) << (w.SID + w.FPart)); rej < want/4 || rej > want*4 {
+		t.Errorf("rejection sampling drew %v labels per mint, want about %v", rej, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"mic/internal/netsim"
 	"mic/internal/sim"
 	"mic/internal/topo"
+	"mic/internal/transport"
 )
 
 func init() {
@@ -82,7 +83,7 @@ func s7TCPTrial(loss float64, size int, seed uint64) (float64, error) {
 	t := tb.expect(SchemeTCP, 15, 80, warm+size)
 	var traceErr error
 	data := payload(size)
-	tb.dial(SchemeTCP, 0, 15, 80, 0, func(s appStream, err error) {
+	tb.dial(SchemeTCP, 0, 15, 80, 0, func(s transport.ByteStream, err error) {
 		if err != nil {
 			t.DialErr = err
 			return

@@ -45,9 +45,9 @@ type Scenario struct {
 
 	// Window is how long a clustered bed runs before its heartbeat tickers,
 	// which never drain, stop and the rest drains; a standalone bed drains at
-	// once. A storm ends at Window instead, since the peers of its closed
-	// channels retransmit on a capped RTO forever (there is deliberately no
-	// transport give-up timer) and the event queue never empties.
+	// once. A storm ends at Window instead: the peers of its closed channels
+	// retransmit on a capped RTO until their conns give up, 100 s of
+	// virtual time without new data acknowledged, far past any storm.
 	Window time.Duration
 
 	// Report, when non-nil, ends the narration with the outcome's summary.

@@ -112,7 +112,7 @@ func NewTestbed(scheme Scheme, arity int, netCfg netsim.Config, micCfg mic.Confi
 		return nil, err
 	}
 	if scheme == SchemeTor {
-		tb.dir = onion.NewDirectory(onion.Config{})
+		tb.dir = onion.NewDirectory()
 		for _, h := range relayHosts {
 			tb.dir.AddRelay(tb.Stacks[h], 9001)
 		}
@@ -130,16 +130,9 @@ func (tb *Testbed) controlPlane() mic.ControlPlane {
 
 func (tb *Testbed) hostIP(i int) addr.IP { return tb.Stacks[i].Host.IP }
 
-// appStream is the scheme-independent view of an established session.
-type appStream interface {
-	Send([]byte)
-	OnData(fn func([]byte))
-	Close()
-}
-
 // serve starts the scheme's server on host `h`, invoking handler per
 // session.
-func (tb *Testbed) serve(scheme Scheme, h int, port uint16, handler func(appStream)) {
+func (tb *Testbed) serve(scheme Scheme, h int, port uint16, handler func(transport.ByteStream)) {
 	switch scheme {
 	case SchemeTCP, SchemeTor: // Tor exits to a plain TCP server
 		tb.Stacks[h].Listen(port, func(c *transport.Conn) { handler(c) })
@@ -155,7 +148,7 @@ func (tb *Testbed) serve(scheme Scheme, h int, port uint16, handler func(appStre
 // TCP/SSL ignore it. Under a MIC scheme it returns the dialling client,
 // whose channel cache holds the channel once cb reports the stream up; cb
 // never reports a session up before dial returns.
-func (tb *Testbed) dial(scheme Scheme, from, to int, port uint16, routeLen int, cb func(appStream, error)) *mic.Client {
+func (tb *Testbed) dial(scheme Scheme, from, to int, port uint16, routeLen int, cb func(transport.ByteStream, error)) *mic.Client {
 	dst := tb.hostIP(to)
 	switch scheme {
 	case SchemeTCP:
@@ -180,9 +173,9 @@ func (tb *Testbed) dial(scheme Scheme, from, to int, port uint16, routeLen int, 
 	return nil
 }
 
-// cbWrap adapts a typed callback to the appStream interface without
+// cbWrap adapts a typed callback to transport.ByteStream without
 // tripping on typed-nil values.
-func cbWrap[T appStream](cb func(appStream, error), s T, err error) {
+func cbWrap[T transport.ByteStream](cb func(transport.ByteStream, error), s T, err error) {
 	if err != nil {
 		cb(nil, err)
 		return
@@ -217,7 +210,7 @@ type Transfer struct {
 func (tb *Testbed) StartTransfer(scheme Scheme, from, to int, port uint16, routeLen, size int) *Transfer {
 	t := tb.expect(scheme, to, port, size)
 	var client *mic.Client
-	client = tb.dial(scheme, from, to, port, routeLen, func(s appStream, err error) {
+	client = tb.dial(scheme, from, to, port, routeLen, func(s transport.ByteStream, err error) {
 		if err != nil {
 			t.DialErr = err
 			return
@@ -237,7 +230,7 @@ func (tb *Testbed) StartTransfer(scheme Scheme, from, to int, port uint16, route
 // with begin.
 func (tb *Testbed) expect(scheme Scheme, to int, port uint16, size int) *Transfer {
 	t := &Transfer{Size: size}
-	tb.serve(scheme, to, port, func(s appStream) {
+	tb.serve(scheme, to, port, func(s transport.ByteStream) {
 		t.Remote, _ = s.(*mic.Stream)
 		t.count(tb, s)
 	})
@@ -245,7 +238,7 @@ func (tb *Testbed) expect(scheme Scheme, to int, port uint16, size int) *Transfe
 }
 
 // count adds what s receives to Got, and stamps End when byte Size arrives.
-func (t *Transfer) count(tb *Testbed, s appStream) {
+func (t *Transfer) count(tb *Testbed, s transport.ByteStream) {
 	s.OnData(func(b []byte) {
 		t.Got += len(b)
 		if t.Got >= t.Size && t.End == 0 {
@@ -256,7 +249,7 @@ func (t *Transfer) count(tb *Testbed, s appStream) {
 
 // begin marks s as the transfer's sending end, about to send. A transfer of
 // no bytes is done once its session is up.
-func (t *Transfer) begin(tb *Testbed, s appStream) {
+func (t *Transfer) begin(tb *Testbed, s transport.ByteStream) {
 	t.Start, t.CPUAtStart = tb.Eng.Now(), tb.Net.CPU.Total()
 	t.Stream, _ = s.(*mic.Stream)
 	t.Circuit, _ = s.(*onion.Circuit)
@@ -330,11 +323,11 @@ func PingPongLatency(scheme Scheme, from, to, routeLen int, seed uint64) (time.D
 // until 10 bytes come back. The responder echoes; the transfer counted is
 // the echo, at the initiator.
 func (tb *Testbed) PingPong(scheme Scheme, from, to, routeLen int) (time.Duration, error) {
-	tb.serve(scheme, to, 80, func(s appStream) {
+	tb.serve(scheme, to, 80, func(s transport.ByteStream) {
 		s.OnData(func(b []byte) { s.Send(b) })
 	})
 	echo := &Transfer{Size: 10}
-	tb.dial(scheme, from, to, 80, routeLen, func(s appStream, err error) {
+	tb.dial(scheme, from, to, 80, routeLen, func(s transport.ByteStream, err error) {
 		if err != nil {
 			echo.DialErr = err
 			return

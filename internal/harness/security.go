@@ -11,6 +11,7 @@ import (
 	"mic/internal/mic"
 	"mic/internal/sim"
 	"mic/internal/topo"
+	"mic/internal/transport"
 )
 
 // The paper's Section V argues its security properties qualitatively; the
@@ -245,29 +246,35 @@ func runA2MPLSSplit(cfg RunConfig) (*Result, error) {
 	if cfg.Quick {
 		trials = 50
 	}
-	// Direct inversion (the paper's MPLS1/MPLS2 split): one mint per label.
-	directAttempts := 1.0
-	// Rejection sampling: draw random 20-bit labels until one satisfies
-	// both the per-MN class constraint and the flow-ID constraint.
-	rej := &metrics.Sample{}
-	for i := 0; i < trials; i++ {
-		flowID := uint32(i) % w.MaxFlowIDs()
-		attempts := 0
-		for {
-			attempts++
-			l := addr.Label(rng.Uint32()) & addr.MaxLabel
+	// Each trial counts the labels drawn until one satisfies both the
+	// per-MN class constraint and the flow-ID constraint. The split
+	// construction (the paper's MPLS1/MPLS2 split) mints each label by
+	// inversion; rejection sampling draws random 20-bit labels. gen draws
+	// from its own stream, so it moves none of the rejection draws.
+	draws := func(flowID uint32, next func() addr.Label) (float64, error) {
+		for n := 1; n <= 1<<22; n++ {
+			l := next()
 			if p.ClassOf(l) == 9 && p.FlowIDOf(src, dst, l) == flowID {
-				break
-			}
-			if attempts > 1<<22 {
-				return nil, fmt.Errorf("a2: rejection sampling diverged")
+				return float64(n), nil
 			}
 		}
-		rej.Add(float64(attempts))
+		return 0, fmt.Errorf("a2: label draws diverged for flow %d", flowID)
 	}
-	_ = gen
+	split, rej := &metrics.Sample{}, &metrics.Sample{}
+	for i := 0; i < trials; i++ {
+		flowID := uint32(i) % w.MaxFlowIDs()
+		n, err := draws(flowID, func() addr.Label { return gen.Label(flowID, src, dst) })
+		if err != nil {
+			return nil, err
+		}
+		split.Add(n)
+		if n, err = draws(flowID, func() addr.Label { return addr.Label(rng.Uint32()) & addr.MaxLabel }); err != nil {
+			return nil, err
+		}
+		rej.Add(n)
+	}
 	tbl := metrics.NewTable("method", "mean_label_draws")
-	tbl.AddRow("split + inversion (MIC)", directAttempts)
+	tbl.AddRow("split + inversion (MIC)", split.Mean())
 	tbl.AddRow("rejection sampling", rej.Mean())
 	return &Result{
 		ID: "a2", Title: "Label generation cost: inversion vs rejection", Table: tbl,
@@ -285,7 +292,7 @@ func runA3ChannelReuse(cfg RunConfig) (*Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		tb.serve(SchemeMICTCP, 15, 80, func(s appStream) { s.OnData(func([]byte) {}) })
+		tb.serve(SchemeMICTCP, 15, 80, func(s transport.ByteStream) { s.OnData(func([]byte) {}) })
 		client := mic.NewClient(tb.Stacks[0], tb.MC)
 		target := tb.hostIP(15).String()
 		sent := 0
@@ -437,7 +444,7 @@ const (
 // capture of the first switch exposing the responder.
 func (tb *Testbed) burstsAtEdges(caps []*adversary.Capture, to int, initOnly bool) (ref []float64, resp *adversary.Capture, until sim.Time, err error) {
 	t := tb.expect(SchemeMICTCP, to, 80, bursts*burstBytes)
-	tb.dial(SchemeMICTCP, 0, to, 80, 0, func(s appStream, err error) {
+	tb.dial(SchemeMICTCP, 0, to, 80, 0, func(s transport.ByteStream, err error) {
 		if err != nil {
 			t.DialErr = err
 			return

@@ -42,7 +42,6 @@ type ControlPlane interface {
 	EstablishChannel(initiator addr.IP, target string, opts ChannelOptions, cb func(*ChannelInfo, error))
 	CloseChannel(id uint64, cb func()) error
 	SubscribeRepair(fn func(RepairEvent))
-	SubscribeChannelDown(fn func(id uint64, err error))
 }
 
 // Client is the initiator-side MIC library: a socket-like API that hides
@@ -126,14 +125,15 @@ func NewClientSeeded(stack *transport.Stack, mc ControlPlane, salt uint64) *Clie
 		pending:  make(map[string][]*chanWaiter),
 		streams:  make(map[uint64][]*Stream),
 	}
-	mc.SubscribeChannelDown(func(id uint64, err error) { c.channelDown(id, err) })
 	mc.SubscribeRepair(func(ev RepairEvent) {
-		if ev.Err != nil {
-			return // terminal; the channel-down subscription handles it
-		}
-		for _, s := range c.streams[ev.Channel] {
-			if s.health != nil {
-				s.health.onRepair()
+		switch {
+		case ev.Down:
+			c.channelDown(ev.Channel, fmt.Errorf("mic: channel %d unrepairable after %d attempts: %w", ev.Channel, ev.Attempts, ev.Err))
+		case ev.Err == nil:
+			for _, s := range c.streams[ev.Channel] {
+				if s.health != nil {
+					s.health.onRepair()
+				}
 			}
 		}
 	})

@@ -660,14 +660,6 @@ func (c *Cluster) SubscribeRepair(fn func(RepairEvent)) {
 	}
 }
 
-// SubscribeChannelDown implements ControlPlane, registering on every
-// member like SubscribeRepair.
-func (c *Cluster) SubscribeChannelDown(fn func(id uint64, err error)) {
-	for _, m := range c.members {
-		m.mc.SubscribeChannelDown(fn)
-	}
-}
-
 // request is a dial the Cluster has not had answered. Its ID names it to
 // every controller life, through the journal; mc and inc are the life it was
 // last sent to, mc nil until then.

@@ -468,7 +468,7 @@ func runJournalProgram(t *testing.T, prog []byte) (mc *MC, j *Journal, restarts,
 				continue
 			}
 			if op == 5 {
-				bed.eng.RunFor(2 * mc.Ch.Latency)
+				bed.eng.RunFor(2 * ctrlplane.Latency)
 				if _, ok := mc.channels[id]; ok { // the repair may have given it up
 					if err := mc.CloseChannel(id, nil); err != nil {
 						t.Fatal(err)

@@ -1,10 +1,10 @@
 package mic
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
+	"mic/internal/ctrlplane"
 	"mic/internal/sim"
 	"mic/internal/topo"
 )
@@ -22,6 +22,11 @@ type RepairEvent struct {
 	CompletedAt sim.Time // when the repair resolved (success or terminal)
 	Attempts    int
 	Err         error // nil on success; the terminal error otherwise
+	// Down reports that the terminal failure closed the channel: no live
+	// path was left after every retry, so the channel's streams fail. A
+	// channel closed while its last attempt ran ends with Err set and Down
+	// false.
+	Down bool
 }
 
 // repairJob serializes self-healing per channel.
@@ -70,7 +75,7 @@ func (mc *MC) scheduleRepair(id uint64) {
 	}
 	job := &repairJob{detectedAt: mc.Net.Eng.Now()}
 	mc.repairJobs[id] = job
-	mc.Net.Eng.After(mc.Ch.Latency, mc.gate(func() { mc.runRepair(id, job) }))
+	mc.Net.Eng.After(ctrlplane.Latency, mc.gate(func() { mc.runRepair(id, job) }))
 }
 
 func (mc *MC) repairMaxRetries() int {
@@ -134,7 +139,7 @@ func (mc *MC) runRepair(id uint64, job *repairJob) {
 }
 
 // settleRepair finishes a job. A terminal error tears the channel down and
-// surfaces the failure to the endpoints (SubscribeChannelDown) — the promised
+// surfaces the failure to the endpoints (RepairEvent.Down) — the promised
 // behaviour: errors only when no route exists, never silent black holes.
 func (mc *MC) settleRepair(id uint64, job *repairJob, err error) {
 	delete(mc.repairJobs, id)
@@ -150,9 +155,9 @@ func (mc *MC) settleRepair(id uint64, job *repairJob, err error) {
 	} else {
 		mc.RepairFailures++
 		if _, live := mc.channels[id]; live {
-			// lint:ignore errdrop the channel is terminally unrepairable; the close error is subsumed by the ChannelDown notification below
+			// lint:ignore errdrop the channel is terminally unrepairable; the close error is subsumed by the Down event below
 			_ = mc.CloseChannel(id, nil)
-			mc.emitChannelDown(id, fmt.Errorf("mic: channel %d unrepairable after %d attempts: %w", id, job.attempts, err))
+			ev.Down = true
 		}
 	}
 	mc.emitRepair(ev)

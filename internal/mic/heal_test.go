@@ -223,10 +223,11 @@ func TestAutoRepairTerminalWhenNoPath(t *testing.T) {
 	Listen(f.stacks[15], 80, false, func(s *Stream) { s.OnData(func([]byte) {}) })
 	client := NewClient(f.stacks[0], f.mc)
 	target := f.hostIP(15).String()
-	var downErr error
-	var downID uint64
-	f.mc.SubscribeChannelDown(func(id uint64, err error) {
-		downID, downErr = id, err
+	var down []RepairEvent
+	f.mc.SubscribeRepair(func(ev RepairEvent) {
+		if ev.Down {
+			down = append(down, ev)
+		}
 	})
 	established := false
 	client.Dial(target, 80, func(s *Stream, err error) {
@@ -245,11 +246,11 @@ func TestAutoRepairTerminalWhenNoPath(t *testing.T) {
 	respEdge := f.graph.Node(f.graph.Hosts()[15]).Ports[0].Peer
 	f.net.SetSwitchDown(respEdge, true)
 	f.eng.RunUntil(sim.Time(5 * time.Second))
-	if downErr == nil {
-		t.Fatal("unrepairable channel was never declared dead")
+	if len(down) != 1 || down[0].Err == nil {
+		t.Fatalf("unrepairable channel declared dead %d times (%+v), want once with its error", len(down), down)
 	}
-	if downID != info.ID {
-		t.Fatalf("wrong channel declared dead: %d, want %d", downID, info.ID)
+	if down[0].Channel != info.ID {
+		t.Fatalf("wrong channel declared dead: %d, want %d", down[0].Channel, info.ID)
 	}
 	if f.mc.LiveChannels() != 0 {
 		t.Fatalf("dead channel still live at the MC: %d", f.mc.LiveChannels())
@@ -258,6 +259,47 @@ func TestAutoRepairTerminalWhenNoPath(t *testing.T) {
 		t.Fatalf("RepairFailures = %d", f.mc.RepairFailures)
 	}
 	verify(t, f)
+}
+
+// TestRepairEndedByCloseFailsNoStream: a channel closed while its last
+// repair attempt runs ends the job with a terminal event that is not Down,
+// and no stream fails on it.
+func TestRepairEndedByCloseFailsNoStream(t *testing.T) {
+	f := newFixture(t, Config{MNs: 2, AutoRepair: true, RepairMaxRetries: -1})
+	Listen(f.stacks[15], 80, false, func(s *Stream) { s.OnData(func([]byte) {}) })
+	client := NewClient(f.stacks[0], f.mc)
+	target := f.hostIP(15).String()
+	var stream *Stream
+	client.Dial(target, 80, func(s *Stream, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		stream = s
+	})
+	f.eng.RunFor(6 * time.Millisecond)
+	if stream == nil {
+		t.Fatal("channel never established")
+	}
+	info, _ := client.Channel(target)
+	var events []RepairEvent
+	f.mc.SubscribeRepair(func(ev RepairEvent) { events = append(events, ev) })
+	// The repair runs one control latency after the failure and finds no
+	// path; the close, booked for that instant after the repair, lands
+	// before the attempt reports back.
+	respEdge := f.graph.Node(f.graph.Hosts()[15]).Ports[0].Peer
+	f.net.SetSwitchDown(respEdge, true)
+	f.eng.At(f.eng.Now().Add(ctrlplane.Latency), func() {
+		if err := f.mc.CloseChannel(info.ID, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	f.eng.RunFor(time.Millisecond)
+	if len(events) != 1 || events[0].Err == nil || events[0].Down {
+		t.Fatalf("repair events %+v, want one terminal event that is not Down", events)
+	}
+	if err := stream.Err(); err != nil {
+		t.Fatalf("stream failed on a channel closed mid-repair: %v", err)
+	}
 }
 
 // TestAutoRepairWithLossyControlChannel: the whole detect→repair loop must

@@ -83,7 +83,7 @@ type Config struct {
 	AutoRepair bool
 
 	// RepairMaxRetries bounds repair attempts per failure burst before the
-	// channel is declared dead to its endpoints (SubscribeChannelDown). Zero means
+	// channel is declared dead to its endpoints (RepairEvent.Down). Zero means
 	// DefaultRepairMaxRetries; negative allows a single attempt.
 	RepairMaxRetries int
 
@@ -109,18 +109,19 @@ const (
 	DefaultRepairBackoff    = time.Millisecond
 )
 
-// What the model charges for a channel request. No experiment varies them.
+// What the model charges for a channel request (EXPERIMENTS.md "Calibration
+// constants"). No experiment varies them.
 const (
 	// requestLatency is the one-way client<->MC request delay.
 	requestLatency = 500 * time.Microsecond
-	// requestCryptoCost is the AES cost of sealing or opening one request,
+	// RequestCryptoCost is the AES cost of sealing or opening one request,
 	// paid on both the client and the MC (the paper encrypts requests with a
 	// pre-exchanged key).
-	requestCryptoCost = 20 * time.Microsecond
-	// computeCost is the planning CPU of one graph search, planCacheHitCost
+	RequestCryptoCost = 20 * time.Microsecond
+	// PlanSearchCost is the planning CPU of one graph search, PlanCacheHitCost
 	// of one path lookup the plan cache serves instead.
-	computeCost      = 50 * time.Microsecond
-	planCacheHitCost = computeCost / 10
+	PlanSearchCost   = 50 * time.Microsecond
+	PlanCacheHitCost = PlanSearchCost / 10
 	// maxEqualCostPaths caps shortest-path enumeration.
 	maxEqualCostPaths = 16
 )
@@ -141,33 +142,22 @@ const (
 	PathLeastLoaded
 )
 
-// DefaultConfig mirrors the paper's defaults: one m-flow, three MNs.
-func DefaultConfig() Config {
-	return Config{
-		Widths:          maga.DefaultWidths(),
-		MFlows:          1,
-		MNs:             3,
-		MulticastFanout: 1,
-		Seed:            1,
-	}
-}
-
+// withDefaults fills the paper's defaults: one m-flow, three MNs.
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.Widths == (maga.Widths{}) {
-		c.Widths = d.Widths
+		c.Widths = maga.DefaultWidths()
 	}
 	if c.MFlows == 0 {
-		c.MFlows = d.MFlows
+		c.MFlows = 1
 	}
 	if c.MNs == 0 {
-		c.MNs = d.MNs
+		c.MNs = 3
 	}
 	if c.MulticastFanout == 0 {
-		c.MulticastFanout = d.MulticastFanout
+		c.MulticastFanout = 1
 	}
 	if c.Seed == 0 {
-		c.Seed = d.Seed
+		c.Seed = 1
 	}
 	if c.PlanCores == 0 {
 		c.PlanCores = 1
@@ -322,7 +312,7 @@ type MC struct {
 	// request overlap the planning of the next.
 	cpuFree []sim.Time
 	// planCost accumulates the planning CPU of the request being computed:
-	// computeCost per graph search, planCacheHitCost per cache hit.
+	// PlanSearchCost per graph search, PlanCacheHitCost per cache hit.
 	planCost time.Duration
 
 	// PathCacheHits and PathCacheMisses count plan-cache outcomes; with the
@@ -401,15 +391,15 @@ type MC struct {
 	slabHigh struct{ entries, actions int }
 
 	// repairSubs hear every completed self-healing job, successful or
-	// terminal; downSubs hear a channel abandoned because no live path exists
-	// after all retries (the MC closes it, so endpoints see a terminal error
-	// rather than a silent black hole). Every Client subscribes, so its
-	// streams learn about repairs (re-probe, rebalance) and terminal losses
-	// (clean error). A listener learns the channel ID and the error, never the
-	// initiator: broadcasting each downed channel's real initiator to every
-	// subscribed client would tell every tenant who else is dialing.
+	// terminal, including a channel abandoned because no live path exists
+	// after all retries (RepairEvent.Down: the MC closes it, so endpoints
+	// see a terminal error rather than a silent black hole). Every Client
+	// subscribes, so its streams learn about repairs (re-probe, rebalance)
+	// and terminal losses (clean error). A listener learns the channel ID and
+	// the error, never the initiator: broadcasting each downed channel's real
+	// initiator to every subscribed client would tell every tenant who else
+	// is dialing.
 	repairSubs []func(RepairEvent)
-	downSubs   []func(id uint64, err error)
 
 	// Repairs and RepairFailures count completed self-healing jobs.
 	Repairs        uint64
@@ -557,11 +547,8 @@ func (mc *MC) revive() {
 	mc.incarnation++
 	old := mc.Ch
 	mc.Ch = ctrlplane.NewChannel(mc.Net)
-	mc.Ch.Latency = old.Latency
 	mc.Ch.LossRate = old.LossRate
-	mc.Ch.AckTimeout = old.AckTimeout
 	mc.Ch.MaxRetries = old.MaxRetries
-	mc.Ch.MaxBackoff = old.MaxBackoff
 	// The management-network binding survives a process restart (same host,
 	// same mgmt port); the fencing epoch does not — a restarted process
 	// re-learns it at its next promotion, like any other volatile state.
@@ -600,25 +587,10 @@ func (mc *MC) SubscribeRepair(fn func(RepairEvent)) {
 	mc.repairSubs = append(mc.repairSubs, fn)
 }
 
-// SubscribeChannelDown adds a listener for terminal channel loss. The
-// listener learns the channel ID and the terminal error only; the real
-// initiator stays MC-side (clients correlate by ID, which they were
-// handed at setup).
-func (mc *MC) SubscribeChannelDown(fn func(id uint64, err error)) {
-	mc.downSubs = append(mc.downSubs, fn)
-}
-
 // emitRepair fans a repair event out to the subscribers.
 func (mc *MC) emitRepair(ev RepairEvent) {
 	for _, fn := range mc.repairSubs {
 		fn(ev)
-	}
-}
-
-// emitChannelDown fans a terminal channel loss out to the subscribers.
-func (mc *MC) emitChannelDown(id uint64, err error) {
-	for _, fn := range mc.downSubs {
-		fn(id, err)
 	}
 }
 

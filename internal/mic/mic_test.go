@@ -1177,7 +1177,7 @@ func BenchmarkMAddrChainGeneration(b *testing.B) {
 func (a *idAllocator) inUse() int { return len(a.held) }
 
 // Err returns the stream's terminal error, if any: non-nil after the MC
-// declared the underlying channel unrepairable (SubscribeChannelDown), or
+// declared the underlying channel unrepairable (RepairEvent.Down), or
 // once a reset tore down the stream's last open conn.
 func (s *Stream) Err() error { return s.failed }
 

@@ -64,24 +64,24 @@ func stripHosts(paths []topo.Path) [][]topo.NodeID {
 
 // lookupPaths serves one path enumeration through the cache and returns the
 // candidates as segments between src and dst, shared with the cache and
-// read-only: a hit costs planCacheHitCost of planning CPU, a miss (or a
-// bypass) runs compute and costs the full computeCost. Hit and miss return
+// read-only: a hit costs PlanCacheHitCost of planning CPU, a miss (or a
+// bypass) runs compute and costs the full PlanSearchCost. Hit and miss return
 // identically shaped candidates, so the downstream RNG draw sequence is
 // independent of cache state.
 func (mc *MC) lookupPaths(src, dst topo.NodeID, minSw int, compute func() []topo.Path) [][]topo.NodeID {
 	if !mc.cacheUsable(src, dst) {
 		mc.PathCacheMisses++
-		mc.planCost += computeCost
+		mc.planCost += PlanSearchCost
 		return stripHosts(compute())
 	}
 	key := planKey{a: accessSwitch(mc.Net.Graph, src), b: accessSwitch(mc.Net.Graph, dst), minSw: minSw}
 	if segs, ok := mc.planCache[key]; ok {
 		mc.PathCacheHits++
-		mc.planCost += planCacheHitCost
+		mc.planCost += PlanCacheHitCost
 		return segs
 	}
 	mc.PathCacheMisses++
-	mc.planCost += computeCost
+	mc.planCost += PlanSearchCost
 	segs := stripHosts(compute())
 	mc.planCache[key] = segs
 	return segs

@@ -127,8 +127,8 @@ func BenchmarkEqualCostPathsFatTree16(b *testing.B) {
 
 // TestPlanCacheHitIsCheaper checks the virtual-CPU contract: a storm of
 // same-edge-pair dials completes sooner with the cache than without,
-// because a hit charges planCacheHitCost instead of the full graph-search
-// computeCost to the controller's serialized planning core.
+// because a hit charges PlanCacheHitCost instead of the full graph-search
+// PlanSearchCost to the controller's serialized planning core.
 func TestPlanCacheHitIsCheaper(t *testing.T) {
 	run := func(disable bool) time.Duration {
 		f := newFixture(t, Config{MNs: 3, MFlows: 2, Seed: 7, DisablePathCache: disable})
@@ -165,7 +165,7 @@ func TestPlanCoresPaceDials(t *testing.T) {
 	for _, c := range []struct {
 		cores int
 		gap   time.Duration
-	}{{1, computeCost}, {2, 0}} {
+	}{{1, PlanSearchCost}, {2, 0}} {
 		f := newFixture(t, Config{DisablePathCache: true, PlanCores: c.cores})
 		var at [2]sim.Time
 		for i, from := range []int{0, 4} {

@@ -86,7 +86,7 @@ func (mc *MC) establish(req uint64, initiator addr.IP, target string, opts Chann
 	// steps are gated on controller liveness: a request in flight when the MC
 	// dies simply vanishes, like any message to a dead process, and the
 	// Cluster sends it to the successor once the takeover is done.
-	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
+	mc.Net.CPU.Charge("crypto", 2*RequestCryptoCost)
 	d.next(dialRequest, requestLatency)
 }
 
@@ -156,7 +156,7 @@ func (d *dial) run() {
 	switch d.stage {
 	case dialRequest:
 		if d.st = d.mc.requested(d.req); d.st != nil {
-			d.mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
+			d.mc.Net.CPU.Charge("crypto", 2*RequestCryptoCost)
 			d.reply(requestLatency, nil)
 			return
 		}
@@ -204,7 +204,7 @@ func (mc *MC) serveChannel(d *dial) {
 	delay := mc.cpuFree[core].Sub(now)
 	// Acknowledgement: sealed by the MC, opened by the client. The install
 	// and its acknowledgement are gated on this incarnation.
-	mc.Net.CPU.Charge("crypto", 2*requestCryptoCost)
+	mc.Net.CPU.Charge("crypto", 2*RequestCryptoCost)
 	d.st = st
 	d.next(dialInstall, delay)
 }

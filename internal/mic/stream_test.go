@@ -3,7 +3,9 @@ package mic
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -412,4 +414,34 @@ func TestResetConnFailsStream(t *testing.T) {
 		t.Fatalf("server stream: error %v, closed %v, %d bytes delivered; want the reset, mid-transfer", server.Err(), closed, len(got))
 	}
 	t.Logf("server stream failed after %d bytes: %v", len(got), server.Err())
+}
+
+// TestStalledConnFailsStream: on TestResetConnFailsStream's bed, nothing the
+// initiator sends after the reset is acknowledged again. Its conn gives up
+// once no new data has been acknowledged for 100 s, which fails the client
+// stream, and the engine drains.
+func TestStalledConnFailsStream(t *testing.T) {
+	f := newFixture(t, Config{MFlows: 1, MNs: 2})
+	var got []byte
+	client, _ := dialPair(t, f, &got)
+	var st *channelState
+	for _, s := range f.mc.channels {
+		st = s
+	}
+	path := st.info.Flows[0].Path
+	client.Send(pattern(1 << 20))
+	f.eng.RunFor(time.Millisecond)
+	f.net.Switch(path[len(path)-2]).Table.DeleteByCookie(st.cookie())
+	f.eng.RunUntil(sim.Time(120 * time.Second))
+	err := client.conns[0].Err()
+	var te *transport.TransportError
+	if !errors.As(err, &te) || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("initiator conn error %v, want the give-up timeout", err)
+	}
+	if client.Err() != err {
+		t.Fatalf("client stream error %v, want its conn's %v", client.Err(), err)
+	}
+	if n := f.eng.Pending(); n != 0 {
+		t.Fatalf("%d events still pending at %v", n, f.eng.Now())
+	}
 }

@@ -57,9 +57,9 @@ func (n *Network) schedule(at sim.Time, kind hopKind, node topo.NodeID, port int
 // arrive books the one event a frame costs at the node it reaches at
 // instant at: the node's latency later, the node handles it.
 func (n *Network) arrive(at sim.Time, node topo.NodeID, port int, p *packet.Packet) {
-	lat := n.Cfg.HostLatency
+	lat := HostLatency
 	if n.nodes[node].sw != nil {
-		lat = n.Cfg.SwitchLatency
+		lat = SwitchLatency
 	}
 	n.schedule(at.Add(lat), hopIngress, node, port, p).arrived = at
 }

@@ -35,8 +35,8 @@ func (h *Host) SetHandler(fn func(inPort int, p *packet.Packet)) { h.handler = f
 func (h *Host) Send(port int, p *packet.Packet) {
 	h.TxPackets++
 	n := h.net
-	n.stackCPU.Charge(n.Cfg.CostHostPacket)
-	n.schedule(n.Eng.Now().Add(n.Cfg.HostLatency), hopHostSend, h.ID, port, p)
+	n.stackCPU.Charge(CostHostPacket)
+	n.schedule(n.Eng.Now().Add(HostLatency), hopHostSend, h.ID, port, p)
 }
 
 // deliver hands a frame to the registered handler, run one host-stack
@@ -47,7 +47,7 @@ func (h *Host) Send(port int, p *packet.Packet) {
 func (h *Host) deliver(inPort int, p *packet.Packet) {
 	h.RxPackets++
 	n := h.net
-	n.stackCPU.Charge(n.Cfg.CostHostPacket)
+	n.stackCPU.Charge(CostHostPacket)
 	if h.handler == nil {
 		n.Stats.Dropped++
 		p.Release()

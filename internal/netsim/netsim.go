@@ -25,25 +25,33 @@ import (
 	"mic/internal/topo"
 )
 
-// Config sets the physical parameters of the emulated fabric. Zero fields
-// take the defaults in DefaultConfig, which are calibrated in
-// EXPERIMENTS.md against the paper's Mininet testbed.
-type Config struct {
-	LinkBandwidthBps int64         // link rate in bits/s
-	LinkDelay        time.Duration // one-way propagation delay
-	QueueCapPackets  int           // per-direction drop-tail queue capacity
-	SwitchLatency    time.Duration // software-switch forwarding latency
-	HostLatency      time.Duration // host protocol-stack latency per packet
+// The fabric's calibration, set in EXPERIMENTS.md "Calibration constants"
+// against the paper's testbed: a 1 Gb/s Mininet fabric with Open vSwitch.
+// Only the link rate and the queue capacity are a bed's to change (Config).
+const (
+	DefaultLinkBandwidthBps = 1e9 // link rate in bits/s, unless Config sets one
+	DefaultQueueCapPackets  = 100 // per-direction drop-tail queue, unless Config sets one
+
+	LinkDelay     = 5 * time.Microsecond  // one-way propagation delay
+	SwitchLatency = 10 * time.Microsecond // software-switch forwarding latency
+	HostLatency   = 15 * time.Microsecond // host protocol-stack latency per packet
 
 	// Virtual CPU costs (Fig 9c substitutes). CostSwitchPacket is the
 	// slow path — a full classifier lookup, OVS's userspace upcall;
 	// CostSwitchCacheHit is the microflow-cache fast path. Charging them
 	// separately mirrors the fast/slow-path split of the paper's OVS
 	// testbed (see DESIGN.md §5b).
-	CostSwitchPacket   time.Duration // per packet taking a full (slow-path) lookup
-	CostSwitchCacheHit time.Duration // per packet served by the microflow cache
-	CostSwitchAction   time.Duration // per packet-mutating flow action
-	CostHostPacket     time.Duration // per packet through a host stack
+	CostSwitchPacket   = 2 * time.Microsecond  // per packet taking a full (slow-path) lookup
+	CostSwitchCacheHit = 500 * time.Nanosecond // per packet served by the microflow cache
+	CostSwitchAction   = 300 * time.Nanosecond // per packet-mutating flow action
+	CostHostPacket     = 3 * time.Microsecond  // per packet through a host stack
+)
+
+// Config sets what a bed may vary about the emulated fabric. Zero link
+// fields take DefaultLinkBandwidthBps and DefaultQueueCapPackets.
+type Config struct {
+	LinkBandwidthBps int64 // link rate in bits/s
+	QueueCapPackets  int   // per-direction drop-tail queue capacity
 
 	// PoolDebug enables the packet and chunk pools' use-after-release
 	// guards (poisoned free-list buffers and chunks, double-release
@@ -61,49 +69,12 @@ type Config struct {
 	FlowTableCapacity int
 }
 
-// DefaultConfig mirrors a 1 Gb/s Mininet fabric with Open vSwitch.
-func DefaultConfig() Config {
-	return Config{
-		LinkBandwidthBps:   1e9,
-		LinkDelay:          5 * time.Microsecond,
-		QueueCapPackets:    100,
-		SwitchLatency:      10 * time.Microsecond,
-		HostLatency:        15 * time.Microsecond,
-		CostSwitchPacket:   2 * time.Microsecond,
-		CostSwitchCacheHit: 500 * time.Nanosecond,
-		CostSwitchAction:   300 * time.Nanosecond,
-		CostHostPacket:     3 * time.Microsecond,
-	}
-}
-
 func (c Config) withDefaults() Config {
-	d := DefaultConfig()
 	if c.LinkBandwidthBps == 0 {
-		c.LinkBandwidthBps = d.LinkBandwidthBps
-	}
-	if c.LinkDelay == 0 {
-		c.LinkDelay = d.LinkDelay
+		c.LinkBandwidthBps = DefaultLinkBandwidthBps
 	}
 	if c.QueueCapPackets == 0 {
-		c.QueueCapPackets = d.QueueCapPackets
-	}
-	if c.SwitchLatency == 0 {
-		c.SwitchLatency = d.SwitchLatency
-	}
-	if c.HostLatency == 0 {
-		c.HostLatency = d.HostLatency
-	}
-	if c.CostSwitchPacket == 0 {
-		c.CostSwitchPacket = d.CostSwitchPacket
-	}
-	if c.CostSwitchCacheHit == 0 {
-		c.CostSwitchCacheHit = d.CostSwitchCacheHit
-	}
-	if c.CostSwitchAction == 0 {
-		c.CostSwitchAction = d.CostSwitchAction
-	}
-	if c.CostHostPacket == 0 {
-		c.CostHostPacket = d.CostHostPacket
+		c.QueueCapPackets = DefaultQueueCapPackets
 	}
 	return c
 }
@@ -671,7 +642,7 @@ func (n *Network) send(from topo.NodeID, port int, p *packet.Packet) {
 	dir.queue.push(txFrame{done: done, seq: n.Eng.LastSeq()})
 	dir.txBytes += uint64(wire)
 	n.Stats.TxBytes += uint64(wire)
-	at := done.Add(n.Cfg.LinkDelay)
+	at := done.Add(LinkDelay)
 	switch fate {
 	case fateCorrupt:
 		// The frame burns wire time but the receiving NIC's FCS rejects it.

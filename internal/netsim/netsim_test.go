@@ -38,7 +38,7 @@ func frame(src, dst addr.IP, payload string) *packet.Packet {
 // switch at the far end of the host's link.
 func firstArrival(n *Network, p *packet.Packet) sim.Time {
 	wire := time.Duration(p.WireLen()) * 8 * time.Second / time.Duration(n.Cfg.LinkBandwidthBps)
-	return sim.Time(n.Cfg.HostLatency + wire + n.Cfg.LinkDelay)
+	return sim.Time(HostLatency + wire + LinkDelay)
 }
 
 func TestDeliveryThroughOneSwitch(t *testing.T) {
@@ -82,11 +82,11 @@ func TestDeliveryLatencyMatchesModel(t *testing.T) {
 
 	p := frame(h1.IP, h2.IP, "x")
 	wire := time.Duration(p.WireLen()) * 8 * time.Second / time.Duration(n.Cfg.LinkBandwidthBps)
-	want := n.Cfg.HostLatency + // sender stack
-		wire + n.Cfg.LinkDelay + // first link
-		n.Cfg.SwitchLatency +
-		wire + n.Cfg.LinkDelay + // second link
-		n.Cfg.HostLatency // receiver stack
+	want := HostLatency + // sender stack
+		wire + LinkDelay + // first link
+		SwitchLatency +
+		wire + LinkDelay + // second link
+		HostLatency // receiver stack
 	h1.Send(0, p)
 	eng.Run()
 	if got := time.Duration(at); got != want {
@@ -285,7 +285,7 @@ func TestTableMissGoesToController(t *testing.T) {
 	ctrl := &ctrlRecorder{}
 	n.SetController(ctrl)
 	p := frame(h1.IP, addr.V4(9, 9, 9, 9), "?")
-	want := firstArrival(n, p).Add(n.Cfg.SwitchLatency)
+	want := firstArrival(n, p).Add(SwitchLatency)
 	h1.Send(0, p)
 	eng.Run()
 	if ctrl.ins != 1 || ctrl.sw != s1 {
@@ -304,7 +304,7 @@ func TestRuleInstalledDuringLatencyApplies(t *testing.T) {
 	p := frame(h1.IP, h2.IP, "late rule")
 	arrived := firstArrival(n, p)
 	e := &flowtable.Entry{Priority: 1, Actions: []flowtable.Action{flowtable.Output(n.Graph.PortTo(s1.ID, h2.ID))}}
-	eng.At(arrived.Add(n.Cfg.SwitchLatency/2), func() { s1.Table.Insert(e, eng.Now()) })
+	eng.At(arrived.Add(SwitchLatency/2), func() { s1.Table.Insert(e, eng.Now()) })
 	delivered := 0
 	h2.SetHandler(func(int, *packet.Packet) { delivered++ })
 	h1.Send(0, p)
@@ -363,11 +363,11 @@ func TestCPUAccounting(t *testing.T) {
 	h2.SetHandler(func(_ int, p *packet.Packet) {})
 	h1.Send(0, frame(h1.IP, h2.IP, "x"))
 	eng.Run()
-	wantSwitch := n.Cfg.CostSwitchPacket + 2*n.Cfg.CostSwitchAction
+	wantSwitch := CostSwitchPacket + 2*CostSwitchAction
 	if got := n.CPU.Category("vswitch"); got != wantSwitch {
 		t.Fatalf("vswitch CPU = %v, want %v", got, wantSwitch)
 	}
-	wantStack := 2 * n.Cfg.CostHostPacket // sender + receiver
+	wantStack := 2 * CostHostPacket // sender + receiver
 	if got := n.CPU.Category("stack"); got != wantStack {
 		t.Fatalf("stack CPU = %v, want %v", got, wantStack)
 	}

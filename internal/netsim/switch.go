@@ -70,9 +70,9 @@ func (s *Switch) forward(inPort int, arrived sim.Time, p *packet.Packet) {
 	entry, hit := s.Table.Lookup(p, inPort, arrived)
 	if hit {
 		s.CacheHits++
-		s.net.vswitchCPU.Charge(s.net.Cfg.CostSwitchCacheHit)
+		s.net.vswitchCPU.Charge(CostSwitchCacheHit)
 	} else {
-		s.net.vswitchCPU.Charge(s.net.Cfg.CostSwitchPacket)
+		s.net.vswitchCPU.Charge(CostSwitchPacket)
 	}
 	if entry == nil {
 		s.Misses++
@@ -95,7 +95,7 @@ func (s *Switch) forward(inPort int, arrived sim.Time, p *packet.Packet) {
 // per bucket (type ALL) — the primitive behind MIC's partial multicast.
 func (s *Switch) Execute(actions []flowtable.Action, inPort int, p *packet.Packet) {
 	n := s.net
-	n.schedule(n.Eng.Now().Add(n.Cfg.SwitchLatency), hopSwitchRun, s.ID, inPort, p).actions = actions
+	n.schedule(n.Eng.Now().Add(SwitchLatency), hopSwitchRun, s.ID, inPort, p).actions = actions
 }
 
 // run applies actions immediately (forwarding latency already paid) and
@@ -106,7 +106,7 @@ func (s *Switch) Execute(actions []flowtable.Action, inPort int, p *packet.Packe
 // packet never handed off is released back to the pool.
 func (s *Switch) run(actions []flowtable.Action, inPort int, p *packet.Packet) {
 	if mut := flowtable.MutationCount(actions); mut > 0 {
-		s.net.vswitchCPU.Charge(time.Duration(mut) * s.net.Cfg.CostSwitchAction)
+		s.net.vswitchCPU.Charge(time.Duration(mut) * CostSwitchAction)
 	}
 	handedOff := false
 	for i, a := range actions {

@@ -13,7 +13,6 @@ import (
 type Client struct {
 	Stack *transport.Stack
 	Dir   *Directory
-	cfg   Config
 	rng   *sim.RNG
 }
 
@@ -22,7 +21,6 @@ func NewClient(stack *transport.Stack, dir *Directory) *Client {
 	return &Client{
 		Stack: stack,
 		Dir:   dir,
-		cfg:   dir.cfg,
 		rng:   stack.Host.Net().Stream("onion/" + stack.Host.Name),
 	}
 }
@@ -90,7 +88,7 @@ func (c *Client) Dial(nRelays int, dst addr.IP, port uint16, cb func(*Circuit, e
 		priv := privFor(c.Stack.Host.IP, circ.circID, 'c')
 		create := cell{circID: circ.circID, cmd: cmdCreate}
 		copy(create.blob[:32], priv.PublicKey().Bytes())
-		c.charge(c.cfg.HandshakeCost)
+		c.charge(HandshakeCost)
 		conn.Send(create.marshalInto(&circ.wire))
 	})
 }
@@ -116,7 +114,7 @@ func (circ *Circuit) handleCell(cl cell, dst addr.IP, port uint16, cb func(*Circ
 		// Peel one layer per established hop until recognized.
 		for i := range circ.hops {
 			circ.hops[i].bwd.XORKeyStream(cl.blob[:], cl.blob[:])
-			c.charge(c.cfg.ClientCellCost)
+			c.charge(ClientCellCost)
 			cmd, data, ok := openBlob(&cl.blob)
 			if !ok {
 				continue
@@ -160,7 +158,7 @@ func (circ *Circuit) advance(dst addr.IP, port uint16) {
 		binary.BigEndian.PutUint32(payload[0:4], uint32(next.IP()))
 		binary.BigEndian.PutUint16(payload[4:6], next.Port)
 		copy(payload[6:], priv.PublicKey().Bytes())
-		c.charge(c.cfg.HandshakeCost)
+		c.charge(HandshakeCost)
 		circ.sendRelay(relayExtend, payload, len(circ.hops)) // wrapped for the last built hop
 		return
 	}
@@ -177,7 +175,7 @@ func (circ *Circuit) sendRelay(cmd uint8, data []byte, n int) {
 	blob := relayBlob(cmd, data)
 	for i := n - 1; i >= 0; i-- {
 		circ.hops[i].fwd.XORKeyStream(blob[:], blob[:])
-		circ.client.charge(circ.client.cfg.ClientCellCost)
+		circ.client.charge(ClientCellCost)
 	}
 	out := cell{circID: circ.circID, cmd: cmdRelay, blob: blob}
 	circ.link.Send(out.marshalInto(&circ.wire))

@@ -19,58 +19,31 @@ import (
 	"mic/internal/addr"
 )
 
-// Config models the relay cost structure. Constants approximate a
-// single-threaded user-space relay on the paper's hardware; EXPERIMENTS.md
-// records the calibration.
-type Config struct {
+// The relay cost structure, set in EXPERIMENTS.md "Calibration constants":
+// a single-threaded user-space relay on the paper's hardware, saturating
+// around 100-150 Mb/s to match the relative Tor-vs-TCP gap of its Mininet
+// testbed. No experiment varies them.
+const (
 	// HandshakeCost is the asymmetric-crypto CPU per CREATE handshake side
 	// (Tor: circuit-extend RSA/DH).
-	HandshakeCost time.Duration
+	HandshakeCost = 1500 * time.Microsecond
 
 	// RelayCellCost is the per-cell user-space forwarding cost at a relay
 	// (syscalls + copies + AES). This bounds relay throughput: a relay
 	// moves at most one cell per RelayCellCost.
-	RelayCellCost time.Duration
+	RelayCellCost = 30 * time.Microsecond
 
 	// ClientCellCost is the onion wrap/unwrap cost per cell per layer on
 	// the client.
-	ClientCellCost time.Duration
+	ClientCellCost = 3 * time.Microsecond
 
 	// RelayHopDelay is the pipelined event-loop/queueing latency a cell
 	// spends inside each relay in addition to its CPU cost. It models the
 	// millisecond-scale delay of a real onion router's scheduling and
 	// batching; being pipelined, it raises latency (Fig 8) without
 	// bounding bulk throughput (Fig 9a).
-	RelayHopDelay time.Duration
-}
-
-// DefaultConfig yields relays that saturate around 100-150 Mb/s, matching
-// the relative Tor-vs-TCP gap in the paper's Mininet testbed.
-func DefaultConfig() Config {
-	return Config{
-		HandshakeCost:  1500 * time.Microsecond,
-		RelayCellCost:  30 * time.Microsecond,
-		ClientCellCost: 3 * time.Microsecond,
-		RelayHopDelay:  2 * time.Millisecond,
-	}
-}
-
-func (c Config) withDefaults() Config {
-	d := DefaultConfig()
-	if c.HandshakeCost == 0 {
-		c.HandshakeCost = d.HandshakeCost
-	}
-	if c.RelayCellCost == 0 {
-		c.RelayCellCost = d.RelayCellCost
-	}
-	if c.ClientCellCost == 0 {
-		c.ClientCellCost = d.ClientCellCost
-	}
-	if c.RelayHopDelay == 0 {
-		c.RelayHopDelay = d.RelayHopDelay
-	}
-	return c
-}
+	RelayHopDelay = 2 * time.Millisecond
+)
 
 // Cell geometry (Tor uses 512-byte cells).
 const (

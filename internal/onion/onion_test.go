@@ -35,7 +35,7 @@ func newFixture(t testing.TB, nRelays int) *fixture {
 	if _, err := router.Install(net); err != nil {
 		t.Fatal(err)
 	}
-	f := &fixture{eng: eng, net: net, dir: NewDirectory(Config{})}
+	f := &fixture{eng: eng, net: net, dir: NewDirectory()}
 	for _, hid := range g.Hosts() {
 		f.stacks = append(f.stacks, transport.NewStack(net.Host(hid)))
 	}

@@ -16,7 +16,6 @@ import (
 type Relay struct {
 	Stack *transport.Stack
 	Port  uint16
-	cfg   Config
 	eng   *sim.Engine
 	dir   *Directory
 
@@ -48,11 +47,10 @@ type relayCirc struct {
 }
 
 // NewRelay starts a relay server on stack:port, registered in dir.
-func newRelay(dir *Directory, stack *transport.Stack, port uint16, cfg Config) *Relay {
+func newRelay(dir *Directory, stack *transport.Stack, port uint16) *Relay {
 	r := &Relay{
 		Stack:    stack,
 		Port:     port,
-		cfg:      cfg,
 		eng:      stack.Host.Net().Eng,
 		dir:      dir,
 		circuits: make(map[uint32]*relayCirc),
@@ -110,15 +108,15 @@ func (r *Relay) busy(cost sim.Duration, fn func()) {
 	}
 	done := start.Add(cost)
 	r.busyUntil = done
-	r.eng.At(done.Add(r.cfg.RelayHopDelay), fn)
+	r.eng.At(done.Add(RelayHopDelay), fn)
 }
 
 func (r *Relay) handleCell(from transport.ByteStream, c cell) {
 	switch c.cmd {
 	case cmdCreate:
-		r.busy(r.cfg.HandshakeCost, func() { r.handleCreate(from, c) })
+		r.busy(HandshakeCost, func() { r.handleCreate(from, c) })
 	case cmdRelay:
-		r.busy(r.cfg.RelayCellCost, func() { r.handleRelay(from, c) })
+		r.busy(RelayCellCost, func() { r.handleRelay(from, c) })
 	}
 }
 
@@ -219,11 +217,11 @@ func (r *Relay) extend(rc *relayCirc, data []byte) {
 				switch c.cmd {
 				case cmdCreated:
 					// Relay the handshake reply inward as EXTENDED.
-					r.busy(r.cfg.RelayCellCost, func() {
+					r.busy(RelayCellCost, func() {
 						r.sendBack(rc, relayBlob(relayExtended, c.blob[:32]))
 					})
 				case cmdRelay:
-					r.busy(r.cfg.RelayCellCost, func() { r.handleRelay(conn, c) })
+					r.busy(RelayCellCost, func() { r.handleRelay(conn, c) })
 				}
 			})
 		})
@@ -252,11 +250,11 @@ func (r *Relay) begin(rc *relayCirc, data []byte) {
 				chunk := b[:n]
 				b = b[n:]
 				blob := relayBlob(relayData, chunk)
-				r.busy(r.cfg.RelayCellCost, func() { r.sendBack(rc, blob) })
+				r.busy(RelayCellCost, func() { r.sendBack(rc, blob) })
 			}
 		})
 		conn.OnClose(func() {
-			r.busy(r.cfg.RelayCellCost, func() { r.sendBack(rc, relayBlob(relayEnd, nil)) })
+			r.busy(RelayCellCost, func() { r.sendBack(rc, relayBlob(relayEnd, nil)) })
 		})
 		r.sendBack(rc, relayBlob(relayConnected, nil))
 	})
@@ -264,18 +262,15 @@ func (r *Relay) begin(rc *relayCirc, data []byte) {
 
 // Directory is the public list of relays, the onion network's trust root.
 type Directory struct {
-	cfg    Config
 	relays []*Relay
 }
 
 // NewDirectory creates an empty relay directory.
-func NewDirectory(cfg Config) *Directory {
-	return &Directory{cfg: cfg.withDefaults()}
-}
+func NewDirectory() *Directory { return &Directory{} }
 
 // AddRelay starts a relay on the host behind stack.
 func (d *Directory) AddRelay(stack *transport.Stack, port uint16) *Relay {
-	r := newRelay(d, stack, port, d.cfg)
+	r := newRelay(d, stack, port)
 	d.relays = append(d.relays, r)
 	return r
 }

@@ -20,6 +20,10 @@ const (
 	maxRTO        = 500 * time.Millisecond
 	maxSynRetries = 6
 	dupAckThresh  = 3
+	// giveUp is how long an established conn's retransmission timer keeps
+	// expiring with no new data acknowledged before the conn tears itself
+	// down: the R2 floor of RFC 1122 §4.2.3.5.
+	giveUp = 100 * time.Second
 )
 
 type connState int
@@ -58,6 +62,8 @@ type Conn struct {
 	finSent    bool
 	finSeq     uint32
 	synRetries int
+	stalled    bool     // the timer expired and no new data was acknowledged since
+	stalledAt  sim.Time // when the stall began
 
 	// Receive side.
 	rcvNxt       uint32
@@ -380,7 +386,7 @@ func (c *Conn) handle(p *packet.Packet) {
 }
 
 var errReset = &TransportError{"connection reset"}
-var errTimeout = &TransportError{"handshake timeout"}
+var errTimeout = &TransportError{"connection timed out"}
 
 // TransportError is the error type surfaced by the transport layer.
 type TransportError struct{ msg string }
@@ -392,6 +398,7 @@ func (c *Conn) processAck(ack uint32) {
 	if seqLT(c.sndUna, ack) && seqLE(ack, c.sndMax) {
 		advanced := ack - c.sndUna
 		c.sndUna = ack
+		c.stalled = false
 		if seqLT(c.sndNxt, ack) {
 			// The ack covers data sent before a go-back-N rewind: skip it.
 			c.sndNxt = ack
@@ -581,6 +588,12 @@ func (c *Conn) onTimeout() {
 		c.rto = maxRTO
 	}
 	if c.state == stateEstablished {
+		if !c.stalled {
+			c.stalled, c.stalledAt = true, c.stack.now()
+		} else if c.stack.now().Sub(c.stalledAt) >= giveUp {
+			c.teardown(errTimeout)
+			return
+		}
 		c.Retransmits++
 		c.sampling = false
 		if c.finSent && seqLE(c.sndUna, c.finSeq) {

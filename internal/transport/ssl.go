@@ -21,12 +21,12 @@ import (
 // observe ciphertext; the *time* cost of crypto is charged to the virtual
 // CPU account and to a per-connection serial processor, reproducing the
 // paper's SSL overheads (Figs 7-9). Constants approximate OpenSSL on the
-// paper's Xeon E5-2620.
+// paper's Xeon E5-2620 (EXPERIMENTS.md "Calibration constants").
 const (
-	sslHandshakeClientCost = 400 * time.Microsecond  // ECDHE/RSA client side
-	sslHandshakeServerCost = 1500 * time.Microsecond // RSA private-key op
-	sslPerByteCost         = 4 * time.Nanosecond     // AES+HMAC per byte
-	sslPerRecordCost       = 2 * time.Microsecond    // record framing
+	SSLHandshakeClientCost = 400 * time.Microsecond  // ECDHE/RSA client side
+	SSLHandshakeServerCost = 1500 * time.Microsecond // RSA private-key op
+	SSLPerByteCost         = 4 * time.Nanosecond     // AES+HMAC per byte
+	SSLPerRecordCost       = 2 * time.Microsecond    // record framing
 	sslMACLen              = 16
 	sslRecordHeaderLen     = 4 // type(1) + length(2) + pad marker(1)
 	maxRecordPayload       = 16 * 1024
@@ -76,7 +76,7 @@ func (s *Stack) DialSSL(dst addr.IP, port uint16, onReady func(*SecureConn, erro
 		sc := newSecureConn(c)
 		priv := keyFor(c.tuple.SrcIP, c.tuple.SrcPort, 0xC11E)
 		// ClientHello.
-		sc.chargeCrypto(sslHandshakeClientCost)
+		sc.chargeCrypto(SSLHandshakeClientCost)
 		c.Send(frameRecord(recordTypeHandshake, priv.PublicKey().Bytes()))
 		sc.onRecord = func(typ byte, payload []byte) {
 			if typ != recordTypeHandshake || len(payload) != 32 {
@@ -87,7 +87,7 @@ func (s *Stack) DialSSL(dst addr.IP, port uint16, onReady func(*SecureConn, erro
 				return // malformed key share: ignore record
 			}
 			sc.deriveKeys(master, true)
-			sc.chargeCrypto(sslHandshakeClientCost)
+			sc.chargeCrypto(SSLHandshakeClientCost)
 			c.Send(frameRecord(recordTypeHandshake, []byte("finished")))
 			sc.handshaken = true
 			onReady(sc, nil)
@@ -111,7 +111,7 @@ func (s *Stack) ListenSSL(port uint16, onReady func(*SecureConn)) *Listener {
 					return
 				}
 				sc.deriveKeys(master, false)
-				sc.chargeCrypto(sslHandshakeServerCost) // certificate signature
+				sc.chargeCrypto(SSLHandshakeServerCost) // certificate signature
 				c.Send(frameRecord(recordTypeHandshake, priv.PublicKey().Bytes()))
 				step = 1
 			case step == 1 && typ == recordTypeHandshake:
@@ -223,7 +223,7 @@ func (sc *SecureConn) open(rec []chunk.Span) {
 		return
 	}
 	n := payload - sslMACLen
-	sc.chargeCrypto(sslPerRecordCost + time.Duration(n)*sslPerByteCost)
+	sc.chargeCrypto(SSLPerRecordCost + time.Duration(n)*SSLPerByteCost)
 	var mac [sslMACLen]byte
 	readSpans(rec, sslRecordHeaderLen+n, mac[:])
 	ok := hmac.Equal(sc.sum(sc.macIn, sc.seqIn, rec, sslRecordHeaderLen, n), mac[:])
@@ -282,7 +282,7 @@ func (sc *SecureConn) Send(data []byte) {
 		n := min(len(data), maxRecordPayload)
 		rec := sc.seal(data[:n])
 		data = data[n:]
-		sc.chargeCrypto(sslPerRecordCost + time.Duration(n)*sslPerByteCost)
+		sc.chargeCrypto(SSLPerRecordCost + time.Duration(n)*SSLPerByteCost)
 		sc.C.SendSpan(rec)
 		rec.C.Release()
 	}

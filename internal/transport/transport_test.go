@@ -412,7 +412,7 @@ func TestSSLChargesCryptoCPU(t *testing.T) {
 	})
 	r.eng.Run()
 	got := r.net.CPU.Category("crypto")
-	wantAtLeast := sslHandshakeServerCost + 2*sslHandshakeClientCost
+	wantAtLeast := SSLHandshakeServerCost + 2*SSLHandshakeClientCost
 	if got < wantAtLeast {
 		t.Fatalf("crypto CPU = %v, want >= %v", got, wantAtLeast)
 	}
