@@ -1,6 +1,6 @@
 // Package chunk is the ownership of payload bytes between the endpoints of
-// a transfer: reference-counted byte arrays, recycled through a per-network
-// pool, and spans of them.
+// a transfer: reference-counted byte arrays, recycled through one
+// process-wide store, and spans of them.
 //
 // Span is the one representation of payload bytes between a writer and a
 // reader. A byte written into a chunk is copied nowhere else on its way to
@@ -20,7 +20,7 @@
 // receiving conn or of whoever must keep them. Each holder takes a reference and drops it when
 // done — the stream when the slice is acked or delivered, the conn when
 // the span is acked or delivered, the packet when it is released at its
-// sink — and the chunk returns to its pool only when the last reference
+// sink — and the chunk returns to the store only when the last reference
 // goes. A leaked
 // reference costs only reuse (the garbage collector still frees the
 // chunk); a reference dropped too early is a use-after-free, which the
@@ -29,8 +29,15 @@
 // Bytes handed over are read-only from then on: no holder writes into a
 // span it did not carve.
 //
-// Pools are not safe for concurrent use; each Network owns one, matching
-// the engine's single-threaded event loop.
+// Released chunks go to one process-wide store, a sync.Pool per
+// power-of-two size class, so the chunks one network released serve the
+// next network, on any goroutine: the next benchmark iteration, the next
+// trial. A Pool is a network's view of the store — its counters and its
+// debug flag — and, like its chunks while they are held, is not safe for
+// concurrent use: each Network owns one, matching the engine's
+// single-threaded event loop. A chunk's identity and its stale bytes never
+// reach an output: every holder overwrites what it carves before handing
+// it on, so which chunk the store returns cannot change a run.
 //
 // This package is part of the determinism contract (DESIGN.md).
 //
@@ -40,13 +47,15 @@ package chunk
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 )
 
 // Chunk is one reference-counted byte array.
 type Chunk struct {
-	buf  []byte
-	refs int32
-	pool *Pool
+	buf      []byte
+	refs     int32
+	poisoned bool  // filled with poison on its last Release; Get checks it
+	pool     *Pool // the pool that handed it out, whose Puts its Release counts
 }
 
 // Retain adds a reference.
@@ -88,10 +97,8 @@ type Span struct {
 // never reach the bytes behind it.
 func (s Span) Bytes() []byte { return s.C.buf[s.Off : s.Off+s.N : s.Off+s.N] }
 
-// Pool recycles chunks by size class: a released chunk goes on the free
-// list of its size's power of two, and Get takes one that fits from there.
+// Pool hands out chunks from the process-wide store and counts them.
 type Pool struct {
-	free  [maxClass + 1][]*Chunk
 	debug bool
 
 	// Stats, exported for tests asserting reuse and quiescence (a quiescent
@@ -101,77 +108,66 @@ type Pool struct {
 	Puts uint64 // chunks whose last reference was dropped
 }
 
-// NewPool returns an empty pool.
+// NewPool returns a pool with zero counts.
 func NewPool() *Pool { return &Pool{} }
 
-// maxClass bounds the chunks the pool keeps: larger ones (a multi-megabyte
-// copy-in) go to the garbage collector when released. maxFree caps each
-// class's free list so a transient burst does not pin memory forever.
+// MaxPooled bounds the chunks the store keeps, 1<<maxClass bytes: larger
+// ones (a chunk asked for one write of more than 64 KiB) go to the garbage
+// collector when released.
 const (
-	maxClass = 16 // 64 KiB
-	maxFree  = 256
+	maxClass  = 16
+	MaxPooled = 1 << maxClass
 )
+
+// store holds the released chunks of every pool, one sync.Pool per size
+// class: class k holds chunks of exactly 1<<k bytes. The garbage collector
+// bounds it.
+var store [maxClass + 1]sync.Pool
 
 // poison fills a recycled chunk in debug mode; Get verifies it is intact.
 const poison = 0xA5
 
 // SetDebug toggles use-after-free detection: a chunk whose last reference
 // is dropped is filled with poison, so a holder that kept reading it past
-// its reference sees poison instead of its bytes, and Get panics if the
-// poison was disturbed while the chunk sat on a free list. Meant for tests;
-// the checks are O(chunk) per cycle.
+// its reference sees poison instead of its bytes, and the Get that takes
+// it from the store — on any pool — panics if the poison was disturbed
+// meanwhile. Meant for tests; the checks are O(chunk) per cycle.
 func (p *Pool) SetDebug(on bool) { p.debug = on }
 
-// Get returns a chunk of at least n bytes holding one reference: a recycled
-// one when a free list has one that fits, else a fresh one of exactly n
-// bytes. A recycled chunk's bytes are stale; the caller overwrites what it
-// hands out.
+// Get returns a chunk of at least n bytes holding one reference. Up to
+// 64 KiB, n is rounded up to a power of two and the chunk comes from that
+// class of the store when it has one; a larger one is allocated at exactly
+// n bytes. A recycled chunk's bytes are stale; the caller overwrites what
+// it hands out.
 func (p *Pool) Get(n int) *Chunk {
 	p.Gets++
-	if n > 0 && n <= 1<<maxClass {
-		// The top of n's floor class may fit (a run of equal sizes always
-		// does); every chunk of its ceiling class fits.
-		lo := bits.Len(uint(n)) - 1
-		if c := p.take(lo, n); c != nil {
-			return c
-		}
-		if hi := bits.Len(uint(n - 1)); hi != lo {
-			if c := p.take(hi, n); c != nil {
-				return c
-			}
-		}
+	var c *Chunk
+	if k := bits.Len(uint(n - 1)); k <= maxClass {
+		n = 1 << k
+		c, _ = store[k].Get().(*Chunk)
 	}
-	p.News++
-	return &Chunk{buf: make([]byte, n), refs: 1, pool: p}
-}
-
-// take pops the top chunk of class k if it holds n bytes.
-func (p *Pool) take(k, n int) *Chunk {
-	l := p.free[k]
-	if len(l) == 0 || len(l[len(l)-1].buf) < n {
-		return nil
-	}
-	c := l[len(l)-1]
-	l[len(l)-1] = nil
-	p.free[k] = l[:len(l)-1]
-	if p.debug {
+	if c == nil {
+		p.News++
+		c = &Chunk{buf: make([]byte, n)}
+	} else if c.poisoned {
 		for i, b := range c.buf {
 			if b != poison {
 				panic(fmt.Sprintf("chunk: byte %d of a recycled %d-byte chunk was written after its last Release", i, len(c.buf)))
 			}
 		}
+		c.poisoned = false
 	}
-	c.refs = 1
+	c.refs, c.pool = 1, p
 	return c
 }
 
 func (p *Pool) put(c *Chunk) {
 	p.Puts++
-	if p.debug {
+	if c.poisoned = p.debug; p.debug {
 		fillPoison(c.buf)
 	}
-	if k := bits.Len(uint(len(c.buf))) - 1; len(c.buf) > 0 && k <= maxClass && len(p.free[k]) < maxFree {
-		p.free[k] = append(p.free[k], c)
+	if n := len(c.buf); n > 0 && n <= MaxPooled {
+		store[bits.Len(uint(n))-1].Put(c)
 	}
 }
 
@@ -237,6 +233,6 @@ const growFrom = 64
 
 // Grow carves n bytes for a writer of unknown volume — a conn's copied-in
 // writes, a secure conn's records: a new fill chunk doubles the last one
-// (the first is growFrom bytes) up to the largest size the pool keeps, or
-// fits n exactly when n is larger, so a single 4 MiB write costs 4 MiB.
-func (w *Carver) Grow(n int) Span { return w.Carve(n, min(max(2*w.fillLen(), growFrom), 1<<maxClass)) }
+// (the first is growFrom bytes, rounded up to n's class) up to the largest
+// size the store keeps. A writer cuts a larger write into pieces that fit.
+func (w *Carver) Grow(n int) Span { return w.Carve(n, min(max(2*w.fillLen(), growFrom), MaxPooled)) }

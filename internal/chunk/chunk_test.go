@@ -5,31 +5,29 @@ import (
 	"testing"
 )
 
-// TestPoolReusesBySizeClass: a released chunk comes back to the next Get
-// it fits, from its own size's class or the class above; one that does not
-// fit stays on its free list.
+// TestPoolReusesBySizeClass: Get rounds a request up to its power-of-two
+// class and takes a released chunk of that class back from the store,
+// whichever pool released it; a request above the largest class gets a
+// chunk of exactly its size.
 func TestPoolReusesBySizeClass(t *testing.T) {
-	p := NewPool()
-	c := p.Get(72)
-	c.Release()
-	if d := p.Get(72); d != c {
-		t.Fatal("a 72-byte Get did not reuse the released 72-byte chunk")
+	p, q := NewPool(), NewPool()
+	for n, want := range map[int]int{1: 1, 64: 64, 65: 128, 72: 128, 100: 128, MaxPooled: MaxPooled, MaxPooled + 1: MaxPooled + 1} {
+		if c := p.Get(n); len(c.buf) != want {
+			t.Fatalf("Get(%d) returned %d bytes, want %d", n, len(c.buf), want)
+		}
 	}
-	e := p.Get(72)
-	e.Release()
-	if d := p.Get(100); d == e {
-		t.Fatal("a 100-byte Get took a 72-byte chunk")
+	const rounds = 100
+	for i := 0; i < rounds; i++ {
+		p.Get(72 + i%50).Release()
+		q.Get(100 - i%30).Release()
 	}
-	if d := p.Get(64); d != e {
-		t.Fatal("a 64-byte Get did not take the free 72-byte chunk of its class")
+	// At most half: the race detector makes the store drop a quarter of
+	// what it is given.
+	if p.News+q.News > rounds {
+		t.Fatalf("%d of %d Gets of one class allocated", p.News+q.News, 2*rounds)
 	}
-	big := p.Get(1 << 20)
-	big.Release()
-	if d := p.Get(1 << 20); d == big {
-		t.Fatal("a chunk above the largest class was kept")
-	}
-	if p.Gets != 7 || p.News != 5 || p.Puts != 3 {
-		t.Fatalf("gets %d, news %d, puts %d; want 7, 5, 3", p.Gets, p.News, p.Puts)
+	if p.Puts != rounds || q.Gets != q.Puts {
+		t.Fatalf("puts %d, want %d; q gets %d, puts %d", p.Puts, rounds, q.Gets, q.Puts)
 	}
 }
 
@@ -52,12 +50,30 @@ func TestDebugPoisonsReleasedChunk(t *testing.T) {
 		}
 	}
 	stale[3] = 1
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(r.(string), "written after its last Release") {
-			t.Fatalf("Get of a chunk written after release: recovered %v", r)
+	// Any pool's Get that takes the chunk back checks it. The store may
+	// hand out another chunk of the class first, or drop this one (the race
+	// detector makes it drop some), so retry the cycle until one does.
+	for try := 0; try < 32; try++ {
+		if r := getRecovered(NewPool(), 16); r != nil {
+			if !strings.Contains(r.(string), "written after its last Release") {
+				t.Fatalf("Get of a chunk written after release: recovered %v", r)
+			}
+			return
 		}
-	}()
-	p.Get(16)
+		s = w.Carve(16, 16)
+		w.Drop()
+		stale = s.Bytes()
+		s.C.Release()
+		stale[3] = 1
+	}
+	t.Fatal("no Get took back a chunk written after its last Release")
+}
+
+// getRecovered calls p.Get(n) and returns what it panicked with, if it did.
+func getRecovered(p *Pool, n int) (r any) {
+	defer func() { r = recover() }()
+	p.Get(n)
+	return nil
 }
 
 // TestReleaseOfRecycledChunkPanics: one Release too many is caught at once,
@@ -75,8 +91,8 @@ func TestReleaseOfRecycledChunkPanics(t *testing.T) {
 
 // TestCarverReusesIdleChunkInPlace: once every span carved from the fill
 // chunk is dropped, the next Carve starts at its beginning again; while
-// one is held, carving moves on, and a chunk with no room is swapped for
-// a new one of the asked size.
+// one is held, carving moves on into the room the asked size's class left,
+// and a chunk with no room is swapped for a new one of that class.
 func TestCarverReusesIdleChunkInPlace(t *testing.T) {
 	p := NewPool()
 	w := Carver{Pool: p}
@@ -86,12 +102,12 @@ func TestCarverReusesIdleChunkInPlace(t *testing.T) {
 	if b.C != a.C || b.Off != 0 {
 		t.Fatalf("carve after the only span was dropped: chunk reused %v at offset %d, want the same chunk at 0", b.C == a.C, b.Off)
 	}
-	c := w.Carve(800, 1000)
+	c := w.Carve(900, 1000) // 1000 bytes rounded up to 1024 leave room for 924
 	if c.C != b.C || c.Off != 100 {
 		t.Fatalf("carve behind a held span: chunk reused %v at offset %d, want the same chunk at 100", c.C == b.C, c.Off)
 	}
 	d := w.Carve(200, 1000)
-	if d.C == c.C || d.Off != 0 || w.fillLen() != 1000 {
+	if d.C == c.C || d.Off != 0 || w.fillLen() != 1024 {
 		t.Fatalf("carve past the fill chunk's end: same chunk %v, offset %d, fill %d", d.C == c.C, d.Off, w.fillLen())
 	}
 	for _, s := range []Span{b, c, d} {
@@ -104,8 +120,8 @@ func TestCarverReusesIdleChunkInPlace(t *testing.T) {
 }
 
 // TestGrowDoublesThenFitsLargeWrites: a writer of small pieces gets chunks
-// doubling from its first write up to the largest pooled size; one write
-// larger than that gets a chunk of exactly its size.
+// doubling from its first write's class up to the largest pooled size; one
+// write larger than that gets a chunk of exactly its size.
 func TestGrowDoublesThenFitsLargeWrites(t *testing.T) {
 	w := Carver{Pool: NewPool()}
 	var sizes []int
@@ -115,7 +131,7 @@ func TestGrowDoublesThenFitsLargeWrites(t *testing.T) {
 			sizes = append(sizes, w.fillLen())
 		}
 	}
-	want := []int{100, 200, 400, 800, 1600, 3200, 6400, 12800, 25600, 51200, 65536, 65536}
+	want := []int{128, 256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 65536}
 	if len(sizes) < len(want) {
 		t.Fatalf("fill sizes %v", sizes)
 	}
@@ -124,14 +140,21 @@ func TestGrowDoublesThenFitsLargeWrites(t *testing.T) {
 			t.Fatalf("fill sizes %v, want them to start %v", sizes, want)
 		}
 	}
-	if w.Grow(5 << 20); w.fillLen() != 5<<20 {
-		t.Fatalf("a 5 MiB write got a %d-byte chunk", w.fillLen())
+	if w.Grow(MaxPooled + 1); w.fillLen() != MaxPooled+1 {
+		t.Fatalf("a %d-byte write got a %d-byte chunk", MaxPooled+1, w.fillLen())
 	}
 }
+
+// raceEnabled reports a build under the race detector, which makes
+// sync.Pool, and so the store, drop a quarter of what it is given.
+var raceEnabled bool
 
 // TestSteadyCarveAllocFree: carving, holding and dropping spans at a steady
 // rate reuses the same chunks and allocates nothing.
 func TestSteadyCarveAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the store drops chunks under the race detector")
+	}
 	p := NewPool()
 	w := Carver{Pool: p}
 	var held [8]Span

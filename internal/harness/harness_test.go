@@ -123,8 +123,9 @@ func TestMultiFlowShapeMatchesFig9b(t *testing.T) {
 }
 
 // TestStartTransferEveryScheme: one StartTransfer carries a payload over
-// each of the five schemes, and only the MIC schemes' transfers name their
-// streams and channel; an empty one ends as its session comes up. A dial the
+// each of the five schemes and leaves the shared payload pattern as it was,
+// and only the MIC schemes' transfers name their streams and channel; an
+// empty one ends as its session comes up. A dial the
 // MC refuses fails the transfer with that dial's own error.
 func TestStartTransferEveryScheme(t *testing.T) {
 	const size = 256 << 10
@@ -141,6 +142,13 @@ func TestStartTransferEveryScheme(t *testing.T) {
 			}
 			if x.Got != size || !(0 < x.Start && x.Start < x.End) {
 				t.Fatalf("got %d/%d bytes, start %v end %v", x.Got, size, x.Start, x.End)
+			}
+			// Send was handed the shared payload pattern itself: no
+			// sender may have written to it.
+			for i, b := range payload(size) {
+				if b != payloadByte(i) {
+					t.Fatalf("payload byte %d is %#x after the transfer, want %#x", i, b, payloadByte(i))
+				}
 			}
 			isMIC := s == SchemeMICTCP || s == SchemeMICSSL
 			if (x.Stream != nil) != isMIC || (x.Remote != nil) != isMIC || (x.Channel != nil) != isMIC {

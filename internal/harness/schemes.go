@@ -406,23 +406,24 @@ var (
 
 // payload returns n bytes of deterministic content. The byte at index i
 // depends only on i, so one shared template serves every size: it is grown
-// on demand under a lock (trials run on separate goroutines) and copied
-// out, so callers can hand the result to Send without aliasing the cache.
+// on demand under a lock (trials run on separate goroutines), never written
+// once made, and handed out capped at n. The result is read-only; callers
+// hand it to Send, which copies before it returns.
 func payload(n int) []byte {
 	payloadMu.Lock()
+	defer payloadMu.Unlock()
 	if len(payloadPat) < n {
 		grown := make([]byte, n)
 		for i := copy(grown, payloadPat); i < n; i++ {
-			grown[i] = byte(i*31 + i>>11)
+			grown[i] = payloadByte(i)
 		}
 		payloadPat = grown
 	}
-	pat := payloadPat
-	payloadMu.Unlock()
-	b := make([]byte, n)
-	copy(b, pat)
-	return b
+	return payloadPat[:n:n]
 }
+
+// payloadByte is byte i of every payload.
+func payloadByte(i int) byte { return byte(i*31 + i>>11) }
 
 func mbps(bytes int, d time.Duration) float64 {
 	if d <= 0 {

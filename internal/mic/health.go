@@ -273,11 +273,17 @@ func (m *healthMonitor) pump() {
 			m.sendQ.Pop()
 		}
 		m.queued--
-		m.s.SlicesOut[flow]++
-		m.out.Push(outSlice{frame: frame, flow: flow, sentAt: m.s.eng.Now()})
-		m.sent[flow]++
-		m.s.conns[flow].SendSpan(frame)
+		m.release(frame, flow)
 	}
+}
+
+// release transmits frame on flow as a first transmission: the frame's
+// reference moves to the outstanding set.
+func (m *healthMonitor) release(frame chunk.Span, flow int) {
+	m.s.SlicesOut[flow]++
+	m.out.Push(outSlice{frame: frame, flow: flow, sentAt: m.s.eng.Now()})
+	m.sent[flow]++
+	m.s.conns[flow].SendSpan(frame)
 }
 
 // windowRoom reports whether flow i may carry another slice. In-flight is

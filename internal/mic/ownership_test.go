@@ -250,8 +250,9 @@ func TestMICSegmentsAliasStreamFrames(t *testing.T) {
 // stream receives reaches it as a span, and every chunk is back in the
 // pool once both streams closed. Under MIC-TCP a span is the sender's frames
 // where a segment lies in one, else the chunk the sending conn gathered a
-// segment crossing two frames' chunks into (both conns did); under MIC-SSL
-// it is the chunk the secure conn decrypted a record into.
+// segment crossing two frames' chunks into (the client's conns did; the
+// echo's, whose frames lie one behind another, seldom); under MIC-SSL it is
+// the chunk the secure conn decrypted a record into.
 func TestStreamReceivesByReference(t *testing.T) {
 	for _, secure := range []bool{false, true} {
 		f := newFixture(t, Config{MFlows: 2, MNs: 2})
@@ -290,8 +291,13 @@ func TestStreamReceivesByReference(t *testing.T) {
 				}
 			}
 			t.Logf("gathered %d bytes out of the client, %d out of the server", gathered[0], gathered[1])
-			if gathered[0] == 0 || gathered[1] == 0 {
-				t.Fatal("no segment crossed two chunks")
+			if gathered[0] == 0 {
+				t.Fatal("no segment of the client's crossed two chunks")
+			}
+			// The echo sends one slice at a time, into chunks that double
+			// while it streams: few of its segments cross two.
+			if gathered[1]*10 > size {
+				t.Fatalf("the echo gathered %d of %d bytes, want at most a tenth", gathered[1], size)
 			}
 		}
 		if pl := f.net.ChunkPool(); pl.Gets != pl.Puts {

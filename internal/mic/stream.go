@@ -44,8 +44,10 @@ const (
 // data they shadow preserves the partial-multicast defense's effect.
 const ackInterval = time.Millisecond
 
-// slabChunk caps one chunk of slice-frame storage (~40 slices). One chunk
-// per write measured slower: fresh multi-megabyte spans zero slowly.
+// slabChunk caps one chunk of slice-frame storage (~40 slices), a size the
+// process-wide chunk store keeps: a bulk Send's chunks are the ones the
+// last transfer released, where one chunk per write measured slower
+// (fresh multi-megabyte spans zero slowly).
 const slabChunk = 32 << 10
 
 // recvChunk sizes the chunks a stream gathers the pieces of a frame cut
@@ -92,13 +94,15 @@ type Stream struct {
 
 	// Outgoing.
 	seqOut uint32
-	// frames carves slice frames from the network's chunks. Each frame
+	// frames carves slice frames from the network's chunks: frames[0]
+	// those that wait for window room, frames[1+i] those Send hands
+	// straight to conn i. Each frame
 	// holds a reference on its chunk until no Send can re-transmit it:
 	// right after the conn took it (health disabled), or when its
 	// cumulative ack retires it from the outstanding set (health enabled).
 	// The conns, their in-flight packets and the peer's out-of-order
 	// buffer hold references of their own.
-	frames chunk.Carver
+	frames []chunk.Carver
 	ctl    [sliceHeaderLen + ctlBodyLen]byte // sendCtl's scratch frame
 
 	// Incoming. Received bytes are the chunk spans the conn hands over (the
@@ -141,13 +145,36 @@ type Stream struct {
 	SlicesDup  int64   // duplicate slices discarded by the receiver
 }
 
-// newFrame returns an n-byte frame holding a reference on its chunk. A
-// new chunk is sized for the rest bytes the current Send has yet to slice
-// (headers add at most sliceHeaderLen per minSlice) up to slabChunk — so a
-// small Send allocates exactly its frame, and once acked, a frame's chunk
-// is carved again or recycled. Callers overwrite header and payload.
-func (s *Stream) newFrame(n, rest int) chunk.Span {
-	return s.frames.Carve(n, min(slabChunk, n+rest+rest*sliceHeaderLen/minSlice+sliceHeaderLen))
+// newFrame returns an n-byte frame for flow (-1: a frame that waits for
+// window room) holding a reference on its chunk, carved by the flow's own
+// carver. A new chunk is sized for the rest bytes the current Send has yet
+// to slice (headers add at most sliceHeaderLen per minSlice) or, when that
+// is more, for as many frames of n bytes as are in flight and queued, up
+// to slabChunk. So the frames of a stream that sends a slice at a time
+// while many are in flight (an echo's replies) lie one behind another in
+// their flow's chunk, join in the conn's send queue and go out in segments
+// that cross no chunk, while one with a frame or two in flight (an RPC's)
+// keeps a small chunk. Once acked, a frame's chunk is carved again or
+// recycled. Callers overwrite header and payload.
+func (s *Stream) newFrame(flow, n, rest int) chunk.Span {
+	size := n + rest + rest*sliceHeaderLen/minSlice + sliceHeaderLen
+	if m := s.health; m != nil {
+		size = max(size, (m.out.Len()+m.queued)*n)
+	}
+	return s.frames[flow+1].Carve(n, min(slabChunk, size))
+}
+
+// pickFlow returns the m-flow the next slice goes out on, drawn as the
+// send path would draw it once the slice is queued, or -1 when the slice
+// must wait: the backlog is not empty, or no flow has window room.
+func (s *Stream) pickFlow() int {
+	switch {
+	case s.health == nil:
+		return s.rng.Intn(len(s.conns))
+	case s.health.sendQ.Len() > 0:
+		return -1
+	}
+	return s.health.pickWindowedFlow()
 }
 
 // joinRun extends *run over frame when frame lies right behind it in the
@@ -176,8 +203,11 @@ func newStream(conns []conn, rng *sim.RNG, eng *sim.Engine, hc HealthConfig) *St
 		connClosed: make([]bool, len(conns)),
 		SlicesOut:  make([]int64, len(conns)),
 	}
-	s.frames.Pool = conns[0].Chunks()
-	s.recv.Pool = s.frames.Pool
+	s.frames = make([]chunk.Carver, len(conns)+1)
+	for i := range s.frames {
+		s.frames[i].Pool = conns[0].Chunks()
+	}
+	s.recv.Pool = conns[0].Chunks()
 	if !hc.Disabled {
 		s.health = newHealthMonitor(s)
 	}
@@ -235,19 +265,23 @@ func (s *Stream) Send(data []byte) {
 	s.BytesSent += int64(len(data))
 	for len(data) > 0 {
 		n := min(minSlice+s.rng.Intn(maxSlice-minSlice+1), len(data))
-		frame := s.newFrame(sliceHeaderLen+n, len(data)-n)
+		flow := s.pickFlow()
+		frame := s.newFrame(flow, sliceHeaderLen+n, len(data)-n)
 		body := frame.Bytes()
 		binary.BigEndian.PutUint32(body[0:4], s.seqOut)
 		binary.BigEndian.PutUint16(body[4:6], uint16(n))
 		binary.BigEndian.PutUint16(body[6:8], uint16(n)) // padded: none
 		copy(body[sliceHeaderLen:], data[:n])
 		s.seqOut++
-		if s.health != nil {
+		switch {
+		case flow < 0:
 			// Windowed path: the monitor releases slices as acks open
 			// window room, picking the flow at release time.
 			s.health.enqueue(frame)
-		} else {
-			flow := s.rng.Intn(len(s.conns))
+		case s.health != nil:
+			s.health.release(frame, flow)
+			s.health.arm()
+		default:
 			s.SlicesOut[flow]++
 			s.conns[flow].SendSpan(frame)
 			frame.C.Release()
@@ -304,7 +338,9 @@ func (s *Stream) teardown() {
 	if s.health != nil {
 		s.health.disarm()
 	}
-	s.frames.Drop()
+	for i := range s.frames {
+		s.frames[i].Drop()
+	}
 	s.dropReceived()
 	if fin := s.onFinalize; fin != nil {
 		s.onFinalize = nil

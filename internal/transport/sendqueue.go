@@ -28,8 +28,8 @@ type sendQueue struct {
 // smallChunk sizes the chunks a conn gathers a segment crossing queued
 // spans into and a secure conn decrypts a record into: two full segments,
 // or a few MIC frames, each. One size class for both, so a chunk one
-// endpoint released is taken again by the next carve on any conn of the
-// network; a larger record gets a chunk of its own size.
+// endpoint released is taken again by the next carve on any conn of any
+// network; a larger record gets a chunk of its size's class.
 const smallChunk = 4 << 10
 
 // newSendQueue returns an empty queue whose chunks come from p.
@@ -40,14 +40,21 @@ func newSendQueue(p *chunk.Pool) sendQueue {
 // Len returns the number of queued bytes.
 func (q *sendQueue) Len() int { return q.n }
 
+// bulkPiece is the most of one write copyIn puts in one chunk: the whole
+// segments that fit in the largest chunk the store keeps. A bulk write that
+// starts on a segment boundary is cut where its segments are, so none of
+// them crosses two chunks and is gathered.
+const bulkPiece = chunk.MaxPooled / MSS * MSS
+
 // copyIn appends a copy of b.
 func (q *sendQueue) copyIn(b []byte) {
-	if len(b) == 0 {
-		return
+	for len(b) > 0 {
+		n := min(len(b), bulkPiece)
+		s := q.own.Grow(n)
+		copy(s.Bytes(), b[:n])
+		q.push(s)
+		b = b[n:]
 	}
-	s := q.own.Grow(len(b))
-	copy(s.Bytes(), b)
-	q.push(s)
 }
 
 // push appends s, taking over the reference that covers it.

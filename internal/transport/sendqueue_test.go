@@ -206,6 +206,40 @@ func TestSegmentAliasesItsSpan(t *testing.T) {
 	}
 }
 
+// TestBulkSendGathersNothing: one 4 MiB Send is copied into pooled chunks
+// of whole segments, so no segment of it crosses two chunks and is
+// gathered; the bytes arrive intact, and every chunk is back in the pool
+// once both sides closed.
+func TestBulkSendGathersNothing(t *testing.T) {
+	r := newRig(t, 3, netsim.Config{})
+	const size = 4 << 20
+	want := pattern(size)
+	var got []byte
+	r.b.Listen(80, func(c *Conn) {
+		c.OnData(func(b []byte) { got = append(got, b...) })
+		c.OnClose(c.Close)
+	})
+	var client *Conn
+	r.a.Dial(r.b.Host.IP, 80, func(c *Conn, err error) {
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		client = c
+		c.Send(want)
+		c.Close()
+	})
+	r.eng.Run()
+	if !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d bytes, want %d intact", len(got), size)
+	}
+	if client.BytesGather != 0 {
+		t.Fatalf("%d bytes of one bulk Send were gathered across chunks", client.BytesGather)
+	}
+	if pl := r.net.ChunkPool(); pl.Gets != pl.Puts || pl.Gets < size/chunk.MaxPooled {
+		t.Fatalf("%d chunks handed out, %d back in the pool; want at least %d, all back", pl.Gets, pl.Puts, size/chunk.MaxPooled)
+	}
+}
+
 func fillPattern(b []byte, seed byte) {
 	for i := range b {
 		b[i] = byte(i)*31 + seed
