@@ -8,7 +8,6 @@
 package onion
 
 import (
-	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
@@ -17,6 +16,7 @@ import (
 	"time"
 
 	"mic/internal/addr"
+	"mic/internal/transport"
 )
 
 // The relay cost structure, set in EXPERIMENTS.md "Calibration constants":
@@ -161,23 +161,14 @@ type hopKeys struct {
 }
 
 // deriveHopKeys computes both directions' cipher streams from the X25519
-// shared secret and the two handshake public keys (in canonical order).
-// Client and relay reach the same master via the ECDH, so an observer of
-// the CREATE/CREATED exchange learns nothing about the hop keys.
+// master secret of the two handshake keys (transport.SharedMaster). Client
+// and relay reach the same master via the ECDH, so an observer of the
+// CREATE/CREATED exchange learns nothing about the hop keys.
 func deriveHopKeys(priv *ecdh.PrivateKey, peerPub []byte) (hopKeys, error) {
-	pub, err := ecdh.X25519().NewPublicKey(peerPub)
+	master, err := transport.SharedMaster(priv, peerPub)
 	if err != nil {
 		return hopKeys{}, err
 	}
-	shared, err := priv.ECDH(pub)
-	if err != nil {
-		return hopKeys{}, err
-	}
-	a, b := priv.PublicKey().Bytes(), peerPub
-	if bytes.Compare(a, b) > 0 {
-		a, b = b, a
-	}
-	master := sha256.Sum256(append(append(shared, a...), b...))
 	mk := func(tag byte) cipher.Stream {
 		key := sha256.Sum256(append(master[:], tag))
 		block, err := aes.NewCipher(key[:])
@@ -193,16 +184,11 @@ func deriveHopKeys(priv *ecdh.PrivateKey, peerPub []byte) (hopKeys, error) {
 }
 
 // privFor derives a deterministic X25519 private key for one handshake
-// side. Determinism keeps runs reproducible; only the public key travels.
+// side from its relay or client address, circuit and role.
 func privFor(ip addr.IP, circID uint32, tag byte) *ecdh.PrivateKey {
 	var seed [9]byte
 	binary.BigEndian.PutUint32(seed[0:4], uint32(ip))
 	binary.BigEndian.PutUint32(seed[4:8], circID)
 	seed[8] = tag
-	sum := sha256.Sum256(seed[:])
-	priv, err := ecdh.X25519().NewPrivateKey(sum[:])
-	if err != nil {
-		panic(err) // X25519 accepts any 32-byte scalar
-	}
-	return priv
+	return transport.KeyFromSeed(seed[:])
 }

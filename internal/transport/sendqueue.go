@@ -26,7 +26,7 @@ type sendQueue struct {
 }
 
 // smallChunk sizes the chunks a conn gathers a segment crossing queued
-// spans into and a secure conn decrypts a record into: two full segments,
+// spans into and a secure conn opens a record in: two full segments,
 // or a few MIC frames, each. One size class for both, so a chunk one
 // endpoint released is taken again by the next carve on any conn of any
 // network; a larger record gets a chunk of its size's class.

@@ -290,7 +290,7 @@ func TestSpanRoundTripAllocsNothing(t *testing.T) {
 }
 
 // TestSSLRoundTripAllocsNothing: a secure conn seals each record in one
-// span of its own chunks and reuses one HMAC per direction, so a 64-byte
+// span of its own chunks and reuses one AEAD per direction, so a 64-byte
 // request and its echo on a warmed pair allocate nothing.
 func TestSSLRoundTripAllocsNothing(t *testing.T) {
 	r := newRig(t, 3, netsim.Config{})

@@ -5,30 +5,30 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/ecdh"
-	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"time"
 
 	"mic/internal/addr"
 	"mic/internal/chunk"
 )
 
-// SSL cost model. Records are really encrypted (AES-256-CTR) and
-// authenticated (HMAC-SHA256, truncated) with Go's stdlib crypto so taps
+// SSL cost model. Records are really sealed (AES-256-GCM, TLS 1.2's
+// standard suite and TLS 1.3's default) with Go's stdlib crypto so taps
 // observe ciphertext; the *time* cost of crypto is charged to the virtual
 // CPU account and to a per-connection serial processor, reproducing the
-// paper's SSL overheads (Figs 7-9). Constants approximate OpenSSL on the
-// paper's Xeon E5-2620 (EXPERIMENTS.md "Calibration constants").
+// paper's SSL overheads (Figs 7-9). The charges model OpenSSL on the
+// paper's Xeon E5-2620, not the simulator's own AES-GCM (EXPERIMENTS.md
+// "Calibration constants").
 const (
 	SSLHandshakeClientCost = 400 * time.Microsecond  // ECDHE/RSA client side
 	SSLHandshakeServerCost = 1500 * time.Microsecond // RSA private-key op
-	SSLPerByteCost         = 4 * time.Nanosecond     // AES+HMAC per byte
+	SSLPerByteCost         = 4 * time.Nanosecond     // the paper's OpenSSL record crypto, per byte
 	SSLPerRecordCost       = 2 * time.Microsecond    // record framing
-	sslMACLen              = 16
-	sslRecordHeaderLen     = 4 // type(1) + length(2) + pad marker(1)
+	sslMACLen              = 16                      // the GCM tag
+	sslRecordHeaderLen     = 4                       // type(1) + length(2) + pad marker(1); the tag covers it
+	gcmNonceLen            = 12                      // four zero bytes, then the record's sequence number
 	maxRecordPayload       = 16 * 1024
 
 	recordTypeHandshake = 1
@@ -41,12 +41,11 @@ type SecureConn struct {
 	C     *Conn
 	stack *Stack
 
-	enc, dec   cipher.Stream
-	macOut     hash.Hash // HMAC-SHA256, Reset for every record
-	macIn      hash.Hash
-	mac        [sha256.Size]byte // sum's scratch
-	out        chunk.Carver      // where Send seals records
-	in         chunk.Carver      // where a verified record is decrypted
+	enc, dec   cipher.AEAD              // AES-256-GCM, one key per direction
+	nonce      [gcmNonceLen]byte        // nonceFor's staging
+	hdr        [sslRecordHeaderLen]byte // open's copy of the record header
+	out        chunk.Carver             // where Send seals records
+	in         chunk.Carver             // where a record is opened
 	records    recordReader
 	onRecord   func(typ byte, payload []byte) // the current handshake step
 	onData     func([]byte)
@@ -82,7 +81,7 @@ func (s *Stack) DialSSL(dst addr.IP, port uint16, onReady func(*SecureConn, erro
 			if typ != recordTypeHandshake || len(payload) != 32 {
 				return
 			}
-			master, err := sharedMaster(priv, payload)
+			master, err := SharedMaster(priv, payload)
 			if err != nil {
 				return // malformed key share: ignore record
 			}
@@ -106,7 +105,7 @@ func (s *Stack) ListenSSL(port uint16, onReady func(*SecureConn)) *Listener {
 		sc.onRecord = func(typ byte, payload []byte) {
 			switch {
 			case step == 0 && typ == recordTypeHandshake && len(payload) == 32:
-				master, err := sharedMaster(priv, payload)
+				master, err := SharedMaster(priv, payload)
 				if err != nil {
 					return
 				}
@@ -123,7 +122,7 @@ func (s *Stack) ListenSSL(port uint16, onReady func(*SecureConn)) *Listener {
 	})
 }
 
-// newSecureConn wraps c; its records are sealed into, and decrypted into,
+// newSecureConn wraps c; its records are sealed into, and opened in,
 // chunks of c's pool.
 func newSecureConn(c *Conn) *SecureConn {
 	sc := &SecureConn{C: c, stack: c.stack}
@@ -142,7 +141,15 @@ func keyFor(ip addr.IP, port uint16, tag uint32) *ecdh.PrivateKey {
 	binary.BigEndian.PutUint32(seed[0:4], uint32(ip))
 	binary.BigEndian.PutUint16(seed[4:6], port)
 	binary.BigEndian.PutUint32(seed[6:10], tag)
-	sum := sha256.Sum256(seed[:])
+	return KeyFromSeed(seed[:])
+}
+
+// KeyFromSeed returns the X25519 private key whose scalar is sha256(seed).
+// The SSL handshake and the onion circuit handshake build their keys this
+// way, each from seed bytes of its own; a deterministic seed keeps runs
+// reproducible, and only the public key travels.
+func KeyFromSeed(seed []byte) *ecdh.PrivateKey {
+	sum := sha256.Sum256(seed)
 	priv, err := ecdh.X25519().NewPrivateKey(sum[:])
 	if err != nil {
 		panic(err) // X25519 accepts any 32-byte scalar
@@ -150,9 +157,11 @@ func keyFor(ip addr.IP, port uint16, tag uint32) *ecdh.PrivateKey {
 	return priv
 }
 
-// sharedMaster runs the ECDH and hashes the shared secret with both public
-// keys into the session master secret.
-func sharedMaster(priv *ecdh.PrivateKey, peerPub []byte) ([32]byte, error) {
+// SharedMaster runs the ECDH of priv with the peer's public key and hashes
+// the shared secret with both public keys, in byte-wise sorted order so
+// the two sides agree, into the master secret. An observer of the two
+// public keys cannot compute it.
+func SharedMaster(priv *ecdh.PrivateKey, peerPub []byte) ([32]byte, error) {
 	pub, err := ecdh.X25519().NewPublicKey(peerPub)
 	if err != nil {
 		return [32]byte{}, err
@@ -161,38 +170,42 @@ func sharedMaster(priv *ecdh.PrivateKey, peerPub []byte) ([32]byte, error) {
 	if err != nil {
 		return [32]byte{}, err
 	}
-	// Mix both public keys in a canonical (byte-wise sorted) order so the
-	// two sides compute the same master.
 	a, b := priv.PublicKey().Bytes(), peerPub
 	if bytes.Compare(a, b) > 0 {
 		a, b = b, a
 	}
-	mix := append(append(shared, a...), b...)
-	return sha256.Sum256(mix), nil
+	return sha256.Sum256(append(append(shared, a...), b...)), nil
 }
 
-// deriveKeys computes the session keys from the ECDH master secret.
+// deriveKeys computes the session keys from the ECDH master secret: each
+// direction seals with its own AES-256-GCM key.
 func (sc *SecureConn) deriveKeys(master [32]byte, isClient bool) {
 	kc := sha256.Sum256(append(master[:], 'c'))
 	ks := sha256.Sum256(append(master[:], 's'))
-	mkc := sha256.Sum256(append(master[:], 'C'))
-	mks := sha256.Sum256(append(master[:], 'S'))
-	mkStream := func(key [32]byte) cipher.Stream {
-		block, err := aes.NewCipher(key[:])
-		if err != nil {
-			panic(err)
-		}
-		var iv [aes.BlockSize]byte
-		copy(iv[:], master[:aes.BlockSize])
-		return cipher.NewCTR(block, iv[:])
+	if !isClient {
+		kc, ks = ks, kc
 	}
-	if isClient {
-		sc.enc, sc.dec = mkStream(kc), mkStream(ks)
-		sc.macOut, sc.macIn = hmac.New(sha256.New, mkc[:]), hmac.New(sha256.New, mks[:])
-	} else {
-		sc.enc, sc.dec = mkStream(ks), mkStream(kc)
-		sc.macOut, sc.macIn = hmac.New(sha256.New, mks[:]), hmac.New(sha256.New, mkc[:])
+	sc.enc, sc.dec = newGCM(kc), newGCM(ks)
+}
+
+// newGCM returns AES-256-GCM under key.
+func newGCM(key [32]byte) cipher.AEAD {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic(err)
 	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err)
+	}
+	return aead
+}
+
+// nonceFor returns record number seq's nonce, four zero bytes and then
+// seq, staged in sc.nonce: a local array would escape through cipher.AEAD.
+func (sc *SecureConn) nonceFor(seq uint64) []byte {
+	binary.BigEndian.PutUint64(sc.nonce[gcmNonceLen-8:], seq)
+	return sc.nonce[:]
 }
 
 // record handles one complete record, whose bytes — header included — are
@@ -209,47 +222,42 @@ func (sc *SecureConn) record(rec []chunk.Span) {
 	sc.onRecord(b[0], b[sslRecordHeaderLen:])
 }
 
-// open checks a data record's MAC over its ciphertext where the pieces
-// lie, and only then decrypts them into a span carved from the secure
-// conn's own chunks, which it hands up: to OnSpan's receiver if one is
-// registered, else to OnData's. A record that fails its MAC is dropped
-// without advancing the decryption stream, and no byte of the sender's
-// chunks is ever written.
+// open copies a data record's ciphertext and tag, where the pieces lie,
+// once into a span carved from the secure conn's own chunks, opens it there
+// with the header as additional data, and hands up its plaintext: to
+// OnSpan's receiver if one is registered, else to OnData's. Every record
+// has a nonce of its own, so a record that fails to open is dropped and
+// the records after it still open. No byte of the sender's chunks is ever
+// written.
 func (sc *SecureConn) open(rec []chunk.Span) {
-	var hdr [sslRecordHeaderLen]byte
-	readSpans(rec, 0, hdr[:])
+	readSpans(rec, 0, sc.hdr[:])
 	payload := spansLen(rec) - sslRecordHeaderLen
-	if hdr[0] != recordTypeData || payload < sslMACLen {
+	if sc.hdr[0] != recordTypeData || payload < sslMACLen {
 		return
 	}
 	n := payload - sslMACLen
 	sc.chargeCrypto(SSLPerRecordCost + time.Duration(n)*SSLPerByteCost)
-	var mac [sslMACLen]byte
-	readSpans(rec, sslRecordHeaderLen+n, mac[:])
-	ok := hmac.Equal(sc.sum(sc.macIn, sc.seqIn, rec, sslRecordHeaderLen, n), mac[:])
+	sp := sc.in.Carve(payload, smallChunk)
+	b := sp.Bytes()
+	readSpans(rec, sslRecordHeaderLen, b)
+	_, err := sc.dec.Open(b[:0], sc.nonceFor(sc.seqIn), b, sc.hdr[:])
 	sc.seqIn++
-	if !ok || n == 0 {
-		return // corrupted record: drop
+	if err == nil && n > 0 {
+		sc.BytesRecvApp += int64(n)
+		pt := chunk.Span{C: sp.C, Off: sp.Off, N: n}
+		switch {
+		case sc.onSpan != nil:
+			sc.onSpan(pt)
+		case sc.onData != nil:
+			sc.onData(pt.Bytes())
+		}
 	}
-	pt := sc.in.Carve(n, smallChunk)
-	dst := pt.Bytes()
-	eachSpan(rec, sslRecordHeaderLen, n, func(b []byte) {
-		sc.dec.XORKeyStream(dst, b)
-		dst = dst[len(b):]
-	})
-	sc.BytesRecvApp += int64(n)
-	switch {
-	case sc.onSpan != nil:
-		sc.onSpan(pt)
-	case sc.onData != nil:
-		sc.onData(pt.Bytes())
-	}
-	pt.C.Release()
+	sp.C.Release()
 }
 
 // connClosed runs when the underlying conn closes: no more bytes arrive,
 // so the pieces of a record they left cut and the chunk records are
-// decrypted into are dropped, and the receiver is told.
+// opened in are dropped, and the receiver is told.
 func (sc *SecureConn) connClosed() {
 	sc.records.reset()
 	sc.in.Drop()
@@ -258,20 +266,8 @@ func (sc *SecureConn) connClosed() {
 	}
 }
 
-// sum returns the truncated MAC of record number seq whose body is the n
-// bytes from offset off of rec's pieces, computed by h, which it resets
-// first, in sc.mac (which also stages seq: a local array would escape
-// through the hash.Hash interface).
-func (sc *SecureConn) sum(h hash.Hash, seq uint64, rec []chunk.Span, off, n int) []byte {
-	h.Reset()
-	binary.BigEndian.PutUint64(sc.mac[:8], seq)
-	h.Write(sc.mac[:8])
-	eachSpan(rec, off, n, func(b []byte) { h.Write(b) })
-	return h.Sum(sc.mac[:0])[:sslMACLen]
-}
-
 // Send encrypts and queues application data. Each record is sealed —
-// header, ciphertext, MAC — into one span of the secure conn's chunks and
+// header, ciphertext, tag — into one span of the secure conn's chunks and
 // handed to the conn by reference.
 func (sc *SecureConn) Send(data []byte) {
 	if !sc.handshaken {
@@ -299,8 +295,7 @@ func (sc *SecureConn) seal(pt []byte) chunk.Span {
 	rec := sc.out.Grow(sslRecordHeaderLen + n + sslMACLen)
 	b := rec.Bytes()
 	putRecordHeader(b, recordTypeData, n+sslMACLen)
-	sc.enc.XORKeyStream(b[sslRecordHeaderLen:sslRecordHeaderLen+n], pt)
-	copy(b[sslRecordHeaderLen+n:], sc.sum(sc.macOut, sc.seqOut, []chunk.Span{rec}, sslRecordHeaderLen, n))
+	sc.enc.Seal(b[:sslRecordHeaderLen], sc.nonceFor(sc.seqOut), pt, b[:sslRecordHeaderLen])
 	sc.seqOut++
 	return rec
 }
@@ -421,29 +416,20 @@ func spansLen(ss []chunk.Span) int {
 	return n
 }
 
-// eachSpan calls fn on each piece of the n bytes from offset off of the
-// spans' concatenation, in order.
-func eachSpan(ss []chunk.Span, off, n int, fn func([]byte)) {
+// readSpans copies the bytes from offset off of the spans' concatenation
+// into dst and returns how many it copied.
+func readSpans(ss []chunk.Span, off int, dst []byte) int {
+	k := 0
 	for _, s := range ss {
-		if n == 0 {
-			return
+		if k == len(dst) {
+			break
 		}
 		if off >= s.N {
 			off -= s.N
 			continue
 		}
-		b := s.Bytes()[off:]
-		b = b[:min(len(b), n)]
-		fn(b)
-		n -= len(b)
+		k += copy(dst[k:], s.Bytes()[off:])
 		off = 0
 	}
-}
-
-// readSpans copies the bytes from offset off of the spans' concatenation
-// into dst and returns how many it copied.
-func readSpans(ss []chunk.Span, off int, dst []byte) int {
-	k := 0
-	eachSpan(ss, off, len(dst), func(b []byte) { k += copy(dst[k:], b) })
 	return k
 }

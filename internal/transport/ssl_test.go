@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"crypto/hmac"
 	"encoding/binary"
 	"testing"
 
@@ -13,12 +12,12 @@ import (
 
 // FuzzRecordReader is a differential fuzzer for the secure conn's receive
 // path. The script seals records (any plaintext length, empty included),
-// corrupts bytes of some (header, ciphertext or MAC), and cuts the flat
+// corrupts bytes of some (header, ciphertext or tag), and cuts the flat
 // wire bytes at arbitrary offsets into pieces, each copied into a fresh
 // debug-pool chunk that is recycled — poisoned — as soon as the reader
 // returns unless it kept a reference. What the receiver is handed must
-// equal what opening the flat buffer whole yields (a record whose MAC
-// fails is dropped and does not advance the decryption stream), in OnData
+// equal what opening the flat buffer whole yields (a record that fails to
+// open is dropped, and the records after it still open), in OnData
 // mode and in OnSpan mode, where every third plaintext span is kept to the
 // end and must not change. Once everything is released, every chunk is
 // back in the pool.
@@ -39,15 +38,9 @@ func FuzzRecordReader(f *testing.F) {
 		pool := r.net.ChunkPool()
 		var master [32]byte
 		master[0] = script[0]
-		tx := &SecureConn{stack: r.a}
-		tx.out.Pool = pool
-		tx.deriveKeys(master, true)
+		tx, rx := recordPair(r, master)
 		oracle := &SecureConn{}
 		oracle.deriveKeys(master, false)
-		rx := &SecureConn{stack: r.b, handshaken: true}
-		rx.in.Pool = pool
-		rx.records.emit = rx.record
-		rx.deriveKeys(master, false)
 
 		var flat []byte
 		next := byte(1)
@@ -66,30 +59,24 @@ func FuzzRecordReader(f *testing.F) {
 			flat = append(flat, b...)
 		}
 
-		// Open the flat buffer whole, as the reader did before it parsed
-		// spans: MAC over the contiguous ciphertext, decrypt on success.
+		// Open each record of the flat buffer on its own, where it lies:
+		// GCM with the sequence-number nonce and the header as additional
+		// data.
 		var want []byte
 		for off := 0; off+sslRecordHeaderLen <= len(flat); {
 			n := sslRecordHeaderLen + int(binary.BigEndian.Uint16(flat[off+1:off+3]))
 			if off+n > len(flat) {
 				break
 			}
-			typ, payload := flat[off], flat[off+sslRecordHeaderLen:off+n]
+			hdr, payload := flat[off:off+sslRecordHeaderLen], flat[off+sslRecordHeaderLen:off+n]
 			off += n
-			if typ != recordTypeData || len(payload) < sslMACLen {
+			if hdr[0] != recordTypeData || len(payload) < sslMACLen {
 				continue
 			}
-			body := payload[:len(payload)-sslMACLen]
-			var seq [8]byte
-			binary.BigEndian.PutUint64(seq[:], oracle.seqIn)
-			oracle.macIn.Reset()
-			oracle.macIn.Write(seq[:])
-			oracle.macIn.Write(body)
-			ok := hmac.Equal(oracle.macIn.Sum(nil)[:sslMACLen], payload[len(body):])
+			var nonce [gcmNonceLen]byte
+			binary.BigEndian.PutUint64(nonce[4:], oracle.seqIn)
 			oracle.seqIn++
-			if ok {
-				pt := make([]byte, len(body))
-				oracle.dec.XORKeyStream(pt, body)
+			if pt, err := oracle.dec.Open(nil, nonce[:], payload, hdr); err == nil {
 				want = append(want, pt...)
 			}
 		}
@@ -141,10 +128,64 @@ func FuzzRecordReader(f *testing.F) {
 	})
 }
 
-// BenchmarkSSLRecordRoundTrip: one op seals a 4 KiB record, carries it
-// over a warmed connection (three segments, so the receiver holds a cut
-// record's pieces twice), checks its MAC and opens it into the receiver's
-// callback. ns/op and allocs/op are per record.
+// recordPair returns two secure conns past their handshake that share
+// master's keys: tx seals records on r.a, and rx opens what is fed to its
+// record reader on r.b, both in chunks of r's pool.
+func recordPair(r *rig, master [32]byte) (tx, rx *SecureConn) {
+	tx = &SecureConn{stack: r.a}
+	tx.out.Pool = r.net.ChunkPool()
+	tx.deriveKeys(master, true)
+	rx = &SecureConn{stack: r.b, handshaken: true}
+	rx.in.Pool = r.net.ChunkPool()
+	rx.records.emit = rx.record
+	rx.deriveKeys(master, false)
+	return tx, rx
+}
+
+// TestTamperedRecordIsDropped: two 100-byte records are sealed and the
+// first has one byte changed, in its ciphertext or in header byte 3 (the
+// pad marker, which no reader looks at). The first must be dropped and the
+// second delivered intact: each record opens on its own, and the tag
+// covers the whole header.
+func TestTamperedRecordIsDropped(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   int // the byte of the first record's wire bytes changed
+	}{
+		{"ciphertext", sslRecordHeaderLen + 10},
+		{"header byte 3", 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 1, netsim.Config{})
+			pool := r.net.ChunkPool()
+			tx, rx := recordPair(r, [32]byte{1})
+			var got [][]byte
+			rx.OnData(func(b []byte) { got = append(got, append([]byte(nil), b...)) })
+			intact := pattern(200)[100:]
+			for i, pt := range [][]byte{pattern(100), intact} {
+				rec := tx.seal(pt)
+				wire := pool.Get(rec.N)
+				in := chunk.Span{C: wire, N: rec.N}
+				copy(in.Bytes(), rec.Bytes())
+				rec.C.Release()
+				if i == 0 {
+					in.Bytes()[tc.at] ^= 1
+				}
+				rx.records.feed(in)
+				wire.Release()
+			}
+			if len(got) != 1 || !bytes.Equal(got[0], intact) {
+				t.Fatalf("delivered %d records, want only the intact one: %x", len(got), got)
+			}
+			rx.in.Drop()
+			tx.out.Drop()
+			if pool.Gets != pool.Puts {
+				t.Fatalf("%d chunks handed out, %d back in the pool", pool.Gets, pool.Puts)
+			}
+		})
+	}
+}
+
 // TestSSLReceivesClonedSegments: every frame crossing the first switch is
 // forwarded as a clone, as a fabric duplicate or a packet-out is, so each
 // segment a secure conn receives lies in no chunk, and reordering makes
@@ -202,6 +243,10 @@ func cloneAt(t *flowtable.Table) {
 	}
 }
 
+// BenchmarkSSLRecordRoundTrip: one op seals a 4 KiB record, carries it
+// over a warmed connection (three segments, so the receiver holds a cut
+// record's pieces twice), opens it and hands it to the receiver's
+// callback. ns/op and allocs/op are per record.
 func BenchmarkSSLRecordRoundTrip(b *testing.B) {
 	r := newRig(b, 3, netsim.Config{})
 	r.net.ChunkPool().SetDebug(false)
